@@ -1,16 +1,21 @@
-// Alloc-regression guard for the hot-path refactor (ISSUE 3): at steady
-// state, simulating a cycle must not touch the allocator. The packet
-// arena, ring-buffer queues, entry free lists and active-set scheduler
-// together make this possible; any change that reintroduces a per-cycle
-// allocation (an append-prepend, a per-cycle make, an unguarded
-// fmt.Sprintf) fails here immediately rather than showing up as a slow
-// drift in benchmark numbers.
+// Alloc-regression guards for the memory rule of DESIGN.md §9 —
+// allocate at Build, never after. At steady state, simulating a cycle
+// must not touch the allocator: the packet arena, ring-buffer queues,
+// slab-built routers and active-set scheduler together make this
+// possible, and any change that reintroduces a per-cycle allocation (an
+// append-prepend, a per-cycle make, an unguarded fmt.Sprintf) fails here
+// immediately rather than showing up as a slow drift in benchmark
+// numbers. Build itself has an object ceiling so it cannot quietly
+// re-fragment into per-router allocations, and a steady-state checkpoint
+// may allocate its blob and nothing else.
 package repro_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"repro/internal/message"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
@@ -49,18 +54,132 @@ func TestSteadyStateZeroAllocsPerCycle(t *testing.T) {
 	cases := []struct {
 		name   string
 		scheme noc.Scheme
+		size   int
 		rate   float64
 	}{
-		{"FastPass/uniform", noc.FastPass, 0.10},
-		{"FastPass/idle", noc.FastPass, 0},
+		{"FastPass/uniform", noc.FastPass, 4, 0.10},
+		{"FastPass/idle", noc.FastPass, 4, 0},
+		// 0.06 is the highest fig7_uniform rate EscapeVC sustains: past
+		// saturation the unbounded source queues and the arena grow with
+		// the backlog every cycle, which is load, not engine garbage.
+		{"EscapeVC/8x8", noc.EscapeVC, 8, 0.06},
+		{"FastPass/16x16", noc.FastPass, 16, 0.03},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := measureSteadyStateAllocs(t, tc.scheme, 4, 4, tc.rate); got > steadyStateAllocBudget {
+			if got := measureSteadyStateAllocs(t, tc.scheme, tc.size, tc.size, tc.rate); got > steadyStateAllocBudget {
 				t.Errorf("steady-state cycle allocates %.3f times on average, want ~0 (budget %.2f)",
 					got, steadyStateAllocBudget)
 			}
 		})
+	}
+	// MinBD's packets stay off the arena, so generating traffic allocates
+	// one packet each by design; the engine must not. Measure Step alone
+	// over source queues pre-loaded deeply enough to keep every node
+	// injecting (the saturated regime: most deflections, fullest side
+	// buffers) through warm-up and measurement.
+	t.Run("MinBD/8x8", func(t *testing.T) {
+		inst := sim.Build(sim.Options{Scheme: noc.MinBD, W: 8, H: 8, Seed: 1})
+		rng := rand.New(rand.NewSource(0x5eed))
+		var id uint64
+		for src := 0; src < 64; src++ {
+			for k := 0; k < 400; k++ {
+				dst := rng.Intn(63)
+				if dst >= src {
+					dst++
+				}
+				id++
+				inst.Enqueue(message.NewPacket(id, src, dst, message.Request, 1+4*rng.Intn(2), 0))
+			}
+		}
+		for c := 0; c < 500; c++ {
+			inst.Step()
+		}
+		if got := testing.AllocsPerRun(300, inst.Step); got > steadyStateAllocBudget {
+			t.Errorf("MinBD Step allocates %.3f times on average, want ~0 (budget %.2f)", got, steadyStateAllocBudget)
+		}
+		if inst.Deflect.SourceBacklog() == 0 {
+			t.Error("source queues drained before the measurement ended: Step was measured partly idle")
+		}
+	})
+}
+
+// TestBuildAllocBudget caps the heap objects sim.Build creates. The
+// slab build measures 172 objects at 8×8 and 2,092 at 32×32 (two
+// closures per node plus a constant number of backing arrays — the
+// pre-slab build made ~98 per router); the ceilings sit ~20 % above
+// that, so one new per-router allocation fails the 32×32 case at once.
+func TestBuildAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run the guard without -race")
+	}
+	for _, tc := range []struct {
+		size    int
+		ceiling float64
+	}{{8, 210}, {32, 2500}} {
+		got := testing.AllocsPerRun(3, func() {
+			sim.Build(sim.Options{Scheme: noc.FastPass, W: tc.size, H: tc.size, Seed: 1})
+		})
+		t.Logf("sim.Build(FastPass %dx%d): %.0f heap objects", tc.size, tc.size, got)
+		if got > tc.ceiling {
+			t.Errorf("sim.Build(FastPass %dx%d) makes %.0f heap objects, ceiling %.0f", tc.size, tc.size, got, tc.ceiling)
+		}
+	}
+}
+
+// TestCheckpointAllocBudget pins the encoder reuse of DESIGN.md §13: in
+// steady state a checkpoint allocates the blob it hands to OnCheckpoint
+// and nothing else of note. A warm FastPass 16×16 run is resumed with a
+// checkpoint every cycle; between two consecutive callbacks lie exactly
+// one checkpoint and one (allocation-free) simulated cycle.
+func TestCheckpointAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run the guard without -race")
+	}
+	cfg := sim.SynthConfig{
+		Options: sim.Options{Scheme: noc.FastPass, W: 16, H: 16, Seed: 1},
+		Pattern: traffic.Uniform, Rate: 0.03,
+		Warmup: 1000, Measure: 1000, Drain: 160,
+	}
+	var warm []byte
+	cfg.CheckpointEvery = 2000
+	cfg.OnCheckpoint = func(_ int64, b []byte) { warm = b }
+	sim.RunSynthetic(cfg)
+	rcfg, err := sim.OpenCheckpoint(warm)
+	if err != nil {
+		t.Fatalf("OpenCheckpoint: %v", err)
+	}
+
+	// The first checkpoints of the resumed run grow the retained buffers
+	// (and its first cycles re-grow lazily sized queues); score the rest.
+	const settle = 60
+	var calls int
+	var objs, bytes, blobBytes uint64
+	var prev runtime.MemStats
+	rcfg.CheckpointEvery = 1
+	rcfg.OnCheckpoint = func(_ int64, b []byte) {
+		var now runtime.MemStats
+		runtime.ReadMemStats(&now)
+		if calls++; calls > settle {
+			objs += now.Mallocs - prev.Mallocs
+			bytes += now.TotalAlloc - prev.TotalAlloc
+			blobBytes += uint64(len(b))
+		}
+		prev = now
+	}
+	if _, err := sim.ResumeSynthetic(rcfg, warm); err != nil {
+		t.Fatalf("ResumeSynthetic: %v", err)
+	}
+	n := float64(calls - settle)
+	if n < 50 {
+		t.Fatalf("only %d checkpoints scored", calls-settle)
+	}
+	t.Logf("%.0f checkpoints: %.2f objects and %.3f × blob bytes per call", n, float64(objs)/n, float64(bytes)/float64(blobBytes))
+	if perCall := float64(objs) / n; perCall > 4 {
+		t.Errorf("steady-state checkpoint allocates %.2f objects per call, budget 4", perCall)
+	}
+	if ratio := float64(bytes) / float64(blobBytes); ratio > 1.1 {
+		t.Errorf("steady-state checkpoint allocates %.3f × its blob's bytes, budget 1.1", ratio)
 	}
 }
 

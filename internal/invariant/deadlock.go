@@ -63,8 +63,10 @@ func (w *Watchdog) extractWaitsFor() (edges [][]int32, heads []*waitingHead) {
 	edges = make([][]int32, len(w.allocMark))
 	heads = make([]*waitingHead, len(w.allocMark))
 	for _, r := range n.Routers {
-		for _, iu := range r.Inputs {
-			for vci, vcq := range iu.VCs {
+		for p := range r.Inputs {
+			iu := &r.Inputs[p]
+			for vci := range iu.VCs {
+				vcq := &iu.VCs[vci]
 				e := vcq.Head()
 				if e == nil || e.Allocated {
 					continue
@@ -182,8 +184,10 @@ func (w *Watchdog) collectStarved(cycle int64) []*message.Packet {
 	w.starved = w.starved[:0]
 	n := w.net
 	for _, r := range n.Routers {
-		for _, iu := range r.Inputs {
-			for _, vcq := range iu.VCs {
+		for p := range r.Inputs {
+			vcs := r.Inputs[p].VCs
+			for v := range vcs {
+				vcq := &vcs[v]
 				if e := vcq.Head(); e == nil || cycle-e.LastMove <= w.opts.StarveBound {
 					continue
 				}

@@ -299,8 +299,10 @@ func (w *Watchdog) sample() {
 	var worstBlocked int64
 	starving := false
 	for _, r := range n.Routers {
-		for _, iu := range r.Inputs {
-			for _, vcq := range iu.VCs {
+		for p := range r.Inputs {
+			vcs := r.Inputs[p].VCs
+			for v := range vcs {
+				vcq := &vcs[v]
 				for i := 0; i < vcq.Len(); i++ {
 					e := vcq.EntryAt(i)
 					w.live[e.Pkt.ID] = e.Pkt

@@ -7,9 +7,10 @@ import (
 )
 
 // HotAlloc keeps the per-cycle simulation kernel off the allocator. The
-// hot-path packages (internal/nic, internal/router, internal/network)
-// hold the steady-state zero-allocs-per-cycle contract from the
-// arena/ring-buffer refactor, and two idioms quietly break it:
+// hot-path packages (internal/nic, internal/router, internal/network,
+// internal/minbd) hold the steady-state zero-allocs-per-cycle contract
+// (allocate at Build, never after — DESIGN.md §9), and two idioms
+// quietly break it:
 //
 //   - the append-prepend copy, `append([]T{x}, q...)`, which allocates
 //     a fresh backing array and copies the whole queue to put one
@@ -36,7 +37,8 @@ func hotPathPackage(path string) bool {
 	switch {
 	case strings.HasSuffix(path, "/internal/nic"),
 		strings.HasSuffix(path, "/internal/router"),
-		strings.HasSuffix(path, "/internal/network"):
+		strings.HasSuffix(path, "/internal/network"),
+		strings.HasSuffix(path, "/internal/minbd"):
 		return true
 	}
 	// The analyzer's own fixture opts in so the golden test can exercise

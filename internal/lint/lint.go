@@ -15,9 +15,9 @@
 //	panicstyle — panic messages carry the "<pkg>: " prefix so
 //	             invariant violations are attributable
 //	hotalloc   — no append-prepend copies or per-cycle make calls in
-//	             the hot-path packages (internal/{nic,router,network});
-//	             the steady-state zero-allocs-per-cycle contract
-//	             depends on it
+//	             the hot-path packages
+//	             (internal/{nic,router,network,minbd}); the steady-state
+//	             zero-allocs-per-cycle contract depends on it
 //	wallclock  — no reference to package time at all in
 //	             internal/{faults,invariant}; fault schedules and
 //	             watchdog bounds are simulated cycles, so a wedged run

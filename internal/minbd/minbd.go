@@ -13,9 +13,8 @@
 package minbd
 
 import (
-	"sort"
-
 	"repro/internal/message"
+	"repro/internal/ringq"
 	"repro/internal/topology"
 )
 
@@ -37,7 +36,10 @@ func (p *Params) setDefaults() {
 	}
 }
 
-// Network is a deflection NoC instance.
+// Network is a deflection NoC instance. Everything Step touches is sized
+// in New (DESIGN.md §9): link tables, register banks and side buffers
+// are fixed; only the unbounded source queues and the reassembly table
+// grow with the offered load.
 type Network struct {
 	Mesh *topology.Mesh
 	prm  Params
@@ -46,12 +48,14 @@ type Network struct {
 	// latch, cur the flits being routed this cycle. A nil Pkt means the
 	// register is empty.
 	cur, mid, next []message.Flit
-	// inLinks caches the directed links entering each node.
-	inLinks [][]int
+	// inLinks[node][port] / outLinks[node][port] are the directed link
+	// IDs entering and leaving each node, -1 at a mesh edge (and for
+	// Local).
+	inLinks, outLinks [][topology.NumMeshPorts]int
 
-	side   [][]message.Flit
-	source [][]*message.Packet // per node FIFO
-	injSeq []int               // next flit of the head packet to inject
+	side   []ringq.Ring[message.Flit]
+	source []ringq.Ring[*message.Packet] // per node FIFO
+	injSeq []int                         // next flit of the head packet to inject
 
 	// rx counts flits of each packet received at its destination.
 	rx map[uint64]int
@@ -71,20 +75,34 @@ type Network struct {
 // New builds a MinBD network.
 func New(mesh *topology.Mesh, prm Params) *Network {
 	prm.setDefaults()
+	nodes, links := mesh.NumNodes(), len(mesh.Links())
+	regs := make([]message.Flit, 3*links)
 	n := &Network{
-		Mesh:   mesh,
-		prm:    prm,
-		cur:    make([]message.Flit, len(mesh.Links())),
-		mid:    make([]message.Flit, len(mesh.Links())),
-		next:   make([]message.Flit, len(mesh.Links())),
-		side:   make([][]message.Flit, mesh.NumNodes()),
-		source: make([][]*message.Packet, mesh.NumNodes()),
-		injSeq: make([]int, mesh.NumNodes()),
-		rx:     make(map[uint64]int),
+		Mesh:     mesh,
+		prm:      prm,
+		cur:      regs[:links:links],
+		mid:      regs[links : 2*links : 2*links],
+		next:     regs[2*links:],
+		inLinks:  make([][topology.NumMeshPorts]int, nodes),
+		outLinks: make([][topology.NumMeshPorts]int, nodes),
+		side:     make([]ringq.Ring[message.Flit], nodes),
+		source:   make([]ringq.Ring[*message.Packet], nodes),
+		injSeq:   make([]int, nodes),
+		rx:       make(map[uint64]int),
 	}
-	n.inLinks = make([][]int, mesh.NumNodes())
-	for _, l := range mesh.Links() {
-		n.inLinks[l.Dst] = append(n.inLinks[l.Dst], l.ID)
+	sideCap := ringq.CeilPow2(prm.SideCap)
+	sideSlab := make([]message.Flit, nodes*sideCap)
+	for node := 0; node < nodes; node++ {
+		for d := topology.Local; d < topology.NumMeshPorts; d++ {
+			n.inLinks[node][d], n.outLinks[node][d] = -1, -1
+			if l := mesh.InLink(node, d); l != nil {
+				n.inLinks[node][d] = l.ID
+			}
+			if l := mesh.OutLink(node, d); l != nil {
+				n.outLinks[node][d] = l.ID
+			}
+		}
+		n.side[node].Adopt(sideSlab[node*sideCap : (node+1)*sideCap])
 	}
 	return n
 }
@@ -94,7 +112,7 @@ func (n *Network) Cycle() int64 { return n.cycle }
 
 // EnqueueSource queues a packet for injection at its source node.
 func (n *Network) EnqueueSource(pkt *message.Packet) {
-	n.source[pkt.Src] = append(n.source[pkt.Src], pkt)
+	n.source[pkt.Src].PushBack(pkt)
 }
 
 // Resident reports packets with flits in flight or side-buffered.
@@ -104,14 +122,15 @@ func (n *Network) Resident() int { return n.resident }
 // packet still counts).
 func (n *Network) SourceBacklog() int {
 	t := 0
-	for _, q := range n.source {
-		t += len(q)
+	for i := range n.source {
+		t += n.source[i].Len()
 	}
 	return t
 }
 
-// older orders flits by packet age, then packet ID, then flit sequence
-// (deterministic).
+// older orders flits by packet age, then packet ID, then flit sequence —
+// a total order on distinct flits, so any correct sort of a router's
+// arrivals yields the same permutation.
 func older(a, b message.Flit) bool {
 	if a.Pkt.CreateTime != b.Pkt.CreateTime {
 		return a.Pkt.CreateTime < b.Pkt.CreateTime
@@ -123,138 +142,149 @@ func older(a, b message.Flit) bool {
 }
 
 // Step advances one cycle.
+//
+//nocvet:hot
 func (n *Network) Step() {
 	for node := 0; node < n.Mesh.NumNodes(); node++ {
 		n.stepRouter(node)
 	}
 	n.cur, n.mid, n.next = n.mid, n.next, n.cur
-	for i := range n.next {
-		n.next[i] = message.Flit{}
-	}
+	clear(n.next)
 	n.cycle++
 }
 
-// outLinks lists the directed links leaving node.
-func (n *Network) outLinks(node int) []*topology.Link {
-	var out []*topology.Link
-	for d := topology.North; d <= topology.West; d++ {
-		if l := n.Mesh.OutLink(node, d); l != nil {
-			out = append(out, l)
+// routerCycle is one router's per-cycle allocation state: which output
+// ports are taken (bit per Direction) and how much ejection bandwidth is
+// spent.
+type routerCycle struct {
+	node    int
+	taken   uint8
+	ejected int
+}
+
+// assign drives f onto a free productive output port of the router, or —
+// unless productiveOnly — deflects it onto the first free port in
+// North, East, South, West order. It reports whether f left.
+func (n *Network) assign(rc *routerCycle, f message.Flit, productiveOnly bool) bool {
+	out := &n.outLinks[rc.node]
+	var dirBuf [2]topology.Direction
+	for _, d := range n.Mesh.AppendPortToward(dirBuf[:0], rc.node, f.Pkt.Dst) {
+		if id := out[d]; id >= 0 && rc.taken&(1<<d) == 0 {
+			rc.taken |= 1 << d
+			n.next[id] = f
+			if f.IsHead() {
+				f.Pkt.Hops++
+			}
+			return true
 		}
 	}
-	return out
+	if productiveOnly {
+		return false
+	}
+	for d := topology.North; d <= topology.West; d++ {
+		if id := out[d]; id >= 0 && rc.taken&(1<<d) == 0 {
+			rc.taken |= 1 << d
+			n.next[id] = f
+			n.Deflections++
+			return true
+		}
+	}
+	return false
+}
+
+// tryEject consumes one flit of ejection bandwidth; when the last flit
+// of a packet lands, the packet completes. The caller adjusts the
+// resident count (source-side flits were never resident).
+func (n *Network) tryEject(rc *routerCycle, f message.Flit) (consumed, completed bool) {
+	if f.Pkt.Dst != rc.node || rc.ejected >= n.prm.EjectCap {
+		return false, false
+	}
+	rc.ejected++
+	n.rx[f.Pkt.ID]++
+	if n.rx[f.Pkt.ID] == f.Pkt.Len {
+		delete(n.rx, f.Pkt.ID)
+		f.Pkt.EjectTime = n.cycle
+		n.Ejections++
+		if n.OnEject != nil {
+			n.OnEject(f.Pkt)
+		}
+		return true, true
+	}
+	return true, false
 }
 
 func (n *Network) stepRouter(node int) {
-	var arrivals []message.Flit
-	for _, id := range n.inLinks[node] {
-		if n.cur[id].Pkt != nil {
-			arrivals = append(arrivals, n.cur[id])
+	// At most one arrival per input port; insertion-sort them oldest
+	// first as they are collected.
+	var arrivals [topology.NumMeshPorts - 1]message.Flit
+	na := 0
+	for _, id := range n.inLinks[node][topology.North:] {
+		if id < 0 || n.cur[id].Pkt == nil {
+			continue
 		}
+		i := na
+		for ; i > 0 && older(n.cur[id], arrivals[i-1]); i-- {
+			arrivals[i] = arrivals[i-1]
+		}
+		arrivals[i] = n.cur[id]
+		na++
 	}
-	sort.Slice(arrivals, func(i, j int) bool { return older(arrivals[i], arrivals[j]) })
-
-	outs := n.outLinks(node)
-	taken := make(map[int]bool, len(outs))
-	var dirBuf [2]topology.Direction
-	assign := func(f message.Flit, productiveOnly bool) bool {
-		for _, d := range n.Mesh.AppendPortToward(dirBuf[:0], node, f.Pkt.Dst) {
-			if l := n.Mesh.OutLink(node, d); l != nil && !taken[l.ID] {
-				taken[l.ID] = true
-				n.next[l.ID] = f
-				if f.IsHead() {
-					f.Pkt.Hops++
-				}
-				return true
-			}
-		}
-		if productiveOnly {
-			return false
-		}
-		for _, l := range outs {
-			if !taken[l.ID] {
-				taken[l.ID] = true
-				n.next[l.ID] = f
-				n.Deflections++
-				return true
-			}
-		}
-		return false
-	}
-
-	ejected := 0
-	// tryEject consumes one flit of ejection bandwidth; when the last
-	// flit of a packet lands, the packet completes. The caller adjusts
-	// the resident count (source-side flits were never resident).
-	tryEject := func(f message.Flit) (consumed, completed bool) {
-		if f.Pkt.Dst != node || ejected >= n.prm.EjectCap {
-			return false, false
-		}
-		ejected++
-		n.rx[f.Pkt.ID]++
-		if n.rx[f.Pkt.ID] == f.Pkt.Len {
-			delete(n.rx, f.Pkt.ID)
-			f.Pkt.EjectTime = n.cycle
-			n.Ejections++
-			if n.OnEject != nil {
-				n.OnEject(f.Pkt)
-			}
-			return true, true
-		}
-		return true, false
-	}
+	rc := routerCycle{node: node}
 
 	// Pass 1: link arrivals (oldest first): eject, else productive port.
-	var leftovers []message.Flit
-	for _, f := range arrivals {
-		if consumed, completed := tryEject(f); consumed {
+	var leftovers [topology.NumMeshPorts - 1]message.Flit
+	nl := 0
+	for _, f := range arrivals[:na] {
+		if consumed, completed := n.tryEject(&rc, f); consumed {
 			if completed {
 				n.resident--
 			}
 			continue
 		}
-		if !assign(f, true) {
-			leftovers = append(leftovers, f)
+		if !n.assign(&rc, f, true) {
+			leftovers[nl] = f
+			nl++
 		}
 	}
 	// Pass 2: losers park in the side buffer when it has room, else
 	// deflect (pigeonhole guarantees a free port for link arrivals).
-	for _, f := range leftovers {
-		if len(n.side[node]) < n.prm.SideCap {
-			n.side[node] = append(n.side[node], f)
+	side := &n.side[node]
+	for _, f := range leftovers[:nl] {
+		if side.Len() < n.prm.SideCap {
+			side.PushBack(f)
 			n.SideBuffered++
 			continue
 		}
-		if !assign(f, false) {
+		if !n.assign(&rc, f, false) {
 			panic("minbd: link arrival had no output port")
 		}
 	}
 	// Pass 3: side buffer re-entry onto productive free ports only.
-	if len(n.side[node]) > 0 {
-		f := n.side[node][0]
-		if consumed, completed := tryEject(f); consumed {
+	if side.Len() > 0 {
+		f := side.Front()
+		if consumed, completed := n.tryEject(&rc, f); consumed {
 			if completed {
 				n.resident--
 			}
-			n.side[node] = n.side[node][1:]
-		} else if assign(f, true) {
-			n.side[node] = n.side[node][1:]
+			side.PopFront()
+		} else if n.assign(&rc, f, true) {
+			side.PopFront()
 		}
 	}
 	// Pass 4: inject the next flit of the head source packet.
-	if len(n.source[node]) > 0 {
-		pkt := n.source[node][0]
+	if source := &n.source[node]; source.Len() > 0 {
+		pkt := source.Front()
 		f := message.Flit{Pkt: pkt, Seq: n.injSeq[node]}
 		injected := false
 		if pkt.Dst == node {
 			// Self-addressed: injection feeds ejection directly; the
 			// packet never becomes network-resident.
-			consumed, _ := tryEject(f)
+			consumed, _ := n.tryEject(&rc, f)
 			injected = consumed
 			if injected && n.injSeq[node] == 0 {
 				pkt.InjectTime = n.cycle
 			}
-		} else if assign(f, true) {
+		} else if n.assign(&rc, f, true) {
 			injected = true
 			if n.injSeq[node] == 0 {
 				pkt.InjectTime = n.cycle
@@ -264,7 +294,7 @@ func (n *Network) stepRouter(node int) {
 		if injected {
 			n.injSeq[node]++
 			if n.injSeq[node] == pkt.Len {
-				n.source[node] = n.source[node][1:]
+				source.PopFront()
 				n.injSeq[node] = 0
 			}
 		}

@@ -38,21 +38,16 @@ func (n *Network) SnapshotState(w *snapshot.Writer) {
 	writeRegs(w, n.cur)
 	writeRegs(w, n.mid)
 	writeRegs(w, n.next)
-	for _, sb := range n.side {
-		w.Int(len(sb))
-		for _, f := range sb {
-			writeFlit(w, f)
-		}
+	for node := range n.side {
+		snapshot.WriteRing(w, &n.side[node], writeFlit)
 	}
-	for _, q := range n.source {
-		w.Int(len(q))
-		for _, p := range q {
-			w.Packet(p)
-		}
+	for node := range n.source {
+		snapshot.WriteRing(w, &n.source[node], (*snapshot.Writer).Packet)
 	}
 	for _, s := range n.injSeq {
 		w.Int(s)
 	}
+	//nocvet:ignore hotalloc checkpoint encoding runs between Steps, on demand — not per-cycle work
 	ids := make([]uint64, 0, len(n.rx))
 	for id := range n.rx {
 		ids = append(ids, id)
@@ -77,18 +72,10 @@ func (n *Network) RestoreState(r *snapshot.Reader) {
 	readRegs(r, n.mid)
 	readRegs(r, n.next)
 	for node := range n.side {
-		k := r.Int()
-		n.side[node] = n.side[node][:0]
-		for i := 0; i < k && r.Err() == nil; i++ {
-			n.side[node] = append(n.side[node], readFlit(r))
-		}
+		snapshot.ReadRing(r, &n.side[node], readFlit)
 	}
 	for node := range n.source {
-		k := r.Int()
-		n.source[node] = n.source[node][:0]
-		for i := 0; i < k && r.Err() == nil; i++ {
-			n.source[node] = append(n.source[node], r.Packet())
-		}
+		snapshot.ReadRing(r, &n.source[node], (*snapshot.Reader).Packet)
 	}
 	for i := range n.injSeq {
 		n.injSeq[i] = r.Int()
@@ -109,7 +96,7 @@ func init() {
 	snapshot.Register("minbd.Network", Network{},
 		[]string{"cur", "mid", "next", "side", "source", "injSeq", "rx",
 			"cycle", "Deflections", "SideBuffered", "Ejections", "resident"},
-		[]string{"Mesh", "prm", "inLinks", "OnEject"})
+		[]string{"Mesh", "prm", "inLinks", "outLinks", "OnEject"})
 }
 
 var _ snapshot.Stater = (*Network)(nil)

@@ -71,7 +71,9 @@ type channel struct {
 	// flit until it is written into an input VC at the end of this
 	// cycle. Total per-hop latency: 1-cycle router + 1-cycle link.
 	cur, next transit //nocvet:buffered
-	// creditNext carries VC-free indices flowing back to the source.
+	// creditNext carries VC-free indices flowing back to the source. Each
+	// downstream VC frees at most once a cycle, so New sizes it to the
+	// router's VC count and it never grows.
 	creditNext []int //nocvet:buffered
 	// flits counts regular flit launches onto this link over the run
 	// (per-link utilisation telemetry). Written only by the link's
@@ -180,27 +182,34 @@ func New(p Params) *Network {
 		Controller: NopController{Label: "none"},
 		seed:       p.Seed,
 	}
-	links := p.Mesh.Links()
+	// Everything the cycle loop appends to is sized to its hard upper
+	// bound here, so Step never grows a slice (DESIGN.md §9).
+	links, nodes := p.Mesh.Links(), p.Mesh.NumNodes()
+	netVCs := p.Router.NetVCs()
 	n.channels = make([]*channel, len(links))
+	chans := make([]channel, len(links))
+	credits := make([]int, len(links)*netVCs)
 	for i, l := range links {
-		n.channels[i] = &channel{link: l}
+		chans[i] = channel{link: l, creditNext: credits[i*netVCs : i*netVCs : (i+1)*netVCs]}
+		n.channels[i] = &chans[i]
 	}
 	n.linkClaims = make([]bool, len(links))
-	n.ejectClaims = make([]bool, p.Mesh.NumNodes())
+	n.ejectClaims = make([]bool, nodes)
 	n.chDirty = make([]bool, len(links))
-	n.shardOf = make([]int32, p.Mesh.NumNodes())
-	n.nodeRand = make([]*rand.Rand, p.Mesh.NumNodes())
-	n.nodeSrc = make([]*snapshot.CountingSource, p.Mesh.NumNodes())
+	n.dirtyChannels = make([]int, 0, len(links))
+	n.claimedLinks = make([]int, 0, len(links))
+	n.claimedEjects = make([]int, 0, nodes)
+	n.shardOf = make([]int32, nodes)
+	n.nodeRand = make([]*rand.Rand, nodes)
+	n.nodeSrc = make([]*snapshot.CountingSource, nodes)
 	n.SetShards(1)
-	for id := 0; id < p.Mesh.NumNodes(); id++ {
-		n.Routers = append(n.Routers, router.New(id, p.Mesh, p.Router, n))
-		nc := nic.New(id, p.EjectCap)
-		r := n.Routers[id]
-		nc.Inject = r.InjectPacket
+	n.Routers = router.NewAll(p.Mesh, p.Router, n)
+	n.NICs = nic.NewAll(nodes, p.EjectCap)
+	for id, nc := range n.NICs {
+		nc.Inject = n.Routers[id].InjectPacket
 		node := id
 		nc.OnActive = func() { n.wakeNIC(node) }
 		nc.DeferEject = &n.deferEject
-		n.NICs = append(n.NICs, nc)
 	}
 	if p.Shards > 1 {
 		n.SetShards(p.Shards)

@@ -8,11 +8,15 @@
 // backing array is reused forever and only grows (by doubling) when the
 // occupancy high-water mark rises.
 //
-// The zero value is an empty ring; the first push allocates. Rings are
-// deliberately unbounded — the simulator's finite resources (VC and
-// ejection capacities) are enforced by their owners, which already
-// guard every enqueue, so a capacity check here would only duplicate an
-// invariant and turn a modelling bug into silent back-pressure.
+// The zero value is an empty ring; the first push allocates. An owner
+// that knows its rings' working capacity up front carves their backing
+// arrays from one slab and hands each its piece with Adopt, so a whole
+// network of rings costs one allocation at build time and none on first
+// use. Rings are deliberately unbounded — the simulator's finite
+// resources (VC and ejection capacities) are enforced by their owners,
+// which already guard every enqueue, so a capacity check here would only
+// duplicate an invariant and turn a modelling bug into silent
+// back-pressure.
 package ringq
 
 // Ring is a FIFO/deque over a power-of-two circular buffer.
@@ -26,19 +30,29 @@ type Ring[T any] struct {
 func New[T any](capacity int) *Ring[T] {
 	r := &Ring[T]{}
 	if capacity > 0 {
-		r.buf = make([]T, ceilPow2(capacity))
+		r.buf = make([]T, CeilPow2(max(capacity, 4)))
 	}
 	return r
 }
 
-// ceilPow2 rounds n up to a power of two (minimum 4: tiny rings grow
-// immediately anyway, so start past the degenerate sizes).
-func ceilPow2(n int) int {
-	c := 4
+// CeilPow2 rounds n up to a power of two (minimum 1) — the backing
+// length Adopt requires for a ring meant to hold n elements.
+func CeilPow2(n int) int {
+	c := 1
 	for c < n {
 		c <<= 1
 	}
 	return c
+}
+
+// Adopt installs buf as the backing array of an empty ring. len(buf)
+// must be a power of two; the ring still grows (onto the heap) if
+// occupancy ever exceeds it.
+func (r *Ring[T]) Adopt(buf []T) {
+	if r.n != 0 || len(buf)&(len(buf)-1) != 0 {
+		panic("ringq: Adopt needs an empty ring and a power-of-two backing array")
+	}
+	r.buf, r.head = buf, 0
 }
 
 // Len reports the number of buffered elements.
@@ -98,11 +112,16 @@ func (r *Ring[T]) Front() T {
 }
 
 // At returns element i (0 = front). It panics when i is out of range.
-func (r *Ring[T]) At(i int) T {
+func (r *Ring[T]) At(i int) T { return *r.Ptr(i) }
+
+// Ptr returns a pointer to element i in place, for rings of structs
+// mutated where they sit. It is valid until the next insertion or
+// removal. It panics when i is out of range.
+func (r *Ring[T]) Ptr(i int) *T {
 	if i < 0 || i >= r.n {
 		panic("ringq: index out of range")
 	}
-	return r.buf[r.mask(r.head+i)]
+	return &r.buf[r.mask(r.head+i)]
 }
 
 // PopFront removes and returns element 0, zeroing its slot so the ring

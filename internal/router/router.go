@@ -97,31 +97,43 @@ func (c Config) Validate() error {
 // NetVCs is the number of virtual channels per network input port.
 func (c Config) NetVCs() int { return c.NumVNs * c.VCsPerVN }
 
-// InputUnit is the buffering for one input port.
+// InputUnit is the buffering for one input port. VCs is a window onto
+// the owning router's single VC array.
 type InputUnit struct {
 	Port topology.Direction
-	VCs  []*VC
+	VCs  []VC
 }
+
+// nPorts is the port count of every router this package builds: the
+// routers take a *topology.Mesh, so their per-port state is fixed-size
+// and lives inside the Router struct instead of behind slice headers.
+const nPorts = int(topology.NumMeshPorts)
 
 // Router is one node's switch. Port 0 (Local) doubles as the injection
 // input (per-class queues, the paper's "Injection Buffer") and the
 // ejection output.
+//
+// A Router is built once and never grows (DESIGN.md §9): per-port state
+// is arrays in the struct, and the parts sized by the VC count — the VCs
+// themselves, the network VCs' entry slots, credit and request vectors,
+// VA candidate lists — are windows onto a few backing arrays that a
+// whole network's routers share (see NewAll).
 type Router struct {
 	ID   int
 	Mesh *topology.Mesh
 	Cfg  Config
 	Env  Env
 
-	Inputs []*InputUnit
+	Inputs [nPorts]InputUnit
 
 	// outLinks[port] / inLinks[port] are directed link IDs, -1 where
 	// the mesh edge has no neighbour.
-	outLinks, inLinks []int
+	outLinks, inLinks [nPorts]int
 
 	// vcFree tracks downstream VC availability per output port; it is
 	// the credit state of virtual cut-through with one packet per VC: a
 	// downstream VC is either wholly free or owned by one packet.
-	vcFree [][]bool
+	vcFree [nPorts][]bool
 
 	// ejecting marks classes with a regular packet mid-ejection.
 	ejecting [message.NumClasses]bool
@@ -140,24 +152,28 @@ type Router struct {
 	FlitsRouted  int64
 	SwitchStalls int64
 
-	saInArb  []*RRArbiter // stage 1: per input port over VCs
-	saOutArb []*RRArbiter // stage 2: per output port over input ports
-	portTie  *RRArbiter   // adaptive output-port tie-break
+	saInArb  [nPorts]RRArbiter // stage 1: per input port over VCs
+	saOutArb [nPorts]RRArbiter // stage 2: per output port over input ports
+	portTie  RRArbiter         // adaptive output-port tie-break
 
-	// Preallocated per-cycle scratch (hot path).
+	// Per-cycle scratch (hot path). slots is the (port, vc) enumeration
+	// VA rotates over — identical for every router of a config, so one
+	// read-only table serves them all.
 	slots   []vaSlot
-	nominee []int
-	granted []bool
-	isBest  []bool
+	nominee [nPorts]int
+	granted [nPorts]bool
+	isBest  [nPorts]bool
 	// VA scratch: candidate ports and per-port allowed VC lists.
+	// candPorts, bestPorts and routeBuf are windows onto dirBuf.
 	candPorts []topology.Direction
-	candVCs   [][]int
+	candVCs   [nPorts][]int
 	bestPorts []topology.Direction
 	routeBuf  []topology.Direction
+	dirBuf    [2*nPorts + 2]topology.Direction
 	// SA scratch: per-port VC request vectors and the output-stage
 	// request vector (avoids per-cycle closure allocations).
-	saReqs  [][]bool
-	saOutRq []bool
+	saReqs  [nPorts][]bool
+	saOutRq [nPorts]bool
 }
 
 type vaSlot struct {
@@ -165,85 +181,116 @@ type vaSlot struct {
 	vc   int
 }
 
-// New wires a router for node id. Link IDs come from the mesh topology.
-func New(id int, mesh *topology.Mesh, cfg Config, env Env) *Router {
+// slab is the backing store routers are carved from: one array per
+// element type, sized for every router of a build, so constructing N
+// routers costs a handful of allocations instead of ~90 each.
+type slab struct {
+	routers []Router
+	vcs     []VC
+	entries []Entry
+	bools   []bool
+	ints    []int
+	slots   []vaSlot
+}
+
+// carve cuts the next n elements off a slab array. The cap is clipped so
+// an append through one window can never bleed into its neighbour.
+func carve[T any](pool *[]T, n int) []T {
+	s := (*pool)[:n:n]
+	*pool = (*pool)[n:]
+	return s
+}
+
+func newSlab(cfg Config, routers int) *slab {
 	if err := cfg.Validate(); err != nil {
 		//nocvet:ignore panicstyle Validate builds its errors with the "router: " prefix
 		panic(err)
 	}
-	nPorts := mesh.NumPorts()
-	r := &Router{
-		ID:       id,
-		Mesh:     mesh,
-		Cfg:      cfg,
-		Env:      env,
-		outLinks: make([]int, nPorts),
-		inLinks:  make([]int, nPorts),
+	netVCs := (nPorts - 1) * cfg.NetVCs()
+	allVCs := int(message.NumClasses) + netVCs
+	sl := &slab{
+		routers: make([]Router, routers),
+		vcs:     make([]VC, routers*allVCs),
+		entries: make([]Entry, routers*netVCs),
+		bools:   make([]bool, routers*(netVCs+allVCs)), // vcFree + saReqs
+		ints:    make([]int, routers*netVCs),           // candVCs
+		slots:   make([]vaSlot, 0, allVCs),
 	}
-	for p := 0; p < nPorts; p++ {
-		r.outLinks[p] = -1
-		r.inLinks[p] = -1
+	for c := 0; c < int(message.NumClasses); c++ {
+		sl.slots = append(sl.slots, vaSlot{topology.Local, c})
 	}
-	for _, l := range mesh.Links() {
-		if l.Src == id {
-			r.outLinks[l.SrcPort] = l.ID
-		}
-		if l.Dst == id {
-			r.inLinks[l.DstPort] = l.ID
+	for p := 1; p < nPorts; p++ {
+		for v := 0; v < cfg.NetVCs(); v++ {
+			sl.slots = append(sl.slots, vaSlot{topology.Direction(p), v})
 		}
 	}
-	r.Inputs = make([]*InputUnit, nPorts)
+	return sl
+}
+
+// New wires a stand-alone router for node id. Link IDs come from the
+// mesh topology.
+func New(id int, mesh *topology.Mesh, cfg Config, env Env) *Router {
+	return newSlab(cfg, 1).build(id, mesh, cfg, env)
+}
+
+// NewAll wires one router per mesh node, all carved from shared backing
+// arrays — contiguous VC state for the cycle loop, and a constant number
+// of allocations however large the mesh.
+func NewAll(mesh *topology.Mesh, cfg Config, env Env) []*Router {
+	sl := newSlab(cfg, mesh.NumNodes())
+	rs := make([]*Router, mesh.NumNodes())
+	for id := range rs {
+		rs[id] = sl.build(id, mesh, cfg, env)
+	}
+	return rs
+}
+
+// build carves and wires the slab's next router.
+func (sl *slab) build(id int, mesh *topology.Mesh, cfg Config, env Env) *Router {
+	r := &carve(&sl.routers, 1)[0]
+	r.ID, r.Mesh, r.Cfg, r.Env = id, mesh, cfg, env
+	r.slots = sl.slots
+	r.candPorts = r.dirBuf[0:0:nPorts]
+	r.bestPorts = r.dirBuf[nPorts : nPorts : 2*nPorts]
+	r.routeBuf = r.dirBuf[2*nPorts : 2*nPorts]
+	r.portTie.n = nPorts
 	for p := 0; p < nPorts; p++ {
-		iu := &InputUnit{Port: topology.Direction(p)}
+		d := topology.Direction(p)
+		r.outLinks[p], r.inLinks[p] = -1, -1
+		if l := mesh.OutLink(id, d); l != nil {
+			r.outLinks[p] = l.ID
+		}
+		if l := mesh.InLink(id, d); l != nil {
+			r.inLinks[p] = l.ID
+		}
+		iu := &r.Inputs[p]
+		iu.Port = d
 		if p == int(topology.Local) {
-			// Injection: one queue per message class.
-			for c := 0; c < int(message.NumClasses); c++ {
-				iu.VCs = append(iu.VCs, NewVC(cfg.InjQueueFlits, cfg.InjQueueFlits))
+			// Injection: one queue per message class, grown on first use.
+			iu.VCs = carve(&sl.vcs, int(message.NumClasses))
+			for c := range iu.VCs {
+				iu.VCs[c].init(cfg.InjQueueFlits, cfg.InjQueueFlits)
 			}
 		} else {
-			for v := 0; v < cfg.NetVCs(); v++ {
-				iu.VCs = append(iu.VCs, NewVC(cfg.BufFlits, 1))
+			// Network VCs hold one packet: its entry slot is carved here.
+			iu.VCs = carve(&sl.vcs, cfg.NetVCs())
+			for v := range iu.VCs {
+				iu.VCs[v].init(cfg.BufFlits, 1)
+				iu.VCs[v].entries.Adopt(carve(&sl.entries, 1))
 			}
+			r.vcFree[p] = carve(&sl.bools, cfg.NetVCs())
+			for v := range r.vcFree[p] {
+				r.vcFree[p][v] = true
+			}
+			r.candVCs[p] = carve(&sl.ints, cfg.NetVCs())[:0]
 		}
-		for _, v := range iu.VCs {
-			v.Resident = &r.resident
-		}
-		r.Inputs[p] = iu
-	}
-	r.vcFree = make([][]bool, nPorts)
-	for p := 1; p < nPorts; p++ {
-		r.vcFree[p] = make([]bool, cfg.NetVCs())
-		for v := range r.vcFree[p] {
-			r.vcFree[p][v] = true
-		}
-	}
-	for p, iu := range r.Inputs {
 		for v := range iu.VCs {
-			r.slots = append(r.slots, vaSlot{topology.Direction(p), v})
+			iu.VCs[v].Resident = &r.resident
 		}
+		r.saReqs[p] = carve(&sl.bools, len(iu.VCs))
+		r.saInArb[p].n = len(iu.VCs)
+		r.saOutArb[p].n = nPorts
 	}
-	r.nominee = make([]int, nPorts)
-	r.granted = make([]bool, nPorts)
-	r.isBest = make([]bool, nPorts)
-	r.candPorts = make([]topology.Direction, 0, nPorts)
-	r.candVCs = make([][]int, nPorts)
-	for p := range r.candVCs {
-		r.candVCs[p] = make([]int, 0, cfg.NetVCs())
-	}
-	r.bestPorts = make([]topology.Direction, 0, nPorts)
-	r.routeBuf = make([]topology.Direction, 0, 2)
-	r.saReqs = make([][]bool, nPorts)
-	for p := 0; p < nPorts; p++ {
-		r.saReqs[p] = make([]bool, len(r.Inputs[p].VCs))
-	}
-	r.saOutRq = make([]bool, nPorts)
-	r.saInArb = make([]*RRArbiter, nPorts)
-	r.saOutArb = make([]*RRArbiter, nPorts)
-	for p := 0; p < nPorts; p++ {
-		r.saInArb[p] = NewRRArbiter(len(r.Inputs[p].VCs))
-		r.saOutArb[p] = NewRRArbiter(nPorts)
-	}
-	r.portTie = NewRRArbiter(nPorts)
 	return r
 }
 
@@ -254,7 +301,7 @@ func (r *Router) OutLinkID(port topology.Direction) int { return r.outLinks[port
 func (r *Router) InLinkID(port topology.Direction) int { return r.inLinks[port] }
 
 // VCFor returns the buffer at (port, vc).
-func (r *Router) VCFor(port topology.Direction, vc int) *VC { return r.Inputs[port].VCs[vc] }
+func (r *Router) VCFor(port topology.Direction, vc int) *VC { return &r.Inputs[port].VCs[vc] }
 
 // DownstreamVCFree reports the credit state for (outPort, outVC).
 func (r *Router) DownstreamVCFree(port topology.Direction, vc int) bool {
@@ -311,7 +358,7 @@ func (r *Router) DeliverBody(port topology.Direction, vc int, pkt *message.Packe
 //
 //nocvet:phase route
 func (r *Router) InjectPacket(pkt *message.Packet) bool {
-	q := r.Inputs[topology.Local].VCs[pkt.Class]
+	q := &r.Inputs[topology.Local].VCs[pkt.Class]
 	if !q.CanAccept(pkt.Len) {
 		return false
 	}
@@ -428,13 +475,11 @@ func (r *Router) tryAllocate(e *Entry) {
 	// Tie-break with a rotating pointer so symmetric traffic spreads.
 	choice := best[0]
 	if len(best) > 1 {
-		for i := range r.isBest {
-			r.isBest[i] = false
-		}
+		r.isBest = [nPorts]bool{}
 		for _, p := range best {
 			r.isBest[p] = true
 		}
-		if g := r.portTie.GrantSlice(r.isBest); g >= 0 {
+		if g := r.portTie.GrantSlice(r.isBest[:]); g >= 0 {
 			choice = topology.Direction(g)
 		}
 	}
@@ -461,31 +506,28 @@ func (r *Router) tryAllocate(e *Entry) {
 //
 //nocvet:phase alloc
 func (r *Router) switchAllocate() {
-	nPorts := r.Mesh.NumPorts()
 	// Stage 1: each input port nominates one VC with a sendable flit. A
 	// fault-stalled input port nominates nothing: its buffered flits
 	// are frozen in place until the stall clears (or the watchdogs give
 	// up on them).
-	nominee := r.nominee
+	nominee := &r.nominee
 	for p := 0; p < nPorts; p++ {
-		iu := r.Inputs[p]
+		vcs := r.Inputs[p].VCs
 		reqs := r.saReqs[p]
 		if r.Env.InputStalled(r.ID, p) {
 			nominee[p] = -1
 			continue
 		}
-		for v := range iu.VCs {
-			reqs[v] = r.sendable(iu.VCs[v])
+		for v := range vcs {
+			reqs[v] = r.sendable(&vcs[v])
 		}
 		nominee[p] = r.saInArb[p].GrantSlice(reqs)
 	}
 	// Stage 2: each output port picks among nominating inputs.
-	granted := r.granted
-	for i := range granted {
-		granted[i] = false
-	}
+	granted := &r.granted
+	*granted = [nPorts]bool{}
 	for out := 0; out < nPorts; out++ {
-		rq := r.saOutRq
+		rq := r.saOutRq[:]
 		any := false
 		for in := 0; in < nPorts; in++ {
 			rq[in] = false
@@ -537,10 +579,10 @@ func (r *Router) sendable(v *VC) bool {
 //nocvet:phase traverse
 func (r *Router) transmit(in topology.Direction, vc int) {
 	cycle := r.Env.Cycle()
-	buf := r.Inputs[in].VCs[vc]
+	buf := &r.Inputs[in].VCs[vc]
 	e := buf.Head()
-	// Capture everything needed from the entry now: SendFlit recycles it
-	// when the tail departs.
+	// Capture everything needed from the entry now: SendFlit zeroes its
+	// slot when the tail departs.
 	pkt := e.Pkt
 	out := e.OutPort
 	outVC := e.OutVC
@@ -577,7 +619,7 @@ func (r *Router) transmit(in topology.Direction, vc int) {
 // primitives of SPIN/SWAP/DRAIN. Returns nil when the head is missing,
 // streaming, or partially sent.
 func (r *Router) RemoveHeadPacket(port topology.Direction, vc int) *message.Packet {
-	buf := r.Inputs[port].VCs[vc]
+	buf := &r.Inputs[port].VCs[vc]
 	e := buf.Head()
 	if e == nil || !e.FullyBuffered() {
 		return nil
@@ -609,7 +651,7 @@ func (r *Router) RemoveHeadPacket(port topology.Direction, vc int) *message.Pack
 // would let the upstream allocate the slot and collide with the
 // refill.
 func (r *Router) RemoveHeadPacketNoCredit(port topology.Direction, vc int) *message.Packet {
-	buf := r.Inputs[port].VCs[vc]
+	buf := &r.Inputs[port].VCs[vc]
 	e := buf.Head()
 	if e == nil || !e.FullyBuffered() {
 		return nil
@@ -649,7 +691,7 @@ func (r *Router) ClaimDownstreamVC(port topology.Direction, vc int) {
 // Controllers use it for forced moves; the VC's normal capacity rules
 // apply.
 func (r *Router) InsertPacket(port topology.Direction, vc int, pkt *message.Packet) bool {
-	buf := r.Inputs[port].VCs[vc]
+	buf := &r.Inputs[port].VCs[vc]
 	if !buf.CanAccept(pkt.Len) {
 		return false
 	}
@@ -703,10 +745,11 @@ func (r *Router) ForEachCandidate(pkt *message.Packet, visit func(port topology.
 // front-to-back per VC (diagnostics and conservation checks).
 func (r *Router) ResidentPackets() []*message.Packet {
 	var pkts []*message.Packet
-	for _, iu := range r.Inputs {
-		for _, v := range iu.VCs {
-			for i := 0; i < v.Len(); i++ {
-				pkts = append(pkts, v.EntryAt(i).Pkt)
+	for p := range r.Inputs {
+		vcs := r.Inputs[p].VCs
+		for v := range vcs {
+			for i := 0; i < vcs[v].Len(); i++ {
+				pkts = append(pkts, vcs[v].EntryAt(i).Pkt)
 			}
 		}
 	}

@@ -6,13 +6,12 @@ import (
 )
 
 // SnapshotState encodes one VC: buffered flit count plus every resident
-// entry front-to-back. Entry structs themselves are representation
-// (recycled through the free list); their fields are the state.
+// entry front-to-back.
 func (v *VC) SnapshotState(w *snapshot.Writer) {
 	w.Int(v.flits)
 	w.Int(v.entries.Len())
 	for i := 0; i < v.entries.Len(); i++ {
-		e := v.entries.At(i)
+		e := v.entries.Ptr(i)
 		w.Packet(e.Pkt)
 		w.Int(e.Arrived)
 		w.Int(e.Sent)
@@ -25,17 +24,16 @@ func (v *VC) SnapshotState(w *snapshot.Writer) {
 }
 
 // RestoreState decodes into a freshly built (empty) VC. Entries are
-// reconstructed through alloc so the owning router's resident counter
+// reconstructed through insert so the owning router's resident counter
 // comes out right without being encoded separately.
 func (v *VC) RestoreState(r *snapshot.Reader) {
 	for v.entries.Len() > 0 {
-		v.flits -= v.entries.Front().Pkt.Len
-		v.release(v.entries.PopFront())
+		v.remove(0)
 	}
 	flits := r.Int()
 	n := r.Int()
 	for i := 0; i < n && r.Err() == nil; i++ {
-		e := v.alloc(r.Packet(), 0, 0)
+		e := v.insert(i, r.Packet(), 0, 0)
 		e.Arrived = r.Int()
 		e.Sent = r.Int()
 		e.Allocated = r.Bool()
@@ -43,7 +41,6 @@ func (v *VC) RestoreState(r *snapshot.Reader) {
 		e.OutVC = r.Int()
 		e.EnqueueCycle = r.I64()
 		e.LastMove = r.I64()
-		v.entries.PushBack(e)
 	}
 	v.flits = flits
 }
@@ -61,9 +58,10 @@ func (rt *Router) SnapshotState(w *snapshot.Writer) {
 	for c := range rt.ejecting {
 		w.Bool(rt.ejecting[c])
 	}
-	for _, iu := range rt.Inputs {
-		for _, v := range iu.VCs {
-			v.SnapshotState(w)
+	for p := range rt.Inputs {
+		vcs := rt.Inputs[p].VCs
+		for v := range vcs {
+			vcs[v].SnapshotState(w)
 		}
 	}
 	for _, a := range rt.saInArb {
@@ -87,16 +85,17 @@ func (rt *Router) RestoreState(r *snapshot.Reader) {
 	for c := range rt.ejecting {
 		rt.ejecting[c] = r.Bool()
 	}
-	for _, iu := range rt.Inputs {
-		for _, v := range iu.VCs {
-			v.RestoreState(r)
+	for p := range rt.Inputs {
+		vcs := rt.Inputs[p].VCs
+		for v := range vcs {
+			vcs[v].RestoreState(r)
 		}
 	}
-	for _, a := range rt.saInArb {
-		a.next = r.Int()
+	for p := range rt.saInArb {
+		rt.saInArb[p].next = r.Int()
 	}
-	for _, a := range rt.saOutArb {
-		a.next = r.Int()
+	for p := range rt.saOutArb {
+		rt.saOutArb[p].next = r.Int()
 	}
 	rt.portTie.next = r.Int()
 	rt.FlitsRouted = r.I64()
@@ -118,14 +117,14 @@ func init() {
 			"ID", "Mesh", "Cfg", "Env", "outLinks", "inLinks",
 			// Per-cycle scratch, rewritten before every read.
 			"slots", "nominee", "granted", "isBest", "candPorts",
-			"candVCs", "bestPorts", "routeBuf", "saReqs", "saOutRq",
+			"candVCs", "bestPorts", "routeBuf", "dirBuf", "saReqs", "saOutRq",
 		})
 	snapshot.Register("router.InputUnit", InputUnit{},
 		[]string{"VCs"},
 		[]string{"Port"})
 	snapshot.Register("router.VC", VC{},
 		[]string{"entries", "flits"},
-		[]string{"CapFlits", "MaxPkts", "freeEntries", "Resident"})
+		[]string{"CapFlits", "MaxPkts", "Resident"})
 	snapshot.Register("router.Entry", Entry{},
 		[]string{"Pkt", "Arrived", "Sent", "Allocated", "OutPort", "OutVC", "EnqueueCycle", "LastMove"},
 		nil)

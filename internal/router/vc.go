@@ -49,17 +49,20 @@ func (e *Entry) FullyBuffered() bool {
 // (virtual cut-through, single packet per VC); injection-queue VCs hold
 // a FIFO of whole packets bounded by flit capacity.
 //
-// Entries live in a ring buffer and are recycled through a per-VC free
-// list, so steady-state traffic through a VC touches the allocator not
-// at all. A released entry has Pkt set to nil, turning any stale-pointer
-// use into an immediate nil dereference rather than silent corruption.
+// Entries live by value in a ring buffer, so traffic through a VC never
+// touches the allocator: a router built by New adopts one slab-backed
+// slot per network VC (its single packet's entry, in place) and lets the
+// injection queues grow to their high-water mark on first use. An entry
+// pointer handed out by Head/EntryAt is valid until the VC's next
+// insertion or removal; a departed entry's slot is zeroed, turning any
+// stale-pointer use into an immediate nil dereference of Pkt rather than
+// silent corruption.
 type VC struct {
 	// CapFlits bounds total buffered flits; MaxPkts bounds the packet
 	// FIFO depth (1 for network VCs).
 	CapFlits, MaxPkts int
-	entries           ringq.Ring[*Entry]
+	entries           ringq.Ring[Entry]
 	flits             int
-	freeEntries       []*Entry
 
 	// Resident, when set, points at the owning router's resident-packet
 	// counter; the VC keeps it in sync on every enqueue/dequeue so the
@@ -68,40 +71,36 @@ type VC struct {
 	Resident *int
 }
 
-// NewVC constructs a VC with the given capacities.
+// NewVC constructs a free-standing VC with the given capacities.
 func NewVC(capFlits, maxPkts int) *VC {
+	v := &VC{}
+	v.init(capFlits, maxPkts)
+	return v
+}
+
+func (v *VC) init(capFlits, maxPkts int) {
 	if capFlits < 1 || maxPkts < 1 {
 		panic(fmt.Sprintf("router: invalid VC capacity (%d flits, %d pkts)", capFlits, maxPkts))
 	}
-	return &VC{CapFlits: capFlits, MaxPkts: maxPkts}
+	v.CapFlits, v.MaxPkts = capFlits, maxPkts
 }
 
-// alloc hands out a reset entry from the free list (or the allocator on
-// first use) and counts the packet as resident.
-func (v *VC) alloc(pkt *message.Packet, arrived int, cycle int64) *Entry {
-	var e *Entry
-	if n := len(v.freeEntries); n > 0 {
-		e = v.freeEntries[n-1]
-		v.freeEntries[n-1] = nil
-		v.freeEntries = v.freeEntries[:n-1]
-		*e = Entry{}
-	} else {
-		e = &Entry{} //nocvet:ignore hotalloc2 free-list warm-up: allocates only until the pool reaches working-set size, then recycles
-	}
-	e.Pkt = pkt
-	e.Arrived = arrived
-	e.EnqueueCycle = cycle
-	e.LastMove = cycle
+// insert places a fresh entry for pkt at position pos (Len() = back) and
+// counts the packet as resident.
+func (v *VC) insert(pos int, pkt *message.Packet, arrived int, cycle int64) *Entry {
+	v.entries.InsertAt(pos, Entry{Pkt: pkt, Arrived: arrived, EnqueueCycle: cycle, LastMove: cycle})
+	v.flits += arrived
 	if v.Resident != nil {
 		*v.Resident++
 	}
-	return e
+	return v.entries.Ptr(pos)
 }
 
-// release returns an entry to the free list and uncounts its packet.
-func (v *VC) release(e *Entry) {
-	e.Pkt = nil
-	v.freeEntries = append(v.freeEntries, e)
+// remove drops the entry at position i and uncounts its packet. Flit
+// accounting is the caller's: a streaming departure has already
+// decremented per flit.
+func (v *VC) remove(i int) {
+	v.entries.RemoveAt(i)
 	if v.Resident != nil {
 		*v.Resident--
 	}
@@ -124,12 +123,12 @@ func (v *VC) Head() *Entry {
 	if v.entries.Empty() {
 		return nil
 	}
-	return v.entries.Front()
+	return v.entries.Ptr(0)
 }
 
 // EntryAt returns the resident entry at position i (0 = front). The
-// entry is owned by the VC; it is recycled when its packet departs.
-func (v *VC) EntryAt(i int) *Entry { return v.entries.At(i) }
+// entry is owned by the VC; its slot is reused when its packet departs.
+func (v *VC) EntryAt(i int) *Entry { return v.entries.Ptr(i) }
 
 // CanAccept reports whether a packet of length flits could be enqueued
 // whole right now.
@@ -153,10 +152,7 @@ func (v *VC) EnqueueWhole(pkt *message.Packet, cycle int64) *Entry {
 // the paper's router provides dedicated paths (Fig. 6, purple/green)
 // guaranteeing the returned packet a slot, and never drops it (Qn 2).
 func (v *VC) EnqueueOverflow(pkt *message.Packet, cycle int64) *Entry {
-	e := v.alloc(pkt, pkt.Len, cycle)
-	v.entries.PushBack(e)
-	v.flits += pkt.Len
-	return e
+	return v.insert(v.entries.Len(), pkt, pkt.Len, cycle)
 }
 
 // EnqueueFrontOverflow inserts a packet with all flits present at the
@@ -166,14 +162,11 @@ func (v *VC) EnqueueOverflow(pkt *message.Packet, cycle int64) *Entry {
 // Fig. 5a). If the current head has already sent flits, the packet slots
 // in right behind it to preserve wormhole integrity.
 func (v *VC) EnqueueFrontOverflow(pkt *message.Packet, cycle int64) *Entry {
-	e := v.alloc(pkt, pkt.Len, cycle)
 	pos := 0
 	if h := v.Head(); h != nil && h.Sent > 0 {
 		pos = 1
 	}
-	v.entries.InsertAt(pos, e)
-	v.flits += pkt.Len
-	return e
+	return v.insert(pos, pkt, pkt.Len, cycle)
 }
 
 // AcceptHead starts receiving a packet flit-by-flit from a link (network
@@ -182,15 +175,12 @@ func (v *VC) AcceptHead(pkt *message.Packet, cycle int64) *Entry {
 	if v.entries.Len() >= v.MaxPkts {
 		panic(fmt.Sprintf("router: head flit into occupied VC (%s)", pkt))
 	}
-	e := v.alloc(pkt, 1, cycle)
-	v.entries.PushBack(e)
-	v.flits++
-	return e
+	return v.insert(v.entries.Len(), pkt, 1, cycle)
 }
 
 // AcceptBody receives a subsequent flit of the in-flight tail packet.
 func (v *VC) AcceptBody(pkt *message.Packet, cycle int64) {
-	e := v.entries.At(v.entries.Len() - 1)
+	e := v.entries.Ptr(v.entries.Len() - 1)
 	if e.Pkt != pkt {
 		panic(fmt.Sprintf("router: body flit of %s interleaved into VC holding %s", pkt, e.Pkt))
 	}
@@ -203,9 +193,9 @@ func (v *VC) AcceptBody(pkt *message.Packet, cycle int64) {
 }
 
 // SendFlit records the departure of the next flit of the head packet
-// and returns it. When the tail departs, the entry is popped — and
-// recycled: callers must not touch the entry afterwards — and done is
-// true (the VC, or its slot, is free again).
+// and returns it. When the tail departs, the entry is popped — and its
+// slot zeroed: callers must not touch the entry afterwards — and done
+// is true (the VC, or its slot, is free again).
 func (v *VC) SendFlit(cycle int64) (f message.Flit, done bool) {
 	e := v.Head()
 	if e == nil || e.Sent >= e.Arrived {
@@ -216,8 +206,7 @@ func (v *VC) SendFlit(cycle int64) (f message.Flit, done bool) {
 	e.LastMove = cycle
 	v.flits--
 	if e.Sent == e.Pkt.Len {
-		v.entries.PopFront()
-		v.release(e)
+		v.remove(0)
 		return f, true
 	}
 	return f, false
@@ -235,22 +224,20 @@ func (v *VC) RemoveHead() *message.Packet {
 		panic(fmt.Sprintf("router: RemoveHead on streaming packet %s", e.Pkt))
 	}
 	pkt := e.Pkt
-	v.entries.PopFront()
 	v.flits -= pkt.Len
-	v.release(e)
+	v.remove(0)
 	return pkt
 }
 
 // RemoveAt extracts the fully-buffered packet at index i (dynamic-bubble
 // dropping picks victims from the back of the request injection queue).
 func (v *VC) RemoveAt(i int) *message.Packet {
-	e := v.entries.At(i)
+	e := v.entries.Ptr(i)
 	if !e.FullyBuffered() {
 		panic(fmt.Sprintf("router: RemoveAt on streaming packet %s", e.Pkt))
 	}
 	pkt := e.Pkt
-	v.entries.RemoveAt(i)
 	v.flits -= pkt.Len
-	v.release(e)
+	v.remove(i)
 	return pkt
 }

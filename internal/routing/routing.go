@@ -150,20 +150,28 @@ func PathYX(m *topology.Mesh, src, dst int) []*topology.Link {
 // it. Passing a reusable buffer (typically links[:0] of a prior path)
 // keeps per-launch lane computation allocation-free.
 func AppendPathXY(m *topology.Mesh, links []*topology.Link, src, dst int) []*topology.Link {
-	return appendPath(m, links, src, dst, RouteXY)
+	return appendPath(m, links, src, dst, false)
 }
 
 // AppendPathYX appends the YX path from src to dst to links and returns
 // it (returning paths).
 func AppendPathYX(m *topology.Mesh, links []*topology.Link, src, dst int) []*topology.Link {
-	return appendPath(m, links, src, dst, RouteYX)
+	return appendPath(m, links, src, dst, true)
 }
 
-func appendPath(m *topology.Mesh, links []*topology.Link, src, dst int, f Func) []*topology.Link {
+// appendPath walks the dimension-ordered route. The two routing
+// functions are called directly, not through a Func value: an indirect
+// call would force the port scratch onto the heap on every call.
+func appendPath(m *topology.Mesh, links []*topology.Link, src, dst int, yFirst bool) []*topology.Link {
 	var buf [2]topology.Direction
 	cur := src
 	for cur != dst {
-		ports := f(m, buf[:0], cur, dst)
+		var ports []topology.Direction
+		if yFirst {
+			ports = RouteYX(m, buf[:0], cur, dst)
+		} else {
+			ports = RouteXY(m, buf[:0], cur, dst)
+		}
 		l := m.OutLink(cur, ports[0])
 		if l == nil {
 			panic("routing: minimal route fell off the mesh")

@@ -90,10 +90,24 @@ func decodeSynthConfig(r *snapshot.Reader) SynthConfig {
 // cycle, before injection — every invariant the per-package restore
 // paths rely on (drained scratch, no mid-step claims in flux) holds
 // there.
+//
+// The two Writers live on the run and are Reset per call, so a
+// steady-state checkpoint allocates only the blob Seal returns — which
+// is the caller's to keep (see SynthConfig.OnCheckpoint).
 func (s *synthRun) checkpoint() []byte {
-	meta := snapshot.NewWriter()
+	if s.ckptBody == nil {
+		s.ckptMeta, s.ckptBody = snapshot.NewWriter(), snapshot.NewWriter()
+	}
+	s.ckptMeta.Reset()
+	s.ckptBody.Reset()
+	s.encode(s.ckptMeta, s.ckptBody)
+	return snapshot.Seal(s.ckptMeta.Bytes(), s.ckptBody)
+}
+
+// encode writes the config into meta and the run's state into w (both
+// empty on entry).
+func (s *synthRun) encode(meta, w *snapshot.Writer) {
 	encodeSynthConfig(meta, s.cfg)
-	w := snapshot.NewWriter()
 	w.U64(s.src.Draws())
 	w.I64(s.created)
 	w.I64(s.delivered)
@@ -123,7 +137,6 @@ func (s *synthRun) checkpoint() []byte {
 	if s.pool != nil {
 		snapshot.WritePool(w, s.pool)
 	}
-	return snapshot.Seal(meta.Bytes(), w)
 }
 
 // restore decodes a checkpoint blob into a freshly built run. The blob
@@ -230,7 +243,9 @@ func init() {
 		// own sections.
 		[]string{"src", "created", "delivered", "corrupted", "gen", "col",
 			"inst", "pool", "tel"},
-		[]string{"cfg", "rng"})
+		// ckptMeta/ckptBody are the reused checkpoint encoders: scratch,
+		// Reset before every encode.
+		[]string{"cfg", "rng", "ckptMeta", "ckptBody"})
 	snapshot.Register("sim.Instance", Instance{},
 		// Net/Deflect are the roots; FP, Pit and Faults are reached
 		// through Net's controller and injector hooks.

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"repro/internal/snapshot"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
@@ -219,5 +221,73 @@ func TestValidateShards(t *testing.T) {
 		if (err == nil) != c.ok {
 			t.Errorf("ValidateShards(%d, %d) = %v, want ok=%v", c.shards, c.nodes, err, c.ok)
 		}
+	}
+}
+
+// TestCheckpointBlobIsCallerOwned pins the ownership contract of
+// OnCheckpoint: the encoder reuses its buffers from one checkpoint to
+// the next, so a blob the callback retained must neither change when
+// later checkpoints are taken nor stop being a valid resume token.
+func TestCheckpointBlobIsCallerOwned(t *testing.T) {
+	cfg := checkpointBase(FastPass, 1)
+	want := RunSynthetic(cfg)
+
+	var kept, copies [][]byte
+	c := cfg
+	c.CheckpointEvery = 300
+	c.OnCheckpoint = func(_ int64, b []byte) {
+		kept = append(kept, b)
+		copies = append(copies, bytes.Clone(b))
+	}
+	RunSynthetic(c)
+	if len(kept) < 3 {
+		t.Fatalf("only %d checkpoints taken, need at least 3", len(kept))
+	}
+	for k := range kept {
+		if !bytes.Equal(kept[k], copies[k]) {
+			t.Fatalf("blob %d changed after later checkpoints were taken", k)
+		}
+	}
+	rcfg, err := OpenCheckpoint(kept[0])
+	if err != nil {
+		t.Fatalf("OpenCheckpoint(first retained blob): %v", err)
+	}
+	got, err := ResumeSynthetic(rcfg, kept[0])
+	if err != nil {
+		t.Fatalf("ResumeSynthetic(first retained blob): %v", err)
+	}
+	if resultFingerprint(got) != resultFingerprint(want) {
+		t.Errorf("resume from a retained blob diverged\nresumed: %s\nbase:    %s", resultFingerprint(got), resultFingerprint(want))
+	}
+}
+
+// TestReusedEncoderMatchesFresh: for every scheme, the blob the run's
+// retained (Reset) Writers produce equals, byte for byte, what fresh
+// Writers produce over the same state — buffer reuse is invisible in
+// the bytes.
+func TestReusedEncoderMatchesFresh(t *testing.T) {
+	for _, scheme := range Schemes() {
+		scheme := scheme
+		t.Run(scheme.String(), func(t *testing.T) {
+			t.Parallel()
+			var s *synthRun
+			taken := 0
+			cfg := checkpointBase(scheme, 1)
+			cfg.CheckpointEvery = 250
+			cfg.OnCheckpoint = func(cycle int64, reused []byte) {
+				taken++
+				meta, body := snapshot.NewWriter(), snapshot.NewWriter()
+				s.encode(meta, body)
+				if fresh := snapshot.Seal(meta.Bytes(), body); !bytes.Equal(reused, fresh) {
+					t.Errorf("cycle %d: reused-encoder blob (%d bytes) differs from fresh-encoder blob (%d bytes)",
+						cycle, len(reused), len(fresh))
+				}
+			}
+			s = newSynthRun(cfg)
+			s.run()
+			if taken < 3 {
+				t.Fatalf("only %d checkpoints compared, need at least 3 to exercise reuse", taken)
+			}
+		})
 	}
 }

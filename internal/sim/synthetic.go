@@ -38,7 +38,10 @@ type SynthConfig struct {
 	// every that many cycles (at the top of the cycle, before injection)
 	// and hands the sealed blob to OnCheckpoint. The blob embeds this
 	// config; OpenCheckpoint recovers it and ResumeSynthetic continues
-	// the run bit-identically, including in a fresh process.
+	// the run bit-identically, including in a fresh process. The blob is
+	// a fresh slice the callback owns: it may be retained past the call
+	// (later checkpoints never write into it) and resumed from at any
+	// time.
 	CheckpointEvery int64
 	OnCheckpoint    func(cycle int64, blob []byte)
 
@@ -146,6 +149,10 @@ type synthRun struct {
 	tel  *telemetry.Metrics // nil unless cfg.Telemetry.Window > 0
 
 	created, delivered, corrupted int64
+
+	// ckptMeta/ckptBody are checkpoint()'s encoders, created on the first
+	// checkpoint and reused thereafter.
+	ckptMeta, ckptBody *snapshot.Writer
 }
 
 // newSynthRun builds the instance and wires the harness around it.

@@ -57,12 +57,26 @@ type Writer struct {
 	buf   []byte
 	pkts  map[*message.Packet]int32
 	order []*message.Packet
+	// table is Seal's scratch for the encoded packet table, retained so
+	// a reused body Writer seals without growing a fresh buffer.
+	table []byte
 }
 
 // NewWriter returns an empty Writer ready to register packet
 // references.
 func NewWriter() *Writer {
 	return &Writer{pkts: make(map[*message.Packet]int32)}
+}
+
+// Reset empties the Writer for another encode, keeping the capacity of
+// its buffers and packet map. Registered packet references are dropped,
+// not merely truncated: a retained Writer must not pin packets the
+// simulation has since recycled.
+func (w *Writer) Reset() {
+	w.buf = w.buf[:0]
+	clear(w.pkts)
+	clear(w.order)
+	w.order = w.order[:0]
 }
 
 // U8 writes one byte.
@@ -296,16 +310,19 @@ func readPacketRow(r *Reader) *message.Packet {
 // Seal assembles a checkpoint file from an opaque meta blob and a
 // fully-encoded graph body: header, meta, the packet table (in the
 // body's first-encounter order) and the body bytes, with the crc
-// stamped over everything after itself.
+// stamped over everything after itself. The returned blob is a fresh
+// exact-size slice owned by the caller — it never aliases the body
+// Writer, which may be Reset and reused; the table is staged in scratch
+// the body Writer retains, so the blob is Seal's only allocation.
 func Seal(meta []byte, body *Writer) []byte {
-	t := &Writer{}
+	t := Writer{buf: body.table[:0]}
 	t.Int(len(body.order))
 	for _, p := range body.order {
-		writePacketRow(t, p)
+		writePacketRow(&t, p)
 	}
+	body.table = t.buf
 
-	h := &Writer{}
-	h.buf = make([]byte, 0, 12+8+len(meta)+len(t.buf)+len(body.buf))
+	h := Writer{buf: make([]byte, 0, 12+8+len(meta)+len(t.buf)+len(body.buf))}
 	h.U32(magic)
 	h.U32(Version)
 	h.U32(0) // crc placeholder

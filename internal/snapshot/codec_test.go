@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -172,5 +173,37 @@ func TestCountingSourceIsPassThrough(t *testing.T) {
 		if a, b := counted.Int63(), restored.Int63(); a != b {
 			t.Fatalf("post-skip draw %d: live %d, restored %d", i, a, b)
 		}
+	}
+}
+
+// TestWriterResetDropsPacketReferences: a retained Writer must not pin
+// packets from its previous encode — Reset clears the table slots, not
+// just the length — and a reused Writer seals the same bytes as a fresh
+// one.
+func TestWriterResetDropsPacketReferences(t *testing.T) {
+	encode := func(w *Writer, ps ...*message.Packet) []byte {
+		w.Int(len(ps))
+		for _, p := range ps {
+			w.Packet(p)
+		}
+		return Seal([]byte("meta"), w)
+	}
+	a := message.NewPacket(1, 0, 3, message.Request, 5, 10)
+	b := message.NewPacket(2, 1, 2, message.Response, 1, 11)
+
+	w := NewWriter()
+	encode(w, a, b, a)
+	w.Reset()
+	if len(w.Bytes()) != 0 || len(w.Packets()) != 0 || len(w.pkts) != 0 {
+		t.Fatalf("Reset left %d body bytes, %d table rows, %d map entries",
+			len(w.Bytes()), len(w.Packets()), len(w.pkts))
+	}
+	for i, p := range w.order[:cap(w.order)] {
+		if p != nil {
+			t.Errorf("Reset left packet %d pinned in table slot %d", p.ID, i)
+		}
+	}
+	if reused, fresh := encode(w, b), encode(NewWriter(), b); !bytes.Equal(reused, fresh) {
+		t.Errorf("reused Writer sealed %x, fresh Writer %x", reused, fresh)
 	}
 }

@@ -94,7 +94,7 @@ type Mesh struct {
 	W, H  int
 	links []Link
 	// out[node][port] is the index into links, or -1.
-	out [][]int
+	out [][NumMeshPorts]int
 }
 
 // NewMesh constructs a W×H mesh. Both dimensions must be at least 1.
@@ -103,9 +103,10 @@ func NewMesh(w, h int) *Mesh {
 		panic(fmt.Sprintf("topology: invalid mesh %dx%d", w, h))
 	}
 	m := &Mesh{W: w, H: h}
-	m.out = make([][]int, w*h)
+	m.links = make([]Link, 0, 2*((w-1)*h+w*(h-1)))
+	m.out = make([][NumMeshPorts]int, w*h)
 	for n := range m.out {
-		m.out[n] = []int{-1, -1, -1, -1, -1}
+		m.out[n] = [NumMeshPorts]int{-1, -1, -1, -1, -1}
 	}
 	add := func(src, dst int, sp Direction) {
 		l := Link{ID: len(m.links), Src: src, Dst: dst, SrcPort: sp, DstPort: sp.Opposite()}
@@ -153,6 +154,18 @@ func (m *Mesh) OutLink(node int, port Direction) *Link {
 		return nil
 	}
 	return &m.links[idx]
+}
+
+// InLink returns the directed link arriving at node on port, or nil when
+// that port is unconnected — the mirror of OutLink: the link entering on
+// port is the one the neighbour in that direction sends out of the
+// opposite port.
+func (m *Mesh) InLink(node int, port Direction) *Link {
+	out := m.OutLink(node, port)
+	if out == nil {
+		return nil
+	}
+	return m.OutLink(out.Dst, port.Opposite())
 }
 
 // Distance implements Topology (Manhattan distance).

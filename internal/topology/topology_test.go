@@ -326,3 +326,29 @@ func mustIrregular(t *testing.T, n int, edges [][2]int) *Irregular {
 	}
 	return g
 }
+
+// TestInLinkMirrorsOutLink: the link entering a node on a port is exactly
+// the link whose DstPort is that port — for every link of the mesh — and
+// edge ports have none.
+func TestInLinkMirrorsOutLink(t *testing.T) {
+	m := NewMesh(4, 3)
+	seen := 0
+	for node := 0; node < m.NumNodes(); node++ {
+		for d := Local; d < NumMeshPorts; d++ {
+			in := m.InLink(node, d)
+			if (in == nil) != (m.OutLink(node, d) == nil) {
+				t.Fatalf("node %d port %v: InLink and OutLink disagree on connectivity", node, d)
+			}
+			if in == nil {
+				continue
+			}
+			seen++
+			if in.Dst != node || in.DstPort != d {
+				t.Errorf("InLink(%d, %v) = link %d arriving at node %d port %v", node, d, in.ID, in.Dst, in.DstPort)
+			}
+		}
+	}
+	if seen != len(m.Links()) {
+		t.Errorf("InLink reached %d links, mesh has %d", seen, len(m.Links()))
+	}
+}
