@@ -15,10 +15,11 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/message"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
+	"repro/internal/workload"
 	"repro/noc"
 )
 
@@ -64,6 +65,11 @@ func TestSteadyStateZeroAllocsPerCycle(t *testing.T) {
 		// the backlog every cycle, which is load, not engine garbage.
 		{"EscapeVC/8x8", noc.EscapeVC, 8, 0.06},
 		{"FastPass/16x16", noc.FastPass, 16, 0.03},
+		// MinBD draws from the arena like everyone else, so generation is
+		// part of the measurement.
+		{"MinBD/8x8", noc.MinBD, 8, 0.06},
+		// A rate at which SPIN's blocked-head probes fire every few cycles.
+		{"SPIN/8x8@0.10", noc.SPIN, 8, 0.10},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -73,33 +79,24 @@ func TestSteadyStateZeroAllocsPerCycle(t *testing.T) {
 			}
 		})
 	}
-	// MinBD's packets stay off the arena, so generating traffic allocates
-	// one packet each by design; the engine must not. Measure Step alone
-	// over source queues pre-loaded deeply enough to keep every node
-	// injecting (the saturated regime: most deflections, fullest side
-	// buffers) through warm-up and measurement.
-	t.Run("MinBD/8x8", func(t *testing.T) {
-		inst := sim.Build(sim.Options{Scheme: noc.MinBD, W: 8, H: 8, Seed: 1})
-		rng := rand.New(rand.NewSource(0x5eed))
-		var id uint64
-		for src := 0; src < 64; src++ {
-			for k := 0; k < 400; k++ {
-				dst := rng.Intn(63)
-				if dst >= src {
-					dst++
-				}
-				id++
-				inst.Enqueue(message.NewPacket(id, src, dst, message.Request, 1+4*rng.Intn(2), 0))
-			}
-		}
-		for c := 0; c < 500; c++ {
+	// Coherence traffic: the engine's tables are slabs, its packets come
+	// from its own arena and go back when the NIC has consumed them.
+	// Streamcluster has the highest IssueRate of the workload profiles.
+	t.Run("Protocol/FastPass-8x8", func(t *testing.T) {
+		inst := sim.Build(sim.Options{Scheme: noc.FastPass, W: 8, H: 8, Seed: 1, Watchdog: "on"})
+		eng := protocol.New(inst.Net, workload.MustGet("Streamcluster").Profile, 1)
+		tick := func() {
+			eng.Tick(inst.Cycle())
 			inst.Step()
 		}
-		if got := testing.AllocsPerRun(300, inst.Step); got > steadyStateAllocBudget {
-			t.Errorf("MinBD Step allocates %.3f times on average, want ~0 (budget %.2f)", got, steadyStateAllocBudget)
+		for c := 0; c < 8000; c++ {
+			tick()
 		}
-		if inst.Deflect.SourceBacklog() == 0 {
-			t.Error("source queues drained before the measurement ended: Step was measured partly idle")
+		if got := testing.AllocsPerRun(300, tick); got > steadyStateAllocBudget {
+			t.Errorf("protocol cycle allocates %.3f times on average, want ~0 (budget %.2f)", got, steadyStateAllocBudget)
+		}
+		if eng.Completed == 0 || eng.OutstandingTxns() == 0 {
+			t.Errorf("%d completed, %d outstanding: the engine was measured idle", eng.Completed, eng.OutstandingTxns())
 		}
 	})
 }
@@ -109,6 +106,9 @@ func TestSteadyStateZeroAllocsPerCycle(t *testing.T) {
 // closures per node plus a constant number of backing arrays — the
 // pre-slab build made ~98 per router); the ceilings sit ~20 % above
 // that, so one new per-router allocation fails the 32×32 case at once.
+// protocol.New is held to the same rule: two table slabs with their
+// counts, the emission queue, the arena, the RNG and one closure — 11
+// objects at any size, where the map-based engine made three per node.
 func TestBuildAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run the guard without -race")
@@ -124,6 +124,13 @@ func TestBuildAllocBudget(t *testing.T) {
 		if got > tc.ceiling {
 			t.Errorf("sim.Build(FastPass %dx%d) makes %.0f heap objects, ceiling %.0f", tc.size, tc.size, got, tc.ceiling)
 		}
+	}
+	inst := sim.Build(sim.Options{Scheme: noc.FastPass, W: 32, H: 32, Seed: 1})
+	profile := workload.MustGet("Streamcluster").Profile
+	got := testing.AllocsPerRun(3, func() { protocol.New(inst.Net, profile, 1) })
+	t.Logf("protocol.New(32x32): %.0f heap objects", got)
+	if got > 14 {
+		t.Errorf("protocol.New(32x32) makes %.0f heap objects, ceiling 14", got)
 	}
 }
 

@@ -59,7 +59,7 @@ func (c *Controller) RestoreState(r *snapshot.Reader) {
 func init() {
 	snapshot.Register("spin.Controller", Controller{},
 		[]string{"lastProbe", "pending", "Probes", "Detections", "Spins", "Aborts"},
-		[]string{"prm", "Trace"})
+		[]string{"prm", "Trace", "chain", "seen", "gen"}) // + probe scratch
 	snapshot.Register("spin.pendingSpin", pendingSpin{},
 		[]string{"chain", "at"}, nil)
 	snapshot.Register("spin.slot", slot{},

@@ -79,6 +79,12 @@ type Controller struct {
 	lastProbe []int64
 	pending   []pendingSpin
 
+	// Probe scratch, sized at Attach: the walk in progress, and stamps
+	// marking its slots (seen[slot] == gen; wiped when gen wraps).
+	chain []slot
+	seen  []uint8
+	gen   uint8
+
 	// Probes, Detections, Spins and Aborts count protocol activity.
 	Probes, Detections, Spins, Aborts int64
 
@@ -90,6 +96,8 @@ type Controller struct {
 func Attach(n *network.Network, prm Params) *Controller {
 	prm.setDefaults(n.Mesh.NumNodes())
 	c := &Controller{prm: prm, lastProbe: make([]int64, n.Mesh.NumNodes())}
+	c.chain = make([]slot, 0, prm.MaxWalk+1)
+	c.seen = make([]uint8, n.Mesh.NumNodes()*n.Mesh.NumPorts()*n.Routers[0].Cfg.NetVCs())
 	n.Controller = c
 	return c
 }
@@ -156,10 +164,17 @@ func (c *Controller) findBlockedHead(n *network.Network, r *router.Router, cycle
 // back). The probe message itself consumes link bandwidth along its
 // walk — the overhead that degrades SPIN under congestion (its probes
 // fire on every long-blocked head, deadlock or not).
+//
+//nocvet:hot
 func (c *Controller) probe(n *network.Network, origin slot, cycle int64) {
 	c.Probes++
-	chain := []slot{origin}
-	seen := map[slot]int{stripPkt(origin): 0}
+	if c.gen++; c.gen == 0 {
+		clear(c.seen)
+		c.gen = 1
+	}
+	chain := append(c.chain[:0], origin)
+	start := c.stamp(n, origin)
+	*start = c.gen
 	cur := origin
 	for step := 0; step < c.prm.MaxWalk; step++ {
 		next, ok := c.dependency(n, cur)
@@ -167,26 +182,19 @@ func (c *Controller) probe(n *network.Network, origin slot, cycle int64) {
 			c.Aborts++
 			return
 		}
-		key := stripPkt(next)
-		if idx, cyc := seen[key]; cyc {
+		seen := c.stamp(n, next)
+		if *seen == c.gen {
 			// A loop — but it must close on the origin for this
 			// router's spin to free its own packet; loops discovered
 			// mid-chain are left for their own routers to probe.
-			if idx == 0 {
-				c.Detections++
-				c.Trace.Record(cycle, trace.RecoveryAction, 0, origin.node,
-					//nocvet:ignore hotalloc2 fires once per confirmed deadlock loop, never in steady state
-					fmt.Sprintf("spin detection, loop length %d", len(chain)))
-				c.pending = append(c.pending, pendingSpin{
-					chain: chain,
-					at:    cycle + 2*int64(len(chain)),
-				})
+			if seen == start {
+				c.confirm(origin, chain, cycle)
 			} else {
 				c.Aborts++
 			}
 			return
 		}
-		seen[key] = len(chain)
+		*seen = c.gen
 		chain = append(chain, next)
 		// The probe flit occupies the link toward the next slot this
 		// cycle (opportunistically: it shares gracefully with other
@@ -199,6 +207,25 @@ func (c *Controller) probe(n *network.Network, origin slot, cycle int64) {
 	c.Aborts++
 }
 
+// stamp addresses the probe stamp of s's (node, port, vc).
+func (c *Controller) stamp(n *network.Network, s slot) *uint8 {
+	return &c.seen[(s.node*n.Mesh.NumPorts()+int(s.port))*n.Routers[s.node].Cfg.NetVCs()+s.vc]
+}
+
+// confirm schedules the spin of a loop that closed on its origin; the
+// chain is copied out of probe scratch for pendingSpin to keep.
+//
+//nocvet:cold runs once per confirmed deadlock loop, never in steady state
+func (c *Controller) confirm(origin slot, chain []slot, cycle int64) {
+	c.Detections++
+	c.Trace.Record(cycle, trace.RecoveryAction, 0, origin.node,
+		fmt.Sprintf("spin detection, loop length %d", len(chain)))
+	c.pending = append(c.pending, pendingSpin{
+		chain: append([]slot(nil), chain...),
+		at:    cycle + 2*int64(len(chain)),
+	})
+}
+
 // linkToward returns the port from a to its neighbour b.
 func linkToward(n *network.Network, a, b int) topology.Direction {
 	for d := topology.North; d <= topology.West; d++ {
@@ -208,8 +235,6 @@ func linkToward(n *network.Network, a, b int) topology.Direction {
 	}
 	return topology.Local
 }
-
-func stripPkt(s slot) slot { s.pkt = 0; return s }
 
 // dependency finds the slot blocking cur's head packet: the occupant of
 // the first busy allowed VC behind cur's preferred output port. A free

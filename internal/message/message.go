@@ -126,13 +126,19 @@ type Packet struct {
 // NewPacket constructs a packet created at the given cycle, with
 // injection and ejection times unset (-1).
 func NewPacket(id uint64, src, dst int, class Class, flits int, cycle int64) *Packet {
+	return new(Packet).init(id, src, dst, class, flits, cycle)
+}
+
+// init overwrites p with a packet created at the given cycle.
+func (p *Packet) init(id uint64, src, dst int, class Class, flits int, cycle int64) *Packet {
 	if flits < 1 {
 		panic(fmt.Sprintf("message: packet %d with %d flits", id, flits))
 	}
-	return &Packet{
+	*p = Packet{
 		ID: id, Src: src, Dst: dst, Class: class, Len: flits,
 		CreateTime: cycle, InjectTime: -1, EjectTime: -1,
 	}
+	return p
 }
 
 // Flit is one link-width slice of a packet. Seq 0 is the head flit; the

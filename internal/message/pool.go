@@ -5,7 +5,8 @@ import "fmt"
 // Pool is a per-simulation packet arena: a free list that recycles
 // Packet structs instead of leaving every delivered packet to the
 // garbage collector. One simulation allocates only its high-water mark
-// of in-flight packets; at steady state Get and Put touch no allocator.
+// of in-flight packets, carved from chunks; at steady state Get and Put
+// touch no allocator.
 //
 // Pools are deliberately not concurrency-safe: a simulation is
 // single-threaded by design (the parallel experiment runner shards
@@ -19,6 +20,9 @@ import "fmt"
 // new one.
 type Pool struct {
 	free []*Packet
+	// fresh is the uncarved tail of the newest chunk — capacity, not
+	// state: a restored pool starts without one.
+	fresh []Packet
 
 	// Gets, Puts and News count pool traffic (News ≤ Gets is the arena
 	// working; News == Gets means nothing was ever recycled).
@@ -35,11 +39,17 @@ func NewPool() *Pool { return &Pool{} }
 // hygiene comparison.
 var blank = Packet{recycled: true}
 
-// Get returns a packet initialised exactly as NewPacket would build it.
+// A chunk is as large as everything carved before it, within these
+// bounds: a short run strands under 1 KB, a long one at most 8 KB.
+const minChunk, maxChunk = 8, 64
+
+// Get returns a packet initialised exactly as NewPacket would build it:
+// the most recently released one if any, else the next chunk slot.
 func (pl *Pool) Get(id uint64, src, dst int, class Class, flits int, cycle int64) *Packet {
 	pl.Gets++
+	var p *Packet
 	if n := len(pl.free); n > 0 {
-		p := pl.free[n-1]
+		p = pl.free[n-1]
 		pl.free[n-1] = nil
 		pl.free = pl.free[:n-1]
 		was := *p
@@ -48,16 +58,19 @@ func (pl *Pool) Get(id uint64, src, dst int, class Class, flits int, cycle int64
 			panic(fmt.Sprintf("message: pooled packet %d dirtied after release while handing out packet %d at cycle %d (%+v)",
 				p.ID, id, cycle, *p))
 		}
-		if flits < 1 {
-			panic(fmt.Sprintf("message: packet %d with %d flits", id, flits))
+	} else {
+		if len(pl.fresh) == 0 {
+			pl.grow()
 		}
-		p.ID, p.Src, p.Dst, p.Class, p.Len = id, src, dst, class, flits
-		p.CreateTime, p.InjectTime, p.EjectTime = cycle, -1, -1
-		p.recycled = false
-		return p
+		p, pl.fresh = &pl.fresh[0], pl.fresh[1:]
+		pl.News++
 	}
-	pl.News++
-	return NewPacket(id, src, dst, class, flits, cycle)
+	return p.init(id, src, dst, class, flits, cycle)
+}
+
+//nocvet:cold a new chunk only when the in-flight high-water mark rises, not per cycle
+func (pl *Pool) grow() {
+	pl.fresh = make([]Packet, min(max(int(pl.News), minChunk), maxChunk))
 }
 
 // Put releases a packet back to the arena. The caller must hold the

@@ -81,20 +81,32 @@ func TestPoolDetectsMutationAfterRelease(t *testing.T) {
 // previous life's ID, TxnID, kind, flags, timestamps, or counters may
 // survive. The in-flight phase mutates every mutable field the
 // simulator touches.
+//
+// The same script drives refPool, the pool as it stood before chunk
+// carving (free list, else one NewPacket): the chunked pool must report
+// the same Gets/Puts/News and recycle in the same LIFO order — a Get is
+// a recycle exactly when the reference's is, and of the same packet.
 func TestPoolHygieneFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	pl := NewPool()
+	pl, ref := NewPool(), &refPool{}
 	var inflight []*Packet
+	twin := map[*Packet]*Packet{} // pool packet → its reference-pool counterpart
 	var id uint64
 	for step := 0; step < 5000; step++ {
 		if len(inflight) == 0 || rng.Intn(2) == 0 {
 			id++
 			cycle := int64(step)
+			news := pl.News
 			got := pl.Get(id, rng.Intn(64), rng.Intn(64), Class(rng.Intn(int(NumClasses))), 1+rng.Intn(5), cycle)
 			want := NewPacket(got.ID, got.Src, got.Dst, got.Class, got.Len, cycle)
 			if *got != *want {
 				t.Fatalf("step %d: recycled packet differs from fresh allocation:\n got %+v\nwant %+v", step, *got, *want)
 			}
+			refGot, recycled := ref.get(got.ID, got.Src, got.Dst, got.Class, got.Len, cycle)
+			if recycled != (pl.News == news) || (recycled && twin[got] != refGot) {
+				t.Fatalf("step %d: pool recycled=%v packet %p, reference recycled=%v (twin %p)", step, pl.News == news, got, recycled, twin[got])
+			}
+			twin[got] = refGot
 			// Simulate a network life: scribble on every mutable field.
 			got.TxnID = rng.Uint64()
 			got.InjectTime = cycle + 1
@@ -110,12 +122,70 @@ func TestPoolHygieneFuzz(t *testing.T) {
 		} else {
 			i := rng.Intn(len(inflight))
 			pl.Put(inflight[i])
+			ref.free = append(ref.free, twin[inflight[i]])
+			ref.puts++
 			inflight[i] = inflight[len(inflight)-1]
 			inflight = inflight[:len(inflight)-1]
+		}
+		if pl.Gets != ref.gets || pl.Puts != ref.puts || pl.News != ref.news {
+			t.Fatalf("step %d: Gets/Puts/News = %d/%d/%d, pre-chunk pool %d/%d/%d",
+				step, pl.Gets, pl.Puts, pl.News, ref.gets, ref.puts, ref.news)
 		}
 	}
 	if pl.News >= pl.Gets {
 		t.Errorf("pool never recycled (News %d, Gets %d)", pl.News, pl.Gets)
+	}
+	if pl.News <= 4*minChunk {
+		t.Errorf("only %d packets carved: the script never left the first chunks", pl.News)
+	}
+}
+
+// refPool is the pre-chunk arena's traffic model: a LIFO free list that
+// falls back to one heap packet per miss.
+type refPool struct {
+	free             []*Packet
+	gets, puts, news int64
+}
+
+func (r *refPool) get(id uint64, src, dst int, class Class, flits int, cycle int64) (p *Packet, recycled bool) {
+	r.gets++
+	if n := len(r.free); n > 0 {
+		p, r.free = r.free[n-1], r.free[:n-1]
+		return p, true
+	}
+	r.news++
+	return NewPacket(id, src, dst, class, flits, cycle), false
+}
+
+// TestPoolCarvesChunks: packets that miss the free list come out of
+// chunks — distinct, each equal to NewPacket's — at a small fraction of
+// one heap object per packet.
+func TestPoolCarvesChunks(t *testing.T) {
+	const n = 1000
+	seen := map[*Packet]bool{}
+	var pl *Pool
+	allocs := testing.AllocsPerRun(1, func() {
+		pl = NewPool()
+		for i := 1; i <= n; i++ {
+			pl.Get(uint64(i), 0, 1, Request, 1, 0)
+		}
+	})
+	if allocs > n/16 {
+		t.Errorf("carving %d packets made %.0f heap objects, want at most %d", n, allocs, n/16)
+	}
+	pl = NewPool()
+	for i := 1; i <= n; i++ {
+		p := pl.Get(uint64(i), i%7, i%5, Response, 1+i%5, int64(i))
+		if seen[p] {
+			t.Fatalf("packet %d shares storage with an earlier one", i)
+		}
+		seen[p] = true
+		if want := NewPacket(uint64(i), i%7, i%5, Response, 1+i%5, int64(i)); *p != *want {
+			t.Fatalf("carved packet %+v, NewPacket %+v", *p, *want)
+		}
+	}
+	if pl.News != n || pl.Gets != n {
+		t.Errorf("News/Gets = %d/%d, want %d/%d: News counts packets, not chunks", pl.News, pl.Gets, n, n)
 	}
 }
 

@@ -65,6 +65,10 @@ type Network struct {
 	// OnEject observes fully reassembled packets.
 	OnEject func(pkt *message.Packet)
 
+	// Recycle, when set, receives every delivered packet right after
+	// OnEject, its last observable moment (as nic.NIC.Recycle).
+	Recycle func(pkt *message.Packet)
+
 	// Deflections counts non-productive flit hops; SideBuffered counts
 	// parks; Ejections counts delivered packets.
 	Deflections, SideBuffered, Ejections int64
@@ -193,8 +197,9 @@ func (n *Network) assign(rc *routerCycle, f message.Flit, productiveOnly bool) b
 }
 
 // tryEject consumes one flit of ejection bandwidth; when the last flit
-// of a packet lands, the packet completes. The caller adjusts the
-// resident count (source-side flits were never resident).
+// of a packet lands, the packet completes and is released (f.Pkt is
+// dead to the caller). The caller adjusts the resident count
+// (source-side flits were never resident).
 func (n *Network) tryEject(rc *routerCycle, f message.Flit) (consumed, completed bool) {
 	if f.Pkt.Dst != rc.node || rc.ejected >= n.prm.EjectCap {
 		return false, false
@@ -207,6 +212,9 @@ func (n *Network) tryEject(rc *routerCycle, f message.Flit) (consumed, completed
 		n.Ejections++
 		if n.OnEject != nil {
 			n.OnEject(f.Pkt)
+		}
+		if n.Recycle != nil {
+			n.Recycle(f.Pkt)
 		}
 		return true, true
 	}
@@ -275,13 +283,13 @@ func (n *Network) stepRouter(node int) {
 	if source := &n.source[node]; source.Len() > 0 {
 		pkt := source.Front()
 		f := message.Flit{Pkt: pkt, Seq: n.injSeq[node]}
-		injected := false
+		ln, injected := pkt.Len, false
 		if pkt.Dst == node {
 			// Self-addressed: injection feeds ejection directly; the
 			// packet never becomes network-resident.
-			consumed, _ := n.tryEject(&rc, f)
+			consumed, completed := n.tryEject(&rc, f)
 			injected = consumed
-			if injected && n.injSeq[node] == 0 {
+			if injected && n.injSeq[node] == 0 && !completed {
 				pkt.InjectTime = n.cycle
 			}
 		} else if n.assign(&rc, f, true) {
@@ -293,7 +301,7 @@ func (n *Network) stepRouter(node int) {
 		}
 		if injected {
 			n.injSeq[node]++
-			if n.injSeq[node] == pkt.Len {
+			if n.injSeq[node] == ln {
 				source.PopFront()
 				n.injSeq[node] = 0
 			}

@@ -468,7 +468,7 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	w := snapshot.NewWriter()
 	n.SnapshotState(w)
 	sum := sha256.Sum256(snapshot.Seal(nil, w))
-	const want = "69f722c154cc87ec99c1b8636d4195e925daf58d573cd44a39b45fac57088d80"
+	const want = "f3a62d1b1f5862df7de4569b1fca0d7983f67ffcd960feac378867ec48586391"
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("mid-run checkpoint sha256 = %s, want %s", got, want)
 	}

@@ -96,7 +96,7 @@ func init() {
 	snapshot.Register("minbd.Network", Network{},
 		[]string{"cur", "mid", "next", "side", "source", "injSeq", "rx",
 			"cycle", "Deflections", "SideBuffered", "Ejections", "resident"},
-		[]string{"Mesh", "prm", "inLinks", "outLinks", "OnEject"})
+		[]string{"Mesh", "prm", "inLinks", "outLinks", "OnEject", "Recycle"})
 }
 
 var _ snapshot.Stater = (*Network)(nil)

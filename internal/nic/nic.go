@@ -62,10 +62,11 @@ type NIC struct {
 	DeferEject *bool
 
 	// Recycle, when set, receives every packet the consumer has drained
-	// — the packet's last observable moment. The synthetic harness wires
-	// this to a message.Pool so delivered packets become arena capacity
-	// instead of garbage. Protocol runs leave it nil (the engine keeps
-	// transaction references past consumption).
+	// — its last observable moment: OnEject fired when it landed in the
+	// queue and a consumer must not keep the pointer. The arena's owner
+	// (sim.Instance.UsePool for synthetic traffic, protocol.New for
+	// coherence traffic) wires this to its message.Pool. A refused
+	// packet stays queued and is not released.
 	Recycle func(pkt *message.Packet)
 
 	// OnActive, when set, is invoked whenever the NIC acquires work (a

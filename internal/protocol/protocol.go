@@ -89,7 +89,7 @@ type Backend interface {
 	Cycle() int64
 }
 
-// txn tracks an outstanding transaction at its issuing core.
+// txn tracks an outstanding transaction at its issuing core (an MSHR).
 type txn struct {
 	id       uint64
 	core     int
@@ -102,6 +102,52 @@ type txn struct {
 type homeEntry struct {
 	txnID uint64
 	core  int
+}
+
+func (t txn) key() uint64       { return t.id }
+func (h homeEntry) key() uint64 { return h.txnID }
+
+// table is one fixed-capacity transaction table per node, carved from a
+// single slab: node n's live entries are the first count[n] slots of
+// its per-slot window, in no meaningful order (ids are unique). Tables
+// hold at most 16 entries, so lookup by id is a short linear scan.
+type table[T interface{ key() uint64 }] struct {
+	slab  []T
+	count []int
+	per   int
+}
+
+func newTable[T interface{ key() uint64 }](nodes, per int) table[T] {
+	return table[T]{slab: make([]T, nodes*per), count: make([]int, nodes), per: per}
+}
+
+// live is node's occupied slots.
+func (t *table[T]) live(node int) []T { return t.slab[node*t.per:][:t.count[node]] }
+
+// find returns node's entry for id (valid until its next remove) or nil.
+func (t *table[T]) find(node int, id uint64) *T {
+	live := t.live(node)
+	for i := range live {
+		if live[i].key() == id {
+			return &live[i]
+		}
+	}
+	return nil
+}
+
+// add claims node's next slot for v; the caller checked for room.
+func (t *table[T]) add(node int, v T) *T {
+	t.count[node]++
+	live := t.live(node)
+	live[len(live)-1] = v
+	return &live[len(live)-1]
+}
+
+// remove frees e, an entry of node, by moving the node's last one in.
+func (t *table[T]) remove(node int, e *T) {
+	live := t.live(node)
+	*e = live[len(live)-1]
+	t.count[node]--
 }
 
 // delayed is a packet scheduled for emission after a processing delay.
@@ -120,12 +166,15 @@ type Engine struct {
 	// state-dependent number of draws).
 	src *snapshot.CountingSource
 
+	// pool is the arena every protocol packet comes from and returns to.
+	pool *message.Pool
+
 	nextPktID uint64
 	nextTxnID uint64
 
-	coreMSHRs []map[uint64]*txn
-	homeTBEs  []map[uint64]*homeEntry
-	emitQ     []delayed
+	coreMSHRs table[txn]
+	homeTBEs  table[homeEntry]
+	emitQ     []delayed // new, not yet injected packets
 
 	// Issued and Completed count transactions; the execution-time
 	// experiments run until Completed reaches a work quota.
@@ -136,25 +185,28 @@ type Engine struct {
 }
 
 // New wires an engine to a backend: it installs itself as every NIC's
-// consumer.
+// consumer and its packet arena as every NIC's Recycle — TryConsume
+// reads a packet and returns, transactions live in the MSHR/TBE tables,
+// so a consumed packet has no holder left. Everything the engine needs
+// is sized here; only the arena and emitQ grow with the load.
 func New(be Backend, profile Profile, seed int64) *Engine {
 	profile.SetDefaults()
-	src := snapshot.NewCountingSource(seed)
+	src, nodes := snapshot.NewCountingSource(seed), be.Nodes()
 	e := &Engine{
 		be:        be,
 		profile:   profile,
 		rng:       rand.New(src),
 		src:       src,
-		coreMSHRs: make([]map[uint64]*txn, be.Nodes()),
-		homeTBEs:  make([]map[uint64]*homeEntry, be.Nodes()),
+		pool:      message.NewPool(),
+		coreMSHRs: newTable[txn](nodes, profile.MSHRs),
+		homeTBEs:  newTable[homeEntry](nodes, profile.TBEs),
+		emitQ:     make([]delayed, 0, nodes),
 	}
-	for i := 0; i < be.Nodes(); i++ {
-		e.coreMSHRs[i] = make(map[uint64]*txn)
-		e.homeTBEs[i] = make(map[uint64]*homeEntry)
-		node := i
-		be.NIC(i).Consumer = nic.ConsumeFunc(func(cycle int64, pkt *message.Packet) bool {
-			return e.consume(node, cycle, pkt)
-		})
+	// A packet is consumed at its destination: the owner in poison panics.
+	recycle := func(p *message.Packet) { e.pool.PutCtx(p, p.Dst, be.Cycle()) }
+	for i := 0; i < nodes; i++ {
+		be.NIC(i).Consumer = e
+		be.NIC(i).Recycle = recycle
 	}
 	return e
 }
@@ -162,16 +214,16 @@ func New(be Backend, profile Profile, seed int64) *Engine {
 // OutstandingTxns reports live transactions (diagnostics).
 func (e *Engine) OutstandingTxns() int {
 	t := 0
-	for _, m := range e.coreMSHRs {
-		t += len(m)
+	for _, k := range e.coreMSHRs.count {
+		t += k
 	}
 	return t
 }
 
-// newPacket allocates a protocol packet.
+// newPacket draws a protocol packet from the arena.
 func (e *Engine) newPacket(src, dst int, cl message.Class, flits int, txnID uint64) *message.Packet {
 	e.nextPktID++
-	p := message.NewPacket(e.nextPktID, src, dst, cl, flits, e.be.Cycle())
+	p := e.pool.Get(e.nextPktID, src, dst, cl, flits, e.be.Cycle())
 	p.TxnID = txnID
 	return p
 }
@@ -204,6 +256,8 @@ func (e *Engine) pickHome(core int) int {
 
 // Tick issues new transactions and emits delayed responses. Call once
 // per cycle before the network steps.
+//
+//nocvet:hot
 func (e *Engine) Tick(cycle int64) {
 	// Emit matured packets.
 	keep := e.emitQ[:0]
@@ -223,7 +277,7 @@ func (e *Engine) Tick(cycle int64) {
 			continue
 		}
 		for k := 0; k < e.profile.Burst; k++ {
-			if len(e.coreMSHRs[core]) >= e.profile.MSHRs {
+			if e.coreMSHRs.count[core] >= e.profile.MSHRs {
 				break
 			}
 			e.issue(core)
@@ -235,8 +289,7 @@ func (e *Engine) Tick(cycle int64) {
 func (e *Engine) issue(core int) {
 	e.nextTxnID++
 	home := e.pickHome(core)
-	t := &txn{id: e.nextTxnID, core: core, home: home}
-	e.coreMSHRs[core][t.id] = t
+	t := e.coreMSHRs.add(core, txn{id: e.nextTxnID, core: core, home: home})
 	e.Issued++
 	if e.rng.Float64() < e.profile.WBFraction {
 		// Writeback: data out, ack back.
@@ -254,8 +307,13 @@ func (e *Engine) emitAfter(pkt *message.Packet, delay int64) {
 	e.emitQ = append(e.emitQ, delayed{pkt: pkt, at: e.be.Cycle() + delay})
 }
 
-// consume is the NIC consumer: node received pkt from the network.
-func (e *Engine) consume(node int, cycle int64, pkt *message.Packet) bool {
+// TryConsume implements nic.Consumer for every node: pkt arrived at its
+// destination. It keeps no reference to pkt — the NIC recycles it on a
+// true return.
+//
+//nocvet:hot
+func (e *Engine) TryConsume(cycle int64, pkt *message.Packet) bool {
+	node := pkt.Dst
 	switch pkt.Class {
 	case message.Request:
 		return e.homeRequest(node, pkt)
@@ -263,14 +321,12 @@ func (e *Engine) consume(node int, cycle int64, pkt *message.Packet) bool {
 		return e.homeWriteback(node, pkt)
 	case message.Forward:
 		// Owner: always consumable; sends data to the requester after a
-		// cache access delay. The requester core ID rides in TxnID's
-		// MSHR table via the home TBE — the forward carries it in Dst
-		// semantics: we look it up from the TBE at consume time.
-		e.ownerForward(node, pkt)
+		// cache access delay.
+		e.replyToRequester(node, pkt, 5)
 		return true
 	case message.Invalidate:
-		// Sharer: ack to the requester.
-		e.sharerInvalidate(node, pkt)
+		// Sharer: ack to the requester with a control response.
+		e.replyToRequester(node, pkt, 1)
 		return true
 	case message.Response:
 		e.coreResponse(node, pkt)
@@ -285,13 +341,13 @@ func (e *Engine) consume(node int, cycle int64, pkt *message.Packet) bool {
 
 // homeRequest services a Request at the home: allocate a TBE or stall.
 func (e *Engine) homeRequest(home int, pkt *message.Packet) bool {
-	if len(e.homeTBEs[home]) >= e.profile.TBEs {
+	if e.homeTBEs.count[home] >= e.profile.TBEs {
 		e.Stalled++
 		return false
 	}
 	requester := pkt.Src
-	e.homeTBEs[home][pkt.TxnID] = &homeEntry{txnID: pkt.TxnID, core: requester}
-	t := e.coreMSHRs[requester][pkt.TxnID]
+	e.homeTBEs.add(home, homeEntry{txnID: pkt.TxnID, core: requester})
+	t := e.coreMSHRs.find(requester, pkt.TxnID)
 	if t == nil {
 		panic("protocol: request for unknown transaction")
 	}
@@ -322,11 +378,11 @@ func (e *Engine) homeRequest(home int, pkt *message.Packet) bool {
 
 // homeWriteback services a WriteBack: ack the writer.
 func (e *Engine) homeWriteback(home int, pkt *message.Packet) bool {
-	if len(e.homeTBEs[home]) >= e.profile.TBEs {
+	if e.homeTBEs.count[home] >= e.profile.TBEs {
 		e.Stalled++
 		return false
 	}
-	e.homeTBEs[home][pkt.TxnID] = &homeEntry{txnID: pkt.TxnID, core: pkt.Src}
+	e.homeTBEs.add(home, homeEntry{txnID: pkt.TxnID, core: pkt.Src})
 	e.emitAfter(e.newPacket(home, pkt.Src, message.Response, 1, pkt.TxnID), e.profile.HomeLatency)
 	return true
 }
@@ -346,35 +402,22 @@ func (e *Engine) pickOwner(home, requester int) int {
 	}
 }
 
-// ownerForward: the owner sends data to the requester recorded in the
-// home's TBE.
-func (e *Engine) ownerForward(owner int, pkt *message.Packet) {
-	// The forward carries TxnID; find the requester from any core MSHR.
-	// Homes embed the requester in the TBE, but the owner knows it from
-	// the message in real Hammer; we recover it via the MSHR table.
-	for core := range e.coreMSHRs {
-		if t, ok := e.coreMSHRs[core][pkt.TxnID]; ok {
-			e.emitAfter(e.newPacket(owner, t.core, message.Response, 5, pkt.TxnID), 2)
-			return
-		}
+// replyToRequester answers a Forward (owner: 5-flit data) or Invalidate
+// (sharer: 1-flit ack) with a Response to the requester. In real Hammer
+// the message names it; here pkt.Src is the home, whose TBE recorded it.
+// A stale message (transaction already completed) is dropped silently.
+func (e *Engine) replyToRequester(node int, pkt *message.Packet, flits int) {
+	h := e.homeTBEs.find(pkt.Src, pkt.TxnID)
+	if h == nil || e.coreMSHRs.find(h.core, pkt.TxnID) == nil {
+		return
 	}
-	// Transaction already completed (stale forward): drop silently.
-}
-
-// sharerInvalidate: ack the requester with a control response.
-func (e *Engine) sharerInvalidate(sharer int, pkt *message.Packet) {
-	for core := range e.coreMSHRs {
-		if t, ok := e.coreMSHRs[core][pkt.TxnID]; ok {
-			e.emitAfter(e.newPacket(sharer, t.core, message.Response, 1, pkt.TxnID), 2)
-			return
-		}
-	}
+	e.emitAfter(e.newPacket(node, h.core, message.Response, flits, pkt.TxnID), 2)
 }
 
 // coreResponse: data or ack arrived at the requesting core.
 func (e *Engine) coreResponse(core int, pkt *message.Packet) {
-	t, ok := e.coreMSHRs[core][pkt.TxnID]
-	if !ok {
+	t := e.coreMSHRs.find(core, pkt.TxnID)
+	if t == nil {
 		return // stale ack after completion
 	}
 	if pkt.Len == 5 || t.dataSeen {
@@ -385,13 +428,15 @@ func (e *Engine) coreResponse(core int, pkt *message.Packet) {
 	}
 	if t.dataSeen && t.acksLeft == 0 {
 		// Complete: unblock the home and free the MSHR.
-		delete(e.coreMSHRs[core], t.id)
-		e.Completed++
 		e.be.NIC(core).EnqueueSource(e.newPacket(core, t.home, message.Unblock, 1, t.id))
+		e.coreMSHRs.remove(core, t)
+		e.Completed++
 	}
 }
 
 // homeUnblock: transaction closed; free the TBE.
 func (e *Engine) homeUnblock(home int, pkt *message.Packet) {
-	delete(e.homeTBEs[home], pkt.TxnID)
+	if h := e.homeTBEs.find(home, pkt.TxnID); h != nil {
+		e.homeTBEs.remove(home, h)
+	}
 }

@@ -1,50 +1,52 @@
 package protocol
 
-import (
-	"sort"
+import "repro/internal/snapshot"
 
-	"repro/internal/snapshot"
-)
-
-func sortedKeys[V any](m map[uint64]V) []uint64 {
-	ks := make([]uint64, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
+// snapshotState writes every node's live entries in slot order.
+func (t *table[T]) snapshotState(w *snapshot.Writer, enc func(*snapshot.Writer, T)) {
+	for node, k := range t.count {
+		w.Int(k)
+		for _, e := range t.live(node) {
+			enc(w, e)
+		}
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
+}
+
+// restoreState refills every node's window in the encoded slot order.
+func (t *table[T]) restoreState(r *snapshot.Reader, dec func(*snapshot.Reader) T) {
+	for node := range t.count {
+		k := r.Int()
+		if r.Err() == nil && (k < 0 || k > t.per) {
+			r.Fail("protocol table: %d entries at node %d exceed capacity %d", k, node, t.per)
+		}
+		t.count[node] = 0
+		for i := 0; i < k && r.Err() == nil; i++ {
+			t.add(node, dec(r))
+		}
+	}
 }
 
 // SnapshotState encodes the engine's mutable state: RNG stream
 // position, ID counters, per-core MSHR tables and per-home TBE tables
-// (sorted by transaction ID — map iteration order must not leak into
-// the byte stream), the delayed-emission queue and the transaction
-// counters.
+// (slot order — the tables hold no map, so there is no iteration order
+// to leak), the delayed-emission queue, the transaction counters and,
+// last, the packet arena (every live packet is registered by then, so
+// the free list only adds the recycled ones).
 func (e *Engine) SnapshotState(w *snapshot.Writer) {
 	w.U64(e.src.Draws())
 	w.U64(e.nextPktID)
 	w.U64(e.nextTxnID)
-	for _, m := range e.coreMSHRs {
-		ids := sortedKeys(m)
-		w.Int(len(ids))
-		for _, id := range ids {
-			t := m[id]
-			w.U64(t.id)
-			w.Int(t.core)
-			w.Int(t.home)
-			w.Int(t.acksLeft)
-			w.Bool(t.dataSeen)
-		}
-	}
-	for _, m := range e.homeTBEs {
-		ids := sortedKeys(m)
-		w.Int(len(ids))
-		for _, id := range ids {
-			h := m[id]
-			w.U64(h.txnID)
-			w.Int(h.core)
-		}
-	}
+	e.coreMSHRs.snapshotState(w, func(w *snapshot.Writer, t txn) {
+		w.U64(t.id)
+		w.Int(t.core)
+		w.Int(t.home)
+		w.Int(t.acksLeft)
+		w.Bool(t.dataSeen)
+	})
+	e.homeTBEs.snapshotState(w, func(w *snapshot.Writer, h homeEntry) {
+		w.U64(h.txnID)
+		w.Int(h.core)
+	})
 	w.Int(len(e.emitQ))
 	for _, d := range e.emitQ {
 		w.Packet(d.pkt)
@@ -53,6 +55,7 @@ func (e *Engine) SnapshotState(w *snapshot.Writer) {
 	w.I64(e.Issued)
 	w.I64(e.Completed)
 	w.I64(e.Stalled)
+	snapshot.WritePool(w, e.pool)
 }
 
 // RestoreState decodes into a freshly constructed engine (wiring and
@@ -62,28 +65,12 @@ func (e *Engine) RestoreState(r *snapshot.Reader) {
 	e.src.Skip(r.U64())
 	e.nextPktID = r.U64()
 	e.nextTxnID = r.U64()
-	for core := range e.coreMSHRs {
-		clear(e.coreMSHRs[core])
-		k := r.Int()
-		for i := 0; i < k && r.Err() == nil; i++ {
-			t := &txn{
-				id:       r.U64(),
-				core:     r.Int(),
-				home:     r.Int(),
-				acksLeft: r.Int(),
-				dataSeen: r.Bool(),
-			}
-			e.coreMSHRs[core][t.id] = t
-		}
-	}
-	for home := range e.homeTBEs {
-		clear(e.homeTBEs[home])
-		k := r.Int()
-		for i := 0; i < k && r.Err() == nil; i++ {
-			h := &homeEntry{txnID: r.U64(), core: r.Int()}
-			e.homeTBEs[home][h.txnID] = h
-		}
-	}
+	e.coreMSHRs.restoreState(r, func(r *snapshot.Reader) txn {
+		return txn{id: r.U64(), core: r.Int(), home: r.Int(), acksLeft: r.Int(), dataSeen: r.Bool()}
+	})
+	e.homeTBEs.restoreState(r, func(r *snapshot.Reader) homeEntry {
+		return homeEntry{txnID: r.U64(), core: r.Int()}
+	})
 	e.emitQ = e.emitQ[:0]
 	k := r.Int()
 	for i := 0; i < k && r.Err() == nil; i++ {
@@ -92,13 +79,16 @@ func (e *Engine) RestoreState(r *snapshot.Reader) {
 	e.Issued = r.I64()
 	e.Completed = r.I64()
 	e.Stalled = r.I64()
+	snapshot.ReadPool(r, e.pool)
 }
 
 func init() {
 	snapshot.Register("protocol.Engine", Engine{},
-		[]string{"src", "nextPktID", "nextTxnID", "coreMSHRs", "homeTBEs",
-			"emitQ", "Issued", "Completed", "Stalled"},
+		[]string{"src", "pool", "nextPktID", "nextTxnID", "coreMSHRs",
+			"homeTBEs", "emitQ", "Issued", "Completed", "Stalled"},
 		[]string{"be", "profile", "rng"})
+	snapshot.Register("protocol.table", table[txn]{},
+		[]string{"slab", "count"}, []string{"per"})
 	snapshot.Register("protocol.txn", txn{},
 		[]string{"id", "core", "home", "acksLeft", "dataSeen"}, nil)
 	snapshot.Register("protocol.homeEntry", homeEntry{},

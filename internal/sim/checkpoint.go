@@ -133,10 +133,8 @@ func (s *synthRun) encode(meta, w *snapshot.Writer) {
 	}
 	// The pool goes last: every packet still alive has been registered
 	// in the table by now, so the free list only adds the recycled ones.
-	w.Bool(s.pool != nil)
-	if s.pool != nil {
-		snapshot.WritePool(w, s.pool)
-	}
+	w.Bool(true) // pool presence: every scheme is on the arena since v4
+	snapshot.WritePool(w, s.pool)
 }
 
 // restore decodes a checkpoint blob into a freshly built run. The blob
@@ -175,11 +173,10 @@ func (s *synthRun) restore(data []byte) error {
 	} else {
 		s.inst.Deflect.RestoreState(r)
 	}
-	if had := r.Bool(); had != (s.pool != nil) {
-		return fmt.Errorf("sim: checkpoint pool presence %v but instance has %v", had, s.pool != nil)
-	} else if had {
-		snapshot.ReadPool(r, s.pool)
+	if !r.Bool() && r.Err() == nil {
+		return fmt.Errorf("sim: checkpoint carries no packet pool")
 	}
+	snapshot.ReadPool(r, s.pool)
 	return r.Err()
 }
 

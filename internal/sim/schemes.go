@@ -296,22 +296,24 @@ func (inst *Instance) attachRobustness(o Options) {
 	}
 }
 
-// UsePool attaches a per-simulation packet arena: every delivered packet
-// is released back to the pool the moment the NIC consumer drains it,
-// so steady-state traffic recycles its packet structs instead of
-// churning the allocator. Only valid when nothing retains packet
-// references past consumption — true for the synthetic harness (the
-// stats collector copies what it needs at ejection), not for protocol
-// runs (transactions outlive delivery). Returns nil for MinBD, which
-// has its own packet model.
+// UsePool attaches the synthetic harness's packet arena and returns it
+// for the traffic generator to draw from. The rule for every arena: a
+// packet is released exactly once, by the ejection point that handed it
+// to the consumer (the NIC once its Consumer has drained it, MinBD once
+// the last flit has landed), after OnEject, and nothing may hold it
+// afterwards — the stats collector copies what it needs. A synthetic
+// run owns the pool made here, a protocol run the one protocol.New
+// makes and wires the same way; never both.
 func (i *Instance) UsePool() *message.Pool {
-	if i.Net == nil {
-		return nil
-	}
 	pl := message.NewPool()
-	for id, nc := range i.Net.NICs {
-		node := id
-		nc.Recycle = func(p *message.Packet) { pl.PutCtx(p, node, i.Net.Cycle()) }
+	// A packet leaves at its destination: the owner in poison panics.
+	recycle := func(p *message.Packet) { pl.PutCtx(p, p.Dst, i.Cycle()) }
+	if i.Net == nil {
+		i.Deflect.Recycle = recycle
+		return pl
+	}
+	for _, nc := range i.Net.NICs {
+		nc.Recycle = recycle
 	}
 	return pl
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/message"
 	"repro/internal/traffic"
 	"repro/internal/workload"
 )
@@ -161,4 +162,52 @@ func TestDeterministicResults(t *testing.T) {
 	if a.AvgLatency != b.AvgLatency || a.Samples != b.Samples || a.Promoted != b.Promoted {
 		t.Fatalf("non-deterministic synthetic results: %+v vs %+v", a, b)
 	}
+}
+
+// TestMinBDReleasesToPool: UsePool puts MinBD on the arena under the
+// one ownership rule — the ejection that completes a packet releases it,
+// once, after OnEject. A packet touched after that moment must trip the
+// arena's poison check at the next Get; a self-addressed packet (which
+// completes inside the injection pass) must come back clean.
+func TestMinBDReleasesToPool(t *testing.T) {
+	inst := Build(Options{Scheme: MinBD, W: 4, H: 4, Seed: 1})
+	pool := inst.UsePool()
+	if pool == nil {
+		t.Fatal("UsePool returned no pool for MinBD")
+	}
+	var last *message.Packet
+	inst.SetOnEject(func(p *message.Packet) {
+		if p.EjectTime < 0 || p.Len == 0 {
+			t.Errorf("OnEject saw an already released packet: %+v", *p)
+		}
+		last = p
+	})
+	deliver := func(id uint64, src, dst, flits int) {
+		t.Helper()
+		inst.Enqueue(pool.Get(id, src, dst, message.Request, flits, inst.Cycle()))
+		last = nil
+		for c := 0; c < 200 && last == nil; c++ {
+			inst.Step()
+		}
+		if last == nil {
+			t.Fatalf("packet %d never ejected", id)
+		}
+	}
+	deliver(1, 0, 15, 5)
+	deliver(2, 3, 3, 1) // self-addressed, completes while injecting
+	deliver(3, 3, 3, 5)
+	// Each Get above recycled the packet released just before it; a
+	// dirtied release would have panicked there.
+	if pool.Puts != 3 || pool.News != 1 || pool.FreeLen() != 1 {
+		t.Fatalf("Puts/News/free = %d/%d/%d after 3 deliveries, want 3/1/1", pool.Puts, pool.News, pool.FreeLen())
+	}
+
+	deliver(7, 0, 15, 1)
+	last.Hops++ // use after ejection
+	defer func() {
+		if recover() == nil {
+			t.Error("a MinBD packet mutated after ejection did not panic at the next Get")
+		}
+	}()
+	pool.Get(8, 0, 1, message.Request, 1, inst.Cycle())
 }

@@ -46,7 +46,7 @@ import (
 // Version is the checkpoint format version. Bump it on any layout
 // change; Open rejects mismatches outright (no cross-version decode —
 // a checkpoint is a resume token, not an archival format).
-const Version = 3
+const Version = 4
 
 // magic spells "NOCS" when the u32 is read little-endian.
 const magic = 0x53434f4e

@@ -2,8 +2,11 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/message"
@@ -205,5 +208,73 @@ func TestWriterResetDropsPacketReferences(t *testing.T) {
 	}
 	if reused, fresh := encode(w, b), encode(NewWriter(), b); !bytes.Equal(reused, fresh) {
 		t.Errorf("reused Writer sealed %x, fresh Writer %x", reused, fresh)
+	}
+}
+
+// TestPoolBlobIgnoresChunkSlack: a pool's encoding is its free list and
+// counters only. A pool with uncarved chunk slots and the pool restored
+// from its blob (which has no chunk at all) seal to the same bytes, and
+// the restored free list keeps its use-after-free poison.
+func TestPoolBlobIgnoresChunkSlack(t *testing.T) {
+	seal := func(pl *message.Pool) []byte {
+		w := NewWriter()
+		WritePool(w, pl)
+		return Seal(nil, w)
+	}
+	pl := message.NewPool()
+	a := pl.Get(1, 0, 3, message.Request, 5, 10)
+	b := pl.Get(2, 1, 2, message.Response, 1, 11)
+	pl.Get(3, 2, 1, message.Unblock, 1, 12) // still live: absent from the free list
+	pl.Put(a)
+	pl.Put(b) // 3 of the first chunk's slots carved, the rest unconsumed
+	blob := seal(pl)
+
+	_, r, err := Open(blob)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	restored := message.NewPool()
+	ReadPool(r, restored)
+	if err := r.Err(); err != nil {
+		t.Fatalf("ReadPool: %v", err)
+	}
+	if got := seal(restored); !bytes.Equal(got, blob) {
+		t.Errorf("restored pool (no chunk) seals to\n%x\npool with chunk slack sealed to\n%x", got, blob)
+	}
+	if restored.Gets != 3 || restored.Puts != 2 || restored.News != 3 || restored.FreeLen() != 2 {
+		t.Errorf("restored Gets/Puts/News/free = %d/%d/%d/%d, want 3/2/3/2",
+			restored.Gets, restored.Puts, restored.News, restored.FreeLen())
+	}
+
+	free := restored.FreeList()
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic on a restored pool", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("double release", func() { restored.Put(free[0]) })
+	free[len(free)-1].Hops = 3 // use-after-free across the restore boundary
+	mustPanic("Get of a dirtied packet", func() { restored.Get(4, 0, 1, message.Request, 1, 20) })
+}
+
+// TestOpenRejectsOlderVersion: v4 changed MinBD and protocol layouts, so
+// a version-3 header must fail Open's version check — before the crc,
+// so even a well-formed old blob is refused rather than mis-decoded.
+func TestOpenRejectsOlderVersion(t *testing.T) {
+	if Version != 4 {
+		t.Fatalf("Version = %d; this test pins the 3 → 4 bump", Version)
+	}
+	w := NewWriter()
+	w.U64(7)
+	blob := Seal(nil, w)
+	binary.LittleEndian.PutUint32(blob[4:8], 3)
+	binary.LittleEndian.PutUint32(blob[8:12], crc32.ChecksumIEEE(blob[12:]))
+	_, _, err := Open(blob)
+	if err == nil || !strings.Contains(err.Error(), "format version 3, this build reads only 4") {
+		t.Errorf("Open(version 3 blob) = %v, want the format-version error", err)
 	}
 }

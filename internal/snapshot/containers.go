@@ -66,5 +66,5 @@ func init() {
 		nil)
 	Register("message.Pool", message.Pool{},
 		[]string{"free", "Gets", "Puts", "News"},
-		nil)
+		[]string{"fresh"}) // uncarved chunk tail: capacity, not state
 }

@@ -71,9 +71,9 @@ type Generator struct {
 	// HotspotFraction of packets target HotspotNode (default 0.2).
 	HotspotFraction float64
 
-	// Pool, when set, is the packet arena new packets are drawn from
-	// (the harness returns delivered packets to it). Nil falls back to
-	// plain allocation.
+	// Pool, when set, is the packet arena new packets are drawn from;
+	// its owner wired the ejection side to release each delivered packet
+	// (sim.Instance.UsePool, every scheme). Nil = plain allocation.
 	Pool *message.Pool
 
 	nextID uint64
