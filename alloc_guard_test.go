@@ -13,9 +13,14 @@ package repro_test
 import (
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 
+	"repro/internal/message"
+	"repro/internal/nic"
 	"repro/internal/protocol"
+	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
@@ -24,10 +29,26 @@ import (
 )
 
 // steadyStateAllocBudget tolerates the amortised capacity growth that is
-// not per-cycle work: a ring or free list doubling once every few
-// thousand cycles shows up as a small fraction here, while a true
+// not per-cycle work: an arena chunk or a free-list doubling once every
+// few thousand cycles shows up as a small fraction here, while a true
 // per-cycle allocation is >= 1.0.
 const steadyStateAllocBudget = 0.05
+
+// allocsPerTick is the mean number of heap objects one tick makes over n
+// calls, as a fraction. testing.AllocsPerRun divides in integers — it
+// reports 0 for anything under one object per call, so a budget of 0.05
+// measured with it could not fail.
+func allocsPerTick(n int, tick func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tick()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		tick()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n)
+}
 
 func measureSteadyStateAllocs(t *testing.T, scheme noc.Scheme, w, h int, rate float64) float64 {
 	t.Helper()
@@ -45,7 +66,7 @@ func measureSteadyStateAllocs(t *testing.T, scheme noc.Scheme, w, h int, rate fl
 	for c := 0; c < 8000; c++ {
 		tick()
 	}
-	return testing.AllocsPerRun(300, tick)
+	return allocsPerTick(300, tick)
 }
 
 func TestSteadyStateZeroAllocsPerCycle(t *testing.T) {
@@ -57,25 +78,31 @@ func TestSteadyStateZeroAllocsPerCycle(t *testing.T) {
 		scheme noc.Scheme
 		size   int
 		rate   float64
+		budget float64
 	}{
-		{"FastPass/uniform", noc.FastPass, 4, 0.10},
-		{"FastPass/idle", noc.FastPass, 4, 0},
+		{"FastPass/uniform", noc.FastPass, 4, 0.10, steadyStateAllocBudget},
+		{"FastPass/idle", noc.FastPass, 4, 0, steadyStateAllocBudget},
 		// 0.06 is the highest fig7_uniform rate EscapeVC sustains: past
 		// saturation the unbounded source queues and the arena grow with
 		// the backlog every cycle, which is load, not engine garbage.
-		{"EscapeVC/8x8", noc.EscapeVC, 8, 0.06},
-		{"FastPass/16x16", noc.FastPass, 16, 0.03},
+		{"EscapeVC/8x8", noc.EscapeVC, 8, 0.06, steadyStateAllocBudget},
+		{"FastPass/16x16", noc.FastPass, 16, 0.03, steadyStateAllocBudget},
 		// MinBD draws from the arena like everyone else, so generation is
 		// part of the measurement.
-		{"MinBD/8x8", noc.MinBD, 8, 0.06},
-		// A rate at which SPIN's blocked-head probes fire every few cycles.
-		{"SPIN/8x8@0.10", noc.SPIN, 8, 0.10},
+		{"MinBD/8x8", noc.MinBD, 8, 0.06, steadyStateAllocBudget},
+		// SPIN probes only once heads block, which is past its saturation
+		// point (0.08): at 0.10 a probe fires about once a cycle, the
+		// backlog takes an arena chunk every ~11 cycles and a confirmed
+		// loop (one in ~17 cycles) copies its chain and formats a trace
+		// line — 0.2 objects per cycle measured. A probe that allocated
+		// again would alone be >= 1.
+		{"SPIN/8x8@0.10", noc.SPIN, 8, 0.10, 0.5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := measureSteadyStateAllocs(t, tc.scheme, tc.size, tc.size, tc.rate); got > steadyStateAllocBudget {
+			if got := measureSteadyStateAllocs(t, tc.scheme, tc.size, tc.size, tc.rate); got > tc.budget {
 				t.Errorf("steady-state cycle allocates %.3f times on average, want ~0 (budget %.2f)",
-					got, steadyStateAllocBudget)
+					got, tc.budget)
 			}
 		})
 	}
@@ -92,7 +119,7 @@ func TestSteadyStateZeroAllocsPerCycle(t *testing.T) {
 		for c := 0; c < 8000; c++ {
 			tick()
 		}
-		if got := testing.AllocsPerRun(300, tick); got > steadyStateAllocBudget {
+		if got := allocsPerTick(300, tick); got > steadyStateAllocBudget {
 			t.Errorf("protocol cycle allocates %.3f times on average, want ~0 (budget %.2f)", got, steadyStateAllocBudget)
 		}
 		if eng.Completed == 0 || eng.OutstandingTxns() == 0 {
@@ -101,11 +128,122 @@ func TestSteadyStateZeroAllocsPerCycle(t *testing.T) {
 	})
 }
 
-// TestBuildAllocBudget caps the heap objects sim.Build creates. The
-// slab build measures 172 objects at 8×8 and 2,092 at 32×32 (two
-// closures per node plus a constant number of backing arrays — the
-// pre-slab build made ~98 per router); the ceilings sit ~20 % above
-// that, so one new per-router allocation fails the 32×32 case at once.
+// ringGrowObjects reads the heap profile for objects allocated by
+// ringq's grow: those made for a router VC (an injection queue outgrowing
+// its window) and all others. The runtime publishes profile counts two
+// collections late, hence the GCs.
+func ringGrowObjects() (injection, other int64) {
+	runtime.GC()
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, ok := runtime.MemProfile(recs, true)
+	if !ok {
+		panic("alloc guard: heap profile grew while being read")
+	}
+	for _, rec := range recs[:n] {
+		var grow, vc bool
+		frames := runtime.CallersFrames(rec.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			grow = grow || strings.Contains(f.Function, "ringq.") && strings.HasSuffix(f.Function, ".grow")
+			vc = vc || strings.HasSuffix(f.Function, "router.(*VC).insert")
+		}
+		switch {
+		case grow && vc:
+			injection += rec.AllocObjects
+		case grow:
+			other += rec.AllocObjects
+		}
+	}
+	return injection, other
+}
+
+// TestFirstTouchAllocBudget pins "never after Build" from the very first
+// cycle, with no warm-up to hide behind: the queues a packet waits in
+// are threaded through the arena and the injection queues sit in their
+// Build-carved windows, so the first 2,000 cycles of a fresh instance
+// allocate arena chunks, free-list doublings and (protocol) the
+// emission queue's growth — a dozen objects — plus one or two doublings
+// for each injection queue that backs up more than four packets deep
+// (none at this synthetic load, 77 under Streamcluster's six classes).
+// No other ring grows. Before the queues were intrusive every first
+// touch of a NIC or injection ring was an object: ~200 here for
+// synthetic traffic, ~1,100 for the protocol.
+func TestFirstTouchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run the guard without -race")
+	}
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	cases := []struct {
+		name    string
+		ceiling float64
+		ticker  func(inst *sim.Instance) func()
+	}{
+		{"FastPass-8x8@0.02", 16, func(inst *sim.Instance) func() {
+			gen := &traffic.Generator{Pattern: traffic.Uniform, Rate: 0.02, W: 8, H: 8, Pool: inst.UsePool()}
+			rng := rand.New(rand.NewSource(0x5eed))
+			return func() {
+				for _, pkt := range gen.Tick(inst.Cycle(), rng) {
+					inst.Enqueue(pkt)
+				}
+				inst.Step()
+			}
+		}},
+		{"Protocol/FastPass-8x8", 120, func(inst *sim.Instance) func() {
+			eng := protocol.New(inst.Net, workload.MustGet("Streamcluster").Profile, 1)
+			return func() {
+				eng.Tick(inst.Cycle())
+				inst.Step()
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tick := tc.ticker(sim.Build(sim.Options{Scheme: noc.FastPass, W: 8, H: 8, Seed: 1}))
+			inj0, other0 := ringGrowObjects()
+			const cycles = 2000
+			got := allocsPerTick(cycles, tick) * cycles
+			inj, other := ringGrowObjects()
+			t.Logf("first %d cycles: %.0f heap objects, %d of them injection queues growing past their window", cycles, got, inj-inj0)
+			if got > tc.ceiling {
+				t.Errorf("first %d cycles make %.0f heap objects, ceiling %.0f", cycles, got, tc.ceiling)
+			}
+			if other != other0 {
+				t.Errorf("%d rings other than injection queues grew in the first %d cycles, want none", other-other0, cycles)
+			}
+		})
+	}
+}
+
+// TestStructSizes holds the four structs a run's memory is made of to
+// their sizes: the arena is most of a run's bytes and every NIC, router
+// and VC entry is carved once per node at Build, so a field added to one
+// of them is an alloc_mb regression on every workload.
+func TestStructSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		got, limit uintptr
+	}{
+		{"message.Packet", unsafe.Sizeof(message.Packet{}), 128},
+		{"router.Entry", unsafe.Sizeof(router.Entry{}), 32},
+		{"nic.NIC", unsafe.Sizeof(nic.NIC{}), 704},
+		{"router.Router", unsafe.Sizeof(router.Router{}), 1160},
+	} {
+		t.Logf("%s: %d bytes", tc.name, tc.got)
+		if tc.got > tc.limit {
+			t.Errorf("%s is %d bytes, limit %d", tc.name, tc.got, tc.limit)
+		}
+	}
+}
+
+// TestBuildAllocBudget caps the heap objects sim.Build creates: 45 at
+// any mesh size — a constant number of backing arrays and not one
+// object per node (the pre-slab build made ~98 per router, the slab
+// build still two closures). The ceiling sits 20 % above that, so a
+// single new per-router allocation fails both cases at once.
 // protocol.New is held to the same rule: two table slabs with their
 // counts, the emission queue, the arena, the RNG and one closure — 11
 // objects at any size, where the map-based engine made three per node.
@@ -116,7 +254,7 @@ func TestBuildAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		size    int
 		ceiling float64
-	}{{8, 210}, {32, 2500}} {
+	}{{8, 54}, {32, 54}} {
 		got := testing.AllocsPerRun(3, func() {
 			sim.Build(sim.Options{Scheme: noc.FastPass, W: tc.size, H: tc.size, Seed: 1})
 		})
@@ -238,7 +376,7 @@ func TestSteadyStateZeroAllocsWithTelemetry(t *testing.T) {
 	for c := 0; c < 8000; c++ {
 		tick()
 	}
-	if got := testing.AllocsPerRun(300, tick); got > steadyStateAllocBudget {
+	if got := allocsPerTick(300, tick); got > steadyStateAllocBudget {
 		t.Errorf("telemetry-on cycle allocates %.3f times on average, want ~0 (budget %.2f)",
 			got, steadyStateAllocBudget)
 	}

@@ -204,8 +204,8 @@ func (w *Watchdog) collectStarved(cycle int64) []*message.Packet {
 			if head == nil || cycle-head.EjectTime <= w.opts.StarveBound {
 				continue
 			}
-			for i := 0; i < nc.EjectDepth(c); i++ {
-				w.starved = append(w.starved, nc.EjectAt(c, i))
+			for p := range nc.Ejected(c) {
+				w.starved = append(w.starved, p)
 			}
 		}
 	}

@@ -307,7 +307,7 @@ func (w *Watchdog) sample() {
 					e := vcq.EntryAt(i)
 					w.live[e.Pkt.ID] = e.Pkt
 					if e.Allocated {
-						w.allocMark[w.rid(r.ID, e.OutPort, e.OutVC)] = true
+						w.allocMark[w.rid(r.ID, e.Out(), int(e.OutVC))] = true
 					}
 					if i == 0 {
 						if blocked := cycle - e.LastMove; blocked > worstBlocked {

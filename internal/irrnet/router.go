@@ -50,9 +50,7 @@ func (r *irRouter) tryAllocate(e *routerEntry) {
 		}
 		r.net.NICs[r.id].BeginEject(pkt)
 		r.ejecting[pkt.Class] = true
-		e.Allocated = true
-		e.OutPort = 0
-		e.OutVC = int(pkt.Class)
+		e.Allocate(0, int(pkt.Class))
 		return
 	}
 	// Minimal adaptive: every productive port; prefer the port with the
@@ -78,9 +76,7 @@ func (r *irRouter) tryAllocate(e *routerEntry) {
 	for v := len(r.vcFree[bestPort]) - 1; v >= 0; v-- {
 		if r.vcFree[bestPort][v] {
 			r.vcFree[bestPort][v] = false
-			e.Allocated = true
-			e.OutPort = topology.Direction(bestPort)
-			e.OutVC = v
+			e.Allocate(topology.Direction(bestPort), v)
 			return
 		}
 	}
@@ -134,7 +130,7 @@ func (r *irRouter) transmit(in, vc int) {
 	e := buf.Head()
 	pkt := e.Pkt
 	out := int(e.OutPort)
-	outVC := e.OutVC
+	outVC := int(e.OutVC)
 	isHead := e.Sent == 0
 	flit, done := buf.SendFlit(r.net.cycle)
 	if isHead && in == 0 && pkt.InjectTime < 0 {

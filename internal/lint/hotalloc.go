@@ -14,8 +14,8 @@ import (
 //
 //   - the append-prepend copy, `append([]T{x}, q...)`, which allocates
 //     a fresh backing array and copies the whole queue to put one
-//     element in front — the ring buffers in internal/ringq exist
-//     precisely so PushFront is O(1);
+//     element in front — message.Queue's PushFront and ringq's
+//     InsertAt(0, …) exist precisely so that is O(1);
 //   - a `make` inside per-cycle code, which turns one forgotten scratch
 //     slice into an allocation every simulated cycle.
 //
@@ -75,7 +75,7 @@ func (HotAlloc) Run(p *Package) []Finding {
 				case "append":
 					if isPrependCopy(call) {
 						out = append(out, p.finding("hotalloc", call,
-							"append-prepend copies the whole queue to insert one element; use a ring buffer (internal/ringq PushFront) instead"))
+							"append-prepend copies the whole queue to insert one element; use message.Queue.PushFront or ringq InsertAt(0, …) instead"))
 					}
 				case "make":
 					if perCycle {

@@ -84,7 +84,7 @@ func hotAllocCheck(n *FuncNode, prog *Program) []Finding {
 				case "append":
 					if isPrependCopy(node) {
 						out = append(out, p.finding("hotalloc2", node,
-							"append-prepend copies the whole queue on the hot path; use internal/ringq PushFront"))
+							"append-prepend copies the whole queue on the hot path; use message.Queue.PushFront or ringq InsertAt(0, …)"))
 					} else if id, ok := ast.Unparen(node.Fun).(*ast.Ident); ok && id.Name == "append" && len(node.Args) > 0 {
 						if tid, ok := ast.Unparen(node.Args[0]).(*ast.Ident); ok {
 							if obj := p.Info.Uses[tid]; obj != nil && emptyLocals[obj] {

@@ -73,8 +73,6 @@ type Packet struct {
 	ID uint64
 	// Src and Dst are node IDs.
 	Src, Dst int
-	// Class is the coherence message class.
-	Class Class
 	// Len is the packet length in flits (the paper mixes 1-flit control
 	// and 5-flit data packets).
 	Len int
@@ -90,10 +88,6 @@ type Packet struct {
 	// matching Garnet's packet latency.
 	CreateTime, InjectTime, EjectTime int64
 
-	// Kind says how the packet most recently travelled; a packet that
-	// was promoted mid-journey counts as a FastPass packet in Fig. 13.
-	Kind Kind
-
 	// RegularCycles and FastCycles split network residency into buffered
 	// (regular pass) time and bufferless (lane) time for Fig. 9.
 	RegularCycles, FastCycles int64
@@ -103,13 +97,27 @@ type Packet struct {
 	// MSHR each time).
 	Dropped int
 
+	// Hops counts link traversals, for sanity checks on minimal routing.
+	Hops int
+
+	// next links the packet into the Queue it currently waits in (see
+	// Queue: a packet is in at most one at a time).
+	next *Packet
+
+	// The one-byte fields sit together so they share a word: the struct
+	// is 112 bytes, and the arena is most of a run's memory.
+
+	// Class is the coherence message class.
+	Class Class
+
+	// Kind says how the packet most recently travelled; a packet that
+	// was promoted mid-journey counts as a FastPass packet in Fig. 13.
+	Kind Kind
+
 	// Rejected marks a FastPass packet that faced a full ejection queue
 	// and returned to its prime router. Rejected packets are never
 	// dropped by the dynamic bubble (Qn 2).
 	Rejected bool
-
-	// Hops counts link traversals, for sanity checks on minimal routing.
-	Hops int
 
 	// Corrupted marks a packet whose payload checksum failed at
 	// delivery (fault injection flipped a bit on a link). The packet
@@ -121,6 +129,10 @@ type Packet struct {
 	// It exists purely as the arena's use-after-free guard: Put sets it,
 	// Get clears it, and both panic when the marker contradicts them.
 	recycled bool
+
+	// queued marks a packet currently linked into a Queue: pushing it
+	// onto a second queue, or releasing it to a Pool, panics.
+	queued bool
 }
 
 // NewPacket constructs a packet created at the given cycle, with

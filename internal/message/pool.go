@@ -1,6 +1,9 @@
 package message
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Pool is a per-simulation packet arena: a free list that recycles
 // Packet structs instead of leaving every delivered packet to the
@@ -40,8 +43,10 @@ func NewPool() *Pool { return &Pool{} }
 var blank = Packet{recycled: true}
 
 // A chunk is as large as everything carved before it, within these
-// bounds: a short run strands under 1 KB, a long one at most 8 KB.
-const minChunk, maxChunk = 8, 64
+// bounds in bytes: a short run strands under 1 KB, a long one at most
+// 8 KB. Both are allocator size classes, so a chunk of as many packets
+// as fit wastes less than one packet.
+const minChunk, maxChunk = 1 << 10, 8 << 10
 
 // Get returns a packet initialised exactly as NewPacket would build it:
 // the most recently released one if any, else the next chunk slot.
@@ -70,13 +75,15 @@ func (pl *Pool) Get(id uint64, src, dst int, class Class, flits int, cycle int64
 
 //nocvet:cold a new chunk only when the in-flight high-water mark rises, not per cycle
 func (pl *Pool) grow() {
-	pl.fresh = make([]Packet, min(max(int(pl.News), minChunk), maxChunk))
+	const size = int(unsafe.Sizeof(Packet{}))
+	pl.fresh = make([]Packet, min(max(int(pl.News)*size, minChunk), maxChunk)/size)
 }
 
 // Put releases a packet back to the arena. The caller must hold the
 // only live reference; the packet is fully reset so no field of its
 // previous life can leak into the next. Releasing the same packet twice
-// without an intervening Get panics. Callers that know which NIC owns
+// without an intervening Get panics, and so does releasing one that
+// still waits in a Queue. Callers that know which NIC owns
 // the release and what cycle it is should prefer PutCtx — in fault runs
 // a poison panic without that context is undebuggable.
 func (pl *Pool) Put(p *Packet) { pl.PutCtx(p, -1, -1) }
@@ -90,6 +97,9 @@ func (pl *Pool) PutCtx(p *Packet, owner int, cycle int64) {
 	}
 	if p.recycled {
 		panic(fmt.Sprintf("message: double release of packet %d (owner NIC %d, cycle %d)", p.ID, owner, cycle))
+	}
+	if p.queued {
+		panic(fmt.Sprintf("message: release of packet %d while it waits in a queue (owner NIC %d, cycle %d)", p.ID, owner, cycle))
 	}
 	id := p.ID
 	*p = blank

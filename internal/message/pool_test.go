@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestPoolRecyclesAndCounts(t *testing.T) {
@@ -135,7 +136,7 @@ func TestPoolHygieneFuzz(t *testing.T) {
 	if pl.News >= pl.Gets {
 		t.Errorf("pool never recycled (News %d, Gets %d)", pl.News, pl.Gets)
 	}
-	if pl.News <= 4*minChunk {
+	if pl.News <= 4*minChunk/int64(unsafe.Sizeof(Packet{})) {
 		t.Errorf("only %d packets carved: the script never left the first chunks", pl.News)
 	}
 }

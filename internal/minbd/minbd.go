@@ -54,8 +54,8 @@ type Network struct {
 	inLinks, outLinks [][topology.NumMeshPorts]int
 
 	side   []ringq.Ring[message.Flit]
-	source []ringq.Ring[*message.Packet] // per node FIFO
-	injSeq []int                         // next flit of the head packet to inject
+	source []message.Queue // per node FIFO
+	injSeq []int           // next flit of the head packet to inject
 
 	// rx counts flits of each packet received at its destination.
 	rx map[uint64]int
@@ -90,7 +90,7 @@ func New(mesh *topology.Mesh, prm Params) *Network {
 		inLinks:  make([][topology.NumMeshPorts]int, nodes),
 		outLinks: make([][topology.NumMeshPorts]int, nodes),
 		side:     make([]ringq.Ring[message.Flit], nodes),
-		source:   make([]ringq.Ring[*message.Packet], nodes),
+		source:   make([]message.Queue, nodes),
 		injSeq:   make([]int, nodes),
 		rx:       make(map[uint64]int),
 	}
@@ -283,26 +283,35 @@ func (n *Network) stepRouter(node int) {
 	if source := &n.source[node]; source.Len() > 0 {
 		pkt := source.Front()
 		f := message.Flit{Pkt: pkt, Seq: n.injSeq[node]}
-		ln, injected := pkt.Len, false
+		tail, injected := f.IsTail(), false
 		if pkt.Dst == node {
 			// Self-addressed: injection feeds ejection directly; the
-			// packet never becomes network-resident.
-			consumed, completed := n.tryEject(&rc, f)
-			injected = consumed
-			if injected && n.injSeq[node] == 0 && !completed {
-				pkt.InjectTime = n.cycle
+			// packet never becomes network-resident. Its tail completes
+			// and releases it inside tryEject, so it leaves the source
+			// queue first.
+			if rc.ejected < n.prm.EjectCap {
+				if tail {
+					source.PopFront()
+				}
+				_, completed := n.tryEject(&rc, f)
+				injected = true
+				if f.IsHead() && !completed {
+					pkt.InjectTime = n.cycle
+				}
 			}
 		} else if n.assign(&rc, f, true) {
 			injected = true
-			if n.injSeq[node] == 0 {
+			if f.IsHead() {
 				pkt.InjectTime = n.cycle
 				n.resident++
+			}
+			if tail {
+				source.PopFront()
 			}
 		}
 		if injected {
 			n.injSeq[node]++
-			if n.injSeq[node] == ln {
-				source.PopFront()
+			if tail {
 				n.injSeq[node] = 0
 			}
 		}

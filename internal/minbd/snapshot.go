@@ -42,7 +42,7 @@ func (n *Network) SnapshotState(w *snapshot.Writer) {
 		snapshot.WriteRing(w, &n.side[node], writeFlit)
 	}
 	for node := range n.source {
-		snapshot.WriteRing(w, &n.source[node], (*snapshot.Writer).Packet)
+		snapshot.WriteQueue(w, &n.source[node])
 	}
 	for _, s := range n.injSeq {
 		w.Int(s)
@@ -75,7 +75,7 @@ func (n *Network) RestoreState(r *snapshot.Reader) {
 		snapshot.ReadRing(r, &n.side[node], readFlit)
 	}
 	for node := range n.source {
-		snapshot.ReadRing(r, &n.source[node], (*snapshot.Reader).Packet)
+		snapshot.ReadQueue(r, &n.source[node])
 	}
 	for i := range n.injSeq {
 		n.injSeq[i] = r.Int()

@@ -205,10 +205,12 @@ func New(p Params) *Network {
 	n.SetShards(1)
 	n.Routers = router.NewAll(p.Mesh, p.Router, n)
 	n.NICs = nic.NewAll(nodes, p.EjectCap)
-	for id, nc := range n.NICs {
-		nc.Inject = n.Routers[id].InjectPacket
-		node := id
-		nc.OnActive = func() { n.wakeNIC(node) }
+	// One closure serves every NIC: whoever enqueues a packet at a source
+	// picks NICs[pkt.Src], so Src names the injecting router.
+	inject := func(pkt *message.Packet) bool { return n.Routers[pkt.Src].InjectPacket(pkt) }
+	for _, nc := range n.NICs {
+		nc.Inject = inject
+		nc.Waker = n
 		nc.DeferEject = &n.deferEject
 	}
 	if p.Shards > 1 {

@@ -167,8 +167,9 @@ func (n *Network) Shards() int { return len(n.shards) }
 // wakeRouter routes a router wake to its owning shard's active set.
 func (n *Network) wakeRouter(node int) { n.shards[n.shardOf[node]].activeRouters.add(node) }
 
-// wakeNIC routes a NIC wake to its owning shard's active set.
-func (n *Network) wakeNIC(node int) { n.shards[n.shardOf[node]].activeNICs.add(node) }
+// WakeNIC implements nic.Waker: it routes a NIC wake to its owning
+// shard's active set.
+func (n *Network) WakeNIC(node int) { n.shards[n.shardOf[node]].activeNICs.add(node) }
 
 // Parallel-section opcodes: the two shard-parallel stretches of
 // stepSharded. An opcode switch instead of a func-literal parameter

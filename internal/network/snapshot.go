@@ -160,7 +160,7 @@ func (n *Network) RestoreState(r *snapshot.Reader) {
 	}
 	k = r.Int()
 	for i := 0; i < k && r.Err() == nil; i++ {
-		n.wakeNIC(r.Int())
+		n.WakeNIC(r.Int())
 	}
 	for node := range n.nodeRand {
 		if !r.Bool() {

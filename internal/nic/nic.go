@@ -4,19 +4,27 @@
 // flit reassembly for regular ejections, and a pluggable consumer model
 // standing in for the processor/cache controller.
 //
-// All queues are ring buffers (internal/ringq): enqueue, dequeue and the
-// MSHR re-issue prepend are O(1) and allocation-free in steady state.
-// The historical slice queues copied the whole queue on every prepend
-// and re-sliced on every dequeue — measurable garbage on the per-cycle
-// hot path.
+// The source and ejection queues own no memory: they are intrusive FIFOs
+// threaded through the packets themselves (message.Queue), so enqueue,
+// dequeue and the MSHR re-issue prepend are O(1) and never allocate at
+// any depth. That works because a packet waits in at most one NIC queue
+// at a time (DESIGN.md §9), which the queues enforce.
 package nic
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/message"
 	"repro/internal/ringq"
 )
+
+// Waker is the active-set scheduler as a NIC sees it: WakeNIC is called
+// on every enqueue and deduplicated by the listener. An interface rather
+// than a func field so wiring a network's NICs costs no per-node closure.
+type Waker interface {
+	WakeNIC(node int)
+}
 
 // Consumer models the processor side draining ejection queues. For
 // synthetic traffic it consumes immediately; the protocol engine
@@ -69,11 +77,10 @@ type NIC struct {
 	// packet stays queued and is not released.
 	Recycle func(pkt *message.Packet)
 
-	// OnActive, when set, is invoked whenever the NIC acquires work (a
-	// source or ejection enqueue). The network's active-set scheduler
-	// uses it to stop ticking idle NICs; the call is made on every
-	// enqueue and deduplicated by the listener.
-	OnActive func()
+	// Waker, when set, is told whenever the NIC acquires work (a source
+	// or ejection enqueue). The network's active-set scheduler uses it to
+	// stop ticking idle NICs.
+	Waker Waker
 
 	// Consumer drains ejection queues; defaults to ImmediateConsumer.
 	Consumer Consumer
@@ -92,11 +99,15 @@ type NIC struct {
 	// not count.
 	Enqueued int64
 
-	source [message.NumClasses]ringq.Ring[*message.Packet]
-	eject  [message.NumClasses]ringq.Ring[*message.Packet]
-	// reserved lists FastPass packet IDs with a claim on the next free
-	// slots of the class queue, in arrival order (Qn 3).
-	reserved [message.NumClasses]ringq.Ring[uint64]
+	source [message.NumClasses]message.Queue
+	eject  [message.NumClasses]message.Queue
+	// queued counts the packets in source and eject together, sourced
+	// those in source alone, so Idle and TotalSourceDepth are one load.
+	queued, sourced int
+	// reserved[c] is the ID of the FastPass packet holding class c's one
+	// ejection reservation (Qn 3) while bit c of reservedSet is up.
+	reserved    [message.NumClasses]uint64
+	reservedSet uint8
 	// pending counts regular packets mid-ejection (BeginEject'd but not
 	// yet fully reassembled) per class.
 	pending [message.NumClasses]int
@@ -134,8 +145,8 @@ func NewAll(nodes, ejectCap int) []*NIC {
 
 // wake signals the active-set listener, if any.
 func (n *NIC) wake() {
-	if n.OnActive != nil {
-		n.OnActive()
+	if n.Waker != nil {
+		n.Waker.WakeNIC(n.Node)
 	}
 }
 
@@ -143,20 +154,15 @@ func (n *NIC) wake() {
 // source and nothing awaiting consumption. Mid-ejection reassembly state
 // (pending/assembling) is driven by the router, not by Tick, so it does
 // not keep a NIC active.
-func (n *NIC) Idle() bool {
-	for c := range n.source {
-		if n.source[c].Len() > 0 || n.eject[c].Len() > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (n *NIC) Idle() bool { return n.queued == 0 }
 
 // EnqueueSource appends a freshly generated packet to the class source
 // queue (unbounded: models the processor-side request stream; the
 // injection *buffers* in the router are the finite resource).
 func (n *NIC) EnqueueSource(pkt *message.Packet) {
 	n.source[pkt.Class].PushBack(pkt)
+	n.queued++
+	n.sourced++
 	n.Enqueued++
 	n.wake()
 }
@@ -166,6 +172,8 @@ func (n *NIC) EnqueueSource(pkt *message.Packet) {
 // ahead of younger traffic.
 func (n *NIC) EnqueueSourceFront(pkt *message.Packet) {
 	n.source[pkt.Class].PushFront(pkt)
+	n.queued++
+	n.sourced++
 	n.wake()
 }
 
@@ -173,13 +181,7 @@ func (n *NIC) EnqueueSourceFront(pkt *message.Packet) {
 func (n *NIC) SourceDepth(c message.Class) int { return n.source[c].Len() }
 
 // TotalSourceDepth reports queued packets across classes.
-func (n *NIC) TotalSourceDepth() int {
-	t := 0
-	for c := range n.source {
-		t += n.source[c].Len()
-	}
-	return t
-}
+func (n *NIC) TotalSourceDepth() int { return n.sourced }
 
 // Tick runs the per-cycle NIC work: drain ejection queues through the
 // consumer, then move source packets into the router injection queues.
@@ -206,6 +208,7 @@ func (n *NIC) TickConsume(cycle int64) {
 				break
 			}
 			n.eject[c].PopFront()
+			n.queued--
 			n.Consumed[c]++
 			if n.Recycle != nil {
 				n.Recycle(head)
@@ -224,6 +227,8 @@ func (n *NIC) TickInject(cycle int64) {
 				break
 			}
 			n.source[c].PopFront()
+			n.queued--
+			n.sourced--
 		}
 	}
 }
@@ -234,30 +239,17 @@ func (n *NIC) freeSlots(c message.Class) int {
 	return n.EjectCap - n.eject[c].Len() - n.pending[c]
 }
 
-// reservationIndex returns the packet's position in the class
-// reservation list, or -1.
-func (n *NIC) reservationIndex(c message.Class, id uint64) int {
-	for i := 0; i < n.reserved[c].Len(); i++ {
-		if n.reserved[c].At(i) == id {
-			return i
-		}
-	}
-	return -1
-}
-
 // CanEject reports whether a packet may (begin to) eject into its class
-// queue. Reserved slots are held for their FastPass packets: a packet
-// with a reservation needs enough free slots to cover the reservations
-// ahead of it; everyone else must additionally leave all reserved slots
-// untouched ("not until the rejected FastPass-Packet resides in the
-// intended ejection queue are other packets allowed to use it").
+// queue. A reserved slot is held for its FastPass packet: the holder
+// needs one free slot; everyone else must additionally leave the
+// reserved slot untouched ("not until the rejected FastPass-Packet
+// resides in the intended ejection queue are other packets allowed to
+// use it").
 func (n *NIC) CanEject(pkt *message.Packet) bool {
-	c := pkt.Class
-	free := n.freeSlots(c)
-	if i := n.reservationIndex(c, pkt.ID); i >= 0 {
-		return free >= i+1
+	if n.HasReservation(pkt) {
+		return n.freeSlots(pkt.Class) >= 1
 	}
-	return free >= n.reserved[c].Len()+1
+	return n.freeSlots(pkt.Class) >= n.Reservations(pkt.Class)+1
 }
 
 // TryReserve grants pkt the class queue's single reservation if none is
@@ -267,23 +259,21 @@ func (n *NIC) CanEject(pkt *message.Packet) bool {
 // a packet whose turn can never come monopolise its prime's lane — so
 // later rejected packets simply retry until the reservation frees.
 func (n *NIC) TryReserve(pkt *message.Packet) bool {
-	if n.reservationIndex(pkt.Class, pkt.ID) >= 0 {
-		return true
+	if n.Reservations(pkt.Class) > 0 {
+		return n.HasReservation(pkt)
 	}
-	if n.reserved[pkt.Class].Len() > 0 {
-		return false
-	}
-	n.reserved[pkt.Class].PushBack(pkt.ID)
+	n.reserved[pkt.Class] = pkt.ID
+	n.reservedSet |= 1 << pkt.Class
 	return true
 }
 
 // HasReservation reports whether pkt holds a reservation.
 func (n *NIC) HasReservation(pkt *message.Packet) bool {
-	return n.reservationIndex(pkt.Class, pkt.ID) >= 0
+	return n.reservedSet&(1<<pkt.Class) != 0 && n.reserved[pkt.Class] == pkt.ID
 }
 
-// Reservations reports the count of outstanding reservations per class.
-func (n *NIC) Reservations(c message.Class) int { return n.reserved[c].Len() }
+// Reservations reports the outstanding reservations of a class: 0 or 1.
+func (n *NIC) Reservations(c message.Class) int { return int(n.reservedSet >> c & 1) }
 
 // BeginEject reserves space for a regular packet about to stream out of
 // the router's Local port; CanEject must have been consulted first.
@@ -329,8 +319,8 @@ func (n *NIC) EjectFlit(cycle int64, f message.Flit) {
 // controller has streamed its flits through the claimed ejection port).
 // Any reservation it held is released. CanEject must hold.
 func (n *NIC) EjectFast(cycle int64, pkt *message.Packet) {
-	if i := n.reservationIndex(pkt.Class, pkt.ID); i >= 0 {
-		n.reserved[pkt.Class].RemoveAt(i)
+	if n.HasReservation(pkt) {
+		n.reservedSet &^= 1 << pkt.Class
 	}
 	n.finish(cycle, pkt)
 }
@@ -341,6 +331,7 @@ func (n *NIC) finish(cycle int64, pkt *message.Packet) {
 	}
 	pkt.EjectTime = cycle
 	n.eject[pkt.Class].PushBack(pkt)
+	n.queued++
 	n.wake()
 	if n.OnEject != nil {
 		if n.DeferEject != nil && *n.DeferEject {
@@ -375,7 +366,7 @@ func (n *NIC) Quiescent() error {
 		if l := n.eject[c].Len(); l > 0 {
 			return fmt.Errorf("nic %d: %d packets still awaiting consumption (class %d)", n.Node, l, c)
 		}
-		if l := n.reserved[c].Len(); l > 0 {
+		if l := n.Reservations(message.Class(c)); l > 0 {
 			return fmt.Errorf("nic %d: %d ejection reservations still held (class %d)", n.Node, l, c)
 		}
 		if n.pending[c] != 0 {
@@ -388,6 +379,9 @@ func (n *NIC) Quiescent() error {
 	if l := n.deferred.Len(); l > 0 {
 		return fmt.Errorf("nic %d: %d deferred ejection notifications undelivered", n.Node, l)
 	}
+	if n.queued != 0 || n.sourced != 0 {
+		return fmt.Errorf("nic %d: empty queues but occupancy counters read %d queued, %d at source", n.Node, n.queued, n.sourced)
+	}
 	return nil
 }
 
@@ -397,13 +391,13 @@ func (n *NIC) Quiescent() error {
 // that exist but are in neither a router nor a link pipeline.
 func (n *NIC) ForEachResident(f func(*message.Packet)) {
 	for c := range n.source {
-		for i := 0; i < n.source[c].Len(); i++ {
-			f(n.source[c].At(i))
+		for p := range n.source[c].All() {
+			f(p)
 		}
 	}
 	for c := range n.eject {
-		for i := 0; i < n.eject[c].Len(); i++ {
-			f(n.eject[c].At(i))
+		for p := range n.eject[c].All() {
+			f(p)
 		}
 	}
 	for c := range n.assembling {
@@ -418,22 +412,8 @@ func (n *NIC) EjectDepth(c message.Class) int { return n.eject[c].Len() }
 
 // PeekEject returns the head of the class ejection queue without
 // consuming it (protocol engine inspection).
-func (n *NIC) PeekEject(c message.Class) *message.Packet {
-	if n.eject[c].Len() == 0 {
-		return nil
-	}
-	return n.eject[c].Front()
-}
+func (n *NIC) PeekEject(c message.Class) *message.Packet { return n.eject[c].Front() }
 
-// EjectAt returns the packet at position i of a class ejection queue
-// (0 = head; watchdog starvation reports).
-func (n *NIC) EjectAt(c message.Class, i int) *message.Packet { return n.eject[c].At(i) }
-
-// FreeSlotsDebug exposes the raw free-slot count for diagnostics.
-func (n *NIC) FreeSlotsDebug(c message.Class) int { return n.freeSlots(c) }
-
-// ReservationIndexDebug exposes a packet's reservation position for
-// diagnostics (-1 when it holds none).
-func (n *NIC) ReservationIndexDebug(pkt *message.Packet) int {
-	return n.reservationIndex(pkt.Class, pkt.ID)
-}
+// Ejected iterates a class ejection queue head first (watchdog
+// starvation reports).
+func (n *NIC) Ejected(c message.Class) iter.Seq[*message.Packet] { return n.eject[c].All() }

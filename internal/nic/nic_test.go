@@ -1,9 +1,13 @@
 package nic
 
 import (
+	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/message"
+	"repro/internal/snapshot"
 )
 
 func pkt(id uint64, c message.Class, n int) *message.Packet {
@@ -329,5 +333,380 @@ func TestDuplicateReservationRelease(t *testing.T) {
 	if !n.HasReservation(b) || n.Reservations(message.Response) != 1 {
 		t.Fatalf("duplicate release corrupted the list: has(b)=%v count=%d",
 			n.HasReservation(b), n.Reservations(message.Response))
+	}
+}
+
+// refNIC is the NIC as it stood before its queues became intrusive and
+// its reservation list a single slot — source, eject and reserved as
+// plain slices, every scan and generality of the original kept — and
+// serves as the lockstep reference for TestMatchesReferenceNIC.
+type refNIC struct {
+	ejectCap       int
+	inject         func(*message.Packet) bool
+	consumer       Consumer
+	stall          func(int64) bool
+	enqueued       int64
+	source, eject  [message.NumClasses][]*message.Packet
+	reserved       [message.NumClasses][]uint64
+	pending        [message.NumClasses]int
+	assembling     [message.NumClasses]*message.Packet
+	assembledFlits [message.NumClasses]int
+	consumed       [message.NumClasses]int64
+}
+
+func (n *refNIC) idle() bool {
+	for c := range n.source {
+		if len(n.source[c]) > 0 || len(n.eject[c]) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func (n *refNIC) enqueueSource(p *message.Packet) {
+	n.source[p.Class] = append(n.source[p.Class], p)
+	n.enqueued++
+}
+
+func (n *refNIC) enqueueSourceFront(p *message.Packet) {
+	n.source[p.Class] = append([]*message.Packet{p}, n.source[p.Class]...)
+}
+
+func (n *refNIC) totalSourceDepth() int {
+	t := 0
+	for c := range n.source {
+		t += len(n.source[c])
+	}
+	return t
+}
+
+func (n *refNIC) tickConsume(cycle int64) {
+	if n.stall != nil && n.stall(cycle) {
+		return
+	}
+	for c := range n.eject {
+		for len(n.eject[c]) > 0 {
+			if !n.consumer.TryConsume(cycle, n.eject[c][0]) {
+				break
+			}
+			n.eject[c] = n.eject[c][1:]
+			n.consumed[c]++
+		}
+	}
+}
+
+func (n *refNIC) tickInject() {
+	for c := range n.source {
+		for len(n.source[c]) > 0 {
+			if !n.inject(n.source[c][0]) {
+				break
+			}
+			n.source[c] = n.source[c][1:]
+		}
+	}
+}
+
+func (n *refNIC) freeSlots(c message.Class) int {
+	return n.ejectCap - len(n.eject[c]) - n.pending[c]
+}
+
+func (n *refNIC) reservationIndex(c message.Class, id uint64) int {
+	for i, r := range n.reserved[c] {
+		if r == id {
+			return i
+		}
+	}
+	return -1
+}
+
+func (n *refNIC) canEject(p *message.Packet) bool {
+	free := n.freeSlots(p.Class)
+	if i := n.reservationIndex(p.Class, p.ID); i >= 0 {
+		return free >= i+1
+	}
+	return free >= len(n.reserved[p.Class])+1
+}
+
+func (n *refNIC) tryReserve(p *message.Packet) bool {
+	if n.reservationIndex(p.Class, p.ID) >= 0 {
+		return true
+	}
+	if len(n.reserved[p.Class]) > 0 {
+		return false
+	}
+	n.reserved[p.Class] = append(n.reserved[p.Class], p.ID)
+	return true
+}
+
+func (n *refNIC) hasReservation(p *message.Packet) bool {
+	return n.reservationIndex(p.Class, p.ID) >= 0
+}
+
+func (n *refNIC) ejectFlit(cycle int64, f message.Flit) {
+	c := f.Pkt.Class
+	if n.assembling[c] == nil {
+		n.assembling[c] = f.Pkt
+		n.assembledFlits[c] = 0
+	}
+	n.assembledFlits[c]++
+	if n.assembledFlits[c] == f.Pkt.Len {
+		n.assembling[c] = nil
+		n.assembledFlits[c] = 0
+		n.pending[c]--
+		n.finish(cycle, f.Pkt)
+	}
+}
+
+func (n *refNIC) ejectFast(cycle int64, p *message.Packet) {
+	if i := n.reservationIndex(p.Class, p.ID); i >= 0 {
+		n.reserved[p.Class] = append(n.reserved[p.Class][:i], n.reserved[p.Class][i+1:]...)
+	}
+	n.finish(cycle, p)
+}
+
+func (n *refNIC) finish(cycle int64, p *message.Packet) {
+	p.EjectTime = cycle
+	n.eject[p.Class] = append(n.eject[p.Class], p)
+}
+
+// snapshotState writes what the ring-based NIC.SnapshotState wrote.
+func (n *refNIC) snapshotState(w *snapshot.Writer) {
+	w.I64(n.enqueued)
+	for c := range n.source {
+		for _, q := range [][]*message.Packet{n.source[c], n.eject[c]} {
+			w.Int(len(q))
+			for _, p := range q {
+				w.Packet(p)
+			}
+		}
+		w.Int(len(n.reserved[c]))
+		for _, id := range n.reserved[c] {
+			w.U64(id)
+		}
+		w.Int(n.pending[c])
+		w.Packet(n.assembling[c])
+		w.Int(n.assembledFlits[c])
+		w.I64(n.consumed[c])
+	}
+}
+
+// TestMatchesReferenceNIC steps the NIC and refNIC through the same
+// random script — source enqueues and MSHR re-issues, a router that
+// refuses injections, regular ejections streamed flit by flit, FastPass
+// arrivals that land, reserve or retry, consumers that stall per class
+// and a NIC-wide stall — and compares every observable after every step:
+// injection and consumption order, depths, idleness, CanEject and
+// HasReservation for every packet in play, and the checkpoint bytes.
+func TestMatchesReferenceNIC(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const ejectCap = 2
+		n, ref := New(0, ejectCap), &refNIC{ejectCap: ejectCap}
+
+		var budget int // injections the router accepts this cycle
+		var injected, refInjected, consumedLog, refConsumed []*message.Packet
+		n.Inject = func(p *message.Packet) bool {
+			if len(injected) >= budget {
+				return false
+			}
+			injected = append(injected, p)
+			return true
+		}
+		ref.inject = func(p *message.Packet) bool {
+			if len(refInjected) >= budget {
+				return false
+			}
+			refInjected = append(refInjected, p)
+			return true
+		}
+		var refuses [message.NumClasses]bool
+		var stalled bool
+		n.Consumer = ConsumeFunc(func(_ int64, p *message.Packet) bool {
+			if refuses[p.Class] {
+				return false
+			}
+			consumedLog = append(consumedLog, p)
+			return true
+		})
+		ref.consumer = ConsumeFunc(func(_ int64, p *message.Packet) bool {
+			if refuses[p.Class] {
+				return false
+			}
+			refConsumed = append(refConsumed, p)
+			return true
+		})
+		n.Stall = func(int64) bool { return stalled }
+		ref.stall = n.Stall
+
+		var nextID uint64
+		fresh := func() *message.Packet {
+			nextID++
+			return message.NewPacket(nextID, 0, 1, message.Class(rng.Intn(int(message.NumClasses))), 1+rng.Intn(5), 0)
+		}
+		var streaming [message.NumClasses]*message.Packet // regular ejections in progress
+		var sent [message.NumClasses]int
+		var retrying []*message.Packet // FastPass packets that found the queue full
+		var reserves, refusedInjects int
+
+		for cycle := int64(0); cycle < 5000; cycle++ {
+			for k := rng.Intn(3); k > 0; k-- {
+				p := fresh()
+				n.EnqueueSource(p)
+				ref.enqueueSource(p)
+			}
+			if rng.Intn(8) == 0 {
+				p := fresh()
+				n.EnqueueSourceFront(p)
+				ref.enqueueSourceFront(p)
+			}
+			// Regular ejections: start one where the class is free, advance the rest.
+			for c := range streaming {
+				if streaming[c] == nil && rng.Intn(3) == 0 {
+					p := fresh()
+					p.Class = message.Class(c)
+					if got, want := n.CanEject(p), ref.canEject(p); got != want {
+						t.Fatalf("seed %d cycle %d: CanEject(%s) = %v, reference %v", seed, cycle, p, got, want)
+					} else if got {
+						n.BeginEject(p)
+						ref.pending[c]++
+						streaming[c], sent[c] = p, 0
+					}
+				}
+				if p := streaming[c]; p != nil && rng.Intn(2) == 0 {
+					f := message.Flit{Pkt: p, Seq: sent[c]}
+					n.EjectFlit(cycle, f)
+					ref.ejectFlit(cycle, f)
+					if sent[c]++; sent[c] == p.Len {
+						streaming[c] = nil
+					}
+				}
+			}
+			// FastPass arrivals: a new one now and then, and every retry.
+			arrivals := retrying
+			retrying = nil
+			if rng.Intn(3) == 0 {
+				arrivals = append(arrivals, fresh())
+			}
+			for _, p := range arrivals {
+				can, refCan := n.CanEject(p), ref.canEject(p)
+				if can != refCan {
+					t.Fatalf("seed %d cycle %d: CanEject(%s) = %v, reference %v", seed, cycle, p, can, refCan)
+				}
+				if can {
+					n.EjectFast(cycle, p)
+					ref.ejectFast(cycle, p)
+					continue
+				}
+				got, want := n.TryReserve(p), ref.tryReserve(p)
+				if got != want {
+					t.Fatalf("seed %d cycle %d: TryReserve(%s) = %v, reference %v", seed, cycle, p, got, want)
+				}
+				if got && len(retrying) == 0 {
+					reserves++
+				}
+				retrying = append(retrying, p)
+			}
+			for _, p := range retrying {
+				if got, want := n.HasReservation(p), ref.hasReservation(p); got != want {
+					t.Fatalf("seed %d cycle %d: HasReservation(%s) = %v, reference %v", seed, cycle, p, got, want)
+				}
+			}
+			if rng.Intn(16) == 0 {
+				refuses[rng.Intn(len(refuses))] = rng.Intn(2) == 0
+			}
+			if rng.Intn(32) == 0 {
+				stalled = !stalled
+			}
+			budget = len(injected) + rng.Intn(4)
+			n.TickConsume(cycle)
+			n.TickInject(cycle)
+			ref.tickConsume(cycle)
+			ref.tickInject()
+			if n.TotalSourceDepth() > 0 {
+				refusedInjects++
+			}
+
+			if !slices.Equal(injected, refInjected) || !slices.Equal(consumedLog, refConsumed) {
+				t.Fatalf("seed %d cycle %d: injection or consumption order diverged", seed, cycle)
+			}
+			if n.Idle() != ref.idle() || n.TotalSourceDepth() != ref.totalSourceDepth() || n.Enqueued != ref.enqueued {
+				t.Fatalf("seed %d cycle %d: idle %v/%v, source depth %d/%d, enqueued %d/%d", seed, cycle,
+					n.Idle(), ref.idle(), n.TotalSourceDepth(), ref.totalSourceDepth(), n.Enqueued, ref.enqueued)
+			}
+			for c := message.Class(0); c < message.NumClasses; c++ {
+				if n.SourceDepth(c) != len(ref.source[c]) || n.EjectDepth(c) != len(ref.eject[c]) ||
+					n.Reservations(c) != len(ref.reserved[c]) || n.Consumed[c] != ref.consumed[c] {
+					t.Fatalf("seed %d cycle %d class %v: depths %d/%d vs %d/%d, reservations %d vs %d, consumed %d vs %d", seed, cycle, c,
+						n.SourceDepth(c), n.EjectDepth(c), len(ref.source[c]), len(ref.eject[c]),
+						n.Reservations(c), len(ref.reserved[c]), n.Consumed[c], ref.consumed[c])
+				}
+				var head *message.Packet
+				if len(ref.eject[c]) > 0 {
+					head = ref.eject[c][0]
+				}
+				if n.PeekEject(c) != head || !slices.Equal(slices.Collect(n.Ejected(c)), ref.eject[c]) {
+					t.Fatalf("seed %d cycle %d class %v: ejection queue contents diverged", seed, cycle, c)
+				}
+				stranger := message.NewPacket(0, 0, 1, c, 1, 0) // holds no reservation
+				if got, want := n.CanEject(stranger), ref.canEject(stranger); got != want {
+					t.Fatalf("seed %d cycle %d class %v: CanEject(stranger) = %v, reference %v", seed, cycle, c, got, want)
+				}
+			}
+			for _, p := range retrying {
+				if got, want := n.CanEject(p), ref.canEject(p); got != want {
+					t.Fatalf("seed %d cycle %d: CanEject(%s) = %v after the tick, reference %v", seed, cycle, p, got, want)
+				}
+			}
+			got, want := snapshot.NewWriter(), snapshot.NewWriter()
+			n.SnapshotState(got)
+			ref.snapshotState(want)
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("seed %d cycle %d: checkpoint bytes differ from the ring-based encoding", seed, cycle)
+			}
+		}
+		if len(consumedLog) < 1000 || len(injected) < 1000 || reserves < 100 || refusedInjects < 100 {
+			t.Errorf("seed %d: script too quiet (%d consumed, %d injected, %d reservations, %d cycles ending with a source backlog)",
+				seed, len(consumedLog), len(injected), reserves, refusedInjects)
+		}
+	}
+}
+
+// TestRestoreRebuildsQueues: a NIC restored from its own snapshot holds
+// the same packets in the same order, and its occupancy counters — not
+// part of the blob — are recounted.
+func TestRestoreRebuildsQueues(t *testing.T) {
+	n := New(3, 4)
+	n.Inject = func(*message.Packet) bool { return false }
+	n.Consumer = ConsumeFunc(func(int64, *message.Packet) bool { return false })
+	for i := 0; i < 5; i++ {
+		n.EnqueueSource(pkt(uint64(i+1), message.Class(i%2), 1))
+	}
+	landed := pkt(9, message.Response, 1)
+	n.EjectFast(7, landed)
+	holder := pkt(10, message.Unblock, 1)
+	n.TryReserve(holder)
+	w := snapshot.NewWriter()
+	n.SnapshotState(w)
+
+	m := New(3, 4)
+	_, r, err := snapshot.Open(snapshot.Seal(nil, w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.RestoreState(r)
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	if m.TotalSourceDepth() != 5 || m.Idle() || m.EjectDepth(message.Response) != 1 ||
+		m.SourceDepth(message.Request) != 3 || m.SourceDepth(message.Forward) != 2 {
+		t.Fatalf("restored depths wrong: %d at source, idle %v", m.TotalSourceDepth(), m.Idle())
+	}
+	if !m.HasReservation(holder) || m.Reservations(message.Unblock) != 1 || m.Reservations(message.Request) != 0 {
+		t.Error("reservation did not survive the round trip")
+	}
+	w2 := snapshot.NewWriter()
+	m.SnapshotState(w2)
+	if !bytes.Equal(w.Bytes(), w2.Bytes()) {
+		t.Error("re-encoding the restored NIC changed the bytes")
 	}
 }

@@ -1,12 +1,11 @@
-// Package ringq provides the growable ring buffer behind every hot-path
-// FIFO in the simulator: NIC source/eject/reservation queues and router
-// virtual-channel buffers. The previous slice queues re-sliced on every
-// dequeue (pinning the popped prefix), copied the whole queue on prepend
-// (`append([]T{x}, q...)`), and removed interior elements with an O(n)
-// append splice that allocated under aliasing. A Ring makes enqueue,
-// dequeue and prepend O(1) and allocation-free in steady state: the
-// backing array is reused forever and only grows (by doubling) when the
-// occupancy high-water mark rises.
+// Package ringq provides the growable ring buffer behind the FIFOs whose
+// elements are not packets waiting in one place: router virtual-channel
+// entries, MinBD side-buffer flits and the NIC's deferred-notification
+// list. (Packet queues are intrusive — message.Queue — and own no
+// memory.) A Ring makes enqueue, dequeue, and insertion or removal at an
+// index allocation-free in steady state: the backing array is reused
+// forever and only grows (by doubling) when the occupancy high-water
+// mark rises.
 //
 // The zero value is an empty ring; the first push allocates. An owner
 // that knows its rings' working capacity up front carves their backing
@@ -24,15 +23,6 @@ type Ring[T any] struct {
 	buf  []T
 	head int // index of element 0
 	n    int // occupancy
-}
-
-// New returns a ring pre-sized for at least capacity elements.
-func New[T any](capacity int) *Ring[T] {
-	r := &Ring[T]{}
-	if capacity > 0 {
-		r.buf = make([]T, CeilPow2(max(capacity, 4)))
-	}
-	return r
 }
 
 // CeilPow2 rounds n up to a power of two (minimum 1) — the backing
@@ -89,17 +79,6 @@ func (r *Ring[T]) PushBack(v T) {
 		r.grow()
 	}
 	r.buf[r.mask(r.head+r.n)] = v
-	r.n++
-}
-
-// PushFront inserts v before element 0 — the O(1) prepend the NIC's
-// MSHR-regeneration path needs.
-func (r *Ring[T]) PushFront(v T) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.head = r.mask(r.head - 1 + len(r.buf))
-	r.buf[r.head] = v
 	r.n++
 }
 
@@ -187,14 +166,4 @@ func (r *Ring[T]) RemoveAt(i int) T {
 	}
 	r.n--
 	return v
-}
-
-// Clear empties the ring, zeroing occupied slots (pointer hygiene) while
-// keeping the backing array.
-func (r *Ring[T]) Clear() {
-	var zero T
-	for i := 0; i < r.n; i++ {
-		r.buf[r.mask(r.head+i)] = zero
-	}
-	r.head, r.n = 0, 0
 }

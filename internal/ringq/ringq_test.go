@@ -5,8 +5,18 @@ import (
 	"testing"
 )
 
+// newRing returns a ring whose backing array already holds capacity
+// elements (rounded up to a power of two), as a slab-carved one would.
+func newRing[T any](capacity int) *Ring[T] {
+	r := &Ring[T]{}
+	if capacity > 0 {
+		r.Adopt(make([]T, CeilPow2(capacity)))
+	}
+	return r
+}
+
 func TestFIFOOrder(t *testing.T) {
-	r := New[int](2)
+	r := newRing[int](2)
 	for i := 0; i < 100; i++ {
 		r.PushBack(i)
 	}
@@ -26,39 +36,14 @@ func TestFIFOOrder(t *testing.T) {
 func TestZeroValueUsable(t *testing.T) {
 	var r Ring[string]
 	r.PushBack("a")
-	r.PushFront("b")
+	r.InsertAt(0, "b")
 	if r.Len() != 2 || r.Front() != "b" || r.At(1) != "a" {
 		t.Fatalf("zero-value ring misbehaves: len %d front %q", r.Len(), r.Front())
 	}
 }
 
-func TestPushFrontAfterWrap(t *testing.T) {
-	// Force the head to wrap around the backing array, then prepend:
-	// the prepend must land at logical index 0 regardless of where the
-	// physical head sits.
-	r := New[int](4)
-	for i := 0; i < 4; i++ {
-		r.PushBack(i)
-	}
-	for i := 0; i < 3; i++ {
-		r.PopFront() // head now mid-buffer
-	}
-	r.PushBack(4)
-	r.PushBack(5) // tail wrapped past the start
-	r.PushFront(-1)
-	want := []int{-1, 3, 4, 5}
-	if r.Len() != len(want) {
-		t.Fatalf("Len = %d, want %d", r.Len(), len(want))
-	}
-	for i, w := range want {
-		if got := r.At(i); got != w {
-			t.Errorf("At(%d) = %d, want %d", i, got, w)
-		}
-	}
-}
-
 func TestGrowPreservesOrderAcrossWrap(t *testing.T) {
-	r := New[int](4)
+	r := newRing[int](4)
 	for i := 0; i < 3; i++ {
 		r.PushBack(i)
 		r.PopFront()
@@ -75,7 +60,7 @@ func TestGrowPreservesOrderAcrossWrap(t *testing.T) {
 }
 
 func TestInsertAtAndRemoveAt(t *testing.T) {
-	r := New[int](4)
+	r := newRing[int](4)
 	for i := 0; i < 5; i++ {
 		r.PushBack(i) // 0 1 2 3 4
 	}
@@ -105,7 +90,7 @@ func TestInsertAtAndRemoveAt(t *testing.T) {
 }
 
 func TestPopZeroesSlots(t *testing.T) {
-	r := New[*int](2)
+	r := newRing[*int](2)
 	x := 7
 	r.PushBack(&x)
 	r.PopFront()
@@ -115,10 +100,10 @@ func TestPopZeroesSlots(t *testing.T) {
 		}
 	}
 	r.PushBack(&x)
-	r.Clear()
+	r.RemoveAt(0)
 	for i, p := range r.buf {
 		if p != nil {
-			t.Errorf("slot %d still holds a pointer after Clear", i)
+			t.Errorf("slot %d still holds a pointer after RemoveAt", i)
 		}
 	}
 }
@@ -138,7 +123,7 @@ func TestOutOfRangePanics(t *testing.T) {
 					t.Errorf("%s on empty ring did not panic", name)
 				}
 			}()
-			f(New[int](0))
+			f(newRing[int](0))
 		}()
 	}
 }
@@ -147,7 +132,7 @@ func TestOutOfRangePanics(t *testing.T) {
 // implementation, covering wrap/grow interactions of every operation.
 func TestRandomizedAgainstSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	r := New[int](0)
+	r := newRing[int](0)
 	var ref []int
 	for op := 0; op < 20000; op++ {
 		switch k := rng.Intn(6); {
@@ -157,7 +142,7 @@ func TestRandomizedAgainstSlice(t *testing.T) {
 			ref = append(ref, v)
 		case k == 1:
 			v := rng.Int()
-			r.PushFront(v)
+			r.InsertAt(0, v)
 			ref = append([]int{v}, ref...)
 		case k == 2:
 			if got, want := r.PopFront(), ref[0]; got != want {
@@ -193,12 +178,12 @@ func TestRandomizedAgainstSlice(t *testing.T) {
 }
 
 func TestSteadyStateDoesNotAllocate(t *testing.T) {
-	r := New[int](8)
+	r := newRing[int](8)
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 8; i++ {
 			r.PushBack(i)
 		}
-		r.PushFront(9) // grows once on the first run, then never again
+		r.InsertAt(0, 9) // grows once on the first run, then never again
 		for !r.Empty() {
 			r.PopFront()
 		}

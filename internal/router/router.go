@@ -115,7 +115,7 @@ const nPorts = int(topology.NumMeshPorts)
 //
 // A Router is built once and never grows (DESIGN.md §9): per-port state
 // is arrays in the struct, and the parts sized by the VC count — the VCs
-// themselves, the network VCs' entry slots, credit and request vectors,
+// themselves, their entry slots and windows, credit and request vectors,
 // VA candidate lists — are windows onto a few backing arrays that a
 // whole network's routers share (see NewAll).
 type Router struct {
@@ -193,6 +193,11 @@ type slab struct {
 	slots   []vaSlot
 }
 
+// injWindow is the Build-carved depth of each injection queue, in
+// packets: enough for the usual backlog of a 10-flit queue, a power of
+// two as ringq.Adopt requires. A deeper queue grows onto the heap.
+const injWindow = 4
+
 // carve cuts the next n elements off a slab array. The cap is clipped so
 // an append through one window can never bleed into its neighbour.
 func carve[T any](pool *[]T, n int) []T {
@@ -211,7 +216,7 @@ func newSlab(cfg Config, routers int) *slab {
 	sl := &slab{
 		routers: make([]Router, routers),
 		vcs:     make([]VC, routers*allVCs),
-		entries: make([]Entry, routers*netVCs),
+		entries: make([]Entry, routers*(netVCs+injWindow*int(message.NumClasses))),
 		bools:   make([]bool, routers*(netVCs+allVCs)), // vcFree + saReqs
 		ints:    make([]int, routers*netVCs),           // candVCs
 		slots:   make([]vaSlot, 0, allVCs),
@@ -266,10 +271,11 @@ func (sl *slab) build(id int, mesh *topology.Mesh, cfg Config, env Env) *Router 
 		iu := &r.Inputs[p]
 		iu.Port = d
 		if p == int(topology.Local) {
-			// Injection: one queue per message class, grown on first use.
+			// Injection: one queue per message class.
 			iu.VCs = carve(&sl.vcs, int(message.NumClasses))
 			for c := range iu.VCs {
 				iu.VCs[c].init(cfg.InjQueueFlits, cfg.InjQueueFlits)
+				iu.VCs[c].entries.Adopt(carve(&sl.entries, injWindow))
 			}
 		} else {
 			// Network VCs hold one packet: its entry slot is carved here.
@@ -442,9 +448,7 @@ func (r *Router) tryAllocate(e *Entry) {
 		}
 		r.Env.BeginEject(r.ID, pkt)
 		r.ejecting[pkt.Class] = true
-		e.Allocated = true
-		e.OutPort = topology.Local
-		e.OutVC = int(pkt.Class)
+		e.Allocate(topology.Local, int(pkt.Class))
 		return
 	}
 	ports := r.allowedPorts(pkt)
@@ -496,9 +500,7 @@ func (r *Router) tryAllocate(e *Entry) {
 		return
 	}
 	r.vcFree[choice][pick] = false
-	e.Allocated = true
-	e.OutPort = choice
-	e.OutVC = pick
+	e.Allocate(choice, pick)
 }
 
 // switchAllocate runs the two-stage separable switch allocator and
@@ -567,7 +569,7 @@ func (r *Router) sendable(v *VC) bool {
 	if e == nil || !e.Allocated || e.Sent >= e.Arrived {
 		return false
 	}
-	if e.OutPort == topology.Local {
+	if e.Out() == topology.Local {
 		return !r.Env.EjectClaimed(r.ID)
 	}
 	return !r.Env.LinkClaimed(r.outLinks[e.OutPort])
@@ -584,8 +586,8 @@ func (r *Router) transmit(in topology.Direction, vc int) {
 	// Capture everything needed from the entry now: SendFlit zeroes its
 	// slot when the tail departs.
 	pkt := e.Pkt
-	out := e.OutPort
-	outVC := e.OutVC
+	out := e.Out()
+	outVC := int(e.OutVC)
 	isHead := e.Sent == 0
 	flit, done := buf.SendFlit(cycle)
 	r.FlitsRouted++
@@ -626,7 +628,7 @@ func (r *Router) RemoveHeadPacket(port topology.Direction, vc int) *message.Pack
 	}
 	if e.Allocated {
 		switch {
-		case e.OutPort == topology.Local:
+		case e.Out() == topology.Local:
 			r.Env.CancelEject(r.ID, e.Pkt)
 			r.ejecting[e.Pkt.Class] = false
 		default:
@@ -658,7 +660,7 @@ func (r *Router) RemoveHeadPacketNoCredit(port topology.Direction, vc int) *mess
 	}
 	if e.Allocated {
 		switch {
-		case e.OutPort == topology.Local:
+		case e.Out() == topology.Local:
 			r.Env.CancelEject(r.ID, e.Pkt)
 			r.ejecting[e.Pkt.Class] = false
 		default:

@@ -1,9 +1,6 @@
 package router
 
-import (
-	"repro/internal/snapshot"
-	"repro/internal/topology"
-)
+import "repro/internal/snapshot"
 
 // SnapshotState encodes one VC: buffered flit count plus every resident
 // entry front-to-back.
@@ -13,11 +10,11 @@ func (v *VC) SnapshotState(w *snapshot.Writer) {
 	for i := 0; i < v.entries.Len(); i++ {
 		e := v.entries.Ptr(i)
 		w.Packet(e.Pkt)
-		w.Int(e.Arrived)
-		w.Int(e.Sent)
+		w.Int(int(e.Arrived))
+		w.Int(int(e.Sent))
 		w.Bool(e.Allocated)
 		w.Int(int(e.OutPort))
-		w.Int(e.OutVC)
+		w.Int(int(e.OutVC))
 		w.I64(e.EnqueueCycle)
 		w.I64(e.LastMove)
 	}
@@ -34,11 +31,11 @@ func (v *VC) RestoreState(r *snapshot.Reader) {
 	n := r.Int()
 	for i := 0; i < n && r.Err() == nil; i++ {
 		e := v.insert(i, r.Packet(), 0, 0)
-		e.Arrived = r.Int()
-		e.Sent = r.Int()
+		e.Arrived = int16(r.Int())
+		e.Sent = int16(r.Int())
 		e.Allocated = r.Bool()
-		e.OutPort = topology.Direction(r.Int())
-		e.OutVC = r.Int()
+		e.OutPort = int8(r.Int())
+		e.OutVC = int16(r.Int())
 		e.EnqueueCycle = r.I64()
 		e.LastMove = r.I64()
 	}

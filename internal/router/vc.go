@@ -19,30 +19,41 @@ import (
 )
 
 // Entry is one packet resident in (or streaming through) a virtual
-// channel.
+// channel. It is 32 bytes — flit counts and VC indices fit 16 bits, a
+// port 8 — which is what pays for the injection queues' Build-carved
+// windows (see VC).
 type Entry struct {
 	Pkt *message.Packet
-	// Arrived counts flits of the packet that have been written into
-	// this buffer; Sent counts flits forwarded out. Cut-through allows
-	// Sent to trail Arrived before the tail lands.
-	Arrived, Sent int
-	// Allocated reports whether the head flit has been granted an
-	// output VC; OutPort/OutVC are valid once it is.
-	Allocated bool
-	OutPort   topology.Direction
-	OutVC     int
 	// EnqueueCycle is when the head flit entered this buffer, and
 	// LastMove the last cycle any flit of this packet advanced; the
 	// difference while parked at the front of the VC is the blocked
 	// time used by SPIN's detection threshold and SWAP's duty checks.
 	EnqueueCycle, LastMove int64
+	// Arrived counts flits of the packet that have been written into
+	// this buffer; Sent counts flits forwarded out. Cut-through allows
+	// Sent to trail Arrived before the tail lands.
+	Arrived, Sent int16
+	// Allocated reports whether the head flit has been granted an
+	// output VC; OutPort (a topology.Direction) and OutVC are valid
+	// once it is.
+	OutVC     int16
+	OutPort   int8
+	Allocated bool
 }
 
 // FullyBuffered reports whether every flit of the packet is resident and
 // none have departed — the state in which forced moves (SWAP, SPIN,
 // DRAIN) may relocate the packet atomically.
 func (e *Entry) FullyBuffered() bool {
-	return e.Arrived == e.Pkt.Len && e.Sent == 0
+	return int(e.Arrived) == e.Pkt.Len && e.Sent == 0
+}
+
+// Out returns the output port the entry was allocated.
+func (e *Entry) Out() topology.Direction { return topology.Direction(e.OutPort) }
+
+// Allocate records the head flit's grant of (port, vc).
+func (e *Entry) Allocate(port topology.Direction, vc int) {
+	e.Allocated, e.OutPort, e.OutVC = true, int8(port), int16(vc)
 }
 
 // VC is a virtual-channel buffer. Network VCs hold at most one packet
@@ -51,8 +62,9 @@ func (e *Entry) FullyBuffered() bool {
 //
 // Entries live by value in a ring buffer, so traffic through a VC never
 // touches the allocator: a router built by New adopts one slab-backed
-// slot per network VC (its single packet's entry, in place) and lets the
-// injection queues grow to their high-water mark on first use. An entry
+// slot per network VC (its single packet's entry, in place) and an
+// injWindow-entry window per injection queue, which grows onto the heap
+// only if it ever holds more packets than that. An entry
 // pointer handed out by Head/EntryAt is valid until the VC's next
 // insertion or removal; a departed entry's slot is zeroed, turning any
 // stale-pointer use into an immediate nil dereference of Pkt rather than
@@ -88,7 +100,7 @@ func (v *VC) init(capFlits, maxPkts int) {
 // insert places a fresh entry for pkt at position pos (Len() = back) and
 // counts the packet as resident.
 func (v *VC) insert(pos int, pkt *message.Packet, arrived int, cycle int64) *Entry {
-	v.entries.InsertAt(pos, Entry{Pkt: pkt, Arrived: arrived, EnqueueCycle: cycle, LastMove: cycle})
+	v.entries.InsertAt(pos, Entry{Pkt: pkt, Arrived: int16(arrived), EnqueueCycle: cycle, LastMove: cycle})
 	v.flits += arrived
 	if v.Resident != nil {
 		*v.Resident++
@@ -184,7 +196,7 @@ func (v *VC) AcceptBody(pkt *message.Packet, cycle int64) {
 	if e.Pkt != pkt {
 		panic(fmt.Sprintf("router: body flit of %s interleaved into VC holding %s", pkt, e.Pkt))
 	}
-	if e.Arrived >= e.Pkt.Len {
+	if int(e.Arrived) >= e.Pkt.Len {
 		panic(fmt.Sprintf("router: too many flits for %s", pkt))
 	}
 	e.Arrived++
@@ -201,11 +213,11 @@ func (v *VC) SendFlit(cycle int64) (f message.Flit, done bool) {
 	if e == nil || e.Sent >= e.Arrived {
 		panic("router: SendFlit with no flit available")
 	}
-	f = message.Flit{Pkt: e.Pkt, Seq: e.Sent}
+	f = message.Flit{Pkt: e.Pkt, Seq: int(e.Sent)}
 	e.Sent++
 	e.LastMove = cycle
 	v.flits--
-	if e.Sent == e.Pkt.Len {
+	if int(e.Sent) == e.Pkt.Len {
 		v.remove(0)
 		return f, true
 	}

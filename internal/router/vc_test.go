@@ -1,9 +1,12 @@
 package router
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/message"
+	"repro/internal/topology"
 )
 
 func pkt(id uint64, n int) *message.Packet {
@@ -165,5 +168,65 @@ func TestRRArbiterPointerHoldsWithoutGrant(t *testing.T) {
 	a.Grant(func(int) bool { return false })
 	if g := a.Grant(func(int) bool { return true }); g != 2 {
 		t.Errorf("pointer should sit after last winner; got %d", g)
+	}
+}
+
+// TestInjectionWindowIsAdopted: a fresh router's injection queues sit in
+// their Build-carved window — the first injWindow packets of a class
+// land without touching the allocator — and grow onto the heap, order
+// intact, only when a queue backs up deeper than that. A rejected
+// FastPass packet parked at the front of a full window still slots in
+// right behind a head that has started sending.
+func TestInjectionWindowIsAdopted(t *testing.T) {
+	r := New(5, topology.NewMesh(4, 4), adaptiveCfg(1, 2), newFakeEnv())
+	mk := func(id uint64, c message.Class, flits int) *message.Packet {
+		return message.NewPacket(id, 5, 6, c, flits, 0)
+	}
+	ids := func(q *VC) (out []uint64) {
+		for i := 0; i < q.Len(); i++ {
+			out = append(out, q.EntryAt(i).Pkt.ID)
+		}
+		return out
+	}
+
+	q := r.VCFor(topology.Local, int(message.Request))
+	pkts := make([]*message.Packet, 11)
+	for i := range pkts {
+		pkts[i] = mk(uint64(i+1), message.Request, 1)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, p := range pkts[:injWindow] {
+		r.InjectPacket(p)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 || q.entries.Cap() != injWindow {
+		t.Errorf("first %d injections made %d heap objects (capacity now %d), want none in the %d-entry window",
+			injWindow, n, q.entries.Cap(), injWindow)
+	}
+	for _, p := range pkts[injWindow:10] {
+		if !r.InjectPacket(p) {
+			t.Fatalf("injection of %s refused", p)
+		}
+	}
+	if r.InjectPacket(pkts[10]) {
+		t.Error("an eleventh 1-flit packet fitted the 10-flit injection queue")
+	}
+	if got := ids(q); !slices.Equal(got, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) {
+		t.Errorf("queue order after growing past the window: %v", got)
+	}
+
+	// Another class, its window exactly full behind a 3-flit head that
+	// has sent its first flit.
+	q = r.VCFor(topology.Local, int(message.Response))
+	r.InjectPacket(mk(20, message.Response, 3))
+	for id := uint64(21); id <= 23; id++ {
+		r.InjectPacket(mk(id, message.Response, 1))
+	}
+	q.Head().Allocate(topology.East, 0)
+	q.SendFlit(1)
+	r.InsertFrontOverflow(topology.Local, int(message.Response), mk(29, message.Response, 1))
+	if got := ids(q); !slices.Equal(got, []uint64{20, 29, 21, 22, 23}) {
+		t.Errorf("parked packet must sit at position 1 behind the sending head: %v", got)
 	}
 }

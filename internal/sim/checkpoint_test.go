@@ -2,6 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -287,6 +290,50 @@ func TestReusedEncoderMatchesFresh(t *testing.T) {
 			s.run()
 			if taken < 3 {
 				t.Fatalf("only %d checkpoints compared, need at least 3 to exercise reuse", taken)
+			}
+		})
+	}
+}
+
+// TestParentCommitBlobs is the cross-commit fence of the intrusive-queue
+// change: testdata/pr23_*.ckpt.gz are mid-run checkpoints (cycle 1400 of
+// checkpointBase, every 700) written by the commit before NIC and MinBD
+// queues were threaded through the arena, router entries narrowed and
+// the reservation list became one slot. This commit must write the very
+// same bytes at that cycle, and a run resumed from the old blob must end
+// exactly as an uninterrupted one.
+func TestParentCommitBlobs(t *testing.T) {
+	for _, scheme := range []Scheme{FastPass, MinBD, EscapeVC} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			f, err := os.Open("testdata/pr23_" + scheme.String() + ".ckpt.gz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			zr, err := gzip.NewReader(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parent, err := io.ReadAll(zr)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			cfg := checkpointBase(scheme, 1)
+			blob, at, want := lastCheckpoint(cfg, 700)
+			if at != 1400 || !bytes.Equal(blob, parent) {
+				t.Fatalf("checkpoint at cycle %d (%d bytes) differs from the parent commit's at 1400 (%d bytes)", at, len(blob), len(parent))
+			}
+			rcfg, err := OpenCheckpoint(parent)
+			if err != nil {
+				t.Fatalf("OpenCheckpoint: %v", err)
+			}
+			got, err := ResumeSynthetic(rcfg, parent)
+			if err != nil {
+				t.Fatalf("ResumeSynthetic: %v", err)
+			}
+			if resultFingerprint(got) != resultFingerprint(want) {
+				t.Errorf("run resumed from the parent's blob diverged\nresumed: %s\nbase:    %s", resultFingerprint(got), resultFingerprint(want))
 			}
 		})
 	}

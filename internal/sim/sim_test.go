@@ -2,9 +2,11 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/message"
+	"repro/internal/protocol"
 	"repro/internal/traffic"
 	"repro/internal/workload"
 )
@@ -210,4 +212,66 @@ func TestMinBDReleasesToPool(t *testing.T) {
 		}
 	}()
 	pool.Get(8, 0, 1, message.Request, 1, inst.Cycle())
+}
+
+// TestInjectedPacketsBelongToTheirNIC proves what network.New's single
+// shared Inject closure rests on: every packet a NIC offers its router —
+// everything handed to EnqueueSource or EnqueueSourceFront by the
+// synthetic generator, the protocol engine (requests, forwards,
+// responses, write-backs) and FastPass's MSHR re-issue of dropped
+// packets — has that NIC's node as its Src, so routing the injection by
+// pkt.Src reaches the NIC's own router.
+func TestInjectedPacketsBelongToTheirNIC(t *testing.T) {
+	watch := func(t *testing.T, inst *Instance) *int {
+		offered := new(int)
+		for _, nc := range inst.Net.NICs {
+			nc, inject := nc, nc.Inject
+			nc.Inject = func(p *message.Packet) bool {
+				*offered++
+				if p.Src != nc.Node {
+					t.Fatalf("NIC %d offered its router %s", nc.Node, p)
+				}
+				return inject(p)
+			}
+		}
+		return offered
+	}
+	for _, scheme := range Schemes() {
+		if !scheme.SupportsProtocol() {
+			continue // MinBD has no NICs
+		}
+		t.Run(scheme.String(), func(t *testing.T) {
+			// Synthetic, far past saturation, with one consumer wedged for
+			// a while: FastPass packets bound there are rejected, and the
+			// dynamic bubble drops and re-issues requests to park them.
+			inst := Build(Options{Scheme: scheme, W: 4, H: 4, Seed: 5})
+			offered := watch(t, inst)
+			inst.Net.NICs[5].Stall = func(cycle int64) bool { return cycle < 2000 }
+			gen := &traffic.Generator{Pattern: traffic.Uniform, Rate: 0.4, W: 4, H: 4, Pool: inst.UsePool()}
+			rng := rand.New(rand.NewSource(5))
+			for c := 0; c < 3000; c++ {
+				for _, pkt := range gen.Tick(inst.Cycle(), rng) {
+					inst.Enqueue(pkt)
+				}
+				inst.Step()
+			}
+			if *offered < 1000 {
+				t.Errorf("only %d injections offered", *offered)
+			}
+			if inst.FP != nil && inst.FP.Counters.Regens == 0 {
+				t.Error("FastPass never re-issued a dropped packet: the MSHR path went unobserved")
+			}
+			// Coherence traffic.
+			inst = Build(Options{Scheme: scheme, W: 4, H: 4, Seed: 5})
+			offered = watch(t, inst)
+			eng := protocol.New(inst.Net, workload.MustGet("Streamcluster").Profile, 5)
+			for c := 0; c < 3000; c++ {
+				eng.Tick(inst.Cycle())
+				inst.Step()
+			}
+			if *offered < 1000 || eng.Completed == 0 {
+				t.Errorf("protocol run too quiet: %d injections offered, %d transactions complete", *offered, eng.Completed)
+			}
+		})
+	}
 }

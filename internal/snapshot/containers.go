@@ -15,12 +15,41 @@ func WriteRing[T any](w *Writer, q *ringq.Ring[T], enc func(*Writer, T)) {
 	}
 }
 
-// ReadRing clears q and refills it from the stream.
+// ReadRing empties q and refills it from the stream.
 func ReadRing[T any](r *Reader, q *ringq.Ring[T], dec func(*Reader) T) {
-	q.Clear()
+	for q.Len() > 0 {
+		q.PopFront()
+	}
 	n := r.Int()
 	for i := 0; i < n && r.Err() == nil; i++ {
 		q.PushBack(dec(r))
+	}
+}
+
+// WriteQueue encodes an intrusive packet queue exactly as WriteRing
+// would a ring of the same packets: occupancy, then references oldest
+// first.
+func WriteQueue(w *Writer, q *message.Queue) {
+	w.Int(q.Len())
+	for p := range q.All() {
+		w.Packet(p)
+	}
+}
+
+// ReadQueue empties q and refills it from the stream, relinking the
+// packets. A blob that names no packet, or one already waiting in a
+// queue, is corrupt.
+func ReadQueue(r *Reader, q *message.Queue) {
+	for q.Len() > 0 {
+		q.PopFront()
+	}
+	n := r.Int()
+	for i := 0; i < n && r.Err() == nil; i++ {
+		if p := r.Packet(); p == nil || p.Queued() {
+			r.fail("queue entry %d is nil or already queued", i)
+		} else {
+			q.PushBack(p)
+		}
 	}
 }
 
@@ -63,7 +92,8 @@ func init() {
 			// Pool.SetFreeList re-poisons exactly the pooled packets.
 			"recycled",
 		},
-		nil)
+		// Queue membership: rebuilt by ReadQueue's relinking.
+		[]string{"next", "queued"})
 	Register("message.Pool", message.Pool{},
 		[]string{"free", "Gets", "Puts", "News"},
 		[]string{"fresh"}) // uncarved chunk tail: capacity, not state
