@@ -218,10 +218,11 @@ func TestFirstTouchAllocBudget(t *testing.T) {
 	}
 }
 
-// TestStructSizes holds the four structs a run's memory is made of to
-// their sizes: the arena is most of a run's bytes and every NIC, router
-// and VC entry is carved once per node at Build, so a field added to one
-// of them is an alloc_mb regression on every workload.
+// TestStructSizes holds the five structs a run's memory is made of to
+// their sizes: the arena is most of a run's bytes and every NIC, router,
+// VC and VC entry is carved once per node at Build, so a field added to
+// one of them is an alloc_mb regression on every workload (a 4-VC
+// router alone has 22 VCs).
 func TestStructSizes(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -230,7 +231,8 @@ func TestStructSizes(t *testing.T) {
 		{"message.Packet", unsafe.Sizeof(message.Packet{}), 128},
 		{"router.Entry", unsafe.Sizeof(router.Entry{}), 32},
 		{"nic.NIC", unsafe.Sizeof(nic.NIC{}), 704},
-		{"router.Router", unsafe.Sizeof(router.Router{}), 1160},
+		{"router.Router", unsafe.Sizeof(router.Router{}), 640},
+		{"router.VC", unsafe.Sizeof(router.VC{}), 64},
 	} {
 		t.Logf("%s: %d bytes", tc.name, tc.got)
 		if tc.got > tc.limit {
@@ -239,7 +241,7 @@ func TestStructSizes(t *testing.T) {
 	}
 }
 
-// TestBuildAllocBudget caps the heap objects sim.Build creates: 45 at
+// TestBuildAllocBudget caps the heap objects sim.Build creates: 43 at
 // any mesh size — a constant number of backing arrays and not one
 // object per node (the pre-slab build made ~98 per router, the slab
 // build still two closures). The ceiling sits 20 % above that, so a
@@ -254,7 +256,7 @@ func TestBuildAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		size    int
 		ceiling float64
-	}{{8, 54}, {32, 54}} {
+	}{{8, 51}, {32, 51}} {
 		got := testing.AllocsPerRun(3, func() {
 			sim.Build(sim.Options{Scheme: noc.FastPass, W: tc.size, H: tc.size, Seed: 1})
 		})

@@ -74,7 +74,8 @@ func main() {
 		obsAddr: *obsAddr, progress: *progress,
 	})
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		os.Exit(2) // a rejected flag, like the flag package's own
 	}
 	if err := runCampaign(cfg, os.Stdout, os.Stderr); err != nil {
 		log.Fatal(err)
@@ -118,7 +119,7 @@ func validateFlags(fv flagValues) (runConfig, error) {
 	if err != nil {
 		return runConfig{}, fmt.Errorf("-variants: %v", err)
 	}
-	pattern, err := parsePattern(fv.pattern)
+	pattern, err := noc.ParsePattern(fv.pattern)
 	if err != nil {
 		return runConfig{}, fmt.Errorf("-pattern: %v", err)
 	}
@@ -170,16 +171,6 @@ func validateFlags(fv flagValues) (runConfig, error) {
 		camp: camp, out: fv.out, journal: fv.journal, resume: fv.resume,
 		obsAddr: fv.obsAddr, progress: fv.progress,
 	}, nil
-}
-
-// parsePattern resolves a synthetic pattern by name.
-func parsePattern(name string) (noc.Pattern, error) {
-	for _, p := range noc.Patterns() {
-		if p.String() == name {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown pattern %q", name)
 }
 
 // parseSeeds builds the Monte Carlo seed axis: an explicit -seeds list

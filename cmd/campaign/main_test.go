@@ -41,6 +41,8 @@ func TestValidateFlags(t *testing.T) {
 		{name: "minbd variant", mod: func(fv *flagValues) { fv.variants = "MinBD" }, wantErr: "-variants"},
 		{name: "bad pattern", mod: func(fv *flagValues) { fv.pattern = "NoSuch" }, wantErr: "-pattern"},
 		{name: "zero size", mod: func(fv *flagValues) { fv.size = 0 }, wantErr: "-size"},
+		{name: "one-node mesh", mod: func(fv *flagValues) { fv.size = 1 }, wantErr: "2x2"},
+		{name: "rate above one", mod: func(fv *flagValues) { fv.rate = 2 }, wantErr: "[0, 1]"},
 		{name: "zero rate", mod: func(fv *flagValues) { fv.rate = 0 }, wantErr: "-rate"},
 		{name: "zero runs", mod: func(fv *flagValues) { fv.runs = 0 }, wantErr: "-runs"},
 		{name: "bad seed", mod: func(fv *flagValues) { fv.seeds = "1,x" }, wantErr: "-seeds"},

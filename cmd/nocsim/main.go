@@ -103,6 +103,11 @@ func main() {
 		// nor the watchdogs.
 		opts.Faults, opts.Watchdog = "", ""
 	}
+	cfg := noc.SynthConfig{Options: opts, Rate: *rate, Warmup: *warmup, Measure: *measure, Drain: *drain}
+	if err := cfg.Validate(); err != nil {
+		log.Print(err)
+		os.Exit(2)
+	}
 
 	if *app != "" {
 		if *checkpointEvery > 0 {
@@ -115,23 +120,11 @@ func main() {
 		return
 	}
 
-	var pattern noc.Pattern
-	found := false
-	for _, p := range noc.Patterns() {
-		if p.String() == *patternName {
-			pattern = p
-			found = true
-		}
+	pattern, err := noc.ParsePattern(*patternName)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if !found {
-		log.Fatalf("unknown pattern %q", *patternName)
-	}
-	cfg := noc.SynthConfig{
-		Options: opts, Pattern: pattern, Rate: *rate,
-		Warmup: *warmup, Measure: *measure, Drain: *drain,
-		CheckpointEvery: *checkpointEvery,
-		OnCheckpoint:    checkpointWriter(*checkpointPath),
-	}
+	cfg.Pattern, cfg.CheckpointEvery, cfg.OnCheckpoint = pattern, *checkpointEvery, checkpointWriter(*checkpointPath)
 	cleanup := tf.apply(&cfg)
 	res := noc.RunSynthetic(cfg)
 	cleanup()

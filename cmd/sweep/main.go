@@ -70,7 +70,8 @@ func main() {
 		telemetryPath: *telemetryPath, telemetryWindow: *telemetryWindow,
 	})
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		os.Exit(2) // a rejected flag, like the flag package's own; 1 is an aborted run
 	}
 
 	if len(cfg.scales) > 0 {
@@ -210,7 +211,7 @@ func buildConfig(schemeList, patternName string, size int, seed int64, rateMin, 
 	if err != nil {
 		return sweepConfig{}, err
 	}
-	pattern, err := parsePattern(patternName)
+	pattern, err := noc.ParsePattern(patternName)
 	if err != nil {
 		return sweepConfig{}, err
 	}
@@ -220,6 +221,12 @@ func buildConfig(schemeList, patternName string, size int, seed int64, rateMin, 
 	}
 	if size <= 0 {
 		return sweepConfig{}, fmt.Errorf("mesh dimension %d must be positive", size)
+	}
+	for _, s := range parsed {
+		point := noc.SynthConfig{Options: noc.Options{Scheme: s, W: size, H: size}, Rate: rates[len(rates)-1]}
+		if err := point.Validate(); err != nil {
+			return sweepConfig{}, err
+		}
 	}
 	return sweepConfig{
 		names: names, schemes: parsed, pattern: pattern,
@@ -253,16 +260,6 @@ func parseSchemes(list string) ([]string, []noc.Scheme, error) {
 		schemes = append(schemes, scheme)
 	}
 	return names, schemes, nil
-}
-
-// parsePattern resolves a synthetic pattern by name.
-func parsePattern(name string) (noc.Pattern, error) {
-	for _, p := range noc.Patterns() {
-		if p.String() == name {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown pattern %q", name)
 }
 
 // buildRateGrid expands [min, max] by step (with a tolerance so the

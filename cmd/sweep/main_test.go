@@ -128,6 +128,8 @@ func TestValidateFlags(t *testing.T) {
 		}},
 		{name: "bad scheme", mod: func(fv *flagValues) { fv.schemes = "NoSuch" }, wantErr: "NoSuch"},
 		{name: "bad pattern", mod: func(fv *flagValues) { fv.pattern = "NoSuch" }, wantErr: "pattern"},
+		{name: "one-node mesh", mod: func(fv *flagValues) { fv.size = 1 }, wantErr: "2x2"},
+		{name: "rate above one", mod: func(fv *flagValues) { fv.rateMax = 2 }, wantErr: "[0, 1]"},
 		{name: "bad rate grid", mod: func(fv *flagValues) { fv.rateStep = -1 }, wantErr: "step"},
 		{name: "bad fault plan", mod: func(fv *flagValues) { fv.faults = "linkfail:rate=2" }, wantErr: "-faults"},
 		{name: "bad watchdog", mod: func(fv *flagValues) { fv.watchdog = "stride=no" }, wantErr: "-watchdog"},

@@ -152,17 +152,9 @@ func (c *Controller) rotate(n *network.Network) {
 	for i, node := range c.order {
 		victims[i] = victim{}
 		r := n.Routers[node]
-		for p := 1; p < n.Mesh.NumPorts(); p++ {
-			found := false
-			for v := 0; v < r.Cfg.NetVCs(); v++ {
-				e := r.VCFor(topology.Direction(p), v).Head()
-				if e != nil && e.FullyBuffered() {
-					victims[i] = victim{port: topology.Direction(p), vc: v, pkt: e.Pkt}
-					found = true
-					break
-				}
-			}
-			if found {
+		for p, v := range r.OccupiedVCs(topology.North) {
+			if e := r.VCFor(p, v).Head(); e.FullyBuffered() {
+				victims[i] = victim{port: p, vc: v, pkt: e.Pkt}
 				break
 			}
 		}

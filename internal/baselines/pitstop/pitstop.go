@@ -152,24 +152,18 @@ func (c *Controller) absorb(n *network.Network, r *router.Router, active message
 	if len(c.pits[r.ID]) >= c.prm.PitCap {
 		return
 	}
-	for p := 1; p < n.Mesh.NumPorts(); p++ {
-		for v := 0; v < r.Cfg.NetVCs(); v++ {
-			e := r.VCFor(topology.Direction(p), v).Head()
-			if e == nil || !e.FullyBuffered() || e.Pkt.Class != active {
-				continue
-			}
-			if cycle-e.LastMove < c.prm.Threshold {
-				continue
-			}
-			pkt := r.RemoveHeadPacket(topology.Direction(p), v)
-			if pkt == nil {
-				continue
-			}
-			c.pits[r.ID] = append(c.pits[r.ID], pkt)
-			c.Absorbed++
-			c.Trace.Record(cycle, trace.RecoveryAction, pkt.ID, r.ID, "pit absorb")
-			return
+	for p, v := range r.OccupiedVCs(topology.North) {
+		if e := r.VCFor(p, v).Head(); !e.FullyBuffered() || e.Pkt.Class != active || cycle-e.LastMove < c.prm.Threshold {
+			continue
 		}
+		pkt := r.RemoveHeadPacket(p, v)
+		if pkt == nil {
+			continue
+		}
+		c.pits[r.ID] = append(c.pits[r.ID], pkt)
+		c.Absorbed++
+		c.Trace.Record(cycle, trace.RecoveryAction, pkt.ID, r.ID, "pit absorb")
+		return
 	}
 }
 

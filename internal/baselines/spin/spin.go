@@ -144,15 +144,9 @@ func (c *Controller) PreCycle(n *network.Network) {
 
 // findBlockedHead returns a network-VC head blocked past the threshold.
 func (c *Controller) findBlockedHead(n *network.Network, r *router.Router, cycle int64) (slot, bool) {
-	for p := 1; p < n.Mesh.NumPorts(); p++ {
-		for v := 0; v < r.Cfg.NetVCs(); v++ {
-			e := r.VCFor(topology.Direction(p), v).Head()
-			if e == nil || !e.FullyBuffered() || e.Pkt.Dst == r.ID {
-				continue
-			}
-			if cycle-e.LastMove >= c.prm.Threshold {
-				return slot{node: r.ID, port: topology.Direction(p), vc: v, pkt: e.Pkt.ID}, true
-			}
+	for p, v := range r.OccupiedVCs(topology.North) {
+		if e := r.VCFor(p, v).Head(); e.FullyBuffered() && e.Pkt.Dst != r.ID && cycle-e.LastMove >= c.prm.Threshold {
+			return slot{node: r.ID, port: p, vc: v, pkt: e.Pkt.ID}, true
 		}
 	}
 	return slot{}, false

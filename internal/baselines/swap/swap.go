@@ -99,20 +99,13 @@ func (c *Controller) PreCycle(n *network.Network) {
 // sweepRouter swaps at most one long-blocked head per router per duty —
 // SWAP's hardware performs one weave at a time.
 func (c *Controller) sweepRouter(n *network.Network, r *router.Router) {
-	nPorts := n.Mesh.NumPorts()
-	netVCs := r.Cfg.NetVCs()
-	for p := 1; p < nPorts; p++ {
-		for v := 0; v < netVCs; v++ {
-			e := r.VCFor(topology.Direction(p), v).Head()
-			if e == nil || !e.FullyBuffered() {
-				continue
-			}
-			if n.Cycle()-e.LastMove < c.prm.Threshold {
-				continue
-			}
-			if c.resolve(n, r, topology.Direction(p), v, e) {
-				return
-			}
+	for p, v := range r.OccupiedVCs(topology.North) {
+		e := r.VCFor(p, v).Head()
+		if !e.FullyBuffered() || n.Cycle()-e.LastMove < c.prm.Threshold {
+			continue
+		}
+		if c.resolve(n, r, p, v, e) {
+			return
 		}
 	}
 }

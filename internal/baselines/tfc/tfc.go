@@ -93,28 +93,25 @@ func (c *Controller) PreCycle(n *network.Network) {
 
 // bypassOne advances one token-holding control packet a full hop.
 func (c *Controller) bypassOne(n *network.Network, r *router.Router) {
-	nPorts := n.Mesh.NumPorts()
-	for p := 0; p < nPorts; p++ {
-		for v := range r.Inputs[p].VCs {
-			e := r.VCFor(topology.Direction(p), v).Head()
-			if e == nil || !e.FullyBuffered() || e.Allocated {
-				continue
-			}
-			// Only packets the regular pipeline has left waiting use
-			// the token path: with 1-cycle routers (Table II) there is
-			// no pipeline to skip on an uncontended path, so TFC's
-			// low-load latency matches the other schemes (Fig. 7) and
-			// tokens pay off by cutting queueing under contention.
-			if n.Cycle()-e.LastMove < 2 {
-				continue
-			}
-			pkt := e.Pkt
-			if pkt.Len != 1 || pkt.Dst == r.ID {
-				continue
-			}
-			if c.tryBypass(n, r, topology.Direction(p), v, pkt) {
-				return
-			}
+	for p, v := range r.OccupiedVCs(topology.Local) {
+		e := r.VCFor(p, v).Head()
+		if !e.FullyBuffered() || e.Allocated {
+			continue
+		}
+		// Only packets the regular pipeline has left waiting use
+		// the token path: with 1-cycle routers (Table II) there is
+		// no pipeline to skip on an uncontended path, so TFC's
+		// low-load latency matches the other schemes (Fig. 7) and
+		// tokens pay off by cutting queueing under contention.
+		if n.Cycle()-e.LastMove < 2 {
+			continue
+		}
+		pkt := e.Pkt
+		if pkt.Len != 1 || pkt.Dst == r.ID {
+			continue
+		}
+		if c.tryBypass(n, r, p, v, pkt) {
+			return
 		}
 	}
 }

@@ -121,6 +121,11 @@ func (c Config) Validate() error {
 		if v.Healing && v.Scheme != sim.FastPass {
 			return fmt.Errorf("campaign: healing is a FastPass configuration, not a %v one", v.Scheme)
 		}
+		cell := c.Base
+		cell.Scheme = v.Scheme
+		if err := cell.Validate(); err != nil {
+			return fmt.Errorf("campaign: %v", err)
+		}
 	}
 	if len(c.Scales) == 0 {
 		return fmt.Errorf("campaign: no fault scales")

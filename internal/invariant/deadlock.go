@@ -63,27 +63,23 @@ func (w *Watchdog) extractWaitsFor() (edges [][]int32, heads []*waitingHead) {
 	edges = make([][]int32, len(w.allocMark))
 	heads = make([]*waitingHead, len(w.allocMark))
 	for _, r := range n.Routers {
-		for p := range r.Inputs {
-			iu := &r.Inputs[p]
-			for vci := range iu.VCs {
-				vcq := &iu.VCs[vci]
-				e := vcq.Head()
-				if e == nil || e.Allocated {
-					continue
-				}
-				src := w.rid(r.ID, iu.Port, vci)
-				heads[src] = &waitingHead{pkt: e.Pkt, node: r.ID, port: iu.Port, vc: vci}
-				r.ForEachCandidate(e.Pkt, func(p topology.Direction, gvc int) {
-					link := r.OutLinkID(p)
-					if link < 0 || r.DownstreamVCFree(p, gvc) {
-						// Ejection candidates have no downstream VC;
-						// free VCs are not waited on.
-						return
-					}
-					lk := n.ChannelLink(link)
-					edges[src] = append(edges[src], int32(w.rid(lk.Dst, lk.DstPort, gvc)))
-				})
+		for port, vci := range r.OccupiedVCs(topology.Local) {
+			e := r.VCFor(port, vci).Head()
+			if e.Allocated {
+				continue
 			}
+			src := w.rid(r.ID, port, vci)
+			heads[src] = &waitingHead{pkt: e.Pkt, node: r.ID, port: port, vc: vci}
+			r.ForEachCandidate(e.Pkt, func(p topology.Direction, gvc int) {
+				link := r.OutLinkID(p)
+				if link < 0 || r.DownstreamVCFree(p, gvc) {
+					// Ejection candidates have no downstream VC;
+					// free VCs are not waited on.
+					return
+				}
+				lk := n.ChannelLink(link)
+				edges[src] = append(edges[src], int32(w.rid(lk.Dst, lk.DstPort, gvc)))
+			})
 		}
 	}
 	return edges, heads
@@ -184,17 +180,14 @@ func (w *Watchdog) collectStarved(cycle int64) []*message.Packet {
 	w.starved = w.starved[:0]
 	n := w.net
 	for _, r := range n.Routers {
-		for p := range r.Inputs {
-			vcs := r.Inputs[p].VCs
-			for v := range vcs {
-				vcq := &vcs[v]
-				if e := vcq.Head(); e == nil || cycle-e.LastMove <= w.opts.StarveBound {
-					continue
-				}
-				// The head starves everything queued behind it.
-				for i := 0; i < vcq.Len(); i++ {
-					w.starved = append(w.starved, vcq.EntryAt(i).Pkt)
-				}
+		for p, v := range r.OccupiedVCs(topology.Local) {
+			vcq := r.VCFor(p, v)
+			if cycle-vcq.Head().LastMove <= w.opts.StarveBound {
+				continue
+			}
+			// The head starves everything queued behind it.
+			for i := 0; i < vcq.Len(); i++ {
+				w.starved = append(w.starved, vcq.EntryAt(i).Pkt)
 			}
 		}
 	}

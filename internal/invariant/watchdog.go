@@ -25,6 +25,11 @@ import (
 
 	"repro/internal/message"
 	"repro/internal/network"
+	// Imported directly, not only through network: the compiler inlines
+	// router's iterator and ring-backed accessors (OccupiedVCs, VC.Len,
+	// EntryAt) only into packages that import it by name — without this
+	// every sample heap-allocates its loop body.
+	_ "repro/internal/router"
 	"repro/internal/topology"
 )
 
@@ -299,20 +304,17 @@ func (w *Watchdog) sample() {
 	var worstBlocked int64
 	starving := false
 	for _, r := range n.Routers {
-		for p := range r.Inputs {
-			vcs := r.Inputs[p].VCs
-			for v := range vcs {
-				vcq := &vcs[v]
-				for i := 0; i < vcq.Len(); i++ {
-					e := vcq.EntryAt(i)
-					w.live[e.Pkt.ID] = e.Pkt
-					if e.Allocated {
-						w.allocMark[w.rid(r.ID, e.Out(), int(e.OutVC))] = true
-					}
-					if i == 0 {
-						if blocked := cycle - e.LastMove; blocked > worstBlocked {
-							worstBlocked = blocked
-						}
+		for p, v := range r.OccupiedVCs(topology.Local) {
+			vcq := r.VCFor(p, v)
+			for i := 0; i < vcq.Len(); i++ {
+				e := vcq.EntryAt(i)
+				w.live[e.Pkt.ID] = e.Pkt
+				if e.Allocated {
+					w.allocMark[w.rid(r.ID, e.Out(), int(e.OutVC))] = true
+				}
+				if i == 0 {
+					if blocked := cycle - e.LastMove; blocked > worstBlocked {
+						worstBlocked = blocked
 					}
 				}
 			}

@@ -1,5 +1,7 @@
 package router
 
+import "math/bits"
+
 // RRArbiter is a round-robin arbiter over n requesters. It grants the
 // first requesting index at or after the pointer, then advances the
 // pointer past the winner, giving every requester bounded waiting — the
@@ -32,11 +34,18 @@ func (a *RRArbiter) Grant(request func(i int) bool) int {
 	return -1
 }
 
-// GrantSlice is Grant over a boolean slice (len must equal n).
-func (a *RRArbiter) GrantSlice(reqs []bool) int {
-	if len(reqs) != a.n {
-		panic("router: request slice length mismatch")
+// GrantMask is Grant over a request mask, bit i for requester i (no bit
+// at or above n may be set; n ≤ 64): the first set bit at or after the
+// pointer, else the lowest — the same winner, and the same pointer
+// afterwards, as Grant.
+func (a *RRArbiter) GrantMask(reqs uint64) int {
+	if reqs == 0 {
+		return -1
 	}
-	//nocvet:ignore hotalloc2 the literal is consumed by Grant and never escapes (stack-allocated); alloc-guard pins 0 allocs/cycle
-	return a.Grant(func(i int) bool { return reqs[i] })
+	i := bits.TrailingZeros64(reqs &^ (1<<a.next - 1))
+	if i == 64 {
+		i = bits.TrailingZeros64(reqs)
+	}
+	a.next = (i + 1) % a.n
+	return i
 }

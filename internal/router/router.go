@@ -2,6 +2,9 @@ package router
 
 import (
 	"fmt"
+	"iter"
+	"math/bits"
+	"slices"
 
 	"repro/internal/message"
 	"repro/internal/routing"
@@ -77,6 +80,9 @@ func (c Config) Validate() error {
 	if c.NumVNs < 1 || c.VCsPerVN < 1 {
 		return fmt.Errorf("router: need at least 1 VN and 1 VC, have %d/%d", c.NumVNs, c.VCsPerVN)
 	}
+	if c.NetVCs() > 64 {
+		return fmt.Errorf("router: %d VNs x %d VCs = %d VCs per port, limit 64 (one mask word per port)", c.NumVNs, c.VCsPerVN, c.NetVCs())
+	}
 	if len(c.VCAlgorithms) != c.VCsPerVN {
 		return fmt.Errorf("router: %d VC algorithms for %d VCs", len(c.VCAlgorithms), c.VCsPerVN)
 	}
@@ -100,8 +106,7 @@ func (c Config) NetVCs() int { return c.NumVNs * c.VCsPerVN }
 // InputUnit is the buffering for one input port. VCs is a window onto
 // the owning router's single VC array.
 type InputUnit struct {
-	Port topology.Direction
-	VCs  []VC
+	VCs []VC
 }
 
 // nPorts is the port count of every router this package builds: the
@@ -114,35 +119,42 @@ const nPorts = int(topology.NumMeshPorts)
 // ejection output.
 //
 // A Router is built once and never grows (DESIGN.md §9): per-port state
-// is arrays in the struct, and the parts sized by the VC count — the VCs
-// themselves, their entry slots and windows, credit and request vectors,
-// VA candidate lists — are windows onto a few backing arrays that a
-// whole network's routers share (see NewAll).
+// is arrays in the struct — occupancy and credits one mask word per port,
+// bit v = VC v — and the VCs with their entry slots are windows onto
+// backing arrays that a whole network's routers share (see NewAll). What
+// a Step reads leads the struct.
 type Router struct {
-	ID   int
-	Mesh *topology.Mesh
-	Cfg  Config
-	Env  Env
-
-	Inputs [nPorts]InputUnit
-
-	// outLinks[port] / inLinks[port] are directed link IDs, -1 where
-	// the mesh edge has no neighbour.
-	outLinks, inLinks [nPorts]int
-
+	// occ[port] has bit v set while input VC v holds a packet; the VCs
+	// keep it (and resident) current on every insert and remove, so
+	// controllers that edit VCs directly need do nothing. Allocation
+	// walks set bits only.
+	occ [nPorts]uint64
 	// vcFree tracks downstream VC availability per output port; it is
 	// the credit state of virtual cut-through with one packet per VC: a
 	// downstream VC is either wholly free or owned by one packet.
-	vcFree [nPorts][]bool
+	vcFree [nPorts]uint64
+
+	saInArb  [nPorts]RRArbiter // stage 1: per input port over VCs
+	saOutArb [nPorts]RRArbiter // stage 2: per output port over input ports
+	portTie  RRArbiter         // adaptive output-port tie-break
 
 	// ejecting marks classes with a regular packet mid-ejection.
 	ejecting [message.NumClasses]bool
 
-	// resident counts packets buffered across all VCs; the VCs keep it
-	// current (see VC.Resident) so Occupied is O(1). An empty router's
-	// Step is a provable no-op, which is what lets the network's
-	// active-set scheduler skip it.
+	// resident counts packets buffered across all VCs, so Occupied is
+	// O(1). An empty router's Step is a provable no-op, which is what
+	// lets the network's active-set scheduler skip it.
 	resident int
+
+	// outLinks[port] / inLinks[port] are directed link IDs, -1 where
+	// the mesh edge has no neighbour.
+	outLinks, inLinks [nPorts]int32
+
+	ID  int
+	Env Env
+	tab *routeTable
+
+	Inputs [nPorts]InputUnit
 
 	// FlitsRouted counts flits moved through the crossbar over the
 	// router's lifetime; SwitchStalls counts (cycle, input port) pairs
@@ -152,33 +164,46 @@ type Router struct {
 	FlitsRouted  int64
 	SwitchStalls int64
 
-	saInArb  [nPorts]RRArbiter // stage 1: per input port over VCs
-	saOutArb [nPorts]RRArbiter // stage 2: per output port over input ports
-	portTie  RRArbiter         // adaptive output-port tie-break
-
-	// Per-cycle scratch (hot path). slots is the (port, vc) enumeration
-	// VA rotates over — identical for every router of a config, so one
-	// read-only table serves them all.
-	slots   []vaSlot
-	nominee [nPorts]int
-	granted [nPorts]bool
-	isBest  [nPorts]bool
-	// VA scratch: candidate ports and per-port allowed VC lists.
-	// candPorts, bestPorts and routeBuf are windows onto dirBuf.
-	candPorts []topology.Direction
-	candVCs   [nPorts][]int
-	bestPorts []topology.Direction
-	routeBuf  []topology.Direction
-	dirBuf    [2*nPorts + 2]topology.Direction
-	// SA scratch: per-port VC request vectors and the output-stage
-	// request vector (avoids per-cycle closure allocations).
-	saReqs  [nPorts][]bool
-	saOutRq [nPorts]bool
+	Mesh *topology.Mesh
+	// routeBuf receives a routing function's ports: the functions are
+	// called through a Func value, which would force a stack buffer onto
+	// the heap.
+	routeBuf [2]topology.Direction
+	Cfg      Config
 }
 
-type vaSlot struct {
-	port topology.Direction
-	vc   int
+// routeTable is what the routers of one config share, read-only once
+// built: the VC indices of a VN grouped by routing algorithm (first
+// appearance first — at most four groups, there being four algorithms),
+// so a head's legal output ports are computed once per group and not per
+// VC; vcs[s] is the union of the groups in set s, VC-index bits within a
+// VN, and classShift each class's VN as a shift into the port's VC mask.
+type routeTable struct {
+	groups     int
+	algs       [4]routing.Algorithm
+	vcs        [16]uint64
+	classShift [message.NumClasses]uint8
+	vaSlots    int64 // (port, vc) pairs VA rotates over
+}
+
+func newRouteTable(cfg Config) *routeTable {
+	t := &routeTable{vaSlots: int64(int(message.NumClasses) + (nPorts-1)*cfg.NetVCs())}
+	for c := range t.classShift {
+		t.classShift[c] = uint8(cfg.ClassVN(message.Class(c)) * cfg.VCsPerVN)
+	}
+	for i, alg := range cfg.VCAlgorithms {
+		g := slices.Index(t.algs[:t.groups], alg)
+		if g < 0 {
+			g, t.groups = t.groups, t.groups+1
+			t.algs[g] = alg
+		}
+		for s := range t.vcs {
+			if s>>g&1 != 0 {
+				t.vcs[s] |= 1 << i
+			}
+		}
+	}
+	return t
 }
 
 // slab is the backing store routers are carved from: one array per
@@ -188,9 +213,7 @@ type slab struct {
 	routers []Router
 	vcs     []VC
 	entries []Entry
-	bools   []bool
-	ints    []int
-	slots   []vaSlot
+	tab     *routeTable
 }
 
 // injWindow is the Build-carved depth of each injection queue, in
@@ -212,24 +235,12 @@ func newSlab(cfg Config, routers int) *slab {
 		panic(err)
 	}
 	netVCs := (nPorts - 1) * cfg.NetVCs()
-	allVCs := int(message.NumClasses) + netVCs
-	sl := &slab{
+	return &slab{
 		routers: make([]Router, routers),
-		vcs:     make([]VC, routers*allVCs),
+		vcs:     make([]VC, routers*(int(message.NumClasses)+netVCs)),
 		entries: make([]Entry, routers*(netVCs+injWindow*int(message.NumClasses))),
-		bools:   make([]bool, routers*(netVCs+allVCs)), // vcFree + saReqs
-		ints:    make([]int, routers*netVCs),           // candVCs
-		slots:   make([]vaSlot, 0, allVCs),
+		tab:     newRouteTable(cfg),
 	}
-	for c := 0; c < int(message.NumClasses); c++ {
-		sl.slots = append(sl.slots, vaSlot{topology.Local, c})
-	}
-	for p := 1; p < nPorts; p++ {
-		for v := 0; v < cfg.NetVCs(); v++ {
-			sl.slots = append(sl.slots, vaSlot{topology.Direction(p), v})
-		}
-	}
-	return sl
 }
 
 // New wires a stand-alone router for node id. Link IDs come from the
@@ -253,70 +264,74 @@ func NewAll(mesh *topology.Mesh, cfg Config, env Env) []*Router {
 // build carves and wires the slab's next router.
 func (sl *slab) build(id int, mesh *topology.Mesh, cfg Config, env Env) *Router {
 	r := &carve(&sl.routers, 1)[0]
-	r.ID, r.Mesh, r.Cfg, r.Env = id, mesh, cfg, env
-	r.slots = sl.slots
-	r.candPorts = r.dirBuf[0:0:nPorts]
-	r.bestPorts = r.dirBuf[nPorts : nPorts : 2*nPorts]
-	r.routeBuf = r.dirBuf[2*nPorts : 2*nPorts]
+	r.ID, r.Mesh, r.Cfg, r.Env, r.tab = id, mesh, cfg, env, sl.tab
 	r.portTie.n = nPorts
 	for p := 0; p < nPorts; p++ {
 		d := topology.Direction(p)
 		r.outLinks[p], r.inLinks[p] = -1, -1
 		if l := mesh.OutLink(id, d); l != nil {
-			r.outLinks[p] = l.ID
+			r.outLinks[p] = int32(l.ID)
 		}
 		if l := mesh.InLink(id, d); l != nil {
-			r.inLinks[p] = l.ID
+			r.inLinks[p] = int32(l.ID)
 		}
 		iu := &r.Inputs[p]
-		iu.Port = d
-		if p == int(topology.Local) {
-			// Injection: one queue per message class.
-			iu.VCs = carve(&sl.vcs, int(message.NumClasses))
-			for c := range iu.VCs {
-				iu.VCs[c].init(cfg.InjQueueFlits, cfg.InjQueueFlits)
-				iu.VCs[c].entries.Adopt(carve(&sl.entries, injWindow))
-			}
-		} else {
-			// Network VCs hold one packet: its entry slot is carved here.
-			iu.VCs = carve(&sl.vcs, cfg.NetVCs())
-			for v := range iu.VCs {
-				iu.VCs[v].init(cfg.BufFlits, 1)
-				iu.VCs[v].entries.Adopt(carve(&sl.entries, 1))
-			}
-			r.vcFree[p] = carve(&sl.bools, cfg.NetVCs())
-			for v := range r.vcFree[p] {
-				r.vcFree[p][v] = true
-			}
-			r.candVCs[p] = carve(&sl.ints, cfg.NetVCs())[:0]
+		// Injection: one queue per message class, an injWindow-entry
+		// window each. Network VCs hold one packet: one entry slot.
+		n, capFlits, maxPkts, window := int(message.NumClasses), cfg.InjQueueFlits, cfg.InjQueueFlits, injWindow
+		if p != int(topology.Local) {
+			n, capFlits, maxPkts, window = cfg.NetVCs(), cfg.BufFlits, 1, 1
+			r.vcFree[p] = 1<<n - 1
 		}
+		iu.VCs = carve(&sl.vcs, n)
 		for v := range iu.VCs {
-			iu.VCs[v].Resident = &r.resident
+			vc := &iu.VCs[v]
+			vc.init(capFlits, maxPkts)
+			vc.entries.Adopt(carve(&sl.entries, window))
+			vc.owner, vc.port, vc.idx = r, uint8(p), uint8(v)
 		}
-		r.saReqs[p] = carve(&sl.bools, len(iu.VCs))
-		r.saInArb[p].n = len(iu.VCs)
+		r.saInArb[p].n = n
 		r.saOutArb[p].n = nPorts
 	}
 	return r
 }
 
 // OutLinkID returns the directed link leaving through port, or -1.
-func (r *Router) OutLinkID(port topology.Direction) int { return r.outLinks[port] }
+func (r *Router) OutLinkID(port topology.Direction) int { return int(r.outLinks[port]) }
 
 // InLinkID returns the directed link arriving on port, or -1.
-func (r *Router) InLinkID(port topology.Direction) int { return r.inLinks[port] }
+func (r *Router) InLinkID(port topology.Direction) int { return int(r.inLinks[port]) }
 
 // VCFor returns the buffer at (port, vc).
 func (r *Router) VCFor(port topology.Direction, vc int) *VC { return &r.Inputs[port].VCs[vc] }
 
 // DownstreamVCFree reports the credit state for (outPort, outVC).
 func (r *Router) DownstreamVCFree(port topology.Direction, vc int) bool {
-	return r.vcFree[port][vc]
+	return r.vcFree[port]>>vc&1 != 0
 }
 
 // MarkVCFree records an arriving credit: the downstream VC behind
 // outPort is free again.
-func (r *Router) MarkVCFree(port topology.Direction, vc int) { r.vcFree[port][vc] = true }
+func (r *Router) MarkVCFree(port topology.Direction, vc int) { r.vcFree[port] |= 1 << vc }
+
+// OccupiedVCs visits the non-empty (port, vc) buffers of input ports
+// from and above, ascending. The occupancy masks are re-read after every
+// yield, so a loop body may remove and refill VCs: one emptied ahead of
+// the scan is not visited. (The literal must stay within the inliner's
+// budget of 80, or every ranging loop body becomes a heap closure.)
+func (r *Router) OccupiedVCs(from topology.Direction) iter.Seq2[topology.Direction, int] {
+	//nocvet:ignore hotalloc2 iterator literal is ranged immediately by every caller and never escapes; the alloc-guard tests pin 0 allocs/cycle
+	return func(yield func(topology.Direction, int) bool) {
+		for p := from; int(p) < nPorts; p++ {
+			for v := 0; r.occ[p]>>v != 0; v++ {
+				v += bits.TrailingZeros64(r.occ[p] >> v)
+				if !yield(p, v) {
+					return
+				}
+			}
+		}
+	}
+}
 
 // Occupied reports whether any packet is buffered in this router. An
 // unoccupied router's Step cannot change any state (see DESIGN.md §9),
@@ -328,27 +343,21 @@ func (r *Router) Occupied() bool { return r.resident > 0 }
 func (r *Router) Resident() int { return r.resident }
 
 // VCOccupancy reports the packets buffered in network VC gvc across all
-// network input ports (injection queues excluded). Telemetry samples it
-// per window to expose lane-utilisation skew — e.g. traffic piling onto
-// the escape VC.
+// network input ports (injection queues excluded; a network VC holds at
+// most one). Telemetry samples it per window to expose lane-utilisation
+// skew — e.g. traffic piling onto the escape VC.
 func (r *Router) VCOccupancy(gvc int) int {
 	c := 0
-	for p := 1; p < len(r.Inputs); p++ {
-		vcs := r.Inputs[p].VCs
-		if gvc < len(vcs) {
-			c += vcs[gvc].Len()
-		}
+	for p := 1; p < nPorts; p++ {
+		c += int(r.occ[p] >> gvc & 1)
 	}
 	return c
 }
 
-// wake notifies the scheduler that this router holds work.
-func (r *Router) wake() { r.Env.WakeRouter(r.ID) }
-
 // DeliverHead accepts a head flit arriving on a network input port.
 func (r *Router) DeliverHead(port topology.Direction, vc int, pkt *message.Packet) {
 	r.Inputs[port].VCs[vc].AcceptHead(pkt, r.Env.Cycle())
-	r.wake()
+	r.Env.WakeRouter(r.ID)
 }
 
 // DeliverBody accepts a body/tail flit arriving on a network input port.
@@ -364,13 +373,7 @@ func (r *Router) DeliverBody(port topology.Direction, vc int, pkt *message.Packe
 //
 //nocvet:phase route
 func (r *Router) InjectPacket(pkt *message.Packet) bool {
-	q := &r.Inputs[topology.Local].VCs[pkt.Class]
-	if !q.CanAccept(pkt.Len) {
-		return false
-	}
-	q.EnqueueWhole(pkt, r.Env.Cycle())
-	r.wake()
-	return true
+	return r.InsertPacket(topology.Local, int(pkt.Class), pkt)
 }
 
 // InjectionFree reports the free flit capacity of the class's injection
@@ -379,66 +382,74 @@ func (r *Router) InjectionFree(c message.Class) int {
 	return r.Inputs[topology.Local].VCs[c].FreeFlits()
 }
 
-// vnOf returns the VN of a packet under this router's config.
-func (r *Router) vnOf(pkt *message.Packet) int { return r.Cfg.ClassVN(pkt.Class) }
-
-// allowedPorts fills the router's VA scratch with, for a head packet,
-// the candidate output ports and for each the usable VC indices
-// (global), honouring per-VC routing algorithms. Local (ejection) is
-// handled separately. The returned slices alias router scratch and are
-// valid until the next call.
-func (r *Router) allowedPorts(pkt *message.Packet) []topology.Direction {
-	vn := r.vnOf(pkt)
-	r.candPorts = r.candPorts[:0]
-	for p := range r.candVCs {
-		r.candVCs[p] = r.candVCs[p][:0]
-	}
-	for vcIdx, alg := range r.Cfg.VCAlgorithms {
-		f := routing.ForAlgorithm(alg)
-		for _, p := range f(r.Mesh, r.routeBuf[:0], r.ID, pkt.Dst) {
-			if r.outLinks[p] < 0 {
-				continue
-			}
-			gvc := vn*r.Cfg.VCsPerVN + vcIdx
-			if len(r.candVCs[p]) == 0 {
-				r.candPorts = append(r.candPorts, p)
-			}
-			r.candVCs[p] = append(r.candVCs[p], gvc)
+// ports returns the output ports that algorithm group g allows a packet
+// for dst here, in the algorithm's preference order and less any the mesh
+// edge lacks. The result aliases routeBuf: valid until the next call.
+func (r *Router) ports(g int, dst int) []topology.Direction {
+	ports := routing.ForAlgorithm(r.tab.algs[g])(r.Mesh, r.routeBuf[:0], r.ID, dst)
+	n := 0
+	for _, p := range ports {
+		if r.outLinks[p] >= 0 {
+			ports[n] = p
+			n++
 		}
 	}
-	return r.candPorts
+	return ports[:n]
 }
 
 // Step runs one cycle of the router: VC allocation for fresh heads,
-// then switch allocation and flit transmission.
+// then switch allocation and flit transmission. It looks only at
+// occupied VCs; with none it returns at once.
 func (r *Router) Step() {
+	if r.resident == 0 {
+		return
+	}
 	r.allocateVCs()
 	r.switchAllocate()
 }
 
 // allocateVCs performs VC allocation for every unallocated head entry,
-// in round-robin order across (port, vc). The rotation start is derived
-// from the cycle number rather than kept in a stateful arbiter: the old
-// pointer advanced unconditionally every cycle, so it always equalled
-// cycle mod len(slots) — deriving it makes an idle cycle a true no-op,
-// which the active-set scheduler depends on to skip empty routers
-// without perturbing arbitration.
+// in round-robin order across (port, vc): the six injection queues, then
+// each network port's VCs. The rotation start is derived from the cycle
+// number rather than kept in a stateful arbiter, which makes an idle
+// cycle a true no-op — the active-set scheduler depends on that to skip
+// empty routers without perturbing arbitration. Only occupied VCs are
+// visited, in the rotation's four segments: the start port from the
+// start VC up, the later ports, the earlier ports, the start port below
+// the start VC.
 //
 //nocvet:phase route
 func (r *Router) allocateVCs() {
-	start := int(r.Env.Cycle() % int64(len(r.slots)))
-	for k := 0; k < len(r.slots); k++ {
-		s := r.slots[(start+k)%len(r.slots)]
-		e := r.Inputs[s.port].VCs[s.vc].Head()
-		if e == nil || e.Allocated || e.Arrived < 1 {
-			continue
+	const inj = int(message.NumClasses)
+	p0, v0 := 0, int(r.Env.Cycle()%r.tab.vaSlots)
+	if v0 >= inj {
+		nv := len(r.Inputs[1].VCs)
+		p0, v0 = 1+(v0-inj)/nv, (v0-inj)%nv
+	}
+	below := uint64(1)<<v0 - 1
+	r.allocatePort(p0, r.occ[p0]&^below)
+	for p := p0 + 1; p < nPorts; p++ {
+		r.allocatePort(p, r.occ[p])
+	}
+	for p := 0; p < p0; p++ {
+		r.allocatePort(p, r.occ[p])
+	}
+	r.allocatePort(p0, r.occ[p0]&below)
+}
+
+// allocatePort attempts VC allocation for the waiting heads among the
+// VCs of port p named by mask, lowest first.
+func (r *Router) allocatePort(p int, mask uint64) {
+	for ; mask != 0; mask &= mask - 1 {
+		v := &r.Inputs[p].VCs[bits.TrailingZeros64(mask)]
+		if e := v.entries.Ptr(0); !e.Allocated && e.Arrived >= 1 {
+			r.tryAllocate(v, e)
 		}
-		r.tryAllocate(e)
 	}
 }
 
-// tryAllocate attempts VC allocation for one head entry.
-func (r *Router) tryAllocate(e *Entry) {
+// tryAllocate attempts VC allocation for e, the head entry of v.
+func (r *Router) tryAllocate(v *VC, e *Entry) {
 	pkt := e.Pkt
 	if pkt.Dst == r.ID {
 		// Ejection: one packet per class at a time, NIC space required
@@ -451,56 +462,43 @@ func (r *Router) tryAllocate(e *Entry) {
 		e.Allocate(topology.Local, int(pkt.Class))
 		return
 	}
-	ports := r.allowedPorts(pkt)
-	// Keep only ports with at least one free allowed VC downstream.
-	bestScore := 0
-	best := r.bestPorts[:0]
-	for _, p := range ports {
-		score := 0
-		for _, gvc := range r.candVCs[p] {
-			if r.vcFree[p][gvc] {
-				score++
+	// The head's route — per output port, the set of algorithm groups
+	// that allow it, four bits each — is computed at its first attempt;
+	// the VC forgets it when its head changes. (A packet still to travel
+	// has some port, so 0 means unset.)
+	t := r.tab
+	if v.route == 0 {
+		for g := 0; g < t.groups; g++ {
+			for _, p := range r.ports(g, pkt.Dst) {
+				v.route |= 1 << (4*(int(p)-1) + g)
 			}
 		}
-		if score == 0 {
-			continue
-		}
-		if score > bestScore {
-			bestScore = score
-			best = best[:0]
-		}
-		if score == bestScore {
-			best = append(best, p)
+	}
+	// Score each port by its free allowed VCs downstream and keep the
+	// best; ties go to a rotating pointer so symmetric traffic spreads.
+	var free [nPorts]uint64
+	var best uint64
+	bestScore := 1
+	for p, route := 1, v.route; p < nPorts; p, route = p+1, route>>4 {
+		free[p] = t.vcs[route&15] << t.classShift[pkt.Class] & r.vcFree[p]
+		if score := bits.OnesCount64(free[p]); score > bestScore {
+			bestScore, best = score, 1<<p
+		} else if score == bestScore {
+			best |= 1 << p
 		}
 	}
-	if len(best) == 0 {
+	if best == 0 {
 		return
 	}
-	// Tie-break with a rotating pointer so symmetric traffic spreads.
-	choice := best[0]
-	if len(best) > 1 {
-		r.isBest = [nPorts]bool{}
-		for _, p := range best {
-			r.isBest[p] = true
-		}
-		if g := r.portTie.GrantSlice(r.isBest[:]); g >= 0 {
-			choice = topology.Direction(g)
-		}
+	choice := bits.TrailingZeros64(best)
+	if best&(best-1) != 0 {
+		choice = r.portTie.GrantMask(best)
 	}
 	// Prefer the highest-index free VC: adaptive channels before the
 	// escape channel, which stays available as the guaranteed drain.
-	vcs := r.candVCs[choice]
-	pick := -1
-	for _, gvc := range vcs {
-		if r.vcFree[choice][gvc] && gvc > pick {
-			pick = gvc
-		}
-	}
-	if pick < 0 {
-		return
-	}
-	r.vcFree[choice][pick] = false
-	e.Allocate(choice, pick)
+	pick := bits.Len64(free[choice]) - 1
+	r.vcFree[choice] &^= 1 << pick
+	e.Allocate(topology.Direction(choice), pick)
 }
 
 // switchAllocate runs the two-stage separable switch allocator and
@@ -508,71 +506,57 @@ func (r *Router) tryAllocate(e *Entry) {
 //
 //nocvet:phase alloc
 func (r *Router) switchAllocate() {
-	// Stage 1: each input port nominates one VC with a sendable flit. A
-	// fault-stalled input port nominates nothing: its buffered flits
-	// are frozen in place until the stall clears (or the watchdogs give
-	// up on them).
-	nominee := &r.nominee
+	// Stage 1: each occupied input port nominates one VC with a sendable
+	// flit. A fault-stalled input port nominates nothing: its buffered
+	// flits are frozen in place until the stall clears (or the watchdogs
+	// give up on them). A nominee has one output port, so the per-output
+	// request masks are complete before any flit moves.
+	var nominee [nPorts]int
+	var outReqs [nPorts]uint64
+	var nominated, granted uint64
 	for p := 0; p < nPorts; p++ {
-		vcs := r.Inputs[p].VCs
-		reqs := r.saReqs[p]
-		if r.Env.InputStalled(r.ID, p) {
-			nominee[p] = -1
+		if r.occ[p] == 0 || r.Env.InputStalled(r.ID, p) {
 			continue
 		}
-		for v := range vcs {
-			reqs[v] = r.sendable(&vcs[v])
+		vcs := r.Inputs[p].VCs
+		var reqs uint64
+		for m := r.occ[p]; m != 0; m &= m - 1 {
+			v := bits.TrailingZeros64(m)
+			if r.sendable(vcs[v].entries.Ptr(0)) {
+				reqs |= 1 << v
+			}
 		}
-		nominee[p] = r.saInArb[p].GrantSlice(reqs)
+		if reqs == 0 {
+			continue
+		}
+		nominee[p] = r.saInArb[p].GrantMask(reqs)
+		nominated |= 1 << p
+		outReqs[vcs[nominee[p]].entries.Ptr(0).OutPort] |= 1 << p
 	}
 	// Stage 2: each output port picks among nominating inputs.
-	granted := &r.granted
-	*granted = [nPorts]bool{}
 	for out := 0; out < nPorts; out++ {
-		rq := r.saOutRq[:]
-		any := false
-		for in := 0; in < nPorts; in++ {
-			rq[in] = false
-			if granted[in] || nominee[in] < 0 {
-				continue
-			}
-			e := r.Inputs[in].VCs[nominee[in]].Head()
-			if int(e.OutPort) == out {
-				rq[in] = true
-				any = true
-			}
-		}
-		if !any {
+		if outReqs[out] == 0 {
 			continue
 		}
-		winner := r.saOutArb[out].GrantSlice(rq)
-		if winner < 0 {
-			continue
-		}
-		granted[winner] = true
-		r.transmit(topology.Direction(winner), nominee[winner])
+		in := r.saOutArb[out].GrantMask(outReqs[out])
+		granted |= 1 << in
+		r.transmit(topology.Direction(in), nominee[in])
 	}
 	// An input whose nominated flit no output granted spent the cycle
 	// stalled in switch allocation — the contention signal the telemetry
 	// windows track.
-	for p := 0; p < nPorts; p++ {
-		if nominee[p] >= 0 && !granted[p] {
-			r.SwitchStalls++
-		}
-	}
+	r.SwitchStalls += int64(bits.OnesCount64(nominated &^ granted))
 }
 
-// sendable reports whether the VC's head entry can move a flit this
-// cycle.
-func (r *Router) sendable(v *VC) bool {
-	e := v.Head()
-	if e == nil || !e.Allocated || e.Sent >= e.Arrived {
+// sendable reports whether head entry e can move a flit this cycle.
+func (r *Router) sendable(e *Entry) bool {
+	if !e.Allocated || e.Sent >= e.Arrived {
 		return false
 	}
 	if e.Out() == topology.Local {
 		return !r.Env.EjectClaimed(r.ID)
 	}
-	return !r.Env.LinkClaimed(r.outLinks[e.OutPort])
+	return !r.Env.LinkClaimed(int(r.outLinks[e.OutPort]))
 }
 
 // transmit moves one flit of the head packet at (in, vc) through the
@@ -603,13 +587,11 @@ func (r *Router) transmit(in topology.Direction, vc int) {
 		if isHead {
 			pkt.Hops++
 		}
-		r.Env.SendFlit(r.outLinks[out], flit, outVC)
+		r.Env.SendFlit(int(r.outLinks[out]), flit, outVC)
 	}
-	if done && in != topology.Local && r.inLinks[in] >= 0 {
+	if done {
 		// The tail left this network VC: credit the upstream router.
-		// (Edge ports with no physical in-link can only be populated by
-		// test/controller insertion; there is no upstream to credit.)
-		r.Env.SendVCFree(r.inLinks[in], vc)
+		r.CreditUpstream(in, vc)
 	}
 }
 
@@ -617,31 +599,15 @@ func (r *Router) transmit(in topology.Direction, vc int) {
 
 // RemoveHeadPacket atomically extracts the fully-buffered head packet of
 // (port, vc), releasing any downstream VC it had claimed and crediting
-// the upstream router. Used by FastPass upgrades and the forced-move
-// primitives of SPIN/SWAP/DRAIN. Returns nil when the head is missing,
-// streaming, or partially sent.
+// the upstream router: the paper's prime router "increases the credit
+// for the upstream router as soon as a FastPass-Packet departs"
+// (§III-C4), and forced moves behave identically. Used by FastPass
+// upgrades and Pitstop. Returns nil when the head is missing, streaming,
+// or partially sent.
 func (r *Router) RemoveHeadPacket(port topology.Direction, vc int) *message.Packet {
-	buf := &r.Inputs[port].VCs[vc]
-	e := buf.Head()
-	if e == nil || !e.FullyBuffered() {
-		return nil
-	}
-	if e.Allocated {
-		switch {
-		case e.Out() == topology.Local:
-			r.Env.CancelEject(r.ID, e.Pkt)
-			r.ejecting[e.Pkt.Class] = false
-		default:
-			r.vcFree[e.OutPort][e.OutVC] = true
-		}
-		e.Allocated = false
-	}
-	pkt := buf.RemoveHead()
-	if port != topology.Local && r.inLinks[port] >= 0 {
-		// The paper's prime router "increases the credit for the
-		// upstream router as soon as a FastPass-Packet departs"
-		// (§III-C4); forced moves behave identically.
-		r.Env.SendVCFree(r.inLinks[port], vc)
+	pkt := r.RemoveHeadPacketNoCredit(port, vc)
+	if pkt != nil {
+		r.CreditUpstream(port, vc)
 	}
 	return pkt
 }
@@ -659,12 +625,11 @@ func (r *Router) RemoveHeadPacketNoCredit(port topology.Direction, vc int) *mess
 		return nil
 	}
 	if e.Allocated {
-		switch {
-		case e.Out() == topology.Local:
+		if e.Out() == topology.Local {
 			r.Env.CancelEject(r.ID, e.Pkt)
 			r.ejecting[e.Pkt.Class] = false
-		default:
-			r.vcFree[e.OutPort][e.OutVC] = true
+		} else {
+			r.vcFree[e.OutPort] |= 1 << e.OutVC
 		}
 		e.Allocated = false
 	}
@@ -673,10 +638,12 @@ func (r *Router) RemoveHeadPacketNoCredit(port topology.Direction, vc int) *mess
 
 // CreditUpstream releases the upstream claim on (port, vc) explicitly —
 // the counterpart of RemoveHeadPacketNoCredit for slots a forced move
-// ended up not refilling.
+// ended up not refilling. (Edge ports with no physical in-link can only
+// be populated by test/controller insertion; there is no upstream to
+// credit.)
 func (r *Router) CreditUpstream(port topology.Direction, vc int) {
 	if port != topology.Local && r.inLinks[port] >= 0 {
-		r.Env.SendVCFree(r.inLinks[port], vc)
+		r.Env.SendVCFree(int(r.inLinks[port]), vc)
 	}
 }
 
@@ -686,7 +653,7 @@ func (r *Router) CreditUpstream(port topology.Direction, vc int) {
 // feeder); the claim clears through the normal credit return when the
 // packet eventually leaves.
 func (r *Router) ClaimDownstreamVC(port topology.Direction, vc int) {
-	r.vcFree[port][vc] = false
+	r.vcFree[port] &^= 1 << vc
 }
 
 // InsertPacket places a whole packet into (port, vc) if space allows.
@@ -698,7 +665,7 @@ func (r *Router) InsertPacket(port topology.Direction, vc int, pkt *message.Pack
 		return false
 	}
 	buf.EnqueueWhole(pkt, r.Env.Cycle())
-	r.wake()
+	r.Env.WakeRouter(r.ID)
 	return true
 }
 
@@ -707,7 +674,7 @@ func (r *Router) InsertPacket(port topology.Direction, vc int, pkt *message.Pack
 // VC.EnqueueOverflow).
 func (r *Router) InsertOverflow(port topology.Direction, vc int, pkt *message.Packet) {
 	r.Inputs[port].VCs[vc].EnqueueOverflow(pkt, r.Env.Cycle())
-	r.wake()
+	r.Env.WakeRouter(r.ID)
 }
 
 // InsertFrontOverflow places a packet at the front of (port, vc) beyond
@@ -715,7 +682,7 @@ func (r *Router) InsertOverflow(port topology.Direction, vc int, pkt *message.Pa
 // VC.EnqueueFrontOverflow).
 func (r *Router) InsertFrontOverflow(port topology.Direction, vc int, pkt *message.Packet) {
 	r.Inputs[port].VCs[vc].EnqueueFrontOverflow(pkt, r.Env.Cycle())
-	r.wake()
+	r.Env.WakeRouter(r.ID)
 }
 
 // BlockedFor reports how long the head of (port, vc) has been resident
@@ -733,12 +700,25 @@ func (r *Router) BlockedFor(port topology.Direction, vc int) int64 {
 // routing relation allows for a head packet buffered at this router —
 // the resources the packet could be waiting for. The deadlock watchdog
 // uses it to extract waits-for edges from a wedged network. Pairs are
-// visited in deterministic (VC algorithm, port) order; the call reuses
-// the router's VA scratch, so it must not run concurrently with Step.
+// visited in deterministic order — ports as the VC algorithms first
+// name them, a port's VCs ascending; the call shares the router's
+// routing scratch, so it must not run concurrently with Step.
 func (r *Router) ForEachCandidate(pkt *message.Packet, visit func(port topology.Direction, gvc int)) {
-	for _, p := range r.allowedPorts(pkt) {
-		for _, gvc := range r.candVCs[p] {
-			visit(p, gvc)
+	var ports [nPorts]topology.Direction
+	var vcs [nPorts]uint64
+	n := 0
+	for g := 0; g < r.tab.groups; g++ {
+		for _, p := range r.ports(g, pkt.Dst) {
+			if vcs[p] == 0 {
+				ports[n] = p
+				n++
+			}
+			vcs[p] |= r.tab.vcs[1<<g] << r.tab.classShift[pkt.Class]
+		}
+	}
+	for _, p := range ports[:n] {
+		for m := vcs[p]; m != 0; m &= m - 1 {
+			visit(p, bits.TrailingZeros64(m))
 		}
 	}
 }
@@ -747,12 +727,10 @@ func (r *Router) ForEachCandidate(pkt *message.Packet, visit func(port topology.
 // front-to-back per VC (diagnostics and conservation checks).
 func (r *Router) ResidentPackets() []*message.Packet {
 	var pkts []*message.Packet
-	for p := range r.Inputs {
-		vcs := r.Inputs[p].VCs
-		for v := range vcs {
-			for i := 0; i < vcs[v].Len(); i++ {
-				pkts = append(pkts, vcs[v].EntryAt(i).Pkt)
-			}
+	for p, v := range r.OccupiedVCs(topology.Local) {
+		q := r.VCFor(p, v)
+		for i := 0; i < q.Len(); i++ {
+			pkts = append(pkts, q.EntryAt(i).Pkt)
 		}
 	}
 	return pkts

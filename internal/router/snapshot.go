@@ -5,7 +5,7 @@ import "repro/internal/snapshot"
 // SnapshotState encodes one VC: buffered flit count plus every resident
 // entry front-to-back.
 func (v *VC) SnapshotState(w *snapshot.Writer) {
-	w.Int(v.flits)
+	w.Int(int(v.flits))
 	w.Int(v.entries.Len())
 	for i := 0; i < v.entries.Len(); i++ {
 		e := v.entries.Ptr(i)
@@ -22,7 +22,8 @@ func (v *VC) SnapshotState(w *snapshot.Writer) {
 
 // RestoreState decodes into a freshly built (empty) VC. Entries are
 // reconstructed through insert so the owning router's resident counter
-// comes out right without being encoded separately.
+// and occupancy mask come out right without being encoded separately;
+// the head's cached route is recomputed at its next VA attempt.
 func (v *VC) RestoreState(r *snapshot.Reader) {
 	for v.entries.Len() > 0 {
 		v.remove(0)
@@ -39,7 +40,7 @@ func (v *VC) RestoreState(r *snapshot.Reader) {
 		e.EnqueueCycle = r.I64()
 		e.LastMove = r.I64()
 	}
-	v.flits = flits
+	v.flits = int32(flits)
 }
 
 // SnapshotState encodes the router's mutable state: credit view,
@@ -47,9 +48,9 @@ func (v *VC) RestoreState(r *snapshot.Reader) {
 // arbiter cursors (arbitration history is state — a restored run must
 // grant in the same rotation order).
 func (rt *Router) SnapshotState(w *snapshot.Writer) {
-	for p := 1; p < len(rt.vcFree); p++ {
-		for _, free := range rt.vcFree[p] {
-			w.Bool(free)
+	for p := 1; p < nPorts; p++ {
+		for v := range rt.Inputs[p].VCs {
+			w.Bool(rt.vcFree[p]>>v&1 != 0)
 		}
 	}
 	for c := range rt.ejecting {
@@ -74,9 +75,12 @@ func (rt *Router) SnapshotState(w *snapshot.Writer) {
 
 // RestoreState decodes into a freshly built router.
 func (rt *Router) RestoreState(r *snapshot.Reader) {
-	for p := 1; p < len(rt.vcFree); p++ {
-		for v := range rt.vcFree[p] {
-			rt.vcFree[p][v] = r.Bool()
+	for p := 1; p < nPorts; p++ {
+		rt.vcFree[p] = 0
+		for v := range rt.Inputs[p].VCs {
+			if r.Bool() {
+				rt.vcFree[p] |= 1 << v
+			}
 		}
 	}
 	for c := range rt.ejecting {
@@ -103,25 +107,23 @@ func init() {
 	snapshot.Register("router.Router", Router{},
 		[]string{
 			"vcFree", "ejecting", "Inputs",
-			// resident is reconstructed by VC restore through the
-			// Resident pointer (one increment per rebuilt entry).
-			"resident",
+			// resident and occ are reconstructed by VC restore through
+			// the owner pointer (one insert per rebuilt entry).
+			"resident", "occ",
 			"saInArb", "saOutArb", "portTie",
 			"FlitsRouted", "SwitchStalls",
 		},
 		[]string{
 			// Wiring and sizing from New.
-			"ID", "Mesh", "Cfg", "Env", "outLinks", "inLinks",
-			// Per-cycle scratch, rewritten before every read.
-			"slots", "nominee", "granted", "isBest", "candPorts",
-			"candVCs", "bestPorts", "routeBuf", "dirBuf", "saReqs", "saOutRq",
+			"ID", "Mesh", "Cfg", "Env", "tab", "outLinks", "inLinks",
+			// Scratch, rewritten before every read.
+			"routeBuf",
 		})
-	snapshot.Register("router.InputUnit", InputUnit{},
-		[]string{"VCs"},
-		[]string{"Port"})
+	snapshot.Register("router.InputUnit", InputUnit{}, []string{"VCs"}, nil)
 	snapshot.Register("router.VC", VC{},
 		[]string{"entries", "flits"},
-		[]string{"CapFlits", "MaxPkts", "Resident"})
+		// route is a cache of the head's routing, recomputed when 0.
+		[]string{"CapFlits", "MaxPkts", "owner", "port", "idx", "route"})
 	snapshot.Register("router.Entry", Entry{},
 		[]string{"Pkt", "Arrived", "Sent", "Allocated", "OutPort", "OutVC", "EnqueueCycle", "LastMove"},
 		nil)

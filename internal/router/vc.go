@@ -70,17 +70,20 @@ func (e *Entry) Allocate(port topology.Direction, vc int) {
 // stale-pointer use into an immediate nil dereference of Pkt rather than
 // silent corruption.
 type VC struct {
+	entries ringq.Ring[Entry]
+	// owner, when set, is the router whose input (port, idx) this VC is:
+	// the VC keeps that router's resident-packet count and occupancy
+	// mask in sync on every insert and remove, so they stay right even
+	// when controllers manipulate VCs directly.
+	owner *Router
 	// CapFlits bounds total buffered flits; MaxPkts bounds the packet
 	// FIFO depth (1 for network VCs).
-	CapFlits, MaxPkts int
-	entries           ringq.Ring[Entry]
-	flits             int
-
-	// Resident, when set, points at the owning router's resident-packet
-	// counter; the VC keeps it in sync on every enqueue/dequeue so the
-	// active-set scheduler can test router occupancy in O(1) even when
-	// controllers manipulate VCs directly.
-	Resident *int
+	CapFlits, MaxPkts int32
+	flits             int32
+	// route caches the head packet's routing (see Router.tryAllocate);
+	// 0 = not computed, reset when the head changes.
+	route     uint16
+	port, idx uint8
 }
 
 // NewVC constructs a free-standing VC with the given capacities.
@@ -94,16 +97,20 @@ func (v *VC) init(capFlits, maxPkts int) {
 	if capFlits < 1 || maxPkts < 1 {
 		panic(fmt.Sprintf("router: invalid VC capacity (%d flits, %d pkts)", capFlits, maxPkts))
 	}
-	v.CapFlits, v.MaxPkts = capFlits, maxPkts
+	v.CapFlits, v.MaxPkts = int32(capFlits), int32(maxPkts)
 }
 
 // insert places a fresh entry for pkt at position pos (Len() = back) and
 // counts the packet as resident.
 func (v *VC) insert(pos int, pkt *message.Packet, arrived int, cycle int64) *Entry {
 	v.entries.InsertAt(pos, Entry{Pkt: pkt, Arrived: int16(arrived), EnqueueCycle: cycle, LastMove: cycle})
-	v.flits += arrived
-	if v.Resident != nil {
-		*v.Resident++
+	v.flits += int32(arrived)
+	if pos == 0 {
+		v.route = 0
+	}
+	if r := v.owner; r != nil {
+		r.resident++
+		r.occ[v.port] |= 1 << v.idx
 	}
 	return v.entries.Ptr(pos)
 }
@@ -113,8 +120,14 @@ func (v *VC) insert(pos int, pkt *message.Packet, arrived int, cycle int64) *Ent
 // decremented per flit.
 func (v *VC) remove(i int) {
 	v.entries.RemoveAt(i)
-	if v.Resident != nil {
-		*v.Resident--
+	if i == 0 {
+		v.route = 0
+	}
+	if r := v.owner; r != nil {
+		r.resident--
+		if v.entries.Empty() {
+			r.occ[v.port] &^= 1 << v.idx
+		}
 	}
 }
 
@@ -125,10 +138,10 @@ func (v *VC) Empty() bool { return v.entries.Empty() }
 func (v *VC) Len() int { return v.entries.Len() }
 
 // Flits reports the number of buffered flits.
-func (v *VC) Flits() int { return v.flits }
+func (v *VC) Flits() int { return int(v.flits) }
 
 // FreeFlits reports remaining flit capacity.
-func (v *VC) FreeFlits() int { return v.CapFlits - v.flits }
+func (v *VC) FreeFlits() int { return int(v.CapFlits - v.flits) }
 
 // Head returns the front entry, or nil when empty.
 func (v *VC) Head() *Entry {
@@ -145,7 +158,7 @@ func (v *VC) EntryAt(i int) *Entry { return v.entries.Ptr(i) }
 // CanAccept reports whether a packet of length flits could be enqueued
 // whole right now.
 func (v *VC) CanAccept(flitLen int) bool {
-	return v.entries.Len() < v.MaxPkts && v.flits+flitLen <= v.CapFlits
+	return v.entries.Len() < int(v.MaxPkts) && int(v.flits)+flitLen <= int(v.CapFlits)
 }
 
 // EnqueueWhole inserts a packet with all flits present (injection
@@ -184,7 +197,7 @@ func (v *VC) EnqueueFrontOverflow(pkt *message.Packet, cycle int64) *Entry {
 // AcceptHead starts receiving a packet flit-by-flit from a link (network
 // VCs). The VC must be free.
 func (v *VC) AcceptHead(pkt *message.Packet, cycle int64) *Entry {
-	if v.entries.Len() >= v.MaxPkts {
+	if v.entries.Len() >= int(v.MaxPkts) {
 		panic(fmt.Sprintf("router: head flit into occupied VC (%s)", pkt))
 	}
 	return v.insert(v.entries.Len(), pkt, 1, cycle)
@@ -228,17 +241,10 @@ func (v *VC) SendFlit(cycle int64) (f message.Flit, done bool) {
 // FastPass, forced moves, dynamic-bubble drops). The head must be fully
 // buffered.
 func (v *VC) RemoveHead() *message.Packet {
-	e := v.Head()
-	if e == nil {
+	if v.Empty() {
 		panic("router: RemoveHead on empty VC")
 	}
-	if !e.FullyBuffered() {
-		panic(fmt.Sprintf("router: RemoveHead on streaming packet %s", e.Pkt))
-	}
-	pkt := e.Pkt
-	v.flits -= pkt.Len
-	v.remove(0)
-	return pkt
+	return v.RemoveAt(0)
 }
 
 // RemoveAt extracts the fully-buffered packet at index i (dynamic-bubble
@@ -249,7 +255,7 @@ func (v *VC) RemoveAt(i int) *message.Packet {
 		panic(fmt.Sprintf("router: RemoveAt on streaming packet %s", e.Pkt))
 	}
 	pkt := e.Pkt
-	v.flits -= pkt.Len
+	v.flits -= int32(pkt.Len)
 	v.remove(i)
 	return pkt
 }

@@ -146,18 +146,17 @@ func TestRRArbiterFairness(t *testing.T) {
 
 func TestRRArbiterSkipsNonRequesters(t *testing.T) {
 	a := NewRRArbiter(4)
-	reqs := []bool{false, true, false, true}
-	if g := a.GrantSlice(reqs); g != 1 {
+	const reqs = 0b1010
+	if g := a.GrantMask(reqs); g != 1 {
 		t.Errorf("grant = %d, want 1", g)
 	}
-	if g := a.GrantSlice(reqs); g != 3 {
+	if g := a.GrantMask(reqs); g != 3 {
 		t.Errorf("grant = %d, want 3", g)
 	}
-	if g := a.GrantSlice(reqs); g != 1 {
+	if g := a.GrantMask(reqs); g != 1 {
 		t.Errorf("grant wraps to 1, got %d", g)
 	}
-	none := []bool{false, false, false, false}
-	if g := a.GrantSlice(none); g != -1 {
+	if g := a.GrantMask(0); g != -1 {
 		t.Errorf("no requesters should yield -1, got %d", g)
 	}
 }

@@ -176,6 +176,30 @@ func (o *Options) setDefaults() {
 	}
 }
 
+// Validate reports, as an error a command can print, what Build or the
+// first cycle would panic on: a mesh under 2×2, a non-positive ejection
+// capacity, fewer VCs than the scheme needs or more per input port than
+// the router's one-word masks hold (VNs × VCs ≤ 64 — 64 VCs for the
+// one-VN schemes, 10 per VN for the six-VN baselines). Zero fields stand
+// for their defaults.
+func (o Options) Validate() error {
+	o.setDefaults()
+	if o.W < 2 || o.H < 2 || o.EjectCap < 1 {
+		return fmt.Errorf("sim: need a mesh of at least 2x2 and a positive ejection capacity, have %dx%d and %d", o.W, o.H, o.EjectCap)
+	}
+	fewest, most := 1, 64
+	if o.Scheme == EscapeVC {
+		fewest = 2 // escape + adaptive
+	}
+	if o.Scheme.UsesVNs() {
+		most /= int(message.NumClasses)
+	}
+	if o.Scheme != MinBD && (o.VCs < fewest || o.VCs > most) {
+		return fmt.Errorf("sim: %v takes %d to %d VCs, not %d", o.Scheme, fewest, most, o.VCs)
+	}
+	return nil
+}
+
 // Instance is a built scheme ready to simulate. Exactly one of Net and
 // Deflect is non-nil.
 type Instance struct {

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/message"
@@ -273,5 +274,47 @@ func TestInjectedPacketsBelongToTheirNIC(t *testing.T) {
 				t.Errorf("protocol run too quiet: %d injections offered, %d transactions complete", *offered, eng.Completed)
 			}
 		})
+	}
+}
+
+// TestValidateRejectsWhatBuildPanicsOn: each input that used to reach a
+// panic inside Build or the first cycle (or, for the rates and the
+// negative window, run to NaN latencies) is an error from Validate, and
+// every scheme's defaults and largest legal VC count pass — and build.
+func TestValidateRejectsWhatBuildPanicsOn(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     SynthConfig
+		wantErr string
+	}{
+		{"negative VCs", SynthConfig{Options: Options{VCs: -2}}, "1 to 64 VCs"},
+		{"one-node mesh", SynthConfig{Options: Options{W: 1}}, "2x2"},
+		{"negative mesh", SynthConfig{Options: Options{W: -1}}, "2x2"},
+		{"one-row mesh", SynthConfig{Options: Options{W: 4, H: 1}}, "2x2"},
+		{"EscapeVC without an adaptive VC", SynthConfig{Options: Options{Scheme: EscapeVC, VCs: 1}}, "2 to 10 VCs"},
+		{"one-VN scheme past the mask", SynthConfig{Options: Options{Scheme: Pitstop, VCs: 65}}, "1 to 64 VCs"},
+		{"six-VN scheme past the mask", SynthConfig{Options: Options{Scheme: SPIN, VCs: 11}}, "1 to 10 VCs"},
+		{"negative ejection capacity", SynthConfig{Options: Options{EjectCap: -1}}, "ejection capacity"},
+		{"rate above one", SynthConfig{Rate: 2}, "[0, 1]"},
+		{"negative rate", SynthConfig{Rate: -0.5}, "[0, 1]"},
+		{"NaN rate", SynthConfig{Rate: math.NaN()}, "[0, 1]"},
+		{"negative warmup", SynthConfig{Warmup: -5}, "negative window"},
+	} {
+		if err := tc.cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.wantErr)
+		}
+	}
+	for _, s := range Schemes() {
+		most := 10
+		if s == FastPass || s == Pitstop {
+			most = 64
+		}
+		for _, vcs := range []int{0, most} {
+			o := Options{Scheme: s, W: 2, H: 3, VCs: vcs}
+			if err := (SynthConfig{Options: o, Rate: 1}).Validate(); err != nil {
+				t.Errorf("%v with %d VCs: %v", s, vcs, err)
+			}
+			Build(o)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -78,6 +79,22 @@ func (c *SynthConfig) setDefaults() {
 	if c.SatLatency == 0 {
 		c.SatLatency = 150
 	}
+}
+
+// Validate is Options.Validate plus the synthetic knobs: an offered rate
+// outside [0, 1] packets/node/cycle measures nothing (NaN latencies), and
+// a negative window is not "default".
+func (c SynthConfig) Validate() error {
+	if err := c.Options.Validate(); err != nil {
+		return err
+	}
+	if !(c.Rate >= 0 && c.Rate <= 1) {
+		return fmt.Errorf("sim: rate %v is outside [0, 1] packets/node/cycle", c.Rate)
+	}
+	if c.Warmup < 0 || c.Measure < 0 || c.Drain < 0 {
+		return fmt.Errorf("sim: negative window (warmup %d, measure %d, drain %d)", c.Warmup, c.Measure, c.Drain)
+	}
+	return nil
 }
 
 // SynthResult is one measured point.

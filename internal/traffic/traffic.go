@@ -50,6 +50,16 @@ func Patterns() []Pattern {
 	return []Pattern{Uniform, Transpose, Shuffle, BitRotation, BitComplement, Hotspot}
 }
 
+// ParsePattern resolves a pattern by its String name.
+func ParsePattern(name string) (Pattern, error) {
+	for _, p := range Patterns() {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown pattern %q", name)
+}
+
 // DataLen and CtrlLen are the two packet sizes of the Table II mix.
 const (
 	CtrlLen = 1

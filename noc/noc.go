@@ -64,8 +64,10 @@ const (
 	Hotspot       = traffic.Hotspot
 )
 
-// Patterns lists the supported patterns.
-func Patterns() []Pattern { return traffic.Patterns() }
+// Patterns lists the supported patterns; ParsePattern resolves one by
+// name ("Uniform", "Transpose", ...).
+func Patterns() []Pattern                       { return traffic.Patterns() }
+func ParsePattern(name string) (Pattern, error) { return traffic.ParsePattern(name) }
 
 // Options sizes a scheme instance; SynthConfig and AppConfig describe
 // runs. See the sim package documentation for field semantics.
