@@ -97,7 +97,7 @@ func main() {
 		return r
 	}
 
-	bare := irrnet.New(ringTopo(), irrnet.Params{Seed: 3, VCs: 1, DisableLanes: true})
+	bare := irrnet.New(ringTopo(), irrnet.Params{VCs: 1, DisableLanes: true})
 	bareDone := 0
 	for _, nc := range bare.NICs {
 		nc.OnEject = func(*message.Packet) { bareDone++ }
@@ -111,7 +111,7 @@ func main() {
 		fmt.Println()
 	}
 
-	fp := irrnet.New(ringTopo(), irrnet.Params{Seed: 3, VCs: 1})
+	fp := irrnet.New(ringTopo(), irrnet.Params{VCs: 1})
 	fpDone := 0
 	for _, nc := range fp.NICs {
 		nc.OnEject = func(*message.Packet) { fpDone++ }

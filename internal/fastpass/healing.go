@@ -3,6 +3,7 @@ package fastpass
 import (
 	"repro/internal/faults"
 	"repro/internal/message"
+	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -14,8 +15,8 @@ import (
 // topology: when the fault injector marks a link permanently down the
 // controller drains its in-flight FastPass-Packets, re-runs the walk
 // derivation on the surviving graph, and resumes with circulating
-// lanes over the degraded fabric — the irrnet mechanism transplanted
-// onto the mesh substrate.
+// lanes over the degraded fabric — the WalkLanes engine (walklanes.go)
+// that internal/irrnet rides, hosted here by the mesh substrate.
 //
 // The protocol is drain → rederive → resume, entirely inside the
 // serial PreCycle stretch of the cycle engine:
@@ -30,37 +31,49 @@ import (
 //     install evenly spaced circulating lanes over it. If the cut
 //     disconnected the fabric, record the failed heal and stay in
 //     static degraded mode (dead-path launch gating).
-//   - resume: lanes ride the walk in lockstep, one link per cycle.
-//     Spacing of at least MaxPktLen+2 walk links makes their claims
-//     collision-free; acceptance is guaranteed by taking the NIC's
-//     single per-class reservation at promotion time, with a landing
-//     register absorbing arrivals that find the queue momentarily full.
+//   - resume: lanes ride the walk in lockstep, one link per cycle;
+//     acceptance is guaranteed by taking the NIC's single per-class
+//     reservation at promotion time.
 //
 // Everything runs in PreCycle — serial under any shard count — and is
 // a pure function of (plan, topology, seed), so campaigns stay
 // bit-identical at any -j/-shards and across checkpoint resume.
 
-// healedWiring is the post-heal lane mechanism: a closed walk over the
-// surviving directed links plus the circulating lane heads riding it.
-type healedWiring struct {
-	walk []int // mesh link IDs; traverses every surviving link once
-	// arrivals[node] lists the walk positions whose link ends at node,
-	// ascending (binary-searched at pickup time); derived from walk.
-	arrivals [][]int
-	lanePos  []int // lane i's head position on the walk
-	lanes    []healedLane
+// healedHost is the mesh under the circulating lanes: the Controller
+// seen through WalkLanes' LaneHost.
+type healedHost Controller
+
+func (h *healedHost) ClaimLink(link int) { h.net.ClaimLink(link) }
+
+func (h *healedHost) VC(node, port, vc int) *router.VC {
+	return h.net.Routers[node].VCFor(topology.Direction(port), vc)
 }
 
-// healedLane is one circulating lane.
-type healedLane struct {
-	pkt *message.Packet
-	// dstCountdown is walk steps until the head reaches the packet's
-	// destination; progress counts cycles since boarding (bounds the
-	// flit train's rear claims); scanPtr is the lane's RR cursor over
-	// network input buffers.
-	dstCountdown int
-	progress     int
-	scanPtr      int
+func (h *healedHost) RemoveHead(node, port, vc int) *message.Packet {
+	return h.net.Routers[node].RemoveHeadPacket(topology.Direction(port), vc)
+}
+
+// Admit requires the destination queue's single per-class reservation
+// to be free or already pkt's; another holder means retry later.
+func (h *healedHost) Admit(pkt *message.Packet, _ int) bool {
+	nic := h.net.NICs[pkt.Dst]
+	return nic.Reservations(pkt.Class) == 0 || nic.HasReservation(pkt)
+}
+
+func (h *healedHost) Note(ev LaneEvent, pkt *message.Packet, node int) {
+	cycle := h.net.Cycle()
+	switch ev {
+	case LaneBoarded:
+		h.net.NICs[pkt.Dst].TryReserve(pkt) // cannot fail: Admit held, PreCycle is serial
+		h.Counters.Promoted++
+		h.Trace.Record(cycle, trace.PacketPromoted, pkt.ID, node, "")
+	case LaneLanded:
+		h.Counters.Rejections++
+		h.Trace.Record(cycle, trace.PacketRejected, pkt.ID, node, "held in landing register")
+	case LaneDelivered:
+		h.Counters.FastEjects++
+		h.Trace.Record(cycle, trace.LaneDeliver, pkt.ID, node, "")
+	}
 }
 
 // trackFaults is the per-cycle healing state machine: one integer
@@ -115,14 +128,7 @@ func (c *Controller) quiet() bool {
 			return false
 		}
 	}
-	if c.hw != nil {
-		for i := range c.hw.lanes {
-			if c.hw.lanes[i].pkt != nil {
-				return false
-			}
-		}
-	}
-	return true
+	return c.lanes == nil || c.lanes.Riding() == 0
 }
 
 // laneDead reports whether the mesh lane round trip prime→dst (XY out,
@@ -179,7 +185,7 @@ func (c *Controller) rederive(inj *faults.Injector) {
 		// The cut disconnected the fabric: no walk exists. Stay in
 		// static degraded mode — dead lanes stop launching — and let the
 		// campaign see the failed heal.
-		c.hw = nil
+		c.lanes.Install(nil, 0)
 		c.healFailed = true
 		c.Counters.HealFails++
 		return
@@ -190,217 +196,12 @@ func (c *Controller) rederive(inj *faults.Injector) {
 		il := ir.Links()[id]
 		walk[i] = rev[il.Src*nn+il.Dst]
 	}
-	c.installHealedWalk(walk)
+	c.lanes.Install(walk, c.sched.Partitions())
 	c.healFailed = false
 	c.Counters.Heals++
 	c.Trace.Record(c.net.Cycle(), trace.PacketPromoted, 0, 0, "lane schedule re-derived")
 }
 
-// installHealedWalk builds the circulating-lane state over a walk. Lane
-// count starts from the mesh partition count but is capped so heads
-// stay at least MaxPktLen+2 walk links apart — the spacing that makes
-// lockstep claims collision-free.
-func (c *Controller) installHealedWalk(walk []int) {
-	links := c.mesh.Links()
-	hw := &healedWiring{walk: walk, arrivals: make([][]int, c.mesh.NumNodes())}
-	for p, id := range walk {
-		dst := links[id].Dst
-		hw.arrivals[dst] = append(hw.arrivals[dst], p)
-	}
-	lanes := c.sched.Partitions()
-	if m := len(walk) / (c.prm.MaxPktLen + 2); lanes > m {
-		lanes = m
-	}
-	if lanes < 1 {
-		lanes = 1
-	}
-	hw.lanePos = make([]int, lanes)
-	for i := range hw.lanePos {
-		hw.lanePos[i] = i * len(walk) / lanes
-	}
-	hw.lanes = make([]healedLane, lanes)
-	c.hw = hw
-}
-
-// healedSteps returns how many walk steps from position pos until the
-// walk first arrives at dst (always in [1, len(walk)] on a closed walk
-// that visits every node), or -1 if dst never appears.
-func (c *Controller) healedSteps(pos, dst int) int {
-	arr := c.hw.arrivals[dst]
-	if len(arr) == 0 {
-		return -1
-	}
-	lo, hi := 0, len(arr)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if arr[mid] < pos {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	var a int
-	if lo < len(arr) {
-		a = arr[lo]
-	} else {
-		a = arr[0] + len(c.hw.walk)
-	}
-	return a - pos + 1
-}
-
-// stepHealedLanes advances every circulating lane one walk link:
-// trains claim the links under their flits, arrivals deliver, and free
-// lanes scan for pickups (unless a drain is in progress).
-func (c *Controller) stepHealedLanes(cycle int64) {
-	hw := c.hw
-	L := len(hw.walk)
-	for i := range hw.lanes {
-		ls := &hw.lanes[i]
-		pos := hw.lanePos[i]
-		if ls.pkt != nil {
-			// Flit k crosses the link k positions behind the head; the
-			// rear never reaches behind the boarding point.
-			rear := ls.pkt.Len - 1
-			if ls.progress < rear {
-				rear = ls.progress
-			}
-			for k := 0; k <= rear; k++ {
-				c.net.ClaimLink(hw.walk[((pos-k)%L+L)%L])
-			}
-			ls.pkt.FastCycles++
-			ls.progress++
-			ls.dstCountdown--
-			if ls.dstCountdown <= 0 {
-				c.healedArrive(ls, cycle)
-			}
-		} else if !c.draining {
-			c.tryHealedPickup(ls, pos, cycle)
-		}
-		hw.lanePos[i] = (pos + 1) % L
-	}
-}
-
-// healedArrive lands a lane's packet at its destination. The
-// reservation taken at promotion guarantees a slot eventually; if the
-// ejection queue is momentarily full the landing register holds the
-// packet (the irregular analogue of the mesh's reserve-and-return —
-// a returning path along the walk would cross other lanes' links).
-func (c *Controller) healedArrive(ls *healedLane, cycle int64) {
-	pkt := ls.pkt
-	ls.pkt = nil
-	nic := c.net.NICs[pkt.Dst]
-	if nic.CanEject(pkt) {
-		nic.EjectFast(cycle, pkt)
-		c.Counters.FastEjects++
-		c.Trace.Record(cycle, trace.LaneDeliver, pkt.ID, pkt.Dst, "")
-		return
-	}
-	c.Counters.Rejections++
-	c.Trace.Record(cycle, trace.PacketRejected, pkt.ID, pkt.Dst, "held in landing register")
-	c.landing[pkt.Dst] = append(c.landing[pkt.Dst], pkt)
-}
-
-// drainLandings retries landed packets against their ejection queues;
-// they hold the reservation made at promotion, so space reaches them
-// first.
-func (c *Controller) drainLandings(cycle int64) {
-	for node := range c.landing {
-		l := c.landing[node]
-		if len(l) == 0 {
-			continue
-		}
-		kept := l[:0]
-		for _, pkt := range l {
-			if c.net.NICs[node].CanEject(pkt) {
-				c.net.NICs[node].EjectFast(cycle, pkt)
-				c.Counters.FastEjects++
-				c.Trace.Record(cycle, trace.LaneDeliver, pkt.ID, node, "")
-				continue
-			}
-			kept = append(kept, pkt)
-		}
-		c.landing[node] = kept
-	}
-}
-
-// tryHealedPickup promotes a head packet at the node the lane head is
-// leaving this cycle, in the mesh prime's scan order. Guaranteed
-// acceptance comes from holding the destination queue's single
-// per-class reservation, checked before the packet is removed.
-func (c *Controller) tryHealedPickup(ls *healedLane, pos int, cycle int64) {
-	node := c.mesh.Links()[c.hw.walk[pos]].Src
-	r := c.net.Routers[node]
-	c.scanBuf = c.scanBuf[:0]
-	c.scanBuf = append(c.scanBuf,
-		scanSlot{topology.Local, int(message.Request)},
-		scanSlot{topology.Local, int(message.Response)})
-	for cl := message.Class(0); cl < message.NumClasses; cl++ {
-		if cl != message.Request && cl != message.Response {
-			c.scanBuf = append(c.scanBuf, scanSlot{topology.Local, int(cl)})
-		}
-	}
-	netVCs := r.Cfg.NetVCs()
-	total := (c.mesh.NumPorts() - 1) * netVCs
-	if !c.prm.ScanInjectionOnly {
-		for k := 0; k < total; k++ {
-			j := (ls.scanPtr + k) % total
-			c.scanBuf = append(c.scanBuf, scanSlot{topology.Direction(1 + j/netVCs), j % netVCs})
-		}
-	}
-	for _, b := range c.scanBuf {
-		e := r.VCFor(b.port, b.vc).Head()
-		if e == nil || !e.FullyBuffered() || e.Pkt.Dst == node {
-			continue
-		}
-		if c.prm.PromoteMinWait > 0 && cycle-e.LastMove < int64(c.prm.PromoteMinWait) && !e.Pkt.Rejected {
-			continue
-		}
-		dst := e.Pkt.Dst
-		nic := c.net.NICs[dst]
-		if nic.Reservations(e.Pkt.Class) > 0 && !nic.HasReservation(e.Pkt) {
-			// Another packet holds the queue's reservation: retry later.
-			continue
-		}
-		steps := c.healedSteps(pos, dst)
-		if steps < 0 {
-			continue
-		}
-		pkt := r.RemoveHeadPacket(b.port, b.vc)
-		if pkt == nil {
-			continue
-		}
-		if b.port != topology.Local {
-			ls.scanPtr = (int(b.port-1)*netVCs + b.vc + 1) % total
-		}
-		nic.TryReserve(pkt) // cannot fail: availability checked above, PreCycle is serial
-		pkt.Kind = message.FastPass
-		ls.pkt = pkt
-		ls.dstCountdown = steps
-		ls.progress = 0
-		c.Counters.Promoted++
-		c.Trace.Record(cycle, trace.PacketPromoted, pkt.ID, node, "")
-		// The head flit crosses this cycle's walk link immediately.
-		c.net.ClaimLink(c.hw.walk[pos])
-		pkt.FastCycles++
-		ls.progress = 1
-		ls.dstCountdown--
-		if ls.dstCountdown <= 0 {
-			// Single-hop ride: the head arrives as it boards.
-			c.healedArrive(ls, cycle)
-		}
-		return
-	}
-}
-
 // Healed reports whether a re-derived lane schedule is active
 // (diagnostics, tests, campaign accounting).
-func (c *Controller) Healed() bool { return c.hw != nil }
-
-// HealedWalkLen reports the active healed walk's length (0 when the
-// original mesh schedule is still in force).
-func (c *Controller) HealedWalkLen() int {
-	if c.hw == nil {
-		return 0
-	}
-	return len(c.hw.walk)
-}
+func (c *Controller) Healed() bool { return c.lanes.Active() }

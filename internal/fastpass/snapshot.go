@@ -1,9 +1,6 @@
 package fastpass
 
-import (
-	"repro/internal/message"
-	"repro/internal/snapshot"
-)
+import "repro/internal/snapshot"
 
 // SnapshotState encodes the controller's mutable state: per-column
 // flights (paths as link IDs — pointers into the mesh's link table are
@@ -53,16 +50,27 @@ func (c *Controller) SnapshotState(w *snapshot.Writer) {
 	w.U64(c.appliedGen)
 	w.Bool(c.draining)
 	w.Bool(c.healFailed)
-	w.Bool(c.hw != nil)
-	if hw := c.hw; hw != nil {
-		w.Int(len(hw.walk))
-		for _, id := range hw.walk {
+	if c.lanes != nil {
+		c.lanes.SnapshotState(w)
+	} else {
+		w.Bool(false) // no walk installed
+		w.Bool(false) // no landing registers
+	}
+}
+
+// SnapshotState encodes the walk, each lane's head position and ride,
+// and the landing registers.
+func (l *WalkLanes) SnapshotState(w *snapshot.Writer) {
+	w.Bool(l.Active())
+	if l.Active() {
+		w.Int(len(l.walk))
+		for _, id := range l.walk {
 			w.Int(id)
 		}
-		w.Int(len(hw.lanes))
-		for i := range hw.lanes {
-			ls := &hw.lanes[i]
-			w.Int(hw.lanePos[i])
+		w.Int(len(l.lanes))
+		for i := range l.lanes {
+			ls := &l.lanes[i]
+			w.Int(l.pos[i])
 			w.Bool(ls.pkt != nil)
 			if ls.pkt != nil {
 				w.Packet(ls.pkt)
@@ -72,13 +80,11 @@ func (c *Controller) SnapshotState(w *snapshot.Writer) {
 			w.Int(ls.scanPtr)
 		}
 	}
-	w.Bool(c.landing != nil)
-	if c.landing != nil {
-		for _, l := range c.landing {
-			w.Int(len(l))
-			for _, p := range l {
-				w.Packet(p)
-			}
+	w.Bool(true)
+	for _, reg := range l.landing {
+		w.Int(len(reg))
+		for _, p := range reg {
+			w.Packet(p)
 		}
 	}
 }
@@ -133,58 +139,10 @@ func (c *Controller) RestoreState(r *snapshot.Reader) {
 	c.appliedGen = r.U64()
 	c.draining = r.Bool()
 	c.healFailed = r.Bool()
-	c.hw = nil
-	if r.Bool() {
-		wn := r.Int()
-		if wn < 0 || wn > len(links) {
-			r.Fail("healed walk length %d outside topology (%d links)", wn, len(links))
-			return
-		}
-		walk := make([]int, wn)
-		for i := range walk {
-			id := r.Int()
-			if id < 0 || id >= len(links) {
-				r.Fail("healed walk link %d outside topology (%d links)", id, len(links))
-				return
-			}
-			walk[i] = id
-		}
-		ln := r.Int()
-		if ln < 0 || ln > wn {
-			r.Fail("healed lane count %d exceeds walk length %d", ln, wn)
-			return
-		}
-		hw := &healedWiring{
-			walk:     walk,
-			arrivals: make([][]int, c.mesh.NumNodes()),
-			lanePos:  make([]int, ln),
-			lanes:    make([]healedLane, ln),
-		}
-		// arrivals is a pure function of the walk; rebuild it here.
-		for p, id := range walk {
-			dst := links[id].Dst
-			hw.arrivals[dst] = append(hw.arrivals[dst], p)
-		}
-		for i := 0; i < ln && r.Err() == nil; i++ {
-			hw.lanePos[i] = r.Int()
-			if r.Bool() {
-				hw.lanes[i].pkt = r.Packet()
-				hw.lanes[i].dstCountdown = r.Int()
-				hw.lanes[i].progress = r.Int()
-			}
-			hw.lanes[i].scanPtr = r.Int()
-		}
-		c.hw = hw
-	}
-	c.landing = nil
-	if r.Bool() {
-		c.landing = make([][]*message.Packet, c.mesh.NumNodes())
-		for node := range c.landing {
-			n := r.Int()
-			for i := 0; i < n && r.Err() == nil; i++ {
-				c.landing[node] = append(c.landing[node], r.Packet())
-			}
-		}
+	if c.lanes != nil {
+		c.lanes.RestoreState(r)
+	} else if r.Bool() || r.Bool() {
+		r.Fail("healed lanes in a checkpoint of a controller built without Healing")
 	}
 	// deadLink/deadCount are rebuilt from the injector in the first
 	// PreCycle — every subsystem, the injector included, is restored by
@@ -192,10 +150,56 @@ func (c *Controller) RestoreState(r *snapshot.Reader) {
 	c.restored = true
 }
 
+// RestoreState decodes into a freshly built engine.
+func (l *WalkLanes) RestoreState(r *snapshot.Reader) {
+	var walk []int
+	lanes := 0
+	if r.Bool() {
+		wn := r.Int()
+		if wn < 1 || wn > len(l.links) {
+			r.Fail("healed walk length %d outside topology (%d links)", wn, len(l.links))
+			return
+		}
+		walk = make([]int, wn)
+		for i := range walk {
+			walk[i] = r.Int()
+			if walk[i] < 0 || walk[i] >= len(l.links) {
+				r.Fail("healed walk link %d outside topology (%d links)", walk[i], len(l.links))
+				return
+			}
+		}
+		if lanes = r.Int(); lanes < 0 || lanes > wn {
+			r.Fail("healed lane count %d exceeds walk length %d", lanes, wn)
+			return
+		}
+	}
+	l.reset(walk, lanes)
+	for i := 0; i < lanes && r.Err() == nil; i++ {
+		l.pos[i] = r.Int()
+		if r.Bool() {
+			l.lanes[i].pkt = r.Packet()
+			l.lanes[i].dstCountdown = r.Int()
+			l.lanes[i].progress = r.Int()
+		}
+		l.lanes[i].scanPtr = r.Int()
+	}
+	if !r.Bool() {
+		r.Fail("checkpoint of a healing controller carries no landing registers")
+		return
+	}
+	for node := range l.landing {
+		l.landing[node] = l.landing[node][:0]
+		n := r.Int()
+		for i := 0; i < n && r.Err() == nil; i++ {
+			l.landing[node] = append(l.landing[node], r.Packet())
+		}
+	}
+}
+
 func init() {
 	snapshot.Register("fastpass.Controller", Controller{},
 		[]string{"flights", "flightSlots", "laneCool", "scanPtr", "regenQ", "Counters",
-			"appliedGen", "draining", "healFailed", "hw", "landing"},
+			"appliedGen", "draining", "healFailed", "lanes"},
 		[]string{
 			// Wiring and configuration from Attach.
 			"net", "mesh", "sched", "prm", "OnDrop", "Trace",
@@ -215,11 +219,16 @@ func init() {
 		[]string{"Promoted", "FastEjects", "Rejections", "Parked", "Drops", "Regens",
 			"Heals", "HealFails"},
 		nil)
-	snapshot.Register("fastpass.healedWiring", healedWiring{},
-		[]string{"walk", "lanePos", "lanes"},
-		// arrivals is a pure function of walk, rebuilt on restore.
-		[]string{"arrivals"})
-	snapshot.Register("fastpass.healedLane", healedLane{},
+	snapshot.Register("fastpass.WalkLanes", WalkLanes{},
+		[]string{"walk", "pos", "lanes", "landing"},
+		[]string{
+			// Wiring and configuration from NewWalkLanes.
+			"host", "links", "nics", "ports", "netVCs", "InjectionOnly",
+			// arrivals is a pure function of walk, rebuilt on restore;
+			// scan is per-pickup scratch.
+			"arrivals", "scan",
+		})
+	snapshot.Register("fastpass.walkLane", walkLane{},
 		[]string{"pkt", "dstCountdown", "progress", "scanPtr"},
 		nil)
 }

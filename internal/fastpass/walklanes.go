@@ -1,0 +1,330 @@
+package fastpass
+
+import (
+	"repro/internal/message"
+	"repro/internal/nic"
+	"repro/internal/router"
+	"repro/internal/topology"
+)
+
+// Circulating lanes: the paper's §III-F, once. FastPass lanes for any
+// connected topology come from a holistic closed walk over its directed
+// links. Lane heads ride that walk in lock-step, one link per cycle,
+// evenly spaced; because every head advances together and the spacing
+// exceeds a packet's flit train, two lanes can never claim the same
+// link in the same cycle (Lemma 2 on the walk). A free lane passing a
+// router promotes a buffered head packet and carries it bufferlessly
+// along the walk to its destination — the walk visits every node, so
+// every source/destination pair is eventually served (Lemma 1).
+//
+// Acceptance at the destination is guaranteed by a reservation taken at
+// promotion, with a small landing register per node absorbing arrivals
+// that find the ejection queue momentarily full (the paper leaves
+// irregular rejection handling unspecified; a returning path along the
+// walk would cross other lanes' links).
+//
+// The engine is arithmetic over one loop and does not know what fabric
+// it rides: the irregular network (internal/irrnet) and the mesh
+// controller's self-healing mode (healing.go) both drive it through
+// LaneHost.
+
+// LaneHost is the fabric under a WalkLanes engine — only what differs
+// between an irregular network and a healed mesh.
+type LaneHost interface {
+	// ClaimLink asserts lane ownership of a directed link for this
+	// cycle; a second claim of the same link is a lane collision.
+	ClaimLink(link int)
+	// VC returns input buffer vc of port at node. Port 0 holds the
+	// per-class injection queues, indexed by message class.
+	VC(node, port, vc int) *router.VC
+	// RemoveHead extracts that buffer's fully buffered head packet,
+	// releasing what it had been allocated and crediting upstream.
+	RemoveHead(node, port, vc int) *message.Packet
+	// Admit reports whether pkt's destination can promise acceptance to
+	// one more lane packet; landed of them already wait in its landing
+	// register.
+	Admit(pkt *message.Packet, landed int) bool
+	// Note reports a lane event at node: the host's reservation
+	// bookkeeping, counters and trace.
+	Note(ev LaneEvent, pkt *message.Packet, node int)
+}
+
+// LaneEvent is what happened to a packet on a circulating lane.
+type LaneEvent int
+
+const (
+	// LaneBoarded: promoted onto a lane; the host takes the reservation
+	// Admit just promised.
+	LaneBoarded LaneEvent = iota
+	// LaneLanded: arrived to a full ejection queue and waits in the
+	// landing register, reservation held.
+	LaneLanded
+	// LaneDelivered: ejected at its destination; the reservation is
+	// spent.
+	LaneDelivered
+)
+
+// WalkLanes is the circulating-lane engine over one closed walk.
+type WalkLanes struct {
+	host          LaneHost
+	links         []topology.Link
+	nics          []*nic.NIC
+	ports, netVCs int
+	// InjectionOnly restricts pickup to the injection queues (the
+	// ScanInjectionOnly ablation).
+	InjectionOnly bool
+
+	walk []int // link IDs; closed, every link at most once
+	// arrivals[node] lists the walk positions whose link ends at node,
+	// ascending; a pure function of walk.
+	arrivals [][]int
+	pos      []int // lane i's head position on the walk
+	lanes    []walkLane
+	// landing[node] holds arrived packets awaiting ejection-queue space.
+	landing [][]*message.Packet
+	scan    []scanSlot
+}
+
+// walkLane is one circulating lane.
+type walkLane struct {
+	pkt *message.Packet
+	// dstCountdown is walk steps until the head reaches the packet's
+	// destination; progress counts cycles since boarding (bounds the
+	// flit train's rear claims); scanPtr is the lane's RR cursor over
+	// network input buffers.
+	dstCountdown int
+	progress     int
+	scanPtr      int
+}
+
+// scanSlot identifies one buffer in a pickup scan.
+type scanSlot struct{ port, vc int }
+
+// appendScanOrder appends the paper's candidate scan order (Qn 2): the
+// request injection queue, the response queue, the remaining injection
+// queues, then — unless injectionOnly — the total network buffers
+// round-robin from ptr (ports 1 and up, netVCs each).
+func appendScanOrder(buf []scanSlot, ptr, total, netVCs int, injectionOnly bool) []scanSlot {
+	buf = append(buf, scanSlot{0, int(message.Request)}, scanSlot{0, int(message.Response)})
+	for cl := message.Class(0); cl < message.NumClasses; cl++ {
+		if cl != message.Request && cl != message.Response {
+			buf = append(buf, scanSlot{0, int(cl)})
+		}
+	}
+	for k := 0; k < total && !injectionOnly; k++ {
+		i := (ptr + k) % total
+		buf = append(buf, scanSlot{1 + i/netVCs, i % netVCs})
+	}
+	return buf
+}
+
+// NewWalkLanes builds an engine with no walk installed. links is the
+// fabric's directed-link table (walks are lists of its IDs), nics its
+// per-node interfaces; every router has ports ports (Local included)
+// with netVCs buffers on each network port.
+func NewWalkLanes(host LaneHost, links []topology.Link, nics []*nic.NIC, ports, netVCs int) *WalkLanes {
+	return &WalkLanes{
+		host: host, links: links, nics: nics, ports: ports, netVCs: netVCs,
+		landing: make([][]*message.Packet, len(nics)),
+		scan:    make([]scanSlot, 0, int(message.NumClasses)+(ports-1)*netVCs),
+	}
+}
+
+// Install replaces the walk and spreads lanes idle lane heads evenly
+// around it, capped so heads stay at least MaxPktLen+2 links apart —
+// the spacing that makes lock-step claims collision-free — and never
+// fewer than one. Landing registers are untouched: a landed packet's
+// delivery does not depend on the walk. An empty walk uninstalls.
+func (w *WalkLanes) Install(walk []int, lanes int) {
+	if m := len(walk) / (MaxPktLen + 2); lanes > m {
+		lanes = m
+	}
+	if lanes < 1 {
+		lanes = 1
+	}
+	if len(walk) == 0 {
+		lanes = 0
+	}
+	w.reset(walk, lanes)
+	for i := range w.pos {
+		w.pos[i] = i * len(walk) / lanes
+	}
+}
+
+func (w *WalkLanes) reset(walk []int, lanes int) {
+	w.walk = walk
+	w.arrivals = make([][]int, len(w.nics))
+	for p, id := range walk {
+		dst := w.links[id].Dst
+		w.arrivals[dst] = append(w.arrivals[dst], p)
+	}
+	w.pos = make([]int, lanes)
+	w.lanes = make([]walkLane, lanes)
+}
+
+// Active reports whether a walk is installed; a nil engine is not.
+func (w *WalkLanes) Active() bool { return w != nil && len(w.walk) > 0 }
+
+// Len is the number of circulating lanes.
+func (w *WalkLanes) Len() int { return len(w.lanes) }
+
+// Landed is the number of packets in node's landing register.
+func (w *WalkLanes) Landed(node int) int { return len(w.landing[node]) }
+
+// Riding counts lanes carrying a packet.
+func (w *WalkLanes) Riding() int {
+	n := 0
+	for i := range w.lanes {
+		if w.lanes[i].pkt != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// ForEachHeld visits every packet the engine holds: riding a lane, then
+// waiting in a landing register.
+func (w *WalkLanes) ForEachHeld(f func(*message.Packet)) {
+	for i := range w.lanes {
+		if p := w.lanes[i].pkt; p != nil {
+			f(p)
+		}
+	}
+	for _, l := range w.landing {
+		for _, p := range l {
+			f(p)
+		}
+	}
+}
+
+// Steps returns how many walk steps a head at position pos takes to
+// first arrive at node dst — in [1, len(walk)] on a walk that visits
+// dst — or -1 if dst never appears.
+func (w *WalkLanes) Steps(pos, dst int) int {
+	arr := w.arrivals[dst]
+	if len(arr) == 0 {
+		return -1
+	}
+	// First arrival position >= pos, else wrap to the earliest.
+	lo, hi := 0, len(arr)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if arr[mid] < pos {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	a := arr[0] + len(w.walk)
+	if lo < len(arr) {
+		a = arr[lo]
+	}
+	return a - pos + 1
+}
+
+// Step advances every lane one walk link: trains claim the links under
+// their flits, arrivals deliver, and — when pickup is set — free lanes
+// scan the router they pass. (A lane that delivered this cycle stays
+// cold until the next: its final link claims are still live.)
+func (w *WalkLanes) Step(cycle int64, pickup bool) {
+	L := len(w.walk)
+	for i := range w.lanes {
+		ls := &w.lanes[i]
+		pos := w.pos[i]
+		if ls.pkt != nil {
+			// Flit k crosses the link k positions behind the head; the
+			// rear never reaches behind the boarding point.
+			rear := ls.pkt.Len - 1
+			if ls.progress < rear {
+				rear = ls.progress
+			}
+			for k := 0; k <= rear; k++ {
+				w.host.ClaimLink(w.walk[((pos-k)%L+L)%L])
+			}
+			w.ride(ls, cycle)
+		} else if pickup {
+			w.tryPickup(ls, pos, cycle)
+		}
+		w.pos[i] = (pos + 1) % L
+	}
+}
+
+// ride accounts one cycle of a lane's packet on the walk and lands it
+// when its head reaches the destination. The reservation taken at
+// promotion guarantees a slot eventually; if the ejection queue has
+// room right now the packet passes straight through.
+func (w *WalkLanes) ride(ls *walkLane, cycle int64) {
+	pkt := ls.pkt
+	pkt.FastCycles++
+	ls.progress++
+	ls.dstCountdown--
+	if ls.dstCountdown > 0 {
+		return
+	}
+	ls.pkt = nil
+	if !w.eject(pkt, cycle) {
+		w.landing[pkt.Dst] = append(w.landing[pkt.Dst], pkt)
+		w.host.Note(LaneLanded, pkt, pkt.Dst)
+	}
+}
+
+func (w *WalkLanes) eject(pkt *message.Packet, cycle int64) bool {
+	nic := w.nics[pkt.Dst]
+	if !nic.CanEject(pkt) {
+		return false
+	}
+	nic.EjectFast(cycle, pkt)
+	w.host.Note(LaneDelivered, pkt, pkt.Dst)
+	return true
+}
+
+// DrainLandings retries landed packets against their ejection queues;
+// they hold the reservation made at promotion, so space reaches them
+// first.
+func (w *WalkLanes) DrainLandings(cycle int64) {
+	for node, l := range w.landing {
+		if len(l) == 0 {
+			continue
+		}
+		kept := l[:0]
+		for _, pkt := range l {
+			if !w.eject(pkt, cycle) {
+				kept = append(kept, pkt)
+			}
+		}
+		w.landing[node] = kept
+	}
+}
+
+// tryPickup promotes a head packet at the node the lane head is leaving
+// this cycle, provided its destination admits it.
+func (w *WalkLanes) tryPickup(ls *walkLane, pos int, cycle int64) {
+	node := w.links[w.walk[pos]].Src
+	total := (w.ports - 1) * w.netVCs
+	w.scan = appendScanOrder(w.scan[:0], ls.scanPtr, total, w.netVCs, w.InjectionOnly)
+	for _, b := range w.scan {
+		e := w.host.VC(node, b.port, b.vc).Head()
+		if e == nil || !e.FullyBuffered() || e.Pkt.Dst == node {
+			continue
+		}
+		if !w.host.Admit(e.Pkt, len(w.landing[e.Pkt.Dst])) {
+			continue
+		}
+		steps := w.Steps(pos, e.Pkt.Dst)
+		if steps < 0 {
+			continue
+		}
+		pkt := w.host.RemoveHead(node, b.port, b.vc)
+		if b.port != 0 {
+			ls.scanPtr = ((b.port-1)*w.netVCs + b.vc + 1) % total
+		}
+		pkt.Kind = message.FastPass
+		*ls = walkLane{pkt: pkt, dstCountdown: steps, scanPtr: ls.scanPtr}
+		w.host.Note(LaneBoarded, pkt, node)
+		// The head flit crosses this cycle's walk link immediately; a
+		// single-hop ride arrives as it boards.
+		w.host.ClaimLink(w.walk[pos])
+		w.ride(ls, cycle)
+		return
+	}
+}

@@ -6,29 +6,21 @@
 // On a mesh, FastPass gets collision freedom from column partitions and
 // diagonal primes. On an irregular fabric the paper prescribes deriving
 // partitions from a holistic walk that traverses every directed link
-// exactly once (§III-F). This package concretises that sketch as
-// "circulating lanes": P lane positions ride the closed walk in
-// lock-step, one link per cycle, evenly spaced. Each lane position is a
-// moving FastPass-Lane head; because all positions advance together and
-// the walk never repeats a link, two lanes can never claim the same
-// link in the same cycle. A lane passing a router whose buffered head
-// packet it can serve promotes the packet and carries it bufferlessly
-// along the walk to its destination — the walk visits every node, so
-// every source/destination pair is eventually served, which restores
-// the paper's Lemma 1/2 structure without any mesh assumptions.
+// exactly once (§III-F). fastpass.WalkLanes concretises that sketch as
+// "circulating lanes" riding the closed walk in lock-step, which
+// restores the paper's Lemma 1/2 structure without any mesh
+// assumptions; this package is the fabric under that engine.
 //
 // Guaranteed acceptance at the destination is provided by reserving a
 // landing slot in the destination NI at promotion time (the irregular
-// analogue of the mesh's reserve-and-return; the paper leaves irregular
-// rejection handling unspecified, and a returning path along the walk
-// would cross other lanes' links, so this design reserves ahead
-// instead — one small landing register per NI, noted as added cost).
+// analogue of the mesh's reserve-and-return — one small landing
+// register per NI, noted as added cost).
 package irrnet
 
 import (
 	"fmt"
-	"math/rand"
 
+	"repro/internal/fastpass"
 	"repro/internal/message"
 	"repro/internal/nic"
 	"repro/internal/router"
@@ -38,55 +30,26 @@ import (
 // Params configures an irregular network.
 type Params struct {
 	// VCs per network input port (shared by all message classes — the
-	// FastPass design point).
+	// FastPass design point); 0 = 2.
 	VCs int
-	// BufFlits per VC; InjQueueFlits per class injection queue.
-	BufFlits, InjQueueFlits int
-	// EjectCap is the per-class ejection queue capacity in packets.
-	EjectCap int
 	// Lanes is the number of circulating FastPass lanes (0 = derive
-	// from topology: one per ~16 walk links, at least 1).
+	// from topology: one per ~16 walk links); the engine caps it at the
+	// walk-spacing bound.
 	Lanes int
-	// LandingCap is the per-node landing-register capacity in packets.
+	// LandingCap is the per-node landing-register capacity in packets;
+	// 0 = 2.
 	LandingCap int
 	// DisableLanes turns the FastPass mechanism off (control runs: the
 	// bare adaptive network, which can deadlock).
 	DisableLanes bool
-	Seed         int64
 }
 
-func (p *Params) setDefaults(walkLen int) {
-	if p.VCs == 0 {
-		p.VCs = 2
-	}
-	if p.BufFlits == 0 {
-		p.BufFlits = 5
-	}
-	if p.InjQueueFlits == 0 {
-		p.InjQueueFlits = 10
-	}
-	if p.EjectCap == 0 {
-		p.EjectCap = 4
-	}
-	if p.LandingCap == 0 {
-		p.LandingCap = 2
-	}
-	if p.Lanes == 0 {
-		p.Lanes = walkLen / 16
-		if p.Lanes < 1 {
-			p.Lanes = 1
-		}
-	}
-	// Lanes must be spaced at least a max packet length plus slack
-	// apart on the walk.
-	maxLanes := walkLen / (5 + 2)
-	if maxLanes < 1 {
-		maxLanes = 1
-	}
-	if p.Lanes > maxLanes {
-		p.Lanes = maxLanes
-	}
-}
+// Buffer sizing, as on the mesh (Table II).
+const (
+	bufFlits      = 5  // per network VC
+	injQueueFlits = 10 // per class injection queue
+	ejectCap      = 4  // per class ejection queue, in packets
+)
 
 // irRouter is one node's switch: per-port input VCs (port 0 = per-class
 // injection queues), table-routed VA, two-stage SA.
@@ -95,6 +58,11 @@ type irRouter struct {
 	net *Network
 
 	inputs [][]*router.VC // [port][vc]
+	// in[port]/out[port] are the channels feeding and leaving the port
+	// (nil where the node has no such neighbour).
+	in, out []*channel
+	// next[dst] lists the output ports on a minimal path toward dst.
+	next [][]topology.Direction
 	// vcFree[port][vc]: downstream VC availability (credit state).
 	vcFree [][]bool
 	// ejecting marks classes with a regular packet mid-ejection.
@@ -103,6 +71,8 @@ type irRouter struct {
 	vaPtr    int
 	saInArb  []*router.RRArbiter
 	saOutArb []*router.RRArbiter
+	// nominee[port] is switch allocation's stage-1 winner VC, or -1.
+	nominee []int
 }
 
 // transit is a flit in flight on a directed link (two-stage pipeline:
@@ -126,109 +96,93 @@ type Network struct {
 
 	routers  []*irRouter
 	NICs     []*nic.NIC
-	channels []*channel
+	channels []channel
 	claims   []bool
 
-	// walk is the holistic closed walk (link IDs); lanePos[i] is lane
-	// i's head position on it. arrivals[node] lists the walk positions
-	// whose link ends at node, ascending (pickup-time distance lookups).
-	walk     []int
-	arrivals [][]int
-	lanePos  []int
-	lanes    []*laneState
-
-	// landing[node] holds FastPass packets awaiting ejection-queue
-	// space; landingRsv[node] counts reserved slots.
-	landing    [][]*message.Packet
+	// lanes circulates the FastPass lanes over the holistic walk (none
+	// installed under DisableLanes); landingRsv[node] counts the landing
+	// slots promised to packets promoted toward node.
+	lanes      *fastpass.WalkLanes
 	landingRsv []int
 
 	cycle int64
-	Rand  *rand.Rand
 
 	// Promoted/Delivered count lane activity; LandingWaits counts
 	// arrivals that needed the landing register.
 	Promoted, Delivered, LandingWaits int64
 }
 
-// laneState is one circulating lane.
-type laneState struct {
-	pkt *message.Packet
-	// dstCountdown is the number of walk steps until the head reaches
-	// the destination (decrements each cycle); progress counts cycles
-	// since boarding (bounds the flit train's rear claims).
-	dstCountdown int
-	progress     int
-	scanPtr      int
-}
-
-// New builds an irregular network with FastPass lanes.
+// New builds an irregular network with FastPass lanes. A port has at
+// most 64 VCs and a node at most 63 neighbours (the arbiters' request
+// masks).
 func New(t *topology.Irregular, prm Params) *Network {
-	walk := t.HolisticWalk()
-	prm.setDefaults(len(walk))
+	if prm.VCs == 0 {
+		prm.VCs = 2
+	}
+	if prm.LandingCap == 0 {
+		prm.LandingCap = 2
+	}
+	if prm.VCs > 64 || t.NumPorts() > 64 {
+		panic(fmt.Sprintf("irrnet: %d VCs on %d ports exceed the 64-bit request masks", prm.VCs, t.NumPorts()))
+	}
 	n := &Network{
 		Topo:       t,
 		prm:        prm,
-		walk:       walk,
+		NICs:       nic.NewAll(t.NumNodes(), ejectCap),
+		channels:   make([]channel, len(t.Links())),
 		claims:     make([]bool, len(t.Links())),
-		landing:    make([][]*message.Packet, t.NumNodes()),
 		landingRsv: make([]int, t.NumNodes()),
-		Rand:       rand.New(rand.NewSource(prm.Seed)),
 	}
-	for _, l := range t.Links() {
-		n.channels = append(n.channels, &channel{link: l})
-	}
-	n.arrivals = make([][]int, t.NumNodes())
-	for p, id := range walk {
-		dst := t.Links()[id].Dst
-		n.arrivals[dst] = append(n.arrivals[dst], p)
-	}
-	for id := 0; id < t.NumNodes(); id++ {
-		n.routers = append(n.routers, newIrRouter(id, n))
-		nc := nic.New(id, prm.EjectCap)
-		r := n.routers[id]
+	for id, nc := range n.NICs {
+		r := newIrRouter(id, n)
 		nc.Inject = r.injectPacket
-		n.NICs = append(n.NICs, nc)
+		n.routers = append(n.routers, r)
 	}
+	for i, l := range t.Links() {
+		ch := &n.channels[i]
+		ch.link = l
+		n.routers[l.Src].out[l.SrcPort] = ch
+		n.routers[l.Dst].in[l.DstPort] = ch
+	}
+	n.lanes = fastpass.NewWalkLanes((*laneHost)(n), t.Links(), n.NICs, t.NumPorts(), prm.VCs)
 	if !prm.DisableLanes {
-		// Spread lane heads evenly around the walk.
-		for i := 0; i < prm.Lanes; i++ {
-			n.lanePos = append(n.lanePos, i*len(walk)/prm.Lanes)
-			n.lanes = append(n.lanes, &laneState{})
+		walk := t.HolisticWalk()
+		if prm.Lanes == 0 {
+			prm.Lanes = len(walk) / 16
 		}
+		n.lanes.Install(walk, prm.Lanes)
 	}
 	return n
 }
 
 func newIrRouter(id int, n *Network) *irRouter {
 	t := n.Topo
-	r := &irRouter{id: id, net: n}
 	nPorts := t.NumPorts()
-	r.inputs = make([][]*router.VC, nPorts)
-	r.vcFree = make([][]bool, nPorts)
-	for p := 0; p < nPorts; p++ {
-		if p == 0 {
-			for c := 0; c < int(message.NumClasses); c++ {
-				r.inputs[0] = append(r.inputs[0], router.NewVC(n.prm.InjQueueFlits, n.prm.InjQueueFlits))
-			}
-			continue
-		}
-		for v := 0; v < n.prm.VCs; v++ {
-			r.inputs[p] = append(r.inputs[p], router.NewVC(n.prm.BufFlits, 1))
-		}
+	r := &irRouter{
+		id: id, net: n,
+		inputs:  make([][]*router.VC, nPorts),
+		in:      make([]*channel, nPorts),
+		out:     make([]*channel, nPorts),
+		next:    make([][]topology.Direction, t.NumNodes()),
+		vcFree:  make([][]bool, nPorts),
+		nominee: make([]int, nPorts),
+	}
+	for dst := range r.next {
+		r.next[dst] = t.NextHopMinimal(id, dst)
+	}
+	for c := 0; c < int(message.NumClasses); c++ {
+		r.inputs[0] = append(r.inputs[0], router.NewVC(injQueueFlits, injQueueFlits))
+	}
+	for p := 1; p < nPorts; p++ {
 		r.vcFree[p] = make([]bool, n.prm.VCs)
 		for v := range r.vcFree[p] {
+			r.inputs[p] = append(r.inputs[p], router.NewVC(bufFlits, 1))
 			r.vcFree[p][v] = true
 		}
 	}
-	r.saInArb = make([]*router.RRArbiter, nPorts)
-	r.saOutArb = make([]*router.RRArbiter, nPorts)
 	for p := 0; p < nPorts; p++ {
-		nv := len(r.inputs[p])
-		if nv == 0 {
-			nv = 1
-		}
-		r.saInArb[p] = router.NewRRArbiter(nv)
-		r.saOutArb[p] = router.NewRRArbiter(nPorts)
+		r.saInArb = append(r.saInArb, router.NewRRArbiter(len(r.inputs[p])))
+		r.saOutArb = append(r.saOutArb, router.NewRRArbiter(nPorts))
 	}
 	return r
 }
@@ -257,14 +211,7 @@ func (n *Network) ResidentPackets() int {
 			}
 		}
 	}
-	for _, ls := range n.lanes {
-		if ls.pkt != nil {
-			c++
-		}
-	}
-	for _, l := range n.landing {
-		c += len(l)
-	}
+	n.lanes.ForEachHeld(func(*message.Packet) { c++ })
 	return c
 }
 
@@ -278,12 +225,12 @@ func (n *Network) SourceBacklog() int {
 }
 
 // Step advances one cycle.
+//
+//nocvet:hot
 func (n *Network) Step() {
-	for i := range n.claims {
-		n.claims[i] = false
-	}
-	n.stepLanes()
-	n.drainLandings()
+	clear(n.claims)
+	n.lanes.Step(n.cycle, true)
+	n.lanes.DrainLandings(n.cycle)
 	for _, nc := range n.NICs {
 		nc.Tick(n.cycle)
 	}
@@ -303,215 +250,68 @@ func (n *Network) Run(k int) {
 
 // shift advances link and credit pipelines.
 func (n *Network) shift() {
-	for _, ch := range n.channels {
+	for i := range n.channels {
+		ch := &n.channels[i]
 		if ch.cur.valid {
-			dst := n.routers[ch.link.Dst]
+			vc := n.routers[ch.link.Dst].inputs[ch.link.DstPort][ch.cur.vc]
 			if ch.cur.flit.IsHead() {
-				dst.inputs[ch.link.DstPort][ch.cur.vc].AcceptHead(ch.cur.flit.Pkt, n.cycle)
+				vc.AcceptHead(ch.cur.flit.Pkt, n.cycle)
 			} else {
-				dst.inputs[ch.link.DstPort][ch.cur.vc].AcceptBody(ch.cur.flit.Pkt, n.cycle)
+				vc.AcceptBody(ch.cur.flit.Pkt, n.cycle)
 			}
 		}
 		ch.cur = ch.next
 		ch.next = transit{}
-		if len(ch.creditNext) > 0 {
-			src := n.routers[ch.link.Src]
-			for _, vc := range ch.creditNext {
-				src.vcFree[ch.link.SrcPort][vc] = true
-			}
-			ch.creditNext = ch.creditNext[:0]
+		src := n.routers[ch.link.Src]
+		for _, vc := range ch.creditNext {
+			src.vcFree[ch.link.SrcPort][vc] = true
 		}
+		ch.creditNext = ch.creditNext[:0]
 	}
 }
 
-// drainLandings moves landed FastPass packets into their ejection
-// queues as space frees (they hold a reservation made at promotion).
-func (n *Network) drainLandings() {
-	for node := range n.landing {
-		kept := n.landing[node][:0]
-		for _, pkt := range n.landing[node] {
-			if n.NICs[node].CanEject(pkt) {
-				n.NICs[node].EjectFast(n.cycle, pkt)
-				n.landingRsv[node]--
-				n.Delivered++
-				continue
-			}
-			kept = append(kept, pkt)
-		}
-		n.landing[node] = kept
+// laneHost is the Network seen through fastpass.LaneHost: what the
+// circulating lanes need of the fabric they ride.
+type laneHost Network
+
+// ClaimLink marks a link as carrying a lane flit this cycle; regular
+// traffic yields to it (irRouter.sendable).
+func (h *laneHost) ClaimLink(link int) {
+	if h.claims[link] {
+		panic(fmt.Sprintf("irrnet: walk link %d claimed twice in cycle %d — lanes overlap", link, h.cycle))
+	}
+	h.claims[link] = true
+}
+
+func (h *laneHost) VC(node, port, vc int) *router.VC { return h.routers[node].inputs[port][vc] }
+
+func (h *laneHost) RemoveHead(node, port, vc int) *message.Packet {
+	return h.routers[node].removeHead(port, vc)
+}
+
+// Admit requires a free landing slot at pkt's destination.
+func (h *laneHost) Admit(pkt *message.Packet, landed int) bool {
+	return h.landingRsv[pkt.Dst]+landed < h.prm.LandingCap
+}
+
+func (h *laneHost) Note(ev fastpass.LaneEvent, pkt *message.Packet, _ int) {
+	switch ev {
+	case fastpass.LaneBoarded:
+		h.landingRsv[pkt.Dst]++
+		h.Promoted++
+	case fastpass.LaneLanded:
+		h.LandingWaits++
+	case fastpass.LaneDelivered:
+		h.landingRsv[pkt.Dst]--
+		h.Delivered++
 	}
 }
 
-// walkLink returns the link at walk position p (wrapping).
-func (n *Network) walkLink(p int) topology.Link {
-	return n.Topo.Links()[n.walk[((p%len(n.walk))+len(n.walk))%len(n.walk)]]
-}
-
-// stepsToDst returns how many walk steps from position p until the walk
-// first arrives at node dst, using the per-node arrival index (every
-// node is reachable on a holistic walk, so the result is always in
-// [1, len(walk)]).
-func (n *Network) stepsToDst(p, dst int) int {
-	arr := n.arrivals[dst]
-	if len(arr) == 0 {
-		return -1
-	}
-	L := len(n.walk)
-	pos := ((p % L) + L) % L
-	// First arrival position >= pos, else wrap to the earliest.
-	lo, hi := 0, len(arr)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if arr[mid] < pos {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	var a int
-	if lo < len(arr) {
-		a = arr[lo]
-	} else {
-		a = arr[0] + L
-	}
-	return a - pos + 1
-}
-
-// stepLanes advances every circulating lane one walk link, delivering
-// and picking up packets.
-func (n *Network) stepLanes() {
-	L := len(n.walk)
-	for i, ls := range n.lanes {
-		pos := n.lanePos[i]
-		if ls.pkt != nil {
-			// Claim the links under the packet's flits: flit k crosses
-			// the link k positions behind the head this cycle (the rear
-			// of the train never reaches behind the boarding point).
-			rear := ls.pkt.Len - 1
-			if ls.progress < rear {
-				rear = ls.progress
-			}
-			for k := 0; k <= rear; k++ {
-				n.claimWalkLink(pos - k)
-			}
-			ls.progress++
-			ls.dstCountdown--
-			if ls.dstCountdown <= 0 {
-				// Head has arrived; the body flits stream in behind it
-				// over Len-1 further cycles. The reserved landing slot
-				// absorbs the packet whole; if the ejection queue has
-				// room right now it passes straight through.
-				dst := ls.pkt.Dst
-				if n.NICs[dst].CanEject(ls.pkt) {
-					n.NICs[dst].EjectFast(n.cycle, ls.pkt)
-					n.landingRsv[dst]--
-					n.Delivered++
-				} else {
-					n.landing[dst] = append(n.landing[dst], ls.pkt)
-					n.LandingWaits++
-				}
-				ls.pkt = nil
-			}
-		} else {
-			// Pickup at the node the lane head is entering this cycle.
-			// (A lane that delivered this cycle stays cold until the
-			// next: its final link claims are still live.)
-			n.tryPickup(i, pos)
-		}
-		n.lanePos[i] = (pos + 1) % L
-	}
-}
-
-func (n *Network) claimWalkLink(p int) {
-	id := n.walk[((p%len(n.walk))+len(n.walk))%len(n.walk)]
-	if n.claims[id] {
-		panic(fmt.Sprintf("irrnet: walk link %d claimed twice in cycle %d — lanes overlap", id, n.cycle))
-	}
-	n.claims[id] = true
-}
-
-// tryPickup promotes a packet at the lane's current node if the lane is
-// free and a landing slot at its destination can be reserved.
-func (n *Network) tryPickup(lane, pos int) {
-	node := n.walkLink(pos).Src
-	r := n.routers[node]
-	ls := n.lanes[lane]
-	// Scan order follows the paper: injection queues first (request
-	// class first), then the network ports round-robin.
-	type slot struct{ port, vc int }
-	var scan []slot
-	scan = append(scan, slot{0, int(message.Request)}, slot{0, int(message.Response)})
-	for cl := message.Class(0); cl < message.NumClasses; cl++ {
-		if cl != message.Request && cl != message.Response {
-			scan = append(scan, slot{0, int(cl)})
-		}
-	}
-	nPorts := n.Topo.NumPorts()
-	total := (nPorts - 1) * n.prm.VCs
-	for k := 0; k < total; k++ {
-		j := (ls.scanPtr + k) % total
-		scan = append(scan, slot{1 + j/n.prm.VCs, j % n.prm.VCs})
-	}
-	for _, sl := range scan {
-		if sl.port >= len(r.inputs) || sl.vc >= len(r.inputs[sl.port]) {
-			continue
-		}
-		vcq := r.inputs[sl.port][sl.vc]
-		e := vcq.Head()
-		if e == nil || !e.FullyBuffered() || e.Pkt.Dst == node {
-			continue
-		}
-		dst := e.Pkt.Dst
-		if n.landingRsv[dst]+len(n.landing[dst]) >= n.prm.LandingCap {
-			continue
-		}
-		steps := n.stepsToDst(pos, dst)
-		if steps < 0 {
-			continue
-		}
-		pkt := r.removeHead(sl.port, sl.vc)
-		if pkt == nil {
-			continue
-		}
-		if sl.port != 0 {
-			ls.scanPtr = ((sl.port-1)*n.prm.VCs + sl.vc + 1) % total
-		}
-		pkt.Kind = message.FastPass
-		pkt.FastCycles += int64(steps)
-		ls.pkt = pkt
-		ls.dstCountdown = steps
-		ls.progress = 0
-		n.landingRsv[dst]++
-		n.Promoted++
-		// The head flit crosses this cycle's walk link immediately.
-		n.claimWalkLink(pos)
-		ls.progress = 1
-		ls.dstCountdown--
-		if ls.dstCountdown <= 0 {
-			// Single-hop ride: the head arrives next cycle... deliver
-			// through the reserved landing as usual.
-			if n.NICs[dst].CanEject(pkt) {
-				n.NICs[dst].EjectFast(n.cycle, pkt)
-				n.landingRsv[dst]--
-				n.Delivered++
-			} else {
-				n.landing[dst] = append(n.landing[dst], pkt)
-				n.LandingWaits++
-			}
-			ls.pkt = nil
-		}
-		return
-	}
-}
-
-// removeHead extracts a fully-buffered head packet, releasing claims
-// and crediting upstream.
+// removeHead extracts the head packet of (port, vc) — fully buffered,
+// the lane engine has checked — releasing claims and crediting upstream.
 func (r *irRouter) removeHead(port, vc int) *message.Packet {
 	vcq := r.inputs[port][vc]
 	e := vcq.Head()
-	if e == nil || !e.FullyBuffered() {
-		return nil
-	}
 	if e.Allocated {
 		if e.OutPort == 0 {
 			r.net.NICs[r.id].CancelEject(e.Pkt)
@@ -522,23 +322,8 @@ func (r *irRouter) removeHead(port, vc int) *message.Packet {
 		e.Allocated = false
 	}
 	pkt := vcq.RemoveHead()
-	if port != 0 {
-		if l := r.inLink(port); l != nil {
-			r.net.channelFor(l).creditNext = append(r.net.channelFor(l).creditNext, vc)
-		}
+	if ch := r.in[port]; ch != nil {
+		ch.creditNext = append(ch.creditNext, vc)
 	}
 	return pkt
 }
-
-// inLink returns the directed link feeding input port p.
-func (r *irRouter) inLink(p int) *topology.Link {
-	for i := range r.net.Topo.Links() {
-		l := &r.net.Topo.Links()[i]
-		if l.Dst == r.id && int(l.DstPort) == p {
-			return l
-		}
-	}
-	return nil
-}
-
-func (n *Network) channelFor(l *topology.Link) *channel { return n.channels[l.ID] }

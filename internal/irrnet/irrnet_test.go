@@ -37,9 +37,39 @@ func chordal(t *testing.T) *topology.Irregular {
 	return g
 }
 
+// outcome is everything a run's lanes did, as the tests pin it: the
+// numbers in the tables below were generated on the commit before irrnet
+// and the self-healing mesh controller shared one walk-lane engine.
+type outcome struct {
+	promoted, delivered, landingWaits int64 // the Network's lane counters
+	ejected                           int   // packets ejected, lanes or not
+	latency, fastCycles               int64 // summed over ejected packets
+	resident                          int   // ResidentPackets at the end
+}
+
+// watch counts every ejection of n into the returned outcome; call
+// finish before comparing it.
+func watch(n *Network) *outcome {
+	o := &outcome{}
+	for _, nc := range n.NICs {
+		nc.OnEject = func(p *message.Packet) {
+			o.ejected++
+			o.latency += p.Latency()
+			o.fastCycles += p.FastCycles
+		}
+	}
+	return o
+}
+
+func (o *outcome) finish(n *Network) outcome {
+	o.promoted, o.delivered, o.landingWaits = n.Promoted, n.Delivered, n.LandingWaits
+	o.resident = n.ResidentPackets()
+	return *o
+}
+
 func TestSinglePacketDelivery(t *testing.T) {
 	g := chordal(t)
-	n := New(g, Params{Seed: 1})
+	n := New(g, Params{})
 	var got *message.Packet
 	for _, nc := range n.NICs {
 		nc.OnEject = func(p *message.Packet) { got = p }
@@ -57,11 +87,8 @@ func TestSinglePacketDelivery(t *testing.T) {
 
 func TestAllToAllDrainsAndConserves(t *testing.T) {
 	g := chordal(t)
-	n := New(g, Params{Seed: 2})
-	delivered := 0
-	for _, nc := range n.NICs {
-		nc.OnEject = func(*message.Packet) { delivered++ }
-	}
+	n := New(g, Params{})
+	o := watch(n)
 	total := 0
 	id := uint64(0)
 	for round := 0; round < 5; round++ {
@@ -80,15 +107,19 @@ func TestAllToAllDrainsAndConserves(t *testing.T) {
 			}
 		}
 	}
-	for i := 0; i < 100000 && delivered < total; i++ {
+	for i := 0; i < 100000 && o.ejected < total; i++ {
 		n.Step()
 	}
-	if delivered != total {
+	if o.ejected != total {
 		t.Fatalf("delivered %d of %d (resident %d, backlog %d)",
-			delivered, total, n.ResidentPackets(), n.SourceBacklog())
+			o.ejected, total, n.ResidentPackets(), n.SourceBacklog())
 	}
 	if n.ResidentPackets() != 0 || n.SourceBacklog() != 0 {
 		t.Error("network should be empty after drain")
+	}
+	want := outcome{57, 57, 0, 360, 81536, 430, 0}
+	if got := o.finish(n); got != want {
+		t.Errorf("chordal all-to-all outcome moved:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -113,7 +144,7 @@ func TestLanesResolveRingDeadlock(t *testing.T) {
 		return total
 	}
 	// Control: lanes off.
-	bare := New(ring(t, 8), Params{Seed: 3, VCs: 1, DisableLanes: true})
+	bare := New(ring(t, 8), Params{VCs: 1, DisableLanes: true})
 	bareDelivered := 0
 	for _, nc := range bare.NICs {
 		nc.OnEject = func(*message.Packet) { bareDelivered++ }
@@ -125,29 +156,33 @@ func TestLanesResolveRingDeadlock(t *testing.T) {
 	}
 
 	// FastPass lanes on: everything must drain.
-	fp := New(ring(t, 8), Params{Seed: 3, VCs: 1})
-	fpDelivered := 0
-	for _, nc := range fp.NICs {
-		nc.OnEject = func(*message.Packet) { fpDelivered++ }
-	}
+	fp := New(ring(t, 8), Params{VCs: 1})
+	o := watch(fp)
 	fpTotal := load(fp)
-	for i := 0; i < 600000 && fpDelivered < fpTotal; i++ {
+	for i := 0; i < 600000 && o.ejected < fpTotal; i++ {
 		fp.Step()
 	}
-	if fpDelivered != fpTotal {
+	if o.ejected != fpTotal {
 		t.Fatalf("lanes failed to resolve ring deadlock: %d of %d (promoted %d)",
-			fpDelivered, fpTotal, fp.Promoted)
+			o.ejected, fpTotal, fp.Promoted)
 	}
-	if fp.Promoted == 0 {
-		t.Error("no promotions during deadlock resolution")
+	want := outcome{1195, 1195, 0, 1200, 4323510, 7163, 0}
+	if got := o.finish(fp); got != want {
+		t.Errorf("ring-8 outcome moved:\n got %+v\nwant %+v", got, want)
 	}
 	t.Logf("bare ring stuck at %d/%d; lanes delivered %d/%d (promoted %d, landing waits %d)",
-		bareDelivered, bareTotal, fpDelivered, fpTotal, fp.Promoted, fp.LandingWaits)
+		bareDelivered, bareTotal, o.ejected, fpTotal, fp.Promoted, fp.LandingWaits)
 }
 
 // Lane claims must never collide — the built-in double-claim panic is
 // armed throughout this stress run on random graphs.
 func TestLanesNeverCollideOnRandomGraphs(t *testing.T) {
+	pinned := [10]outcome{
+		{5, 5, 0, 35, 497, 67, 0}, {4, 4, 0, 34, 434, 35, 0}, {4, 4, 0, 21, 222, 13, 0},
+		{7, 7, 0, 35, 440, 55, 0}, {2, 2, 0, 12, 101, 8, 0}, {5, 5, 0, 34, 394, 55, 0},
+		{8, 8, 0, 45, 643, 105, 0}, {4, 4, 0, 28, 325, 24, 0}, {2, 2, 0, 16, 145, 6, 0},
+		{3, 3, 0, 21, 220, 21, 0},
+	}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
 		nNodes := 5 + rng.Intn(8)
@@ -177,11 +212,8 @@ func TestLanesNeverCollideOnRandomGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := New(g, Params{Seed: int64(trial), Lanes: 3})
-		delivered := 0
-		for _, nc := range n.NICs {
-			nc.OnEject = func(*message.Packet) { delivered++ }
-		}
+		n := New(g, Params{Lanes: 3})
+		o := watch(n)
 		total := 0
 		id := uint64(0)
 		for round := 0; round < 4; round++ {
@@ -195,23 +227,25 @@ func TestLanesNeverCollideOnRandomGraphs(t *testing.T) {
 				total++
 			}
 		}
-		for i := 0; i < 60000 && delivered < total; i++ {
+		for i := 0; i < 60000 && o.ejected < total; i++ {
 			n.Step()
 		}
-		if delivered != total {
-			t.Fatalf("trial %d: delivered %d of %d", trial, delivered, total)
+		if o.ejected != total {
+			t.Fatalf("trial %d: delivered %d of %d", trial, o.ejected, total)
+		}
+		if got := o.finish(n); got != pinned[trial] {
+			t.Errorf("trial %d outcome moved:\n got %+v\nwant %+v", trial, got, pinned[trial])
 		}
 	}
 }
 
+// The chordal run is cut at a fixed cycle, so the pinned outcome also
+// sees packets still resident.
 func TestDeterminism(t *testing.T) {
-	run := func() (int64, int64) {
+	run := func() outcome {
 		g := chordal(t)
-		n := New(g, Params{Seed: 11})
-		var latSum int64
-		for _, nc := range n.NICs {
-			nc.OnEject = func(p *message.Packet) { latSum += p.Latency() }
-		}
+		n := New(g, Params{})
+		o := watch(n)
 		id := uint64(0)
 		for s := 0; s < 9; s++ {
 			for k := 0; k < 6; k++ {
@@ -223,21 +257,20 @@ func TestDeterminism(t *testing.T) {
 				n.NICs[s].EnqueueSource(message.NewPacket(id, s, d, message.Request, 1+int(id%2)*4, 0))
 			}
 		}
-		n.Run(5000)
-		return latSum, n.Promoted
+		n.Run(30)
+		return o.finish(n)
 	}
-	l1, p1 := run()
-	l2, p2 := run()
-	if l1 != l2 || p1 != p2 {
-		t.Fatalf("non-deterministic: (%d,%d) vs (%d,%d)", l1, p1, l2, p2)
+	want := outcome{3, 2, 0, 35, 642, 18, 26}
+	if o1, o2 := run(), run(); o1 != o2 || o1 != want {
+		t.Fatalf("chordal outcome moved or is non-deterministic:\n got %+v\n and %+v\nwant %+v", o1, o2, want)
 	}
 }
 
 func TestLaneSpacingBound(t *testing.T) {
 	g := ring(t, 4) // 8 directed links
-	n := New(g, Params{Seed: 1, Lanes: 100})
-	if len(n.lanes) > 1 {
-		t.Errorf("lane count %d exceeds the walk-spacing bound for 8 links", len(n.lanes))
+	n := New(g, Params{Lanes: 100})
+	if n.lanes.Len() > 1 {
+		t.Errorf("lane count %d exceeds the walk-spacing bound for 8 links", n.lanes.Len())
 	}
 }
 
@@ -246,14 +279,11 @@ func TestLaneSpacingBound(t *testing.T) {
 // instead of overflowing it.
 func TestLandingBackpressure(t *testing.T) {
 	g := chordal(t)
-	n := New(g, Params{Seed: 5, LandingCap: 2})
+	n := New(g, Params{LandingCap: 2})
 	dst := 4
 	stalled := true
 	n.NICs[dst].Consumer = nicStall(func() bool { return !stalled })
-	delivered := 0
-	for _, nc := range n.NICs {
-		nc.OnEject = func(*message.Packet) { delivered++ }
-	}
+	o := watch(n)
 	total := 0
 	id := uint64(0)
 	for round := 0; round < 10; round++ {
@@ -267,15 +297,23 @@ func TestLandingBackpressure(t *testing.T) {
 		}
 	}
 	n.Run(30000)
-	if got := len(n.landing[dst]) + n.landingRsv[dst]; got > 2 {
+	if got := n.lanes.Landed(dst) + n.landingRsv[dst]; got > 2 {
 		t.Fatalf("landing register overflowed: %d slots used", got)
 	}
+	want := outcome{2, 1, 1, 4, 14, 5, 76}
+	if got := o.finish(n); got != want {
+		t.Errorf("stalled outcome moved:\n got %+v\nwant %+v", got, want)
+	}
 	stalled = false
-	for i := 0; i < 300000 && delivered < total; i++ {
+	for i := 0; i < 300000 && o.ejected < total; i++ {
 		n.Step()
 	}
-	if delivered != total {
-		t.Fatalf("delivered %d of %d after unstall", delivered, total)
+	if o.ejected != total {
+		t.Fatalf("delivered %d of %d after unstall", o.ejected, total)
+	}
+	want = outcome{10, 10, 1, 80, 2282478, 57, 0}
+	if got := o.finish(n); got != want {
+		t.Errorf("drained outcome moved:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package irrnet
 
 import (
+	"repro/internal/message"
 	routerpkg "repro/internal/router"
 	"repro/internal/topology"
 )
@@ -15,31 +16,24 @@ func (r *irRouter) step() {
 	r.switchAllocate()
 }
 
-// outLink returns the directed link leaving through port p, or nil.
-func (r *irRouter) outLink(p int) *topology.Link {
-	return r.net.Topo.OutLink(r.id, topology.Direction(p))
-}
-
 // allocate performs VC allocation for every unallocated head entry, in
-// rotating (port, vc) order.
+// rotating (port, vc) order: the injection queues, then each network
+// port's VCs.
 func (r *irRouter) allocate() {
-	var slots []int // encoded port*64+vc
-	for p, vcs := range r.inputs {
-		for v := range vcs {
-			slots = append(slots, p*64+v)
+	inj, vcs := int(message.NumClasses), r.net.prm.VCs
+	slots := inj + (len(r.inputs)-1)*vcs
+	for k := 0; k < slots; k++ {
+		p, v := 0, (r.vaPtr+k)%slots
+		if v >= inj {
+			p, v = 1+(v-inj)/vcs, (v-inj)%vcs
 		}
-	}
-	start := r.vaPtr % len(slots)
-	for k := 0; k < len(slots); k++ {
-		s := slots[(start+k)%len(slots)]
-		p, v := s/64, s%64
 		e := r.inputs[p][v].Head()
 		if e == nil || e.Allocated || e.Arrived < 1 {
 			continue
 		}
 		r.tryAllocate(e)
 	}
-	r.vaPtr = (start + 1) % len(slots)
+	r.vaPtr = (r.vaPtr + 1) % slots
 }
 
 func (r *irRouter) tryAllocate(e *routerEntry) {
@@ -55,9 +49,8 @@ func (r *irRouter) tryAllocate(e *routerEntry) {
 	}
 	// Minimal adaptive: every productive port; prefer the port with the
 	// most free downstream VCs.
-	ports := r.net.Topo.NextHopMinimal(r.id, pkt.Dst)
 	bestPort, bestScore := -1, 0
-	for _, d := range ports {
+	for _, d := range r.next[pkt.Dst] {
 		p := int(d)
 		score := 0
 		for v := range r.vcFree[p] {
@@ -88,40 +81,31 @@ func (r *irRouter) sendable(p, v int) bool {
 	if e == nil || !e.Allocated || e.Sent >= e.Arrived {
 		return false
 	}
-	if e.OutPort == 0 {
-		return true
-	}
-	l := r.outLink(int(e.OutPort))
-	return l != nil && !r.net.claims[l.ID]
+	return e.OutPort == 0 || !r.net.claims[r.out[e.OutPort].link.ID]
 }
 
 // switchAllocate grants one flit per input port and per output port.
 func (r *irRouter) switchAllocate() {
-	nPorts := r.net.Topo.NumPorts()
-	nominee := make([]int, nPorts)
-	for p := 0; p < nPorts; p++ {
-		p := p
-		if p >= len(r.inputs) || len(r.inputs[p]) == 0 {
-			nominee[p] = -1
-			continue
-		}
-		nominee[p] = r.saInArb[p].Grant(func(v int) bool { return r.sendable(p, v) })
-	}
-	granted := make([]bool, nPorts)
-	for out := 0; out < nPorts; out++ {
-		out := out
-		winner := r.saOutArb[out].Grant(func(in int) bool {
-			if in >= len(nominee) || granted[in] || nominee[in] < 0 {
-				return false
+	for p, vcs := range r.inputs {
+		var reqs uint64
+		for v := range vcs {
+			if r.sendable(p, v) {
+				reqs |= 1 << v
 			}
-			e := r.inputs[in][nominee[in]].Head()
-			return int(e.OutPort) == out
-		})
-		if winner < 0 {
-			continue
 		}
-		granted[winner] = true
-		r.transmit(winner, nominee[winner])
+		r.nominee[p] = r.saInArb[p].GrantMask(reqs)
+	}
+	for out := range r.inputs {
+		var reqs uint64
+		for in, v := range r.nominee {
+			if v >= 0 && int(r.inputs[in][v].Head().OutPort) == out {
+				reqs |= 1 << in
+			}
+		}
+		if winner := r.saOutArb[out].GrantMask(reqs); winner >= 0 {
+			r.transmit(winner, r.nominee[winner])
+			r.nominee[winner] = -1
+		}
 	}
 }
 
@@ -145,15 +129,10 @@ func (r *irRouter) transmit(in, vc int) {
 		if isHead {
 			pkt.Hops++
 		}
-		l := r.outLink(out)
-		ch := r.net.channelFor(l)
-		ch.next = transit{flit: flit, vc: outVC, valid: true}
+		r.out[out].next = transit{flit: flit, vc: outVC, valid: true}
 	}
-	if done && in != 0 {
-		if l := r.inLink(in); l != nil {
-			ch := r.net.channelFor(l)
-			ch.creditNext = append(ch.creditNext, vc)
-		}
+	if ch := r.in[in]; done && ch != nil {
+		ch.creditNext = append(ch.creditNext, vc)
 	}
 }
 

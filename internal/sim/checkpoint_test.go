@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/message"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -295,17 +296,45 @@ func TestReusedEncoderMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestParentCommitBlobs is the cross-commit fence of the intrusive-queue
-// change: testdata/pr23_*.ckpt.gz are mid-run checkpoints (cycle 1400 of
-// checkpointBase, every 700) written by the commit before NIC and MinBD
-// queues were threaded through the arena, router entries narrowed and
-// the reservation list became one slot. This commit must write the very
-// same bytes at that cycle, and a run resumed from the old blob must end
-// exactly as an uninterrupted one.
+// TestParentCommitBlobs is the cross-commit fence of changes that must
+// not move a checkpoint byte: testdata/pr23_*.ckpt.gz are mid-run
+// checkpoints (cycle 1400 of checkpointBase, every 700) written by the
+// commit before NIC and MinBD queues were threaded through the arena,
+// router entries narrowed and the reservation list became one slot;
+// pr26_FastPassHealed is the same cycle of a self-healing run under
+// linkfail:link=0,at=300,perm, written by the commit before irrnet and
+// the healing controller shared one walk-lane engine. This commit must
+// write the very same bytes at that cycle, and a run resumed from the
+// old blob must end exactly as an uninterrupted one.
 func TestParentCommitBlobs(t *testing.T) {
-	for _, scheme := range []Scheme{FastPass, MinBD, EscapeVC} {
-		t.Run(scheme.String(), func(t *testing.T) {
-			f, err := os.Open("testdata/pr23_" + scheme.String() + ".ckpt.gz")
+	healed := checkpointBase(FastPass, 1)
+	healed.FPHealing = true
+	healed.Faults = "linkfail:link=0,at=300,perm"
+	for _, row := range []struct {
+		pr, name string
+		cfg      SynthConfig
+		// live, when set, checks the restored state exercises what the
+		// blob was taken for.
+		live func(*testing.T, *Instance)
+	}{
+		{"pr23", "FastPass", checkpointBase(FastPass, 1), nil},
+		{"pr23", "MinBD", checkpointBase(MinBD, 1), nil},
+		{"pr23", "EscapeVC", checkpointBase(EscapeVC, 1), nil},
+		{"pr26", "FastPassHealed", healed, func(t *testing.T, inst *Instance) {
+			reserved := 0
+			for _, nc := range inst.Net.NICs {
+				for cl := message.Class(0); cl < message.NumClasses; cl++ {
+					reserved += nc.Reservations(cl)
+				}
+			}
+			if !inst.FP.Healed() || len(inst.FP.InFlight()) == 0 || reserved == 0 {
+				t.Fatalf("blob is not mid-ride on healed lanes: healed %v, %d packets on lanes or landed, %d reservations",
+					inst.FP.Healed(), len(inst.FP.InFlight()), reserved)
+			}
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			f, err := os.Open("testdata/" + row.pr + "_" + row.name + ".ckpt.gz")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,8 +348,7 @@ func TestParentCommitBlobs(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			cfg := checkpointBase(scheme, 1)
-			blob, at, want := lastCheckpoint(cfg, 700)
+			blob, at, want := lastCheckpoint(row.cfg, 700)
 			if at != 1400 || !bytes.Equal(blob, parent) {
 				t.Fatalf("checkpoint at cycle %d (%d bytes) differs from the parent commit's at 1400 (%d bytes)", at, len(blob), len(parent))
 			}
@@ -328,11 +356,14 @@ func TestParentCommitBlobs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("OpenCheckpoint: %v", err)
 			}
-			got, err := ResumeSynthetic(rcfg, parent)
-			if err != nil {
-				t.Fatalf("ResumeSynthetic: %v", err)
+			s := newSynthRun(rcfg)
+			if err := s.restore(parent); err != nil {
+				t.Fatalf("restore: %v", err)
 			}
-			if resultFingerprint(got) != resultFingerprint(want) {
+			if row.live != nil {
+				row.live(t, s.inst)
+			}
+			if got := s.run(); resultFingerprint(got) != resultFingerprint(want) {
 				t.Errorf("run resumed from the parent's blob diverged\nresumed: %s\nbase:    %s", resultFingerprint(got), resultFingerprint(want))
 			}
 		})

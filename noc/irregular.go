@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/irrnet"
@@ -57,8 +58,11 @@ func RunIrregular(cfg IrregularConfig) (IrregularResult, error) {
 	if err != nil {
 		return IrregularResult{}, err
 	}
+	if cfg.VCs < 0 || cfg.VCs > 64 || topo.NumPorts() > 64 {
+		return IrregularResult{}, fmt.Errorf("noc: %d VCs on %d ports; irregular routers take 1..64 VCs and at most 63 neighbours per node", cfg.VCs, topo.NumPorts())
+	}
 	net := irrnet.New(topo, irrnet.Params{
-		VCs: cfg.VCs, Lanes: cfg.Lanes, DisableLanes: cfg.DisableLanes, Seed: cfg.Seed,
+		VCs: cfg.VCs, Lanes: cfg.Lanes, DisableLanes: cfg.DisableLanes,
 	})
 	col := stats.New(cfg.Nodes, int64(cfg.Warmup), int64(cfg.Warmup+cfg.Measure))
 	for _, nc := range net.NICs {

@@ -138,4 +138,8 @@ func TestRunIrregular(t *testing.T) {
 	if _, err := noc.RunIrregular(noc.IrregularConfig{Nodes: 3, Edges: [][2]int{{0, 1}}, Rate: 0.01}); err == nil {
 		t.Error("disconnected topology accepted")
 	}
+	cfg.VCs = 65
+	if _, err := noc.RunIrregular(cfg); err == nil {
+		t.Error("65 VCs per port accepted; the router's request masks hold 64")
+	}
 }
