@@ -104,6 +104,11 @@ func main() {
 		opts.Faults, opts.Watchdog = "", ""
 	}
 	cfg := noc.SynthConfig{Options: opts, Rate: *rate, Warmup: *warmup, Measure: *measure, Drain: *drain}
+	if *app == "" {
+		if cfg.Pattern, err = noc.ParsePattern(*patternName); err != nil {
+			log.Fatal(err)
+		}
+	}
 	if err := cfg.Validate(); err != nil {
 		log.Print(err)
 		os.Exit(2)
@@ -120,11 +125,7 @@ func main() {
 		return
 	}
 
-	pattern, err := noc.ParsePattern(*patternName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg.Pattern, cfg.CheckpointEvery, cfg.OnCheckpoint = pattern, *checkpointEvery, checkpointWriter(*checkpointPath)
+	cfg.CheckpointEvery, cfg.OnCheckpoint = *checkpointEvery, checkpointWriter(*checkpointPath)
 	cleanup := tf.apply(&cfg)
 	res := noc.RunSynthetic(cfg)
 	cleanup()

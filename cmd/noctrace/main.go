@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/message"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 	"repro/internal/traffic"
 	"repro/noc"
 )
@@ -51,8 +52,9 @@ func main() {
 	})
 	inst.SetOnEject(func(*message.Packet) {})
 
-	gen := &traffic.Generator{Pattern: traffic.Uniform, Rate: *rate, W: *size, H: *size}
-	rng := rand.New(rand.NewSource(*seed))
+	src := snapshot.NewCountingSource(*seed)
+	gen := &traffic.Generator{Pattern: traffic.Uniform, Rate: *rate, W: *size, H: *size, Stream: src}
+	rng := rand.New(src)
 	for c := 0; c < *cycles; c++ {
 		for _, p := range gen.Tick(inst.Cycle(), rng) {
 			inst.Enqueue(p)

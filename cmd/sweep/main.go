@@ -223,7 +223,7 @@ func buildConfig(schemeList, patternName string, size int, seed int64, rateMin, 
 		return sweepConfig{}, fmt.Errorf("mesh dimension %d must be positive", size)
 	}
 	for _, s := range parsed {
-		point := noc.SynthConfig{Options: noc.Options{Scheme: s, W: size, H: size}, Rate: rates[len(rates)-1]}
+		point := noc.SynthConfig{Options: noc.Options{Scheme: s, W: size, H: size}, Pattern: pattern, Rate: rates[len(rates)-1]}
 		if err := point.Validate(); err != nil {
 			return sweepConfig{}, err
 		}

@@ -185,12 +185,3 @@ func (c *Controller) ForEachHeld(f func(*message.Packet)) {
 		}
 	}
 }
-
-// PittedPackets returns the pitted packets (diagnostics).
-func (c *Controller) PittedPackets() []*message.Packet {
-	var out []*message.Packet
-	for _, p := range c.pits {
-		out = append(out, p...)
-	}
-	return out
-}

@@ -45,7 +45,7 @@ func TestAblationScanInjectionOnlySkipsInTransitPackets(t *testing.T) {
 		// fully-buffered in-transit packet in its West input VC,
 		// destined down its own column: the full scan promotes it in
 		// the very first PreCycle, before the regular pipeline can act.
-		sched := ctl.Schedule()
+		sched := ctl.sched
 		prime := sched.PrimeNode(0, 0)
 		dst := prime + n.Mesh.W*2 // two rows down, same column
 		if dst >= n.Mesh.NumNodes() {

@@ -49,6 +49,11 @@ func (h *healedHost) VC(node, port, vc int) *router.VC {
 	return h.net.Routers[node].VCFor(topology.Direction(port), vc)
 }
 
+func (h *healedHost) Occupancy(node int, occ []uint64) {
+	m := h.net.Routers[node].Occupancy()
+	copy(occ, m[:])
+}
+
 func (h *healedHost) RemoveHead(node, port, vc int) *message.Packet {
 	return h.net.Routers[node].RemoveHeadPacket(topology.Direction(port), vc)
 }

@@ -223,10 +223,10 @@ func init() {
 		[]string{"walk", "pos", "lanes", "landing"},
 		[]string{
 			// Wiring and configuration from NewWalkLanes.
-			"host", "links", "nics", "ports", "netVCs", "InjectionOnly",
+			"host", "links", "nics", "netVCs", "InjectionOnly",
 			// arrivals is a pure function of walk, rebuilt on restore;
-			// scan is per-pickup scratch.
-			"arrivals", "scan",
+			// scan and occ are per-pickup scratch.
+			"arrivals", "scan", "occ",
 		})
 	snapshot.Register("fastpass.walkLane", walkLane{},
 		[]string{"pkt", "dstCountdown", "progress", "scanPtr"},

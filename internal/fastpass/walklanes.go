@@ -1,6 +1,8 @@
 package fastpass
 
 import (
+	"math/bits"
+
 	"repro/internal/message"
 	"repro/internal/nic"
 	"repro/internal/router"
@@ -37,6 +39,9 @@ type LaneHost interface {
 	// VC returns input buffer vc of port at node. Port 0 holds the
 	// per-class injection queues, indexed by message class.
 	VC(node, port, vc int) *router.VC
+	// Occupancy fills occ[port] with node's occupancy word for that
+	// port: bit vc is set while buffer vc holds a packet.
+	Occupancy(node int, occ []uint64)
 	// RemoveHead extracts that buffer's fully buffered head packet,
 	// releasing what it had been allocated and crediting upstream.
 	RemoveHead(node, port, vc int) *message.Packet
@@ -66,10 +71,10 @@ const (
 
 // WalkLanes is the circulating-lane engine over one closed walk.
 type WalkLanes struct {
-	host          LaneHost
-	links         []topology.Link
-	nics          []*nic.NIC
-	ports, netVCs int
+	host   LaneHost
+	links  []topology.Link
+	nics   []*nic.NIC
+	netVCs int
 	// InjectionOnly restricts pickup to the injection queues (the
 	// ScanInjectionOnly ablation).
 	InjectionOnly bool
@@ -83,6 +88,7 @@ type WalkLanes struct {
 	// landing[node] holds arrived packets awaiting ejection-queue space.
 	landing [][]*message.Packet
 	scan    []scanSlot
+	occ     []uint64 // pickup scratch: the passed router's occupancy words
 }
 
 // walkLane is one circulating lane.
@@ -100,20 +106,33 @@ type walkLane struct {
 // scanSlot identifies one buffer in a pickup scan.
 type scanSlot struct{ port, vc int }
 
-// appendScanOrder appends the paper's candidate scan order (Qn 2): the
-// request injection queue, the response queue, the remaining injection
-// queues, then — unless injectionOnly — the total network buffers
-// round-robin from ptr (ports 1 and up, netVCs each).
-func appendScanOrder(buf []scanSlot, ptr, total, netVCs int, injectionOnly bool) []scanSlot {
-	buf = append(buf, scanSlot{0, int(message.Request)}, scanSlot{0, int(message.Response)})
-	for cl := message.Class(0); cl < message.NumClasses; cl++ {
-		if cl != message.Request && cl != message.Response {
-			buf = append(buf, scanSlot{0, int(cl)})
-		}
+// appendScanOrder appends the paper's candidate scan order (Qn 2) over
+// the buffers that hold a packet (occ[port] bit vc): the request
+// injection queue, the response queue, the remaining injection queues,
+// then — unless injectionOnly — the network buffers round-robin from ptr
+// (ports 1 and up, netVCs each). An empty router costs len(occ) loads.
+func appendScanOrder(buf []scanSlot, occ []uint64, ptr, netVCs int, injectionOnly bool) []scanSlot {
+	const first = uint64(1)<<message.Request | uint64(1)<<message.Response
+	buf = appendSet(buf, 0, occ[0]&first)
+	buf = appendSet(buf, 0, occ[0]&^first)
+	if injectionOnly || len(occ) < 2 {
+		return buf
 	}
-	for k := 0; k < total && !injectionOnly; k++ {
-		i := (ptr + k) % total
-		buf = append(buf, scanSlot{1 + i/netVCs, i % netVCs})
+	p0, below := 1+ptr/netVCs, uint64(1)<<(ptr%netVCs)-1
+	buf = appendSet(buf, p0, occ[p0]&^below)
+	for p := p0 + 1; p < len(occ); p++ {
+		buf = appendSet(buf, p, occ[p])
+	}
+	for p := 1; p < p0; p++ {
+		buf = appendSet(buf, p, occ[p])
+	}
+	return appendSet(buf, p0, occ[p0]&below)
+}
+
+// appendSet appends port's buffers in mask, ascending.
+func appendSet(buf []scanSlot, port int, mask uint64) []scanSlot {
+	for ; mask != 0; mask &= mask - 1 {
+		buf = append(buf, scanSlot{port, bits.TrailingZeros64(mask)})
 	}
 	return buf
 }
@@ -124,9 +143,10 @@ func appendScanOrder(buf []scanSlot, ptr, total, netVCs int, injectionOnly bool)
 // with netVCs buffers on each network port.
 func NewWalkLanes(host LaneHost, links []topology.Link, nics []*nic.NIC, ports, netVCs int) *WalkLanes {
 	return &WalkLanes{
-		host: host, links: links, nics: nics, ports: ports, netVCs: netVCs,
+		host: host, links: links, nics: nics, netVCs: netVCs,
 		landing: make([][]*message.Packet, len(nics)),
 		scan:    make([]scanSlot, 0, int(message.NumClasses)+(ports-1)*netVCs),
+		occ:     make([]uint64, ports),
 	}
 }
 
@@ -300,11 +320,11 @@ func (w *WalkLanes) DrainLandings(cycle int64) {
 // this cycle, provided its destination admits it.
 func (w *WalkLanes) tryPickup(ls *walkLane, pos int, cycle int64) {
 	node := w.links[w.walk[pos]].Src
-	total := (w.ports - 1) * w.netVCs
-	w.scan = appendScanOrder(w.scan[:0], ls.scanPtr, total, w.netVCs, w.InjectionOnly)
+	w.host.Occupancy(node, w.occ)
+	w.scan = appendScanOrder(w.scan[:0], w.occ, ls.scanPtr, w.netVCs, w.InjectionOnly)
 	for _, b := range w.scan {
 		e := w.host.VC(node, b.port, b.vc).Head()
-		if e == nil || !e.FullyBuffered() || e.Pkt.Dst == node {
+		if !e.FullyBuffered() || e.Pkt.Dst == node {
 			continue
 		}
 		if !w.host.Admit(e.Pkt, len(w.landing[e.Pkt.Dst])) {
@@ -316,7 +336,7 @@ func (w *WalkLanes) tryPickup(ls *walkLane, pos int, cycle int64) {
 		}
 		pkt := w.host.RemoveHead(node, b.port, b.vc)
 		if b.port != 0 {
-			ls.scanPtr = ((b.port-1)*w.netVCs + b.vc + 1) % total
+			ls.scanPtr = ((b.port-1)*w.netVCs + b.vc + 1) % ((len(w.occ) - 1) * w.netVCs)
 		}
 		pkt.Kind = message.FastPass
 		*ls = walkLane{pkt: pkt, dstCountdown: steps, scanPtr: ls.scanPtr}

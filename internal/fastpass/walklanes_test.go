@@ -29,6 +29,16 @@ func (h *fakeHost) ClaimLink(link int) {
 	h.claimed[link] = true
 }
 func (h *fakeHost) VC(node, port, vc int) *router.VC { return h.vcs[node][port][vc] }
+func (h *fakeHost) Occupancy(node int, occ []uint64) {
+	for p, vcs := range h.vcs[node] {
+		occ[p] = 0
+		for v, q := range vcs {
+			if !q.Empty() {
+				occ[p] |= 1 << v
+			}
+		}
+	}
+}
 func (h *fakeHost) RemoveHead(node, port, vc int) *message.Packet {
 	return h.vcs[node][port][vc].RemoveHead()
 }
@@ -225,5 +235,52 @@ func TestFullLandingBackpressuresPickup(t *testing.T) {
 	if count(LaneBoarded) != 5 || count(LaneDelivered) != 5 || w.Landed(2) != 0 || h.reserved[2] != 0 {
 		t.Errorf("drained: %d boarded, %d delivered, %d still landed, %d reserved; want 5, 5, 0, 0",
 			count(LaneBoarded), count(LaneDelivered), w.Landed(2), h.reserved[2])
+	}
+}
+
+// refScanOrder is appendScanOrder as it stood before it walked occupancy
+// words: every buffer of the router in Qn 2 order, empty or not.
+func refScanOrder(buf []scanSlot, ptr, total, netVCs int, injectionOnly bool) []scanSlot {
+	buf = append(buf, scanSlot{0, int(message.Request)}, scanSlot{0, int(message.Response)})
+	for cl := message.Class(0); cl < message.NumClasses; cl++ {
+		if cl != message.Request && cl != message.Response {
+			buf = append(buf, scanSlot{0, int(cl)})
+		}
+	}
+	for k := 0; k < total && !injectionOnly; k++ {
+		i := (ptr + k) % total
+		buf = append(buf, scanSlot{1 + i/netVCs, i % netVCs})
+	}
+	return buf
+}
+
+// The occupancy-driven scan must visit exactly the occupied buffers of
+// the full Qn 2 order, in that order, for every round-robin pointer.
+func TestScanOrderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		ports, netVCs := 2+rng.Intn(5), 1+rng.Intn(64)
+		total := (ports - 1) * netVCs
+		ptr, injectionOnly := rng.Intn(total), trial%7 == 0
+		occ := make([]uint64, ports)
+		occ[0] = rng.Uint64() & (1<<message.NumClasses - 1)
+		for p := 1; p < ports; p++ {
+			occ[p] = rng.Uint64() & rng.Uint64() >> (64 - netVCs)
+		}
+		var want []scanSlot
+		for _, b := range refScanOrder(nil, ptr, total, netVCs, injectionOnly) {
+			if occ[b.port]>>b.vc&1 != 0 {
+				want = append(want, b)
+			}
+		}
+		got := appendScanOrder(nil, occ, ptr, netVCs, injectionOnly)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d (ports %d, VCs %d, ptr %d, occ %x): %v, reference %v", trial, ports, netVCs, ptr, occ, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d (ports %d, VCs %d, ptr %d, occ %x): %v, reference %v", trial, ports, netVCs, ptr, occ, got, want)
+			}
+		}
 	}
 }

@@ -448,9 +448,6 @@ func NewInjector(plan Plan, numLinks, numNodes, numPorts int, seed int64) *Injec
 	return j
 }
 
-// Plan returns the (duration-defaulted) plan in force.
-func (j *Injector) Plan() Plan { return j.plan }
-
 func (j *Injector) until(dur int64) int64 {
 	if dur < 0 {
 		return math.MaxInt64

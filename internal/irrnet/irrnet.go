@@ -285,6 +285,17 @@ func (h *laneHost) ClaimLink(link int) {
 
 func (h *laneHost) VC(node, port, vc int) *router.VC { return h.routers[node].inputs[port][vc] }
 
+func (h *laneHost) Occupancy(node int, occ []uint64) {
+	for p, vcs := range h.routers[node].inputs {
+		occ[p] = 0
+		for v, q := range vcs {
+			if !q.Empty() {
+				occ[p] |= 1 << v
+			}
+		}
+	}
+}
+
 func (h *laneHost) RemoveHead(node, port, vc int) *message.Packet {
 	return h.routers[node].removeHead(port, vc)
 }

@@ -138,7 +138,7 @@ type Packet struct {
 // NewPacket constructs a packet created at the given cycle, with
 // injection and ejection times unset (-1).
 func NewPacket(id uint64, src, dst int, class Class, flits int, cycle int64) *Packet {
-	return new(Packet).init(id, src, dst, class, flits, cycle)
+	return new(Packet).init(id, src, dst, class, flits, cycle) //nocvet:ignore hotalloc2 the pool-less constructor: per-cycle callers draw from a Pool
 }
 
 // init overwrites p with a packet created at the given cycle.

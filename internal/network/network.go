@@ -14,14 +14,12 @@ package network
 import (
 	"fmt"
 	"iter"
-	"math/rand"
 	"sync"
 
 	"repro/internal/faults"
 	"repro/internal/message"
 	"repro/internal/nic"
 	"repro/internal/router"
-	"repro/internal/snapshot"
 	"repro/internal/topology"
 )
 
@@ -88,7 +86,10 @@ type Params struct {
 	Mesh     *topology.Mesh
 	Router   router.Config
 	EjectCap int
-	Seed     int64
+	// Seed is the master simulation seed. The network itself draws
+	// nothing: a shared stream would make draw interleaving depend on
+	// evaluation order, and therefore on the shard count.
+	Seed int64
 	// Shards is the spatial shard count for Step (0 or 1 → serial).
 	// See DESIGN.md §12; SetShards can change it later.
 	Shards int
@@ -137,16 +138,6 @@ type Network struct {
 	claimedLinks  []int
 	claimedEjects []int
 
-	// seed is the master simulation seed; per-node substreams derive
-	// from it (NodeRand). A single shared generator would make draw
-	// interleaving depend on evaluation order — and therefore on the
-	// shard count — so there deliberately is no Network-wide stream.
-	// Each stream draws through a counting source (nodeSrc) so a
-	// checkpoint can record its position and restore by replay.
-	seed     int64
-	nodeRand []*rand.Rand
-	nodeSrc  []*snapshot.CountingSource
-
 	// deferEject is true while the sharded router phase runs: NIC
 	// ejection observers (OnEject) buffer per NIC instead of firing
 	// mid-phase, and flush in ascending node order at the barrier —
@@ -180,7 +171,6 @@ func New(p Params) *Network {
 	n := &Network{
 		Mesh:       p.Mesh,
 		Controller: NopController{Label: "none"},
-		seed:       p.Seed,
 	}
 	// Everything the cycle loop appends to is sized to its hard upper
 	// bound here, so Step never grows a slice (DESIGN.md §9).
@@ -200,8 +190,6 @@ func New(p Params) *Network {
 	n.claimedLinks = make([]int, 0, len(links))
 	n.claimedEjects = make([]int, 0, nodes)
 	n.shardOf = make([]int32, nodes)
-	n.nodeRand = make([]*rand.Rand, nodes)
-	n.nodeSrc = make([]*snapshot.CountingSource, nodes)
 	n.SetShards(1)
 	n.Routers = router.NewAll(p.Mesh, p.Router, n)
 	n.NICs = nic.NewAll(nodes, p.EjectCap)
@@ -217,19 +205,6 @@ func New(p Params) *Network {
 		n.SetShards(p.Shards)
 	}
 	return n
-}
-
-// NodeRand returns the node's private deterministic generator, lazily
-// created from the master seed and the node ID via a SplitMix64 stream.
-// Substreams keep draw interleaving independent of evaluation order —
-// and therefore of the shard count.
-func (n *Network) NodeRand(node int) *rand.Rand {
-	if n.nodeRand[node] == nil {
-		s := splitmix64(uint64(n.seed) + (uint64(node)+1)*0x9e3779b97f4a7c15)
-		n.nodeSrc[node] = snapshot.NewCountingSource(int64(s))
-		n.nodeRand[node] = rand.New(n.nodeSrc[node])
-	}
-	return n.nodeRand[node]
 }
 
 // NIC returns the network interface of a node (protocol backend).
@@ -359,16 +334,6 @@ func (n *Network) ClaimEject(node int) {
 	}
 	n.ejectClaims[node] = true
 	n.claimedEjects = append(n.claimedEjects, node)
-}
-
-// LinkBusy reports whether a regular flit occupies either pipeline
-// stage of the link (diagnostics). A claim always prevents a regular
-// flit from being driven onto the wire in the same cycle, so FastPass
-// flits never share the wire with regular ones; the cur stage is a
-// latch inside the downstream router, not the wire itself.
-func (n *Network) LinkBusy(linkID int) bool {
-	ch := n.channels[linkID]
-	return ch.cur.valid || ch.next.valid
 }
 
 // --- simulation loop ---

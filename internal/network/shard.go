@@ -161,9 +161,6 @@ func (n *Network) SetShards(k int) {
 	}
 }
 
-// Shards reports the current shard count.
-func (n *Network) Shards() int { return len(n.shards) }
-
 // wakeRouter routes a router wake to its owning shard's active set.
 func (n *Network) wakeRouter(node int) { n.shards[n.shardOf[node]].activeRouters.add(node) }
 
@@ -256,15 +253,4 @@ func (n *Network) mergeShardEffects() {
 		n.FlitsOnLinks += sh.flits
 		sh.flits = 0
 	}
-}
-
-// splitmix64 is the SplitMix64 finalizer: a bijective avalanche mix used
-// to derive independent seeds and order-invariant per-event draws from
-// structured keys. Constants from Steele et al., "Fast splittable
-// pseudorandom number generators" (OOPSLA 2014).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

@@ -93,12 +93,10 @@ func (n *Network) SnapshotState(w *snapshot.Writer) {
 			w.Int(id)
 		}
 	}
-	for node := range n.nodeRand {
-		created := n.nodeRand[node] != nil
-		w.Bool(created)
-		if created {
-			w.U64(n.nodeSrc[node].Draws())
-		}
+	// One "no per-node RNG stream" flag per node: the streams are gone,
+	// the bytes stay until the next Version bump (ROADMAP item 4's).
+	for range n.NICs {
+		w.Bool(false)
 	}
 	for _, nc := range n.NICs {
 		nc.SnapshotState(w)
@@ -162,13 +160,10 @@ func (n *Network) RestoreState(r *snapshot.Reader) {
 	for i := 0; i < k && r.Err() == nil; i++ {
 		n.WakeNIC(r.Int())
 	}
-	for node := range n.nodeRand {
-		if !r.Bool() {
-			continue
+	for node := range n.NICs {
+		if r.Bool() { // sticky: every later read returns zero
+			r.Fail("checkpoint carries a per-node RNG stream for node %d; none exist", node)
 		}
-		draws := r.U64()
-		n.NodeRand(node)
-		n.nodeSrc[node].Skip(draws)
 	}
 	for _, nc := range n.NICs {
 		nc.RestoreState(r)
@@ -200,12 +195,11 @@ func init() {
 			"linkClaims", "claimedLinks", "ejectClaims", "claimedEjects",
 			"dirtyChannels", "chDirty",
 			"shards", // active-set membership; scratch queues are empty at the boundary
-			"nodeRand", "nodeSrc",
 			"NICs", "Routers", "Controller", "faults",
 		},
 		[]string{
 			// Construction-time wiring and configuration.
-			"Mesh", "shardOf", "seed", "Probe",
+			"Mesh", "shardOf", "Probe",
 			// Barrier plumbing, quiescent between Steps.
 			"wg", "shardPanics",
 			// False at every cycle boundary (flipped only around the

@@ -333,6 +333,10 @@ func (r *Router) OccupiedVCs(from topology.Direction) iter.Seq2[topology.Directi
 	}
 }
 
+// Occupancy returns the per-input-port occupancy words: bit v of word p
+// is set while VC v of port p holds a packet.
+func (r *Router) Occupancy() [nPorts]uint64 { return r.occ }
+
 // Occupied reports whether any packet is buffered in this router. An
 // unoccupied router's Step cannot change any state (see DESIGN.md §9),
 // so the network skips it.

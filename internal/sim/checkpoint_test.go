@@ -327,9 +327,11 @@ func TestParentCommitBlobs(t *testing.T) {
 					reserved += nc.Reservations(cl)
 				}
 			}
-			if !inst.FP.Healed() || len(inst.FP.InFlight()) == 0 || reserved == 0 {
+			held := 0
+			inst.FP.ForEachHeld(func(*message.Packet) { held++ })
+			if !inst.FP.Healed() || held == 0 || reserved == 0 {
 				t.Fatalf("blob is not mid-ride on healed lanes: healed %v, %d packets on lanes or landed, %d reservations",
-					inst.FP.Healed(), len(inst.FP.InFlight()), reserved)
+					inst.FP.Healed(), held, reserved)
 			}
 		}},
 	} {

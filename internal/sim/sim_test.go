@@ -299,10 +299,16 @@ func TestValidateRejectsWhatBuildPanicsOn(t *testing.T) {
 		{"negative rate", SynthConfig{Rate: -0.5}, "[0, 1]"},
 		{"NaN rate", SynthConfig{Rate: math.NaN()}, "[0, 1]"},
 		{"negative warmup", SynthConfig{Warmup: -5}, "negative window"},
+		{"Shuffle on 36 nodes", SynthConfig{Options: Options{W: 6}, Pattern: traffic.Shuffle}, "power-of-two"},
+		{"BitComplement on 12 nodes", SynthConfig{Options: Options{W: 4, H: 3}, Pattern: traffic.BitComplement}, "power-of-two"},
+		{"Transpose on 4x8", SynthConfig{Options: Options{W: 4, H: 8}, Pattern: traffic.Transpose}, "square"},
 	} {
 		if err := tc.cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.wantErr)
 		}
+	}
+	if err := (SynthConfig{Pattern: traffic.Shuffle}).Validate(); err != nil {
+		t.Errorf("Shuffle on the default 8x8 mesh: %v", err)
 	}
 	for _, s := range Schemes() {
 		most := 10

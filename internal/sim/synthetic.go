@@ -82,14 +82,19 @@ func (c *SynthConfig) setDefaults() {
 }
 
 // Validate is Options.Validate plus the synthetic knobs: an offered rate
-// outside [0, 1] packets/node/cycle measures nothing (NaN latencies), and
-// a negative window is not "default".
+// outside [0, 1] packets/node/cycle measures nothing (NaN latencies), a
+// pattern undefined on the mesh panics in the first injection, and a
+// negative window is not "default".
 func (c SynthConfig) Validate() error {
 	if err := c.Options.Validate(); err != nil {
 		return err
 	}
 	if !(c.Rate >= 0 && c.Rate <= 1) {
 		return fmt.Errorf("sim: rate %v is outside [0, 1] packets/node/cycle", c.Rate)
+	}
+	c.Options.setDefaults()
+	if err := c.Pattern.Check(c.W, c.H); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	if c.Warmup < 0 || c.Measure < 0 || c.Drain < 0 {
 		return fmt.Errorf("sim: negative window (warmup %d, measure %d, drain %d)", c.Warmup, c.Measure, c.Drain)
@@ -190,13 +195,13 @@ func newSynthRun(cfg SynthConfig) *synthRun {
 		s.tel.ObserveLatency(pkt.Latency())
 	})
 	s.pool = s.inst.UsePool()
+	s.src = snapshot.NewCountingSource(cfg.Seed + 0x5eed)
+	s.rng = rand.New(s.src)
 	s.gen = &traffic.Generator{
 		Pattern: cfg.Pattern, Rate: cfg.Rate, W: cfg.W, H: cfg.H,
 		HotspotNode: cfg.HotspotNode, HotspotFraction: cfg.HotspotFraction,
-		Pool: s.pool,
+		Pool: s.pool, Stream: s.src,
 	}
-	s.src = snapshot.NewCountingSource(cfg.Seed + 0x5eed)
-	s.rng = rand.New(s.src)
 	s.tel = attachTelemetry(s)
 	return s
 }

@@ -140,9 +140,6 @@ func (w *Writer) Packet(p *message.Packet) {
 // later passed to Seal).
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Packets returns the registered packets in first-encounter order.
-func (w *Writer) Packets() []*message.Packet { return w.order }
-
 // Reader decodes a buffer produced by a Writer. Errors are sticky:
 // after the first failure every read returns a zero value and Err
 // reports the original cause, so decode call-sites stay unconditional.

@@ -150,27 +150,96 @@ func TestReaderErrorsAreSticky(t *testing.T) {
 	}
 }
 
-// TestCountingSourceIsPassThrough: wrapping must not change the stream
-// (every golden seed in the repo depends on this), and Skip must
-// reproduce the exact position for variable-draw consumers like
-// Float64 and Intn.
-func TestCountingSourceIsPassThrough(t *testing.T) {
-	plain := rand.New(rand.NewSource(99))
-	src := NewCountingSource(99)
-	counted := rand.New(src)
-	for i := 0; i < 1000; i++ {
-		if p, c := plain.Int63(), counted.Int63(); p != c {
-			t.Fatalf("draw %d: plain %d, counted %d", i, p, c)
+// TestCountingSourceMatchesMathRand: the self-hosted generator must be
+// rand.NewSource's stream value for value (every golden seed in the
+// repo depends on this) however it is consumed — Int63, Uint64, the
+// ScanBelow loop, a Skip or a re-Seed mid-stream — and Draws must count
+// every value, so (seed, draws) restores the exact position.
+func TestCountingSourceMatchesMathRand(t *testing.T) {
+	seeds := []int64{math.MinInt64, math.MaxInt64}
+	for s := int64(-3); s <= 40; s++ {
+		seeds = append(seeds, s)
+	}
+	const draws = 1_000_000
+	const redo = 1<<63 - 512
+	for _, seed := range seeds {
+		std := rand.NewSource(seed).(rand.Source64)
+		src := NewCountingSource(seed + 1) // re-Seed must erase this
+		src.Int63()
+		src.Seed(seed)
+		pick := rand.New(rand.NewSource(seed ^ 0x9e37))
+		// n counts draws since the last Seed, total those before it.
+		var n, total uint64
+		reseeded := false
+		for total+n < draws {
+			switch pick.Intn(5) {
+			case 0:
+				if w, g := std.Int63(), src.Int63(); w != g {
+					t.Fatalf("seed %d draw %d: Int63 %d, want %d", seed, n, g, w)
+				}
+				n++
+			case 1:
+				if w, g := std.Uint64(), src.Uint64(); w != g {
+					t.Fatalf("seed %d draw %d: Uint64 %d, want %d", seed, n, g, w)
+				}
+				n++
+			case 2:
+				// A threshold low enough to run to max, one that hits
+				// within a few draws, and a redo low enough to be seen.
+				thr := int64(1) << uint(40+pick.Intn(23))
+				rd := int64(redo)
+				if pick.Intn(2) == 0 {
+					rd = thr + (math.MaxInt64-thr)/2
+				}
+				max := pick.Intn(700)
+				wantSkipped, wantHit := 0, false
+				for wantSkipped < max {
+					v := std.Int63()
+					n++
+					if v < thr {
+						wantHit = true
+						break
+					} else if v < rd {
+						wantSkipped++
+					}
+				}
+				if skipped, hit := src.ScanBelow(thr, rd, max); skipped != wantSkipped || hit != wantHit {
+					t.Fatalf("seed %d draw %d: ScanBelow(%d, %d, %d) = %d, %v, want %d, %v",
+						seed, n, thr, rd, max, skipped, hit, wantSkipped, wantHit)
+				}
+			case 3:
+				k := uint64(pick.Intn(1500))
+				for i := uint64(0); i < k; i++ {
+					std.Uint64()
+				}
+				src.Skip(k)
+				n += k
+			case 4:
+				if !reseeded && n > draws/2 {
+					reseeded = true
+					std.Seed(seed*31 + 7)
+					src.Seed(seed*31 + 7)
+					total, n = total+n, 0
+				}
+			}
+			if src.Draws() != n {
+				t.Fatalf("seed %d: Draws = %d, want %d", seed, src.Draws(), n)
+			}
 		}
 	}
-	// Consume a variable number of source draws, then restore by count.
+}
+
+// TestCountingSourceSkipRestoresPosition: variable-draw consumers
+// (Float64, Intn) are restored exactly by (seed, draws).
+func TestCountingSourceSkipRestoresPosition(t *testing.T) {
+	src := NewCountingSource(99)
+	counted := rand.New(src)
 	for i := 0; i < 500; i++ {
 		counted.Float64()
 		counted.Intn(7)
 	}
-	draws := src.Draws()
 	rsrc := NewCountingSource(99)
-	rsrc.Skip(draws)
+	rsrc.Skip(src.Draws())
 	restored := rand.New(rsrc)
 	for i := 0; i < 1000; i++ {
 		if a, b := counted.Int63(), restored.Int63(); a != b {
@@ -197,9 +266,9 @@ func TestWriterResetDropsPacketReferences(t *testing.T) {
 	w := NewWriter()
 	encode(w, a, b, a)
 	w.Reset()
-	if len(w.Bytes()) != 0 || len(w.Packets()) != 0 || len(w.pkts) != 0 {
+	if len(w.Bytes()) != 0 || len(w.order) != 0 || len(w.pkts) != 0 {
 		t.Fatalf("Reset left %d body bytes, %d table rows, %d map entries",
-			len(w.Bytes()), len(w.Packets()), len(w.pkts))
+			len(w.Bytes()), len(w.order), len(w.pkts))
 	}
 	for i, p := range w.order[:cap(w.order)] {
 		if p != nil {

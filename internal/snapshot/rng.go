@@ -1,56 +1,128 @@
 package snapshot
 
-import "math/rand"
+import (
+	"math/rand"
+	"sync"
+)
 
-// CountingSource wraps the standard library's seeded rand source with
-// a draw counter, making a math/rand stream checkpointable without
-// changing a single emitted value: the wrapper is pure pass-through,
-// and rand's generator advances exactly one internal step per source
-// call, so (seed, draws) fully determines the stream position. Restore
-// recreates the source from the seed and discards the recorded number
-// of draws.
+// The standard library's seeded source is an additive lagged-Fibonacci
+// generator, x[k] = x[k-607] + x[k-273] (mod 2^64): its state is its
+// last 607 outputs.
+const (
+	rngLen  = 607
+	rngTap  = 273
+	rngMask = 1<<63 - 1
+)
+
+// CountingSource is math/rand's seeded stream — every golden seed in the
+// repo depends on that — hosted here so it can count and scan its own
+// draws: (seed, draws) fully determines the stream position, and restore
+// re-seeds and discards the recorded number of draws. No rand.Source is
+// held after seeding.
 //
 // The counter deliberately lives at the Source64 level, not the
 // rand.Rand level: derived methods (Float64's rounding redraw, Intn's
 // rejection loop) may consume a variable number of source draws, and
 // counting the actual draws is what makes replay exact.
 type CountingSource struct {
-	src rand.Source64
-	n   uint64
+	vec [rngLen]uint64
+	// A draw steps both cursors down (wrapping): vec[feed] += vec[tap].
+	tap, feed int
+	n         uint64
 }
 
-// NewCountingSource returns a counting source seeded like
-// rand.NewSource(seed).
+// seeder is the one standard-library source every seeding reads, under
+// seederMu (4.9 KB: a sync.Pool loses it to the GC and allocates it anew).
+var seederMu sync.Mutex
+var seeder = rand.NewSource(1).(rand.Source64)
+
+// NewCountingSource returns a source seeded like rand.NewSource(seed).
 func NewCountingSource(seed int64) *CountingSource {
-	return &CountingSource{src: rand.NewSource(seed).(rand.Source64)}
+	s := new(CountingSource)
+	s.Seed(seed)
+	return s
 }
 
-// Int63 draws from the underlying source.
-func (s *CountingSource) Int63() int64 {
-	s.n++
-	return s.src.Int63()
-}
-
-// Uint64 draws from the underlying source.
-func (s *CountingSource) Uint64() uint64 {
-	s.n++
-	return s.src.Uint64()
-}
-
-// Seed reseeds the underlying source and resets the draw counter.
+// Seed reseeds the stream and resets the draw counter. The library's
+// first 607 outputs overwrite every slot once and leave the cursors where
+// seeding put them; undoing those draws, last first, recovers the seeded
+// state without a copy of the library's seeding table.
 func (s *CountingSource) Seed(seed int64) {
-	s.n = 0
-	s.src.Seed(seed)
+	const gap = rngLen - rngTap // feed slot = tap slot + gap (mod 607)
+	seederMu.Lock()
+	seeder.Seed(seed)
+	for tap := rngLen - 1; tap >= 0; tap-- {
+		s.vec[(tap+gap)%rngLen] = seeder.Uint64()
+	}
+	seederMu.Unlock()
+	for tap := 0; tap < rngLen; tap++ {
+		s.vec[(tap+gap)%rngLen] -= s.vec[tap]
+	}
+	s.tap, s.feed, s.n = 0, gap, 0
 }
 
-// Draws reports how many source values have been consumed since
-// seeding.
+// Uint64 draws the next value of the stream.
+func (s *CountingSource) Uint64() uint64 {
+	if s.tap--; s.tap < 0 {
+		s.tap += rngLen
+	}
+	if s.feed--; s.feed < 0 {
+		s.feed += rngLen
+	}
+	x := s.vec[s.feed] + s.vec[s.tap]
+	s.vec[s.feed] = x
+	s.n++
+	return x
+}
+
+// Int63 draws the next value of the stream, as rand.Source does.
+func (s *CountingSource) Int63() int64 { return int64(s.Uint64() & rngMask) }
+
+// Draws reports how many source values were consumed since seeding.
 func (s *CountingSource) Draws() uint64 { return s.n }
 
 // Skip fast-forwards the stream by discarding n draws (restore path).
 func (s *CountingSource) Skip(n uint64) {
 	for i := uint64(0); i < n; i++ {
-		s.src.Uint64()
+		s.Uint64()
 	}
-	s.n += n
+}
+
+// ScanBelow consumes Int63 draws until one is below thr (hit) or max
+// draws have been counted, and reports how many counted draws came
+// before the hit. A draw at or above redo >= thr consumes a value
+// without counting: rand.Float64 would round it to 1.0 and redraw. That
+// is a run of max trials `rng.Float64() < rate` cut at the first success.
+//
+//nocvet:hot
+func (s *CountingSource) ScanBelow(thr, redo int64, max int) (skipped int, hit bool) {
+	tap, feed, span := s.tap, s.feed, uint64(redo-thr)
+	for skipped < max && !hit {
+		// Up to the nearer cursor wrap (and the draws still wanted) the
+		// recurrence runs down two plain windows.
+		if tap == 0 {
+			tap = rngLen
+		}
+		if feed == 0 {
+			feed = rngLen
+		}
+		run := min(tap, feed, max-skipped)
+		f, t := s.vec[feed-run:feed], s.vec[tap-run:tap]
+		t = t[:len(f)] // same length: lets the loop below drop its bounds checks
+		i := len(f) - 1
+		for ; i >= 0; i-- {
+			x := f[i] + t[i]
+			f[i] = x
+			if v := int64(x & rngMask); uint64(v-thr) >= span { // v < thr || v >= redo
+				hit = v < thr
+				run -= i // the draws made: misses, then this one
+				skipped--
+				break
+			}
+		}
+		tap, feed, skipped = tap-run, feed-run, skipped+run
+		s.n += uint64(run)
+	}
+	s.tap, s.feed = tap, feed
+	return skipped, hit
 }

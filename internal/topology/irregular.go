@@ -116,16 +116,16 @@ func allPairsBFS(n int, adj [][]int) [][]int {
 	return dist
 }
 
-// NumNodes implements Topology.
+// NumNodes reports the number of routers.
 func (t *Irregular) NumNodes() int { return t.n }
 
-// NumPorts implements Topology.
+// NumPorts reports the most ports any router has, including Local.
 func (t *Irregular) NumPorts() int { return t.maxDeg }
 
-// Links implements Topology.
+// Links returns every directed link, indexed by Link.ID.
 func (t *Irregular) Links() []Link { return t.links }
 
-// OutLink implements Topology.
+// OutLink returns the directed link leaving node through port, or nil.
 func (t *Irregular) OutLink(node int, port Direction) *Link {
 	if port <= Local || int(port) >= len(t.out[node]) {
 		return nil
@@ -137,10 +137,10 @@ func (t *Irregular) OutLink(node int, port Direction) *Link {
 	return &t.links[idx]
 }
 
-// Distance implements Topology.
+// Distance reports the minimal hop count between two nodes.
 func (t *Irregular) Distance(a, b int) int { return t.dist[a][b] }
 
-// Diameter implements Topology.
+// Diameter reports the maximum Distance over all node pairs.
 func (t *Irregular) Diameter() int {
 	d := 0
 	for a := 0; a < t.n; a++ {

@@ -68,25 +68,6 @@ type Link struct {
 	SrcPort, DstPort Direction
 }
 
-// Topology describes a network graph as seen by the simulator. All
-// concrete topologies in this package satisfy it.
-type Topology interface {
-	// NumNodes reports the number of routers.
-	NumNodes() int
-	// NumPorts reports the number of ports per router, including Local.
-	// For irregular topologies this is the maximum over routers.
-	NumPorts() int
-	// Links returns every directed link, indexed by Link.ID.
-	Links() []Link
-	// OutLink returns the directed link leaving node through port, or
-	// nil when that port is unconnected (mesh edge).
-	OutLink(node int, port Direction) *Link
-	// Distance reports the minimal hop count between two nodes.
-	Distance(a, b int) int
-	// Diameter reports the maximum Distance over all node pairs.
-	Diameter() int
-}
-
 // Mesh is a W×H 2-D mesh. Node IDs are row-major: id = y*W + x, with x
 // growing East and y growing South (row 0 is the top row, matching the
 // paper's figures).
@@ -135,16 +116,16 @@ func (m *Mesh) ID(x, y int) int { return y*m.W + x }
 // XY returns the coordinates of node id.
 func (m *Mesh) XY(id int) (x, y int) { return id % m.W, id / m.W }
 
-// NumNodes implements Topology.
+// NumNodes reports the number of routers.
 func (m *Mesh) NumNodes() int { return m.W * m.H }
 
-// NumPorts implements Topology.
+// NumPorts reports the number of ports per router, including Local.
 func (m *Mesh) NumPorts() int { return int(NumMeshPorts) }
 
-// Links implements Topology.
+// Links returns every directed link, indexed by Link.ID.
 func (m *Mesh) Links() []Link { return m.links }
 
-// OutLink implements Topology.
+// OutLink returns the directed link leaving node through port, or nil.
 func (m *Mesh) OutLink(node int, port Direction) *Link {
 	if port <= Local || int(port) >= len(m.out[node]) {
 		return nil
@@ -168,14 +149,14 @@ func (m *Mesh) InLink(node int, port Direction) *Link {
 	return m.OutLink(out.Dst, port.Opposite())
 }
 
-// Distance implements Topology (Manhattan distance).
+// Distance reports the minimal hop count between two nodes.
 func (m *Mesh) Distance(a, b int) int {
 	ax, ay := m.XY(a)
 	bx, by := m.XY(b)
 	return abs(ax-bx) + abs(ay-by)
 }
 
-// Diameter implements Topology.
+// Diameter reports the maximum Distance over all node pairs.
 func (m *Mesh) Diameter() int { return (m.W - 1) + (m.H - 1) }
 
 // PortToward returns the set of productive output ports for a minimal

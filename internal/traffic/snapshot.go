@@ -18,7 +18,7 @@ func init() {
 	snapshot.Register("traffic.Generator", Generator{},
 		[]string{"nextID"},
 		[]string{"Pattern", "Rate", "W", "H", "HotspotNode",
-			"HotspotFraction", "Pool", "out"})
+			"HotspotFraction", "Pool", "Stream", "out", "thr", "thrRate"})
 }
 
 var _ snapshot.Stater = (*Generator)(nil)

@@ -7,9 +7,11 @@ package traffic
 
 import (
 	"fmt"
+	mbits "math/bits"
 	"math/rand"
 
 	"repro/internal/message"
+	"repro/internal/snapshot"
 )
 
 // Pattern names a synthetic destination distribution.
@@ -25,24 +27,14 @@ const (
 	Hotspot
 )
 
+var patternNames = [...]string{"Uniform", "Transpose", "Shuffle", "BitRotation", "BitComplement", "Hotspot"}
+
 // String returns the pattern name.
 func (p Pattern) String() string {
-	switch p {
-	case Uniform:
-		return "Uniform"
-	case Transpose:
-		return "Transpose"
-	case Shuffle:
-		return "Shuffle"
-	case BitRotation:
-		return "BitRotation"
-	case BitComplement:
-		return "BitComplement"
-	case Hotspot:
-		return "Hotspot"
-	default:
+	if p < 0 || int(p) >= len(patternNames) {
 		return fmt.Sprintf("Pattern(%d)", int(p))
 	}
+	return patternNames[p]
 }
 
 // Patterns lists every supported pattern.
@@ -58,6 +50,19 @@ func ParsePattern(name string) (Pattern, error) {
 		}
 	}
 	return 0, fmt.Errorf("unknown pattern %q", name)
+}
+
+// Check reports whether the pattern is defined on a w×h mesh: Transpose
+// swaps coordinates, the bit permutations act on log2(nodes) address
+// bits.
+func (p Pattern) Check(w, h int) error {
+	switch {
+	case p == Transpose && w != h:
+		return fmt.Errorf("traffic: %v requires a square mesh, not %dx%d", p, w, h) //nocvet:ignore hotalloc2 error path
+	case (p == Shuffle || p == BitRotation || p == BitComplement) && bits(w*h) < 0:
+		return fmt.Errorf("traffic: %v requires a power-of-two node count, not %d", p, w*h) //nocvet:ignore hotalloc2 error path
+	}
+	return nil
 }
 
 // DataLen and CtrlLen are the two packet sizes of the Table II mix.
@@ -85,62 +90,60 @@ type Generator struct {
 	// its owner wired the ejection side to release each delivered packet
 	// (sim.Instance.UsePool, every scheme). Nil = plain allocation.
 	Pool *message.Pool
+	// Stream, when set, must be the source behind the rng passed to
+	// Tick: the injection draws then scan it directly (ScanBelow), from
+	// one injecting node to the next. Nil = one rng.Int63 at a time.
+	Stream *snapshot.CountingSource
 
 	nextID uint64
 	out    []*message.Packet // Tick scratch, reused across cycles
+	// thr restates `rng.Float64() < thrRate` on the raw 63-bit draw.
+	thr     int64
+	thrRate float64
 }
 
 // logical number of nodes.
 func (g *Generator) nodes() int { return g.W * g.H }
 
-// bits returns log2(nodes) when nodes is a power of two, else -1.
+// bits returns log2(n) when n is a power of two, else -1.
 func bits(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	if 1<<b != n {
+	if n < 1 || n&(n-1) != 0 {
 		return -1
 	}
-	return b
+	return mbits.TrailingZeros(uint(n))
+}
+
+// redo is the smallest 63-bit draw v that rand.Float64 redraws: the
+// first whose float64(v)/(1<<63) rounds up to 1.0 (float64 keeps 53
+// bits, so the last 512 values below 1<<63 round to it).
+const redo = 1<<63 - 512
+
+// threshold returns the smallest draw whose quotient float64(v)/(1<<63)
+// reaches rate, redo when none does: the quotient is monotone in v and
+// the division exact, so `rng.Float64() < rate` is `v < threshold(rate)`
+// for every draw Float64 does not redraw.
+func threshold(rate float64) int64 {
+	lo, hi := int64(0), int64(redo)
+	for lo < hi {
+		if mid := lo + (hi-lo)/2; float64(mid)/(1<<63) >= rate {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // Dest returns the destination for a packet sourced at src. It panics
-// for bit-permutation patterns on non-power-of-two networks (the paper
-// evaluates 16, 64 and 256 nodes, all powers of two).
+// for a pattern that fails Check on this mesh (the paper evaluates 16,
+// 64 and 256 nodes, all powers of two); sim.SynthConfig.Validate turns
+// such a configuration away first.
 func (g *Generator) Dest(rng *rand.Rand, src int) int {
+	if err := g.Pattern.Check(g.W, g.H); err != nil {
+		panic(err) //nocvet:ignore panicstyle Check builds its errors with the "traffic: " prefix
+	}
 	n := g.nodes()
 	switch g.Pattern {
-	case Uniform:
-		d := rng.Intn(n - 1)
-		if d >= src {
-			d++
-		}
-		return d
-	case Transpose:
-		x, y := src%g.W, src/g.W
-		if g.W != g.H {
-			panic("traffic: Transpose requires a square mesh")
-		}
-		return x*g.W + y
-	case Shuffle:
-		b := bits(n)
-		if b < 0 {
-			panic("traffic: Shuffle requires a power-of-two node count")
-		}
-		return ((src << 1) | (src >> (b - 1))) & (n - 1)
-	case BitRotation:
-		b := bits(n)
-		if b < 0 {
-			panic("traffic: BitRotation requires a power-of-two node count")
-		}
-		return (src >> 1) | ((src & 1) << (b - 1))
-	case BitComplement:
-		b := bits(n)
-		if b < 0 {
-			panic("traffic: BitComplement requires a power-of-two node count")
-		}
-		return ^src & (n - 1)
 	case Hotspot:
 		frac := g.HotspotFraction
 		if frac == 0 {
@@ -149,11 +152,21 @@ func (g *Generator) Dest(rng *rand.Rand, src int) int {
 		if rng.Float64() < frac && src != g.HotspotNode {
 			return g.HotspotNode
 		}
+		fallthrough
+	case Uniform:
 		d := rng.Intn(n - 1)
 		if d >= src {
 			d++
 		}
 		return d
+	case Transpose:
+		return src%g.W*g.W + src/g.W
+	case Shuffle:
+		return ((src << 1) | (src >> (bits(n) - 1))) & (n - 1)
+	case BitRotation:
+		return (src >> 1) | ((src & 1) << (bits(n) - 1))
+	case BitComplement:
+		return ^src & (n - 1)
 	default:
 		panic(fmt.Sprintf("traffic: unknown pattern %d", int(g.Pattern)))
 	}
@@ -178,11 +191,27 @@ func classMix(rng *rand.Rand) (message.Class, int) {
 // created this cycle (one per node at most). Destinations equal to the
 // source are suppressed (bit patterns map some nodes to themselves). The
 // returned slice is reused on the next call.
+//
+//nocvet:hot
 func (g *Generator) Tick(cycle int64, rng *rand.Rand) []*message.Packet {
-	out := g.out[:0]
-	for src := 0; src < g.nodes(); src++ {
-		if rng.Float64() >= g.Rate {
-			continue
+	if g.thrRate != g.Rate { // the zero value is right: threshold(0) == 0
+		g.thr, g.thrRate = threshold(g.Rate), g.Rate
+	}
+	out, n := g.out[:0], g.nodes()
+	for src := 0; src < n; src++ {
+		if g.Stream != nil {
+			skipped, hit := g.Stream.ScanBelow(g.thr, redo, n-src)
+			if src += skipped; !hit {
+				break
+			}
+		} else {
+			v := rng.Int63()
+			for v >= redo {
+				v = rng.Int63()
+			}
+			if v >= g.thr {
+				continue
+			}
 		}
 		dst := g.Dest(rng, src)
 		if dst == src {
