@@ -87,6 +87,15 @@ func main() {
 	if _, _, err := noc.ParseWatchdogSpec(*watchdog); err != nil {
 		log.Fatal(err)
 	}
+	// Options read 0 as "default": these two exit 2 here, as Validate's do.
+	if *size < 2 {
+		log.Printf("-size %d: need a mesh of at least 2x2", *size)
+		os.Exit(2)
+	}
+	if *faultScale == 0 {
+		log.Print("-faultscale 0 leaves the fault plan unscaled; for a fault-free run, omit -faults")
+		os.Exit(2)
+	}
 	if err := noc.ValidateShards(*shards, (*size)*(*size)); err != nil {
 		log.Fatal(err)
 	}

@@ -132,6 +132,9 @@ func validateFlags(fv flagValues) (sweepConfig, error) {
 	if _, _, err := noc.ParseWatchdogSpec(fv.watchdog); err != nil {
 		return sweepConfig{}, fmt.Errorf("-watchdog: %v", err)
 	}
+	if !(fv.faultScale > 0) {
+		return sweepConfig{}, fmt.Errorf("-faultscale %v must be positive (0 would leave the plan unscaled); for a fault-free sweep, omit -faults", fv.faultScale)
+	}
 	cfg.faults, cfg.faultScale, cfg.watchdog = fv.faults, fv.faultScale, fv.watchdog
 	if err := noc.ValidateShards(fv.shards, fv.size*fv.size); err != nil {
 		return sweepConfig{}, fmt.Errorf("-shards: %v", err)

@@ -106,7 +106,7 @@ func goodFlags() flagValues {
 	return flagValues{
 		schemes: "FastPass,EscapeVC", pattern: "Uniform",
 		size: 4, seed: 1,
-		rateMin: 0.02, rateMax: 0.1, rateStep: 0.02,
+		rateMin: 0.02, rateMax: 0.1, rateStep: 0.02, faultScale: 1,
 		watchdog: "on", shards: 1, telemetryWindow: 1000,
 	}
 }
@@ -132,6 +132,8 @@ func TestValidateFlags(t *testing.T) {
 		{name: "rate above one", mod: func(fv *flagValues) { fv.rateMax = 2 }, wantErr: "[0, 1]"},
 		{name: "bad rate grid", mod: func(fv *flagValues) { fv.rateStep = -1 }, wantErr: "step"},
 		{name: "bad fault plan", mod: func(fv *flagValues) { fv.faults = "linkfail:rate=2" }, wantErr: "-faults"},
+		{name: "zero fault scale", mod: func(fv *flagValues) { fv.faultScale = 0 }, wantErr: "-faultscale"},
+		{name: "negative fault scale", mod: func(fv *flagValues) { fv.faultScale = -1 }, wantErr: "-faultscale"},
 		{name: "bad watchdog", mod: func(fv *flagValues) { fv.watchdog = "stride=no" }, wantErr: "-watchdog"},
 		{name: "bad shards", mod: func(fv *flagValues) { fv.shards = -3 }, wantErr: "-shards"},
 		{name: "bad telemetry window", mod: func(fv *flagValues) { fv.telemetryWindow = 0 }, wantErr: "-telemetry-window"},

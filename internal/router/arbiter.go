@@ -6,38 +6,24 @@ import "math/bits"
 // first requesting index at or after the pointer, then advances the
 // pointer past the winner, giving every requester bounded waiting — the
 // fairness property the paper's prime-router input scan and the router's
-// VC/switch allocators both rely on.
+// VC/switch allocators both rely on. (Eleven per router: counts are bytes.)
 type RRArbiter struct {
-	n    int
-	next int
+	n    uint8
+	next uint8
 }
 
 // NewRRArbiter creates an arbiter over n requesters.
 func NewRRArbiter(n int) *RRArbiter {
-	if n < 1 {
-		panic("router: arbiter needs at least one requester")
+	if n < 1 || n > 64 {
+		panic("router: arbiter needs 1 to 64 requesters")
 	}
-	return &RRArbiter{n: n}
+	return &RRArbiter{n: uint8(n)}
 }
 
-// Grant returns the winning index among the requesters for which
-// request(i) is true, or -1 when none request. The pointer only advances
-// when a grant is issued.
-func (a *RRArbiter) Grant(request func(i int) bool) int {
-	for k := 0; k < a.n; k++ {
-		i := (a.next + k) % a.n
-		if request(i) {
-			a.next = (i + 1) % a.n
-			return i
-		}
-	}
-	return -1
-}
-
-// GrantMask is Grant over a request mask, bit i for requester i (no bit
-// at or above n may be set; n ≤ 64): the first set bit at or after the
-// pointer, else the lowest — the same winner, and the same pointer
-// afterwards, as Grant.
+// GrantMask returns the winning index among the requesters whose bits
+// are set in reqs (no bit at or above n may be set), or -1 when none
+// request: the first set bit at or after the pointer, else the lowest.
+// The pointer only advances when a grant is issued.
 func (a *RRArbiter) GrantMask(reqs uint64) int {
 	if reqs == 0 {
 		return -1
@@ -46,6 +32,8 @@ func (a *RRArbiter) GrantMask(reqs uint64) int {
 	if i == 64 {
 		i = bits.TrailingZeros64(reqs)
 	}
-	a.next = (i + 1) % a.n
+	if a.next = uint8(i + 1); a.next == a.n {
+		a.next = 0
+	}
 	return i
 }

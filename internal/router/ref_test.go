@@ -24,10 +24,25 @@ import (
 // constructor is new, since the slab it was carved from is gone.
 // TestRouterMatchesReference steps it in lockstep with Router.
 
+// Grant returns the winning index among the requesters for which
+// request(i) is true, or -1 when none request. The pointer only advances
+// when a grant is issued.
+func (a *RRArbiter) Grant(request func(i int) bool) int {
+	n := int(a.n)
+	for k := 0; k < n; k++ {
+		i := (int(a.next) + k) % n
+		if request(i) {
+			a.next = uint8((i + 1) % n)
+			return i
+		}
+	}
+	return -1
+}
+
 // GrantSlice is Grant over a boolean slice (len must equal n) — the
 // arbiter entry point the old allocators used.
 func (a *RRArbiter) GrantSlice(reqs []bool) int {
-	if len(reqs) != a.n {
+	if len(reqs) != int(a.n) {
 		panic("router: request slice length mismatch")
 	}
 	return a.Grant(func(i int) bool { return reqs[i] })
@@ -437,12 +452,12 @@ func (rt *refRouter) SnapshotState(w *snapshot.Writer) {
 		}
 	}
 	for _, a := range rt.saInArb {
-		w.Int(a.next)
+		w.Int(int(a.next))
 	}
 	for _, a := range rt.saOutArb {
-		w.Int(a.next)
+		w.Int(int(a.next))
 	}
-	w.Int(rt.portTie.next)
+	w.Int(int(rt.portTie.next))
 	w.I64(rt.FlitsRouted)
 	w.I64(rt.SwitchStalls)
 }
@@ -454,7 +469,7 @@ func newRefRouter(id int, mesh *topology.Mesh, cfg Config, env Env) *refRouter {
 	r.candPorts = r.dirBuf[0:0:nPorts]
 	r.bestPorts = r.dirBuf[nPorts : nPorts : 2*nPorts]
 	r.routeBuf = r.dirBuf[2*nPorts : 2*nPorts]
-	r.portTie.n = nPorts
+	r.portTie.n = uint8(nPorts)
 	for c := 0; c < int(message.NumClasses); c++ {
 		r.slots = append(r.slots, vaSlot{topology.Local, c})
 	}
@@ -484,8 +499,8 @@ func newRefRouter(id int, mesh *topology.Mesh, cfg Config, env Env) *refRouter {
 			r.candVCs[p] = make([]int, 0, cfg.NetVCs())
 		}
 		r.saReqs[p] = make([]bool, len(iu.VCs))
-		r.saInArb[p].n = len(iu.VCs)
-		r.saOutArb[p].n = nPorts
+		r.saInArb[p].n = uint8(len(iu.VCs))
+		r.saOutArb[p].n = uint8(nPorts)
 	}
 	return r
 }
@@ -594,14 +609,27 @@ func (s *side) classFor(vc int) message.Class {
 
 // meddle does between two steps what the network and the controllers do
 // to a router: flits and credits arrive, the NIC injects, and packets are
-// inserted, parked at the front, pulled from the head or from the middle
-// of a queue.
+// inserted, parked at the front (also ahead of an allocated head), pulled
+// from the head — allocated or not, with or without the upstream credit —
+// or from the middle of a queue. Credits come back on every port, on one
+// port only, or not at all, so heads block and stay blocked through
+// credits for ports they cannot take; in a drought no packet arrives, and
+// credits and removals are scarce, so whole routers park.
 func (s *side) meddle() {
 	rt, rng, nv := s.rt, s.rng, s.cfg.NetVCs()
+	drought, removeOdds := s.env.cycle%512 >= 288, 40
+	creditPort := topology.Direction(rng.Intn(nPorts + 1)) // 0: all ports; nPorts: none
+	if drought {
+		removeOdds *= 10
+		if rng.Intn(8) != 0 {
+			creditPort = topology.NumMeshPorts
+		}
+	}
 	for p := topology.Direction(1); int(p) < nPorts; p++ {
 		for v := 0; v < nv; v++ {
 			q := rt.VCFor(p, v)
 			switch {
+			case q.Empty() && drought:
 			case q.Empty() && rng.Intn(6) == 0:
 				rt.DeliverHead(p, v, s.newPacket(s.classFor(v)))
 			case q.Empty() && rng.Intn(25) == 0:
@@ -610,12 +638,15 @@ func (s *side) meddle() {
 				if e := q.EntryAt(q.Len() - 1); int(e.Arrived) < e.Pkt.Len && rng.Intn(4) != 0 {
 					rt.DeliverBody(p, v, e.Pkt)
 				}
-				switch rng.Intn(40) {
+				switch rng.Intn(removeOdds) {
 				case 0:
 					rt.RemoveHeadPacket(p, v)
-				case 1:
+				case 1, 2:
 					rt.RemoveHeadPacketNoCredit(p, v)
 				}
+			}
+			if creditPort != 0 && creditPort != p {
+				continue
 			}
 			switch rng.Intn(12) {
 			case 0, 1, 2:
@@ -625,9 +656,9 @@ func (s *side) meddle() {
 			}
 		}
 	}
-	for c := message.Class(0); c < message.NumClasses; c++ {
+	for c := message.Class(0); c < message.NumClasses && !drought; c++ {
 		q := rt.VCFor(topology.Local, int(c))
-		switch rng.Intn(10) {
+		switch rng.Intn(12) {
 		case 0, 1, 2:
 			rt.InjectPacket(s.newPacket(c))
 		case 3:
@@ -639,8 +670,48 @@ func (s *side) meddle() {
 			if i := rng.Intn(4); i < q.Len() && q.EntryAt(i).FullyBuffered() && !q.EntryAt(i).Allocated {
 				q.RemoveAt(i)
 			}
+		case 6:
+			if h := q.Head(); h != nil && h.Allocated {
+				rt.RemoveHeadPacketNoCredit(topology.Local, int(c))
+			}
+		case 7:
+			if h := q.Head(); h != nil && h.Allocated && h.Sent == 0 {
+				rt.InsertFrontOverflow(topology.Local, int(c), s.newPacket(c))
+			}
 		}
 	}
+}
+
+// checkMasks holds the allocation masks to what they claim: alloc is
+// exactly the heads' Allocated flags, and a blocked head is unallocated,
+// bound elsewhere than this node, and would fail VA afresh — no VC its
+// routing allows is free downstream — unless that VC's port has gained a
+// credit since the last VA pass.
+func checkMasks(r *Router) error {
+	for p := range r.Inputs {
+		for v := range r.Inputs[p].VCs {
+			h := r.Inputs[p].VCs[v].Head()
+			if got, want := r.alloc[p]>>v&1 != 0, h != nil && h.Allocated; got != want {
+				return fmt.Errorf("alloc bit of (%d,%d) is %v, head allocated %v", p, v, got, want)
+			}
+			if r.blocked[p]>>v&1 == 0 {
+				continue
+			}
+			if h == nil || h.Allocated || h.Pkt.Dst == r.ID {
+				return fmt.Errorf("(%d,%d) is blocked, head %+v", p, v, h)
+			}
+			var err error
+			r.ForEachCandidate(h.Pkt, func(port topology.Direction, gvc int) {
+				if r.vcFree[port]>>gvc&1 != 0 && r.gained>>(4*(port-1))&15 == 0 {
+					err = fmt.Errorf("(%d,%d) is blocked, but VC %d of port %d is free for %s", p, v, gvc, port, h.Pkt)
+				}
+			})
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // pktView is what a router writes into a resident packet; the entries
@@ -712,12 +783,15 @@ func lockstepShapes() map[string]Config {
 // by side under a seeded hostile Env and controller-style meddling, and
 // after every cycle requires every entry, credit, arbiter cursor and
 // counter (the SnapshotState bytes carry all of them), every packet field
-// the router writes and the ordered Env call log to be equal. Now and
-// then the mask router is replaced by one restored from its own snapshot,
-// whose cached routes are gone and must come back the same.
+// the router writes and the ordered Env call log to be equal, and the
+// mask router's alloc and blocked masks to pass checkMasks. Now and then
+// the mask router is replaced by one restored from its own snapshot,
+// whose cached routes and blocked heads are gone and must come back the
+// same.
 func TestRouterMatchesReference(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
 	for name, cfg := range lockstepShapes() {
+		parked := 0
 		for _, id := range []int{mesh.ID(1, 2), mesh.ID(0, 0), mesh.ID(3, 1)} {
 			for seed := int64(1); seed <= 3; seed++ {
 				mk := func() *side {
@@ -726,15 +800,25 @@ func TestRouterMatchesReference(t *testing.T) {
 				ref, cur := mk(), mk()
 				ref.rt = newRefRouter(id, mesh, cfg, ref.env)
 				cur.rt = New(id, mesh, cfg, cur.env)
-				ties, lastTie := 0, 0
+				ties, lastTie, blocked := 0, uint8(0), 0
 				for cycle := int64(0); cycle < 1500; cycle++ {
 					for _, s := range []*side{ref, cur} {
 						s.env.cycle, s.env.log = cycle, s.env.log[:0]
 						s.meddle()
+						if r, ok := s.rt.(*Router); ok && r.resident > 0 && r.gained == 0 && r.unsettled(&r.blocked) == 0 {
+							parked++
+						}
 						s.rt.Step()
 					}
 					if !bytes.Equal(snapshotBytes(cur.rt), snapshotBytes(ref.rt)) || !slices.Equal(cur.packets(), ref.packets()) || !slices.Equal(cur.env.log, ref.env.log) {
 						t.Fatalf("%s node %d seed %d cycle %d:\nmask router:\n%s\nreference:\n%s", name, id, seed, cycle, cur.describe(), ref.describe())
+					}
+					r := cur.rt.(*Router)
+					if err := checkMasks(r); err != nil {
+						t.Fatalf("%s node %d seed %d cycle %d: %v", name, id, seed, cycle, err)
+					}
+					for _, m := range r.blocked {
+						blocked += bits.OnesCount64(m)
 					}
 					if next := ref.rt.(*refRouter).portTie.next; next != lastTie {
 						ties, lastTie = ties+1, next
@@ -755,10 +839,14 @@ func TestRouterMatchesReference(t *testing.T) {
 					}
 				}
 				// The run must have exercised what it compares.
-				if r := cur.rt.(*Router); r.FlitsRouted < 2000 || r.SwitchStalls < 50 || ties < 20 {
-					t.Errorf("%s node %d seed %d: a dull run — %d flits, %d switch stalls, %d port ties", name, id, seed, r.FlitsRouted, r.SwitchStalls, ties)
+				if r := cur.rt.(*Router); r.FlitsRouted < 1500 || r.SwitchStalls < 50 || ties < 20 || blocked < 500 {
+					t.Errorf("%s node %d seed %d: a dull run — %d flits, %d switch stalls, %d port ties, %d blocked head-cycles",
+						name, id, seed, r.FlitsRouted, r.SwitchStalls, ties, blocked)
 				}
 			}
+		}
+		if parked < 50 {
+			t.Errorf("%s: the routers parked (every head blocked, no credit gained) in only %d steps", name, parked)
 		}
 	}
 }
@@ -768,7 +856,8 @@ func TestRouterMatchesReference(t *testing.T) {
 // for random ones up to n = 64.
 func TestGrantMaskMatchesGrant(t *testing.T) {
 	check := func(n, next int, reqs uint64) bool {
-		a, b := RRArbiter{n: n, next: next}, RRArbiter{n: n, next: next}
+		a := RRArbiter{n: uint8(n), next: uint8(next)}
+		b := a
 		g := a.Grant(func(i int) bool { return reqs>>i&1 != 0 })
 		return b.GrantMask(reqs) == g && a.next == b.next
 	}
@@ -806,6 +895,9 @@ func TestOccupancyTracksEveryMutation(t *testing.T) {
 			s.meddle()
 			if cycle%3 != 0 {
 				r.Step()
+			}
+			if err := checkMasks(r); err != nil {
+				t.Fatalf("%s cycle %d: %v", name, cycle, err)
 			}
 			resident := 0
 			for p := range r.Inputs {

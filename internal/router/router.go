@@ -129,6 +129,11 @@ type Router struct {
 	// controllers that edit VCs directly need do nothing. Allocation
 	// walks set bits only.
 	occ [nPorts]uint64
+	// alloc[port] has bit v set while VC v's head holds an output VC,
+	// blocked[port] while it failed VA for want of a free downstream VC
+	// on all its route ports — an outcome only a credit on one of them
+	// (gained) can change. The VCs re-derive both when the head changes.
+	alloc, blocked [nPorts]uint64
 	// vcFree tracks downstream VC availability per output port; it is
 	// the credit state of virtual cut-through with one packet per VC: a
 	// downstream VC is either wholly free or owned by one packet.
@@ -138,6 +143,9 @@ type Router struct {
 	saOutArb [nPorts]RRArbiter // stage 2: per output port over input ports
 	portTie  RRArbiter         // adaptive output-port tie-break
 
+	// gained: ports whose vcFree gained a bit since the last VA pass, as
+	// VC.route fields. (Ejection never blocks: NIC space frees silently.)
+	gained uint16
 	// ejecting marks classes with a regular packet mid-ejection.
 	ejecting [message.NumClasses]bool
 
@@ -265,7 +273,7 @@ func NewAll(mesh *topology.Mesh, cfg Config, env Env) []*Router {
 func (sl *slab) build(id int, mesh *topology.Mesh, cfg Config, env Env) *Router {
 	r := &carve(&sl.routers, 1)[0]
 	r.ID, r.Mesh, r.Cfg, r.Env, r.tab = id, mesh, cfg, env, sl.tab
-	r.portTie.n = nPorts
+	r.portTie.n = uint8(nPorts)
 	for p := 0; p < nPorts; p++ {
 		d := topology.Direction(p)
 		r.outLinks[p], r.inLinks[p] = -1, -1
@@ -290,8 +298,8 @@ func (sl *slab) build(id int, mesh *topology.Mesh, cfg Config, env Env) *Router 
 			vc.entries.Adopt(carve(&sl.entries, window))
 			vc.owner, vc.port, vc.idx = r, uint8(p), uint8(v)
 		}
-		r.saInArb[p].n = n
-		r.saOutArb[p].n = nPorts
+		r.saInArb[p].n = uint8(n)
+		r.saOutArb[p].n = uint8(nPorts)
 	}
 	return r
 }
@@ -312,7 +320,10 @@ func (r *Router) DownstreamVCFree(port topology.Direction, vc int) bool {
 
 // MarkVCFree records an arriving credit: the downstream VC behind
 // outPort is free again.
-func (r *Router) MarkVCFree(port topology.Direction, vc int) { r.vcFree[port] |= 1 << vc }
+func (r *Router) MarkVCFree(port topology.Direction, vc int) {
+	r.vcFree[port] |= 1 << vc
+	r.gained |= 15 << (4 * (port - 1))
+}
 
 // OccupiedVCs visits the non-empty (port, vc) buffers of input ports
 // from and above, ascending. The occupancy masks are re-read after every
@@ -380,12 +391,6 @@ func (r *Router) InjectPacket(pkt *message.Packet) bool {
 	return r.InsertPacket(topology.Local, int(pkt.Class), pkt)
 }
 
-// InjectionFree reports the free flit capacity of the class's injection
-// queue.
-func (r *Router) InjectionFree(c message.Class) int {
-	return r.Inputs[topology.Local].VCs[c].FreeFlits()
-}
-
 // ports returns the output ports that algorithm group g allows a packet
 // for dst here, in the algorithm's preference order and less any the mesh
 // edge lacks. The result aliases routeBuf: valid until the next call.
@@ -403,13 +408,23 @@ func (r *Router) ports(g int, dst int) []topology.Direction {
 
 // Step runs one cycle of the router: VC allocation for fresh heads,
 // then switch allocation and flit transmission. It looks only at
-// occupied VCs; with none it returns at once.
+// occupied VCs; with none, or with every head blocked and no credit
+// gained since, it returns at once.
 func (r *Router) Step() {
-	if r.resident == 0 {
+	if r.resident == 0 || r.gained == 0 && r.unsettled(&r.blocked) == 0 {
 		return
 	}
 	r.allocateVCs()
 	r.switchAllocate()
+}
+
+// unsettled ORs over the ports the occupied VCs in neither mask nor
+// blocked; unsettled(&r.blocked) == 0 is occ == blocked without memequal.
+func (r *Router) unsettled(mask *[nPorts]uint64) (vcs uint64) {
+	for p := range r.occ {
+		vcs |= r.occ[p] &^ mask[p] &^ r.blocked[p]
+	}
+	return vcs
 }
 
 // allocateVCs performs VC allocation for every unallocated head entry,
@@ -417,13 +432,19 @@ func (r *Router) Step() {
 // each network port's VCs. The rotation start is derived from the cycle
 // number rather than kept in a stateful arbiter, which makes an idle
 // cycle a true no-op — the active-set scheduler depends on that to skip
-// empty routers without perturbing arbitration. Only occupied VCs are
+// empty routers without perturbing arbitration. Only waiting heads are
 // visited, in the rotation's four segments: the start port from the
 // start VC up, the later ports, the earlier ports, the start port below
 // the start VC.
 //
 //nocvet:phase route
 func (r *Router) allocateVCs() {
+	if r.gained != 0 {
+		r.unblock()
+	}
+	if r.unsettled(&r.alloc) == 0 {
+		return
+	}
 	const inj = int(message.NumClasses)
 	p0, v0 := 0, int(r.Env.Cycle()%r.tab.vaSlots)
 	if v0 >= inj {
@@ -431,14 +452,31 @@ func (r *Router) allocateVCs() {
 		p0, v0 = 1+(v0-inj)/nv, (v0-inj)%nv
 	}
 	below := uint64(1)<<v0 - 1
-	r.allocatePort(p0, r.occ[p0]&^below)
+	r.allocatePort(p0, r.waiting(p0)&^below)
 	for p := p0 + 1; p < nPorts; p++ {
-		r.allocatePort(p, r.occ[p])
+		r.allocatePort(p, r.waiting(p))
 	}
 	for p := 0; p < p0; p++ {
-		r.allocatePort(p, r.occ[p])
+		r.allocatePort(p, r.waiting(p))
 	}
-	r.allocatePort(p0, r.occ[p0]&below)
+	r.allocatePort(p0, r.waiting(p0)&below)
+}
+
+// waiting returns the VCs of port p whose head awaits VA and may get it.
+func (r *Router) waiting(p int) uint64 { return r.occ[p] &^ r.alloc[p] &^ r.blocked[p] }
+
+// unblock makes every blocked head whose route names a port in gained
+// wait for VA again, and clears gained.
+func (r *Router) unblock() {
+	for p := range r.blocked {
+		vcs := r.Inputs[p].VCs
+		for m := r.blocked[p]; m != 0; m &= m - 1 {
+			if v := bits.TrailingZeros64(m); vcs[v].route&r.gained != 0 {
+				r.blocked[p] &^= 1 << v
+			}
+		}
+	}
+	r.gained = 0
 }
 
 // allocatePort attempts VC allocation for the waiting heads among the
@@ -446,7 +484,7 @@ func (r *Router) allocateVCs() {
 func (r *Router) allocatePort(p int, mask uint64) {
 	for ; mask != 0; mask &= mask - 1 {
 		v := &r.Inputs[p].VCs[bits.TrailingZeros64(mask)]
-		if e := v.entries.Ptr(0); !e.Allocated && e.Arrived >= 1 {
+		if e := v.entries.Ptr(0); e.Arrived >= 1 {
 			r.tryAllocate(v, e)
 		}
 	}
@@ -464,6 +502,7 @@ func (r *Router) tryAllocate(v *VC, e *Entry) {
 		r.Env.BeginEject(r.ID, pkt)
 		r.ejecting[pkt.Class] = true
 		e.Allocate(topology.Local, int(pkt.Class))
+		r.alloc[v.port] |= 1 << v.idx
 		return
 	}
 	// The head's route — per output port, the set of algorithm groups
@@ -492,6 +531,7 @@ func (r *Router) tryAllocate(v *VC, e *Entry) {
 		}
 	}
 	if best == 0 {
+		r.blocked[v.port] |= 1 << v.idx
 		return
 	}
 	choice := bits.TrailingZeros64(best)
@@ -503,6 +543,7 @@ func (r *Router) tryAllocate(v *VC, e *Entry) {
 	pick := bits.Len64(free[choice]) - 1
 	r.vcFree[choice] &^= 1 << pick
 	e.Allocate(topology.Direction(choice), pick)
+	r.alloc[v.port] |= 1 << v.idx
 }
 
 // switchAllocate runs the two-stage separable switch allocator and
@@ -510,21 +551,21 @@ func (r *Router) tryAllocate(v *VC, e *Entry) {
 //
 //nocvet:phase alloc
 func (r *Router) switchAllocate() {
-	// Stage 1: each occupied input port nominates one VC with a sendable
-	// flit. A fault-stalled input port nominates nothing: its buffered
-	// flits are frozen in place until the stall clears (or the watchdogs
-	// give up on them). A nominee has one output port, so the per-output
-	// request masks are complete before any flit moves.
+	// Stage 1: each input port nominates one allocated head with a
+	// sendable flit. A fault-stalled input port nominates nothing: its
+	// buffered flits are frozen in place until the stall clears (or the
+	// watchdogs give up on them). A nominee has one output port, so the
+	// per-output request masks are complete before any flit moves.
 	var nominee [nPorts]int
 	var outReqs [nPorts]uint64
 	var nominated, granted uint64
 	for p := 0; p < nPorts; p++ {
-		if r.occ[p] == 0 || r.Env.InputStalled(r.ID, p) {
+		if r.alloc[p] == 0 || r.Env.InputStalled(r.ID, p) {
 			continue
 		}
 		vcs := r.Inputs[p].VCs
 		var reqs uint64
-		for m := r.occ[p]; m != 0; m &= m - 1 {
+		for m := r.alloc[p]; m != 0; m &= m - 1 {
 			v := bits.TrailingZeros64(m)
 			if r.sendable(vcs[v].entries.Ptr(0)) {
 				reqs |= 1 << v
@@ -552,9 +593,9 @@ func (r *Router) switchAllocate() {
 	r.SwitchStalls += int64(bits.OnesCount64(nominated &^ granted))
 }
 
-// sendable reports whether head entry e can move a flit this cycle.
+// sendable reports whether allocated head e can move a flit this cycle.
 func (r *Router) sendable(e *Entry) bool {
-	if !e.Allocated || e.Sent >= e.Arrived {
+	if e.Sent >= e.Arrived {
 		return false
 	}
 	if e.Out() == topology.Local {
@@ -634,6 +675,7 @@ func (r *Router) RemoveHeadPacketNoCredit(port topology.Direction, vc int) *mess
 			r.ejecting[e.Pkt.Class] = false
 		} else {
 			r.vcFree[e.OutPort] |= 1 << e.OutVC
+			r.gained |= 15 << (4 * (e.OutPort - 1))
 		}
 		e.Allocated = false
 	}
@@ -687,17 +729,6 @@ func (r *Router) InsertOverflow(port topology.Direction, vc int, pkt *message.Pa
 func (r *Router) InsertFrontOverflow(port topology.Direction, vc int, pkt *message.Packet) {
 	r.Inputs[port].VCs[vc].EnqueueFrontOverflow(pkt, r.Env.Cycle())
 	r.Env.WakeRouter(r.ID)
-}
-
-// BlockedFor reports how long the head of (port, vc) has been resident
-// without any flit movement, or -1 when the VC is empty. SPIN's
-// detection threshold and SWAP's duty cycle consume this.
-func (r *Router) BlockedFor(port topology.Direction, vc int) int64 {
-	e := r.Inputs[port].VCs[vc].Head()
-	if e == nil {
-		return -1
-	}
-	return r.Env.Cycle() - e.LastMove
 }
 
 // ForEachCandidate visits every (output port, downstream VC) pair the

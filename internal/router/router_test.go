@@ -333,22 +333,6 @@ func TestInsertPacketRespectsCapacity(t *testing.T) {
 	}
 }
 
-func TestBlockedFor(t *testing.T) {
-	m := topology.NewMesh(3, 3)
-	env := newFakeEnv()
-	r := New(m.ID(1, 1), m, adaptiveCfg(1, 1), env)
-	if r.BlockedFor(topology.West, 0) != -1 {
-		t.Error("empty VC should report -1")
-	}
-	p := message.NewPacket(10, m.ID(0, 1), m.ID(2, 1), message.Request, 1, 0)
-	env.cycle = 5
-	r.DeliverHead(topology.West, 0, p)
-	env.cycle = 25
-	if got := r.BlockedFor(topology.West, 0); got != 20 {
-		t.Errorf("BlockedFor = %d, want 20", got)
-	}
-}
-
 // Two packets contending for one output port must serialize through the
 // switch (one flit per output per cycle) but both eventually leave.
 func TestSwitchContentionSerializes(t *testing.T) {
@@ -388,21 +372,5 @@ func TestResidentPackets(t *testing.T) {
 	got := r.ResidentPackets()
 	if len(got) != 2 {
 		t.Fatalf("resident = %d, want 2", len(got))
-	}
-}
-
-func TestInjectionFreeAccounting(t *testing.T) {
-	m := topology.NewMesh(3, 3)
-	env := newFakeEnv()
-	r := New(m.ID(0, 0), m, adaptiveCfg(1, 1), env)
-	if r.InjectionFree(message.Request) != 10 {
-		t.Fatalf("fresh queue free = %d", r.InjectionFree(message.Request))
-	}
-	r.InjectPacket(message.NewPacket(15, r.ID, 5, message.Request, 5, 0))
-	if r.InjectionFree(message.Request) != 5 {
-		t.Errorf("free = %d, want 5", r.InjectionFree(message.Request))
-	}
-	if r.InjectionFree(message.Response) != 10 {
-		t.Error("classes must have independent queues")
 	}
 }

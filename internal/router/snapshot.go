@@ -23,7 +23,8 @@ func (v *VC) SnapshotState(w *snapshot.Writer) {
 // RestoreState decodes into a freshly built (empty) VC. Entries are
 // reconstructed through insert so the owning router's resident counter
 // and occupancy mask come out right without being encoded separately;
-// the head's cached route is recomputed at its next VA attempt.
+// headChanged then takes the alloc bit from the decoded head, whose route
+// and blocked bit come back at its next VA attempt.
 func (v *VC) RestoreState(r *snapshot.Reader) {
 	for v.entries.Len() > 0 {
 		v.remove(0)
@@ -41,6 +42,7 @@ func (v *VC) RestoreState(r *snapshot.Reader) {
 		e.LastMove = r.I64()
 	}
 	v.flits = int32(flits)
+	v.headChanged()
 }
 
 // SnapshotState encodes the router's mutable state: credit view,
@@ -63,12 +65,12 @@ func (rt *Router) SnapshotState(w *snapshot.Writer) {
 		}
 	}
 	for _, a := range rt.saInArb {
-		w.Int(a.next)
+		w.Int(int(a.next))
 	}
 	for _, a := range rt.saOutArb {
-		w.Int(a.next)
+		w.Int(int(a.next))
 	}
-	w.Int(rt.portTie.next)
+	w.Int(int(rt.portTie.next))
 	w.I64(rt.FlitsRouted)
 	w.I64(rt.SwitchStalls)
 }
@@ -93,12 +95,12 @@ func (rt *Router) RestoreState(r *snapshot.Reader) {
 		}
 	}
 	for p := range rt.saInArb {
-		rt.saInArb[p].next = r.Int()
+		rt.saInArb[p].next = uint8(r.Int())
 	}
 	for p := range rt.saOutArb {
-		rt.saOutArb[p].next = r.Int()
+		rt.saOutArb[p].next = uint8(r.Int())
 	}
-	rt.portTie.next = r.Int()
+	rt.portTie.next = uint8(r.Int())
 	rt.FlitsRouted = r.I64()
 	rt.SwitchStalls = r.I64()
 }
@@ -118,6 +120,8 @@ func init() {
 			"ID", "Mesh", "Cfg", "Env", "tab", "outLinks", "inLinks",
 			// Scratch, rewritten before every read.
 			"routeBuf",
+			// Re-derived (alloc) or cleared (blocked) by VC restore.
+			"alloc", "blocked", "gained",
 		})
 	snapshot.Register("router.InputUnit", InputUnit{}, []string{"VCs"}, nil)
 	snapshot.Register("router.VC", VC{},

@@ -81,7 +81,7 @@ type VC struct {
 	CapFlits, MaxPkts int32
 	flits             int32
 	// route caches the head packet's routing (see Router.tryAllocate);
-	// 0 = not computed, reset when the head changes.
+	// 0 = not computed, reset when the head changes (headChanged).
 	route     uint16
 	port, idx uint8
 }
@@ -105,12 +105,12 @@ func (v *VC) init(capFlits, maxPkts int) {
 func (v *VC) insert(pos int, pkt *message.Packet, arrived int, cycle int64) *Entry {
 	v.entries.InsertAt(pos, Entry{Pkt: pkt, Arrived: int16(arrived), EnqueueCycle: cycle, LastMove: cycle})
 	v.flits += int32(arrived)
-	if pos == 0 {
-		v.route = 0
-	}
 	if r := v.owner; r != nil {
 		r.resident++
 		r.occ[v.port] |= 1 << v.idx
+	}
+	if pos == 0 {
+		v.headChanged()
 	}
 	return v.entries.Ptr(pos)
 }
@@ -120,13 +120,28 @@ func (v *VC) insert(pos int, pkt *message.Packet, arrived int, cycle int64) *Ent
 // decremented per flit.
 func (v *VC) remove(i int) {
 	v.entries.RemoveAt(i)
-	if i == 0 {
-		v.route = 0
-	}
 	if r := v.owner; r != nil {
 		r.resident--
 		if v.entries.Empty() {
 			r.occ[v.port] &^= 1 << v.idx
+		}
+	}
+	if i == 0 {
+		v.headChanged()
+	}
+}
+
+// headChanged forgets the old head's route and blocked bit and takes the
+// alloc bit from the new head (which may be an allocated injection head
+// that a packet parked in front of).
+func (v *VC) headChanged() {
+	v.route = 0
+	if r := v.owner; r != nil {
+		bit := uint64(1) << v.idx
+		r.blocked[v.port] &^= bit
+		r.alloc[v.port] &^= bit
+		if h := v.Head(); h != nil && h.Allocated {
+			r.alloc[v.port] |= bit
 		}
 	}
 }
@@ -136,12 +151,6 @@ func (v *VC) Empty() bool { return v.entries.Empty() }
 
 // Len reports the number of resident packets.
 func (v *VC) Len() int { return v.entries.Len() }
-
-// Flits reports the number of buffered flits.
-func (v *VC) Flits() int { return int(v.flits) }
-
-// FreeFlits reports remaining flit capacity.
-func (v *VC) FreeFlits() int { return int(v.CapFlits - v.flits) }
 
 // Head returns the front entry, or nil when empty.
 func (v *VC) Head() *Entry {

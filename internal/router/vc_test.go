@@ -23,8 +23,8 @@ func TestVCEnqueueSendWhole(t *testing.T) {
 	if !e.FullyBuffered() {
 		t.Error("whole packet should be fully buffered")
 	}
-	if v.Flits() != 3 || v.FreeFlits() != 2 {
-		t.Errorf("flits=%d free=%d", v.Flits(), v.FreeFlits())
+	if v.flits != 3 || v.CapFlits-v.flits != 2 {
+		t.Errorf("flits=%d free=%d", v.flits, v.CapFlits-v.flits)
 	}
 	if v.CanAccept(1) {
 		t.Error("single-packet VC must reject a second packet")
@@ -38,7 +38,7 @@ func TestVCEnqueueSendWhole(t *testing.T) {
 			t.Errorf("done=%v at flit %d", done, i)
 		}
 	}
-	if !v.Empty() || v.Flits() != 0 {
+	if !v.Empty() || v.flits != 0 {
 		t.Error("VC should be empty after tail departs")
 	}
 }
@@ -92,8 +92,8 @@ func TestVCMultiPacketFIFO(t *testing.T) {
 	v.EnqueueWhole(a, 0)
 	v.EnqueueWhole(b, 0)
 	v.EnqueueWhole(c, 0)
-	if v.Len() != 3 || v.Flits() != 10 {
-		t.Fatalf("len=%d flits=%d", v.Len(), v.Flits())
+	if v.Len() != 3 || v.flits != 10 {
+		t.Fatalf("len=%d flits=%d", v.Len(), v.flits)
 	}
 	if v.CanAccept(1) {
 		t.Error("queue at flit capacity must reject")
@@ -113,8 +113,8 @@ func TestVCEnqueueOverflowExceedsCapacity(t *testing.T) {
 	v := NewVC(5, 1)
 	v.EnqueueWhole(pkt(1, 5), 0)
 	v.EnqueueOverflow(pkt(2, 5), 0) // rejected FastPass return
-	if v.Len() != 2 || v.Flits() != 10 {
-		t.Errorf("len=%d flits=%d after overflow", v.Len(), v.Flits())
+	if v.Len() != 2 || v.flits != 10 {
+		t.Errorf("len=%d flits=%d after overflow", v.Len(), v.flits)
 	}
 }
 

@@ -146,7 +146,8 @@ type Options struct {
 	// commands pre-validate with faults.ParsePlan.
 	Faults string
 	// FaultScale, when positive, multiplies every rate in the fault
-	// plan (resilience sweeps reuse one spec across intensities).
+	// plan (resilience sweeps reuse one spec across intensities); 0
+	// leaves the plan as written, and Validate rejects the rest.
 	FaultScale float64
 
 	// Watchdog, when non-empty, is an invariant.ParseSpec value ("on",
@@ -180,12 +181,16 @@ func (o *Options) setDefaults() {
 // first cycle would panic on: a mesh under 2×2, a non-positive ejection
 // capacity, fewer VCs than the scheme needs or more per input port than
 // the router's one-word masks hold (VNs × VCs ≤ 64 — 64 VCs for the
-// one-VN schemes, 10 per VN for the six-VN baselines). Zero fields stand
-// for their defaults.
+// one-VN schemes, 10 per VN for the six-VN baselines) — and a negative
+// or NaN fault scale, which Build would silently run at full rate. Zero
+// fields stand for their defaults.
 func (o Options) Validate() error {
 	o.setDefaults()
 	if o.W < 2 || o.H < 2 || o.EjectCap < 1 {
 		return fmt.Errorf("sim: need a mesh of at least 2x2 and a positive ejection capacity, have %dx%d and %d", o.W, o.H, o.EjectCap)
+	}
+	if !(o.FaultScale >= 0) {
+		return fmt.Errorf("sim: fault scale %v must be a non-negative number", o.FaultScale)
 	}
 	fewest, most := 1, 64
 	if o.Scheme == EscapeVC {

@@ -279,7 +279,8 @@ func TestInjectedPacketsBelongToTheirNIC(t *testing.T) {
 
 // TestValidateRejectsWhatBuildPanicsOn: each input that used to reach a
 // panic inside Build or the first cycle (or, for the rates and the
-// negative window, run to NaN latencies) is an error from Validate, and
+// negative window, run to NaN latencies; for the fault scales, run the
+// plan at full rate) is an error from Validate, and
 // every scheme's defaults and largest legal VC count pass — and build.
 func TestValidateRejectsWhatBuildPanicsOn(t *testing.T) {
 	for _, tc := range []struct {
@@ -295,6 +296,8 @@ func TestValidateRejectsWhatBuildPanicsOn(t *testing.T) {
 		{"one-VN scheme past the mask", SynthConfig{Options: Options{Scheme: Pitstop, VCs: 65}}, "1 to 64 VCs"},
 		{"six-VN scheme past the mask", SynthConfig{Options: Options{Scheme: SPIN, VCs: 11}}, "1 to 10 VCs"},
 		{"negative ejection capacity", SynthConfig{Options: Options{EjectCap: -1}}, "ejection capacity"},
+		{"negative fault scale", SynthConfig{Options: Options{Faults: "corrupt:rate=1e-3", FaultScale: -1}}, "fault scale"},
+		{"NaN fault scale", SynthConfig{Options: Options{FaultScale: math.NaN()}}, "fault scale"},
 		{"rate above one", SynthConfig{Rate: 2}, "[0, 1]"},
 		{"negative rate", SynthConfig{Rate: -0.5}, "[0, 1]"},
 		{"NaN rate", SynthConfig{Rate: math.NaN()}, "[0, 1]"},
