@@ -286,7 +286,10 @@ func TestBuildAllocBudget(t *testing.T) {
 // steady state a checkpoint allocates the blob it hands to OnCheckpoint
 // and nothing else of note. A warm FastPass 16×16 run is resumed with a
 // checkpoint every cycle; between two consecutive callbacks lie exactly
-// one checkpoint and one (allocation-free) simulated cycle.
+// one checkpoint and one (allocation-free) simulated cycle. The blob
+// itself is held to the size of the simulator's state: 57,035 bytes at
+// format v5 (417,003 at v4, which re-encoded every measured latency and
+// 128 telemetry records at 8 bytes an integer), plus 10 %.
 func TestCheckpointAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run the guard without -race")
@@ -329,12 +332,16 @@ func TestCheckpointAllocBudget(t *testing.T) {
 	if n < 50 {
 		t.Fatalf("only %d checkpoints scored", calls-settle)
 	}
-	t.Logf("%.0f checkpoints: %.2f objects and %.3f × blob bytes per call", n, float64(objs)/n, float64(bytes)/float64(blobBytes))
+	t.Logf("%.0f checkpoints: %.2f objects and %.3f × blob bytes per call, %.0f bytes per blob",
+		n, float64(objs)/n, float64(bytes)/float64(blobBytes), float64(blobBytes)/n)
 	if perCall := float64(objs) / n; perCall > 4 {
 		t.Errorf("steady-state checkpoint allocates %.2f objects per call, budget 4", perCall)
 	}
 	if ratio := float64(bytes) / float64(blobBytes); ratio > 1.1 {
 		t.Errorf("steady-state checkpoint allocates %.3f × its blob's bytes, budget 1.1", ratio)
+	}
+	if perBlob := float64(blobBytes) / n; perBlob > 62_700 {
+		t.Errorf("steady-state blob is %.0f bytes, ceiling 62,700", perBlob)
 	}
 }
 

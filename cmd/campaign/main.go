@@ -146,6 +146,9 @@ func validateFlags(fv flagValues) (runConfig, error) {
 	if fv.warmup < 0 || fv.measure < 0 || fv.drain < 0 {
 		return runConfig{}, fmt.Errorf("-warmup/-measure/-drain must be non-negative")
 	}
+	if fv.jobs < 0 {
+		return runConfig{}, fmt.Errorf("-j %d: give a worker count, or 0 for one per core", fv.jobs)
+	}
 	if fv.resume && fv.journal == "" {
 		return runConfig{}, fmt.Errorf("-resume reuses a journal; pass its path with -journal")
 	}

@@ -52,6 +52,7 @@ func TestValidateFlags(t *testing.T) {
 		{name: "bad watchdog", mod: func(fv *flagValues) { fv.watchdog = "stride=no" }, wantErr: "-watchdog"},
 		{name: "negative window", mod: func(fv *flagValues) { fv.measure = -1 }, wantErr: "-warmup/-measure/-drain"},
 		{name: "resume without journal", mod: func(fv *flagValues) { fv.resume = true }, wantErr: "-journal"},
+		{name: "negative jobs", mod: func(fv *flagValues) { fv.jobs = -1 }, wantErr: "-j"},
 		{name: "scales without plan", mod: func(fv *flagValues) { fv.faults = "" }, wantErr: "fault"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

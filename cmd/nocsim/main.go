@@ -16,8 +16,10 @@
 // and fault outcomes included), even in a fresh process or at a
 // different -shards count.
 //
-// Exit codes: 0 clean, 2 saturated or timed out, 3 invariant watchdog
-// abort (the structured deadlock/starvation report goes to stderr).
+// Exit codes: 0 clean, 1 a run that could not start or finish (a
+// missing file, a refused checkpoint), 2 a rejected flag or a saturated
+// or timed-out run, 3 invariant watchdog abort (the structured
+// deadlock/starvation report goes to stderr).
 package main
 
 import (
@@ -58,14 +60,14 @@ func main() {
 	progress := flag.Bool("progress", false, "print a single-line progress status to stderr during synthetic runs")
 	flag.Parse()
 
-	if (*checkpointPath == "") != (*checkpointEvery == 0) {
-		log.Fatal("-checkpoint and -checkpoint-every must be set together")
-	}
 	if *checkpointEvery < 0 {
-		log.Fatalf("-checkpoint-every %d must be positive", *checkpointEvery)
+		rejectf("-checkpoint-every %d must be positive", *checkpointEvery)
+	}
+	if (*checkpointPath == "") != (*checkpointEvery == 0) {
+		rejectf("-checkpoint and -checkpoint-every must be set together")
 	}
 	if *telemetryWindow <= 0 {
-		log.Fatalf("-telemetry-window %d must be positive", *telemetryWindow)
+		rejectf("-telemetry-window %d must be positive", *telemetryWindow)
 	}
 	tf := telemetryFlags{
 		path: *telemetryPath, window: *telemetryWindow,
@@ -79,28 +81,26 @@ func main() {
 
 	scheme, err := noc.ParseScheme(*schemeName)
 	if err != nil {
-		log.Fatal(err)
+		rejectf("%v", err)
 	}
 	if _, err := noc.ParseFaultPlan(*faultSpec); err != nil {
-		log.Fatal(err)
+		rejectf("-faults: %v", err)
 	}
 	if _, _, err := noc.ParseWatchdogSpec(*watchdog); err != nil {
-		log.Fatal(err)
+		rejectf("-watchdog: %v", err)
 	}
-	// Options read 0 as "default": these two exit 2 here, as Validate's do.
+	// Options read 0 as "default": these two are caught here.
 	if *size < 2 {
-		log.Printf("-size %d: need a mesh of at least 2x2", *size)
-		os.Exit(2)
+		rejectf("-size %d: need a mesh of at least 2x2", *size)
 	}
 	if *faultScale == 0 {
-		log.Print("-faultscale 0 leaves the fault plan unscaled; for a fault-free run, omit -faults")
-		os.Exit(2)
+		rejectf("-faultscale 0 leaves the fault plan unscaled; for a fault-free run, omit -faults")
 	}
 	if err := noc.ValidateShards(*shards, (*size)*(*size)); err != nil {
-		log.Fatal(err)
+		rejectf("%v", err)
 	}
 	if *fpHealing && scheme != noc.FastPass {
-		log.Fatalf("-fp-healing is a FastPass configuration; it does not apply to %v", scheme)
+		rejectf("-fp-healing is a FastPass configuration; it does not apply to %v", scheme)
 	}
 	opts := noc.Options{
 		Scheme: scheme, W: *size, H: *size, VCs: *vcs, Seed: *seed, DrainPeriod: 8192,
@@ -115,22 +115,25 @@ func main() {
 	cfg := noc.SynthConfig{Options: opts, Rate: *rate, Warmup: *warmup, Measure: *measure, Drain: *drain}
 	if *app == "" {
 		if cfg.Pattern, err = noc.ParsePattern(*patternName); err != nil {
-			log.Fatal(err)
+			rejectf("%v", err)
 		}
 	}
 	if err := cfg.Validate(); err != nil {
-		log.Print(err)
-		os.Exit(2)
+		rejectf("%v", err)
 	}
 
 	if *app != "" {
+		a, err := noc.GetApp(*app)
+		if err != nil {
+			rejectf("%v", err)
+		}
 		if *checkpointEvery > 0 {
-			log.Fatal("-checkpoint only applies to synthetic runs")
+			rejectf("-checkpoint only applies to synthetic runs")
 		}
 		if tf.enabled() || tf.progress {
-			log.Fatal("-telemetry, -heatmap, -http and -progress only apply to synthetic runs")
+			rejectf("-telemetry, -heatmap, -http and -progress only apply to synthetic runs")
 		}
-		runApp(opts, *app)
+		runApp(opts, a)
 		return
 	}
 
@@ -139,6 +142,13 @@ func main() {
 	res := noc.RunSynthetic(cfg)
 	cleanup()
 	printSynth(res, cfg.Faults != "")
+}
+
+// rejectf reports a rejected flag and exits 2, like the flag package's
+// own rejections; 1 stays for a run that could not start or finish.
+func rejectf(format string, args ...any) {
+	log.Printf(format, args...)
+	os.Exit(2)
 }
 
 // checkpointWriter returns the OnCheckpoint hook: each checkpoint
@@ -183,15 +193,15 @@ func runRestored(path string, shards int, checkpointPath string, checkpointEvery
 	})
 	if shardsSet {
 		if err := noc.ValidateShards(shards, cfg.W*cfg.H); err != nil {
-			log.Fatal(err)
+			rejectf("%v", err)
 		}
 		cfg.Shards = shards
 	}
 	if tf.enabled() && cfg.Telemetry.Window == 0 {
-		log.Fatal("checkpoint was recorded without telemetry; -telemetry/-heatmap/-http cannot attach mid-run")
+		rejectf("checkpoint was recorded without telemetry; -telemetry/-heatmap/-http cannot attach mid-run")
 	}
 	if windowSet && cfg.Telemetry.Window != 0 && tf.window != cfg.Telemetry.Window {
-		log.Fatalf("-telemetry-window %d conflicts with the checkpoint's recorded window %d", tf.window, cfg.Telemetry.Window)
+		rejectf("-telemetry-window %d conflicts with the checkpoint's recorded window %d", tf.window, cfg.Telemetry.Window)
 	}
 	cfg.CheckpointEvery = checkpointEvery
 	cfg.OnCheckpoint = checkpointWriter(checkpointPath)
@@ -248,11 +258,7 @@ func printSynth(res noc.SynthResult, hadFaults bool) {
 	}
 }
 
-func runApp(opts noc.Options, name string) {
-	app, err := noc.GetApp(name)
-	if err != nil {
-		log.Fatal(err)
-	}
+func runApp(opts noc.Options, app noc.App) {
 	res := noc.RunApp(noc.AppConfig{Options: opts, App: app})
 	fmt.Printf("scheme          %v\n", opts.Scheme)
 	fmt.Printf("application     %s (quota %d txns)\n", app.Name, app.WorkQuota)

@@ -37,7 +37,7 @@ func (tf telemetryFlags) apply(cfg *noc.SynthConfig) (cleanup func()) {
 	}
 	if tf.enabled() {
 		if cfg.Scheme == noc.MinBD && tf.heatmap != "" {
-			log.Fatal("-heatmap does not apply to MinBD (no routers or credit links to grid)")
+			rejectf("-heatmap does not apply to MinBD (no routers or credit links to grid)")
 		}
 		if cfg.Telemetry.Window == 0 {
 			cfg.Telemetry.Window = tf.window

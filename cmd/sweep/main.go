@@ -222,6 +222,9 @@ func buildConfig(schemeList, patternName string, size int, seed int64, rateMin, 
 	if err != nil {
 		return sweepConfig{}, err
 	}
+	if jobs < 0 {
+		return sweepConfig{}, fmt.Errorf("-j %d: give a worker count, or 0 for one per core", jobs)
+	}
 	if size <= 0 {
 		return sweepConfig{}, fmt.Errorf("mesh dimension %d must be positive", size)
 	}

@@ -136,6 +136,7 @@ func TestValidateFlags(t *testing.T) {
 		{name: "negative fault scale", mod: func(fv *flagValues) { fv.faultScale = -1 }, wantErr: "-faultscale"},
 		{name: "bad watchdog", mod: func(fv *flagValues) { fv.watchdog = "stride=no" }, wantErr: "-watchdog"},
 		{name: "bad shards", mod: func(fv *flagValues) { fv.shards = -3 }, wantErr: "-shards"},
+		{name: "negative jobs", mod: func(fv *flagValues) { fv.jobs = -1 }, wantErr: "-j"},
 		{name: "bad telemetry window", mod: func(fv *flagValues) { fv.telemetryWindow = 0 }, wantErr: "-telemetry-window"},
 		{name: "scales without plan", mod: func(fv *flagValues) { fv.faultScales = "0,1" }, wantErr: "-faults"},
 		{name: "negative scale", mod: func(fv *flagValues) {

@@ -468,7 +468,7 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	w := snapshot.NewWriter()
 	n.SnapshotState(w)
 	sum := sha256.Sum256(snapshot.Seal(nil, w))
-	const want = "f3a62d1b1f5862df7de4569b1fca0d7983f67ffcd960feac378867ec48586391"
+	const want = "48511ce497c4ac3757fe99b4792107326f5cde3cf9e8628bcbde9ef294489f9d"
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("mid-run checkpoint sha256 = %s, want %s", got, want)
 	}

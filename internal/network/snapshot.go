@@ -46,9 +46,9 @@ func readTransit(r *snapshot.Reader, t *transit) {
 }
 
 // SnapshotState encodes the network and everything it owns: cycle
-// engine state, channels, claims, per-node RNG cursors, NICs, routers,
-// the attached controller (when it carries state) and the fault
-// injector (when attached).
+// engine state, channels, claims, NICs, routers, the attached
+// controller (when it carries state) and the fault injector (when
+// attached).
 func (n *Network) SnapshotState(w *snapshot.Writer) {
 	w.I64(n.cycle)
 	w.I64(n.FlitsOnLinks)
@@ -92,11 +92,6 @@ func (n *Network) SnapshotState(w *snapshot.Writer) {
 		for _, id := range sh.activeNICs.ids {
 			w.Int(id)
 		}
-	}
-	// One "no per-node RNG stream" flag per node: the streams are gone,
-	// the bytes stay until the next Version bump (ROADMAP item 4's).
-	for range n.NICs {
-		w.Bool(false)
 	}
 	for _, nc := range n.NICs {
 		nc.SnapshotState(w)
@@ -159,11 +154,6 @@ func (n *Network) RestoreState(r *snapshot.Reader) {
 	k = r.Int()
 	for i := 0; i < k && r.Err() == nil; i++ {
 		n.WakeNIC(r.Int())
-	}
-	for node := range n.NICs {
-		if r.Bool() { // sticky: every later read returns zero
-			r.Fail("checkpoint carries a per-node RNG stream for node %d; none exist", node)
-		}
 	}
 	for _, nc := range n.NICs {
 		nc.RestoreState(r)

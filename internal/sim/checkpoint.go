@@ -47,7 +47,6 @@ func encodeSynthConfig(w *snapshot.Writer, cfg SynthConfig) {
 	w.F64(cfg.HotspotFraction)
 	w.I64(cfg.CheckpointEvery)
 	w.I64(cfg.Telemetry.Window)
-	w.Int(cfg.Telemetry.Retain)
 	w.I64(cfg.ProgressEvery)
 }
 
@@ -81,7 +80,6 @@ func decodeSynthConfig(r *snapshot.Reader) SynthConfig {
 	cfg.HotspotFraction = r.F64()
 	cfg.CheckpointEvery = r.I64()
 	cfg.Telemetry.Window = r.I64()
-	cfg.Telemetry.Retain = r.Int()
 	cfg.ProgressEvery = r.I64()
 	return cfg
 }

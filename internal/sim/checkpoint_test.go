@@ -297,15 +297,14 @@ func TestReusedEncoderMatchesFresh(t *testing.T) {
 }
 
 // TestParentCommitBlobs is the cross-commit fence of changes that must
-// not move a checkpoint byte: testdata/pr23_*.ckpt.gz are mid-run
+// not move a checkpoint byte: testdata/pr32_*.ckpt.gz are mid-run
 // checkpoints (cycle 1400 of checkpointBase, every 700) written by the
-// commit before NIC and MinBD queues were threaded through the arena,
-// router entries narrowed and the reservation list became one slot;
-// pr26_FastPassHealed is the same cycle of a self-healing run under
-// linkfail:link=0,at=300,perm, written by the commit before irrnet and
-// the healing controller shared one walk-lane engine. This commit must
-// write the very same bytes at that cycle, and a run resumed from the
-// old blob must end exactly as an uninterrupted one.
+// commit that introduced format v5 (varint integers, the counting
+// latency histogram, telemetry without its record ring); FastPassHealed
+// is the same cycle of a self-healing run under
+// linkfail:link=0,at=300,perm, taken mid-ride on the healed lanes. This
+// commit must write the very same bytes at that cycle, and a run
+// resumed from the old blob must end exactly as an uninterrupted one.
 func TestParentCommitBlobs(t *testing.T) {
 	healed := checkpointBase(FastPass, 1)
 	healed.FPHealing = true
@@ -317,10 +316,10 @@ func TestParentCommitBlobs(t *testing.T) {
 		// blob was taken for.
 		live func(*testing.T, *Instance)
 	}{
-		{"pr23", "FastPass", checkpointBase(FastPass, 1), nil},
-		{"pr23", "MinBD", checkpointBase(MinBD, 1), nil},
-		{"pr23", "EscapeVC", checkpointBase(EscapeVC, 1), nil},
-		{"pr26", "FastPassHealed", healed, func(t *testing.T, inst *Instance) {
+		{"pr32", "FastPass", checkpointBase(FastPass, 1), nil},
+		{"pr32", "MinBD", checkpointBase(MinBD, 1), nil},
+		{"pr32", "EscapeVC", checkpointBase(EscapeVC, 1), nil},
+		{"pr32", "FastPassHealed", healed, func(t *testing.T, inst *Instance) {
 			reserved := 0
 			for _, nc := range inst.Net.NICs {
 				for cl := message.Class(0); cl < message.NumClasses; cl++ {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/message"
 	"repro/internal/protocol"
+	"repro/internal/telemetry"
 	"repro/internal/traffic"
 	"repro/internal/workload"
 )
@@ -302,6 +303,8 @@ func TestValidateRejectsWhatBuildPanicsOn(t *testing.T) {
 		{"negative rate", SynthConfig{Rate: -0.5}, "[0, 1]"},
 		{"NaN rate", SynthConfig{Rate: math.NaN()}, "[0, 1]"},
 		{"negative warmup", SynthConfig{Warmup: -5}, "negative window"},
+		{"negative checkpoint period", SynthConfig{CheckpointEvery: -5}, "negative period"},
+		{"negative telemetry window", SynthConfig{Telemetry: telemetry.Options{Window: -1}}, "negative period"},
 		{"Shuffle on 36 nodes", SynthConfig{Options: Options{W: 6}, Pattern: traffic.Shuffle}, "power-of-two"},
 		{"BitComplement on 12 nodes", SynthConfig{Options: Options{W: 4, H: 3}, Pattern: traffic.BitComplement}, "power-of-two"},
 		{"Transpose on 4x8", SynthConfig{Options: Options{W: 4, H: 8}, Pattern: traffic.Transpose}, "square"},

@@ -47,9 +47,9 @@ type SynthConfig struct {
 	OnCheckpoint    func(cycle int64, blob []byte)
 
 	// Telemetry enables the windowed metrics subsystem when its Window
-	// is positive (DESIGN.md §14). Window and Retain travel in the
-	// checkpoint config — a resumed run keeps the original boundaries —
-	// while the sinks are transient and re-attached by the driver.
+	// is positive (DESIGN.md §14). Window travels in the checkpoint
+	// config — a resumed run keeps the original boundaries — while the
+	// sinks are transient and re-attached by the driver.
 	Telemetry telemetry.Options
 
 	// ProgressEvery, when positive, invokes OnProgress every that many
@@ -84,7 +84,7 @@ func (c *SynthConfig) setDefaults() {
 // Validate is Options.Validate plus the synthetic knobs: an offered rate
 // outside [0, 1] packets/node/cycle measures nothing (NaN latencies), a
 // pattern undefined on the mesh panics in the first injection, and a
-// negative window is not "default".
+// negative window or period is not "default" or "off".
 func (c SynthConfig) Validate() error {
 	if err := c.Options.Validate(); err != nil {
 		return err
@@ -98,6 +98,9 @@ func (c SynthConfig) Validate() error {
 	}
 	if c.Warmup < 0 || c.Measure < 0 || c.Drain < 0 {
 		return fmt.Errorf("sim: negative window (warmup %d, measure %d, drain %d)", c.Warmup, c.Measure, c.Drain)
+	}
+	if c.CheckpointEvery < 0 || c.Telemetry.Window < 0 {
+		return fmt.Errorf("sim: negative period (checkpoint every %d, telemetry window %d); 0 turns either off", c.CheckpointEvery, c.Telemetry.Window)
 	}
 	return nil
 }

@@ -10,8 +10,11 @@
 //
 //	magic u32 | version u32 | crc32 u32 | meta len + bytes | packet table | graph body
 //
-// with every integer fixed-width little-endian. The crc covers all
-// bytes after itself, so truncation and corruption fail loudly at Open
+// where the header words, packet references and floats are fixed-width
+// little-endian and every other integer is a varint (zigzag for signed
+// values), so the small counts and cycle numbers that make up most of
+// a simulator's state cost a byte or two. The crc covers all bytes
+// after itself, so truncation and corruption fail loudly at Open
 // rather than as a garbled restore. The meta blob is opaque to this
 // package — the simulator stores its full run configuration there so a
 // checkpoint file is self-describing (restore needs no flags).
@@ -46,7 +49,7 @@ import (
 // Version is the checkpoint format version. Bump it on any layout
 // change; Open rejects mismatches outright (no cross-version decode —
 // a checkpoint is a resume token, not an archival format).
-const Version = 4
+const Version = 5
 
 // magic spells "NOCS" when the u32 is read little-endian.
 const magic = 0x53434f4e
@@ -99,20 +102,21 @@ func (w *Writer) U32(v uint32) {
 // I32 writes an int32 as its two's-complement u32.
 func (w *Writer) I32(v int32) { w.U32(uint32(v)) }
 
-// U64 writes a fixed 8-byte little-endian word.
-func (w *Writer) U64(v uint64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
-}
+// U64 writes an unsigned varint: one byte below 128, at most ten.
+func (w *Writer) U64(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 
-// I64 writes an int64 as its two's-complement u64.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
+// I64 writes a zigzag varint, so small magnitudes of either sign stay
+// short.
+func (w *Writer) I64(v int64) { w.buf = binary.AppendVarint(w.buf, v) }
 
-// Int writes an int as an i64 (cycle counters and lengths are int64 or
-// machine ints throughout the simulator; 8 bytes covers both).
+// Int writes an int as an I64 (cycle counters and lengths are int64 or
+// machine ints throughout the simulator).
 func (w *Writer) Int(v int) { w.I64(int64(v)) }
 
-// F64 writes a float64 by bit pattern.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
+// F64 writes a float64's bit pattern as a fixed 8-byte word.
+func (w *Writer) F64(v float64) {
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
+}
 
 // Str writes a length-prefixed string.
 func (w *Writer) Str(s string) {
@@ -174,7 +178,7 @@ func (r *Reader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || r.off+n > len(r.data) {
+	if n < 0 || n > len(r.data)-r.off {
 		r.fail("truncated: need %d bytes at offset %d of %d", n, r.off, len(r.data))
 		return nil
 	}
@@ -217,23 +221,55 @@ func (r *Reader) U32() uint32 {
 // I32 reads an int32.
 func (r *Reader) I32() int32 { return int32(r.U32()) }
 
-// U64 reads a fixed 8-byte little-endian word.
+// U64 reads an unsigned varint.
 func (r *Reader) U64() uint64 {
-	b := r.take(8)
-	if b == nil {
+	if r.err != nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(b)
+	v, n := binary.Uvarint(r.data[r.off:])
+	if n <= 0 {
+		r.badVarint(n)
+		return 0
+	}
+	r.off += n
+	return v
 }
 
-// I64 reads an int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
+// I64 reads a zigzag varint.
+func (r *Reader) I64() int64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(r.data[r.off:])
+	if n <= 0 {
+		r.badVarint(n)
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// badVarint records why binary.Uvarint/Varint returned n <= 0: the
+// buffer ended inside the varint (0), or it runs past 64 bits (< 0).
+func (r *Reader) badVarint(n int) {
+	if n == 0 {
+		r.fail("truncated varint at offset %d of %d", r.off, len(r.data))
+	} else {
+		r.fail("overlong varint at offset %d", r.off)
+	}
+}
 
 // Int reads an int written by Writer.Int.
 func (r *Reader) Int() int { return int(r.I64()) }
 
-// F64 reads a float64 by bit pattern.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+// F64 reads a float64 from its fixed 8-byte bit pattern.
+func (r *Reader) F64() float64 {
+	b := r.take(8)
+	if b == nil {
+		return 0
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
+}
 
 // Str reads a length-prefixed string.
 func (r *Reader) Str() string {
@@ -319,7 +355,7 @@ func Seal(meta []byte, body *Writer) []byte {
 	}
 	body.table = t.buf
 
-	h := Writer{buf: make([]byte, 0, 12+8+len(meta)+len(t.buf)+len(body.buf))}
+	h := Writer{buf: make([]byte, 0, 12+binary.MaxVarintLen64+len(meta)+len(t.buf)+len(body.buf))}
 	h.U32(magic)
 	h.U32(Version)
 	h.U32(0) // crc placeholder

@@ -2,10 +2,11 @@ package snapshot
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
-	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -148,6 +149,121 @@ func TestReaderErrorsAreSticky(t *testing.T) {
 	if r.Err() == nil {
 		t.Error("error was cleared")
 	}
+
+	// A varint cut off mid-continuation, and one that runs past 64 bits.
+	for _, tc := range []struct {
+		data []byte
+		want string
+	}{
+		{[]byte{0x80, 0x80}, "truncated varint"},
+		{bytes.Repeat([]byte{0xff}, 11), "overlong varint"},
+	} {
+		r := NewReader(tc.data)
+		if got := r.I64(); got != 0 || r.Err() == nil || !strings.Contains(r.Err().Error(), tc.want) {
+			t.Errorf("I64(% x) = %d, %v; want 0 and a %q error", tc.data, got, r.Err(), tc.want)
+		}
+		first := r.Err()
+		if got := r.U64(); got != 0 || r.Err() != first || r.off != 0 {
+			t.Errorf("U64 after a bad varint = %d at offset %d, error %v; want 0 at 0, error unchanged", got, r.off, r.Err())
+		}
+	}
+}
+
+// TestVarintExtremes: the integers that take the most and the fewest
+// varint bytes survive the round trip, and their encoded lengths are
+// the ones the format promises (1 byte for 0 and ±1, 10 at the ends).
+func TestVarintExtremes(t *testing.T) {
+	signed := []int64{0, 1, -1, 63, -64, 64, math.MinInt64, math.MaxInt64}
+	unsigned := []uint64{0, 1, 127, 128, math.MaxUint64}
+	w := NewWriter()
+	for _, v := range signed {
+		w.I64(v)
+		w.Int(int(v))
+	}
+	for _, v := range unsigned {
+		w.U64(v)
+	}
+	r := NewReader(w.Bytes())
+	for _, v := range signed {
+		if got := r.I64(); got != v {
+			t.Errorf("I64 %d round-tripped to %d", v, got)
+		}
+		if got := r.Int(); got != int(v) {
+			t.Errorf("Int %d round-tripped to %d", v, got)
+		}
+	}
+	for _, v := range unsigned {
+		if got := r.U64(); got != v {
+			t.Errorf("U64 %d round-tripped to %d", v, got)
+		}
+	}
+	if r.Err() != nil || r.off != len(w.Bytes()) {
+		t.Fatalf("decode stopped at %d of %d: %v", r.off, len(w.Bytes()), r.Err())
+	}
+	for _, tc := range []struct {
+		v    int64
+		size int
+	}{{0, 1}, {1, 1}, {-1, 1}, {math.MinInt64, 10}, {math.MaxInt64, 10}} {
+		w := NewWriter()
+		w.I64(tc.v)
+		if len(w.Bytes()) != tc.size {
+			t.Errorf("I64(%d) takes %d bytes, want %d", tc.v, len(w.Bytes()), tc.size)
+		}
+	}
+}
+
+// FuzzReader: arbitrary bytes, decoded by an op sequence the input
+// chooses, never panic, never move the offset past the end, and once a
+// read fails every later read returns the zero value with the first
+// error unchanged.
+func FuzzReader(f *testing.F) {
+	w := NewWriter()
+	w.Int(-3)
+	w.U64(1 << 40)
+	w.Str("lane")
+	w.F64(math.Pi)
+	w.Packet(nil)
+	f.Add([]byte{5, 4, 8, 7, 9}, w.Bytes())
+	f.Add([]byte{4, 4, 4}, []byte{0x80, 0x80})
+	f.Add([]byte{8, 0, 1}, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	// A string length near MaxInt64 used to overflow take's bounds check.
+	f.Add([]byte{8}, binary.AppendVarint(nil, math.MaxInt64))
+	f.Fuzz(func(t *testing.T, ops, data []byte) {
+		r := NewReader(data)
+		var first error
+		for _, op := range ops {
+			var zero bool
+			switch op % 10 {
+			case 0:
+				zero = r.U8() == 0
+			case 1:
+				zero = !r.Bool()
+			case 2:
+				zero = r.U32() == 0
+			case 3:
+				zero = r.I32() == 0
+			case 4:
+				zero = r.U64() == 0
+			case 5:
+				zero = r.I64() == 0
+			case 6:
+				zero = r.Int() == 0
+			case 7:
+				zero = r.F64() == 0
+			case 8:
+				zero = r.Str() == ""
+			case 9:
+				zero = r.Packet() == nil
+			}
+			if r.off < 0 || r.off > len(data) {
+				t.Fatalf("op %d moved the offset to %d of %d", op%10, r.off, len(data))
+			}
+			if first != nil && (r.Err() != first || !zero) {
+				t.Fatalf("op %d after %v: error %v, zero value %v", op%10, first, r.Err(), zero)
+			}
+			first = r.Err()
+		}
+	})
 }
 
 // TestCountingSourceMatchesMathRand: the self-hosted generator must be
@@ -330,20 +446,29 @@ func TestPoolBlobIgnoresChunkSlack(t *testing.T) {
 	mustPanic("Get of a dirtied packet", func() { restored.Get(4, 0, 1, message.Request, 1, 20) })
 }
 
-// TestOpenRejectsOlderVersion: v4 changed MinBD and protocol layouts, so
-// a version-3 header must fail Open's version check — before the crc,
-// so even a well-formed old blob is refused rather than mis-decoded.
+// TestOpenRejectsOlderVersion: v5 made integers varints, so a blob
+// written by a version-4 build (a MinBD mid-run checkpoint, kept as
+// testdata) must fail Open's version check — before the crc — rather
+// than be misread.
 func TestOpenRejectsOlderVersion(t *testing.T) {
-	if Version != 4 {
-		t.Fatalf("Version = %d; this test pins the 3 → 4 bump", Version)
+	if Version != 5 {
+		t.Fatalf("Version = %d; this test pins the 4 → 5 bump", Version)
 	}
-	w := NewWriter()
-	w.U64(7)
-	blob := Seal(nil, w)
-	binary.LittleEndian.PutUint32(blob[4:8], 3)
-	binary.LittleEndian.PutUint32(blob[8:12], crc32.ChecksumIEEE(blob[12:]))
-	_, _, err := Open(blob)
-	if err == nil || !strings.Contains(err.Error(), "format version 3, this build reads only 4") {
-		t.Errorf("Open(version 3 blob) = %v, want the format-version error", err)
+	f, err := os.Open("testdata/v4_MinBD.ckpt.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v4 := new(bytes.Buffer)
+	if _, err := v4.ReadFrom(zr); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Open(v4.Bytes())
+	if err == nil || !strings.Contains(err.Error(), "format version 4, this build reads only 5") {
+		t.Errorf("Open(version 4 blob) = %v, want the format-version error", err)
 	}
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 )
 
@@ -22,10 +21,7 @@ type Histogram struct {
 // latencies.
 func (c *Collector) LatencyHistogram() Histogram {
 	h := Histogram{Min: math.MaxInt64}
-	for _, lat := range c.latencies {
-		if lat < 0 {
-			continue
-		}
+	add := func(lat, n int64) {
 		bucket := 0
 		for v := lat; v > 1; v >>= 1 {
 			bucket++
@@ -33,14 +29,18 @@ func (c *Collector) LatencyHistogram() Histogram {
 		for len(h.Buckets) <= bucket {
 			h.Buckets = append(h.Buckets, 0)
 		}
-		h.Buckets[bucket]++
-		h.Count++
-		if lat < h.Min {
-			h.Min = lat
+		h.Buckets[bucket] += n
+		h.Count += n
+		h.Min = min(h.Min, lat)
+		h.Max = max(h.Max, lat)
+	}
+	for lat, n := range c.dense {
+		if n > 0 {
+			add(int64(lat), int64(n))
 		}
-		if lat > h.Max {
-			h.Max = lat
-		}
+	}
+	for _, lat := range c.overflow {
+		add(lat, 1)
 	}
 	if h.Count == 0 {
 		h.Min = 0
@@ -78,19 +78,8 @@ func (h Histogram) String() string {
 // collector — is NaN rather than a silently clamped sample.
 func (c *Collector) Quantiles(qs ...float64) []float64 {
 	out := make([]float64, len(qs))
-	for i := range out {
-		out[i] = math.NaN()
-	}
-	if len(c.latencies) == 0 {
-		return out
-	}
-	s := append([]int64(nil), c.latencies...)
-	slices.Sort(s)
 	for i, q := range qs {
-		if math.IsNaN(q) || q <= 0 || q > 1 {
-			continue
-		}
-		out[i] = float64(s[int(math.Ceil(q*float64(len(s))))-1])
+		out[i] = c.Percentile(q)
 	}
 	return out
 }

@@ -1,31 +1,28 @@
 package stats
 
-import "repro/internal/snapshot"
+import (
+	"math"
 
-func writeI64s(w *snapshot.Writer, xs []int64) {
-	w.Int(len(xs))
-	for _, x := range xs {
-		w.I64(x)
-	}
-}
+	"repro/internal/snapshot"
+)
 
-func readI64s(r *snapshot.Reader, xs []int64) []int64 {
-	n := r.Int()
-	xs = xs[:0]
-	for i := 0; i < n && r.Err() == nil; i++ {
-		xs = append(xs, r.I64())
-	}
-	return xs
-}
-
-// SnapshotState encodes the collector's accumulated samples and
-// counters. The sorted percentile cache is not encoded — restore marks
-// it stale and the next quantile read rebuilds it.
+// SnapshotState encodes the collector's latency histogram, sums and
+// counters.
 func (c *Collector) SnapshotState(w *snapshot.Writer) {
-	writeI64s(w, c.latencies)
-	writeI64s(w, c.fastTime)
-	writeI64s(w, c.regTime)
-	writeI64s(w, c.regOnly)
+	w.Int(len(c.dense))
+	for _, n := range c.dense {
+		w.U64(uint64(n))
+	}
+	w.Int(len(c.overflow))
+	for _, lat := range c.overflow {
+		w.I64(lat)
+	}
+	w.I64(c.latSum)
+	w.I64(c.fastN)
+	w.I64(c.fastSum)
+	w.I64(c.regSum)
+	w.I64(c.regOnlyN)
+	w.I64(c.regOnlySum)
 	w.I64(c.created)
 	w.I64(c.ejectedWindow)
 	w.I64(c.flitsWindow)
@@ -41,14 +38,41 @@ func (c *Collector) SnapshotState(w *snapshot.Writer) {
 	w.I64(c.allLatSamples)
 }
 
-// RestoreState decodes into a collector built with the same window.
+// RestoreState decodes into a collector built with the same window. A
+// histogram past denseCap, a count past uint32 or an overflow list out
+// of order or below denseCap is corrupt.
 func (c *Collector) RestoreState(r *snapshot.Reader) {
-	c.latencies = readI64s(r, c.latencies)
-	c.fastTime = readI64s(r, c.fastTime)
-	c.regTime = readI64s(r, c.regTime)
-	c.regOnly = readI64s(r, c.regOnly)
-	c.sorted = c.sorted[:0]
-	c.sortedStale = true
+	c.samples = 0
+	n := r.Int()
+	if n < 0 || n > denseCap {
+		r.Fail("stats: histogram of %d latencies, cap %d", n, denseCap)
+		return
+	}
+	c.dense = c.dense[:0]
+	for i := 0; i < n && r.Err() == nil; i++ {
+		v := r.U64()
+		if v > math.MaxUint32 {
+			r.Fail("stats: latency %d counted %d times", i, v)
+		}
+		c.dense = append(c.dense, uint32(v))
+		c.samples += int64(v)
+	}
+	n = r.Int()
+	c.overflow = c.overflow[:0]
+	for i := 0; i < n && r.Err() == nil; i++ {
+		lat := r.I64()
+		if lat < denseCap || i > 0 && lat < c.overflow[i-1] {
+			r.Fail("stats: overflow latency %d out of place", lat)
+		}
+		c.overflow = append(c.overflow, lat)
+		c.samples++
+	}
+	c.latSum = r.I64()
+	c.fastN = r.I64()
+	c.fastSum = r.I64()
+	c.regSum = r.I64()
+	c.regOnlyN = r.I64()
+	c.regOnlySum = r.I64()
 	c.created = r.I64()
 	c.ejectedWindow = r.I64()
 	c.flitsWindow = r.I64()
@@ -66,11 +90,13 @@ func (c *Collector) RestoreState(r *snapshot.Reader) {
 
 func init() {
 	snapshot.Register("stats.Collector", Collector{},
-		[]string{"latencies", "fastTime", "regTime", "regOnly", "created",
+		[]string{"dense", "overflow", "latSum", "fastN", "fastSum", "regSum",
+			"regOnlyN", "regOnlySum", "created",
 			"ejectedWindow", "flitsWindow", "regularPkts", "fastPkts",
 			"droppedPkts", "perClassEjects",
 			"allEjects", "allFlits", "allLatSum", "allLatSamples"},
-		[]string{"Nodes", "MeasStart", "MeasEnd", "sorted", "sortedStale"})
+		// samples is the histogram's total, recounted by RestoreState.
+		[]string{"Nodes", "MeasStart", "MeasEnd", "samples"})
 }
 
 var _ snapshot.Stater = (*Collector)(nil)

@@ -16,21 +16,27 @@ import (
 // measurement window [MeasStart, MeasEnd) contribute latency samples;
 // packets *ejected* inside the window contribute to throughput. The
 // usual warmup → measure → drain methodology wires both.
+//
+// Every statistic the figures read is a function of counts and sums, so
+// the collector keeps those and no per-packet record: measured
+// latencies live in an exact counting histogram (nearest rank is a walk
+// over the counts), and the Fig. 9 split is three running sums.
 type Collector struct {
 	Nodes              int
 	MeasStart, MeasEnd int64
 
-	latencies []int64
-	// sorted caches an ascending copy of latencies for Percentile, so
-	// repeated quantile reads cost one sort instead of one per call;
-	// OnEject invalidates it (sortedStale) instead of re-sorting.
-	sorted      []int64
-	sortedStale bool
-	// fastSplit records (regular, fast) cycle splits for measured
-	// FastPass packets; regOnly holds latencies of never-promoted
-	// packets (Fig. 9's "regular packets" series).
-	fastTime, regTime []int64
-	regOnly           []int64
+	// dense[l] counts measured packets of latency l < denseCap; it grows
+	// on demand to one past the largest latency seen. overflow holds the
+	// latencies ≥ denseCap, sorted.
+	dense    []uint32
+	overflow []int64
+	samples  int64 // len(overflow) + Σ dense, recomputed on restore
+	latSum   int64
+	// fastN measured FastPass packets spent fastSum cycles bufferless and
+	// regSum (latency − FastCycles) buffered; regOnlyN never-promoted
+	// packets took regOnlySum cycles (Fig. 9's "regular packets").
+	fastN, fastSum, regSum int64
+	regOnlyN, regOnlySum   int64
 
 	created        int64
 	ejectedWindow  int64
@@ -50,6 +56,11 @@ type Collector struct {
 	allLatSum     int64
 	allLatSamples int64
 }
+
+// denseCap bounds the counting histogram at 256 KB; latencies past it
+// (a run this congested has long been marked saturated) go to the
+// sorted overflow list, so quantiles stay exact at any latency.
+const denseCap = 1 << 16
 
 // New creates a collector for a network of the given size measuring the
 // window [measStart, measEnd).
@@ -84,8 +95,7 @@ func (c *Collector) OnEject(pkt *message.Packet) {
 		return
 	}
 	lat := pkt.Latency()
-	c.latencies = append(c.latencies, lat)
-	c.sortedStale = true
+	c.addLatency(lat)
 	switch {
 	case pkt.Dropped > 0:
 		c.droppedPkts++
@@ -95,45 +105,66 @@ func (c *Collector) OnEject(pkt *message.Packet) {
 		c.regularPkts++
 	}
 	if pkt.Kind == message.FastPass {
-		c.fastTime = append(c.fastTime, pkt.FastCycles)
-		c.regTime = append(c.regTime, lat-pkt.FastCycles)
+		c.fastN++
+		c.fastSum += pkt.FastCycles
+		c.regSum += lat - pkt.FastCycles
 	} else {
-		c.regOnly = append(c.regOnly, lat)
+		c.regOnlyN++
+		c.regOnlySum += lat
 	}
+}
+
+// addLatency counts one measured latency.
+func (c *Collector) addLatency(lat int64) {
+	c.samples++
+	c.latSum += lat
+	if lat >= denseCap {
+		i, _ := slices.BinarySearch(c.overflow, lat)
+		c.overflow = slices.Insert(c.overflow, i, lat)
+		return
+	}
+	if n := int(lat) + 1 - len(c.dense); n > 0 {
+		c.dense = append(c.dense, make([]uint32, n)...)
+	}
+	c.dense[lat]++
+}
+
+// nth returns the k-th smallest measured latency (0-based, k <
+// samples): a walk over the dense counts, then the overflow list.
+func (c *Collector) nth(k int64) int64 {
+	for lat, n := range c.dense {
+		if k < int64(n) {
+			return int64(lat)
+		}
+		k -= int64(n)
+	}
+	return c.overflow[k]
 }
 
 // RegularMean is the mean latency of measured packets that were never
 // promoted to FastPass.
-func (c *Collector) RegularMean() float64 { return mean(c.regOnly) }
+func (c *Collector) RegularMean() float64 { return mean(c.regOnlySum, c.regOnlyN) }
 
 // Samples reports the number of measured latency samples.
-func (c *Collector) Samples() int { return len(c.latencies) }
+func (c *Collector) Samples() int { return int(c.samples) }
 
 // MeasuredCreated reports packets created inside the window.
 func (c *Collector) MeasuredCreated() int64 { return c.created }
 
 // MeanLatency is the average packet latency over measured packets, or
 // NaN with no samples.
-func (c *Collector) MeanLatency() float64 { return mean(c.latencies) }
+func (c *Collector) MeanLatency() float64 { return mean(c.latSum, c.samples) }
 
 // Percentile returns the p-quantile (0 < p <= 1) of measured latencies
 // by nearest-rank, or NaN with no samples or a p outside (0, 1] (a
 // bogus p used to clamp silently onto the min or max sample — an easy
-// way to plot garbage without noticing). Fig. 12 uses p = 0.99. The
-// sorted view is cached across calls and rebuilt only after new
-// ejections, so interleaving Percentile reads with OnEject stays
-// correct and repeated reads stay cheap.
+// way to plot garbage without noticing). Fig. 12 uses p = 0.99.
 func (c *Collector) Percentile(p float64) float64 {
-	if len(c.latencies) == 0 || math.IsNaN(p) || p <= 0 || p > 1 {
+	if c.samples == 0 || math.IsNaN(p) || p <= 0 || p > 1 {
 		return math.NaN()
 	}
-	if c.sortedStale || len(c.sorted) != len(c.latencies) {
-		c.sorted = append(c.sorted[:0], c.latencies...)
-		slices.Sort(c.sorted)
-		c.sortedStale = false
-	}
-	// With p in (0, 1], ceil(p*n)-1 is always a valid index.
-	return float64(c.sorted[int(math.Ceil(p*float64(len(c.sorted))))-1])
+	// With p in (0, 1], ceil(p*n)-1 is always a valid rank.
+	return float64(c.nth(int64(math.Ceil(p*float64(c.samples))) - 1))
 }
 
 // Throughput is the accepted traffic in packets/node/cycle during the
@@ -169,7 +200,7 @@ func (c *Collector) Breakdown() (regular, fast, dropped float64) {
 // FastSplit reports the mean regular (buffered) and FastPass
 // (bufferless) latency components of measured FastPass packets (Fig. 9).
 func (c *Collector) FastSplit() (regular, fast float64) {
-	return mean(c.regTime), mean(c.fastTime)
+	return mean(c.regSum, c.fastN), mean(c.fastSum, c.fastN)
 }
 
 // ClassEjects reports packets of a class ejected in the window.
@@ -194,13 +225,12 @@ func (c *Collector) WindowCounters() Cumulative {
 	}
 }
 
-func mean(xs []int64) float64 {
-	if len(xs) == 0 {
+// mean is sum/n, or NaN with no samples. Integer sums do not depend on
+// the order the samples arrived in, so this is bit-equal to averaging a
+// slice of them.
+func mean(sum, n int64) float64 {
+	if n == 0 {
 		return math.NaN()
 	}
-	var sum int64
-	for _, x := range xs {
-		sum += x
-	}
-	return float64(sum) / float64(len(xs))
+	return float64(sum) / float64(n)
 }

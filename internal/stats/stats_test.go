@@ -2,10 +2,13 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/message"
+	"repro/internal/snapshot"
 )
 
 func eject(c *Collector, id uint64, create, eject int64, kind message.Kind, fast int64, dropped int) {
@@ -147,11 +150,10 @@ func TestQuantiles(t *testing.T) {
 	}
 }
 
-// TestPercentileInterleavedWithEjects covers the lazy-sort cache:
-// Percentile and MeanLatency reads interleaved with OnEject appends
-// must match a freshly-built collector at every step, including reads
-// repeated back-to-back (cache hit) and reads straight after an append
-// (cache invalidated).
+// TestPercentileInterleavedWithEjects: Percentile and MeanLatency reads
+// interleaved with OnEject must match a freshly-built collector at every
+// step, including reads repeated back-to-back and reads straight after
+// an ejection.
 func TestPercentileInterleavedWithEjects(t *testing.T) {
 	// Deliberately unsorted arrivals so a stale cache would show.
 	lats := []int64{70, 10, 90, 30, 50, 20, 80, 40, 60, 5}
@@ -213,4 +215,298 @@ func TestEmptyQuantilesAllNaN(t *testing.T) {
 			t.Errorf("empty Quantiles()[%d] = %v, want NaN", i, q)
 		}
 	}
+}
+
+// TestCollectorMatchesReference drives the counting collector and the
+// slice-backed refCollector with the same random eject streams —
+// latency 0, latencies on both sides of denseCap and far past it,
+// FastPass (some dropped) and regular mixes, creates in
+// and out of the window — and demands every accessor bit-equal after
+// every batch, across a mid-stream snapshot round trip.
+func TestCollectorMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c, ref := New(4, 100, 700), newRefCollector(4, 100, 700)
+		var id uint64
+		for batch := 0; batch < 30; batch++ {
+			for k := rng.Intn(60); k > 0; k-- {
+				var lat int64
+				switch rng.Intn(12) {
+				case 0:
+					lat = 0
+				case 1:
+					lat = denseCap - 2 + rng.Int63n(4)
+				case 2:
+					lat = denseCap + rng.Int63n(1<<20)
+				default:
+					lat = rng.Int63n(400)
+				}
+				create := rng.Int63n(900)
+				p := message.NewPacket(id, 0, 1, message.Request, 1+rng.Intn(5), create)
+				id++
+				p.EjectTime = create + lat
+				if rng.Intn(2) == 0 {
+					p.Kind = message.FastPass
+					p.FastCycles = rng.Int63n(lat + 1)
+					if rng.Intn(6) == 0 {
+						p.Dropped = 1
+					}
+				}
+				c.OnCreate(p)
+				c.OnEject(p)
+				ref.OnCreate(p)
+				ref.OnEject(p)
+			}
+			sameStats(t, seed, batch, c, ref)
+			if batch == 15 {
+				w := snapshot.NewWriter()
+				c.SnapshotState(w)
+				blob := snapshot.Seal(nil, w)
+				_, r, err := snapshot.Open(blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c = New(4, 100, 700)
+				c.RestoreState(r)
+				if err := r.Err(); err != nil {
+					t.Fatalf("seed %d: restore: %v", seed, err)
+				}
+				w = snapshot.NewWriter()
+				c.SnapshotState(w)
+				if again := snapshot.Seal(nil, w); !slices.Equal(again, blob) {
+					t.Fatalf("seed %d: restored collector re-encodes to different bytes", seed)
+				}
+				sameStats(t, seed, batch, c, ref)
+			}
+		}
+		if c.Samples() == 0 || len(c.overflow) == 0 || c.fastN == 0 || c.regOnlyN == 0 {
+			t.Fatalf("seed %d: stream missed a path: %d samples, %d overflow, %d fast, %d regular",
+				seed, c.Samples(), len(c.overflow), c.fastN, c.regOnlyN)
+		}
+	}
+}
+
+func sameStats(t *testing.T, seed int64, batch int, c *Collector, ref *refCollector) {
+	t.Helper()
+	same := func(what string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("seed %d batch %d: %s = %v, reference %v", seed, batch, what, got, want)
+		}
+	}
+	if c.Samples() != ref.Samples() {
+		t.Fatalf("seed %d batch %d: Samples = %d, reference %d", seed, batch, c.Samples(), ref.Samples())
+	}
+	same("MeanLatency", c.MeanLatency(), ref.MeanLatency())
+	same("RegularMean", c.RegularMean(), ref.RegularMean())
+	reg, fast := c.FastSplit()
+	rreg, rfast := ref.FastSplit()
+	same("FastSplit regular", reg, rreg)
+	same("FastSplit fast", fast, rfast)
+	qs := []float64{1e-9, 0.25, 0.5, 0.9, 0.99, 0.999, 1, 0, 1.5, math.NaN()}
+	for _, p := range qs {
+		same("Percentile", c.Percentile(p), ref.Percentile(p))
+	}
+	got, want := c.Quantiles(qs...), ref.Quantiles(qs...)
+	for i := range qs {
+		same("Quantiles", got[i], want[i])
+	}
+	if h, rh := c.LatencyHistogram(), ref.LatencyHistogram(); h.Count != rh.Count || h.Min != rh.Min ||
+		h.Max != rh.Max || !slices.Equal(h.Buckets, rh.Buckets) {
+		t.Fatalf("seed %d batch %d: LatencyHistogram = %+v, reference %+v", seed, batch, h, rh)
+	}
+}
+
+// refCollector is the slice-backed Collector this package shipped before
+// the counting histogram, kept verbatim (less the accessors both share
+// unchanged) as the lockstep reference of TestCollectorMatchesReference.
+//
+// refCollector accumulates per-packet results. Packets *created* inside the
+// measurement window [MeasStart, MeasEnd) contribute latency samples;
+// packets *ejected* inside the window contribute to throughput. The
+// usual warmup → measure → drain methodology wires both.
+type refCollector struct {
+	Nodes              int
+	MeasStart, MeasEnd int64
+
+	latencies []int64
+	// sorted caches an ascending copy of latencies for Percentile, so
+	// repeated quantile reads cost one sort instead of one per call;
+	// OnEject invalidates it (sortedStale) instead of re-sorting.
+	sorted      []int64
+	sortedStale bool
+	// fastSplit records (regular, fast) cycle splits for measured
+	// FastPass packets; regOnly holds latencies of never-promoted
+	// packets (Fig. 9's "regular packets" series).
+	fastTime, regTime []int64
+	regOnly           []int64
+
+	created        int64
+	ejectedWindow  int64
+	flitsWindow    int64
+	regularPkts    int64
+	fastPkts       int64
+	droppedPkts    int64
+	perClassEjects [message.NumClasses]int64
+
+	// Run-lifetime accumulators, counted on every ejection regardless of
+	// the measurement window. These back the windowed telemetry readout
+	// (WindowCounters), which needs monotone cumulative values it can
+	// delta per window — the [MeasStart, MeasEnd) gate above would leave
+	// warmup and drain windows empty.
+	allEjects     int64
+	allFlits      int64
+	allLatSum     int64
+	allLatSamples int64
+}
+
+// newRefCollector creates a collector for a network of the given size measuring the
+// window [measStart, measEnd).
+func newRefCollector(nodes int, measStart, measEnd int64) *refCollector {
+	return &refCollector{Nodes: nodes, MeasStart: measStart, MeasEnd: measEnd}
+}
+
+// inWindow reports whether a cycle falls in the measurement window.
+func (c *refCollector) inWindow(cycle int64) bool {
+	return cycle >= c.MeasStart && cycle < c.MeasEnd
+}
+
+// OnCreate observes packet creation (tagging).
+func (c *refCollector) OnCreate(pkt *message.Packet) {
+	if c.inWindow(pkt.CreateTime) {
+		c.created++
+	}
+}
+
+// OnEject observes a packet leaving the network.
+func (c *refCollector) OnEject(pkt *message.Packet) {
+	c.allEjects++
+	c.allFlits += int64(pkt.Len)
+	c.allLatSum += pkt.Latency()
+	c.allLatSamples++
+	if c.inWindow(pkt.EjectTime) {
+		c.ejectedWindow++
+		c.flitsWindow += int64(pkt.Len)
+		c.perClassEjects[pkt.Class]++
+	}
+	if !c.inWindow(pkt.CreateTime) {
+		return
+	}
+	lat := pkt.Latency()
+	c.latencies = append(c.latencies, lat)
+	c.sortedStale = true
+	switch {
+	case pkt.Dropped > 0:
+		c.droppedPkts++
+	case pkt.Kind == message.FastPass:
+		c.fastPkts++
+	default:
+		c.regularPkts++
+	}
+	if pkt.Kind == message.FastPass {
+		c.fastTime = append(c.fastTime, pkt.FastCycles)
+		c.regTime = append(c.regTime, lat-pkt.FastCycles)
+	} else {
+		c.regOnly = append(c.regOnly, lat)
+	}
+}
+
+// RegularMean is the mean latency of measured packets that were never
+// promoted to FastPass.
+func (c *refCollector) RegularMean() float64 { return refMean(c.regOnly) }
+
+// Samples reports the number of measured latency samples.
+func (c *refCollector) Samples() int { return len(c.latencies) }
+
+// MeanLatency is the average packet latency over measured packets, or
+// NaN with no samples.
+func (c *refCollector) MeanLatency() float64 { return refMean(c.latencies) }
+
+// Percentile returns the p-quantile (0 < p <= 1) of measured latencies
+// by nearest-rank, or NaN with no samples or a p outside (0, 1] (a
+// bogus p used to clamp silently onto the min or max sample — an easy
+// way to plot garbage without noticing). Fig. 12 uses p = 0.99. The
+// sorted view is cached across calls and rebuilt only after new
+// ejections, so interleaving Percentile reads with OnEject stays
+// correct and repeated reads stay cheap.
+func (c *refCollector) Percentile(p float64) float64 {
+	if len(c.latencies) == 0 || math.IsNaN(p) || p <= 0 || p > 1 {
+		return math.NaN()
+	}
+	if c.sortedStale || len(c.sorted) != len(c.latencies) {
+		c.sorted = append(c.sorted[:0], c.latencies...)
+		slices.Sort(c.sorted)
+		c.sortedStale = false
+	}
+	// With p in (0, 1], ceil(p*n)-1 is always a valid index.
+	return float64(c.sorted[int(math.Ceil(p*float64(len(c.sorted))))-1])
+}
+
+// FastSplit reports the mean regular (buffered) and FastPass
+// (bufferless) latency components of measured FastPass packets (Fig. 9).
+func (c *refCollector) FastSplit() (regular, fast float64) {
+	return refMean(c.regTime), refMean(c.fastTime)
+}
+
+func refMean(xs []int64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	var sum int64
+	for _, x := range xs {
+		sum += x
+	}
+	return float64(sum) / float64(len(xs))
+}
+
+// LatencyHistogram builds the histogram of the collector's measured
+// latencies.
+func (c *refCollector) LatencyHistogram() Histogram {
+	h := Histogram{Min: math.MaxInt64}
+	for _, lat := range c.latencies {
+		if lat < 0 {
+			continue
+		}
+		bucket := 0
+		for v := lat; v > 1; v >>= 1 {
+			bucket++
+		}
+		for len(h.Buckets) <= bucket {
+			h.Buckets = append(h.Buckets, 0)
+		}
+		h.Buckets[bucket]++
+		h.Count++
+		if lat < h.Min {
+			h.Min = lat
+		}
+		if lat > h.Max {
+			h.Max = lat
+		}
+	}
+	if h.Count == 0 {
+		h.Min = 0
+	}
+	return h
+}
+
+// Quantiles returns the given quantiles of the measured latencies by
+// nearest rank. A quantile outside (0, 1] — or any quantile of an empty
+// collector — is NaN rather than a silently clamped sample.
+func (c *refCollector) Quantiles(qs ...float64) []float64 {
+	out := make([]float64, len(qs))
+	for i := range out {
+		out[i] = math.NaN()
+	}
+	if len(c.latencies) == 0 {
+		return out
+	}
+	s := append([]int64(nil), c.latencies...)
+	slices.Sort(s)
+	for i, q := range qs {
+		if math.IsNaN(q) || q <= 0 || q > 1 {
+			continue
+		}
+		out[i] = float64(s[int(math.Ceil(q*float64(len(s))))-1])
+	}
+	return out
 }

@@ -12,7 +12,7 @@ import (
 // determinism tests pin.
 
 // emit streams one freshly closed record to every attached sink.
-func (m *Metrics) emit(rec *Record) {
+func (m *Metrics) emit(rec *record) {
 	if m.opt.JSONL != nil || m.opt.Publish != nil {
 		if rec.Window == 0 && m.opt.JSONL != nil {
 			m.buf = m.appendMeta(m.buf[:0])
@@ -83,7 +83,7 @@ func (m *Metrics) appendMeta(b []byte) []byte {
 
 // appendRecord renders one window as a single JSON line. Field order is
 // fixed by construction (slice registration order), never map order.
-func (m *Metrics) appendRecord(b []byte, rec *Record) []byte {
+func (m *Metrics) appendRecord(b []byte, rec *record) []byte {
 	b = append(b, `{"window":`...)
 	b = strconv.AppendInt(b, rec.Window, 10)
 	b = append(b, `,"cycle":`...)
@@ -151,7 +151,7 @@ func appendCSVHeader(b []byte, prefix string, n int) []byte {
 
 // appendCSVRow builds one heatmap row: window identity plus the grid's
 // per-window deltas.
-func appendCSVRow(b []byte, rec *Record, vals []int64) []byte {
+func appendCSVRow(b []byte, rec *record, vals []int64) []byte {
 	b = strconv.AppendInt(b, rec.Window, 10)
 	b = append(b, ',')
 	b = strconv.AppendInt(b, rec.Cycle, 10)
@@ -188,14 +188,13 @@ func (m *Metrics) appendProm(b []byte) []byte {
 		b = strconv.AppendInt(b, m.prev[i], 10)
 		b = append(b, '\n')
 	}
-	lastRec := &m.ring[(m.windows-1)%int64(len(m.ring))]
 	for i, g := range m.gauges {
 		b = append(b, "# TYPE noc_"...)
 		b = append(b, g.name...)
 		b = append(b, " gauge\nnoc_"...)
 		b = append(b, g.name...)
 		b = append(b, ' ')
-		b = strconv.AppendInt(b, lastRec.Gauges[i], 10)
+		b = strconv.AppendInt(b, m.rec.Gauges[i], 10)
 		b = append(b, '\n')
 	}
 	b = append(b, "# TYPE noc_latency_cycles histogram\n"...)

@@ -4,12 +4,12 @@ import "repro/internal/snapshot"
 
 // Snapshots happen at cycle boundaries, between a Tick and the next
 // cycle's injection, so the window machinery is quiescent: the encoded
-// state is the last-close position, the per-slot prev values, the
-// cumulative latency accounting and the retained record ring. Slot
-// registrations, sinks and emit buffers are construction state — the
-// resuming driver rebuilds them (and attaches fresh sinks) before
-// RestoreState runs, and restore validates that the rebuilt shapes
-// match the encoded ones. Because window 0 already went out in the
+// state is the last-close position, the per-slot prev values and the
+// cumulative latency accounting. The window record is not state: every
+// close rewrites it before anything reads it. Slot registrations, sinks
+// and emit buffers are construction state — the resuming driver
+// rebuilds them (and attaches fresh sinks) before RestoreState runs,
+// and restore validates that the rebuilt shapes match the encoded ones. Because window 0 already went out in the
 // original run's stream, a resumed run never re-emits the meta line or
 // CSV headers, and the concatenated streams equal an uninterrupted
 // run's byte for byte.
@@ -32,14 +32,6 @@ func (m *Metrics) SnapshotState(w *snapshot.Writer) {
 	w.I64(m.latCntPrev)
 	writeGrid(w, &m.node)
 	writeGrid(w, &m.link)
-	retained := m.windows
-	if retained > int64(len(m.ring)) {
-		retained = int64(len(m.ring))
-	}
-	w.I64(retained)
-	for i := m.windows - retained; i < m.windows; i++ {
-		writeRecord(w, &m.ring[i%int64(len(m.ring))])
-	}
 }
 
 // RestoreState implements snapshot.Stater against a freshly built and
@@ -68,14 +60,6 @@ func (m *Metrics) RestoreState(r *snapshot.Reader) {
 	m.latCntPrev = r.I64()
 	readGrid(r, &m.node)
 	readGrid(r, &m.link)
-	retained := r.I64()
-	if retained > int64(len(m.ring)) {
-		r.Fail("telemetry: checkpoint retains %d records, ring holds %d", retained, len(m.ring))
-		return
-	}
-	for i := m.windows - retained; i < m.windows && r.Err() == nil; i++ {
-		readRecord(r, &m.ring[i%int64(len(m.ring))])
-	}
 }
 
 func writeGrid(w *snapshot.Writer, g *grid) {
@@ -95,90 +79,29 @@ func readGrid(r *snapshot.Reader, g *grid) {
 	}
 }
 
-func writeRecord(w *snapshot.Writer, rec *Record) {
-	w.I64(rec.Window)
-	w.I64(rec.Cycle)
-	w.I64(rec.Span)
-	for _, v := range rec.Counters {
-		w.I64(v)
-	}
-	for _, v := range rec.Gauges {
-		w.I64(v)
-	}
-	w.I64(rec.LatSum)
-	w.I64(rec.LatSamples)
-	for _, v := range rec.Hist {
-		w.I64(v)
-	}
-	for _, vg := range rec.Vg {
-		for _, v := range vg {
-			w.I64(v)
-		}
-	}
-	for _, v := range rec.Node {
-		w.I64(v)
-	}
-	for _, v := range rec.Link {
-		w.I64(v)
-	}
-}
-
-// readRecord decodes into a preallocated ring record; shapes were fixed
-// by Freeze and validated against the checkpoint by RestoreState.
-func readRecord(r *snapshot.Reader, rec *Record) {
-	rec.Window = r.I64()
-	rec.Cycle = r.I64()
-	rec.Span = r.I64()
-	for i := range rec.Counters {
-		rec.Counters[i] = r.I64()
-	}
-	for i := range rec.Gauges {
-		rec.Gauges[i] = r.I64()
-	}
-	rec.LatSum = r.I64()
-	rec.LatSamples = r.I64()
-	for i := range rec.Hist {
-		rec.Hist[i] = r.I64()
-	}
-	for j := range rec.Vg {
-		for i := range rec.Vg[j] {
-			rec.Vg[j][i] = r.I64()
-		}
-	}
-	for i := range rec.Node {
-		rec.Node[i] = r.I64()
-	}
-	for i := range rec.Link {
-		rec.Link[i] = r.I64()
-	}
-}
-
 var _ snapshot.Stater = (*Metrics)(nil)
 
 func init() {
 	snapshot.Register("telemetry.Metrics", Metrics{},
 		[]string{"prev", "hist", "histPrev", "latSumPrev", "latCntPrev",
-			"node", "link", "ring", "windows", "last"},
+			"node", "link", "windows", "last"},
 		[]string{
 			// Construction state: options, identity and slot closures are
 			// re-established by the driver before restore.
 			"opt", "meta", "counters", "gauges", "latSum", "latCnt",
 			"vgauges", "frozen",
-			// Reused emit buffers and the sticky sink error.
-			"buf", "prom", "err",
+			// The window record close rewrites before emitting it, the
+			// reused emit buffers and the sticky sink error.
+			"rec", "buf", "prom", "err",
 		})
 	snapshot.Register("telemetry.Options", Options{},
-		// Window/Retain ride in the run config (sim encodes them there);
-		// sinks are per-process attachments.
-		[]string{"Window", "Retain"},
+		// Window rides in the run config (sim encodes it there); sinks
+		// are per-process attachments.
+		[]string{"Window"},
 		[]string{"JSONL", "NodeCSV", "LinkCSV", "Publish"})
 	snapshot.Register("telemetry.Hist", Hist{},
 		[]string{"counts"}, nil)
 	snapshot.Register("telemetry.grid", grid{},
 		[]string{"prev"},
 		[]string{"n", "read"})
-	snapshot.Register("telemetry.Record", Record{},
-		[]string{"Window", "Cycle", "Span", "Counters", "Gauges",
-			"LatSum", "LatSamples", "Hist", "Vg", "Node", "Link"},
-		nil)
 }

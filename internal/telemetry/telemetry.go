@@ -1,6 +1,6 @@
 // Package telemetry is the windowed metrics subsystem (DESIGN.md §14):
 // fixed-slot counters and gauges registered at build time, sampled every
-// W cycles into a preallocated ring of window records, and emitted as
+// W cycles into one preallocated window record, and emitted as
 // streaming JSONL, mesh heatmap CSVs and a Prometheus-style text page.
 //
 // Determinism is the design constraint everything else bends around.
@@ -33,9 +33,6 @@ type Options struct {
 	// enable telemetry. It is part of the checkpoint config: a resumed
 	// run keeps the original window so record boundaries line up.
 	Window int64
-	// Retain is the record-ring capacity (0 → 128). Only the in-memory
-	// history depth; sinks stream every record regardless.
-	Retain int
 
 	// JSONL, when set, receives one JSON record per closed window (and
 	// a single meta line before the first). NodeCSV/LinkCSV receive the
@@ -83,9 +80,9 @@ type grid struct {
 	prev []int64
 }
 
-// Record is one closed window, fully materialised. Ring records are
-// preallocated at Freeze and overwritten in place.
-type Record struct {
+// record is one closed window, fully materialised: preallocated at
+// Freeze, overwritten by every close and streamed to the sinks.
+type record struct {
 	Window int64 // 0-based window index
 	Cycle  int64 // cycle the window closed at
 	Span   int64 // cycles covered (== Options.Window except a final partial)
@@ -126,9 +123,9 @@ type Metrics struct {
 	node    grid
 	link    grid
 
-	ring    []Record
-	windows int64 // closed windows so far
-	last    int64 // cycle of the last close
+	rec     record // the window close last wrote
+	windows int64  // closed windows so far
+	last    int64  // cycle of the last close
 
 	frozen bool
 
@@ -142,9 +139,6 @@ type Metrics struct {
 func New(opt Options, meta Meta) *Metrics {
 	if opt.Window <= 0 {
 		panic("telemetry: window must be positive")
-	}
-	if opt.Retain <= 0 {
-		opt.Retain = 128
 	}
 	return &Metrics{opt: opt, meta: meta}
 }
@@ -202,9 +196,8 @@ func (m *Metrics) mustBeOpen() {
 }
 
 // Freeze fixes the slot set and preallocates everything a window close
-// will touch: the prev arrays, the record ring (with per-record slices)
-// and the emit buffers. Call once, after registration, before the first
-// Tick.
+// will touch: the prev arrays, the record's slices and the emit
+// buffers. Call once, after registration, before the first Tick.
 func (m *Metrics) Freeze() {
 	if m.frozen {
 		panic("telemetry: Freeze called twice")
@@ -217,21 +210,18 @@ func (m *Metrics) Freeze() {
 	if m.link.n > 0 {
 		m.link.prev = make([]int64, m.link.n)
 	}
-	m.ring = make([]Record, m.opt.Retain)
-	for i := range m.ring {
-		r := &m.ring[i]
-		r.Counters = make([]int64, len(m.counters))
-		r.Gauges = make([]int64, len(m.gauges))
-		r.Vg = make([][]int64, len(m.vgauges))
-		for j, vg := range m.vgauges {
-			r.Vg[j] = make([]int64, vg.n)
-		}
-		if m.node.n > 0 {
-			r.Node = make([]int64, m.node.n)
-		}
-		if m.link.n > 0 {
-			r.Link = make([]int64, m.link.n)
-		}
+	r := &m.rec
+	r.Counters = make([]int64, len(m.counters))
+	r.Gauges = make([]int64, len(m.gauges))
+	r.Vg = make([][]int64, len(m.vgauges))
+	for j, vg := range m.vgauges {
+		r.Vg[j] = make([]int64, vg.n)
+	}
+	if m.node.n > 0 {
+		r.Node = make([]int64, m.node.n)
+	}
+	if m.link.n > 0 {
+		r.Link = make([]int64, m.link.n)
 	}
 	m.buf = make([]byte, 0, 1024)
 	if m.opt.Publish != nil {
@@ -276,20 +266,6 @@ func (m *Metrics) Err() error { return m.err }
 // Windows reports the number of closed windows.
 func (m *Metrics) Windows() int64 { return m.windows }
 
-// Recent returns the retained window records, oldest first. The slices
-// inside alias the ring — callers must not hold them across a close.
-func (m *Metrics) Recent() []Record {
-	n := m.windows
-	if n > int64(len(m.ring)) {
-		n = int64(len(m.ring))
-	}
-	out := make([]Record, 0, n)
-	for i := m.windows - n; i < m.windows; i++ {
-		out = append(out, m.ring[i%int64(len(m.ring))])
-	}
-	return out
-}
-
 // close materialises one window record, advances the prev state and
 // emits to every attached sink. Runs in serial code between Steps; this
 // is the shard-merge point the package doc promises — every counter a
@@ -298,7 +274,7 @@ func (m *Metrics) close(cycle int64) {
 	if !m.frozen {
 		panic("telemetry: Tick before Freeze")
 	}
-	rec := &m.ring[m.windows%int64(len(m.ring))]
+	rec := &m.rec
 	rec.Window = m.windows
 	rec.Cycle = cycle
 	rec.Span = cycle - m.last
