@@ -161,8 +161,9 @@ func (c *Controller) refProbe(n *network.Network, origin slot, cycle int64) {
 	c.Aborts++
 }
 
-// claimTap records which links are claimed once the wrapped controller's
-// PreCycle has run (claims are released later in the same Step).
+// claimTap records which links are claimed — their source routers'
+// out-port masks — once the wrapped controller's PreCycle has run
+// (claims are released at the next cycle's start).
 type claimTap struct {
 	network.Controller
 	claimed []bool
@@ -171,7 +172,8 @@ type claimTap struct {
 func (t *claimTap) PreCycle(n *network.Network) {
 	t.Controller.PreCycle(n)
 	for id := range t.claimed {
-		t.claimed[id] = n.LinkClaimed(id)
+		l := n.ChannelLink(id)
+		t.claimed[id] = n.Routers[l.Src].Claimed>>l.SrcPort&1 != 0
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -381,6 +382,9 @@ type Injector struct {
 	linkDownUntil      []int64
 	portStallUntil     []int64 // node*numPorts + port
 	consumerStallUntil []int64
+	// down and stalled list the victims in force (see Active): one joins
+	// as it fails and leaves once BeginCycle passes its until.
+	down, stalled []int32
 
 	events    []Event // sorted by At
 	nextEvent int
@@ -406,6 +410,9 @@ func NewInjector(plan Plan, numLinks, numNodes, numPorts int, seed int64) *Injec
 		panic(fmt.Sprintf("faults: degenerate topology (%d links, %d nodes, %d ports)", numLinks, numNodes, numPorts))
 	}
 	src := snapshot.NewCountingSource(plan.Seed ^ (seed+1)*0x5deece66d)
+	ports := numNodes * numPorts
+	until := make([]int64, numLinks+ports+numNodes)
+	active := make([]int32, numLinks+ports)
 	j := &Injector{
 		plan:               plan,
 		rng:                rand.New(src),
@@ -414,9 +421,11 @@ func NewInjector(plan Plan, numLinks, numNodes, numPorts int, seed int64) *Injec
 		numLinks:           numLinks,
 		numNodes:           numNodes,
 		numPorts:           numPorts,
-		linkDownUntil:      make([]int64, numLinks),
-		portStallUntil:     make([]int64, numNodes*numPorts),
-		consumerStallUntil: make([]int64, numNodes),
+		linkDownUntil:      until[:numLinks:numLinks],
+		portStallUntil:     until[numLinks : numLinks+ports : numLinks+ports],
+		consumerStallUntil: until[numLinks+ports:],
+		down:               active[:0:numLinks],
+		stalled:            active[numLinks:numLinks],
 	}
 	if plan.LinkFailDur == 0 {
 		j.plan.LinkFailDur = 64
@@ -476,6 +485,20 @@ func (j *Injector) BeginCycle(cycle int64) {
 	if p.ConsumerStallRate > 0 && j.rng.Float64() < p.ConsumerStallRate {
 		j.stallConsumer(j.rng.Intn(j.numNodes), p.ConsumerStallDur)
 	}
+	j.down = j.expire(j.down, j.linkDownUntil)
+	j.stalled = j.expire(j.stalled, j.portStallUntil)
+}
+
+// expire drops from an active list the victims whose until has passed.
+func (j *Injector) expire(list []int32, until []int64) []int32 {
+	w := 0
+	for _, x := range list {
+		if j.cycle < until[x] {
+			list[w] = x
+			w++
+		}
+	}
+	return list[:w]
 }
 
 func (j *Injector) fire(ev Event) {
@@ -495,11 +518,18 @@ func (j *Injector) failLink(link int, dur int64) {
 		j.permGen++
 	}
 	j.linkDownUntil[link] = until
+	if !slices.Contains(j.down, int32(link)) {
+		j.down = append(j.down, int32(link))
+	}
 	j.Counters.LinkFails++
 }
 
 func (j *Injector) stallPort(node, port int, dur int64) {
-	j.portStallUntil[node*j.numPorts+port] = j.until(dur)
+	v := int32(node*j.numPorts + port)
+	j.portStallUntil[v] = j.until(dur)
+	if !slices.Contains(j.stalled, v) {
+		j.stalled = append(j.stalled, v)
+	}
 	j.Counters.PortStalls++
 }
 
@@ -508,8 +538,9 @@ func (j *Injector) stallConsumer(node int, dur int64) {
 	j.Counters.ConsumerStalls++
 }
 
-// LinkDown reports whether the directed link is currently failed.
-func (j *Injector) LinkDown(link int) bool { return j.cycle < j.linkDownUntil[link] }
+// Active returns the links failed and the router input ports frozen
+// (node*numPorts + port), unordered, until the next BeginCycle.
+func (j *Injector) Active() (links, ports []int32) { return j.down, j.stalled }
 
 // LinkDownPermanently reports whether the directed link is failed
 // forever — the faults self-healing controllers rewire around.
@@ -523,11 +554,6 @@ func (j *Injector) LinkDownPermanently(link int) bool {
 // re-derives only when the value moves, keeping the healthy hot path at
 // one integer compare.
 func (j *Injector) PermGen() uint64 { return j.permGen }
-
-// PortStalled reports whether a router input port is currently frozen.
-func (j *Injector) PortStalled(node, port int) bool {
-	return j.cycle < j.portStallUntil[node*j.numPorts+port]
-}
 
 // ConsumerStalled reports whether the node's ejection consumer is
 // currently wedged.

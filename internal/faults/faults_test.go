@@ -2,7 +2,10 @@ package faults
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
+
+	"repro/internal/snapshot"
 )
 
 func TestParsePlanFull(t *testing.T) {
@@ -138,6 +141,13 @@ func TestScaleClamps(t *testing.T) {
 	}
 }
 
+// LinkDown and PortStalled scan the expiry cycles for one victim: the
+// reference the active lists are checked against.
+func (j *Injector) LinkDown(link int) bool { return j.cycle < j.linkDownUntil[link] }
+func (j *Injector) PortStalled(node, port int) bool {
+	return j.cycle < j.portStallUntil[node*j.numPorts+port]
+}
+
 // schedule fingerprints the injector's fault state over a window.
 func schedule(j *Injector, links, nodes, ports, cycles int) []uint64 {
 	var out []uint64
@@ -187,6 +197,46 @@ func TestInjectorDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical fault schedules")
+	}
+}
+
+// TestActiveVictimsMatchScan: the link and port lists Active hands the
+// network to push into the routers hold exactly the victims a scan of
+// LinkDown and PortStalled finds, every cycle — through overlapping,
+// re-struck, zero-length and permanent faults, and across a snapshot
+// round trip every 97 cycles, which rebuilds the lists from the expiry
+// cycles alone.
+func TestActiveVictimsMatchScan(t *testing.T) {
+	const links, nodes, ports = 12, 4, 5
+	plan := MustParsePlan("linkfail:rate=0.2,dur=9;portstall:rate=0.3,dur=5;" +
+		"linkfail:link=2,at=40,perm;linkfail:link=2,at=60,dur=3;portstall:node=1,port=0,at=70,dur=0")
+	j := NewInjector(plan, links, nodes, ports, 7)
+	for c := int64(0); c < 2000; c++ {
+		j.BeginCycle(c)
+		var down, stalled []int32
+		for l := 0; l < links; l++ {
+			if j.LinkDown(l) {
+				down = append(down, int32(l))
+			}
+		}
+		for v := 0; v < nodes*ports; v++ {
+			if j.PortStalled(v/ports, v%ports) {
+				stalled = append(stalled, int32(v))
+			}
+		}
+		activeLinks, activePorts := j.Active()
+		if got := slices.Sorted(slices.Values(activeLinks)); !slices.Equal(got, down) {
+			t.Fatalf("cycle %d: active links %v, scan %v", c, got, down)
+		}
+		if got := slices.Sorted(slices.Values(activePorts)); !slices.Equal(got, stalled) {
+			t.Fatalf("cycle %d: active ports %v, scan %v", c, got, stalled)
+		}
+		if c%97 == 96 {
+			w := snapshot.NewWriter()
+			j.SnapshotState(w)
+			j = NewInjector(plan, links, nodes, ports, 7)
+			j.RestoreState(snapshot.NewReader(w.Bytes()))
+		}
 	}
 }
 

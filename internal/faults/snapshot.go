@@ -31,17 +31,22 @@ func (j *Injector) SnapshotState(w *snapshot.Writer) {
 
 // RestoreState decodes into a freshly constructed injector (same plan,
 // topology and seed — its source is at zero draws, so skipping the
-// recorded count lands the stream exactly where the snapshot left it).
+// recorded count lands the stream exactly where the snapshot left it,
+// and its active lists are empty, to be refilled from the expiries).
 func (j *Injector) RestoreState(r *snapshot.Reader) {
 	j.src.Skip(r.U64())
 	j.cycle = r.I64()
 	j.nextEvent = r.Int()
 	j.permGen = r.U64()
 	for i := range j.linkDownUntil {
-		j.linkDownUntil[i] = r.I64()
+		if j.linkDownUntil[i] = r.I64(); j.cycle < j.linkDownUntil[i] {
+			j.down = append(j.down, int32(i))
+		}
 	}
 	for i := range j.portStallUntil {
-		j.portStallUntil[i] = r.I64()
+		if j.portStallUntil[i] = r.I64(); j.cycle < j.portStallUntil[i] {
+			j.stalled = append(j.stalled, int32(i))
+		}
 	}
 	for i := range j.consumerStallUntil {
 		j.consumerStallUntil[i] = r.I64()
@@ -65,6 +70,7 @@ func init() {
 			// Derived from (plan, topology, seed) in NewInjector.
 			"plan", "rng", "hashKey", "numLinks", "numNodes", "numPorts",
 			"events",
+			"down", "stalled", // re-derived from the expiry cycles
 		})
 	snapshot.Register("faults.Counters", Counters{},
 		[]string{

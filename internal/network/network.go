@@ -137,6 +137,7 @@ type Network struct {
 	chDirty       []bool
 	claimedLinks  []int
 	claimedEjects []int
+	masked        []int // routers whose Claimed or Stalled beginCycle must clear
 
 	// deferEject is true while the sharded router phase runs: NIC
 	// ejection observers (OnEject) buffer per NIC instead of firing
@@ -188,7 +189,8 @@ func New(p Params) *Network {
 	n.chDirty = make([]bool, len(links))
 	n.dirtyChannels = make([]int, 0, len(links))
 	n.claimedLinks = make([]int, 0, len(links))
-	n.claimedEjects = make([]int, 0, nodes)
+	ids := make([]int, 2*nodes)
+	n.claimedEjects, n.masked = ids[:0:nodes], ids[nodes:nodes]
 	n.shardOf = make([]int32, nodes)
 	n.SetShards(1)
 	n.Routers = router.NewAll(p.Mesh, p.Router, n)
@@ -224,27 +226,6 @@ func (n *Network) Faults() *faults.Injector { return n.faults }
 
 // Cycle implements router.Env.
 func (n *Network) Cycle() int64 { return n.cycle }
-
-// LinkClaimed implements router.Env. A failed link reads as claimed:
-// routers stop driving new regular flits onto it, exactly as they do
-// for a bypass claim. The claim array itself is untouched, so FastPass
-// lanes — dedicated wiring in the paper's router (Fig. 6) — keep
-// claiming and traversing; rescuing packets wedged against broken
-// shared links is precisely the resilience story under test.
-func (n *Network) LinkClaimed(linkID int) bool {
-	if n.faults != nil && n.faults.LinkDown(linkID) {
-		return true
-	}
-	return n.linkClaims[linkID]
-}
-
-// InputStalled implements router.Env.
-func (n *Network) InputStalled(node int, port int) bool {
-	return n.faults != nil && n.faults.PortStalled(node, port)
-}
-
-// EjectClaimed implements router.Env.
-func (n *Network) EjectClaimed(node int) bool { return n.ejectClaims[node] }
 
 // SendFlit implements router.Env.
 func (n *Network) SendFlit(linkID int, f message.Flit, outVC int) {
@@ -307,11 +288,9 @@ func (n *Network) EjectFlit(node int, f message.Flit) { n.NICs[node].EjectFlit(n
 // a permanent link failure — their fixed spacing on the re-derived walk
 // must keep claims disjoint exactly like the mesh lanes they replace.
 func (n *Network) ClaimLink(linkID int) {
-	if n.linkClaims[linkID] {
+	if !n.TryClaimLink(linkID) {
 		panic(fmt.Sprintf("network: link %d claimed twice in cycle %d — lanes overlap", linkID, n.cycle))
 	}
-	n.linkClaims[linkID] = true
-	n.claimedLinks = append(n.claimedLinks, linkID)
 }
 
 // TryClaimLink claims a link if free and reports success. Opportunistic
@@ -323,6 +302,7 @@ func (n *Network) TryClaimLink(linkID int) bool {
 	}
 	n.linkClaims[linkID] = true
 	n.claimedLinks = append(n.claimedLinks, linkID)
+	n.barLink(linkID)
 	return true
 }
 
@@ -334,6 +314,37 @@ func (n *Network) ClaimEject(node int) {
 	}
 	n.ejectClaims[node] = true
 	n.claimedEjects = append(n.claimedEjects, node)
+	n.mask(node).Claimed |= 1 << topology.Local
+}
+
+// barLink claims the link's output port in its source router.
+func (n *Network) barLink(linkID int) {
+	l := &n.channels[linkID].link
+	n.mask(l.Src).Claimed |= 1 << l.SrcPort
+}
+
+// mask returns the node's router, listing it for beginCycle to clear.
+func (n *Network) mask(node int) *router.Router {
+	r := n.Routers[node]
+	if r.Claimed|r.Stalled == 0 {
+		n.masked = append(n.masked, node)
+	}
+	return r
+}
+
+// pushFaults bars every link the injector holds down, as a claim would,
+// and freezes every input port it holds stalled. The claim array is
+// untouched, so FastPass lanes (dedicated wiring, Fig. 6) still claim and
+// cross a failed link: the resilience story under test.
+func (n *Network) pushFaults() {
+	links, ports := n.faults.Active()
+	for _, id := range links {
+		n.barLink(int(id))
+	}
+	np := int32(n.Mesh.NumPorts())
+	for _, v := range ports {
+		n.mask(int(v / np)).Stalled |= 1 << (v % np)
+	}
 }
 
 // --- simulation loop ---
@@ -424,6 +435,10 @@ func (n *Network) Step() {
 // state advances before controllers and routers observe the cycle, so a
 // link that fails this cycle refuses flits this cycle.
 func (n *Network) beginCycle() {
+	for _, id := range n.masked {
+		n.Routers[id].Claimed, n.Routers[id].Stalled = 0, 0
+	}
+	n.masked = n.masked[:0]
 	for _, id := range n.claimedLinks {
 		n.linkClaims[id] = false
 	}
@@ -434,6 +449,7 @@ func (n *Network) beginCycle() {
 	n.claimedEjects = n.claimedEjects[:0]
 	if n.faults != nil {
 		n.faults.BeginCycle(n.cycle)
+		n.pushFaults()
 	}
 	n.Controller.PreCycle(n)
 }
@@ -510,12 +526,7 @@ func (n *Network) shift() {
 				ch.cur.flit.Pkt.Corrupted = true
 				n.faults.NoteCorruptionDetected()
 			}
-			dst := n.Routers[ch.link.Dst]
-			if ch.cur.flit.IsHead() {
-				dst.DeliverHead(ch.link.DstPort, ch.cur.vc, ch.cur.flit.Pkt)
-			} else {
-				dst.DeliverBody(ch.link.DstPort, ch.cur.vc, ch.cur.flit.Pkt)
-			}
+			n.Routers[ch.link.Dst].Deliver(ch.link.DstPort, ch.cur.vc, ch.cur.flit, n.cycle)
 		}
 		ch.cur = ch.next
 		ch.next = transit{}

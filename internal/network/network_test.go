@@ -1,8 +1,10 @@
 package network
 
 import (
+	"strconv"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/message"
 	"repro/internal/nic"
 	"repro/internal/router"
@@ -170,10 +172,17 @@ func TestDoubleEjectClaimPanics(t *testing.T) {
 
 func TestClaimsResetEachCycle(t *testing.T) {
 	n := New(paramsWith(2, 2, 1, 1, routing.XY))
+	src := n.Routers[n.ChannelLink(0).Src]
 	n.ClaimLink(0)
-	n.ClaimEject(0)
+	n.ClaimEject(3)
+	if out := src.Claimed; out != 1<<n.ChannelLink(0).SrcPort {
+		t.Fatalf("claiming link 0 left its source router claiming %05b", out)
+	}
+	if out := n.Routers[3].Claimed; out != 1<<topology.Local {
+		t.Fatalf("claiming node 3's ejection port left it claiming %05b", out)
+	}
 	n.Step()
-	if n.LinkClaimed(0) || n.EjectClaimed(0) {
+	if n.linkClaims[0] || n.ejectClaims[3] || src.Claimed != 0 {
 		t.Fatal("claims must clear at cycle boundaries")
 	}
 }
@@ -310,5 +319,69 @@ func TestQuiescenceAfterDrain(t *testing.T) {
 	n.Run(10) // let trailing credits land
 	if err := n.VerifyQuiescent(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// laneCtl stands in for a FastPass lane: at cycle at it claims link, and
+// the next cycle it claims node dst's ejection port and lands pkt there.
+type laneCtl struct {
+	link, dst int
+	at        int64
+	pkt       *message.Packet
+}
+
+func (laneCtl) Name() string       { return "lane" }
+func (laneCtl) PostCycle(*Network) {}
+func (c laneCtl) PreCycle(n *Network) {
+	switch n.cycle {
+	case c.at:
+		n.ClaimLink(c.link)
+	case c.at + 1:
+		n.ClaimEject(c.dst)
+		n.NICs[c.dst].EjectFast(n.cycle, c.pkt)
+	}
+}
+
+// A link the injector holds down refuses regular flits until it
+// recovers, while a lane still claims it (the fault is no claim) and
+// crosses (DESIGN.md §10.1); the fault reaches the source router as an
+// out-port claim, and a stalled input port as a frozen port.
+func TestFaultsBarRegularFlitsNotLanes(t *testing.T) {
+	n := New(paramsWith(3, 1, 1, 1, routing.XY))
+	link := n.Routers[0].OutLinkID(topology.East)
+	n.AttachFaults(faults.NewInjector(faults.MustParsePlan(
+		"linkfail:link="+strconv.Itoa(link)+",at=0,dur=40; portstall:node=2,port=4,at=0,dur=80"),
+		len(n.Mesh.Links()), 3, n.Mesh.NumPorts(), 1))
+	lane := message.NewPacket(2, 0, 1, message.Request, 1, 0)
+	n.Controller = laneCtl{link: link, dst: 1, at: 10, pkt: lane}
+	near := message.NewPacket(1, 0, 1, message.Request, 1, 0)
+	far := message.NewPacket(3, 1, 2, message.Request, 1, 0)
+	n.NICs[0].EnqueueSource(near)
+	n.NICs[1].EnqueueSource(far)
+	for n.cycle < 40 {
+		n.Step()
+		if out := n.Routers[0].Claimed; out != 1<<topology.East {
+			t.Fatalf("cycle %d: router 0 claims %05b, want East only (the down link)", n.cycle-1, out)
+		}
+		if in := n.Routers[2].Stalled; in != 1<<topology.West {
+			t.Fatalf("cycle %d: router 2 stalls %05b, want West only", n.cycle-1, in)
+		}
+		if got := n.linkClaims[link]; got != (n.cycle-1 == 10) {
+			t.Fatalf("cycle %d: link claimed %v; only the lane claims it", n.cycle-1, got)
+		}
+	}
+	if near.EjectTime >= 0 || lane.EjectTime != 11 {
+		t.Fatalf("while the link is down: regular packet ejected at %d (want never), lane packet at %d (want 11)", near.EjectTime, lane.EjectTime)
+	}
+	n.Run(40)
+	if near.EjectTime < 0 || far.EjectTime >= 0 {
+		t.Fatalf("after the link recovers: regular packet ejected at %d (want some cycle), stalled packet at %d (want never)", near.EjectTime, far.EjectTime)
+	}
+	n.Run(20)
+	if far.EjectTime < 80 {
+		t.Fatalf("stalled packet ejected at %d, want once the stall ends at 80", far.EjectTime)
+	}
+	if out, in := n.Routers[0].Claimed, n.Routers[0].Stalled; out|in != 0 {
+		t.Errorf("router 0 still claims %05b/%05b after every fault ended", out, in)
 	}
 }

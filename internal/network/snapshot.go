@@ -32,7 +32,7 @@ func writeTransit(w *snapshot.Writer, t *transit) {
 	w.U8(t.sum)
 }
 
-func readTransit(r *snapshot.Reader, t *transit) {
+func readTransit(r *snapshot.Reader, t *transit, netVCs int) {
 	*t = transit{}
 	t.valid = r.Bool()
 	if !t.valid {
@@ -40,9 +40,29 @@ func readTransit(r *snapshot.Reader, t *transit) {
 	}
 	t.flit.Pkt = r.Packet()
 	t.flit.Seq = r.Int()
-	t.vc = r.Int()
+	t.vc = readIndex(r, "flit VC", netVCs)
 	t.payload = r.U64()
 	t.sum = r.U8()
+}
+
+// readIndex reads a value that must index [0, n): a hostile blob fails
+// the reader instead of panicking the restore.
+func readIndex(r *snapshot.Reader, what string, n int) int {
+	v := r.Int()
+	if r.Err() == nil && (v < 0 || v >= n) {
+		r.Fail("network: %s %d outside [0, %d)", what, v, n)
+	}
+	return v
+}
+
+// readIndices reads a count and that many indices, handing each to add,
+// which reports false for one it cannot take again.
+func readIndices(r *snapshot.Reader, what string, n int, add func(int) bool) {
+	for k, i := r.Int(), 0; i < k && r.Err() == nil; i++ {
+		if v := readIndex(r, what, n); r.Err() == nil && !add(v) {
+			r.Fail("network: %s %d repeated", what, v)
+		}
+	}
 }
 
 // SnapshotState encodes the network and everything it owns: cycle
@@ -119,42 +139,29 @@ func (n *Network) SnapshotState(w *snapshot.Writer) {
 func (n *Network) RestoreState(r *snapshot.Reader) {
 	n.cycle = r.I64()
 	n.FlitsOnLinks = r.I64()
+	links, nodes, netVCs := len(n.channels), len(n.Routers), n.Routers[0].Cfg.NetVCs()
 	for _, ch := range n.channels {
-		readTransit(r, &ch.cur)
-		readTransit(r, &ch.next)
-		k := r.Int()
+		readTransit(r, &ch.cur, netVCs)
+		readTransit(r, &ch.next, netVCs)
 		ch.creditNext = ch.creditNext[:0]
-		for i := 0; i < k && r.Err() == nil; i++ {
-			ch.creditNext = append(ch.creditNext, r.Int())
-		}
+		readIndices(r, "credit VC", netVCs, func(vc int) bool {
+			ch.creditNext = append(ch.creditNext, vc)
+			return len(ch.creditNext) <= netVCs // a VC frees once a cycle
+		})
 		ch.flits = r.I64()
 	}
-	k := r.Int()
-	n.claimedLinks = n.claimedLinks[:0]
-	for i := 0; i < k && r.Err() == nil; i++ {
-		id := r.Int()
-		n.linkClaims[id] = true
-		n.claimedLinks = append(n.claimedLinks, id)
-	}
-	k = r.Int()
-	n.claimedEjects = n.claimedEjects[:0]
-	for i := 0; i < k && r.Err() == nil; i++ {
-		id := r.Int()
-		n.ejectClaims[id] = true
-		n.claimedEjects = append(n.claimedEjects, id)
-	}
-	k = r.Int()
-	for i := 0; i < k && r.Err() == nil; i++ {
-		n.markChannel(r.Int())
-	}
-	k = r.Int()
-	for i := 0; i < k && r.Err() == nil; i++ {
-		n.wakeRouter(r.Int())
-	}
-	k = r.Int()
-	for i := 0; i < k && r.Err() == nil; i++ {
-		n.WakeNIC(r.Int())
-	}
+	// The claims go back into the routers' masks as well as the arrays.
+	readIndices(r, "claimed link", links, n.TryClaimLink)
+	readIndices(r, "claimed ejection port", nodes, func(id int) bool {
+		if n.ejectClaims[id] {
+			return false
+		}
+		n.ClaimEject(id)
+		return true
+	})
+	readIndices(r, "dirty channel", links, func(id int) bool { n.markChannel(id); return true })
+	readIndices(r, "active router", nodes, func(id int) bool { n.wakeRouter(id); return true })
+	readIndices(r, "active NIC", nodes, func(id int) bool { n.WakeNIC(id); return true })
 	for _, nc := range n.NICs {
 		nc.RestoreState(r)
 	}
@@ -175,6 +182,7 @@ func (n *Network) RestoreState(r *snapshot.Reader) {
 			return
 		}
 		n.faults.RestoreState(r)
+		n.pushFaults()
 	}
 }
 
@@ -192,6 +200,7 @@ func init() {
 			"Mesh", "shardOf", "Probe",
 			// Barrier plumbing, quiescent between Steps.
 			"wg", "shardPanics",
+			"masked", // the restore re-pushes claims and faults
 			// False at every cycle boundary (flipped only around the
 			// sharded router phase inside Step).
 			"deferEject",

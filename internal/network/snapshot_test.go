@@ -1,0 +1,114 @@
+package network
+
+import (
+	"encoding/binary"
+	"hash/crc32"
+	"strings"
+	"testing"
+
+	"repro/internal/message"
+	"repro/internal/routing"
+	"repro/internal/snapshot"
+)
+
+// fresh3x3 is the network the restore tests decode into: 3×3, one VC,
+// 24 directed links.
+func fresh3x3() *Network { return New(paramsWith(3, 3, 1, 1, routing.XY)) }
+
+func seal(n *Network) []byte {
+	w := snapshot.NewWriter()
+	n.SnapshotState(w)
+	return snapshot.Seal(nil, w)
+}
+
+// FuzzNetworkRestore feeds RestoreState arbitrary bodies (the crc is
+// re-stamped, so the fuzzer gets past Open): a hostile checkpoint must
+// fail the reader, never panic. The seeds are a fresh 3×3 network's blob
+// and one with packets in flight and claims held.
+func FuzzNetworkRestore(f *testing.F) {
+	f.Add(seal(fresh3x3()))
+	busy := fresh3x3()
+	for s := 0; s < 9; s++ {
+		busy.NICs[s].EnqueueSource(message.NewPacket(uint64(s+1), s, 8-s, message.Request, 1+s%5, 0))
+	}
+	busy.Run(4)
+	busy.ClaimLink(3)
+	busy.ClaimEject(4)
+	f.Add(seal(busy))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 12 {
+			binary.LittleEndian.PutUint32(data[8:12], crc32.ChecksumIEEE(data[12:]))
+		}
+		if _, r, err := snapshot.Open(data); err == nil {
+			fresh3x3().RestoreState(r)
+		}
+	})
+}
+
+// TestRestoreRejectsBadIndices crafts, for every list RestoreState
+// indexes with a decoded value, a body whose one entry is out of range
+// (or repeated), and requires a reader error naming the list instead of
+// a panic.
+func TestRestoreRejectsBadIndices(t *testing.T) {
+	for _, tc := range []struct {
+		list string
+		bad  []int
+		want string
+	}{
+		{"flit VC", []int{1}, "flit VC 1 outside [0, 1)"},
+		{"credit VC", []int{-1}, "credit VC -1 outside [0, 1)"},
+		{"credits", []int{0, 0}, "credit VC 0 repeated"}, // one VC frees once a cycle
+		{"claimed link", []int{1 << 40}, "claimed link 1099511627776 outside [0, 24)"},
+		{"claimed link", []int{3, 3}, "claimed link 3 repeated"},
+		{"claimed ejection port", []int{9}, "claimed ejection port 9 outside [0, 9)"},
+		{"claimed ejection port", []int{4, 4}, "claimed ejection port 4 repeated"},
+		{"dirty channel", []int{24}, "dirty channel 24 outside [0, 24)"},
+		{"active router", []int{-5}, "active router -5 outside [0, 9)"},
+		{"active NIC", []int{1 << 40}, "active NIC 1099511627776 outside [0, 9)"},
+	} {
+		n := fresh3x3()
+		w := snapshot.NewWriter()
+		w.I64(0)
+		w.I64(0)
+		list := func(name string) {
+			if name != tc.list {
+				w.Int(0)
+				return
+			}
+			w.Int(len(tc.bad))
+			for _, v := range tc.bad {
+				w.Int(v)
+			}
+		}
+		for i := range n.channels {
+			if i == 0 && tc.list == "flit VC" {
+				w.Bool(true)
+				w.Packet(message.NewPacket(1, 0, 1, message.Request, 1, 0))
+				w.Int(0)
+				w.Int(tc.bad[0])
+				w.U64(0)
+				w.U8(0)
+			} else {
+				w.Bool(false)
+			}
+			w.Bool(false)
+			if i == 0 && tc.list == "credits" {
+				list("credits")
+			} else {
+				list("credit VC")
+			}
+			w.I64(0)
+		}
+		for _, name := range []string{"claimed link", "claimed ejection port", "dirty channel", "active router", "active NIC"} {
+			list(name)
+		}
+		_, r, err := snapshot.Open(snapshot.Seal(nil, w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.RestoreState(r)
+		if err := r.Err(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %v: restore error %v, want %q", tc.list, tc.bad, err, tc.want)
+		}
+	}
+}

@@ -18,11 +18,12 @@
 // back-pressure.
 package ringq
 
-// Ring is a FIFO/deque over a power-of-two circular buffer.
+// Ring is a FIFO/deque over a power-of-two circular buffer. Its cursors
+// are int32, so both share one word beside the slice header.
 type Ring[T any] struct {
 	buf  []T
-	head int // index of element 0
-	n    int // occupancy
+	head int32 // index of element 0
+	n    int32 // occupancy
 }
 
 // CeilPow2 rounds n up to a power of two (minimum 1) — the backing
@@ -46,7 +47,7 @@ func (r *Ring[T]) Adopt(buf []T) {
 }
 
 // Len reports the number of buffered elements.
-func (r *Ring[T]) Len() int { return r.n }
+func (r *Ring[T]) Len() int { return int(r.n) }
 
 // Cap reports the current backing capacity.
 func (r *Ring[T]) Cap() int { return len(r.buf) }
@@ -56,7 +57,7 @@ func (r *Ring[T]) Empty() bool { return r.n == 0 }
 
 // mask converts a logical index to a buffer index. len(buf) is always a
 // power of two, so modulo reduces to an AND.
-func (r *Ring[T]) mask(i int) int { return i & (len(r.buf) - 1) }
+func (r *Ring[T]) mask(i int32) int32 { return i & int32(len(r.buf)-1) }
 
 // grow doubles the backing array, unrolling the wrap so element 0 lands
 // at buffer index 0.
@@ -66,7 +67,7 @@ func (r *Ring[T]) grow() {
 		newCap = 4
 	}
 	buf := make([]T, newCap)
-	for i := 0; i < r.n; i++ {
+	for i := int32(0); i < r.n; i++ {
 		buf[i] = r.buf[r.mask(r.head+i)]
 	}
 	r.buf = buf
@@ -75,7 +76,7 @@ func (r *Ring[T]) grow() {
 
 // PushBack appends v at the tail.
 func (r *Ring[T]) PushBack(v T) {
-	if r.n == len(r.buf) {
+	if int(r.n) == len(r.buf) {
 		r.grow()
 	}
 	r.buf[r.mask(r.head+r.n)] = v
@@ -97,10 +98,10 @@ func (r *Ring[T]) At(i int) T { return *r.Ptr(i) }
 // mutated where they sit. It is valid until the next insertion or
 // removal. It panics when i is out of range.
 func (r *Ring[T]) Ptr(i int) *T {
-	if i < 0 || i >= r.n {
+	if i < 0 || i >= int(r.n) {
 		panic("ringq: index out of range")
 	}
-	return &r.buf[r.mask(r.head+i)]
+	return &r.buf[r.mask(r.head+int32(i))]
 }
 
 // PopFront removes and returns element 0, zeroing its slot so the ring
@@ -119,17 +120,18 @@ func (r *Ring[T]) PopFront() T {
 
 // InsertAt places v at logical index i (0 = new front, Len() = append),
 // shifting the shorter side of the ring by one slot.
-func (r *Ring[T]) InsertAt(i int, v T) {
-	if i < 0 || i > r.n {
+func (r *Ring[T]) InsertAt(at int, v T) {
+	if at < 0 || at > int(r.n) {
 		panic("ringq: insert index out of range")
 	}
-	if r.n == len(r.buf) {
+	if int(r.n) == len(r.buf) {
 		r.grow()
 	}
+	i := int32(at)
 	if i <= r.n/2 {
 		// Shift the front segment [0, i) one slot toward the head.
-		r.head = r.mask(r.head - 1 + len(r.buf))
-		for k := 0; k < i; k++ {
+		r.head = r.mask(r.head - 1)
+		for k := int32(0); k < i; k++ {
 			r.buf[r.mask(r.head+k)] = r.buf[r.mask(r.head+k+1)]
 		}
 	} else {
@@ -144,10 +146,11 @@ func (r *Ring[T]) InsertAt(i int, v T) {
 
 // RemoveAt removes and returns element i, preserving the order of the
 // rest and zeroing the vacated slot.
-func (r *Ring[T]) RemoveAt(i int) T {
-	if i < 0 || i >= r.n {
+func (r *Ring[T]) RemoveAt(at int) T {
+	if at < 0 || at >= int(r.n) {
 		panic("ringq: remove index out of range")
 	}
+	i := int32(at)
 	v := r.buf[r.mask(r.head+i)]
 	var zero T
 	if i <= r.n/2 {

@@ -17,9 +17,10 @@ import (
 
 // refRouter is the router as it stood before the mask rewrite: every
 // (port, vc) slot walked twice a cycle through []bool request vectors, a
-// closure-driven slice arbiter, and the route recomputed at every VA
-// attempt. Step, allocateVCs, tryAllocate, allowedPorts, switchAllocate,
-// sendable, transmit, the two RemoveHeadPackets and the credit section of
+// closure-driven slice arbiter, the route recomputed at every VA attempt,
+// and claims and stalls asked of the Env per head and per port. Step,
+// allocateVCs, tryAllocate, allowedPorts, switchAllocate, sendable,
+// transmit, the two RemoveHeadPackets and the credit section of
 // SnapshotState are that code verbatim (receiver renamed); only the
 // constructor is new, since the slab it was carved from is gone.
 // TestRouterMatchesReference steps it in lockstep with Router.
@@ -48,11 +49,20 @@ func (a *RRArbiter) GrantSlice(reqs []bool) int {
 	return a.Grant(func(i int) bool { return reqs[i] })
 }
 
+// refEnv is the Env as the reference knew it, with the three queries the
+// router now gets pushed instead.
+type refEnv interface {
+	Env
+	LinkClaimed(linkID int) bool
+	EjectClaimed(node int) bool
+	InputStalled(node int, port int) bool
+}
+
 type refRouter struct {
 	ID   int
 	Mesh *topology.Mesh
 	Cfg  Config
-	Env  Env
+	Env  refEnv
 
 	Inputs [nPorts]InputUnit
 
@@ -418,6 +428,13 @@ func (r *refRouter) DeliverHead(port topology.Direction, vc int, pkt *message.Pa
 func (r *refRouter) DeliverBody(port topology.Direction, vc int, pkt *message.Packet) {
 	r.Inputs[port].VCs[vc].AcceptBody(pkt, r.Env.Cycle())
 }
+func (r *refRouter) Deliver(port topology.Direction, vc int, f message.Flit, _ int64) {
+	if f.IsHead() {
+		r.DeliverHead(port, vc, f.Pkt)
+	} else {
+		r.DeliverBody(port, vc, f.Pkt)
+	}
+}
 func (r *refRouter) InsertPacket(port topology.Direction, vc int, pkt *message.Packet) bool {
 	buf := &r.Inputs[port].VCs[vc]
 	if !buf.CanAccept(pkt.Len) {
@@ -464,7 +481,7 @@ func (rt *refRouter) SnapshotState(w *snapshot.Writer) {
 
 // newRefRouter wires a refRouter the way the old build did, with plain
 // allocations where that carved a slab.
-func newRefRouter(id int, mesh *topology.Mesh, cfg Config, env Env) *refRouter {
+func newRefRouter(id int, mesh *topology.Mesh, cfg Config, env refEnv) *refRouter {
 	r := &refRouter{ID: id, Mesh: mesh, Cfg: cfg, Env: env}
 	r.candPorts = r.dirBuf[0:0:nPorts]
 	r.bestPorts = r.dirBuf[nPorts : nPorts : 2*nPorts]
@@ -514,12 +531,13 @@ type envCall struct {
 	pkt     uint64
 }
 
-// scriptEnv is a seeded Env whose answers are pure functions of (seed,
+// scriptEnv is a seeded refEnv whose answers are pure functions of (seed,
 // cycle, arguments), so two routers asking the same questions in the same
 // cycle hear the same answers whatever else they asked: links and the
 // ejection port are claimed, input ports stall for stretches of cycles,
-// and CanEject refuses. Every call but InputStalled is logged in order —
-// the mask router rightly skips that one query for an empty port.
+// and CanEject refuses. push hands the mask router the claims and stalls
+// the reference asks for. Every call but the three claim and stall
+// queries is logged in order.
 type scriptEnv struct {
 	seed  uint64
 	cycle int64
@@ -537,15 +555,10 @@ func (e *scriptEnv) chance(pct uint64, salt string, cycle int64, a int) bool {
 func (e *scriptEnv) note(op string, a, b, c int, pkt uint64) {
 	e.log = append(e.log, envCall{op, a, b, c, pkt})
 }
-func (e *scriptEnv) Cycle() int64 { return e.cycle }
-func (e *scriptEnv) LinkClaimed(id int) bool {
-	e.note("LinkClaimed", id, 0, 0, 0)
-	return e.chance(20, "link", e.cycle, id)
-}
-func (e *scriptEnv) EjectClaimed(n int) bool {
-	e.note("EjectClaimed", n, 0, 0, 0)
-	return e.chance(15, "eject", e.cycle, n)
-}
+func (e *scriptEnv) Cycle() int64                  { return e.cycle }
+func (e *scriptEnv) LinkClaimed(id int) bool       { return e.chance(20, "link", e.cycle, id) }
+func (e *scriptEnv) EjectClaimed(n int) bool       { return e.chance(15, "eject", e.cycle, n) }
+func (e *scriptEnv) InputStalled(n, port int) bool { return e.chance(12, "stall", e.cycle/6, port) }
 func (e *scriptEnv) SendFlit(id int, f message.Flit, outVC int) {
 	e.note("SendFlit", id, f.Seq, outVC, f.Pkt.ID)
 }
@@ -558,8 +571,25 @@ func (e *scriptEnv) BeginEject(n int, p *message.Packet)  { e.note("BeginEject",
 func (e *scriptEnv) CancelEject(n int, p *message.Packet) { e.note("CancelEject", n, 0, 0, p.ID) }
 func (e *scriptEnv) EjectFlit(n int, f message.Flit)      { e.note("EjectFlit", n, f.Seq, 0, f.Pkt.ID) }
 func (e *scriptEnv) WakeRouter(n int)                     { e.note("WakeRouter", n, 0, 0, 0) }
-func (e *scriptEnv) InputStalled(n, port int) bool {
-	return e.chance(12, "stall", e.cycle/6, port)
+
+// claims returns the claim and stall masks this cycle's answers make for
+// router r, as the network would push them.
+func (e *scriptEnv) claims(r *Router) (out, in uint8) {
+	for p := topology.Direction(0); int(p) < nPorts; p++ {
+		if p == topology.Local && e.EjectClaimed(r.ID) || p != topology.Local && r.outLinks[p] >= 0 && e.LinkClaimed(int(r.outLinks[p])) {
+			out |= 1 << p
+		}
+		if e.InputStalled(r.ID, int(p)) {
+			in |= 1 << p
+		}
+	}
+	return out, in
+}
+
+// push does for the mask router what the network does before routers
+// step: last cycle's claims and stalls go, this cycle's come in.
+func (e *scriptEnv) push(r *Router) {
+	r.Claimed, r.Stalled = e.claims(r)
 }
 
 // lockstepRouter is what the harness drives: both routers have it.
@@ -568,8 +598,7 @@ type lockstepRouter interface {
 	VCFor(topology.Direction, int) *VC
 	MarkVCFree(topology.Direction, int)
 	ClaimDownstreamVC(topology.Direction, int)
-	DeliverHead(topology.Direction, int, *message.Packet)
-	DeliverBody(topology.Direction, int, *message.Packet)
+	Deliver(topology.Direction, int, message.Flit, int64)
 	InjectPacket(*message.Packet) bool
 	InsertPacket(topology.Direction, int, *message.Packet) bool
 	InsertFrontOverflow(topology.Direction, int, *message.Packet)
@@ -631,12 +660,12 @@ func (s *side) meddle() {
 			switch {
 			case q.Empty() && drought:
 			case q.Empty() && rng.Intn(6) == 0:
-				rt.DeliverHead(p, v, s.newPacket(s.classFor(v)))
+				rt.Deliver(p, v, message.Flit{Pkt: s.newPacket(s.classFor(v))}, s.env.cycle)
 			case q.Empty() && rng.Intn(25) == 0:
 				rt.InsertPacket(p, v, s.newPacket(s.classFor(v)))
 			case !q.Empty():
 				if e := q.EntryAt(q.Len() - 1); int(e.Arrived) < e.Pkt.Len && rng.Intn(4) != 0 {
-					rt.DeliverBody(p, v, e.Pkt)
+					rt.Deliver(p, v, message.Flit{Pkt: e.Pkt, Seq: int(e.Arrived)}, s.env.cycle)
 				}
 				switch rng.Intn(removeOdds) {
 				case 0:
@@ -682,17 +711,24 @@ func (s *side) meddle() {
 	}
 }
 
-// checkMasks holds the allocation masks to what they claim: alloc is
-// exactly the heads' Allocated flags, and a blocked head is unallocated,
-// bound elsewhere than this node, and would fail VA afresh — no VC its
-// routing allows is free downstream — unless that VC's port has gained a
-// credit since the last VA pass.
-func checkMasks(r *Router) error {
+// checkMasks holds the masks to what they claim: alloc is exactly the
+// heads' Allocated flags and ready their Sent < Arrived; the claim and
+// stall masks are what env answers this cycle; and a blocked head is
+// unallocated, bound elsewhere than this node, and would fail VA afresh —
+// no VC its routing allows is free downstream — unless that VC's port
+// has gained a credit since the last VA pass.
+func checkMasks(r *Router, env *scriptEnv) error {
+	if out, in := env.claims(r); out != r.Claimed || in != r.Stalled {
+		return fmt.Errorf("claimed/stalled masks are %05b/%05b, the env says %05b/%05b", r.Claimed, r.Stalled, out, in)
+	}
 	for p := range r.Inputs {
 		for v := range r.Inputs[p].VCs {
 			h := r.Inputs[p].VCs[v].Head()
 			if got, want := r.alloc[p]>>v&1 != 0, h != nil && h.Allocated; got != want {
 				return fmt.Errorf("alloc bit of (%d,%d) is %v, head allocated %v", p, v, got, want)
+			}
+			if got, want := r.ready[p]>>v&1 != 0, h != nil && h.Sent < h.Arrived; got != want {
+				return fmt.Errorf("ready bit of (%d,%d) is %v, head %+v", p, v, got, h)
 			}
 			if r.blocked[p]>>v&1 == 0 {
 				continue
@@ -787,7 +823,8 @@ func lockstepShapes() map[string]Config {
 // mask router's alloc and blocked masks to pass checkMasks. Now and then
 // the mask router is replaced by one restored from its own snapshot,
 // whose cached routes and blocked heads are gone and must come back the
-// same.
+// same. The reference asks its Env about claims and stalls; the mask
+// router is pushed the same answers before every step.
 func TestRouterMatchesReference(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
 	for name, cfg := range lockstepShapes() {
@@ -805,8 +842,11 @@ func TestRouterMatchesReference(t *testing.T) {
 					for _, s := range []*side{ref, cur} {
 						s.env.cycle, s.env.log = cycle, s.env.log[:0]
 						s.meddle()
-						if r, ok := s.rt.(*Router); ok && r.resident > 0 && r.gained == 0 && r.unsettled(&r.blocked) == 0 {
-							parked++
+						if r, ok := s.rt.(*Router); ok {
+							s.env.push(r)
+							if r.resident > 0 && r.gained == 0 && r.unsettled()|r.movable() == 0 {
+								parked++
+							}
 						}
 						s.rt.Step()
 					}
@@ -814,7 +854,7 @@ func TestRouterMatchesReference(t *testing.T) {
 						t.Fatalf("%s node %d seed %d cycle %d:\nmask router:\n%s\nreference:\n%s", name, id, seed, cycle, cur.describe(), ref.describe())
 					}
 					r := cur.rt.(*Router)
-					if err := checkMasks(r); err != nil {
+					if err := checkMasks(r, cur.env); err != nil {
 						t.Fatalf("%s node %d seed %d cycle %d: %v", name, id, seed, cycle, err)
 					}
 					for _, m := range r.blocked {
@@ -846,7 +886,7 @@ func TestRouterMatchesReference(t *testing.T) {
 			}
 		}
 		if parked < 50 {
-			t.Errorf("%s: the routers parked (every head blocked, no credit gained) in only %d steps", name, parked)
+			t.Errorf("%s: the routers parked (nothing to allocate or send, no credit gained) in only %d steps", name, parked)
 		}
 	}
 }
@@ -893,10 +933,11 @@ func TestOccupancyTracksEveryMutation(t *testing.T) {
 		for cycle := int64(0); cycle < 3000; cycle++ {
 			s.env.cycle, s.env.log = cycle, s.env.log[:0]
 			s.meddle()
+			s.env.push(r)
 			if cycle%3 != 0 {
 				r.Step()
 			}
-			if err := checkMasks(r); err != nil {
+			if err := checkMasks(r, s.env); err != nil {
 				t.Fatalf("%s cycle %d: %v", name, cycle, err)
 			}
 			resident := 0

@@ -12,20 +12,11 @@ import (
 )
 
 // Env is the router's window onto the rest of the network. The network
-// package implements it; tests provide lightweight fakes.
+// package implements it; tests provide lightweight fakes. Claims and
+// stalls are pushed instead (Router.Claimed, Router.Stalled).
 type Env interface {
 	// Cycle is the current simulation cycle.
 	Cycle() int64
-	// LinkClaimed reports whether a bypass controller (FastPass lane or
-	// returning path) owns the directed link this cycle; switch
-	// allocation must not drive a regular flit onto a claimed link.
-	// This models the lookahead signal: in hardware the claim arrives
-	// one cycle early and pre-sets the muxes (§III-C5).
-	LinkClaimed(linkID int) bool
-	// EjectClaimed reports whether a FastPass packet owns the node's
-	// ejection port this cycle (Qn 3: FastPass preempts ongoing
-	// ejections).
-	EjectClaimed(node int) bool
 	// SendFlit drives a flit onto a directed link, tagged with the
 	// downstream VC it was allocated.
 	SendFlit(linkID int, f message.Flit, outVC int)
@@ -47,11 +38,6 @@ type Env interface {
 	// gained a resident packet and must be stepped again. Routers call
 	// it on every insertion; the scheduler deduplicates.
 	WakeRouter(node int)
-	// InputStalled reports whether fault injection has frozen the given
-	// input port of the node's router this cycle: its buffered flits
-	// must not advance through the switch. Healthy environments return
-	// false unconditionally.
-	InputStalled(node int, port int) bool
 }
 
 // Config carries the per-scheme router parameters (Table II).
@@ -134,6 +120,9 @@ type Router struct {
 	// on all its route ports — an outcome only a credit on one of them
 	// (gained) can change. The VCs re-derive both when the head changes.
 	alloc, blocked [nPorts]uint64
+	// ready[port] has bit v set while VC v's head holds an arrived flit it
+	// has not sent; the VCs keep it where Arrived and Sent move.
+	ready [nPorts]uint64
 	// vcFree tracks downstream VC availability per output port; it is
 	// the credit state of virtual cut-through with one packet per VC: a
 	// downstream VC is either wholly free or owned by one packet.
@@ -148,6 +137,12 @@ type Router struct {
 	gained uint16
 	// ejecting marks classes with a regular packet mid-ejection.
 	ejecting [message.NumClasses]bool
+	// Claimed has bit p set while output port p is barred to regular
+	// flits (a bypass owns its link or the ejection port, or the link is
+	// down), Stalled while input port p is frozen. They are the lookahead
+	// signals that preset the muxes a cycle early (§III-C5): the network
+	// sets them before any router steps and clears them the next cycle.
+	Claimed, Stalled uint8
 
 	// resident counts packets buffered across all VCs, so Occupied is
 	// O(1). An empty router's Step is a provable no-op, which is what
@@ -177,7 +172,8 @@ type Router struct {
 	// called through a Func value, which would force a stack buffer onto
 	// the heap.
 	routeBuf [2]topology.Direction
-	Cfg      Config
+	// Cfg is shared by the routers of one build.
+	Cfg *Config
 }
 
 // routeTable is what the routers of one config share, read-only once
@@ -222,6 +218,7 @@ type slab struct {
 	vcs     []VC
 	entries []Entry
 	tab     *routeTable
+	cfg     Config
 }
 
 // injWindow is the Build-carved depth of each injection queue, in
@@ -246,8 +243,9 @@ func newSlab(cfg Config, routers int) *slab {
 	return &slab{
 		routers: make([]Router, routers),
 		vcs:     make([]VC, routers*(int(message.NumClasses)+netVCs)),
-		entries: make([]Entry, routers*(netVCs+injWindow*int(message.NumClasses))),
+		entries: make([]Entry, routers*injWindow*int(message.NumClasses)),
 		tab:     newRouteTable(cfg),
+		cfg:     cfg,
 	}
 }
 
@@ -272,7 +270,7 @@ func NewAll(mesh *topology.Mesh, cfg Config, env Env) []*Router {
 // build carves and wires the slab's next router.
 func (sl *slab) build(id int, mesh *topology.Mesh, cfg Config, env Env) *Router {
 	r := &carve(&sl.routers, 1)[0]
-	r.ID, r.Mesh, r.Cfg, r.Env, r.tab = id, mesh, cfg, env, sl.tab
+	r.ID, r.Mesh, r.Cfg, r.Env, r.tab = id, mesh, &sl.cfg, env, sl.tab
 	r.portTie.n = uint8(nPorts)
 	for p := 0; p < nPorts; p++ {
 		d := topology.Direction(p)
@@ -285,17 +283,21 @@ func (sl *slab) build(id int, mesh *topology.Mesh, cfg Config, env Env) *Router 
 		}
 		iu := &r.Inputs[p]
 		// Injection: one queue per message class, an injWindow-entry
-		// window each. Network VCs hold one packet: one entry slot.
-		n, capFlits, maxPkts, window := int(message.NumClasses), cfg.InjQueueFlits, cfg.InjQueueFlits, injWindow
+		// window each. Network VCs hold one packet, in their inline slot.
+		n, capFlits, maxPkts := int(message.NumClasses), cfg.InjQueueFlits, cfg.InjQueueFlits
 		if p != int(topology.Local) {
-			n, capFlits, maxPkts, window = cfg.NetVCs(), cfg.BufFlits, 1, 1
+			n, capFlits, maxPkts = cfg.NetVCs(), cfg.BufFlits, 1
 			r.vcFree[p] = 1<<n - 1
 		}
 		iu.VCs = carve(&sl.vcs, n)
 		for v := range iu.VCs {
 			vc := &iu.VCs[v]
 			vc.init(capFlits, maxPkts)
-			vc.entries.Adopt(carve(&sl.entries, window))
+			if p == int(topology.Local) {
+				vc.entries.Adopt(carve(&sl.entries, injWindow))
+			} else {
+				vc.entries.Adopt(vc.one[:])
+			}
 			vc.owner, vc.port, vc.idx = r, uint8(p), uint8(v)
 		}
 		r.saInArb[p].n = uint8(n)
@@ -369,15 +371,20 @@ func (r *Router) VCOccupancy(gvc int) int {
 	return c
 }
 
-// DeliverHead accepts a head flit arriving on a network input port.
-func (r *Router) DeliverHead(port topology.Direction, vc int, pkt *message.Packet) {
-	r.Inputs[port].VCs[vc].AcceptHead(pkt, r.Env.Cycle())
+// Deliver writes a flit arriving on a network input port at cycle into
+// VC vc: a head starts its packet and wakes the router.
+func (r *Router) Deliver(port topology.Direction, vc int, f message.Flit, cycle int64) {
+	if !f.IsHead() {
+		r.Inputs[port].VCs[vc].AcceptBody(f.Pkt, cycle)
+		return
+	}
+	r.Inputs[port].VCs[vc].AcceptHead(f.Pkt, cycle)
 	r.Env.WakeRouter(r.ID)
 }
 
-// DeliverBody accepts a body/tail flit arriving on a network input port.
-func (r *Router) DeliverBody(port topology.Direction, vc int, pkt *message.Packet) {
-	r.Inputs[port].VCs[vc].AcceptBody(pkt, r.Env.Cycle())
+// DeliverHead accepts a head flit arriving on a network input port now.
+func (r *Router) DeliverHead(port topology.Direction, vc int, pkt *message.Packet) {
+	r.Deliver(port, vc, message.Flit{Pkt: pkt}, r.Env.Cycle())
 }
 
 // InjectPacket enqueues a freshly created packet into the node's
@@ -408,21 +415,29 @@ func (r *Router) ports(g int, dst int) []topology.Direction {
 
 // Step runs one cycle of the router: VC allocation for fresh heads,
 // then switch allocation and flit transmission. It looks only at
-// occupied VCs; with none, or with every head blocked and no credit
-// gained since, it returns at once.
+// occupied VCs; with none, or with nothing waiting, ready or gained
+// since the last VA pass, it returns at once.
 func (r *Router) Step() {
-	if r.resident == 0 || r.gained == 0 && r.unsettled(&r.blocked) == 0 {
+	if r.resident == 0 || r.gained == 0 && r.unsettled()|r.movable() == 0 {
 		return
 	}
 	r.allocateVCs()
 	r.switchAllocate()
 }
 
-// unsettled ORs over the ports the occupied VCs in neither mask nor
-// blocked; unsettled(&r.blocked) == 0 is occ == blocked without memequal.
-func (r *Router) unsettled(mask *[nPorts]uint64) (vcs uint64) {
+// unsettled ORs waiting over the ports.
+func (r *Router) unsettled() (vcs uint64) {
 	for p := range r.occ {
-		vcs |= r.occ[p] &^ mask[p] &^ r.blocked[p]
+		vcs |= r.waiting(p)
+	}
+	return vcs
+}
+
+// movable ORs over the ports the allocated heads that hold a flit to
+// send — the switch allocator's candidates before claims and stalls.
+func (r *Router) movable() (vcs uint64) {
+	for p := range r.alloc {
+		vcs |= r.alloc[p] & r.ready[p]
 	}
 	return vcs
 }
@@ -442,7 +457,7 @@ func (r *Router) allocateVCs() {
 	if r.gained != 0 {
 		r.unblock()
 	}
-	if r.unsettled(&r.alloc) == 0 {
+	if r.unsettled() == 0 {
 		return
 	}
 	const inj = int(message.NumClasses)
@@ -551,28 +566,32 @@ func (r *Router) tryAllocate(v *VC, e *Entry) {
 //
 //nocvet:phase alloc
 func (r *Router) switchAllocate() {
-	// Stage 1: each input port nominates one allocated head with a
-	// sendable flit. A fault-stalled input port nominates nothing: its
-	// buffered flits are frozen in place until the stall clears (or the
-	// watchdogs give up on them). A nominee has one output port, so the
-	// per-output request masks are complete before any flit moves.
+	// Stage 1: each input port nominates one allocated head with a flit
+	// to send whose output port is not claimed. A fault-stalled input
+	// port nominates nothing: its buffered flits are frozen in place
+	// until the stall clears (or the watchdogs give up on them). A nominee
+	// has one output port, so the per-output request masks are complete
+	// before any flit moves. Entries are read for the nominees only, and
+	// for every candidate while some output port is claimed.
 	var nominee [nPorts]int
 	var outReqs [nPorts]uint64
 	var nominated, granted uint64
 	for p := 0; p < nPorts; p++ {
-		if r.alloc[p] == 0 || r.Env.InputStalled(r.ID, p) {
+		reqs := r.alloc[p] & r.ready[p]
+		if reqs == 0 || r.Stalled>>p&1 != 0 {
 			continue
 		}
 		vcs := r.Inputs[p].VCs
-		var reqs uint64
-		for m := r.alloc[p]; m != 0; m &= m - 1 {
-			v := bits.TrailingZeros64(m)
-			if r.sendable(vcs[v].entries.Ptr(0)) {
-				reqs |= 1 << v
+		if r.Claimed != 0 {
+			for m := reqs; m != 0; m &= m - 1 {
+				v := bits.TrailingZeros64(m)
+				if r.Claimed>>vcs[v].entries.Ptr(0).OutPort&1 != 0 {
+					reqs &^= 1 << v
+				}
 			}
-		}
-		if reqs == 0 {
-			continue
+			if reqs == 0 {
+				continue
+			}
 		}
 		nominee[p] = r.saInArb[p].GrantMask(reqs)
 		nominated |= 1 << p
@@ -591,17 +610,6 @@ func (r *Router) switchAllocate() {
 	// stalled in switch allocation — the contention signal the telemetry
 	// windows track.
 	r.SwitchStalls += int64(bits.OnesCount64(nominated &^ granted))
-}
-
-// sendable reports whether allocated head e can move a flit this cycle.
-func (r *Router) sendable(e *Entry) bool {
-	if e.Sent >= e.Arrived {
-		return false
-	}
-	if e.Out() == topology.Local {
-		return !r.Env.EjectClaimed(r.ID)
-	}
-	return !r.Env.LinkClaimed(int(r.outLinks[e.OutPort]))
 }
 
 // transmit moves one flit of the head packet at (in, vc) through the

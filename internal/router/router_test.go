@@ -11,16 +11,12 @@ import (
 // fakeEnv is a minimal Env that records outgoing flits/credits and
 // models an always-willing NIC.
 type fakeEnv struct {
-	cycle      int64
-	sentFlits  []sentFlit
-	credits    []sentCredit
-	ejected    []message.Flit
-	claimLinks map[int]bool
-	claimEject map[int]bool
-	ejectDeny  map[message.Class]bool
-	pendingEj  int
-	// stalledPorts marks fault-frozen input ports (InputStalled).
-	stalledPorts map[int]bool
+	cycle     int64
+	sentFlits []sentFlit
+	credits   []sentCredit
+	ejected   []message.Flit
+	ejectDeny map[message.Class]bool
+	pendingEj int
 }
 
 type sentFlit struct {
@@ -35,16 +31,10 @@ type sentCredit struct {
 }
 
 func newFakeEnv() *fakeEnv {
-	return &fakeEnv{
-		claimLinks: map[int]bool{},
-		claimEject: map[int]bool{},
-		ejectDeny:  map[message.Class]bool{},
-	}
+	return &fakeEnv{ejectDeny: map[message.Class]bool{}}
 }
 
-func (f *fakeEnv) Cycle() int64            { return f.cycle }
-func (f *fakeEnv) LinkClaimed(id int) bool { return f.claimLinks[id] }
-func (f *fakeEnv) EjectClaimed(n int) bool { return f.claimEject[n] }
+func (f *fakeEnv) Cycle() int64 { return f.cycle }
 func (f *fakeEnv) SendFlit(id int, fl message.Flit, outVC int) {
 	f.sentFlits = append(f.sentFlits, sentFlit{id, fl, outVC})
 }
@@ -54,9 +44,6 @@ func (f *fakeEnv) BeginEject(n int, p *message.Packet)    { f.pendingEj++ }
 func (f *fakeEnv) CancelEject(n int, p *message.Packet)   { f.pendingEj-- }
 func (f *fakeEnv) EjectFlit(n int, fl message.Flit)       { f.ejected = append(f.ejected, fl) }
 func (f *fakeEnv) WakeRouter(int)                         {}
-func (f *fakeEnv) InputStalled(n, port int) bool {
-	return f.stalledPorts != nil && f.stalledPorts[port]
-}
 
 func adaptiveCfg(vns, vcs int) Config {
 	algs := make([]routing.Algorithm, vcs)
@@ -203,7 +190,7 @@ func TestNetworkArrivalEjection(t *testing.T) {
 	r.DeliverHead(topology.West, 0, p)
 	r.Step()
 	env.cycle++
-	r.DeliverBody(topology.West, 0, p)
+	r.Deliver(topology.West, 0, message.Flit{Pkt: p, Seq: 1}, env.cycle)
 	r.Step()
 	env.cycle++
 	r.Step()
@@ -251,12 +238,12 @@ func TestClaimedLinkStallsRegularTraffic(t *testing.T) {
 	r := New(m.ID(0, 0), m, adaptiveCfg(1, 1), env)
 	p := message.NewPacket(5, r.ID, m.ID(2, 0), message.Request, 1, 0)
 	r.InjectPacket(p)
-	env.claimLinks[r.OutLinkID(topology.East)] = true
+	r.Claimed = 1 << topology.East
 	r.Step()
 	if len(env.sentFlits) != 0 {
 		t.Fatal("flit crossed a claimed link")
 	}
-	env.claimLinks[r.OutLinkID(topology.East)] = false
+	r.Claimed = 0
 	env.cycle++
 	r.Step()
 	if len(env.sentFlits) != 1 {
@@ -271,14 +258,14 @@ func TestClaimedEjectionStallsRegularEjection(t *testing.T) {
 	r := New(m.ID(1, 1), m, adaptiveCfg(1, 1), env)
 	p := message.NewPacket(6, m.ID(0, 1), r.ID, message.Response, 1, 0)
 	r.DeliverHead(topology.West, 0, p)
-	env.claimEject[r.ID] = true
+	r.Claimed = 1 << topology.Local
 	r.Step()
 	env.cycle++
 	r.Step()
 	if len(env.ejected) != 0 {
 		t.Fatal("ejected through a claimed port")
 	}
-	env.claimEject[r.ID] = false
+	r.Claimed = 0
 	r.Step()
 	if len(env.ejected) != 1 {
 		t.Fatal("should eject after claim released")
@@ -295,7 +282,7 @@ func TestRemoveHeadPacketReleasesResources(t *testing.T) {
 	r.DeliverHead(topology.West, 0, p)
 	env.cycle++
 	// Allocate but forbid transmission by claiming the East link.
-	env.claimLinks[r.OutLinkID(topology.East)] = true
+	r.Claimed = 1 << topology.East
 	r.Step()
 	if r.DownstreamVCFree(topology.East, 0) {
 		t.Fatal("East VC should be claimed after VA")

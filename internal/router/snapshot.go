@@ -23,8 +23,8 @@ func (v *VC) SnapshotState(w *snapshot.Writer) {
 // RestoreState decodes into a freshly built (empty) VC. Entries are
 // reconstructed through insert so the owning router's resident counter
 // and occupancy mask come out right without being encoded separately;
-// headChanged then takes the alloc bit from the decoded head, whose route
-// and blocked bit come back at its next VA attempt.
+// headChanged then takes the alloc and ready bits from the decoded head,
+// whose route and blocked bit come back at its next VA attempt.
 func (v *VC) RestoreState(r *snapshot.Reader) {
 	for v.entries.Len() > 0 {
 		v.remove(0)
@@ -120,14 +120,16 @@ func init() {
 			"ID", "Mesh", "Cfg", "Env", "tab", "outLinks", "inLinks",
 			// Scratch, rewritten before every read.
 			"routeBuf",
-			// Re-derived (alloc) or cleared (blocked) by VC restore.
-			"alloc", "blocked", "gained",
+			// Re-derived (alloc, ready) or cleared (blocked) by VC restore.
+			"alloc", "blocked", "gained", "ready",
+			// Pushed by the network every cycle (and at its restore).
+			"Claimed", "Stalled",
 		})
 	snapshot.Register("router.InputUnit", InputUnit{}, []string{"VCs"}, nil)
 	snapshot.Register("router.VC", VC{},
 		[]string{"entries", "flits"},
-		// route is a cache of the head's routing, recomputed when 0.
-		[]string{"CapFlits", "MaxPkts", "owner", "port", "idx", "route"})
+		// route caches the head's routing (0: recompute); one backs entries.
+		[]string{"CapFlits", "MaxPkts", "owner", "port", "idx", "route", "one"})
 	snapshot.Register("router.Entry", Entry{},
 		[]string{"Pkt", "Arrived", "Sent", "Allocated", "OutPort", "OutVC", "EnqueueCycle", "LastMove"},
 		nil)

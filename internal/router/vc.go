@@ -61,20 +61,21 @@ func (e *Entry) Allocate(port topology.Direction, vc int) {
 // a FIFO of whole packets bounded by flit capacity.
 //
 // Entries live by value in a ring buffer, so traffic through a VC never
-// touches the allocator: a router built by New adopts one slab-backed
-// slot per network VC (its single packet's entry, in place) and an
-// injWindow-entry window per injection queue, which grows onto the heap
-// only if it ever holds more packets than that. An entry
+// touches the allocator: in a router built by New a network VC adopts its
+// inline slot (one entry, beside the ring) and an injection queue a
+// slab-backed injWindow-entry window, which grows onto the heap only if
+// it ever holds more packets than that. An entry
 // pointer handed out by Head/EntryAt is valid until the VC's next
 // insertion or removal; a departed entry's slot is zeroed, turning any
 // stale-pointer use into an immediate nil dereference of Pkt rather than
 // silent corruption.
 type VC struct {
 	entries ringq.Ring[Entry]
+	one     [1]Entry
 	// owner, when set, is the router whose input (port, idx) this VC is:
-	// the VC keeps that router's resident-packet count and occupancy
-	// mask in sync on every insert and remove, so they stay right even
-	// when controllers manipulate VCs directly.
+	// the VC keeps that router's resident-packet count and occupancy and
+	// ready masks in sync on every insert, remove and flit, so they stay
+	// right even when controllers manipulate VCs directly.
 	owner *Router
 	// CapFlits bounds total buffered flits; MaxPkts bounds the packet
 	// FIFO depth (1 for network VCs).
@@ -132,16 +133,22 @@ func (v *VC) remove(i int) {
 }
 
 // headChanged forgets the old head's route and blocked bit and takes the
-// alloc bit from the new head (which may be an allocated injection head
-// that a packet parked in front of).
+// alloc and ready bits from the new head (which may be an allocated
+// injection head that a packet parked in front of).
 func (v *VC) headChanged() {
 	v.route = 0
 	if r := v.owner; r != nil {
 		bit := uint64(1) << v.idx
 		r.blocked[v.port] &^= bit
 		r.alloc[v.port] &^= bit
-		if h := v.Head(); h != nil && h.Allocated {
-			r.alloc[v.port] |= bit
+		r.ready[v.port] &^= bit
+		if h := v.Head(); h != nil {
+			if h.Allocated {
+				r.alloc[v.port] |= bit
+			}
+			if h.Sent < h.Arrived {
+				r.ready[v.port] |= bit
+			}
 		}
 	}
 }
@@ -224,6 +231,9 @@ func (v *VC) AcceptBody(pkt *message.Packet, cycle int64) {
 	e.Arrived++
 	e.LastMove = cycle
 	v.flits++
+	if r := v.owner; r != nil && v.entries.Len() == 1 {
+		r.ready[v.port] |= 1 << v.idx
+	}
 }
 
 // SendFlit records the departure of the next flit of the head packet
@@ -242,6 +252,9 @@ func (v *VC) SendFlit(cycle int64) (f message.Flit, done bool) {
 	if int(e.Sent) == e.Pkt.Len {
 		v.remove(0)
 		return f, true
+	}
+	if r := v.owner; r != nil && e.Sent == e.Arrived {
+		r.ready[v.port] &^= 1 << v.idx
 	}
 	return f, false
 }
