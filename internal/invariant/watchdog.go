@@ -445,7 +445,7 @@ func (w *Watchdog) record(v Violation) {
 // sortedLiveIDs snapshots the live map's keys ascending (cold path).
 func sortedLiveIDs(live map[uint64]*message.Packet) []uint64 {
 	ids := make([]uint64, 0, len(live))
-	for id := range live { //nocvet:ignore maporder keys are sorted before use; iteration order never escapes
+	for id := range live { //nocvet:ignore dettaint keys are sorted before use; iteration order never escapes
 		ids = append(ids, id)
 	}
 	sortUint64s(ids)

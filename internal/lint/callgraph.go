@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -380,14 +381,7 @@ func (prog *Program) HotRoots() []*FuncNode {
 		}
 	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i].FullName() < roots[j].FullName() })
-	// Dedup (a hot phase root could qualify twice).
-	out := roots[:0]
-	for i, r := range roots {
-		if i == 0 || roots[i-1] != r {
-			out = append(out, r)
-		}
-	}
-	return out
+	return slices.Compact(roots) // a hot phase root could qualify twice
 }
 
 // controllerInterface locates the network package's Controller

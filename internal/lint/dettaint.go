@@ -4,16 +4,16 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
-// DetTaint is the interprocedural determinism-taint analyzer. Where
-// detrand and maporder flag nondeterminism at the site of the source,
-// DetTaint follows the value: a helper that builds a slice in map
-// iteration order and returns it through two more helpers is still a
-// nondeterministic value, and writing it into simulator state breaks
-// the bit-identical-replay contract just as surely as ranging the map
-// at the sink would.
+// DetTaint is nocvet's one determinism analyzer. It flags a hidden
+// input both where it enters and, interprocedurally, where it lands: a
+// helper that builds a slice in map iteration order and returns it
+// through two more helpers is still a nondeterministic value, and
+// writing it into simulator state breaks the bit-identical-replay
+// contract just as surely as ranging the map at the sink would.
 //
 // Sources of taint:
 //
@@ -34,16 +34,59 @@ import (
 //
 // Sinks, where findings are reported:
 //
+//   - a clock read or global-rand call itself, anywhere under internal/
+//     (simulation time comes from the cycle counter, randomness from an
+//     explicitly seeded *rand.Rand), and on the hot path in any package;
+//   - any reference to package time at all in the clockFree packages;
+//   - a map range, in any package, whose body sends into a channel,
+//     appends to a slice declared outside the loop that is not sorted
+//     afterwards, or calls a method of a module type;
 //   - a tainted value assigned into a field of a module-declared
 //     struct inside an internal/ package (simulator state);
-//   - a taint source or a call to a taint-returning function inside
-//     the per-cycle hot path (anything reachable from Network.Step or
-//     a controller scan — see HotRoots).
+//   - a call to a taint-returning function inside the per-cycle hot
+//     path (anything reachable from Network.Step or a controller scan —
+//     see HotRoots).
 type DetTaint struct{}
 
 func (DetTaint) Name() string { return "dettaint" }
 func (DetTaint) Doc() string {
-	return "track nondeterministic values through the call graph into simulator state"
+	return "flag host clock, global rand and map order where they enter and where they reach simulator state"
+}
+
+// forbiddenTime is the wall-clock surface of package time. Durations,
+// constants, and formatting stay legal outside the clockFree packages —
+// only host-clock reads break reproducibility.
+var forbiddenTime = map[string]bool{
+	"Now": true, "Since": true, "Until": true,
+}
+
+// forbiddenRand is every top-level math/rand function that touches the
+// package-global generator. The constructors (New, NewSource, NewZipf)
+// are the sanctioned alternative and stay legal.
+var forbiddenRand = map[string]bool{
+	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
+	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
+	"Float32": true, "Float64": true, "ExpFloat64": true, "NormFloat64": true,
+	"Perm": true, "Shuffle": true, "Seed": true, "Read": true,
+	// math/rand/v2 spellings.
+	"IntN": true, "Int32": true, "Int32N": true, "Int64": true,
+	"Int64N": true, "N": true, "Uint32N": true, "Uint64N": true,
+	"UintN": true, "Uint": true,
+}
+
+// clockFree lists, by path suffix, the packages where any reference to
+// package time is a finding, not only a clock read: fault schedules,
+// watchdog bounds, checkpoints and telemetry windows are simulated
+// cycles, so even a time.Duration is a wall-clock-shaped knob, and a
+// wedged run must trip at the same cycle on every machine. The last
+// entry is the lint fixture.
+var clockFree = []string{
+	"/internal/faults", "/internal/invariant", "/internal/snapshot", "/internal/telemetry",
+	"/testdata/src/dettaint/noclock",
+}
+
+func isClockFree(path string) bool {
+	return slices.ContainsFunc(clockFree, func(suffix string) bool { return strings.HasSuffix(path, suffix) })
 }
 
 // Run implements Analyzer; dettaint is whole-program only.
@@ -80,6 +123,11 @@ func (DetTaint) RunProgram(prog *Program) []Finding {
 		t.analyze(n, sink)
 		findings = append(findings, sink.findings...)
 	}
+	for _, p := range prog.Pkgs {
+		if isClockFree(p.Path) {
+			findings = append(findings, timeRefs(p)...)
+		}
+	}
 	return findings
 }
 
@@ -94,6 +142,10 @@ type sinkContext struct {
 	node     *FuncNode
 	hot      bool
 	findings []Finding
+}
+
+func (s *sinkContext) report(p *Package, node ast.Node, format string, args ...any) {
+	s.findings = append(s.findings, p.finding("dettaint", node, format, args...))
 }
 
 // analyze walks one function body, tracking tainted objects in source
@@ -119,12 +171,10 @@ func (t *taintAnalysis) analyze(n *FuncNode, sink *sinkContext) string {
 				selectSpans = append(selectSpans, [2]token.Pos{nd.Pos(), nd.End()})
 			}
 		case *ast.CallExpr:
-			if fn := calledFunc(p, nd); fn != nil && fn.Pkg() != nil {
-				if path := fn.Pkg().Path(); path == "sort" || path == "slices" {
-					for _, arg := range nd.Args {
-						key := types.ExprString(ast.Unparen(arg))
-						launders[key] = append(launders[key], nd.Pos())
-					}
+			if sorts(calledFunc(p, nd)) {
+				for _, arg := range nd.Args {
+					key := types.ExprString(ast.Unparen(arg))
+					launders[key] = append(launders[key], nd.Pos())
 				}
 			}
 		}
@@ -215,6 +265,11 @@ func (t *taintAnalysis) analyze(n *FuncNode, sink *sinkContext) string {
 					}
 				}
 			}
+			if sink != nil {
+				if why := orderSensitiveBody(p, nd, launderedAfter); why != "" {
+					sink.report(p, nd, "map iteration order is nondeterministic and the body %s; range over sorted keys instead", why)
+				}
+			}
 		case *ast.AssignStmt:
 			t.flowAssign(p, nd, tainted, taintOf, inSelect)
 			if sink != nil {
@@ -227,22 +282,21 @@ func (t *taintAnalysis) analyze(n *FuncNode, sink *sinkContext) string {
 				}
 			}
 		case *ast.CallExpr:
+			fn := calledFunc(p, nd)
 			// Laundering: the sort call clears object-level taint from
 			// this point on (walk order approximates source order).
-			if fn := calledFunc(p, nd); fn != nil && fn.Pkg() != nil {
-				if path := fn.Pkg().Path(); path == "sort" || path == "slices" {
-					for _, arg := range nd.Args {
-						if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
-							if obj := p.Info.Uses[id]; obj != nil {
-								delete(tainted, obj)
-							}
+			if sorts(fn) {
+				for _, arg := range nd.Args {
+					if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
+						if obj := p.Info.Uses[id]; obj != nil {
+							delete(tainted, obj)
 						}
 					}
-					return true
 				}
+				return true
 			}
-			if sink != nil && sink.hot {
-				t.reportHotCall(p, nd, sink)
+			if sink != nil && fn != nil {
+				t.reportCall(p, nd, fn, sink)
 			}
 		}
 		return true
@@ -305,6 +359,49 @@ func isNumeric(p *Package, e ast.Expr) bool {
 	return ok && b.Info()&types.IsNumeric != 0
 }
 
+// calledFunc resolves a call expression to the function object it
+// invokes, through plain idents (dot imports) and selectors alike.
+func calledFunc(p *Package, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := p.Info.Uses[id].(*types.Func)
+	return fn
+}
+
+// sorts reports whether fn belongs to package sort or slices, whose
+// output order is deterministic whatever the input order.
+func sorts(fn *types.Func) bool {
+	return fn != nil && fn.Pkg() != nil && (fn.Pkg().Path() == "sort" || fn.Pkg().Path() == "slices")
+}
+
+// hostInput returns the taint reason of a call to a package-level
+// function that reads hidden host state — a clock read of package time
+// or math/rand's process-global generator — or "". Methods (on a seeded
+// *rand.Rand, on a time.Time) are not host inputs.
+func hostInput(fn *types.Func) string {
+	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil || fn.Pkg() == nil {
+		return ""
+	}
+	switch fn.Pkg().Path() {
+	case "math/rand", "math/rand/v2":
+		if forbiddenRand[fn.Name()] {
+			return "global math/rand state (rand." + fn.Name() + ")"
+		}
+	case "time":
+		if forbiddenTime[fn.Name()] {
+			return "wall-clock read (time." + fn.Name() + ")"
+		}
+	}
+	return ""
+}
+
 // taintOfCall classifies a call expression: a taint source, a call to
 // a taint-returning function, a launderer, or a pass-through of its
 // arguments' taint.
@@ -325,21 +422,12 @@ func (t *taintAnalysis) taintOfCall(p *Package, call *ast.CallExpr, taintOf func
 		}
 		return taintOf(call.Args[0]) // other conversions pass taint through
 	}
-	fn := calledFunc(p, call)
-	if fn != nil && fn.Pkg() != nil {
-		if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() == nil {
-			switch fn.Pkg().Path() {
-			case "math/rand", "math/rand/v2":
-				if forbiddenRand[fn.Name()] {
-					return "global math/rand state"
-				}
-			case "time":
-				if forbiddenTime[fn.Name()] {
-					return "wall-clock read (time." + fn.Name() + ")"
-				}
-			case "sort", "slices":
-				return "" // launderers: deterministic output order
-			}
+	if fn := calledFunc(p, call); fn != nil {
+		if r := hostInput(fn); r != "" {
+			return r
+		}
+		if sorts(fn) {
+			return "" // launderers: deterministic output order
 		}
 		if node := t.prog.Node(fn); node != nil {
 			if r := t.summaries[node]; r != "" {
@@ -369,7 +457,7 @@ func (t *taintAnalysis) taintOfCall(p *Package, call *ast.CallExpr, taintOf func
 // in the same function (collect-then-sort through a field).
 func (t *taintAnalysis) reportFieldSinks(p *Package, as *ast.AssignStmt, sink *sinkContext,
 	taintOf func(ast.Expr) string, launderedAfter func(ast.Expr, token.Pos) bool) {
-	if !strings.Contains(p.Path+"/", "/internal/") {
+	if !p.internal() {
 		return
 	}
 	for i, lhs := range as.Lhs {
@@ -403,42 +491,128 @@ func (t *taintAnalysis) reportFieldSinks(p *Package, as *ast.AssignStmt, sink *s
 		if launderedAfter(lhs, as.Pos()) {
 			continue
 		}
-		sink.findings = append(sink.findings, p.finding("dettaint", as,
+		sink.report(p, as,
 			"%s flows into simulator state %s; derive the value deterministically (seeded rand, sorted keys, cycle time)",
-			reason, t.prog.FieldKey(fv)))
+			reason, t.prog.FieldKey(fv))
 	}
 }
 
-// reportHotCall flags taint entering the per-cycle hot path through a
-// call: either a direct source or a helper whose return is tainted.
-func (t *taintAnalysis) reportHotCall(p *Package, call *ast.CallExpr, sink *sinkContext) {
-	fn := calledFunc(p, call)
-	if fn == nil || fn.Pkg() == nil {
+// reportCall flags a host-input call where it is made — under
+// internal/, or on the per-cycle hot path in any package — and, on the
+// hot path, a call to a helper whose return is tainted. Package time in
+// a clockFree package is left to timeRefs, so one call is reported once.
+func (t *taintAnalysis) reportCall(p *Package, call *ast.CallExpr, fn *types.Func, sink *sinkContext) {
+	if r := hostInput(fn); r != "" {
+		switch {
+		case fn.Pkg().Path() == "time" && isClockFree(p.Path):
+		case sink.hot:
+			sink.report(p, call, "%s inside the per-cycle hot path (%s is reachable from Step)", r, sink.node.FullName())
+		case p.internal():
+			sink.report(p, call, "%s in simulation code; take time from the cycle counter and randomness from an explicitly seeded *rand.Rand", r)
+		}
 		return
 	}
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() == nil {
-		switch fn.Pkg().Path() {
-		case "math/rand", "math/rand/v2":
-			if forbiddenRand[fn.Name()] {
-				sink.findings = append(sink.findings, p.finding("dettaint", call,
-					"global rand.%s inside the per-cycle hot path (%s is reachable from Step)",
-					fn.Name(), sink.node.FullName()))
-			}
-			return
-		case "time":
-			if forbiddenTime[fn.Name()] {
-				sink.findings = append(sink.findings, p.finding("dettaint", call,
-					"wall-clock time.%s inside the per-cycle hot path (%s is reachable from Step)",
-					fn.Name(), sink.node.FullName()))
-			}
-			return
-		}
-	}
-	if node := t.prog.Node(fn); node != nil {
+	if node := t.prog.Node(fn); node != nil && sink.hot {
 		if r := t.summaries[node]; r != "" {
-			sink.findings = append(sink.findings, p.finding("dettaint", call,
-				"call to %s returns a nondeterministic value (%s) inside the per-cycle hot path",
-				node.FullName(), r))
+			sink.report(p, call, "call to %s returns a nondeterministic value (%s) inside the per-cycle hot path",
+				node.FullName(), r)
 		}
 	}
+}
+
+// orderSensitiveBody explains why a map range's body leaks iteration
+// order, or returns "" for an order-insensitive body (a commutative
+// reduction, or a collect-then-sort whose target is laundered after the
+// loop).
+func orderSensitiveBody(p *Package, rng *ast.RangeStmt, launderedAfter func(ast.Expr, token.Pos) bool) string {
+	why := ""
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		if why != "" {
+			return false
+		}
+		switch n := n.(type) {
+		case *ast.SendStmt:
+			why = "sends into a channel"
+		case *ast.AssignStmt:
+			if id := appendTarget(n); id != nil && declaredOutside(p, id, rng) && !launderedAfter(id, rng.End()) {
+				why = "appends to a slice declared outside the loop"
+			}
+		case *ast.CallExpr:
+			if name := moduleMethodCall(p, n); name != "" {
+				why = "calls simulator method " + name
+			}
+		}
+		return true
+	})
+	return why
+}
+
+// appendTarget returns x of an `x = append(x, …)` statement, or nil.
+func appendTarget(as *ast.AssignStmt) *ast.Ident {
+	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return nil
+	}
+	id, _ := as.Lhs[0].(*ast.Ident)
+	call, ok := as.Rhs[0].(*ast.CallExpr)
+	if id == nil || !ok {
+		return nil
+	}
+	if fn, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || fn.Name != "append" {
+		return nil
+	}
+	return id
+}
+
+// declaredOutside reports whether id's declaration lies outside the
+// range statement (a := inside the loop declares a fresh variable).
+func declaredOutside(p *Package, id *ast.Ident, rng *ast.RangeStmt) bool {
+	obj := p.Info.Uses[id]
+	return obj != nil && (obj.Pos() < rng.Pos() || obj.Pos() > rng.End())
+}
+
+// moduleMethodCall returns "Type.Method" when the call invokes a method
+// whose receiver type is declared inside this module.
+func moduleMethodCall(p *Package, call *ast.CallExpr) string {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	s := p.Info.Selections[sel]
+	if s == nil || s.Kind() != types.MethodVal || !p.inModule(s.Obj().Pkg()) {
+		return ""
+	}
+	recv := s.Recv()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	if named, ok := recv.(*types.Named); ok {
+		return named.Obj().Name() + "." + s.Obj().Name()
+	}
+	return recv.String() + "." + s.Obj().Name()
+}
+
+// timeRefs reports every import of, and reference to, package time in
+// a clockFree package.
+func timeRefs(p *Package) []Finding {
+	var out []Finding
+	for _, file := range p.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.ImportSpec:
+				if strings.Trim(n.Path.Value, `"`) == "time" {
+					out = append(out, p.finding("dettaint", n,
+						"import of package time in a cycle-driven package: fault schedules, watchdog bounds, checkpoints and telemetry windows are simulated cycles"))
+				}
+			case *ast.Ident:
+				// A package qualifier's object belongs to the importing
+				// package, so only the selected members match here.
+				if obj := p.Info.Uses[n]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "time" {
+					out = append(out, p.finding("dettaint", n,
+						"reference to time.%s in a cycle-driven package; time comes from the cycle counter, never the host clock", obj.Name()))
+				}
+			}
+			return true
+		})
+	}
+	return out
 }

@@ -28,7 +28,7 @@ func Main(args []string, dir string, stdout, stderr io.Writer) int {
 	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0 on stdout")
 	phaseReport := fs.String("phasereport", "", "write the shard-safety phase contract (JSON) to `file` (\"-\" for stdout)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: nocvet [-rules detrand,…] [-json|-sarif] [-phasereport file] packages…\n\n"+
+		fmt.Fprintf(stderr, "usage: nocvet [-rules dettaint,…] [-json|-sarif] [-phasereport file] packages…\n\n"+
 			"Static analysis enforcing simulator determinism and invariant\n"+
 			"conventions. Packages are directories or ./… patterns within the\n"+
 			"module; a single run is a whole-program analysis over every\n"+

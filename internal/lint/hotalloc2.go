@@ -6,11 +6,11 @@ import (
 	"go/types"
 )
 
-// HotAlloc2 is the interprocedural successor of HotAlloc. HotAlloc
-// guards three hand-listed packages syntactically; HotAlloc2 computes
-// the actual per-cycle hot path — everything reachable over the
-// whole-program call graph from Network.Step, from the controllers'
-// PreCycle/PostCycle scans, and from any //nocvet:hot or
+// HotAlloc2 is nocvet's one allocation analyzer: it keeps the per-cycle
+// kernel off the allocator (allocate at Build, never after — DESIGN.md
+// §9). It computes the actual per-cycle hot path — everything reachable
+// over the whole-program call graph from Network.Step, from the
+// controllers' PreCycle/PostCycle scans, and from any //nocvet:hot or
 // //nocvet:phase root — and flags allocation idioms wherever that
 // closure reaches, including helpers hiding in other packages:
 //
@@ -19,7 +19,9 @@ import (
 //   - append to a slice declared empty in the same function (the
 //     backing array is garbage every cycle; scratch must live in the
 //     struct and be reset with s[:0]);
-//   - the append-prepend copy (see HotAlloc);
+//   - the append-prepend copy, `append([]T{x}, q...)`, which copies the
+//     whole queue to put one element in front (message.Queue's
+//     PushFront and ringq's InsertAt(0, …) do it in O(1));
 //   - variable-capturing closures (each capture forces a heap
 //     allocation when the literal escapes);
 //   - arguments boxed into a variadic ...any parameter (fmt-style
@@ -159,7 +161,7 @@ func boxedArgs(p *Package, n *FuncNode, call *ast.CallExpr) []Finding {
 	if fn == nil || fn.Pkg() == nil {
 		return nil
 	}
-	if path := fn.Pkg().Path(); path == p.ModPath || len(path) > len(p.ModPath) && path[:len(p.ModPath)+1] == p.ModPath+"/" {
+	if p.inModule(fn.Pkg()) {
 		return nil // module calls are analyzed on their own bodies
 	}
 	sig, ok := fn.Type().(*types.Signature)
@@ -195,6 +197,31 @@ func boxedArgs(p *Package, n *FuncNode, call *ast.CallExpr) []Finding {
 			fn.Pkg().Name(), fn.Name(), n.FullName())}
 	}
 	return nil
+}
+
+// builtinName returns the name of the builtin a call expression invokes,
+// or "" if it is not a builtin call. Shadowed identifiers (a local
+// function named make) resolve to non-builtin objects and are skipped.
+func builtinName(p *Package, fun ast.Expr) string {
+	id, ok := fun.(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	if _, ok := p.Info.Uses[id].(*types.Builtin); !ok {
+		return ""
+	}
+	return id.Name
+}
+
+// isPrependCopy matches `append([]T{x, ...}, q...)`: a variadic append
+// whose first argument is a non-empty composite literal. The legal tail
+// append and `append(dst[:0], src...)` reuse shapes do not match.
+func isPrependCopy(call *ast.CallExpr) bool {
+	if !call.Ellipsis.IsValid() || len(call.Args) != 2 {
+		return false
+	}
+	lit, ok := call.Args[0].(*ast.CompositeLit)
+	return ok && len(lit.Elts) > 0
 }
 
 // capturesLocals reports (one of) the enclosing local variables a

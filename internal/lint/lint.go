@@ -5,23 +5,10 @@
 // cycle-accurate run; these analyzers keep contributions honest about
 // the properties the tests assume:
 //
-//	detrand    — no wall-clock or global math/rand state in internal/
-//	             simulation packages; randomness must flow through an
-//	             explicitly seeded *rand.Rand
-//	maporder   — no ranging over a map where the body touches shared
-//	             simulator state (iteration order is nondeterministic)
 //	cyclewidth — cycle counters stay int64; no narrowing conversions
 //	             of cycle-derived values
 //	panicstyle — panic messages carry the "<pkg>: " prefix so
 //	             invariant violations are attributable
-//	hotalloc   — no append-prepend copies or per-cycle make calls in
-//	             the hot-path packages
-//	             (internal/{nic,router,network,minbd}); the steady-state
-//	             zero-allocs-per-cycle contract depends on it
-//	wallclock  — no reference to package time at all in
-//	             internal/{faults,invariant}; fault schedules and
-//	             watchdog bounds are simulated cycles, so a wedged run
-//	             trips at the same cycle on every machine
 //
 // Three whole-program analyzers run over a type-resolved cross-package
 // call graph (callgraph.go) instead of one package at a time:
@@ -32,25 +19,33 @@
 //	             same-phase write-then-read hazards and unbuffered
 //	             fields written by two phases; -phasereport emits the
 //	             derived shard-safety contract as stable JSON
-//	dettaint   — interprocedural determinism taint: values derived
-//	             from map iteration order, select, wall clock, or
-//	             pointer identity must be laundered (sorted) before
-//	             they reach fields of simulator state
-//	hotalloc2  — the hotalloc idiom checks applied to everything
-//	             reachable from //nocvet:hot roots, phase roots, and
-//	             controller PreCycle/PostCycle — across packages
+//	dettaint   — determinism: no wall-clock read or global math/rand
+//	             call under internal/, no package time at all in
+//	             internal/{faults,invariant,snapshot,telemetry}, no map
+//	             range whose body sends, appends unsorted or calls a
+//	             simulator method; and values derived from map order,
+//	             select, wall clock, or pointer identity must be
+//	             laundered (sorted) before they reach simulator state
+//	hotalloc2  — no allocation idiom (make, new, &T{}, append-prepend,
+//	             capturing closures, ...any boxing) anywhere reachable
+//	             from //nocvet:hot roots, phase roots, and controller
+//	             PreCycle/PostCycle — across packages; the steady-state
+//	             zero-allocs-per-cycle contract depends on it
 //
 // Findings can be silenced with a `//nocvet:ignore <rule> <reason>`
 // comment on the offending line or the line directly above it. The
 // reason is mandatory by convention: a suppression is a claim that the
 // flagged code is deterministic anyway, and the claim should be stated.
+// A directive that names no analyzer, or names one that ran and
+// silenced nothing, is itself a finding (rule "ignore").
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -88,8 +83,7 @@ type ProgramAnalyzer interface {
 // All returns the full analyzer suite in report order.
 func All() []Analyzer {
 	return []Analyzer{
-		DetRand{}, MapOrder{}, CycleWidth{}, PanicStyle{}, HotAlloc{}, Wallclock{},
-		PhaseSafe{}, DetTaint{}, HotAlloc2{},
+		CycleWidth{}, PanicStyle{}, PhaseSafe{}, DetTaint{}, HotAlloc2{},
 	}
 }
 
@@ -102,7 +96,7 @@ func Names() []string {
 	return names
 }
 
-// ByName resolves a comma-separated rule list ("detrand,panicstyle").
+// ByName resolves a comma-separated rule list ("dettaint,panicstyle").
 func ByName(list string) ([]Analyzer, error) {
 	if list == "" {
 		return All(), nil
@@ -123,9 +117,9 @@ func ByName(list string) ([]Analyzer, error) {
 }
 
 // Run applies the analyzers to every package, drops suppressed
-// findings, and returns the rest sorted by position then rule.
-// Program analyzers see all packages of the call at once, so a run
-// over ./... is a whole-program analysis.
+// findings, adds the stale suppressions, and returns the rest sorted by
+// position then rule. Program analyzers see all packages of the call at
+// once, so a run over ./... is a whole-program analysis.
 func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
 	var prog *Program
 	for _, a := range analyzers {
@@ -135,6 +129,7 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
 		}
 	}
 	sup := collectSuppressions(pkgs)
+	ran := map[string]bool{}
 	var out []Finding
 	keep := func(fs []Finding) {
 		for _, f := range fs {
@@ -147,25 +142,21 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
 		if pa, ok := a.(ProgramAnalyzer); ok {
 			if prog != nil {
 				keep(pa.RunProgram(prog))
+				// A run with no hot or phase root sees too little of the
+				// call graph to call a whole-program suppression stale.
+				ran[a.Name()] = len(prog.HotRoots()) > 0
 			}
 			continue
 		}
 		for _, p := range pkgs {
 			keep(a.Run(p))
 		}
+		ran[a.Name()] = true
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Rule < b.Rule
+	out = append(out, sup.stale(ran)...)
+	slices.SortFunc(out, func(a, b Finding) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column), strings.Compare(a.Rule, b.Rule), strings.Compare(a.Msg, b.Msg))
 	})
 	return out
 }
@@ -173,11 +164,50 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
 // ignoreDirective is the comment prefix that silences a finding.
 const ignoreDirective = "nocvet:ignore"
 
-// suppressions maps file → line → set of silenced rules.
-type suppressions map[string]map[int]map[string]bool
+// directive is one rule named by an ignore directive.
+type directive struct {
+	pos  token.Position
+	rule string
+	used bool // it silenced at least one finding
+}
 
-func (s suppressions) covers(f Finding) bool {
-	return s[f.Pos.Filename][f.Pos.Line][f.Rule]
+// suppressions holds every directive of a run, indexed by file and by
+// each line it covers.
+type suppressions struct {
+	all    []*directive
+	byLine map[string]map[int][]*directive
+}
+
+// covers reports whether a directive silences f, and marks it used.
+func (s *suppressions) covers(f Finding) bool {
+	hit := false
+	for _, d := range s.byLine[f.Pos.Filename][f.Pos.Line] {
+		if d.rule == f.Rule {
+			d.used, hit = true, true
+		}
+	}
+	return hit
+}
+
+// stale reports each directive that names no analyzer, or names one
+// that ran and silenced nothing: left alone, either would keep looking
+// like a reviewed claim about code that no rule checks any more.
+func (s *suppressions) stale(ran map[string]bool) []Finding {
+	names := Names()
+	var out []Finding
+	for _, d := range s.all {
+		msg := ""
+		switch {
+		case !slices.Contains(names, d.rule):
+			msg = fmt.Sprintf("//nocvet:ignore names unknown rule %q (known: %s)", d.rule, strings.Join(names, ", "))
+		case ran[d.rule] && !d.used:
+			msg = fmt.Sprintf("//nocvet:ignore %s silences nothing on this line or the next; delete it", d.rule)
+		default:
+			continue
+		}
+		out = append(out, Finding{Pos: d.pos, Rule: "ignore", Msg: msg})
+	}
+	return out
 }
 
 // collectSuppressions scans every comment for ignore directives. A
@@ -187,47 +217,37 @@ func (s suppressions) covers(f Finding) bool {
 //
 //	cycle := 0 //nocvet:ignore cyclewidth bounded by construction
 //
-//	//nocvet:ignore detrand jitter is cosmetic, not simulated state
+//	//nocvet:ignore dettaint jitter is cosmetic, not simulated state
 //	d := time.Now()
-func collectSuppressions(pkgs []*Package) suppressions {
-	sup := suppressions{}
+func collectSuppressions(pkgs []*Package) *suppressions {
+	s := &suppressions{byLine: map[string]map[int][]*directive{}}
 	for _, p := range pkgs {
-		sup.collect(p)
-	}
-	return sup
-}
-
-func (sup suppressions) collect(p *Package) {
-	for _, file := range p.Files {
-		for _, cg := range file.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, ignoreDirective) {
-					continue
-				}
-				fields := strings.Fields(strings.TrimPrefix(text, ignoreDirective))
-				if len(fields) == 0 {
-					continue
-				}
-				pos := p.Fset.Position(c.Pos())
-				byLine := sup[pos.Filename]
-				if byLine == nil {
-					byLine = map[int]map[string]bool{}
-					sup[pos.Filename] = byLine
-				}
-				for _, rule := range strings.Split(fields[0], ",") {
-					rule = strings.TrimSpace(rule)
-					for _, line := range []int{pos.Line, pos.Line + 1} {
-						if byLine[line] == nil {
-							byLine[line] = map[string]bool{}
-						}
-						byLine[line][rule] = true
+		for _, file := range p.Files {
+			for _, cg := range file.Comments {
+				for _, c := range cg.List {
+					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+					rest, ok := strings.CutPrefix(text, ignoreDirective)
+					fields := strings.Fields(rest)
+					if !ok || len(fields) == 0 {
+						continue
+					}
+					pos := p.Fset.Position(c.Pos())
+					byLine := s.byLine[pos.Filename]
+					if byLine == nil {
+						byLine = map[int][]*directive{}
+						s.byLine[pos.Filename] = byLine
+					}
+					for _, rule := range strings.Split(fields[0], ",") {
+						d := &directive{pos: pos, rule: strings.TrimSpace(rule)}
+						s.all = append(s.all, d)
+						byLine[pos.Line] = append(byLine[pos.Line], d)
+						byLine[pos.Line+1] = append(byLine[pos.Line+1], d)
 					}
 				}
 			}
 		}
 	}
+	return s
 }
 
 // finding builds a Finding at a node's position.

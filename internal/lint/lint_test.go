@@ -3,6 +3,7 @@ package lint
 import (
 	"bytes"
 	"flag"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -104,9 +105,9 @@ func TestSuppressionPlacement(t *testing.T) {
 			t.Errorf("same-line suppression ignored: %s", f)
 		}
 	}
-	pkgs = fixture(t, "detrand") // line-above directive
-	for _, f := range Run(pkgs, []Analyzer{DetRand{}}) {
-		if f.Pos.Line >= 29 && f.Pos.Line <= 32 {
+	pkgs = fixture(t, "dettaint") // line-above directive
+	for _, f := range Run(pkgs, []Analyzer{DetTaint{}}) {
+		if strings.HasSuffix(f.Pos.Filename, "/dettaint.go") && f.Pos.Line == 59 {
 			t.Errorf("line-above suppression ignored: %s", f)
 		}
 	}
@@ -120,22 +121,64 @@ func TestCleanFixture(t *testing.T) {
 	}
 }
 
-// TestDetRandScopedToInternal: the rule only bites under internal/;
-// cmd and example binaries may read the clock.
-func TestDetRandScopedToInternal(t *testing.T) {
-	p := &Package{Path: "repro/cmd/nocsim"}
-	if fs := (DetRand{}).Run(p); fs != nil {
-		t.Errorf("detrand ran outside internal/: %v", fs)
+// TestHostInputsScopedToInternal: a clock read or global-rand call is
+// a finding where it is made only under internal/; cmd and example
+// binaries may read the clock off the hot path.
+func TestHostInputsScopedToInternal(t *testing.T) {
+	pkgs := fixture(t, "dettaint")
+	for _, p := range pkgs {
+		p.Path = strings.Replace(p.Path, "/internal/", "/cmd/", 1)
+	}
+	for _, f := range (DetTaint{}).RunProgram(BuildProgram(pkgs)) {
+		if strings.Contains(f.Msg, "in simulation code") {
+			t.Errorf("host-input site finding outside internal/: %s", f)
+		}
 	}
 }
 
-// TestHotAllocScopedToHotPath: the rule only bites in the hot-path
-// packages; measurement, baselines and cmd code may allocate at will.
+// TestHotAllocScopedToHotPath: hotalloc2 checks what the hot roots
+// reach, nothing else — cold(), unreached, and rederive's subtree below
+// its //nocvet:cold boundary (every function after step) allocate
+// freely, whatever package they sit in.
 func TestHotAllocScopedToHotPath(t *testing.T) {
-	for _, path := range []string{"repro/internal/fastpass", "repro/internal/sim", "repro/cmd/nocsim"} {
-		p := &Package{Path: path}
-		if fs := (HotAlloc{}).Run(p); fs != nil {
-			t.Errorf("hotalloc ran on %s: %v", path, fs)
+	for _, f := range Run(fixture(t, "hotalloc2"), []Analyzer{HotAlloc2{}}) {
+		if strings.HasSuffix(f.Pos.Filename, "/hotalloc2.go") && f.Pos.Line > 36 {
+			t.Errorf("finding outside the hot closure: %s", f)
+		}
+	}
+}
+
+// TestStaleSuppressions: a directive naming an unknown rule is a
+// finding, and so is one whose rule ran and silenced nothing; a rule
+// left out by -rules does not judge its directives.
+func TestStaleSuppressions(t *testing.T) {
+	pkgs := fixture(t, "stale")
+	checkGolden(t, "stale", render(Run(pkgs, All())))
+	if fs := Run(pkgs, []Analyzer{PanicStyle{}}); len(fs) != 1 || !strings.Contains(fs[0].Msg, "unknown rule") {
+		t.Errorf("-rules panicstyle: got %v, want only the unknown-rule finding", fs)
+	}
+}
+
+// TestEveryAnalyzerEarnsItsPlace: with the whole suite run over an
+// analyzer's fixture, that analyzer reports at least one position no
+// other analyzer reports — none of the five is covered by the rest.
+func TestEveryAnalyzerEarnsItsPlace(t *testing.T) {
+	for _, a := range All() {
+		fs := Run(fixture(t, a.Name()), All())
+		others := map[token.Position]bool{}
+		for _, f := range fs {
+			if f.Rule != a.Name() {
+				others[f.Pos] = true
+			}
+		}
+		unique := 0
+		for _, f := range fs {
+			if f.Rule == a.Name() && !others[f.Pos] {
+				unique++
+			}
+		}
+		if unique == 0 {
+			t.Errorf("%s reports nothing on its fixture that another analyzer does not", a.Name())
 		}
 	}
 }
@@ -158,7 +201,7 @@ func TestDriverExitCodes(t *testing.T) {
 	if !strings.Contains(out, "panicstyle:") || !strings.Contains(errb, "finding(s)") {
 		t.Errorf("driver output missing findings: out=%q errb=%q", out, errb)
 	}
-	if code, _, _ := run("-rules", "detrand", "./internal/lint/testdata/src/panicstyle"); code != ExitClean {
+	if code, _, _ := run("-rules", "cyclewidth", "./internal/lint/testdata/src/panicstyle"); code != ExitClean {
 		t.Errorf("-rules subset should skip panicstyle findings, got code=%d", code)
 	}
 	if code, _, _ := run("-rules", "bogus", "./internal/lint/testdata/src/clean"); code != ExitError {

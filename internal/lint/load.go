@@ -26,6 +26,15 @@ type Package struct {
 	Info    *types.Info
 }
 
+// internal reports whether the package is simulation code (under an
+// internal/ directory) rather than a command, example or harness.
+func (p *Package) internal() bool { return strings.Contains(p.Path+"/", "/internal/") }
+
+// inModule reports whether pkg is declared in this package's module.
+func (p *Package) inModule(pkg *types.Package) bool {
+	return pkg != nil && (pkg.Path() == p.ModPath || strings.HasPrefix(pkg.Path(), p.ModPath+"/"))
+}
+
 // Loader discovers, parses, and type-checks module packages using only
 // the standard library: module-internal imports are type-checked from
 // source, everything else comes from the toolchain's export data (with

@@ -85,7 +85,7 @@ func TestDriverOutputModeConflict(t *testing.T) {
 func TestDriverPhaseReportFlag(t *testing.T) {
 	dest := filepath.Join(t.TempDir(), "phase.json")
 	var out, errb bytes.Buffer
-	code := Main([]string{"-phasereport", dest, "-rules", "detrand", "./internal/lint/testdata/src/phasesafe"}, ".", &out, &errb)
+	code := Main([]string{"-phasereport", dest, "-rules", "panicstyle", "./internal/lint/testdata/src/phasesafe"}, ".", &out, &errb)
 	if code != ExitClean {
 		t.Fatalf("-phasereport: code=%d, want 0 (stderr: %s)", code, errb.String())
 	}
@@ -115,7 +115,7 @@ func TestDriverPhaseReportFlag(t *testing.T) {
 func TestByNameListsKnown(t *testing.T) {
 	if _, err := ByName("bogus"); err == nil {
 		t.Fatal("ByName(bogus) succeeded")
-	} else if msg := err.Error(); !strings.Contains(msg, "known:") || !strings.Contains(msg, "phasesafe") || !strings.Contains(msg, "detrand") {
+	} else if msg := err.Error(); !strings.Contains(msg, "known:") || !strings.Contains(msg, "phasesafe") || !strings.Contains(msg, "dettaint") {
 		t.Errorf("error does not list known analyzers: %v", err)
 	}
 }

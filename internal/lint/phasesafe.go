@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -145,7 +146,7 @@ func (PhaseSafe) RunProgram(prog *Program) []Finding {
 		// Same-phase write-then-read: any phase appearing on both sides.
 		var both []string
 		for _, phase := range s.writtenIn {
-			if contains(s.readIn, phase) {
+			if slices.Contains(s.readIn, phase) {
 				both = append(both, phase)
 			}
 		}
@@ -183,15 +184,6 @@ func sortedFieldVars(prog *Program, set map[*types.Var]bool) []*types.Var {
 	}
 	sort.Slice(out, func(i, j int) bool { return prog.FieldKey(out[i]) < prog.FieldKey(out[j]) })
 	return out
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 // --- shard-safety contract report ---
@@ -260,13 +252,13 @@ func BuildPhaseReport(prog *Program) *PhaseReport {
 		}
 		for _, fv := range sortedFieldVars(prog, acc.reads) {
 			entry.Reads = append(entry.Reads, prog.FieldKey(fv))
-			if e := shared(fv); e != nil && !contains(e.ReadBy, phase) {
+			if e := shared(fv); e != nil && !slices.Contains(e.ReadBy, phase) {
 				e.ReadBy = append(e.ReadBy, phase)
 			}
 		}
 		for _, fv := range sortedFieldVars(prog, acc.writes) {
 			entry.Writes = append(entry.Writes, prog.FieldKey(fv))
-			if e := shared(fv); e != nil && !contains(e.WrittenBy, phase) {
+			if e := shared(fv); e != nil && !slices.Contains(e.WrittenBy, phase) {
 				e.WrittenBy = append(e.WrittenBy, phase)
 			}
 		}

@@ -25,6 +25,7 @@ func (e *engine) step(n int) {
 	f := func() int { return n }
 	_ = f()
 	fmt.Println("cycle", n)
+	e.buf = append([]int{n}, e.buf...)
 	deep.Grow()
 	warm()
 	rederive(n)

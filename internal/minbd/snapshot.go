@@ -47,7 +47,6 @@ func (n *Network) SnapshotState(w *snapshot.Writer) {
 	for _, s := range n.injSeq {
 		w.Int(s)
 	}
-	//nocvet:ignore hotalloc checkpoint encoding runs between Steps, on demand — not per-cycle work
 	ids := make([]uint64, 0, len(n.rx))
 	for id := range n.rx {
 		ids = append(ids, id)

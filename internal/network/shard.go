@@ -127,9 +127,7 @@ func (n *Network) SetShards(k int) {
 		actN = append(actN, sh.activeNICs.ids...)
 	}
 	nodes := n.Mesh.NumNodes()
-	//nocvet:ignore hotalloc repartitioning is reconfiguration between cycles, not per-cycle work
 	n.shards = make([]*shardState, k)
-	//nocvet:ignore hotalloc reconfiguration, not per-cycle work
 	n.shardPanics = make([]any, k)
 	for s := 0; s < k; s++ {
 		sh := &shardState{
@@ -137,8 +135,7 @@ func (n *Network) SetShards(k int) {
 			hi:            (s + 1) * nodes / k,
 			activeRouters: newActiveSet(nodes),
 			activeNICs:    newActiveSet(nodes),
-			//nocvet:ignore hotalloc reconfiguration, not per-cycle work
-			dirtySeen: make([]bool, len(n.channels)),
+			dirtySeen:     make([]bool, len(n.channels)),
 		}
 		sh.env = shardEnv{Network: n, sh: sh}
 		n.shards[s] = sh
@@ -170,7 +167,7 @@ func (n *Network) WakeNIC(node int) { n.shards[n.shardOf[node]].activeNICs.add(n
 
 // Parallel-section opcodes: the two shard-parallel stretches of
 // stepSharded. An opcode switch instead of a func-literal parameter
-// keeps the per-cycle barrier free of closure allocations (the hotalloc
+// keeps the per-cycle barrier free of closure allocations (the hotalloc2
 // contract) — goroutine spawns are the only per-section cost.
 const (
 	sectionCompact = iota
