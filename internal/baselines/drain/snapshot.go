@@ -2,20 +2,17 @@ package drain
 
 import "repro/internal/snapshot"
 
-// SnapshotState encodes DRAIN's mutable state: whether a drain window
-// is active plus the activity counters. The serpentine order is a pure
-// function of the mesh; rotation victims are per-cycle scratch.
-func (c *Controller) SnapshotState(w *snapshot.Writer) {
-	w.Bool(c.Draining)
-	w.I64(c.Rotations)
-	w.I64(c.Windows)
-}
+// SnapshotState and RestoreState walk state; a restore decodes into a
+// freshly attached controller.
+func (c *Controller) SnapshotState(w *snapshot.Writer) { c.state(w.State()) }
+func (c *Controller) RestoreState(r *snapshot.Reader)  { c.state(r.State()) }
 
-// RestoreState decodes into a freshly attached controller.
-func (c *Controller) RestoreState(r *snapshot.Reader) {
-	c.Draining = r.Bool()
-	c.Rotations = r.I64()
-	c.Windows = r.I64()
+// state walks DRAIN's mutable state: whether a drain window is active
+// plus the activity counters. The serpentine order is a pure function of
+// the mesh; rotation victims are per-cycle scratch.
+func (c *Controller) state(s snapshot.State) {
+	s.Bool(&c.Draining)
+	snapshot.Int(s, &c.Rotations, &c.Windows)
 }
 
 func init() {

@@ -2,31 +2,18 @@ package pitstop
 
 import "repro/internal/snapshot"
 
-// SnapshotState encodes Pitstop's mutable state: the per-node pit
-// contents (packet references, in absorption order) and the activity
-// counters.
-func (c *Controller) SnapshotState(w *snapshot.Writer) {
-	for _, pit := range c.pits {
-		w.Int(len(pit))
-		for _, p := range pit {
-			w.Packet(p)
-		}
-	}
-	w.I64(c.Absorbed)
-	w.I64(c.Reinjected)
-}
+// SnapshotState and RestoreState walk state; a restore decodes into a
+// freshly attached controller.
+func (c *Controller) SnapshotState(w *snapshot.Writer) { c.state(w.State()) }
+func (c *Controller) RestoreState(r *snapshot.Reader)  { c.state(r.State()) }
 
-// RestoreState decodes into a freshly attached controller.
-func (c *Controller) RestoreState(r *snapshot.Reader) {
+// state walks Pitstop's mutable state: the per-node pit contents
+// (packet references, in absorption order) and the activity counters.
+func (c *Controller) state(s snapshot.State) {
 	for node := range c.pits {
-		n := r.Int()
-		c.pits[node] = c.pits[node][:0]
-		for i := 0; i < n && r.Err() == nil; i++ {
-			c.pits[node] = append(c.pits[node], r.Packet())
-		}
+		snapshot.Packets(s, &c.pits[node], "pitstop pit")
 	}
-	c.Absorbed = r.I64()
-	c.Reinjected = r.I64()
+	snapshot.Int(s, &c.Absorbed, &c.Reinjected)
 }
 
 func init() {

@@ -2,20 +2,15 @@ package swap
 
 import "repro/internal/snapshot"
 
-// SnapshotState encodes SWAP's mutable state — the activity counters
-// are all of it: swap decisions are recomputed from live buffer state
-// every cycle.
-func (c *Controller) SnapshotState(w *snapshot.Writer) {
-	w.I64(c.Swaps)
-	w.I64(c.Moves)
-	w.I64(c.Misroutes)
-}
+// SnapshotState and RestoreState walk state; a restore decodes into a
+// freshly attached controller.
+func (c *Controller) SnapshotState(w *snapshot.Writer) { c.state(w.State()) }
+func (c *Controller) RestoreState(r *snapshot.Reader)  { c.state(r.State()) }
 
-// RestoreState decodes into a freshly attached controller.
-func (c *Controller) RestoreState(r *snapshot.Reader) {
-	c.Swaps = r.I64()
-	c.Moves = r.I64()
-	c.Misroutes = r.I64()
+// state walks SWAP's mutable state — the activity counters are all of
+// it: swap decisions are recomputed from live buffer state every cycle.
+func (c *Controller) state(s snapshot.State) {
+	snapshot.Int(s, &c.Swaps, &c.Moves, &c.Misroutes)
 }
 
 func init() {

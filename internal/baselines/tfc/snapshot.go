@@ -2,17 +2,15 @@ package tfc
 
 import "repro/internal/snapshot"
 
-// SnapshotState encodes TFC's mutable state — only the counters: token
-// rotation is a pure function of the cycle number.
-func (c *Controller) SnapshotState(w *snapshot.Writer) {
-	w.I64(c.Bypasses)
-	w.I64(c.TokenMisses)
-}
+// SnapshotState and RestoreState walk state; a restore decodes into a
+// freshly attached controller.
+func (c *Controller) SnapshotState(w *snapshot.Writer) { c.state(w.State()) }
+func (c *Controller) RestoreState(r *snapshot.Reader)  { c.state(r.State()) }
 
-// RestoreState decodes into a freshly attached controller.
-func (c *Controller) RestoreState(r *snapshot.Reader) {
-	c.Bypasses = r.I64()
-	c.TokenMisses = r.I64()
+// state walks TFC's mutable state — only the counters: token rotation
+// is a pure function of the cycle number.
+func (c *Controller) state(s snapshot.State) {
+	snapshot.Int(s, &c.Bypasses, &c.TokenMisses)
 }
 
 func init() {

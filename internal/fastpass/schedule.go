@@ -34,7 +34,7 @@ type Schedule struct {
 // to the furthest node repeated once per input VC.
 func NewSchedule(m *topology.Mesh, numInputs, numVCs int) Schedule {
 	k := 2 * m.Diameter() * numInputs * numVCs
-	if min := minSlotLen(m); k < min {
+	if min := minSlotLen(m.W, m.H); k < min {
 		// Tiny meshes (diameter 1–2) need enough room for at least one
 		// full round trip plus ejection; the paper's formula already
 		// exceeds this for every evaluated size.
@@ -45,15 +45,19 @@ func NewSchedule(m *topology.Mesh, numInputs, numVCs int) Schedule {
 
 // minSlotLen is the smallest slot that always fits one worst-case
 // promote→travel→reject→return→park sequence.
-func minSlotLen(m *topology.Mesh) int {
+func minSlotLen(w, h int) int {
 	const maxPktLen = 5
-	return 2*m.Diameter() + 2*maxPktLen + 4
+	return 2*(w-1+h-1) + 2*maxPktLen + 4
 }
 
-// Validate checks the schedule invariants.
+// Validate checks the schedule invariants: a positive geometry and a
+// slot long enough for a worst-case round trip.
 func (s Schedule) Validate() error {
 	if s.W < 1 || s.H < 1 || s.K < 1 {
 		return fmt.Errorf("fastpass: degenerate schedule %+v", s)
+	}
+	if min := minSlotLen(s.W, s.H); s.K < min {
+		return fmt.Errorf("fastpass: slot K=%d shorter than a worst-case round trip %d", s.K, min)
 	}
 	return nil
 }

@@ -31,8 +31,8 @@ func TestScheduleK(t *testing.T) {
 func TestScheduleKFloorOnTinyMesh(t *testing.T) {
 	m := topology.NewMesh(2, 2)
 	s := NewSchedule(m, 5, 1)
-	if s.K < minSlotLen(m) {
-		t.Errorf("K = %d below the round-trip floor %d", s.K, minSlotLen(m))
+	if s.K < minSlotLen(m.W, m.H) {
+		t.Errorf("K = %d below the round-trip floor %d", s.K, minSlotLen(m.W, m.H))
 	}
 }
 

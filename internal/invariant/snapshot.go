@@ -1,70 +1,41 @@
 package invariant
 
-import "repro/internal/snapshot"
+import (
+	"math"
 
-// SnapshotState encodes the watchdog's accumulated verdicts and its
-// sampling phase: recorded violations, the stride countdown (so the
-// next sample lands on the same cycle it would have uninterrupted),
-// the credit-audit suspect clocks and the progress baseline. The live
-// set and allocation marks are per-sample scratch rebuilt from network
-// state.
-func (w *Watchdog) SnapshotState(sw *snapshot.Writer) {
-	sw.Int(len(w.violations))
-	for _, v := range w.violations {
-		sw.Int(int(v.Kind))
-		sw.I64(v.Cycle)
-		sw.Str(v.Report)
-		sw.Int(len(v.Packets))
-		for _, id := range v.Packets {
-			sw.U64(id)
-		}
-		sw.I64(v.Enqueued)
-		sw.I64(v.Consumed)
-	}
-	sw.Bool(w.fatal)
-	sw.Bool(w.deadlocked)
-	sw.Int(w.leaks)
-	sw.Int(w.countdown)
-	sw.Int(len(w.suspect))
-	for _, s := range w.suspect {
-		sw.I64(s)
-	}
-	sw.I64(w.lastProgress)
-	sw.I64(w.lastProgressCycle)
-}
+	"repro/internal/snapshot"
+)
 
-// RestoreState decodes into a watchdog freshly Attached to the rebuilt
-// network with the same options.
-func (w *Watchdog) RestoreState(r *snapshot.Reader) {
-	n := r.Int()
-	w.violations = w.violations[:0]
-	for i := 0; i < n && r.Err() == nil; i++ {
-		v := Violation{
-			Kind:   Kind(r.Int()),
-			Cycle:  r.I64(),
-			Report: r.Str(),
-		}
-		k := r.Int()
-		for j := 0; j < k && r.Err() == nil; j++ {
-			v.Packets = append(v.Packets, r.U64())
-		}
-		v.Enqueued = r.I64()
-		v.Consumed = r.I64()
-		w.violations = append(w.violations, v)
-	}
-	w.fatal = r.Bool()
-	w.deadlocked = r.Bool()
-	w.leaks = r.Int()
-	w.countdown = r.Int()
-	if k := r.Int(); k != len(w.suspect) {
-		r.Fail("invariant: checkpoint has %d credit-audit resources, watchdog has %d", k, len(w.suspect))
+// SnapshotState and RestoreState walk state; a restore decodes into a
+// watchdog freshly Attached to the rebuilt network with the same
+// options.
+func (w *Watchdog) SnapshotState(sw *snapshot.Writer) { w.state(sw.State()) }
+func (w *Watchdog) RestoreState(r *snapshot.Reader)   { w.state(r.State()) }
+
+// state walks the watchdog's accumulated verdicts and its sampling
+// phase: recorded violations, the stride countdown (so the next sample
+// lands on the same cycle it would have uninterrupted), the credit-audit
+// suspect clocks and the progress baseline. The live set and allocation
+// marks are per-sample scratch rebuilt from network state.
+func (w *Watchdog) state(s snapshot.State) {
+	snapshot.Slice(s, &w.violations, math.MaxInt, "invariant: violations", func(s snapshot.State, v *Violation) {
+		snapshot.Int(s, &v.Kind)
+		snapshot.Int(s, &v.Cycle)
+		s.Str(&v.Report)
+		snapshot.Slice(s, &v.Packets, math.MaxInt, "invariant: violation packets", func(s snapshot.State, id *uint64) { snapshot.Uint(s, id) })
+		snapshot.Int(s, &v.Enqueued, &v.Consumed)
+	})
+	s.Bool(&w.fatal)
+	s.Bool(&w.deadlocked)
+	snapshot.Int(s, &w.leaks, &w.countdown)
+	// Only a restore can find a count other than the live one.
+	k := len(w.suspect)
+	if snapshot.Int(s, &k); k != len(w.suspect) {
+		s.Fail("invariant: checkpoint has %d credit-audit resources, watchdog has %d", k, len(w.suspect))
 		return
 	}
-	for i := range w.suspect {
-		w.suspect[i] = r.I64()
-	}
-	w.lastProgress = r.I64()
-	w.lastProgressCycle = r.I64()
+	snapshot.Ints(s, w.suspect)
+	snapshot.Int(s, &w.lastProgress, &w.lastProgressCycle)
 }
 
 func init() {

@@ -1,94 +1,69 @@
 package minbd
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/message"
 	"repro/internal/snapshot"
 )
 
-func writeFlit(w *snapshot.Writer, f message.Flit) {
-	w.Packet(f.Pkt)
-	w.Int(f.Seq)
+func flit(s snapshot.State, f *message.Flit) {
+	s.Packet(&f.Pkt)
+	snapshot.Int(s, &f.Seq)
 }
 
-func readFlit(r *snapshot.Reader) message.Flit {
-	return message.Flit{Pkt: r.Packet(), Seq: r.Int()}
+// rxEntry is one reassembly-table row as the checkpoint carries it.
+type rxEntry struct {
+	id    uint64
+	flits int
 }
 
-func writeRegs(w *snapshot.Writer, regs []message.Flit) {
-	for _, f := range regs {
-		writeFlit(w, f)
-	}
-}
+// SnapshotState and RestoreState walk state; a restore decodes into a
+// freshly built Network (wiring from New, mutable state from the
+// checkpoint).
+func (n *Network) SnapshotState(w *snapshot.Writer) { n.state(w.State()) }
+func (n *Network) RestoreState(r *snapshot.Reader)  { n.state(r.State()) }
 
-func readRegs(r *snapshot.Reader, regs []message.Flit) {
-	for i := range regs {
-		regs[i] = readFlit(r)
-	}
-}
-
-// SnapshotState encodes the deflection network's mutable state: the
-// three pipeline register banks (nil-Pkt = empty, encoded verbatim),
-// side buffers, source FIFOs with the partial-injection cursor, the
+// state walks the deflection network's mutable state: the three
+// pipeline register banks (nil-Pkt = empty, walked verbatim), side
+// buffers, source FIFOs with the partial-injection cursor, the
 // reassembly table (sorted by packet ID — map iteration order must not
 // leak into the byte stream), the cycle and the counters.
-func (n *Network) SnapshotState(w *snapshot.Writer) {
-	w.I64(n.cycle)
-	writeRegs(w, n.cur)
-	writeRegs(w, n.mid)
-	writeRegs(w, n.next)
+func (n *Network) state(s snapshot.State) {
+	snapshot.Int(s, &n.cycle)
+	for _, regs := range [][]message.Flit{n.cur, n.mid, n.next} {
+		for i := range regs {
+			flit(s, &regs[i])
+		}
+	}
 	for node := range n.side {
-		snapshot.WriteRing(w, &n.side[node], writeFlit)
+		snapshot.Ring(s, &n.side[node], flit)
 	}
 	for node := range n.source {
-		snapshot.WriteQueue(w, &n.source[node])
+		s.Queue(&n.source[node])
 	}
-	for _, s := range n.injSeq {
-		w.Int(s)
+	snapshot.Ints(s, n.injSeq)
+	var rx []rxEntry
+	if !s.Decoding() {
+		rx = make([]rxEntry, 0, len(n.rx))
+		for id, flits := range n.rx {
+			rx = append(rx, rxEntry{id, flits})
+		}
+		sort.Slice(rx, func(i, j int) bool { return rx[i].id < rx[j].id })
 	}
-	ids := make([]uint64, 0, len(n.rx))
-	for id := range n.rx {
-		ids = append(ids, id)
+	snapshot.Slice(s, &rx, math.MaxInt, "minbd reassembly entries", func(s snapshot.State, e *rxEntry) {
+		snapshot.Uint(s, &e.id)
+		snapshot.Int(s, &e.flits)
+	})
+	if s.Decoding() {
+		clear(n.rx)
+		for _, e := range rx {
+			n.rx[e.id] = e.flits
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w.Int(len(ids))
-	for _, id := range ids {
-		w.U64(id)
-		w.Int(n.rx[id])
-	}
-	w.I64(n.Deflections)
-	w.I64(n.SideBuffered)
-	w.I64(n.Ejections)
-	w.Int(n.resident)
-}
-
-// RestoreState decodes into a freshly built Network (wiring from New,
-// mutable state from the checkpoint).
-func (n *Network) RestoreState(r *snapshot.Reader) {
-	n.cycle = r.I64()
-	readRegs(r, n.cur)
-	readRegs(r, n.mid)
-	readRegs(r, n.next)
-	for node := range n.side {
-		snapshot.ReadRing(r, &n.side[node], readFlit)
-	}
-	for node := range n.source {
-		snapshot.ReadQueue(r, &n.source[node])
-	}
-	for i := range n.injSeq {
-		n.injSeq[i] = r.Int()
-	}
-	clear(n.rx)
-	k := r.Int()
-	for i := 0; i < k && r.Err() == nil; i++ {
-		id := r.U64()
-		n.rx[id] = r.Int()
-	}
-	n.Deflections = r.I64()
-	n.SideBuffered = r.I64()
-	n.Ejections = r.I64()
-	n.resident = r.Int()
+	snapshot.Int(s, &n.Deflections, &n.SideBuffered, &n.Ejections)
+	snapshot.Int(s, &n.resident)
 }
 
 func init() {

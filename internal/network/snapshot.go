@@ -1,6 +1,10 @@
 package network
 
-import "repro/internal/snapshot"
+import (
+	"math"
+
+	"repro/internal/snapshot"
+)
 
 // Snapshots are taken between Steps, at a cycle boundary. The engine
 // guarantees a set of invariants there that shrink the state surface:
@@ -20,169 +24,119 @@ import "repro/internal/snapshot"
 // a checkpoint taken at one shard count restores correctly at any
 // other.
 
-func writeTransit(w *snapshot.Writer, t *transit) {
-	w.Bool(t.valid)
-	if !t.valid {
-		return
+// index walks a value that must index [0, n): a hostile blob fails the
+// restore instead of panicking it.
+func index(s snapshot.State, v *int, what string, n int) {
+	if snapshot.Int(s, v); s.Decoding() && (*v < 0 || *v >= n) {
+		s.Fail("network: %s %d outside [0, %d)", what, *v, n)
 	}
-	w.Packet(t.flit.Pkt)
-	w.Int(t.flit.Seq)
-	w.Int(t.vc)
-	w.U64(t.payload)
-	w.U8(t.sum)
 }
 
-func readTransit(r *snapshot.Reader, t *transit, netVCs int) {
-	*t = transit{}
-	t.valid = r.Bool()
-	if !t.valid {
-		return
-	}
-	t.flit.Pkt = r.Packet()
-	t.flit.Seq = r.Int()
-	t.vc = readIndex(r, "flit VC", netVCs)
-	t.payload = r.U64()
-	t.sum = r.U8()
-}
-
-// readIndex reads a value that must index [0, n): a hostile blob fails
-// the reader instead of panicking the restore.
-func readIndex(r *snapshot.Reader, what string, n int) int {
-	v := r.Int()
-	if r.Err() == nil && (v < 0 || v >= n) {
-		r.Fail("network: %s %d outside [0, %d)", what, v, n)
-	}
-	return v
-}
-
-// readIndices reads a count and that many indices, handing each to add,
-// which reports false for one it cannot take again.
-func readIndices(r *snapshot.Reader, what string, n int, add func(int) bool) {
-	for k, i := r.Int(), 0; i < k && r.Err() == nil; i++ {
-		if v := readIndex(r, what, n); r.Err() == nil && !add(v) {
-			r.Fail("network: %s %d repeated", what, v)
+// indices walks a count and that many indices into [0, n), the i-th
+// from at when encoding; a restore hands each to add, which reports
+// false for one it cannot take again.
+func indices(s snapshot.State, what string, n, count int, at func(int) int, add func(int) bool) {
+	k := s.Len(count, math.MaxInt, "network index list")
+	for i := 0; i < k && s.Err() == nil; i++ {
+		var v int
+		if !s.Decoding() {
+			v = at(i)
+		}
+		if index(s, &v, what, n); s.Decoding() && s.Err() == nil && !add(v) {
+			s.Fail("network: %s %d repeated", what, v)
 		}
 	}
 }
 
-// SnapshotState encodes the network and everything it owns: cycle
-// engine state, channels, claims, NICs, routers, the attached
-// controller (when it carries state) and the fault injector (when
-// attached).
-func (n *Network) SnapshotState(w *snapshot.Writer) {
-	w.I64(n.cycle)
-	w.I64(n.FlitsOnLinks)
-	for _, ch := range n.channels {
-		writeTransit(w, &ch.cur)
-		writeTransit(w, &ch.next)
-		w.Int(len(ch.creditNext))
-		for _, vc := range ch.creditNext {
-			w.Int(vc)
-		}
-		w.I64(ch.flits)
-	}
-	w.Int(len(n.claimedLinks))
-	for _, id := range n.claimedLinks {
-		w.Int(id)
-	}
-	w.Int(len(n.claimedEjects))
-	for _, id := range n.claimedEjects {
-		w.Int(id)
-	}
-	w.Int(len(n.dirtyChannels))
-	for _, id := range n.dirtyChannels {
-		w.Int(id)
-	}
-	// Active sets: shards hold contiguous node ranges in order, so
-	// concatenating their sorted member lists yields the global sorted
-	// membership.
-	actR, actN := 0, 0
+// active walks one kind of active-set membership as the global sorted ID
+// list: shards hold contiguous node ranges in order, so concatenating
+// their sorted member lists yields it. A restore wakes each member.
+func (n *Network) active(s snapshot.State, what string, set func(*shardState) *activeSet, wake func(int)) {
+	count, sh, pos := 0, 0, 0
 	for _, sh := range n.shards {
-		actR += len(sh.activeRouters.ids)
-		actN += len(sh.activeNICs.ids)
+		count += len(set(sh).ids)
 	}
-	w.Int(actR)
-	for _, sh := range n.shards {
-		for _, id := range sh.activeRouters.ids {
-			w.Int(id)
+	indices(s, what, len(n.Routers), count, func(int) int {
+		for pos == len(set(n.shards[sh]).ids) {
+			sh, pos = sh+1, 0
 		}
-	}
-	w.Int(actN)
-	for _, sh := range n.shards {
-		for _, id := range sh.activeNICs.ids {
-			w.Int(id)
-		}
-	}
-	for _, nc := range n.NICs {
-		nc.SnapshotState(w)
-	}
-	for _, rt := range n.Routers {
-		rt.SnapshotState(w)
-	}
-	if st, ok := n.Controller.(snapshot.Stater); ok {
-		w.Bool(true)
-		st.SnapshotState(w)
-	} else {
-		w.Bool(false)
-	}
-	if n.faults != nil {
-		w.Bool(true)
-		n.faults.SnapshotState(w)
-	} else {
-		w.Bool(false)
-	}
+		pos++
+		return set(n.shards[sh]).ids[pos-1]
+	}, func(id int) bool { wake(id); return true })
 }
 
-// RestoreState decodes into a freshly built Network (same Params, same
-// attached controller type, fault injector already attached when the
-// checkpoint carried one).
-func (n *Network) RestoreState(r *snapshot.Reader) {
-	n.cycle = r.I64()
-	n.FlitsOnLinks = r.I64()
+// SnapshotState and RestoreState walk state; a restore decodes into a
+// freshly built Network (same Params, same attached controller type,
+// fault injector already attached when the checkpoint carried one).
+func (n *Network) SnapshotState(w *snapshot.Writer) { n.state(w.State()) }
+func (n *Network) RestoreState(r *snapshot.Reader)  { n.state(r.State()) }
+
+// state walks the cycle engine state, channels, claims (a restore puts
+// them back into the routers' masks as well as the arrays), active sets,
+// NICs, routers, the attached controller (when it carries state) and the
+// fault injector (when attached).
+func (n *Network) state(s snapshot.State) {
+	snapshot.Int(s, &n.cycle, &n.FlitsOnLinks)
 	links, nodes, netVCs := len(n.channels), len(n.Routers), n.Routers[0].Cfg.NetVCs()
 	for _, ch := range n.channels {
-		readTransit(r, &ch.cur, netVCs)
-		readTransit(r, &ch.next, netVCs)
-		ch.creditNext = ch.creditNext[:0]
-		readIndices(r, "credit VC", netVCs, func(vc int) bool {
+		// Both link stages; a restore zeroes each first.
+		for _, t := range [...]*transit{&ch.cur, &ch.next} {
+			if s.Decoding() {
+				*t = transit{}
+			}
+			if s.Bool(&t.valid); t.valid {
+				s.Packet(&t.flit.Pkt)
+				snapshot.Int(s, &t.flit.Seq)
+				index(s, &t.vc, "flit VC", netVCs)
+				snapshot.Uint(s, &t.payload)
+				snapshot.Byte(s, &t.sum)
+			}
+		}
+		if s.Decoding() {
+			ch.creditNext = ch.creditNext[:0]
+		}
+		indices(s, "credit VC", netVCs, len(ch.creditNext), func(i int) int { return ch.creditNext[i] }, func(vc int) bool {
 			ch.creditNext = append(ch.creditNext, vc)
 			return len(ch.creditNext) <= netVCs // a VC frees once a cycle
 		})
-		ch.flits = r.I64()
+		snapshot.Int(s, &ch.flits)
 	}
-	// The claims go back into the routers' masks as well as the arrays.
-	readIndices(r, "claimed link", links, n.TryClaimLink)
-	readIndices(r, "claimed ejection port", nodes, func(id int) bool {
+	indices(s, "claimed link", links, len(n.claimedLinks), func(i int) int { return n.claimedLinks[i] }, n.TryClaimLink)
+	indices(s, "claimed ejection port", nodes, len(n.claimedEjects), func(i int) int { return n.claimedEjects[i] }, func(id int) bool {
 		if n.ejectClaims[id] {
 			return false
 		}
 		n.ClaimEject(id)
 		return true
 	})
-	readIndices(r, "dirty channel", links, func(id int) bool { n.markChannel(id); return true })
-	readIndices(r, "active router", nodes, func(id int) bool { n.wakeRouter(id); return true })
-	readIndices(r, "active NIC", nodes, func(id int) bool { n.WakeNIC(id); return true })
+	indices(s, "dirty channel", links, len(n.dirtyChannels), func(i int) int { return n.dirtyChannels[i] }, func(id int) bool {
+		n.markChannel(id)
+		return true
+	})
+	n.active(s, "active router", func(sh *shardState) *activeSet { return &sh.activeRouters }, n.wakeRouter)
+	n.active(s, "active NIC", func(sh *shardState) *activeSet { return &sh.activeNICs }, n.WakeNIC)
 	for _, nc := range n.NICs {
-		nc.RestoreState(r)
+		s.Walk(nc)
 	}
 	for _, rt := range n.Routers {
-		rt.RestoreState(r)
+		s.Walk(rt)
 	}
-	if r.Bool() {
-		st, ok := n.Controller.(snapshot.Stater)
+	st, ok := n.Controller.(snapshot.Stater)
+	if s.Present(ok) {
 		if !ok {
-			r.Fail("checkpoint carries controller state but controller %q has none", n.Controller.Name())
+			s.Fail("checkpoint carries controller state but controller %q has none", n.Controller.Name())
 			return
 		}
-		st.RestoreState(r)
+		s.Walk(st)
 	}
-	if r.Bool() {
+	if s.Present(n.faults != nil) {
 		if n.faults == nil {
-			r.Fail("checkpoint carries fault-injector state but none is attached")
+			s.Fail("checkpoint carries fault-injector state but none is attached")
 			return
 		}
-		n.faults.RestoreState(r)
-		n.pushFaults()
+		if s.Walk(n.faults); s.Decoding() {
+			n.pushFaults()
+		}
 	}
 }
 

@@ -5,46 +5,36 @@ import (
 	"repro/internal/snapshot"
 )
 
-// SnapshotState encodes the NIC's mutable state. Snapshots are taken at
-// cycle boundaries, where the deferred OnEject ring is provably empty
+// SnapshotState and RestoreState walk state; a restore decodes into a
+// freshly built NIC.
+func (n *NIC) SnapshotState(w *snapshot.Writer) { n.state(w.State()) }
+func (n *NIC) RestoreState(r *snapshot.Reader)  { n.state(r.State()) }
+
+// state walks the NIC's mutable state; a restore recounts queued and
+// sourced from the rebuilt queues. Snapshots are taken at cycle
+// boundaries, where the deferred OnEject ring is provably empty
 // (FlushEjects runs before Step returns), so it is transient. Wiring
 // (Inject, Consumer, Stall, ...) is re-established by the builder.
-func (n *NIC) SnapshotState(w *snapshot.Writer) {
-	w.I64(n.Enqueued)
+func (n *NIC) state(s snapshot.State) {
+	snapshot.Int(s, &n.Enqueued)
 	for c := range n.source {
-		snapshot.WriteQueue(w, &n.source[c])
-		snapshot.WriteQueue(w, &n.eject[c])
+		s.Queue(&n.source[c], &n.eject[c])
+		if s.Decoding() {
+			n.sourced += n.source[c].Len()
+			n.queued += n.source[c].Len() + n.eject[c].Len()
+		}
 		// The reservation keeps the wire shape of the list it once was:
 		// a count, then that many IDs.
-		w.Int(n.Reservations(message.Class(c)))
-		if n.Reservations(message.Class(c)) > 0 {
-			w.U64(n.reserved[c])
+		if s.Len(n.Reservations(message.Class(c)), 1, "nic reservations on one ejection queue") == 1 {
+			snapshot.Uint(s, &n.reserved[c])
+			if s.Decoding() {
+				n.reservedSet |= 1 << c
+			}
 		}
-		w.Int(n.pending[c])
-		w.Packet(n.assembling[c])
-		w.Int(n.assembledFlits[c])
-		w.I64(n.Consumed[c])
-	}
-}
-
-// RestoreState decodes into a freshly built NIC.
-func (n *NIC) RestoreState(r *snapshot.Reader) {
-	n.Enqueued = r.I64()
-	n.queued, n.sourced, n.reservedSet = 0, 0, 0
-	for c := range n.source {
-		snapshot.ReadQueue(r, &n.source[c])
-		snapshot.ReadQueue(r, &n.eject[c])
-		n.sourced += n.source[c].Len()
-		n.queued += n.source[c].Len() + n.eject[c].Len()
-		if held := r.Int(); held == 1 {
-			n.reserved[c], n.reservedSet = r.U64(), n.reservedSet|1<<c
-		} else if held != 0 {
-			r.Fail("nic %d: %d reservations on one ejection queue", n.Node, held)
-		}
-		n.pending[c] = r.Int()
-		n.assembling[c] = r.Packet()
-		n.assembledFlits[c] = r.Int()
-		n.Consumed[c] = r.I64()
+		snapshot.Int(s, &n.pending[c])
+		s.Packet(&n.assembling[c])
+		snapshot.Int(s, &n.assembledFlits[c])
+		snapshot.Int(s, &n.Consumed[c])
 	}
 }
 

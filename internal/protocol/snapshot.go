@@ -1,85 +1,60 @@
 package protocol
 
-import "repro/internal/snapshot"
+import (
+	"math"
 
-// snapshotState writes every node's live entries in slot order.
-func (t *table[T]) snapshotState(w *snapshot.Writer, enc func(*snapshot.Writer, T)) {
-	for node, k := range t.count {
-		w.Int(k)
-		for _, e := range t.live(node) {
-			enc(w, e)
-		}
-	}
-}
+	"repro/internal/snapshot"
+)
 
-// restoreState refills every node's window in the encoded slot order.
-func (t *table[T]) restoreState(r *snapshot.Reader, dec func(*snapshot.Reader) T) {
+// state walks every node's live entries in slot order; a restore refills
+// every node's window.
+func (t *table[T]) state(s snapshot.State, elem func(snapshot.State, *T)) {
 	for node := range t.count {
-		k := r.Int()
-		if r.Err() == nil && (k < 0 || k > t.per) {
-			r.Fail("protocol table: %d entries at node %d exceed capacity %d", k, node, t.per)
+		k := s.Len(t.count[node], t.per, "protocol table entries")
+		if s.Decoding() {
+			t.count[node] = k
 		}
-		t.count[node] = 0
-		for i := 0; i < k && r.Err() == nil; i++ {
-			t.add(node, dec(r))
+		live := t.live(node)
+		for i := 0; i < k && s.Err() == nil; i++ {
+			elem(s, &live[i])
 		}
 	}
 }
 
-// SnapshotState encodes the engine's mutable state: RNG stream
-// position, ID counters, per-core MSHR tables and per-home TBE tables
-// (slot order — the tables hold no map, so there is no iteration order
-// to leak), the delayed-emission queue, the transaction counters and,
-// last, the packet arena (every live packet is registered by then, so
-// the free list only adds the recycled ones).
-func (e *Engine) SnapshotState(w *snapshot.Writer) {
-	w.U64(e.src.Draws())
-	w.U64(e.nextPktID)
-	w.U64(e.nextTxnID)
-	e.coreMSHRs.snapshotState(w, func(w *snapshot.Writer, t txn) {
-		w.U64(t.id)
-		w.Int(t.core)
-		w.Int(t.home)
-		w.Int(t.acksLeft)
-		w.Bool(t.dataSeen)
-	})
-	e.homeTBEs.snapshotState(w, func(w *snapshot.Writer, h homeEntry) {
-		w.U64(h.txnID)
-		w.Int(h.core)
-	})
-	w.Int(len(e.emitQ))
-	for _, d := range e.emitQ {
-		w.Packet(d.pkt)
-		w.I64(d.at)
-	}
-	w.I64(e.Issued)
-	w.I64(e.Completed)
-	w.I64(e.Stalled)
-	snapshot.WritePool(w, e.pool)
-}
+// SnapshotState and RestoreState walk state; a restore decodes into a
+// freshly constructed engine (wiring and consumers from New, mutable
+// state from the checkpoint).
+func (e *Engine) SnapshotState(w *snapshot.Writer) { e.state(w.State()) }
+func (e *Engine) RestoreState(r *snapshot.Reader)  { e.state(r.State()) }
 
-// RestoreState decodes into a freshly constructed engine (wiring and
-// consumers from New, mutable state from the checkpoint). The RNG is
-// re-positioned by replaying the recorded number of source draws.
-func (e *Engine) RestoreState(r *snapshot.Reader) {
-	e.src.Skip(r.U64())
-	e.nextPktID = r.U64()
-	e.nextTxnID = r.U64()
-	e.coreMSHRs.restoreState(r, func(r *snapshot.Reader) txn {
-		return txn{id: r.U64(), core: r.Int(), home: r.Int(), acksLeft: r.Int(), dataSeen: r.Bool()}
-	})
-	e.homeTBEs.restoreState(r, func(r *snapshot.Reader) homeEntry {
-		return homeEntry{txnID: r.U64(), core: r.Int()}
-	})
-	e.emitQ = e.emitQ[:0]
-	k := r.Int()
-	for i := 0; i < k && r.Err() == nil; i++ {
-		e.emitQ = append(e.emitQ, delayed{pkt: r.Packet(), at: r.I64()})
+// state walks the engine's mutable state: RNG stream position (a
+// restore replays the recorded number of source draws), ID counters,
+// per-core MSHR tables and per-home TBE tables (slot order — the tables
+// hold no map, so there is no iteration order to leak), the
+// delayed-emission queue, the transaction counters and, last, the packet
+// arena (every live packet is registered by then, so the free list only
+// adds the recycled ones).
+func (e *Engine) state(s snapshot.State) {
+	draws := e.src.Draws()
+	if snapshot.Uint(s, &draws); s.Decoding() {
+		e.src.Skip(draws)
 	}
-	e.Issued = r.I64()
-	e.Completed = r.I64()
-	e.Stalled = r.I64()
-	snapshot.ReadPool(r, e.pool)
+	snapshot.Uint(s, &e.nextPktID, &e.nextTxnID)
+	e.coreMSHRs.state(s, func(s snapshot.State, t *txn) {
+		snapshot.Uint(s, &t.id)
+		snapshot.Int(s, &t.core, &t.home, &t.acksLeft)
+		s.Bool(&t.dataSeen)
+	})
+	e.homeTBEs.state(s, func(s snapshot.State, h *homeEntry) {
+		snapshot.Uint(s, &h.txnID)
+		snapshot.Int(s, &h.core)
+	})
+	snapshot.Slice(s, &e.emitQ, math.MaxInt, "protocol emission queue", func(s snapshot.State, d *delayed) {
+		s.Packet(&d.pkt)
+		snapshot.Int(s, &d.at)
+	})
+	snapshot.Int(s, &e.Issued, &e.Completed, &e.Stalled)
+	s.Pool(e.pool)
 }
 
 func init() {

@@ -463,10 +463,7 @@ func (rt *refRouter) SnapshotState(w *snapshot.Writer) {
 		w.Bool(rt.ejecting[c])
 	}
 	for p := range rt.Inputs {
-		vcs := rt.Inputs[p].VCs
-		for v := range vcs {
-			vcs[v].SnapshotState(w)
-		}
+		walkVCs(w.State(), rt.Inputs[p].VCs)
 	}
 	for _, a := range rt.saInArb {
 		w.Int(int(a.next))

@@ -2,107 +2,60 @@ package router
 
 import "repro/internal/snapshot"
 
-// SnapshotState encodes one VC: buffered flit count plus every resident
-// entry front-to-back.
-func (v *VC) SnapshotState(w *snapshot.Writer) {
-	w.Int(int(v.flits))
-	w.Int(v.entries.Len())
-	for i := 0; i < v.entries.Len(); i++ {
-		e := v.entries.Ptr(i)
-		w.Packet(e.Pkt)
-		w.Int(int(e.Arrived))
-		w.Int(int(e.Sent))
-		w.Bool(e.Allocated)
-		w.Int(int(e.OutPort))
-		w.Int(int(e.OutVC))
-		w.I64(e.EnqueueCycle)
-		w.I64(e.LastMove)
-	}
-}
-
-// RestoreState decodes into a freshly built (empty) VC. Entries are
-// reconstructed through insert so the owning router's resident counter
-// and occupancy mask come out right without being encoded separately;
-// headChanged then takes the alloc and ready bits from the decoded head,
-// whose route and blocked bit come back at its next VA attempt.
-func (v *VC) RestoreState(r *snapshot.Reader) {
-	for v.entries.Len() > 0 {
-		v.remove(0)
-	}
-	flits := r.Int()
-	n := r.Int()
-	for i := 0; i < n && r.Err() == nil; i++ {
-		e := v.insert(i, r.Packet(), 0, 0)
-		e.Arrived = int16(r.Int())
-		e.Sent = int16(r.Int())
-		e.Allocated = r.Bool()
-		e.OutPort = int8(r.Int())
-		e.OutVC = int16(r.Int())
-		e.EnqueueCycle = r.I64()
-		e.LastMove = r.I64()
-	}
-	v.flits = int32(flits)
-	v.headChanged()
-}
-
-// SnapshotState encodes the router's mutable state: credit view,
-// per-class ejection locks, every input VC, and the round-robin
-// arbiter cursors (arbitration history is state — a restored run must
-// grant in the same rotation order).
-func (rt *Router) SnapshotState(w *snapshot.Writer) {
-	for p := 1; p < nPorts; p++ {
-		for v := range rt.Inputs[p].VCs {
-			w.Bool(rt.vcFree[p]>>v&1 != 0)
-		}
-	}
-	for c := range rt.ejecting {
-		w.Bool(rt.ejecting[c])
-	}
-	for p := range rt.Inputs {
-		vcs := rt.Inputs[p].VCs
-		for v := range vcs {
-			vcs[v].SnapshotState(w)
-		}
-	}
-	for _, a := range rt.saInArb {
-		w.Int(int(a.next))
-	}
-	for _, a := range rt.saOutArb {
-		w.Int(int(a.next))
-	}
-	w.Int(int(rt.portTie.next))
-	w.I64(rt.FlitsRouted)
-	w.I64(rt.SwitchStalls)
-}
-
-// RestoreState decodes into a freshly built router.
-func (rt *Router) RestoreState(r *snapshot.Reader) {
-	for p := 1; p < nPorts; p++ {
-		rt.vcFree[p] = 0
-		for v := range rt.Inputs[p].VCs {
-			if r.Bool() {
-				rt.vcFree[p] |= 1 << v
+// walkVCs walks one input port's VCs in order: each one's buffered flit
+// count and entry count, then its entries front-to-back. A restore
+// targets freshly built (empty) VCs and rebuilds the entries through
+// insert, so the owning router's resident counter and occupancy mask
+// come out right without being encoded; headChanged then takes the alloc
+// and ready bits from the decoded head, whose route and blocked bit come
+// back at its next VA attempt. It inserts each entry only while the
+// reads before it succeeded, so a hostile count stops at the blob's end.
+func walkVCs(s snapshot.State, vcs []VC) {
+	for k := range vcs {
+		v := &vcs[k]
+		n := int32(v.entries.Len())
+		snapshot.Int(s, &v.flits, &n)
+		for i := 0; i < int(n) && s.Err() == nil; i++ {
+			if s.Decoding() {
+				v.insert(i, nil, 0, 0)
 			}
+			e := v.entries.Ptr(i)
+			s.Packet(&e.Pkt)
+			snapshot.Int(s, &e.Arrived, &e.Sent)
+			s.Bool(&e.Allocated)
+			snapshot.Int(s, &e.OutPort)
+			snapshot.Int(s, &e.OutVC)
+			snapshot.Int(s, &e.EnqueueCycle, &e.LastMove)
+		}
+		if s.Decoding() {
+			v.headChanged()
 		}
 	}
+}
+
+// SnapshotState and RestoreState walk state; a restore decodes into a
+// freshly built router.
+func (rt *Router) SnapshotState(w *snapshot.Writer) { rt.state(w.State()) }
+func (rt *Router) RestoreState(r *snapshot.Reader)  { rt.state(r.State()) }
+
+// state walks the router: credit view, per-class ejection locks, every
+// input VC, and the round-robin arbiter cursors (arbitration history is
+// state — a restored run must grant in the same rotation order).
+func (rt *Router) state(s snapshot.State) {
+	s.Bits(rt.vcFree[1:], rt.Cfg.NetVCs()) // every network port has NetVCs VCs
 	for c := range rt.ejecting {
-		rt.ejecting[c] = r.Bool()
+		s.Bool(&rt.ejecting[c])
 	}
 	for p := range rt.Inputs {
-		vcs := rt.Inputs[p].VCs
-		for v := range vcs {
-			vcs[v].RestoreState(r)
-		}
+		walkVCs(s, rt.Inputs[p].VCs)
 	}
-	for p := range rt.saInArb {
-		rt.saInArb[p].next = uint8(r.Int())
+	var next [2*nPorts + 1]*uint8
+	for p := range nPorts {
+		next[p], next[nPorts+p] = &rt.saInArb[p].next, &rt.saOutArb[p].next
 	}
-	for p := range rt.saOutArb {
-		rt.saOutArb[p].next = uint8(r.Int())
-	}
-	rt.portTie.next = uint8(r.Int())
-	rt.FlitsRouted = r.I64()
-	rt.SwitchStalls = r.I64()
+	next[2*nPorts] = &rt.portTie.next
+	snapshot.Int(s, next[:]...)
+	snapshot.Int(s, &rt.FlitsRouted, &rt.SwitchStalls)
 }
 
 func init() {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/snapshot"
-	"repro/internal/traffic"
 )
 
 // This file is the checkpoint/restore orchestration for synthetic runs
@@ -15,73 +14,27 @@ import (
 // reconstructs wiring, closures and configuration; only mutable state
 // decodes from the blob.
 
-// encodeSynthConfig writes every config field a rebuild needs. The
-// OnCheckpoint hook is the one non-value field and is deliberately
-// absent — the resuming caller supplies its own.
-func encodeSynthConfig(w *snapshot.Writer, cfg SynthConfig) {
-	w.Int(int(cfg.Scheme))
-	w.Int(cfg.W)
-	w.Int(cfg.H)
-	w.Int(cfg.VCs)
-	w.Int(cfg.EjectCap)
-	w.I64(cfg.Seed)
-	w.I64(cfg.DrainPeriod)
-	w.I64(cfg.SwapDuty)
-	w.I64(cfg.SpinThreshold)
-	w.Int(cfg.FastPassK)
-	w.Bool(cfg.FPScanInjectionOnly)
-	w.Bool(cfg.FPDropOnReject)
-	w.Bool(cfg.FPHealing)
-	w.Int(cfg.TraceCapacity)
-	w.Str(cfg.Faults)
-	w.F64(cfg.FaultScale)
-	w.Str(cfg.Watchdog)
-	w.Int(cfg.Shards)
-	w.Int(int(cfg.Pattern))
-	w.F64(cfg.Rate)
-	w.Int(cfg.Warmup)
-	w.Int(cfg.Measure)
-	w.Int(cfg.Drain)
-	w.F64(cfg.SatLatency)
-	w.Int(cfg.HotspotNode)
-	w.F64(cfg.HotspotFraction)
-	w.I64(cfg.CheckpointEvery)
-	w.I64(cfg.Telemetry.Window)
-	w.I64(cfg.ProgressEvery)
-}
-
-func decodeSynthConfig(r *snapshot.Reader) SynthConfig {
-	var cfg SynthConfig
-	cfg.Scheme = Scheme(r.Int())
-	cfg.W = r.Int()
-	cfg.H = r.Int()
-	cfg.VCs = r.Int()
-	cfg.EjectCap = r.Int()
-	cfg.Seed = r.I64()
-	cfg.DrainPeriod = r.I64()
-	cfg.SwapDuty = r.I64()
-	cfg.SpinThreshold = r.I64()
-	cfg.FastPassK = r.Int()
-	cfg.FPScanInjectionOnly = r.Bool()
-	cfg.FPDropOnReject = r.Bool()
-	cfg.FPHealing = r.Bool()
-	cfg.TraceCapacity = r.Int()
-	cfg.Faults = r.Str()
-	cfg.FaultScale = r.F64()
-	cfg.Watchdog = r.Str()
-	cfg.Shards = r.Int()
-	cfg.Pattern = traffic.Pattern(r.Int())
-	cfg.Rate = r.F64()
-	cfg.Warmup = r.Int()
-	cfg.Measure = r.Int()
-	cfg.Drain = r.Int()
-	cfg.SatLatency = r.F64()
-	cfg.HotspotNode = r.Int()
-	cfg.HotspotFraction = r.F64()
-	cfg.CheckpointEvery = r.I64()
-	cfg.Telemetry.Window = r.I64()
-	cfg.ProgressEvery = r.I64()
-	return cfg
+// state walks every config field a rebuild needs. The OnCheckpoint hook
+// is the one non-value field and is deliberately absent — the resuming
+// caller supplies its own.
+func (cfg *SynthConfig) state(st snapshot.State) {
+	snapshot.Int(st, &cfg.Scheme)
+	snapshot.Int(st, &cfg.W, &cfg.H, &cfg.VCs, &cfg.EjectCap)
+	snapshot.Int(st, &cfg.Seed, &cfg.DrainPeriod, &cfg.SwapDuty, &cfg.SpinThreshold)
+	snapshot.Int(st, &cfg.FastPassK)
+	st.Bool(&cfg.FPScanInjectionOnly, &cfg.FPDropOnReject, &cfg.FPHealing)
+	snapshot.Int(st, &cfg.TraceCapacity)
+	st.Str(&cfg.Faults)
+	st.F64(&cfg.FaultScale)
+	st.Str(&cfg.Watchdog)
+	snapshot.Int(st, &cfg.Shards)
+	snapshot.Int(st, &cfg.Pattern)
+	st.F64(&cfg.Rate)
+	snapshot.Int(st, &cfg.Warmup, &cfg.Measure, &cfg.Drain)
+	st.F64(&cfg.SatLatency)
+	snapshot.Int(st, &cfg.HotspotNode)
+	st.F64(&cfg.HotspotFraction)
+	snapshot.Int(st, &cfg.CheckpointEvery, &cfg.Telemetry.Window, &cfg.ProgressEvery)
 }
 
 // checkpoint seals the run's complete state. Called at the top of a
@@ -105,34 +58,8 @@ func (s *synthRun) checkpoint() []byte {
 // encode writes the config into meta and the run's state into w (both
 // empty on entry).
 func (s *synthRun) encode(meta, w *snapshot.Writer) {
-	encodeSynthConfig(meta, s.cfg)
-	w.U64(s.src.Draws())
-	w.I64(s.created)
-	w.I64(s.delivered)
-	w.I64(s.corrupted)
-	s.gen.SnapshotState(w)
-	s.col.SnapshotState(w)
-	w.Bool(s.tel != nil)
-	if s.tel != nil {
-		s.tel.SnapshotState(w)
-	}
-	w.Bool(s.inst.Trace != nil)
-	if s.inst.Trace != nil {
-		s.inst.Trace.SnapshotState(w)
-	}
-	w.Bool(s.inst.Watch != nil)
-	if s.inst.Watch != nil {
-		s.inst.Watch.SnapshotState(w)
-	}
-	if s.inst.Net != nil {
-		s.inst.Net.SnapshotState(w)
-	} else {
-		s.inst.Deflect.SnapshotState(w)
-	}
-	// The pool goes last: every packet still alive has been registered
-	// in the table by now, so the free list only adds the recycled ones.
-	w.Bool(true) // pool presence: every scheme is on the arena since v4
-	snapshot.WritePool(w, s.pool)
+	s.cfg.state(meta.State())
+	s.state(w.State())
 }
 
 // restore decodes a checkpoint blob into a freshly built run. The blob
@@ -145,37 +72,55 @@ func (s *synthRun) restore(data []byte) error {
 	if err != nil {
 		return err
 	}
-	s.src.Skip(r.U64())
-	s.created = r.I64()
-	s.delivered = r.I64()
-	s.corrupted = r.I64()
-	s.gen.RestoreState(r)
-	s.col.RestoreState(r)
-	if had := r.Bool(); had != (s.tel != nil) {
-		return fmt.Errorf("sim: checkpoint telemetry presence %v but instance has %v (Telemetry.Window must match the recorded config)", had, s.tel != nil)
-	} else if had {
-		s.tel.RestoreState(r)
+	return s.state(r.State())
+}
+
+// state walks the harness state followed by the full network state and
+// reports a decode failure. Only a restore can find a section the
+// instance lacks, or the reverse.
+func (s *synthRun) state(st snapshot.State) error {
+	draws := s.src.Draws()
+	if snapshot.Uint(st, &draws); st.Decoding() {
+		// A run draws a value or two per node and cycle: a count past
+		// sixteen is corrupt, and replaying it would spin.
+		total := uint64(s.cfg.Warmup + s.cfg.Measure + s.cfg.Drain + 1)
+		if max := 16 * uint64(s.cfg.W*s.cfg.H) * total; draws > max {
+			st.Fail("sim: %d injection draws, at most %d in %d cycles", draws, max, total)
+		} else {
+			s.src.Skip(draws)
+		}
 	}
-	if had := r.Bool(); had != (s.inst.Trace != nil) {
-		return fmt.Errorf("sim: checkpoint trace presence %v but instance has %v", had, s.inst.Trace != nil)
-	} else if had {
-		s.inst.Trace.RestoreState(r)
-	}
-	if had := r.Bool(); had != (s.inst.Watch != nil) {
-		return fmt.Errorf("sim: checkpoint watchdog presence %v but instance has %v", had, s.inst.Watch != nil)
-	} else if had {
-		s.inst.Watch.RestoreState(r)
+	snapshot.Int(st, &s.created, &s.delivered, &s.corrupted)
+	st.Walk(s.gen)
+	st.Walk(s.col)
+	for _, sec := range [...]struct {
+		what string
+		have bool
+		st   snapshot.Stater
+	}{
+		{"telemetry (Telemetry.Window must match the recorded config)", s.tel != nil, s.tel},
+		{"trace", s.inst.Trace != nil, s.inst.Trace},
+		{"watchdog", s.inst.Watch != nil, s.inst.Watch},
+	} {
+		if had := st.Present(sec.have); had != sec.have {
+			return fmt.Errorf("sim: checkpoint %s presence %v but instance has %v", sec.what, had, sec.have)
+		} else if had {
+			st.Walk(sec.st)
+		}
 	}
 	if s.inst.Net != nil {
-		s.inst.Net.RestoreState(r)
+		st.Walk(s.inst.Net)
 	} else {
-		s.inst.Deflect.RestoreState(r)
+		st.Walk(s.inst.Deflect)
 	}
-	if !r.Bool() && r.Err() == nil {
+	// The pool goes last: every packet still alive has been registered
+	// in the table by now, so the free list only adds the recycled ones.
+	// Its presence flag dates from before every scheme was on the arena.
+	if !st.Present(true) && st.Err() == nil {
 		return fmt.Errorf("sim: checkpoint carries no packet pool")
 	}
-	snapshot.ReadPool(r, s.pool)
-	return r.Err()
+	st.Pool(s.pool)
+	return st.Err()
 }
 
 // OpenCheckpoint validates a checkpoint blob and returns the embedded
@@ -187,9 +132,13 @@ func OpenCheckpoint(data []byte) (SynthConfig, error) {
 	if err != nil {
 		return SynthConfig{}, err
 	}
-	mr := snapshot.NewReader(meta)
-	cfg := decodeSynthConfig(mr)
-	if err := mr.Err(); err != nil {
+	r := snapshot.NewReader(meta)
+	var cfg SynthConfig
+	cfg.state(r.State())
+	if err := r.Err(); err != nil {
+		return SynthConfig{}, fmt.Errorf("sim: checkpoint config: %w", err)
+	}
+	if err := cfg.Validate(); err != nil {
 		return SynthConfig{}, fmt.Errorf("sim: checkpoint config: %w", err)
 	}
 	return cfg, nil
@@ -198,8 +147,12 @@ func OpenCheckpoint(data []byte) (SynthConfig, error) {
 // ResumeSynthetic rebuilds the instance described by cfg, restores the
 // checkpointed state into it, and runs to completion. The continuation
 // is bit-identical to the uninterrupted run — stats, trace contents and
-// fault outcomes included.
+// fault outcomes included. A cfg Validate rejects is returned as its
+// error, before anything is built.
 func ResumeSynthetic(cfg SynthConfig, data []byte) (SynthResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return SynthResult{}, err
+	}
 	s := newSynthRun(cfg)
 	if err := s.restore(data); err != nil {
 		return SynthResult{}, err

@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"os"
 	"strings"
@@ -335,20 +337,7 @@ func TestParentCommitBlobs(t *testing.T) {
 		}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			f, err := os.Open("testdata/" + row.pr + "_" + row.name + ".ckpt.gz")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			zr, err := gzip.NewReader(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parent, err := io.ReadAll(zr)
-			if err != nil {
-				t.Fatal(err)
-			}
-
+			parent := testdataBlob(t, row.pr+"_"+row.name)
 			blob, at, want := lastCheckpoint(row.cfg, 700)
 			if at != 1400 || !bytes.Equal(blob, parent) {
 				t.Fatalf("checkpoint at cycle %d (%d bytes) differs from the parent commit's at 1400 (%d bytes)", at, len(blob), len(parent))
@@ -369,4 +358,46 @@ func TestParentCommitBlobs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// testdataBlob reads testdata/<name>.ckpt.gz.
+func testdataBlob(t testing.TB, name string) []byte {
+	t.Helper()
+	f, err := os.Open("testdata/" + name + ".ckpt.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// FuzzRestore feeds the whole restore path arbitrary blobs (the crc is
+// re-stamped, so the fuzzer gets past Open), seeded with the four
+// parent-commit checkpoints: OpenCheckpoint, a fresh build of the
+// recorded config and restore must return an error or succeed, never
+// panic. Configs past 64 nodes, 5,000 cycles or a 1,024-event trace are
+// skipped — they test resource limits, not body decode.
+func FuzzRestore(f *testing.F) {
+	for _, name := range []string{"FastPass", "MinBD", "EscapeVC", "FastPassHealed"} {
+		f.Add(testdataBlob(f, "pr32_"+name))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 12 {
+			binary.LittleEndian.PutUint32(data[8:12], crc32.ChecksumIEEE(data[12:]))
+		}
+		cfg, err := OpenCheckpoint(data)
+		if cfg.setDefaults(); err != nil || cfg.W*cfg.H > 64 || cfg.Warmup+cfg.Measure+cfg.Drain > 5000 ||
+			cfg.TraceCapacity > 1024 || cfg.EjectCap > 64 {
+			return
+		}
+		newSynthRun(cfg).restore(data)
+	})
 }

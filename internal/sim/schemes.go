@@ -142,8 +142,8 @@ type Options struct {
 
 	// Faults, when non-empty, is a faults.ParsePlan spec; Build attaches
 	// a deterministic injector seeded from the plan and Options.Seed.
-	// Ignored for MinBD (separate packet model). Invalid specs panic —
-	// commands pre-validate with faults.ParsePlan.
+	// Ignored for MinBD (separate packet model). Invalid specs panic in
+	// Build; Validate rejects them.
 	Faults string
 	// FaultScale, when positive, multiplies every rate in the fault
 	// plan (resilience sweeps reuse one spec across intensities); 0
@@ -178,13 +178,18 @@ func (o *Options) setDefaults() {
 }
 
 // Validate reports, as an error a command can print, what Build or the
-// first cycle would panic on: a mesh under 2×2, a non-positive ejection
-// capacity, fewer VCs than the scheme needs or more per input port than
-// the router's one-word masks hold (VNs × VCs ≤ 64 — 64 VCs for the
-// one-VN schemes, 10 per VN for the six-VN baselines) — and a negative
-// or NaN fault scale, which Build would silently run at full rate. Zero
-// fields stand for their defaults.
+// first cycle would panic on: an unknown scheme, a mesh under 2×2, a
+// non-positive ejection capacity, fewer VCs than the scheme needs or
+// more per input port than the router's one-word masks hold (VNs × VCs
+// ≤ 64 — 64 VCs for the one-VN schemes, 10 per VN for the six-VN
+// baselines), an unparseable fault plan or watchdog spec, a FastPass
+// slot K shorter than the mesh's round trip — and a negative or NaN
+// fault scale, which Build would silently run at full rate. Zero fields
+// stand for their defaults.
 func (o Options) Validate() error {
+	if o.Scheme < 0 || o.Scheme >= numSchemes {
+		return fmt.Errorf("sim: unknown scheme %v", o.Scheme)
+	}
 	o.setDefaults()
 	if o.W < 2 || o.H < 2 || o.EjectCap < 1 {
 		return fmt.Errorf("sim: need a mesh of at least 2x2 and a positive ejection capacity, have %dx%d and %d", o.W, o.H, o.EjectCap)
@@ -201,6 +206,17 @@ func (o Options) Validate() error {
 	}
 	if o.Scheme != MinBD && (o.VCs < fewest || o.VCs > most) {
 		return fmt.Errorf("sim: %v takes %d to %d VCs, not %d", o.Scheme, fewest, most, o.VCs)
+	}
+	if _, err := faults.ParsePlan(o.Faults); err != nil {
+		return fmt.Errorf("sim: faults: %w", err)
+	}
+	if _, _, err := invariant.ParseSpec(o.Watchdog); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	if o.Scheme == FastPass && o.FastPassK > 0 {
+		if err := (fastpass.Schedule{W: o.W, H: o.H, K: o.FastPassK}).Validate(); err != nil {
+			return fmt.Errorf("sim: %w", err)
+		}
 	}
 	return nil
 }

@@ -308,6 +308,10 @@ func TestValidateRejectsWhatBuildPanicsOn(t *testing.T) {
 		{"Shuffle on 36 nodes", SynthConfig{Options: Options{W: 6}, Pattern: traffic.Shuffle}, "power-of-two"},
 		{"BitComplement on 12 nodes", SynthConfig{Options: Options{W: 4, H: 3}, Pattern: traffic.BitComplement}, "power-of-two"},
 		{"Transpose on 4x8", SynthConfig{Options: Options{W: 4, H: 8}, Pattern: traffic.Transpose}, "square"},
+		{"scheme past the last", SynthConfig{Options: Options{Scheme: numSchemes}}, "unknown scheme"},
+		{"unparseable fault plan", SynthConfig{Options: Options{Faults: "00"}}, "unknown fault kind"},
+		{"unparseable watchdog", SynthConfig{Options: Options{Watchdog: "stride"}}, "not key=value"},
+		{"FastPass slot under a round trip", SynthConfig{Options: Options{Scheme: FastPass, W: 24, H: 24, FastPassK: 24}}, "shorter than a worst-case round trip"},
 	} {
 		if err := tc.cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.wantErr)

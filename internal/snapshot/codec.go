@@ -161,11 +161,6 @@ func NewReader(data []byte) *Reader { return &Reader{data: data} }
 // Err reports the first decode failure, or nil.
 func (r *Reader) Err() error { return r.err }
 
-// Fail records a decode failure raised by a caller — per-package
-// restore code uses it for state-mismatch checks (e.g. a checkpoint
-// carrying controller state for a controller that has none).
-func (r *Reader) Fail(format string, args ...any) { r.fail(format, args...) }
-
 // fail records the first error.
 func (r *Reader) fail(format string, args ...any) {
 	if r.err == nil {
@@ -198,15 +193,11 @@ func (r *Reader) U8() uint8 {
 
 // Bool reads a one-byte bool, rejecting anything but 0 or 1.
 func (r *Reader) Bool() bool {
-	switch v := r.U8(); v {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
+	v := r.U8()
+	if v > 1 {
 		r.fail("corrupt bool byte %d", v)
-		return false
 	}
+	return v == 1
 }
 
 // U32 reads a fixed 4-byte little-endian word.
@@ -221,42 +212,28 @@ func (r *Reader) U32() uint32 {
 // I32 reads an int32.
 func (r *Reader) I32() int32 { return int32(r.U32()) }
 
-// U64 reads an unsigned varint.
+// U64 reads an unsigned varint, failing where the buffer ends inside it
+// or it runs past 64 bits.
 func (r *Reader) U64() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.badVarint(n)
-		return 0
+	switch v, n := binary.Uvarint(r.data[r.off:]); {
+	case n == 0:
+		r.fail("truncated varint at offset %d of %d", r.off, len(r.data))
+	case n < 0:
+		r.fail("overlong varint at offset %d", r.off)
+	default:
+		r.off += n
+		return v
 	}
-	r.off += n
-	return v
+	return 0
 }
 
 // I64 reads a zigzag varint.
 func (r *Reader) I64() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.off:])
-	if n <= 0 {
-		r.badVarint(n)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// badVarint records why binary.Uvarint/Varint returned n <= 0: the
-// buffer ended inside the varint (0), or it runs past 64 bits (< 0).
-func (r *Reader) badVarint(n int) {
-	if n == 0 {
-		r.fail("truncated varint at offset %d of %d", r.off, len(r.data))
-	} else {
-		r.fail("overlong varint at offset %d", r.off)
-	}
+	u := r.U64()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // Int reads an int written by Writer.Int.
@@ -272,16 +249,7 @@ func (r *Reader) F64() float64 {
 }
 
 // Str reads a length-prefixed string.
-func (r *Reader) Str() string {
-	n := r.Int()
-	if r.err != nil || n < 0 {
-		if n < 0 {
-			r.fail("negative string length %d", n)
-		}
-		return ""
-	}
-	return string(r.take(n))
-}
+func (r *Reader) Str() string { return string(r.take(r.Int())) }
 
 // Packet resolves a packet reference written by Writer.Packet.
 func (r *Reader) Packet() *message.Packet {
@@ -296,48 +264,22 @@ func (r *Reader) Packet() *message.Packet {
 	return r.pkts[int(idx)]
 }
 
-// writePacketRow encodes one packet's own fields for the table. The
-// unexported recycled marker is deliberately absent: free-list
-// membership defines it, and Pool restore re-poisons pooled packets.
-func writePacketRow(w *Writer, p *message.Packet) {
-	w.U64(p.ID)
-	w.Int(p.Src)
-	w.Int(p.Dst)
-	w.U8(uint8(p.Class))
-	w.Int(p.Len)
-	w.U64(p.TxnID)
-	w.I64(p.CreateTime)
-	w.I64(p.InjectTime)
-	w.I64(p.EjectTime)
-	w.U8(uint8(p.Kind))
-	w.I64(p.RegularCycles)
-	w.I64(p.FastCycles)
-	w.Int(p.Dropped)
-	w.Bool(p.Rejected)
-	w.Int(p.Hops)
-	w.Bool(p.Corrupted)
-}
-
-// readPacketRow materialises one packet from its table row.
-func readPacketRow(r *Reader) *message.Packet {
-	p := &message.Packet{}
-	p.ID = r.U64()
-	p.Src = r.Int()
-	p.Dst = r.Int()
-	p.Class = message.Class(r.U8())
-	p.Len = r.Int()
-	p.TxnID = r.U64()
-	p.CreateTime = r.I64()
-	p.InjectTime = r.I64()
-	p.EjectTime = r.I64()
-	p.Kind = message.Kind(r.U8())
-	p.RegularCycles = r.I64()
-	p.FastCycles = r.I64()
-	p.Dropped = r.Int()
-	p.Rejected = r.Bool()
-	p.Hops = r.Int()
-	p.Corrupted = r.Bool()
-	return p
+// packetRow walks one packet's own fields for the table. The unexported
+// recycled marker is deliberately absent: free-list membership defines
+// it, and Pool restore re-poisons pooled packets.
+func packetRow(s State, p *message.Packet) {
+	Uint(s, &p.ID)
+	Int(s, &p.Src, &p.Dst)
+	Byte(s, &p.Class)
+	Int(s, &p.Len)
+	Uint(s, &p.TxnID)
+	Int(s, &p.CreateTime, &p.InjectTime, &p.EjectTime)
+	Byte(s, &p.Kind)
+	Int(s, &p.RegularCycles, &p.FastCycles)
+	Int(s, &p.Dropped)
+	s.Bool(&p.Rejected)
+	Int(s, &p.Hops)
+	s.Bool(&p.Corrupted)
 }
 
 // Seal assembles a checkpoint file from an opaque meta blob and a
@@ -351,7 +293,7 @@ func Seal(meta []byte, body *Writer) []byte {
 	t := Writer{buf: body.table[:0]}
 	t.Int(len(body.order))
 	for _, p := range body.order {
-		writePacketRow(&t, p)
+		packetRow(t.State(), p)
 	}
 	body.table = t.buf
 
@@ -389,7 +331,9 @@ func Open(data []byte) (meta []byte, body *Reader, err error) {
 	}
 	var pkts []*message.Packet
 	for i := 0; i < cnt && r.err == nil; i++ {
-		pkts = append(pkts, readPacketRow(r))
+		p := new(message.Packet)
+		packetRow(r.State(), p)
+		pkts = append(pkts, p)
 	}
 	if r.err != nil {
 		return nil, nil, r.err

@@ -6,86 +6,39 @@ import (
 	"repro/internal/snapshot"
 )
 
-// SnapshotState encodes the collector's latency histogram, sums and
-// counters.
-func (c *Collector) SnapshotState(w *snapshot.Writer) {
-	w.Int(len(c.dense))
-	for _, n := range c.dense {
-		w.U64(uint64(n))
-	}
-	w.Int(len(c.overflow))
-	for _, lat := range c.overflow {
-		w.I64(lat)
-	}
-	w.I64(c.latSum)
-	w.I64(c.fastN)
-	w.I64(c.fastSum)
-	w.I64(c.regSum)
-	w.I64(c.regOnlyN)
-	w.I64(c.regOnlySum)
-	w.I64(c.created)
-	w.I64(c.ejectedWindow)
-	w.I64(c.flitsWindow)
-	w.I64(c.regularPkts)
-	w.I64(c.fastPkts)
-	w.I64(c.droppedPkts)
-	for _, v := range c.perClassEjects {
-		w.I64(v)
-	}
-	w.I64(c.allEjects)
-	w.I64(c.allFlits)
-	w.I64(c.allLatSum)
-	w.I64(c.allLatSamples)
-}
+// SnapshotState and RestoreState walk state; a restore decodes into a
+// collector built with the same window.
+func (c *Collector) SnapshotState(w *snapshot.Writer) { c.state(w.State()) }
+func (c *Collector) RestoreState(r *snapshot.Reader)  { c.state(r.State()) }
 
-// RestoreState decodes into a collector built with the same window. A
-// histogram past denseCap, a count past uint32 or an overflow list out
-// of order or below denseCap is corrupt.
-func (c *Collector) RestoreState(r *snapshot.Reader) {
-	c.samples = 0
-	n := r.Int()
-	if n < 0 || n > denseCap {
-		r.Fail("stats: histogram of %d latencies, cap %d", n, denseCap)
-		return
-	}
-	c.dense = c.dense[:0]
-	for i := 0; i < n && r.Err() == nil; i++ {
-		v := r.U64()
+// state walks the collector's latency histogram, sums and counters; a
+// restore recounts samples. A histogram past denseCap, a count past
+// uint32 or an overflow list out of order or below denseCap is corrupt.
+func (c *Collector) state(s snapshot.State) {
+	snapshot.Slice(s, &c.dense, denseCap, "stats: histogram length", func(s snapshot.State, n *uint32) {
+		v := uint64(*n)
+		if snapshot.Uint(s, &v); !s.Decoding() {
+			return
+		}
 		if v > math.MaxUint32 {
-			r.Fail("stats: latency %d counted %d times", i, v)
+			s.Fail("stats: a latency counted %d times", v)
 		}
-		c.dense = append(c.dense, uint32(v))
-		c.samples += int64(v)
-	}
-	n = r.Int()
-	c.overflow = c.overflow[:0]
-	for i := 0; i < n && r.Err() == nil; i++ {
-		lat := r.I64()
-		if lat < denseCap || i > 0 && lat < c.overflow[i-1] {
-			r.Fail("stats: overflow latency %d out of place", lat)
+		*n, c.samples = uint32(v), c.samples+int64(v)
+	})
+	last := int64(denseCap)
+	snapshot.Slice(s, &c.overflow, math.MaxInt, "stats: overflow length", func(s snapshot.State, lat *int64) {
+		if snapshot.Int(s, lat); !s.Decoding() {
+			return
 		}
-		c.overflow = append(c.overflow, lat)
-		c.samples++
-	}
-	c.latSum = r.I64()
-	c.fastN = r.I64()
-	c.fastSum = r.I64()
-	c.regSum = r.I64()
-	c.regOnlyN = r.I64()
-	c.regOnlySum = r.I64()
-	c.created = r.I64()
-	c.ejectedWindow = r.I64()
-	c.flitsWindow = r.I64()
-	c.regularPkts = r.I64()
-	c.fastPkts = r.I64()
-	c.droppedPkts = r.I64()
-	for i := range c.perClassEjects {
-		c.perClassEjects[i] = r.I64()
-	}
-	c.allEjects = r.I64()
-	c.allFlits = r.I64()
-	c.allLatSum = r.I64()
-	c.allLatSamples = r.I64()
+		if *lat < last {
+			s.Fail("stats: overflow latency %d out of place", *lat)
+		}
+		last, c.samples = *lat, c.samples+1
+	})
+	snapshot.Int(s, &c.latSum, &c.fastN, &c.fastSum, &c.regSum, &c.regOnlyN, &c.regOnlySum, &c.created,
+		&c.ejectedWindow, &c.flitsWindow, &c.regularPkts, &c.fastPkts, &c.droppedPkts)
+	snapshot.Ints(s, c.perClassEjects[:])
+	snapshot.Int(s, &c.allEjects, &c.allFlits, &c.allLatSum, &c.allLatSamples)
 }
 
 func init() {
@@ -95,7 +48,7 @@ func init() {
 			"ejectedWindow", "flitsWindow", "regularPkts", "fastPkts",
 			"droppedPkts", "perClassEjects",
 			"allEjects", "allFlits", "allLatSum", "allLatSamples"},
-		// samples is the histogram's total, recounted by RestoreState.
+		// samples is the histogram's total, recounted by a restore.
 		[]string{"Nodes", "MeasStart", "MeasEnd", "samples"})
 }
 

@@ -9,74 +9,43 @@ import "repro/internal/snapshot"
 // close rewrites it before anything reads it. Slot registrations, sinks
 // and emit buffers are construction state — the resuming driver
 // rebuilds them (and attaches fresh sinks) before RestoreState runs,
-// and restore validates that the rebuilt shapes match the encoded ones. Because window 0 already went out in the
-// original run's stream, a resumed run never re-emits the meta line or
-// CSV headers, and the concatenated streams equal an uninterrupted
-// run's byte for byte.
+// and restore validates that the rebuilt shapes match the encoded ones.
+// Because window 0 already went out in the original run's stream, a
+// resumed run never re-emits the meta line or CSV headers, and the
+// concatenated streams equal an uninterrupted run's byte for byte.
 
-// SnapshotState implements snapshot.Stater.
-func (m *Metrics) SnapshotState(w *snapshot.Writer) {
-	w.I64(m.windows)
-	w.I64(m.last)
-	w.Int(len(m.prev))
-	for _, v := range m.prev {
-		w.I64(v)
-	}
-	for _, c := range m.hist.counts {
-		w.I64(c)
-	}
-	for _, c := range m.histPrev {
-		w.I64(c)
-	}
-	w.I64(m.latSumPrev)
-	w.I64(m.latCntPrev)
-	writeGrid(w, &m.node)
-	writeGrid(w, &m.link)
-}
+// SnapshotState and RestoreState walk state; a restore targets a freshly
+// built and frozen Metrics with the same slot registrations.
+func (m *Metrics) SnapshotState(w *snapshot.Writer) { m.state(w.State()) }
+func (m *Metrics) RestoreState(r *snapshot.Reader)  { m.state(r.State()) }
 
-// RestoreState implements snapshot.Stater against a freshly built and
-// frozen Metrics with the same slot registrations.
-func (m *Metrics) RestoreState(r *snapshot.Reader) {
-	if !m.frozen {
-		r.Fail("telemetry: restore before Freeze")
+func (m *Metrics) state(s snapshot.State) {
+	if s.Decoding() && !m.frozen {
+		s.Fail("telemetry: restore before Freeze")
 		return
 	}
-	m.windows = r.I64()
-	m.last = r.I64()
-	if n := r.Int(); n != len(m.prev) {
-		r.Fail("telemetry: checkpoint has %d counter slots, this build registered %d", n, len(m.prev))
+	snapshot.Int(s, &m.windows, &m.last)
+	// Only a restore can find a count other than the live one.
+	n := len(m.prev)
+	if snapshot.Int(s, &n); n != len(m.prev) {
+		s.Fail("telemetry: checkpoint has %d counter slots, this build registered %d", n, len(m.prev))
 		return
 	}
-	for i := range m.prev {
-		m.prev[i] = r.I64()
-	}
-	for i := range m.hist.counts {
-		m.hist.counts[i] = r.I64()
-	}
-	for i := range m.histPrev {
-		m.histPrev[i] = r.I64()
-	}
-	m.latSumPrev = r.I64()
-	m.latCntPrev = r.I64()
-	readGrid(r, &m.node)
-	readGrid(r, &m.link)
+	snapshot.Ints(s, m.prev)
+	snapshot.Ints(s, m.hist.counts[:])
+	snapshot.Ints(s, m.histPrev[:])
+	snapshot.Int(s, &m.latSumPrev, &m.latCntPrev)
+	m.node.state(s)
+	m.link.state(s)
 }
 
-func writeGrid(w *snapshot.Writer, g *grid) {
-	w.Int(g.n)
-	for _, v := range g.prev {
-		w.I64(v)
-	}
-}
-
-func readGrid(r *snapshot.Reader, g *grid) {
-	if n := r.Int(); n != g.n {
-		r.Fail("telemetry: checkpoint grid has %d cells, this build has %d", n, g.n)
+func (g *grid) state(s snapshot.State) {
+	n := g.n
+	if snapshot.Int(s, &n); n != g.n {
+		s.Fail("telemetry: checkpoint grid has %d cells, this build has %d", n, g.n)
 		return
 	}
-	for i := range g.prev {
-		g.prev[i] = r.I64()
-	}
+	snapshot.Ints(s, g.prev)
 }
 
 var _ snapshot.Stater = (*Metrics)(nil)

@@ -2,50 +2,29 @@ package trace
 
 import "repro/internal/snapshot"
 
-// SnapshotState encodes the recorder's exact ring layout — raw buffer
-// order plus the eviction cursor, not chronological order — so restore
-// reproduces the byte-identical buffer a continued run would have had.
-// KindS is not encoded; it is re-derived from Kind.
-func (r *Recorder) SnapshotState(w *snapshot.Writer) {
-	w.Int(len(r.buf))
-	for _, e := range r.buf {
-		w.I64(e.Cycle)
-		w.U8(uint8(e.Kind))
-		w.U64(e.Pkt)
-		w.Int(e.Node)
-		w.Str(e.Note)
-	}
-	w.Int(r.next)
-	w.I64(r.total)
-	for _, c := range r.byKind {
-		w.I64(c)
-	}
-}
+// SnapshotState and RestoreState walk state; a restore decodes into a
+// recorder built with the same capacity.
+func (r *Recorder) SnapshotState(w *snapshot.Writer) { r.state(w.State()) }
+func (r *Recorder) RestoreState(rd *snapshot.Reader) { r.state(rd.State()) }
 
-// RestoreState decodes into a recorder built with the same capacity.
-func (r *Recorder) RestoreState(rd *snapshot.Reader) {
-	n := rd.Int()
-	if n > cap(r.buf) {
-		rd.Fail("trace: checkpoint retains %d events but recorder capacity is %d", n, cap(r.buf))
-		return
-	}
-	r.buf = r.buf[:0]
-	for i := 0; i < n && rd.Err() == nil; i++ {
-		e := Event{
-			Cycle: rd.I64(),
-			Kind:  Kind(rd.U8()),
-			Pkt:   rd.U64(),
-			Node:  rd.Int(),
-			Note:  rd.Str(),
+// state walks the recorder's exact ring layout — raw buffer order plus
+// the eviction cursor, not chronological order — so restore reproduces
+// the byte-identical buffer a continued run would have had. KindS is not
+// encoded; restore re-derives it from Kind.
+func (r *Recorder) state(s snapshot.State) {
+	snapshot.Slice(s, &r.buf, cap(r.buf), "trace: retained events", func(s snapshot.State, e *Event) {
+		snapshot.Int(s, &e.Cycle)
+		snapshot.Byte(s, &e.Kind)
+		snapshot.Uint(s, &e.Pkt)
+		snapshot.Int(s, &e.Node)
+		s.Str(&e.Note)
+		if s.Decoding() {
+			e.KindS = e.Kind.String()
 		}
-		e.KindS = e.Kind.String()
-		r.buf = append(r.buf, e)
-	}
-	r.next = rd.Int()
-	r.total = rd.I64()
-	for i := range r.byKind {
-		r.byKind[i] = rd.I64()
-	}
+	})
+	snapshot.Int(s, &r.next)
+	snapshot.Int(s, &r.total)
+	snapshot.Ints(s, r.byKind[:])
 }
 
 func init() {

@@ -2,17 +2,15 @@ package traffic
 
 import "repro/internal/snapshot"
 
-// SnapshotState encodes the generator's only mutable state — the
-// packet ID counter. Pattern, rate and geometry are configuration; the
-// injection RNG lives in the harness and is checkpointed there.
-func (g *Generator) SnapshotState(w *snapshot.Writer) {
-	w.U64(g.nextID)
-}
+// SnapshotState and RestoreState walk state; a restore decodes into a
+// generator rebuilt from the same config.
+func (g *Generator) SnapshotState(w *snapshot.Writer) { g.state(w.State()) }
+func (g *Generator) RestoreState(r *snapshot.Reader)  { g.state(r.State()) }
 
-// RestoreState decodes into a generator rebuilt from the same config.
-func (g *Generator) RestoreState(r *snapshot.Reader) {
-	g.nextID = r.U64()
-}
+// state walks the generator's only mutable state — the packet ID
+// counter. Pattern, rate and geometry are configuration; the injection
+// RNG lives in the harness and is checkpointed there.
+func (g *Generator) state(s snapshot.State) { snapshot.Uint(s, &g.nextID) }
 
 func init() {
 	snapshot.Register("traffic.Generator", Generator{},
