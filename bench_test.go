@@ -15,6 +15,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/fastpass"
 	"repro/internal/routing"
+	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/workload"
 	"repro/noc"
@@ -55,7 +56,7 @@ func BenchmarkFig7Synthetic(b *testing.B) {
 		rates := []float64{0.02, 0.08, 0.14}
 		var fpLat float64
 		for _, scheme := range exp.Fig7Schemes() {
-			pts := noc.SweepLatency(benchSynth(scheme, noc.Uniform, 0), rates)
+			pts := noc.SweepLatencyJobs(benchSynth(scheme, noc.Uniform, 0), rates, 0)
 			if scheme == noc.FastPass {
 				fpLat = pts[0].AvgLatency
 			}
@@ -69,8 +70,8 @@ func BenchmarkFig7Synthetic(b *testing.B) {
 // FastPass/SWAP throughput ratio.
 func BenchmarkFig8Scaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, fp := noc.SaturationThroughput(benchSynth(noc.FastPass, noc.Transpose, 0), 0.01, 0.6, 4)
-		_, sw := noc.SaturationThroughput(benchSynth(noc.SWAP, noc.Transpose, 0), 0.01, 0.6, 4)
+		_, fp := sim.SaturationThroughputJobs(benchSynth(noc.FastPass, noc.Transpose, 0), 0.01, 0.6, 4, 0)
+		_, sw := sim.SaturationThroughputJobs(benchSynth(noc.SWAP, noc.Transpose, 0), 0.01, 0.6, 4, 0)
 		b.ReportMetric(fp/sw, "fastpass-vs-swap-throughput-ratio")
 	}
 }

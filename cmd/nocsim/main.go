@@ -127,6 +127,9 @@ func main() {
 		if err != nil {
 			rejectf("%v", err)
 		}
+		if !scheme.SupportsProtocol() {
+			rejectf("-app: scheme %v cannot run protocol traffic", scheme)
+		}
 		if *checkpointEvery > 0 {
 			rejectf("-checkpoint only applies to synthetic runs")
 		}

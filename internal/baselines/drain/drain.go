@@ -25,19 +25,14 @@ import (
 
 // Params tunes DRAIN.
 type Params struct {
-	// Period between drain windows (64K cycles in Table II).
+	// Period between drain windows (64K cycles in Table II). Each
+	// window lasts one full loop of the serpentine: W×H rotation steps.
 	Period int64
-	// Length of each drain window in rotation steps; 0 derives one full
-	// loop (W×H steps).
-	Length int
 }
 
-func (p *Params) setDefaults(nodes int) {
+func (p *Params) setDefaults() {
 	if p.Period == 0 {
 		p.Period = 65536
-	}
-	if p.Length == 0 {
-		p.Length = nodes
 	}
 }
 
@@ -82,7 +77,7 @@ type Controller struct {
 
 // Attach installs a DRAIN controller.
 func Attach(n *network.Network, prm Params) *Controller {
-	prm.setDefaults(n.Mesh.NumNodes())
+	prm.setDefaults()
 	c := &Controller{prm: prm}
 	c.order = serpentine(n.Mesh)
 	c.victims = make([]victim, len(c.order))
@@ -125,7 +120,7 @@ func (c *Controller) PostCycle(*network.Network) {}
 func (c *Controller) PreCycle(n *network.Network) {
 	cycle := n.Cycle()
 	phase := cycle % c.prm.Period
-	if cycle >= c.prm.Period && phase < int64(c.prm.Length) {
+	if cycle >= c.prm.Period && phase < int64(len(c.order)) {
 		if phase == 0 {
 			c.Windows++
 			c.Trace.Record(cycle, trace.RecoveryAction, 0, -1, "drain window opens")

@@ -26,9 +26,10 @@ type Params struct {
 	// bypass; 0 derives 4×diameter (the NI-to-NI hand-off must cross
 	// the network, so the slot scales with its size).
 	ClassSlot int64
-	// PitCap is the per-NI pit capacity in packets.
-	PitCap int
 }
+
+// pitCap is the per-NI pit capacity in packets.
+const pitCap = 4
 
 func (p *Params) setDefaults(diameter int) {
 	if p.Threshold == 0 {
@@ -36,9 +37,6 @@ func (p *Params) setDefaults(diameter int) {
 	}
 	if p.ClassSlot == 0 {
 		p.ClassSlot = int64(4 * diameter)
-	}
-	if p.PitCap == 0 {
-		p.PitCap = 4
 	}
 }
 
@@ -149,7 +147,7 @@ func (c *Controller) reinject(n *network.Network, node int, active message.Class
 // into the NI pit, freeing its buffer (the forward progress that breaks
 // both protocol- and network-level cycles).
 func (c *Controller) absorb(n *network.Network, r *router.Router, active message.Class, cycle int64) {
-	if len(c.pits[r.ID]) >= c.prm.PitCap {
+	if len(c.pits[r.ID]) >= pitCap {
 		return
 	}
 	for p, v := range r.OccupiedVCs(topology.North) {
@@ -165,15 +163,6 @@ func (c *Controller) absorb(n *network.Network, r *router.Router, active message
 		c.Trace.Record(cycle, trace.RecoveryAction, pkt.ID, r.ID, "pit absorb")
 		return
 	}
-}
-
-// Pitted counts packets currently waiting in pits (conservation checks).
-func (c *Controller) Pitted() int {
-	t := 0
-	for _, p := range c.pits {
-		t += len(p)
-	}
-	return t
 }
 
 // ForEachHeld visits every pitted packet (conservation watchdog: pitted

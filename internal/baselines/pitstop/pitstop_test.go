@@ -82,3 +82,12 @@ func TestClassSlotScalesWithNetworkSize(t *testing.T) {
 			small.ClassSlot, big.ClassSlot)
 	}
 }
+
+// Pitted counts packets currently waiting in pits (conservation checks).
+func (c *Controller) Pitted() int {
+	t := 0
+	for _, p := range c.pits {
+		t += len(p)
+	}
+	return t
+}

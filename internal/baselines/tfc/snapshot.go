@@ -15,8 +15,7 @@ func (c *Controller) state(s snapshot.State) {
 
 func init() {
 	snapshot.Register("tfc.Controller", Controller{},
-		[]string{"Bypasses", "TokenMisses"},
-		[]string{"prm"})
+		[]string{"Bypasses", "TokenMisses"}, nil)
 }
 
 var _ snapshot.Stater = (*Controller)(nil)

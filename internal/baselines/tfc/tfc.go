@@ -22,19 +22,6 @@ import (
 	"repro/internal/topology"
 )
 
-// Params tunes TFC.
-type Params struct {
-	// TokenSlack is the number of free VCs the downstream port must
-	// advertise for a token to be considered live (1 = any free VC).
-	TokenSlack int
-}
-
-func (p *Params) setDefaults() {
-	if p.TokenSlack == 0 {
-		p.TokenSlack = 1
-	}
-}
-
 // Config returns the TFC router configuration: 6 VNs, West-first on
 // every VC (deadlock-free turn model).
 func Config(vcs int) router.Config {
@@ -54,25 +41,22 @@ func Config(vcs int) router.Config {
 
 // Controller implements the token bypass.
 type Controller struct {
-	prm Params
-
 	// Bypasses counts token-granted single-cycle hops; TokenMisses
 	// counts heads that held no token this cycle.
 	Bypasses, TokenMisses int64
 }
 
 // Attach installs a TFC controller.
-func Attach(n *network.Network, prm Params) *Controller {
-	prm.setDefaults()
-	c := &Controller{prm: prm}
+func Attach(n *network.Network) *Controller {
+	c := &Controller{}
 	n.Controller = c
 	return c
 }
 
 // New builds a complete TFC network.
-func New(mesh *topology.Mesh, vcs, ejectCap int, seed int64, prm Params) (*network.Network, *Controller) {
+func New(mesh *topology.Mesh, vcs, ejectCap int, seed int64) (*network.Network, *Controller) {
 	n := network.New(network.Params{Mesh: mesh, Router: Config(vcs), EjectCap: ejectCap, Seed: seed})
-	return n, Attach(n, prm)
+	return n, Attach(n)
 }
 
 // Name implements network.Controller.
@@ -125,16 +109,15 @@ func (c *Controller) tryBypass(n *network.Network, r *router.Router, port topolo
 		if l == nil {
 			continue
 		}
-		// Token: enough advertised free VCs behind the port.
-		free, pick := 0, -1
+		// Token: a free VC advertised behind the port (the last one).
+		pick := -1
 		for i := 0; i < r.Cfg.VCsPerVN; i++ {
 			gvc := vn*r.Cfg.VCsPerVN + i
 			if r.DownstreamVCFree(d, gvc) {
-				free++
 				pick = gvc
 			}
 		}
-		if free < c.prm.TokenSlack || pick < 0 {
+		if pick < 0 {
 			continue
 		}
 		if !n.TryClaimLink(l.ID) {

@@ -10,7 +10,7 @@ import (
 
 func TestTFCDeliversMixedBurst(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
-	n, ctl := New(mesh, 2, 4, 1, Params{})
+	n, ctl := New(mesh, 2, 4, 1)
 	ejected := 0
 	for _, nc := range n.NICs {
 		nc.OnEject = func(*message.Packet) { ejected++ }
@@ -53,7 +53,7 @@ func TestTokenBypassHelpsUnderContention(t *testing.T) {
 		n := network.New(network.Params{Mesh: mesh, Router: Config(2), EjectCap: 4, Seed: 5})
 		var ctl *Controller
 		if withTokens {
-			ctl = Attach(n, Params{})
+			ctl = Attach(n)
 		}
 		var sum, cnt int64
 		for _, nc := range n.NICs {
@@ -93,7 +93,7 @@ func TestTokenBypassHelpsUnderContention(t *testing.T) {
 // machinery.
 func TestWestFirstAvoidsRingDeadlock(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
-	n, _ := New(mesh, 2, 4, 1, Params{})
+	n, _ := New(mesh, 2, 4, 1)
 	ejected := 0
 	for _, nc := range n.NICs {
 		nc.OnEject = func(*message.Packet) { ejected++ }

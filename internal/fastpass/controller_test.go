@@ -67,7 +67,10 @@ func (h *harness) accounted(t *testing.T) {
 	resident := len(h.net.ResidentPackets())
 	held := 0 // on lanes or awaiting regeneration
 	h.ctl.ForEachHeld(func(*message.Packet) { held++ })
-	backlog := h.net.SourceBacklog()
+	backlog := 0
+	for _, nc := range h.net.NICs {
+		backlog += nc.TotalSourceDepth()
+	}
 	total := h.ejected + resident + held + backlog
 	if total != len(h.created) {
 		t.Fatalf("conservation: created=%d ejected=%d resident=%d lanes+regen=%d backlog=%d (sum %d)",

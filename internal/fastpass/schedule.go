@@ -69,10 +69,6 @@ func (s Schedule) Partitions() int { return s.W }
 // every prime has had a lane to every partition.
 func (s Schedule) PhaseLen() int { return s.W * s.K }
 
-// RoundLen is the number of cycles for every router to have served as
-// prime: H phases (the prime walks down its column one row per phase).
-func (s Schedule) RoundLen() int { return s.H * s.PhaseLen() }
-
 // Phase returns the phase index in [0, H) at the given cycle.
 func (s Schedule) Phase(cycle int64) int {
 	return int((cycle / int64(s.PhaseLen())) % int64(s.H))
@@ -107,13 +103,3 @@ func (s Schedule) PrimeNode(col, phase int) int {
 // covers every partition exactly once and concurrent primes always
 // cover pairwise distinct columns.
 func (s Schedule) Covered(col, slot int) int { return (col + slot) % s.W }
-
-// PrimeFor reports which column's prime the given node currently is, or
-// -1 when the node is not a prime this phase.
-func (s Schedule) PrimeFor(node int, phase int) int {
-	col := node % s.W
-	if s.PrimeNode(col, phase) == node {
-		return col
-	}
-	return -1
-}

@@ -227,3 +227,17 @@ func TestValidate(t *testing.T) {
 		t.Errorf("valid schedule rejected: %v", err)
 	}
 }
+
+// RoundLen is the number of cycles for every router to have served as
+// prime: H phases (the prime walks down its column one row per phase).
+func (s Schedule) RoundLen() int { return s.H * s.PhaseLen() }
+
+// PrimeFor reports which column's prime the given node currently is, or
+// -1 when the node is not a prime this phase.
+func (s Schedule) PrimeFor(node int, phase int) int {
+	col := node % s.W
+	if s.PrimeNode(col, phase) == node {
+		return col
+	}
+	return -1
+}

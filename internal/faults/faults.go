@@ -108,12 +108,6 @@ type Plan struct {
 	Events []Event
 }
 
-// Empty reports whether the plan injects nothing.
-func (p Plan) Empty() bool {
-	return p.LinkFailRate == 0 && p.PortStallRate == 0 && p.CorruptRate == 0 &&
-		p.CreditLossRate == 0 && p.ConsumerStallRate == 0 && len(p.Events) == 0
-}
-
 // Scale returns a copy with every rate multiplied by f (clamped to 1).
 // Targeted events are not scaled. Resilience sweeps use it to walk a
 // fault-intensity axis from a single base plan. Negative factors are a

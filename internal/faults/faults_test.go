@@ -345,3 +345,9 @@ func TestEventValidationPanics(t *testing.T) {
 	}()
 	NewInjector(MustParsePlan("linkfail:link=99,at=1"), 10, 4, 5, 1)
 }
+
+// Empty reports whether the plan injects nothing.
+func (p Plan) Empty() bool {
+	return p.LinkFailRate == 0 && p.PortStallRate == 0 && p.CorruptRate == 0 &&
+		p.CreditLossRate == 0 && p.ConsumerStallRate == 0 && len(p.Events) == 0
+}

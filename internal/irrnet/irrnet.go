@@ -200,30 +200,6 @@ func (r *irRouter) injectPacket(pkt *message.Packet) bool {
 	return true
 }
 
-// ResidentPackets counts packets buffered in routers plus those riding
-// lanes or parked in landing registers.
-func (n *Network) ResidentPackets() int {
-	c := 0
-	for _, r := range n.routers {
-		for _, port := range r.inputs {
-			for _, vc := range port {
-				c += vc.Len()
-			}
-		}
-	}
-	n.lanes.ForEachHeld(func(*message.Packet) { c++ })
-	return c
-}
-
-// SourceBacklog counts packets waiting at source NICs.
-func (n *Network) SourceBacklog() int {
-	t := 0
-	for _, nc := range n.NICs {
-		t += nc.TotalSourceDepth()
-	}
-	return t
-}
-
 // Step advances one cycle.
 //
 //nocvet:hot

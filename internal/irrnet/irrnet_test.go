@@ -1,7 +1,9 @@
 package irrnet
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/message"
@@ -120,6 +122,31 @@ func TestAllToAllDrainsAndConserves(t *testing.T) {
 	want := outcome{57, 57, 0, 360, 81536, 430, 0}
 	if got := o.finish(n); got != want {
 		t.Errorf("chordal all-to-all outcome moved:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestNewRejectsMaskOverflow: the arbiters keep one request bit per VC,
+// so New accepts 64 VCs a port and panics, naming the bound, at 65.
+func TestNewRejectsMaskOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		vcs  int
+		want string // panic substring; "" = accepted
+	}{
+		{64, ""},
+		{65, "65 VCs on 3 ports exceed the 64-bit request masks"},
+	} {
+		got := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			New(ring(t, 4), Params{VCs: tc.vcs})
+			return ""
+		}()
+		if (tc.want == "") != (got == "") || !strings.Contains(got, tc.want) {
+			t.Errorf("VCs %d: panic %q, want %q", tc.vcs, got, tc.want)
+		}
 	}
 }
 
@@ -321,3 +348,27 @@ func TestLandingBackpressure(t *testing.T) {
 type nicStall func() bool
 
 func (f nicStall) TryConsume(int64, *message.Packet) bool { return f() }
+
+// ResidentPackets counts packets buffered in routers plus those riding
+// lanes or parked in landing registers.
+func (n *Network) ResidentPackets() int {
+	c := 0
+	for _, r := range n.routers {
+		for _, port := range r.inputs {
+			for _, vc := range port {
+				c += vc.Len()
+			}
+		}
+	}
+	n.lanes.ForEachHeld(func(*message.Packet) { c++ })
+	return c
+}
+
+// SourceBacklog counts packets waiting at source NICs.
+func (n *Network) SourceBacklog() int {
+	t := 0
+	for _, nc := range n.NICs {
+		t += nc.TotalSourceDepth()
+	}
+	return t
+}

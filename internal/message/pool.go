@@ -8,17 +8,17 @@ import (
 // Pool is a per-simulation packet arena: a free list that recycles
 // Packet structs instead of leaving every delivered packet to the
 // garbage collector. One simulation allocates only its high-water mark
-// of in-flight packets, carved from chunks; at steady state Get and Put
-// touch no allocator.
+// of in-flight packets, carved from chunks; at steady state Get and
+// PutCtx touch no allocator.
 //
 // Pools are deliberately not concurrency-safe: a simulation is
 // single-threaded by design (the parallel experiment runner shards
 // across *simulations*, each with its own Pool).
 //
 // Hygiene contract: a recycled packet is indistinguishable from a
-// freshly constructed one. Put resets every field, and Get verifies the
-// reset actually held — a packet mutated after release (use-after-free)
-// or a Put that misses a future field fails loudly at the next Get
+// freshly constructed one. PutCtx resets every field, and Get verifies
+// the reset actually held — a packet mutated after release (use-after-free)
+// or a PutCtx that misses a future field fails loudly at the next Get
 // instead of leaking a previous life's ID, flags or timestamps into a
 // new one.
 type Pool struct {
@@ -37,7 +37,7 @@ func NewPool() *Pool { return &Pool{} }
 
 // blank is what a released packet must still look like when it is
 // handed out again: all zero except the recycled marker. The ID is the
-// one deliberate exception — Put keeps it so poison panics (double
+// one deliberate exception — PutCtx keeps it so poison panics (double
 // release, dirtied packet) can name the packet; Get masks it out of the
 // hygiene comparison.
 var blank = Packet{recycled: true}
@@ -79,17 +79,12 @@ func (pl *Pool) grow() {
 	pl.fresh = make([]Packet, min(max(int(pl.News)*size, minChunk), maxChunk)/size)
 }
 
-// Put releases a packet back to the arena. The caller must hold the
+// PutCtx releases a packet back to the arena. The caller must hold the
 // only live reference; the packet is fully reset so no field of its
 // previous life can leak into the next. Releasing the same packet twice
 // without an intervening Get panics, and so does releasing one that
-// still waits in a Queue. Callers that know which NIC owns
-// the release and what cycle it is should prefer PutCtx — in fault runs
-// a poison panic without that context is undebuggable.
-func (pl *Pool) Put(p *Packet) { pl.PutCtx(p, -1, -1) }
-
-// PutCtx is Put with provenance: owner is the NIC releasing the packet
-// and cycle the simulation time, both folded into the poison panic so a
+// still waits in a Queue. owner is the NIC releasing the packet and
+// cycle the simulation time, both folded into the poison panic so a
 // double release points at the guilty node and moment (-1 = unknown).
 func (pl *Pool) PutCtx(p *Packet, owner int, cycle int64) {
 	if p == nil {
@@ -118,7 +113,7 @@ func (pl *Pool) FreeList() []*Packet { return pl.free }
 // SetFreeList replaces the free list with ps (restore path), re-arming
 // the recycled poison marker on every pooled packet so the
 // use-after-free guard holds across a checkpoint/restore boundary.
-// Restored packets must otherwise be blank, exactly as Put left them;
+// Restored packets must otherwise be blank, exactly as PutCtx left them;
 // the next Get verifies that as usual.
 func (pl *Pool) SetFreeList(ps []*Packet) {
 	pl.free = append(pl.free[:0], ps...)

@@ -11,7 +11,7 @@ func TestPoolRecyclesAndCounts(t *testing.T) {
 	pl := NewPool()
 	a := pl.Get(1, 0, 3, Request, 5, 10)
 	b := pl.Get(2, 1, 2, Response, 1, 11)
-	pl.Put(a)
+	pl.PutCtx(a, -1, -1)
 	c := pl.Get(3, 2, 0, WriteBack, 3, 12)
 	if c != a {
 		t.Error("pool did not hand back the released packet")
@@ -19,8 +19,8 @@ func TestPoolRecyclesAndCounts(t *testing.T) {
 	if pl.News != 2 || pl.Gets != 3 || pl.Puts != 1 {
 		t.Errorf("counters News/Gets/Puts = %d/%d/%d, want 2/3/1", pl.News, pl.Gets, pl.Puts)
 	}
-	pl.Put(b)
-	pl.Put(c)
+	pl.PutCtx(b, -1, -1)
+	pl.PutCtx(c, -1, -1)
 	if pl.FreeLen() != 2 {
 		t.Errorf("FreeLen = %d, want 2", pl.FreeLen())
 	}
@@ -29,13 +29,13 @@ func TestPoolRecyclesAndCounts(t *testing.T) {
 func TestPoolDoublePutPanics(t *testing.T) {
 	pl := NewPool()
 	p := pl.Get(1, 0, 1, Request, 1, 0)
-	pl.Put(p)
+	pl.PutCtx(p, -1, -1)
 	defer func() {
 		if recover() == nil {
 			t.Error("double Put did not panic")
 		}
 	}()
-	pl.Put(p)
+	pl.PutCtx(p, -1, -1)
 }
 
 // A poison panic from a fault run must name the packet, the releasing
@@ -66,7 +66,7 @@ func TestPoolDoublePutPanicNamesOwnerAndCycle(t *testing.T) {
 func TestPoolDetectsMutationAfterRelease(t *testing.T) {
 	pl := NewPool()
 	p := pl.Get(1, 0, 1, Request, 1, 0)
-	pl.Put(p)
+	pl.PutCtx(p, -1, -1)
 	p.Hops = 3 // use-after-free
 	defer func() {
 		if recover() == nil {
@@ -122,7 +122,7 @@ func TestPoolHygieneFuzz(t *testing.T) {
 			inflight = append(inflight, got)
 		} else {
 			i := rng.Intn(len(inflight))
-			pl.Put(inflight[i])
+			pl.PutCtx(inflight[i], -1, -1)
 			ref.free = append(ref.free, twin[inflight[i]])
 			ref.puts++
 			inflight[i] = inflight[len(inflight)-1]
@@ -197,14 +197,14 @@ func TestPoolSteadyStateDoesNotAllocate(t *testing.T) {
 		warm[i] = pl.Get(uint64(i), 0, 1, Request, 5, 0)
 	}
 	for _, p := range warm {
-		pl.Put(p)
+		pl.PutCtx(p, -1, -1)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := range warm {
 			warm[i] = pl.Get(uint64(i), 0, 1, Request, 5, 0)
 		}
 		for _, p := range warm {
-			pl.Put(p)
+			pl.PutCtx(p, -1, -1)
 		}
 	})
 	if allocs != 0 {

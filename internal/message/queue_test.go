@@ -106,7 +106,7 @@ func TestQueueOwnershipPanics(t *testing.T) {
 	}
 	// Off the queue the packet is free to go anywhere.
 	b.PushBack(a.PopFront())
-	pl.Put(b.PopFront())
+	pl.PutCtx(b.PopFront(), -1, -1)
 	if got := pl.Get(42, 0, 1, Request, 1, 0); got != p {
 		t.Error("released packet was not recycled")
 	}

@@ -522,7 +522,7 @@ func TestEngineMatchesReference(t *testing.T) {
 						for node := range ref.side {
 							side = side[:0]
 							for i := 0; i < eng.side[node].Len(); i++ {
-								side = append(side, eng.side[node].At(i))
+								side = append(side, *eng.side[node].Ptr(i))
 							}
 							if !sameFlits(ref.side[node], side) {
 								t.Fatalf("cycle %d: side buffer of node %d diverges", c, node)

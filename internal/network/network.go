@@ -90,9 +90,6 @@ type Params struct {
 	// nothing: a shared stream would make draw interleaving depend on
 	// evaluation order, and therefore on the shard count.
 	Seed int64
-	// Shards is the spatial shard count for Step (0 or 1 → serial).
-	// See DESIGN.md §12; SetShards can change it later.
-	Shards int
 }
 
 // Network is a complete NoC instance. Its fields are the shard-global
@@ -202,9 +199,6 @@ func New(p Params) *Network {
 		nc.Inject = inject
 		nc.Waker = n
 		nc.DeferEject = &n.deferEject
-	}
-	if p.Shards > 1 {
-		n.SetShards(p.Shards)
 	}
 	return n
 }
@@ -629,15 +623,6 @@ func (n *Network) VerifyQuiescent() error {
 		}
 	}
 	return nil
-}
-
-// SourceBacklog sums un-injected packets across all NICs.
-func (n *Network) SourceBacklog() int {
-	t := 0
-	for _, nc := range n.NICs {
-		t += nc.TotalSourceDepth()
-	}
-	return t
 }
 
 // NumChannels reports the number of directed links (invariant probes

@@ -385,3 +385,12 @@ func TestFaultsBarRegularFlitsNotLanes(t *testing.T) {
 		t.Errorf("router 0 still claims %05b/%05b after every fault ended", out, in)
 	}
 }
+
+// SourceBacklog sums un-injected packets across all NICs.
+func (n *Network) SourceBacklog() int {
+	t := 0
+	for _, nc := range n.NICs {
+		t += nc.TotalSourceDepth()
+	}
+	return t
+}

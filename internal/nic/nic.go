@@ -177,9 +177,6 @@ func (n *NIC) EnqueueSourceFront(pkt *message.Packet) {
 	n.wake()
 }
 
-// SourceDepth reports queued packets for a class (throttling metric).
-func (n *NIC) SourceDepth(c message.Class) int { return n.source[c].Len() }
-
 // TotalSourceDepth reports queued packets across classes.
 func (n *NIC) TotalSourceDepth() int { return n.sourced }
 

@@ -710,3 +710,6 @@ func TestRestoreRebuildsQueues(t *testing.T) {
 		t.Error("re-encoding the restored NIC changed the bytes")
 	}
 }
+
+// SourceDepth reports queued packets for a class (throttling metric).
+func (n *NIC) SourceDepth(c message.Class) int { return n.source[c].Len() }

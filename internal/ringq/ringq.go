@@ -91,9 +91,6 @@ func (r *Ring[T]) Front() T {
 	return r.buf[r.head]
 }
 
-// At returns element i (0 = front). It panics when i is out of range.
-func (r *Ring[T]) At(i int) T { return *r.Ptr(i) }
-
 // Ptr returns a pointer to element i in place, for rings of structs
 // mutated where they sit. It is valid until the next insertion or
 // removal. It panics when i is out of range.

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// At returns element i (0 = front). It panics when i is out of range.
+func (r *Ring[T]) At(i int) T { return *r.Ptr(i) }
+
 // newRing returns a ring whose backing array already holds capacity
 // elements (rounded up to a power of two), as a slab-carved one would.
 func newRing[T any](capacity int) *Ring[T] {

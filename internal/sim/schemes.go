@@ -289,7 +289,7 @@ func Build(o Options) *Instance {
 	case Pitstop:
 		inst.Net, inst.Pit = pitstop.New(mesh, o.VCs, o.EjectCap, o.Seed, pitstop.Params{})
 	case TFC:
-		inst.Net, _ = tfc.New(mesh, o.VCs, o.EjectCap, o.Seed, tfc.Params{})
+		inst.Net, _ = tfc.New(mesh, o.VCs, o.EjectCap, o.Seed)
 	case MinBD:
 		inst.Deflect = minbd.New(mesh, minbd.Params{EjectCap: o.EjectCap})
 	default:

@@ -96,7 +96,7 @@ func TestSweepStopsAfterSaturation(t *testing.T) {
 	// simulating and carry the saturated marker forward.
 	base := quickCfg(TFC, 0)
 	base.Pattern = traffic.Transpose
-	out := SweepLatency(base, rates)
+	out := SweepLatencyJobs(base, rates, 0)
 	if len(out) != len(rates) {
 		t.Fatalf("sweep returned %d points", len(out))
 	}
@@ -113,7 +113,7 @@ func TestSweepStopsAfterSaturation(t *testing.T) {
 func TestSaturationBisection(t *testing.T) {
 	base := quickCfg(EscapeVC, 0)
 	base.Warmup, base.Measure, base.Drain = 500, 1500, 1500
-	rate, thr := SaturationThroughput(base, 0.01, 0.9, 5)
+	rate, thr := SaturationThroughputJobs(base, 0.01, 0.9, 5, 0)
 	if rate <= 0.01 || rate >= 0.9 {
 		t.Errorf("saturation rate %v should be interior", rate)
 	}

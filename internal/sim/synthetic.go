@@ -309,15 +309,10 @@ func RunSynthetic(cfg SynthConfig) SynthResult {
 	return newSynthRun(cfg).run()
 }
 
-// SweepLatency measures a latency-vs-injection-rate curve (one Fig. 7
-// series) on all cores. It is SweepLatencyJobs with jobs = 0.
-func SweepLatency(base SynthConfig, rates []float64) []SynthResult {
-	return SweepLatencyJobs(base, rates, 0)
-}
-
-// SweepLatencyJobs measures the curve with the given worker count
-// (0 = one worker per core, 1 = serial). Every point is independent, so
-// the parallel path speculatively runs all rates at once and applies
+// SweepLatencyJobs measures a latency-vs-injection-rate curve (one
+// Fig. 7 series) with the given worker count (0 = one worker per core,
+// 1 = serial). Every point is independent, so the parallel path
+// speculatively runs all rates at once and applies
 // the stop-two-after-saturation rule as a post-pass; the serial path
 // keeps the historical early-stop loop and never simulates past the
 // cutoff. Both paths emit field-identical results for the same seed —
@@ -409,20 +404,14 @@ func paddedPoint(base SynthConfig, rate float64) SynthResult {
 	}
 }
 
-// SaturationThroughput bisects the highest non-saturated injection rate
-// and returns the accepted throughput there (a Fig. 8 bar), probing on
-// all cores. It is SaturationThroughputJobs with jobs = 0.
-func SaturationThroughput(base SynthConfig, lo, hi float64, iters int) (rate float64, throughput float64) {
-	return SaturationThroughputJobs(base, lo, hi, iters, 0)
-}
-
-// SaturationThroughputJobs is the bisection with an explicit worker
-// count (0 = one worker per core, 1 = serial). Only the bracket phase
-// is parallel — the two endpoint probes are independent, so they run
-// together — while the bisection itself stays sequential: each midpoint
-// depends on the previous verdict. Results are identical at any worker
-// count; with more than one worker the hi probe is simply speculative
-// when lo turns out saturated.
+// SaturationThroughputJobs bisects the highest non-saturated injection
+// rate and returns the accepted throughput there (a Fig. 8 bar), with
+// the given worker count (0 = one worker per core, 1 = serial). Only
+// the bracket phase is parallel — the two endpoint probes are
+// independent, so they run together — while the bisection itself stays
+// sequential: each midpoint depends on the previous verdict. Results
+// are identical at any worker count; with more than one worker the hi
+// probe is simply speculative when lo turns out saturated.
 func SaturationThroughputJobs(base SynthConfig, lo, hi float64, iters, jobs int) (rate float64, throughput float64) {
 	if iters == 0 {
 		iters = 7

@@ -410,8 +410,8 @@ func TestPoolBlobIgnoresChunkSlack(t *testing.T) {
 	a := pl.Get(1, 0, 3, message.Request, 5, 10)
 	b := pl.Get(2, 1, 2, message.Response, 1, 11)
 	pl.Get(3, 2, 1, message.Unblock, 1, 12) // still live: absent from the free list
-	pl.Put(a)
-	pl.Put(b) // 3 of the first chunk's slots carved, the rest unconsumed
+	pl.PutCtx(a, -1, -1)
+	pl.PutCtx(b, -1, -1) // 3 of the first chunk's slots carved, the rest unconsumed
 	blob := seal(pl)
 
 	_, r, err := Open(blob)
@@ -441,7 +441,7 @@ func TestPoolBlobIgnoresChunkSlack(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("double release", func() { restored.Put(free[0]) })
+	mustPanic("double release", func() { restored.PutCtx(free[0], -1, -1) })
 	free[len(free)-1].Hops = 3 // use-after-free across the restore boundary
 	mustPanic("Get of a dirtied packet", func() { restored.Get(4, 0, 1, message.Request, 1, 20) })
 }

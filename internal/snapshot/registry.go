@@ -35,6 +35,3 @@ func Register(name string, sample any, encoded, transient []string) {
 		Name: name, Sample: sample, Encoded: encoded, Transient: transient,
 	})
 }
-
-// Manifests returns every registered manifest in registration order.
-func Manifests() []Manifest { return registry }

@@ -203,9 +203,6 @@ func (c *Collector) FastSplit() (regular, fast float64) {
 	return mean(c.regSum, c.fastN), mean(c.fastSum, c.fastN)
 }
 
-// ClassEjects reports packets of a class ejected in the window.
-func (c *Collector) ClassEjects(cl message.Class) int64 { return c.perClassEjects[cl] }
-
 // Cumulative is the run-lifetime readout behind windowed telemetry:
 // monotone counters over every ejection, independent of the measurement
 // window, so a telemetry layer can delta them per window without

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/message"
@@ -104,31 +103,8 @@ func TestFlitThroughputAndClassCounts(t *testing.T) {
 	if got := c.FlitThroughput(); math.Abs(got-5.0/20) > 1e-12 {
 		t.Errorf("flit throughput = %v", got)
 	}
-	if c.ClassEjects(message.Response) != 1 || c.ClassEjects(message.Request) != 0 {
+	if c.perClassEjects[message.Response] != 1 || c.perClassEjects[message.Request] != 0 {
 		t.Error("per-class counts wrong")
-	}
-}
-
-func TestLatencyHistogram(t *testing.T) {
-	c := New(1, 0, 1000)
-	for i, lat := range []int64{1, 2, 3, 8, 9, 100} {
-		eject(c, uint64(i), 0, lat, message.Regular, 0, 0)
-	}
-	h := c.LatencyHistogram()
-	if h.Count != 6 || h.Min != 1 || h.Max != 100 {
-		t.Fatalf("histogram stats: %+v", h)
-	}
-	// 1 -> bucket 0; 2,3 -> bucket 1; 8,9 -> bucket 3; 100 -> bucket 6.
-	if h.Buckets[0] != 1 || h.Buckets[1] != 2 || h.Buckets[3] != 2 || h.Buckets[6] != 1 {
-		t.Fatalf("buckets: %v", h.Buckets)
-	}
-	s := h.String()
-	if !strings.Contains(s, "6 samples") {
-		t.Errorf("rendering: %q", s)
-	}
-	empty := New(1, 0, 10).LatencyHistogram()
-	if !strings.Contains(empty.String(), "no samples") {
-		t.Error("empty histogram rendering broken")
 	}
 }
 
@@ -137,16 +113,10 @@ func TestQuantiles(t *testing.T) {
 	for i := int64(1); i <= 100; i++ {
 		eject(c, uint64(i), 0, i, message.Regular, 0, 0)
 	}
-	qs := c.Quantiles(0.5, 0.9, 0.99, 1.0)
-	want := []float64{50, 90, 99, 100}
-	for i := range want {
-		if qs[i] != want[i] {
-			t.Errorf("q[%d] = %v, want %v", i, qs[i], want[i])
+	for _, q := range []float64{0.5, 0.9, 0.99, 1.0} {
+		if got, want := c.Percentile(q), 100*q; got != want {
+			t.Errorf("Percentile(%v) = %v, want %v", q, got, want)
 		}
-	}
-	nanQ := New(1, 0, 10).Quantiles(0.5)
-	if !math.IsNaN(nanQ[0]) {
-		t.Error("empty quantiles should be NaN")
 	}
 }
 
@@ -193,15 +163,6 @@ func TestInvalidQuantilesAreNaN(t *testing.T) {
 			t.Errorf("Percentile(%v) = %v, want NaN", p, got)
 		}
 	}
-	qs := c.Quantiles(0.5, 0, 1.5, math.NaN(), 1)
-	if qs[0] != 20 || qs[4] != 40 {
-		t.Errorf("valid quantiles perturbed by invalid neighbours: %v", qs)
-	}
-	for _, i := range []int{1, 2, 3} {
-		if !math.IsNaN(qs[i]) {
-			t.Errorf("Quantiles()[%d] = %v, want NaN", i, qs[i])
-		}
-	}
 	// Invalid queries must not poison the sort cache for later valid ones.
 	if got := c.Percentile(0.99); got != 40 {
 		t.Errorf("p99 after invalid queries = %v, want 40", got)
@@ -210,9 +171,9 @@ func TestInvalidQuantilesAreNaN(t *testing.T) {
 
 func TestEmptyQuantilesAllNaN(t *testing.T) {
 	c := New(4, 0, 100)
-	for i, q := range c.Quantiles(0.5, 0.99, 1) {
-		if !math.IsNaN(q) {
-			t.Errorf("empty Quantiles()[%d] = %v, want NaN", i, q)
+	for _, q := range []float64{0.5, 0.99, 1} {
+		if got := c.Percentile(q); !math.IsNaN(got) {
+			t.Errorf("empty Percentile(%v) = %v, want NaN", q, got)
 		}
 	}
 }
@@ -307,13 +268,8 @@ func sameStats(t *testing.T, seed int64, batch int, c *Collector, ref *refCollec
 	for _, p := range qs {
 		same("Percentile", c.Percentile(p), ref.Percentile(p))
 	}
-	got, want := c.Quantiles(qs...), ref.Quantiles(qs...)
-	for i := range qs {
-		same("Quantiles", got[i], want[i])
-	}
-	if h, rh := c.LatencyHistogram(), ref.LatencyHistogram(); h.Count != rh.Count || h.Min != rh.Min ||
-		h.Max != rh.Max || !slices.Equal(h.Buckets, rh.Buckets) {
-		t.Fatalf("seed %d batch %d: LatencyHistogram = %+v, reference %+v", seed, batch, h, rh)
+	if c.perClassEjects != ref.perClassEjects {
+		t.Fatalf("seed %d batch %d: per-class ejects = %v, reference %v", seed, batch, c.perClassEjects, ref.perClassEjects)
 	}
 }
 
@@ -457,56 +413,4 @@ func refMean(xs []int64) float64 {
 		sum += x
 	}
 	return float64(sum) / float64(len(xs))
-}
-
-// LatencyHistogram builds the histogram of the collector's measured
-// latencies.
-func (c *refCollector) LatencyHistogram() Histogram {
-	h := Histogram{Min: math.MaxInt64}
-	for _, lat := range c.latencies {
-		if lat < 0 {
-			continue
-		}
-		bucket := 0
-		for v := lat; v > 1; v >>= 1 {
-			bucket++
-		}
-		for len(h.Buckets) <= bucket {
-			h.Buckets = append(h.Buckets, 0)
-		}
-		h.Buckets[bucket]++
-		h.Count++
-		if lat < h.Min {
-			h.Min = lat
-		}
-		if lat > h.Max {
-			h.Max = lat
-		}
-	}
-	if h.Count == 0 {
-		h.Min = 0
-	}
-	return h
-}
-
-// Quantiles returns the given quantiles of the measured latencies by
-// nearest rank. A quantile outside (0, 1] — or any quantile of an empty
-// collector — is NaN rather than a silently clamped sample.
-func (c *refCollector) Quantiles(qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	for i := range out {
-		out[i] = math.NaN()
-	}
-	if len(c.latencies) == 0 {
-		return out
-	}
-	s := append([]int64(nil), c.latencies...)
-	slices.Sort(s)
-	for i, q := range qs {
-		if math.IsNaN(q) || q <= 0 || q > 1 {
-			continue
-		}
-		out[i] = float64(s[int(math.Ceil(q*float64(len(s))))-1])
-	}
-	return out
 }

@@ -29,18 +29,6 @@ func (h *Hist) Observe(v int64) {
 	h.counts[b]++
 }
 
-// Count reports the samples in bucket b.
-func (h *Hist) Count(b int) int64 { return h.counts[b] }
-
-// Total reports all samples observed.
-func (h *Hist) Total() int64 {
-	var t int64
-	for _, c := range h.counts {
-		t += c
-	}
-	return t
-}
-
 // BucketUpper reports the exclusive upper bound of bucket b (the
 // Prometheus "le" edge is BucketUpper-1, inclusive). The last bucket is
 // unbounded.

@@ -227,3 +227,15 @@ func TestCloseIsAllocAmortized(t *testing.T) {
 		t.Errorf("window close allocates %.3f times on average after warmup, want ~0", avg)
 	}
 }
+
+// Count reports the samples in bucket b.
+func (h *Hist) Count(b int) int64 { return h.counts[b] }
+
+// Total reports all samples observed.
+func (h *Hist) Total() int64 {
+	var t int64
+	for _, c := range h.counts {
+		t += c
+	}
+	return t
+}

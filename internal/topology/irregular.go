@@ -125,22 +125,7 @@ func (t *Irregular) NumPorts() int { return t.maxDeg }
 // Links returns every directed link, indexed by Link.ID.
 func (t *Irregular) Links() []Link { return t.links }
 
-// OutLink returns the directed link leaving node through port, or nil.
-func (t *Irregular) OutLink(node int, port Direction) *Link {
-	if port <= Local || int(port) >= len(t.out[node]) {
-		return nil
-	}
-	idx := t.out[node][port]
-	if idx < 0 {
-		return nil
-	}
-	return &t.links[idx]
-}
-
-// Distance reports the minimal hop count between two nodes.
-func (t *Irregular) Distance(a, b int) int { return t.dist[a][b] }
-
-// Diameter reports the maximum Distance over all node pairs.
+// Diameter reports the maximum minimal hop count over all node pairs.
 func (t *Irregular) Diameter() int {
 	d := 0
 	for a := 0; a < t.n; a++ {
@@ -151,17 +136,6 @@ func (t *Irregular) Diameter() int {
 		}
 	}
 	return d
-}
-
-// Neighbors returns the node IDs adjacent to v in ascending order.
-func (t *Irregular) Neighbors(v int) []int {
-	var nbs []int
-	for p := 1; p < len(t.out[v]); p++ {
-		if idx := t.out[v][p]; idx >= 0 {
-			nbs = append(nbs, t.links[idx].Dst)
-		}
-	}
-	return nbs
 }
 
 // NextHopMinimal returns the output ports of v that lie on a minimal

@@ -159,15 +159,10 @@ func (m *Mesh) Distance(a, b int) int {
 // Diameter reports the maximum Distance over all node pairs.
 func (m *Mesh) Diameter() int { return (m.W - 1) + (m.H - 1) }
 
-// PortToward returns the set of productive output ports for a minimal
-// route from cur to dst, in XY preference order (East/West before
-// North/South). An empty slice means cur == dst.
-func (m *Mesh) PortToward(cur, dst int) []Direction {
-	return m.AppendPortToward(nil, cur, dst)
-}
-
-// AppendPortToward is PortToward appending into buf (hot-path variant:
-// no allocation when buf has capacity).
+// AppendPortToward appends to buf the productive output ports for a
+// minimal route from cur to dst, in XY preference order (East/West
+// before North/South); it appends none when cur == dst. It allocates
+// nothing when buf has capacity.
 func (m *Mesh) AppendPortToward(buf []Direction, cur, dst int) []Direction {
 	cx, cy := m.XY(cur)
 	dx, dy := m.XY(dst)

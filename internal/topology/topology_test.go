@@ -107,14 +107,14 @@ func TestMeshPortToward(t *testing.T) {
 		{src, nil},
 	}
 	for _, tc := range cases {
-		got := m.PortToward(src, tc.dst)
+		got := m.AppendPortToward(nil, src, tc.dst)
 		if len(got) != len(tc.want) {
-			t.Errorf("PortToward(%d,%d) = %v, want %v", src, tc.dst, got, tc.want)
+			t.Errorf("AppendPortToward(%d,%d) = %v, want %v", src, tc.dst, got, tc.want)
 			continue
 		}
 		for i := range got {
 			if got[i] != tc.want[i] {
-				t.Errorf("PortToward(%d,%d) = %v, want %v", src, tc.dst, got, tc.want)
+				t.Errorf("AppendPortToward(%d,%d) = %v, want %v", src, tc.dst, got, tc.want)
 			}
 		}
 	}
@@ -129,7 +129,7 @@ func TestMeshPanicsOnBadSize(t *testing.T) {
 	NewMesh(0, 3)
 }
 
-// Property: following PortToward greedily always reaches the destination
+// Property: following AppendPortToward greedily always reaches the destination
 // in exactly Distance hops.
 func TestMeshMinimalRoutingProperty(t *testing.T) {
 	m := NewMesh(8, 8)
@@ -139,7 +139,7 @@ func TestMeshMinimalRoutingProperty(t *testing.T) {
 		cur := src
 		hops := 0
 		for cur != dst {
-			ports := m.PortToward(cur, dst)
+			ports := m.AppendPortToward(nil, cur, dst)
 			if len(ports) == 0 {
 				return false
 			}
@@ -190,15 +190,20 @@ func TestIrregularBasics(t *testing.T) {
 	if got := len(g.Links()); got != 10 {
 		t.Errorf("links = %d, want 10 (5 channels × 2)", got)
 	}
-	if d := g.Distance(1, 3); d != 2 {
-		t.Errorf("Distance(1,3) = %d, want 2", d)
+	if d := g.dist[1][3]; d != 2 {
+		t.Errorf("dist[1][3] = %d, want 2", d)
 	}
 	if d := g.Diameter(); d != 2 {
 		t.Errorf("Diameter = %d, want 2", d)
 	}
-	nbs := g.Neighbors(0)
+	var nbs []int
+	for _, idx := range g.out[0][1:] {
+		if idx >= 0 {
+			nbs = append(nbs, g.links[idx].Dst)
+		}
+	}
 	if len(nbs) != 3 {
-		t.Errorf("Neighbors(0) = %v, want 3 entries", nbs)
+		t.Errorf("neighbours of 0 = %v, want 3 entries", nbs)
 	}
 }
 
@@ -212,11 +217,11 @@ func TestIrregularNextHopMinimal(t *testing.T) {
 		t.Fatalf("ring node 0 -> 2 should have two minimal next hops, got %v", ports)
 	}
 	for _, p := range ports {
-		l := g.OutLink(0, p)
-		if l == nil {
+		idx := g.out[0][p]
+		if idx < 0 {
 			t.Fatalf("port %v not connected", p)
 		}
-		if g.Distance(l.Dst, 2) != g.Distance(0, 2)-1 {
+		if g.dist[g.links[idx].Dst][2] != g.dist[0][2]-1 {
 			t.Errorf("port %v is not productive", p)
 		}
 	}

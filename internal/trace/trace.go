@@ -110,22 +110,6 @@ func (r *Recorder) Len() int {
 	return len(r.buf)
 }
 
-// Total reports all events ever recorded (including evicted ones).
-func (r *Recorder) Total() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.total
-}
-
-// Count reports the number of events of a kind ever recorded.
-func (r *Recorder) Count(k Kind) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.byKind[k]
-}
-
 // Events returns the retained events in chronological order.
 func (r *Recorder) Events() []Event {
 	if r == nil {

@@ -119,3 +119,19 @@ func TestNewPanicsOnZeroCapacity(t *testing.T) {
 	}()
 	New(0)
 }
+
+// Total reports all events ever recorded (including evicted ones).
+func (r *Recorder) Total() int64 {
+	if r == nil {
+		return 0
+	}
+	return r.total
+}
+
+// Count reports the number of events of a kind ever recorded.
+func (r *Recorder) Count(k Kind) int64 {
+	if r == nil {
+		return 0
+	}
+	return r.byKind[k]
+}

@@ -1,7 +1,7 @@
 // Package noc is the public API of the FastPass reproduction: build any
 // of the paper's eight schemes over the cycle-accurate NoC substrate,
 // run synthetic or coherence-protocol workloads, sweep injection rates,
-// bisect saturation throughput, and estimate router power and area.
+// and estimate router power and area.
 //
 // Quick start:
 //
@@ -45,9 +45,6 @@ const (
 	TFC      = sim.TFC
 )
 
-// Schemes lists every scheme.
-func Schemes() []Scheme { return sim.Schemes() }
-
 // ParseScheme resolves a scheme name ("FastPass", "EscapeVC", ...).
 func ParseScheme(name string) (Scheme, error) { return sim.ParseScheme(name) }
 
@@ -64,9 +61,7 @@ const (
 	Hotspot       = traffic.Hotspot
 )
 
-// Patterns lists the supported patterns; ParsePattern resolves one by
-// name ("Uniform", "Transpose", ...).
-func Patterns() []Pattern                       { return traffic.Patterns() }
+// ParsePattern resolves a pattern name ("Uniform", "Transpose", ...).
 func ParsePattern(name string) (Pattern, error) { return traffic.ParsePattern(name) }
 
 // Options sizes a scheme instance; SynthConfig and AppConfig describe
@@ -117,30 +112,12 @@ func ResumeSynthetic(cfg SynthConfig, data []byte) (SynthResult, error) {
 // flag-parse time (1 ≤ shards ≤ nodes).
 func ValidateShards(shards, nodes int) error { return sim.ValidateShards(shards, nodes) }
 
-// SweepLatency measures a latency-vs-injection-rate curve (a Fig. 7
-// series) on all cores. Results are deterministic: the same seed yields
+// SweepLatencyJobs measures a latency-vs-injection-rate curve (a Fig. 7
+// series) with the given worker count (0 = one worker per core,
+// 1 = serial). Results are deterministic: the same seed yields
 // bit-identical curves at any parallelism.
-func SweepLatency(base SynthConfig, rates []float64) []SynthResult {
-	return sim.SweepLatency(base, rates)
-}
-
-// SweepLatencyJobs is SweepLatency with an explicit worker count
-// (0 = one worker per core, 1 = serial).
 func SweepLatencyJobs(base SynthConfig, rates []float64, jobs int) []SynthResult {
 	return sim.SweepLatencyJobs(base, rates, jobs)
-}
-
-// SaturationThroughput bisects the highest non-saturated rate and
-// returns the accepted throughput there (a Fig. 8 bar), probing the
-// brackets on all cores.
-func SaturationThroughput(base SynthConfig, lo, hi float64, iters int) (rate, throughput float64) {
-	return sim.SaturationThroughput(base, lo, hi, iters)
-}
-
-// SaturationThroughputJobs is SaturationThroughput with an explicit
-// worker count (0 = one worker per core, 1 = serial).
-func SaturationThroughputJobs(base SynthConfig, lo, hi float64, iters, jobs int) (rate, throughput float64) {
-	return sim.SaturationThroughputJobs(base, lo, hi, iters, jobs)
 }
 
 // FaultPlan describes deterministic hardware-fault injection; FaultCounters

@@ -8,10 +8,8 @@ import (
 )
 
 func TestSchemeRegistry(t *testing.T) {
-	if len(noc.Schemes()) != 8 {
-		t.Fatalf("expected the paper's 8 schemes, got %d", len(noc.Schemes()))
-	}
-	for _, s := range noc.Schemes() {
+	schemes := []noc.Scheme{noc.FastPass, noc.EscapeVC, noc.SPIN, noc.SWAP, noc.DRAIN, noc.Pitstop, noc.MinBD, noc.TFC}
+	for _, s := range schemes {
 		got, err := noc.ParseScheme(s.String())
 		if err != nil || got != s {
 			t.Errorf("ParseScheme(%v): %v, %v", s, got, err)
@@ -20,15 +18,20 @@ func TestSchemeRegistry(t *testing.T) {
 }
 
 func TestPatternRegistry(t *testing.T) {
-	if len(noc.Patterns()) < 4 {
-		t.Fatal("missing patterns")
-	}
+	patterns := []noc.Pattern{noc.Uniform, noc.Transpose, noc.Shuffle, noc.BitRotation, noc.BitComplement, noc.Hotspot}
 	seen := map[string]bool{}
-	for _, p := range noc.Patterns() {
+	for _, p := range patterns {
 		if seen[p.String()] {
 			t.Errorf("duplicate pattern %v", p)
 		}
 		seen[p.String()] = true
+		got, err := noc.ParsePattern(p.String())
+		if err != nil || got != p {
+			t.Errorf("ParsePattern(%v): %v, %v", p, got, err)
+		}
+	}
+	if _, err := noc.ParsePattern("Nope"); err == nil {
+		t.Error("unknown pattern accepted")
 	}
 }
 
@@ -102,44 +105,5 @@ func TestFig11API(t *testing.T) {
 		if r.Area.Total() <= 0 || r.Power.Total() <= 0 {
 			t.Errorf("%s: non-positive estimate", c.Name)
 		}
-	}
-}
-
-func TestSaturationThroughputAPI(t *testing.T) {
-	base := noc.SynthConfig{
-		Options: noc.Options{Scheme: noc.EscapeVC, W: 4, H: 4, Seed: 1},
-		Pattern: noc.Uniform,
-		Warmup:  500, Measure: 1000, Drain: 1000,
-	}
-	rate, thr := noc.SaturationThroughput(base, 0.01, 0.8, 4)
-	if rate <= 0 || thr <= 0 {
-		t.Fatalf("bisection failed: rate=%v thr=%v", rate, thr)
-	}
-}
-
-func TestRunIrregular(t *testing.T) {
-	cfg := noc.IrregularConfig{
-		Nodes: 6,
-		Edges: [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {0, 3}},
-		Rate:  0.02,
-		Seed:  1,
-	}
-	res, err := noc.RunIrregular(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Saturated || res.DeliveredFrac < 0.98 {
-		t.Fatalf("light irregular load misbehaved: %+v", res)
-	}
-	if math.IsNaN(res.AvgLatency) || res.AvgLatency <= 0 {
-		t.Fatalf("latency: %v", res.AvgLatency)
-	}
-	// Invalid topologies surface errors, not panics.
-	if _, err := noc.RunIrregular(noc.IrregularConfig{Nodes: 3, Edges: [][2]int{{0, 1}}, Rate: 0.01}); err == nil {
-		t.Error("disconnected topology accepted")
-	}
-	cfg.VCs = 65
-	if _, err := noc.RunIrregular(cfg); err == nil {
-		t.Error("65 VCs per port accepted; the router's request masks hold 64")
 	}
 }
