@@ -17,12 +17,16 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/exp"
 	"repro/internal/parallel"
 	"repro/noc"
 )
+
+// artefacts are the names -only accepts, in the order a full run prints them.
+var artefacts = strings.Fields("table1 table2 fig7 fig8 fig9 fig10 fig11 fig12 fig13 ablations vcsweep hotspot ksweep")
 
 func main() {
 	log.SetFlags(0)
@@ -32,6 +36,14 @@ func main() {
 	csvDir := flag.String("csv", "", "also write each figure's data as CSV into this directory")
 	jobs := flag.Int("j", 0, "parallel workers (0 = one per core, 1 = serial); output is identical at any -j")
 	flag.Parse()
+	if *only != "" && !slices.Contains(artefacts, *only) {
+		log.Printf("-only %q: want one of %s", *only, strings.Join(artefacts, " "))
+		os.Exit(2)
+	}
+	if *jobs < 0 {
+		log.Printf("-j %d: give a worker count, or 0 for one per core", *jobs)
+		os.Exit(2)
+	}
 
 	s := exp.Scale{Quick: *quick, Jobs: *jobs}
 	want := func(name string) bool { return *only == "" || *only == name }

@@ -269,8 +269,10 @@ func parseSchemes(list string) ([]string, []noc.Scheme, error) {
 }
 
 // buildRateGrid expands [min, max] by step (with a tolerance so the
-// endpoint survives float accumulation). A non-positive step used to
-// hang the CLI in an infinite loop; it is rejected here instead.
+// endpoint survives float accumulation), rounding each rate to 0.001.
+// A non-positive step used to hang the CLI in an infinite loop, and a
+// step fine enough to round two rates to one value would give two
+// points one telemetry stream; both are rejected here instead.
 func buildRateGrid(min, max, step float64) ([]float64, error) {
 	if step <= 0 {
 		return nil, fmt.Errorf("rate step %v must be positive", step)
@@ -280,7 +282,11 @@ func buildRateGrid(min, max, step float64) ([]float64, error) {
 	}
 	var rates []float64
 	for r := min; r <= max+1e-9; r += step {
-		rates = append(rates, math.Round(r*1000)/1000)
+		rate := math.Round(r*1000) / 1000
+		if n := len(rates); n > 0 && rates[n-1] == rate {
+			return nil, fmt.Errorf("-rate-step %v repeats rate %v: rates are rounded to 0.001", step, rate)
+		}
+		rates = append(rates, rate)
 	}
 	return rates, nil
 }

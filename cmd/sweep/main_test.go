@@ -61,6 +61,7 @@ func TestBuildRateGrid(t *testing.T) {
 		{name: "negative step rejected", min: 0.02, max: 0.3, step: -0.01, wantErr: "must be positive"},
 		{name: "inverted range rejected", min: 0.3, max: 0.02, step: 0.02, wantErr: "ordered"},
 		{name: "non-positive min rejected", min: 0, max: 0.3, step: 0.02, wantErr: "positive"},
+		{name: "step finer than the rounding rejected", min: 0.02, max: 0.0212, step: 0.0004, wantErr: "-rate-step"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := buildRateGrid(tc.min, tc.max, tc.step)

@@ -11,12 +11,13 @@ import (
 // telemetrySink buffers every run's JSONL telemetry stream in memory
 // and writes them out in (scheme, rate) order after the sweep, so the
 // file is byte-identical at any -j. Every buffer is preallocated before
-// the fan-out — workers look up their own buffer in a read-only
-// structure and are the only writer to it, so no locking is needed —
-// and the buffers of padded (post-saturation) points are dropped on
-// write: the parallel path simulates those points speculatively while
-// the serial path never runs them, and only discarding both sides
-// keeps the output independent of the worker count.
+// the fan-out — workers look up their own buffer by rate (buildRateGrid
+// rejects repeated rates) in a read-only structure and are the only
+// writer to it, so no locking is needed — and the buffers of padded
+// (post-saturation) points are dropped on write: at -j N a worker may
+// start such a point before the cutoff is known, while at -j 1 it
+// never runs, and only discarding it keeps the output independent of
+// the worker count.
 type telemetrySink struct {
 	window  int64
 	rates   []float64

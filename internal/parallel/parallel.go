@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Workers resolves a -j style job count: 0 (or any non-positive value)
@@ -40,59 +39,78 @@ func Workers(jobs int) int {
 // from the lowest-indexed failing item is re-raised on the caller,
 // whatever order the workers actually hit them in.
 func Map[T, R any](jobs int, items []T, fn func(T) R) []R {
+	return MapUntil(jobs, items, fn, nil)
+}
+
+// MapUntil is Map with an early stop. Items start in index order; after
+// each one completes, cut (when non-nil) is shown the longest completed
+// prefix of the results, and once it reports a cutoff n no item at or
+// past n starts. With one worker that is exactly the serial loop that
+// breaks at the cutoff. With more, items past n may already have
+// started when the cutoff becomes known; out[n:] is then undefined.
+//
+// cut must be a function of the prefix alone, and once it reports a
+// cutoff it must report the same one for every longer prefix: then the
+// cutoff, and so out[:n], are the same at any worker count. It runs
+// under the pool's lock.
+//
+// Panics follow Map's rule — the lowest-indexed one is re-raised once
+// every started item has finished — except that a panic from an item
+// at or past the final cutoff is dropped, since the serial loop never
+// starts that item. A panicking item leaves its zero R in the prefix.
+func MapUntil[T, R any](jobs int, items []T, fn func(T) R, cut func(done []R) (int, bool)) []R {
 	out := make([]R, len(items))
-	workers := Workers(jobs)
-	if workers > len(items) {
-		workers = len(items)
-	}
-
-	type caught struct {
-		index int
-		value any
-	}
+	finished := make([]bool, len(items))
 	var (
-		mu    sync.Mutex
-		first *caught
+		mu           sync.Mutex
+		next, prefix int
+		limit        = len(items) // no item at or past limit starts
+		failed       = -1         // lowest-indexed item whose fn panicked
+		failure      any
 	)
-	run := func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				mu.Lock()
-				if first == nil || i < first.index {
-					first = &caught{index: i, value: r}
-				}
-				mu.Unlock()
+	work := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for next < limit {
+			i := next
+			next++
+			mu.Unlock()
+			r, p := call(fn, items[i])
+			mu.Lock()
+			out[i], finished[i] = r, true
+			if p != nil && (failed < 0 || i < failed) {
+				failed, failure = i, p
 			}
-		}()
-		out[i] = fn(items[i])
+			for prefix < len(finished) && finished[prefix] {
+				prefix++
+			}
+			if cut != nil {
+				if n, ok := cut(out[:prefix]); ok {
+					limit, cut = min(n, limit), nil
+				}
+			}
+		}
 	}
 
-	if workers <= 1 {
-		for i := range items {
-			run(i)
-		}
-	} else {
-		var (
-			next atomic.Int64
-			wg   sync.WaitGroup
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(items) {
-						return
-					}
-					run(i)
-				}
-			}()
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for w := min(Workers(jobs), len(items)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
 	}
-	if first != nil {
-		panic(fmt.Sprintf("parallel: worker for item %d panicked: %v", first.index, first.value))
+	work()
+	wg.Wait()
+	if failed >= 0 && failed < limit {
+		panic(fmt.Sprintf("parallel: worker for item %d panicked: %v", failed, failure))
 	}
 	return out
+}
+
+// call runs fn on one item, turning a panic into a returned value so
+// the pool keeps going.
+func call[T, R any](fn func(T) R, item T) (r R, p any) {
+	defer func() { p = recover() }()
+	return fn(item), nil
 }

@@ -58,7 +58,13 @@ func TestSaturationThroughputJobsEquivalence(t *testing.T) {
 	// parallel path runs it speculatively; returns must still agree.
 	lo := sweepBase(TFC)
 	lo.SatLatency = 1 // every point counts as saturated
+	probes := 0
+	lo.Instrument = func(*SynthConfig) { probes++ }
 	r1, t1 = SaturationThroughputJobs(lo, 0.05, 0.5, 3, 1)
+	if probes != 1 {
+		t.Errorf("saturated bracket at -j 1 ran %d probes, want 1", probes)
+	}
+	lo.Instrument = nil
 	r8, t8 = SaturationThroughputJobs(lo, 0.05, 0.5, 3, 8)
 	if r1 != r8 || t1 != t8 || r1 != 0.05 || t1 != 0 {
 		t.Errorf("saturated bracket: -j 1 (%v, %v) vs -j 8 (%v, %v), want (0.05, 0)", r1, t1, r8, t8)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/message"
@@ -96,16 +97,24 @@ func TestSweepStopsAfterSaturation(t *testing.T) {
 	// simulating and carry the saturated marker forward.
 	base := quickCfg(TFC, 0)
 	base.Pattern = traffic.Transpose
-	out := SweepLatencyJobs(base, rates, 0)
-	if len(out) != len(rates) {
-		t.Fatalf("sweep returned %d points", len(out))
-	}
-	if !out[len(out)-1].Saturated {
-		t.Error("final point should be saturated")
-	}
-	for i, r := range rates {
-		if out[i].Rate != r {
-			t.Errorf("point %d has rate %v, want %v", i, out[i].Rate, r)
+	for _, jobs := range []int{1, 0} {
+		var runs atomic.Int64
+		base.Instrument = func(*SynthConfig) { runs.Add(1) }
+		out := SweepLatencyJobs(base, rates, jobs)
+		if len(out) != len(rates) {
+			t.Fatalf("jobs=%d: sweep returned %d points", jobs, len(out))
+		}
+		if !out[len(out)-1].Saturated {
+			t.Errorf("jobs=%d: final point should be saturated", jobs)
+		}
+		for i, r := range rates {
+			if out[i].Rate != r {
+				t.Errorf("jobs=%d: point %d has rate %v, want %v", jobs, i, out[i].Rate, r)
+			}
+		}
+		// Serially, nothing at or past the cutoff is simulated.
+		if n := PadCutoff(out); jobs == 1 && (n == len(rates) || runs.Load() != int64(n)) {
+			t.Errorf("jobs=1: %d runs for cutoff %d of %d rates", runs.Load(), n, len(rates))
 		}
 	}
 }

@@ -311,77 +311,51 @@ func RunSynthetic(cfg SynthConfig) SynthResult {
 
 // SweepLatencyJobs measures a latency-vs-injection-rate curve (one
 // Fig. 7 series) with the given worker count (0 = one worker per core,
-// 1 = serial). Every point is independent, so the parallel path
-// speculatively runs all rates at once and applies
-// the stop-two-after-saturation rule as a post-pass; the serial path
-// keeps the historical early-stop loop and never simulates past the
-// cutoff. Both paths emit field-identical results for the same seed —
-// the determinism contract the parallel runner rests on.
+// 1 = serial). Rates start in order through parallel.MapUntil, cut by
+// padCutoff: once the completed prefix holds two consecutive saturated
+// points no further rate starts, so at -j 1 nothing past the cutoff is
+// simulated and at -j N only the points already running when it became
+// known are. Both emit field-identical results for the same seed — the
+// determinism contract the parallel runner rests on.
 //
 // Rates two past the first sustained saturation are reported as inert
 // padded points: Saturated is set, latencies are NaN ("no samples") and
 // counters are zero, exactly as a run that delivered nothing would
 // report — never a stale copy of the last measured point.
 func SweepLatencyJobs(base SynthConfig, rates []float64, jobs int) []SynthResult {
-	point := func(r float64) SynthResult {
+	out := parallel.MapUntil(jobs, rates, func(r float64) SynthResult {
 		cfg := base
 		cfg.Rate = r
 		return RunSynthetic(cfg)
-	}
-	var out []SynthResult
-	if parallel.Workers(jobs) == 1 {
-		out = make([]SynthResult, len(rates))
-		saturatedFor := 0
-		for i, r := range rates {
-			if saturatedFor >= 2 {
-				break // the post-pass pads the rest
-			}
-			out[i] = point(r)
-			if out[i].Saturated {
-				saturatedFor++
-			} else {
-				saturatedFor = 0
-			}
-		}
-	} else {
-		out = parallel.Map(jobs, rates, point)
-	}
-	padPostSaturation(base, rates, out)
-	return out
-}
-
-// PadCutoff reports the index of the first padded point in a sweep
-// result: everything from it on lies two past the first sustained
-// saturation and was (or would have been) skipped by the serial
-// early-stop rule. len(out) means no point is padding. Drivers that
-// attach per-point side channels (telemetry streams) use it to drop
-// the channels of speculatively simulated tail points, so serial and
-// parallel sweeps emit identical bytes. The rule is a pure function of
-// the Saturated flags, so calling it again on a padded slice reaches
-// the same cutoff.
-func PadCutoff(out []SynthResult) int {
-	saturatedFor := 0
-	for i := range out {
-		if saturatedFor >= 2 {
-			return i
-		}
-		if out[i].Saturated {
-			saturatedFor++
-		} else {
-			saturatedFor = 0
-		}
-	}
-	return len(out)
-}
-
-// padPostSaturation rewrites every point two past the first sustained
-// saturation as a padded point. It recomputes the early-stop rule from
-// the measured results, so it reaches the same cutoff whether the tail
-// was skipped (serial) or speculatively simulated (parallel).
-func padPostSaturation(base SynthConfig, rates []float64, out []SynthResult) {
+	}, padCutoff)
 	for i := PadCutoff(out); i < len(out); i++ {
 		out[i] = paddedPoint(base, rates[i])
 	}
+	return out
+}
+
+// PadCutoff reports the index of the first padded point of a sweep
+// (len(out) if none): from it on, a point was never simulated or was
+// started before the cutoff was known. Drivers that attach per-point
+// side channels (telemetry streams) drop those points' channels, so
+// serial and parallel sweeps emit identical bytes.
+func PadCutoff(out []SynthResult) int {
+	n, _ := padCutoff(out)
+	return n
+}
+
+// padCutoff is the stop-two-after-saturation rule, SweepLatencyJobs's
+// MapUntil cut: the cutoff is the point after the first two consecutive
+// saturated points, and fixed reports whether the given prefix of
+// measured results already contains them. A pure function of the
+// Saturated flags, it never moves once fixed.
+func padCutoff(out []SynthResult) (n int, fixed bool) {
+	for i := 1; i < len(out); i++ {
+		if out[i-1].Saturated && out[i].Saturated {
+			return i + 1, true
+		}
+	}
+	return len(out), false
 }
 
 // paddedPoint is the inert stand-in for a rate that was never
@@ -406,52 +380,40 @@ func paddedPoint(base SynthConfig, rate float64) SynthResult {
 
 // SaturationThroughputJobs bisects the highest non-saturated injection
 // rate and returns the accepted throughput there (a Fig. 8 bar), with
-// the given worker count (0 = one worker per core, 1 = serial). Only
-// the bracket phase is parallel — the two endpoint probes are
-// independent, so they run together — while the bisection itself stays
-// sequential: each midpoint depends on the previous verdict. Results
-// are identical at any worker count; with more than one worker the hi
-// probe is simply speculative when lo turns out saturated.
+// the given worker count (0 = one worker per core, 1 = serial). The two
+// bracket probes go through parallel.MapUntil, cut after lo when lo is
+// saturated: at -j 1 the hi probe is then skipped, at -j N it runs
+// speculatively alongside lo. The bisection itself stays sequential —
+// each midpoint depends on the previous verdict — so results are
+// identical at any worker count.
 func SaturationThroughputJobs(base SynthConfig, lo, hi float64, iters, jobs int) (rate float64, throughput float64) {
 	if iters == 0 {
 		iters = 7
 	}
-	check := func(r float64) (bool, float64) {
+	type probe struct {
+		ok  bool
+		thr float64
+	}
+	check := func(r float64) probe {
 		cfg := base
 		cfg.Rate = r
 		res := RunSynthetic(cfg)
-		return !res.Saturated, res.Throughput
+		return probe{ok: !res.Saturated, thr: res.Throughput}
 	}
-	var okLo, okHi bool
-	var thrLo, thrHi float64
-	if parallel.Workers(jobs) > 1 {
-		type probe struct {
-			ok  bool
-			thr float64
-		}
-		brackets := parallel.Map(jobs, []float64{lo, hi}, func(r float64) probe {
-			ok, thr := check(r)
-			return probe{ok: ok, thr: thr}
-		})
-		okLo, thrLo = brackets[0].ok, brackets[0].thr
-		okHi, thrHi = brackets[1].ok, brackets[1].thr
-	} else {
-		okLo, thrLo = check(lo)
-		if okLo {
-			okHi, thrHi = check(hi)
-		}
-	}
-	if !okLo {
+	brackets := parallel.MapUntil(jobs, []float64{lo, hi}, check, func(done []probe) (int, bool) {
+		return 1, len(done) > 0 && !done[0].ok
+	})
+	if !brackets[0].ok {
 		return lo, 0
 	}
-	if okHi {
-		return hi, thrHi
+	if brackets[1].ok {
+		return hi, brackets[1].thr
 	}
-	bestRate, bestThr := lo, thrLo
+	bestRate, bestThr := lo, brackets[0].thr
 	for i := 0; i < iters; i++ {
 		mid := (lo + hi) / 2
-		if ok, thr := check(mid); ok {
-			lo, bestRate, bestThr = mid, mid, thr
+		if p := check(mid); p.ok {
+			lo, bestRate, bestThr = mid, mid, p.thr
 		} else {
 			hi = mid
 		}
