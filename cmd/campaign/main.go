@@ -44,35 +44,10 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("campaign: ")
-
-	variants := flag.String("variants", "FastPass-static,FastPass-healing", "comma-separated variant list (scheme names plus FastPass-static/FastPass-healing)")
-	patternName := flag.String("pattern", "Uniform", "synthetic pattern")
-	size := flag.Int("size", 8, "mesh dimension")
-	rate := flag.Float64("rate", 0.05, "injection rate (flits/node/cycle)")
-	runs := flag.Int("runs", 20, "Monte Carlo population: seeds 1..N per (variant, scale) cell")
-	seeds := flag.String("seeds", "", "explicit comma-separated seed list (overrides -runs)")
-	scales := flag.String("scales", "0,1", "comma-separated fault-plan intensity multipliers; 0 is the fault-free control")
-	faultSpec := flag.String("faults", "", "fault-injection plan, e.g. 'linkfail:rate=2e-4,dur=64,perm;creditloss:rate=1e-5'")
-	watchdog := flag.String("watchdog", "on", "invariant watchdogs: on, off, or tuning clauses")
-	warmup := flag.Int("warmup", 0, "warmup cycles (0 = simulator default)")
-	measure := flag.Int("measure", 0, "measurement cycles (0 = simulator default)")
-	drain := flag.Int("drain", 0, "drain cycles (0 = simulator default)")
-	jobs := flag.Int("j", 0, "parallel workers (0 = one per core, 1 = serial)")
-	out := flag.String("out", "", "degradation-curve CSV path (empty = stdout)")
-	journal := flag.String("journal", "", "per-cell JSONL journal path, appended as cells complete")
-	resume := flag.Bool("resume", false, "reuse records already in -journal instead of re-simulating them")
-	obsAddr := flag.String("obs", "", "serve live progress over HTTP on this address (host:port)")
-	progress := flag.Bool("progress", false, "log each completed cell to stderr")
-	flag.Parse()
-
-	cfg, err := validateFlags(flagValues{
-		variants: *variants, pattern: *patternName, size: *size, rate: *rate,
-		runs: *runs, seeds: *seeds, scales: *scales,
-		faults: *faultSpec, watchdog: *watchdog,
-		warmup: *warmup, measure: *measure, drain: *drain, jobs: *jobs,
-		out: *out, journal: *journal, resume: *resume,
-		obsAddr: *obsAddr, progress: *progress,
-	})
+	cfg, err := parse(os.Args[1:])
+	if err == flag.ErrHelp {
+		return
+	}
 	if err != nil {
 		log.Print(err)
 		os.Exit(2) // a rejected flag, like the flag package's own
@@ -80,24 +55,6 @@ func main() {
 	if err := runCampaign(cfg, os.Stdout, os.Stderr); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// flagValues captures every raw flag exactly as the user typed it, so
-// validation is one testable function instead of checks scattered
-// through main.
-type flagValues struct {
-	variants, pattern      string
-	size                   int
-	rate                   float64
-	runs                   int
-	seeds, scales          string
-	faults, watchdog       string
-	warmup, measure, drain int
-	jobs                   int
-	out, journal           string
-	resume                 bool
-	obsAddr                string
-	progress               bool
 }
 
 // runConfig is a fully-validated campaign invocation.
@@ -110,69 +67,82 @@ type runConfig struct {
 	progress bool
 }
 
-// validateFlags turns raw flag values into a fully-validated runConfig,
-// or an error that names the offending flag. Every cross-flag rule
-// lives here: -resume needs -journal, nonzero -scales need -faults
-// (checked by the campaign config itself), seeds must be unique.
-func validateFlags(fv flagValues) (runConfig, error) {
-	vars, err := noc.ParseCampaignVariants(fv.variants)
+// parse turns the command line into a fully-validated runConfig, or an
+// error that names what to fix (flag.ErrHelp for -h). The campaign
+// config's Validate checks every cell; parse itself adds only the
+// values Options reads as defaults (-size 0, -rate 0) and the
+// cross-flag rules: -resume needs -journal, seeds must be unique.
+func parse(args []string) (runConfig, error) {
+	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
+	variants := fs.String("variants", "FastPass-static,FastPass-healing", "comma-separated variant list (scheme names plus FastPass-static/FastPass-healing)")
+	patternName := fs.String("pattern", "Uniform", "synthetic pattern")
+	size := fs.Int("size", 8, "mesh dimension")
+	rate := fs.Float64("rate", 0.05, "injection rate (flits/node/cycle)")
+	runs := fs.Int("runs", 20, "Monte Carlo population: seeds 1..N per (variant, scale) cell")
+	seeds := fs.String("seeds", "", "explicit comma-separated seed list (overrides -runs)")
+	scales := fs.String("scales", "0,1", "comma-separated fault-plan intensity multipliers; 0 is the fault-free control")
+	faultSpec := fs.String("faults", "", "fault-injection plan, e.g. 'linkfail:rate=2e-4,dur=64,perm;creditloss:rate=1e-5'")
+	watchdog := fs.String("watchdog", "on", "invariant watchdogs: on, off, or tuning clauses")
+	warmup := fs.Int("warmup", 0, "warmup cycles (0 = simulator default)")
+	measure := fs.Int("measure", 0, "measurement cycles (0 = simulator default)")
+	drain := fs.Int("drain", 0, "drain cycles (0 = simulator default)")
+	jobs := fs.Int("j", 0, "parallel workers (0 = one per core, 1 = serial)")
+	out := fs.String("out", "", "degradation-curve CSV path (empty = stdout)")
+	journal := fs.String("journal", "", "per-cell JSONL journal path, appended as cells complete")
+	resume := fs.Bool("resume", false, "reuse records already in -journal instead of re-simulating them")
+	obsAddr := fs.String("obs", "", "serve live progress over HTTP on this address (host:port)")
+	progress := fs.Bool("progress", false, "log each completed cell to stderr")
+	if err := fs.Parse(args); err != nil {
+		return runConfig{}, err
+	}
+
+	vars, err := noc.ParseCampaignVariants(*variants)
 	if err != nil {
 		return runConfig{}, fmt.Errorf("-variants: %v", err)
 	}
-	pattern, err := noc.ParsePattern(fv.pattern)
+	pattern, err := noc.ParsePattern(*patternName)
 	if err != nil {
 		return runConfig{}, fmt.Errorf("-pattern: %v", err)
 	}
-	if fv.size <= 0 {
-		return runConfig{}, fmt.Errorf("-size %d must be positive", fv.size)
-	}
-	if fv.rate <= 0 {
-		return runConfig{}, fmt.Errorf("-rate %v must be positive", fv.rate)
-	}
-	seedList, err := parseSeeds(fv.seeds, fv.runs)
+	seedList, err := parseSeeds(*seeds, *runs)
 	if err != nil {
 		return runConfig{}, err
 	}
-	scaleList, err := parseScales(fv.scales)
+	scaleList, err := parseScales(*scales)
 	if err != nil {
 		return runConfig{}, fmt.Errorf("-scales: %v", err)
 	}
-	if _, err := noc.ParseFaultPlan(fv.faults); err != nil {
-		return runConfig{}, fmt.Errorf("-faults: %v", err)
-	}
-	if _, _, err := noc.ParseWatchdogSpec(fv.watchdog); err != nil {
-		return runConfig{}, fmt.Errorf("-watchdog: %v", err)
-	}
-	if fv.warmup < 0 || fv.measure < 0 || fv.drain < 0 {
-		return runConfig{}, fmt.Errorf("-warmup/-measure/-drain must be non-negative")
-	}
-	if fv.jobs < 0 {
-		return runConfig{}, fmt.Errorf("-j %d: give a worker count, or 0 for one per core", fv.jobs)
-	}
-	if fv.resume && fv.journal == "" {
+	switch {
+	case *size == 0:
+		return runConfig{}, fmt.Errorf("-size 0: need a mesh of at least 2x2")
+	case *rate == 0:
+		return runConfig{}, fmt.Errorf("-rate 0 offers no traffic to measure")
+	case *jobs < 0:
+		return runConfig{}, fmt.Errorf("-j %d: give a worker count, or 0 for one per core", *jobs)
+	case *resume && *journal == "":
 		return runConfig{}, fmt.Errorf("-resume reuses a journal; pass its path with -journal")
 	}
 	camp := noc.CampaignConfig{
 		Base: noc.SynthConfig{
 			Options: noc.Options{
-				W: fv.size, H: fv.size, DrainPeriod: 8192,
-				Faults: fv.faults, Watchdog: fv.watchdog,
+				W: *size, H: *size, DrainPeriod: 8192,
+				Faults: *faultSpec, Watchdog: *watchdog,
 			},
 			Pattern: pattern,
-			Rate:    fv.rate,
-			Warmup:  fv.warmup, Measure: fv.measure, Drain: fv.drain,
+			Rate:    *rate,
+			Warmup:  *warmup, Measure: *measure, Drain: *drain,
 		},
 		Variants: vars,
 		Scales:   scaleList,
 		Seeds:    seedList,
-		Jobs:     fv.jobs,
+		Jobs:     *jobs,
 	}
 	if err := camp.Validate(); err != nil {
 		return runConfig{}, err
 	}
 	return runConfig{
-		camp: camp, out: fv.out, journal: fv.journal, resume: fv.resume,
-		obsAddr: fv.obsAddr, progress: fv.progress,
+		camp: camp, out: *out, journal: *journal, resume: *resume,
+		obsAddr: *obsAddr, progress: *progress,
 	}, nil
 }
 
@@ -205,14 +175,14 @@ func parseSeeds(list string, runs int) ([]int64, error) {
 	return seeds, nil
 }
 
-// parseScales parses the -scales list (non-negative, 0 = the
-// fault-free control point).
+// parseScales parses the -scales list (0 = the fault-free control
+// point; the campaign config's Validate rejects a negative one).
 func parseScales(list string) ([]float64, error) {
 	var scales []float64
 	for _, raw := range strings.Split(list, ",") {
 		s, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
-		if err != nil || s < 0 {
-			return nil, fmt.Errorf("fault scale %q must be a non-negative number", raw)
+		if err != nil {
+			return nil, fmt.Errorf("fault scale %q is not a number", raw)
 		}
 		scales = append(scales, s)
 	}

@@ -2,63 +2,58 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/topology"
 )
 
-// goodFlags is a baseline flagValues every validateFlags case mutates:
-// a tiny campaign over a rate-based permanent link-failure plan.
-func goodFlags() flagValues {
-	return flagValues{
-		variants: "FastPass-static,FastPass-healing", pattern: "Uniform",
-		size: 4, rate: 0.05, runs: 2, scales: "0,1",
-		faults:   "linkfail:rate=1e-3,dur=32",
-		watchdog: "on",
-		warmup:   100, measure: 400, drain: 300,
-		jobs: 1,
-	}
+// goodArgs is the baseline command line every TestValidateFlags row
+// extends (a later flag overrides an earlier one): a tiny campaign
+// over a rate-based permanent link-failure plan.
+var goodArgs = []string{
+	"-variants", "FastPass-static,FastPass-healing", "-size", "4", "-runs", "2",
+	"-faults", "linkfail:rate=1e-3,dur=32", "-warmup", "100", "-measure", "400", "-drain", "300", "-j", "1",
 }
 
-// TestValidateFlags drives every cross-flag rule through the one
-// consolidated validator, checking each rejection names the flag at
-// fault.
+// TestValidateFlags drives every rule through parse, checking each
+// rejection names what is at fault.
 func TestValidateFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		mod     func(*flagValues)
+		args    []string
 		wantErr string
 	}{
-		{name: "baseline ok", mod: func(*flagValues) {}},
-		{name: "explicit seeds ok", mod: func(fv *flagValues) { fv.seeds = "7, 11,13" }},
-		{name: "journal with resume ok", mod: func(fv *flagValues) { fv.journal = "j.jsonl"; fv.resume = true }},
-		{name: "bad variant", mod: func(fv *flagValues) { fv.variants = "NoSuch" }, wantErr: "-variants"},
-		{name: "minbd variant", mod: func(fv *flagValues) { fv.variants = "MinBD" }, wantErr: "-variants"},
-		{name: "bad pattern", mod: func(fv *flagValues) { fv.pattern = "NoSuch" }, wantErr: "-pattern"},
-		{name: "zero size", mod: func(fv *flagValues) { fv.size = 0 }, wantErr: "-size"},
-		{name: "one-node mesh", mod: func(fv *flagValues) { fv.size = 1 }, wantErr: "2x2"},
-		{name: "rate above one", mod: func(fv *flagValues) { fv.rate = 2 }, wantErr: "[0, 1]"},
-		{name: "zero rate", mod: func(fv *flagValues) { fv.rate = 0 }, wantErr: "-rate"},
-		{name: "zero runs", mod: func(fv *flagValues) { fv.runs = 0 }, wantErr: "-runs"},
-		{name: "bad seed", mod: func(fv *flagValues) { fv.seeds = "1,x" }, wantErr: "-seeds"},
-		{name: "duplicate seed", mod: func(fv *flagValues) { fv.seeds = "3,3" }, wantErr: "-seeds"},
-		{name: "bad scale", mod: func(fv *flagValues) { fv.scales = "0,-1" }, wantErr: "-scales"},
-		{name: "bad fault plan", mod: func(fv *flagValues) { fv.faults = "linkfail:rate=2" }, wantErr: "-faults"},
-		{name: "bad watchdog", mod: func(fv *flagValues) { fv.watchdog = "stride=no" }, wantErr: "-watchdog"},
-		{name: "negative window", mod: func(fv *flagValues) { fv.measure = -1 }, wantErr: "-warmup/-measure/-drain"},
-		{name: "resume without journal", mod: func(fv *flagValues) { fv.resume = true }, wantErr: "-journal"},
-		{name: "negative jobs", mod: func(fv *flagValues) { fv.jobs = -1 }, wantErr: "-j"},
-		{name: "scales without plan", mod: func(fv *flagValues) { fv.faults = "" }, wantErr: "fault"},
+		{name: "baseline ok"},
+		{name: "explicit seeds ok", args: []string{"-seeds", "7, 11,13"}},
+		{name: "journal with resume ok", args: []string{"-journal", "j.jsonl", "-resume"}},
+		{name: "bad variant", args: []string{"-variants", "NoSuch"}, wantErr: "-variants"},
+		{name: "minbd variant", args: []string{"-variants", "MinBD"}, wantErr: "-variants"},
+		{name: "bad pattern", args: []string{"-pattern", "NoSuch"}, wantErr: "-pattern"},
+		{name: "zero size", args: []string{"-size", "0"}, wantErr: "-size"},
+		{name: "one-node mesh", args: []string{"-size", "1"}, wantErr: "2x2"},
+		{name: "rate above one", args: []string{"-rate", "2"}, wantErr: "[0, 1]"},
+		{name: "zero rate", args: []string{"-rate", "0"}, wantErr: "-rate"},
+		{name: "zero runs", args: []string{"-runs", "0"}, wantErr: "-runs"},
+		{name: "bad seed", args: []string{"-seeds", "1,x"}, wantErr: "-seeds"},
+		{name: "duplicate seed", args: []string{"-seeds", "3,3"}, wantErr: "-seeds"},
+		{name: "bad scale", args: []string{"-scales", "0,-1"}, wantErr: "fault scale"},
+		{name: "bad fault plan", args: []string{"-faults", "linkfail:rate=2"}, wantErr: "faults"},
+		{name: "bad watchdog", args: []string{"-watchdog", "stride=no"}, wantErr: "watchdog"},
+		{name: "negative window", args: []string{"-measure", "-1"}, wantErr: "negative window"},
+		{name: "resume without journal", args: []string{"-resume"}, wantErr: "-journal"},
+		{name: "negative jobs", args: []string{"-j", "-1"}, wantErr: "-j"},
+		{name: "scales without plan", args: []string{"-faults", ""}, wantErr: "fault"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fv := goodFlags()
-			tc.mod(&fv)
-			cfg, err := validateFlags(fv)
+			cfg, err := parse(append(slices.Clone(goodArgs), tc.args...))
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("error %v, want one mentioning %q", err, tc.wantErr)
@@ -73,12 +68,15 @@ func TestValidateFlags(t *testing.T) {
 			}
 		})
 	}
+	if _, err := parse([]string{"-h"}); err != flag.ErrHelp {
+		t.Errorf("-h: %v, want flag.ErrHelp", err)
+	}
 }
 
-// quickFlags is the end-to-end test campaign: a targeted permanent
+// quickArgs is the end-to-end test campaign: a targeted permanent
 // failure of the 0→1 channel, so FastPass-healing measurably beats
-// FastPass-static at scale 1.
-func quickFlags(t *testing.T, dir string, jobs int) flagValues {
+// FastPass-static at scale 1. The files land in dir.
+func quickArgs(t *testing.T, dir string, jobs int) []string {
 	t.Helper()
 	mesh := topology.NewMesh(4, 4)
 	spec := ""
@@ -90,30 +88,26 @@ func quickFlags(t *testing.T, dir string, jobs int) flagValues {
 	if spec == "" {
 		t.Fatal("no 0→1 link in a 4x4 mesh?")
 	}
-	fv := goodFlags()
-	fv.faults = spec
-	fv.jobs = jobs
-	fv.out = filepath.Join(dir, "curves.csv")
-	fv.journal = filepath.Join(dir, "journal.jsonl")
-	return fv
+	return append(slices.Clone(goodArgs), "-faults", spec, "-j", strconv.Itoa(jobs),
+		"-out", filepath.Join(dir, "curves.csv"), "-journal", filepath.Join(dir, "journal.jsonl"))
 }
 
-// runQuick validates and runs one campaign, returning the journal and
-// CSV bytes.
-func runQuick(t *testing.T, fv flagValues) (journal, csv []byte) {
+// runQuick parses and runs one campaign, returning the journal and CSV
+// bytes.
+func runQuick(t *testing.T, args []string) (journal, csv []byte) {
 	t.Helper()
-	cfg, err := validateFlags(fv)
+	cfg, err := parse(args)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := runCampaign(cfg, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	journal, err = os.ReadFile(fv.journal)
+	journal, err = os.ReadFile(cfg.journal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	csv, err = os.ReadFile(fv.out)
+	csv, err = os.ReadFile(cfg.out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +119,8 @@ func runQuick(t *testing.T, fv flagValues) (journal, csv []byte) {
 // interrupted campaign resumed from a half-written journal reproduces
 // them exactly while re-simulating only the missing cells.
 func TestCampaignEndToEnd(t *testing.T) {
-	j1, c1 := runQuick(t, quickFlags(t, t.TempDir(), 1))
-	j4, c4 := runQuick(t, quickFlags(t, t.TempDir(), 4))
+	j1, c1 := runQuick(t, quickArgs(t, t.TempDir(), 1))
+	j4, c4 := runQuick(t, quickArgs(t, t.TempDir(), 4))
 	if !bytes.Equal(j1, j4) {
 		t.Errorf("-j 1 and -j 4 journals differ:\n%s\nvs\n%s", j1, j4)
 	}
@@ -139,29 +133,27 @@ func TestCampaignEndToEnd(t *testing.T) {
 
 	// Interrupt: keep only the first half of the journal lines, then
 	// resume. The rewritten files must match the uninterrupted run.
-	fv := quickFlags(t, t.TempDir(), 2)
+	cfg, err := parse(append(quickArgs(t, t.TempDir(), 2), "-resume"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	lines := bytes.SplitAfter(j1, []byte("\n"))
 	var half []byte
 	for _, l := range lines[:len(lines)/2] {
 		half = append(half, l...)
 	}
-	if err := os.WriteFile(fv.journal, half, 0o644); err != nil {
+	if err := os.WriteFile(cfg.journal, half, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fv.resume = true
 	var stderr bytes.Buffer
-	cfg, err := validateFlags(fv)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := runCampaign(cfg, io.Discard, &stderr); err != nil {
 		t.Fatal(err)
 	}
-	jr, err := os.ReadFile(fv.journal)
+	jr, err := os.ReadFile(cfg.journal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := os.ReadFile(fv.out)
+	cr, err := os.ReadFile(cfg.out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,9 +170,7 @@ func TestCampaignEndToEnd(t *testing.T) {
 
 // TestCampaignCSVToStdout: with no -out the curves go to stdout.
 func TestCampaignCSVToStdout(t *testing.T) {
-	fv := quickFlags(t, t.TempDir(), 2)
-	fv.out = ""
-	cfg, err := validateFlags(fv)
+	cfg, err := parse(append(quickArgs(t, t.TempDir(), 2), "-out", ""))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"repro/internal/fastpass"
 	"repro/internal/routing"
@@ -22,12 +23,26 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	log.SetPrefix("lanes: ")
 	size := flag.Int("size", 8, "mesh dimension")
-	phase := flag.Int("phase", 0, "phase index")
-	slot := flag.Int("slot", 0, "slot index within the phase")
-	col := flag.Int("col", -1, "draw the lane of this prime's column")
+	phase := flag.Int("phase", 0, "phase index (larger ones wrap)")
+	slot := flag.Int("slot", 0, "slot index within the phase (larger ones wrap)")
+	col := flag.Int("col", -1, "draw the lane of this prime's column (default: none)")
 	dstRow := flag.Int("dstrow", -1, "destination row for the drawn lane (default: farthest)")
 	flag.Parse()
+	var err error
+	switch {
+	case *size < 2:
+		err = fmt.Errorf("-size %d: need a mesh of at least 2x2", *size)
+	case *phase < 0 || *slot < 0:
+		err = fmt.Errorf("-phase %d, -slot %d: indices count from 0 (larger ones wrap)", *phase, *slot)
+	case *col < -1 || *col >= *size || *dstRow < -1 || *dstRow >= *size:
+		err = fmt.Errorf("-col %d, -dstrow %d: need a column and row of the %dx%d mesh, or -1", *col, *dstRow, *size, *size)
+	}
+	if err != nil {
+		log.Print(err)
+		os.Exit(2) // a rejected flag, like the flag package's own
+	}
 
 	mesh := topology.NewMesh(*size, *size)
 	sched := fastpass.NewSchedule(mesh, mesh.NumPorts(), 1)
@@ -68,7 +83,7 @@ func main() {
 		return
 	}
 
-	c := *col % sched.Partitions()
+	c := *col
 	primeNode := sched.PrimeNode(c, ph)
 	covered := sched.Covered(c, sl)
 	row := *dstRow
@@ -81,7 +96,7 @@ func main() {
 			row = 0
 		}
 	}
-	dst := mesh.ID(covered, row%*size)
+	dst := mesh.ID(covered, row)
 
 	lane := routing.PathXY(mesh, primeNode, dst)
 	ret := routing.PathYX(mesh, dst, primeNode)
@@ -97,19 +112,16 @@ func main() {
 
 	// Render: mark nodes on the lane (*) and on the return (o).
 	mark := map[int]rune{}
-	cur := primeNode
 	for _, l := range lane {
 		mark[l.Dst] = '*'
-		cur = l.Dst
 	}
-	_ = cur
 	for _, l := range ret {
 		if _, ok := mark[l.Dst]; !ok {
 			mark[l.Dst] = 'o'
 		}
 	}
 	fmt.Printf("Prime P%d at node %d; lane to node %d (column %d, row %d):\n\n",
-		c, primeNode, dst, covered, row%*size)
+		c, primeNode, dst, covered, row)
 	for y := 0; y < *size; y++ {
 		for x := 0; x < *size; x++ {
 			id := mesh.ID(x, y)

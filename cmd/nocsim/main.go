@@ -34,117 +34,145 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("nocsim: ")
-
-	schemeName := flag.String("scheme", "FastPass", "scheme: FastPass, EscapeVC, SPIN, SWAP, DRAIN, Pitstop, MinBD, TFC")
-	patternName := flag.String("pattern", "Uniform", "synthetic pattern: Uniform, Transpose, Shuffle, BitRotation, BitComplement, Hotspot")
-	app := flag.String("app", "", "run an application workload instead of synthetic traffic (Radix, Canneal, FFT, FMM, Lu_cb, Streamcluster, Volrend, Barnes)")
-	rate := flag.Float64("rate", 0.05, "injection rate in packets/node/cycle (synthetic)")
-	size := flag.Int("size", 8, "mesh dimension (size × size)")
-	vcs := flag.Int("vcs", 0, "VCs per input buffer (0 = scheme default)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	warmup := flag.Int("warmup", 2000, "warmup cycles")
-	measure := flag.Int("measure", 5000, "measurement cycles")
-	drain := flag.Int("drain", 3000, "drain cycles")
-	faultSpec := flag.String("faults", "", "fault-injection plan, e.g. 'linkfail:rate=1e-4,dur=64;corrupt:rate=1e-5;stallconsumer:node=3,at=500,perm'")
-	fpHealing := flag.Bool("fp-healing", false, "FastPass: re-derive the lane schedule online after permanent link failures (self-healing)")
-	faultScale := flag.Float64("faultscale", 1, "multiplier applied to every rate in the fault plan")
-	watchdog := flag.String("watchdog", "on", "invariant watchdogs: on, off, or 'stride=..,deadlock=..,starve=..,leak=..'")
-	shards := flag.Int("shards", 1, "spatial shards stepping the mesh in parallel (bit-identical to 1; ignored by MinBD)")
-	checkpointPath := flag.String("checkpoint", "", "write the full simulator state to this file every -checkpoint-every cycles (synthetic runs only)")
-	checkpointEvery := flag.Int64("checkpoint-every", 0, "cycles between checkpoints (requires -checkpoint)")
-	restorePath := flag.String("restore", "", "resume a synthetic run from a checkpoint file; run parameters come from the checkpoint (only -shards, -checkpoint, -checkpoint-every and the telemetry sinks apply on top)")
-	telemetryPath := flag.String("telemetry", "", "stream per-window telemetry records to this JSONL file (synthetic runs only)")
-	telemetryWindow := flag.Int64("telemetry-window", 1000, "cycles per telemetry window (with -telemetry, -heatmap or -http)")
-	heatmapPrefix := flag.String("heatmap", "", "write per-window utilisation grids to <prefix>-nodes.csv and <prefix>-links.csv")
-	httpAddr := flag.String("http", "", "serve live telemetry on this address (/metrics, /events, /debug/pprof)")
-	progress := flag.Bool("progress", false, "print a single-line progress status to stderr during synthetic runs")
-	flag.Parse()
-
-	if *checkpointEvery < 0 {
-		rejectf("-checkpoint-every %d must be positive", *checkpointEvery)
+	cfg, err := parse(os.Args[1:])
+	if err == flag.ErrHelp {
+		return
 	}
+	if err != nil {
+		rejectf("%v", err)
+	}
+	switch {
+	case cfg.restore != "":
+		runRestored(cfg)
+	case cfg.app.Name != "":
+		runApp(cfg.run.Options, cfg.app)
+	default:
+		cfg.run.OnCheckpoint = checkpointWriter(cfg.checkpoint)
+		cleanup := cfg.tf.apply(&cfg.run)
+		res := noc.RunSynthetic(cfg.run)
+		cleanup()
+		printSynth(res, cfg.run.Faults != "")
+	}
+}
+
+// config is a validated command line: a synthetic run, an application
+// run (app named) or a resumed checkpoint (restore set).
+type config struct {
+	run        noc.SynthConfig
+	app        noc.App
+	checkpoint string // -checkpoint: file every checkpoint replaces
+	tf         telemetryFlags
+
+	// -restore takes its run from the checkpoint; only -shards (when
+	// passed), the checkpoint flags and the telemetry sinks apply.
+	restore              string
+	shardsSet, windowSet bool
+}
+
+// parse turns the command line into a validated config, or an error
+// that names what to fix (flag.ErrHelp for -h). SynthConfig.Validate
+// checks the run; parse itself adds only the values Options reads as
+// defaults (-size 0, -faultscale 0) and the cross-flag rules.
+func parse(args []string) (config, error) {
+	fs := flag.NewFlagSet("nocsim", flag.ContinueOnError)
+	schemeName := fs.String("scheme", "FastPass", "scheme: FastPass, EscapeVC, SPIN, SWAP, DRAIN, Pitstop, MinBD, TFC")
+	patternName := fs.String("pattern", "Uniform", "synthetic pattern: Uniform, Transpose, Shuffle, BitRotation, BitComplement, Hotspot")
+	app := fs.String("app", "", "run an application workload instead of synthetic traffic (Radix, Canneal, FFT, FMM, Lu_cb, Streamcluster, Volrend, Barnes)")
+	rate := fs.Float64("rate", 0.05, "injection rate in packets/node/cycle (synthetic)")
+	size := fs.Int("size", 8, "mesh dimension (size × size)")
+	vcs := fs.Int("vcs", 0, "VCs per input buffer (0 = scheme default)")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	warmup := fs.Int("warmup", 2000, "warmup cycles")
+	measure := fs.Int("measure", 5000, "measurement cycles")
+	drain := fs.Int("drain", 3000, "drain cycles")
+	faultSpec := fs.String("faults", "", "fault-injection plan, e.g. 'linkfail:rate=1e-4,dur=64;corrupt:rate=1e-5;stallconsumer:node=3,at=500,perm'")
+	fpHealing := fs.Bool("fp-healing", false, "FastPass: re-derive the lane schedule online after permanent link failures (self-healing)")
+	faultScale := fs.Float64("faultscale", 1, "multiplier applied to every rate in the fault plan")
+	watchdog := fs.String("watchdog", "on", "invariant watchdogs: on, off, or 'stride=..,deadlock=..,starve=..,leak=..'")
+	shards := fs.Int("shards", 1, "spatial shards stepping the mesh in parallel (bit-identical to 1; ignored by MinBD)")
+	checkpointPath := fs.String("checkpoint", "", "write the full simulator state to this file every -checkpoint-every cycles (synthetic runs only)")
+	checkpointEvery := fs.Int64("checkpoint-every", 0, "cycles between checkpoints (requires -checkpoint)")
+	restorePath := fs.String("restore", "", "resume a synthetic run from a checkpoint file; run parameters come from the checkpoint (only -shards, -checkpoint, -checkpoint-every and the telemetry sinks apply on top)")
+	telemetryPath := fs.String("telemetry", "", "stream per-window telemetry records to this JSONL file (synthetic runs only)")
+	telemetryWindow := fs.Int64("telemetry-window", 1000, "cycles per telemetry window (with -telemetry, -heatmap or -http)")
+	heatmapPrefix := fs.String("heatmap", "", "write per-window utilisation grids to <prefix>-nodes.csv and <prefix>-links.csv")
+	httpAddr := fs.String("http", "", "serve live telemetry on this address (/metrics, /events, /debug/pprof)")
+	progress := fs.Bool("progress", false, "print a single-line progress status to stderr during synthetic runs")
+	if err := fs.Parse(args); err != nil {
+		return config{}, err
+	}
+
 	if (*checkpointPath == "") != (*checkpointEvery == 0) {
-		rejectf("-checkpoint and -checkpoint-every must be set together")
+		return config{}, fmt.Errorf("-checkpoint and -checkpoint-every must be set together")
 	}
 	if *telemetryWindow <= 0 {
-		rejectf("-telemetry-window %d must be positive", *telemetryWindow)
+		return config{}, fmt.Errorf("-telemetry-window %d must be positive", *telemetryWindow)
 	}
-	tf := telemetryFlags{
-		path: *telemetryPath, window: *telemetryWindow,
-		heatmap: *heatmapPrefix, httpAddr: *httpAddr, progress: *progress,
+	cfg := config{
+		checkpoint: *checkpointPath,
+		tf: telemetryFlags{
+			path: *telemetryPath, window: *telemetryWindow,
+			heatmap: *heatmapPrefix, httpAddr: *httpAddr, progress: *progress,
+		},
+		restore: *restorePath,
 	}
-
-	if *restorePath != "" {
-		runRestored(*restorePath, *shards, *checkpointPath, *checkpointEvery, tf)
-		return
+	fs.Visit(func(f *flag.Flag) {
+		cfg.shardsSet = cfg.shardsSet || f.Name == "shards"
+		cfg.windowSet = cfg.windowSet || f.Name == "telemetry-window"
+	})
+	if cfg.restore != "" {
+		cfg.run.Shards, cfg.run.CheckpointEvery = *shards, *checkpointEvery // the overrides
+		return cfg, nil
 	}
 
 	scheme, err := noc.ParseScheme(*schemeName)
 	if err != nil {
-		rejectf("%v", err)
-	}
-	if _, err := noc.ParseFaultPlan(*faultSpec); err != nil {
-		rejectf("-faults: %v", err)
-	}
-	if _, _, err := noc.ParseWatchdogSpec(*watchdog); err != nil {
-		rejectf("-watchdog: %v", err)
+		return config{}, err
 	}
 	// Options read 0 as "default": these two are caught here.
-	if *size < 2 {
-		rejectf("-size %d: need a mesh of at least 2x2", *size)
+	if *size == 0 {
+		return config{}, fmt.Errorf("-size 0: need a mesh of at least 2x2")
 	}
 	if *faultScale == 0 {
-		rejectf("-faultscale 0 leaves the fault plan unscaled; for a fault-free run, omit -faults")
+		return config{}, fmt.Errorf("-faultscale 0 leaves the fault plan unscaled; for a fault-free run, omit -faults")
 	}
-	if err := noc.ValidateShards(*shards, (*size)*(*size)); err != nil {
-		rejectf("%v", err)
+	cfg.run = noc.SynthConfig{
+		Options: noc.Options{
+			Scheme: scheme, W: *size, H: *size, VCs: *vcs, Seed: *seed, DrainPeriod: 8192,
+			Faults: *faultSpec, FaultScale: *faultScale, Watchdog: *watchdog, Shards: *shards,
+			FPHealing: *fpHealing,
+		},
+		Rate: *rate, Warmup: *warmup, Measure: *measure, Drain: *drain,
+		CheckpointEvery: *checkpointEvery,
 	}
-	if *fpHealing && scheme != noc.FastPass {
-		rejectf("-fp-healing is a FastPass configuration; it does not apply to %v", scheme)
+	if *app == "" {
+		if cfg.run.Pattern, err = noc.ParsePattern(*patternName); err != nil {
+			return config{}, err
+		}
 	}
-	opts := noc.Options{
-		Scheme: scheme, W: *size, H: *size, VCs: *vcs, Seed: *seed, DrainPeriod: 8192,
-		Faults: *faultSpec, FaultScale: *faultScale, Watchdog: *watchdog, Shards: *shards,
-		FPHealing: *fpHealing,
+	if err := cfg.run.Validate(); err != nil {
+		return config{}, err
 	}
 	if scheme == noc.MinBD {
 		// MinBD's deflection network carries neither the fault injector
-		// nor the watchdogs.
-		opts.Faults, opts.Watchdog = "", ""
-	}
-	cfg := noc.SynthConfig{Options: opts, Rate: *rate, Warmup: *warmup, Measure: *measure, Drain: *drain}
-	if *app == "" {
-		if cfg.Pattern, err = noc.ParsePattern(*patternName); err != nil {
-			rejectf("%v", err)
-		}
-	}
-	if err := cfg.Validate(); err != nil {
-		rejectf("%v", err)
+		// nor the watchdogs: run and print it without them.
+		cfg.run.Faults, cfg.run.Watchdog = "", ""
 	}
 
 	if *app != "" {
-		a, err := noc.GetApp(*app)
-		if err != nil {
-			rejectf("%v", err)
+		if cfg.app, err = noc.GetApp(*app); err != nil {
+			return config{}, err
 		}
-		if !scheme.SupportsProtocol() {
-			rejectf("-app: scheme %v cannot run protocol traffic", scheme)
+		switch {
+		case !scheme.SupportsProtocol():
+			return config{}, fmt.Errorf("-app: scheme %v cannot run protocol traffic", scheme)
+		case *checkpointEvery > 0:
+			return config{}, fmt.Errorf("-checkpoint only applies to synthetic runs")
+		case cfg.tf.enabled() || cfg.tf.progress:
+			return config{}, fmt.Errorf("-telemetry, -heatmap, -http and -progress only apply to synthetic runs")
 		}
-		if *checkpointEvery > 0 {
-			rejectf("-checkpoint only applies to synthetic runs")
-		}
-		if tf.enabled() || tf.progress {
-			rejectf("-telemetry, -heatmap, -http and -progress only apply to synthetic runs")
-		}
-		runApp(opts, a)
-		return
 	}
-
-	cfg.CheckpointEvery, cfg.OnCheckpoint = *checkpointEvery, checkpointWriter(*checkpointPath)
-	cleanup := tf.apply(&cfg)
-	res := noc.RunSynthetic(cfg)
-	cleanup()
-	printSynth(res, cfg.Faults != "")
+	return cfg, nil
 }
 
 // rejectf reports a rejected flag and exits 2, like the flag package's
@@ -180,8 +208,8 @@ func checkpointWriter(path string) func(int64, []byte) {
 // telemetry on a checkpoint recorded without it (or changing the window)
 // is an error, while attaching fresh sinks to a recorded window is the
 // expected resume path.
-func runRestored(path string, shards int, checkpointPath string, checkpointEvery int64, tf telemetryFlags) {
-	blob, err := os.ReadFile(path)
+func runRestored(c config) {
+	blob, err := os.ReadFile(c.restore)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -189,26 +217,21 @@ func runRestored(path string, shards int, checkpointPath string, checkpointEvery
 	if err != nil {
 		log.Fatal(err)
 	}
-	shardsSet, windowSet := false, false
-	flag.Visit(func(f *flag.Flag) {
-		shardsSet = shardsSet || f.Name == "shards"
-		windowSet = windowSet || f.Name == "telemetry-window"
-	})
-	if shardsSet {
-		if err := noc.ValidateShards(shards, cfg.W*cfg.H); err != nil {
-			rejectf("%v", err)
-		}
-		cfg.Shards = shards
+	if c.shardsSet {
+		cfg.Shards = c.run.Shards
 	}
-	if tf.enabled() && cfg.Telemetry.Window == 0 {
+	cfg.CheckpointEvery = c.run.CheckpointEvery
+	if err := cfg.Validate(); err != nil {
+		rejectf("%v", err)
+	}
+	if c.tf.enabled() && cfg.Telemetry.Window == 0 {
 		rejectf("checkpoint was recorded without telemetry; -telemetry/-heatmap/-http cannot attach mid-run")
 	}
-	if windowSet && cfg.Telemetry.Window != 0 && tf.window != cfg.Telemetry.Window {
-		rejectf("-telemetry-window %d conflicts with the checkpoint's recorded window %d", tf.window, cfg.Telemetry.Window)
+	if c.windowSet && cfg.Telemetry.Window != 0 && c.tf.window != cfg.Telemetry.Window {
+		rejectf("-telemetry-window %d conflicts with the checkpoint's recorded window %d", c.tf.window, cfg.Telemetry.Window)
 	}
-	cfg.CheckpointEvery = checkpointEvery
-	cfg.OnCheckpoint = checkpointWriter(checkpointPath)
-	cleanup := tf.apply(&cfg)
+	cfg.OnCheckpoint = checkpointWriter(c.checkpoint)
+	cleanup := c.tf.apply(&cfg)
 	res, err := noc.ResumeSynthetic(cfg, blob)
 	cleanup()
 	if err != nil {

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -43,13 +44,23 @@ func main() {
 	flag.Parse()
 
 	scheme, err := noc.ParseScheme(*schemeName)
-	if err != nil {
-		log.Fatal(err)
+	opts := sim.Options{Scheme: scheme, W: *size, H: *size, VCs: *vcs, Seed: *seed, TraceCapacity: *capacity}
+	switch {
+	case err != nil: // an unknown -scheme
+	case *size == 0: // Options would read 0 as the default 8x8 mesh
+		err = errors.New("-size 0: need a mesh of at least 2x2")
+	case *cycles < 0:
+		err = fmt.Errorf("-cycles %d must not be negative", *cycles)
+	case *asJSON && *asJSONL:
+		err = errors.New("-json and -jsonl are mutually exclusive")
+	default:
+		err = sim.SynthConfig{Options: opts, Pattern: traffic.Uniform, Rate: *rate}.Validate()
 	}
-	inst := sim.Build(sim.Options{
-		Scheme: scheme, W: *size, H: *size, VCs: *vcs, Seed: *seed,
-		TraceCapacity: *capacity,
-	})
+	if err != nil {
+		log.Print(err)
+		os.Exit(2) // a rejected flag, like the flag package's own
+	}
+	inst := sim.Build(opts)
 	inst.SetOnEject(func(*message.Packet) {})
 
 	src := snapshot.NewCountingSource(*seed)
@@ -63,9 +74,6 @@ func main() {
 	}
 
 	rec := inst.Trace
-	if *asJSON && *asJSONL {
-		log.Fatal("-json and -jsonl are mutually exclusive")
-	}
 	// Machine-readable modes keep stdout pure (pipe to jq, redirect to
 	// a .jsonl file); the human summary moves to stderr.
 	summaryOut := io.Writer(os.Stdout)

@@ -44,31 +44,10 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sweep: ")
-
-	schemes := flag.String("schemes", "FastPass,EscapeVC,SPIN,SWAP,DRAIN,Pitstop,MinBD,TFC", "comma-separated scheme list")
-	patternName := flag.String("pattern", "Uniform", "synthetic pattern")
-	size := flag.Int("size", 8, "mesh dimension")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	rateMin := flag.Float64("rate-min", 0.02, "first injection rate")
-	rateMax := flag.Float64("rate-max", 0.30, "last injection rate")
-	rateStep := flag.Float64("rate-step", 0.02, "rate increment")
-	jobs := flag.Int("j", 0, "parallel workers (0 = one per core, 1 = serial)")
-	faultSpec := flag.String("faults", "", "fault-injection plan applied to every run")
-	faultScale := flag.Float64("faultscale", 1, "fault-plan rate multiplier (latency sweeps)")
-	faultScales := flag.String("fault-scales", "", "comma-separated intensity multipliers; switches to the resilience experiment (requires -faults)")
-	watchdog := flag.String("watchdog", "on", "invariant watchdogs: on, off, or tuning clauses")
-	shards := flag.Int("shards", 1, "spatial shards per simulation (bit-identical to 1; ignored by MinBD); composes with -j across runs")
-	telemetryPath := flag.String("telemetry", "", "write every run's windowed telemetry records to this JSONL file, in (scheme, rate) order regardless of -j")
-	telemetryWindow := flag.Int64("telemetry-window", 1000, "cycles per telemetry window (with -telemetry)")
-	flag.Parse()
-
-	cfg, err := validateFlags(flagValues{
-		schemes: *schemes, pattern: *patternName, size: *size, seed: *seed,
-		rateMin: *rateMin, rateMax: *rateMax, rateStep: *rateStep, jobs: *jobs,
-		faults: *faultSpec, faultScale: *faultScale, faultScales: *faultScales,
-		watchdog: *watchdog, shards: *shards,
-		telemetryPath: *telemetryPath, telemetryWindow: *telemetryWindow,
-	})
+	cfg, err := parse(os.Args[1:])
+	if err == flag.ErrHelp {
+		return
+	}
 	if err != nil {
 		log.Print(err)
 		os.Exit(2) // a rejected flag, like the flag package's own; 1 is an aborted run
@@ -86,7 +65,7 @@ func main() {
 	csv, reports := sweepCSV(cfg)
 	fmt.Print(csv)
 	if cfg.telemetry != nil {
-		if err := cfg.telemetry.writeFile(*telemetryPath); err != nil {
+		if err := cfg.telemetry.writeFile(cfg.telemetryPath); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -98,83 +77,97 @@ func main() {
 	}
 }
 
-// flagValues captures every raw flag exactly as the user typed it, so
-// validation is one testable function instead of checks scattered
-// through main.
-type flagValues struct {
-	schemes, pattern           string
-	size                       int
-	seed                       int64
-	rateMin, rateMax, rateStep float64
-	jobs                       int
-	faults                     string
-	faultScale                 float64
-	faultScales                string
-	watchdog                   string
-	shards                     int
-	telemetryPath              string
-	telemetryWindow            int64
-}
+// parse turns the command line into a fully-validated sweepConfig, or
+// an error that names what to fix (flag.ErrHelp for -h). Every run is
+// checked by SynthConfig.Validate, and a resilience experiment by
+// CampaignConfig.Validate (which also turns MinBD away); parse itself
+// adds only the values Options reads as defaults (-size 0,
+// -faultscale 0) and the cross-flag rules: -fault-scales needs -faults
+// and excludes -telemetry, and -telemetry-window must be positive.
+func parse(args []string) (sweepConfig, error) {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	schemes := fs.String("schemes", "FastPass,EscapeVC,SPIN,SWAP,DRAIN,Pitstop,MinBD,TFC", "comma-separated scheme list")
+	patternName := fs.String("pattern", "Uniform", "synthetic pattern")
+	size := fs.Int("size", 8, "mesh dimension")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	rateMin := fs.Float64("rate-min", 0.02, "first injection rate")
+	rateMax := fs.Float64("rate-max", 0.30, "last injection rate")
+	rateStep := fs.Float64("rate-step", 0.02, "rate increment")
+	jobs := fs.Int("j", 0, "parallel workers (0 = one per core, 1 = serial)")
+	faultSpec := fs.String("faults", "", "fault-injection plan applied to every run")
+	faultScale := fs.Float64("faultscale", 1, "fault-plan rate multiplier (latency sweeps)")
+	faultScales := fs.String("fault-scales", "", "comma-separated intensity multipliers; switches to the resilience experiment (requires -faults)")
+	watchdog := fs.String("watchdog", "on", "invariant watchdogs: on, off, or tuning clauses")
+	shards := fs.Int("shards", 1, "spatial shards per simulation (bit-identical to 1; ignored by MinBD); composes with -j across runs")
+	telemetryPath := fs.String("telemetry", "", "write every run's windowed telemetry records to this JSONL file, in (scheme, rate) order regardless of -j")
+	telemetryWindow := fs.Int64("telemetry-window", 1000, "cycles per telemetry window (with -telemetry)")
+	if err := fs.Parse(args); err != nil {
+		return sweepConfig{}, err
+	}
 
-// validateFlags turns raw flag values into a fully-validated
-// sweepConfig, or an error that names the offending flag and what to
-// do about it. Every cross-flag rule lives here: -fault-scales needs
-// -faults and excludes both -telemetry and MinBD; -shards must divide
-// sensibly into the mesh; -telemetry-window must be positive.
-func validateFlags(fv flagValues) (sweepConfig, error) {
-	cfg, err := buildConfig(fv.schemes, fv.pattern, fv.size, fv.seed, fv.rateMin, fv.rateMax, fv.rateStep, fv.jobs)
+	names, parsed, err := parseSchemes(*schemes)
 	if err != nil {
 		return sweepConfig{}, err
 	}
-	if _, err := noc.ParseFaultPlan(fv.faults); err != nil {
-		return sweepConfig{}, fmt.Errorf("-faults: %v", err)
+	pattern, err := noc.ParsePattern(*patternName)
+	if err != nil {
+		return sweepConfig{}, err
 	}
-	if _, _, err := noc.ParseWatchdogSpec(fv.watchdog); err != nil {
-		return sweepConfig{}, fmt.Errorf("-watchdog: %v", err)
+	rates, err := buildRateGrid(*rateMin, *rateMax, *rateStep)
+	if err != nil {
+		return sweepConfig{}, err
 	}
-	if !(fv.faultScale > 0) {
-		return sweepConfig{}, fmt.Errorf("-faultscale %v must be positive (0 would leave the plan unscaled); for a fault-free sweep, omit -faults", fv.faultScale)
+	switch {
+	case *jobs < 0:
+		return sweepConfig{}, fmt.Errorf("-j %d: give a worker count, or 0 for one per core", *jobs)
+	case *size == 0:
+		return sweepConfig{}, fmt.Errorf("-size 0: need a mesh of at least 2x2")
+	case *faultScale == 0:
+		return sweepConfig{}, fmt.Errorf("-faultscale 0 leaves the fault plan unscaled; for a fault-free sweep, omit -faults")
+	case *telemetryWindow <= 0:
+		return sweepConfig{}, fmt.Errorf("-telemetry-window %d must be a positive cycle count", *telemetryWindow)
 	}
-	cfg.faults, cfg.faultScale, cfg.watchdog = fv.faults, fv.faultScale, fv.watchdog
-	if err := noc.ValidateShards(fv.shards, fv.size*fv.size); err != nil {
-		return sweepConfig{}, fmt.Errorf("-shards: %v", err)
+	cfg := sweepConfig{
+		names: names, schemes: parsed, pattern: pattern,
+		size: *size, seed: *seed, rates: rates, jobs: *jobs,
+		faults: *faultSpec, faultScale: *faultScale, watchdog: *watchdog, shards: *shards,
+		telemetryPath: *telemetryPath,
 	}
-	cfg.shards = fv.shards
-	if fv.telemetryWindow <= 0 {
-		return sweepConfig{}, fmt.Errorf("-telemetry-window %d must be a positive cycle count", fv.telemetryWindow)
+	for _, s := range cfg.schemes {
+		point := cfg.base()
+		point.Scheme, point.Rate = s, rates[len(rates)-1]
+		if err := point.Validate(); err != nil {
+			return sweepConfig{}, err
+		}
 	}
-	if fv.faultScales != "" {
-		if fv.faults == "" {
+	if *faultScales != "" {
+		if *faultSpec == "" {
 			return sweepConfig{}, fmt.Errorf("-fault-scales sweeps a fault plan's intensity; pass the plan with -faults")
 		}
-		if fv.telemetryPath != "" {
+		if *telemetryPath != "" {
 			return sweepConfig{}, fmt.Errorf("-telemetry does not apply to the resilience experiment; drop it or -fault-scales")
 		}
-		scales, err := parseScales(fv.faultScales)
-		if err != nil {
+		if cfg.scales, err = parseScales(*faultScales); err != nil {
 			return sweepConfig{}, fmt.Errorf("-fault-scales: %v", err)
 		}
-		for _, s := range cfg.schemes {
-			if s == noc.MinBD {
-				return sweepConfig{}, fmt.Errorf("the resilience experiment does not support MinBD (no links, credits or NICs to degrade); drop it from -schemes")
-			}
+		if err := cfg.resilience().Validate(); err != nil {
+			return sweepConfig{}, err
 		}
-		cfg.scales = scales
 	}
-	if fv.telemetryPath != "" {
-		cfg.telemetry = newTelemetrySink(cfg, fv.telemetryWindow)
+	if *telemetryPath != "" {
+		cfg.telemetry = newTelemetrySink(cfg, *telemetryWindow)
 	}
 	return cfg, nil
 }
 
-// parseScales parses the -fault-scales list (non-negative, 0 = the
-// fault-free control point).
+// parseScales parses the -fault-scales list (0 = the fault-free control
+// point; the campaign config's Validate rejects a negative one).
 func parseScales(list string) ([]float64, error) {
 	var scales []float64
 	for _, raw := range strings.Split(list, ",") {
 		s, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
-		if err != nil || s < 0 {
-			return nil, fmt.Errorf("fault scale %q must be a non-negative number", raw)
+		if err != nil {
+			return nil, fmt.Errorf("fault scale %q is not a number", raw)
 		}
 		scales = append(scales, s)
 	}
@@ -204,40 +197,9 @@ type sweepConfig struct {
 	// bit-identical to 1 by contract, so it never perturbs the CSV.
 	shards int
 	// telemetry, when non-nil, buffers every run's JSONL stream for
-	// deterministic ordered output after the sweep.
-	telemetry *telemetrySink
-}
-
-// buildConfig turns raw flag values into a validated sweepConfig.
-func buildConfig(schemeList, patternName string, size int, seed int64, rateMin, rateMax, rateStep float64, jobs int) (sweepConfig, error) {
-	names, parsed, err := parseSchemes(schemeList)
-	if err != nil {
-		return sweepConfig{}, err
-	}
-	pattern, err := noc.ParsePattern(patternName)
-	if err != nil {
-		return sweepConfig{}, err
-	}
-	rates, err := buildRateGrid(rateMin, rateMax, rateStep)
-	if err != nil {
-		return sweepConfig{}, err
-	}
-	if jobs < 0 {
-		return sweepConfig{}, fmt.Errorf("-j %d: give a worker count, or 0 for one per core", jobs)
-	}
-	if size <= 0 {
-		return sweepConfig{}, fmt.Errorf("mesh dimension %d must be positive", size)
-	}
-	for _, s := range parsed {
-		point := noc.SynthConfig{Options: noc.Options{Scheme: s, W: size, H: size}, Pattern: pattern, Rate: rates[len(rates)-1]}
-		if err := point.Validate(); err != nil {
-			return sweepConfig{}, err
-		}
-	}
-	return sweepConfig{
-		names: names, schemes: parsed, pattern: pattern,
-		size: size, seed: seed, rates: rates, jobs: jobs,
-	}, nil
+	// deterministic ordered output after the sweep, to telemetryPath.
+	telemetry     *telemetrySink
+	telemetryPath string
 }
 
 // parseSchemes splits a comma-separated scheme list, trimming each name
@@ -291,20 +253,25 @@ func buildRateGrid(min, max, step float64) ([]float64, error) {
 	return rates, nil
 }
 
-// baseConfig assembles the per-scheme SynthConfig a sweep perturbs.
-// MinBD silently runs without faults or watchdogs (its deflection
-// network supports neither).
-func (cfg sweepConfig) baseConfig(scheme noc.Scheme) noc.SynthConfig {
-	base := noc.SynthConfig{
-		Options: noc.Options{Scheme: scheme, W: cfg.size, H: cfg.size, Seed: cfg.seed, DrainPeriod: 8192,
+// base assembles the SynthConfig every run perturbs: the sweep sets
+// Scheme and Rate per point, the resilience grid its cells.
+func (cfg sweepConfig) base() noc.SynthConfig {
+	return noc.SynthConfig{
+		Options: noc.Options{W: cfg.size, H: cfg.size, Seed: cfg.seed, DrainPeriod: 8192,
 			Faults: cfg.faults, FaultScale: cfg.faultScale, Watchdog: cfg.watchdog, Shards: cfg.shards},
 		Pattern: cfg.pattern,
 		Warmup:  cfg.warmup, Measure: cfg.measure, Drain: cfg.drain,
 	}
-	if scheme == noc.MinBD {
-		base.Faults, base.Watchdog = "", ""
+}
+
+// resilience is the -fault-scales experiment as a campaign grid: one
+// static variant per scheme, at the one seed.
+func (cfg sweepConfig) resilience() noc.CampaignConfig {
+	c := noc.CampaignConfig{Base: cfg.base(), Scales: cfg.scales, Seeds: []int64{cfg.seed}, Jobs: cfg.jobs}
+	for _, s := range cfg.schemes {
+		c.Variants = append(c.Variants, noc.CampaignVariant{Scheme: s})
 	}
-	return base
+	return c
 }
 
 // sweepCSV runs every scheme's sweep (in parallel, each sweep itself
@@ -319,7 +286,8 @@ func sweepCSV(cfg sweepConfig) (string, []string) {
 		idxs[j] = j
 	}
 	series := parallel.Map(cfg.jobs, idxs, func(j int) []noc.SynthResult {
-		base := cfg.baseConfig(cfg.schemes[j])
+		base := cfg.base()
+		base.Scheme = cfg.schemes[j]
 		if cfg.telemetry != nil {
 			cfg.telemetry.instrument(j, &base)
 		}
@@ -357,30 +325,29 @@ func sweepCSV(cfg sweepConfig) (string, []string) {
 	return b.String(), reports
 }
 
-// resilienceCSV runs the fault-intensity sweep and renders one row per
-// (scheme, scale) with the full robustness accounting. Reports carry
-// the structured watchdog diagnostics of every aborted point.
+// resilienceCSV runs the fault-intensity sweep, one campaign cell per
+// (scheme, scale), and renders one row per cell with the full
+// robustness accounting. Reports carry the structured watchdog
+// diagnostics of every aborted point.
 func resilienceCSV(cfg sweepConfig) (string, []string) {
-	pts := noc.RunResilience(noc.ResilienceConfig{
-		Base:    cfg.baseConfig(cfg.schemes[0]),
-		Scales:  cfg.scales,
-		Schemes: cfg.schemes,
-		Jobs:    cfg.jobs,
-	})
+	c := cfg.resilience()
+	grid := noc.CampaignGrid(c)
+	res := parallel.Map(c.Jobs, grid, func(p noc.CampaignPoint) noc.SynthResult { return noc.RunSynthetic(c.Cell(p)) })
 	var b strings.Builder
 	var reports []string
 	b.WriteString("scheme,scale,created,delivered,stranded,corrupted_delivered,credit_leaks,link_fails,port_stalls,consumer_stalls,flits_corrupted,credits_lost,aborted,deadlock,abort_cycle\n")
-	for _, p := range pts {
+	for i, r := range res {
+		scale := grid[i].Scale
 		abortCycle := ""
-		if p.Aborted {
-			abortCycle = fmt.Sprintf("%d", p.AbortCycle)
+		if r.Aborted {
+			abortCycle = fmt.Sprintf("%d", r.AbortCycle)
 			reports = append(reports, fmt.Sprintf("sweep: %v @ scale %g aborted at cycle %d:\n%s",
-				p.Scheme, p.Scale, p.AbortCycle, p.AbortReport))
+				r.Scheme, scale, r.AbortCycle, r.AbortReport))
 		}
 		fmt.Fprintf(&b, "%v,%g,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%t,%t,%s\n",
-			p.Scheme, p.Scale, p.Created, p.Delivered, p.Stranded, p.CorruptedDelivered,
-			p.CreditLeaks, p.Faults.LinkFails, p.Faults.PortStalls, p.Faults.ConsumerStalls,
-			p.Faults.FlitsCorrupted, p.Faults.CreditsLost, p.Aborted, p.DeadlockDetected, abortCycle)
+			r.Scheme, scale, r.Created, r.Delivered, r.Stranded, r.CorruptedDelivered,
+			r.CreditLeaks, r.Faults.LinkFails, r.Faults.PortStalls, r.Faults.ConsumerStalls,
+			r.Faults.FlitsCorrupted, r.Faults.CreditsLost, r.Aborted, r.DeadlockDetected, abortCycle)
 	}
 	return b.String(), reports
 }

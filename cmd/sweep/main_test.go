@@ -4,6 +4,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -87,78 +89,59 @@ func TestBuildRateGrid(t *testing.T) {
 }
 
 func TestBuildConfigValidation(t *testing.T) {
-	if _, err := buildConfig("FastPass", "NoSuchPattern", 4, 1, 0.02, 0.1, 0.02, 1); err == nil {
+	if _, err := parse([]string{"-pattern", "NoSuchPattern"}); err == nil {
 		t.Error("unknown pattern accepted")
 	}
-	if _, err := buildConfig("FastPass", "Uniform", 0, 1, 0.02, 0.1, 0.02, 1); err == nil {
+	if _, err := parse([]string{"-size", "0"}); err == nil {
 		t.Error("zero mesh accepted")
 	}
-	cfg, err := buildConfig(" FastPass , SPIN", "Transpose", 4, 9, 0.02, 0.1, 0.04, 2)
+	cfg, err := parse([]string{"-schemes", " FastPass , SPIN", "-pattern", "Transpose", "-size", "4", "-rate-max", "0.1", "-rate-step", "0.04"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.names[0] != "FastPass" || cfg.names[1] != "SPIN" || len(cfg.rates) != 3 {
 		t.Errorf("config %+v not normalized", cfg)
 	}
-}
-
-// goodFlags is a baseline flagValues every validateFlags case mutates.
-func goodFlags() flagValues {
-	return flagValues{
-		schemes: "FastPass,EscapeVC", pattern: "Uniform",
-		size: 4, seed: 1,
-		rateMin: 0.02, rateMax: 0.1, rateStep: 0.02, faultScale: 1,
-		watchdog: "on", shards: 1, telemetryWindow: 1000,
+	if _, err := parse([]string{"-h"}); err != flag.ErrHelp {
+		t.Errorf("-h: %v, want flag.ErrHelp", err)
 	}
 }
 
-// TestValidateFlags drives every cross-flag rule through the one
-// consolidated validator, checking each rejection names the flag at
-// fault.
+// goodArgs is the baseline command line every TestValidateFlags row
+// extends; a later flag overrides an earlier one.
+var goodArgs = []string{"-schemes", "FastPass,EscapeVC", "-size", "4", "-rate-max", "0.1"}
+
+// TestValidateFlags drives every rule through parse, checking each
+// rejection names what is at fault.
 func TestValidateFlags(t *testing.T) {
+	const plan = "linkfail:rate=1e-3,dur=32"
 	for _, tc := range []struct {
 		name    string
-		mod     func(*flagValues)
+		args    []string
 		wantErr string
 	}{
-		{name: "baseline ok", mod: func(*flagValues) {}},
-		{name: "faults plan ok", mod: func(fv *flagValues) { fv.faults = "linkfail:rate=1e-3,dur=32" }},
-		{name: "resilience ok", mod: func(fv *flagValues) {
-			fv.faults = "linkfail:rate=1e-3,dur=32"
-			fv.faultScales = "0,1,2"
-		}},
-		{name: "bad scheme", mod: func(fv *flagValues) { fv.schemes = "NoSuch" }, wantErr: "NoSuch"},
-		{name: "bad pattern", mod: func(fv *flagValues) { fv.pattern = "NoSuch" }, wantErr: "pattern"},
-		{name: "one-node mesh", mod: func(fv *flagValues) { fv.size = 1 }, wantErr: "2x2"},
-		{name: "rate above one", mod: func(fv *flagValues) { fv.rateMax = 2 }, wantErr: "[0, 1]"},
-		{name: "bad rate grid", mod: func(fv *flagValues) { fv.rateStep = -1 }, wantErr: "step"},
-		{name: "bad fault plan", mod: func(fv *flagValues) { fv.faults = "linkfail:rate=2" }, wantErr: "-faults"},
-		{name: "zero fault scale", mod: func(fv *flagValues) { fv.faultScale = 0 }, wantErr: "-faultscale"},
-		{name: "negative fault scale", mod: func(fv *flagValues) { fv.faultScale = -1 }, wantErr: "-faultscale"},
-		{name: "bad watchdog", mod: func(fv *flagValues) { fv.watchdog = "stride=no" }, wantErr: "-watchdog"},
-		{name: "bad shards", mod: func(fv *flagValues) { fv.shards = -3 }, wantErr: "-shards"},
-		{name: "negative jobs", mod: func(fv *flagValues) { fv.jobs = -1 }, wantErr: "-j"},
-		{name: "bad telemetry window", mod: func(fv *flagValues) { fv.telemetryWindow = 0 }, wantErr: "-telemetry-window"},
-		{name: "scales without plan", mod: func(fv *flagValues) { fv.faultScales = "0,1" }, wantErr: "-faults"},
-		{name: "negative scale", mod: func(fv *flagValues) {
-			fv.faults = "linkfail:rate=1e-3,dur=32"
-			fv.faultScales = "0,-1"
-		}, wantErr: "-fault-scales"},
-		{name: "telemetry with resilience", mod: func(fv *flagValues) {
-			fv.faults = "linkfail:rate=1e-3,dur=32"
-			fv.faultScales = "0,1"
-			fv.telemetryPath = "out.jsonl"
-		}, wantErr: "-telemetry"},
-		{name: "minbd resilience", mod: func(fv *flagValues) {
-			fv.schemes = "FastPass,MinBD"
-			fv.faults = "linkfail:rate=1e-3,dur=32"
-			fv.faultScales = "0,1"
-		}, wantErr: "MinBD"},
+		{name: "baseline ok"},
+		{name: "faults plan ok", args: []string{"-faults", plan}},
+		{name: "resilience ok", args: []string{"-faults", plan, "-fault-scales", "0,1,2"}},
+		{name: "bad scheme", args: []string{"-schemes", "NoSuch"}, wantErr: "NoSuch"},
+		{name: "bad pattern", args: []string{"-pattern", "NoSuch"}, wantErr: "pattern"},
+		{name: "one-node mesh", args: []string{"-size", "1"}, wantErr: "2x2"},
+		{name: "rate above one", args: []string{"-rate-max", "2"}, wantErr: "[0, 1]"},
+		{name: "bad rate grid", args: []string{"-rate-step", "-1"}, wantErr: "step"},
+		{name: "bad fault plan", args: []string{"-faults", "linkfail:rate=2"}, wantErr: "faults"},
+		{name: "zero fault scale", args: []string{"-faultscale", "0"}, wantErr: "-faultscale"},
+		{name: "negative fault scale", args: []string{"-faultscale", "-1"}, wantErr: "fault scale"},
+		{name: "bad watchdog", args: []string{"-watchdog", "stride=no"}, wantErr: "watchdog"},
+		{name: "bad shards", args: []string{"-shards", "-3"}, wantErr: "shards"},
+		{name: "negative jobs", args: []string{"-j", "-1"}, wantErr: "-j"},
+		{name: "bad telemetry window", args: []string{"-telemetry-window", "0"}, wantErr: "-telemetry-window"},
+		{name: "scales without plan", args: []string{"-fault-scales", "0,1"}, wantErr: "-faults"},
+		{name: "negative scale", args: []string{"-faults", plan, "-fault-scales", "0,-1"}, wantErr: "fault scale"},
+		{name: "telemetry with resilience", args: []string{"-faults", plan, "-fault-scales", "0,1", "-telemetry", "out.jsonl"}, wantErr: "-telemetry"},
+		{name: "minbd resilience", args: []string{"-schemes", "FastPass,MinBD", "-faults", plan, "-fault-scales", "0,1"}, wantErr: "MinBD"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fv := goodFlags()
-			tc.mod(&fv)
-			cfg, err := validateFlags(fv)
+			cfg, err := parse(append(slices.Clone(goodArgs), tc.args...))
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("error %v, want one mentioning %q", err, tc.wantErr)
@@ -168,7 +151,7 @@ func TestValidateFlags(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fv.faultScales != "" && len(cfg.scales) == 0 {
+			if slices.Contains(tc.args, "-fault-scales") && len(cfg.scales) == 0 {
 				t.Error("resilience scales not carried into the config")
 			}
 		})
@@ -178,7 +161,8 @@ func TestValidateFlags(t *testing.T) {
 // quickSweepConfig is a deliberately tiny deterministic sweep used by
 // the golden and equivalence tests.
 func quickSweepConfig(jobs int) sweepConfig {
-	cfg, err := buildConfig("FastPass,EscapeVC,TFC", "Transpose", 4, 7, 0.02, 0.50, 0.12, jobs)
+	cfg, err := parse([]string{"-schemes", "FastPass,EscapeVC,TFC", "-pattern", "Transpose", "-size", "4", "-seed", "7",
+		"-rate-max", "0.50", "-rate-step", "0.12", "-j", strconv.Itoa(jobs)})
 	if err != nil {
 		panic("sweep: test config invalid: " + err.Error())
 	}
@@ -225,16 +209,14 @@ func TestSweepCSVJobsEquivalence(t *testing.T) {
 // prints both and exits nonzero instead of silently reporting the run
 // as converged.
 func TestSweepAbortStillWritesCSV(t *testing.T) {
-	cfg, err := buildConfig("EscapeVC", "Uniform", 4, 7, 0.05, 0.05, 0.01, 1)
+	// A permanently wedged consumer plus a tight starvation bound kills
+	// the run mid-measure.
+	cfg, err := parse([]string{"-schemes", "EscapeVC", "-size", "4", "-seed", "7", "-rate-min", "0.05", "-rate-max", "0.05", "-j", "1",
+		"-faults", "stallconsumer:node=5,at=100,perm", "-watchdog", "stride=16,starve=512"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.warmup, cfg.measure, cfg.drain = 300, 2000, 300
-	// A permanently wedged consumer plus a tight starvation bound kills
-	// the run mid-measure.
-	cfg.faults = "stallconsumer:node=5,at=100,perm"
-	cfg.faultScale = 1
-	cfg.watchdog = "stride=16,starve=512"
 	csv, reports := sweepCSV(cfg)
 	if len(reports) == 0 {
 		t.Fatal("wedged sweep produced no abort report")
@@ -254,14 +236,12 @@ func TestSweepAbortStillWritesCSV(t *testing.T) {
 // TestResilienceCSVShape runs the resilience experiment end to end at
 // quick scale and sanity-checks the CSV accounting columns.
 func TestResilienceCSVShape(t *testing.T) {
-	cfg, err := buildConfig("FastPass,EscapeVC", "Uniform", 4, 7, 0.05, 0.05, 0.01, 1)
+	cfg, err := parse([]string{"-schemes", "FastPass,EscapeVC", "-size", "4", "-seed", "7", "-rate-min", "0.05", "-rate-max", "0.05", "-j", "1",
+		"-faults", "linkfail:rate=0.002,dur=64;creditloss:rate=0.001", "-fault-scales", "0,1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.warmup, cfg.measure, cfg.drain = 300, 800, 400
-	cfg.faults = "linkfail:rate=0.002,dur=64;creditloss:rate=0.001"
-	cfg.watchdog = "on"
-	cfg.scales = []float64{0, 1}
 	csv, _ := resilienceCSV(cfg)
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) != 5 {
@@ -272,5 +252,27 @@ func TestResilienceCSVShape(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "FastPass,0,") || !strings.HasPrefix(lines[3], "EscapeVC,0,") {
 		t.Errorf("rows not scheme-major:\n%s", csv)
+	}
+}
+
+// TestResilienceCSVGolden pins the resilience CSV of every fault
+// category on three schemes, at -j 1 and -j 8. The scale-0 rows are the
+// fault-free control: a plan left in place there shows up as nonzero
+// fault counters.
+func TestResilienceCSVGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "quick_resilience.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jobs := range []int{1, 8} {
+		cfg, err := parse([]string{"-schemes", "FastPass,EscapeVC,Pitstop", "-size", "4", "-seed", "7", "-rate-min", "0.05", "-rate-max", "0.05",
+			"-faults", "linkfail:rate=0.002,dur=64;portstall:rate=0.002,dur=32;corrupt:rate=0.001;creditloss:rate=0.001;stallconsumer:rate=0.0005,dur=128",
+			"-fault-scales", "0,0.5,1", "-j", strconv.Itoa(jobs)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, reports := resilienceCSV(cfg); got != string(want) || len(reports) != 0 {
+			t.Errorf("-j %d: CSV drifted from golden (reports %v):\n--- got ---\n%s--- want ---\n%s", jobs, reports, got, want)
+		}
 	}
 }

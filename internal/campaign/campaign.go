@@ -4,9 +4,9 @@
 // degradation curves — delivered-fraction percentiles, time-to-first-
 // watchdog-trip and MTTF-to-deadlock distributions — per variant.
 //
-// Where the resilience sweep (sim.RunResilience) measures one seed per
-// point, a campaign measures a population: the same plan replayed under
-// many seeds, so the output is a distribution, not an anecdote. The
+// Where the resilience sweep (sweep -fault-scales) runs these cells at
+// one seed, a campaign measures a population: the same plan replayed
+// under many seeds, so the output is a distribution, not an anecdote. The
 // grid includes FastPass twice — FastPass-static and FastPass-healing —
 // which is the experiment the self-healing lane re-derivation exists
 // for: same silicon failures, with and without online re-derivation.
@@ -89,8 +89,8 @@ func ParseVariants(spec string) ([]Variant, error) {
 // Config describes a campaign.
 type Config struct {
 	// Base carries the mesh, traffic, windows, watchdog spec and the
-	// fault plan (Base.Options.Faults). Scheme, FPHealing, FaultScale
-	// and Seed are overridden per grid cell.
+	// fault plan (Base.Options.Faults). Cell overrides Scheme,
+	// FPHealing, VCs, Seed and FaultScale.
 	Base sim.SynthConfig
 
 	// Variants are the columns under test.
@@ -109,41 +109,24 @@ type Config struct {
 	Jobs int
 }
 
-// Validate rejects configs the grid cannot run.
+// Validate rejects configs the grid cannot run: an empty axis, MinBD,
+// a nonzero scale without a plan, or any cell sim rejects.
 func (c Config) Validate() error {
-	if len(c.Variants) == 0 {
-		return fmt.Errorf("campaign: no variants")
+	if len(c.Variants) == 0 || len(c.Scales) == 0 || len(c.Seeds) == 0 {
+		return fmt.Errorf("campaign: need variants, fault scales and seeds, have %d, %d and %d", len(c.Variants), len(c.Scales), len(c.Seeds))
 	}
-	for _, v := range c.Variants {
-		if v.Scheme == sim.MinBD {
-			return fmt.Errorf("campaign: %v has no fault model", v.Scheme)
+	one := c
+	one.Seeds = c.Seeds[:1] // a seed never makes a cell invalid
+	for _, p := range Grid(one) {
+		if p.Variant.Scheme == sim.MinBD {
+			return fmt.Errorf("campaign: %v has no fault model", p.Variant.Scheme)
 		}
-		if v.Healing && v.Scheme != sim.FastPass {
-			return fmt.Errorf("campaign: healing is a FastPass configuration, not a %v one", v.Scheme)
+		if p.Scale > 0 && c.Base.Faults == "" {
+			return fmt.Errorf("campaign: nonzero fault scales but no fault plan in the base config")
 		}
-		cell := c.Base
-		cell.Scheme = v.Scheme
-		if err := cell.Validate(); err != nil {
+		if err := c.Cell(p).Validate(); err != nil {
 			return fmt.Errorf("campaign: %v", err)
 		}
-	}
-	if len(c.Scales) == 0 {
-		return fmt.Errorf("campaign: no fault scales")
-	}
-	if len(c.Seeds) == 0 {
-		return fmt.Errorf("campaign: no seeds")
-	}
-	needPlan := false
-	for _, s := range c.Scales {
-		if s < 0 {
-			return fmt.Errorf("campaign: negative fault scale %v", s)
-		}
-		if s > 0 {
-			needPlan = true
-		}
-	}
-	if needPlan && c.Base.Faults == "" {
-		return fmt.Errorf("campaign: nonzero fault scales but no fault plan in the base config")
 	}
 	return nil
 }
@@ -203,20 +186,25 @@ func (r Record) Key() string {
 	return fmt.Sprintf("%s|x%g|s%d", r.Variant, r.Scale, r.Seed)
 }
 
-// cell runs one grid point.
-func cell(c Config, p Point) Record {
+// Cell is one grid point's run config, and the one home of the fault
+// experiments' per-point rule: the variant's scheme and healing
+// toggle, the scheme's Table II VC count, the point's seed, and at
+// scale 0 no fault plan at all (its targeted events included).
+func (c Config) Cell(p Point) sim.SynthConfig {
 	cfg := c.Base
 	cfg.Scheme = p.Variant.Scheme
 	cfg.FPHealing = p.Variant.Healing
-	cfg.VCs = 0 // per-scheme Table II default
+	cfg.VCs = 0
 	cfg.Seed = p.Seed
+	cfg.FaultScale = p.Scale
 	if p.Scale == 0 {
 		cfg.Faults = ""
-		cfg.FaultScale = 0
-	} else {
-		cfg.FaultScale = p.Scale
 	}
-	res := sim.RunSynthetic(cfg)
+	return cfg
+}
+
+// record is a cell's journal line.
+func record(p Point, res sim.SynthResult) Record {
 	rec := Record{
 		Variant:           p.Variant.String(),
 		Scale:             p.Scale,
@@ -256,7 +244,7 @@ func Run(c Config, done map[string]Record, onRecord func(Record)) ([]Record, err
 		if r, ok := done[p.Key()]; ok {
 			return r
 		}
-		r := cell(c, p)
+		r := record(p, sim.RunSynthetic(c.Cell(p)))
 		if onRecord != nil {
 			onRecord(r)
 		}

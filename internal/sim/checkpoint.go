@@ -160,19 +160,6 @@ func ResumeSynthetic(cfg SynthConfig, data []byte) (SynthResult, error) {
 	return s.run(), nil
 }
 
-// ValidateShards checks a shard-count request against the mesh size at
-// parse time, so commands reject bad values with a clear message
-// instead of clamping silently or panicking downstream.
-func ValidateShards(shards, nodes int) error {
-	if shards < 1 {
-		return fmt.Errorf("sim: shards %d must be at least 1", shards)
-	}
-	if shards > nodes {
-		return fmt.Errorf("sim: shards %d exceeds the %d mesh nodes (each shard needs at least one node)", shards, nodes)
-	}
-	return nil
-}
-
 func init() {
 	snapshot.Register("sim.SynthConfig", SynthConfig{},
 		[]string{"Options", "Pattern", "Rate", "Warmup", "Measure", "Drain",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
@@ -208,25 +209,37 @@ func TestCheckpointUnderFaultsIdenticalAbort(t *testing.T) {
 	}
 }
 
-// TestValidateShards covers the CLI-facing bounds check.
+// TestValidateShards covers the shard bound the CLIs' -shards (and
+// nocsim -restore's override) reach through Validate: 0 (read as 1)
+// through W×H shards pass and build; a negative count, or more shards
+// than the mesh has nodes, is an error rather than a panic in
+// SetShards.
 func TestValidateShards(t *testing.T) {
-	cases := []struct {
-		shards, nodes int
-		ok            bool
+	for _, c := range []struct {
+		w, shards int
+		ok        bool
 	}{
-		{1, 16, true},
+		{4, 0, true},
+		{4, 1, true},
+		{4, 4, true},
 		{4, 16, true},
-		{16, 16, true},
-		{0, 16, false},
-		{-3, 16, false},
-		{17, 16, false},
-		{2, 1, false},
-	}
-	for _, c := range cases {
-		err := ValidateShards(c.shards, c.nodes)
+		{4, -3, false},
+		{4, 17, false},
+		{2, 5, false},
+	} {
+		o := Options{W: c.w, Shards: c.shards}
+		err := o.Validate()
 		if (err == nil) != c.ok {
-			t.Errorf("ValidateShards(%d, %d) = %v, want ok=%v", c.shards, c.nodes, err, c.ok)
+			t.Errorf("%d shards on %dx%d: error %v, want ok=%v", c.shards, c.w, c.w, err, c.ok)
+			continue
 		}
+		if !c.ok {
+			if !strings.Contains(err.Error(), fmt.Sprintf("shards %d", c.shards)) {
+				t.Errorf("%d shards on %dx%d: error %q does not name the count", c.shards, c.w, c.w, err)
+			}
+			continue
+		}
+		Build(o)
 	}
 }
 

@@ -156,9 +156,9 @@ type Options struct {
 	Watchdog string
 
 	// Shards is the intra-sim spatial shard count for Network.Step
-	// (DESIGN.md §12); 0 or 1 runs the serial loop. Results are
-	// bit-identical at any value. Ignored for MinBD (its deflection
-	// network has no sharded stepper).
+	// (DESIGN.md §12), at most W×H; 0 or 1 runs the serial loop.
+	// Results are bit-identical at any value. Ignored for MinBD (its
+	// deflection network has no sharded stepper).
 	Shards int
 }
 
@@ -183,9 +183,10 @@ func (o *Options) setDefaults() {
 // more per input port than the router's one-word masks hold (VNs × VCs
 // ≤ 64 — 64 VCs for the one-VN schemes, 10 per VN for the six-VN
 // baselines), an unparseable fault plan or watchdog spec, a FastPass
-// slot K shorter than the mesh's round trip — and a negative or NaN
-// fault scale, which Build would silently run at full rate. Zero fields
-// stand for their defaults.
+// slot K shorter than the mesh's round trip, a shard count outside
+// [0, W×H], healing on a scheme other than FastPass — and a negative or
+// NaN fault scale, which Build would silently run at full rate. Zero
+// fields stand for their defaults.
 func (o Options) Validate() error {
 	if o.Scheme < 0 || o.Scheme >= numSchemes {
 		return fmt.Errorf("sim: unknown scheme %v", o.Scheme)
@@ -212,6 +213,12 @@ func (o Options) Validate() error {
 	}
 	if _, _, err := invariant.ParseSpec(o.Watchdog); err != nil {
 		return fmt.Errorf("sim: %w", err)
+	}
+	if o.Shards < 0 || o.Shards > o.W*o.H {
+		return fmt.Errorf("sim: shards %d is outside [0, %d] (each shard needs at least one of the mesh's nodes)", o.Shards, o.W*o.H)
+	}
+	if o.FPHealing && o.Scheme != FastPass {
+		return fmt.Errorf("sim: healing is a FastPass configuration; it does not apply to %v", o.Scheme)
 	}
 	if o.Scheme == FastPass && o.FastPassK > 0 {
 		if err := (fastpass.Schedule{W: o.W, H: o.H, K: o.FastPassK}).Validate(); err != nil {

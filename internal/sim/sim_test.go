@@ -290,8 +290,10 @@ func TestInjectedPacketsBelongToTheirNIC(t *testing.T) {
 // TestValidateRejectsWhatBuildPanicsOn: each input that used to reach a
 // panic inside Build or the first cycle (or, for the rates and the
 // negative window, run to NaN latencies; for the fault scales, run the
-// plan at full rate) is an error from Validate, and
-// every scheme's defaults and largest legal VC count pass — and build.
+// plan at full rate; for healing, run a FastPass option on another
+// scheme) is an error from Validate, and every scheme's defaults and
+// largest legal VC count pass — and build. TestValidateShards covers
+// the shard bound.
 func TestValidateRejectsWhatBuildPanicsOn(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -321,6 +323,7 @@ func TestValidateRejectsWhatBuildPanicsOn(t *testing.T) {
 		{"unparseable fault plan", SynthConfig{Options: Options{Faults: "00"}}, "unknown fault kind"},
 		{"unparseable watchdog", SynthConfig{Options: Options{Watchdog: "stride"}}, "not key=value"},
 		{"FastPass slot under a round trip", SynthConfig{Options: Options{Scheme: FastPass, W: 24, H: 24, FastPassK: 24}}, "shorter than a worst-case round trip"},
+		{"healing on EscapeVC", SynthConfig{Options: Options{Scheme: EscapeVC, FPHealing: true}}, "FastPass configuration"},
 	} {
 		if err := tc.cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.wantErr)

@@ -108,10 +108,6 @@ func ResumeSynthetic(cfg SynthConfig, data []byte) (SynthResult, error) {
 	return sim.ResumeSynthetic(cfg, data)
 }
 
-// ValidateShards checks a shard-count request against the mesh size at
-// flag-parse time (1 ≤ shards ≤ nodes).
-func ValidateShards(shards, nodes int) error { return sim.ValidateShards(shards, nodes) }
-
 // SweepLatencyJobs measures a latency-vs-injection-rate curve (a Fig. 7
 // series) with the given worker count (0 = one worker per core,
 // 1 = serial). Results are deterministic: the same seed yields
@@ -120,42 +116,13 @@ func SweepLatencyJobs(base SynthConfig, rates []float64, jobs int) []SynthResult
 	return sim.SweepLatencyJobs(base, rates, jobs)
 }
 
-// FaultPlan describes deterministic hardware-fault injection; FaultCounters
-// reports what an injector actually did. See the faults package for the
-// compact spec grammar ("linkfail:rate=1e-4,dur=64;corrupt:rate=1e-5;...").
+// FaultCounters reports what a run's fault injector did (see the faults
+// package for the -faults spec grammar); Violation is one tripped
+// invariant watchdog (see the invariant package).
 type (
-	FaultPlan     = faults.Plan
 	FaultCounters = faults.Counters
+	Violation     = invariant.Violation
 )
-
-// ParseFaultPlan validates and parses a fault-plan spec (the -faults
-// flag value).
-func ParseFaultPlan(spec string) (FaultPlan, error) { return faults.ParsePlan(spec) }
-
-// WatchdogOptions tunes the runtime invariant watchdogs; Violation is
-// one tripped invariant. See the invariant package.
-type (
-	WatchdogOptions = invariant.Options
-	Violation       = invariant.Violation
-)
-
-// ParseWatchdogSpec validates and parses a -watchdog flag value ("on",
-// "off", or "stride=..,deadlock=..,starve=..,leak=.." clauses),
-// reporting whether watchdogs are enabled.
-func ParseWatchdogSpec(spec string) (WatchdogOptions, bool, error) {
-	return invariant.ParseSpec(spec)
-}
-
-// ResilienceConfig sweeps a fault plan's intensity across schemes;
-// ResiliencePoint is one (scheme, scale) measurement.
-type (
-	ResilienceConfig = sim.ResilienceConfig
-	ResiliencePoint  = sim.ResiliencePoint
-)
-
-// RunResilience executes a fault-intensity sweep. Deterministic: the
-// same config yields bit-identical points at any Jobs value.
-func RunResilience(cfg ResilienceConfig) []ResiliencePoint { return sim.RunResilience(cfg) }
 
 // CampaignConfig describes a Monte Carlo reliability campaign: one
 // fault plan swept over a (variant × fault-scale × seed) grid and
