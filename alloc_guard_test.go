@@ -18,6 +18,7 @@ import (
 	"unsafe"
 
 	"repro/internal/message"
+	"repro/internal/network"
 	"repro/internal/nic"
 	"repro/internal/protocol"
 	"repro/internal/router"
@@ -51,24 +52,54 @@ func allocsPerTick(n int, tick func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(n)
 }
 
-func measureSteadyStateAllocs(t *testing.T, scheme noc.Scheme, w, h int, rate float64) float64 {
+// injector is the guards' synthetic traffic: uniform Bernoulli
+// injection from the instance's packet arena.
+type injector struct {
+	inst *sim.Instance
+	gen  *traffic.Generator
+	rng  *rand.Rand
+}
+
+func newInjector(inst *sim.Instance, rate float64) *injector {
+	src := snapshot.NewCountingSource(0x5eed)
+	o := inst.Opts
+	gen := &traffic.Generator{Pattern: traffic.Uniform, Rate: rate, W: o.W, H: o.H, Pool: inst.UsePool(), Stream: src}
+	return &injector{inst, gen, rand.New(src)}
+}
+
+func (s *injector) Tick(cycle int64) {
+	for _, pkt := range s.gen.Tick(cycle, s.rng) {
+		s.inst.Enqueue(pkt)
+	}
+}
+
+func (*injector) Tock(int64) bool { return false }
+
+// oneCycle steps inst one cycle through the run loop.
+func oneCycle(inst *sim.Instance, src sim.Source) func() {
+	return func() { inst.Run(src, inst.Cycle()+1) }
+}
+
+// measureSteadyStateAllocs runs the scheme through the run loop, with a
+// counting phase hook when hooked is set, and scores 300 warm cycles.
+func measureSteadyStateAllocs(t *testing.T, scheme noc.Scheme, w, h int, rate float64, hooked bool) float64 {
 	t.Helper()
 	// Watchdog on at the default stride: invariant sampling is part of
 	// the steady state and must fit inside the same zero budget.
 	inst := sim.Build(sim.Options{Scheme: scheme, W: w, H: h, Seed: 1, Watchdog: "on"})
-	src := snapshot.NewCountingSource(0x5eed)
-	gen := &traffic.Generator{Pattern: traffic.Uniform, Rate: rate, W: w, H: h, Pool: inst.UsePool(), Stream: src}
-	rng := rand.New(src)
-	tick := func() {
-		for _, pkt := range gen.Tick(inst.Cycle(), rng) {
-			inst.Enqueue(pkt)
-		}
-		inst.Step()
+	var heard [network.PhaseEjectEnd + 1]int64
+	if hooked {
+		inst.Hook = func(p network.Phase) { heard[p]++ }
 	}
+	tick := oneCycle(inst, newInjector(inst, rate))
 	for c := 0; c < 8000; c++ {
 		tick()
 	}
-	return allocsPerTick(300, tick)
+	got := allocsPerTick(300, tick)
+	if hooked && heard == [len(heard)]int64{} {
+		t.Error("the hook heard no phase")
+	}
+	return got
 }
 
 func TestSteadyStateZeroAllocsPerCycle(t *testing.T) {
@@ -81,31 +112,36 @@ func TestSteadyStateZeroAllocsPerCycle(t *testing.T) {
 		size   int
 		rate   float64
 		budget float64
+		hooked bool
 	}{
-		{"FastPass/uniform", noc.FastPass, 4, 0.10, steadyStateAllocBudget},
-		{"FastPass/idle", noc.FastPass, 4, 0, steadyStateAllocBudget},
+		{"FastPass/uniform", noc.FastPass, 4, 0.10, steadyStateAllocBudget, false},
+		{"FastPass/idle", noc.FastPass, 4, 0, steadyStateAllocBudget, false},
 		// 0.06 is the highest fig7_uniform rate EscapeVC sustains: past
 		// saturation the unbounded source queues and the arena grow with
 		// the backlog every cycle, which is load, not engine garbage.
-		{"EscapeVC/8x8", noc.EscapeVC, 8, 0.06, steadyStateAllocBudget},
-		{"FastPass/16x16", noc.FastPass, 16, 0.03, steadyStateAllocBudget},
+		{"EscapeVC/8x8", noc.EscapeVC, 8, 0.06, steadyStateAllocBudget, false},
+		{"FastPass/16x16", noc.FastPass, 16, 0.03, steadyStateAllocBudget, false},
 		// lowload_16x16's shape: ~4 of 256 routers awake, the cycle is
 		// the generator's scan and PreCycle's walk over empty primes.
-		{"FastPass/16x16-lowload", noc.FastPass, 16, 0.0005, steadyStateAllocBudget},
+		{"FastPass/16x16-lowload", noc.FastPass, 16, 0.0005, steadyStateAllocBudget, false},
 		// MinBD draws from the arena like everyone else, so generation is
 		// part of the measurement.
-		{"MinBD/8x8", noc.MinBD, 8, 0.06, steadyStateAllocBudget},
+		{"MinBD/8x8", noc.MinBD, 8, 0.06, steadyStateAllocBudget, false},
 		// SPIN probes only once heads block, which is past its saturation
 		// point (0.08): at 0.10 a probe fires about once a cycle, the
 		// backlog takes an arena chunk every ~11 cycles and a confirmed
 		// loop (one in ~17 cycles) copies its chain and formats a trace
 		// line — 0.2 objects per cycle measured. A probe that allocated
 		// again would alone be >= 1.
-		{"SPIN/8x8@0.10", noc.SPIN, 8, 0.10, 0.5},
+		{"SPIN/8x8@0.10", noc.SPIN, 8, 0.10, 0.5, false},
+		// A phase hook that does not allocate leaves the cycle at zero:
+		// an unset hook is a nil check, a set one a call per boundary.
+		{"FastPass/8x8+hook", noc.FastPass, 8, 0.06, steadyStateAllocBudget, true},
+		{"MinBD/8x8+hook", noc.MinBD, 8, 0.06, steadyStateAllocBudget, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := measureSteadyStateAllocs(t, tc.scheme, tc.size, tc.size, tc.rate); got > tc.budget {
+			if got := measureSteadyStateAllocs(t, tc.scheme, tc.size, tc.size, tc.rate, tc.hooked); got > tc.budget {
 				t.Errorf("steady-state cycle allocates %.3f times on average, want ~0 (budget %.2f)",
 					got, tc.budget)
 			}
@@ -117,10 +153,7 @@ func TestSteadyStateZeroAllocsPerCycle(t *testing.T) {
 	t.Run("Protocol/FastPass-8x8", func(t *testing.T) {
 		inst := sim.Build(sim.Options{Scheme: noc.FastPass, W: 8, H: 8, Seed: 1, Watchdog: "on"})
 		eng := protocol.New(inst.Net, workload.MustGet("Streamcluster").Profile, 1)
-		tick := func() {
-			eng.Tick(inst.Cycle())
-			inst.Step()
-		}
+		tick := oneCycle(inst, engine{eng})
 		for c := 0; c < 8000; c++ {
 			tick()
 		}
@@ -132,6 +165,11 @@ func TestSteadyStateZeroAllocsPerCycle(t *testing.T) {
 		}
 	})
 }
+
+// engine is the guards' coherence traffic: the protocol engine alone.
+type engine struct{ *protocol.Engine }
+
+func (engine) Tock(int64) bool { return false }
 
 // ringGrowObjects reads the heap profile for objects allocated by
 // ringq's grow: those made for a router VC (an injection queue outgrowing
@@ -188,22 +226,10 @@ func TestFirstTouchAllocBudget(t *testing.T) {
 		ticker  func(inst *sim.Instance) func()
 	}{
 		{"FastPass-8x8@0.02", 16, func(inst *sim.Instance) func() {
-			src := snapshot.NewCountingSource(0x5eed)
-			gen := &traffic.Generator{Pattern: traffic.Uniform, Rate: 0.02, W: 8, H: 8, Pool: inst.UsePool(), Stream: src}
-			rng := rand.New(src)
-			return func() {
-				for _, pkt := range gen.Tick(inst.Cycle(), rng) {
-					inst.Enqueue(pkt)
-				}
-				inst.Step()
-			}
+			return oneCycle(inst, newInjector(inst, 0.02))
 		}},
 		{"Protocol/FastPass-8x8", 120, func(inst *sim.Instance) func() {
-			eng := protocol.New(inst.Net, workload.MustGet("Streamcluster").Profile, 1)
-			return func() {
-				eng.Tick(inst.Cycle())
-				inst.Step()
-			}
+			return oneCycle(inst, engine{protocol.New(inst.Net, workload.MustGet("Streamcluster").Profile, 1)})
 		}},
 	}
 	for _, tc := range cases {

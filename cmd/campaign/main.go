@@ -37,6 +37,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/campaign"
 	"repro/internal/obs"
 	"repro/noc"
 )
@@ -108,7 +109,7 @@ func parse(args []string) (runConfig, error) {
 	if err != nil {
 		return runConfig{}, err
 	}
-	scaleList, err := parseScales(*scales)
+	scaleList, err := campaign.ParseScales(*scales)
 	if err != nil {
 		return runConfig{}, fmt.Errorf("-scales: %v", err)
 	}
@@ -173,20 +174,6 @@ func parseSeeds(list string, runs int) ([]int64, error) {
 		seeds = append(seeds, s)
 	}
 	return seeds, nil
-}
-
-// parseScales parses the -scales list (0 = the fault-free control
-// point; the campaign config's Validate rejects a negative one).
-func parseScales(list string) ([]float64, error) {
-	var scales []float64
-	for _, raw := range strings.Split(list, ",") {
-		s, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
-		if err != nil {
-			return nil, fmt.Errorf("fault scale %q is not a number", raw)
-		}
-		scales = append(scales, s)
-	}
-	return scales, nil
 }
 
 // runCampaign executes a validated campaign end to end: resume map,

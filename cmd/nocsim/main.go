@@ -70,9 +70,10 @@ type config struct {
 }
 
 // parse turns the command line into a validated config, or an error
-// that names what to fix (flag.ErrHelp for -h). SynthConfig.Validate
-// checks the run; parse itself adds only the values Options reads as
-// defaults (-size 0, -faultscale 0) and the cross-flag rules.
+// that names what to fix (flag.ErrHelp for -h). SynthConfig.Validate or
+// AppConfig.Validate checks the run; parse itself adds only the values
+// Options reads as defaults (-size 0, -faultscale 0) and the cross-flag
+// rules.
 func parse(args []string) (config, error) {
 	fs := flag.NewFlagSet("nocsim", flag.ContinueOnError)
 	schemeName := fs.String("scheme", "FastPass", "scheme: FastPass, EscapeVC, SPIN, SWAP, DRAIN, Pitstop, MinBD, TFC")
@@ -145,10 +146,20 @@ func parse(args []string) (config, error) {
 		Rate: *rate, Warmup: *warmup, Measure: *measure, Drain: *drain,
 		CheckpointEvery: *checkpointEvery,
 	}
-	if *app == "" {
-		if cfg.run.Pattern, err = noc.ParsePattern(*patternName); err != nil {
+	if *app != "" {
+		if cfg.app, err = noc.GetApp(*app); err != nil {
 			return config{}, err
 		}
+		switch {
+		case *checkpointEvery > 0:
+			return config{}, fmt.Errorf("-checkpoint only applies to synthetic runs")
+		case cfg.tf.enabled() || cfg.tf.progress:
+			return config{}, fmt.Errorf("-telemetry, -heatmap, -http and -progress only apply to synthetic runs")
+		}
+		return cfg, noc.AppConfig{Options: cfg.run.Options, App: cfg.app}.Validate()
+	}
+	if cfg.run.Pattern, err = noc.ParsePattern(*patternName); err != nil {
+		return config{}, err
 	}
 	if err := cfg.run.Validate(); err != nil {
 		return config{}, err
@@ -157,20 +168,6 @@ func parse(args []string) (config, error) {
 		// MinBD's deflection network carries neither the fault injector
 		// nor the watchdogs: run and print it without them.
 		cfg.run.Faults, cfg.run.Watchdog = "", ""
-	}
-
-	if *app != "" {
-		if cfg.app, err = noc.GetApp(*app); err != nil {
-			return config{}, err
-		}
-		switch {
-		case !scheme.SupportsProtocol():
-			return config{}, fmt.Errorf("-app: scheme %v cannot run protocol traffic", scheme)
-		case *checkpointEvery > 0:
-			return config{}, fmt.Errorf("-checkpoint only applies to synthetic runs")
-		case cfg.tf.enabled() || cfg.tf.progress:
-			return config{}, fmt.Errorf("-telemetry, -heatmap, -http and -progress only apply to synthetic runs")
-		}
 	}
 	return cfg, nil
 }

@@ -62,7 +62,7 @@ func TestRejectsWithoutPanic(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-scheme", "MinBD", "-app", "Radix"}, "nocsim: -app: scheme MinBD cannot run protocol traffic"},
+		{[]string{"-scheme", "MinBD", "-app", "Radix"}, "nocsim: sim: scheme MinBD cannot run protocol traffic"},
 		{[]string{"-app", "NotAnApp"}, "NotAnApp"},
 		{[]string{"-restore", ckpt, "-shards", "17"}, "nocsim: sim: shards 17"},
 	} {

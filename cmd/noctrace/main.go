@@ -16,9 +16,8 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"os"
-
 	"math/rand"
+	"os"
 
 	"repro/internal/message"
 	"repro/internal/sim"
@@ -62,16 +61,9 @@ func main() {
 	}
 	inst := sim.Build(opts)
 	inst.SetOnEject(func(*message.Packet) {})
-
 	src := snapshot.NewCountingSource(*seed)
 	gen := &traffic.Generator{Pattern: traffic.Uniform, Rate: *rate, W: *size, H: *size, Stream: src}
-	rng := rand.New(src)
-	for c := 0; c < *cycles; c++ {
-		for _, p := range gen.Tick(inst.Cycle(), rng) {
-			inst.Enqueue(p)
-		}
-		inst.Step()
-	}
+	inst.Run(uniform{inst, gen, rand.New(src)}, int64(*cycles))
 
 	rec := inst.Trace
 	// Machine-readable modes keep stdout pure (pipe to jq, redirect to
@@ -94,19 +86,29 @@ func main() {
 		}
 		return
 	}
+	write := rec.WriteText
 	if *asJSON {
-		if err := rec.WriteJSON(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
+		write = rec.WriteJSON
+	} else if *asJSONL {
+		write = rec.WriteJSONL
 	}
-	if *asJSONL {
-		if err := rec.WriteJSONL(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if err := rec.WriteText(os.Stdout); err != nil {
+	if err := write(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
+
+// uniform is the traced run's traffic: Bernoulli injection from the
+// command's own -seed stream, every packet a fresh allocation.
+type uniform struct {
+	inst *sim.Instance
+	gen  *traffic.Generator
+	rng  *rand.Rand
+}
+
+func (u uniform) Tick(cycle int64) {
+	for _, p := range u.gen.Tick(cycle, u.rng) {
+		u.inst.Enqueue(p)
+	}
+}
+
+func (uniform) Tock(int64) bool { return false }

@@ -7,7 +7,7 @@
 //
 // With -faults the runs execute under deterministic fault injection;
 // with -fault-scales the command switches to the resilience experiment,
-// sweeping the plan's intensity instead of the injection rate and
+// sweeping the plan's intensity at one injection rate (-rate-min) and
 // reporting delivery/stranding/abort accounting per (scheme, scale).
 //
 // Usage:
@@ -34,9 +34,9 @@ import (
 	"log"
 	"math"
 	"os"
-	"strconv"
 	"strings"
 
+	"repro/internal/campaign"
 	"repro/internal/parallel"
 	"repro/noc"
 )
@@ -83,7 +83,8 @@ func main() {
 // CampaignConfig.Validate (which also turns MinBD away); parse itself
 // adds only the values Options reads as defaults (-size 0,
 // -faultscale 0) and the cross-flag rules: -fault-scales needs -faults
-// and excludes -telemetry, and -telemetry-window must be positive.
+// and excludes -telemetry, -rate-max and -rate-step, and
+// -telemetry-window must be positive.
 func parse(args []string) (sweepConfig, error) {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	schemes := fs.String("schemes", "FastPass,EscapeVC,SPIN,SWAP,DRAIN,Pitstop,MinBD,TFC", "comma-separated scheme list")
@@ -105,6 +106,8 @@ func parse(args []string) (sweepConfig, error) {
 		return sweepConfig{}, err
 	}
 
+	rateGrid := false
+	fs.Visit(func(f *flag.Flag) { rateGrid = rateGrid || f.Name == "rate-max" || f.Name == "rate-step" })
 	names, parsed, err := parseSchemes(*schemes)
 	if err != nil {
 		return sweepConfig{}, err
@@ -144,10 +147,13 @@ func parse(args []string) (sweepConfig, error) {
 		if *faultSpec == "" {
 			return sweepConfig{}, fmt.Errorf("-fault-scales sweeps a fault plan's intensity; pass the plan with -faults")
 		}
+		if rateGrid {
+			return sweepConfig{}, fmt.Errorf("-fault-scales runs every cell at -rate-min; drop -rate-max and -rate-step")
+		}
 		if *telemetryPath != "" {
 			return sweepConfig{}, fmt.Errorf("-telemetry does not apply to the resilience experiment; drop it or -fault-scales")
 		}
-		if cfg.scales, err = parseScales(*faultScales); err != nil {
+		if cfg.scales, err = campaign.ParseScales(*faultScales); err != nil {
 			return sweepConfig{}, fmt.Errorf("-fault-scales: %v", err)
 		}
 		if err := cfg.resilience().Validate(); err != nil {
@@ -158,20 +164,6 @@ func parse(args []string) (sweepConfig, error) {
 		cfg.telemetry = newTelemetrySink(cfg, *telemetryWindow)
 	}
 	return cfg, nil
-}
-
-// parseScales parses the -fault-scales list (0 = the fault-free control
-// point; the campaign config's Validate rejects a negative one).
-func parseScales(list string) ([]float64, error) {
-	var scales []float64
-	for _, raw := range strings.Split(list, ",") {
-		s, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
-		if err != nil {
-			return nil, fmt.Errorf("fault scale %q is not a number", raw)
-		}
-		scales = append(scales, s)
-	}
-	return scales, nil
 }
 
 // sweepConfig is a fully-validated sweep description: every field has
@@ -265,9 +257,10 @@ func (cfg sweepConfig) base() noc.SynthConfig {
 }
 
 // resilience is the -fault-scales experiment as a campaign grid: one
-// static variant per scheme, at the one seed.
+// static variant per scheme, at the one seed and the first rate.
 func (cfg sweepConfig) resilience() noc.CampaignConfig {
 	c := noc.CampaignConfig{Base: cfg.base(), Scales: cfg.scales, Seeds: []int64{cfg.seed}, Jobs: cfg.jobs}
+	c.Base.Rate = cfg.rates[0]
 	for _, s := range cfg.schemes {
 		c.Variants = append(c.Variants, noc.CampaignVariant{Scheme: s})
 	}

@@ -109,7 +109,7 @@ func TestBuildConfigValidation(t *testing.T) {
 
 // goodArgs is the baseline command line every TestValidateFlags row
 // extends; a later flag overrides an earlier one.
-var goodArgs = []string{"-schemes", "FastPass,EscapeVC", "-size", "4", "-rate-max", "0.1"}
+var goodArgs = []string{"-schemes", "FastPass,EscapeVC", "-size", "4"}
 
 // TestValidateFlags drives every rule through parse, checking each
 // rejection names what is at fault.
@@ -139,6 +139,8 @@ func TestValidateFlags(t *testing.T) {
 		{name: "negative scale", args: []string{"-faults", plan, "-fault-scales", "0,-1"}, wantErr: "fault scale"},
 		{name: "telemetry with resilience", args: []string{"-faults", plan, "-fault-scales", "0,1", "-telemetry", "out.jsonl"}, wantErr: "-telemetry"},
 		{name: "minbd resilience", args: []string{"-schemes", "FastPass,MinBD", "-faults", plan, "-fault-scales", "0,1"}, wantErr: "MinBD"},
+		{name: "rate grid with resilience", args: []string{"-faults", plan, "-fault-scales", "0,1", "-rate-max", "0.1"}, wantErr: "-rate-min"},
+		{name: "rate step with resilience", args: []string{"-faults", plan, "-fault-scales", "0,1", "-rate-step", "0.01"}, wantErr: "-rate-step"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, err := parse(append(slices.Clone(goodArgs), tc.args...))
@@ -236,7 +238,7 @@ func TestSweepAbortStillWritesCSV(t *testing.T) {
 // TestResilienceCSVShape runs the resilience experiment end to end at
 // quick scale and sanity-checks the CSV accounting columns.
 func TestResilienceCSVShape(t *testing.T) {
-	cfg, err := parse([]string{"-schemes", "FastPass,EscapeVC", "-size", "4", "-seed", "7", "-rate-min", "0.05", "-rate-max", "0.05", "-j", "1",
+	cfg, err := parse([]string{"-schemes", "FastPass,EscapeVC", "-size", "4", "-seed", "7", "-rate-min", "0.05", "-j", "1",
 		"-faults", "linkfail:rate=0.002,dur=64;creditloss:rate=0.001", "-fault-scales", "0,1"})
 	if err != nil {
 		t.Fatal(err)
@@ -258,14 +260,19 @@ func TestResilienceCSVShape(t *testing.T) {
 // TestResilienceCSVGolden pins the resilience CSV of every fault
 // category on three schemes, at -j 1 and -j 8. The scale-0 rows are the
 // fault-free control: a plan left in place there shows up as nonzero
-// fault counters.
+// fault counters, and a row that delivered nothing ran without traffic.
 func TestResilienceCSVGolden(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "quick_resilience.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, row := range strings.Split(strings.TrimSpace(string(want)), "\n")[1:] {
+		if f := strings.Split(row, ","); f[1] == "0" && f[3] == "0" {
+			t.Errorf("scale-0 row delivered no packets: %s", row)
+		}
+	}
 	for _, jobs := range []int{1, 8} {
-		cfg, err := parse([]string{"-schemes", "FastPass,EscapeVC,Pitstop", "-size", "4", "-seed", "7", "-rate-min", "0.05", "-rate-max", "0.05",
+		cfg, err := parse([]string{"-schemes", "FastPass,EscapeVC,Pitstop", "-size", "4", "-seed", "7", "-rate-min", "0.05",
 			"-faults", "linkfail:rate=0.002,dur=64;portstall:rate=0.002,dur=32;corrupt:rate=0.001;creditloss:rate=0.001;stallconsumer:rate=0.0005,dur=128",
 			"-fault-scales", "0,0.5,1", "-j", strconv.Itoa(jobs)})
 		if err != nil {

@@ -49,7 +49,7 @@ func newTelemetrySink(cfg sweepConfig, window int64) *telemetrySink {
 
 // instrument wires scheme j's base config to route each run's JSONL
 // stream into that (scheme, rate) buffer. The Instrument hook runs
-// inside newSynthRun, after the sweep has set the point's Rate.
+// inside sim.NewSynthetic, after the sweep has set the point's Rate.
 func (s *telemetrySink) instrument(j int, base *noc.SynthConfig) {
 	base.Telemetry.Window = s.window
 	base.Instrument = func(c *noc.SynthConfig) {

@@ -24,14 +24,8 @@ import (
 func build(withFastPass bool) (*network.Network, *int) {
 	mesh := topology.NewMesh(4, 4)
 	n := network.New(network.Params{
-		Mesh: mesh,
-		Router: router.Config{
-			NumVNs: 1, VCsPerVN: 2, BufFlits: 5, InjQueueFlits: 10,
-			VCAlgorithms: []routing.Algorithm{routing.FullyAdaptive, routing.FullyAdaptive},
-			ClassVN:      func(message.Class) int { return 0 },
-		},
-		EjectCap: 4,
-		Seed:     1,
+		Mesh: mesh, Router: router.TableII(2, false, routing.FullyAdaptive, routing.FullyAdaptive),
+		EjectCap: 4, Seed: 1,
 	})
 	if withFastPass {
 		fastpass.Attach(n, fastpass.Params{})

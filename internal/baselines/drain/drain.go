@@ -39,18 +39,7 @@ func (p *Params) setDefaults() {
 // Config returns the DRAIN router configuration (6 VNs, fully adaptive;
 // Table II notes DRAIN can run with fewer VNs only by adding buffers).
 func Config(vcs int) router.Config {
-	algs := make([]routing.Algorithm, vcs)
-	for i := range algs {
-		algs[i] = routing.FullyAdaptive
-	}
-	return router.Config{
-		NumVNs:        int(message.NumClasses),
-		VCsPerVN:      vcs,
-		BufFlits:      5,
-		InjQueueFlits: 10,
-		VCAlgorithms:  algs,
-		ClassVN:       func(c message.Class) int { return int(c) },
-	}
+	return router.TableII(vcs, true, routing.FullyAdaptive, routing.FullyAdaptive)
 }
 
 // Controller runs the periodic drains.

@@ -7,7 +7,6 @@
 package escapevc
 
 import (
-	"repro/internal/message"
 	"repro/internal/network"
 	"repro/internal/router"
 	"repro/internal/routing"
@@ -21,19 +20,7 @@ func Config(vcs int) router.Config {
 	if vcs < 2 {
 		panic("escapevc: need at least 2 VCs (escape + adaptive)")
 	}
-	algs := make([]routing.Algorithm, vcs)
-	algs[0] = routing.WestFirst
-	for i := 1; i < vcs; i++ {
-		algs[i] = routing.FullyAdaptive
-	}
-	return router.Config{
-		NumVNs:        int(message.NumClasses),
-		VCsPerVN:      vcs,
-		BufFlits:      5,
-		InjQueueFlits: 10,
-		VCAlgorithms:  algs,
-		ClassVN:       func(c message.Class) int { return int(c) },
-	}
+	return router.TableII(vcs, true, routing.WestFirst, routing.FullyAdaptive)
 }
 
 // New builds an EscapeVC network. The scheme needs no controller — the

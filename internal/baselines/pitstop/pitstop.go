@@ -43,18 +43,7 @@ func (p *Params) setDefaults(diameter int) {
 // Config returns the Pitstop router configuration: no VNs (one shared
 // buffer pool), fully adaptive routing.
 func Config(vcs int) router.Config {
-	algs := make([]routing.Algorithm, vcs)
-	for i := range algs {
-		algs[i] = routing.FullyAdaptive
-	}
-	return router.Config{
-		NumVNs:        1,
-		VCsPerVN:      vcs,
-		BufFlits:      5,
-		InjQueueFlits: 10,
-		VCAlgorithms:  algs,
-		ClassVN:       func(message.Class) int { return 0 },
-	}
+	return router.TableII(vcs, false, routing.FullyAdaptive, routing.FullyAdaptive)
 }
 
 // Controller implements the rotating NI bypass.

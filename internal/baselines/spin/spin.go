@@ -45,18 +45,7 @@ func (p *Params) setDefaults(nodes int) {
 
 // Config returns the SPIN router configuration (6 VNs, fully adaptive).
 func Config(vcs int) router.Config {
-	algs := make([]routing.Algorithm, vcs)
-	for i := range algs {
-		algs[i] = routing.FullyAdaptive
-	}
-	return router.Config{
-		NumVNs:        int(message.NumClasses),
-		VCsPerVN:      vcs,
-		BufFlits:      5,
-		InjQueueFlits: 10,
-		VCAlgorithms:  algs,
-		ClassVN:       func(c message.Class) int { return int(c) },
-	}
+	return router.TableII(vcs, true, routing.FullyAdaptive, routing.FullyAdaptive)
 }
 
 // slot is one position in a dependency chain.

@@ -8,7 +8,6 @@
 package swap
 
 import (
-	"repro/internal/message"
 	"repro/internal/network"
 	"repro/internal/router"
 	"repro/internal/routing"
@@ -36,18 +35,7 @@ func (p *Params) setDefaults() {
 // Config returns the SWAP router configuration: 6 VNs, fully adaptive
 // routing on every VC.
 func Config(vcs int) router.Config {
-	algs := make([]routing.Algorithm, vcs)
-	for i := range algs {
-		algs[i] = routing.FullyAdaptive
-	}
-	return router.Config{
-		NumVNs:        int(message.NumClasses),
-		VCsPerVN:      vcs,
-		BufFlits:      5,
-		InjQueueFlits: 10,
-		VCAlgorithms:  algs,
-		ClassVN:       func(c message.Class) int { return int(c) },
-	}
+	return router.TableII(vcs, true, routing.FullyAdaptive, routing.FullyAdaptive)
 }
 
 // Controller performs the periodic swaps.

@@ -25,18 +25,7 @@ import (
 // Config returns the TFC router configuration: 6 VNs, West-first on
 // every VC (deadlock-free turn model).
 func Config(vcs int) router.Config {
-	algs := make([]routing.Algorithm, vcs)
-	for i := range algs {
-		algs[i] = routing.WestFirst
-	}
-	return router.Config{
-		NumVNs:        int(message.NumClasses),
-		VCsPerVN:      vcs,
-		BufFlits:      5,
-		InjQueueFlits: 10,
-		VCAlgorithms:  algs,
-		ClassVN:       func(c message.Class) int { return int(c) },
-	}
+	return router.TableII(vcs, true, routing.WestFirst, routing.WestFirst)
 }
 
 // Controller implements the token bypass.

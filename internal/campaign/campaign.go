@@ -20,6 +20,7 @@ package campaign
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/parallel"
@@ -84,6 +85,20 @@ func ParseVariants(spec string) ([]Variant, error) {
 		return nil, fmt.Errorf("campaign: empty variant list %q", spec)
 	}
 	return out, nil
+}
+
+// ParseScales parses a comma-separated fault-scale list (0 is the
+// fault-free control; Validate rejects a negative scale).
+func ParseScales(list string) ([]float64, error) {
+	var scales []float64
+	for _, raw := range strings.Split(list, ",") {
+		s, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
+		if err != nil {
+			return nil, fmt.Errorf("fault scale %q is not a number", raw)
+		}
+		scales = append(scales, s)
+	}
+	return scales, nil
 }
 
 // Config describes a campaign.

@@ -306,6 +306,17 @@ func (s Scale) Fig10Apps() []string {
 	return workload.Fig10Apps()
 }
 
+// runApp runs one application on the evaluation mesh at seed 11; a
+// quick run shrinks the work quota and bounds the cycles.
+func (s Scale) runApp(name string, o sim.Options) sim.AppResult {
+	o.W, o.H, o.Seed = s.mesh(), s.mesh(), 11
+	cfg := sim.AppConfig{Options: o, App: workload.MustGet(name)}
+	if s.Quick {
+		cfg.App.WorkQuota, cfg.MaxCycles = 600, 250000
+	}
+	return sim.RunApp(cfg)
+}
+
 // Fig10 runs every app on every configuration, fanning the (app,
 // scheme) matrix out in parallel. It also provides the data for Fig. 12
 // (p99) and Fig. 13(b).
@@ -321,29 +332,15 @@ func Fig10(s Scale) []Fig10Cell {
 		}
 	}
 	return parallel.Map(s.Jobs, tasks, func(t task) Fig10Cell {
-		// MustGet returns a value, so the quick-mode quota tweak stays
-		// local to this worker.
-		app := workload.MustGet(t.app)
-		if s.Quick {
-			app.WorkQuota = 600
-		}
-		cfg := sim.AppConfig{
-			Options: sim.Options{
-				Scheme: t.fs.Scheme, W: s.mesh(), H: s.mesh(),
-				VCs: t.fs.VCs, Seed: 11,
-				// Application runs complete in a few thousand
-				// cycles — roughly 1000x shorter than the real
-				// executions the paper's 64K-cycle DRAIN period was
-				// set against — so the period scales down with them
-				// to keep the drains-per-run ratio comparable.
-				DrainPeriod: 512,
-			},
-			App: app,
-		}
-		if s.Quick {
-			cfg.MaxCycles = 250000
-		}
-		r := sim.RunApp(cfg)
+		r := s.runApp(t.app, sim.Options{
+			Scheme: t.fs.Scheme, VCs: t.fs.VCs,
+			// Application runs complete in a few thousand cycles —
+			// roughly 1000x shorter than the real executions the
+			// paper's 64K-cycle DRAIN period was set against — so the
+			// period scales down with them to keep the drains-per-run
+			// ratio comparable.
+			DrainPeriod: 512,
+		})
 		return Fig10Cell{
 			App: t.app, Scheme: t.fs.Label,
 			AvgLatency: r.AvgLatency, P99Latency: r.P99Latency,
@@ -431,18 +428,7 @@ func Fig13b(s Scale) []Fig10Cell {
 		apps = apps[:3]
 	}
 	return parallel.Map(s.Jobs, apps, func(appName string) Fig10Cell {
-		app := workload.MustGet(appName)
-		if s.Quick {
-			app.WorkQuota = 600
-		}
-		cfg := sim.AppConfig{
-			Options: sim.Options{Scheme: sim.FastPass, W: s.mesh(), H: s.mesh(), VCs: 1, Seed: 11},
-			App:     app,
-		}
-		if s.Quick {
-			cfg.MaxCycles = 250000
-		}
-		r := sim.RunApp(cfg)
+		r := s.runApp(appName, sim.Options{Scheme: sim.FastPass, VCs: 1})
 		return Fig10Cell{
 			App: appName, Scheme: "FastPass(VC=1)",
 			RegularFrac: r.RegularFrac, FastFrac: r.FastFrac, DroppedFrac: r.DroppedFrac,

@@ -132,8 +132,8 @@ func Hotspot(s Scale) []HotspotPoint {
 	}
 	results := parallel.Map(s.Jobs, tasks, func(t task) sim.SynthResult {
 		cfg := s.base(t.scheme, traffic.Hotspot, 1)
-		cfg.Rate = 0.04
-		return runHotspot(cfg, t.frac)
+		cfg.Rate, cfg.HotspotFraction = 0.04, t.frac
+		return sim.RunSynthetic(cfg)
 	})
 	var out []HotspotPoint
 	for i, frac := range fracs {
@@ -150,13 +150,6 @@ func Hotspot(s Scale) []HotspotPoint {
 		out = append(out, pt)
 	}
 	return out
-}
-
-// runHotspot runs one synthetic point with the generator's hotspot
-// fraction overridden.
-func runHotspot(cfg sim.SynthConfig, frac float64) sim.SynthResult {
-	cfg.HotspotFraction = frac
-	return sim.RunSynthetic(cfg)
 }
 
 // HotspotString renders the hotspot sweep.

@@ -293,37 +293,32 @@ func (p *Plan) parseClause(clause string) error {
 			return fmt.Errorf("clause %q does not take at=", kind)
 		}
 		p.Events = append(p.Events, ev)
-	case kind == "linkfail":
-		if p.LinkFailRate, err = rate(); err != nil {
-			return err
-		}
-		if p.LinkFailDur, err = dur(0); err != nil {
-			return err
-		}
-	case kind == "portstall":
-		if p.PortStallRate, err = rate(); err != nil {
-			return err
-		}
-		if p.PortStallDur, err = dur(0); err != nil {
-			return err
-		}
-	case kind == "corrupt":
-		if p.CorruptRate, err = rate(); err != nil {
-			return err
-		}
-	case kind == "creditloss":
-		if p.CreditLossRate, err = rate(); err != nil {
-			return err
-		}
-	case kind == "stallconsumer":
-		if p.ConsumerStallRate, err = rate(); err != nil {
-			return err
-		}
-		if p.ConsumerStallDur, err = dur(0); err != nil {
-			return err
-		}
 	default:
-		return fmt.Errorf("unknown fault kind %q", kind)
+		// A random fault sets its rate and, when it lasts, its duration.
+		var r *float64
+		var d *int64
+		switch kind {
+		case "linkfail":
+			r, d = &p.LinkFailRate, &p.LinkFailDur
+		case "portstall":
+			r, d = &p.PortStallRate, &p.PortStallDur
+		case "corrupt":
+			r = &p.CorruptRate
+		case "creditloss":
+			r = &p.CreditLossRate
+		case "stallconsumer":
+			r, d = &p.ConsumerStallRate, &p.ConsumerStallDur
+		default:
+			return fmt.Errorf("unknown fault kind %q", kind)
+		}
+		if *r, err = rate(); err != nil {
+			return err
+		}
+		if d != nil {
+			if *d, err = dur(0); err != nil {
+				return err
+			}
+		}
 	}
 	if len(kv) > 0 {
 		// Report the alphabetically first leftover so the error text does

@@ -241,9 +241,10 @@ func Attach(n *network.Network, opts Options) *Watchdog {
 // network's own buffers.
 func (w *Watchdog) Observe(h Held) { w.held = append(w.held, h) }
 
-// Tripped reports whether any fatal violation has been recorded. Run
-// loops poll it each cycle and abort when it turns true.
-func (w *Watchdog) Tripped() bool { return w.fatal }
+// Tripped reports whether any fatal violation has been recorded (false
+// on a nil watchdog). The run loop polls it each cycle and stops when it
+// turns true.
+func (w *Watchdog) Tripped() bool { return w != nil && w.fatal }
 
 // Deadlocked reports whether a waits-for cycle was found.
 func (w *Watchdog) Deadlocked() bool { return w.deadlocked }

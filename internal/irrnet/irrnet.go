@@ -208,7 +208,8 @@ func (n *Network) Step() {
 	n.lanes.Step(n.cycle, true)
 	n.lanes.DrainLandings(n.cycle)
 	for _, nc := range n.NICs {
-		nc.Tick(n.cycle)
+		nc.TickConsume(n.cycle)
+		nc.TickInject(n.cycle)
 	}
 	for _, r := range n.routers {
 		r.step()

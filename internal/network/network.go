@@ -158,6 +158,44 @@ type Network struct {
 	// watchdogs hang off it; a plain func field keeps the dependency
 	// one-way (invariant imports network, never the reverse).
 	Probe func()
+
+	// Hook, when set, is told each Phase of Step as it begins (the run
+	// loop sets it from sim.Instance.Hook). It runs serially, never from
+	// a shard worker.
+	Hook func(Phase)
+}
+
+// Phase names a boundary of the run loop (DESIGN.md §4.1). A Hook is
+// called with each phase as it begins, and the phase lasts until the
+// next call. The constants through Checkpoint run in the order a cycle
+// reports them; the network reports Begin to Probe, the harness the rest.
+type Phase uint8
+
+// The phases of a cycle.
+const (
+	PhaseSource     Phase = iota // the traffic source ticks: generator or protocol engine
+	PhaseEnqueue                 // the generator's packets go to their source NICs
+	PhaseBegin                   // active sets compact, claims expire, faults advance
+	PhasePreCycle                // the controller's PreCycle: lookahead claims for this cycle
+	PhaseConsume                 // NIC consumption
+	PhaseInject                  // NIC injection; a sharded step runs it inside Route
+	PhaseRoute                   // router VA and SA, link and ejection traversal
+	PhasePostCycle               // the controller's PostCycle
+	PhaseShift                   // link and credit registers shift
+	PhaseProbe                   // the invariant Probe, when one is attached
+	PhaseTelemetry               // the window clock and progress stride of a synthetic run
+	PhaseCheckpoint              // a due checkpoint is sealed, before the next cycle's source
+	PhaseRestore                 // a resumed run decodes its checkpoint, before its first cycle
+	PhaseDeflect                 // MinBD's whole step: its only network phase
+	PhaseEject                   // nested where a delivery observer runs
+	PhaseEjectEnd                // the observer returned; the enclosing phase resumes
+)
+
+// phase reports p to the hook. Unset, a boundary costs one nil check.
+func (n *Network) phase(p Phase) {
+	if n.Hook != nil {
+		n.Hook(p)
+	}
 }
 
 // New builds a network. The Controller starts as a no-op; schemes attach
@@ -389,6 +427,7 @@ func (n *Network) Step() {
 		return
 	}
 	sh := n.shards[0]
+	n.phase(PhaseBegin)
 	// Retire members that went idle in an earlier cycle. Compaction is
 	// deliberately the first thing in a cycle — never mid-iteration —
 	// and is purely an optimisation: a stale active member's Step/Tick
@@ -403,22 +442,34 @@ func (n *Network) Step() {
 	// loop keep consumption serial (global protocol/pool state) while
 	// injection runs shard-parallel.
 	nics := &sh.activeNICs
+	n.phase(PhaseConsume)
 	for nics.cur = 0; nics.cur < len(nics.ids); nics.cur++ {
 		n.NICs[nics.ids[nics.cur]].TickConsume(n.cycle)
 	}
 	nics.cur = -1
+	n.phase(PhaseInject)
 	for nics.cur = 0; nics.cur < len(nics.ids); nics.cur++ {
 		n.NICs[nics.ids[nics.cur]].TickInject(n.cycle)
 	}
 	nics.cur = -1
 	routers := &sh.activeRouters
+	n.phase(PhaseRoute)
 	for routers.cur = 0; routers.cur < len(routers.ids); routers.cur++ {
 		n.Routers[routers.ids[routers.cur]].Step()
 	}
 	routers.cur = -1
+	n.phase(PhasePostCycle)
 	n.Controller.PostCycle(n)
+	n.endCycle()
+}
+
+// endCycle is the serial cycle epilogue shared by both loops: the
+// register shift, the Probe, the cycle count.
+func (n *Network) endCycle() {
+	n.phase(PhaseShift)
 	n.shift()
 	if n.Probe != nil {
+		n.phase(PhaseProbe)
 		n.Probe()
 	}
 	n.cycle++
@@ -445,32 +496,26 @@ func (n *Network) beginCycle() {
 		n.faults.BeginCycle(n.cycle)
 		n.pushFaults()
 	}
+	n.phase(PhasePreCycle)
 	n.Controller.PreCycle(n)
 }
 
-// stepSharded is Step for K > 1 shards (DESIGN.md §12). Phase structure:
-//
-//	A  compaction                 shard-parallel (own sets only)
-//	   claims / faults / PreCycle serial (global state, lookahead scans)
-//	   NIC consume                serial, ascending node order
-//	                              (protocol engine + packet arena are
-//	                              simulation-global)
-//	B  NIC inject + router step   shard-parallel; cross-shard effects go
-//	                              to per-shard accumulators; ejection
-//	                              observers defer
-//	   OnEject flush              serial, ascending node order — the
-//	                              order the serial loop fires them in
-//	   PostCycle                  serial
-//	   merge                      per-shard dirty lists + flit counters
-//	   shift / Probe              serial
-//
-// During section B a shard writes only (a) state of its own nodes,
-// (b) the next/creditNext stage of channels for which its routers are
-// the unique writer, and (c) its own accumulators — so shards never
-// contend, and the merged effect sequence is independent of K.
+// stepSharded is Step for K > 1 shards (DESIGN.md §12), in the same
+// phases. Compaction and the fused inject + route section run
+// shard-parallel; everything else is serial: consumption in ascending
+// node order (the protocol engine and the packet arena are global),
+// then the deferred OnEject flush in the order the serial loop fires
+// them, PostCycle, the merge of per-shard dirty lists and flit
+// counters, shift and Probe. During the parallel section a shard
+// writes only (a) state of its own nodes, (b) the next/creditNext
+// stage of channels for which its routers are the unique writer, and
+// (c) its own accumulators — so shards never contend, and the merged
+// effect sequence is independent of K.
 func (n *Network) stepSharded() {
+	n.phase(PhaseBegin)
 	n.runSection(sectionCompact)
 	n.beginCycle()
+	n.phase(PhaseConsume)
 	for _, sh := range n.shards {
 		nics := &sh.activeNICs
 		for nics.cur = 0; nics.cur < len(nics.ids); nics.cur++ {
@@ -478,6 +523,7 @@ func (n *Network) stepSharded() {
 		}
 		nics.cur = -1
 	}
+	n.phase(PhaseRoute)
 	n.deferEject = true
 	n.runSection(sectionInjectRoute)
 	n.deferEject = false
@@ -486,13 +532,10 @@ func (n *Network) stepSharded() {
 			n.NICs[id].FlushEjects()
 		}
 	}
+	n.phase(PhasePostCycle)
 	n.Controller.PostCycle(n)
 	n.mergeShardEffects()
-	n.shift()
-	if n.Probe != nil {
-		n.Probe()
-	}
-	n.cycle++
+	n.endCycle()
 }
 
 func (n *Network) routerOccupied(id int) bool { return n.Routers[id].Occupied() }

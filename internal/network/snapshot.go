@@ -151,7 +151,7 @@ func init() {
 		},
 		[]string{
 			// Construction-time wiring and configuration.
-			"Mesh", "shardOf", "Probe",
+			"Mesh", "shardOf", "Probe", "Hook",
 			// Barrier plumbing, quiescent between Steps.
 			"wg", "shardPanics",
 			"masked", // the restore re-pushes claims and faults

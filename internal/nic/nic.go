@@ -180,18 +180,12 @@ func (n *NIC) EnqueueSourceFront(pkt *message.Packet) {
 // TotalSourceDepth reports queued packets across classes.
 func (n *NIC) TotalSourceDepth() int { return n.sourced }
 
-// Tick runs the per-cycle NIC work: drain ejection queues through the
-// consumer, then move source packets into the router injection queues.
-// The network steps the two halves as separate phases (all consumes,
-// then all injects) — consumption touches simulation-global state (the
-// protocol engine, the packet arena) and stays serial under sharding,
-// while injection is node-local and shards freely.
-func (n *NIC) Tick(cycle int64) {
-	n.TickConsume(cycle)
-	n.TickInject(cycle)
-}
-
-// TickConsume drains the ejection queues through the consumer.
+// TickConsume drains the ejection queues through the consumer, the
+// first half of a NIC's cycle; TickInject is the second. The network
+// steps the halves as separate phases (all consumes, then all injects)
+// — consumption touches simulation-global state (the protocol engine,
+// the packet arena) and stays serial under sharding, while injection
+// is node-local and shards freely.
 //
 //nocvet:phase consume
 func (n *NIC) TickConsume(cycle int64) {

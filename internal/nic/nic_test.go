@@ -28,7 +28,7 @@ func TestTickMovesSourceToRouter(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		n.EnqueueSource(pkt(uint64(i), message.Request, 1))
 	}
-	n.Tick(0)
+	tick(n, 0)
 	if len(injected) != 2 {
 		t.Fatalf("injected %d, want 2 (router backpressure)", len(injected))
 	}
@@ -36,7 +36,7 @@ func TestTickMovesSourceToRouter(t *testing.T) {
 		t.Errorf("source depth = %d, want 2", n.SourceDepth(message.Request))
 	}
 	budget = 10
-	n.Tick(1)
+	tick(n, 1)
 	if len(injected) != 4 || n.TotalSourceDepth() != 0 {
 		t.Errorf("drain failed: injected=%d depth=%d", len(injected), n.TotalSourceDepth())
 	}
@@ -55,7 +55,7 @@ func TestEnqueueSourceFront(t *testing.T) {
 	n.EnqueueSourceFront(b)
 	var got []*message.Packet
 	n.Inject = func(p *message.Packet) bool { got = append(got, p); return true }
-	n.Tick(0)
+	tick(n, 0)
 	if len(got) != 2 || got[0] != b || got[1] != a {
 		t.Fatalf("regenerated packet must go first: %v", got)
 	}
@@ -103,7 +103,7 @@ func TestConsumerDrainsQueues(t *testing.T) {
 	p := pkt(1, message.Response, 1)
 	n.BeginEject(p)
 	n.EjectFlit(0, message.Flit{Pkt: p, Seq: 0})
-	n.Tick(1)
+	tick(n, 1)
 	if n.EjectDepth(message.Response) != 0 {
 		t.Fatal("immediate consumer should drain")
 	}
@@ -119,7 +119,7 @@ func TestStallingConsumerBlocksQueue(t *testing.T) {
 	p := pkt(1, message.Request, 1)
 	n.BeginEject(p)
 	n.EjectFlit(0, message.Flit{Pkt: p, Seq: 0})
-	n.Tick(1)
+	tick(n, 1)
 	if n.EjectDepth(message.Request) != 1 {
 		t.Fatal("stalled consumer should leave the packet")
 	}
@@ -127,7 +127,7 @@ func TestStallingConsumerBlocksQueue(t *testing.T) {
 		t.Fatal("full queue must refuse")
 	}
 	stalled = false
-	n.Tick(2)
+	tick(n, 2)
 	if n.EjectDepth(message.Request) != 0 {
 		t.Fatal("unstalled consumer should drain")
 	}
@@ -160,7 +160,7 @@ func TestReservationHoldsSlotForFastPassPacket(t *testing.T) {
 
 	// Queue frees up: the slot belongs to fp, not to others.
 	n.Consumer = ImmediateConsumer
-	n.Tick(1)
+	tick(n, 1)
 	other := pkt(3, message.Response, 1)
 	if n.CanEject(other) {
 		t.Fatal("freed slot must be held for the reserved packet")
@@ -281,7 +281,7 @@ func TestPrependAfterWrap(t *testing.T) {
 			next++
 		}
 		budget = 3
-		n.Tick(int64(round))
+		tick(n, int64(round))
 	}
 	got = got[:0]
 	// Leave a resident tail, then prepend a regenerated packet.
@@ -291,7 +291,7 @@ func TestPrependAfterWrap(t *testing.T) {
 	regen := pkt(3, message.Request, 1)
 	n.EnqueueSourceFront(regen)
 	budget = 3
-	n.Tick(99)
+	tick(n, 99)
 	if len(got) != 3 || got[0] != regen || got[1] != tail1 || got[2] != tail2 {
 		t.Fatalf("prepend after wrap broke ordering: %v", got)
 	}
@@ -324,7 +324,7 @@ func TestDuplicateReservationRelease(t *testing.T) {
 		t.Error("reservation survived its own ejection")
 	}
 	n.Consumer = ImmediateConsumer
-	n.Tick(6) // drain so the queue frees
+	tick(n, 6) // drain so the queue frees
 	if !n.TryReserve(b) {
 		t.Fatal("slot not reusable after release")
 	}
@@ -713,3 +713,9 @@ func TestRestoreRebuildsQueues(t *testing.T) {
 
 // SourceDepth reports queued packets for a class (throttling metric).
 func (n *NIC) SourceDepth(c message.Class) int { return n.source[c].Len() }
+
+// tick runs a NIC's whole cycle: consumption, then injection.
+func tick(n *NIC, cycle int64) {
+	n.TickConsume(cycle)
+	n.TickInject(cycle)
+}

@@ -61,6 +61,27 @@ type Config struct {
 	ClassVN func(message.Class) int
 }
 
+// TableII is the router every evaluated scheme builds (Table II): vcs
+// VCs of 5 flits per input port and virtual network, 10-flit injection
+// queues, VC 0 routed with escape and the others with alg. With vns
+// every message class has its own virtual network; without, one pool
+// serves them all.
+func TableII(vcs int, vns bool, escape, alg routing.Algorithm) Config {
+	algs := make([]routing.Algorithm, vcs)
+	for i := range algs {
+		algs[i] = alg
+	}
+	if vcs > 0 {
+		algs[0] = escape
+	}
+	c := Config{NumVNs: 1, VCsPerVN: vcs, BufFlits: 5, InjQueueFlits: 10, VCAlgorithms: algs,
+		ClassVN: func(message.Class) int { return 0 }}
+	if vns {
+		c.NumVNs, c.ClassVN = int(message.NumClasses), func(c message.Class) int { return int(c) }
+	}
+	return c
+}
+
 // Validate checks internal consistency.
 func (c Config) Validate() error {
 	if c.NumVNs < 1 || c.VCsPerVN < 1 {
@@ -389,9 +410,9 @@ func (r *Router) DeliverHead(port topology.Direction, vc int, pkt *message.Packe
 
 // InjectPacket enqueues a freshly created packet into the node's
 // injection queue for its class. It reports false when the queue lacks
-// space (the NIC then retries next cycle). It runs inside NIC.Tick via
-// the NIC.Inject func value, which the call graph cannot resolve, so it
-// carries its own phase root.
+// space (the NIC then retries next cycle). It runs inside
+// NIC.TickInject via the NIC.Inject func value, which the call graph
+// cannot resolve, so it carries its own phase root.
 //
 //nocvet:phase route
 func (r *Router) InjectPacket(pkt *message.Packet) bool {

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 
+	"repro/internal/message"
+	"repro/internal/network"
 	"repro/internal/protocol"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -44,45 +47,79 @@ type AppResult struct {
 	DeadlockDetected bool
 }
 
-// RunApp executes one application workload on one scheme.
-func RunApp(cfg AppConfig) AppResult {
+// Validate is Options.Validate plus the application knobs: the scheme
+// must carry protocol traffic (MinBD does not), the work quota must be
+// positive and a negative MaxCycles is not "default".
+func (c AppConfig) Validate() error {
+	if err := c.Options.Validate(); err != nil {
+		return err
+	}
+	if !c.Scheme.SupportsProtocol() {
+		return fmt.Errorf("sim: scheme %v cannot run protocol traffic", c.Scheme)
+	}
+	if c.App.WorkQuota <= 0 || c.MaxCycles < 0 {
+		return fmt.Errorf("sim: application %q needs a positive work quota and a non-negative cycle bound, not %d and %d", c.App.Name, c.App.WorkQuota, c.MaxCycles)
+	}
+	return nil
+}
+
+// AppRun is one application run, built and not yet started: the
+// protocol engine is its Source, and a driver may set Inst.Hook before
+// Run.
+type AppRun struct {
+	Inst *Instance
+	cfg  AppConfig
+	col  *stats.Collector
+	eng  *protocol.Engine
+}
+
+// NewApp builds an application run. A config Validate rejects panics
+// with its error.
+func NewApp(cfg AppConfig) *AppRun {
+	if err := cfg.Validate(); err != nil {
+		panic(err) //nocvet:ignore panicstyle Validate's errors carry the "sim: " prefix
+	}
 	cfg.Options.setDefaults()
-	if cfg.MaxCycles == 0 {
-		cfg.MaxCycles = 400000
+	cfg.MaxCycles = cmp.Or(cfg.MaxCycles, 400000)
+	a := &AppRun{Inst: Build(cfg.Options), cfg: cfg, col: stats.New(cfg.W*cfg.H, 0, cfg.MaxCycles)}
+	a.Inst.SetOnEject(func(pkt *message.Packet) {
+		a.Inst.phase(network.PhaseEject)
+		a.col.OnEject(pkt)
+		a.Inst.phase(network.PhaseEjectEnd)
+	})
+	a.eng = protocol.New(a.Inst.Net, cfg.App.Profile, cfg.Seed+0xa99)
+	return a
+}
+
+// Tick runs the protocol engine: cores issue, caches and homes respond.
+func (a *AppRun) Tick(c int64) {
+	a.Inst.phase(network.PhaseSource)
+	a.eng.Tick(c)
+}
+
+// Tock reports the work quota met.
+func (a *AppRun) Tock(int64) bool { return a.eng.Completed >= a.cfg.App.WorkQuota }
+
+// Run steps the instance's loop until the quota completes, the cycle
+// bound passes or the watchdog trips, and scores the run.
+func (a *AppRun) Run() AppResult {
+	inst, col, eng := a.Inst, a.col, a.eng
+	inst.Run(a, a.cfg.MaxCycles)
+	res := AppResult{
+		Scheme: a.cfg.Scheme, App: a.cfg.App.Name,
+		ExecTime: inst.Cycle(), Timeout: eng.Completed < a.cfg.App.WorkQuota,
+		AvgLatency: col.MeanLatency(), P99Latency: col.Percentile(0.99), Samples: col.Samples(),
+		Completed: eng.Completed, Issued: eng.Issued, Stalled: eng.Stalled,
 	}
-	if !cfg.Scheme.SupportsProtocol() {
-		panic(fmt.Sprintf("sim: scheme %v cannot run protocol traffic", cfg.Scheme))
-	}
-	inst := Build(cfg.Options)
-	col := stats.New(cfg.W*cfg.H, 0, cfg.MaxCycles)
-	inst.SetOnEject(col.OnEject)
-	eng := protocol.New(inst.Net, cfg.App.Profile, cfg.Seed+0xa99)
-	quota := cfg.App.WorkQuota
-	res := AppResult{Scheme: cfg.Scheme, App: cfg.App.Name}
-	for inst.Cycle() < cfg.MaxCycles {
-		eng.Tick(inst.Cycle())
-		inst.Step()
-		if eng.Completed >= quota {
-			break
-		}
-		if inst.Watch != nil && inst.Watch.Tripped() {
-			break
-		}
-	}
-	res.ExecTime = inst.Cycle()
-	res.Timeout = eng.Completed < quota
-	if inst.Watch != nil && inst.Watch.Tripped() {
+	if inst.Watch.Tripped() {
 		res.Aborted = true
 		res.AbortCycle = inst.Cycle()
 		res.AbortReport = inst.Watch.Report()
 		res.DeadlockDetected = inst.Watch.Deadlocked()
 	}
-	res.AvgLatency = col.MeanLatency()
-	res.P99Latency = col.Percentile(0.99)
-	res.Samples = col.Samples()
-	res.Completed = eng.Completed
-	res.Issued = eng.Issued
-	res.Stalled = eng.Stalled
 	res.RegularFrac, res.FastFrac, res.DroppedFrac = col.Breakdown()
 	return res
 }
+
+// RunApp executes one application workload on one scheme.
+func RunApp(cfg AppConfig) AppResult { return NewApp(cfg).Run() }

@@ -10,7 +10,7 @@ import (
 // (DESIGN.md §13). A checkpoint is a snapshot.Seal blob whose meta
 // section is the SynthConfig (so a fresh process can rebuild the exact
 // instance) and whose body is the harness state followed by the full
-// network state. Restore always targets a freshly built synthRun: Build
+// network state. Restore always targets a freshly built SynthRun: Build
 // reconstructs wiring, closures and configuration; only mutable state
 // decodes from the blob.
 
@@ -45,21 +45,15 @@ func (cfg *SynthConfig) state(st snapshot.State) {
 // The two Writers live on the run and are Reset per call, so a
 // steady-state checkpoint allocates only the blob Seal returns — which
 // is the caller's to keep (see SynthConfig.OnCheckpoint).
-func (s *synthRun) checkpoint() []byte {
+func (s *SynthRun) checkpoint() []byte {
 	if s.ckptBody == nil {
 		s.ckptMeta, s.ckptBody = snapshot.NewWriter(), snapshot.NewWriter()
 	}
 	s.ckptMeta.Reset()
 	s.ckptBody.Reset()
-	s.encode(s.ckptMeta, s.ckptBody)
+	s.cfg.state(s.ckptMeta.State())
+	s.state(s.ckptBody.State())
 	return snapshot.Seal(s.ckptMeta.Bytes(), s.ckptBody)
-}
-
-// encode writes the config into meta and the run's state into w (both
-// empty on entry).
-func (s *synthRun) encode(meta, w *snapshot.Writer) {
-	s.cfg.state(meta.State())
-	s.state(w.State())
 }
 
 // restore decodes a checkpoint blob into a freshly built run. The blob
@@ -67,7 +61,7 @@ func (s *synthRun) encode(meta, w *snapshot.Writer) {
 // instance (OpenCheckpoint hands back exactly that config; Shards and
 // the checkpoint knobs may differ — shard layout is not part of the
 // encoded state).
-func (s *synthRun) restore(data []byte) error {
+func (s *SynthRun) restore(data []byte) error {
 	_, r, err := snapshot.Open(data)
 	if err != nil {
 		return err
@@ -78,7 +72,7 @@ func (s *synthRun) restore(data []byte) error {
 // state walks the harness state followed by the full network state and
 // reports a decode failure. Only a restore can find a section the
 // instance lacks, or the reverse.
-func (s *synthRun) state(st snapshot.State) error {
+func (s *SynthRun) state(st snapshot.State) error {
 	draws := s.src.Draws()
 	if snapshot.Uint(st, &draws); st.Decoding() {
 		// A run draws a value or two per node and cycle: a count past
@@ -99,8 +93,8 @@ func (s *synthRun) state(st snapshot.State) error {
 		st   snapshot.Stater
 	}{
 		{"telemetry (Telemetry.Window must match the recorded config)", s.tel != nil, s.tel},
-		{"trace", s.inst.Trace != nil, s.inst.Trace},
-		{"watchdog", s.inst.Watch != nil, s.inst.Watch},
+		{"trace", s.Inst.Trace != nil, s.Inst.Trace},
+		{"watchdog", s.Inst.Watch != nil, s.Inst.Watch},
 	} {
 		if had := st.Present(sec.have); had != sec.have {
 			return fmt.Errorf("sim: checkpoint %s presence %v but instance has %v", sec.what, had, sec.have)
@@ -108,10 +102,10 @@ func (s *synthRun) state(st snapshot.State) error {
 			st.Walk(sec.st)
 		}
 	}
-	if s.inst.Net != nil {
-		st.Walk(s.inst.Net)
+	if s.Inst.Net != nil {
+		st.Walk(s.Inst.Net)
 	} else {
-		st.Walk(s.inst.Deflect)
+		st.Walk(s.Inst.Deflect)
 	}
 	// The pool goes last: every packet still alive has been registered
 	// in the table by now, so the free list only adds the recycled ones.
@@ -144,20 +138,27 @@ func OpenCheckpoint(data []byte) (SynthConfig, error) {
 	return cfg, nil
 }
 
-// ResumeSynthetic rebuilds the instance described by cfg, restores the
-// checkpointed state into it, and runs to completion. The continuation
-// is bit-identical to the uninterrupted run — stats, trace contents and
+// NewResumed builds the instance described by cfg for a resumed run:
+// its Run restores the checkpointed state first, then continues
+// bit-identically to the uninterrupted run — stats, trace contents and
 // fault outcomes included. A cfg Validate rejects is returned as its
 // error, before anything is built.
-func ResumeSynthetic(cfg SynthConfig, data []byte) (SynthResult, error) {
+func NewResumed(cfg SynthConfig, data []byte) (*SynthRun, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	s := NewSynthetic(cfg)
+	s.blob, s.resumed = data, true
+	return s, nil
+}
+
+// ResumeSynthetic resumes a checkpoint and runs it to completion.
+func ResumeSynthetic(cfg SynthConfig, data []byte) (SynthResult, error) {
+	s, err := NewResumed(cfg, data)
+	if err != nil {
 		return SynthResult{}, err
 	}
-	s := newSynthRun(cfg)
-	if err := s.restore(data); err != nil {
-		return SynthResult{}, err
-	}
-	return s.run(), nil
+	return s.Run()
 }
 
 func init() {
@@ -172,18 +173,18 @@ func init() {
 			"FPDropOnReject", "FPHealing", "TraceCapacity", "Faults",
 			"FaultScale", "Watchdog", "Shards"},
 		nil)
-	snapshot.Register("sim.synthRun", synthRun{},
-		// inst covers Net/Deflect (and through them the controller,
+	snapshot.Register("sim.SynthRun", SynthRun{},
+		// Inst covers Net/Deflect (and through them the controller,
 		// faults, NICs and routers); trace/watch/pool encode via their
 		// own sections.
 		[]string{"src", "created", "delivered", "corrupted", "gen", "col",
-			"inst", "pool", "tel"},
+			"Inst", "pool", "tel"},
 		// ckptMeta/ckptBody are the reused checkpoint encoders: scratch,
-		// Reset before every encode.
-		[]string{"cfg", "rng", "ckptMeta", "ckptBody"})
+		// Reset before every encode. blob is the checkpoint itself.
+		[]string{"cfg", "rng", "ckptMeta", "ckptBody", "blob", "resumed"})
 	snapshot.Register("sim.Instance", Instance{},
 		// Net/Deflect are the roots; FP, Pit and Faults are reached
 		// through Net's controller and injector hooks.
 		[]string{"Net", "Deflect", "FP", "Pit", "Trace", "Faults", "Watch"},
-		[]string{"Opts", "Mesh"})
+		[]string{"Opts", "Mesh", "Hook"})
 }

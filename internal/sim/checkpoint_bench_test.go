@@ -11,13 +11,13 @@ import (
 // warmCheckpointRun is bench's checkpoint_telemetry run — a 16×16
 // FastPass mesh at rate 0.03 with three telemetry sinks — stepped 500
 // cycles, so a blob carries steady-state traffic.
-func warmCheckpointRun() *synthRun {
-	s := newSynthRun(SynthConfig{
+func warmCheckpointRun() *SynthRun {
+	s := NewSynthetic(SynthConfig{
 		Options: Options{Scheme: FastPass, W: 16, H: 16, Seed: 1},
 		Pattern: traffic.Uniform, Rate: 0.03, Warmup: 500,
 		Telemetry: telemetry.Options{Window: 20, JSONL: io.Discard, NodeCSV: io.Discard, LinkCSV: io.Discard},
 	})
-	s.run()
+	finish(s)
 	return s
 }
 
@@ -43,7 +43,7 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		fresh := newSynthRun(s.cfg)
+		fresh := NewSynthetic(s.cfg)
 		b.StartTimer()
 		if err := fresh.restore(blob); err != nil {
 			b.Fatal(err)

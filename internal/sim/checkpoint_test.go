@@ -69,9 +69,9 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				t.Parallel()
 				cfg := checkpointBase(scheme, shards)
 
-				base := newSynthRun(cfg)
-				baseRes := base.run()
-				baseTrace := traceText(t, base.inst.Trace)
+				base := NewSynthetic(cfg)
+				baseRes := finish(base)
+				baseTrace := traceText(t, base.Inst.Trace)
 
 				blob, at, chkRes := lastCheckpoint(cfg, 500)
 				if blob == nil {
@@ -85,18 +85,18 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("OpenCheckpoint: %v", err)
 				}
-				resumed := newSynthRun(rcfg)
+				resumed := NewSynthetic(rcfg)
 				if err := resumed.restore(blob); err != nil {
 					t.Fatalf("restore: %v", err)
 				}
-				if got := resumed.inst.Cycle(); got != at {
+				if got := resumed.Inst.Cycle(); got != at {
 					t.Fatalf("restored to cycle %d, checkpoint was at %d", got, at)
 				}
-				resRes := resumed.run()
+				resRes := finish(resumed)
 				if got, want := resultFingerprint(resRes), resultFingerprint(baseRes); got != want {
 					t.Errorf("resumed run diverged from uninterrupted run\nresumed: %s\nbase:    %s", got, want)
 				}
-				if got := traceText(t, resumed.inst.Trace); got != baseTrace {
+				if got := traceText(t, resumed.Inst.Trace); got != baseTrace {
 					t.Errorf("resumed trace differs from uninterrupted trace\nresumed:\n%s\nbase:\n%s", got, baseTrace)
 				}
 			})
@@ -289,21 +289,22 @@ func TestReusedEncoderMatchesFresh(t *testing.T) {
 		scheme := scheme
 		t.Run(scheme.String(), func(t *testing.T) {
 			t.Parallel()
-			var s *synthRun
+			var s *SynthRun
 			taken := 0
 			cfg := checkpointBase(scheme, 1)
 			cfg.CheckpointEvery = 250
 			cfg.OnCheckpoint = func(cycle int64, reused []byte) {
 				taken++
 				meta, body := snapshot.NewWriter(), snapshot.NewWriter()
-				s.encode(meta, body)
+				s.cfg.state(meta.State())
+				s.state(body.State())
 				if fresh := snapshot.Seal(meta.Bytes(), body); !bytes.Equal(reused, fresh) {
 					t.Errorf("cycle %d: reused-encoder blob (%d bytes) differs from fresh-encoder blob (%d bytes)",
 						cycle, len(reused), len(fresh))
 				}
 			}
-			s = newSynthRun(cfg)
-			s.run()
+			s = NewSynthetic(cfg)
+			finish(s)
 			if taken < 3 {
 				t.Fatalf("only %d checkpoints compared, need at least 3 to exercise reuse", taken)
 			}
@@ -359,14 +360,14 @@ func TestParentCommitBlobs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("OpenCheckpoint: %v", err)
 			}
-			s := newSynthRun(rcfg)
+			s := NewSynthetic(rcfg)
 			if err := s.restore(parent); err != nil {
 				t.Fatalf("restore: %v", err)
 			}
 			if row.live != nil {
-				row.live(t, s.inst)
+				row.live(t, s.Inst)
 			}
-			if got := s.run(); resultFingerprint(got) != resultFingerprint(want) {
+			if got := finish(s); resultFingerprint(got) != resultFingerprint(want) {
 				t.Errorf("run resumed from the parent's blob diverged\nresumed: %s\nbase:    %s", resultFingerprint(got), resultFingerprint(want))
 			}
 		})
@@ -411,6 +412,6 @@ func FuzzRestore(f *testing.F) {
 			cfg.TraceCapacity > 1024 || cfg.EjectCap > 64 {
 			return
 		}
-		newSynthRun(cfg).restore(data)
+		NewSynthetic(cfg).restore(data)
 	})
 }

@@ -6,6 +6,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/baselines/drain"
@@ -20,8 +21,6 @@ import (
 	"repro/internal/message"
 	"repro/internal/minbd"
 	"repro/internal/network"
-	"repro/internal/router"
-	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -42,28 +41,14 @@ const (
 	numSchemes
 )
 
+var schemeNames = [...]string{"FastPass", "EscapeVC", "SPIN", "SWAP", "DRAIN", "Pitstop", "MinBD", "TFC"}
+
 // String returns the scheme name as the paper spells it.
 func (s Scheme) String() string {
-	switch s {
-	case FastPass:
-		return "FastPass"
-	case EscapeVC:
-		return "EscapeVC"
-	case SPIN:
-		return "SPIN"
-	case SWAP:
-		return "SWAP"
-	case DRAIN:
-		return "DRAIN"
-	case Pitstop:
-		return "Pitstop"
-	case MinBD:
-		return "MinBD"
-	case TFC:
-		return "TFC"
-	default:
+	if s < 0 || s >= numSchemes {
 		return fmt.Sprintf("Scheme(%d)", int(s))
 	}
+	return schemeNames[s]
 }
 
 // Schemes lists every scheme.
@@ -87,14 +72,7 @@ func ParseScheme(name string) (Scheme, error) {
 
 // UsesVNs reports whether the scheme needs virtual networks for
 // protocol-level deadlock freedom (Fig. 10's "(VN=6)" annotations).
-func (s Scheme) UsesVNs() bool {
-	switch s {
-	case FastPass, Pitstop:
-		return false
-	default:
-		return true
-	}
-}
+func (s Scheme) UsesVNs() bool { return s != FastPass && s != Pitstop }
 
 // DefaultVCs is the Table II VC count per input buffer (per VN for the
 // VN-based schemes).
@@ -163,18 +141,10 @@ type Options struct {
 }
 
 func (o *Options) setDefaults() {
-	if o.VCs == 0 {
-		o.VCs = o.Scheme.DefaultVCs()
-	}
-	if o.EjectCap == 0 {
-		o.EjectCap = 4
-	}
-	if o.W == 0 {
-		o.W = 8
-	}
-	if o.H == 0 {
-		o.H = o.W
-	}
+	o.VCs = cmp.Or(o.VCs, o.Scheme.DefaultVCs())
+	o.EjectCap = cmp.Or(o.EjectCap, 4)
+	o.W = cmp.Or(o.W, 8)
+	o.H = cmp.Or(o.H, o.W)
 }
 
 // Validate reports, as an error a command can print, what Build or the
@@ -249,8 +219,45 @@ type Instance struct {
 	Faults *faults.Injector
 
 	// Watch is non-nil when Options.Watchdog enabled the invariant
-	// watchdogs; run loops poll Watch.Tripped and abort.
+	// watchdogs; the run loop polls Watch.Tripped and stops.
 	Watch *invariant.Watchdog
+
+	// Hook, when set before Run, is told each phase of every cycle as it
+	// begins, in the order DESIGN.md §4.1 lists (Run hands it to Net).
+	// It observes only: a run with a hook is bit-identical to one
+	// without.
+	Hook func(network.Phase)
+}
+
+// Source is a run's traffic and the harness work that rides each cycle:
+// Tick runs before the network steps, Tock after it with the completed
+// cycle count, reporting whether the run's work is done.
+type Source interface {
+	Tick(cycle int64)
+	Tock(cycle int64) (done bool)
+}
+
+// Run is the one loop every run steps through: it steps the instance
+// from its current cycle until the cycle budget until is spent, the
+// watchdog trips or src reports its work done.
+func (i *Instance) Run(src Source, until int64) {
+	if i.Net != nil {
+		i.Net.Hook = i.Hook
+	}
+	for i.Cycle() < until && !i.Watch.Tripped() {
+		src.Tick(i.Cycle())
+		i.Step()
+		if src.Tock(i.Cycle()) {
+			return
+		}
+	}
+}
+
+// phase reports p to the hook. Unset, a boundary costs one nil check.
+func (i *Instance) phase(p network.Phase) {
+	if i.Hook != nil {
+		i.Hook(p)
+	}
 }
 
 // Build constructs a scheme instance.
@@ -263,26 +270,8 @@ func Build(o Options) *Instance {
 	}
 	switch o.Scheme {
 	case FastPass:
-		algs := make([]routing.Algorithm, o.VCs)
-		for i := range algs {
-			algs[i] = routing.FullyAdaptive
-		}
-		n := network.New(network.Params{
-			Mesh: mesh,
-			Router: router.Config{
-				NumVNs: 1, VCsPerVN: o.VCs, BufFlits: 5, InjQueueFlits: 10,
-				VCAlgorithms: algs,
-				ClassVN:      func(message.Class) int { return 0 },
-			},
-			EjectCap: o.EjectCap,
-			Seed:     o.Seed,
-		})
-		inst.Net = n
-		inst.FP = fastpass.Attach(n, fastpass.Params{
-			K:                 o.FastPassK,
-			ScanInjectionOnly: o.FPScanInjectionOnly,
-			DropOnReject:      o.FPDropOnReject,
-			Healing:           o.FPHealing,
+		inst.Net, inst.FP = fastpass.New(mesh, o.VCs, o.EjectCap, o.Seed, fastpass.Params{
+			K: o.FastPassK, ScanInjectionOnly: o.FPScanInjectionOnly, DropOnReject: o.FPDropOnReject, Healing: o.FPHealing,
 		})
 		inst.FP.Trace = inst.Trace
 	case EscapeVC:
@@ -325,8 +314,7 @@ func (inst *Instance) attachRobustness(o Options) {
 		}
 		inj := faults.NewInjector(plan, len(inst.Mesh.Links()), inst.Mesh.NumNodes(), inst.Mesh.NumPorts(), o.Seed)
 		n.AttachFaults(inj)
-		for id, nc := range n.NICs {
-			node := id
+		for node, nc := range n.NICs {
 			nc.Stall = func(int64) bool { return inj.ConsumerStalled(node) }
 		}
 		inst.Faults = inj
@@ -376,6 +364,7 @@ func (i *Instance) Step() {
 		i.Net.Step()
 		return
 	}
+	i.phase(network.PhaseDeflect)
 	i.Deflect.Step()
 }
 

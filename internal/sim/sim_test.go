@@ -113,7 +113,7 @@ func TestSweepStopsAfterSaturation(t *testing.T) {
 			}
 		}
 		// Serially, nothing at or past the cutoff is simulated.
-		if n := PadCutoff(out); jobs == 1 && (n == len(rates) || runs.Load() != int64(n)) {
+		if n, _ := PadCutoff(out); jobs == 1 && (n == len(rates) || runs.Load() != int64(n)) {
 			t.Errorf("jobs=1: %d runs for cutoff %d of %d rates", runs.Load(), n, len(rates))
 		}
 	}
@@ -167,6 +167,47 @@ func TestRunAppRejectsMinBD(t *testing.T) {
 		}
 	}()
 	RunApp(AppConfig{Options: Options{Scheme: MinBD, W: 4, H: 4}, App: workload.MustGet("FFT")})
+}
+
+// TestAppConfigValidate: one gate for application runs — Options'
+// rules, a protocol-capable scheme, a positive work quota and a
+// non-negative cycle bound — and RunApp panics with exactly its error.
+func TestAppConfigValidate(t *testing.T) {
+	fft := workload.MustGet("FFT")
+	noWork := fft
+	noWork.WorkQuota = 0
+	for _, tc := range []struct {
+		name    string
+		cfg     AppConfig
+		wantErr string
+	}{
+		{"defaults", AppConfig{App: fft}, ""},
+		{"explicit bound", AppConfig{Options: Options{Scheme: EscapeVC, W: 4, H: 4}, App: fft, MaxCycles: 1000}, ""},
+		{"MinBD", AppConfig{Options: Options{Scheme: MinBD}, App: fft}, "cannot run protocol traffic"},
+		{"no work", AppConfig{App: noWork}, "positive work quota"},
+		{"negative bound", AppConfig{App: fft, MaxCycles: -1}, "non-negative cycle bound"},
+		{"bad options", AppConfig{Options: Options{VCs: -2}, App: fft}, "VCs"},
+		{"bad fault plan", AppConfig{Options: Options{Faults: "garbage"}, App: fft}, "faults"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.cfg.Validate()
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("Validate: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Validate = %v, want an error mentioning %q", err, tc.wantErr)
+			}
+			defer func() {
+				if got, ok := recover().(error); !ok || got.Error() != err.Error() {
+					t.Errorf("RunApp panicked with %v, want Validate's error %v", got, err)
+				}
+			}()
+			RunApp(tc.cfg)
+		})
+	}
 }
 
 func TestDeterministicResults(t *testing.T) {

@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 
 	"repro/internal/faults"
 	"repro/internal/message"
+	"repro/internal/network"
 	"repro/internal/parallel"
 	"repro/internal/snapshot"
 	"repro/internal/stats"
@@ -67,18 +69,8 @@ type SynthConfig struct {
 
 func (c *SynthConfig) setDefaults() {
 	c.Options.setDefaults()
-	if c.Warmup == 0 {
-		c.Warmup = 2000
-	}
-	if c.Measure == 0 {
-		c.Measure = 5000
-	}
-	if c.Drain == 0 {
-		c.Drain = 3000
-	}
-	if c.SatLatency == 0 {
-		c.SatLatency = 150
-	}
+	c.Warmup, c.Measure, c.Drain = cmp.Or(c.Warmup, 2000), cmp.Or(c.Measure, 5000), cmp.Or(c.Drain, 3000)
+	c.SatLatency = cmp.Or(c.SatLatency, 150)
 }
 
 // Validate is Options.Validate plus the synthetic knobs: an offered rate
@@ -159,13 +151,15 @@ type SynthResult struct {
 	Faults faults.Counters
 }
 
-// synthRun is one synthetic experiment in progress: the built instance
-// plus the harness state around it (collector, generator, injection
-// RNG, lifetime counters). It exists so a run can be checkpointed at a
-// cycle boundary and resumed — RunSynthetic is newSynthRun().run().
-type synthRun struct {
+// SynthRun is one synthetic experiment in progress: the built instance
+// plus the harness around it (collector, generator, injection RNG,
+// lifetime counters), which is the run's Source. It exists so a run can
+// be checkpointed at a cycle boundary and resumed, and so a driver can
+// set Inst.Hook before Run.
+type SynthRun struct {
+	Inst *Instance
+
 	cfg  SynthConfig
-	inst *Instance
 	col  *stats.Collector
 	gen  *traffic.Generator
 	rng  *rand.Rand
@@ -178,26 +172,32 @@ type synthRun struct {
 	// ckptMeta/ckptBody are checkpoint()'s encoders, created on the first
 	// checkpoint and reused thereafter.
 	ckptMeta, ckptBody *snapshot.Writer
+
+	// blob is a resumed run's checkpoint, which Run restores first.
+	blob    []byte
+	resumed bool
 }
 
-// newSynthRun builds the instance and wires the harness around it.
-func newSynthRun(cfg SynthConfig) *synthRun {
+// NewSynthetic builds a synthetic run without starting it: the instance
+// and the harness wired around it. RunSynthetic is its Run.
+func NewSynthetic(cfg SynthConfig) *SynthRun {
 	cfg.setDefaults()
 	if cfg.Instrument != nil {
 		cfg.Instrument(&cfg)
 	}
-	s := &synthRun{cfg: cfg}
-	s.inst = Build(cfg.Options)
+	s := &SynthRun{cfg: cfg, Inst: Build(cfg.Options)}
 	s.col = stats.New(cfg.W*cfg.H, int64(cfg.Warmup), int64(cfg.Warmup+cfg.Measure))
-	s.inst.SetOnEject(func(pkt *message.Packet) {
+	s.Inst.SetOnEject(func(pkt *message.Packet) {
+		s.Inst.phase(network.PhaseEject)
 		s.delivered++
 		if pkt.Corrupted {
 			s.corrupted++
 		}
 		s.col.OnEject(pkt)
 		s.tel.ObserveLatency(pkt.Latency())
+		s.Inst.phase(network.PhaseEjectEnd)
 	})
-	s.pool = s.inst.UsePool()
+	s.pool = s.Inst.UsePool()
 	s.src = snapshot.NewCountingSource(cfg.Seed + 0x5eed)
 	s.rng = rand.New(s.src)
 	s.gen = &traffic.Generator{
@@ -209,75 +209,83 @@ func newSynthRun(cfg SynthConfig) *synthRun {
 	return s
 }
 
-// run advances from the current cycle (0 fresh, the checkpoint cycle
-// after a restore) to the end of the drain window and scores the point.
-func (s *synthRun) run() SynthResult {
-	cfg := s.cfg
-	inst := s.inst
-	total := int64(cfg.Warmup + cfg.Measure + cfg.Drain)
-	aborted := inst.Watch != nil && inst.Watch.Tripped()
-	for c := inst.Cycle(); c < total && !aborted; c++ {
-		if cfg.CheckpointEvery > 0 && c > 0 && c%cfg.CheckpointEvery == 0 &&
-			cfg.OnCheckpoint != nil {
-			cfg.OnCheckpoint(c, s.checkpoint())
+// Run restores a resumed run's checkpoint, steps the instance's loop
+// to the end of the drain window and scores the point. Only the
+// restore can fail.
+func (s *SynthRun) Run() (SynthResult, error) {
+	if s.resumed {
+		s.Inst.phase(network.PhaseRestore)
+		if err := s.restore(s.blob); err != nil {
+			return SynthResult{}, err
 		}
-		for _, pkt := range s.gen.Tick(inst.Cycle(), s.rng) {
-			s.created++
-			s.col.OnCreate(pkt)
-			inst.Enqueue(pkt)
-		}
-		inst.Step()
-		// inst.Cycle() is now the completed-cycle count; the window
-		// clock and the progress stride both key off it, in the serial
-		// stretch between Steps where every shard effect has merged.
-		s.tel.Tick(inst.Cycle())
-		if cfg.ProgressEvery > 0 && cfg.OnProgress != nil && inst.Cycle()%cfg.ProgressEvery == 0 {
-			cfg.OnProgress(Progress{
-				Cycle: inst.Cycle(), Total: total,
-				Created: s.created, Delivered: s.delivered,
-				InFlight: s.created - s.delivered,
-			})
-		}
-		aborted = inst.Watch != nil && inst.Watch.Tripped()
 	}
-	s.tel.Finish(inst.Cycle())
-	return s.result()
+	s.Inst.Run(s, s.total())
+	s.tel.Finish(s.Inst.Cycle())
+	return s.result(), nil
+}
+
+func (s *SynthRun) total() int64 { return int64(s.cfg.Warmup + s.cfg.Measure + s.cfg.Drain) }
+
+// Tick opens a cycle: the checkpoint when one is due, then injection.
+func (s *SynthRun) Tick(c int64) {
+	if cfg := &s.cfg; cfg.CheckpointEvery > 0 && c > 0 && c%cfg.CheckpointEvery == 0 && cfg.OnCheckpoint != nil {
+		s.Inst.phase(network.PhaseCheckpoint)
+		cfg.OnCheckpoint(c, s.checkpoint())
+	}
+	s.Inst.phase(network.PhaseSource)
+	pkts := s.gen.Tick(c, s.rng)
+	s.Inst.phase(network.PhaseEnqueue)
+	for _, pkt := range pkts {
+		s.created++
+		s.col.OnCreate(pkt)
+		s.Inst.Enqueue(pkt)
+	}
+}
+
+// Tock keys the window clock and the progress stride off the completed
+// cycle count c, between steps, where every shard effect has merged. A
+// synthetic run ends on its cycle budget alone.
+func (s *SynthRun) Tock(c int64) bool {
+	s.Inst.phase(network.PhaseTelemetry)
+	s.tel.Tick(c)
+	if cfg := &s.cfg; cfg.ProgressEvery > 0 && cfg.OnProgress != nil && c%cfg.ProgressEvery == 0 {
+		cfg.OnProgress(Progress{Cycle: c, Total: s.total(), Created: s.created,
+			Delivered: s.delivered, InFlight: s.created - s.delivered})
+	}
+	return false
 }
 
 // result scores the finished run.
-func (s *synthRun) result() SynthResult {
-	cfg, inst, col := s.cfg, s.inst, s.col
-	created, delivered, corrupted := s.created, s.delivered, s.corrupted
+func (s *SynthRun) result() SynthResult {
+	cfg, inst, col := s.cfg, s.Inst, s.col
 	res := SynthResult{
-		Scheme:         cfg.Scheme,
-		Pattern:        cfg.Pattern,
-		Rate:           cfg.Rate,
-		AvgLatency:     col.MeanLatency(),
-		P99Latency:     col.Percentile(0.99),
-		Throughput:     col.Throughput(),
-		FlitThroughput: col.FlitThroughput(),
-		Samples:        col.Samples(),
+		Scheme:             cfg.Scheme,
+		Pattern:            cfg.Pattern,
+		Rate:               cfg.Rate,
+		AvgLatency:         col.MeanLatency(),
+		P99Latency:         col.Percentile(0.99),
+		Throughput:         col.Throughput(),
+		FlitThroughput:     col.FlitThroughput(),
+		Samples:            col.Samples(),
+		RegularLatency:     col.RegularMean(),
+		Created:            s.created,
+		Delivered:          s.delivered,
+		Stranded:           s.created - s.delivered,
+		CorruptedDelivered: s.corrupted,
+		TripCycle:          -1,
 	}
 	if created := col.MeasuredCreated(); created > 0 {
 		res.DeliveredFrac = float64(col.Samples()) / float64(created)
 	}
 	res.RegularFrac, res.FastFrac, res.DroppedFrac = col.Breakdown()
 	res.FastSplitRegular, res.FastSplitFast = col.FastSplit()
-	res.RegularLatency = col.RegularMean()
 	if inst.FP != nil {
-		res.Promoted = inst.FP.Counters.Promoted
-		res.Drops = inst.FP.Counters.Drops
-		res.Heals = inst.FP.Counters.Heals
-		res.HealFails = inst.FP.Counters.HealFails
+		c := inst.FP.Counters
+		res.Promoted, res.Drops, res.Heals, res.HealFails = c.Promoted, c.Drops, c.Heals, c.HealFails
 	}
-	res.Created = created
-	res.Delivered = delivered
-	res.Stranded = created - delivered
-	res.CorruptedDelivered = corrupted
 	if inst.Faults != nil {
 		res.Faults = inst.Faults.Counters
 	}
-	res.TripCycle = -1
 	if inst.Watch != nil {
 		res.CreditLeaks = inst.Watch.Leaks()
 		if inst.Watch.Tripped() {
@@ -304,15 +312,17 @@ func (s *synthRun) result() SynthResult {
 	return res
 }
 
-// RunSynthetic executes one synthetic point.
+// RunSynthetic executes one synthetic point. A fresh run has nothing to
+// restore, so Run's error is nil.
 func RunSynthetic(cfg SynthConfig) SynthResult {
-	return newSynthRun(cfg).run()
+	res, _ := NewSynthetic(cfg).Run()
+	return res
 }
 
 // SweepLatencyJobs measures a latency-vs-injection-rate curve (one
 // Fig. 7 series) with the given worker count (0 = one worker per core,
 // 1 = serial). Rates start in order through parallel.MapUntil, cut by
-// padCutoff: once the completed prefix holds two consecutive saturated
+// PadCutoff: once the completed prefix holds two consecutive saturated
 // points no further rate starts, so at -j 1 nothing past the cutoff is
 // simulated and at -j N only the points already running when it became
 // known are. Both emit field-identical results for the same seed — the
@@ -327,29 +337,23 @@ func SweepLatencyJobs(base SynthConfig, rates []float64, jobs int) []SynthResult
 		cfg := base
 		cfg.Rate = r
 		return RunSynthetic(cfg)
-	}, padCutoff)
-	for i := PadCutoff(out); i < len(out); i++ {
+	}, PadCutoff)
+	for i, _ := PadCutoff(out); i < len(out); i++ {
 		out[i] = paddedPoint(base, rates[i])
 	}
 	return out
 }
 
-// PadCutoff reports the index of the first padded point of a sweep
-// (len(out) if none): from it on, a point was never simulated or was
-// started before the cutoff was known. Drivers that attach per-point
-// side channels (telemetry streams) drop those points' channels, so
-// serial and parallel sweeps emit identical bytes.
-func PadCutoff(out []SynthResult) int {
-	n, _ := padCutoff(out)
-	return n
-}
-
-// padCutoff is the stop-two-after-saturation rule, SweepLatencyJobs's
-// MapUntil cut: the cutoff is the point after the first two consecutive
-// saturated points, and fixed reports whether the given prefix of
-// measured results already contains them. A pure function of the
-// Saturated flags, it never moves once fixed.
-func padCutoff(out []SynthResult) (n int, fixed bool) {
+// PadCutoff is the stop-two-after-saturation rule, SweepLatencyJobs's
+// MapUntil cut: n is the index of the first padded point (len(out) if
+// none), the point after the first two consecutive saturated ones, and
+// fixed reports whether the given prefix already contains them. From n
+// on, a point was never simulated or was started before the cutoff was
+// known, so drivers that attach per-point side channels (telemetry
+// streams) drop those points' channels and serial and parallel sweeps
+// emit identical bytes. A pure function of the Saturated flags, it
+// never moves once fixed.
+func PadCutoff(out []SynthResult) (n int, fixed bool) {
 	for i := 1; i < len(out); i++ {
 		if out[i-1].Saturated && out[i].Saturated {
 			return i + 1, true

@@ -23,12 +23,12 @@ type Progress struct {
 //
 // Slot registration order is fixed here and nowhere else — it defines
 // the JSONL field order the determinism tests compare byte-for-byte.
-func attachTelemetry(s *synthRun) *telemetry.Metrics {
+func attachTelemetry(s *SynthRun) *telemetry.Metrics {
 	opt := s.cfg.Telemetry
 	if opt.Window <= 0 {
 		return nil
 	}
-	inst := s.inst
+	inst := s.Inst
 	m := telemetry.New(opt, telemetry.Meta{
 		Scheme:  s.cfg.Scheme.String(),
 		Pattern: s.cfg.Pattern.String(),
@@ -45,44 +45,7 @@ func attachTelemetry(s *synthRun) *telemetry.Metrics {
 	)
 	m.Gauge("in_flight", func() int64 { return s.created - s.delivered })
 	if n := inst.Net; n != nil {
-		m.Counter("link_flits", func() int64 { return n.FlitsOnLinks })
-		m.Counter("flits_routed", func() int64 {
-			var t int64
-			for _, rt := range n.Routers {
-				t += rt.FlitsRouted
-			}
-			return t
-		})
-		m.Counter("switch_stalls", func() int64 {
-			var t int64
-			for _, rt := range n.Routers {
-				t += rt.SwitchStalls
-			}
-			return t
-		})
-		m.Gauge("resident", func() int64 {
-			var t int64
-			for _, rt := range n.Routers {
-				t += int64(rt.Resident())
-			}
-			return t
-		})
-		m.Gauge("source_backlog", func() int64 {
-			var t int64
-			for _, nc := range n.NICs {
-				t += int64(nc.TotalSourceDepth())
-			}
-			return t
-		})
-		m.VecGauge("vc_occ", n.Routers[0].Cfg.NetVCs(), func(v int) int64 {
-			var t int64
-			for _, rt := range n.Routers {
-				t += int64(rt.VCOccupancy(v))
-			}
-			return t
-		})
-		m.NodeGrid(len(n.Routers), func(i int) int64 { return n.Routers[i].FlitsRouted })
-		m.LinkGrid(n.NumChannels(), n.LinkFlits)
+		n.Telemetry(m)
 	} else {
 		// MinBD's deflection network has no VCs, crossbar or credit
 		// links — the per-structure slots and heatmap grids do not

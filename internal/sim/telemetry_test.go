@@ -72,8 +72,8 @@ func TestTelemetryCheckpointSplitByteIdentical(t *testing.T) {
 	fullCfg := telemetryBase(1)
 	var fullBuf bytes.Buffer
 	fullCfg.Telemetry.JSONL = &fullBuf
-	full := newSynthRun(fullCfg)
-	fullRes := full.run()
+	full := NewSynthetic(fullCfg)
+	fullRes := finish(full)
 	wantWindows := full.tel.Windows()
 
 	// Head run: checkpoint every 700 cycles (not a multiple of the
@@ -107,11 +107,11 @@ func TestTelemetryCheckpointSplitByteIdentical(t *testing.T) {
 	}
 	var tailBuf bytes.Buffer
 	rcfg.Telemetry.JSONL = &tailBuf
-	resumed := newSynthRun(rcfg)
+	resumed := NewSynthetic(rcfg)
 	if err := resumed.restore(blob); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	resRes := resumed.run()
+	resRes := finish(resumed)
 
 	if got, want := resultFingerprint(resRes), resultFingerprint(fullRes); got != want {
 		t.Errorf("resumed result differs\nresumed: %s\nfull:    %s", got, want)
@@ -203,7 +203,8 @@ func sweepTelemetryStream(jobs int) []byte {
 	}
 	out := SweepLatencyJobs(base, rates, jobs)
 	var all []byte
-	for i := 0; i < PadCutoff(out); i++ {
+	n, _ := PadCutoff(out)
+	for i := 0; i < n; i++ {
 		all = append(all, bufs[i].Bytes()...)
 	}
 	return all

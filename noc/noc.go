@@ -93,7 +93,10 @@ func RunSynthetic(cfg SynthConfig) SynthResult { return sim.RunSynthetic(cfg) }
 // PadCutoff reports the index of the first padded (post-saturation)
 // point in a sweep result; drivers use it to drop side channels of
 // speculatively simulated tail points.
-func PadCutoff(out []SynthResult) int { return sim.PadCutoff(out) }
+func PadCutoff(out []SynthResult) int {
+	n, _ := sim.PadCutoff(out)
+	return n
+}
 
 // OpenCheckpoint validates a checkpoint blob (produced through
 // SynthConfig.CheckpointEvery/OnCheckpoint) and returns the embedded
