@@ -21,7 +21,7 @@ import (
 	"repro/noc"
 )
 
-var quick = exp.Scale{Quick: true}
+var quick = exp.Scale{Quick: true, Run: exp.Pool(0)}
 
 // benchSynth is a small, fast synthetic point.
 func benchSynth(scheme noc.Scheme, pattern noc.Pattern, rate float64) noc.SynthConfig {
@@ -56,7 +56,7 @@ func BenchmarkFig7Synthetic(b *testing.B) {
 		rates := []float64{0.02, 0.08, 0.14}
 		var fpLat float64
 		for _, scheme := range exp.Fig7Schemes() {
-			pts := noc.SweepLatencyJobs(benchSynth(scheme, noc.Uniform, 0), rates, 0)
+			pts := noc.SweepLatency(benchSynth(scheme, noc.Uniform, 0), rates)
 			if scheme == noc.FastPass {
 				fpLat = pts[0].AvgLatency
 			}
@@ -70,8 +70,8 @@ func BenchmarkFig7Synthetic(b *testing.B) {
 // FastPass/SWAP throughput ratio.
 func BenchmarkFig8Scaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, fp := sim.SaturationThroughputJobs(benchSynth(noc.FastPass, noc.Transpose, 0), 0.01, 0.6, 4, 0)
-		_, sw := sim.SaturationThroughputJobs(benchSynth(noc.SWAP, noc.Transpose, 0), 0.01, 0.6, 4, 0)
+		_, fp := sim.SaturationThroughput(benchSynth(noc.FastPass, noc.Transpose, 0), 0.01, 0.6, 4)
+		_, sw := sim.SaturationThroughput(benchSynth(noc.SWAP, noc.Transpose, 0), 0.01, 0.6, 4)
 		b.ReportMetric(fp/sw, "fastpass-vs-swap-throughput-ratio")
 	}
 }

@@ -9,6 +9,10 @@
 //	paperfigs -j 1         # serial (same output bit-for-bit, slower)
 //	paperfigs -only fig7   # one artefact: table1 table2 fig7 fig8 fig9
 //	                       # fig10 fig11 fig12 fig13 ablations vcsweep hotspot ksweep
+//
+// Every requested artefact's cells (a serial sweep, a bisection, a
+// single run) go through one pool of -j workers; stderr reports where
+// the time went.
 package main
 
 import (
@@ -19,6 +23,8 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
+	"time"
 
 	"repro/internal/exp"
 	"repro/internal/parallel"
@@ -28,12 +34,13 @@ import (
 // artefacts are the names -only accepts, in the order a full run prints them.
 var artefacts = strings.Fields("table1 table2 fig7 fig8 fig9 fig10 fig11 fig12 fig13 ablations vcsweep hotspot ksweep")
 
+var csvDir = flag.String("csv", "", "also write each figure's data as CSV into this directory")
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("paperfigs: ")
 	quick := flag.Bool("quick", false, "shrunken meshes and windows")
 	only := flag.String("only", "", "regenerate a single artefact")
-	csvDir := flag.String("csv", "", "also write each figure's data as CSV into this directory")
 	jobs := flag.Int("j", 0, "parallel workers (0 = one per core, 1 = serial); output is identical at any -j")
 	flag.Parse()
 	if *only != "" && !slices.Contains(artefacts, *only) {
@@ -45,81 +52,157 @@ func main() {
 		os.Exit(2)
 	}
 
-	s := exp.Scale{Quick: *quick, Jobs: *jobs}
 	want := func(name string) bool { return *only == "" || *only == name }
-	writeCSV := func(name, data string) {
-		if *csvDir == "" {
-			return
-		}
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			log.Fatal(err)
-		}
-		path := filepath.Join(*csvDir, name+".csv")
-		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s", path)
+	// Fig. 12 prints Fig. 10's runs, which run once for both.
+	var fig10 []exp.Fig10Cell
+	fig10Driver := func(s exp.Scale) []exp.Fig10Cell {
+		fig10 = exp.Fig10(s)
+		return fig10
 	}
+	steps := []step{ // in print order
+		{"table1", func(exp.Scale) func() { return table1 }},
+		{"table2", func(s exp.Scale) func() { return func() { table2(s) } }},
+	}
+	for _, p := range exp.Fig7Patterns() {
+		fig7 := func(s exp.Scale) exp.Fig7Result { return exp.Fig7(s, p) }
+		steps = append(steps, drive("fig7", fig7, exp.Fig7Result.String, "fig7_"+strings.ToLower(p.String()), exp.Fig7Result.CSV))
+	}
+	steps = append(steps,
+		drive("fig8", exp.Fig8, exp.Fig8Result.String, "fig8", exp.Fig8Result.CSV),
+		drive("fig9", exp.Fig9, exp.Fig9String, "fig9", exp.Fig9CSV),
+		drive("fig10", fig10Driver, exp.Fig10String, "fig10", exp.Fig10CSV),
+		step{"fig11", func(exp.Scale) func() { return fig11 }},
+		step{"fig12", func(s exp.Scale) func() {
+			if !want("fig10") {
+				fig10Driver(s)
+			}
+			return func() { fmt.Println(exp.Fig12String(fig10)) }
+		}},
+		drive("fig13", exp.Fig13a, exp.Fig13aString, "fig13a", exp.Fig13aCSV),
+		drive("fig13", exp.Fig13b, exp.Fig13bString, "", nil),
+		drive("ablations", exp.Ablations, exp.AblationsString, "", nil),
+		drive("vcsweep", exp.VCSensitivity, exp.VCSensitivityString, "", nil),
+		drive("hotspot", exp.Hotspot, exp.HotspotString, "", nil),
+		drive("ksweep", exp.KSensitivity, exp.KSensitivityString, "", nil),
+	)
+	steps = slices.DeleteFunc(steps, func(st step) bool { return !want(st.artefact) })
+	runSteps(exp.Scale{Quick: *quick}, *jobs, steps)
+}
 
-	if want("table1") {
-		table1()
+// step is one driver call of an artefact: run calls the driver with the
+// Scale it is given and returns what the artefact prints.
+type step struct {
+	artefact string
+	run      func(exp.Scale) func()
+}
+
+// drive is the step that runs driver and prints its table and, with
+// -csv, its CSV (if any) as name.csv.
+func drive[R any](artefact string, driver func(exp.Scale) R, table func(R) string, name string, csv func(R) string) step {
+	return step{artefact, func(s exp.Scale) func() {
+		r := driver(s)
+		return func() {
+			fmt.Println(table(r))
+			if csv != nil && *csvDir != "" {
+				writeCSV(name, csv(r))
+			}
+		}
+	}}
+}
+
+// writeCSV writes data as name.csv in the -csv directory.
+func writeCSV(name, data string) {
+	if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+		log.Fatal(err)
 	}
-	if want("table2") {
-		table2(s)
+	path := filepath.Join(*csvDir, name+".csv")
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		log.Fatal(err)
 	}
-	if want("fig7") {
-		// The four sub-figures are independent; compute them together,
-		// print in figure order.
-		patterns := exp.Fig7Patterns()
-		results := parallel.Map(s.Jobs, patterns, func(p noc.Pattern) exp.Fig7Result {
-			return exp.Fig7(s, p)
-		})
-		for i, p := range patterns {
-			fmt.Println(results[i])
-			writeCSV("fig7_"+strings.ToLower(p.String()), results[i].CSV())
+	log.Printf("wrote %s", path)
+}
+
+// runSteps runs every step's driver on its own goroutine, with a Scale
+// whose Run hands the driver's cells over and waits until they have
+// run. Once every driver has handed its cells over (or returned without
+// any), one exp.Pool of jobs workers runs them all — Fig. 8's first,
+// its 16×16 bisections being the longest — and the steps print in
+// order. stderr gets each artefact's cell count and summed cell
+// seconds, then the pool's wall seconds, workers and utilisation
+// (Σ cell seconds / (wall × workers)).
+func runSteps(s exp.Scale, jobs int, steps []step) {
+	type cell struct {
+		artefact string
+		run      func()
+	}
+	batches := make([][]cell, len(steps))
+	printers := make([]chan func(), len(steps))
+	var handed sync.WaitGroup
+	handed.Add(len(steps))
+	ran := make(chan struct{})
+	for i, st := range steps {
+		sc, handedOver := s, false
+		sc.Run = func(cells []func()) {
+			if handedOver {
+				panic(fmt.Sprintf("paperfigs: %s calls Scale.Run twice", st.artefact))
+			}
+			for _, run := range cells {
+				batches[i] = append(batches[i], cell{st.artefact, run})
+			}
+			handedOver = true
+			handed.Done()
+			<-ran
+		}
+		printers[i] = make(chan func(), 1)
+		go func() {
+			print := st.run(sc)
+			if !handedOver {
+				handed.Done()
+			}
+			printers[i] <- print
+		}()
+	}
+	handed.Wait()
+
+	var cells []cell
+	for i, st := range steps {
+		if st.artefact == "fig8" {
+			cells = append(batches[i], cells...)
+		} else {
+			cells = append(cells, batches[i]...)
 		}
 	}
-	if want("fig8") {
-		r := exp.Fig8(s)
-		fmt.Println(r)
-		writeCSV("fig8", r.CSV())
+	secs := make([]float64, len(cells))
+	timed := make([]func(), len(cells))
+	for i, c := range cells {
+		timed[i] = func() {
+			t := time.Now()
+			c.run()
+			secs[i] = time.Since(t).Seconds()
+		}
 	}
-	if want("fig9") {
-		pts := exp.Fig9(s)
-		fmt.Println(exp.Fig9String(pts))
-		writeCSV("fig9", exp.Fig9CSV(pts))
+	start := time.Now()
+	exp.Pool(jobs)(timed)
+	wall := time.Since(start).Seconds()
+	close(ran)
+
+	count, sum, total := map[string]int{}, map[string]float64{}, 0.0
+	for i, c := range cells {
+		count[c.artefact]++
+		sum[c.artefact] += secs[i]
+		total += secs[i]
 	}
-	var fig10Cells []exp.Fig10Cell
-	if want("fig10") || want("fig12") {
-		fig10Cells = exp.Fig10(s)
+	for _, a := range artefacts {
+		if count[a] > 0 {
+			log.Printf("%s: %d cells, %.1f cell-s", a, count[a], sum[a])
+		}
 	}
-	if want("fig10") {
-		fmt.Println(exp.Fig10String(fig10Cells))
-		writeCSV("fig10", exp.Fig10CSV(fig10Cells))
+	if len(cells) > 0 {
+		workers := min(parallel.Workers(jobs), len(cells))
+		log.Printf("%.1f s wall, %d workers, utilisation %.2f", wall, workers, total/(wall*float64(workers)))
 	}
-	if want("fig11") {
-		fig11()
-	}
-	if want("fig12") {
-		fmt.Println(exp.Fig12String(fig10Cells))
-	}
-	if want("fig13") {
-		pts := exp.Fig13a(s)
-		fmt.Println(exp.Fig13aString(pts))
-		writeCSV("fig13a", exp.Fig13aCSV(pts))
-		fmt.Println(exp.Fig13bString(exp.Fig13b(s)))
-	}
-	if want("ablations") {
-		fmt.Println(exp.AblationsString(exp.Ablations(s)))
-	}
-	if want("vcsweep") {
-		fmt.Println(exp.VCSensitivityString(exp.VCSensitivity(s)))
-	}
-	if want("hotspot") {
-		fmt.Println(exp.HotspotString(exp.Hotspot(s)))
-	}
-	if want("ksweep") {
-		fmt.Println(exp.KSensitivityString(exp.KSensitivity(s)))
+	for _, print := range printers {
+		(<-print)()
 	}
 }
 

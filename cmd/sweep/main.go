@@ -1,9 +1,11 @@
 // Command sweep measures latency-vs-injection-rate curves (Fig. 7
-// style) for one or more schemes and prints them as CSV. Schemes run in
-// parallel, and each scheme's rate grid fans out too; with -shards each
-// simulation additionally steps its mesh with K spatial shards. The CSV
-// is bit-identical at any -j and any -shards (see DESIGN.md on the
-// determinism contract).
+// style) for one or more schemes and prints them as CSV. Each scheme's
+// series is one serial cell: its rates run in order until two
+// consecutive points saturate. The schemes' cells share one pool of -j
+// workers, so a single-scheme sweep runs at its -j 1 speed whatever -j
+// says; with -shards each simulation additionally steps its mesh with K
+// spatial shards. The CSV is bit-identical at any -j and any -shards
+// (see DESIGN.md on the determinism contract).
 //
 // With -faults the runs execute under deterministic fault injection;
 // with -fault-scales the command switches to the resilience experiment,
@@ -34,6 +36,7 @@ import (
 	"log"
 	"math"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/campaign"
@@ -267,30 +270,20 @@ func (cfg sweepConfig) resilience() noc.CampaignConfig {
 	return c
 }
 
-// sweepCSV runs every scheme's sweep (in parallel, each sweep itself
-// parallel over rates) and renders the CSV; saturated points are empty
-// cells. The second return value carries one structured watchdog report
-// per aborted point — the CSV is still complete (aborted points are
-// empty cells), so callers can write the partial data and still exit
-// nonzero.
+// sweepCSV runs every scheme's sweep, one serial cell per scheme, and
+// renders the CSV; saturated points are empty cells. The second return
+// value carries one structured watchdog report per aborted point — the
+// CSV is still complete (aborted points are empty cells), so callers
+// can write the partial data and still exit nonzero.
 func sweepCSV(cfg sweepConfig) (string, []string) {
-	idxs := make([]int, len(cfg.schemes))
-	for j := range idxs {
-		idxs[j] = j
-	}
-	series := parallel.Map(cfg.jobs, idxs, func(j int) []noc.SynthResult {
+	series := parallel.Map(cfg.jobs, cfg.schemes, func(scheme noc.Scheme) []noc.SynthResult {
 		base := cfg.base()
-		base.Scheme = cfg.schemes[j]
+		base.Scheme = scheme
 		if cfg.telemetry != nil {
-			cfg.telemetry.instrument(j, &base)
+			cfg.telemetry.instrument(slices.Index(cfg.schemes, scheme), &base) // schemes are duplicate-free
 		}
-		return noc.SweepLatencyJobs(base, cfg.rates, cfg.jobs)
+		return noc.SweepLatency(base, cfg.rates)
 	})
-	if cfg.telemetry != nil {
-		for j := range series {
-			cfg.telemetry.setCutoff(j, noc.PadCutoff(series[j]))
-		}
-	}
 
 	var b strings.Builder
 	var reports []string

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
@@ -162,9 +163,9 @@ func TestValidateFlags(t *testing.T) {
 
 // quickSweepConfig is a deliberately tiny deterministic sweep used by
 // the golden and equivalence tests.
-func quickSweepConfig(jobs int) sweepConfig {
-	cfg, err := parse([]string{"-schemes", "FastPass,EscapeVC,TFC", "-pattern", "Transpose", "-size", "4", "-seed", "7",
-		"-rate-max", "0.50", "-rate-step", "0.12", "-j", strconv.Itoa(jobs)})
+func quickSweepConfig(jobs int, extra ...string) sweepConfig {
+	cfg, err := parse(append([]string{"-schemes", "FastPass,EscapeVC,TFC", "-pattern", "Transpose", "-size", "4", "-seed", "7",
+		"-rate-max", "0.50", "-rate-step", "0.12", "-j", strconv.Itoa(jobs)}, extra...))
 	if err != nil {
 		panic("sweep: test config invalid: " + err.Error())
 	}
@@ -202,6 +203,33 @@ func TestSweepCSVJobsEquivalence(t *testing.T) {
 	parallel8, _ := sweepCSV(quickSweepConfig(8))
 	if serial != parallel8 {
 		t.Errorf("-j 1 and -j 8 CSVs differ:\n--- -j 1 ---\n%s--- -j 8 ---\n%s", serial, parallel8)
+	}
+}
+
+// TestSweepTelemetryJobsInvariant: the -telemetry file is byte-identical
+// at -j 1 and -j 8. The grid runs past saturation, so it also checks
+// that padded points, which never run, leave no stream behind.
+func TestSweepTelemetryJobsInvariant(t *testing.T) {
+	var files [2][]byte
+	for k, jobs := range []int{1, 8} {
+		path := filepath.Join(t.TempDir(), "sweep.jsonl")
+		cfg := quickSweepConfig(jobs, "-telemetry", path, "-telemetry-window", "300")
+		if _, reports := sweepCSV(cfg); len(reports) != 0 {
+			t.Fatalf("-j %d: healthy quick sweep produced abort reports: %v", jobs, reports)
+		}
+		if err := cfg.telemetry.writeFile(path); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if files[k], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(files[0]) == 0 {
+		t.Fatal("sweep telemetry emitted nothing")
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Errorf("telemetry file differs between -j 1 and -j 8 (len %d vs %d)", len(files[0]), len(files[1]))
 	}
 }
 

@@ -16,15 +16,40 @@ import (
 	"repro/internal/workload"
 )
 
-// Scale selects experiment fidelity.
+// Scale selects experiment fidelity and how a driver's cells run. A
+// driver splits its artefact into independent cells (one synthetic run,
+// serial rate sweep, bisection or application run) and hands them all
+// to Run in one call of each.
 type Scale struct {
 	// Quick shrinks the mesh to 4×4 (8×8 stays for Fig. 8's scaling
 	// story), shortens windows, and thins rate grids.
 	Quick bool
-	// Jobs bounds the experiment fan-out (0 = one worker per core,
-	// 1 = serial). Every point is an independent simulation, so the
-	// figures are identical at any job count — only wall-clock changes.
-	Jobs int
+	// Run runs every cell and returns once all have finished, in any
+	// order and concurrency: Pool(jobs), or cmd/paperfigs' one pool.
+	Run func(cells []func())
+}
+
+// Pool returns a Run that runs the cells on jobs workers
+// (0 = one per core, 1 = serial).
+func Pool(jobs int) func(cells []func()) {
+	return func(cells []func()) {
+		parallel.Map(jobs, cells, func(cell func()) struct{} {
+			cell()
+			return struct{}{}
+		})
+	}
+}
+
+// each runs fn on every item through s.Run, one cell per item, and
+// returns the results in item order. A driver calls it exactly once.
+func each[T, R any](s Scale, items []T, fn func(T) R) []R {
+	out := make([]R, len(items))
+	cells := make([]func(), len(items))
+	for i, item := range items {
+		cells[i] = func() { out[i] = fn(item) }
+	}
+	s.Run(cells)
+	return out
 }
 
 // mesh returns the evaluation mesh size.
@@ -87,13 +112,13 @@ type Fig7Result struct {
 	SatRate map[string]float64
 }
 
-// Fig7 measures latency-vs-injection-rate for one pattern. The schemes
-// fan out in parallel, and each scheme's sweep fans out over its rates.
+// Fig7 measures latency-vs-injection-rate for one pattern, one serial
+// sweep per scheme.
 func Fig7(s Scale, pattern traffic.Pattern) Fig7Result {
 	rates := s.Fig7Rates()
 	schemes := Fig7Schemes()
-	sweeps := parallel.Map(s.Jobs, schemes, func(scheme sim.Scheme) []sim.SynthResult {
-		return sim.SweepLatencyJobs(s.base(scheme, pattern, 1), rates, s.Jobs)
+	sweeps := each(s, schemes, func(scheme sim.Scheme) []sim.SynthResult {
+		return sim.SweepLatency(s.base(scheme, pattern, 1), rates)
 	})
 	res := Fig7Result{
 		Pattern: pattern,
@@ -166,34 +191,36 @@ type Fig8Result struct {
 }
 
 // Fig8 bisects saturation throughput across network sizes (Transpose,
-// Table II). Every (scheme, size) bisection is independent, so the
-// whole matrix fans out at once.
+// Table II), one serial bisection per (scheme, size) cell. The cells
+// are laid out largest mesh first, so the longest start first.
 func Fig8(s Scale) Fig8Result {
 	res := Fig8Result{Sizes: s.Fig8Sizes(), Sat: map[string][]float64{}}
 	type cell struct {
 		scheme sim.Scheme
-		size   int
+		size   int // index into Sizes
 	}
 	var cells []cell
-	for _, scheme := range Fig8Schemes() {
-		for _, size := range res.Sizes {
-			cells = append(cells, cell{scheme: scheme, size: size})
+	for i := len(res.Sizes) - 1; i >= 0; i-- {
+		for _, scheme := range Fig8Schemes() {
+			cells = append(cells, cell{scheme: scheme, size: i})
 		}
 	}
-	thrs := parallel.Map(s.Jobs, cells, func(c cell) float64 {
+	thrs := each(s, cells, func(c cell) float64 {
+		size := res.Sizes[c.size]
 		cfg := s.base(c.scheme, traffic.Transpose, 1)
-		cfg.W, cfg.H = c.size, c.size
-		if c.size >= 16 {
+		cfg.W, cfg.H = size, size
+		if size >= 16 {
 			// Keep 256-node bisection tractable.
 			cfg.Warmup, cfg.Measure, cfg.Drain = 1000, 2500, 2000
 		}
-		_, thr := sim.SaturationThroughputJobs(cfg, 0.01, 0.6, 6, s.Jobs)
+		_, thr := sim.SaturationThroughput(cfg, 0.01, 0.6, 6)
 		return thr
 	})
-	// cells is scheme-major, so in-order appends rebuild each scheme's
-	// size axis in place.
+	for _, scheme := range Fig8Schemes() {
+		res.Sat[scheme.String()] = make([]float64, len(res.Sizes))
+	}
 	for i, c := range cells {
-		res.Sat[c.scheme.String()] = append(res.Sat[c.scheme.String()], thrs[i])
+		res.Sat[c.scheme.String()][c.size] = thrs[i]
 	}
 	return res
 }
@@ -235,7 +262,7 @@ func Fig9(s Scale) []Fig9Point {
 	if !s.Quick {
 		rates = append(rates, 0.13, 0.15)
 	}
-	return parallel.Map(s.Jobs, rates, func(rate float64) Fig9Point {
+	return each(s, rates, func(rate float64) Fig9Point {
 		cfg := s.base(sim.FastPass, traffic.Uniform, 1)
 		cfg.VCs = 1
 		cfg.Rate = rate
@@ -317,9 +344,9 @@ func (s Scale) runApp(name string, o sim.Options) sim.AppResult {
 	return sim.RunApp(cfg)
 }
 
-// Fig10 runs every app on every configuration, fanning the (app,
-// scheme) matrix out in parallel. It also provides the data for Fig. 12
-// (p99) and Fig. 13(b).
+// Fig10 runs every app on every configuration, one cell per (app,
+// scheme) run. It also provides the data for Fig. 12 (p99) and
+// Fig. 13(b).
 func Fig10(s Scale) []Fig10Cell {
 	type task struct {
 		app string
@@ -331,7 +358,7 @@ func Fig10(s Scale) []Fig10Cell {
 			tasks = append(tasks, task{app: appName, fs: fs})
 		}
 	}
-	return parallel.Map(s.Jobs, tasks, func(t task) Fig10Cell {
+	return each(s, tasks, func(t task) Fig10Cell {
 		r := s.runApp(t.app, sim.Options{
 			Scheme: t.fs.Scheme, VCs: t.fs.VCs,
 			// Application runs complete in a few thousand cycles —
@@ -396,7 +423,7 @@ func Fig13a(s Scale) []Fig13Point {
 	if !s.Quick {
 		rates = append(rates, 0.14, 0.16)
 	}
-	return parallel.Map(s.Jobs, rates, func(rate float64) Fig13Point {
+	return each(s, rates, func(rate float64) Fig13Point {
 		cfg := s.base(sim.FastPass, traffic.Uniform, 1)
 		cfg.VCs = 1
 		cfg.Rate = rate
@@ -427,7 +454,7 @@ func Fig13b(s Scale) []Fig10Cell {
 	if s.Quick {
 		apps = apps[:3]
 	}
-	return parallel.Map(s.Jobs, apps, func(appName string) Fig10Cell {
+	return each(s, apps, func(appName string) Fig10Cell {
 		r := s.runApp(appName, sim.Options{Scheme: sim.FastPass, VCs: 1})
 		return Fig10Cell{
 			App: appName, Scheme: "FastPass(VC=1)",
@@ -485,63 +512,55 @@ type AblationResult struct {
 //     post-saturation synthetic traffic: without in-transit rescues the
 //     congested network cannot deliver the measured window at all.
 func Ablations(s Scale) []AblationResult {
-	var out []AblationResult
-
 	// Drop-on-reject: Canneal at 1 VC keeps ejection queues hot.
 	app := workload.MustGet("Canneal")
 	if s.Quick {
 		app.WorkQuota = 600
 	}
-	appCfg := func(drop bool) sim.AppConfig {
-		return sim.AppConfig{
-			// 4×4 keeps the 1-VC network out of its crawl regime while
-			// the hot homes still fill ejection queues, so rejections —
-			// the event the two designs handle differently — occur at a
-			// healthy operating point.
-			Options: sim.Options{
-				Scheme: sim.FastPass, W: 4, H: 4, VCs: 1,
-				Seed: 11, FPDropOnReject: drop,
-			},
-			App: app,
+	appArm := func(drop bool) func() string {
+		return func() string {
+			r := sim.RunApp(sim.AppConfig{
+				// 4×4 keeps the 1-VC network out of its crawl regime
+				// while the hot homes still fill ejection queues, so
+				// rejections — the event the two designs handle
+				// differently — occur at a healthy operating point.
+				Options: sim.Options{
+					Scheme: sim.FastPass, W: 4, H: 4, VCs: 1,
+					Seed: 11, FPDropOnReject: drop,
+				},
+				App: app,
+			})
+			return fmt.Sprintf("lat %8.1f  p99 %7.0f  exec %7d  dropFrac %.4f",
+				r.AvgLatency, r.P99Latency, r.ExecTime, r.DroppedFrac)
 		}
 	}
-	appPair := parallel.Map(s.Jobs, []bool{false, true}, func(drop bool) sim.AppResult {
-		return sim.RunApp(appCfg(drop))
-	})
-	base, abl := appPair[0], appPair[1]
-	appRow := func(r sim.AppResult) string {
-		return fmt.Sprintf("lat %8.1f  p99 %7.0f  exec %7d  dropFrac %.4f",
-			r.AvgLatency, r.P99Latency, r.ExecTime, r.DroppedFrac)
-	}
-	out = append(out, AblationResult{
-		Name: "reserve-and-return vs drop-on-reject (Canneal, 1 VC)",
-		Rows: []AblationRow{
-			{Variant: "paper", Metrics: appRow(base)},
-			{Variant: "ablated", Metrics: appRow(abl)},
-		},
-	})
 
 	// Injection-only scan: post-saturation uniform traffic.
-	syn := s.base(sim.FastPass, traffic.Uniform, 1)
-	syn.VCs = 1
-	syn.Rate = 0.10
-	syn.Drain = 10 * syn.Measure
-	synAbl := syn
-	synAbl.FPScanInjectionOnly = true
-	synPair := parallel.Map(s.Jobs, []sim.SynthConfig{syn, synAbl}, sim.RunSynthetic)
-	sb, sa := synPair[0], synPair[1]
-	synRow := func(r sim.SynthResult) string {
-		return fmt.Sprintf("delivered %5.1f%%  fastFrac %.3f  p99 %9.0f",
-			100*r.DeliveredFrac, r.FastFrac, r.P99Latency)
+	synArm := func(injectionOnly bool) func() string {
+		return func() string {
+			cfg := s.base(sim.FastPass, traffic.Uniform, 1)
+			cfg.VCs = 1
+			cfg.Rate = 0.10
+			cfg.Drain = 10 * cfg.Measure
+			cfg.FPScanInjectionOnly = injectionOnly
+			r := sim.RunSynthetic(cfg)
+			return fmt.Sprintf("delivered %5.1f%%  fastFrac %.3f  p99 %9.0f",
+				100*r.DeliveredFrac, r.FastFrac, r.P99Latency)
+		}
 	}
-	out = append(out, AblationResult{
-		Name: "full scan vs injection-only promotion (Uniform 0.10, 1 VC)",
-		Rows: []AblationRow{
-			{Variant: "paper", Metrics: synRow(sb)},
-			{Variant: "ablated", Metrics: synRow(sa)},
+
+	rows := each(s, []func() string{appArm(false), appArm(true), synArm(false), synArm(true)},
+		func(arm func() string) string { return arm() })
+	return []AblationResult{
+		{
+			Name: "reserve-and-return vs drop-on-reject (Canneal, 1 VC)",
+			Rows: []AblationRow{{Variant: "paper", Metrics: rows[0]}, {Variant: "ablated", Metrics: rows[1]}},
 		},
-	})
-	return out
+		{
+			Name: "full scan vs injection-only promotion (Uniform 0.10, 1 VC)",
+			Rows: []AblationRow{{Variant: "paper", Metrics: rows[2]}, {Variant: "ablated", Metrics: rows[3]}},
+		},
+	}
 }
 
 // AblationsString renders the ablation table.
@@ -570,13 +589,13 @@ type VCPoint struct {
 // single VC — deadlock-free and with graceful throughput — while the
 // bypass baselines need several.
 func VCSensitivity(s Scale) []VCPoint {
-	return parallel.Map(s.Jobs, []int{1, 2, 4}, func(vcs int) VCPoint {
+	return each(s, []int{1, 2, 4}, func(vcs int) VCPoint {
 		cfg := s.base(sim.FastPass, traffic.Uniform, 1)
 		cfg.VCs = vcs
 		low := cfg
 		low.Rate = 0.02
 		zero := sim.RunSynthetic(low)
-		rate, thr := sim.SaturationThroughputJobs(cfg, 0.01, 0.4, 6, s.Jobs)
+		rate, thr := sim.SaturationThroughput(cfg, 0.01, 0.4, 6)
 		return VCPoint{VCs: vcs, SatRate: rate, SatThr: thr, ZeroLoad: zero.AvgLatency}
 	})
 }

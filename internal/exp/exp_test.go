@@ -8,7 +8,7 @@ import (
 	"repro/internal/traffic"
 )
 
-var quick = Scale{Quick: true}
+var quick = Scale{Quick: true, Run: Pool(0)}
 
 func TestFig7QuickShape(t *testing.T) {
 	r := Fig7(quick, traffic.Uniform)

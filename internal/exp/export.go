@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
@@ -116,38 +115,26 @@ type HotspotPoint struct {
 
 // Hotspot sweeps the fraction of traffic converging on one node and
 // compares FastPass with EscapeVC and SWAP at a fixed offered rate.
-// The (fraction, scheme) grid fans out in parallel.
+// Each (fraction, scheme) run is one cell; cell i runs scheme i%3 at
+// fraction i/3.
 func Hotspot(s Scale) []HotspotPoint {
 	schemes := []sim.Scheme{sim.EscapeVC, sim.SWAP, sim.FastPass}
-	fracs := []float64{0.05, 0.15, 0.30}
-	type task struct {
-		frac   float64
-		scheme sim.Scheme
+	out := []HotspotPoint{{HotFraction: 0.05}, {HotFraction: 0.15}, {HotFraction: 0.30}}
+	cells := make([]int, len(out)*len(schemes))
+	for i := range cells {
+		cells[i] = i
 	}
-	var tasks []task
-	for _, frac := range fracs {
-		for _, scheme := range schemes {
-			tasks = append(tasks, task{frac: frac, scheme: scheme})
-		}
-	}
-	results := parallel.Map(s.Jobs, tasks, func(t task) sim.SynthResult {
-		cfg := s.base(t.scheme, traffic.Hotspot, 1)
-		cfg.Rate, cfg.HotspotFraction = 0.04, t.frac
+	results := each(s, cells, func(i int) sim.SynthResult {
+		cfg := s.base(schemes[i%len(schemes)], traffic.Hotspot, 1)
+		cfg.Rate, cfg.HotspotFraction = 0.04, out[i/len(schemes)].HotFraction
 		return sim.RunSynthetic(cfg)
 	})
-	var out []HotspotPoint
-	for i, frac := range fracs {
-		pt := HotspotPoint{
-			HotFraction: frac,
-			Latency:     map[string]float64{},
-			Saturated:   map[string]bool{},
+	for i, res := range results {
+		pt, name := &out[i/len(schemes)], schemes[i%len(schemes)].String()
+		if pt.Latency == nil {
+			pt.Latency, pt.Saturated = map[string]float64{}, map[string]bool{}
 		}
-		for j, scheme := range schemes {
-			res := results[i*len(schemes)+j]
-			pt.Latency[scheme.String()] = res.AvgLatency
-			pt.Saturated[scheme.String()] = res.Saturated
-		}
-		out = append(out, pt)
+		pt.Latency[name], pt.Saturated[name] = res.AvgLatency, res.Saturated
 	}
 	return out
 }
@@ -200,7 +187,7 @@ func KSensitivity(s Scale) []KPoint {
 		{formula, "paper formula"},
 		{2 * formula, "2x formula"},
 	}
-	return parallel.Map(s.Jobs, variants, func(cfg kVariant) KPoint {
+	return each(s, variants, func(cfg kVariant) KPoint {
 		c := s.base(sim.FastPass, traffic.Uniform, 1)
 		c.VCs = 1
 		// 0.03 sits below the 1-VC saturation cliff (~0.04), where the

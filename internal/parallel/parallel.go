@@ -1,18 +1,20 @@
 // Package parallel is the deterministic fan-out runner behind the
-// experiment stack. Every point of every figure — one (scheme, pattern,
-// rate) synthetic run, one (app, scheme) cell, one saturation probe —
-// is an independent pure function of its config, so the figures can be
-// regenerated on all cores at once. The contract this package enforces
-// is that parallelism never shows in the output: Map returns results in
-// submission order, workers share nothing, and a run at `-j 8` is
-// bit-identical to the same run at `-j 1` (a property the sim and exp
-// test suites assert and CI re-checks under the race detector).
+// experiment stack. Every cell of every figure — one synthetic run, one
+// serial rate sweep or bisection, one (app, scheme) run — is an
+// independent pure function of its config, so a run's cells can go
+// through one pool on all cores at once. The contract this package
+// enforces is that parallelism never shows in the output: Map returns
+// results in submission order, workers share nothing, and a run at
+// `-j 8` is bit-identical to the same run at `-j 1` (a property the
+// exp and cmd test suites assert and CI re-checks under the race
+// detector).
 package parallel
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Workers resolves a -j style job count: 0 (or any non-positive value)
@@ -27,9 +29,11 @@ func Workers(jobs int) int {
 
 // Map applies fn to every item on a bounded pool of Workers(jobs)
 // workers and returns the results in submission order: out[i] is always
-// fn(items[i]), however the scheduler interleaved the calls. fn must be
-// safe for concurrent use (in this codebase that means: build your own
-// simulator instance and seed your own *rand.Rand from the config).
+// fn(items[i]), however the scheduler interleaved the calls. Items start
+// in index order, so a caller that lists its longest items first keeps
+// the pool's tail short. fn must be safe for concurrent use (in this
+// codebase that means: build your own simulator instance and seed your
+// own *rand.Rand from the config).
 //
 // With one worker the items run serially on the calling goroutine, so
 // `-j 1` involves no goroutine at all.
@@ -39,55 +43,23 @@ func Workers(jobs int) int {
 // from the lowest-indexed failing item is re-raised on the caller,
 // whatever order the workers actually hit them in.
 func Map[T, R any](jobs int, items []T, fn func(T) R) []R {
-	return MapUntil(jobs, items, fn, nil)
-}
-
-// MapUntil is Map with an early stop. Items start in index order; after
-// each one completes, cut (when non-nil) is shown the longest completed
-// prefix of the results, and once it reports a cutoff n no item at or
-// past n starts. With one worker that is exactly the serial loop that
-// breaks at the cutoff. With more, items past n may already have
-// started when the cutoff becomes known; out[n:] is then undefined.
-//
-// cut must be a function of the prefix alone, and once it reports a
-// cutoff it must report the same one for every longer prefix: then the
-// cutoff, and so out[:n], are the same at any worker count. It runs
-// under the pool's lock.
-//
-// Panics follow Map's rule — the lowest-indexed one is re-raised once
-// every started item has finished — except that a panic from an item
-// at or past the final cutoff is dropped, since the serial loop never
-// starts that item. A panicking item leaves its zero R in the prefix.
-func MapUntil[T, R any](jobs int, items []T, fn func(T) R, cut func(done []R) (int, bool)) []R {
 	out := make([]R, len(items))
-	finished := make([]bool, len(items))
 	var (
-		mu           sync.Mutex
-		next, prefix int
-		limit        = len(items) // no item at or past limit starts
-		failed       = -1         // lowest-indexed item whose fn panicked
-		failure      any
+		next    atomic.Int64 // the next item to start
+		mu      sync.Mutex
+		failed  = -1 // lowest-indexed item whose fn panicked
+		failure any
 	)
 	work := func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for next < limit {
-			i := next
-			next++
-			mu.Unlock()
+		for i := int(next.Add(1) - 1); i < len(items); i = int(next.Add(1) - 1) {
 			r, p := call(fn, items[i])
-			mu.Lock()
-			out[i], finished[i] = r, true
-			if p != nil && (failed < 0 || i < failed) {
-				failed, failure = i, p
-			}
-			for prefix < len(finished) && finished[prefix] {
-				prefix++
-			}
-			if cut != nil {
-				if n, ok := cut(out[:prefix]); ok {
-					limit, cut = min(n, limit), nil
+			out[i] = r // each index has one writer
+			if p != nil {
+				mu.Lock()
+				if failed < 0 || i < failed {
+					failed, failure = i, p
 				}
+				mu.Unlock()
 			}
 		}
 	}
@@ -102,7 +74,7 @@ func MapUntil[T, R any](jobs int, items []T, fn func(T) R, cut func(done []R) (i
 	}
 	work()
 	wg.Wait()
-	if failed >= 0 && failed < limit {
+	if failed >= 0 {
 		panic(fmt.Sprintf("parallel: worker for item %d panicked: %v", failed, failure))
 	}
 	return out

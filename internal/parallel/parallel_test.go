@@ -2,8 +2,8 @@ package parallel
 
 import (
 	"runtime"
-	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -117,105 +117,28 @@ func TestMapEmptyAndOversizedPool(t *testing.T) {
 	}
 }
 
-// stopAtNegative is a MapUntil cut: the cutoff is one past the first
-// negative result.
-func stopAtNegative(done []int) (int, bool) {
-	for i, v := range done {
-		if v < 0 {
-			return i + 1, true
-		}
-	}
-	return len(done), false
-}
-
-// TestMapUntilSerialStops is the early-stop contract at -j 1: fn never
-// runs on an item at or past the cutoff.
-func TestMapUntilSerialStops(t *testing.T) {
-	calls := make([]int, 8)
-	out := MapUntil(1, []int{0, 1, 2, 3, 4, 5, 6, 7}, func(i int) int {
-		calls[i]++
-		if i == 3 {
-			return -1
-		}
-		return i
-	}, stopAtNegative)
-	for i, c := range calls {
-		want := 0
-		if i < 4 {
-			want = 1
-		}
-		if c != want {
-			t.Errorf("item %d ran %d times, want %d", i, c, want)
-		}
-	}
-	if !slices.Equal(out[:4], []int{0, 1, 2, -1}) {
-		t.Errorf("out[:4] = %v, want [0 1 2 -1]", out[:4])
-	}
-}
-
-// TestMapUntilJobsEquivalence checks that out[:n] at -j 8 is the -j 1
-// result while items finish out of order.
-func TestMapUntilJobsEquivalence(t *testing.T) {
-	items := make([]int, 24)
-	for i := range items {
-		items[i] = i
-	}
-	fn := func(i int) int {
-		time.Sleep(time.Duration(len(items)-i) * time.Millisecond / 4)
-		if i == 9 {
-			return -1
-		}
-		return i * 3
-	}
-	serial := MapUntil(1, items, fn, stopAtNegative)
-	n, _ := stopAtNegative(serial)
-	if n != 10 {
-		t.Fatalf("serial cutoff %d, want 10", n)
-	}
-	got := MapUntil(8, items, fn, stopAtNegative)
-	for i := 0; i < n; i++ {
-		if got[i] != serial[i] {
-			t.Errorf("-j 8: out[%d] = %d, want %d", i, got[i], serial[i])
-		}
-	}
-}
-
-// TestMapUntilPanicPastCutoff forces a speculative item to panic: item
-// 0 fixes the cutoff only once item 3 has started. Past the cutoff the
-// panic is dropped, as the serial loop would never have run the item;
-// below it the panic is re-raised with its index.
-func TestMapUntilPanicPastCutoff(t *testing.T) {
-	for _, tc := range []struct {
-		cutoff int
-		want   string // "" = no panic
-	}{
-		{cutoff: 1, want: ""},
-		{cutoff: 4, want: "item 3"},
-	} {
-		started3 := make(chan struct{})
-		var got any
-		func() {
-			defer func() { got = recover() }()
-			MapUntil(4, []int{0, 1, 2, 3}, func(i int) int {
-				switch i {
-				case 0:
-					<-started3
-					return -1
-				case 3:
-					close(started3)
-					panic("late")
+// TestMapConcurrencyBound checks the pool's size: Map never runs more
+// than Workers(jobs) calls at once, and at -j 1 exactly one.
+func TestMapConcurrencyBound(t *testing.T) {
+	for _, jobs := range []int{1, 2, 8} {
+		var running, peak atomic.Int64
+		Map(jobs, make([]int, 4*jobs), func(int) int {
+			n := running.Add(1)
+			for {
+				p := peak.Load()
+				if n <= p || peak.CompareAndSwap(p, n) {
+					break
 				}
-				return i
-			}, func(done []int) (int, bool) {
-				return tc.cutoff, len(done) > 0
-			})
-		}()
-		msg, _ := got.(string)
-		switch {
-		case tc.want == "" && got != nil:
-			t.Errorf("cutoff %d: panic %v past the cutoff was re-raised", tc.cutoff, got)
-		case tc.want != "" && !strings.Contains(msg, tc.want):
-			t.Errorf("cutoff %d: panic %v, want one attributing %q", tc.cutoff, got, tc.want)
+			}
+			time.Sleep(2 * time.Millisecond)
+			running.Add(-1)
+			return 0
+		})
+		if got := peak.Load(); got > int64(Workers(jobs)) {
+			t.Errorf("jobs=%d: %d calls ran at once, want at most %d", jobs, got, Workers(jobs))
+		}
+		if jobs == 1 && peak.Load() != 1 {
+			t.Errorf("jobs=1: peak concurrency %d, want 1", peak.Load())
 		}
 	}
 }

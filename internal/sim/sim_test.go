@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/message"
@@ -97,32 +96,37 @@ func TestSweepStopsAfterSaturation(t *testing.T) {
 	// simulating and carry the saturated marker forward.
 	base := quickCfg(TFC, 0)
 	base.Pattern = traffic.Transpose
-	for _, jobs := range []int{1, 0} {
-		var runs atomic.Int64
-		base.Instrument = func(*SynthConfig) { runs.Add(1) }
-		out := SweepLatencyJobs(base, rates, jobs)
-		if len(out) != len(rates) {
-			t.Fatalf("jobs=%d: sweep returned %d points", jobs, len(out))
+	runs := 0
+	base.Instrument = func(*SynthConfig) { runs++ }
+	out := SweepLatency(base, rates)
+	if len(out) != len(rates) {
+		t.Fatalf("sweep returned %d points", len(out))
+	}
+	if !out[len(out)-1].Saturated {
+		t.Error("final point should be saturated")
+	}
+	for i, r := range rates {
+		if out[i].Rate != r {
+			t.Errorf("point %d has rate %v, want %v", i, out[i].Rate, r)
 		}
-		if !out[len(out)-1].Saturated {
-			t.Errorf("jobs=%d: final point should be saturated", jobs)
+	}
+	// Nothing after the first two consecutive saturated points runs.
+	n := len(rates)
+	for i := 1; i < len(out); i++ {
+		if out[i-1].Saturated && out[i].Saturated {
+			n = i + 1
+			break
 		}
-		for i, r := range rates {
-			if out[i].Rate != r {
-				t.Errorf("jobs=%d: point %d has rate %v, want %v", jobs, i, out[i].Rate, r)
-			}
-		}
-		// Serially, nothing at or past the cutoff is simulated.
-		if n, _ := PadCutoff(out); jobs == 1 && (n == len(rates) || runs.Load() != int64(n)) {
-			t.Errorf("jobs=1: %d runs for cutoff %d of %d rates", runs.Load(), n, len(rates))
-		}
+	}
+	if n == len(rates) || runs != n {
+		t.Errorf("%d runs for cutoff %d of %d rates", runs, n, len(rates))
 	}
 }
 
 func TestSaturationBisection(t *testing.T) {
 	base := quickCfg(EscapeVC, 0)
 	base.Warmup, base.Measure, base.Drain = 500, 1500, 1500
-	rate, thr := SaturationThroughputJobs(base, 0.01, 0.9, 5, 0)
+	rate, thr := SaturationThroughput(base, 0.01, 0.9, 5)
 	if rate <= 0.01 || rate >= 0.9 {
 		t.Errorf("saturation rate %v should be interior", rate)
 	}
@@ -132,6 +136,14 @@ func TestSaturationBisection(t *testing.T) {
 	// Throughput at the found rate tracks the offered rate.
 	if thr < rate*0.5 {
 		t.Errorf("accepted %v far below offered %v", thr, rate)
+	}
+	// A saturated low bracket ends the bisection after one probe.
+	lo := sweepBase(TFC)
+	lo.SatLatency = 1 // every point counts as saturated
+	probes := 0
+	lo.Instrument = func(*SynthConfig) { probes++ }
+	if rate, thr := SaturationThroughput(lo, 0.05, 0.5, 3); rate != 0.05 || thr != 0 || probes != 1 {
+		t.Errorf("saturated bracket: (%v, %v) after %d probes, want (0.05, 0) after 1", rate, thr, probes)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/message"
 	"repro/internal/network"
-	"repro/internal/parallel"
 	"repro/internal/snapshot"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -319,47 +318,25 @@ func RunSynthetic(cfg SynthConfig) SynthResult {
 	return res
 }
 
-// SweepLatencyJobs measures a latency-vs-injection-rate curve (one
-// Fig. 7 series) with the given worker count (0 = one worker per core,
-// 1 = serial). Rates start in order through parallel.MapUntil, cut by
-// PadCutoff: once the completed prefix holds two consecutive saturated
-// points no further rate starts, so at -j 1 nothing past the cutoff is
-// simulated and at -j N only the points already running when it became
-// known are. Both emit field-identical results for the same seed — the
-// determinism contract the parallel runner rests on.
-//
-// Rates two past the first sustained saturation are reported as inert
-// padded points: Saturated is set, latencies are NaN ("no samples") and
-// counters are zero, exactly as a run that delivered nothing would
-// report — never a stale copy of the last measured point.
-func SweepLatencyJobs(base SynthConfig, rates []float64, jobs int) []SynthResult {
-	out := parallel.MapUntil(jobs, rates, func(r float64) SynthResult {
+// SweepLatency measures a latency-vs-injection-rate curve (one Fig. 7
+// series) serially: rates run in order, and once two consecutive points
+// have saturated no further rate is simulated. Those rates are reported
+// as inert padded points: Saturated is set, latencies are NaN ("no
+// samples") and counters are zero, exactly as a run that delivered
+// nothing would report — never a stale copy of the last measured point.
+// A sweep is one cell of an experiment; callers run many at once.
+func SweepLatency(base SynthConfig, rates []float64) []SynthResult {
+	out := make([]SynthResult, len(rates))
+	for i, r := range rates {
+		if i >= 2 && out[i-2].Saturated && out[i-1].Saturated {
+			out[i] = paddedPoint(base, r)
+			continue
+		}
 		cfg := base
 		cfg.Rate = r
-		return RunSynthetic(cfg)
-	}, PadCutoff)
-	for i, _ := PadCutoff(out); i < len(out); i++ {
-		out[i] = paddedPoint(base, rates[i])
+		out[i] = RunSynthetic(cfg)
 	}
 	return out
-}
-
-// PadCutoff is the stop-two-after-saturation rule, SweepLatencyJobs's
-// MapUntil cut: n is the index of the first padded point (len(out) if
-// none), the point after the first two consecutive saturated ones, and
-// fixed reports whether the given prefix already contains them. From n
-// on, a point was never simulated or was started before the cutoff was
-// known, so drivers that attach per-point side channels (telemetry
-// streams) drop those points' channels and serial and parallel sweeps
-// emit identical bytes. A pure function of the Saturated flags, it
-// never moves once fixed.
-func PadCutoff(out []SynthResult) (n int, fixed bool) {
-	for i := 1; i < len(out); i++ {
-		if out[i-1].Saturated && out[i].Saturated {
-			return i + 1, true
-		}
-	}
-	return len(out), false
 }
 
 // paddedPoint is the inert stand-in for a rate that was never
@@ -382,42 +359,30 @@ func paddedPoint(base SynthConfig, rate float64) SynthResult {
 	}
 }
 
-// SaturationThroughputJobs bisects the highest non-saturated injection
-// rate and returns the accepted throughput there (a Fig. 8 bar), with
-// the given worker count (0 = one worker per core, 1 = serial). The two
-// bracket probes go through parallel.MapUntil, cut after lo when lo is
-// saturated: at -j 1 the hi probe is then skipped, at -j N it runs
-// speculatively alongside lo. The bisection itself stays sequential —
-// each midpoint depends on the previous verdict — so results are
-// identical at any worker count.
-func SaturationThroughputJobs(base SynthConfig, lo, hi float64, iters, jobs int) (rate float64, throughput float64) {
-	if iters == 0 {
-		iters = 7
-	}
-	type probe struct {
-		ok  bool
-		thr float64
-	}
-	check := func(r float64) probe {
+// SaturationThroughput bisects the highest non-saturated injection
+// rate and returns the accepted throughput there (a Fig. 8 bar). It
+// probes lo first and hi only when lo is not saturated; each midpoint
+// then depends on the previous verdict, so the whole bisection is one
+// serial cell.
+func SaturationThroughput(base SynthConfig, lo, hi float64, iters int) (rate float64, throughput float64) {
+	check := func(r float64) (bool, float64) {
 		cfg := base
 		cfg.Rate = r
 		res := RunSynthetic(cfg)
-		return probe{ok: !res.Saturated, thr: res.Throughput}
+		return !res.Saturated, res.Throughput
 	}
-	brackets := parallel.MapUntil(jobs, []float64{lo, hi}, check, func(done []probe) (int, bool) {
-		return 1, len(done) > 0 && !done[0].ok
-	})
-	if !brackets[0].ok {
+	ok, bestThr := check(lo)
+	if !ok {
 		return lo, 0
 	}
-	if brackets[1].ok {
-		return hi, brackets[1].thr
+	if ok, thr := check(hi); ok {
+		return hi, thr
 	}
-	bestRate, bestThr := lo, brackets[0].thr
+	bestRate := lo
 	for i := 0; i < iters; i++ {
 		mid := (lo + hi) / 2
-		if p := check(mid); p.ok {
-			lo, bestRate, bestThr = mid, mid, p.thr
+		if ok, thr := check(mid); ok {
+			lo, bestRate, bestThr = mid, mid, thr
 		} else {
 			hi = mid
 		}

@@ -183,46 +183,3 @@ func TestTelemetryUnperturbedByHTTPReaders(t *testing.T) {
 			buf.Len(), len(quiet))
 	}
 }
-
-// sweepTelemetryStream runs a latency sweep with per-rate telemetry
-// buffers (the sweep driver's pattern: preallocated, one writer each)
-// and returns the streams concatenated in rate order up to PadCutoff.
-func sweepTelemetryStream(jobs int) []byte {
-	rates := []float64{0.05, 0.15, 0.55, 0.60, 0.65}
-	idx := make(map[float64]int, len(rates))
-	bufs := make([]*bytes.Buffer, len(rates))
-	for i, r := range rates {
-		idx[r] = i
-		bufs[i] = &bytes.Buffer{}
-	}
-	base := telemetryBase(1)
-	base.Instrument = func(c *SynthConfig) {
-		if i, ok := idx[c.Rate]; ok {
-			c.Telemetry.JSONL = bufs[i]
-		}
-	}
-	out := SweepLatencyJobs(base, rates, jobs)
-	var all []byte
-	n, _ := PadCutoff(out)
-	for i := 0; i < n; i++ {
-		all = append(all, bufs[i].Bytes()...)
-	}
-	return all
-}
-
-// TestSweepTelemetryJobsInvariant: the concatenated per-point streams
-// of a sweep are byte-identical at any worker count. The high-rate tail
-// makes PadCutoff do real work — the parallel path simulates
-// post-saturation points speculatively, and their streams must be
-// dropped on both sides for the outputs to match.
-func TestSweepTelemetryJobsInvariant(t *testing.T) {
-	serial := sweepTelemetryStream(1)
-	if len(serial) == 0 {
-		t.Fatal("sweep telemetry emitted nothing")
-	}
-	parallel := sweepTelemetryStream(8)
-	if !bytes.Equal(serial, parallel) {
-		t.Errorf("sweep telemetry differs between jobs=1 and jobs=8 (len %d vs %d)",
-			len(serial), len(parallel))
-	}
-}

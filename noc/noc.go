@@ -90,14 +90,6 @@ type (
 // RunSynthetic executes one synthetic-traffic measurement point.
 func RunSynthetic(cfg SynthConfig) SynthResult { return sim.RunSynthetic(cfg) }
 
-// PadCutoff reports the index of the first padded (post-saturation)
-// point in a sweep result; drivers use it to drop side channels of
-// speculatively simulated tail points.
-func PadCutoff(out []SynthResult) int {
-	n, _ := sim.PadCutoff(out)
-	return n
-}
-
 // OpenCheckpoint validates a checkpoint blob (produced through
 // SynthConfig.CheckpointEvery/OnCheckpoint) and returns the embedded
 // run configuration. Shards and the checkpoint knobs may be adjusted
@@ -111,12 +103,11 @@ func ResumeSynthetic(cfg SynthConfig, data []byte) (SynthResult, error) {
 	return sim.ResumeSynthetic(cfg, data)
 }
 
-// SweepLatencyJobs measures a latency-vs-injection-rate curve (a Fig. 7
-// series) with the given worker count (0 = one worker per core,
-// 1 = serial). Results are deterministic: the same seed yields
-// bit-identical curves at any parallelism.
-func SweepLatencyJobs(base SynthConfig, rates []float64, jobs int) []SynthResult {
-	return sim.SweepLatencyJobs(base, rates, jobs)
+// SweepLatency measures a latency-vs-injection-rate curve (a Fig. 7
+// series) serially, stopping two points past saturation and padding the
+// remaining rates with inert saturated points.
+func SweepLatency(base SynthConfig, rates []float64) []SynthResult {
+	return sim.SweepLatency(base, rates)
 }
 
 // FaultCounters reports what a run's fault injector did (see the faults
