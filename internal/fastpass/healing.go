@@ -25,9 +25,9 @@ import (
 //     wiring must change. New launches/pickups stop; packets already in
 //     the air complete on the old configuration (a flight lasts at most
 //     one slot, a lane ride at most one walk circuit).
-//   - rederive: once no packet is mid-flight, rebuild the surviving
-//     undirected channel list (a channel survives only if neither
-//     direction is permanently down), derive the holistic walk, and
+//   - rederive: once no packet is mid-flight, derive the holistic walk
+//     on the mesh itself over the surviving channels (a channel
+//     survives only if neither direction is permanently down) and
 //     install evenly spaced circulating lanes over it. If the cut
 //     disconnected the fabric, record the failed heal and stay in
 //     static degraded mode (dead-path launch gating).
@@ -158,35 +158,25 @@ func (c *Controller) laneDead(prime, dst int) bool {
 
 // rederive rebuilds the lane wiring for the current permanent-failure
 // generation: surviving channels → holistic walk → circulating lanes.
+// The walk is derived on the mesh itself, in mesh link IDs, from node 0.
+// A channel survives when both directions do (the walk needs balanced
+// in/out degree). Nodes are left by ascending neighbour ID — N, W, E, S
+// on the row-major mesh — as an irregular topology numbers its ports.
 //
 //nocvet:cold runs once per permanent link failure, not per cycle
 func (c *Controller) rederive(inj *faults.Injector) {
 	c.appliedGen = inj.PermGen()
-	links := c.mesh.Links()
-	nn := c.mesh.NumNodes()
-	rev := make([]int, nn*nn)
-	for i := range rev {
-		rev[i] = -1
-	}
-	for i := range links {
-		rev[links[i].Src*nn+links[i].Dst] = links[i].ID
-	}
-	var edges [][2]int
-	for i := range links {
-		l := &links[i]
-		if l.Src >= l.Dst {
-			continue
+	for node := range c.mesh.NumNodes() {
+		for _, d := range [...]topology.Direction{topology.North, topology.West, topology.East, topology.South} {
+			out := c.mesh.OutLink(node, d)
+			if out != nil && !c.deadLink[out.ID] && !c.deadLink[c.mesh.InLink(node, d).ID] {
+				c.walker.Add(out.ID)
+			}
 		}
-		back := rev[l.Dst*nn+l.Src]
-		if c.deadLink[l.ID] || (back >= 0 && c.deadLink[back]) {
-			// A channel survives only when both directions do: the walk
-			// needs balanced in/out degree at every node.
-			continue
-		}
-		edges = append(edges, [2]int{l.Src, l.Dst})
+		c.walker.EndNode()
 	}
-	ir, err := topology.NewIrregular(nn, edges)
-	if err != nil {
+	walk, connected := c.walker.Walk(c.mesh.Links(), 0)
+	if !connected {
 		// The cut disconnected the fabric: no walk exists. Stay in
 		// static degraded mode — dead lanes stop launching — and let the
 		// campaign see the failed heal.
@@ -194,12 +184,6 @@ func (c *Controller) rederive(inj *faults.Injector) {
 		c.healFailed = true
 		c.Counters.HealFails++
 		return
-	}
-	iw := ir.HolisticWalk()
-	walk := make([]int, len(iw))
-	for i, id := range iw {
-		il := ir.Links()[id]
-		walk[i] = rev[il.Src*nn+il.Dst]
 	}
 	c.lanes.Install(walk, c.sched.Partitions())
 	c.healFailed = false

@@ -76,7 +76,11 @@ func (c *Controller) state(s snapshot.State) {
 }
 
 // state walks the engine: the walk, each lane's head position and ride,
-// and the landing registers. A restore rebuilds the lanes through reset.
+// and the landing registers. A restore rebuilds the lanes through reset
+// after checking what a hostile blob could turn into a panic: the walk
+// must be a closed chain of distinct links (two lanes would otherwise
+// claim one link), heads must keep Install's spacing on it, and scan
+// cursors must name a network buffer.
 func (l *WalkLanes) state(s snapshot.State) {
 	if s.Present(l.Active()) {
 		var walk []int
@@ -96,8 +100,17 @@ func (l *WalkLanes) state(s snapshot.State) {
 			return
 		}
 		if s.Decoding() {
+			seen := make([]bool, len(l.links))
+			for i, id := range walk {
+				if next := walk[(i+1)%len(walk)]; seen[id] || l.links[id].Dst != l.links[next].Src {
+					s.Fail("healed walk position %d: link %d repeats or does not lead to link %d", i, id, next)
+					return
+				}
+				seen[id] = true
+			}
 			l.reset(walk, lanes)
 		}
+		buffers := max(1, (len(l.occ)-1)*l.netVCs)
 		for i := 0; i < lanes; i++ {
 			ls := &l.lanes[i]
 			snapshot.Int(s, &l.pos[i])
@@ -106,6 +119,12 @@ func (l *WalkLanes) state(s snapshot.State) {
 				snapshot.Int(s, &ls.dstCountdown, &ls.progress)
 			}
 			snapshot.Int(s, &ls.scanPtr)
+			if p := l.pos[i]; s.Decoding() && (p < 0 || p >= len(walk) || p != (l.pos[0]+l.spacing(i))%len(walk)) {
+				s.Fail("healed lane %d at position %d of a %d-link walk breaks Install's spacing", i, p, len(walk))
+			}
+			if s.Decoding() && (ls.scanPtr < 0 || ls.scanPtr >= buffers) {
+				s.Fail("healed lane %d scan cursor %d outside %d network buffers", i, ls.scanPtr, buffers)
+			}
 		}
 	} else if s.Decoding() {
 		l.reset(nil, 0)
@@ -126,8 +145,8 @@ func init() {
 		[]string{
 			// Wiring and configuration from Attach.
 			"net", "mesh", "sched", "prm", "OnDrop", "Trace",
-			// Per-PreCycle scratch, rewritten before every read.
-			"scanBuf", "pathBuf",
+			// Per-PreCycle and per-heal scratch, rewritten before every read.
+			"scanBuf", "pathBuf", "walker",
 			// Mirrors of the injector's permanent-failure set, rebuilt
 			// lazily in the first post-restore PreCycle.
 			"deadLink", "deadCount", "restored",
@@ -147,9 +166,9 @@ func init() {
 		[]string{
 			// Wiring and configuration from NewWalkLanes.
 			"host", "links", "nics", "netVCs", "InjectionOnly",
-			// arrivals is a pure function of walk, rebuilt on restore;
-			// scan and occ are per-pickup scratch.
-			"arrivals", "scan", "occ",
+			// arrivals/arrStart are a pure function of walk, rebuilt on
+			// restore; scan and occ are per-pickup scratch.
+			"arrivals", "arrStart", "scan", "occ",
 		})
 	snapshot.Register("fastpass.walkLane", walkLane{},
 		[]string{"pkt", "dstCountdown", "progress", "scanPtr"},

@@ -2,6 +2,7 @@ package fastpass
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/message"
 	"repro/internal/nic"
@@ -80,9 +81,11 @@ type WalkLanes struct {
 	InjectionOnly bool
 
 	walk []int // link IDs; closed, every link at most once
-	// arrivals[node] lists the walk positions whose link ends at node,
-	// ascending; a pure function of walk.
-	arrivals [][]int
+	// arrivals lists the walk positions whose link ends at node v in
+	// arrivals[arrStart[v]:arrStart[v+1]], ascending; a pure function
+	// of walk.
+	arrivals []int
+	arrStart []int
 	pos      []int // lane i's head position on the walk
 	lanes    []walkLane
 	// landing[node] holds arrived packets awaiting ejection-queue space.
@@ -154,32 +157,43 @@ func NewWalkLanes(host LaneHost, links []topology.Link, nics []*nic.NIC, ports, 
 // around it, capped so heads stay at least MaxPktLen+2 links apart —
 // the spacing that makes lock-step claims collision-free — and never
 // fewer than one. Landing registers are untouched: a landed packet's
-// delivery does not depend on the walk. An empty walk uninstalls.
+// delivery does not depend on the walk. An empty walk uninstalls. The
+// engine copies walk, and re-installing a walk no longer than the last
+// allocates nothing.
 func (w *WalkLanes) Install(walk []int, lanes int) {
-	if m := len(walk) / (MaxPktLen + 2); lanes > m {
-		lanes = m
-	}
-	if lanes < 1 {
-		lanes = 1
-	}
+	lanes = max(1, min(lanes, len(walk)/(MaxPktLen+2)))
 	if len(walk) == 0 {
 		lanes = 0
 	}
 	w.reset(walk, lanes)
 	for i := range w.pos {
-		w.pos[i] = i * len(walk) / lanes
+		w.pos[i] = w.spacing(i)
 	}
 }
 
+// spacing is lane i's head position at Install. Heads advance in lock
+// step, so lane i always sits this far ahead of lane 0, mod the walk.
+func (w *WalkLanes) spacing(i int) int { return i * len(w.walk) / len(w.pos) }
+
 func (w *WalkLanes) reset(walk []int, lanes int) {
-	w.walk = walk
-	w.arrivals = make([][]int, len(w.nics))
-	for p, id := range walk {
-		dst := w.links[id].Dst
-		w.arrivals[dst] = append(w.arrivals[dst], p)
+	w.walk = append(w.walk[:0], walk...)
+	// Counting sort by arrival node; filling backwards walks each
+	// arrStart[v] from node v's end back to its start.
+	w.arrStart = append(w.arrStart[:0], make([]int, len(w.nics)+1)...)
+	for _, id := range walk {
+		w.arrStart[w.links[id].Dst]++
 	}
-	w.pos = make([]int, lanes)
-	w.lanes = make([]walkLane, lanes)
+	for v := 1; v < len(w.arrStart); v++ {
+		w.arrStart[v] += w.arrStart[v-1]
+	}
+	w.arrivals = append(w.arrivals[:0], make([]int, len(walk))...)
+	for p := len(walk) - 1; p >= 0; p-- {
+		dst := w.links[walk[p]].Dst
+		w.arrStart[dst]--
+		w.arrivals[w.arrStart[dst]] = p
+	}
+	w.pos = append(w.pos[:0], make([]int, lanes)...)
+	w.lanes = append(w.lanes[:0], make([]walkLane, lanes)...)
 }
 
 // Active reports whether a walk is installed; a nil engine is not.
@@ -221,23 +235,14 @@ func (w *WalkLanes) ForEachHeld(f func(*message.Packet)) {
 // first arrive at node dst — in [1, len(walk)] on a walk that visits
 // dst — or -1 if dst never appears.
 func (w *WalkLanes) Steps(pos, dst int) int {
-	arr := w.arrivals[dst]
+	arr := w.arrivals[w.arrStart[dst]:w.arrStart[dst+1]]
 	if len(arr) == 0 {
 		return -1
 	}
 	// First arrival position >= pos, else wrap to the earliest.
-	lo, hi := 0, len(arr)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if arr[mid] < pos {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
 	a := arr[0] + len(w.walk)
-	if lo < len(arr) {
-		a = arr[lo]
+	if i, _ := slices.BinarySearch(arr, pos); i < len(arr) {
+		a = arr[i]
 	}
 	return a - pos + 1
 }

@@ -176,7 +176,7 @@ func TestConservationTrips(t *testing.T) {
 func TestStarvationOnStalledConsumer(t *testing.T) {
 	n := buildDeadlockNet()
 	const victim = 5
-	n.NICs[victim].Stall = func(int64) bool { return true }
+	n.NICs[victim].Stall = func(int, int64) bool { return true }
 	w := invariant.Attach(n, invariant.Options{Stride: 8, StarveBound: 256})
 	n.NICs[0].EnqueueSource(message.NewPacket(1, 0, victim, message.Request, 1, 0))
 	n.NICs[2].EnqueueSource(message.NewPacket(2, 2, victim, message.Response, 3, 0))

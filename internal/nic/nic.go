@@ -85,12 +85,13 @@ type NIC struct {
 	// Consumer drains ejection queues; defaults to ImmediateConsumer.
 	Consumer Consumer
 
-	// Stall, when set and returning true for a cycle, freezes the
+	// Stall, when set and returning true for (Node, cycle), freezes the
 	// consumer side of the NIC: ejection queues are not drained, though
-	// injection proceeds. Fault injection uses it to model a wedged
-	// processor without replacing Consumer (the protocol engine installs
-	// itself there and must keep observing packets once the stall lifts).
-	Stall func(cycle int64) bool
+	// injection proceeds. Fault injection shares one across all NICs to
+	// model a wedged processor without replacing Consumer (the protocol
+	// engine installs itself there and must keep observing packets once
+	// the stall lifts).
+	Stall func(node int, cycle int64) bool
 
 	// Enqueued counts packets ever handed to this NIC through
 	// EnqueueSource — the injection side of the packet-conservation
@@ -189,7 +190,7 @@ func (n *NIC) TotalSourceDepth() int { return n.sourced }
 //
 //nocvet:phase consume
 func (n *NIC) TickConsume(cycle int64) {
-	if n.Stall != nil && n.Stall(cycle) {
+	if n.Stall != nil && n.Stall(n.Node, cycle) {
 		return
 	}
 	for c := range n.eject {

@@ -535,8 +535,8 @@ func TestMatchesReferenceNIC(t *testing.T) {
 			refConsumed = append(refConsumed, p)
 			return true
 		})
-		n.Stall = func(int64) bool { return stalled }
-		ref.stall = n.Stall
+		n.Stall = func(int, int64) bool { return stalled }
+		ref.stall = func(int64) bool { return stalled }
 
 		var nextID uint64
 		fresh := func() *message.Packet {

@@ -25,9 +25,9 @@ func TestStalledConsumerStarvationWatchdog(t *testing.T) {
 	plan := faults.MustParsePlan("stallconsumer:node=5,at=200,perm")
 	inj := faults.NewInjector(plan, len(mesh.Links()), mesh.NumNodes(), mesh.NumPorts(), 1)
 	n.AttachFaults(inj)
-	for id, nc := range n.NICs {
-		node := id
-		nc.Stall = func(int64) bool { return inj.ConsumerStalled(node) }
+	stall := func(node int, _ int64) bool { return inj.ConsumerStalled(node) }
+	for _, nc := range n.NICs {
+		nc.Stall = stall
 	}
 	w := invariant.Attach(n, invariant.Options{Stride: 16, StarveBound: 1024})
 

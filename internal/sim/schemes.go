@@ -314,8 +314,9 @@ func (inst *Instance) attachRobustness(o Options) {
 		}
 		inj := faults.NewInjector(plan, len(inst.Mesh.Links()), inst.Mesh.NumNodes(), inst.Mesh.NumPorts(), o.Seed)
 		n.AttachFaults(inj)
-		for node, nc := range n.NICs {
-			nc.Stall = func(int64) bool { return inj.ConsumerStalled(node) }
+		stall := func(node int, _ int64) bool { return inj.ConsumerStalled(node) }
+		for _, nc := range n.NICs {
+			nc.Stall = stall
 		}
 		inst.Faults = inj
 	}

@@ -310,7 +310,7 @@ func TestInjectedPacketsBelongToTheirNIC(t *testing.T) {
 			// dynamic bubble drops and re-issues requests to park them.
 			inst := Build(Options{Scheme: scheme, W: 4, H: 4, Seed: 5})
 			offered := watch(t, inst)
-			inst.Net.NICs[5].Stall = func(cycle int64) bool { return cycle < 2000 }
+			inst.Net.NICs[5].Stall = func(_ int, cycle int64) bool { return cycle < 2000 }
 			gen := &traffic.Generator{Pattern: traffic.Uniform, Rate: 0.4, W: 4, H: 4, Pool: inst.UsePool()}
 			rng := rand.New(rand.NewSource(5))
 			for c := 0; c < 3000; c++ {

@@ -3,13 +3,12 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // ErrDisconnected is returned (wrapped) by NewIrregular when the edge
-// set does not connect every node pair. Callers that degrade a healthy
-// graph — the self-healing lane re-derivation removing failed channels —
-// test for it with errors.Is to distinguish "cannot heal" from a
+// set does not connect every node pair; errors.Is tells it apart from a
 // malformed edge list.
 var ErrDisconnected = errors.New("topology: graph is disconnected")
 
@@ -20,7 +19,7 @@ var ErrDisconnected = errors.New("topology: graph is disconnected")
 type Irregular struct {
 	n      int
 	links  []Link
-	out    [][]int // out[node][port] -> link index or -1
+	out    [][]int // out[node][port] -> link index; -1 at Local, every other port is wired
 	dist   [][]int
 	maxDeg int
 }
@@ -53,14 +52,9 @@ func NewIrregular(n int, edges [][2]int) (*Irregular, error) {
 	t := &Irregular{n: n, out: make([][]int, n)}
 	for v := range adj {
 		sort.Ints(adj[v])
-		// Port 0 is Local.
 		t.out[v] = make([]int, len(adj[v])+1)
-		for i := range t.out[v] {
-			t.out[v][i] = -1
-		}
-		if len(adj[v])+1 > t.maxDeg {
-			t.maxDeg = len(adj[v]) + 1
-		}
+		t.out[v][Local] = -1
+		t.maxDeg = max(t.maxDeg, len(adj[v])+1)
 	}
 	// Assign directed links; the port on each side is the 1-based index
 	// of the neighbor in the sorted adjacency list.
@@ -70,24 +64,14 @@ func NewIrregular(n int, edges [][2]int) (*Irregular, error) {
 	}
 	for v := 0; v < n; v++ {
 		for _, nb := range adj[v] {
-			l := Link{
-				ID:      len(t.links),
-				Src:     v,
-				Dst:     nb,
-				SrcPort: portOf(v, nb),
-				DstPort: portOf(nb, v),
-			}
+			l := Link{ID: len(t.links), Src: v, Dst: nb, SrcPort: portOf(v, nb), DstPort: portOf(nb, v)}
 			t.links = append(t.links, l)
 			t.out[v][l.SrcPort] = l.ID
 		}
 	}
 	t.dist = allPairsBFS(n, adj)
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if t.dist[a][b] < 0 {
-				return nil, fmt.Errorf("%w (no path %d->%d)", ErrDisconnected, a, b)
-			}
-		}
+	if b := slices.Index(t.dist[0], -1); b >= 0 {
+		return nil, fmt.Errorf("%w (no path 0->%d)", ErrDisconnected, b)
 	}
 	return t, nil
 }
@@ -128,12 +112,8 @@ func (t *Irregular) Links() []Link { return t.links }
 // Diameter reports the maximum minimal hop count over all node pairs.
 func (t *Irregular) Diameter() int {
 	d := 0
-	for a := 0; a < t.n; a++ {
-		for b := 0; b < t.n; b++ {
-			if t.dist[a][b] > d {
-				d = t.dist[a][b]
-			}
-		}
+	for _, row := range t.dist {
+		d = max(d, slices.Max(row))
 	}
 	return d
 }
@@ -143,11 +123,7 @@ func (t *Irregular) Diameter() int {
 func (t *Irregular) NextHopMinimal(v, dst int) []Direction {
 	var ports []Direction
 	for p := 1; p < len(t.out[v]); p++ {
-		idx := t.out[v][p]
-		if idx < 0 {
-			continue
-		}
-		nb := t.links[idx].Dst
+		nb := t.links[t.out[v][p]].Dst
 		if t.dist[nb][dst] == t.dist[v][dst]-1 {
 			ports = append(ports, Direction(p))
 		}
@@ -160,44 +136,75 @@ func (t *Irregular) NextHopMinimal(v, dst int) []Direction {
 // borrows from DRAIN to derive partitions on irregular topologies
 // (§III-F). Because every channel is bidirectional, every node has equal
 // in- and out-degree, so an Eulerian circuit over directed links always
-// exists. The walk is returned as an ordered slice of link IDs.
+// exists. Nodes are left by port, i.e. by ascending neighbour ID.
 func (t *Irregular) HolisticWalk() []int {
-	// Hierholzer's algorithm over directed links.
-	next := make([]int, t.n) // next unused out-port index per node
-	used := make([]bool, len(t.links))
-	takeUnused := func(v int) int {
-		for ; next[v] < len(t.out[v]); next[v]++ {
-			idx := t.out[v][next[v]]
-			if idx >= 0 && !used[idx] {
-				used[idx] = true
-				next[v]++
-				return idx
-			}
+	var w Walker
+	for v := range t.out {
+		for _, id := range t.out[v][1:] { // port 0 is Local
+			w.Add(id)
 		}
-		return -1
+		w.EndNode()
 	}
-	var circuit []int
-	var stackNodes []int
-	var stackLinks []int
-	stackNodes = append(stackNodes, 0)
-	for len(stackNodes) > 0 {
-		v := stackNodes[len(stackNodes)-1]
-		if idx := takeUnused(v); idx >= 0 {
-			stackNodes = append(stackNodes, t.links[idx].Dst)
-			stackLinks = append(stackLinks, idx)
-		} else {
-			stackNodes = stackNodes[:len(stackNodes)-1]
-			if len(stackLinks) > 0 {
-				circuit = append(circuit, stackLinks[len(stackLinks)-1])
-				stackLinks = stackLinks[:len(stackLinks)-1]
-			}
+	walk, _ := w.Walk(t.links, 0)
+	return walk
+}
+
+// Walker derives holistic walks with Hierholzer's algorithm in O(nodes
+// + links). The graph is given node by node: Add appends the current
+// node's out-links in preference order, EndNode moves to the next node.
+// Walker keeps its buffers, so a walk on a graph no larger than the
+// last allocates nothing. The zero value is ready to use.
+type Walker struct {
+	ends  []int // node v's out-links are out[ends[v-1]:ends[v]] (from 0 for v == 0)
+	out   []int // link IDs, node by node
+	next  []int // per node: the index in out of its first untaken out-link
+	trail []int // the open trail from the start node, link IDs
+	walk  []int
+}
+
+// Add appends link to the current node's out-links.
+func (w *Walker) Add(link int) { w.out = append(w.out, link) }
+
+// EndNode closes the current node; the next Add starts the next node.
+func (w *Walker) EndNode() { w.ends = append(w.ends, len(w.out)) }
+
+// Walk consumes the graph and returns the closed walk from node start
+// that crosses every link reachable from it once, leaving each node by
+// its first untaken out-link. Every node needs equal in- and out-degree
+// (true of bidirectional channels). connected reports whether every
+// node has an out-link and the walk crosses them all: on bidirectional
+// channels, whether the graph is connected. The walk is the Walker's
+// buffer, overwritten by the next Walk.
+func (w *Walker) Walk(links []Link, start int) (walk []int, connected bool) {
+	connected = true
+	w.next = slices.Grow(w.next[:0], len(w.ends))
+	from := 0
+	for _, end := range w.ends {
+		connected = connected && end > from
+		w.next = append(w.next, from)
+		from = end
+	}
+	w.trail, w.walk = slices.Grow(w.trail[:0], len(w.out)), slices.Grow(w.walk[:0], len(w.out))
+	for v := start; ; {
+		if w.next[v] < w.ends[v] {
+			id := w.out[w.next[v]]
+			w.next[v]++
+			w.trail = append(w.trail, id)
+			v = links[id].Dst
+			continue
 		}
+		if len(w.trail) == 0 {
+			break
+		}
+		id := w.trail[len(w.trail)-1]
+		w.trail = w.trail[:len(w.trail)-1]
+		w.walk = append(w.walk, id) // Hierholzer emits the circuit in reverse
+		v = links[id].Src
 	}
-	// Hierholzer emits the circuit in reverse.
-	for i, j := 0, len(circuit)-1; i < j; i, j = i+1, j-1 {
-		circuit[i], circuit[j] = circuit[j], circuit[i]
-	}
-	return circuit
+	slices.Reverse(w.walk)
+	connected = connected && len(w.walk) == len(w.out)
+	w.ends, w.out = w.ends[:0], w.out[:0]
+	return w.walk, connected
 }
 
 // SegmentWalk splits a holistic walk into p contiguous, non-overlapping
@@ -206,37 +213,15 @@ func (t *Irregular) HolisticWalk() []int {
 // exactly the property FastPass needs to derive lanes on irregular
 // topologies.
 func SegmentWalk(walk []int, p int) [][]int {
-	if p < 1 {
-		p = 1
-	}
-	if p > len(walk) {
-		p = len(walk)
-	}
+	p = min(max(p, 1), len(walk))
 	segs := make([][]int, p)
-	base := len(walk) / p
-	extra := len(walk) % p
-	pos := 0
-	for i := 0; i < p; i++ {
-		n := base
-		if i < extra {
+	for i, pos := 0, 0; i < p; i++ {
+		n := len(walk) / p
+		if i < len(walk)%p {
 			n++
 		}
 		segs[i] = append([]int(nil), walk[pos:pos+n]...)
 		pos += n
 	}
 	return segs
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
