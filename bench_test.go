@@ -21,8 +21,6 @@ import (
 	"repro/noc"
 )
 
-var quick = exp.Scale{Quick: true, Run: exp.Pool(0)}
-
 // benchSynth is a small, fast synthetic point.
 func benchSynth(scheme noc.Scheme, pattern noc.Pattern, rate float64) noc.SynthConfig {
 	return noc.SynthConfig{

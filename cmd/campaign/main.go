@@ -148,7 +148,7 @@ func parse(args []string) (runConfig, error) {
 }
 
 // parseSeeds builds the Monte Carlo seed axis: an explicit -seeds list
-// when given (unique entries), otherwise seeds 1..runs.
+// when given, otherwise seeds 1..runs.
 func parseSeeds(list string, runs int) ([]int64, error) {
 	if list == "" {
 		if runs <= 0 {
@@ -161,16 +161,11 @@ func parseSeeds(list string, runs int) ([]int64, error) {
 		return seeds, nil
 	}
 	var seeds []int64
-	seen := map[int64]bool{}
 	for _, raw := range strings.Split(list, ",") {
 		s, err := strconv.ParseInt(strings.TrimSpace(raw), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("-seeds: %q is not an integer", raw)
 		}
-		if seen[s] {
-			return nil, fmt.Errorf("-seeds: duplicate seed %d", s)
-		}
-		seen[s] = true
 		seeds = append(seeds, s)
 	}
 	return seeds, nil

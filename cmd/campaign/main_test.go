@@ -43,9 +43,12 @@ func TestValidateFlags(t *testing.T) {
 		{name: "zero rate", args: []string{"-rate", "0"}, wantErr: "-rate"},
 		{name: "zero runs", args: []string{"-runs", "0"}, wantErr: "-runs"},
 		{name: "bad seed", args: []string{"-seeds", "1,x"}, wantErr: "-seeds"},
-		{name: "duplicate seed", args: []string{"-seeds", "3,3"}, wantErr: "-seeds"},
+		{name: "duplicate seed", args: []string{"-seeds", "3,3"}, wantErr: "FastPass-static|x0|s3 appears twice"},
+		{name: "duplicate variant", args: []string{"-variants", "FastPass,FastPass-static"}, wantErr: "appears twice"},
+		{name: "duplicate scale", args: []string{"-scales", "0,0"}, wantErr: "appears twice"},
 		{name: "bad scale", args: []string{"-scales", "0,-1"}, wantErr: "fault scale"},
 		{name: "bad fault plan", args: []string{"-faults", "linkfail:rate=2"}, wantErr: "faults"},
+		{name: "event outside the mesh", args: []string{"-faults", "linkfail:link=999,at=10,perm"}, wantErr: "link 999 outside topology (48 links)"},
 		{name: "bad watchdog", args: []string{"-watchdog", "stride=no"}, wantErr: "watchdog"},
 		{name: "negative window", args: []string{"-measure", "-1"}, wantErr: "negative window"},
 		{name: "resume without journal", args: []string{"-resume"}, wantErr: "-journal"},

@@ -64,6 +64,8 @@ func TestRejectsWithoutPanic(t *testing.T) {
 	}{
 		{[]string{"-scheme", "MinBD", "-app", "Radix"}, "nocsim: sim: scheme MinBD cannot run protocol traffic"},
 		{[]string{"-app", "NotAnApp"}, "NotAnApp"},
+		{[]string{"-size", "4", "-faults", "linkfail:link=999,at=10,perm"}, "nocsim: sim: faults: event link 999 outside topology (48 links)"},
+		{[]string{"-size", "4", "-faults", "stallconsumer:node=99,at=10,perm"}, "event node 99 outside topology (16 nodes)"},
 		{[]string{"-restore", ckpt, "-shards", "17"}, "nocsim: sim: shards 17"},
 	} {
 		stderr, err := nocsim(tc.args...)

@@ -23,7 +23,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/exp"
@@ -53,61 +52,62 @@ func main() {
 	}
 
 	want := func(name string) bool { return *only == "" || *only == name }
-	// Fig. 12 prints Fig. 10's runs, which run once for both.
-	var fig10 []exp.Fig10Cell
-	fig10Driver := func(s exp.Scale) []exp.Fig10Cell {
-		fig10 = exp.Fig10(s)
-		return fig10
-	}
+	s := exp.Scale{Quick: *quick}
 	steps := []step{ // in print order
-		{"table1", func(exp.Scale) func() { return table1 }},
-		{"table2", func(s exp.Scale) func() { return func() { table2(s) } }},
+		{"table1", nil, table1},
+		{"table2", nil, func() { table2(s) }},
 	}
 	for _, p := range exp.Fig7Patterns() {
-		fig7 := func(s exp.Scale) exp.Fig7Result { return exp.Fig7(s, p) }
-		steps = append(steps, drive("fig7", fig7, exp.Fig7Result.String, "fig7_"+strings.ToLower(p.String()), exp.Fig7Result.CSV))
+		steps = append(steps, drive("fig7", exp.Fig7(s, p), exp.Fig7Result.String, "fig7_"+strings.ToLower(p.String()), exp.Fig7Result.CSV))
 	}
+	fig10, fig12 := fig10Steps(exp.Fig10(s), want("fig10"))
 	steps = append(steps,
-		drive("fig8", exp.Fig8, exp.Fig8Result.String, "fig8", exp.Fig8Result.CSV),
-		drive("fig9", exp.Fig9, exp.Fig9String, "fig9", exp.Fig9CSV),
-		drive("fig10", fig10Driver, exp.Fig10String, "fig10", exp.Fig10CSV),
-		step{"fig11", func(exp.Scale) func() { return fig11 }},
-		step{"fig12", func(s exp.Scale) func() {
-			if !want("fig10") {
-				fig10Driver(s)
-			}
-			return func() { fmt.Println(exp.Fig12String(fig10)) }
-		}},
-		drive("fig13", exp.Fig13a, exp.Fig13aString, "fig13a", exp.Fig13aCSV),
-		drive("fig13", exp.Fig13b, exp.Fig13bString, "", nil),
-		drive("ablations", exp.Ablations, exp.AblationsString, "", nil),
-		drive("vcsweep", exp.VCSensitivity, exp.VCSensitivityString, "", nil),
-		drive("hotspot", exp.Hotspot, exp.HotspotString, "", nil),
-		drive("ksweep", exp.KSensitivity, exp.KSensitivityString, "", nil),
+		drive("fig8", exp.Fig8(s), exp.Fig8Result.String, "fig8", exp.Fig8Result.CSV),
+		drive("fig9", exp.Fig9(s), exp.Fig9String, "fig9", exp.Fig9CSV),
+		fig10,
+		step{"fig11", nil, fig11},
+		fig12,
+		drive("fig13", exp.Fig13a(s), exp.Fig13aString, "fig13a", exp.Fig13aCSV),
+		drive("fig13", exp.Fig13b(s), exp.Fig13bString, "", nil),
+		drive("ablations", exp.Ablations(s), exp.AblationsString, "", nil),
+		drive("vcsweep", exp.VCSensitivity(s), exp.VCSensitivityString, "", nil),
+		drive("hotspot", exp.Hotspot(s), exp.HotspotString, "", nil),
+		drive("ksweep", exp.KSensitivity(s), exp.KSensitivityString, "", nil),
 	)
 	steps = slices.DeleteFunc(steps, func(st step) bool { return !want(st.artefact) })
-	runSteps(exp.Scale{Quick: *quick}, *jobs, steps)
+	runSteps(*jobs, steps)
 }
 
-// step is one driver call of an artefact: run calls the driver with the
-// Scale it is given and returns what the artefact prints.
+// step is one printed block of an artefact: the cells it needs run
+// (none for the tables and Fig. 11), and print, which renders it once
+// they have.
 type step struct {
 	artefact string
-	run      func(exp.Scale) func()
+	cells    []func()
+	print    func()
 }
 
-// drive is the step that runs driver and prints its table and, with
-// -csv, its CSV (if any) as name.csv.
-func drive[R any](artefact string, driver func(exp.Scale) R, table func(R) string, name string, csv func(R) string) step {
-	return step{artefact, func(s exp.Scale) func() {
-		r := driver(s)
-		return func() {
-			fmt.Println(table(r))
-			if csv != nil && *csvDir != "" {
-				writeCSV(name, csv(r))
-			}
+// drive is the step that runs plan's cells and prints its table and,
+// with -csv, its CSV (if any) as name.csv.
+func drive[R any](artefact string, plan exp.Plan[R], table func(R) string, name string, csv func(R) string) step {
+	return step{artefact, plan.Cells, func() {
+		r := plan.Result()
+		fmt.Println(table(r))
+		if csv != nil && *csvDir != "" {
+			writeCSV(name, csv(r))
 		}
 	}}
+}
+
+// fig10Steps are Fig. 10's step and Fig. 12's, which prints the p99
+// view of the same plan's runs. The runs happen once: with Fig. 10's
+// step when it is requested (withFig10), else with Fig. 12's.
+func fig10Steps(plan exp.Plan[[]exp.Fig10Cell], withFig10 bool) (fig10, fig12 step) {
+	fig12 = step{"fig12", plan.Cells, func() { fmt.Println(exp.Fig12String(plan.Result())) }}
+	if withFig10 {
+		fig12.cells = nil
+	}
+	return drive("fig10", plan, exp.Fig10String, "fig10", exp.Fig10CSV), fig12
 }
 
 // writeCSV writes data as name.csv in the -csv directory.
@@ -122,69 +122,35 @@ func writeCSV(name, data string) {
 	log.Printf("wrote %s", path)
 }
 
-// runSteps runs every step's driver on its own goroutine, with a Scale
-// whose Run hands the driver's cells over and waits until they have
-// run. Once every driver has handed its cells over (or returned without
-// any), one exp.Pool of jobs workers runs them all — Fig. 8's first,
-// its 16×16 bisections being the longest — and the steps print in
-// order. stderr gets each artefact's cell count and summed cell
-// seconds, then the pool's wall seconds, workers and utilisation
-// (Σ cell seconds / (wall × workers)).
-func runSteps(s exp.Scale, jobs int, steps []step) {
+// runSteps runs every step's cells through one parallel.Map of jobs
+// workers — Fig. 8's first, its 16×16 bisections being the longest —
+// then prints the steps in order. stderr gets each artefact's cell
+// count and summed cell seconds, then the pool's wall seconds, workers
+// and utilisation (Σ cell seconds / (wall × workers)).
+func runSteps(jobs int, steps []step) {
 	type cell struct {
 		artefact string
 		run      func()
 	}
-	batches := make([][]cell, len(steps))
-	printers := make([]chan func(), len(steps))
-	var handed sync.WaitGroup
-	handed.Add(len(steps))
-	ran := make(chan struct{})
-	for i, st := range steps {
-		sc, handedOver := s, false
-		sc.Run = func(cells []func()) {
-			if handedOver {
-				panic(fmt.Sprintf("paperfigs: %s calls Scale.Run twice", st.artefact))
-			}
-			for _, run := range cells {
-				batches[i] = append(batches[i], cell{st.artefact, run})
-			}
-			handedOver = true
-			handed.Done()
-			<-ran
-		}
-		printers[i] = make(chan func(), 1)
-		go func() {
-			print := st.run(sc)
-			if !handedOver {
-				handed.Done()
-			}
-			printers[i] <- print
-		}()
-	}
-	handed.Wait()
-
 	var cells []cell
-	for i, st := range steps {
-		if st.artefact == "fig8" {
-			cells = append(batches[i], cells...)
-		} else {
-			cells = append(cells, batches[i]...)
+	for _, st := range steps {
+		var batch []cell
+		for _, run := range st.cells {
+			batch = append(batch, cell{st.artefact, run})
 		}
-	}
-	secs := make([]float64, len(cells))
-	timed := make([]func(), len(cells))
-	for i, c := range cells {
-		timed[i] = func() {
-			t := time.Now()
-			c.run()
-			secs[i] = time.Since(t).Seconds()
+		if st.artefact == "fig8" {
+			cells = append(batch, cells...)
+		} else {
+			cells = append(cells, batch...)
 		}
 	}
 	start := time.Now()
-	exp.Pool(jobs)(timed)
+	secs := parallel.Map(jobs, cells, func(c cell) float64 {
+		t := time.Now()
+		c.run()
+		return time.Since(t).Seconds()
+	})
 	wall := time.Since(start).Seconds()
-	close(ran)
 
 	count, sum, total := map[string]int{}, map[string]float64{}, 0.0
 	for i, c := range cells {
@@ -201,8 +167,8 @@ func runSteps(s exp.Scale, jobs int, steps []step) {
 		workers := min(parallel.Workers(jobs), len(cells))
 		log.Printf("%.1f s wall, %d workers, utilisation %.2f", wall, workers, total/(wall*float64(workers)))
 	}
-	for _, print := range printers {
-		(<-print)()
+	for _, st := range steps {
+		st.print()
 	}
 }
 

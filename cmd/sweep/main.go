@@ -31,6 +31,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -111,7 +112,7 @@ func parse(args []string) (sweepConfig, error) {
 
 	rateGrid := false
 	fs.Visit(func(f *flag.Flag) { rateGrid = rateGrid || f.Name == "rate-max" || f.Name == "rate-step" })
-	names, parsed, err := parseSchemes(*schemes)
+	parsed, err := parseSchemes(*schemes)
 	if err != nil {
 		return sweepConfig{}, err
 	}
@@ -134,7 +135,7 @@ func parse(args []string) (sweepConfig, error) {
 		return sweepConfig{}, fmt.Errorf("-telemetry-window %d must be a positive cycle count", *telemetryWindow)
 	}
 	cfg := sweepConfig{
-		names: names, schemes: parsed, pattern: pattern,
+		schemes: parsed, pattern: pattern,
 		size: *size, seed: *seed, rates: rates, jobs: *jobs,
 		faults: *faultSpec, faultScale: *faultScale, watchdog: *watchdog, shards: *shards,
 		telemetryPath: *telemetryPath,
@@ -164,7 +165,7 @@ func parse(args []string) (sweepConfig, error) {
 		}
 	}
 	if *telemetryPath != "" {
-		cfg.telemetry = newTelemetrySink(cfg, *telemetryWindow)
+		cfg.telemetry = &telemetrySink{window: *telemetryWindow, bufs: make([]bytes.Buffer, len(parsed))}
 	}
 	return cfg, nil
 }
@@ -172,8 +173,7 @@ func parse(args []string) (sweepConfig, error) {
 // sweepConfig is a fully-validated sweep description: every field has
 // been parsed and checked, so sweepCSV cannot fail.
 type sweepConfig struct {
-	names   []string // trimmed, duplicate-free, parallel to schemes
-	schemes []noc.Scheme
+	schemes []noc.Scheme // duplicate-free
 	pattern noc.Pattern
 	size    int
 	seed    int64
@@ -197,32 +197,25 @@ type sweepConfig struct {
 	telemetryPath string
 }
 
-// parseSchemes splits a comma-separated scheme list, trimming each name
-// once so "FastPass, SPIN" keys its series (and CSV column) as "SPIN",
-// not " SPIN". Duplicates are rejected rather than silently overwritten.
-func parseSchemes(list string) ([]string, []noc.Scheme, error) {
-	var (
-		names   []string
-		schemes []noc.Scheme
-		seen    = map[string]bool{}
-	)
+// parseSchemes splits a comma-separated scheme list, trimming each
+// name; a repeated scheme is rejected rather than silently overwritten.
+func parseSchemes(list string) ([]noc.Scheme, error) {
+	var schemes []noc.Scheme
 	for _, raw := range strings.Split(list, ",") {
 		name := strings.TrimSpace(raw)
 		if name == "" {
-			return nil, nil, fmt.Errorf("empty scheme name in %q", list)
+			return nil, fmt.Errorf("empty scheme name in %q", list)
 		}
-		if seen[name] {
-			return nil, nil, fmt.Errorf("duplicate scheme %q in %q", name, list)
-		}
-		seen[name] = true
 		scheme, err := noc.ParseScheme(name)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		names = append(names, name)
+		if slices.Contains(schemes, scheme) {
+			return nil, fmt.Errorf("duplicate scheme %q in %q", name, list)
+		}
 		schemes = append(schemes, scheme)
 	}
-	return names, schemes, nil
+	return schemes, nil
 }
 
 // buildRateGrid expands [min, max] by step (with a tolerance so the
@@ -279,8 +272,8 @@ func sweepCSV(cfg sweepConfig) (string, []string) {
 	series := parallel.Map(cfg.jobs, cfg.schemes, func(scheme noc.Scheme) []noc.SynthResult {
 		base := cfg.base()
 		base.Scheme = scheme
-		if cfg.telemetry != nil {
-			cfg.telemetry.instrument(slices.Index(cfg.schemes, scheme), &base) // schemes are duplicate-free
+		if t := cfg.telemetry; t != nil { // the series' runs stream, in rate order, into its buffer
+			base.Telemetry.Window, base.Telemetry.JSONL = t.window, &t.bufs[slices.Index(cfg.schemes, scheme)]
 		}
 		return noc.SweepLatency(base, cfg.rates)
 	})
@@ -288,13 +281,13 @@ func sweepCSV(cfg sweepConfig) (string, []string) {
 	var b strings.Builder
 	var reports []string
 	b.WriteString("rate")
-	for _, name := range cfg.names {
-		b.WriteString("," + name)
+	for _, scheme := range cfg.schemes {
+		b.WriteString("," + scheme.String())
 	}
 	b.WriteByte('\n')
 	for i, r := range cfg.rates {
 		fmt.Fprintf(&b, "%.3f", r)
-		for j := range cfg.names {
+		for j, scheme := range cfg.schemes {
 			p := series[j][i]
 			if p.Saturated {
 				b.WriteString(",")
@@ -303,7 +296,7 @@ func sweepCSV(cfg sweepConfig) (string, []string) {
 			}
 			if p.Aborted {
 				reports = append(reports, fmt.Sprintf("sweep: %s @ %.3f aborted at cycle %d:\n%s",
-					cfg.names[j], r, p.AbortCycle, p.AbortReport))
+					scheme, r, p.AbortCycle, p.AbortReport))
 			}
 		}
 		b.WriteByte('\n')

@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/noc"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -28,7 +30,7 @@ func TestParseSchemes(t *testing.T) {
 		{name: "unknown scheme", list: "FastPass,NoSuch", wantErr: "NoSuch"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			names, schemes, err := parseSchemes(tc.list)
+			schemes, err := parseSchemes(tc.list)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("error %v, want one mentioning %q", err, tc.wantErr)
@@ -38,12 +40,12 @@ func TestParseSchemes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(names) != len(tc.want) || len(schemes) != len(tc.want) {
-				t.Fatalf("got %v (%d schemes), want %v", names, len(schemes), tc.want)
+			if len(schemes) != len(tc.want) {
+				t.Fatalf("got %v, want %v", schemes, tc.want)
 			}
 			for i := range tc.want {
-				if names[i] != tc.want[i] {
-					t.Errorf("name[%d] = %q, want %q", i, names[i], tc.want[i])
+				if schemes[i].String() != tc.want[i] {
+					t.Errorf("scheme[%d] = %v, want %q", i, schemes[i], tc.want[i])
 				}
 			}
 		})
@@ -100,7 +102,7 @@ func TestBuildConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.names[0] != "FastPass" || cfg.names[1] != "SPIN" || len(cfg.rates) != 3 {
+	if cfg.schemes[0] != noc.FastPass || cfg.schemes[1] != noc.SPIN || len(cfg.rates) != 3 {
 		t.Errorf("config %+v not normalized", cfg)
 	}
 	if _, err := parse([]string{"-h"}); err != flag.ErrHelp {
@@ -130,6 +132,8 @@ func TestValidateFlags(t *testing.T) {
 		{name: "rate above one", args: []string{"-rate-max", "2"}, wantErr: "[0, 1]"},
 		{name: "bad rate grid", args: []string{"-rate-step", "-1"}, wantErr: "step"},
 		{name: "bad fault plan", args: []string{"-faults", "linkfail:rate=2"}, wantErr: "faults"},
+		{name: "event outside the mesh", args: []string{"-faults", "portstall:node=99,port=1,at=10"}, wantErr: "port (99,1) outside topology"},
+		{name: "repeated scale", args: []string{"-faults", plan, "-fault-scales", "1,1"}, wantErr: "appears twice"},
 		{name: "zero fault scale", args: []string{"-faultscale", "0"}, wantErr: "-faultscale"},
 		{name: "negative fault scale", args: []string{"-faultscale", "-1"}, wantErr: "fault scale"},
 		{name: "bad watchdog", args: []string{"-watchdog", "stride=no"}, wantErr: "watchdog"},
@@ -230,6 +234,31 @@ func TestSweepTelemetryJobsInvariant(t *testing.T) {
 	}
 	if !bytes.Equal(files[0], files[1]) {
 		t.Errorf("telemetry file differs between -j 1 and -j 8 (len %d vs %d)", len(files[0]), len(files[1]))
+	}
+}
+
+// TestSweepTelemetryGolden pins the -telemetry bytes of the quick
+// sweep, whose grid runs past saturation: every run that ran, in
+// (scheme, rate) order, and nothing for the padded points.
+func TestSweepTelemetryGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	cfg := quickSweepConfig(2, "-telemetry", path, "-telemetry-window", "300")
+	if _, reports := sweepCSV(cfg); len(reports) != 0 {
+		t.Fatalf("healthy quick sweep produced abort reports: %v", reports)
+	}
+	if err := cfg.telemetry.writeFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "quick_sweep_telemetry.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("telemetry drifted from golden (len %d vs %d)", len(got), len(want))
 	}
 }
 

@@ -124,11 +124,19 @@ type Config struct {
 	Jobs int
 }
 
-// Validate rejects configs the grid cannot run: an empty axis, MinBD,
-// a nonzero scale without a plan, or any cell sim rejects.
+// Validate rejects configs the grid cannot run: an empty axis, a cell
+// listed twice, MinBD, a nonzero scale without a plan, or any cell sim
+// rejects.
 func (c Config) Validate() error {
 	if len(c.Variants) == 0 || len(c.Scales) == 0 || len(c.Seeds) == 0 {
 		return fmt.Errorf("campaign: need variants, fault scales and seeds, have %d, %d and %d", len(c.Variants), len(c.Scales), len(c.Seeds))
+	}
+	seen := map[Point]bool{}
+	for _, p := range Grid(c) {
+		if seen[p] {
+			return fmt.Errorf("campaign: cell %s appears twice; list each variant, fault scale and seed once", p.Key())
+		}
+		seen[p] = true
 	}
 	one := c
 	one.Seeds = c.Seeds[:1] // a seed never makes a cell invalid

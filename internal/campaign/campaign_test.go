@@ -90,6 +90,9 @@ func TestValidate(t *testing.T) {
 		{"minbd", func(c *Config) { c.Variants = []Variant{{Scheme: sim.MinBD}} }},
 		{"healing non-fastpass", func(c *Config) { c.Variants = []Variant{{Scheme: sim.EscapeVC, Healing: true}} }},
 		{"scales without plan", func(c *Config) { c.Base.Faults = "" }},
+		{"repeated variant", func(c *Config) { c.Variants = append(c.Variants, c.Variants[0]) }},
+		{"repeated scale", func(c *Config) { c.Scales = append(c.Scales, c.Scales[0]) }},
+		{"repeated seed", func(c *Config) { c.Seeds = append(c.Seeds, c.Seeds[0]) }},
 	} {
 		c := testConfig(1)
 		mut.mod(&c)

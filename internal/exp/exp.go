@@ -1,8 +1,9 @@
 // Package exp contains the per-figure experiment drivers: one function
-// per table/figure of the paper, each returning a printable result that
-// cmd/paperfigs renders and EXPERIMENTS.md records. The Quick flag
-// shrinks meshes and windows so the whole suite (and the benchmarks in
-// bench_test.go) runs in minutes; Full uses the paper's dimensions.
+// per table/figure of the paper, each returning a Plan — the artefact's
+// independent simulations as cells, and a Result that assembles them
+// into the printable result cmd/paperfigs renders and EXPERIMENTS.md
+// records. The Quick flag shrinks meshes and windows so the whole
+// suite runs in minutes; Full uses the paper's dimensions.
 package exp
 
 import (
@@ -10,46 +11,43 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 	"repro/internal/workload"
 )
 
-// Scale selects experiment fidelity and how a driver's cells run. A
-// driver splits its artefact into independent cells (one synthetic run,
-// serial rate sweep, bisection or application run) and hands them all
-// to Run in one call of each.
+// Scale selects experiment fidelity.
 type Scale struct {
 	// Quick shrinks the mesh to 4×4 (8×8 stays for Fig. 8's scaling
 	// story), shortens windows, and thins rate grids.
 	Quick bool
-	// Run runs every cell and returns once all have finished, in any
-	// order and concurrency: Pool(jobs), or cmd/paperfigs' one pool.
-	Run func(cells []func())
 }
 
-// Pool returns a Run that runs the cells on jobs workers
-// (0 = one per core, 1 = serial).
-func Pool(jobs int) func(cells []func()) {
-	return func(cells []func()) {
-		parallel.Map(jobs, cells, func(cell func()) struct{} {
-			cell()
-			return struct{}{}
-		})
-	}
+// Plan is a driver's artefact as data: Cells are its independent
+// simulations (one synthetic run, serial rate sweep, bisection or
+// application run each), which the caller runs in any order and
+// concurrency; each writes only its own result slot. Once every cell
+// has run, Result assembles the artefact from the slots; it simulates
+// nothing, so it may be called more than once.
+type Plan[R any] struct {
+	Cells  []func()
+	Result func() R
 }
 
-// each runs fn on every item through s.Run, one cell per item, and
-// returns the results in item order. A driver calls it exactly once.
-func each[T, R any](s Scale, items []T, fn func(T) R) []R {
-	out := make([]R, len(items))
-	cells := make([]func(), len(items))
+// each splits fn over items, one cell per item; the plan's Result is
+// the outputs in item order.
+func each[T, V any](items []T, fn func(T) V) Plan[[]V] {
+	out := make([]V, len(items))
+	p := Plan[[]V]{Cells: make([]func(), len(items)), Result: func() []V { return out }}
 	for i, item := range items {
-		cells[i] = func() { out[i] = fn(item) }
+		p.Cells[i] = func() { out[i] = fn(item) }
 	}
-	s.Run(cells)
-	return out
+	return p
+}
+
+// assemble is p with its Result passed through fn.
+func assemble[V, R any](p Plan[V], fn func(V) R) Plan[R] {
+	return Plan[R]{Cells: p.Cells, Result: func() R { return fn(p.Result()) }}
 }
 
 // mesh returns the evaluation mesh size.
@@ -114,35 +112,36 @@ type Fig7Result struct {
 
 // Fig7 measures latency-vs-injection-rate for one pattern, one serial
 // sweep per scheme.
-func Fig7(s Scale, pattern traffic.Pattern) Fig7Result {
+func Fig7(s Scale, pattern traffic.Pattern) Plan[Fig7Result] {
 	rates := s.Fig7Rates()
-	schemes := Fig7Schemes()
-	sweeps := each(s, schemes, func(scheme sim.Scheme) []sim.SynthResult {
+	sweeps := each(Fig7Schemes(), func(scheme sim.Scheme) []sim.SynthResult {
 		return sim.SweepLatency(s.base(scheme, pattern, 1), rates)
 	})
-	res := Fig7Result{
-		Pattern: pattern,
-		Rates:   rates,
-		Series:  map[string][]float64{},
-		SatRate: map[string]float64{},
-	}
-	for i, scheme := range schemes {
-		var lat []float64
-		sat := -1.0
-		for _, p := range sweeps[i] {
-			if p.Saturated {
-				lat = append(lat, math.NaN())
-				if sat < 0 {
-					sat = p.Rate
-				}
-			} else {
-				lat = append(lat, p.AvgLatency)
-			}
+	return assemble(sweeps, func(sweeps [][]sim.SynthResult) Fig7Result {
+		res := Fig7Result{
+			Pattern: pattern,
+			Rates:   rates,
+			Series:  map[string][]float64{},
+			SatRate: map[string]float64{},
 		}
-		res.Series[scheme.String()] = lat
-		res.SatRate[scheme.String()] = sat
-	}
-	return res
+		for i, scheme := range Fig7Schemes() {
+			var lat []float64
+			sat := -1.0
+			for _, p := range sweeps[i] {
+				if p.Saturated {
+					lat = append(lat, math.NaN())
+					if sat < 0 {
+						sat = p.Rate
+					}
+				} else {
+					lat = append(lat, p.AvgLatency)
+				}
+			}
+			res.Series[scheme.String()] = lat
+			res.SatRate[scheme.String()] = sat
+		}
+		return res
+	})
 }
 
 // String renders the Fig. 7 table.
@@ -193,20 +192,20 @@ type Fig8Result struct {
 // Fig8 bisects saturation throughput across network sizes (Transpose,
 // Table II), one serial bisection per (scheme, size) cell. The cells
 // are laid out largest mesh first, so the longest start first.
-func Fig8(s Scale) Fig8Result {
-	res := Fig8Result{Sizes: s.Fig8Sizes(), Sat: map[string][]float64{}}
+func Fig8(s Scale) Plan[Fig8Result] {
+	sizes := s.Fig8Sizes()
 	type cell struct {
 		scheme sim.Scheme
-		size   int // index into Sizes
+		size   int // index into sizes
 	}
 	var cells []cell
-	for i := len(res.Sizes) - 1; i >= 0; i-- {
+	for i := len(sizes) - 1; i >= 0; i-- {
 		for _, scheme := range Fig8Schemes() {
 			cells = append(cells, cell{scheme: scheme, size: i})
 		}
 	}
-	thrs := each(s, cells, func(c cell) float64 {
-		size := res.Sizes[c.size]
+	thrs := each(cells, func(c cell) float64 {
+		size := sizes[c.size]
 		cfg := s.base(c.scheme, traffic.Transpose, 1)
 		cfg.W, cfg.H = size, size
 		if size >= 16 {
@@ -216,13 +215,16 @@ func Fig8(s Scale) Fig8Result {
 		_, thr := sim.SaturationThroughput(cfg, 0.01, 0.6, 6)
 		return thr
 	})
-	for _, scheme := range Fig8Schemes() {
-		res.Sat[scheme.String()] = make([]float64, len(res.Sizes))
-	}
-	for i, c := range cells {
-		res.Sat[c.scheme.String()][c.size] = thrs[i]
-	}
-	return res
+	return assemble(thrs, func(thrs []float64) Fig8Result {
+		res := Fig8Result{Sizes: sizes, Sat: map[string][]float64{}}
+		for _, scheme := range Fig8Schemes() {
+			res.Sat[scheme.String()] = make([]float64, len(sizes))
+		}
+		for i, c := range cells {
+			res.Sat[c.scheme.String()][c.size] = thrs[i]
+		}
+		return res
+	})
 }
 
 // String renders the Fig. 8 table.
@@ -257,12 +259,12 @@ type Fig9Point struct {
 }
 
 // Fig9 measures the latency breakdown (Uniform traffic, 1 VC).
-func Fig9(s Scale) []Fig9Point {
+func Fig9(s Scale) Plan[[]Fig9Point] {
 	rates := []float64{0.01, 0.03, 0.05, 0.07, 0.09, 0.11}
 	if !s.Quick {
 		rates = append(rates, 0.13, 0.15)
 	}
-	return each(s, rates, func(rate float64) Fig9Point {
+	return each(rates, func(rate float64) Fig9Point {
 		cfg := s.base(sim.FastPass, traffic.Uniform, 1)
 		cfg.VCs = 1
 		cfg.Rate = rate
@@ -347,7 +349,7 @@ func (s Scale) runApp(name string, o sim.Options) sim.AppResult {
 // Fig10 runs every app on every configuration, one cell per (app,
 // scheme) run. It also provides the data for Fig. 12 (p99) and
 // Fig. 13(b).
-func Fig10(s Scale) []Fig10Cell {
+func Fig10(s Scale) Plan[[]Fig10Cell] {
 	type task struct {
 		app string
 		fs  Fig10Scheme
@@ -358,7 +360,7 @@ func Fig10(s Scale) []Fig10Cell {
 			tasks = append(tasks, task{app: appName, fs: fs})
 		}
 	}
-	return each(s, tasks, func(t task) Fig10Cell {
+	return each(tasks, func(t task) Fig10Cell {
 		r := s.runApp(t.app, sim.Options{
 			Scheme: t.fs.Scheme, VCs: t.fs.VCs,
 			// Application runs complete in a few thousand cycles —
@@ -418,12 +420,12 @@ type Fig13Point struct {
 }
 
 // Fig13a sweeps the breakdown across rates.
-func Fig13a(s Scale) []Fig13Point {
+func Fig13a(s Scale) Plan[[]Fig13Point] {
 	rates := []float64{0.02, 0.04, 0.06, 0.08, 0.10, 0.12}
 	if !s.Quick {
 		rates = append(rates, 0.14, 0.16)
 	}
-	return each(s, rates, func(rate float64) Fig13Point {
+	return each(rates, func(rate float64) Fig13Point {
 		cfg := s.base(sim.FastPass, traffic.Uniform, 1)
 		cfg.VCs = 1
 		cfg.Rate = rate
@@ -449,12 +451,12 @@ func Fig13aString(points []Fig13Point) string {
 }
 
 // Fig13b measures per-app packet-type breakdowns (FastPass, 1 VC).
-func Fig13b(s Scale) []Fig10Cell {
+func Fig13b(s Scale) Plan[[]Fig10Cell] {
 	apps := workload.Fig13Apps()
 	if s.Quick {
 		apps = apps[:3]
 	}
-	return each(s, apps, func(appName string) Fig10Cell {
+	return each(apps, func(appName string) Fig10Cell {
 		r := s.runApp(appName, sim.Options{Scheme: sim.FastPass, VCs: 1})
 		return Fig10Cell{
 			App: appName, Scheme: "FastPass(VC=1)",
@@ -511,7 +513,7 @@ type AblationResult struct {
 //   - full input-buffer scan vs injection-only promotion (§III-C3), on
 //     post-saturation synthetic traffic: without in-transit rescues the
 //     congested network cannot deliver the measured window at all.
-func Ablations(s Scale) []AblationResult {
+func Ablations(s Scale) Plan[[]AblationResult] {
 	// Drop-on-reject: Canneal at 1 VC keeps ejection queues hot.
 	app := workload.MustGet("Canneal")
 	if s.Quick {
@@ -549,18 +551,20 @@ func Ablations(s Scale) []AblationResult {
 		}
 	}
 
-	rows := each(s, []func() string{appArm(false), appArm(true), synArm(false), synArm(true)},
+	arms := each([]func() string{appArm(false), appArm(true), synArm(false), synArm(true)},
 		func(arm func() string) string { return arm() })
-	return []AblationResult{
-		{
-			Name: "reserve-and-return vs drop-on-reject (Canneal, 1 VC)",
-			Rows: []AblationRow{{Variant: "paper", Metrics: rows[0]}, {Variant: "ablated", Metrics: rows[1]}},
-		},
-		{
-			Name: "full scan vs injection-only promotion (Uniform 0.10, 1 VC)",
-			Rows: []AblationRow{{Variant: "paper", Metrics: rows[2]}, {Variant: "ablated", Metrics: rows[3]}},
-		},
-	}
+	return assemble(arms, func(rows []string) []AblationResult {
+		return []AblationResult{
+			{
+				Name: "reserve-and-return vs drop-on-reject (Canneal, 1 VC)",
+				Rows: []AblationRow{{Variant: "paper", Metrics: rows[0]}, {Variant: "ablated", Metrics: rows[1]}},
+			},
+			{
+				Name: "full scan vs injection-only promotion (Uniform 0.10, 1 VC)",
+				Rows: []AblationRow{{Variant: "paper", Metrics: rows[2]}, {Variant: "ablated", Metrics: rows[3]}},
+			},
+		}
+	})
 }
 
 // AblationsString renders the ablation table.
@@ -588,8 +592,8 @@ type VCPoint struct {
 // (Uniform traffic): the paper's point is that FastPass *works* with a
 // single VC — deadlock-free and with graceful throughput — while the
 // bypass baselines need several.
-func VCSensitivity(s Scale) []VCPoint {
-	return each(s, []int{1, 2, 4}, func(vcs int) VCPoint {
+func VCSensitivity(s Scale) Plan[[]VCPoint] {
+	return each([]int{1, 2, 4}, func(vcs int) VCPoint {
 		cfg := s.base(sim.FastPass, traffic.Uniform, 1)
 		cfg.VCs = vcs
 		low := cfg

@@ -8,10 +8,10 @@ import (
 	"repro/internal/traffic"
 )
 
-var quick = Scale{Quick: true, Run: Pool(0)}
+var quick = Scale{Quick: true}
 
 func TestFig7QuickShape(t *testing.T) {
-	r := Fig7(quick, traffic.Uniform)
+	r := run(0, Fig7(quick, traffic.Uniform))
 	if len(r.Series) != len(Fig7Schemes()) {
 		t.Fatalf("series for %d schemes, want %d", len(r.Series), len(Fig7Schemes()))
 	}
@@ -46,7 +46,7 @@ func TestFig7QuickShape(t *testing.T) {
 }
 
 func TestFig9QuickShape(t *testing.T) {
-	pts := Fig9(quick)
+	pts := run(0, Fig9(quick))
 	if len(pts) == 0 {
 		t.Fatal("no points")
 	}
@@ -73,7 +73,7 @@ func TestFig9QuickShape(t *testing.T) {
 }
 
 func TestFig13aQuickShape(t *testing.T) {
-	pts := Fig13a(quick)
+	pts := run(0, Fig13a(quick))
 	for _, p := range pts {
 		sum := p.RegularFrac + p.FastFrac + p.DroppedFrac
 		if sum > 0 && math.Abs(sum-1) > 1e-9 {
@@ -97,7 +97,7 @@ func TestFig10QuickRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("application matrix is slow")
 	}
-	cells := Fig10(quick)
+	cells := run(0, Fig10(quick))
 	want := len(quick.Fig10Apps()) * len(Fig10Matrix())
 	if len(cells) != want {
 		t.Fatalf("%d cells, want %d", len(cells), want)
@@ -126,7 +126,7 @@ func TestFig13bQuickRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("application runs are slow")
 	}
-	cells := Fig13b(quick)
+	cells := run(0, Fig13b(quick))
 	if len(cells) != 3 {
 		t.Fatalf("%d cells", len(cells))
 	}
@@ -144,7 +144,7 @@ func TestFig8QuickShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("saturation bisection is slow")
 	}
-	r := Fig8(quick)
+	r := run(0, Fig8(quick))
 	for _, sc := range Fig8Schemes() {
 		vals := r.Sat[sc.String()]
 		if len(vals) != len(r.Sizes) {
@@ -178,7 +178,7 @@ func TestAblationsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations run full simulations")
 	}
-	rs := Ablations(quick)
+	rs := run(0, Ablations(quick))
 	if len(rs) != 2 {
 		t.Fatalf("%d ablation studies", len(rs))
 	}

@@ -117,26 +117,29 @@ type HotspotPoint struct {
 // compares FastPass with EscapeVC and SWAP at a fixed offered rate.
 // Each (fraction, scheme) run is one cell; cell i runs scheme i%3 at
 // fraction i/3.
-func Hotspot(s Scale) []HotspotPoint {
+func Hotspot(s Scale) Plan[[]HotspotPoint] {
 	schemes := []sim.Scheme{sim.EscapeVC, sim.SWAP, sim.FastPass}
-	out := []HotspotPoint{{HotFraction: 0.05}, {HotFraction: 0.15}, {HotFraction: 0.30}}
-	cells := make([]int, len(out)*len(schemes))
+	fractions := []float64{0.05, 0.15, 0.30}
+	cells := make([]int, len(fractions)*len(schemes))
 	for i := range cells {
 		cells[i] = i
 	}
-	results := each(s, cells, func(i int) sim.SynthResult {
+	results := each(cells, func(i int) sim.SynthResult {
 		cfg := s.base(schemes[i%len(schemes)], traffic.Hotspot, 1)
-		cfg.Rate, cfg.HotspotFraction = 0.04, out[i/len(schemes)].HotFraction
+		cfg.Rate, cfg.HotspotFraction = 0.04, fractions[i/len(schemes)]
 		return sim.RunSynthetic(cfg)
 	})
-	for i, res := range results {
-		pt, name := &out[i/len(schemes)], schemes[i%len(schemes)].String()
-		if pt.Latency == nil {
-			pt.Latency, pt.Saturated = map[string]float64{}, map[string]bool{}
+	return assemble(results, func(results []sim.SynthResult) []HotspotPoint {
+		out := make([]HotspotPoint, len(fractions))
+		for k, f := range fractions {
+			out[k] = HotspotPoint{HotFraction: f, Latency: map[string]float64{}, Saturated: map[string]bool{}}
 		}
-		pt.Latency[name], pt.Saturated[name] = res.AvgLatency, res.Saturated
-	}
-	return out
+		for i, res := range results {
+			pt, name := &out[i/len(schemes)], schemes[i%len(schemes)].String()
+			pt.Latency[name], pt.Saturated[name] = res.AvgLatency, res.Saturated
+		}
+		return out
+	})
 }
 
 // HotspotString renders the hotspot sweep.
@@ -173,7 +176,7 @@ type KPoint struct {
 // shrinking K below the round-trip floor is rejected at construction,
 // and growing it slows the lane rotation, reducing how often a given
 // (router, destination) pair is served.
-func KSensitivity(s Scale) []KPoint {
+func KSensitivity(s Scale) Plan[[]KPoint] {
 	mesh := s.mesh()
 	diameter := 2 * (mesh - 1)
 	formula := 2 * diameter * 5 * 1 // 1 VC
@@ -187,7 +190,7 @@ func KSensitivity(s Scale) []KPoint {
 		{formula, "paper formula"},
 		{2 * formula, "2x formula"},
 	}
-	return each(s, variants, func(cfg kVariant) KPoint {
+	return each(variants, func(cfg kVariant) KPoint {
 		c := s.base(sim.FastPass, traffic.Uniform, 1)
 		c.VCs = 1
 		// 0.03 sits below the 1-VC saturation cliff (~0.04), where the

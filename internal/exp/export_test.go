@@ -79,7 +79,7 @@ func TestHotspotQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hotspot sweep runs simulations")
 	}
-	pts := Hotspot(quick)
+	pts := run(0, Hotspot(quick))
 	if len(pts) != 3 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -103,7 +103,7 @@ func TestVCAndKSensitivityQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sensitivity sweeps run simulations")
 	}
-	vcs := VCSensitivity(quick)
+	vcs := run(0, VCSensitivity(quick))
 	if len(vcs) != 3 {
 		t.Fatalf("%d VC points", len(vcs))
 	}
@@ -118,7 +118,7 @@ func TestVCAndKSensitivityQuick(t *testing.T) {
 		t.Error("rendering broken")
 	}
 
-	ks := KSensitivity(quick)
+	ks := run(0, KSensitivity(quick))
 	if len(ks) != 3 {
 		t.Fatalf("%d K points", len(ks))
 	}

@@ -4,8 +4,18 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/internal/traffic"
 )
+
+// run runs a plan's cells on jobs workers, then assembles its result.
+func run[R any](jobs int, p Plan[R]) R {
+	parallel.Map(jobs, p.Cells, func(cell func()) struct{} {
+		cell()
+		return struct{}{}
+	})
+	return p.Result()
+}
 
 // fingerprint renders a result structure field-for-field; fmt sorts map
 // keys and prints NaN as "NaN", so the rendered forms compare reliably
@@ -16,8 +26,8 @@ func fingerprint(v any) string { return fmt.Sprintf("%+v", v) }
 // contract: an entire figure computed serially and with eight workers
 // (one cell per scheme, each a serial rate sweep) is field-identical.
 func TestFig7JobsEquivalence(t *testing.T) {
-	serial := Fig7(Scale{Quick: true, Run: Pool(1)}, traffic.Transpose)
-	parallel8 := Fig7(Scale{Quick: true, Run: Pool(8)}, traffic.Transpose)
+	serial := run(1, Fig7(quick, traffic.Transpose))
+	parallel8 := run(8, Fig7(quick, traffic.Transpose))
 	if fa, fb := fingerprint(serial), fingerprint(parallel8); fa != fb {
 		t.Errorf("Fig7 at -j 1 and -j 8 disagree\n-j 1: %s\n-j 8: %s", fa, fb)
 	}
@@ -26,8 +36,8 @@ func TestFig7JobsEquivalence(t *testing.T) {
 // TestHotspotJobsEquivalence repeats the contract on the hotspot grid,
 // one cell per (fraction, scheme) run.
 func TestHotspotJobsEquivalence(t *testing.T) {
-	serial := Hotspot(Scale{Quick: true, Run: Pool(1)})
-	parallel8 := Hotspot(Scale{Quick: true, Run: Pool(8)})
+	serial := run(1, Hotspot(quick))
+	parallel8 := run(8, Hotspot(quick))
 	if fa, fb := fingerprint(serial), fingerprint(parallel8); fa != fb {
 		t.Errorf("Hotspot at -j 1 and -j 8 disagree\n-j 1: %s\n-j 8: %s", fa, fb)
 	}

@@ -289,8 +289,10 @@ func (p *Plan) parseClause(clause string) error {
 				return fmt.Errorf("clause %q: targeted stallconsumer needs node=", kind)
 			}
 			ev.Node = int(node)
-		default:
+		case "corrupt", "creditloss":
 			return fmt.Errorf("clause %q does not take at=", kind)
+		default:
+			return fmt.Errorf("unknown fault kind %q", kind)
 		}
 		p.Events = append(p.Events, ev)
 	default:
@@ -425,25 +427,29 @@ func NewInjector(plan Plan, numLinks, numNodes, numPorts int, seed int64) *Injec
 	if plan.ConsumerStallDur == 0 {
 		j.plan.ConsumerStallDur = 256
 	}
+	if err := plan.Fits(numLinks, numNodes, numPorts); err != nil {
+		panic(fmt.Sprintf("faults: %v", err))
+	}
 	j.events = append(j.events, plan.Events...)
 	sort.SliceStable(j.events, func(a, b int) bool { return j.events[a].At < j.events[b].At })
-	for _, ev := range j.events {
-		switch ev.Kind {
-		case EvLinkFail:
-			if ev.Link >= numLinks {
-				panic(fmt.Sprintf("faults: event link %d outside topology (%d links)", ev.Link, numLinks))
-			}
-		case EvPortStall:
-			if ev.Node >= numNodes || ev.Port >= numPorts {
-				panic(fmt.Sprintf("faults: event port (%d,%d) outside topology", ev.Node, ev.Port))
-			}
-		case EvConsumerStall:
-			if ev.Node >= numNodes {
-				panic(fmt.Sprintf("faults: event node %d outside topology (%d nodes)", ev.Node, numNodes))
-			}
+	return j
+}
+
+// Fits returns an error naming the first targeted event whose victim
+// lies outside a topology of numLinks directed links and numNodes
+// routers with numPorts ports each.
+func (p Plan) Fits(numLinks, numNodes, numPorts int) error {
+	for _, ev := range p.Events {
+		switch {
+		case ev.Kind == EvLinkFail && (ev.Link < 0 || ev.Link >= numLinks):
+			return fmt.Errorf("event link %d outside topology (%d links)", ev.Link, numLinks)
+		case ev.Kind == EvPortStall && (ev.Node < 0 || ev.Node >= numNodes || ev.Port < 0 || ev.Port >= numPorts):
+			return fmt.Errorf("event port (%d,%d) outside topology (%d nodes, %d ports)", ev.Node, ev.Port, numNodes, numPorts)
+		case ev.Kind == EvConsumerStall && (ev.Node < 0 || ev.Node >= numNodes):
+			return fmt.Errorf("event node %d outside topology (%d nodes)", ev.Node, numNodes)
 		}
 	}
-	return j
+	return nil
 }
 
 func (j *Injector) until(dur int64) int64 {

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 	"testing"
@@ -334,6 +335,44 @@ func TestPermGenCountsPermanentTransitions(t *testing.T) {
 	}
 	if j.LinkDownPermanently(3) {
 		t.Error("transient failure reported as permanent")
+	}
+}
+
+// TestParsePlanKindErrors: a targeted clause names what is wrong with
+// its kind — unknown, or one that takes no at=.
+func TestParsePlanKindErrors(t *testing.T) {
+	for spec, want := range map[string]string{
+		"stallport:node=1,port=1,at=10": `unknown fault kind "stallport"`,
+		"meteor:at=5":                   `unknown fault kind "meteor"`,
+		"corrupt:rate=0.1,at=3":         `clause "corrupt" does not take at=`,
+		"creditloss:at=3":               `clause "creditloss" does not take at=`,
+	} {
+		if _, err := ParsePlan(spec); err == nil || err.Error() != want {
+			t.Errorf("%q: error %v, want %q", spec, err, want)
+		}
+	}
+}
+
+// TestPlanFits checks every targeted victim against a 4x4 mesh's 48
+// links, 16 nodes and 5 ports; rate-driven faults pick their own.
+func TestPlanFits(t *testing.T) {
+	for _, tc := range []struct {
+		plan Plan
+		want string
+	}{
+		{MustParsePlan("linkfail:rate=1e-3;portstall:rate=1e-3;stallconsumer:rate=1e-3"), ""},
+		{MustParsePlan("linkfail:link=47,at=1;portstall:node=15,port=4,at=1;stallconsumer:node=15,at=1"), ""},
+		{MustParsePlan("linkfail:link=48,at=1"), "event link 48 outside topology (48 links)"},
+		{MustParsePlan("portstall:node=16,port=0,at=1"), "event port (16,0) outside topology (16 nodes, 5 ports)"},
+		{MustParsePlan("portstall:node=0,port=5,at=1"), "event port (0,5) outside topology (16 nodes, 5 ports)"},
+		{MustParsePlan("stallconsumer:node=16,at=1"), "event node 16 outside topology (16 nodes)"},
+		{Plan{Events: []Event{{Kind: EvLinkFail, Link: -1}}}, "event link -1 outside topology (48 links)"},
+		{Plan{Events: []Event{{Kind: EvConsumerStall, Node: -1}}}, "event node -1 outside topology (16 nodes)"},
+	} {
+		err := tc.plan.Fits(48, 16, 5)
+		if got := fmt.Sprint(err); (tc.want == "" && err != nil) || (tc.want != "" && got != tc.want) {
+			t.Errorf("%+v: Fits = %v, want %q", tc.plan.Events, err, tc.want)
+		}
 	}
 }
 

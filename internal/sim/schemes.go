@@ -178,7 +178,11 @@ func (o Options) Validate() error {
 	if o.Scheme != MinBD && (o.VCs < fewest || o.VCs > most) {
 		return fmt.Errorf("sim: %v takes %d to %d VCs, not %d", o.Scheme, fewest, most, o.VCs)
 	}
-	if _, err := faults.ParsePlan(o.Faults); err != nil {
+	plan, err := faults.ParsePlan(o.Faults)
+	if err == nil { // the mesh's directed links, nodes and ports, counted without building it
+		err = plan.Fits(2*(o.W-1)*o.H+2*o.W*(o.H-1), o.W*o.H, int(topology.NumMeshPorts))
+	}
+	if err != nil {
 		return fmt.Errorf("sim: faults: %w", err)
 	}
 	if _, _, err := invariant.ParseSpec(o.Watchdog); err != nil {

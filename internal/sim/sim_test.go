@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/message"
 	"repro/internal/protocol"
 	"repro/internal/telemetry"
+	"repro/internal/topology"
 	"repro/internal/traffic"
 	"repro/internal/workload"
 )
@@ -374,6 +376,9 @@ func TestValidateRejectsWhatBuildPanicsOn(t *testing.T) {
 		{"Transpose on 4x8", SynthConfig{Options: Options{W: 4, H: 8}, Pattern: traffic.Transpose}, "square"},
 		{"scheme past the last", SynthConfig{Options: Options{Scheme: numSchemes}}, "unknown scheme"},
 		{"unparseable fault plan", SynthConfig{Options: Options{Faults: "00"}}, "unknown fault kind"},
+		{"link outside the mesh", SynthConfig{Options: Options{W: 4, H: 4, Faults: "linkfail:link=48,at=10,perm"}}, "link 48 outside topology (48 links)"},
+		{"port outside the router", SynthConfig{Options: Options{W: 4, H: 4, Faults: "portstall:node=0,port=5,at=10"}}, "port (0,5) outside topology"},
+		{"node outside the mesh", SynthConfig{Options: Options{W: 4, H: 4, Faults: "stallconsumer:node=16,at=10"}}, "node 16 outside topology (16 nodes)"},
 		{"unparseable watchdog", SynthConfig{Options: Options{Watchdog: "stride"}}, "not key=value"},
 		{"FastPass slot under a round trip", SynthConfig{Options: Options{Scheme: FastPass, W: 24, H: 24, FastPassK: 24}}, "shorter than a worst-case round trip"},
 		{"healing on EscapeVC", SynthConfig{Options: Options{Scheme: EscapeVC, FPHealing: true}}, "FastPass configuration"},
@@ -384,6 +389,22 @@ func TestValidateRejectsWhatBuildPanicsOn(t *testing.T) {
 	}
 	if err := (SynthConfig{Pattern: traffic.Shuffle}).Validate(); err != nil {
 		t.Errorf("Shuffle on the default 8x8 mesh: %v", err)
+	}
+	// Validate counts the mesh's links, nodes and ports without building
+	// it: the last of each is accepted, and the plan builds.
+	for _, wh := range [][2]int{{2, 2}, {3, 2}, {4, 5}} {
+		mesh := topology.NewMesh(wh[0], wh[1])
+		last := fmt.Sprintf("linkfail:link=%d,at=10,perm;portstall:node=%d,port=%d,at=10;stallconsumer:node=%d,at=10",
+			len(mesh.Links())-1, mesh.NumNodes()-1, mesh.NumPorts()-1, mesh.NumNodes()-1)
+		o := Options{W: wh[0], H: wh[1], Faults: last}
+		if err := o.Validate(); err != nil {
+			t.Errorf("%dx%d, last victims: %v", wh[0], wh[1], err)
+		}
+		Build(o)
+		o.Faults = fmt.Sprintf("linkfail:link=%d,at=10,perm", len(mesh.Links()))
+		if err := o.Validate(); err == nil {
+			t.Errorf("%dx%d: link %d accepted", wh[0], wh[1], len(mesh.Links()))
+		}
 	}
 	for _, s := range Schemes() {
 		most := 10
