@@ -21,6 +21,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -125,8 +126,9 @@ func writeCSV(name, data string) {
 // runSteps runs every step's cells through one parallel.Map of jobs
 // workers — Fig. 8's first, its 16×16 bisections being the longest —
 // then prints the steps in order. stderr gets each artefact's cell
-// count and summed cell seconds, then the pool's wall seconds, workers
-// and utilisation (Σ cell seconds / (wall × workers)).
+// count and summed cell seconds, then the pool's wall seconds, workers,
+// utilisation (Σ cell seconds / (wall × workers)), and the MB allocated
+// and GC cycles run while it ran.
 func runSteps(jobs int, steps []step) {
 	type cell struct {
 		artefact string
@@ -144,6 +146,8 @@ func runSteps(jobs int, steps []step) {
 			cells = append(cells, batch...)
 		}
 	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	start := time.Now()
 	secs := parallel.Map(jobs, cells, func(c cell) float64 {
 		t := time.Now()
@@ -151,6 +155,7 @@ func runSteps(jobs int, steps []step) {
 		return time.Since(t).Seconds()
 	})
 	wall := time.Since(start).Seconds()
+	runtime.ReadMemStats(&m1)
 
 	count, sum, total := map[string]int{}, map[string]float64{}, 0.0
 	for i, c := range cells {
@@ -165,7 +170,8 @@ func runSteps(jobs int, steps []step) {
 	}
 	if len(cells) > 0 {
 		workers := min(parallel.Workers(jobs), len(cells))
-		log.Printf("%.1f s wall, %d workers, utilisation %.2f", wall, workers, total/(wall*float64(workers)))
+		log.Printf("%.1f s wall, %d workers, utilisation %.2f, %.1f MB allocated, %d GC cycles",
+			wall, workers, total/(wall*float64(workers)), float64(m1.TotalAlloc-m0.TotalAlloc)/1e6, m1.NumGC-m0.NumGC)
 	}
 	for _, st := range steps {
 		st.print()

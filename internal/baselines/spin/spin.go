@@ -73,6 +73,10 @@ type Controller struct {
 	chain []slot
 	seen  []uint8
 	gen   uint8
+	// chains are executed spins' chain buffers for confirm to reuse;
+	// pkts is executeSpin's scratch, sized at Attach.
+	chains [][]slot
+	pkts   []*message.Packet
 
 	// Probes, Detections, Spins and Aborts count protocol activity.
 	Probes, Detections, Spins, Aborts int64
@@ -86,6 +90,7 @@ func Attach(n *network.Network, prm Params) *Controller {
 	prm.setDefaults(n.Mesh.NumNodes())
 	c := &Controller{prm: prm, lastProbe: make([]int64, n.Mesh.NumNodes())}
 	c.chain = make([]slot, 0, prm.MaxWalk+1)
+	c.pkts = make([]*message.Packet, 0, prm.MaxWalk+1)
 	c.seen = make([]uint8, n.Mesh.NumNodes()*n.Mesh.NumPorts()*n.Routers[0].Cfg.NetVCs())
 	n.Controller = c
 	return c
@@ -115,6 +120,7 @@ func (c *Controller) PreCycle(n *network.Network) {
 			continue
 		}
 		c.executeSpin(n, ps)
+		c.chains = append(c.chains, ps.chain[:0])
 	}
 	c.pending = keep
 	// Launch probes from routers with long-blocked heads. Empty routers
@@ -196,15 +202,21 @@ func (c *Controller) stamp(n *network.Network, s slot) *uint8 {
 }
 
 // confirm schedules the spin of a loop that closed on its origin; the
-// chain is copied out of probe scratch for pendingSpin to keep.
+// chain is copied out of probe scratch, into an executed spin's buffer
+// when one is free, for pendingSpin to keep.
 //
-//nocvet:cold runs once per confirmed deadlock loop, never in steady state
+//nocvet:cold runs once per confirmed deadlock loop; it grows c.pending and c.chains only past their high-water marks
 func (c *Controller) confirm(origin slot, chain []slot, cycle int64) {
 	c.Detections++
-	c.Trace.Record(cycle, trace.RecoveryAction, 0, origin.node,
-		fmt.Sprintf("spin detection, loop length %d", len(chain)))
+	if c.Trace != nil {
+		c.Trace.Record(cycle, trace.RecoveryAction, 0, origin.node, fmt.Sprintf("spin detection, loop length %d", len(chain)))
+	}
+	var buf []slot
+	if k := len(c.chains); k > 0 {
+		buf, c.chains = c.chains[k-1], c.chains[:k-1]
+	}
 	c.pending = append(c.pending, pendingSpin{
-		chain: append([]slot(nil), chain...),
+		chain: append(buf, chain...),
 		at:    cycle + 2*int64(len(chain)),
 	})
 }
@@ -280,12 +292,13 @@ func (c *Controller) executeSpin(n *network.Network, ps pendingSpin) {
 			return
 		}
 	}
-	pkts := make([]*message.Packet, len(chain)) //nocvet:ignore hotalloc2 spin execution is a rare recovery event, not per-cycle work
-	for i, s := range chain {
-		pkts[i] = n.Routers[s.node].RemoveHeadPacketNoCredit(s.port, s.vc)
-		if pkts[i] == nil {
+	pkts := c.pkts[:0]
+	for _, s := range chain {
+		p := n.Routers[s.node].RemoveHeadPacketNoCredit(s.port, s.vc)
+		if p == nil {
 			panic("spin: validated head vanished")
 		}
+		pkts = append(pkts, p)
 	}
 	for i, s := range chain {
 		src := (i + len(chain) - 1) % len(chain)
@@ -294,8 +307,10 @@ func (c *Controller) executeSpin(n *network.Network, ps pendingSpin) {
 		}
 		pkts[src].Hops++
 	}
+	clear(pkts)
 	c.Spins++
-	c.Trace.Record(n.Cycle(), trace.RecoveryAction, 0, chain[0].node,
-		//nocvet:ignore hotalloc2 fires once per executed spin, never in steady state
-		fmt.Sprintf("spin executed, %d packets rotated", len(chain)))
+	if c.Trace != nil {
+		//nocvet:ignore hotalloc2 guarded by Trace != nil — tracing runs are diagnostic; perf runs leave Trace unset
+		c.Trace.Record(n.Cycle(), trace.RecoveryAction, 0, chain[0].node, fmt.Sprintf("spin executed, %d packets rotated", len(chain)))
+	}
 }

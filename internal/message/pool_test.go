@@ -211,3 +211,60 @@ func TestPoolSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Errorf("warm pool Get/Put allocates %.1f times per run, want 0", allocs)
 	}
 }
+
+// TestReleasedPoolServesNextPool: a released pool's chunks come back,
+// zeroed and in carving order, to the next NewPool, which counts from
+// zero; a pool past maxSpareBytes hands on only its first chunks and no
+// free list, and a full store keeps nothing more.
+func TestReleasedPoolServesNextPool(t *testing.T) {
+	spares.list = nil
+	fill := func(pl *Pool, n int) {
+		for i := range n {
+			pl.Get(uint64(i+1), 0, 1, Request, 5, 0).Hops = 7
+		}
+	}
+	a := NewPool()
+	fill(a, 100)
+	a.PutCtx(&a.chunks[0][3], -1, -1)
+	chunks := a.chunks
+	a.Release()
+	b := NewPool()
+	if len(b.chunks) != len(chunks) || &b.chunks[0][0] != &chunks[0][0] || cap(b.free) == 0 || b.FreeLen() != 0 || b.Gets != 0 || b.News != 0 {
+		t.Fatalf("next pool: %d chunks (want %d, same first), free %d/%d, Gets %d, News %d",
+			len(b.chunks), len(chunks), b.FreeLen(), cap(b.free), b.Gets, b.News)
+	}
+	for _, c := range b.chunks {
+		for i := range c {
+			if c[i] != (Packet{}) {
+				t.Fatalf("spare packet %d not zero: %+v", i, c[i])
+			}
+		}
+	}
+	if p := b.Get(1, 0, 1, Request, 5, 0); p != &chunks[0][0] {
+		t.Error("next pool does not carve the spare's first chunk first")
+	}
+
+	big := NewPool()
+	fill(big, 2*maxSpareBytes/packetSize)
+	big.PutCtx(&big.chunks[0][0], -1, -1)
+	big.Release()
+	c := NewPool()
+	bytes := 0
+	for _, ch := range c.chunks {
+		bytes += len(ch) * packetSize
+	}
+	if bytes > maxSpareBytes || bytes < maxSpareBytes-maxChunk || c.free != nil {
+		t.Errorf("pool past the bound hands on %d bytes of chunks (bound %d) and free list %v", bytes, maxSpareBytes, c.free != nil)
+	}
+
+	pools := make([]*Pool, maxSpares+1)
+	for i := range pools {
+		pools[i] = NewPool()
+	}
+	for _, pl := range pools {
+		pl.Release()
+	}
+	if len(spares.list) != maxSpares {
+		t.Errorf("store holds %d pools, at most %d", len(spares.list), maxSpares)
+	}
+}

@@ -241,6 +241,14 @@ func New(p Params) *Network {
 	return n
 }
 
+// Release hands the routers' backing arrays to the next network built
+// in the process (router.Release) and drops them from n. Nothing may
+// step n, or hold one of its routers, afterwards.
+func (n *Network) Release() {
+	router.Release(n.Routers)
+	n.Routers = nil
+}
+
 // NIC returns the network interface of a node (protocol backend).
 func (n *Network) NIC(node int) *nic.NIC { return n.NICs[node] }
 

@@ -211,6 +211,10 @@ func New(be Backend, profile Profile, seed int64) *Engine {
 	return e
 }
 
+// Pool returns the engine's packet arena, for the run that owns the
+// engine to release when it ends (sim.RunApp).
+func (e *Engine) Pool() *message.Pool { return e.pool }
+
 // OutstandingTxns reports live transactions (diagnostics).
 func (e *Engine) OutstandingTxns() int {
 	t := 0

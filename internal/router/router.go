@@ -5,6 +5,7 @@ import (
 	"iter"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/message"
 	"repro/internal/routing"
@@ -176,7 +177,7 @@ type Router struct {
 
 	ID  int
 	Env Env
-	tab *routeTable
+	tab *slab
 
 	Inputs [nPorts]InputUnit
 
@@ -211,8 +212,8 @@ type routeTable struct {
 	vaSlots    int64 // (port, vc) pairs VA rotates over
 }
 
-func newRouteTable(cfg Config) *routeTable {
-	t := &routeTable{vaSlots: int64(int(message.NumClasses) + (nPorts-1)*cfg.NetVCs())}
+func newRouteTable(cfg Config) routeTable {
+	t := routeTable{vaSlots: int64(int(message.NumClasses) + (nPorts-1)*cfg.NetVCs())}
 	for c := range t.classShift {
 		t.classShift[c] = uint8(cfg.ClassVN(message.Class(c)) * cfg.VCsPerVN)
 	}
@@ -233,14 +234,31 @@ func newRouteTable(cfg Config) *routeTable {
 
 // slab is the backing store routers are carved from: one array per
 // element type, sized for every router of a build, so constructing N
-// routers costs a handful of allocations instead of ~90 each.
+// routers costs a handful of allocations instead of ~90 each. A router's
+// tab is its slab, which is how Release finds the arrays.
 type slab struct {
+	routeTable
+	arrays slabArrays // whole, as made or drawn: what Release hands on
+	rest   slabArrays // the uncarved tails
+	cfg    Config
+}
+
+// slabArrays are a slab's backing arrays.
+type slabArrays struct {
 	routers []Router
 	vcs     []VC
 	entries []Entry
-	tab     *routeTable
-	cfg     Config
 }
+
+// spareSlabs holds released slabs' arrays, all zero, for NewAll: at most
+// maxSpareSlabs, none larger than a build the process made. A mutex and
+// not a sync.Pool, which every GC empties (DESIGN.md §9).
+var spareSlabs struct {
+	sync.Mutex
+	list []slabArrays
+}
+
+const maxSpareSlabs = 8
 
 // injWindow is the Build-carved depth of each injection queue, in
 // packets: enough for the usual backlog of a 10-flit queue, a power of
@@ -255,32 +273,50 @@ func carve[T any](pool *[]T, n int) []T {
 	return s
 }
 
-func newSlab(cfg Config, routers int) *slab {
+// newSlab sizes a slab for a build of n routers, carving the first
+// spare that fits if spare is set: a smaller build carves a prefix.
+func newSlab(cfg Config, n int, spare bool) *slab {
 	if err := cfg.Validate(); err != nil {
 		//nocvet:ignore panicstyle Validate builds its errors with the "router: " prefix
 		panic(err)
 	}
-	netVCs := (nPorts - 1) * cfg.NetVCs()
-	return &slab{
-		routers: make([]Router, routers),
-		vcs:     make([]VC, routers*(int(message.NumClasses)+netVCs)),
-		entries: make([]Entry, routers*injWindow*int(message.NumClasses)),
-		tab:     newRouteTable(cfg),
-		cfg:     cfg,
+	vcs, entries := n*(int(message.NumClasses)+(nPorts-1)*cfg.NetVCs()), n*injWindow*int(message.NumClasses)
+	var a slabArrays
+	if spare {
+		a = takeSpare(n, vcs, entries)
 	}
+	if a.routers == nil {
+		a = slabArrays{make([]Router, n), make([]VC, vcs), make([]Entry, entries)}
+	}
+	return &slab{routeTable: newRouteTable(cfg), arrays: a, rest: a, cfg: cfg}
+}
+
+// takeSpare removes and returns the first spare long enough, or the
+// zero value.
+func takeSpare(n, vcs, entries int) slabArrays {
+	spareSlabs.Lock()
+	defer spareSlabs.Unlock()
+	for i, a := range spareSlabs.list {
+		if len(a.routers) >= n && len(a.vcs) >= vcs && len(a.entries) >= entries {
+			spareSlabs.list = slices.Delete(spareSlabs.list, i, i+1)
+			return a
+		}
+	}
+	return slabArrays{}
 }
 
 // New wires a stand-alone router for node id. Link IDs come from the
 // mesh topology.
 func New(id int, mesh *topology.Mesh, cfg Config, env Env) *Router {
-	return newSlab(cfg, 1).build(id, mesh, cfg, env)
+	return newSlab(cfg, 1, false).build(id, mesh, cfg, env)
 }
 
 // NewAll wires one router per mesh node, all carved from shared backing
 // arrays — contiguous VC state for the cycle loop, and a constant number
-// of allocations however large the mesh.
+// of allocations however large the mesh. The arrays are a released
+// slab's when one fits (see Release).
 func NewAll(mesh *topology.Mesh, cfg Config, env Env) []*Router {
-	sl := newSlab(cfg, mesh.NumNodes())
+	sl := newSlab(cfg, mesh.NumNodes(), true)
 	rs := make([]*Router, mesh.NumNodes())
 	for id := range rs {
 		rs[id] = sl.build(id, mesh, cfg, env)
@@ -288,10 +324,28 @@ func NewAll(mesh *topology.Mesh, cfg Config, env Env) []*Router {
 	return rs
 }
 
+// Release hands the backing arrays of one NewAll's routers, their carved
+// part cleared to zero, to a later NewAll in the process. Nothing of rs —
+// no router, VC or entry window — may be used after the call, and a
+// build is released at most once.
+func Release(rs []*Router) {
+	sl := rs[0].tab
+	a, rest := sl.arrays, sl.rest
+	clear(a.routers[:len(a.routers)-len(rest.routers)])
+	clear(a.vcs[:len(a.vcs)-len(rest.vcs)])
+	clear(a.entries[:len(a.entries)-len(rest.entries)])
+	sl.arrays, sl.rest = slabArrays{}, slabArrays{}
+	spareSlabs.Lock()
+	defer spareSlabs.Unlock()
+	if len(spareSlabs.list) < maxSpareSlabs {
+		spareSlabs.list = append(spareSlabs.list, a)
+	}
+}
+
 // build carves and wires the slab's next router.
 func (sl *slab) build(id int, mesh *topology.Mesh, cfg Config, env Env) *Router {
-	r := &carve(&sl.routers, 1)[0]
-	r.ID, r.Mesh, r.Cfg, r.Env, r.tab = id, mesh, &sl.cfg, env, sl.tab
+	r := &carve(&sl.rest.routers, 1)[0]
+	r.ID, r.Mesh, r.Cfg, r.Env, r.tab = id, mesh, &sl.cfg, env, sl
 	r.portTie.n = uint8(nPorts)
 	for p := 0; p < nPorts; p++ {
 		d := topology.Direction(p)
@@ -310,12 +364,12 @@ func (sl *slab) build(id int, mesh *topology.Mesh, cfg Config, env Env) *Router 
 			n, capFlits, maxPkts = cfg.NetVCs(), cfg.BufFlits, 1
 			r.vcFree[p] = 1<<n - 1
 		}
-		iu.VCs = carve(&sl.vcs, n)
+		iu.VCs = carve(&sl.rest.vcs, n)
 		for v := range iu.VCs {
 			vc := &iu.VCs[v]
 			vc.init(capFlits, maxPkts)
 			if p == int(topology.Local) {
-				vc.entries.Adopt(carve(&sl.entries, injWindow))
+				vc.entries.Adopt(carve(&sl.rest.entries, injWindow))
 			} else {
 				vc.entries.Adopt(vc.one[:])
 			}

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/message"
@@ -360,4 +361,38 @@ func TestResidentPackets(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("resident = %d, want 2", len(got))
 	}
+}
+
+// TestReleasedSlabServesNextBuild: Release zeroes what a build carved,
+// a later NewAll that fits carves a prefix of the same arrays, and one
+// the spare is too small for makes its own.
+func TestReleasedSlabServesNextBuild(t *testing.T) {
+	spareSlabs.list = nil
+	env, cfg := newFakeEnv(), adaptiveCfg(1, 2)
+	big := NewAll(topology.NewMesh(4, 4), cfg, env)
+	if !big[5].InjectPacket(message.NewPacket(1, 5, 0, message.Request, 5, 0)) {
+		t.Fatal("injection refused")
+	}
+	a := big[0].tab.arrays
+	Release(big)
+	if !allZero(a.routers) || !allZero(a.vcs) || !allZero(a.entries) {
+		t.Fatal("Release left the slab's routers, VCs or entries dirty")
+	}
+	small := NewAll(topology.NewMesh(2, 2), cfg, env)
+	if small[0] != &a.routers[0] || &small[0].Inputs[0].VCs[0] != &a.vcs[0] {
+		t.Error("a smaller build did not carve the spare slab's prefix")
+	}
+	Release(small)
+	if larger := NewAll(topology.NewMesh(8, 8), cfg, env); larger[0] == &a.routers[0] {
+		t.Error("a build larger than the spare carved it")
+	}
+}
+
+func allZero[T any](xs []T) bool {
+	for i := range xs {
+		if !reflect.ValueOf(xs[i]).IsZero() {
+			return false
+		}
+	}
+	return true
 }

@@ -121,5 +121,11 @@ func (a *AppRun) Run() AppResult {
 	return res
 }
 
-// RunApp executes one application workload on one scheme.
-func RunApp(cfg AppConfig) AppResult { return NewApp(cfg).Run() }
+// RunApp executes one application workload on one scheme. The run's
+// memory serves later runs (Instance.release).
+func RunApp(cfg AppConfig) AppResult {
+	a := NewApp(cfg)
+	res := a.Run()
+	a.Inst.release(a.eng.Pool())
+	return res
+}

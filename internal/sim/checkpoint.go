@@ -152,13 +152,17 @@ func NewResumed(cfg SynthConfig, data []byte) (*SynthRun, error) {
 	return s, nil
 }
 
-// ResumeSynthetic resumes a checkpoint and runs it to completion.
+// ResumeSynthetic resumes a checkpoint and runs it to completion. The
+// run's memory serves later runs (Instance.release), whether or not the
+// restore succeeded.
 func ResumeSynthetic(cfg SynthConfig, data []byte) (SynthResult, error) {
 	s, err := NewResumed(cfg, data)
 	if err != nil {
 		return SynthResult{}, err
 	}
-	return s.Run()
+	res, err := s.Run()
+	s.Inst.release(s.pool)
+	return res, err
 }
 
 func init() {
@@ -186,5 +190,5 @@ func init() {
 		// Net/Deflect are the roots; FP, Pit and Faults are reached
 		// through Net's controller and injector hooks.
 		[]string{"Net", "Deflect", "FP", "Pit", "Trace", "Faults", "Watch"},
-		[]string{"Opts", "Mesh", "Hook"})
+		[]string{"Opts", "Mesh", "Hook", "released"})
 }

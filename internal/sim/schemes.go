@@ -231,6 +231,9 @@ type Instance struct {
 	// It observes only: a run with a hook is bit-identical to one
 	// without.
 	Hook func(network.Phase)
+
+	// released is set by release; Run and Step then panic.
+	released bool
 }
 
 // Source is a run's traffic and the harness work that rides each cycle:
@@ -245,6 +248,7 @@ type Source interface {
 // from its current cycle until the cycle budget until is spent, the
 // watchdog trips or src reports its work done.
 func (i *Instance) Run(src Source, until int64) {
+	i.live()
 	if i.Net != nil {
 		i.Net.Hook = i.Hook
 	}
@@ -363,8 +367,30 @@ func (i *Instance) UsePool() *message.Pool {
 	return pl
 }
 
+// release ends a run that owned the instance from Build to its result:
+// the router slab and the run's pool go to later Builds and UsePools
+// (DESIGN.md §9), and the instance is poisoned. Only RunSynthetic,
+// ResumeSynthetic and RunApp call it, after scoring: a run built with
+// NewSynthetic, NewResumed or NewApp stays readable after Run.
+func (i *Instance) release(pl *message.Pool) {
+	i.live()
+	i.released = true
+	if i.Net != nil {
+		i.Net.Release()
+	}
+	pl.Release()
+}
+
+// live panics on a released instance: its memory belongs to later runs.
+func (i *Instance) live() {
+	if i.released {
+		panic("sim: instance used after its run released it to later runs")
+	}
+}
+
 // Step advances one cycle.
 func (i *Instance) Step() {
+	i.live()
 	if i.Net != nil {
 		i.Net.Step()
 		return

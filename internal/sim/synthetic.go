@@ -312,9 +312,12 @@ func (s *SynthRun) result() SynthResult {
 }
 
 // RunSynthetic executes one synthetic point. A fresh run has nothing to
-// restore, so Run's error is nil.
+// restore, so Run's error is nil. The run's memory serves later runs
+// (Instance.release).
 func RunSynthetic(cfg SynthConfig) SynthResult {
-	res, _ := NewSynthetic(cfg).Run()
+	s := NewSynthetic(cfg)
+	res, _ := s.Run()
+	s.Inst.release(s.pool)
 	return res
 }
 

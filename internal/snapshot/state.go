@@ -297,5 +297,5 @@ func init() {
 		[]string{"next", "queued"})
 	Register("message.Pool", message.Pool{},
 		[]string{"free", "Gets", "Puts", "News"},
-		[]string{"fresh"}) // uncarved chunk tail: capacity, not state
+		[]string{"fresh", "chunks", "carved"}) // the chunks and the uncarved tail: capacity, not state
 }
