@@ -264,7 +264,7 @@ func TestStructSizes(t *testing.T) {
 	}{
 		{"message.Packet", unsafe.Sizeof(message.Packet{}), 128},
 		{"router.Entry", unsafe.Sizeof(router.Entry{}), 32},
-		{"nic.NIC", unsafe.Sizeof(nic.NIC{}), 704},
+		{"nic.NIC", unsafe.Sizeof(nic.NIC{}), 656},
 		{"router.Router", unsafe.Sizeof(router.Router{}), 496},
 		{"router.VC", unsafe.Sizeof(router.VC{}), 88},
 		// The generator's whole state: 607 words, two cursors, a count.
@@ -277,12 +277,12 @@ func TestStructSizes(t *testing.T) {
 	}
 }
 
-// TestBuildAllocBudget caps the heap objects sim.Build creates: 40 at
+// TestBuildAllocBudget caps the heap objects sim.Build creates: 35 at
 // any mesh size — a constant number of backing arrays and not one
 // object per node (the pre-slab build made ~98 per router, the slab
 // build still two closures); a build that carves a released slab makes
-// three fewer. The ceiling sits 20 % above that, so a
-// single new per-router allocation fails both cases at once.
+// three fewer. The ceiling sits 20 % above that, so a single new
+// per-router allocation fails both cases at once.
 // protocol.New is held to the same rule: two table slabs with their
 // counts, the emission queue, the arena, the RNG and one closure — 10
 // objects at any size, where the map-based engine made three per node.
@@ -293,7 +293,7 @@ func TestBuildAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		size    int
 		ceiling float64
-	}{{8, 49}, {32, 49}} {
+	}{{8, 42}, {32, 42}} {
 		got := testing.AllocsPerRun(3, func() {
 			sim.Build(sim.Options{Scheme: noc.FastPass, W: tc.size, H: tc.size, Seed: 1})
 		})

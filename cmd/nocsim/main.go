@@ -13,8 +13,7 @@
 //
 // A checkpointed synthetic run can be resumed with -restore; the
 // continuation is bit-identical to the uninterrupted run (stats, trace
-// and fault outcomes included), even in a fresh process or at a
-// different -shards count.
+// and fault outcomes included), even in a fresh process.
 //
 // Exit codes: 0 clean, 1 a run that could not start or finish (a
 // missing file, a refused checkpoint), 2 a rejected flag or a saturated
@@ -63,10 +62,10 @@ type config struct {
 	checkpoint string // -checkpoint: file every checkpoint replaces
 	tf         telemetryFlags
 
-	// -restore takes its run from the checkpoint; only -shards (when
-	// passed), the checkpoint flags and the telemetry sinks apply.
-	restore              string
-	shardsSet, windowSet bool
+	// -restore takes its run from the checkpoint; only the checkpoint
+	// flags and the telemetry sinks apply.
+	restore   string
+	windowSet bool
 }
 
 // parse turns the command line into a validated config, or an error
@@ -90,10 +89,9 @@ func parse(args []string) (config, error) {
 	fpHealing := fs.Bool("fp-healing", false, "FastPass: re-derive the lane schedule online after permanent link failures (self-healing)")
 	faultScale := fs.Float64("faultscale", 1, "multiplier applied to every rate in the fault plan")
 	watchdog := fs.String("watchdog", "on", "invariant watchdogs: on, off, or 'stride=..,deadlock=..,starve=..,leak=..'")
-	shards := fs.Int("shards", 1, "spatial shards stepping the mesh in parallel (bit-identical to 1; ignored by MinBD)")
 	checkpointPath := fs.String("checkpoint", "", "write the full simulator state to this file every -checkpoint-every cycles (synthetic runs only)")
 	checkpointEvery := fs.Int64("checkpoint-every", 0, "cycles between checkpoints (requires -checkpoint)")
-	restorePath := fs.String("restore", "", "resume a synthetic run from a checkpoint file; run parameters come from the checkpoint (only -shards, -checkpoint, -checkpoint-every and the telemetry sinks apply on top)")
+	restorePath := fs.String("restore", "", "resume a synthetic run from a checkpoint file; run parameters come from the checkpoint (only -checkpoint, -checkpoint-every and the telemetry sinks apply on top)")
 	telemetryPath := fs.String("telemetry", "", "stream per-window telemetry records to this JSONL file (synthetic runs only)")
 	telemetryWindow := fs.Int64("telemetry-window", 1000, "cycles per telemetry window (with -telemetry, -heatmap or -http)")
 	heatmapPrefix := fs.String("heatmap", "", "write per-window utilisation grids to <prefix>-nodes.csv and <prefix>-links.csv")
@@ -118,11 +116,10 @@ func parse(args []string) (config, error) {
 		restore: *restorePath,
 	}
 	fs.Visit(func(f *flag.Flag) {
-		cfg.shardsSet = cfg.shardsSet || f.Name == "shards"
 		cfg.windowSet = cfg.windowSet || f.Name == "telemetry-window"
 	})
 	if cfg.restore != "" {
-		cfg.run.Shards, cfg.run.CheckpointEvery = *shards, *checkpointEvery // the overrides
+		cfg.run.CheckpointEvery = *checkpointEvery // the override
 		return cfg, nil
 	}
 
@@ -140,7 +137,7 @@ func parse(args []string) (config, error) {
 	cfg.run = noc.SynthConfig{
 		Options: noc.Options{
 			Scheme: scheme, W: *size, H: *size, VCs: *vcs, Seed: *seed, DrainPeriod: 8192,
-			Faults: *faultSpec, FaultScale: *faultScale, Watchdog: *watchdog, Shards: *shards,
+			Faults: *faultSpec, FaultScale: *faultScale, Watchdog: *watchdog,
 			FPHealing: *fpHealing,
 		},
 		Rate: *rate, Warmup: *warmup, Measure: *measure, Drain: *drain,
@@ -198,9 +195,8 @@ func checkpointWriter(path string) func(int64, []byte) {
 }
 
 // runRestored resumes a synthetic run from a checkpoint file. The
-// embedded config supplies the run parameters; -shards (when explicitly
-// passed), the checkpoint flags and the telemetry sinks are the only
-// overrides. The telemetry *window* is part of the recorded config —
+// embedded config supplies the run parameters; the checkpoint flags and
+// the telemetry sinks are the only overrides. The telemetry *window* is part of the recorded config —
 // record boundaries must line up with the original run — so asking for
 // telemetry on a checkpoint recorded without it (or changing the window)
 // is an error, while attaching fresh sinks to a recorded window is the
@@ -213,9 +209,6 @@ func runRestored(c config) {
 	cfg, err := noc.OpenCheckpoint(blob)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if c.shardsSet {
-		cfg.Shards = c.run.Shards
 	}
 	cfg.CheckpointEvery = c.run.CheckpointEvery
 	if err := cfg.Validate(); err != nil {

@@ -31,10 +31,7 @@ func TestParse(t *testing.T) {
 		args    []string
 		wantErr string
 	}{
-		{[]string{"-shards", "0"}, ""},
-		{[]string{"-restore", "run.ckpt", "-shards", "-3"}, ""}, // checked against the checkpoint's mesh
-		{[]string{"-shards", "-3"}, "shards -3"},
-		{[]string{"-size", "4", "-shards", "17"}, "shards 17"},
+		{[]string{"-restore", "run.ckpt", "-checkpoint-every", "5"}, "set together"},
 		{[]string{"-size", "0"}, "-size 0"},
 		{[]string{"-faults", "corrupt:rate=1e-3", "-faultscale", "0"}, "-faultscale 0"},
 		{[]string{"-fp-healing", "-scheme", "EscapeVC"}, "FastPass configuration"},
@@ -50,8 +47,8 @@ func TestParse(t *testing.T) {
 }
 
 // TestRejectsWithoutPanic: a flag combination the simulator cannot run
-// is a one-line error and exit 2, never a Go panic — a bad -shards on
-// -restore too, checked against the checkpoint's 4x4 mesh.
+// is a one-line error and exit 2, never a Go panic — on -restore too,
+// where telemetry cannot attach to a checkpoint recorded without it.
 func TestRejectsWithoutPanic(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	if _, err := nocsim("-size", "4", "-warmup", "100", "-measure", "100", "-drain", "100",
@@ -66,7 +63,7 @@ func TestRejectsWithoutPanic(t *testing.T) {
 		{[]string{"-app", "NotAnApp"}, "NotAnApp"},
 		{[]string{"-size", "4", "-faults", "linkfail:link=999,at=10,perm"}, "nocsim: sim: faults: event link 999 outside topology (48 links)"},
 		{[]string{"-size", "4", "-faults", "stallconsumer:node=99,at=10,perm"}, "event node 99 outside topology (16 nodes)"},
-		{[]string{"-restore", ckpt, "-shards", "17"}, "nocsim: sim: shards 17"},
+		{[]string{"-restore", ckpt, "-telemetry", filepath.Join(t.TempDir(), "t.jsonl")}, "nocsim: checkpoint was recorded without telemetry"},
 	} {
 		stderr, err := nocsim(tc.args...)
 		var exit *exec.ExitError

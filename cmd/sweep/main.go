@@ -3,9 +3,8 @@
 // series is one serial cell: its rates run in order until two
 // consecutive points saturate. The schemes' cells share one pool of -j
 // workers, so a single-scheme sweep runs at its -j 1 speed whatever -j
-// says; with -shards each simulation additionally steps its mesh with K
-// spatial shards. The CSV is bit-identical at any -j and any -shards
-// (see DESIGN.md on the determinism contract).
+// says. The CSV is bit-identical at any -j (see DESIGN.md on the
+// determinism contract).
 //
 // With -faults the runs execute under deterministic fault injection;
 // with -fault-scales the command switches to the resilience experiment,
@@ -103,7 +102,6 @@ func parse(args []string) (sweepConfig, error) {
 	faultScale := fs.Float64("faultscale", 1, "fault-plan rate multiplier (latency sweeps)")
 	faultScales := fs.String("fault-scales", "", "comma-separated intensity multipliers; switches to the resilience experiment (requires -faults)")
 	watchdog := fs.String("watchdog", "on", "invariant watchdogs: on, off, or tuning clauses")
-	shards := fs.Int("shards", 1, "spatial shards per simulation (bit-identical to 1; ignored by MinBD); composes with -j across runs")
 	telemetryPath := fs.String("telemetry", "", "write every run's windowed telemetry records to this JSONL file, in (scheme, rate) order regardless of -j")
 	telemetryWindow := fs.Int64("telemetry-window", 1000, "cycles per telemetry window (with -telemetry)")
 	if err := fs.Parse(args); err != nil {
@@ -137,7 +135,7 @@ func parse(args []string) (sweepConfig, error) {
 	cfg := sweepConfig{
 		schemes: parsed, pattern: pattern,
 		size: *size, seed: *seed, rates: rates, jobs: *jobs,
-		faults: *faultSpec, faultScale: *faultScale, watchdog: *watchdog, shards: *shards,
+		faults: *faultSpec, faultScale: *faultScale, watchdog: *watchdog,
 		telemetryPath: *telemetryPath,
 	}
 	for _, s := range cfg.schemes {
@@ -188,9 +186,6 @@ type sweepConfig struct {
 	faultScale float64
 	watchdog   string
 	scales     []float64
-	// shards is the intra-sim spatial shard count each run steps with;
-	// bit-identical to 1 by contract, so it never perturbs the CSV.
-	shards int
 	// telemetry, when non-nil, buffers every run's JSONL stream for
 	// deterministic ordered output after the sweep, to telemetryPath.
 	telemetry     *telemetrySink
@@ -246,7 +241,7 @@ func buildRateGrid(min, max, step float64) ([]float64, error) {
 func (cfg sweepConfig) base() noc.SynthConfig {
 	return noc.SynthConfig{
 		Options: noc.Options{W: cfg.size, H: cfg.size, Seed: cfg.seed, DrainPeriod: 8192,
-			Faults: cfg.faults, FaultScale: cfg.faultScale, Watchdog: cfg.watchdog, Shards: cfg.shards},
+			Faults: cfg.faults, FaultScale: cfg.faultScale, Watchdog: cfg.watchdog},
 		Pattern: cfg.pattern,
 		Warmup:  cfg.warmup, Measure: cfg.measure, Drain: cfg.drain,
 	}

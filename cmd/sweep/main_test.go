@@ -137,7 +137,6 @@ func TestValidateFlags(t *testing.T) {
 		{name: "zero fault scale", args: []string{"-faultscale", "0"}, wantErr: "-faultscale"},
 		{name: "negative fault scale", args: []string{"-faultscale", "-1"}, wantErr: "fault scale"},
 		{name: "bad watchdog", args: []string{"-watchdog", "stride=no"}, wantErr: "watchdog"},
-		{name: "bad shards", args: []string{"-shards", "-3"}, wantErr: "shards"},
 		{name: "negative jobs", args: []string{"-j", "-1"}, wantErr: "-j"},
 		{name: "bad telemetry window", args: []string{"-telemetry-window", "0"}, wantErr: "-telemetry-window"},
 		{name: "scales without plan", args: []string{"-fault-scales", "0,1"}, wantErr: "-faults"},

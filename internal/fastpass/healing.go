@@ -35,9 +35,9 @@ import (
 //     acceptance is guaranteed by taking the NIC's single per-class
 //     reservation at promotion time.
 //
-// Everything runs in PreCycle — serial under any shard count — and is
-// a pure function of (plan, topology, seed), so campaigns stay
-// bit-identical at any -j/-shards and across checkpoint resume.
+// Everything runs in PreCycle and is a pure function of (plan,
+// topology, seed), so campaigns stay bit-identical at any -j and across
+// checkpoint resume.
 
 // healedHost is the mesh under the circulating lanes: the Controller
 // seen through WalkLanes' LaneHost.

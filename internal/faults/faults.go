@@ -12,8 +12,8 @@
 // the event's identity, not of how many other events were rolled first.
 // A fault run is therefore a pure function of (plan, topology, seed)
 // and independent of evaluation order: bit-identical at any -j of the
-// parallel experiment runner and at any -shards of the intra-sim
-// sharded stepper, whose dirty-channel visit order is load-dependent.
+// parallel experiment runner, and whatever order the network's shift
+// visits its dirty channels in (that order depends on wake history).
 //
 // Fault plans are compact specs, e.g.
 //
@@ -578,8 +578,8 @@ func (j *Injector) roll01(link, sub int, salt uint64) float64 {
 
 // RollCorrupt draws one corruption decision for the flit traversing the
 // given link this cycle, counting hits. The draw is a pure function of
-// (seed, cycle, link): links can be visited in any order — or by any
-// shard — without perturbing other links' outcomes.
+// (seed, cycle, link): links can be visited in any order without
+// perturbing other links' outcomes.
 func (j *Injector) RollCorrupt(link int) bool {
 	if j.plan.CorruptRate <= 0 {
 		return false

@@ -283,8 +283,8 @@ func TestRolls(t *testing.T) {
 }
 
 // The per-event rolls are pure functions of (seed, cycle, link, pulse):
-// the order links are visited in — which under intra-sim sharding
-// depends on the shard count — must not perturb any outcome.
+// the order links are visited in — which in the network's shift
+// depends on wake history — must not perturb any outcome.
 func TestRollsOrderInvariant(t *testing.T) {
 	draw := func(order []int) []bool {
 		j := NewInjector(MustParsePlan("corrupt:rate=0.5;creditloss:rate=0.5"), 8, 2, 5, 42)

@@ -10,17 +10,12 @@ import (
 )
 
 // This file is the whole-program layer under nocvet's interprocedural
-// analyzers (phasesafe, dettaint, hotalloc2): a type-resolved,
-// cross-package call graph over every package handed to one nocvet run,
-// built from the stdlib type checker alone.
+// analyzers (dettaint, hotalloc2): a type-resolved, cross-package call
+// graph over every package handed to one nocvet run, built from the
+// stdlib type checker alone.
 //
-// Three source directives feed it. All attach to declarations (doc
-// comment or the trailing comment of a struct field):
+// Two source directives feed it, both in a function's doc comment:
 //
-//	//nocvet:phase <route|alloc|traverse|commit>
-//	    marks a function as a root of one phase of the cycle engine;
-//	    the phase owns everything reachable from its roots that is not
-//	    itself annotated with a different phase.
 //	//nocvet:hot
 //	    marks a function as an extra per-cycle hot-path root for
 //	    dettaint and hotalloc2 (Network.Step carries it; Controller
@@ -32,37 +27,19 @@ import (
 //	    per cycle). Only the allocation rule is scoped this way — the
 //	    determinism analyzers still cover cold code, because rare code
 //	    still mutates simulated state.
-//	//nocvet:shared
-//	    marks a struct whose fields are shard-global state: phasesafe
-//	    applies its hazard checks to exactly these fields. Per-node
-//	    state (routers, NICs, VCs) is shard-local by construction and
-//	    stays unmarked.
-//	//nocvet:buffered
-//	    marks one field of a shared struct as double-buffered (the
-//	    cur/next register pair idiom); phasesafe exempts it.
 //
 // Resolution is static and conservative: direct calls resolve exactly;
 // a call through an interface method fans out to every module-declared
 // concrete method that implements the interface; calls through plain
 // func values (fields like NIC.Inject or Network.Probe) are not
-// resolved — the cycle engine annotates their targets explicitly
-// instead (Router.InjectPacket carries its own phase root).
+// resolved — the cycle engine marks their targets //nocvet:hot instead
+// (Router.InjectPacket, reached through NIC.Inject, is one).
 
 // Directive spellings recognized on declarations.
 const (
-	phaseDirective    = "nocvet:phase"
-	hotDirective      = "nocvet:hot"
-	coldDirective     = "nocvet:cold"
-	sharedDirective   = "nocvet:shared"
-	bufferedDirective = "nocvet:buffered"
+	hotDirective  = "nocvet:hot"
+	coldDirective = "nocvet:cold"
 )
-
-// PhaseNames is the closed set of cycle-engine phases, in execution
-// order within a cycle. consume (NIC ejection-queue drain through the
-// protocol engine / packet arena) is serial even under intra-sim
-// sharding; the rest are the classic route/alloc/traverse pipeline plus
-// the register-shift commit.
-var PhaseNames = []string{"consume", "route", "alloc", "traverse", "commit"}
 
 // FuncNode is one declared function or method in the program graph.
 type FuncNode struct {
@@ -70,9 +47,6 @@ type FuncNode struct {
 	Decl *ast.FuncDecl
 	Pkg  *Package
 
-	// Phase is the cycle-engine phase this function roots (from a
-	// //nocvet:phase directive), or "".
-	Phase string
 	// Hot marks an explicit //nocvet:hot root.
 	Hot bool
 	// Cold marks a //nocvet:cold rare-event boundary: hotalloc2 stops
@@ -99,11 +73,6 @@ func (n *FuncNode) FullName() string {
 type FieldInfo struct {
 	Owner *types.TypeName
 	Pkg   *Package
-	// Shared and Buffered mirror the //nocvet:shared (on the struct)
-	// and //nocvet:buffered (on the field) directives.
-	Shared   bool
-	Buffered bool
-	Pos      token.Pos
 }
 
 // Program is the whole-program view: every loaded package, the call
@@ -171,7 +140,6 @@ func BuildProgram(pkgs []*Package) *Program {
 						continue
 					}
 					n := &FuncNode{Obj: obj, Decl: d, Pkg: p, calleeSet: map[*FuncNode]bool{}}
-					n.Phase = directiveArg(d.Doc, phaseDirective)
 					n.Hot = hasDirective(d.Doc, hotDirective)
 					n.Cold = hasDirective(d.Doc, coldDirective)
 					prog.byObj[obj] = n
@@ -224,8 +192,7 @@ func BuildProgram(pkgs []*Package) *Program {
 
 func (n *FuncNode) addCallee(c *FuncNode) { n.calleeSet[c] = true }
 
-// indexTypes records struct fields (with shared/buffered directives) of
-// one type declaration group.
+// indexTypes records the struct fields of one type declaration group.
 func (prog *Program) indexTypes(p *Package, d *ast.GenDecl) {
 	if d.Tok != token.TYPE {
 		return
@@ -243,26 +210,17 @@ func (prog *Program) indexTypes(p *Package, d *ast.GenDecl) {
 		if !ok {
 			continue
 		}
-		shared := hasDirective(d.Doc, sharedDirective) || hasDirective(ts.Doc, sharedDirective) ||
-			hasDirective(ts.Comment, sharedDirective)
 		for _, field := range st.Fields.List {
-			buffered := hasDirective(field.Doc, bufferedDirective) || hasDirective(field.Comment, bufferedDirective)
 			for _, name := range field.Names {
-				fv, ok := p.Info.Defs[name].(*types.Var)
-				if !ok {
-					continue
-				}
-				prog.fields[fv] = &FieldInfo{
-					Owner: obj, Pkg: p, Shared: shared, Buffered: buffered, Pos: name.Pos(),
+				if fv, ok := p.Info.Defs[name].(*types.Var); ok {
+					prog.fields[fv] = &FieldInfo{Owner: obj, Pkg: p}
 				}
 			}
 			// Embedded fields: the field object still exists.
 			if len(field.Names) == 0 {
 				if id := embeddedIdent(field.Type); id != nil {
 					if fv, ok := p.Info.Defs[id].(*types.Var); ok {
-						prog.fields[fv] = &FieldInfo{
-							Owner: obj, Pkg: p, Shared: shared, Buffered: buffered, Pos: id.Pos(),
-						}
+						prog.fields[fv] = &FieldInfo{Owner: obj, Pkg: p}
 					}
 				}
 			}
@@ -352,15 +310,15 @@ func (prog *Program) Reachable(roots []*FuncNode, stop func(*FuncNode) bool) map
 }
 
 // HotRoots returns the per-cycle entry points: every //nocvet:hot
-// function, every //nocvet:phase root, and — when the network package
-// is part of the program — every module implementation of its
-// Controller interface's PreCycle/PostCycle (the controllers' per-cycle
+// function and — when the network package is part of the program —
+// every module implementation of its Controller interface's
+// PreCycle/PostCycle (the controllers' per-cycle
 // scans run inside Step's cycle budget even though Step never calls
 // them by name).
 func (prog *Program) HotRoots() []*FuncNode {
 	var roots []*FuncNode
 	for _, n := range prog.Funcs {
-		if n.Hot || n.Phase != "" {
+		if n.Hot {
 			roots = append(roots, n)
 		}
 	}
@@ -381,7 +339,7 @@ func (prog *Program) HotRoots() []*FuncNode {
 		}
 	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i].FullName() < roots[j].FullName() })
-	return slices.Compact(roots) // a hot phase root could qualify twice
+	return slices.Compact(roots) // a hot PreCycle could qualify twice
 }
 
 // controllerInterface locates the network package's Controller
@@ -401,127 +359,19 @@ func (prog *Program) controllerInterface() *types.Interface {
 }
 
 // hasDirective reports whether a comment group carries the directive.
+// An exact-prefix match is required, so that a directive does not also
+// match a longer name sharing its spelling as a prefix.
 func hasDirective(cg *ast.CommentGroup, directive string) bool {
-	return directiveLine(cg, directive) != nil
-}
-
-// directiveArg returns the first argument of the directive ("route" in
-// "//nocvet:phase route"), or "" when absent.
-func directiveArg(cg *ast.CommentGroup, directive string) string {
-	c := directiveLine(cg, directive)
-	if c == nil {
-		return ""
-	}
-	rest := strings.TrimPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), directive)
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		return ""
-	}
-	return fields[0]
-}
-
-// directiveLine finds the comment of a group that starts with the
-// directive, or nil. An exact-prefix match is required so that the
-// phase directive does not also match a hypothetical longer name
-// sharing its spelling as a prefix.
-func directiveLine(cg *ast.CommentGroup, directive string) *ast.Comment {
 	if cg == nil {
-		return nil
+		return false
 	}
 	for _, c := range cg.List {
 		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 		if text == directive || strings.HasPrefix(text, directive+" ") {
-			return c
+			return true
 		}
 	}
-	return nil
-}
-
-// --- field access collection (used by phasesafe and dettaint) ---
-
-// fieldAccess is one read or write of a module struct field.
-type fieldAccess struct {
-	field *types.Var
-	write bool
-	node  ast.Node
-}
-
-// collectFieldAccesses walks one function body and reports every module
-// struct field it reads or writes, including accesses inside function
-// literals (a closure's body executes on behalf of its creator as far
-// as phase ownership is concerned). Writes are recognized on
-// assignment targets (through index/star/paren wrappers), compound
-// assignments, ++/--, address-of, and keyed or positional struct
-// literal construction; everything else is a read.
-func collectFieldAccesses(p *Package, prog *Program, body ast.Node, visit func(fieldAccess)) {
-	// writePos marks selector expressions that appear in write position.
-	writes := map[*ast.SelectorExpr]bool{}
-	rmw := map[*ast.SelectorExpr]bool{} // also read (x++, x += y, &x)
-	markTarget := func(e ast.Expr, alsoRead bool) {
-		if sel, ok := baseSelector(e); ok {
-			writes[sel] = true
-			if alsoRead {
-				rmw[sel] = true
-			}
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			alsoRead := n.Tok != token.ASSIGN && n.Tok != token.DEFINE
-			for _, lhs := range n.Lhs {
-				markTarget(lhs, alsoRead)
-			}
-		case *ast.IncDecStmt:
-			markTarget(n.X, true)
-		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				// Taking a field's address escapes it to unknown writers.
-				markTarget(n.X, true)
-			}
-		}
-		return true
-	})
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			sel := p.Info.Selections[n]
-			if sel == nil || sel.Kind() != types.FieldVal {
-				return true
-			}
-			fv, ok := sel.Obj().(*types.Var)
-			if !ok || prog.Field(fv) == nil {
-				return true
-			}
-			if writes[n] {
-				visit(fieldAccess{field: fv, write: true, node: n})
-				if rmw[n] {
-					visit(fieldAccess{field: fv, write: false, node: n})
-				}
-			} else {
-				visit(fieldAccess{field: fv, write: false, node: n})
-			}
-		case *ast.CompositeLit:
-			st, ok := p.Info.Types[n].Type.Underlying().(*types.Struct)
-			if !ok {
-				return true
-			}
-			for i, elt := range n.Elts {
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					if id, ok := kv.Key.(*ast.Ident); ok {
-						if fv, ok := p.Info.Uses[id].(*types.Var); ok && prog.Field(fv) != nil {
-							visit(fieldAccess{field: fv, write: true, node: kv})
-						}
-					}
-				} else if i < st.NumFields() {
-					if fv := st.Field(i); prog.Field(fv) != nil {
-						visit(fieldAccess{field: fv, write: true, node: elt})
-					}
-				}
-			}
-		}
-		return true
-	})
+	return false
 }
 
 // baseSelector unwraps index/star/paren layers of a write target down

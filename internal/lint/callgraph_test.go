@@ -1,8 +1,6 @@
 package lint
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -65,111 +63,69 @@ func names(nodes []*FuncNode) []string {
 	return out
 }
 
-// TestCallGraphRoots checks directive parsing: phase annotations become
-// phase roots, //nocvet:hot becomes a hot root, and phase roots are hot
-// roots too.
+// TestCallGraphRoots checks directive parsing: //nocvet:hot makes a hot
+// root, //nocvet:cold a cold boundary, and a function only reachable
+// from a hot root is not itself a root.
 func TestCallGraphRoots(t *testing.T) {
 	prog := BuildProgram(fixture(t, "callgraph"))
-	if got := findFunc(t, prog, "callgraph.route").Phase; got != "route" {
-		t.Errorf("route phase = %q, want route", got)
-	}
-	if got := findFunc(t, prog, "callgraph.commit").Phase; got != "commit" {
-		t.Errorf("commit phase = %q, want commit", got)
-	}
 	if !findFunc(t, prog, "callgraph.hot").Hot {
 		t.Error("hot not marked as hot root")
 	}
-	roots := map[*FuncNode]bool{}
-	for _, r := range prog.HotRoots() {
-		roots[r] = true
+	if !findFunc(t, prog, "callgraph.heal").Cold {
+		t.Error("heal not marked as cold boundary")
 	}
-	for _, suffix := range []string{"callgraph.hot", "callgraph.route", "callgraph.commit"} {
-		if !roots[findFunc(t, prog, suffix)] {
-			t.Errorf("HotRoots missing %s", suffix)
-		}
+	roots := names(prog.HotRoots())
+	if len(roots) != 1 || !strings.HasSuffix(roots[0], "callgraph.hot") {
+		t.Errorf("HotRoots = %v, want only callgraph.hot", roots)
 	}
 }
 
-// TestCallGraphReachableStops checks phase-closure semantics: the walk
-// crosses unannotated functions (and interface fan-out) but stops at a
-// function rooted in a different phase.
+// TestCallGraphReachableStops checks closure semantics: the walk
+// crosses unannotated functions and interface fan-out, and stops at a
+// boundary the stop function names (hotalloc2's cold rule) together
+// with everything only that boundary reaches.
 func TestCallGraphReachableStops(t *testing.T) {
 	prog := BuildProgram(fixture(t, "callgraph"))
-	route := findFunc(t, prog, "callgraph.route")
-	closure := prog.Reachable([]*FuncNode{route}, func(n *FuncNode) bool {
-		return n.Phase != "" && n.Phase != "route"
-	})
-	for _, suffix := range []string{"callgraph.drive", "callgraph.helperA", "callgraph.helperB"} {
+	hot := []*FuncNode{findFunc(t, prog, "callgraph.hot")}
+	closure := prog.Reachable(hot, func(n *FuncNode) bool { return n.Cold })
+	for _, suffix := range []string{"callgraph.route", "callgraph.drive", "callgraph.helperA", "callgraph.helperB"} {
 		if !closure[findFunc(t, prog, suffix)] {
-			t.Errorf("route closure missing %s", suffix)
+			t.Errorf("hot closure missing %s", suffix)
 		}
 	}
-	if closure[findFunc(t, prog, "callgraph.commit")] {
-		t.Error("route closure crossed into the commit phase root")
+	for _, suffix := range []string{"callgraph.heal", "callgraph.helperC"} {
+		if closure[findFunc(t, prog, suffix)] {
+			t.Errorf("hot closure crossed the cold boundary into %s", suffix)
+		}
+	}
+	if !prog.Reachable(hot, nil)[findFunc(t, prog, "callgraph.helperC")] {
+		t.Error("a nil stop must cross the cold boundary")
 	}
 }
 
-// TestPhaseReportByteStable is the regression bar for -phasereport: two
-// independent loads of the same tree must render byte-identical JSON.
-func TestPhaseReportByteStable(t *testing.T) {
-	render := func() []byte {
-		rep := BuildPhaseReport(BuildProgram(fixture(t, "phasesafe")))
-		data, err := rep.Render()
-		if err != nil {
-			t.Fatalf("Render: %v", err)
-		}
-		return data
+// TestHotRootsReachCycleEngine loads the real cycle-engine packages and
+// requires the per-cycle work of a network step to be reachable from
+// the hot roots, so hotalloc2 and dettaint audit it: the router's
+// Step, both NIC halves, the register shift, and Router.InjectPacket,
+// which runs only through the NIC.Inject func value.
+func TestHotRootsReachCycleEngine(t *testing.T) {
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
 	}
-	first, second := render(), render()
-	if !bytes.Equal(first, second) {
-		t.Errorf("phase report is not byte-stable:\n--- first ---\n%s--- second ---\n%s", first, second)
+	pkgs, err := l.Load("./internal/network", "./internal/router", "./internal/nic")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
 	}
-	var parsed PhaseReport
-	if err := json.Unmarshal(first, &parsed); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if len(parsed.Phases) == 0 || parsed.Phases[0].Name != "commit" && parsed.Phases[0].Name != "route" {
-		t.Errorf("report has no phases: %s", first)
-	}
-}
-
-// TestPhaseReportContent spot-checks the contract derived from the
-// phasesafe fixture: closures, access sets, and shared-field ownership.
-func TestPhaseReportContent(t *testing.T) {
-	rep := BuildPhaseReport(BuildProgram(fixture(t, "phasesafe")))
-	byName := map[string]PhaseEntry{}
-	for _, ph := range rep.Phases {
-		byName[ph.Name] = ph
-	}
-	route, ok := byName["route"]
-	if !ok {
-		t.Fatal("report missing route phase")
-	}
-	if !containsSuffix(route.Funcs, "engine).bump") {
-		t.Errorf("route closure missing bump: %v", route.Funcs)
-	}
-	if !containsSuffix(route.Writes, "engine.claims") {
-		t.Errorf("route writes missing claims: %v", route.Writes)
-	}
-	var claims *SharedFieldEntry
-	for i := range rep.Shared {
-		if strings.HasSuffix(rep.Shared[i].Field, "engine.claims") {
-			claims = &rep.Shared[i]
+	prog := BuildProgram(pkgs)
+	hot := prog.Reachable(prog.HotRoots(), func(n *FuncNode) bool { return n.Cold })
+	for _, suffix := range []string{
+		"internal/router.Router).Step", "internal/router.Router).InjectPacket",
+		"internal/nic.NIC).TickConsume", "internal/nic.NIC).TickInject",
+		"internal/network.Network).shift",
+	} {
+		if !hot[findFunc(t, prog, suffix)] {
+			t.Errorf("%s is not reachable from the hot roots", suffix)
 		}
 	}
-	if claims == nil {
-		t.Fatalf("shared summary missing engine.claims: %+v", rep.Shared)
-	}
-	if len(claims.WrittenBy) != 2 {
-		t.Errorf("engine.claims written by %v, want route and commit", claims.WrittenBy)
-	}
-}
-
-func containsSuffix(list []string, suffix string) bool {
-	for _, s := range list {
-		if strings.HasSuffix(s, suffix) {
-			return true
-		}
-	}
-	return false
 }

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 )
 
 // Exit codes of the nocvet driver. "Findings" and "could not analyze"
@@ -26,9 +25,8 @@ func Main(args []string, dir string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list analyzers and exit")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0 on stdout")
-	phaseReport := fs.String("phasereport", "", "write the shard-safety phase contract (JSON) to `file` (\"-\" for stdout)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: nocvet [-rules dettaint,…] [-json|-sarif] [-phasereport file] packages…\n\n"+
+		fmt.Fprintf(stderr, "usage: nocvet [-rules dettaint,…] [-json|-sarif] packages…\n\n"+
 			"Static analysis enforcing simulator determinism and invariant\n"+
 			"conventions. Packages are directories or ./… patterns within the\n"+
 			"module; a single run is a whole-program analysis over every\n"+
@@ -73,23 +71,6 @@ func Main(args []string, dir string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return ExitError
-	}
-	if *phaseReport != "" {
-		rep := BuildPhaseReport(BuildProgram(pkgs))
-		data, err := rep.Render()
-		if err != nil {
-			fmt.Fprintln(stderr, "nocvet: phase report:", err)
-			return ExitError
-		}
-		if *phaseReport == "-" {
-			if _, err := stdout.Write(data); err != nil {
-				fmt.Fprintln(stderr, "nocvet: phase report:", err)
-				return ExitError
-			}
-		} else if err := os.WriteFile(*phaseReport, data, 0o644); err != nil {
-			fmt.Fprintln(stderr, "nocvet: phase report:", err)
-			return ExitError
-		}
 	}
 	findings := Run(pkgs, analyzers)
 	switch {

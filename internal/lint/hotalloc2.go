@@ -10,9 +10,9 @@ import (
 // kernel off the allocator (allocate at Build, never after — DESIGN.md
 // §9). It computes the actual per-cycle hot path — everything reachable
 // over the whole-program call graph from Network.Step, from the
-// controllers' PreCycle/PostCycle scans, and from any //nocvet:hot or
-// //nocvet:phase root — and flags allocation idioms wherever that
-// closure reaches, including helpers hiding in other packages:
+// controllers' PreCycle/PostCycle scans, and from any //nocvet:hot
+// root — and flags allocation idioms wherever that closure reaches,
+// including helpers hiding in other packages:
 //
 //   - make / new / &T{…} composite-literal escapes (a fresh heap
 //     object per cycle);
@@ -33,8 +33,8 @@ import (
 // which runs once per permanent link failure) declares itself with a
 // //nocvet:cold directive on its entry function: the traversal stops
 // there instead of flagging every allocation below it. Cold scoping
-// applies to this analyzer only — dettaint and phasesafe still cover
-// cold code, because rare code still mutates simulated state.
+// applies to this analyzer only — dettaint still covers cold code,
+// because rare code still mutates simulated state.
 // Anything else that is provably cold (a drain epilogue, a gated debug
 // branch) states its case with a //nocvet:ignore hotalloc2 suppression
 // — backed, for the steady state, by the alloc-guard test.

@@ -10,15 +10,9 @@
 //	panicstyle — panic messages carry the "<pkg>: " prefix so
 //	             invariant violations are attributable
 //
-// Three whole-program analyzers run over a type-resolved cross-package
+// Two whole-program analyzers run over a type-resolved cross-package
 // call graph (callgraph.go) instead of one package at a time:
 //
-//	phasesafe  — from //nocvet:phase annotations on the cycle-engine
-//	             phase roots, computes transitive per-phase read/write
-//	             sets of //nocvet:shared struct fields and flags
-//	             same-phase write-then-read hazards and unbuffered
-//	             fields written by two phases; -phasereport emits the
-//	             derived shard-safety contract as stable JSON
 //	dettaint   — determinism: no wall-clock read or global math/rand
 //	             call under internal/, no package time at all in
 //	             internal/{faults,invariant,snapshot,telemetry}, no map
@@ -28,7 +22,7 @@
 //	             laundered (sorted) before they reach simulator state
 //	hotalloc2  — no allocation idiom (make, new, &T{}, append-prepend,
 //	             capturing closures, ...any boxing) anywhere reachable
-//	             from //nocvet:hot roots, phase roots, and controller
+//	             from //nocvet:hot roots and controller
 //	             PreCycle/PostCycle — across packages; the steady-state
 //	             zero-allocs-per-cycle contract depends on it
 //
@@ -83,7 +77,7 @@ type ProgramAnalyzer interface {
 // All returns the full analyzer suite in report order.
 func All() []Analyzer {
 	return []Analyzer{
-		CycleWidth{}, PanicStyle{}, PhaseSafe{}, DetTaint{}, HotAlloc2{},
+		CycleWidth{}, PanicStyle{}, DetTaint{}, HotAlloc2{},
 	}
 }
 
@@ -142,7 +136,7 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
 		if pa, ok := a.(ProgramAnalyzer); ok {
 			if prog != nil {
 				keep(pa.RunProgram(prog))
-				// A run with no hot or phase root sees too little of the
+				// A run with no hot root sees too little of the
 				// call graph to call a whole-program suppression stale.
 				ran[a.Name()] = len(prog.HotRoots()) > 0
 			}

@@ -161,7 +161,7 @@ func TestStaleSuppressions(t *testing.T) {
 
 // TestEveryAnalyzerEarnsItsPlace: with the whole suite run over an
 // analyzer's fixture, that analyzer reports at least one position no
-// other analyzer reports — none of the five is covered by the rest.
+// other analyzer reports — none of the four is covered by the rest.
 func TestEveryAnalyzerEarnsItsPlace(t *testing.T) {
 	for _, a := range All() {
 		fs := Run(fixture(t, a.Name()), All())

@@ -3,8 +3,6 @@ package lint
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -79,43 +77,12 @@ func TestDriverOutputModeConflict(t *testing.T) {
 	}
 }
 
-// TestDriverPhaseReportFlag: -phasereport writes the shard-safety
-// contract to a file (or stdout with "-") before the analyzers run, so
-// it works even with a restricted -rules set.
-func TestDriverPhaseReportFlag(t *testing.T) {
-	dest := filepath.Join(t.TempDir(), "phase.json")
-	var out, errb bytes.Buffer
-	code := Main([]string{"-phasereport", dest, "-rules", "panicstyle", "./internal/lint/testdata/src/phasesafe"}, ".", &out, &errb)
-	if code != ExitClean {
-		t.Fatalf("-phasereport: code=%d, want 0 (stderr: %s)", code, errb.String())
-	}
-	data, err := os.ReadFile(dest)
-	if err != nil {
-		t.Fatalf("report not written: %v", err)
-	}
-	var rep PhaseReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if len(rep.Phases) == 0 {
-		t.Errorf("report has no phases: %s", data)
-	}
-
-	out.Reset()
-	if code := Main([]string{"-phasereport", "-", "./internal/lint/testdata/src/clean"}, ".", &out, &errb); code != ExitClean {
-		t.Fatalf("-phasereport -: code=%d, want 0", code)
-	}
-	if !bytes.Contains(out.Bytes(), []byte(`"module"`)) {
-		t.Errorf("stdout report missing module key: %s", out.String())
-	}
-}
-
 // TestByNameListsKnown: an unknown rule error names the valid set, so a
 // typo is self-correcting.
 func TestByNameListsKnown(t *testing.T) {
 	if _, err := ByName("bogus"); err == nil {
 		t.Fatal("ByName(bogus) succeeded")
-	} else if msg := err.Error(); !strings.Contains(msg, "known:") || !strings.Contains(msg, "phasesafe") || !strings.Contains(msg, "dettaint") {
+	} else if msg := err.Error(); !strings.Contains(msg, "known:") || !strings.Contains(msg, "hotalloc2") || !strings.Contains(msg, "dettaint") {
 		t.Errorf("error does not list known analyzers: %v", err)
 	}
 }

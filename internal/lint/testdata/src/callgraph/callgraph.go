@@ -1,6 +1,5 @@
 // Package callgraph is the fixture for the whole-program graph builder:
-// direct edges, interface fan-out, phase roots, hot roots, and
-// phase-boundary stops.
+// direct edges, interface fan-out, hot roots and cold boundaries.
 package callgraph
 
 type ticker interface{ tick() }
@@ -21,11 +20,15 @@ func helperB() {}
 // implementations.
 func drive(t ticker) { t.tick() }
 
-//nocvet:phase route
-func route() { drive(alpha{}) }
+func route() {
+	drive(alpha{})
+	heal()
+}
 
-//nocvet:phase commit
-func commit() { helperB() }
+//nocvet:cold runs once per link failure
+func heal() { helperC() }
+
+func helperC() {}
 
 //nocvet:hot
 func hot() { route() }

@@ -13,9 +13,9 @@ import (
 // PutCtx touch no allocator.
 //
 // Pools are deliberately not concurrency-safe: a simulation is
-// single-threaded by design (the parallel experiment runner shards
-// across *simulations*, each with its own Pool); only spares, under a
-// lock, pass from one simulation to the next.
+// single-threaded by design (the parallel experiment runner spreads
+// *simulations* across workers, each with its own Pool); only spares,
+// under a lock, pass from one simulation to the next.
 //
 // Hygiene contract: a recycled packet is indistinguishable from a
 // freshly constructed one. PutCtx resets every field, and Get verifies

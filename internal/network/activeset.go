@@ -18,19 +18,10 @@ import "sort"
 // yet will be visited this pass; one added behind the cursor will not
 // (exactly as a 0..N-1 scan would have it). Removal only happens in
 // compact, never mid-iteration.
-//
-//nocvet:shared
 type activeSet struct {
-	// Wakes arrive from both the route phase (injection) and the commit
-	// phase (delivery); each is an idempotent sorted-set insert. A
-	// sharded engine funnels wakes through per-shard queues merged at
-	// the phase barrier, so the cross-phase writes are by design.
-	//nocvet:ignore phasesafe idempotent wake inserts; sharding would queue them per shard and merge at the barrier
-	in []bool // membership flag, indexed by ID
-	//nocvet:ignore phasesafe same wake protocol as in: insert-only during phases, compacted between cycles
-	ids []int // members, sorted ascending
-	//nocvet:ignore phasesafe cursor belongs to the single shard running the iteration; adjusted only by that shard's inserts
-	cur int // iteration cursor; -1 when no iteration is running
+	in  []bool // membership flag, indexed by ID
+	ids []int  // members, sorted ascending
+	cur int    // iteration cursor; -1 when no iteration is running
 }
 
 func newActiveSet(n int) activeSet {

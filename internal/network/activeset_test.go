@@ -6,7 +6,7 @@ import (
 )
 
 // TestActiveSetMatchesFullScanOracle is the determinism argument the
-// sharded wake-merge relies on, checked by property test: iterating an
+// active-set engine relies on, checked by property test: iterating an
 // activeSet with mid-iteration inserts must visit exactly the members a
 // naive 0..N-1 scan (over a membership bitmap mutated by the same
 // inserts) would visit, in the same order. Randomised trials land

@@ -14,7 +14,6 @@ package network
 import (
 	"fmt"
 	"iter"
-	"sync"
 
 	"repro/internal/faults"
 	"repro/internal/message"
@@ -58,27 +57,21 @@ type transit struct {
 }
 
 // channel is one directed link: a one-stage flit pipeline downstream and
-// a credit pipeline upstream. Channels are shard-global: a link's two
-// endpoints can land on different shards.
-//
-//nocvet:shared
+// a credit pipeline upstream.
 type channel struct {
 	link topology.Link
 	// next is the wire: it carries the flit driven this cycle. cur is
 	// the downstream router's link input latch, holding last cycle's
 	// flit until it is written into an input VC at the end of this
 	// cycle. Total per-hop latency: 1-cycle router + 1-cycle link.
-	cur, next transit //nocvet:buffered
+	cur, next transit
 	// creditNext carries VC-free indices flowing back to the source. Each
 	// downstream VC frees at most once a cycle, so New sizes it to the
 	// router's VC count and it never grows.
-	creditNext []int //nocvet:buffered
+	creditNext []int
 	// flits counts regular flit launches onto this link over the run
-	// (per-link utilisation telemetry). Written only by the link's
-	// source router — which belongs to exactly one shard, the same
-	// ownership argument that makes next safe — and read only by serial
-	// window-close code, so it needs no per-shard cell.
-	flits int64 //nocvet:ignore phasesafe unique writer: only the link's source router's shard increments it
+	// (per-link utilisation telemetry).
+	flits int64
 }
 
 // Params configures a network build.
@@ -88,16 +81,11 @@ type Params struct {
 	EjectCap int
 	// Seed is the master simulation seed. The network itself draws
 	// nothing: a shared stream would make draw interleaving depend on
-	// evaluation order, and therefore on the shard count.
+	// evaluation order.
 	Seed int64
 }
 
-// Network is a complete NoC instance. Its fields are the shard-global
-// state of the cycle engine: phasesafe audits their phase read/write
-// sets (the per-node Routers/NICs/VCs they point at are shard-local and
-// stay unmarked).
-//
-//nocvet:shared
+// Network is a complete NoC instance.
 type Network struct {
 	Mesh    *topology.Mesh
 	Routers []*router.Router
@@ -110,41 +98,21 @@ type Network struct {
 	ejectClaims []bool
 	cycle       int64
 
-	// Active-set cycle engine state (see DESIGN.md §9) lives in the
-	// shards (DESIGN.md §12): each shard owns the active router/NIC sets
-	// for its contiguous node range, a private dirty-channel queue and a
-	// private flit counter. With one shard (the default) Step runs the
-	// serial loop on shards[0]; with K > 1 the per-node phases run
-	// shard-parallel and the accumulators merge at the barrier.
-	shards  []*shardState
-	shardOf []int32 // owning shard per node ID
-	// wg and shardPanics are the reusable barrier plumbing of the
-	// parallel sections (runSection): workers park panics per shard and
-	// the barrier re-raises the lowest shard index, so a simulator bug
-	// aborts deterministically regardless of goroutine scheduling.
-	wg          sync.WaitGroup
-	shardPanics []any
-	// Dirty-channel marking is an idempotent set insert from traverse
-	// (SendFlit/SendVCFree) consumed and rewritten by commit (shift); a
-	// sharded engine keeps per-shard dirty lists (shardState.dirty)
-	// merged into these at the pre-shift barrier (mergeShardEffects).
-	//nocvet:ignore phasesafe idempotent dirty-marking; per-shard lists merged at the commit barrier (shard.go)
+	// The active-set cycle engine (DESIGN.md §9): the routers and NICs
+	// that hold work, each kept sorted by node ID.
+	activeRouters activeSet
+	activeNICs    activeSet
+	// dirtyChannels lists the channels carrying traffic, deduplicated by
+	// chDirty: traverse (SendFlit/SendVCFree) marks them, shift consumes
+	// and rewrites the list.
 	dirtyChannels []int
-	//nocvet:ignore phasesafe same dirty-marking protocol as dirtyChannels
 	chDirty       []bool
 	claimedLinks  []int
 	claimedEjects []int
 	masked        []int // routers whose Claimed or Stalled beginCycle must clear
 
-	// deferEject is true while the sharded router phase runs: NIC
-	// ejection observers (OnEject) buffer per NIC instead of firing
-	// mid-phase, and flush in ascending node order at the barrier —
-	// the order the serial loop fires them in.
-	deferEject bool
-
 	// FlitsOnLinks counts regular flit-cycles spent on links (link
 	// utilisation statistics).
-	//nocvet:ignore phasesafe commutative statistics counter; shards accumulate locally (shardState.flits) and sum at the barrier
 	FlitsOnLinks int64
 
 	// faults, when attached, degrades the hardware each cycle: failed
@@ -160,8 +128,7 @@ type Network struct {
 	Probe func()
 
 	// Hook, when set, is told each Phase of Step as it begins (the run
-	// loop sets it from sim.Instance.Hook). It runs serially, never from
-	// a shard worker.
+	// loop sets it from sim.Instance.Hook).
 	Hook func(Phase)
 }
 
@@ -178,7 +145,7 @@ const (
 	PhaseBegin                   // active sets compact, claims expire, faults advance
 	PhasePreCycle                // the controller's PreCycle: lookahead claims for this cycle
 	PhaseConsume                 // NIC consumption
-	PhaseInject                  // NIC injection; a sharded step runs it inside Route
+	PhaseInject                  // NIC injection
 	PhaseRoute                   // router VA and SA, link and ejection traversal
 	PhasePostCycle               // the controller's PostCycle
 	PhaseShift                   // link and credit registers shift
@@ -226,8 +193,7 @@ func New(p Params) *Network {
 	n.claimedLinks = make([]int, 0, len(links))
 	ids := make([]int, 2*nodes)
 	n.claimedEjects, n.masked = ids[:0:nodes], ids[nodes:nodes]
-	n.shardOf = make([]int32, nodes)
-	n.SetShards(1)
+	n.activeRouters, n.activeNICs = newActiveSet(nodes), newActiveSet(nodes)
 	n.Routers = router.NewAll(p.Mesh, p.Router, n)
 	n.NICs = nic.NewAll(nodes, p.EjectCap)
 	// One closure serves every NIC: whoever enqueues a packet at a source
@@ -236,7 +202,6 @@ func New(p Params) *Network {
 	for _, nc := range n.NICs {
 		nc.Inject = inject
 		nc.Waker = n
-		nc.DeferEject = &n.deferEject
 	}
 	return n
 }
@@ -292,8 +257,12 @@ func (n *Network) SendVCFree(linkID int, vc int) {
 }
 
 // WakeRouter implements router.Env: the node's router gained a packet
-// and joins its shard's active set (idempotent).
-func (n *Network) WakeRouter(node int) { n.wakeRouter(node) }
+// and joins the active set (idempotent).
+func (n *Network) WakeRouter(node int) { n.activeRouters.add(node) }
+
+// WakeNIC implements nic.Waker: the node's NIC gained work and joins
+// the active set (idempotent).
+func (n *Network) WakeNIC(node int) { n.activeNICs.add(node) }
 
 // markChannel registers a channel as carrying traffic so shift visits
 // it.
@@ -394,62 +363,43 @@ func (n *Network) pushFaults() {
 // would not be a no-op. Controllers use it for their per-cycle scans.
 // A router woken during the iteration (a forced move into an empty
 // neighbour) is visited this pass iff its ID is ahead of the cursor,
-// precisely matching full-scan semantics. Shards hold contiguous node
-// ranges in order, so chaining their sorted sets yields the globally
-// sorted walk, and a cross-shard wake lands ahead of or behind the
-// walk exactly as a full scan would have it.
+// precisely matching full-scan semantics.
 func (n *Network) ActiveRouters() iter.Seq[*router.Router] {
 	//nocvet:ignore hotalloc2 iterator literal is ranged immediately by every caller and never escapes; the alloc-guard test pins 0 allocs/cycle
 	return func(yield func(*router.Router) bool) {
-		for _, sh := range n.shards {
-			s := &sh.activeRouters
-			for s.cur = 0; s.cur < len(s.ids); s.cur++ {
-				if !yield(n.Routers[s.ids[s.cur]]) {
-					s.cur = -1
-					return
-				}
+		s := &n.activeRouters
+		for s.cur = 0; s.cur < len(s.ids); s.cur++ {
+			if !yield(n.Routers[s.ids[s.cur]]) {
+				s.cur = -1
+				return
 			}
-			s.cur = -1
 		}
+		s.cur = -1
 	}
 }
 
 // ActiveRouterCount reports the current active-set size (diagnostics).
-func (n *Network) ActiveRouterCount() int {
-	c := 0
-	for _, sh := range n.shards {
-		c += len(sh.activeRouters.ids)
-	}
-	return c
-}
+func (n *Network) ActiveRouterCount() int { return len(n.activeRouters.ids) }
 
 // Step advances the network one cycle. Only active routers and NICs are
 // visited; see DESIGN.md §9 for the argument that this is observably
-// identical to the historical visit-everyone loop, and DESIGN.md §12
-// for the proof that the sharded loop is bit-identical to this one.
+// identical to the historical visit-everyone loop.
 //
 //nocvet:hot
 func (n *Network) Step() {
-	if len(n.shards) > 1 {
-		n.stepSharded()
-		return
-	}
-	sh := n.shards[0]
 	n.phase(PhaseBegin)
 	// Retire members that went idle in an earlier cycle. Compaction is
 	// deliberately the first thing in a cycle — never mid-iteration —
 	// and is purely an optimisation: a stale active member's Step/Tick
 	// is a no-op.
-	sh.activeRouters.compact(n.routerOccupied)
-	sh.activeNICs.compact(n.nicBusy)
+	n.activeRouters.compact(n.routerOccupied)
+	n.activeNICs.compact(n.nicBusy)
 	n.beginCycle()
 	// NIC consumption before NIC injection, as two passes rather than
 	// one fused Tick: consumption's only self-feedback is same-node
 	// (protocol responses enqueue at the consuming core), so splitting
-	// the phases is order-preserving — and it is what lets the sharded
-	// loop keep consumption serial (global protocol/pool state) while
-	// injection runs shard-parallel.
-	nics := &sh.activeNICs
+	// the phases is order-preserving.
+	nics := &n.activeNICs
 	n.phase(PhaseConsume)
 	for nics.cur = 0; nics.cur < len(nics.ids); nics.cur++ {
 		n.NICs[nics.ids[nics.cur]].TickConsume(n.cycle)
@@ -460,7 +410,7 @@ func (n *Network) Step() {
 		n.NICs[nics.ids[nics.cur]].TickInject(n.cycle)
 	}
 	nics.cur = -1
-	routers := &sh.activeRouters
+	routers := &n.activeRouters
 	n.phase(PhaseRoute)
 	for routers.cur = 0; routers.cur < len(routers.ids); routers.cur++ {
 		n.Routers[routers.ids[routers.cur]].Step()
@@ -468,12 +418,6 @@ func (n *Network) Step() {
 	routers.cur = -1
 	n.phase(PhasePostCycle)
 	n.Controller.PostCycle(n)
-	n.endCycle()
-}
-
-// endCycle is the serial cycle epilogue shared by both loops: the
-// register shift, the Probe, the cycle count.
-func (n *Network) endCycle() {
 	n.phase(PhaseShift)
 	n.shift()
 	if n.Probe != nil {
@@ -483,10 +427,10 @@ func (n *Network) endCycle() {
 	n.cycle++
 }
 
-// beginCycle is the serial cycle prologue shared by both loops: expire
-// claims, advance fault state, run the controller's PreCycle. Fault
-// state advances before controllers and routers observe the cycle, so a
-// link that fails this cycle refuses flits this cycle.
+// beginCycle is the cycle prologue: expire claims, advance fault state,
+// run the controller's PreCycle. Fault state advances before
+// controllers and routers observe the cycle, so a link that fails this
+// cycle refuses flits this cycle.
 func (n *Network) beginCycle() {
 	for _, id := range n.masked {
 		n.Routers[id].Claimed, n.Routers[id].Stalled = 0, 0
@@ -508,44 +452,6 @@ func (n *Network) beginCycle() {
 	n.Controller.PreCycle(n)
 }
 
-// stepSharded is Step for K > 1 shards (DESIGN.md §12), in the same
-// phases. Compaction and the fused inject + route section run
-// shard-parallel; everything else is serial: consumption in ascending
-// node order (the protocol engine and the packet arena are global),
-// then the deferred OnEject flush in the order the serial loop fires
-// them, PostCycle, the merge of per-shard dirty lists and flit
-// counters, shift and Probe. During the parallel section a shard
-// writes only (a) state of its own nodes, (b) the next/creditNext
-// stage of channels for which its routers are the unique writer, and
-// (c) its own accumulators — so shards never contend, and the merged
-// effect sequence is independent of K.
-func (n *Network) stepSharded() {
-	n.phase(PhaseBegin)
-	n.runSection(sectionCompact)
-	n.beginCycle()
-	n.phase(PhaseConsume)
-	for _, sh := range n.shards {
-		nics := &sh.activeNICs
-		for nics.cur = 0; nics.cur < len(nics.ids); nics.cur++ {
-			n.NICs[nics.ids[nics.cur]].TickConsume(n.cycle)
-		}
-		nics.cur = -1
-	}
-	n.phase(PhaseRoute)
-	n.deferEject = true
-	n.runSection(sectionInjectRoute)
-	n.deferEject = false
-	for _, sh := range n.shards {
-		for _, id := range sh.activeNICs.ids {
-			n.NICs[id].FlushEjects()
-		}
-	}
-	n.phase(PhasePostCycle)
-	n.Controller.PostCycle(n)
-	n.mergeShardEffects()
-	n.endCycle()
-}
-
 func (n *Network) routerOccupied(id int) bool { return n.Routers[id].Occupied() }
 
 func (n *Network) nicBusy(id int) bool { return !n.NICs[id].Idle() }
@@ -556,8 +462,6 @@ func (n *Network) nicBusy(id int) bool { return !n.NICs[id].Idle() }
 // other channel touches: flit delivery targets this link's unique
 // (dst, port, vc) input and credits this link's unique (src, port)
 // credit file; router wakes dedupe through the sorted active set.
-//
-//nocvet:phase commit
 func (n *Network) shift() {
 	w := 0
 	for i := 0; i < len(n.dirtyChannels); i++ {
@@ -578,8 +482,8 @@ func (n *Network) shift() {
 		// The flit that just crossed the wire may have had a bit
 		// flipped by the injected corruption rate. Rolls are hashed per
 		// (cycle, link) — not drawn from a sequential stream — so the
-		// dirty-list visit order (which depends on wake history and
-		// shard count) cannot reorder the draws.
+		// dirty-list visit order (which depends on wake history) cannot
+		// reorder the draws.
 		if n.faults != nil && ch.cur.valid && n.faults.RollCorrupt(id) {
 			ch.cur.payload = n.faults.CorruptWord(ch.cur.payload, id)
 		}
@@ -642,8 +546,8 @@ func (n *Network) FlitsInFlight() int {
 // resident packets, no flits in flight, every credit returned (each
 // router sees every downstream VC free), no pending credits in the
 // pipes, and every NIC ring empty (source, ejection, reservations,
-// reassembly, deferred observers). Drain-style tests call it after full
-// delivery — any violation is a leak in buffer or credit bookkeeping.
+// reassembly). Drain-style tests call it after full delivery — any
+// violation is a leak in buffer or credit bookkeeping.
 func (n *Network) VerifyQuiescent() error {
 	if got := len(n.ResidentPackets()); got != 0 {
 		return fmt.Errorf("network: %d packets still resident", got)

@@ -9,10 +9,9 @@ import (
 // Snapshots are taken between Steps, at a cycle boundary. The engine
 // guarantees a set of invariants there that shrink the state surface:
 // every channel's next stage is invalid and its credit pipe drained
-// only after shift ran — but shift runs inside Step, so both hold;
-// shard dirty queues and flit accumulators are empty/zero; deferEject
-// is false; no active-set iteration is running (cur == -1). Those
-// fields are transient in the manifest. Claims from the previous cycle
+// only after shift ran — but shift runs inside Step, so both hold; no
+// active-set iteration is running (cur == -1). Those fields are
+// transient in the manifest. Claims from the previous cycle
 // are still set (beginCycle clears them at the top of the next Step),
 // so they are encoded even though nothing will read them before the
 // clear — encoding exact state is cheaper than proving it dead.
@@ -20,9 +19,7 @@ import (
 // Restore targets a freshly built Network with identical construction
 // parameters: wiring, topology and closures come from Build; only
 // mutable state is decoded. Active-set membership is encoded as the
-// global sorted ID lists and re-inserted through the wake routing, so
-// a checkpoint taken at one shard count restores correctly at any
-// other.
+// sorted ID lists, and a restore wakes each member.
 
 // index walks a value that must index [0, n): a hostile blob fails the
 // restore instead of panicking it.
@@ -48,21 +45,13 @@ func indices(s snapshot.State, what string, n, count int, at func(int) int, add 
 	}
 }
 
-// active walks one kind of active-set membership as the global sorted ID
-// list: shards hold contiguous node ranges in order, so concatenating
-// their sorted member lists yields it. A restore wakes each member.
-func (n *Network) active(s snapshot.State, what string, set func(*shardState) *activeSet, wake func(int)) {
-	count, sh, pos := 0, 0, 0
-	for _, sh := range n.shards {
-		count += len(set(sh).ids)
-	}
-	indices(s, what, len(n.Routers), count, func(int) int {
-		for pos == len(set(n.shards[sh]).ids) {
-			sh, pos = sh+1, 0
-		}
-		pos++
-		return set(n.shards[sh]).ids[pos-1]
-	}, func(id int) bool { wake(id); return true })
+// active walks one active set's sorted member list. A restore wakes
+// each member.
+func (n *Network) active(s snapshot.State, what string, set *activeSet) {
+	indices(s, what, len(n.Routers), len(set.ids), func(i int) int { return set.ids[i] }, func(id int) bool {
+		set.add(id)
+		return true
+	})
 }
 
 // SnapshotState and RestoreState walk state; a restore decodes into a
@@ -113,8 +102,8 @@ func (n *Network) state(s snapshot.State) {
 		n.markChannel(id)
 		return true
 	})
-	n.active(s, "active router", func(sh *shardState) *activeSet { return &sh.activeRouters }, n.wakeRouter)
-	n.active(s, "active NIC", func(sh *shardState) *activeSet { return &sh.activeNICs }, n.WakeNIC)
+	n.active(s, "active router", &n.activeRouters)
+	n.active(s, "active NIC", &n.activeNICs)
 	for _, nc := range n.NICs {
 		s.Walk(nc)
 	}
@@ -146,18 +135,13 @@ func init() {
 			"cycle", "FlitsOnLinks", "channels",
 			"linkClaims", "claimedLinks", "ejectClaims", "claimedEjects",
 			"dirtyChannels", "chDirty",
-			"shards", // active-set membership; scratch queues are empty at the boundary
+			"activeRouters", "activeNICs",
 			"NICs", "Routers", "Controller", "faults",
 		},
 		[]string{
 			// Construction-time wiring and configuration.
-			"Mesh", "shardOf", "Probe", "Hook",
-			// Barrier plumbing, quiescent between Steps.
-			"wg", "shardPanics",
+			"Mesh", "Probe", "Hook",
 			"masked", // the restore re-pushes claims and faults
-			// False at every cycle boundary (flipped only around the
-			// sharded router phase inside Step).
-			"deferEject",
 		})
 	snapshot.Register("network.channel", channel{},
 		[]string{"cur", "next", "creditNext", "flits"},
@@ -165,14 +149,6 @@ func init() {
 	snapshot.Register("network.transit", transit{},
 		[]string{"flit", "vc", "valid", "payload", "sum"},
 		nil)
-	snapshot.Register("network.shardState", shardState{},
-		[]string{"activeRouters", "activeNICs"},
-		[]string{
-			"lo", "hi", "env",
-			// Drained into the global lists at every merge barrier;
-			// provably empty between Steps.
-			"dirty", "dirtySeen", "flits",
-		})
 	snapshot.Register("network.activeSet", activeSet{},
 		[]string{"in", "ids"},
 		[]string{"cur"}) // -1 between Steps; only live mid-iteration

@@ -16,7 +16,6 @@ import (
 	"iter"
 
 	"repro/internal/message"
-	"repro/internal/ringq"
 )
 
 // Waker is the active-set scheduler as a NIC sees it: WakeNIC is called
@@ -60,14 +59,6 @@ type NIC struct {
 
 	// OnEject, when set, observes every packet leaving the network.
 	OnEject func(pkt *message.Packet)
-
-	// DeferEject, when set and pointing at true, buffers OnEject
-	// notifications instead of firing them inline; FlushEjects delivers
-	// them later. The sharded network flips the flag around its parallel
-	// router phase so observer callbacks (stats, traces) keep firing in
-	// ascending node order from serial code. Ejection bookkeeping itself
-	// (queues, reservations) is never deferred.
-	DeferEject *bool
 
 	// Recycle, when set, receives every packet the consumer has drained
 	// — its last observable moment: OnEject fired when it landed in the
@@ -116,10 +107,6 @@ type NIC struct {
 	// router per class, with the flit count received.
 	assembling     [message.NumClasses]*message.Packet
 	assembledFlits [message.NumClasses]int
-
-	// deferred holds packets whose OnEject notification is postponed
-	// until FlushEjects (see DeferEject).
-	deferred ringq.Ring[*message.Packet]
 
 	// Consumed counts packets drained by the consumer, per class.
 	Consumed [message.NumClasses]int64
@@ -183,12 +170,8 @@ func (n *NIC) TotalSourceDepth() int { return n.sourced }
 
 // TickConsume drains the ejection queues through the consumer, the
 // first half of a NIC's cycle; TickInject is the second. The network
-// steps the halves as separate phases (all consumes, then all injects)
-// — consumption touches simulation-global state (the protocol engine,
-// the packet arena) and stays serial under sharding, while injection
-// is node-local and shards freely.
-//
-//nocvet:phase consume
+// steps the halves as separate phases (all consumes, then all
+// injects).
 func (n *NIC) TickConsume(cycle int64) {
 	if n.Stall != nil && n.Stall(n.Node, cycle) {
 		return
@@ -210,8 +193,6 @@ func (n *NIC) TickConsume(cycle int64) {
 }
 
 // TickInject moves source packets into the router injection queues.
-//
-//nocvet:phase route
 func (n *NIC) TickInject(cycle int64) {
 	for c := range n.source {
 		for n.source[c].Len() > 0 {
@@ -326,28 +307,13 @@ func (n *NIC) finish(cycle int64, pkt *message.Packet) {
 	n.queued++
 	n.wake()
 	if n.OnEject != nil {
-		if n.DeferEject != nil && *n.DeferEject {
-			n.deferred.PushBack(pkt)
-		} else {
-			n.OnEject(pkt)
-		}
-	}
-}
-
-// FlushEjects fires the OnEject notifications deferred while DeferEject
-// was set. The packets' observable state (EjectTime, queue position) was
-// finalised at finish time; only the callback is late, and the flush
-// happens before the cycle counter advances.
-func (n *NIC) FlushEjects() {
-	for n.deferred.Len() > 0 {
-		n.OnEject(n.deferred.PopFront())
+		n.OnEject(pkt)
 	}
 }
 
 // Quiescent reports an error if the NIC still holds work: packets queued
 // at the source, awaiting consumption, mid-reassembly or mid-ejection,
-// an outstanding FastPass reservation, or an undelivered deferred
-// OnEject notification. VerifyQuiescent audits every NIC with it — a
+// or an outstanding FastPass reservation. VerifyQuiescent audits every NIC with it — a
 // packet leaked into a NIC ring is as much a conservation bug as one
 // leaked into a router buffer.
 func (n *NIC) Quiescent() error {
@@ -367,9 +333,6 @@ func (n *NIC) Quiescent() error {
 		if n.assembling[c] != nil {
 			return fmt.Errorf("nic %d: packet %s still mid-reassembly (class %d)", n.Node, n.assembling[c], c)
 		}
-	}
-	if l := n.deferred.Len(); l > 0 {
-		return fmt.Errorf("nic %d: %d deferred ejection notifications undelivered", n.Node, l)
 	}
 	if n.queued != 0 || n.sourced != 0 {
 		return fmt.Errorf("nic %d: empty queues but occupancy counters read %d queued, %d at source", n.Node, n.queued, n.sourced)

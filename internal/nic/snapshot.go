@@ -11,10 +11,8 @@ func (n *NIC) SnapshotState(w *snapshot.Writer) { n.state(w.State()) }
 func (n *NIC) RestoreState(r *snapshot.Reader)  { n.state(r.State()) }
 
 // state walks the NIC's mutable state; a restore recounts queued and
-// sourced from the rebuilt queues. Snapshots are taken at cycle
-// boundaries, where the deferred OnEject ring is provably empty
-// (FlushEjects runs before Step returns), so it is transient. Wiring
-// (Inject, Consumer, Stall, ...) is re-established by the builder.
+// sourced from the rebuilt queues. Wiring (Inject, Consumer, Stall,
+// ...) is re-established by the builder.
 func (n *NIC) state(s snapshot.State) {
 	snapshot.Int(s, &n.Enqueued)
 	for c := range n.source {
@@ -48,10 +46,7 @@ func init() {
 		},
 		[]string{
 			// Configuration and wiring from New/the network builder.
-			"Node", "EjectCap", "Inject", "OnEject", "DeferEject",
+			"Node", "EjectCap", "Inject", "OnEject",
 			"Recycle", "Waker", "Consumer", "Stall",
-			// Empty at every cycle boundary: FlushEjects drains it
-			// before Step returns.
-			"deferred",
 		})
 }

@@ -1,8 +1,7 @@
 // Package ringq provides the growable ring buffer behind the FIFOs whose
 // elements are not packets waiting in one place: router virtual-channel
-// entries, MinBD side-buffer flits and the NIC's deferred-notification
-// list. (Packet queues are intrusive — message.Queue — and own no
-// memory.) A Ring makes enqueue, dequeue, and insertion or removal at an
+// entries and MinBD side-buffer flits. (Packet queues are intrusive —
+// message.Queue — and own no memory.) A Ring makes enqueue, dequeue, and insertion or removal at an
 // index allocation-free in steady state: the backing array is reused
 // forever and only grows (by doubling) when the occupancy high-water
 // mark rises.

@@ -87,8 +87,8 @@ type refRouter struct {
 	// FlitsRouted counts flits moved through the crossbar over the
 	// router's lifetime; SwitchStalls counts (cycle, input port) pairs
 	// where a nominated flit lost switch allocation. Both are cumulative
-	// telemetry counters: written only by this router's Step (one shard),
-	// read only by serial window-close code, and part of the checkpoint.
+	// telemetry counters: written only by this router's Step, read only
+	// by window-close code, and part of the checkpoint.
 	FlitsRouted  int64
 	SwitchStalls int64
 
@@ -165,8 +165,6 @@ func (r *refRouter) Step() {
 // cycle mod len(slots) — deriving it makes an idle cycle a true no-op,
 // which the active-set scheduler depends on to skip empty routers
 // without perturbing arbitration.
-//
-//nocvet:phase route
 func (r *refRouter) allocateVCs() {
 	start := int(r.Env.Cycle() % int64(len(r.slots)))
 	for k := 0; k < len(r.slots); k++ {
@@ -247,8 +245,6 @@ func (r *refRouter) tryAllocate(e *Entry) {
 
 // switchAllocate runs the two-stage separable switch allocator and
 // transmits winning flits.
-//
-//nocvet:phase alloc
 func (r *refRouter) switchAllocate() {
 	// Stage 1: each input port nominates one VC with a sendable flit. A
 	// fault-stalled input port nominates nothing: its buffered flits
@@ -319,8 +315,6 @@ func (r *refRouter) sendable(v *VC) bool {
 
 // transmit moves one flit of the head packet at (in, vc) through the
 // crossbar.
-//
-//nocvet:phase traverse
 func (r *refRouter) transmit(in topology.Direction, vc int) {
 	cycle := r.Env.Cycle()
 	buf := &r.Inputs[in].VCs[vc]

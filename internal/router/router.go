@@ -184,8 +184,8 @@ type Router struct {
 	// FlitsRouted counts flits moved through the crossbar over the
 	// router's lifetime; SwitchStalls counts (cycle, input port) pairs
 	// where a nominated flit lost switch allocation. Both are cumulative
-	// telemetry counters: written only by this router's Step (one shard),
-	// read only by serial window-close code, and part of the checkpoint.
+	// telemetry counters: written only by this router's Step, read only
+	// by window-close code, and part of the checkpoint.
 	FlitsRouted  int64
 	SwitchStalls int64
 
@@ -466,9 +466,9 @@ func (r *Router) DeliverHead(port topology.Direction, vc int, pkt *message.Packe
 // injection queue for its class. It reports false when the queue lacks
 // space (the NIC then retries next cycle). It runs inside
 // NIC.TickInject via the NIC.Inject func value, which the call graph
-// cannot resolve, so it carries its own phase root.
+// cannot resolve, so it is a hot root of its own.
 //
-//nocvet:phase route
+//nocvet:hot
 func (r *Router) InjectPacket(pkt *message.Packet) bool {
 	return r.InsertPacket(topology.Local, int(pkt.Class), pkt)
 }
@@ -526,8 +526,6 @@ func (r *Router) movable() (vcs uint64) {
 // visited, in the rotation's four segments: the start port from the
 // start VC up, the later ports, the earlier ports, the start port below
 // the start VC.
-//
-//nocvet:phase route
 func (r *Router) allocateVCs() {
 	if r.gained != 0 {
 		r.unblock()
@@ -638,8 +636,6 @@ func (r *Router) tryAllocate(v *VC, e *Entry) {
 
 // switchAllocate runs the two-stage separable switch allocator and
 // transmits winning flits.
-//
-//nocvet:phase alloc
 func (r *Router) switchAllocate() {
 	// Stage 1: each input port nominates one allocated head with a flit
 	// to send whose output port is not claimed. A fault-stalled input
@@ -689,8 +685,6 @@ func (r *Router) switchAllocate() {
 
 // transmit moves one flit of the head packet at (in, vc) through the
 // crossbar.
-//
-//nocvet:phase traverse
 func (r *Router) transmit(in topology.Direction, vc int) {
 	cycle := r.Env.Cycle()
 	buf := &r.Inputs[in].VCs[vc]

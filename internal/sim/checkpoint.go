@@ -58,9 +58,8 @@ func (s *SynthRun) checkpoint() []byte {
 
 // restore decodes a checkpoint blob into a freshly built run. The blob
 // must have been produced by a config that builds the same shape of
-// instance (OpenCheckpoint hands back exactly that config; Shards and
-// the checkpoint knobs may differ — shard layout is not part of the
-// encoded state).
+// instance (OpenCheckpoint hands back exactly that config; the
+// checkpoint knobs may differ).
 func (s *SynthRun) restore(data []byte) error {
 	_, r, err := snapshot.Open(data)
 	if err != nil {
@@ -118,9 +117,9 @@ func (s *SynthRun) state(st snapshot.State) error {
 }
 
 // OpenCheckpoint validates a checkpoint blob and returns the embedded
-// config. Callers may adjust Shards, CheckpointEvery and OnCheckpoint
-// before handing both to ResumeSynthetic; everything else must stay as
-// recorded or the rebuilt instance will not match the encoded state.
+// config. Callers may adjust CheckpointEvery and OnCheckpoint before
+// handing both to ResumeSynthetic; everything else must stay as recorded
+// or the rebuilt instance will not match the encoded state.
 func OpenCheckpoint(data []byte) (SynthConfig, error) {
 	meta, _, err := snapshot.Open(data)
 	if err != nil {

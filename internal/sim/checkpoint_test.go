@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
@@ -19,15 +18,17 @@ import (
 
 // checkpointBase is a configuration that exercises every snapshotted
 // subsystem at once: tracing, watchdogs, the packet pool, and (for
-// FastPass / Pitstop) controller-held packets.
-func checkpointBase(s Scheme, shards int) SynthConfig {
+// FastPass / Pitstop) controller-held packets. Shards is read by
+// nothing, but the blobs under testdata were written with it at 1 and
+// TestParentCommitBlobs needs their bytes back.
+func checkpointBase(s Scheme) SynthConfig {
 	return SynthConfig{
 		Options: Options{
 			Scheme: s, W: 4, H: 4, Seed: 0xC0FFEE,
 			DrainPeriod: 2048, SwapDuty: 256,
 			TraceCapacity: 512,
 			Watchdog:      "on",
-			Shards:        shards,
+			Shards:        1,
 		},
 		Pattern: traffic.Uniform,
 		Rate:    0.10,
@@ -60,54 +61,52 @@ func lastCheckpoint(cfg SynthConfig, every int64) (blob []byte, at int64, res Sy
 // the blob bytes, as a separate process would), run to the end — and
 // every stat, every retained trace event and every counter matches the
 // uninterrupted run exactly. Checked for every scheme (MinBD takes its
-// deflection-network path), at one shard and several.
+// deflection-network path); the subtests keep the name of the Shards
+// value checkpointBase encodes.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	for _, scheme := range Schemes() {
-		for _, shards := range []int{1, 4} {
-			scheme, shards := scheme, shards
-			t.Run(scheme.String()+"/shards="+string(rune('0'+shards)), func(t *testing.T) {
-				t.Parallel()
-				cfg := checkpointBase(scheme, shards)
+		t.Run(scheme.String()+"/shards=1", func(t *testing.T) {
+			t.Parallel()
+			cfg := checkpointBase(scheme)
 
-				base := NewSynthetic(cfg)
-				baseRes := finish(base)
-				baseTrace := traceText(t, base.Inst.Trace)
+			base := NewSynthetic(cfg)
+			baseRes := finish(base)
+			baseTrace := traceText(t, base.Inst.Trace)
 
-				blob, at, chkRes := lastCheckpoint(cfg, 500)
-				if blob == nil {
-					t.Fatal("no checkpoint was taken")
-				}
-				if got, want := resultFingerprint(chkRes), resultFingerprint(baseRes); got != want {
-					t.Fatalf("taking checkpoints perturbed the run\nwith:    %s\nwithout: %s", got, want)
-				}
+			blob, at, chkRes := lastCheckpoint(cfg, 500)
+			if blob == nil {
+				t.Fatal("no checkpoint was taken")
+			}
+			if got, want := resultFingerprint(chkRes), resultFingerprint(baseRes); got != want {
+				t.Fatalf("taking checkpoints perturbed the run\nwith:    %s\nwithout: %s", got, want)
+			}
 
-				rcfg, err := OpenCheckpoint(blob)
-				if err != nil {
-					t.Fatalf("OpenCheckpoint: %v", err)
-				}
-				resumed := NewSynthetic(rcfg)
-				if err := resumed.restore(blob); err != nil {
-					t.Fatalf("restore: %v", err)
-				}
-				if got := resumed.Inst.Cycle(); got != at {
-					t.Fatalf("restored to cycle %d, checkpoint was at %d", got, at)
-				}
-				resRes := finish(resumed)
-				if got, want := resultFingerprint(resRes), resultFingerprint(baseRes); got != want {
-					t.Errorf("resumed run diverged from uninterrupted run\nresumed: %s\nbase:    %s", got, want)
-				}
-				if got := traceText(t, resumed.Inst.Trace); got != baseTrace {
-					t.Errorf("resumed trace differs from uninterrupted trace\nresumed:\n%s\nbase:\n%s", got, baseTrace)
-				}
-			})
-		}
+			rcfg, err := OpenCheckpoint(blob)
+			if err != nil {
+				t.Fatalf("OpenCheckpoint: %v", err)
+			}
+			resumed := NewSynthetic(rcfg)
+			if err := resumed.restore(blob); err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			if got := resumed.Inst.Cycle(); got != at {
+				t.Fatalf("restored to cycle %d, checkpoint was at %d", got, at)
+			}
+			resRes := finish(resumed)
+			if got, want := resultFingerprint(resRes), resultFingerprint(baseRes); got != want {
+				t.Errorf("resumed run diverged from uninterrupted run\nresumed: %s\nbase:    %s", got, want)
+			}
+			if got := traceText(t, resumed.Inst.Trace); got != baseTrace {
+				t.Errorf("resumed trace differs from uninterrupted trace\nresumed:\n%s\nbase:\n%s", got, baseTrace)
+			}
+		})
 	}
 }
 
 // TestResumeSyntheticAPI exercises the exported entry points end to
 // end the way a command does: blob in, result out.
 func TestResumeSyntheticAPI(t *testing.T) {
-	cfg := checkpointBase(FastPass, 1)
+	cfg := checkpointBase(FastPass)
 	want := RunSynthetic(cfg)
 	blob, _, _ := lastCheckpoint(cfg, 700)
 	rcfg, err := OpenCheckpoint(blob)
@@ -123,34 +122,10 @@ func TestResumeSyntheticAPI(t *testing.T) {
 	}
 }
 
-// TestCheckpointRestoresAcrossShardCounts: shard layout is an execution
-// strategy, not state — a checkpoint taken at one shard count must
-// resume bit-identically at another.
-func TestCheckpointRestoresAcrossShardCounts(t *testing.T) {
-	cfg := checkpointBase(FastPass, 1)
-	want := RunSynthetic(cfg)
-	blob, _, _ := lastCheckpoint(cfg, 600)
-	rcfg, err := OpenCheckpoint(blob)
-	if err != nil {
-		t.Fatalf("OpenCheckpoint: %v", err)
-	}
-	for _, shards := range []int{1, 2, 4} {
-		rcfg.Shards = shards
-		got, err := ResumeSynthetic(rcfg, blob)
-		if err != nil {
-			t.Fatalf("resume at %d shards: %v", shards, err)
-		}
-		if resultFingerprint(got) != resultFingerprint(want) {
-			t.Errorf("resume at %d shards diverged\nresumed: %s\nbase:    %s",
-				shards, resultFingerprint(got), resultFingerprint(want))
-		}
-	}
-}
-
 // TestCheckpointCorruptionDetected: a flipped byte anywhere in the blob
 // must be rejected at Open, not silently decoded into a wrong state.
 func TestCheckpointCorruptionDetected(t *testing.T) {
-	blob, _, _ := lastCheckpoint(checkpointBase(EscapeVC, 1), 600)
+	blob, _, _ := lastCheckpoint(checkpointBase(EscapeVC), 600)
 	for _, off := range []int{12, len(blob) / 2, len(blob) - 1} {
 		bad := append([]byte(nil), blob...)
 		bad[off] ^= 0x40
@@ -209,46 +184,12 @@ func TestCheckpointUnderFaultsIdenticalAbort(t *testing.T) {
 	}
 }
 
-// TestValidateShards covers the shard bound the CLIs' -shards (and
-// nocsim -restore's override) reach through Validate: 0 (read as 1)
-// through W×H shards pass and build; a negative count, or more shards
-// than the mesh has nodes, is an error rather than a panic in
-// SetShards.
-func TestValidateShards(t *testing.T) {
-	for _, c := range []struct {
-		w, shards int
-		ok        bool
-	}{
-		{4, 0, true},
-		{4, 1, true},
-		{4, 4, true},
-		{4, 16, true},
-		{4, -3, false},
-		{4, 17, false},
-		{2, 5, false},
-	} {
-		o := Options{W: c.w, Shards: c.shards}
-		err := o.Validate()
-		if (err == nil) != c.ok {
-			t.Errorf("%d shards on %dx%d: error %v, want ok=%v", c.shards, c.w, c.w, err, c.ok)
-			continue
-		}
-		if !c.ok {
-			if !strings.Contains(err.Error(), fmt.Sprintf("shards %d", c.shards)) {
-				t.Errorf("%d shards on %dx%d: error %q does not name the count", c.shards, c.w, c.w, err)
-			}
-			continue
-		}
-		Build(o)
-	}
-}
-
 // TestCheckpointBlobIsCallerOwned pins the ownership contract of
 // OnCheckpoint: the encoder reuses its buffers from one checkpoint to
 // the next, so a blob the callback retained must neither change when
 // later checkpoints are taken nor stop being a valid resume token.
 func TestCheckpointBlobIsCallerOwned(t *testing.T) {
-	cfg := checkpointBase(FastPass, 1)
+	cfg := checkpointBase(FastPass)
 	want := RunSynthetic(cfg)
 
 	var kept, copies [][]byte
@@ -291,7 +232,7 @@ func TestReusedEncoderMatchesFresh(t *testing.T) {
 			t.Parallel()
 			var s *SynthRun
 			taken := 0
-			cfg := checkpointBase(scheme, 1)
+			cfg := checkpointBase(scheme)
 			cfg.CheckpointEvery = 250
 			cfg.OnCheckpoint = func(cycle int64, reused []byte) {
 				taken++
@@ -322,7 +263,7 @@ func TestReusedEncoderMatchesFresh(t *testing.T) {
 // commit must write the very same bytes at that cycle, and a run
 // resumed from the old blob must end exactly as an uninterrupted one.
 func TestParentCommitBlobs(t *testing.T) {
-	healed := checkpointBase(FastPass, 1)
+	healed := checkpointBase(FastPass)
 	healed.FPHealing = true
 	healed.Faults = "linkfail:link=0,at=300,perm"
 	for _, row := range []struct {
@@ -332,9 +273,9 @@ func TestParentCommitBlobs(t *testing.T) {
 		// blob was taken for.
 		live func(*testing.T, *Instance)
 	}{
-		{"pr32", "FastPass", checkpointBase(FastPass, 1), nil},
-		{"pr32", "MinBD", checkpointBase(MinBD, 1), nil},
-		{"pr32", "EscapeVC", checkpointBase(EscapeVC, 1), nil},
+		{"pr32", "FastPass", checkpointBase(FastPass), nil},
+		{"pr32", "MinBD", checkpointBase(MinBD), nil},
+		{"pr32", "EscapeVC", checkpointBase(EscapeVC), nil},
 		{"pr32", "FastPassHealed", healed, func(t *testing.T, inst *Instance) {
 			reserved := 0
 			for _, nc := range inst.Net.NICs {

@@ -94,23 +94,6 @@ func TestHealingDisconnectFallsBackStatic(t *testing.T) {
 	}
 }
 
-// TestHealingShardEquivalence: the entire heal protocol runs in the
-// serial PreCycle stretch, so a healing run must be bit-identical at
-// any shard count.
-func TestHealingShardEquivalence(t *testing.T) {
-	base := healingBase(true)
-	want := RunSynthetic(base)
-	for _, shards := range []int{2, 4} {
-		cfg := base
-		cfg.Shards = shards
-		got := RunSynthetic(cfg)
-		if resultFingerprint(got) != resultFingerprint(want) {
-			t.Errorf("shards=%d diverged\ngot:  %s\nwant: %s",
-				shards, resultFingerprint(got), resultFingerprint(want))
-		}
-	}
-}
-
 // TestHealingCheckpointResume: a checkpoint taken after (or during) the
 // heal must restore the re-derived wiring explicitly and resume
 // bit-identically.

@@ -29,8 +29,8 @@ type observed struct {
 
 // hookBase is checkpointBase with telemetry and a checkpoint every 450
 // cycles: blobs at 450, 900 and 1350 of the 1800-cycle run.
-func hookBase(s Scheme, shards int) SynthConfig {
-	cfg := checkpointBase(s, shards)
+func hookBase(s Scheme) SynthConfig {
+	cfg := checkpointBase(s)
 	cfg.Telemetry.Window = 250
 	cfg.CheckpointEvery = 450
 	return cfg
@@ -86,14 +86,14 @@ func sameRun(t *testing.T, plain, hooked observed) {
 }
 
 // TestHookChangesNothing: a recording hook observes only. For every
-// scheme, a fresh run, a run resumed from the middle checkpoint and a
-// two-shard run emit the same result, checkpoint blobs, telemetry bytes
-// and trace with the hook as without it; so does an application run.
+// scheme, a fresh run and a run resumed from the middle checkpoint emit
+// the same result, checkpoint blobs, telemetry bytes and trace with the
+// hook as without it; so does an application run.
 func TestHookChangesNothing(t *testing.T) {
 	for _, scheme := range Schemes() {
 		t.Run(scheme.String(), func(t *testing.T) {
 			t.Parallel()
-			cfg := hookBase(scheme, 1)
+			cfg := hookBase(scheme)
 			fresh := observe(t, cfg, nil, false)
 			sameRun(t, fresh, observe(t, cfg, nil, true))
 			if len(fresh.blobs) != 3 {
@@ -105,8 +105,6 @@ func TestHookChangesNothing(t *testing.T) {
 			}
 			rcfg.CheckpointEvery = cfg.CheckpointEvery
 			sameRun(t, observe(t, rcfg, fresh.blobs[1], false), observe(t, rcfg, fresh.blobs[1], true))
-			sharded := hookBase(scheme, 2)
-			sameRun(t, observe(t, sharded, nil, false), observe(t, sharded, nil, true))
 		})
 	}
 	t.Run("App", func(t *testing.T) {
@@ -130,8 +128,7 @@ func TestHookChangesNothing(t *testing.T) {
 	})
 }
 
-// netCycle is the documented phase order of one cycle on a VC network;
-// a sharded step runs Inject inside Route and does not report it.
+// netCycle is the documented phase order of one cycle on a VC network.
 var netCycle = []network.Phase{
 	network.PhaseBegin, network.PhasePreCycle, network.PhaseConsume, network.PhaseInject,
 	network.PhaseRoute, network.PhasePostCycle, network.PhaseShift, network.PhaseProbe,
@@ -147,9 +144,6 @@ func wantPhases(cfg SynthConfig, from int64) []network.Phase {
 	step := []network.Phase{network.PhaseDeflect}
 	if cfg.Scheme != MinBD {
 		step = netCycle
-		if cfg.Shards > 1 {
-			step = slices.DeleteFunc(slices.Clone(netCycle), func(p network.Phase) bool { return p == network.PhaseInject })
-		}
 	}
 	for c := from; c < int64(cfg.Warmup+cfg.Measure+cfg.Drain); c++ {
 		if c > 0 && c%cfg.CheckpointEvery == 0 {
@@ -192,14 +186,12 @@ func unnest(t *testing.T, phases []network.Phase) ([]network.Phase, int64) {
 // documented order — a due checkpoint, source, enqueue, the network
 // step, telemetry — and one ejection pair per delivered packet, nested
 // where it fires. MinBD reports only its step; a resumed run starts
-// with its restore.
+// with its restore. The subtests keep the name of the Shards value
+// checkpointBase encodes.
 func TestHookPhaseOrder(t *testing.T) {
-	for _, tc := range []struct {
-		scheme Scheme
-		shards int
-	}{{FastPass, 1}, {FastPass, 2}, {SPIN, 1}, {MinBD, 1}} {
-		cfg := hookBase(tc.scheme, tc.shards)
-		t.Run(cfg.Scheme.String()+"/shards="+string(rune('0'+tc.shards)), func(t *testing.T) {
+	for _, scheme := range []Scheme{FastPass, SPIN, MinBD} {
+		cfg := hookBase(scheme)
+		t.Run(cfg.Scheme.String()+"/shards=1", func(t *testing.T) {
 			fresh := observe(t, cfg, nil, true)
 			got, ejects := unnest(t, fresh.phases)
 			if want := wantPhases(cfg, 0); !slices.Equal(got, want) {
@@ -212,7 +204,7 @@ func TestHookPhaseOrder(t *testing.T) {
 			if err != nil {
 				t.Fatalf("OpenCheckpoint: %v", err)
 			}
-			rcfg.CheckpointEvery, rcfg.Shards = cfg.CheckpointEvery, cfg.Shards
+			rcfg.CheckpointEvery = cfg.CheckpointEvery
 			got, _ = unnest(t, observe(t, rcfg, fresh.blobs[1], true).phases)
 			if want := wantPhases(cfg, 900); !slices.Equal(got, want) {
 				t.Errorf("resumed phase sequence differs from the documented order\ngot  %v...\nwant %v...", head(got), head(want))

@@ -41,7 +41,7 @@ func recycleRuns() []func() string {
 	}
 	app := workload.MustGet("Canneal")
 	app.WorkQuota = 250
-	resumeFrom, _, _ := lastCheckpoint(checkpointBase(FastPass, 1), 700)
+	resumeFrom, _, _ := lastCheckpoint(checkpointBase(FastPass), 700)
 	return []func() string{
 		synth(mesh(FastPass, 8, 0.30)), // saturated: the pool grows with the backlog
 		synth(mesh(EscapeVC, 4, 0.10)),

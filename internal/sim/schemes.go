@@ -133,10 +133,9 @@ type Options struct {
 	// existing callers are unaffected. Ignored for MinBD.
 	Watchdog string
 
-	// Shards is the intra-sim spatial shard count for Network.Step
-	// (DESIGN.md §12), at most W×H; 0 or 1 runs the serial loop.
-	// Results are bit-identical at any value. Ignored for MinBD (its
-	// deflection network has no sharded stepper).
+	// Shards is read by nothing: a run steps its mesh on one goroutine
+	// (DESIGN.md §12). It stays because checkpoints encode it, so blobs
+	// written with it keep their bytes, and the benchmark still sets it.
 	Shards int
 }
 
@@ -153,10 +152,9 @@ func (o *Options) setDefaults() {
 // more per input port than the router's one-word masks hold (VNs × VCs
 // ≤ 64 — 64 VCs for the one-VN schemes, 10 per VN for the six-VN
 // baselines), an unparseable fault plan or watchdog spec, a FastPass
-// slot K shorter than the mesh's round trip, a shard count outside
-// [0, W×H], healing on a scheme other than FastPass — and a negative or
-// NaN fault scale, which Build would silently run at full rate. Zero
-// fields stand for their defaults.
+// slot K shorter than the mesh's round trip, healing on a scheme other
+// than FastPass — and a negative or NaN fault scale, which Build would
+// silently run at full rate. Zero fields stand for their defaults.
 func (o Options) Validate() error {
 	if o.Scheme < 0 || o.Scheme >= numSchemes {
 		return fmt.Errorf("sim: unknown scheme %v", o.Scheme)
@@ -187,9 +185,6 @@ func (o Options) Validate() error {
 	}
 	if _, _, err := invariant.ParseSpec(o.Watchdog); err != nil {
 		return fmt.Errorf("sim: %w", err)
-	}
-	if o.Shards < 0 || o.Shards > o.W*o.H {
-		return fmt.Errorf("sim: shards %d is outside [0, %d] (each shard needs at least one of the mesh's nodes)", o.Shards, o.W*o.H)
 	}
 	if o.FPHealing && o.Scheme != FastPass {
 		return fmt.Errorf("sim: healing is a FastPass configuration; it does not apply to %v", o.Scheme)
@@ -298,9 +293,6 @@ func Build(o Options) *Instance {
 		inst.Deflect = minbd.New(mesh, minbd.Params{EjectCap: o.EjectCap})
 	default:
 		panic("sim: unknown scheme")
-	}
-	if inst.Net != nil && o.Shards > 1 {
-		inst.Net.SetShards(o.Shards)
 	}
 	inst.attachRobustness(o)
 	return inst

@@ -347,8 +347,7 @@ func TestInjectedPacketsBelongToTheirNIC(t *testing.T) {
 // negative window, run to NaN latencies; for the fault scales, run the
 // plan at full rate; for healing, run a FastPass option on another
 // scheme) is an error from Validate, and every scheme's defaults and
-// largest legal VC count pass — and build. TestValidateShards covers
-// the shard bound.
+// largest legal VC count pass — and build.
 func TestValidateRejectsWhatBuildPanicsOn(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

@@ -242,8 +242,8 @@ func (s *SynthRun) Tick(c int64) {
 }
 
 // Tock keys the window clock and the progress stride off the completed
-// cycle count c, between steps, where every shard effect has merged. A
-// synthetic run ends on its cycle budget alone.
+// cycle count c, between steps. A synthetic run ends on its cycle
+// budget alone.
 func (s *SynthRun) Tock(c int64) bool {
 	s.Inst.phase(network.PhaseTelemetry)
 	s.tel.Tick(c)

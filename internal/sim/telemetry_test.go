@@ -15,8 +15,8 @@ import (
 // 250 over a 1800-cycle run closes seven windows plus the Finish
 // partial, and 250 does not divide the checkpoint cadences used below,
 // so restore tests always split mid-window.
-func telemetryBase(shards int) SynthConfig {
-	cfg := checkpointBase(FastPass, shards)
+func telemetryBase() SynthConfig {
+	cfg := checkpointBase(FastPass)
 	cfg.Telemetry.Window = 250
 	return cfg
 }
@@ -30,33 +30,16 @@ func telemetryJSONL(cfg SynthConfig) ([]byte, SynthResult) {
 	return buf.Bytes(), res
 }
 
-// TestTelemetryJSONLShardInvariant: the telemetry stream is part of the
-// determinism contract — the same seed must emit byte-identical JSONL
-// at any shard count, because every window closes serially between
-// Steps over counters whose writers are uniquely owned by one shard.
-func TestTelemetryJSONLShardInvariant(t *testing.T) {
-	base, _ := telemetryJSONL(telemetryBase(1))
-	if len(base) == 0 {
-		t.Fatal("telemetry run emitted no JSONL")
-	}
-	if n := bytes.Count(base, []byte{'\n'}); n < 8 {
-		t.Fatalf("expected meta line plus >=7 window records, got %d lines", n)
-	}
-	for _, shards := range []int{2, 4} {
-		got, _ := telemetryJSONL(telemetryBase(shards))
-		if !bytes.Equal(got, base) {
-			t.Errorf("shards=%d telemetry differs from shards=1 (len %d vs %d)",
-				shards, len(got), len(base))
-		}
-	}
-}
-
 // TestTelemetryDoesNotPerturbFigures: attaching telemetry must not
 // change a single result field — the probes are read-only closures over
-// counters the layers maintain anyway.
+// counters the layers maintain anyway — and the run emits its meta line
+// and every window.
 func TestTelemetryDoesNotPerturbFigures(t *testing.T) {
-	plain := RunSynthetic(checkpointBase(FastPass, 1))
-	_, instrumented := telemetryJSONL(telemetryBase(1))
+	plain := RunSynthetic(checkpointBase(FastPass))
+	stream, instrumented := telemetryJSONL(telemetryBase())
+	if n := bytes.Count(stream, []byte{'\n'}); n < 8 {
+		t.Fatalf("expected meta line plus >=7 window records, got %d lines", n)
+	}
 	if got, want := resultFingerprint(instrumented), resultFingerprint(plain); got != want {
 		t.Errorf("telemetry perturbed the run\nwith:    %s\nwithout: %s", got, want)
 	}
@@ -69,7 +52,7 @@ func TestTelemetryDoesNotPerturbFigures(t *testing.T) {
 // restored Metrics carries the partial window's baseline, the histogram
 // and the window ring across the blob.
 func TestTelemetryCheckpointSplitByteIdentical(t *testing.T) {
-	fullCfg := telemetryBase(1)
+	fullCfg := telemetryBase()
 	var fullBuf bytes.Buffer
 	fullCfg.Telemetry.JSONL = &fullBuf
 	full := NewSynthetic(fullCfg)
@@ -80,7 +63,7 @@ func TestTelemetryCheckpointSplitByteIdentical(t *testing.T) {
 	// 250-cycle window). The run continues after each checkpoint, so the
 	// stream-so-far is snapshotted inside the callback; the last
 	// checkpoint (cycle 1400) wins.
-	headCfg := telemetryBase(1)
+	headCfg := telemetryBase()
 	var headBuf bytes.Buffer
 	headCfg.Telemetry.JSONL = &headBuf
 	headCfg.CheckpointEvery = 700
@@ -131,7 +114,7 @@ func TestTelemetryCheckpointSplitByteIdentical(t *testing.T) {
 // the run must not change the emitted JSONL or the figures — Publish
 // copies bytes under a lock and never blocks on readers.
 func TestTelemetryUnperturbedByHTTPReaders(t *testing.T) {
-	quiet, quietRes := telemetryJSONL(telemetryBase(1))
+	quiet, quietRes := telemetryJSONL(telemetryBase())
 
 	srv, err := obs.New("127.0.0.1:0")
 	if err != nil {
@@ -139,7 +122,7 @@ func TestTelemetryUnperturbedByHTTPReaders(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cfg := telemetryBase(1)
+	cfg := telemetryBase()
 	var buf bytes.Buffer
 	cfg.Telemetry.JSONL = &buf
 	cfg.Telemetry.Publish = srv.Publish

@@ -8,12 +8,10 @@
 // and ObserveLatency (three array increments) — neither of which
 // touches the allocator, so the simulator's zero-alloc steady state
 // survives with telemetry enabled. All real work happens at window
-// close, which runs in the serial stretch between Steps: every
-// per-shard accumulator has already merged in shard order by then, so a
-// counter read at a window boundary sees the same value at any -shards,
-// and the emitted bytes are built with strconv appends into reused
-// buffers — no maps, no reflection, no wall clock — so the JSONL is
-// byte-identical across -shards, -j and checkpoint/restore splits.
+// close, which runs between Steps, and the emitted bytes are built with
+// strconv appends into reused buffers — no maps, no reflection, no wall
+// clock — so the JSONL is byte-identical across -j and
+// checkpoint/restore splits.
 //
 // Counters are registered as closures over the owning layer's own
 // cumulative int64s (router flit/stall counts, per-link flit counts,
@@ -267,9 +265,8 @@ func (m *Metrics) Err() error { return m.err }
 func (m *Metrics) Windows() int64 { return m.windows }
 
 // close materialises one window record, advances the prev state and
-// emits to every attached sink. Runs in serial code between Steps; this
-// is the shard-merge point the package doc promises — every counter a
-// read closure touches has been merged at the cycle barrier already.
+// emits to every attached sink. Runs between Steps, when every counter
+// a read closure touches is settled for the cycle.
 func (m *Metrics) close(cycle int64) {
 	if !m.frozen {
 		panic("telemetry: Tick before Freeze")

@@ -92,7 +92,7 @@ func RunSynthetic(cfg SynthConfig) SynthResult { return sim.RunSynthetic(cfg) }
 
 // OpenCheckpoint validates a checkpoint blob (produced through
 // SynthConfig.CheckpointEvery/OnCheckpoint) and returns the embedded
-// run configuration. Shards and the checkpoint knobs may be adjusted
+// run configuration. The checkpoint knobs may be adjusted
 // before resuming; everything else must stay as recorded.
 func OpenCheckpoint(data []byte) (SynthConfig, error) { return sim.OpenCheckpoint(data) }
 
