@@ -278,11 +278,12 @@ func TestStructSizes(t *testing.T) {
 }
 
 // TestBuildAllocBudget caps the heap objects sim.Build creates: 35 at
-// any mesh size — a constant number of backing arrays and not one
-// object per node (the pre-slab build made ~98 per router, the slab
-// build still two closures); a build that carves a released slab makes
-// three fewer. The ceiling sits 20 % above that, so a single new
-// per-router allocation fails both cases at once.
+// any mesh size when the stores are empty — a constant number of
+// backing arrays and not one object per node (the pre-slab build made
+// ~98 per router, the slab build still two closures) — and 16 when it
+// takes every array a released build put back (Network.Release). The
+// ceilings sit 20 % above that, so a single new per-router allocation
+// fails every case at once.
 // protocol.New is held to the same rule: two table slabs with their
 // counts, the emission queue, the arena, the RNG and one closure — 10
 // objects at any size, where the map-based engine made three per node.
@@ -291,15 +292,19 @@ func TestBuildAllocBudget(t *testing.T) {
 		t.Skip("race instrumentation allocates; run the guard without -race")
 	}
 	for _, tc := range []struct {
-		size    int
-		ceiling float64
-	}{{8, 42}, {32, 42}} {
+		size     int
+		released bool
+		ceiling  float64
+	}{{8, false, 42}, {32, false, 42}, {8, true, 19}, {32, true, 19}} {
 		got := testing.AllocsPerRun(3, func() {
-			sim.Build(sim.Options{Scheme: noc.FastPass, W: tc.size, H: tc.size, Seed: 1})
+			inst := sim.Build(sim.Options{Scheme: noc.FastPass, W: tc.size, H: tc.size, Seed: 1})
+			if tc.released {
+				inst.Net.Release()
+			}
 		})
-		t.Logf("sim.Build(FastPass %dx%d): %.0f heap objects", tc.size, tc.size, got)
+		t.Logf("sim.Build(FastPass %dx%d), released %v: %.0f heap objects", tc.size, tc.size, tc.released, got)
 		if got > tc.ceiling {
-			t.Errorf("sim.Build(FastPass %dx%d) makes %.0f heap objects, ceiling %.0f", tc.size, tc.size, got, tc.ceiling)
+			t.Errorf("sim.Build(FastPass %dx%d), released %v, makes %.0f heap objects, ceiling %.0f", tc.size, tc.size, tc.released, got, tc.ceiling)
 		}
 	}
 	inst := sim.Build(sim.Options{Scheme: noc.FastPass, W: 32, H: 32, Seed: 1})
@@ -426,41 +431,5 @@ func TestSteadyStateZeroAllocsWithTelemetry(t *testing.T) {
 	if got := allocsPerTick(300, tick); got > steadyStateAllocBudget {
 		t.Errorf("telemetry-on cycle allocates %.3f times on average, want ~0 (budget %.2f)",
 			got, steadyStateAllocBudget)
-	}
-}
-
-// TestRecycledRunAllocBudget pins the cross-run half of DESIGN.md §9:
-// a RunSynthetic hands its router slab and packet chunks to the next
-// run in the process, so running a saturated 8×8 point again allocates
-// under 6 % of the bytes its first run did (3.5 % measured). The source
-// backlog's chunks are 80 % of the first run's bytes and the router slab
-// 4 %, so losing either reuse fails. The first run starts from drained
-// stores: a 2×2 one-VC build fits every spare slab, and each UsePool
-// takes one spare pool.
-func TestRecycledRunAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; run the guard without -race")
-	}
-	for range 32 {
-		sim.Build(sim.Options{Scheme: noc.FastPass, W: 2, H: 2, VCs: 1}).UsePool()
-	}
-	cfg := sim.SynthConfig{
-		Options: sim.Options{Scheme: noc.FastPass, W: 8, H: 8, Seed: 1},
-		Pattern: traffic.Uniform, Rate: 0.30,
-		Warmup: 500, Measure: 1500, Drain: 1000,
-	}
-	var bytes [2]uint64
-	for i := range bytes {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if res := sim.RunSynthetic(cfg); !res.Saturated {
-			t.Fatalf("run %d did not saturate: %+v", i+1, res)
-		}
-		runtime.ReadMemStats(&after)
-		bytes[i] = after.TotalAlloc - before.TotalAlloc
-	}
-	t.Logf("saturated 8×8 point: first run %d bytes, second %d (%.3f)", bytes[0], bytes[1], float64(bytes[1])/float64(bytes[0]))
-	if float64(bytes[1]) > 0.06*float64(bytes[0]) {
-		t.Errorf("second run allocates %d bytes, over 6 %% of the first run's %d", bytes[1], bytes[0])
 	}
 }

@@ -66,7 +66,9 @@ func fabric(t *testing.T, nodes int, seq []int, ejectCap int) (*fakeHost, *WalkL
 		walk[i] = i
 	}
 	h := &fakeHost{t: t, claimed: map[int]bool{}, landingCap: 2, reserved: make([]int, nodes)}
+	nics := make([]*nic.NIC, nodes)
 	for n := 0; n < nodes; n++ {
+		nics[n] = nic.New(n, ejectCap)
 		var vcs [2][]*router.VC
 		for c := 0; c < int(message.NumClasses); c++ {
 			vcs[0] = append(vcs[0], router.NewVC(10, 10))
@@ -74,7 +76,7 @@ func fabric(t *testing.T, nodes int, seq []int, ejectCap int) (*fakeHost, *WalkL
 		vcs[1] = []*router.VC{router.NewVC(MaxPktLen, 1)}
 		h.vcs = append(h.vcs, vcs)
 	}
-	return h, NewWalkLanes(h, links, nic.NewAll(nodes, ejectCap), 2, 1), walk
+	return h, NewWalkLanes(h, links, nics, 2, 1), walk
 }
 
 // step is one cycle as a host drives it.

@@ -128,14 +128,15 @@ func New(t *topology.Irregular, prm Params) *Network {
 	n := &Network{
 		Topo:       t,
 		prm:        prm,
-		NICs:       nic.NewAll(t.NumNodes(), ejectCap),
+		NICs:       make([]*nic.NIC, t.NumNodes()),
 		channels:   make([]channel, len(t.Links())),
 		claims:     make([]bool, len(t.Links())),
 		landingRsv: make([]int, t.NumNodes()),
 	}
-	for id, nc := range n.NICs {
+	for id := range n.NICs {
+		n.NICs[id] = nic.New(id, ejectCap)
 		r := newIrRouter(id, n)
-		nc.Inject = r.injectPacket
+		n.NICs[id].Inject = r.injectPacket
 		n.routers = append(n.routers, r)
 	}
 	for i, l := range t.Links() {

@@ -25,7 +25,7 @@ type activeSet struct {
 }
 
 func newActiveSet(n int) activeSet {
-	return activeSet{in: make([]bool, n), ids: make([]int, 0, n), cur: -1}
+	return activeSet{in: spareBools.Take(n), ids: spareInts.Take(n)[:0], cur: -1}
 }
 
 // add inserts id, keeping ids sorted; duplicates are ignored. If an

@@ -19,6 +19,7 @@ import (
 	"repro/internal/message"
 	"repro/internal/nic"
 	"repro/internal/router"
+	"repro/internal/spare"
 	"repro/internal/topology"
 )
 
@@ -90,10 +91,13 @@ type Network struct {
 	Mesh    *topology.Mesh
 	Routers []*router.Router
 	NICs    []*nic.NIC
+	nicSlab []nic.NIC // what NICs points into
 
 	Controller Controller
 
 	channels    []*channel
+	chans       []channel // what channels points into
+	credits     []int     // the channels' credit pipes, one window each
 	linkClaims  []bool
 	ejectClaims []bool
 	cycle       int64
@@ -110,6 +114,7 @@ type Network struct {
 	claimedLinks  []int
 	claimedEjects []int
 	masked        []int // routers whose Claimed or Stalled beginCycle must clear
+	ids           []int // what claimedEjects and masked are windows onto
 
 	// FlitsOnLinks counts regular flit-cycles spent on links (link
 	// utilisation statistics).
@@ -176,42 +181,66 @@ func New(p Params) *Network {
 		Controller: NopController{Label: "none"},
 	}
 	// Everything the cycle loop appends to is sized to its hard upper
-	// bound here, so Step never grows a slice (DESIGN.md §9).
+	// bound here, so Step never grows a slice (DESIGN.md §9). Every array
+	// comes from a store that Release returns it to.
 	links, nodes := p.Mesh.Links(), p.Mesh.NumNodes()
 	netVCs := p.Router.NetVCs()
-	n.channels = make([]*channel, len(links))
-	chans := make([]channel, len(links))
-	credits := make([]int, len(links)*netVCs)
+	n.channels = spareChannelIndex.Take(len(links))
+	n.chans = spareChannels.Take(len(links))
+	n.credits = spareInts.Take(len(links) * netVCs)
 	for i, l := range links {
-		chans[i] = channel{link: l, creditNext: credits[i*netVCs : i*netVCs : (i+1)*netVCs]}
-		n.channels[i] = &chans[i]
+		n.chans[i] = channel{link: l, creditNext: n.credits[i*netVCs : i*netVCs : (i+1)*netVCs]}
+		n.channels[i] = &n.chans[i]
 	}
-	n.linkClaims = make([]bool, len(links))
-	n.ejectClaims = make([]bool, nodes)
-	n.chDirty = make([]bool, len(links))
-	n.dirtyChannels = make([]int, 0, len(links))
-	n.claimedLinks = make([]int, 0, len(links))
-	ids := make([]int, 2*nodes)
-	n.claimedEjects, n.masked = ids[:0:nodes], ids[nodes:nodes]
+	n.linkClaims = spareBools.Take(len(links))
+	n.ejectClaims = spareBools.Take(nodes)
+	n.chDirty = spareBools.Take(len(links))
+	n.dirtyChannels = spareInts.Take(len(links))[:0]
+	n.claimedLinks = spareInts.Take(len(links))[:0]
+	n.ids = spareInts.Take(2 * nodes)
+	n.claimedEjects, n.masked = n.ids[:0:nodes], n.ids[nodes:nodes]
 	n.activeRouters, n.activeNICs = newActiveSet(nodes), newActiveSet(nodes)
 	n.Routers = router.NewAll(p.Mesh, p.Router, n)
-	n.NICs = nic.NewAll(nodes, p.EjectCap)
+	n.nicSlab, n.NICs = spareNICs.Take(nodes), spareNICIndex.Take(nodes)
 	// One closure serves every NIC: whoever enqueues a packet at a source
 	// picks NICs[pkt.Src], so Src names the injecting router.
 	inject := func(pkt *message.Packet) bool { return n.Routers[pkt.Src].InjectPacket(pkt) }
-	for _, nc := range n.NICs {
+	for id := range n.NICs {
+		n.nicSlab[id] = *nic.New(id, p.EjectCap)
+		nc := &n.nicSlab[id]
 		nc.Inject = inject
 		nc.Waker = n
+		n.NICs[id] = nc
 	}
 	return n
 }
 
-// Release hands the routers' backing arrays to the next network built
-// in the process (router.Release) and drops them from n. Nothing may
-// step n, or hold one of its routers, afterwards.
+// The stores New takes its arrays from and Release returns them to.
+var (
+	spareChannels     spare.Store[channel]
+	spareChannelIndex spare.Store[*channel]
+	spareNICs         spare.Store[nic.NIC]
+	spareNICIndex     spare.Store[*nic.NIC]
+	spareInts         spare.Store[int]
+	spareBools        spare.Store[bool]
+)
+
+// Release hands every array New took, the routers' with them
+// (router.Release), to the next network built in the process. Nothing
+// may step n, or hold one of its routers, channels or NICs, afterwards.
 func (n *Network) Release() {
 	router.Release(n.Routers)
-	n.Routers = nil
+	spareChannelIndex.Put(n.channels)
+	spareChannels.Put(n.chans)
+	spareNICIndex.Put(n.NICs)
+	spareNICs.Put(n.nicSlab)
+	for _, a := range [][]int{n.credits, n.dirtyChannels, n.claimedLinks, n.ids, n.activeRouters.ids, n.activeNICs.ids} {
+		spareInts.Put(a)
+	}
+	for _, a := range [][]bool{n.linkClaims, n.ejectClaims, n.chDirty, n.activeRouters.in, n.activeNICs.in} {
+		spareBools.Put(a)
+	}
+	*n = Network{}
 }
 
 // NIC returns the network interface of a node (protocol backend).
@@ -531,7 +560,8 @@ func (n *Network) ResidentPackets() []*message.Packet {
 // FlitsInFlight counts flits in link pipelines.
 func (n *Network) FlitsInFlight() int {
 	c := 0
-	for _, ch := range n.channels {
+	for i := range n.channels {
+		ch := n.channels[i]
 		if ch.cur.valid {
 			c++
 		}
@@ -560,7 +590,8 @@ func (n *Network) VerifyQuiescent() error {
 			return fmt.Errorf("network: %w", err)
 		}
 	}
-	for _, ch := range n.channels {
+	for i := range n.channels {
+		ch := n.channels[i]
 		if len(ch.creditNext) != 0 {
 			return fmt.Errorf("network: link %d has %d undelivered credits", ch.link.ID, len(ch.creditNext))
 		}
@@ -617,7 +648,8 @@ func (n *Network) ChannelCreditPending(i int, vc int) bool {
 // pipeline (both stages). Packets spanning several flits are visited
 // once per flit; conservation checks dedup by packet.
 func (n *Network) ForEachTransit(f func(*message.Packet)) {
-	for _, ch := range n.channels {
+	for i := range n.channels {
+		ch := n.channels[i]
 		if ch.cur.valid {
 			f(ch.cur.flit.Pkt)
 		}

@@ -141,7 +141,8 @@ func init() {
 		[]string{
 			// Construction-time wiring and configuration.
 			"Mesh", "Probe", "Hook",
-			"masked", // the restore re-pushes claims and faults
+			"masked",                             // the restore re-pushes claims and faults
+			"chans", "credits", "ids", "nicSlab", // what channels, NICs and ID lists point into
 		})
 	snapshot.Register("network.channel", channel{},
 		[]string{"cur", "next", "creditNext", "flits"},

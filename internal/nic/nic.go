@@ -120,17 +120,6 @@ func New(node, ejectCap int) *NIC {
 	return &NIC{Node: node, EjectCap: ejectCap, Consumer: ImmediateConsumer}
 }
 
-// NewAll constructs the NICs of nodes 0..nodes-1 in one backing array.
-func NewAll(nodes, ejectCap int) []*NIC {
-	slab := make([]NIC, nodes)
-	nics := make([]*NIC, nodes)
-	for id := range slab {
-		slab[id] = *New(id, ejectCap)
-		nics[id] = &slab[id]
-	}
-	return nics
-}
-
 // wake signals the active-set listener, if any.
 func (n *NIC) wake() {
 	if n.Waker != nil {

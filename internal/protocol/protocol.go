@@ -24,6 +24,7 @@ import (
 	"repro/internal/message"
 	"repro/internal/nic"
 	"repro/internal/snapshot"
+	"repro/internal/spare"
 )
 
 // Profile parameterises the traffic a workload produces. The named
@@ -117,9 +118,16 @@ type table[T interface{ key() uint64 }] struct {
 	per   int
 }
 
-func newTable[T interface{ key() uint64 }](nodes, per int) table[T] {
-	return table[T]{slab: make([]T, nodes*per), count: make([]int, nodes), per: per}
+func newTable[T interface{ key() uint64 }](slabs *spare.Store[T], nodes, per int) table[T] {
+	return table[T]{slab: slabs.Take(nodes * per), count: spareCounts.Take(nodes), per: per}
 }
+
+// The stores New takes its tables from and Release returns them to.
+var (
+	spareMSHRs  spare.Store[txn]
+	spareTBEs   spare.Store[homeEntry]
+	spareCounts spare.Store[int]
+)
 
 // live is node's occupied slots.
 func (t *table[T]) live(node int) []T { return t.slab[node*t.per:][:t.count[node]] }
@@ -198,8 +206,8 @@ func New(be Backend, profile Profile, seed int64) *Engine {
 		rng:       rand.New(src),
 		src:       src,
 		pool:      message.NewPool(),
-		coreMSHRs: newTable[txn](nodes, profile.MSHRs),
-		homeTBEs:  newTable[homeEntry](nodes, profile.TBEs),
+		coreMSHRs: newTable(&spareMSHRs, nodes, profile.MSHRs),
+		homeTBEs:  newTable(&spareTBEs, nodes, profile.TBEs),
 		emitQ:     make([]delayed, 0, nodes),
 	}
 	// A packet is consumed at its destination: the owner in poison panics.
@@ -214,6 +222,15 @@ func New(be Backend, profile Profile, seed int64) *Engine {
 // Pool returns the engine's packet arena, for the run that owns the
 // engine to release when it ends (sim.RunApp).
 func (e *Engine) Pool() *message.Pool { return e.pool }
+
+// Release hands the MSHR and TBE tables to the next engine built in the
+// process. Nothing may use e afterwards.
+func (e *Engine) Release() {
+	spareMSHRs.Put(e.coreMSHRs.slab)
+	spareTBEs.Put(e.homeTBEs.slab)
+	spareCounts.Put(e.coreMSHRs.count)
+	spareCounts.Put(e.homeTBEs.count)
+}
 
 // OutstandingTxns reports live transactions (diagnostics).
 func (e *Engine) OutstandingTxns() int {

@@ -5,10 +5,10 @@ import (
 	"iter"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"repro/internal/message"
 	"repro/internal/routing"
+	"repro/internal/spare"
 	"repro/internal/topology"
 )
 
@@ -250,15 +250,13 @@ type slabArrays struct {
 	entries []Entry
 }
 
-// spareSlabs holds released slabs' arrays, all zero, for NewAll: at most
-// maxSpareSlabs, none larger than a build the process made. A mutex and
-// not a sync.Pool, which every GC empties (DESIGN.md §9).
-var spareSlabs struct {
-	sync.Mutex
-	list []slabArrays
-}
-
-const maxSpareSlabs = 8
+// The stores NewAll draws its arrays from and Release returns them to.
+var (
+	spareRouters spare.Store[Router]
+	spareVCs     spare.Store[VC]
+	spareEntries spare.Store[Entry]
+	spareIndex   spare.Store[*Router]
+)
 
 // injWindow is the Build-carved depth of each injection queue, in
 // packets: enough for the usual backlog of a 10-flit queue, a power of
@@ -273,36 +271,20 @@ func carve[T any](pool *[]T, n int) []T {
 	return s
 }
 
-// newSlab sizes a slab for a build of n routers, carving the first
-// spare that fits if spare is set: a smaller build carves a prefix.
+// newSlab sizes a slab for a build of n routers, from the stores if
+// spare is set (a smaller build carves a prefix of a larger one's).
 func newSlab(cfg Config, n int, spare bool) *slab {
 	if err := cfg.Validate(); err != nil {
 		//nocvet:ignore panicstyle Validate builds its errors with the "router: " prefix
 		panic(err)
 	}
 	vcs, entries := n*(int(message.NumClasses)+(nPorts-1)*cfg.NetVCs()), n*injWindow*int(message.NumClasses)
-	var a slabArrays
-	if spare {
-		a = takeSpare(n, vcs, entries)
+	if !spare {
+		a := slabArrays{make([]Router, n), make([]VC, vcs), make([]Entry, entries)}
+		return &slab{routeTable: newRouteTable(cfg), arrays: a, rest: a, cfg: cfg}
 	}
-	if a.routers == nil {
-		a = slabArrays{make([]Router, n), make([]VC, vcs), make([]Entry, entries)}
-	}
+	a := slabArrays{spareRouters.Take(n), spareVCs.Take(vcs), spareEntries.Take(entries)}
 	return &slab{routeTable: newRouteTable(cfg), arrays: a, rest: a, cfg: cfg}
-}
-
-// takeSpare removes and returns the first spare long enough, or the
-// zero value.
-func takeSpare(n, vcs, entries int) slabArrays {
-	spareSlabs.Lock()
-	defer spareSlabs.Unlock()
-	for i, a := range spareSlabs.list {
-		if len(a.routers) >= n && len(a.vcs) >= vcs && len(a.entries) >= entries {
-			spareSlabs.list = slices.Delete(spareSlabs.list, i, i+1)
-			return a
-		}
-	}
-	return slabArrays{}
 }
 
 // New wires a stand-alone router for node id. Link IDs come from the
@@ -313,33 +295,27 @@ func New(id int, mesh *topology.Mesh, cfg Config, env Env) *Router {
 
 // NewAll wires one router per mesh node, all carved from shared backing
 // arrays — contiguous VC state for the cycle loop, and a constant number
-// of allocations however large the mesh. The arrays are a released
-// slab's when one fits (see Release).
+// of allocations however large the mesh. The arrays are released ones
+// when they fit (see Release).
 func NewAll(mesh *topology.Mesh, cfg Config, env Env) []*Router {
 	sl := newSlab(cfg, mesh.NumNodes(), true)
-	rs := make([]*Router, mesh.NumNodes())
+	rs := spareIndex.Take(mesh.NumNodes())
 	for id := range rs {
 		rs[id] = sl.build(id, mesh, cfg, env)
 	}
 	return rs
 }
 
-// Release hands the backing arrays of one NewAll's routers, their carved
-// part cleared to zero, to a later NewAll in the process. Nothing of rs —
-// no router, VC or entry window — may be used after the call, and a
-// build is released at most once.
+// Release hands the arrays of one NewAll's routers, rs among them, to a
+// later NewAll in the process. Nothing of rs — no router, VC or entry
+// window — may be used after the call, and a build is released at most
+// once.
 func Release(rs []*Router) {
-	sl := rs[0].tab
-	a, rest := sl.arrays, sl.rest
-	clear(a.routers[:len(a.routers)-len(rest.routers)])
-	clear(a.vcs[:len(a.vcs)-len(rest.vcs)])
-	clear(a.entries[:len(a.entries)-len(rest.entries)])
-	sl.arrays, sl.rest = slabArrays{}, slabArrays{}
-	spareSlabs.Lock()
-	defer spareSlabs.Unlock()
-	if len(spareSlabs.list) < maxSpareSlabs {
-		spareSlabs.list = append(spareSlabs.list, a)
-	}
+	a := rs[0].tab.arrays
+	spareRouters.Put(a.routers)
+	spareVCs.Put(a.vcs)
+	spareEntries.Put(a.entries)
+	spareIndex.Put(rs)
 }
 
 // build carves and wires the slab's next router.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/message"
 	"repro/internal/routing"
+	"repro/internal/spare"
 	"repro/internal/topology"
 )
 
@@ -367,7 +368,7 @@ func TestResidentPackets(t *testing.T) {
 // a later NewAll that fits carves a prefix of the same arrays, and one
 // the spare is too small for makes its own.
 func TestReleasedSlabServesNextBuild(t *testing.T) {
-	spareSlabs.list = nil
+	spareRouters, spareVCs, spareEntries, spareIndex = spare.Store[Router]{}, spare.Store[VC]{}, spare.Store[Entry]{}, spare.Store[*Router]{}
 	env, cfg := newFakeEnv(), adaptiveCfg(1, 2)
 	big := NewAll(topology.NewMesh(4, 4), cfg, env)
 	if !big[5].InjectPacket(message.NewPacket(1, 5, 0, message.Request, 5, 0)) {

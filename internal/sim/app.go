@@ -127,5 +127,6 @@ func RunApp(cfg AppConfig) AppResult {
 	a := NewApp(cfg)
 	res := a.Run()
 	a.Inst.release(a.eng.Pool())
+	a.eng.Release()
 	return res
 }

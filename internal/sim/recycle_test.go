@@ -3,21 +3,27 @@ package sim
 import (
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/parallel"
+	"repro/internal/protocol"
 	"repro/internal/traffic"
 	"repro/internal/workload"
 )
 
-// drainSpares empties the router-slab and packet-pool stores, so the
-// next run starts on freshly made memory: a 2×2 one-VC build fits every
-// spare slab, each UsePool draws one spare pool, and neither store
-// holds more than a few.
+// drainSpares empties every cross-run store (DESIGN.md §9) through the
+// entry points a run uses, so the next run starts on freshly made
+// memory: a 2×2 one-VC build fits every kept router, channel and NIC
+// array, its UsePool and protocol.New each draw one spare pool, the
+// engine one set of tables, and no store keeps more than 8 arrays.
 func drainSpares() {
+	profile := workload.MustGet("Canneal").Profile
 	for range 32 {
-		Build(Options{Scheme: FastPass, W: 2, H: 2, VCs: 1}).UsePool()
+		inst := Build(Options{Scheme: FastPass, W: 2, H: 2, VCs: 1})
+		inst.UsePool()
+		protocol.New(inst.Net, profile, 1)
 	}
 }
 
@@ -41,14 +47,19 @@ func recycleRuns() []func() string {
 	}
 	app := workload.MustGet("Canneal")
 	app.WorkQuota = 250
+	runApp := func(o Options) func() string {
+		return func() string { return resultFingerprint(RunApp(AppConfig{Options: o, App: app})) }
+	}
+	healed := healingBase(true)
+	healed.Watchdog = "on"
 	resumeFrom, _, _ := lastCheckpoint(checkpointBase(FastPass), 700)
 	return []func() string{
 		synth(mesh(FastPass, 8, 0.30)), // saturated: the pool grows with the backlog
 		synth(mesh(EscapeVC, 4, 0.10)),
 		synth(mesh(MinBD, 8, 0.10)),
-		func() string {
-			return resultFingerprint(RunApp(AppConfig{Options: Options{Scheme: DRAIN, W: 4, H: 4, Seed: 7, DrainPeriod: 2048}, App: app}))
-		},
+		runApp(Options{Scheme: DRAIN, W: 4, H: 4, Seed: 7, DrainPeriod: 2048}),
+		synth(healed), // a permanent link failure healed around, watchdog on
+		runApp(Options{Scheme: EscapeVC, W: 8, H: 8, Seed: 7}), // six VNs: 12 VCs a port, larger tables
 		func() string {
 			cfg, err := OpenCheckpoint(resumeFrom)
 			if err != nil {
@@ -61,9 +72,9 @@ func recycleRuns() []func() string {
 	}
 }
 
-// TestRecycledRunsMatchFresh: a run drawing the router slab and packet
+// TestRecycledRunsMatchFresh: a run drawing the arrays and packet
 // chunks an earlier run released must be the run fresh memory gives.
-// The six runs start from drained stores, then run again in reverse and
+// The eight runs start from drained stores, then run again in reverse and
 // in parallel — every order hands each run other leftovers, a smaller
 // build a prefix of a larger slab — and every fingerprint must equal its
 // first run's. A released instance must refuse to step.
@@ -97,5 +108,56 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 			}()
 			use()
 		}()
+	}
+}
+
+// TestRecycledRunAllocBudget pins the cross-run half of DESIGN.md §9: a
+// run hands its arrays and packet chunks to the next run in the
+// process, so running the same point again allocates a small fraction
+// of the bytes its first run did, from drained stores. For a saturated
+// 8×8 RunSynthetic that is under 6 % (1.5 % measured): the source
+// backlog's chunks are 80 % of the first run's bytes and the router
+// slab 4 %, so losing either reuse fails. For an 8×8 six-VN RunApp it
+// is under 8 % (5.3 % measured, most of it the mesh, which stays per
+// run): without the protocol tables' reuse it is 13.3 %, and the router
+// slab, channels and NICs are more.
+func TestRecycledRunAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run the guard without -race")
+	}
+	app := workload.MustGet("Canneal")
+	app.WorkQuota = 250
+	for _, tc := range []struct {
+		name  string
+		run   func() bool // reports the run as the case wants it
+		bound float64
+	}{
+		{"saturated 8×8 point", func() bool {
+			return RunSynthetic(SynthConfig{
+				Options: Options{Scheme: FastPass, W: 8, H: 8, Seed: 1},
+				Pattern: traffic.Uniform, Rate: 0.30,
+				Warmup: 500, Measure: 1500, Drain: 1000,
+			}).Saturated
+		}, 0.06},
+		{"8×8 EscapeVC app run", func() bool {
+			return !RunApp(AppConfig{Options: Options{Scheme: EscapeVC, W: 8, H: 8, Seed: 1}, App: app}).Timeout
+		}, 0.08},
+	} {
+		drainSpares()
+		var bytes [2]uint64
+		for i := range bytes {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if !tc.run() {
+				t.Fatalf("%s: run %d did not end as the case needs", tc.name, i+1)
+			}
+			runtime.ReadMemStats(&after)
+			bytes[i] = after.TotalAlloc - before.TotalAlloc
+		}
+		ratio := float64(bytes[1]) / float64(bytes[0])
+		t.Logf("%s: first run %d bytes, second %d (%.3f)", tc.name, bytes[0], bytes[1], ratio)
+		if ratio > tc.bound {
+			t.Errorf("%s: second run allocates %d bytes, over %.0f %% of the first run's %d", tc.name, bytes[1], 100*tc.bound, bytes[0])
+		}
 	}
 }

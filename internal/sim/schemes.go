@@ -360,8 +360,8 @@ func (i *Instance) UsePool() *message.Pool {
 }
 
 // release ends a run that owned the instance from Build to its result:
-// the router slab and the run's pool go to later Builds and UsePools
-// (DESIGN.md §9), and the instance is poisoned. Only RunSynthetic,
+// the network's arrays and the run's pool go to later Builds and
+// UsePools (DESIGN.md §9), and the instance is poisoned. Only RunSynthetic,
 // ResumeSynthetic and RunApp call it, after scoring: a run built with
 // NewSynthetic, NewResumed or NewApp stays readable after Run.
 func (i *Instance) release(pl *message.Pool) {
