@@ -40,6 +40,7 @@ import (
 	"strings"
 
 	"repro/internal/campaign"
+	"repro/internal/exp"
 	"repro/internal/parallel"
 	"repro/noc"
 )
@@ -259,10 +260,11 @@ func (cfg sweepConfig) resilience() noc.CampaignConfig {
 }
 
 // sweepCSV runs every scheme's sweep, one serial cell per scheme, and
-// renders the CSV; saturated points are empty cells. The second return
-// value carries one structured watchdog report per aborted point — the
-// CSV is still complete (aborted points are empty cells), so callers
-// can write the partial data and still exit nonzero.
+// renders the CSV as Fig. 7's (exp.Fig7Result.CSV): saturated points
+// are empty cells. The second return value carries one structured
+// watchdog report per aborted point — the CSV is still complete
+// (aborted points are empty cells), so callers can write the partial
+// data and still exit nonzero.
 func sweepCSV(cfg sweepConfig) (string, []string) {
 	series := parallel.Map(cfg.jobs, cfg.schemes, func(scheme noc.Scheme) []noc.SynthResult {
 		base := cfg.base()
@@ -273,30 +275,16 @@ func sweepCSV(cfg sweepConfig) (string, []string) {
 		return noc.SweepLatency(base, cfg.rates)
 	})
 
-	var b strings.Builder
 	var reports []string
-	b.WriteString("rate")
-	for _, scheme := range cfg.schemes {
-		b.WriteString("," + scheme.String())
-	}
-	b.WriteByte('\n')
 	for i, r := range cfg.rates {
-		fmt.Fprintf(&b, "%.3f", r)
 		for j, scheme := range cfg.schemes {
-			p := series[j][i]
-			if p.Saturated {
-				b.WriteString(",")
-			} else {
-				fmt.Fprintf(&b, ",%.2f", p.AvgLatency)
-			}
-			if p.Aborted {
+			if p := series[j][i]; p.Aborted {
 				reports = append(reports, fmt.Sprintf("sweep: %s @ %.3f aborted at cycle %d:\n%s",
 					scheme, r, p.AbortCycle, p.AbortReport))
 			}
 		}
-		b.WriteByte('\n')
 	}
-	return b.String(), reports
+	return exp.NewFig7Result(cfg.pattern, cfg.rates, cfg.schemes, series).CSV(), reports
 }
 
 // resilienceCSV runs the fault-intensity sweep, one campaign cell per

@@ -25,7 +25,7 @@ func build(withFastPass bool) (*network.Network, *int) {
 	mesh := topology.NewMesh(4, 4)
 	n := network.New(network.Params{
 		Mesh: mesh, Router: router.TableII(2, false, routing.FullyAdaptive, routing.FullyAdaptive),
-		EjectCap: 4, Seed: 1,
+		EjectCap: 4,
 	})
 	if withFastPass {
 		fastpass.Attach(n, fastpass.Params{})

@@ -15,6 +15,8 @@
 package drain
 
 import (
+	"cmp"
+
 	"repro/internal/message"
 	"repro/internal/network"
 	"repro/internal/router"
@@ -28,12 +30,6 @@ type Params struct {
 	// Period between drain windows (64K cycles in Table II). Each
 	// window lasts one full loop of the serpentine: W×H rotation steps.
 	Period int64
-}
-
-func (p *Params) setDefaults() {
-	if p.Period == 0 {
-		p.Period = 65536
-	}
 }
 
 // Config returns the DRAIN router configuration (6 VNs, fully adaptive;
@@ -53,9 +49,6 @@ type Controller struct {
 	victims  []victim
 	occupied []int
 
-	// Trace, when non-nil, records drain windows.
-	Trace *trace.Recorder
-
 	// Draining reports whether a drain window is active (diagnostics).
 	Draining bool
 	// Rotations counts packets force-moved during drains.
@@ -66,18 +59,12 @@ type Controller struct {
 
 // Attach installs a DRAIN controller.
 func Attach(n *network.Network, prm Params) *Controller {
-	prm.setDefaults()
+	prm.Period = cmp.Or(prm.Period, 65536)
 	c := &Controller{prm: prm}
 	c.order = serpentine(n.Mesh)
 	c.victims = make([]victim, len(c.order))
 	n.Controller = c
 	return c
-}
-
-// New builds a complete DRAIN network.
-func New(mesh *topology.Mesh, vcs, ejectCap int, seed int64, prm Params) (*network.Network, *Controller) {
-	n := network.New(network.Params{Mesh: mesh, Router: Config(vcs), EjectCap: ejectCap, Seed: seed})
-	return n, Attach(n, prm)
 }
 
 // serpentine returns the boustrophedon node order: row 0 left-to-right,
@@ -112,7 +99,7 @@ func (c *Controller) PreCycle(n *network.Network) {
 	if cycle >= c.prm.Period && phase < int64(len(c.order)) {
 		if phase == 0 {
 			c.Windows++
-			c.Trace.Record(cycle, trace.RecoveryAction, 0, -1, "drain window opens")
+			n.Trace.Record(cycle, trace.RecoveryAction, 0, -1, "drain window opens")
 		}
 		c.Draining = true
 		c.rotate(n)

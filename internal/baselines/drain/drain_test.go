@@ -4,8 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/message"
+	"repro/internal/network"
 	"repro/internal/topology"
 )
+
+// newNet builds a network with this scheme's Table II router (2 VCs a
+// VN, 4 ejection slots a class), ready for Attach.
+func newNet(mesh *topology.Mesh) *network.Network {
+	return network.New(network.Params{Mesh: mesh, Router: Config(2), EjectCap: 4})
+}
 
 func ringBurst(enqueue func(p *message.Packet)) int {
 	ring := []int{0, 1, 2, 3, 7, 11, 15, 14, 13, 12, 8, 4}
@@ -50,7 +57,8 @@ func TestDrainResolvesDeadlock(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
 	// Short period so the test drains promptly (the paper's 64K period
 	// just spaces the windows out).
-	n, ctl := New(mesh, 2, 4, 1, Params{Period: 2048})
+	n := newNet(mesh)
+	ctl := Attach(n, Params{Period: 2048})
 	ejected := 0
 	for _, nc := range n.NICs {
 		nc.OnEject = func(*message.Packet) { ejected++ }
@@ -75,7 +83,8 @@ func TestDrainResolvesDeadlock(t *testing.T) {
 // the minimal distance (DRAIN's tail-latency poison, Fig. 12).
 func TestDrainMisroutes(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
-	n, ctl := New(mesh, 2, 4, 1, Params{Period: 512})
+	n := newNet(mesh)
+	ctl := Attach(n, Params{Period: 512})
 	var misrouted int
 	for _, nc := range n.NICs {
 		nc.OnEject = func(p *message.Packet) {
@@ -96,7 +105,8 @@ func TestDrainMisroutes(t *testing.T) {
 
 func TestDrainQuietBeforeFirstPeriod(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
-	n, ctl := New(mesh, 2, 4, 1, Params{Period: 10000})
+	n := newNet(mesh)
+	ctl := Attach(n, Params{Period: 10000})
 	n.NICs[0].EnqueueSource(message.NewPacket(1, 0, 15, message.Request, 1, 0))
 	n.Run(500)
 	if ctl.Draining || ctl.Rotations != 0 {

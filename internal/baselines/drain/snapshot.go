@@ -18,7 +18,7 @@ func (c *Controller) state(s snapshot.State) {
 func init() {
 	snapshot.Register("drain.Controller", Controller{},
 		[]string{"Draining", "Rotations", "Windows"},
-		[]string{"prm", "order", "victims", "occupied", "Trace"})
+		[]string{"prm", "order", "victims", "occupied"})
 }
 
 var _ snapshot.Stater = (*Controller)(nil)

@@ -3,14 +3,14 @@
 // deadlock-free routing function (West-first, per Table II) while the
 // remaining VCs route fully adaptively. A blocked packet can always fall
 // back to the escape channel, so network-level deadlock cannot form;
-// protocol-level deadlock is avoided by the six virtual networks.
+// protocol-level deadlock is avoided by the six virtual networks. The
+// scheme needs no controller: the escape channel is pure routing and VC
+// policy.
 package escapevc
 
 import (
-	"repro/internal/network"
 	"repro/internal/router"
 	"repro/internal/routing"
-	"repro/internal/topology"
 )
 
 // Config returns the EscapeVC router configuration: 6 VNs, vcs VCs per
@@ -21,12 +21,4 @@ func Config(vcs int) router.Config {
 		panic("escapevc: need at least 2 VCs (escape + adaptive)")
 	}
 	return router.TableII(vcs, true, routing.WestFirst, routing.FullyAdaptive)
-}
-
-// New builds an EscapeVC network. The scheme needs no controller — the
-// escape channel is pure routing/VC policy.
-func New(mesh *topology.Mesh, vcs int, ejectCap int, seed int64) *network.Network {
-	n := network.New(network.Params{Mesh: mesh, Router: Config(vcs), EjectCap: ejectCap, Seed: seed})
-	n.Controller = network.NopController{Label: "EscapeVC"}
-	return n
 }

@@ -4,8 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/message"
+	"repro/internal/network"
 	"repro/internal/topology"
 )
+
+// newNet builds a network with this scheme's Table II router (2 VCs a
+// VN, 4 ejection slots a class), ready for Attach.
+func newNet(mesh *topology.Mesh) *network.Network {
+	return network.New(network.Params{Mesh: mesh, Router: Config(2), EjectCap: 4})
+}
 
 func TestConfigRejectsSingleVC(t *testing.T) {
 	defer func() {
@@ -32,7 +39,7 @@ func TestConfigShape(t *testing.T) {
 // The escape channel makes the adaptive burst that deadlocks a bare
 // network drain completely.
 func TestEscapeVCDrainsAdaptiveBurst(t *testing.T) {
-	n := New(topology.NewMesh(4, 4), 2, 4, 1)
+	n := newNet(topology.NewMesh(4, 4))
 	total, ejected := 0, 0
 	for _, nc := range n.NICs {
 		nc.OnEject = func(*message.Packet) { ejected++ }

@@ -18,27 +18,12 @@ import (
 	"repro/internal/trace"
 )
 
-// Params tunes Pitstop.
-type Params struct {
-	// Threshold is the blocked time before a packet may pit.
-	Threshold int64
-	// ClassSlot is the number of cycles each message class owns the
-	// bypass; 0 derives 4×diameter (the NI-to-NI hand-off must cross
-	// the network, so the slot scales with its size).
-	ClassSlot int64
-}
-
-// pitCap is the per-NI pit capacity in packets.
-const pitCap = 4
-
-func (p *Params) setDefaults(diameter int) {
-	if p.Threshold == 0 {
-		p.Threshold = 128
-	}
-	if p.ClassSlot == 0 {
-		p.ClassSlot = int64(4 * diameter)
-	}
-}
+const (
+	// threshold is the blocked time before a packet may pit.
+	threshold = 128
+	// pitCap is the per-NI pit capacity in packets.
+	pitCap = 4
+)
 
 // Config returns the Pitstop router configuration: no VNs (one shared
 // buffer pool), fully adaptive routing.
@@ -48,29 +33,22 @@ func Config(vcs int) router.Config {
 
 // Controller implements the rotating NI bypass.
 type Controller struct {
-	prm  Params
-	pits [][]*message.Packet // per node
+	// classSlot is the number of cycles each message class owns the
+	// bypass: 4 × diameter, because the NI-to-NI hand-off crosses the
+	// network.
+	classSlot int64
+	pits      [][]*message.Packet // per node
 
 	// Absorbed counts packets pulled into pits; Reinjected counts
 	// packets that resumed their journey.
 	Absorbed, Reinjected int64
-
-	// Trace, when non-nil, records absorptions and re-injections.
-	Trace *trace.Recorder
 }
 
 // Attach installs a Pitstop controller.
-func Attach(n *network.Network, prm Params) *Controller {
-	prm.setDefaults(n.Mesh.Diameter())
-	c := &Controller{prm: prm, pits: make([][]*message.Packet, n.Mesh.NumNodes())}
+func Attach(n *network.Network) *Controller {
+	c := &Controller{classSlot: int64(4 * n.Mesh.Diameter()), pits: make([][]*message.Packet, n.Mesh.NumNodes())}
 	n.Controller = c
 	return c
-}
-
-// New builds a complete Pitstop network.
-func New(mesh *topology.Mesh, vcs, ejectCap int, seed int64, prm Params) (*network.Network, *Controller) {
-	n := network.New(network.Params{Mesh: mesh, Router: Config(vcs), EjectCap: ejectCap, Seed: seed})
-	return n, Attach(n, prm)
 }
 
 // Name implements network.Controller.
@@ -81,7 +59,7 @@ func (c *Controller) PostCycle(*network.Network) {}
 
 // bypassClass returns the class that currently owns the bypass.
 func (c *Controller) bypassClass(cycle int64) message.Class {
-	return message.Class((cycle / c.prm.ClassSlot) % int64(message.NumClasses))
+	return message.Class((cycle / c.classSlot) % int64(message.NumClasses))
 }
 
 // PreCycle implements network.Controller: re-inject pitted packets of
@@ -127,7 +105,7 @@ func (c *Controller) reinject(n *network.Network, node int, active message.Class
 		}
 		pit = pit[1:]
 		c.Reinjected++
-		c.Trace.Record(n.Routers[node].Env.Cycle(), trace.RecoveryAction, pkt.ID, node, "pit reinject")
+		n.Trace.Record(n.Routers[node].Env.Cycle(), trace.RecoveryAction, pkt.ID, node, "pit reinject")
 	}
 	c.pits[node] = pit
 }
@@ -140,7 +118,7 @@ func (c *Controller) absorb(n *network.Network, r *router.Router, active message
 		return
 	}
 	for p, v := range r.OccupiedVCs(topology.North) {
-		if e := r.VCFor(p, v).Head(); !e.FullyBuffered() || e.Pkt.Class != active || cycle-e.LastMove < c.prm.Threshold {
+		if e := r.VCFor(p, v).Head(); !e.FullyBuffered() || e.Pkt.Class != active || cycle-e.LastMove < threshold {
 			continue
 		}
 		pkt := r.RemoveHeadPacket(p, v)
@@ -149,7 +127,7 @@ func (c *Controller) absorb(n *network.Network, r *router.Router, active message
 		}
 		c.pits[r.ID] = append(c.pits[r.ID], pkt)
 		c.Absorbed++
-		c.Trace.Record(cycle, trace.RecoveryAction, pkt.ID, r.ID, "pit absorb")
+		n.Trace.Record(cycle, trace.RecoveryAction, pkt.ID, r.ID, "pit absorb")
 		return
 	}
 }

@@ -4,8 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/message"
+	"repro/internal/network"
 	"repro/internal/topology"
 )
+
+// newNet builds a network with this scheme's Table II router (2 VCs a
+// VN, 4 ejection slots a class), ready for Attach.
+func newNet(mesh *topology.Mesh) *network.Network {
+	return network.New(network.Params{Mesh: mesh, Router: Config(2), EjectCap: 4})
+}
 
 // mixedBurst floods a VN-free network with all-to-all traffic across
 // every class — the load that deadlocks a bare 1-VN adaptive network.
@@ -33,7 +40,8 @@ func mixedBurst(enqueue func(p *message.Packet), nodes int) int {
 
 func TestPitstopResolvesDeadlockWithoutVNs(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
-	n, ctl := New(mesh, 2, 4, 1, Params{Threshold: 64})
+	n := newNet(mesh)
+	ctl := Attach(n)
 	if n.Routers[0].Cfg.NumVNs != 1 {
 		t.Fatal("Pitstop must run without virtual networks")
 	}
@@ -59,27 +67,25 @@ func TestPitstopResolvesDeadlockWithoutVNs(t *testing.T) {
 
 func TestBypassClassRotates(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
-	_, ctl := New(mesh, 2, 4, 1, Params{ClassSlot: 10})
+	ctl := Attach(newNet(mesh))
 	seen := map[message.Class]bool{}
-	for c := int64(0); c < 60; c += 10 {
+	slot := ctl.classSlot
+	for c := int64(0); c < int64(message.NumClasses)*slot; c += slot {
 		seen[ctl.bypassClass(c)] = true
 	}
 	if len(seen) != int(message.NumClasses) {
 		t.Errorf("rotation covered %d of %d classes", len(seen), message.NumClasses)
 	}
-	if ctl.bypassClass(0) == ctl.bypassClass(10) {
+	if ctl.bypassClass(0) == ctl.bypassClass(slot) {
 		t.Error("class must change across slots")
 	}
 }
 
 func TestClassSlotScalesWithNetworkSize(t *testing.T) {
-	small := Params{}
-	small.setDefaults(topology.NewMesh(4, 4).Diameter())
-	big := Params{}
-	big.setDefaults(topology.NewMesh(16, 16).Diameter())
-	if big.ClassSlot <= small.ClassSlot {
-		t.Errorf("slot must grow with size: %d vs %d (the Table I scalability critique)",
-			small.ClassSlot, big.ClassSlot)
+	small := Attach(newNet(topology.NewMesh(4, 4))).classSlot
+	big := Attach(newNet(topology.NewMesh(16, 16))).classSlot
+	if big <= small {
+		t.Errorf("slot must grow with size: %d vs %d (the Table I scalability critique)", small, big)
 	}
 }
 

@@ -19,7 +19,7 @@ func (c *Controller) state(s snapshot.State) {
 func init() {
 	snapshot.Register("pitstop.Controller", Controller{},
 		[]string{"pits", "Absorbed", "Reinjected"},
-		[]string{"prm", "Trace"})
+		[]string{"classSlot"})
 }
 
 var _ snapshot.Stater = (*Controller)(nil)

@@ -32,7 +32,7 @@ func (c *Controller) state(s snapshot.State) {
 func init() {
 	snapshot.Register("spin.Controller", Controller{},
 		[]string{"lastProbe", "pending", "Probes", "Detections", "Spins", "Aborts"},
-		[]string{"prm", "Trace", "chain", "seen", "gen", "chains", "pkts"}) // + probe and spin scratch
+		[]string{"prm", "maxWalk", "chain", "seen", "gen", "chains", "pkts"}) // + probe and spin scratch
 	snapshot.Register("spin.pendingSpin", pendingSpin{},
 		[]string{"chain", "at"}, nil)
 	snapshot.Register("spin.slot", slot{},

@@ -10,6 +10,7 @@
 package spin
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/message"
@@ -25,23 +26,10 @@ type Params struct {
 	// Threshold is the blocked-time deadlock suspicion trigger (128 in
 	// Table II).
 	Threshold int64
-	// Cooldown is the per-router wait between probes.
-	Cooldown int64
-	// MaxWalk bounds the probe walk length.
-	MaxWalk int
 }
 
-func (p *Params) setDefaults(nodes int) {
-	if p.Threshold == 0 {
-		p.Threshold = 128
-	}
-	if p.Cooldown == 0 {
-		p.Cooldown = 64
-	}
-	if p.MaxWalk == 0 {
-		p.MaxWalk = 4 * nodes
-	}
-}
+// cooldown is the per-router wait between probes.
+const cooldown = 64
 
 // Config returns the SPIN router configuration (6 VNs, fully adaptive).
 func Config(vcs int) router.Config {
@@ -65,6 +53,7 @@ type pendingSpin struct {
 // Controller implements SPIN.
 type Controller struct {
 	prm       Params
+	maxWalk   int // probe walk bound: 4 × nodes
 	lastProbe []int64
 	pending   []pendingSpin
 
@@ -80,26 +69,17 @@ type Controller struct {
 
 	// Probes, Detections, Spins and Aborts count protocol activity.
 	Probes, Detections, Spins, Aborts int64
-
-	// Trace, when non-nil, records detections and executed spins.
-	Trace *trace.Recorder
 }
 
 // Attach installs a SPIN controller.
 func Attach(n *network.Network, prm Params) *Controller {
-	prm.setDefaults(n.Mesh.NumNodes())
-	c := &Controller{prm: prm, lastProbe: make([]int64, n.Mesh.NumNodes())}
-	c.chain = make([]slot, 0, prm.MaxWalk+1)
-	c.pkts = make([]*message.Packet, 0, prm.MaxWalk+1)
+	prm.Threshold = cmp.Or(prm.Threshold, 128)
+	c := &Controller{prm: prm, maxWalk: 4 * n.Mesh.NumNodes(), lastProbe: make([]int64, n.Mesh.NumNodes())}
+	c.chain = make([]slot, 0, c.maxWalk+1)
+	c.pkts = make([]*message.Packet, 0, c.maxWalk+1)
 	c.seen = make([]uint8, n.Mesh.NumNodes()*n.Mesh.NumPorts()*n.Routers[0].Cfg.NetVCs())
 	n.Controller = c
 	return c
-}
-
-// New builds a complete SPIN network.
-func New(mesh *topology.Mesh, vcs, ejectCap int, seed int64, prm Params) (*network.Network, *Controller) {
-	n := network.New(network.Params{Mesh: mesh, Router: Config(vcs), EjectCap: ejectCap, Seed: seed})
-	return n, Attach(n, prm)
 }
 
 // Name implements network.Controller.
@@ -127,7 +107,7 @@ func (c *Controller) PreCycle(n *network.Network) {
 	// cannot have one, so the scan covers only the active set (same
 	// ascending order as the historical full scan).
 	for r := range n.ActiveRouters() {
-		if cycle-c.lastProbe[r.ID] < c.prm.Cooldown {
+		if cycle-c.lastProbe[r.ID] < cooldown {
 			continue
 		}
 		if s, ok := c.findBlockedHead(n, r, cycle); ok {
@@ -165,7 +145,7 @@ func (c *Controller) probe(n *network.Network, origin slot, cycle int64) {
 	start := c.stamp(n, origin)
 	*start = c.gen
 	cur := origin
-	for step := 0; step < c.prm.MaxWalk; step++ {
+	for step := 0; step < c.maxWalk; step++ {
 		next, ok := c.dependency(n, cur)
 		if !ok {
 			c.Aborts++
@@ -177,7 +157,7 @@ func (c *Controller) probe(n *network.Network, origin slot, cycle int64) {
 			// router's spin to free its own packet; loops discovered
 			// mid-chain are left for their own routers to probe.
 			if seen == start {
-				c.confirm(origin, chain, cycle)
+				c.confirm(n, origin, chain, cycle)
 			} else {
 				c.Aborts++
 			}
@@ -206,10 +186,10 @@ func (c *Controller) stamp(n *network.Network, s slot) *uint8 {
 // when one is free, for pendingSpin to keep.
 //
 //nocvet:cold runs once per confirmed deadlock loop; it grows c.pending and c.chains only past their high-water marks
-func (c *Controller) confirm(origin slot, chain []slot, cycle int64) {
+func (c *Controller) confirm(n *network.Network, origin slot, chain []slot, cycle int64) {
 	c.Detections++
-	if c.Trace != nil {
-		c.Trace.Record(cycle, trace.RecoveryAction, 0, origin.node, fmt.Sprintf("spin detection, loop length %d", len(chain)))
+	if n.Trace != nil {
+		n.Trace.Record(cycle, trace.RecoveryAction, 0, origin.node, fmt.Sprintf("spin detection, loop length %d", len(chain)))
 	}
 	var buf []slot
 	if k := len(c.chains); k > 0 {
@@ -309,8 +289,8 @@ func (c *Controller) executeSpin(n *network.Network, ps pendingSpin) {
 	}
 	clear(pkts)
 	c.Spins++
-	if c.Trace != nil {
+	if n.Trace != nil {
 		//nocvet:ignore hotalloc2 guarded by Trace != nil — tracing runs are diagnostic; perf runs leave Trace unset
-		c.Trace.Record(n.Cycle(), trace.RecoveryAction, 0, chain[0].node, fmt.Sprintf("spin executed, %d packets rotated", len(chain)))
+		n.Trace.Record(n.Cycle(), trace.RecoveryAction, 0, chain[0].node, fmt.Sprintf("spin executed, %d packets rotated", len(chain)))
 	}
 }

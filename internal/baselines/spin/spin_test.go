@@ -11,6 +11,12 @@ import (
 	"repro/internal/trace"
 )
 
+// newNet builds a network with this scheme's Table II router (2 VCs a
+// VN, 4 ejection slots a class), ready for Attach.
+func newNet(mesh *topology.Mesh) *network.Network {
+	return network.New(network.Params{Mesh: mesh, Router: Config(2), EjectCap: 4})
+}
+
 // ringBurst saturates one VN with clockwise boundary traffic — a load
 // that deadlocks fully-adaptive routing without recovery.
 func ringBurst(enqueue func(p *message.Packet)) int {
@@ -34,7 +40,8 @@ func ringBurst(enqueue func(p *message.Packet)) int {
 
 func TestSpinDetectsAndResolvesDeadlock(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
-	n, ctl := New(mesh, 2, 4, 1, Params{})
+	n := newNet(mesh)
+	ctl := Attach(n, Params{})
 	ejected := 0
 	for _, nc := range n.NICs {
 		nc.OnEject = func(*message.Packet) { ejected++ }
@@ -60,7 +67,8 @@ func TestSpinDetectsAndResolvesDeadlock(t *testing.T) {
 
 func TestSpinQuietAtLowLoad(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
-	n, ctl := New(mesh, 2, 4, 3, Params{})
+	n := newNet(mesh)
+	ctl := Attach(n, Params{})
 	ejected := 0
 	for _, nc := range n.NICs {
 		nc.OnEject = func(*message.Packet) { ejected++ }
@@ -78,13 +86,12 @@ func TestSpinQuietAtLowLoad(t *testing.T) {
 }
 
 func TestSpinDefaults(t *testing.T) {
-	p := Params{}
-	p.setDefaults(64)
-	if p.Threshold != 128 {
-		t.Errorf("threshold = %d, want Table II's 128", p.Threshold)
+	c := Attach(newNet(topology.NewMesh(8, 8)), Params{})
+	if c.prm.Threshold != 128 {
+		t.Errorf("threshold = %d, want Table II's 128", c.prm.Threshold)
 	}
-	if p.MaxWalk != 256 {
-		t.Errorf("MaxWalk = %d, want 4×nodes", p.MaxWalk)
+	if c.maxWalk != 256 {
+		t.Errorf("maxWalk = %d, want 4×nodes", c.maxWalk)
 	}
 }
 
@@ -107,7 +114,7 @@ func (r refController) PreCycle(n *network.Network) {
 	}
 	c.pending = keep
 	for rt := range n.ActiveRouters() {
-		if cycle-c.lastProbe[rt.ID] < c.prm.Cooldown {
+		if cycle-c.lastProbe[rt.ID] < cooldown {
 			continue
 		}
 		if s, ok := c.findBlockedHead(n, rt, cycle); ok {
@@ -124,7 +131,7 @@ func (c *Controller) refProbe(n *network.Network, origin slot, cycle int64) {
 	chain := []slot{origin}
 	seen := map[slot]int{stripPkt(origin): 0}
 	cur := origin
-	for step := 0; step < c.prm.MaxWalk; step++ {
+	for step := 0; step < c.maxWalk; step++ {
 		next, ok := c.dependency(n, cur)
 		if !ok {
 			c.Aborts++
@@ -137,7 +144,7 @@ func (c *Controller) refProbe(n *network.Network, origin slot, cycle int64) {
 			// mid-chain are left for their own routers to probe.
 			if idx == 0 {
 				c.Detections++
-				c.Trace.Record(cycle, trace.RecoveryAction, 0, origin.node,
+				n.Trace.Record(cycle, trace.RecoveryAction, 0, origin.node,
 					fmt.Sprintf("spin detection, loop length %d", len(chain)))
 				c.pending = append(c.pending, pendingSpin{
 					chain: chain,
@@ -186,7 +193,8 @@ func (t *claimTap) PreCycle(n *network.Network) {
 // differ here).
 func TestProbeMatchesReference(t *testing.T) {
 	build := func(ref bool) (*network.Network, *Controller, *claimTap, *int) {
-		n, ctl := New(topology.NewMesh(4, 4), 2, 4, 1, Params{})
+		n := newNet(topology.NewMesh(4, 4))
+		ctl := Attach(n, Params{})
 		tap := &claimTap{Controller: ctl, claimed: make([]bool, len(n.Mesh.Links()))}
 		if ref {
 			tap.Controller = refController{ctl}

@@ -16,7 +16,7 @@ func (c *Controller) state(s snapshot.State) {
 func init() {
 	snapshot.Register("swap.Controller", Controller{},
 		[]string{"Swaps", "Moves", "Misroutes"},
-		[]string{"prm", "Trace"})
+		[]string{"prm"})
 }
 
 var _ snapshot.Stater = (*Controller)(nil)

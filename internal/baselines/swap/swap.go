@@ -8,6 +8,8 @@
 package swap
 
 import (
+	"cmp"
+
 	"repro/internal/network"
 	"repro/internal/router"
 	"repro/internal/routing"
@@ -19,18 +21,10 @@ import (
 type Params struct {
 	// Duty is the swap period in cycles (1K in Table II).
 	Duty int64
-	// Threshold is the minimum blocked time before a head is eligible.
-	Threshold int64
 }
 
-func (p *Params) setDefaults() {
-	if p.Duty == 0 {
-		p.Duty = 1024
-	}
-	if p.Threshold == 0 {
-		p.Threshold = 128
-	}
-}
+// threshold is the minimum blocked time before a head is eligible.
+const threshold = 128
 
 // Config returns the SWAP router configuration: 6 VNs, fully adaptive
 // routing on every VC.
@@ -45,23 +39,14 @@ type Controller struct {
 	// Swaps counts forced exchanges; Moves counts one-way relocations
 	// into an empty downstream VC; Misroutes counts displaced packets.
 	Swaps, Moves, Misroutes int64
-
-	// Trace, when non-nil, records every forced move.
-	Trace *trace.Recorder
 }
 
 // Attach installs a SWAP controller on a network built with Config.
 func Attach(n *network.Network, prm Params) *Controller {
-	prm.setDefaults()
+	prm.Duty = cmp.Or(prm.Duty, 1024)
 	c := &Controller{prm: prm}
 	n.Controller = c
 	return c
-}
-
-// New builds a complete SWAP network.
-func New(mesh *topology.Mesh, vcs, ejectCap int, seed int64, prm Params) (*network.Network, *Controller) {
-	n := network.New(network.Params{Mesh: mesh, Router: Config(vcs), EjectCap: ejectCap, Seed: seed})
-	return n, Attach(n, prm)
 }
 
 // Name implements network.Controller.
@@ -89,7 +74,7 @@ func (c *Controller) PreCycle(n *network.Network) {
 func (c *Controller) sweepRouter(n *network.Network, r *router.Router) {
 	for p, v := range r.OccupiedVCs(topology.North) {
 		e := r.VCFor(p, v).Head()
-		if !e.FullyBuffered() || n.Cycle()-e.LastMove < c.prm.Threshold {
+		if !e.FullyBuffered() || n.Cycle()-e.LastMove < threshold {
 			continue
 		}
 		if c.resolve(n, r, p, v, e) {
@@ -137,7 +122,7 @@ func (c *Controller) resolve(n *network.Network, r *router.Router, port topology
 			r.CreditUpstream(port, v)
 			moved.Hops++
 			c.Moves++
-			c.Trace.Record(n.Cycle(), trace.RecoveryAction, moved.ID, r.ID, "swap move")
+			n.Trace.Record(n.Cycle(), trace.RecoveryAction, moved.ID, r.ID, "swap move")
 			return true
 		}
 		de := dv.Head()
@@ -162,7 +147,7 @@ func (c *Controller) resolve(n *network.Network, r *router.Router, port topology
 		b.Hops++ // displaced: misrouted one hop backward
 		c.Swaps++
 		c.Misroutes++
-		c.Trace.Record(n.Cycle(), trace.RecoveryAction, a.ID, r.ID, "swap exchange")
+		n.Trace.Record(n.Cycle(), trace.RecoveryAction, a.ID, r.ID, "swap exchange")
 		return true
 	}
 	return false

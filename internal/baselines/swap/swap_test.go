@@ -4,8 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/message"
+	"repro/internal/network"
 	"repro/internal/topology"
 )
+
+// newNet builds a network with this scheme's Table II router (2 VCs a
+// VN, 4 ejection slots a class), ready for Attach.
+func newNet(mesh *topology.Mesh) *network.Network {
+	return network.New(network.Params{Mesh: mesh, Router: Config(2), EjectCap: 4})
+}
 
 // burst saturates a 4×4 network with sustained single-class clockwise
 // ring traffic along the mesh boundary: one virtual network fills
@@ -32,7 +39,8 @@ func burst(enqueue func(p *message.Packet)) int {
 
 func TestSwapResolvesDeadlock(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
-	n, ctl := New(mesh, 2, 4, 1, Params{Duty: 256, Threshold: 64})
+	n := newNet(mesh)
+	ctl := Attach(n, Params{Duty: 256})
 	ejected := 0
 	for _, nc := range n.NICs {
 		nc.OnEject = func(*message.Packet) { ejected++ }
@@ -55,7 +63,8 @@ func TestSwapResolvesDeadlock(t *testing.T) {
 
 func TestSwapIdleWithoutBlockage(t *testing.T) {
 	mesh := topology.NewMesh(3, 3)
-	n, ctl := New(mesh, 2, 4, 2, Params{Duty: 64, Threshold: 32})
+	n := newNet(mesh)
+	ctl := Attach(n, Params{Duty: 64})
 	ejected := 0
 	for _, nc := range n.NICs {
 		nc.OnEject = func(*message.Packet) { ejected++ }
@@ -72,9 +81,8 @@ func TestSwapIdleWithoutBlockage(t *testing.T) {
 }
 
 func TestSwapDefaults(t *testing.T) {
-	p := Params{}
-	p.setDefaults()
-	if p.Duty != 1024 || p.Threshold != 128 {
-		t.Errorf("defaults = %+v, want Table II's 1K duty", p)
+	c := Attach(newNet(topology.NewMesh(2, 2)), Params{})
+	if c.prm.Duty != 1024 {
+		t.Errorf("defaults = %+v, want Table II's 1K duty", c.prm)
 	}
 }

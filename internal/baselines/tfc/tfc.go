@@ -42,12 +42,6 @@ func Attach(n *network.Network) *Controller {
 	return c
 }
 
-// New builds a complete TFC network.
-func New(mesh *topology.Mesh, vcs, ejectCap int, seed int64) (*network.Network, *Controller) {
-	n := network.New(network.Params{Mesh: mesh, Router: Config(vcs), EjectCap: ejectCap, Seed: seed})
-	return n, Attach(n)
-}
-
 // Name implements network.Controller.
 func (c *Controller) Name() string { return "TFC" }
 

@@ -8,9 +8,16 @@ import (
 	"repro/internal/topology"
 )
 
+// newNet builds a network with this scheme's Table II router (2 VCs a
+// VN, 4 ejection slots a class), ready for Attach.
+func newNet(mesh *topology.Mesh) *network.Network {
+	return network.New(network.Params{Mesh: mesh, Router: Config(2), EjectCap: 4})
+}
+
 func TestTFCDeliversMixedBurst(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
-	n, ctl := New(mesh, 2, 4, 1)
+	n := newNet(mesh)
+	ctl := Attach(n)
 	ejected := 0
 	for _, nc := range n.NICs {
 		nc.OnEject = func(*message.Packet) { ejected++ }
@@ -50,7 +57,7 @@ func TestTFCDeliversMixedBurst(t *testing.T) {
 func TestTokenBypassHelpsUnderContention(t *testing.T) {
 	run := func(withTokens bool) (float64, int64) {
 		mesh := topology.NewMesh(8, 8)
-		n := network.New(network.Params{Mesh: mesh, Router: Config(2), EjectCap: 4, Seed: 5})
+		n := newNet(mesh)
 		var ctl *Controller
 		if withTokens {
 			ctl = Attach(n)
@@ -93,7 +100,8 @@ func TestTokenBypassHelpsUnderContention(t *testing.T) {
 // machinery.
 func TestWestFirstAvoidsRingDeadlock(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
-	n, _ := New(mesh, 2, 4, 1)
+	n := newNet(mesh)
+	Attach(n)
 	ejected := 0
 	for _, nc := range n.NICs {
 		nc.OnEject = func(*message.Packet) { ejected++ }

@@ -104,6 +104,8 @@ func (s Scale) Fig7Rates() []float64 {
 type Fig7Result struct {
 	Pattern traffic.Pattern
 	Rates   []float64
+	// Schemes orders the curves: the table's and the CSV's columns.
+	Schemes []sim.Scheme
 	// Series[scheme name] parallel to Rates; saturated points are NaN.
 	Series map[string][]float64
 	// SatRate[scheme name] is the first saturated rate (or -1).
@@ -118,30 +120,37 @@ func Fig7(s Scale, pattern traffic.Pattern) Plan[Fig7Result] {
 		return sim.SweepLatency(s.base(scheme, pattern, 1), rates)
 	})
 	return assemble(sweeps, func(sweeps [][]sim.SynthResult) Fig7Result {
-		res := Fig7Result{
-			Pattern: pattern,
-			Rates:   rates,
-			Series:  map[string][]float64{},
-			SatRate: map[string]float64{},
-		}
-		for i, scheme := range Fig7Schemes() {
-			var lat []float64
-			sat := -1.0
-			for _, p := range sweeps[i] {
-				if p.Saturated {
-					lat = append(lat, math.NaN())
-					if sat < 0 {
-						sat = p.Rate
-					}
-				} else {
-					lat = append(lat, p.AvgLatency)
-				}
-			}
-			res.Series[scheme.String()] = lat
-			res.SatRate[scheme.String()] = sat
-		}
-		return res
+		return NewFig7Result(pattern, rates, Fig7Schemes(), sweeps)
 	})
+}
+
+// NewFig7Result collects one latency sweep per scheme, each parallel to
+// rates, into curves.
+func NewFig7Result(pattern traffic.Pattern, rates []float64, schemes []sim.Scheme, sweeps [][]sim.SynthResult) Fig7Result {
+	res := Fig7Result{
+		Pattern: pattern,
+		Rates:   rates,
+		Schemes: schemes,
+		Series:  map[string][]float64{},
+		SatRate: map[string]float64{},
+	}
+	for i, scheme := range schemes {
+		var lat []float64
+		sat := -1.0
+		for _, p := range sweeps[i] {
+			if p.Saturated {
+				lat = append(lat, math.NaN())
+				if sat < 0 {
+					sat = p.Rate
+				}
+			} else {
+				lat = append(lat, p.AvgLatency)
+			}
+		}
+		res.Series[scheme.String()] = lat
+		res.SatRate[scheme.String()] = sat
+	}
+	return res
 }
 
 // String renders the Fig. 7 table.
@@ -149,13 +158,13 @@ func (r Fig7Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 7 — average packet latency vs injection rate (%v)\n", r.Pattern)
 	fmt.Fprintf(&b, "%-10s", "rate")
-	for _, sc := range Fig7Schemes() {
+	for _, sc := range r.Schemes {
 		fmt.Fprintf(&b, "%11s", sc)
 	}
 	b.WriteByte('\n')
 	for i, rate := range r.Rates {
 		fmt.Fprintf(&b, "%-10.2f", rate)
-		for _, sc := range Fig7Schemes() {
+		for _, sc := range r.Schemes {
 			v := r.Series[sc.String()][i]
 			if v != v {
 				fmt.Fprintf(&b, "%11s", "SAT")

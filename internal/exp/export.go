@@ -17,13 +17,13 @@ import (
 func (r Fig7Result) CSV() string {
 	var b strings.Builder
 	b.WriteString("rate")
-	for _, sc := range Fig7Schemes() {
+	for _, sc := range r.Schemes {
 		b.WriteString("," + sc.String())
 	}
 	b.WriteByte('\n')
 	for i, rate := range r.Rates {
 		fmt.Fprintf(&b, "%.3f", rate)
-		for _, sc := range Fig7Schemes() {
+		for _, sc := range r.Schemes {
 			v := r.Series[sc.String()][i]
 			if math.IsNaN(v) {
 				b.WriteString(",")

@@ -22,6 +22,7 @@ func TestFig7CSV(t *testing.T) {
 	r := Fig7Result{
 		Pattern: traffic.Uniform,
 		Rates:   []float64{0.02, 0.04},
+		Schemes: Fig7Schemes(),
 		Series:  map[string][]float64{},
 		SatRate: map[string]float64{},
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // ablationNetwork builds a FastPass network with explicit Params.
-func ablationNetwork(w, h, vcs int, seed int64, prm Params) (*network.Network, *Controller) {
+func ablationNetwork(w, h, vcs int, prm Params) (*network.Network, *Controller) {
 	algs := make([]routing.Algorithm, vcs)
 	for i := range algs {
 		algs[i] = routing.FullyAdaptive
@@ -25,7 +25,6 @@ func ablationNetwork(w, h, vcs int, seed int64, prm Params) (*network.Network, *
 			ClassVN:      func(message.Class) int { return 0 },
 		},
 		EjectCap: 4,
-		Seed:     seed,
 	})
 	return n, Attach(n, prm)
 }
@@ -36,7 +35,7 @@ func ablationNetwork(w, h, vcs int, seed int64, prm Params) (*network.Network, *
 // *all* input buffers — deadlocked packets are in-transit packets.
 func TestAblationScanInjectionOnlySkipsInTransitPackets(t *testing.T) {
 	run := func(injOnly bool) message.Kind {
-		n, ctl := ablationNetwork(4, 4, 1, 1, Params{ScanInjectionOnly: injOnly})
+		n, ctl := ablationNetwork(4, 4, 1, Params{ScanInjectionOnly: injOnly})
 		var kind message.Kind
 		for _, nc := range n.NICs {
 			nc.OnEject = func(p *message.Packet) { kind = p.Kind }
@@ -76,7 +75,7 @@ func TestAblationScanInjectionOnlySkipsInTransitPackets(t *testing.T) {
 // paper's reserve-and-return design (§III-C4, Fig. 13 vs SCARAB's 9%).
 func TestAblationDropOnRejectIncreasesDrops(t *testing.T) {
 	run := func(dropOnReject bool) (drops int64, delivered, total int) {
-		n, ctl := ablationNetwork(3, 3, 1, 5, Params{DropOnReject: dropOnReject})
+		n, ctl := ablationNetwork(3, 3, 1, Params{DropOnReject: dropOnReject})
 		for _, nc := range n.NICs {
 			nc.OnEject = func(*message.Packet) { delivered++ }
 		}
@@ -113,7 +112,7 @@ func TestAblationDropOnRejectIncreasesDrops(t *testing.T) {
 // rejection-heavy workload with the collision assertion active (the
 // network panics on a double claim) — reaching the end is the test.
 func TestReturnPathsNeverCollideUnderStress(t *testing.T) {
-	n, ctl := ablationNetwork(4, 4, 1, 9, Params{})
+	n, ctl := ablationNetwork(4, 4, 1, Params{})
 	delivered := 0
 	for _, nc := range n.NICs {
 		nc.OnEject = func(*message.Packet) { delivered++ }

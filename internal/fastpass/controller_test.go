@@ -14,7 +14,7 @@ import (
 
 // fpNetwork builds a FastPass-configured network: no VNs, a shared VC
 // pool with fully-adaptive regular routing (Table II).
-func fpNetwork(w, h, vcs int, seed int64) (*network.Network, *Controller) {
+func fpNetwork(w, h, vcs int) (*network.Network, *Controller) {
 	algs := make([]routing.Algorithm, vcs)
 	for i := range algs {
 		algs[i] = routing.FullyAdaptive
@@ -27,7 +27,6 @@ func fpNetwork(w, h, vcs int, seed int64) (*network.Network, *Controller) {
 			ClassVN:      func(message.Class) int { return 0 },
 		},
 		EjectCap: 4,
-		Seed:     seed,
 	})
 	c := Attach(n, Params{})
 	return n, c
@@ -43,7 +42,7 @@ type harness struct {
 }
 
 func newHarness(w, h, vcs int, seed int64) *harness {
-	n, c := fpNetwork(w, h, vcs, seed)
+	n, c := fpNetwork(w, h, vcs)
 	hs := &harness{net: n, ctl: c, rng: rand.New(rand.NewSource(seed))}
 	for _, nc := range n.NICs {
 		nc.OnEject = func(*message.Packet) { hs.ejected++ }

@@ -71,13 +71,13 @@ func (h *healedHost) Note(ev LaneEvent, pkt *message.Packet, node int) {
 	case LaneBoarded:
 		h.net.NICs[pkt.Dst].TryReserve(pkt) // cannot fail: Admit held, PreCycle is serial
 		h.Counters.Promoted++
-		h.Trace.Record(cycle, trace.PacketPromoted, pkt.ID, node, "")
+		h.net.Trace.Record(cycle, trace.PacketPromoted, pkt.ID, node, "")
 	case LaneLanded:
 		h.Counters.Rejections++
-		h.Trace.Record(cycle, trace.PacketRejected, pkt.ID, node, "held in landing register")
+		h.net.Trace.Record(cycle, trace.PacketRejected, pkt.ID, node, "held in landing register")
 	case LaneDelivered:
 		h.Counters.FastEjects++
-		h.Trace.Record(cycle, trace.LaneDeliver, pkt.ID, node, "")
+		h.net.Trace.Record(cycle, trace.LaneDeliver, pkt.ID, node, "")
 	}
 }
 
@@ -188,7 +188,7 @@ func (c *Controller) rederive(inj *faults.Injector) {
 	c.lanes.Install(walk, c.sched.Partitions())
 	c.healFailed = false
 	c.Counters.Heals++
-	c.Trace.Record(c.net.Cycle(), trace.PacketPromoted, 0, 0, "lane schedule re-derived")
+	c.net.Trace.Record(c.net.Cycle(), trace.PacketPromoted, 0, 0, "lane schedule re-derived")
 }
 
 // Healed reports whether a re-derived lane schedule is active

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/network"
 	"repro/internal/snapshot"
 	"repro/internal/topology"
 )
@@ -55,7 +56,7 @@ func refHealedWalk(mesh *topology.Mesh, deadLink []bool) (walk []int, ok bool) {
 // every link alive, and an injector (no faults) to hand rederive.
 func healingController(w, h int) (*Controller, *faults.Injector) {
 	mesh := topology.NewMesh(w, h)
-	_, c := New(mesh, 2, 4, 1, Params{Healing: true})
+	c := Attach(network.New(network.Params{Mesh: mesh, Router: Config(2), EjectCap: 4}), Params{Healing: true})
 	c.deadLink = make([]bool, len(mesh.Links()))
 	return c, faults.NewInjector(faults.Plan{}, len(mesh.Links()), mesh.NumNodes(), mesh.NumPorts(), 1)
 }

@@ -144,7 +144,7 @@ func init() {
 			"appliedGen", "draining", "healFailed", "lanes"},
 		[]string{
 			// Wiring and configuration from Attach.
-			"net", "mesh", "sched", "prm", "OnDrop", "Trace",
+			"net", "mesh", "sched", "prm", "OnDrop",
 			// Per-PreCycle and per-heal scratch, rewritten before every read.
 			"scanBuf", "pathBuf", "walker",
 			// Mirrors of the injector's permanent-failure set, rebuilt

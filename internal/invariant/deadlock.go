@@ -2,6 +2,8 @@ package invariant
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/message"
@@ -49,7 +51,7 @@ func (w *Watchdog) tripStall(cycle int64, fromProgress bool) {
 			Report: fmt.Sprintf(
 				"invariant: no global progress for %d cycles at cycle %d with %d packets outstanding, and no waits-for cycle found (wedged hardware?)",
 				cycle-w.lastProgressCycle, cycle, len(w.live)),
-			Packets: sortedLiveIDs(w.live),
+			Packets: slices.Sorted(maps.Keys(w.live)),
 		})
 	}
 }
@@ -163,7 +165,7 @@ func (w *Watchdog) deadlockViolation(cycle int64, loop []int, heads []*waitingHe
 		fmt.Fprintf(&b, " waits for router %d port %v vc %d\n", nnode, nport, nvc)
 	}
 	fmt.Fprintf(&b, "each resource holds what the next needs; no member can ever advance")
-	sortUint64s(ids)
+	slices.Sort(ids)
 	return Violation{Kind: Deadlock, Cycle: cycle, Report: b.String(), Packets: ids}
 }
 
@@ -224,6 +226,6 @@ func (w *Watchdog) starvationViolation(cycle int64, starved []*message.Packet) V
 	for _, p := range starved {
 		ids = append(ids, p.ID)
 	}
-	sortUint64s(ids)
+	slices.Sort(ids)
 	return Violation{Kind: Starvation, Cycle: cycle, Report: b.String(), Packets: ids}
 }

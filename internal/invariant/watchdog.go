@@ -20,6 +20,8 @@ package invariant
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -182,7 +184,7 @@ type Held interface {
 type Watchdog struct {
 	net  *network.Network
 	opts Options
-	held []Held
+	held Held // the controller, when it holds packets; else nil
 
 	violations []Violation
 	fatal      bool
@@ -212,9 +214,12 @@ type Watchdog struct {
 }
 
 // Attach builds a watchdog over n and installs it as n's probe. opts
-// zero-values fall back to defaults.
+// zero-values fall back to defaults. Packets held by n's controller,
+// when it implements Held, count as in flight.
 func Attach(n *network.Network, opts Options) *Watchdog {
+	held, _ := n.Controller.(Held)
 	w := &Watchdog{
+		held:     held,
 		net:      n,
 		opts:     opts.withDefaults(),
 		numPorts: n.Mesh.NumPorts(),
@@ -236,10 +241,6 @@ func Attach(n *network.Network, opts Options) *Watchdog {
 	n.Probe = w.probe
 	return w
 }
-
-// Observe registers a controller that holds packets outside the
-// network's own buffers.
-func (w *Watchdog) Observe(h Held) { w.held = append(w.held, h) }
 
 // Tripped reports whether any fatal violation has been recorded (false
 // on a nil watchdog). The run loop polls it each cycle and stops when it
@@ -339,8 +340,8 @@ func (w *Watchdog) sample() {
 			}
 		}
 	}
-	for _, h := range w.held {
-		h.ForEachHeld(w.noteLive)
+	if w.held != nil {
+		w.held.ForEachHeld(w.noteLive)
 	}
 	w.sampEnq, w.sampCons = enqueued, consumed
 
@@ -426,7 +427,7 @@ func (w *Watchdog) tripConservation(cycle, enqueued, consumed, inFlight int64) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "invariant: packet conservation violated at cycle %d: %d enqueued != %d consumed + %d in flight (delta %+d)",
 		cycle, enqueued, consumed, inFlight, enqueued-(consumed+inFlight))
-	ids := sortedLiveIDs(w.live)
+	ids := slices.Sorted(maps.Keys(w.live))
 	w.record(Violation{Kind: Conservation, Cycle: cycle, Report: b.String(), Packets: ids})
 }
 
@@ -440,25 +441,5 @@ func (w *Watchdog) record(v Violation) {
 	}
 	if v.Kind == Deadlock {
 		w.deadlocked = true
-	}
-}
-
-// sortedLiveIDs snapshots the live map's keys ascending (cold path).
-func sortedLiveIDs(live map[uint64]*message.Packet) []uint64 {
-	ids := make([]uint64, 0, len(live))
-	for id := range live { //nocvet:ignore dettaint keys are sorted before use; iteration order never escapes
-		ids = append(ids, id)
-	}
-	sortUint64s(ids)
-	return ids
-}
-
-func sortUint64s(ids []uint64) {
-	// Insertion sort: cold path, sets are small; avoids pulling sort
-	// generics into the hot build for one diagnostic.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
-		}
 	}
 }

@@ -22,19 +22,18 @@ import (
 type Params struct {
 	// EjectCap is the per-node ejection bandwidth in flits/cycle.
 	EjectCap int
-	// SideCap is the per-router side buffer capacity in flits (4 in the
-	// original design).
-	SideCap int
 }
 
 func (p *Params) setDefaults() {
 	if p.EjectCap == 0 {
 		p.EjectCap = 1
 	}
-	if p.SideCap == 0 {
-		p.SideCap = 4
-	}
 }
+
+// sideCap is the per-router side buffer capacity in flits (4 in the
+// original design); a power of two, as the side ring's backing array
+// must be.
+const sideCap = 4
 
 // Network is a deflection NoC instance. Everything Step touches is sized
 // in New (DESIGN.md §9): link tables, register banks and side buffers
@@ -94,7 +93,6 @@ func New(mesh *topology.Mesh, prm Params) *Network {
 		injSeq:   make([]int, nodes),
 		rx:       make(map[uint64]int),
 	}
-	sideCap := ringq.CeilPow2(prm.SideCap)
 	sideSlab := make([]message.Flit, nodes*sideCap)
 	for node := 0; node < nodes; node++ {
 		for d := topology.Local; d < topology.NumMeshPorts; d++ {
@@ -258,7 +256,7 @@ func (n *Network) stepRouter(node int) {
 	// deflect (pigeonhole guarantees a free port for link arrivals).
 	side := &n.side[node]
 	for _, f := range leftovers[:nl] {
-		if side.Len() < n.prm.SideCap {
+		if side.Len() < sideCap {
 			side.PushBack(f)
 			n.SideBuffered++
 			continue

@@ -381,7 +381,7 @@ func (n *refNetwork) stepRouter(node int) {
 	// Pass 2: losers park in the side buffer when it has room, else
 	// deflect (pigeonhole guarantees a free port for link arrivals).
 	for _, f := range leftovers {
-		if len(n.side[node]) < n.prm.SideCap {
+		if len(n.side[node]) < sideCap {
 			n.side[node] = append(n.side[node], f)
 			n.SideBuffered++
 			continue

@@ -21,6 +21,7 @@ import (
 	"repro/internal/router"
 	"repro/internal/spare"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // Controller is a scheme's global agent. PreCycle runs before NIC and
@@ -80,10 +81,6 @@ type Params struct {
 	Mesh     *topology.Mesh
 	Router   router.Config
 	EjectCap int
-	// Seed is the master simulation seed. The network itself draws
-	// nothing: a shared stream would make draw interleaving depend on
-	// evaluation order.
-	Seed int64
 }
 
 // Network is a complete NoC instance.
@@ -135,6 +132,10 @@ type Network struct {
 	// Hook, when set, is told each Phase of Step as it begins (the run
 	// loop sets it from sim.Instance.Hook).
 	Hook func(Phase)
+
+	// Trace, when non-nil, is the run's event recorder: the controller
+	// records its promotions, rejections and recovery actions into it.
+	Trace *trace.Recorder
 }
 
 // Phase names a boundary of the run loop (DESIGN.md §4.1). A Hook is

@@ -28,7 +28,6 @@ func paramsWith(w, h, vns, vcs int, alg routing.Algorithm) Params {
 			VCAlgorithms: algs, ClassVN: classVN,
 		},
 		EjectCap: 4,
-		Seed:     1,
 	}
 }
 

@@ -140,7 +140,7 @@ func init() {
 		},
 		[]string{
 			// Construction-time wiring and configuration.
-			"Mesh", "Probe", "Hook",
+			"Mesh", "Probe", "Hook", "Trace",
 			"masked",                             // the restore re-pushes claims and faults
 			"chans", "credits", "ids", "nicSlab", // what channels, NICs and ID lists point into
 		})

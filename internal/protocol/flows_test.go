@@ -3,7 +3,6 @@ package protocol
 import (
 	"testing"
 
-	"repro/internal/baselines/escapevc"
 	"repro/internal/message"
 	"repro/internal/network"
 	"repro/internal/topology"
@@ -13,7 +12,7 @@ import (
 // transaction type, and records the classes crossing the wire.
 func flowHarness(t *testing.T, profile Profile, cycles int) (map[message.Class]int, *Engine) {
 	t.Helper()
-	n := escapevc.New(topology.NewMesh(4, 4), 2, 4, 1)
+	n := escapeNet(topology.NewMesh(4, 4))
 	e := New(n, profile, 13)
 	seen := map[message.Class]int{}
 	for _, nc := range n.NICs {
@@ -105,7 +104,7 @@ func TestWritebackFlowClasses(t *testing.T) {
 // Burst=1 and Burst=8 at the same IssueRate land in the same band.
 func TestBurstPreservesMeanRate(t *testing.T) {
 	issued := func(burst int) int64 {
-		n := escapevc.New(topology.NewMesh(4, 4), 2, 4, 1)
+		n := escapeNet(topology.NewMesh(4, 4))
 		e := New(n, Profile{IssueRate: 0.02, Burst: burst, MSHRs: 64}, 99)
 		for c := 0; c < 20000; c++ {
 			e.Tick(n.Cycle())
@@ -125,7 +124,7 @@ func TestBurstPreservesMeanRate(t *testing.T) {
 // Hot homes concentrate requests: with HotFraction close to 1 the top
 // destination receives far more than 1/N of the requests.
 func TestHotHomeSkew(t *testing.T) {
-	n := escapevc.New(topology.NewMesh(4, 4), 2, 4, 1)
+	n := escapeNet(topology.NewMesh(4, 4))
 	e := New(n, Profile{IssueRate: 0.03, HotFraction: 0.9, HotHomes: 2}, 5)
 	reqTo := make([]int, 16)
 	for _, nc := range n.NICs {
@@ -157,7 +156,7 @@ func TestHotHomeSkew(t *testing.T) {
 // The engine must work on any Backend — exercised here through the
 // plain network (already its production backend) with a tiny mesh.
 func TestTinyMesh(t *testing.T) {
-	n := escapevc.New(topology.NewMesh(2, 2), 2, 4, 1)
+	n := escapeNet(topology.NewMesh(2, 2))
 	e := New(n, Profile{IssueRate: 0.05, FwdFraction: 0.5}, 3)
 	for c := 0; c < 8000; c++ {
 		e.Tick(n.Cycle())

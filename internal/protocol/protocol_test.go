@@ -13,9 +13,15 @@ import (
 	"repro/internal/topology"
 )
 
+// escapeNet builds an EscapeVC network on mesh (2 VCs a VN, 4 ejection
+// slots a class); the scheme needs no controller.
+func escapeNet(mesh *topology.Mesh) *network.Network {
+	return network.New(network.Params{Mesh: mesh, Router: escapevc.Config(2), EjectCap: 4})
+}
+
 func run(t *testing.T, profile Profile, cycles int) (*Engine, *network.Network) {
 	t.Helper()
-	n := escapevc.New(topology.NewMesh(4, 4), 2, 4, 1)
+	n := escapeNet(topology.NewMesh(4, 4))
 	e := New(n, profile, 7)
 	for c := 0; c < cycles; c++ {
 		e.Tick(n.Cycle())
@@ -50,7 +56,7 @@ func TestAllFlowsExercised(t *testing.T) {
 func TestMSHRBound(t *testing.T) {
 	// Issue rate 1.0 with tiny MSHRs: outstanding work must stay
 	// bounded.
-	n := escapevc.New(topology.NewMesh(4, 4), 2, 4, 1)
+	n := escapeNet(topology.NewMesh(4, 4))
 	e := New(n, Profile{IssueRate: 1.0, MSHRs: 4}, 7)
 	for c := 0; c < 5000; c++ {
 		e.Tick(n.Cycle())
@@ -76,7 +82,7 @@ func TestTBEStallsGenerateBackpressure(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	f := func() (int64, int64) {
-		n := escapevc.New(topology.NewMesh(4, 4), 2, 4, 1)
+		n := escapeNet(topology.NewMesh(4, 4))
 		e := New(n, Profile{IssueRate: 0.1, FwdFraction: 0.2, InvFraction: 0.2, WBFraction: 0.1}, 7)
 		for c := 0; c < 5000; c++ {
 			e.Tick(n.Cycle())
@@ -92,7 +98,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestClassMixOnWire(t *testing.T) {
-	n := escapevc.New(topology.NewMesh(4, 4), 2, 4, 1)
+	n := escapeNet(topology.NewMesh(4, 4))
 	e := New(n, Profile{IssueRate: 0.1, FwdFraction: 0.3, InvFraction: 0.3, WBFraction: 0.15}, 7)
 	seen := map[message.Class]int{}
 	for _, nc := range n.NICs {
@@ -111,7 +117,7 @@ func TestClassMixOnWire(t *testing.T) {
 
 func TestLocalityShortensPaths(t *testing.T) {
 	hops := func(loc float64) (sum, cnt int64) {
-		n := escapevc.New(topology.NewMesh(4, 4), 2, 4, 1)
+		n := escapeNet(topology.NewMesh(4, 4))
 		e := New(n, Profile{IssueRate: 0.05, Locality: loc}, 7)
 		for _, nc := range n.NICs {
 			nc.OnEject = func(p *message.Packet) {

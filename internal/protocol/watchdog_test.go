@@ -3,7 +3,6 @@ package protocol
 import (
 	"testing"
 
-	"repro/internal/baselines/escapevc"
 	"repro/internal/faults"
 	"repro/internal/invariant"
 	"repro/internal/message"
@@ -19,7 +18,7 @@ import (
 func TestStalledConsumerStarvationWatchdog(t *testing.T) {
 	const victim = 5
 	mesh := topology.NewMesh(4, 4)
-	n := escapevc.New(mesh, 2, 4, 1)
+	n := escapeNet(mesh)
 	e := New(n, Profile{IssueRate: 0.02}, 13)
 
 	plan := faults.MustParsePlan("stallconsumer:node=5,at=200,perm")

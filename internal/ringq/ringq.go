@@ -25,16 +25,6 @@ type Ring[T any] struct {
 	n    int32 // occupancy
 }
 
-// CeilPow2 rounds n up to a power of two (minimum 1) — the backing
-// length Adopt requires for a ring meant to hold n elements.
-func CeilPow2(n int) int {
-	c := 1
-	for c < n {
-		c <<= 1
-	}
-	return c
-}
-
 // Adopt installs buf as the backing array of an empty ring. len(buf)
 // must be a power of two; the ring still grows (onto the heap) if
 // occupancy ever exceeds it.

@@ -8,6 +8,16 @@ import (
 // At returns element i (0 = front). It panics when i is out of range.
 func (r *Ring[T]) At(i int) T { return *r.Ptr(i) }
 
+// CeilPow2 rounds n up to a power of two (minimum 1) — the backing
+// length Adopt requires for a ring meant to hold n elements.
+func CeilPow2(n int) int {
+	c := 1
+	for c < n {
+		c <<= 1
+	}
+	return c
+}
+
 // newRing returns a ring whose backing array already holds capacity
 // elements (rounded up to a power of two), as a slab-carved one would.
 func newRing[T any](capacity int) *Ring[T] {

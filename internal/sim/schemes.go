@@ -21,6 +21,7 @@ import (
 	"repro/internal/message"
 	"repro/internal/minbd"
 	"repro/internal/network"
+	"repro/internal/router"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -90,10 +91,13 @@ func (s Scheme) SupportsProtocol() bool { return s != MinBD }
 
 // Options selects and sizes a scheme instance.
 type Options struct {
-	Scheme   Scheme
-	W, H     int
-	VCs      int // 0 → scheme default
-	EjectCap int // 0 → 4
+	Scheme Scheme
+	W, H   int
+	VCs    int // 0 → scheme default
+	// EjectCap is each NIC's per-class ejection-queue depth in packets
+	// (0 → 4). MinBD, which has no NICs, reads the same value as the
+	// flits each router ejects per cycle (its own default is 1).
+	EjectCap int
 	Seed     int64
 
 	// Scheme knobs (0 → Table II defaults). Tests shrink DrainPeriod so
@@ -263,7 +267,15 @@ func (i *Instance) phase(p network.Phase) {
 	}
 }
 
-// Build constructs a scheme instance.
+// routerConfigs is each mesh scheme's Table II router.
+var routerConfigs = [numSchemes]func(vcs int) router.Config{
+	FastPass: fastpass.Config, EscapeVC: escapevc.Config, SPIN: spin.Config, SWAP: swap.Config,
+	DRAIN: drain.Config, Pitstop: pitstop.Config, TFC: tfc.Config,
+}
+
+// Build constructs a scheme instance: the one place a scheme is
+// assembled. A mesh scheme is its Table II router under the scheme's
+// controller, recording into the run's trace.
 func Build(o Options) *Instance {
 	o.setDefaults()
 	mesh := topology.NewMesh(o.W, o.H)
@@ -271,42 +283,41 @@ func Build(o Options) *Instance {
 	if o.TraceCapacity > 0 {
 		inst.Trace = trace.New(o.TraceCapacity)
 	}
-	switch o.Scheme {
-	case FastPass:
-		inst.Net, inst.FP = fastpass.New(mesh, o.VCs, o.EjectCap, o.Seed, fastpass.Params{
-			K: o.FastPassK, ScanInjectionOnly: o.FPScanInjectionOnly, DropOnReject: o.FPDropOnReject, Healing: o.FPHealing,
-		})
-		inst.FP.Trace = inst.Trace
-	case EscapeVC:
-		inst.Net = escapevc.New(mesh, o.VCs, o.EjectCap, o.Seed)
-	case SPIN:
-		inst.Net, _ = spin.New(mesh, o.VCs, o.EjectCap, o.Seed, spin.Params{Threshold: o.SpinThreshold})
-	case SWAP:
-		inst.Net, _ = swap.New(mesh, o.VCs, o.EjectCap, o.Seed, swap.Params{Duty: o.SwapDuty})
-	case DRAIN:
-		inst.Net, _ = drain.New(mesh, o.VCs, o.EjectCap, o.Seed, drain.Params{Period: o.DrainPeriod})
-	case Pitstop:
-		inst.Net, inst.Pit = pitstop.New(mesh, o.VCs, o.EjectCap, o.Seed, pitstop.Params{})
-	case TFC:
-		inst.Net, _ = tfc.New(mesh, o.VCs, o.EjectCap, o.Seed)
-	case MinBD:
+	if o.Scheme == MinBD { // no credits, VCs or NICs for faults to degrade or watchdogs to audit
 		inst.Deflect = minbd.New(mesh, minbd.Params{EjectCap: o.EjectCap})
-	default:
+		return inst
+	}
+	if o.Scheme < 0 || o.Scheme >= numSchemes {
 		panic("sim: unknown scheme")
 	}
-	inst.attachRobustness(o)
+	n := network.New(network.Params{Mesh: mesh, Router: routerConfigs[o.Scheme](o.VCs), EjectCap: o.EjectCap})
+	n.Trace = inst.Trace
+	inst.Net = n
+	switch o.Scheme {
+	case FastPass:
+		inst.FP = fastpass.Attach(n, fastpass.Params{
+			K: o.FastPassK, ScanInjectionOnly: o.FPScanInjectionOnly, DropOnReject: o.FPDropOnReject, Healing: o.FPHealing,
+		})
+	case EscapeVC:
+		n.Controller = network.NopController{Label: "EscapeVC"}
+	case SPIN:
+		spin.Attach(n, spin.Params{Threshold: o.SpinThreshold})
+	case SWAP:
+		swap.Attach(n, swap.Params{Duty: o.SwapDuty})
+	case DRAIN:
+		drain.Attach(n, drain.Params{Period: o.DrainPeriod})
+	case Pitstop:
+		inst.Pit = pitstop.Attach(n)
+	case TFC:
+		tfc.Attach(n)
+	}
+	inst.attachRobustness(n, o)
 	return inst
 }
 
 // attachRobustness wires the fault injector and invariant watchdogs
-// requested by Options into a freshly built network. MinBD is excluded:
-// its deflection network has no credits, VCs or NICs to degrade or
-// audit.
-func (inst *Instance) attachRobustness(o Options) {
-	n := inst.Net
-	if n == nil {
-		return
-	}
+// requested by Options into a freshly built mesh network.
+func (inst *Instance) attachRobustness(n *network.Network, o Options) {
 	if o.Faults != "" {
 		plan := faults.MustParsePlan(o.Faults)
 		if o.FaultScale > 0 {
@@ -327,12 +338,6 @@ func (inst *Instance) attachRobustness(o Options) {
 		}
 		if on {
 			inst.Watch = invariant.Attach(n, wopts)
-			if inst.FP != nil {
-				inst.Watch.Observe(inst.FP)
-			}
-			if inst.Pit != nil {
-				inst.Watch.Observe(inst.Pit)
-			}
 		}
 	}
 }
