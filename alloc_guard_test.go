@@ -27,7 +27,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/traffic"
 	"repro/internal/workload"
-	"repro/noc"
 )
 
 // steadyStateAllocBudget tolerates the amortised capacity growth that is
@@ -82,7 +81,7 @@ func oneCycle(inst *sim.Instance, src sim.Source) func() {
 
 // measureSteadyStateAllocs runs the scheme through the run loop, with a
 // counting phase hook when hooked is set, and scores 300 warm cycles.
-func measureSteadyStateAllocs(t *testing.T, scheme noc.Scheme, w, h int, rate float64, hooked bool) float64 {
+func measureSteadyStateAllocs(t *testing.T, scheme sim.Scheme, w, h int, rate float64, hooked bool) float64 {
 	t.Helper()
 	// Watchdog on at the default stride: invariant sampling is part of
 	// the steady state and must fit inside the same zero budget.
@@ -108,25 +107,25 @@ func TestSteadyStateZeroAllocsPerCycle(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		scheme noc.Scheme
+		scheme sim.Scheme
 		size   int
 		rate   float64
 		budget float64
 		hooked bool
 	}{
-		{"FastPass/uniform", noc.FastPass, 4, 0.10, steadyStateAllocBudget, false},
-		{"FastPass/idle", noc.FastPass, 4, 0, steadyStateAllocBudget, false},
+		{"FastPass/uniform", sim.FastPass, 4, 0.10, steadyStateAllocBudget, false},
+		{"FastPass/idle", sim.FastPass, 4, 0, steadyStateAllocBudget, false},
 		// 0.06 is the highest fig7_uniform rate EscapeVC sustains: past
 		// saturation the unbounded source queues and the arena grow with
 		// the backlog every cycle, which is load, not engine garbage.
-		{"EscapeVC/8x8", noc.EscapeVC, 8, 0.06, steadyStateAllocBudget, false},
-		{"FastPass/16x16", noc.FastPass, 16, 0.03, steadyStateAllocBudget, false},
+		{"EscapeVC/8x8", sim.EscapeVC, 8, 0.06, steadyStateAllocBudget, false},
+		{"FastPass/16x16", sim.FastPass, 16, 0.03, steadyStateAllocBudget, false},
 		// lowload_16x16's shape: ~4 of 256 routers awake, the cycle is
 		// the generator's scan and PreCycle's walk over empty primes.
-		{"FastPass/16x16-lowload", noc.FastPass, 16, 0.0005, steadyStateAllocBudget, false},
+		{"FastPass/16x16-lowload", sim.FastPass, 16, 0.0005, steadyStateAllocBudget, false},
 		// MinBD draws from the arena like everyone else, so generation is
 		// part of the measurement.
-		{"MinBD/8x8", noc.MinBD, 8, 0.06, steadyStateAllocBudget, false},
+		{"MinBD/8x8", sim.MinBD, 8, 0.06, steadyStateAllocBudget, false},
 		// SPIN probes only once heads block, which is past its saturation
 		// point (0.08): at 0.10 a probe fires about once a cycle and the
 		// backlog takes an arena chunk every ~11 cycles — 0.08 objects
@@ -134,11 +133,11 @@ func TestSteadyStateZeroAllocsPerCycle(t *testing.T) {
 		// an executed spin's chain buffer and, untraced, formats nothing;
 		// copying its chain afresh again would add 0.06, and a probe
 		// that allocated would alone be >= 1.
-		{"SPIN/8x8@0.10", noc.SPIN, 8, 0.10, 0.12, false},
+		{"SPIN/8x8@0.10", sim.SPIN, 8, 0.10, 0.12, false},
 		// A phase hook that does not allocate leaves the cycle at zero:
 		// an unset hook is a nil check, a set one a call per boundary.
-		{"FastPass/8x8+hook", noc.FastPass, 8, 0.06, steadyStateAllocBudget, true},
-		{"MinBD/8x8+hook", noc.MinBD, 8, 0.06, steadyStateAllocBudget, true},
+		{"FastPass/8x8+hook", sim.FastPass, 8, 0.06, steadyStateAllocBudget, true},
+		{"MinBD/8x8+hook", sim.MinBD, 8, 0.06, steadyStateAllocBudget, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -152,7 +151,7 @@ func TestSteadyStateZeroAllocsPerCycle(t *testing.T) {
 	// from its own arena and go back when the NIC has consumed them.
 	// Streamcluster has the highest IssueRate of the workload profiles.
 	t.Run("Protocol/FastPass-8x8", func(t *testing.T) {
-		inst := sim.Build(sim.Options{Scheme: noc.FastPass, W: 8, H: 8, Seed: 1, Watchdog: "on"})
+		inst := sim.Build(sim.Options{Scheme: sim.FastPass, W: 8, H: 8, Seed: 1, Watchdog: "on"})
 		eng := protocol.New(inst.Net, workload.MustGet("Streamcluster").Profile, 1)
 		tick := oneCycle(inst, engine{eng})
 		for c := 0; c < 8000; c++ {
@@ -235,7 +234,7 @@ func TestFirstTouchAllocBudget(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tick := tc.ticker(sim.Build(sim.Options{Scheme: noc.FastPass, W: 8, H: 8, Seed: 1}))
+			tick := tc.ticker(sim.Build(sim.Options{Scheme: sim.FastPass, W: 8, H: 8, Seed: 1}))
 			inj0, other0 := ringGrowObjects()
 			const cycles = 2000
 			got := allocsPerTick(cycles, tick) * cycles
@@ -297,7 +296,7 @@ func TestBuildAllocBudget(t *testing.T) {
 		ceiling  float64
 	}{{8, false, 42}, {32, false, 42}, {8, true, 19}, {32, true, 19}} {
 		got := testing.AllocsPerRun(3, func() {
-			inst := sim.Build(sim.Options{Scheme: noc.FastPass, W: tc.size, H: tc.size, Seed: 1})
+			inst := sim.Build(sim.Options{Scheme: sim.FastPass, W: tc.size, H: tc.size, Seed: 1})
 			if tc.released {
 				inst.Net.Release()
 			}
@@ -307,7 +306,7 @@ func TestBuildAllocBudget(t *testing.T) {
 			t.Errorf("sim.Build(FastPass %dx%d), released %v, makes %.0f heap objects, ceiling %.0f", tc.size, tc.size, tc.released, got, tc.ceiling)
 		}
 	}
-	inst := sim.Build(sim.Options{Scheme: noc.FastPass, W: 32, H: 32, Seed: 1})
+	inst := sim.Build(sim.Options{Scheme: sim.FastPass, W: 32, H: 32, Seed: 1})
 	profile := workload.MustGet("Streamcluster").Profile
 	got := testing.AllocsPerRun(3, func() { protocol.New(inst.Net, profile, 1) })
 	t.Logf("protocol.New(32x32): %.0f heap objects", got)
@@ -329,7 +328,7 @@ func TestCheckpointAllocBudget(t *testing.T) {
 		t.Skip("race instrumentation allocates; run the guard without -race")
 	}
 	cfg := sim.SynthConfig{
-		Options: sim.Options{Scheme: noc.FastPass, W: 16, H: 16, Seed: 1},
+		Options: sim.Options{Scheme: sim.FastPass, W: 16, H: 16, Seed: 1},
 		Pattern: traffic.Uniform, Rate: 0.03,
 		Warmup: 1000, Measure: 1000, Drain: 160,
 	}
@@ -390,7 +389,7 @@ func TestSteadyStateZeroAllocsWithTelemetry(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run the guard without -race")
 	}
-	inst := sim.Build(sim.Options{Scheme: noc.FastPass, W: 4, H: 4, Seed: 1, Watchdog: "on"})
+	inst := sim.Build(sim.Options{Scheme: sim.FastPass, W: 4, H: 4, Seed: 1, Watchdog: "on"})
 	n := inst.Net
 	m := telemetry.New(telemetry.Options{Window: 1 << 40}, telemetry.Meta{
 		Scheme: "FastPass", Pattern: "uniform", Rate: 0.10, Nodes: 16,

@@ -14,17 +14,18 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/fastpass"
+	"repro/internal/powerarea"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/traffic"
 	"repro/internal/workload"
-	"repro/noc"
 )
 
 // benchSynth is a small, fast synthetic point.
-func benchSynth(scheme noc.Scheme, pattern noc.Pattern, rate float64) noc.SynthConfig {
-	return noc.SynthConfig{
-		Options: noc.Options{Scheme: scheme, W: 4, H: 4, Seed: 1, DrainPeriod: 4096},
+func benchSynth(scheme sim.Scheme, pattern traffic.Pattern, rate float64) sim.SynthConfig {
+	return sim.SynthConfig{
+		Options: sim.Options{Scheme: scheme, W: 4, H: 4, Seed: 1, DrainPeriod: 4096},
 		Pattern: pattern,
 		Rate:    rate,
 		Warmup:  500, Measure: 2000, Drain: 1500,
@@ -35,7 +36,7 @@ func benchSynth(scheme noc.Scheme, pattern noc.Pattern, rate float64) noc.SynthC
 // comparison matrix).
 func BenchmarkTable1Properties(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := noc.Table1()
+		rows := exp.Table1()
 		if len(rows) != 8 {
 			b.Fatal("Table I has 8 rows")
 		}
@@ -54,8 +55,8 @@ func BenchmarkFig7Synthetic(b *testing.B) {
 		rates := []float64{0.02, 0.08, 0.14}
 		var fpLat float64
 		for _, scheme := range exp.Fig7Schemes() {
-			pts := noc.SweepLatency(benchSynth(scheme, noc.Uniform, 0), rates)
-			if scheme == noc.FastPass {
+			pts := sim.SweepLatency(benchSynth(scheme, traffic.Uniform, 0), rates)
+			if scheme == sim.FastPass {
 				fpLat = pts[0].AvgLatency
 			}
 		}
@@ -68,8 +69,8 @@ func BenchmarkFig7Synthetic(b *testing.B) {
 // FastPass/SWAP throughput ratio.
 func BenchmarkFig8Scaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, fp := sim.SaturationThroughput(benchSynth(noc.FastPass, noc.Transpose, 0), 0.01, 0.6, 4)
-		_, sw := sim.SaturationThroughput(benchSynth(noc.SWAP, noc.Transpose, 0), 0.01, 0.6, 4)
+		_, fp := sim.SaturationThroughput(benchSynth(sim.FastPass, traffic.Transpose, 0), 0.01, 0.6, 4)
+		_, sw := sim.SaturationThroughput(benchSynth(sim.SWAP, traffic.Transpose, 0), 0.01, 0.6, 4)
 		b.ReportMetric(fp/sw, "fastpass-vs-swap-throughput-ratio")
 	}
 }
@@ -79,9 +80,9 @@ func BenchmarkFig8Scaling(b *testing.B) {
 // component (which the paper shows stays flat).
 func BenchmarkFig9Breakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := benchSynth(noc.FastPass, noc.Uniform, 0.08)
+		cfg := benchSynth(sim.FastPass, traffic.Uniform, 0.08)
 		cfg.VCs = 1
-		res := noc.RunSynthetic(cfg)
+		res := sim.RunSynthetic(cfg)
 		if !math.IsNaN(res.FastSplitFast) {
 			b.ReportMetric(res.FastSplitFast, "bufferless-cycles")
 		}
@@ -95,20 +96,20 @@ func BenchmarkFig10Applications(b *testing.B) {
 	app := workload.MustGet("FFT")
 	app.WorkQuota = 400
 	for i := 0; i < b.N; i++ {
-		exec := map[noc.Scheme]int64{}
-		for _, s := range []noc.Scheme{noc.EscapeVC, noc.FastPass} {
+		exec := map[sim.Scheme]int64{}
+		for _, s := range []sim.Scheme{sim.EscapeVC, sim.FastPass} {
 			vcs := 2
-			if s == noc.FastPass {
+			if s == sim.FastPass {
 				vcs = 4
 			}
-			r := noc.RunApp(noc.AppConfig{
-				Options:   noc.Options{Scheme: s, W: 4, H: 4, VCs: vcs, Seed: 3},
+			r := sim.RunApp(sim.AppConfig{
+				Options:   sim.Options{Scheme: s, W: 4, H: 4, VCs: vcs, Seed: 3},
 				App:       app,
 				MaxCycles: 200000,
 			})
 			exec[s] = r.ExecTime
 		}
-		b.ReportMetric(float64(exec[noc.FastPass])/float64(exec[noc.EscapeVC]), "fastpass-exec-norm")
+		b.ReportMetric(float64(exec[sim.FastPass])/float64(exec[sim.EscapeVC]), "fastpass-exec-norm")
 	}
 }
 
@@ -117,8 +118,8 @@ func BenchmarkFig10Applications(b *testing.B) {
 func BenchmarkFig11PowerArea(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var esc, fp float64
-		for _, c := range noc.Fig11Configs() {
-			r := noc.EstimatePowerArea(c)
+		for _, c := range powerarea.Fig11Configs() {
+			r := powerarea.Estimate(c)
 			switch c.Name {
 			case "EscapeVC (VN=6, VC=2)":
 				esc = r.Area.Total()
@@ -138,16 +139,16 @@ func BenchmarkFig12TailLatency(b *testing.B) {
 	app := workload.MustGet("Canneal")
 	app.WorkQuota = 400
 	for i := 0; i < b.N; i++ {
-		p99 := map[noc.Scheme]float64{}
-		for _, s := range []noc.Scheme{noc.DRAIN, noc.FastPass} {
-			r := noc.RunApp(noc.AppConfig{
-				Options:   noc.Options{Scheme: s, W: 4, H: 4, VCs: 2, Seed: 3, DrainPeriod: 2048},
+		p99 := map[sim.Scheme]float64{}
+		for _, s := range []sim.Scheme{sim.DRAIN, sim.FastPass} {
+			r := sim.RunApp(sim.AppConfig{
+				Options:   sim.Options{Scheme: s, W: 4, H: 4, VCs: 2, Seed: 3, DrainPeriod: 2048},
 				App:       app,
 				MaxCycles: 200000,
 			})
 			p99[s] = r.P99Latency
 		}
-		b.ReportMetric(p99[noc.DRAIN]/p99[noc.FastPass], "drain-vs-fastpass-p99-ratio")
+		b.ReportMetric(p99[sim.DRAIN]/p99[sim.FastPass], "drain-vs-fastpass-p99-ratio")
 	}
 }
 
@@ -157,9 +158,9 @@ func BenchmarkFig12TailLatency(b *testing.B) {
 // saturation).
 func BenchmarkFig13Breakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := benchSynth(noc.FastPass, noc.Uniform, 0.10)
+		cfg := benchSynth(sim.FastPass, traffic.Uniform, 0.10)
 		cfg.VCs = 1
-		res := noc.RunSynthetic(cfg)
+		res := sim.RunSynthetic(cfg)
 		b.ReportMetric(res.DroppedFrac, "dropped-fraction")
 	}
 }
@@ -189,12 +190,12 @@ func BenchmarkLaneConstruction(b *testing.B) {
 // BenchmarkRouterCycle measures the hot path: one cycle of a loaded 8×8
 // FastPass network.
 func BenchmarkRouterCycle(b *testing.B) {
-	cfg := noc.SynthConfig{
-		Options: noc.Options{Scheme: noc.FastPass, W: 8, H: 8, Seed: 1},
-		Pattern: noc.Uniform,
+	cfg := sim.SynthConfig{
+		Options: sim.Options{Scheme: sim.FastPass, W: 8, H: 8, Seed: 1},
+		Pattern: traffic.Uniform,
 		Rate:    0.10,
 		Warmup:  b.N, Measure: 1, Drain: 0,
 	}
 	b.ResetTimer()
-	noc.RunSynthetic(cfg)
+	sim.RunSynthetic(cfg)
 }

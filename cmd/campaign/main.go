@@ -39,7 +39,8 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/obs"
-	"repro/noc"
+	"repro/internal/sim"
+	"repro/internal/traffic"
 )
 
 func main() {
@@ -60,7 +61,7 @@ func main() {
 
 // runConfig is a fully-validated campaign invocation.
 type runConfig struct {
-	camp     noc.CampaignConfig
+	camp     campaign.Config
 	out      string // curve CSV path; "" = stdout
 	journal  string
 	resume   bool
@@ -78,7 +79,7 @@ func parse(args []string) (runConfig, error) {
 	variants := fs.String("variants", "FastPass-static,FastPass-healing", "comma-separated variant list (scheme names plus FastPass-static/FastPass-healing)")
 	patternName := fs.String("pattern", "Uniform", "synthetic pattern")
 	size := fs.Int("size", 8, "mesh dimension")
-	rate := fs.Float64("rate", 0.05, "injection rate (flits/node/cycle)")
+	rate := fs.Float64("rate", 0.05, "injection rate in packets/node/cycle")
 	runs := fs.Int("runs", 20, "Monte Carlo population: seeds 1..N per (variant, scale) cell")
 	seeds := fs.String("seeds", "", "explicit comma-separated seed list (overrides -runs)")
 	scales := fs.String("scales", "0,1", "comma-separated fault-plan intensity multipliers; 0 is the fault-free control")
@@ -97,11 +98,11 @@ func parse(args []string) (runConfig, error) {
 		return runConfig{}, err
 	}
 
-	vars, err := noc.ParseCampaignVariants(*variants)
+	vars, err := campaign.ParseVariants(*variants)
 	if err != nil {
 		return runConfig{}, fmt.Errorf("-variants: %v", err)
 	}
-	pattern, err := noc.ParsePattern(*patternName)
+	pattern, err := traffic.ParsePattern(*patternName)
 	if err != nil {
 		return runConfig{}, fmt.Errorf("-pattern: %v", err)
 	}
@@ -123,9 +124,9 @@ func parse(args []string) (runConfig, error) {
 	case *resume && *journal == "":
 		return runConfig{}, fmt.Errorf("-resume reuses a journal; pass its path with -journal")
 	}
-	camp := noc.CampaignConfig{
-		Base: noc.SynthConfig{
-			Options: noc.Options{
+	camp := campaign.Config{
+		Base: sim.SynthConfig{
+			Options: sim.Options{
 				W: *size, H: *size, DrainPeriod: 8192,
 				Faults: *faultSpec, Watchdog: *watchdog,
 			},
@@ -180,7 +181,7 @@ func runCampaign(cfg runConfig, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	grid := noc.CampaignGrid(cfg.camp)
+	grid := campaign.Grid(cfg.camp)
 	total := len(grid)
 	completed := 0
 	for _, p := range grid {
@@ -225,8 +226,8 @@ func runCampaign(cfg runConfig, stdout, stderr io.Writer) error {
 	// rewrite below is what the determinism contract covers.
 	var mu sync.Mutex
 	var onErr error
-	onRecord := func(r noc.CampaignRecord) {
-		line, err := noc.EncodeCampaignRecord(r)
+	onRecord := func(r campaign.Record) {
+		line, err := campaign.EncodeRecord(r)
 		mu.Lock()
 		defer mu.Unlock()
 		completed++
@@ -244,7 +245,7 @@ func runCampaign(cfg runConfig, stdout, stderr io.Writer) error {
 		}
 	}
 
-	recs, err := noc.RunCampaign(cfg.camp, done, onRecord)
+	recs, err := campaign.Run(cfg.camp, done, onRecord)
 	if jf != nil {
 		if cerr := jf.Close(); cerr != nil && onErr == nil {
 			onErr = cerr
@@ -261,26 +262,26 @@ func runCampaign(cfg runConfig, stdout, stderr io.Writer) error {
 	// file is byte-identical at any -j and across interrupt/resume.
 	if cfg.journal != "" {
 		if err := atomicWrite(cfg.journal, func(w io.Writer) error {
-			return noc.WriteCampaignJournal(w, recs)
+			return campaign.WriteJournal(w, recs)
 		}); err != nil {
 			return err
 		}
 	}
-	curves, err := noc.AggregateCampaign(cfg.camp, recs)
+	curves, err := campaign.Aggregate(cfg.camp, recs)
 	if err != nil {
 		return err
 	}
 	if cfg.out == "" {
-		return noc.WriteCampaignCurvesCSV(stdout, curves)
+		return campaign.WriteCurvesCSV(stdout, curves)
 	}
 	return atomicWrite(cfg.out, func(w io.Writer) error {
-		return noc.WriteCampaignCurvesCSV(w, curves)
+		return campaign.WriteCurvesCSV(w, curves)
 	})
 }
 
 // loadResume reads the journal into a resume map when -resume is set.
 // A missing journal file is an empty campaign, not an error.
-func loadResume(cfg runConfig) (map[string]noc.CampaignRecord, error) {
+func loadResume(cfg runConfig) (map[string]campaign.Record, error) {
 	if !cfg.resume {
 		return nil, nil
 	}
@@ -292,7 +293,7 @@ func loadResume(cfg runConfig) (map[string]noc.CampaignRecord, error) {
 		return nil, err
 	}
 	defer f.Close()
-	done, err := noc.ReadCampaignJournal(f)
+	done, err := campaign.ReadJournal(f)
 	if err != nil {
 		return nil, fmt.Errorf("-resume: %v", err)
 	}

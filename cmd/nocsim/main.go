@@ -27,7 +27,9 @@ import (
 	"log"
 	"os"
 
-	"repro/noc"
+	"repro/internal/sim"
+	"repro/internal/traffic"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -48,7 +50,7 @@ func main() {
 	default:
 		cfg.run.OnCheckpoint = checkpointWriter(cfg.checkpoint)
 		cleanup := cfg.tf.apply(&cfg.run)
-		res := noc.RunSynthetic(cfg.run)
+		res := sim.RunSynthetic(cfg.run)
 		cleanup()
 		printSynth(res, cfg.run.Faults != "")
 	}
@@ -57,8 +59,8 @@ func main() {
 // config is a validated command line: a synthetic run, an application
 // run (app named) or a resumed checkpoint (restore set).
 type config struct {
-	run        noc.SynthConfig
-	app        noc.App
+	run        sim.SynthConfig
+	app        workload.App
 	checkpoint string // -checkpoint: file every checkpoint replaces
 	tf         telemetryFlags
 
@@ -123,7 +125,7 @@ func parse(args []string) (config, error) {
 		return cfg, nil
 	}
 
-	scheme, err := noc.ParseScheme(*schemeName)
+	scheme, err := sim.ParseScheme(*schemeName)
 	if err != nil {
 		return config{}, err
 	}
@@ -134,8 +136,8 @@ func parse(args []string) (config, error) {
 	if *faultScale == 0 {
 		return config{}, fmt.Errorf("-faultscale 0 leaves the fault plan unscaled; for a fault-free run, omit -faults")
 	}
-	cfg.run = noc.SynthConfig{
-		Options: noc.Options{
+	cfg.run = sim.SynthConfig{
+		Options: sim.Options{
 			Scheme: scheme, W: *size, H: *size, VCs: *vcs, Seed: *seed, DrainPeriod: 8192,
 			Faults: *faultSpec, FaultScale: *faultScale, Watchdog: *watchdog,
 			FPHealing: *fpHealing,
@@ -144,7 +146,7 @@ func parse(args []string) (config, error) {
 		CheckpointEvery: *checkpointEvery,
 	}
 	if *app != "" {
-		if cfg.app, err = noc.GetApp(*app); err != nil {
+		if cfg.app, err = workload.Get(*app); err != nil {
 			return config{}, err
 		}
 		switch {
@@ -153,15 +155,15 @@ func parse(args []string) (config, error) {
 		case cfg.tf.enabled() || cfg.tf.progress:
 			return config{}, fmt.Errorf("-telemetry, -heatmap, -http and -progress only apply to synthetic runs")
 		}
-		return cfg, noc.AppConfig{Options: cfg.run.Options, App: cfg.app}.Validate()
+		return cfg, sim.AppConfig{Options: cfg.run.Options, App: cfg.app}.Validate()
 	}
-	if cfg.run.Pattern, err = noc.ParsePattern(*patternName); err != nil {
+	if cfg.run.Pattern, err = traffic.ParsePattern(*patternName); err != nil {
 		return config{}, err
 	}
 	if err := cfg.run.Validate(); err != nil {
 		return config{}, err
 	}
-	if scheme == noc.MinBD {
+	if scheme == sim.MinBD {
 		// MinBD's deflection network carries neither the fault injector
 		// nor the watchdogs: run and print it without them.
 		cfg.run.Faults, cfg.run.Watchdog = "", ""
@@ -206,7 +208,7 @@ func runRestored(c config) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg, err := noc.OpenCheckpoint(blob)
+	cfg, err := sim.OpenCheckpoint(blob)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -222,7 +224,7 @@ func runRestored(c config) {
 	}
 	cfg.OnCheckpoint = checkpointWriter(c.checkpoint)
 	cleanup := c.tf.apply(&cfg)
-	res, err := noc.ResumeSynthetic(cfg, blob)
+	res, err := sim.ResumeSynthetic(cfg, blob)
 	cleanup()
 	if err != nil {
 		log.Fatal(err)
@@ -233,14 +235,14 @@ func runRestored(c config) {
 // printSynth renders a synthetic result and exits nonzero for aborted
 // or saturated runs. hadFaults gates the fault-accounting section (the
 // run's Options.Faults spec was non-empty).
-func printSynth(res noc.SynthResult, hadFaults bool) {
+func printSynth(res sim.SynthResult, hadFaults bool) {
 	fmt.Printf("scheme          %v\n", res.Scheme)
 	fmt.Printf("pattern         %v @ %.3f pkts/node/cycle\n", res.Pattern, res.Rate)
 	fmt.Printf("avg latency     %.2f cycles\n", res.AvgLatency)
 	fmt.Printf("p99 latency     %.0f cycles\n", res.P99Latency)
 	fmt.Printf("throughput      %.4f pkts/node/cycle (%.4f flits)\n", res.Throughput, res.FlitThroughput)
 	fmt.Printf("delivered       %.1f%% of measured packets (%d samples)\n", 100*res.DeliveredFrac, res.Samples)
-	if res.Scheme == noc.FastPass {
+	if res.Scheme == sim.FastPass {
 		fmt.Printf("breakdown       regular %.3f / fastpass %.3f / dropped %.4f\n",
 			res.RegularFrac, res.FastFrac, res.DroppedFrac)
 		fmt.Printf("promotions      %d (drops %d)\n", res.Promoted, res.Drops)
@@ -274,8 +276,8 @@ func printSynth(res noc.SynthResult, hadFaults bool) {
 	}
 }
 
-func runApp(opts noc.Options, app noc.App) {
-	res := noc.RunApp(noc.AppConfig{Options: opts, App: app})
+func runApp(opts sim.Options, app workload.App) {
+	res := sim.RunApp(sim.AppConfig{Options: opts, App: app})
 	fmt.Printf("scheme          %v\n", opts.Scheme)
 	fmt.Printf("application     %s (quota %d txns)\n", app.Name, app.WorkQuota)
 	fmt.Printf("exec time       %d cycles (timeout=%v)\n", res.ExecTime, res.Timeout)

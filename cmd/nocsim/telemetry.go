@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/noc"
+	"repro/internal/sim"
 )
 
 // telemetryFlags gathers the observability knobs so the synthetic and
@@ -28,7 +28,7 @@ func (tf telemetryFlags) enabled() bool {
 // starts the observation server, and installs the progress printer.
 // The returned cleanup flushes and closes everything; call it after the
 // run (it also terminates the progress line).
-func (tf telemetryFlags) apply(cfg *noc.SynthConfig) (cleanup func()) {
+func (tf telemetryFlags) apply(cfg *sim.SynthConfig) (cleanup func()) {
 	var closers []func()
 	cleanup = func() {
 		for i := len(closers) - 1; i >= 0; i-- {
@@ -36,7 +36,7 @@ func (tf telemetryFlags) apply(cfg *noc.SynthConfig) (cleanup func()) {
 		}
 	}
 	if tf.enabled() {
-		if cfg.Scheme == noc.MinBD && tf.heatmap != "" {
+		if cfg.Scheme == sim.MinBD && tf.heatmap != "" {
 			rejectf("-heatmap does not apply to MinBD (no routers or credit links to grid)")
 		}
 		if cfg.Telemetry.Window == 0 {
@@ -82,7 +82,7 @@ func (tf telemetryFlags) apply(cfg *noc.SynthConfig) (cleanup func()) {
 		// simulator itself never does (the determinism contract).
 		start := time.Now()
 		startCycle := int64(-1)
-		cfg.OnProgress = func(p noc.Progress) {
+		cfg.OnProgress = func(p sim.Progress) {
 			if startCycle < 0 {
 				startCycle = p.Cycle // resumed runs start mid-count
 				start = time.Now()

@@ -23,7 +23,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/traffic"
-	"repro/noc"
 )
 
 func main() {
@@ -42,7 +41,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.Parse()
 
-	scheme, err := noc.ParseScheme(*schemeName)
+	scheme, err := sim.ParseScheme(*schemeName)
 	opts := sim.Options{Scheme: scheme, W: *size, H: *size, VCs: *vcs, Seed: *seed, TraceCapacity: *capacity}
 	switch {
 	case err != nil: // an unknown -scheme
@@ -50,6 +49,8 @@ func main() {
 		err = errors.New("-size 0: need a mesh of at least 2x2")
 	case *cycles < 0:
 		err = fmt.Errorf("-cycles %d must not be negative", *cycles)
+	case *capacity < 1: // 0 would switch the recorder off
+		err = fmt.Errorf("-events %d: need at least 1 retained event", *capacity)
 	case *asJSON && *asJSONL:
 		err = errors.New("-json and -jsonl are mutually exclusive")
 	default:

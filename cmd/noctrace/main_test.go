@@ -26,7 +26,8 @@ const asMain = "NOCTRACE_TEST_AS_MAIN"
 func TestRejectsWithoutPanic(t *testing.T) {
 	for _, args := range [][]string{
 		{"-size", "0"}, {"-size", "1"}, {"-vcs", "99"}, {"-scheme", "EscapeVC", "-vcs", "1"},
-		{"-rate", "2"}, {"-cycles", "-5"}, {"-json", "-jsonl"}, {"-scheme", "Nope"},
+		{"-rate", "2"}, {"-cycles", "-5"}, {"-events", "0"}, {"-events", "-3"}, {"-json", "-jsonl"},
+		{"-scheme", "Nope"},
 	} {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), asMain+"=1")

@@ -28,7 +28,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/parallel"
-	"repro/noc"
+	"repro/internal/powerarea"
 )
 
 // artefacts are the names -only accepts, in the order a full run prints them.
@@ -188,7 +188,7 @@ func table1() {
 	}
 	fmt.Printf("%-18s %6s %6s %6s %6s %6s %6s %6s %6s\n",
 		"solution", "noDet", "proto", "net", "paths", "thrpt", "power", "scale", "noMis")
-	for _, r := range noc.Table1() {
+	for _, r := range exp.Table1() {
 		fmt.Printf("%-18s %6s %6s %6s %6s %6s %6s %6s %6s\n",
 			r.Solution, mark(r.NoDetection), mark(r.ProtocolFree), mark(r.NetworkFree),
 			mark(r.FullPathDiversity), mark(r.HighThroughput), mark(r.LowPower),
@@ -231,18 +231,18 @@ func table2(s exp.Scale) {
 func fig11() {
 	fmt.Println("Fig. 11 — post-P&R router power and area (analytical model)")
 	var escArea, escPower float64
-	for _, c := range noc.Fig11Configs() {
-		r := noc.EstimatePowerArea(c)
+	for _, c := range powerarea.Fig11Configs() {
+		r := powerarea.Estimate(c)
 		if strings.HasPrefix(c.Name, "EscapeVC") {
 			escArea, escPower = r.Area.Total(), r.Power.Total()
 		}
 		fmt.Printf("  %s\n", r)
 	}
-	for _, c := range noc.Fig11Configs() {
+	for _, c := range powerarea.Fig11Configs() {
 		if !strings.HasPrefix(c.Name, "FastPass") {
 			continue
 		}
-		r := noc.EstimatePowerArea(c)
+		r := powerarea.Estimate(c)
 		fmt.Printf("  FastPass vs EscapeVC: area −%.1f%%, power −%.1f%%\n",
 			100*(1-r.Area.Total()/escArea), 100*(1-r.Power.Total()/escPower))
 	}

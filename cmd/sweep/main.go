@@ -42,7 +42,8 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/exp"
 	"repro/internal/parallel"
-	"repro/noc"
+	"repro/internal/sim"
+	"repro/internal/traffic"
 )
 
 func main() {
@@ -115,7 +116,7 @@ func parse(args []string) (sweepConfig, error) {
 	if err != nil {
 		return sweepConfig{}, err
 	}
-	pattern, err := noc.ParsePattern(*patternName)
+	pattern, err := traffic.ParsePattern(*patternName)
 	if err != nil {
 		return sweepConfig{}, err
 	}
@@ -172,8 +173,8 @@ func parse(args []string) (sweepConfig, error) {
 // sweepConfig is a fully-validated sweep description: every field has
 // been parsed and checked, so sweepCSV cannot fail.
 type sweepConfig struct {
-	schemes []noc.Scheme // duplicate-free
-	pattern noc.Pattern
+	schemes []sim.Scheme // duplicate-free
+	pattern traffic.Pattern
 	size    int
 	seed    int64
 	rates   []float64
@@ -195,14 +196,14 @@ type sweepConfig struct {
 
 // parseSchemes splits a comma-separated scheme list, trimming each
 // name; a repeated scheme is rejected rather than silently overwritten.
-func parseSchemes(list string) ([]noc.Scheme, error) {
-	var schemes []noc.Scheme
+func parseSchemes(list string) ([]sim.Scheme, error) {
+	var schemes []sim.Scheme
 	for _, raw := range strings.Split(list, ",") {
 		name := strings.TrimSpace(raw)
 		if name == "" {
 			return nil, fmt.Errorf("empty scheme name in %q", list)
 		}
-		scheme, err := noc.ParseScheme(name)
+		scheme, err := sim.ParseScheme(name)
 		if err != nil {
 			return nil, err
 		}
@@ -239,9 +240,9 @@ func buildRateGrid(min, max, step float64) ([]float64, error) {
 
 // base assembles the SynthConfig every run perturbs: the sweep sets
 // Scheme and Rate per point, the resilience grid its cells.
-func (cfg sweepConfig) base() noc.SynthConfig {
-	return noc.SynthConfig{
-		Options: noc.Options{W: cfg.size, H: cfg.size, Seed: cfg.seed, DrainPeriod: 8192,
+func (cfg sweepConfig) base() sim.SynthConfig {
+	return sim.SynthConfig{
+		Options: sim.Options{W: cfg.size, H: cfg.size, Seed: cfg.seed, DrainPeriod: 8192,
 			Faults: cfg.faults, FaultScale: cfg.faultScale, Watchdog: cfg.watchdog},
 		Pattern: cfg.pattern,
 		Warmup:  cfg.warmup, Measure: cfg.measure, Drain: cfg.drain,
@@ -250,11 +251,11 @@ func (cfg sweepConfig) base() noc.SynthConfig {
 
 // resilience is the -fault-scales experiment as a campaign grid: one
 // static variant per scheme, at the one seed and the first rate.
-func (cfg sweepConfig) resilience() noc.CampaignConfig {
-	c := noc.CampaignConfig{Base: cfg.base(), Scales: cfg.scales, Seeds: []int64{cfg.seed}, Jobs: cfg.jobs}
+func (cfg sweepConfig) resilience() campaign.Config {
+	c := campaign.Config{Base: cfg.base(), Scales: cfg.scales, Seeds: []int64{cfg.seed}, Jobs: cfg.jobs}
 	c.Base.Rate = cfg.rates[0]
 	for _, s := range cfg.schemes {
-		c.Variants = append(c.Variants, noc.CampaignVariant{Scheme: s})
+		c.Variants = append(c.Variants, campaign.Variant{Scheme: s})
 	}
 	return c
 }
@@ -266,13 +267,13 @@ func (cfg sweepConfig) resilience() noc.CampaignConfig {
 // (aborted points are empty cells), so callers can write the partial
 // data and still exit nonzero.
 func sweepCSV(cfg sweepConfig) (string, []string) {
-	series := parallel.Map(cfg.jobs, cfg.schemes, func(scheme noc.Scheme) []noc.SynthResult {
+	series := parallel.Map(cfg.jobs, cfg.schemes, func(scheme sim.Scheme) []sim.SynthResult {
 		base := cfg.base()
 		base.Scheme = scheme
 		if t := cfg.telemetry; t != nil { // the series' runs stream, in rate order, into its buffer
 			base.Telemetry.Window, base.Telemetry.JSONL = t.window, &t.bufs[slices.Index(cfg.schemes, scheme)]
 		}
-		return noc.SweepLatency(base, cfg.rates)
+		return sim.SweepLatency(base, cfg.rates)
 	})
 
 	var reports []string
@@ -293,8 +294,8 @@ func sweepCSV(cfg sweepConfig) (string, []string) {
 // diagnostics of every aborted point.
 func resilienceCSV(cfg sweepConfig) (string, []string) {
 	c := cfg.resilience()
-	grid := noc.CampaignGrid(c)
-	res := parallel.Map(c.Jobs, grid, func(p noc.CampaignPoint) noc.SynthResult { return noc.RunSynthetic(c.Cell(p)) })
+	grid := campaign.Grid(c)
+	res := parallel.Map(c.Jobs, grid, func(p campaign.Point) sim.SynthResult { return sim.RunSynthetic(c.Cell(p)) })
 	var b strings.Builder
 	var reports []string
 	b.WriteString("scheme,scale,created,delivered,stranded,corrupted_delivered,credit_leaks,link_fails,port_stalls,consumer_stalls,flits_corrupted,credits_lost,aborted,deadlock,abort_cycle\n")

@@ -10,7 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/noc"
+	"repro/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -102,7 +102,7 @@ func TestBuildConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.schemes[0] != noc.FastPass || cfg.schemes[1] != noc.SPIN || len(cfg.rates) != 3 {
+	if cfg.schemes[0] != sim.FastPass || cfg.schemes[1] != sim.SPIN || len(cfg.rates) != 3 {
 		t.Errorf("config %+v not normalized", cfg)
 	}
 	if _, err := parse([]string{"-h"}); err != flag.ErrHelp {

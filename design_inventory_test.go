@@ -14,7 +14,7 @@ import (
 var moduleRow = regexp.MustCompile("^\\| `([^`]+)` \\|")
 
 // TestDesignInventory holds DESIGN.md's module tables (§2) to the tree:
-// every package under internal/, cmd/ and noc/ has a row, and every row
+// every package under internal/ and cmd/ has a row, and every row
 // names a package or file that exists.
 func TestDesignInventory(t *testing.T) {
 	data, err := os.ReadFile("DESIGN.md")
@@ -38,7 +38,7 @@ func TestDesignInventory(t *testing.T) {
 			t.Errorf("DESIGN.md lists %s, which does not exist", name)
 		}
 	}
-	for _, root := range []string{"internal", "cmd", "noc"} {
+	for _, root := range []string{"internal", "cmd"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err

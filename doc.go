@@ -5,7 +5,7 @@
 // and a harness that regenerates every table and figure of the paper's
 // evaluation.
 //
-// Use the public API in repro/noc; the benchmarks in bench_test.go map
-// one-to-one onto the paper's tables and figures. See README.md,
-// DESIGN.md and EXPERIMENTS.md.
+// Run it through the commands in cmd/ or, in code, through internal/sim;
+// the benchmarks in bench_test.go map one-to-one onto the paper's tables
+// and figures. See README.md, DESIGN.md and EXPERIMENTS.md.
 package repro

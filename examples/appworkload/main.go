@@ -8,18 +8,19 @@ import (
 	"fmt"
 	"log"
 
-	"repro/noc"
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func main() {
 	log.SetFlags(0)
-	appName := flag.String("app", "Canneal", "application profile (try: noc.AppNames())")
+	appName := flag.String("app", "Canneal", "application profile (try: workload.Names())")
 	size := flag.Int("size", 4, "mesh dimension")
 	flag.Parse()
 
-	app, err := noc.GetApp(*appName)
+	app, err := workload.Get(*appName)
 	if err != nil {
-		log.Fatalf("%v (known apps: %v)", err, noc.AppNames())
+		log.Fatalf("%v (known apps: %v)", err, workload.Names())
 	}
 	app.WorkQuota = 1500
 
@@ -28,24 +29,24 @@ func main() {
 	fmt.Printf("%-22s %10s %10s %12s %10s\n", "scheme", "avg lat", "p99 lat", "exec cycles", "norm")
 
 	type cfg struct {
-		scheme noc.Scheme
+		scheme sim.Scheme
 		vcs    int
 		label  string
 	}
 	cfgs := []cfg{
-		{noc.EscapeVC, 2, "EscapeVC (VN=6,VC=2)"},
-		{noc.SWAP, 2, "SWAP (VN=6,VC=2)"},
-		{noc.Pitstop, 2, "Pitstop (VN=0,VC=2)"},
-		{noc.FastPass, 2, "FastPass (VN=0,VC=2)"},
-		{noc.FastPass, 4, "FastPass (VN=0,VC=4)"},
+		{sim.EscapeVC, 2, "EscapeVC (VN=6,VC=2)"},
+		{sim.SWAP, 2, "SWAP (VN=6,VC=2)"},
+		{sim.Pitstop, 2, "Pitstop (VN=0,VC=2)"},
+		{sim.FastPass, 2, "FastPass (VN=0,VC=2)"},
+		{sim.FastPass, 4, "FastPass (VN=0,VC=4)"},
 	}
 	var escExec int64
 	for _, c := range cfgs {
-		res := noc.RunApp(noc.AppConfig{
-			Options: noc.Options{Scheme: c.scheme, W: *size, H: *size, VCs: c.vcs, Seed: 7},
+		res := sim.RunApp(sim.AppConfig{
+			Options: sim.Options{Scheme: c.scheme, W: *size, H: *size, VCs: c.vcs, Seed: 7},
 			App:     app,
 		})
-		if c.scheme == noc.EscapeVC {
+		if c.scheme == sim.EscapeVC {
 			escExec = res.ExecTime
 		}
 		norm := float64(res.ExecTime) / float64(escExec)

@@ -3,10 +3,10 @@
 // network-level deadlock with sustained single-class ring traffic, and
 // then show the identical load draining completely under FastPass.
 //
-// This example reaches below the public API on purpose: the noc package
-// never exposes the broken configuration (adaptive routing without a
-// deadlock-freedom mechanism), so the "before" network is assembled from
-// the internal building blocks.
+// This example reaches below sim on purpose: sim.Build never assembles
+// the broken configuration (adaptive routing without a deadlock-freedom
+// mechanism), so the "before" network is assembled from the network,
+// router and routing packages directly.
 package main
 
 import (

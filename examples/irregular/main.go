@@ -5,9 +5,9 @@
 // link sets that FastPass can use as partitions: each segment becomes a
 // FastPass-Lane schedule with no link shared between concurrent lanes.
 //
-// This example uses the internal topology package directly because the
-// public API's simulators are mesh-based; the partition derivation
-// itself is the §III-F contribution.
+// It runs on irrnet, the flit-level network for irregular topologies,
+// because sim builds meshes only; the partition derivation itself is
+// the §III-F contribution.
 package main
 
 import (

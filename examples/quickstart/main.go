@@ -1,13 +1,14 @@
 // Quickstart: run FastPass and EscapeVC side by side on a 4×4 mesh
 // under uniform traffic and compare latency and throughput. This is the
-// smallest end-to-end use of the public API.
+// smallest end-to-end use of sim.RunSynthetic.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"repro/noc"
+	"repro/internal/sim"
+	"repro/internal/traffic"
 )
 
 func main() {
@@ -16,10 +17,10 @@ func main() {
 	fmt.Println()
 	fmt.Printf("%-8s %-10s %12s %12s %12s\n", "rate", "scheme", "avg lat", "p99 lat", "delivered")
 	for _, rate := range []float64{0.02, 0.06, 0.10, 0.14} {
-		for _, scheme := range []noc.Scheme{noc.FastPass, noc.EscapeVC} {
-			res := noc.RunSynthetic(noc.SynthConfig{
-				Options: noc.Options{Scheme: scheme, W: 4, H: 4, Seed: 42},
-				Pattern: noc.Uniform,
+		for _, scheme := range []sim.Scheme{sim.FastPass, sim.EscapeVC} {
+			res := sim.RunSynthetic(sim.SynthConfig{
+				Options: sim.Options{Scheme: scheme, W: 4, H: 4, Seed: 42},
+				Pattern: traffic.Uniform,
 				Rate:    rate,
 			})
 			state := fmt.Sprintf("%11.1f%%", 100*res.DeliveredFrac)

@@ -11,6 +11,19 @@ func estim(name string) Result {
 	panic("unknown config " + name)
 }
 
+func TestFig11Configs(t *testing.T) {
+	cfgs := Fig11Configs()
+	if len(cfgs) != 6 {
+		t.Fatalf("Fig. 11 has 6 configurations, got %d", len(cfgs))
+	}
+	for _, c := range cfgs {
+		r := Estimate(c)
+		if r.Area.Total() <= 0 || r.Power.Total() <= 0 {
+			t.Errorf("%s: non-positive estimate", c.Name)
+		}
+	}
+}
+
 func TestEscapeVCMagnitude(t *testing.T) {
 	esc := estim("EscapeVC (VN=6, VC=2)")
 	if a := esc.Area.Total(); a < 300000 || a > 400000 {

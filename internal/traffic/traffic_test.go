@@ -19,6 +19,25 @@ func TestPatternStrings(t *testing.T) {
 	}
 }
 
+// Every pattern's name is unique and parses back to it; an unknown name
+// is rejected.
+func TestParsePattern(t *testing.T) {
+	seen := map[string]bool{}
+	for _, p := range Patterns() {
+		if seen[p.String()] {
+			t.Errorf("duplicate pattern %v", p)
+		}
+		seen[p.String()] = true
+		got, err := ParsePattern(p.String())
+		if err != nil || got != p {
+			t.Errorf("ParsePattern(%v): %v, %v", p, got, err)
+		}
+	}
+	if _, err := ParsePattern("Nope"); err == nil {
+		t.Error("unknown pattern accepted")
+	}
+}
+
 func TestTranspose(t *testing.T) {
 	g := &Generator{Pattern: Transpose, W: 4, H: 4}
 	rng := rand.New(rand.NewSource(1))
