@@ -320,9 +320,11 @@ func TestBuildAllocBudget(t *testing.T) {
 // and nothing else of note. A warm FastPass 16×16 run is resumed with a
 // checkpoint every cycle; between two consecutive callbacks lie exactly
 // one checkpoint and one (allocation-free) simulated cycle. The blob
-// itself is held to the size of the simulator's state: 57,035 bytes at
-// format v5 (417,003 at v4, which re-encoded every measured latency and
-// 128 telemetry records at 8 bytes an integer), plus 10 %.
+// itself is held to the size of the simulator's live state: 28,229
+// bytes at format v6, plus 10 % (57,035 at v5, which encoded every empty
+// VC, injection queue, NIC class and link stage; 417,003 at v4, which
+// re-encoded every measured latency and 128 telemetry records at 8 bytes
+// an integer).
 func TestCheckpointAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run the guard without -race")
@@ -339,6 +341,11 @@ func TestCheckpointAllocBudget(t *testing.T) {
 	rcfg, err := sim.OpenCheckpoint(warm)
 	if err != nil {
 		t.Fatalf("OpenCheckpoint: %v", err)
+	}
+	// Reading the config decodes no packet of the blob's table (293
+	// objects at format v5, one per packet; 2 at v6).
+	if open := testing.AllocsPerRun(5, func() { sim.OpenCheckpoint(warm) }); open > 4 {
+		t.Errorf("OpenCheckpoint allocates %.0f objects, budget 4", open)
 	}
 
 	// The first checkpoints of the resumed run grow the retained buffers
@@ -373,8 +380,8 @@ func TestCheckpointAllocBudget(t *testing.T) {
 	if ratio := float64(bytes) / float64(blobBytes); ratio > 1.1 {
 		t.Errorf("steady-state checkpoint allocates %.3f × its blob's bytes, budget 1.1", ratio)
 	}
-	if perBlob := float64(blobBytes) / n; perBlob > 62_700 {
-		t.Errorf("steady-state blob is %.0f bytes, ceiling 62,700", perBlob)
+	if perBlob := float64(blobBytes) / n; perBlob > 31_100 {
+		t.Errorf("steady-state blob is %.0f bytes, ceiling 31,100", perBlob)
 	}
 }
 

@@ -26,7 +26,7 @@ const asMain = "NOCTRACE_TEST_AS_MAIN"
 func TestRejectsWithoutPanic(t *testing.T) {
 	for _, args := range [][]string{
 		{"-size", "0"}, {"-size", "1"}, {"-vcs", "99"}, {"-scheme", "EscapeVC", "-vcs", "1"},
-		{"-rate", "2"}, {"-cycles", "-5"}, {"-events", "0"}, {"-events", "-3"}, {"-json", "-jsonl"},
+		{"-rate", "2"}, {"-cycles", "-5"}, {"-events", "0"}, {"-events", "-3"}, {"-events", "1048577"}, {"-json", "-jsonl"},
 		{"-scheme", "Nope"},
 	} {
 		cmd := exec.Command(os.Args[0], args...)

@@ -26,7 +26,7 @@ import (
 type Pool struct {
 	free []*Packet
 	// fresh is the uncarved tail of the newest chunk — capacity, not
-	// state: a restored pool starts without one.
+	// state: a blob does not record it.
 	fresh []Packet
 	// chunks are the arena's chunks in carving order; those past carved
 	// came zeroed from a released pool.
@@ -95,13 +95,22 @@ func (pl *Pool) Get(id uint64, src, dst int, class Class, flits int, cycle int64
 				p.ID, id, cycle, *p))
 		}
 	} else {
-		if len(pl.fresh) == 0 {
-			pl.grow()
-		}
-		p, pl.fresh = &pl.fresh[0], pl.fresh[1:]
-		pl.News++
+		p = pl.Carve()
 	}
 	return p.init(id, src, dst, class, flits, cycle)
+}
+
+// Carve returns the arena's next zero chunk slot, counted in News: Get's
+// path when the free list is empty, and a restore's for the packets of
+// a checkpoint's table (the restore then sets the counters).
+func (pl *Pool) Carve() *Packet {
+	if len(pl.fresh) == 0 {
+		pl.grow()
+	}
+	p := &pl.fresh[0]
+	pl.fresh = pl.fresh[1:]
+	pl.News++
+	return p
 }
 
 const packetSize = int(unsafe.Sizeof(Packet{}))

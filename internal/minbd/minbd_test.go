@@ -468,7 +468,7 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	w := snapshot.NewWriter()
 	n.SnapshotState(w)
 	sum := sha256.Sum256(snapshot.Seal(nil, w))
-	const want = "48511ce497c4ac3757fe99b4792107326f5cde3cf9e8628bcbde9ef294489f9d"
+	const want = "9ba24eecf593ae5857eeccaf7f46951db5850f8202c31a31d940245c549ac5c9"
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("mid-run checkpoint sha256 = %s, want %s", got, want)
 	}

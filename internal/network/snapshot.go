@@ -8,13 +8,15 @@ import (
 
 // Snapshots are taken between Steps, at a cycle boundary. The engine
 // guarantees a set of invariants there that shrink the state surface:
-// every channel's next stage is invalid and its credit pipe drained
-// only after shift ran — but shift runs inside Step, so both hold; no
-// active-set iteration is running (cur == -1). Those fields are
-// transient in the manifest. Claims from the previous cycle
-// are still set (beginCycle clears them at the top of the next Step),
-// so they are encoded even though nothing will read them before the
-// clear — encoding exact state is cheaper than proving it dead.
+// shift has just run, so every channel's next stage is invalid, its
+// credit pipe drained, and it is dirty exactly when its cur stage holds
+// a flit; no active-set iteration is running (cur == -1). So next, the
+// credit pipes and the active-set cursors are transient in the manifest,
+// and a link stage is encoded for the dirty channels only. Claims from
+// the previous cycle are still set (beginCycle clears them at the top of
+// the next Step), so they are encoded even though nothing will read them
+// before the clear — encoding exact state is cheaper than proving it
+// dead.
 //
 // Restore targets a freshly built Network with identical construction
 // parameters: wiring, topology and closures come from Build; only
@@ -60,34 +62,15 @@ func (n *Network) active(s snapshot.State, what string, set *activeSet) {
 func (n *Network) SnapshotState(w *snapshot.Writer) { n.state(w.State()) }
 func (n *Network) RestoreState(r *snapshot.Reader)  { n.state(r.State()) }
 
-// state walks the cycle engine state, channels, claims (a restore puts
-// them back into the routers' masks as well as the arrays), active sets,
-// NICs, routers, the attached controller (when it carries state) and the
-// fault injector (when attached).
+// state walks the cycle engine state, the channels' flit counters,
+// claims (a restore puts them back into the routers' masks as well as the
+// arrays), the dirty channels with their link stages, active sets, NICs,
+// routers, the attached controller (when it carries state) and the fault
+// injector (when attached).
 func (n *Network) state(s snapshot.State) {
 	snapshot.Int(s, &n.cycle, &n.FlitsOnLinks)
 	links, nodes, netVCs := len(n.channels), len(n.Routers), n.Routers[0].Cfg.NetVCs()
 	for _, ch := range n.channels {
-		// Both link stages; a restore zeroes each first.
-		for _, t := range [...]*transit{&ch.cur, &ch.next} {
-			if s.Decoding() {
-				*t = transit{}
-			}
-			if s.Bool(&t.valid); t.valid {
-				s.Packet(&t.flit.Pkt)
-				snapshot.Int(s, &t.flit.Seq)
-				index(s, &t.vc, "flit VC", netVCs)
-				snapshot.Uint(s, &t.payload)
-				snapshot.Byte(s, &t.sum)
-			}
-		}
-		if s.Decoding() {
-			ch.creditNext = ch.creditNext[:0]
-		}
-		indices(s, "credit VC", netVCs, len(ch.creditNext), func(i int) int { return ch.creditNext[i] }, func(vc int) bool {
-			ch.creditNext = append(ch.creditNext, vc)
-			return len(ch.creditNext) <= netVCs // a VC frees once a cycle
-		})
 		snapshot.Int(s, &ch.flits)
 	}
 	indices(s, "claimed link", links, len(n.claimedLinks), func(i int) int { return n.claimedLinks[i] }, n.TryClaimLink)
@@ -99,9 +82,23 @@ func (n *Network) state(s snapshot.State) {
 		return true
 	})
 	indices(s, "dirty channel", links, len(n.dirtyChannels), func(i int) int { return n.dirtyChannels[i] }, func(id int) bool {
+		if n.chDirty[id] {
+			return false
+		}
 		n.markChannel(id)
 		return true
 	})
+	for _, id := range n.dirtyChannels {
+		t := &n.channels[id].cur
+		if s.Decoding() {
+			t.valid = true
+		}
+		s.Packet(&t.flit.Pkt)
+		snapshot.Int(s, &t.flit.Seq)
+		index(s, &t.vc, "flit VC", netVCs)
+		snapshot.Uint(s, &t.payload)
+		snapshot.Byte(s, &t.sum)
+	}
 	n.active(s, "active router", &n.activeRouters)
 	n.active(s, "active NIC", &n.activeNICs)
 	for _, nc := range n.NICs {
@@ -145,8 +142,8 @@ func init() {
 			"chans", "credits", "ids", "nicSlab", // what channels, NICs and ID lists point into
 		})
 	snapshot.Register("network.channel", channel{},
-		[]string{"cur", "next", "creditNext", "flits"},
-		[]string{"link"})
+		[]string{"cur", "flits"},
+		[]string{"link", "next", "creditNext"}) // empty at a cycle boundary
 	snapshot.Register("network.transit", transit{},
 		[]string{"flit", "vc", "valid", "payload", "sum"},
 		nil)

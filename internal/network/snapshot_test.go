@@ -46,9 +46,9 @@ func FuzzNetworkRestore(f *testing.F) {
 }
 
 // TestRestoreRejectsBadIndices crafts, for every list RestoreState
-// indexes with a decoded value, a body whose one entry is out of range
-// (or repeated), and requires a reader error naming the list instead of
-// a panic.
+// indexes with a decoded value and every mask whose bits name VCs or
+// classes, a body whose one entry is out of range (or repeated), and
+// requires a reader error naming the list instead of a panic.
 func TestRestoreRejectsBadIndices(t *testing.T) {
 	for _, tc := range []struct {
 		list string
@@ -56,52 +56,77 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 		want string
 	}{
 		{"flit VC", []int{1}, "flit VC 1 outside [0, 1)"},
-		{"credit VC", []int{-1}, "credit VC -1 outside [0, 1)"},
-		{"credits", []int{0, 0}, "credit VC 0 repeated"}, // one VC frees once a cycle
 		{"claimed link", []int{1 << 40}, "claimed link 1099511627776 outside [0, 24)"},
 		{"claimed link", []int{3, 3}, "claimed link 3 repeated"},
 		{"claimed ejection port", []int{9}, "claimed ejection port 9 outside [0, 9)"},
 		{"claimed ejection port", []int{4, 4}, "claimed ejection port 4 repeated"},
 		{"dirty channel", []int{24}, "dirty channel 24 outside [0, 24)"},
+		{"dirty channel", []int{2, 2}, "dirty channel 2 repeated"},
 		{"active router", []int{-5}, "active router -5 outside [0, 9)"},
 		{"active NIC", []int{1 << 40}, "active NIC 1099511627776 outside [0, 9)"},
+		// A network port of the 1-VC mesh has VC 0 only; a NIC six classes.
+		{"occupancy", []int{1 << 1}, "router occupancy mask 0x2 names a bit past 1"},
+		{"nic classes", []int{1 << 6}, "nic class mask 0x40 names a bit past 6"},
 	} {
 		n := fresh3x3()
 		w := snapshot.NewWriter()
 		w.I64(0)
 		w.I64(0)
 		list := func(name string) {
-			if name != tc.list {
+			switch {
+			case name == "dirty channel" && tc.list == "flit VC":
+				w.Int(1)
 				w.Int(0)
-				return
-			}
-			w.Int(len(tc.bad))
-			for _, v := range tc.bad {
-				w.Int(v)
+			case name != tc.list:
+				w.Int(0)
+			default:
+				w.Int(len(tc.bad))
+				for _, v := range tc.bad {
+					w.Int(v)
+				}
 			}
 		}
-		for i := range n.channels {
-			if i == 0 && tc.list == "flit VC" {
-				w.Bool(true)
-				w.Packet(message.NewPacket(1, 0, 1, message.Request, 1, 0))
-				w.Int(0)
-				w.Int(tc.bad[0])
-				w.U64(0)
-				w.U8(0)
-			} else {
-				w.Bool(false)
-			}
-			w.Bool(false)
-			if i == 0 && tc.list == "credits" {
-				list("credits")
-			} else {
-				list("credit VC")
-			}
-			w.I64(0)
+		for range n.channels {
+			w.I64(0) // flit counter
 		}
-		for _, name := range []string{"claimed link", "claimed ejection port", "dirty channel", "active router", "active NIC"} {
+		for _, name := range []string{"claimed link", "claimed ejection port", "dirty channel"} {
 			list(name)
 		}
+		if tc.list == "flit VC" { // channel 0's link stage
+			w.Packet(message.NewPacket(1, 0, 1, message.Request, 1, 0))
+			w.Int(0)
+			w.Int(tc.bad[0])
+			w.U64(0)
+			w.U8(0)
+		}
+		list("active router")
+		list("active NIC")
+		mask := func(name string) {
+			if name == tc.list {
+				w.U64(uint64(tc.bad[0]))
+			} else {
+				w.U64(0)
+			}
+		}
+		for range n.NICs {
+			w.I64(0) // Enqueued
+			mask("nic classes")
+			w.U64(0) // no reservations
+		}
+		for range n.Routers {
+			for range 5 { // four credit masks and the ejection locks
+				w.U64(0)
+			}
+			w.U64(0) // the Local port's occupancy
+			for range 4 {
+				mask("occupancy")
+			}
+			for range 13 { // arbiter cursors and counters
+				w.Int(0)
+			}
+		}
+		w.Bool(false) // no controller state
+		w.Bool(false) // no fault injector
 		_, r, err := snapshot.Open(snapshot.Seal(nil, w))
 		if err != nil {
 			t.Fatal(err)

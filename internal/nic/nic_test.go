@@ -469,24 +469,43 @@ func (n *refNIC) finish(cycle int64, p *message.Packet) {
 	n.eject[p.Class] = append(n.eject[p.Class], p)
 }
 
-// snapshotState writes what the ring-based NIC.SnapshotState wrote.
+// snapshotState writes what the ring-based NIC.SnapshotState wrote,
+// moved to format v6: a mask of the classes with any queued, assembling
+// or counted state, then those classes only, then a mask of the classes
+// holding a reservation and their reserved IDs.
 func (n *refNIC) snapshotState(w *snapshot.Writer) {
 	w.I64(n.enqueued)
+	var live, reserved uint64
 	for c := range n.source {
+		if len(n.source[c])+len(n.eject[c]) > 0 || n.pending[c] != 0 ||
+			n.assembling[c] != nil || n.assembledFlits[c] != 0 || n.consumed[c] != 0 {
+			live |= 1 << c
+		}
+		if len(n.reserved[c]) > 0 {
+			reserved |= 1 << c
+		}
+	}
+	w.U64(live)
+	for c := range n.source {
+		if live>>c&1 == 0 {
+			continue
+		}
 		for _, q := range [][]*message.Packet{n.source[c], n.eject[c]} {
 			w.Int(len(q))
 			for _, p := range q {
 				w.Packet(p)
 			}
 		}
-		w.Int(len(n.reserved[c]))
-		for _, id := range n.reserved[c] {
-			w.U64(id)
-		}
 		w.Int(n.pending[c])
 		w.Packet(n.assembling[c])
 		w.Int(n.assembledFlits[c])
 		w.I64(n.consumed[c])
+	}
+	w.U64(reserved)
+	for c := range n.source {
+		for _, id := range n.reserved[c] {
+			w.U64(id)
+		}
 	}
 }
 

@@ -446,18 +446,39 @@ func (r *refRouter) InsertFrontOverflow(port topology.Direction, vc int, pkt *me
 	r.Env.WakeRouter(r.ID)
 }
 
-// SnapshotState is the old encoder: one Bool per []bool credit.
+// SnapshotState is the old encoder moved to format v6: the []bool
+// credits and ejection locks folded into mask words, and each port's
+// occupancy found by scanning its VCs, not read from a mask.
 func (rt *refRouter) SnapshotState(w *snapshot.Writer) {
 	for p := 1; p < len(rt.vcFree); p++ {
-		for _, free := range rt.vcFree[p] {
-			w.Bool(free)
+		var m uint64
+		for v, free := range rt.vcFree[p] {
+			if free {
+				m |= 1 << v
+			}
+		}
+		w.U64(m)
+	}
+	var ej uint64
+	for c, on := range rt.ejecting {
+		if on {
+			ej |= 1 << c
 		}
 	}
-	for c := range rt.ejecting {
-		w.Bool(rt.ejecting[c])
-	}
+	w.U64(ej)
 	for p := range rt.Inputs {
-		walkVCs(w.State(), rt.Inputs[p].VCs)
+		var occ uint64
+		for v := range rt.Inputs[p].VCs {
+			if !rt.Inputs[p].VCs[v].Empty() {
+				occ |= 1 << v
+			}
+		}
+		w.U64(occ)
+		for v := range rt.Inputs[p].VCs {
+			if occ>>v&1 != 0 {
+				walkVC(w.State(), &rt.Inputs[p].VCs[v])
+			}
+		}
 	}
 	for _, a := range rt.saInArb {
 		w.Int(int(a.next))

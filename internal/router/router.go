@@ -157,8 +157,9 @@ type Router struct {
 	// gained: ports whose vcFree gained a bit since the last VA pass, as
 	// VC.route fields. (Ejection never blocks: NIC space frees silently.)
 	gained uint16
-	// ejecting marks classes with a regular packet mid-ejection.
-	ejecting [message.NumClasses]bool
+	// ejecting has bit c set while a regular packet of class c is
+	// mid-ejection.
+	ejecting uint8
 	// Claimed has bit p set while output port p is barred to regular
 	// flits (a bypass owns its link or the ejection port, or the link is
 	// down), Stalled while input port p is frozen. They are the lookahead
@@ -560,11 +561,11 @@ func (r *Router) tryAllocate(v *VC, e *Entry) {
 	if pkt.Dst == r.ID {
 		// Ejection: one packet per class at a time, NIC space required
 		// (reservations honoured by the Env).
-		if r.ejecting[pkt.Class] || !r.Env.CanEject(r.ID, pkt) {
+		if r.ejecting>>pkt.Class&1 != 0 || !r.Env.CanEject(r.ID, pkt) {
 			return
 		}
 		r.Env.BeginEject(r.ID, pkt)
-		r.ejecting[pkt.Class] = true
+		r.ejecting |= 1 << pkt.Class
 		e.Allocate(topology.Local, int(pkt.Class))
 		r.alloc[v.port] |= 1 << v.idx
 		return
@@ -679,7 +680,7 @@ func (r *Router) transmit(in topology.Direction, vc int) {
 	if out == topology.Local {
 		r.Env.EjectFlit(r.ID, flit)
 		if done {
-			r.ejecting[pkt.Class] = false
+			r.ejecting &^= 1 << pkt.Class
 		}
 	} else {
 		if isHead {
@@ -725,7 +726,7 @@ func (r *Router) RemoveHeadPacketNoCredit(port topology.Direction, vc int) *mess
 	if e.Allocated {
 		if e.Out() == topology.Local {
 			r.Env.CancelEject(r.ID, e.Pkt)
-			r.ejecting[e.Pkt.Class] = false
+			r.ejecting &^= 1 << e.Pkt.Class
 		} else {
 			r.vcFree[e.OutPort] |= 1 << e.OutVC
 			r.gained |= 15 << (4 * (e.OutPort - 1))

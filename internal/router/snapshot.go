@@ -1,35 +1,39 @@
 package router
 
-import "repro/internal/snapshot"
+import (
+	"math/bits"
 
-// walkVCs walks one input port's VCs in order: each one's buffered flit
-// count and entry count, then its entries front-to-back. A restore
-// targets freshly built (empty) VCs and rebuilds the entries through
-// insert, so the owning router's resident counter and occupancy mask
-// come out right without being encoded; headChanged then takes the alloc
-// and ready bits from the decoded head, whose route and blocked bit come
-// back at its next VA attempt. It inserts each entry only while the
-// reads before it succeeded, so a hostile count stops at the blob's end.
-func walkVCs(s snapshot.State, vcs []VC) {
-	for k := range vcs {
-		v := &vcs[k]
-		n := int32(v.entries.Len())
-		snapshot.Int(s, &v.flits, &n)
-		for i := 0; i < int(n) && s.Err() == nil; i++ {
-			if s.Decoding() {
-				v.insert(i, nil, 0, 0)
-			}
-			e := v.entries.Ptr(i)
-			s.Packet(&e.Pkt)
-			snapshot.Int(s, &e.Arrived, &e.Sent)
-			s.Bool(&e.Allocated)
-			snapshot.Int(s, &e.OutPort)
-			snapshot.Int(s, &e.OutVC)
-			snapshot.Int(s, &e.EnqueueCycle, &e.LastMove)
-		}
+	"repro/internal/message"
+	"repro/internal/snapshot"
+)
+
+// walkVC walks one occupied VC: its buffered flit count and entry count,
+// then its entries front-to-back. A restore targets a freshly built
+// (empty) VC and rebuilds the entries through insert, so the owning
+// router's resident counter and occupancy mask come out right without
+// being encoded; headChanged then takes the alloc and ready bits from
+// the decoded head, whose route and blocked bit come back at its next VA
+// attempt. It inserts each entry only while the reads before it
+// succeeded, so a hostile count stops at the blob's end.
+func walkVC(s snapshot.State, v *VC) {
+	n := int32(v.entries.Len())
+	if snapshot.Int(s, &v.flits, &n); s.Decoding() && n < 1 {
+		s.Fail("router: occupied VC %d/%d holds %d packets", v.port, v.idx, n)
+	}
+	for i := 0; i < int(n) && s.Err() == nil; i++ {
 		if s.Decoding() {
-			v.headChanged()
+			v.insert(i, nil, 0, 0)
 		}
+		e := v.entries.Ptr(i)
+		s.Packet(&e.Pkt)
+		snapshot.Int(s, &e.Arrived, &e.Sent)
+		s.Bool(&e.Allocated)
+		snapshot.Int(s, &e.OutPort)
+		snapshot.Int(s, &e.OutVC)
+		snapshot.Int(s, &e.EnqueueCycle, &e.LastMove)
+	}
+	if s.Decoding() {
+		v.headChanged()
 	}
 }
 
@@ -38,16 +42,21 @@ func walkVCs(s snapshot.State, vcs []VC) {
 func (rt *Router) SnapshotState(w *snapshot.Writer) { rt.state(w.State()) }
 func (rt *Router) RestoreState(r *snapshot.Reader)  { rt.state(r.State()) }
 
-// state walks the router: credit view, per-class ejection locks, every
-// input VC, and the round-robin arbiter cursors (arbitration history is
+// state walks the router: credit view and ejection locks as mask words,
+// then each input port's occupancy mask followed by its occupied VCs
+// only, and the round-robin arbiter cursors (arbitration history is
 // state — a restored run must grant in the same rotation order).
 func (rt *Router) state(s snapshot.State) {
-	s.Bits(rt.vcFree[1:], rt.Cfg.NetVCs()) // every network port has NetVCs VCs
-	for c := range rt.ejecting {
-		s.Bool(&rt.ejecting[c])
+	for p := 1; p < nPorts; p++ { // every network port has NetVCs VCs
+		snapshot.Mask(s, &rt.vcFree[p], rt.Cfg.NetVCs(), "router credit")
 	}
+	snapshot.Mask(s, &rt.ejecting, int(message.NumClasses), "router ejection")
 	for p := range rt.Inputs {
-		walkVCs(s, rt.Inputs[p].VCs)
+		vcs, occ := rt.Inputs[p].VCs, rt.occ[p]
+		snapshot.Mask(s, &occ, len(vcs), "router occupancy")
+		for ; occ != 0 && s.Err() == nil; occ &= occ - 1 {
+			walkVC(s, &vcs[bits.TrailingZeros64(occ)])
+		}
 	}
 	var next [2*nPorts + 1]*uint8
 	for p := range nPorts {
@@ -62,8 +71,8 @@ func init() {
 	snapshot.Register("router.Router", Router{},
 		[]string{
 			"vcFree", "ejecting", "Inputs",
-			// resident and occ are reconstructed by VC restore through
-			// the owner pointer (one insert per rebuilt entry).
+			// occ is encoded; it and resident are rebuilt by VC restore
+			// through the owner pointer (one insert per rebuilt entry).
 			"resident", "occ",
 			"saInArb", "saOutArb", "portTie",
 			"FlitsRouted", "SwitchStalls",

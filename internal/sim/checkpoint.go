@@ -16,7 +16,7 @@ import (
 
 // state walks every config field a rebuild needs. The OnCheckpoint hook
 // is the one non-value field and is deliberately absent — the resuming
-// caller supplies its own.
+// caller supplies its own — and so is Shards, which nothing reads.
 func (cfg *SynthConfig) state(st snapshot.State) {
 	snapshot.Int(st, &cfg.Scheme)
 	snapshot.Int(st, &cfg.W, &cfg.H, &cfg.VCs, &cfg.EjectCap)
@@ -27,7 +27,6 @@ func (cfg *SynthConfig) state(st snapshot.State) {
 	st.Str(&cfg.Faults)
 	st.F64(&cfg.FaultScale)
 	st.Str(&cfg.Watchdog)
-	snapshot.Int(st, &cfg.Shards)
 	snapshot.Int(st, &cfg.Pattern)
 	st.F64(&cfg.Rate)
 	snapshot.Int(st, &cfg.Warmup, &cfg.Measure, &cfg.Drain)
@@ -65,6 +64,7 @@ func (s *SynthRun) restore(data []byte) error {
 	if err != nil {
 		return err
 	}
+	r.Arena(s.pool)
 	return s.state(r.State())
 }
 
@@ -174,8 +174,8 @@ func init() {
 		[]string{"Scheme", "W", "H", "VCs", "EjectCap", "Seed", "DrainPeriod",
 			"SwapDuty", "SpinThreshold", "FastPassK", "FPScanInjectionOnly",
 			"FPDropOnReject", "FPHealing", "TraceCapacity", "Faults",
-			"FaultScale", "Watchdog", "Shards"},
-		nil)
+			"FaultScale", "Watchdog"},
+		[]string{"Shards"}) // read by nothing
 	snapshot.Register("sim.SynthRun", SynthRun{},
 		// Inst covers Net/Deflect (and through them the controller,
 		// faults, NICs and routers); trace/watch/pool encode via their

@@ -18,9 +18,7 @@ import (
 
 // checkpointBase is a configuration that exercises every snapshotted
 // subsystem at once: tracing, watchdogs, the packet pool, and (for
-// FastPass / Pitstop) controller-held packets. Shards is read by
-// nothing, but the blobs under testdata were written with it at 1 and
-// TestParentCommitBlobs needs their bytes back.
+// FastPass / Pitstop) controller-held packets.
 func checkpointBase(s Scheme) SynthConfig {
 	return SynthConfig{
 		Options: Options{
@@ -28,7 +26,6 @@ func checkpointBase(s Scheme) SynthConfig {
 			DrainPeriod: 2048, SwapDuty: 256,
 			TraceCapacity: 512,
 			Watchdog:      "on",
-			Shards:        1,
 		},
 		Pattern: traffic.Uniform,
 		Rate:    0.10,
@@ -61,8 +58,8 @@ func lastCheckpoint(cfg SynthConfig, every int64) (blob []byte, at int64, res Sy
 // the blob bytes, as a separate process would), run to the end — and
 // every stat, every retained trace event and every counter matches the
 // uninterrupted run exactly. Checked for every scheme (MinBD takes its
-// deflection-network path); the subtests keep the name of the Shards
-// value checkpointBase encodes.
+// deflection-network path); the subtests keep the names they had when
+// checkpoints encoded Options.Shards, at 1.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	for _, scheme := range Schemes() {
 		t.Run(scheme.String()+"/shards=1", func(t *testing.T) {
@@ -254,10 +251,11 @@ func TestReusedEncoderMatchesFresh(t *testing.T) {
 }
 
 // TestParentCommitBlobs is the cross-commit fence of changes that must
-// not move a checkpoint byte: testdata/pr32_*.ckpt.gz are mid-run
+// not move a checkpoint byte: testdata/v6_*.ckpt.gz are mid-run
 // checkpoints (cycle 1400 of checkpointBase, every 700) written by the
-// commit that introduced format v5 (varint integers, the counting
-// latency histogram, telemetry without its record ring); FastPassHealed
+// commit that introduced format v6 (occupancy and class masks in place
+// of every empty buffer, the packet table behind its byte length, no
+// Options.Shards in the meta); FastPassHealed
 // is the same cycle of a self-healing run under
 // linkfail:link=0,at=300,perm, taken mid-ride on the healed lanes. This
 // commit must write the very same bytes at that cycle, and a run
@@ -267,16 +265,16 @@ func TestParentCommitBlobs(t *testing.T) {
 	healed.FPHealing = true
 	healed.Faults = "linkfail:link=0,at=300,perm"
 	for _, row := range []struct {
-		pr, name string
-		cfg      SynthConfig
+		ver, name string
+		cfg       SynthConfig
 		// live, when set, checks the restored state exercises what the
 		// blob was taken for.
 		live func(*testing.T, *Instance)
 	}{
-		{"pr32", "FastPass", checkpointBase(FastPass), nil},
-		{"pr32", "MinBD", checkpointBase(MinBD), nil},
-		{"pr32", "EscapeVC", checkpointBase(EscapeVC), nil},
-		{"pr32", "FastPassHealed", healed, func(t *testing.T, inst *Instance) {
+		{"v6", "FastPass", checkpointBase(FastPass), nil},
+		{"v6", "MinBD", checkpointBase(MinBD), nil},
+		{"v6", "EscapeVC", checkpointBase(EscapeVC), nil},
+		{"v6", "FastPassHealed", healed, func(t *testing.T, inst *Instance) {
 			reserved := 0
 			for _, nc := range inst.Net.NICs {
 				for cl := message.Class(0); cl < message.NumClasses; cl++ {
@@ -292,7 +290,7 @@ func TestParentCommitBlobs(t *testing.T) {
 		}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			parent := testdataBlob(t, row.pr+"_"+row.name)
+			parent := testdataBlob(t, row.ver+"_"+row.name)
 			blob, at, want := lastCheckpoint(row.cfg, 700)
 			if at != 1400 || !bytes.Equal(blob, parent) {
 				t.Fatalf("checkpoint at cycle %d (%d bytes) differs from the parent commit's at 1400 (%d bytes)", at, len(blob), len(parent))
@@ -312,6 +310,28 @@ func TestParentCommitBlobs(t *testing.T) {
 				t.Errorf("run resumed from the parent's blob diverged\nresumed: %s\nbase:    %s", resultFingerprint(got), resultFingerprint(want))
 			}
 		})
+	}
+}
+
+// TestTraceCapacityBounded: a trace capacity past MaxTraceCapacity is
+// refused by Validate — the recorder would reserve 64 bytes per event
+// before the first cycle — and so is a checkpoint that records one, at
+// OpenCheckpoint, before anything is built.
+func TestTraceCapacityBounded(t *testing.T) {
+	const want = "trace capacity 1048577 events exceeds the bound of 1048576"
+	cfg := checkpointBase(FastPass)
+	cfg.TraceCapacity = MaxTraceCapacity
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("capacity at the bound: %v", err)
+	}
+	cfg.TraceCapacity++
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Validate = %v, want %q", err, want)
+	}
+	meta := snapshot.NewWriter()
+	cfg.state(meta.State())
+	if _, err := OpenCheckpoint(snapshot.Seal(meta.Bytes(), snapshot.NewWriter())); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("OpenCheckpoint = %v, want %q", err, want)
 	}
 }
 
@@ -342,7 +362,7 @@ func testdataBlob(t testing.TB, name string) []byte {
 // skipped — they test resource limits, not body decode.
 func FuzzRestore(f *testing.F) {
 	for _, name := range []string{"FastPass", "MinBD", "EscapeVC", "FastPassHealed"} {
-		f.Add(testdataBlob(f, "pr32_"+name))
+		f.Add(testdataBlob(f, "v6_"+name))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= 12 {

@@ -186,8 +186,8 @@ func unnest(t *testing.T, phases []network.Phase) ([]network.Phase, int64) {
 // documented order — a due checkpoint, source, enqueue, the network
 // step, telemetry — and one ejection pair per delivered packet, nested
 // where it fires. MinBD reports only its step; a resumed run starts
-// with its restore. The subtests keep the name of the Shards value
-// checkpointBase encodes.
+// with its restore. The subtests keep the names they had when
+// checkpoints encoded Options.Shards, at 1.
 func TestHookPhaseOrder(t *testing.T) {
 	for _, scheme := range []Scheme{FastPass, SPIN, MinBD} {
 		cfg := hookBase(scheme)

@@ -119,7 +119,7 @@ type Options struct {
 	FPHealing bool
 
 	// TraceCapacity, when positive, attaches an event recorder keeping
-	// that many recent events (Instance.Trace).
+	// that many recent events (Instance.Trace), at most MaxTraceCapacity.
 	TraceCapacity int
 
 	// Faults, when non-empty, is a faults.ParsePlan spec; Build attaches
@@ -138,10 +138,13 @@ type Options struct {
 	Watchdog string
 
 	// Shards is read by nothing: a run steps its mesh on one goroutine
-	// (DESIGN.md §12). It stays because checkpoints encode it, so blobs
-	// written with it keep their bytes, and the benchmark still sets it.
+	// (DESIGN.md §12). It stays because the benchmark still sets it.
 	Shards int
 }
+
+// MaxTraceCapacity bounds Options.TraceCapacity: the recorder reserves
+// its events up front, 64 bytes each, so the bound is 64 MiB.
+const MaxTraceCapacity = 1 << 20
 
 func (o *Options) setDefaults() {
 	o.VCs = cmp.Or(o.VCs, o.Scheme.DefaultVCs())
@@ -157,7 +160,8 @@ func (o *Options) setDefaults() {
 // ≤ 64 — 64 VCs for the one-VN schemes, 10 per VN for the six-VN
 // baselines), an unparseable fault plan or watchdog spec, a FastPass
 // slot K shorter than the mesh's round trip, healing on a scheme other
-// than FastPass — and a negative or NaN fault scale, which Build would
+// than FastPass, a trace past MaxTraceCapacity events (Build would
+// reserve it) — and a negative or NaN fault scale, which Build would
 // silently run at full rate. Zero fields stand for their defaults.
 func (o Options) Validate() error {
 	if o.Scheme < 0 || o.Scheme >= numSchemes {
@@ -169,6 +173,9 @@ func (o Options) Validate() error {
 	}
 	if !(o.FaultScale >= 0) {
 		return fmt.Errorf("sim: fault scale %v must be a non-negative number", o.FaultScale)
+	}
+	if o.TraceCapacity > MaxTraceCapacity {
+		return fmt.Errorf("sim: trace capacity %d events exceeds the bound of %d", o.TraceCapacity, MaxTraceCapacity)
 	}
 	fewest, most := 1, 64
 	if o.Scheme == EscapeVC {

@@ -8,7 +8,7 @@
 //
 // A sealed checkpoint is
 //
-//	magic u32 | version u32 | crc32 u32 | meta len + bytes | packet table | graph body
+//	magic u32 | version u32 | crc32 u32 | meta len + bytes | table len + packet table | graph body
 //
 // where the header words, packet references and floats are fixed-width
 // little-endian and every other integer is a varint (zigzag for signed
@@ -27,9 +27,12 @@
 // encounter and emits a table index, so shared references encode as
 // shared indices and survive a process boundary. Seal then writes the
 // packet table (each packet's own fields, in first-encounter order)
-// ahead of the graph body; Open materialises the table first and hands
-// the body Reader the index→pointer mapping, so decoding rebuilds the
-// exact aliasing structure.
+// ahead of the graph body. Open only steps over the table, by its byte
+// length, so reading a blob's meta decodes no packet; the body Reader
+// materialises the table at its first packet reference — carving the
+// packets from an attached arena (Reader.Arena) — and resolves every
+// later index through the same index→pointer mapping, so decoding
+// rebuilds the exact aliasing structure.
 //
 // Encoding never iterates a map (first-encounter order is carried by a
 // slice) and never reads the wall clock, so identical state produces
@@ -49,7 +52,7 @@ import (
 // Version is the checkpoint format version. Bump it on any layout
 // change; Open rejects mismatches outright (no cross-version decode —
 // a checkpoint is a resume token, not an archival format).
-const Version = 5
+const Version = 6
 
 // magic spells "NOCS" when the u32 is read little-endian.
 const magic = 0x53434f4e
@@ -152,6 +155,11 @@ type Reader struct {
 	off  int
 	err  error
 	pkts []*message.Packet
+	// table is the sealed packet table until the first packet reference
+	// decodes it into pkts; arena, when set, is where its packets are
+	// carved.
+	table []byte
+	arena *message.Pool
 }
 
 // NewReader wraps raw bytes (used for the meta blob, which carries no
@@ -251,9 +259,16 @@ func (r *Reader) F64() float64 {
 // Str reads a length-prefixed string.
 func (r *Reader) Str() string { return string(r.take(r.Int())) }
 
+// Arena makes the packets of r's table come from pl's chunks rather
+// than one allocation each. It must precede the first packet reference.
+func (r *Reader) Arena(pl *message.Pool) { r.arena = pl }
+
 // Packet resolves a packet reference written by Writer.Packet.
 func (r *Reader) Packet() *message.Packet {
 	idx := r.I32()
+	if idx >= 0 && r.table != nil {
+		r.loadTable()
+	}
 	if r.err != nil || idx < 0 {
 		return nil
 	}
@@ -282,13 +297,36 @@ func packetRow(s State, p *message.Packet) {
 	s.Bool(&p.Corrupted)
 }
 
+// loadTable materialises the packet table; a table that does not
+// decode to exactly its length fails r.
+func (r *Reader) loadTable() {
+	t := &Reader{data: r.table}
+	r.table = nil
+	r.pkts = make([]*message.Packet, t.State().Len(0, math.MaxInt, "packet table count"))
+	for i := 0; i < len(r.pkts) && t.err == nil; i++ {
+		if r.arena != nil {
+			r.pkts[i] = r.arena.Carve()
+		} else {
+			r.pkts[i] = new(message.Packet)
+		}
+		packetRow(t.State(), r.pkts[i])
+	}
+	if t.err == nil && t.off != len(t.data) {
+		t.fail("packet table ends %d bytes before its length", len(t.data)-t.off)
+	}
+	if r.err == nil {
+		r.err = t.err
+	}
+}
+
 // Seal assembles a checkpoint file from an opaque meta blob and a
 // fully-encoded graph body: header, meta, the packet table (in the
-// body's first-encounter order) and the body bytes, with the crc
-// stamped over everything after itself. The returned blob is a fresh
-// exact-size slice owned by the caller — it never aliases the body
-// Writer, which may be Reset and reused; the table is staged in scratch
-// the body Writer retains, so the blob is Seal's only allocation.
+// body's first-encounter order, behind its byte length) and the body
+// bytes, with the crc stamped over everything after itself. The returned
+// blob is a fresh exact-size slice owned by the caller — it never
+// aliases the body Writer, which may be Reset and reused; the table is
+// staged in scratch the body Writer retains, so the blob is Seal's only
+// allocation.
 func Seal(meta []byte, body *Writer) []byte {
 	t := Writer{buf: body.table[:0]}
 	t.Int(len(body.order))
@@ -297,12 +335,13 @@ func Seal(meta []byte, body *Writer) []byte {
 	}
 	body.table = t.buf
 
-	h := Writer{buf: make([]byte, 0, 12+binary.MaxVarintLen64+len(meta)+len(t.buf)+len(body.buf))}
+	h := Writer{buf: make([]byte, 0, 12+2*binary.MaxVarintLen64+len(meta)+len(t.buf)+len(body.buf))}
 	h.U32(magic)
 	h.U32(Version)
 	h.U32(0) // crc placeholder
 	h.Int(len(meta))
 	h.buf = append(h.buf, meta...)
+	h.Int(len(t.buf))
 	h.buf = append(h.buf, t.buf...)
 	h.buf = append(h.buf, body.buf...)
 	binary.LittleEndian.PutUint32(h.buf[8:12], crc32.ChecksumIEEE(h.buf[12:]))
@@ -310,7 +349,8 @@ func Seal(meta []byte, body *Writer) []byte {
 }
 
 // Open validates a sealed checkpoint and splits it back into the meta
-// blob and a body Reader whose packet table is already materialised.
+// blob and a body Reader, which decodes the packet table at its first
+// packet reference.
 func Open(data []byte) (meta []byte, body *Reader, err error) {
 	r := &Reader{data: data}
 	if m := r.U32(); r.err == nil && m != magic {
@@ -323,20 +363,10 @@ func Open(data []byte) (meta []byte, body *Reader, err error) {
 	if r.err == nil && crc32.ChecksumIEEE(data[12:]) != crc {
 		return nil, nil, fmt.Errorf("snapshot: crc mismatch (truncated or corrupted checkpoint)")
 	}
-	n := r.Int()
-	meta = append([]byte(nil), r.take(n)...)
-	cnt := r.Int()
-	if r.err == nil && cnt < 0 {
-		r.fail("negative packet count %d", cnt)
-	}
-	var pkts []*message.Packet
-	for i := 0; i < cnt && r.err == nil; i++ {
-		p := new(message.Packet)
-		packetRow(r.State(), p)
-		pkts = append(pkts, p)
-	}
+	meta = append([]byte(nil), r.take(r.Int())...)
+	table := r.take(r.Int())
 	if r.err != nil {
 		return nil, nil, r.err
 	}
-	return meta, &Reader{data: data, off: r.off, pkts: pkts}, nil
+	return meta, &Reader{data: data, off: r.off, table: table}, nil
 }

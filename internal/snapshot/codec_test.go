@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -364,6 +365,87 @@ func TestCountingSourceSkipRestoresPosition(t *testing.T) {
 	}
 }
 
+// refSkip is Skip as it was: one recurrence step per discarded draw.
+// TestSkipMatchesPerDraw steps the windowed Skip against it.
+func refSkip(s *CountingSource, n uint64) {
+	for i := uint64(0); i < n; i++ {
+		s.Uint64()
+	}
+}
+
+// TestSkipMatchesPerDraw: the windowed Skip leaves the very state —
+// all 607 slots, both cursors and the draw count — that discarding the
+// draws one at a time does, across every cursor wrap (at 273 draws the
+// tap cursor wraps, at 334 the feed cursor, at 607 both are back where
+// they started) and from cursors that do not start at a wrap.
+func TestSkipMatchesPerDraw(t *testing.T) {
+	counts := []uint64{0, 1, 272, 273, 274, 333, 334, 606, 607, 608, 1214, 4001, 123_457}
+	for _, pre := range []uint64{0, 1, 100, 272, 333, 606} {
+		for _, n := range counts {
+			got, want := NewCountingSource(7), NewCountingSource(7)
+			refSkip(got, pre)
+			refSkip(want, pre)
+			got.Skip(n)
+			refSkip(want, n)
+			if *got != *want {
+				t.Fatalf("after %d draws, Skip(%d) left tap %d feed %d draws %d, per-draw tap %d feed %d draws %d (or a slot differs)",
+					pre, n, got.tap, got.feed, got.n, want.tap, want.feed, want.n)
+			}
+		}
+	}
+}
+
+// TestOpenLeavesTableUndecoded: Open steps over the packet table, so a
+// meta read materialises no packet; the body's first packet reference
+// decodes the table, from the attached arena when there is one.
+func TestOpenLeavesTableUndecoded(t *testing.T) {
+	a := message.NewPacket(1, 0, 5, message.Request, 5, 100)
+	b := message.NewPacket(2, 3, 4, message.Response, 1, 200)
+	w := NewWriter()
+	w.Packet(nil)
+	w.Packet(b)
+	w.Packet(a)
+	w.Packet(b)
+	blob := Seal([]byte("meta"), w)
+	_, r, err := Open(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.pkts != nil || r.table == nil {
+		t.Fatalf("Open decoded the packet table: %d packets", len(r.pkts))
+	}
+	pl := message.NewPool()
+	r.Arena(pl)
+	if r.Packet() != nil || r.pkts != nil {
+		t.Fatal("a nil reference decoded the packet table")
+	}
+	rb, ra, rb2 := r.Packet(), r.Packet(), r.Packet()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if rb != rb2 || ra == rb || ra.ID != 1 || rb.ID != 2 || rb.Class != message.Response {
+		t.Errorf("table decoded to %+v, %+v, %+v", rb, ra, rb2)
+	}
+	if pl.News != 2 || pl.Gets != 0 {
+		t.Errorf("arena carved %d packets and handed out %d, want 2 and 0", pl.News, pl.Gets)
+	}
+
+	// A table that does not decode to exactly its length fails the body
+	// at its first packet reference, not at Open.
+	bad := append([]byte(nil), blob...)
+	tbl := 12 + 1 + len("meta")
+	bad[tbl] += 2 // zigzag: one byte past the table now belongs to it
+	binary.LittleEndian.PutUint32(bad[8:12], crc32.ChecksumIEEE(bad[12:]))
+	_, r, err = Open(bad)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	r.Packet()
+	if r.Packet(); r.Err() == nil || !strings.Contains(r.Err().Error(), "packet table ends 1 bytes before its length") {
+		t.Errorf("overlong table: %v", r.Err())
+	}
+}
+
 // TestWriterResetDropsPacketReferences: a retained Writer must not pin
 // packets from its previous encode — Reset clears the table slots, not
 // just the length — and a reused Writer seals the same bytes as a fresh
@@ -446,15 +528,15 @@ func TestPoolBlobIgnoresChunkSlack(t *testing.T) {
 	mustPanic("Get of a dirtied packet", func() { restored.Get(4, 0, 1, message.Request, 1, 20) })
 }
 
-// TestOpenRejectsOlderVersion: v5 made integers varints, so a blob
-// written by a version-4 build (a MinBD mid-run checkpoint, kept as
-// testdata) must fail Open's version check — before the crc — rather
-// than be misread.
+// TestOpenRejectsOlderVersion: v6 encodes only live buffers and puts the
+// packet table behind its byte length, so a blob written by a version-5
+// build (a MinBD mid-run checkpoint, kept as testdata) must fail Open's
+// version check — before the crc — rather than be misread.
 func TestOpenRejectsOlderVersion(t *testing.T) {
-	if Version != 5 {
-		t.Fatalf("Version = %d; this test pins the 4 → 5 bump", Version)
+	if Version != 6 {
+		t.Fatalf("Version = %d; this test pins the 5 → 6 bump", Version)
 	}
-	f, err := os.Open("testdata/v4_MinBD.ckpt.gz")
+	f, err := os.Open("testdata/v5_MinBD.ckpt.gz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,12 +545,12 @@ func TestOpenRejectsOlderVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v4 := new(bytes.Buffer)
-	if _, err := v4.ReadFrom(zr); err != nil {
+	v5 := new(bytes.Buffer)
+	if _, err := v5.ReadFrom(zr); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = Open(v4.Bytes())
-	if err == nil || !strings.Contains(err.Error(), "format version 4, this build reads only 5") {
-		t.Errorf("Open(version 4 blob) = %v, want the format-version error", err)
+	_, _, err = Open(v5.Bytes())
+	if err == nil || !strings.Contains(err.Error(), "format version 5, this build reads only 6") {
+		t.Errorf("Open(version 5 blob) = %v, want the format-version error", err)
 	}
 }

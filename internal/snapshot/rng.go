@@ -81,11 +81,27 @@ func (s *CountingSource) Int63() int64 { return int64(s.Uint64() & rngMask) }
 // Draws reports how many source values were consumed since seeding.
 func (s *CountingSource) Draws() uint64 { return s.n }
 
-// Skip fast-forwards the stream by discarding n draws (restore path).
+// Skip fast-forwards the stream by discarding n draws (restore path),
+// down the same two plain windows as ScanBelow.
 func (s *CountingSource) Skip(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		s.Uint64()
+	tap, feed := s.tap, s.feed
+	s.n += n
+	for n > 0 {
+		if tap == 0 {
+			tap = rngLen
+		}
+		if feed == 0 {
+			feed = rngLen
+		}
+		run := min(tap, feed, int(min(n, rngLen)))
+		f, t := s.vec[feed-run:feed], s.vec[tap-run:tap]
+		t = t[:len(f)]
+		for i := len(f) - 1; i >= 0; i-- {
+			f[i] += t[i]
+		}
+		tap, feed, n = tap-run, feed-run, n-uint64(run)
 	}
+	s.tap, s.feed = tap, feed
 }
 
 // ScanBelow consumes Int63 draws until one is below thr (hit) or max

@@ -119,20 +119,11 @@ func (s State) Bool(vs ...*bool) {
 	}
 }
 
-// Bits walks the low n bits of each mask in ms as n Bools, lowest
-// first; decoding clears the rest.
-func (s State) Bits(ms []uint64, n int) {
-	for i := range ms {
-		if s.r != nil {
-			ms[i] = 0
-		}
-		for v := 0; v < n; v++ {
-			if s.r == nil {
-				s.w.Bool(ms[i]>>v&1 != 0)
-			} else if s.r.Bool() {
-				ms[i] |= 1 << v
-			}
-		}
+// Mask walks a mask word (a Uint) whose set bits must name one of n
+// VCs or classes: decoding fails, naming what, on a higher bit.
+func Mask[T ~uint8 | ~uint64](s State, m *T, n int, what string) {
+	if Uint(s, m); s.r != nil && uint64(*m)>>n != 0 {
+		s.r.fail("%s mask %#x names a bit past %d", what, *m, n)
 	}
 }
 
