@@ -36,6 +36,7 @@ import (
 	"strings"
 
 	"repro/internal/snapshot"
+	"repro/internal/spare"
 )
 
 // EventKind identifies a targeted one-shot fault.
@@ -390,6 +391,31 @@ type Injector struct {
 
 	// Counters aggregates everything injected so far.
 	Counters Counters
+
+	// untilArr and activeArr back the *Until arrays and the active
+	// lists, whole: what Release hands on.
+	untilArr  []int64
+	activeArr []int32
+}
+
+// The stores NewInjector takes its arrays from and Release returns them
+// to.
+var (
+	spareUntil  spare.Store[int64]
+	spareActive spare.Store[int32]
+)
+
+// Release hands the injector's arrays and RNG source to a later
+// NewInjector in the process (a nil injector has none). Its Counters
+// stay readable; nothing may step or query j afterwards.
+func (j *Injector) Release() {
+	if j == nil {
+		return
+	}
+	spareUntil.Put(j.untilArr)
+	spareActive.Put(j.activeArr)
+	j.src.Release()
+	*j = Injector{Counters: j.Counters}
 }
 
 // NewInjector builds an injector for a topology of numLinks directed
@@ -402,9 +428,11 @@ func NewInjector(plan Plan, numLinks, numNodes, numPorts int, seed int64) *Injec
 	}
 	src := snapshot.NewCountingSource(plan.Seed ^ (seed+1)*0x5deece66d)
 	ports := numNodes * numPorts
-	until := make([]int64, numLinks+ports+numNodes)
-	active := make([]int32, numLinks+ports)
+	until := spareUntil.Take(numLinks + ports + numNodes)
+	active := spareActive.Take(numLinks + ports)
 	j := &Injector{
+		untilArr:           until,
+		activeArr:          active,
 		plan:               plan,
 		rng:                rand.New(src),
 		src:                src,

@@ -62,6 +62,7 @@ func init() {
 			"plan", "rng", "hashKey", "numLinks", "numNodes", "numPorts",
 			"events",
 			"down", "stalled", // re-derived from the expiry cycles
+			"untilArr", "activeArr", // the arrays behind them
 		})
 	snapshot.Register("faults.Counters", Counters{},
 		[]string{

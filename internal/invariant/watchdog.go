@@ -32,6 +32,7 @@ import (
 	// EntryAt) only into packages that import it by name — without this
 	// every sample heap-allocates its loop body.
 	_ "repro/internal/router"
+	"repro/internal/spare"
 	"repro/internal/topology"
 )
 
@@ -224,15 +225,15 @@ func Attach(n *network.Network, opts Options) *Watchdog {
 		opts:     opts.withDefaults(),
 		numPorts: n.Mesh.NumPorts(),
 		netVCs:   n.Routers[0].Cfg.NetVCs(),
-		live:     make(map[uint64]*message.Packet, 256),
+		live:     spareLive.Take(256),
 	}
 	w.resStep = w.netVCs
 	if int(message.NumClasses) > w.resStep {
 		w.resStep = int(message.NumClasses)
 	}
 	nres := n.Mesh.NumNodes() * w.numPorts * w.resStep
-	w.allocMark = make([]bool, nres)
-	w.suspect = make([]int64, nres)
+	w.allocMark = spareMarks.Take(nres)
+	w.suspect = spareSuspects.Take(nres)
 	for i := range w.suspect {
 		w.suspect[i] = -1
 	}
@@ -240,6 +241,27 @@ func Attach(n *network.Network, opts Options) *Watchdog {
 	w.countdown = w.opts.Stride
 	n.Probe = w.probe
 	return w
+}
+
+// The stores Attach takes its live set and per-resource arrays from and
+// Release returns them to.
+var (
+	spareLive     spare.Maps[uint64, *message.Packet]
+	spareMarks    spare.Store[bool]
+	spareSuspects spare.Store[int64]
+)
+
+// Release hands the watchdog's live set and per-resource arrays to a
+// later Attach in the process (a nil watchdog has none). Its
+// violations stay readable; nothing may sample w afterwards.
+func (w *Watchdog) Release() {
+	if w == nil {
+		return
+	}
+	spareLive.Put(w.live)
+	spareMarks.Put(w.allocMark)
+	spareSuspects.Put(w.suspect)
+	w.live, w.allocMark, w.suspect = nil, nil, nil
 }
 
 // Tripped reports whether any fatal violation has been recorded (false

@@ -21,7 +21,6 @@ var testOracles = map[string]string{
 	"(*internal/protocol.Engine).OutstandingTxns": "repro TestSteadyStateZeroAllocsPerCycle: the engine was not measured idle",
 	"(*internal/message.Pool).FreeLen":            "internal/sim TestMinBDReleasesToPool, internal/snapshot TestPoolBlobIgnoresChunkSlack",
 	"(*internal/nic.NIC).EjectDepth":              "internal/fastpass TestSingleHopArrivesAsItBoards, internal/network TestVerifyQuiescentCatchesEjectionLeak",
-	"(*internal/ringq.Ring[T]).Cap":               "internal/router TestInjectionWindowIsAdopted: the adopted window never grows",
 	"(*internal/fastpass.Controller).Healed":      "internal/sim TestParentCommitBlobs: the healing blob is taken mid-ride",
 	"(*internal/fastpass.WalkLanes).Landed":       "internal/irrnet TestLandingBackpressure",
 	"(*internal/telemetry.Metrics).Windows":       "internal/sim TestTelemetryCheckpointSplitByteIdentical",

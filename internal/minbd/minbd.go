@@ -15,6 +15,7 @@ package minbd
 import (
 	"repro/internal/message"
 	"repro/internal/ringq"
+	"repro/internal/spare"
 	"repro/internal/topology"
 )
 
@@ -47,6 +48,9 @@ type Network struct {
 	// latch, cur the flits being routed this cycle. A nil Pkt means the
 	// register is empty.
 	cur, mid, next []message.Flit
+	// regs backs the three banks and sideSlab the side buffers, whole:
+	// what Release hands on.
+	regs, sideSlab []message.Flit
 	// inLinks[node][port] / outLinks[node][port] are the directed link
 	// IDs entering and leaving each node, -1 at a mesh edge (and for
 	// Local).
@@ -79,21 +83,22 @@ type Network struct {
 func New(mesh *topology.Mesh, prm Params) *Network {
 	prm.setDefaults()
 	nodes, links := mesh.NumNodes(), len(mesh.Links())
-	regs := make([]message.Flit, 3*links)
+	regs := spareFlits.Take(3 * links)
 	n := &Network{
 		Mesh:     mesh,
 		prm:      prm,
 		cur:      regs[:links:links],
 		mid:      regs[links : 2*links : 2*links],
-		next:     regs[2*links:],
-		inLinks:  make([][topology.NumMeshPorts]int, nodes),
-		outLinks: make([][topology.NumMeshPorts]int, nodes),
-		side:     make([]ringq.Ring[message.Flit], nodes),
-		source:   make([]message.Queue, nodes),
-		injSeq:   make([]int, nodes),
-		rx:       make(map[uint64]int),
+		next:     regs[2*links : 3*links : 3*links],
+		regs:     regs,
+		inLinks:  sparePorts.Take(nodes),
+		outLinks: sparePorts.Take(nodes),
+		side:     spareRings.Take(nodes),
+		source:   spareQueues.Take(nodes),
+		injSeq:   spareInts.Take(nodes),
+		rx:       spareRx.Take(0),
 	}
-	sideSlab := make([]message.Flit, nodes*sideCap)
+	n.sideSlab = spareFlits.Take(nodes * sideCap)
 	for node := 0; node < nodes; node++ {
 		for d := topology.Local; d < topology.NumMeshPorts; d++ {
 			n.inLinks[node][d], n.outLinks[node][d] = -1, -1
@@ -104,9 +109,34 @@ func New(mesh *topology.Mesh, prm Params) *Network {
 				n.outLinks[node][d] = l.ID
 			}
 		}
-		n.side[node].Adopt(sideSlab[node*sideCap : (node+1)*sideCap])
+		n.side[node].Adopt(n.sideSlab[node*sideCap : (node+1)*sideCap])
 	}
 	return n
+}
+
+// The stores New takes its arrays and reassembly table from and Release
+// returns them to.
+var (
+	spareFlits  spare.Store[message.Flit]
+	sparePorts  spare.Store[[topology.NumMeshPorts]int]
+	spareRings  spare.Store[ringq.Ring[message.Flit]]
+	spareQueues spare.Store[message.Queue]
+	spareInts   spare.Store[int]
+	spareRx     spare.Maps[uint64, int]
+)
+
+// Release hands every array New took, and the reassembly table, to a
+// later New in the process. Nothing may step n afterwards.
+func (n *Network) Release() {
+	spareFlits.Put(n.regs)
+	spareFlits.Put(n.sideSlab)
+	sparePorts.Put(n.inLinks)
+	sparePorts.Put(n.outLinks)
+	spareRings.Put(n.side)
+	spareQueues.Put(n.source)
+	spareInts.Put(n.injSeq)
+	spareRx.Put(n.rx)
+	*n = Network{}
 }
 
 // Cycle reports the current cycle.

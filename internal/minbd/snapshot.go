@@ -70,7 +70,7 @@ func init() {
 	snapshot.Register("minbd.Network", Network{},
 		[]string{"cur", "mid", "next", "side", "source", "injSeq", "rx",
 			"cycle", "Deflections", "SideBuffered", "Ejections", "resident"},
-		[]string{"Mesh", "prm", "inLinks", "outLinks", "OnEject", "Recycle"})
+		[]string{"Mesh", "prm", "regs", "sideSlab", "inLinks", "outLinks", "OnEject", "Recycle"})
 }
 
 var _ snapshot.Stater = (*Network)(nil)

@@ -66,7 +66,9 @@ func (n *Network) RestoreState(r *snapshot.Reader)  { n.state(r.State()) }
 // claims (a restore puts them back into the routers' masks as well as the
 // arrays), the dirty channels with their link stages, active sets, NICs,
 // routers, the attached controller (when it carries state) and the fault
-// injector (when attached).
+// injector (when attached). A restore refuses a flit on a wire that the
+// decoded routers could not take: a head needs a VC with room, a body
+// flit the tail entry of its packet.
 func (n *Network) state(s snapshot.State) {
 	snapshot.Int(s, &n.cycle, &n.FlitsOnLinks)
 	links, nodes, netVCs := len(n.channels), len(n.Routers), n.Routers[0].Cfg.NetVCs()
@@ -106,6 +108,12 @@ func (n *Network) state(s snapshot.State) {
 	}
 	for _, rt := range n.Routers {
 		s.Walk(rt)
+	}
+	for _, id := range n.dirtyChannels {
+		t, lk := &n.channels[id].cur, n.channels[id].link
+		if s.Decoding() && s.Err() == nil && (t.flit.Pkt == nil || !n.Routers[lk.Dst].VCFor(lk.DstPort, t.vc).Lands(t.flit)) {
+			s.Fail("network: link %d carries a flit that router %d port %v VC %d cannot take", id, lk.Dst, lk.DstPort, t.vc)
+		}
 	}
 	st, ok := n.Controller.(snapshot.Stater)
 	if s.Present(ok) {

@@ -67,6 +67,11 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 		// A network port of the 1-VC mesh has VC 0 only; a NIC six classes.
 		{"occupancy", []int{1 << 1}, "router occupancy mask 0x2 names a bit past 1"},
 		{"nic classes", []int{1 << 6}, "nic class mask 0x40 names a bit past 6"},
+		// Flit 1 of a 2-flit packet on link 0 (node 0 east to node 1)
+		// while every router encodes its VCs empty: a router walk that
+		// drops its highest occupied VC writes this, and the resumed run
+		// used to panic in ringq when the flit arrived.
+		{"landing", []int{1}, "link 0 carries a flit that router 1 port West VC 0 cannot take"},
 	} {
 		n := fresh3x3()
 		w := snapshot.NewWriter()
@@ -74,7 +79,7 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 		w.I64(0)
 		list := func(name string) {
 			switch {
-			case name == "dirty channel" && tc.list == "flit VC":
+			case name == "dirty channel" && (tc.list == "flit VC" || tc.list == "landing"):
 				w.Int(1)
 				w.Int(0)
 			case name != tc.list:
@@ -92,10 +97,13 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 		for _, name := range []string{"claimed link", "claimed ejection port", "dirty channel"} {
 			list(name)
 		}
-		if tc.list == "flit VC" { // channel 0's link stage
-			w.Packet(message.NewPacket(1, 0, 1, message.Request, 1, 0))
-			w.Int(0)
-			w.Int(tc.bad[0])
+		if seq, vc := 0, tc.bad[0]; tc.list == "flit VC" || tc.list == "landing" { // channel 0's link stage
+			if tc.list == "landing" {
+				seq, vc = tc.bad[0], 0
+			}
+			w.Packet(message.NewPacket(1, 0, 1, message.Request, 2, 0))
+			w.Int(seq)
+			w.Int(vc)
 			w.U64(0)
 			w.U8(0)
 		}

@@ -40,7 +40,7 @@ func (n *NIC) state(s snapshot.State) {
 		snapshot.Int(s, &n.Consumed[c])
 	}
 	snapshot.Mask(s, &n.reservedSet, int(message.NumClasses), "nic reservation")
-	for m := n.reservedSet; m != 0; m &= m - 1 {
+	for m := n.reservedSet; m != 0 && s.Err() == nil; m &= m - 1 {
 		snapshot.Uint(s, &n.reserved[bits.TrailingZeros8(m)])
 	}
 }

@@ -223,13 +223,14 @@ func New(be Backend, profile Profile, seed int64) *Engine {
 // engine to release when it ends (sim.RunApp).
 func (e *Engine) Pool() *message.Pool { return e.pool }
 
-// Release hands the MSHR and TBE tables to the next engine built in the
-// process. Nothing may use e afterwards.
+// Release hands the MSHR and TBE tables and the RNG source to the next
+// engine built in the process. Nothing may use e afterwards.
 func (e *Engine) Release() {
 	spareMSHRs.Put(e.coreMSHRs.slab)
 	spareTBEs.Put(e.homeTBEs.slab)
 	spareCounts.Put(e.coreMSHRs.count)
 	spareCounts.Put(e.homeTBEs.count)
+	e.src.Release()
 }
 
 // OutstandingTxns reports live transactions (diagnostics).

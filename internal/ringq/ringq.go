@@ -25,12 +25,16 @@ type Ring[T any] struct {
 	n    int32 // occupancy
 }
 
-// Adopt installs buf as the backing array of an empty ring. len(buf)
-// must be a power of two; the ring still grows (onto the heap) if
-// occupancy ever exceeds it.
+// Adopt installs buf as the ring's backing array, moving its elements
+// to the front of buf. len(buf) must be a power of two no shorter than
+// the ring; the ring still grows (onto the heap) if occupancy ever
+// exceeds it.
 func (r *Ring[T]) Adopt(buf []T) {
-	if r.n != 0 || len(buf)&(len(buf)-1) != 0 {
-		panic("ringq: Adopt needs an empty ring and a power-of-two backing array")
+	if len(buf) < int(r.n) || len(buf)&(len(buf)-1) != 0 {
+		panic("ringq: Adopt needs a power-of-two backing array that holds the ring")
+	}
+	for i := int32(0); i < r.n; i++ {
+		buf[i] = r.buf[r.mask(r.head+i)]
 	}
 	r.buf, r.head = buf, 0
 }
@@ -50,18 +54,7 @@ func (r *Ring[T]) mask(i int32) int32 { return i & int32(len(r.buf)-1) }
 
 // grow doubles the backing array, unrolling the wrap so element 0 lands
 // at buffer index 0.
-func (r *Ring[T]) grow() {
-	newCap := 2 * len(r.buf)
-	if newCap == 0 {
-		newCap = 4
-	}
-	buf := make([]T, newCap)
-	for i := int32(0); i < r.n; i++ {
-		buf[i] = r.buf[r.mask(r.head+i)]
-	}
-	r.buf = buf
-	r.head = 0
-}
+func (r *Ring[T]) grow() { r.Adopt(make([]T, max(2*len(r.buf), 4))) }
 
 // PushBack appends v at the tail.
 func (r *Ring[T]) PushBack(v T) {

@@ -242,6 +242,9 @@ type slab struct {
 	arrays slabArrays // whole, as made or drawn: what Release hands on
 	rest   slabArrays // the uncarved tails
 	cfg    Config
+	// overflow lists the chunks that VCs outgrowing their windows take
+	// doubled windows from (see window), each as its uncarved prefix.
+	overflow [][]Entry
 }
 
 // slabArrays are a slab's backing arrays.
@@ -257,12 +260,45 @@ var (
 	spareVCs     spare.Store[VC]
 	spareEntries spare.Store[Entry]
 	spareIndex   spare.Store[*Router]
+	// spareOverflow and spareChunkLists hold overflow chunks and the
+	// lists of them (see window).
+	spareOverflow   spare.Store[Entry]
+	spareChunkLists spare.Store[[]Entry]
 )
 
 // injWindow is the Build-carved depth of each injection queue, in
 // packets: enough for the usual backlog of a 10-flit queue, a power of
-// two as ringq.Adopt requires. A deeper queue grows onto the heap.
+// two as ringq.Adopt requires. A deeper queue takes a doubled window
+// from the slab's overflow chunks.
 const injWindow = 4
+
+// overflowChunk is the length of a build's first overflow chunk, in
+// entries.
+const overflowChunk = 64
+
+// window cuts an n-entry window, for a VC that outgrew its own, off the
+// top of the last overflow chunk. The first growth draws the first
+// chunk; a chunk too short for n is left to the windows already cut
+// from it and the next drawn twice as long. Each is used to its whole
+// capacity, and Release hands them all on, so a later build that backs
+// up as far draws the same chunks again.
+func (sl *slab) window(n int) []Entry {
+	k := len(sl.overflow) - 1
+	if k < 0 || len(sl.overflow[k]) < n {
+		size := overflowChunk
+		if k < 0 {
+			sl.overflow = spareChunkLists.Take(8)[:0]
+		} else {
+			size = 2 * cap(sl.overflow[k])
+		}
+		c := spareOverflow.Take(max(size, n))
+		sl.overflow, k = append(sl.overflow, c[:cap(c)]), k+1
+	}
+	c := sl.overflow[k]
+	m := len(c) - n
+	sl.overflow[k] = c[:m]
+	return c[m : m+n : m+n]
+}
 
 // carve cuts the next n elements off a slab array. The cap is clipped so
 // an append through one window can never bleed into its neighbour.
@@ -307,15 +343,19 @@ func NewAll(mesh *topology.Mesh, cfg Config, env Env) []*Router {
 	return rs
 }
 
-// Release hands the arrays of one NewAll's routers, rs among them, to a
-// later NewAll in the process. Nothing of rs — no router, VC or entry
+// Release hands the arrays of one NewAll's routers, rs among them, and
+// their overflow chunks to a later NewAll in the process. Nothing of rs — no router, VC or entry
 // window — may be used after the call, and a build is released at most
 // once.
 func Release(rs []*Router) {
-	a := rs[0].tab.arrays
-	spareRouters.Put(a.routers)
-	spareVCs.Put(a.vcs)
-	spareEntries.Put(a.entries)
+	sl := rs[0].tab
+	spareRouters.Put(sl.arrays.routers)
+	spareVCs.Put(sl.arrays.vcs)
+	spareEntries.Put(sl.arrays.entries)
+	for _, c := range sl.overflow {
+		spareOverflow.Put(c)
+	}
+	spareChunkLists.Put(sl.overflow)
 	spareIndex.Put(rs)
 }
 

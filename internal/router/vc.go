@@ -63,8 +63,8 @@ func (e *Entry) Allocate(port topology.Direction, vc int) {
 // Entries live by value in a ring buffer, so traffic through a VC never
 // touches the allocator: in a router built by New a network VC adopts its
 // inline slot (one entry, beside the ring) and an injection queue a
-// slab-backed injWindow-entry window, which grows onto the heap only if
-// it ever holds more packets than that. An entry
+// slab-backed injWindow-entry window, which a router's VC that outgrows
+// it swaps for a doubled one from the slab's overflow chunk. An entry
 // pointer handed out by Head/EntryAt is valid until the VC's next
 // insertion or removal; a departed entry's slot is zeroed, turning any
 // stale-pointer use into an immediate nil dereference of Pkt rather than
@@ -104,6 +104,9 @@ func (v *VC) init(capFlits, maxPkts int) {
 // insert places a fresh entry for pkt at position pos (Len() = back) and
 // counts the packet as resident.
 func (v *VC) insert(pos int, pkt *message.Packet, arrived int, cycle int64) *Entry {
+	if v.entries.Len() == v.entries.Cap() && v.owner != nil {
+		v.entries.Adopt(v.owner.tab.window(2 * v.entries.Cap()))
+	}
 	v.entries.InsertAt(pos, Entry{Pkt: pkt, Arrived: int16(arrived), EnqueueCycle: cycle, LastMove: cycle})
 	v.flits += int32(arrived)
 	if r := v.owner; r != nil {
@@ -175,6 +178,21 @@ func (v *VC) EntryAt(i int) *Entry { return v.entries.Ptr(i) }
 // whole right now.
 func (v *VC) CanAccept(flitLen int) bool {
 	return v.entries.Len() < int(v.MaxPkts) && int(v.flits)+flitLen <= int(v.CapFlits)
+}
+
+// Lands reports whether a flit arriving on the wire can enter v: a head
+// needs room for a packet, a body flit a tail entry of its own packet
+// that has taken exactly the flits before it.
+func (v *VC) Lands(f message.Flit) bool {
+	if f.IsHead() {
+		return v.entries.Len() < int(v.MaxPkts)
+	}
+	n := v.entries.Len()
+	if n == 0 || f.Seq < 1 || f.Seq >= f.Pkt.Len {
+		return false
+	}
+	tail := v.entries.Ptr(n - 1)
+	return tail.Pkt == f.Pkt && int(tail.Arrived) == f.Seq
 }
 
 // EnqueueWhole inserts a packet with all flits present (injection

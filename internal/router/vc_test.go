@@ -172,8 +172,9 @@ func TestRRArbiterPointerHoldsWithoutGrant(t *testing.T) {
 
 // TestInjectionWindowIsAdopted: a fresh router's injection queues sit in
 // their Build-carved window — the first injWindow packets of a class
-// land without touching the allocator — and grow onto the heap, order
-// intact, only when a queue backs up deeper than that. A rejected
+// land without touching the allocator — and move, order intact, to a
+// doubled window of the slab's overflow chunk only when a queue backs up
+// deeper than that. A rejected
 // FastPass packet parked at the front of a full window still slots in
 // right behind a head that has started sending.
 func TestInjectionWindowIsAdopted(t *testing.T) {
@@ -213,6 +214,10 @@ func TestInjectionWindowIsAdopted(t *testing.T) {
 	}
 	if got := ids(q); !slices.Equal(got, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) {
 		t.Errorf("queue order after growing past the window: %v", got)
+	}
+	// Windows are cut off the chunk's top: 8 entries, then 16 below them.
+	if chunk := r.tab.overflow[0][:cap(r.tab.overflow[0])]; q.entries.Cap() != 4*injWindow || q.EntryAt(0) != &chunk[len(chunk)-6*injWindow] {
+		t.Errorf("a queue of 10 packets holds a %d-entry window, not the first overflow chunk's second", q.entries.Cap())
 	}
 
 	// Another class, its window exactly full behind a 3-flit head that

@@ -128,5 +128,6 @@ func RunApp(cfg AppConfig) AppResult {
 	res := a.Run()
 	a.Inst.release(a.eng.Pool())
 	a.eng.Release()
+	a.col.Release()
 	return res
 }

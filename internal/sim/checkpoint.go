@@ -152,7 +152,7 @@ func NewResumed(cfg SynthConfig, data []byte) (*SynthRun, error) {
 }
 
 // ResumeSynthetic resumes a checkpoint and runs it to completion. The
-// run's memory serves later runs (Instance.release), whether or not the
+// run's memory serves later runs (SynthRun.release), whether or not the
 // restore succeeded.
 func ResumeSynthetic(cfg SynthConfig, data []byte) (SynthResult, error) {
 	s, err := NewResumed(cfg, data)
@@ -160,7 +160,7 @@ func ResumeSynthetic(cfg SynthConfig, data []byte) (SynthResult, error) {
 		return SynthResult{}, err
 	}
 	res, err := s.Run()
-	s.Inst.release(s.pool)
+	s.release()
 	return res, err
 }
 

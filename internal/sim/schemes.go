@@ -372,16 +372,22 @@ func (i *Instance) UsePool() *message.Pool {
 }
 
 // release ends a run that owned the instance from Build to its result:
-// the network's arrays and the run's pool go to later Builds and
-// UsePools (DESIGN.md §9), and the instance is poisoned. Only RunSynthetic,
-// ResumeSynthetic and RunApp call it, after scoring: a run built with
-// NewSynthetic, NewResumed or NewApp stays readable after Run.
+// everything Build sized to the mesh — network or MinBD, watchdog, fault
+// injector and mesh — and the run's pool go to later Builds and
+// UsePools (DESIGN.md §9), and the instance is poisoned. Only
+// RunSynthetic, ResumeSynthetic and RunApp call it, after scoring: a run
+// built with NewSynthetic, NewResumed or NewApp stays readable after Run.
 func (i *Instance) release(pl *message.Pool) {
 	i.live()
 	i.released = true
 	if i.Net != nil {
 		i.Net.Release()
+	} else {
+		i.Deflect.Release()
 	}
+	i.Watch.Release()
+	i.Faults.Release()
+	i.Mesh.Release()
 	pl.Release()
 }
 

@@ -313,12 +313,20 @@ func (s *SynthRun) result() SynthResult {
 
 // RunSynthetic executes one synthetic point. A fresh run has nothing to
 // restore, so Run's error is nil. The run's memory serves later runs
-// (Instance.release).
+// (SynthRun.release).
 func RunSynthetic(cfg SynthConfig) SynthResult {
 	s := NewSynthetic(cfg)
 	res, _ := s.Run()
-	s.Inst.release(s.pool)
+	s.release()
 	return res
+}
+
+// release hands the instance, the injection stream and the histogram
+// to later runs.
+func (s *SynthRun) release() {
+	s.Inst.release(s.pool)
+	s.src.Release()
+	s.col.Release()
 }
 
 // SweepLatency measures a latency-vs-injection-rate curve (one Fig. 7

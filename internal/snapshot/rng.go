@@ -3,6 +3,9 @@ package snapshot
 import (
 	"math/rand"
 	"sync"
+	"unsafe"
+
+	"repro/internal/spare"
 )
 
 // The standard library's seeded source is an additive lagged-Fibonacci
@@ -36,12 +39,22 @@ type CountingSource struct {
 var seederMu sync.Mutex
 var seeder = rand.NewSource(1).(rand.Source64)
 
-// NewCountingSource returns a source seeded like rand.NewSource(seed).
+// spareSources holds the sources that finished runs released: the
+// synthetic run's, the fault injector's and the protocol engine's.
+var spareSources spare.Store[CountingSource]
+
+// NewCountingSource returns a source seeded like rand.NewSource(seed),
+// a released one when there is one.
 func NewCountingSource(seed int64) *CountingSource {
-	s := new(CountingSource)
+	s := &spareSources.Take(1)[0]
 	s.Seed(seed)
 	return s
 }
+
+// Release hands s to a later NewCountingSource in the process. Its
+// owner calls it once its run has ended; nothing may draw from s, or
+// from a rand.Rand over it, afterwards.
+func (s *CountingSource) Release() { spareSources.Put(unsafe.Slice(s, 1)) }
 
 // Seed reseeds the stream and resets the draw counter. The library's
 // first 607 outputs overwrite every slot once and leave the cursors where

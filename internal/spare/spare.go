@@ -1,7 +1,8 @@
-// Package spare passes a finished run's arrays to the next run in the
-// process. A paper-scale evaluation is hundreds of short runs, and each
-// build would otherwise make its router slab, channels, NICs and
-// protocol tables anew and leave the old ones to the GC (DESIGN.md §9).
+// Package spare passes a finished run's arrays and maps to the next run
+// in the process. A paper-scale evaluation is hundreds of short runs,
+// and each would otherwise make its mesh, router slab, channels, NICs,
+// watchdog, injector, RNG streams and protocol tables anew and leave the
+// old ones to the GC (DESIGN.md §9).
 package spare
 
 import (
@@ -44,10 +45,13 @@ func (s *Store[T]) Take(n int) []T {
 
 // Put clears a's whole capacity and keeps it for a later Take. A full
 // store drops its shortest array, a included, so one that filled with
-// a small shape's arrays still serves a larger build. Nothing may use
-// a, or any window onto it, afterwards.
+// a small shape's arrays still serves a larger build; an array of no
+// capacity is not kept. Nothing may use a, or any window onto it,
+// afterwards.
 func (s *Store[T]) Put(a []T) {
-	a = a[:cap(a)]
+	if a = a[:cap(a)]; len(a) == 0 {
+		return
+	}
 	clear(a)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -60,5 +64,38 @@ func (s *Store[T]) Put(a []T) {
 			}
 		}
 		s.kept = slices.Delete(s.kept, short, short+1)
+	}
+}
+
+// Maps keeps at most maxKept emptied maps, as Store keeps arrays: a
+// cleared map keeps the room it grew. The zero value is empty and ready
+// to use.
+type Maps[K comparable, V any] struct {
+	mu   sync.Mutex
+	kept []map[K]V
+}
+
+// Take returns an empty map: the last one kept, or a new one sized for
+// hint entries.
+func (s *Maps[K, V]) Take(hint int) map[K]V {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.kept)
+	if n == 0 {
+		return make(map[K]V, hint)
+	}
+	m := s.kept[n-1]
+	s.kept[n-1], s.kept = nil, s.kept[:n-1]
+	return m
+}
+
+// Put clears m and keeps it for a later Take, unless maxKept maps are
+// kept already. Nothing may use m afterwards.
+func (s *Maps[K, V]) Put(m map[K]V) {
+	clear(m)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.kept) < maxKept {
+		s.kept = append(s.kept, m)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"slices"
 
 	"repro/internal/message"
+	"repro/internal/spare"
 )
 
 // Collector accumulates per-packet results. Packets *created* inside the
@@ -65,7 +66,17 @@ const denseCap = 1 << 16
 // New creates a collector for a network of the given size measuring the
 // window [measStart, measEnd).
 func New(nodes int, measStart, measEnd int64) *Collector {
-	return &Collector{Nodes: nodes, MeasStart: measStart, MeasEnd: measEnd}
+	return &Collector{Nodes: nodes, MeasStart: measStart, MeasEnd: measEnd, dense: spareDense.Take(0)}
+}
+
+// spareDense holds the histograms that finished runs released.
+var spareDense spare.Store[uint32]
+
+// Release hands the latency histogram to a later New in the process.
+// Nothing may use c afterwards.
+func (c *Collector) Release() {
+	spareDense.Put(c.dense)
+	*c = Collector{}
 }
 
 // inWindow reports whether a cycle falls in the measurement window.

@@ -5,7 +5,11 @@
 // §III-F extension.
 package topology
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/spare"
+)
 
 // Direction identifies a router port. Port 0 is always the local
 // (injection/ejection) port; the four mesh directions follow.
@@ -84,8 +88,8 @@ func NewMesh(w, h int) *Mesh {
 		panic(fmt.Sprintf("topology: invalid mesh %dx%d", w, h))
 	}
 	m := &Mesh{W: w, H: h}
-	m.links = make([]Link, 0, 2*((w-1)*h+w*(h-1)))
-	m.out = make([][NumMeshPorts]int, w*h)
+	m.links = spareLinks.Take(2 * ((w-1)*h + w*(h-1)))[:0]
+	m.out = sparePorts.Take(w * h)
 	for n := range m.out {
 		m.out[n] = [NumMeshPorts]int{-1, -1, -1, -1, -1}
 	}
@@ -108,6 +112,21 @@ func NewMesh(w, h int) *Mesh {
 		}
 	}
 	return m
+}
+
+// The stores NewMesh takes its arrays from and Release returns them to.
+// Meshes are not shared between runs: every build makes its own.
+var (
+	spareLinks spare.Store[Link]
+	sparePorts spare.Store[[NumMeshPorts]int]
+)
+
+// Release hands the mesh's arrays to a later NewMesh in the process.
+// Nothing may use m, or a Link it returned, afterwards.
+func (m *Mesh) Release() {
+	spareLinks.Put(m.links)
+	sparePorts.Put(m.out)
+	*m = Mesh{}
 }
 
 // ID returns the node ID at coordinates (x, y).
