@@ -177,8 +177,8 @@ func BenchmarkLaneConstruction(b *testing.B) {
 			for col := 0; col < sched.Partitions(); col++ {
 				prime := sched.PrimeNode(col, i%8)
 				dst := mesh.ID(sched.Covered(col, slot), (i+col)%8)
-				lane := routing.PathXY(mesh, prime, dst)
-				ret := routing.PathYX(mesh, dst, prime)
+				lane := routing.AppendPathXY(mesh, nil, prime, dst)
+				ret := routing.AppendPathYX(mesh, nil, dst, prime)
 				if len(lane) != len(ret) {
 					b.Fatal("lane/return length mismatch")
 				}

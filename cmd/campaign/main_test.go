@@ -45,6 +45,7 @@ func TestValidateFlags(t *testing.T) {
 		{name: "bad seed", args: []string{"-seeds", "1,x"}, wantErr: "-seeds"},
 		{name: "duplicate seed", args: []string{"-seeds", "3,3"}, wantErr: "FastPass-static|x0|s3 appears twice"},
 		{name: "duplicate variant", args: []string{"-variants", "FastPass,FastPass-static"}, wantErr: "appears twice"},
+		{name: "empty variant", args: []string{"-variants", "FastPass-static,,EscapeVC"}, wantErr: "empty variant name"},
 		{name: "duplicate scale", args: []string{"-scales", "0,0"}, wantErr: "appears twice"},
 		{name: "bad scale", args: []string{"-scales", "0,-1"}, wantErr: "fault scale"},
 		{name: "bad fault plan", args: []string{"-faults", "linkfail:rate=2"}, wantErr: "faults"},

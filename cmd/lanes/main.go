@@ -98,8 +98,8 @@ func main() {
 	}
 	dst := mesh.ID(covered, row)
 
-	lane := routing.PathXY(mesh, primeNode, dst)
-	ret := routing.PathYX(mesh, dst, primeNode)
+	lane := routing.AppendPathXY(mesh, nil, primeNode, dst)
+	ret := routing.AppendPathYX(mesh, nil, dst, primeNode)
 	onLane := map[int]bool{}
 	for _, l := range lane {
 		onLane[l.ID] = true

@@ -5,17 +5,18 @@
 // link sets that FastPass can use as partitions: each segment becomes a
 // FastPass-Lane schedule with no link shared between concurrent lanes.
 //
-// It runs on irrnet, the flit-level network for irregular topologies,
-// because sim builds meshes only; the partition derivation itself is
-// the §III-F contribution.
+// The live run builds the network directly, because sim builds meshes
+// only: the same routers and links on a topology.NewGraph fabric, with
+// fastpass.AttachWalk's lanes circulating on the walk.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"repro/internal/irrnet"
+	"repro/internal/fastpass"
 	"repro/internal/message"
+	"repro/internal/network"
 	"repro/internal/topology"
 )
 
@@ -29,14 +30,14 @@ func main() {
 		{0, 3}, {1, 4}, // chords
 		{2, 6}, {6, 7}, {7, 8}, {8, 6}, // pendant triangle
 	}
-	g, err := topology.NewIrregular(9, edges)
+	g, err := topology.NewGraph(9, edges)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("irregular topology: %d nodes, %d directed links, diameter %d\n",
 		g.NumNodes(), len(g.Links()), g.Diameter())
 
-	walk := g.HolisticWalk()
+	walk, _ := g.HolisticWalk(&topology.Walker{}, nil)
 	fmt.Printf("holistic walk: %d steps (every directed link exactly once)\n", len(walk))
 
 	for _, p := range []int{2, 3, 4} {
@@ -69,10 +70,10 @@ func main() {
 
 	// Now run the real thing: a ring fabric whose one-directional
 	// traffic deadlocks plain adaptive routing, rescued by circulating
-	// FastPass lanes riding the holistic walk (internal/irrnet).
+	// FastPass lanes riding the holistic walk.
 	fmt.Println()
 	fmt.Println("Live run — 8-node ring, sustained one-directional traffic:")
-	load := func(n *irrnet.Network) int {
+	load := func(n *network.Network) int {
 		total := 0
 		id := uint64(0)
 		for round := 0; round < 150; round++ {
@@ -89,15 +90,15 @@ func main() {
 		return total
 	}
 	ringEdges := [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 0}}
-	ringTopo := func() *topology.Irregular {
-		r, err := topology.NewIrregular(8, ringEdges)
+	ringNet := func() *network.Network {
+		r, err := topology.NewGraph(8, ringEdges)
 		if err != nil {
 			log.Fatal(err)
 		}
-		return r
+		return network.New(network.Params{Mesh: r, Router: fastpass.Config(1), EjectCap: 4})
 	}
 
-	bare := irrnet.New(ringTopo(), irrnet.Params{VCs: 1, DisableLanes: true})
+	bare := ringNet()
 	bareDone := 0
 	for _, nc := range bare.NICs {
 		nc.OnEject = func(*message.Packet) { bareDone++ }
@@ -111,7 +112,8 @@ func main() {
 		fmt.Println()
 	}
 
-	fp := irrnet.New(ringTopo(), irrnet.Params{VCs: 1})
+	fp := ringNet()
+	lanes := fastpass.AttachWalk(fp)
 	fpDone := 0
 	for _, nc := range fp.NICs {
 		nc.OnEject = func(*message.Packet) { fpDone++ }
@@ -123,5 +125,5 @@ func main() {
 		cycles += 1000
 	}
 	fmt.Printf("  with circulating lanes: %d of %d delivered in %dk cycles (%d promotions)\n",
-		fpDone, fpTotal, cycles/1000, fp.Promoted)
+		fpDone, fpTotal, cycles/1000, lanes.Counters.Promoted)
 }

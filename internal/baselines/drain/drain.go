@@ -59,6 +59,7 @@ type Controller struct {
 
 // Attach installs a DRAIN controller.
 func Attach(n *network.Network, prm Params) *Controller {
+	n.Mesh.RequireMesh("drain")
 	prm.Period = cmp.Or(prm.Period, 65536)
 	c := &Controller{prm: prm}
 	c.order = serpentine(n.Mesh)

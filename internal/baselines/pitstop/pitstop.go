@@ -46,6 +46,7 @@ type Controller struct {
 
 // Attach installs a Pitstop controller.
 func Attach(n *network.Network) *Controller {
+	n.Mesh.RequireMesh("pitstop")
 	c := &Controller{classSlot: int64(4 * n.Mesh.Diameter()), pits: make([][]*message.Packet, n.Mesh.NumNodes())}
 	n.Controller = c
 	return c

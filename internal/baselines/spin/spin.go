@@ -73,6 +73,7 @@ type Controller struct {
 
 // Attach installs a SPIN controller.
 func Attach(n *network.Network, prm Params) *Controller {
+	n.Mesh.RequireMesh("spin")
 	prm.Threshold = cmp.Or(prm.Threshold, 128)
 	c := &Controller{prm: prm, maxWalk: 4 * n.Mesh.NumNodes(), lastProbe: make([]int64, n.Mesh.NumNodes())}
 	c.chain = make([]slot, 0, c.maxWalk+1)

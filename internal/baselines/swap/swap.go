@@ -43,6 +43,7 @@ type Controller struct {
 
 // Attach installs a SWAP controller on a network built with Config.
 func Attach(n *network.Network, prm Params) *Controller {
+	n.Mesh.RequireMesh("swap")
 	prm.Duty = cmp.Or(prm.Duty, 1024)
 	c := &Controller{prm: prm}
 	n.Controller = c

@@ -37,6 +37,7 @@ type Controller struct {
 
 // Attach installs a TFC controller.
 func Attach(n *network.Network) *Controller {
+	n.Mesh.RequireMesh("tfc")
 	c := &Controller{}
 	n.Controller = c
 	return c

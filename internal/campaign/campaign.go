@@ -67,22 +67,20 @@ func ParseVariant(name string) (Variant, error) {
 	return Variant{Scheme: s}, nil
 }
 
-// ParseVariants resolves a comma-separated variant list.
+// ParseVariants resolves a comma-separated variant list; an empty name
+// is an error, as in every comma list the commands take.
 func ParseVariants(spec string) ([]Variant, error) {
 	var out []Variant
 	for _, name := range strings.Split(spec, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
-			continue
+			return nil, fmt.Errorf("campaign: empty variant name in %q", spec)
 		}
 		v, err := ParseVariant(name)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("campaign: empty variant list %q", spec)
 	}
 	return out, nil
 }

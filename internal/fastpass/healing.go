@@ -3,6 +3,7 @@ package fastpass
 import (
 	"repro/internal/faults"
 	"repro/internal/message"
+	"repro/internal/network"
 	"repro/internal/router"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -16,7 +17,7 @@ import (
 // controller drains its in-flight FastPass-Packets, re-runs the walk
 // derivation on the surviving graph, and resumes with circulating
 // lanes over the degraded fabric — the WalkLanes engine (walklanes.go)
-// that internal/irrnet rides, hosted here by the mesh substrate.
+// that a graph network's lanes ride too (AttachWalk).
 //
 // The protocol is drain → rederive → resume, entirely inside the
 // serial PreCycle stretch of the cycle engine:
@@ -39,8 +40,8 @@ import (
 // topology, seed), so campaigns stay bit-identical at any -j and across
 // checkpoint resume.
 
-// healedHost is the mesh under the circulating lanes: the Controller
-// seen through WalkLanes' LaneHost.
+// healedHost is the network under the circulating lanes, a healed mesh
+// or a graph: the Controller seen through WalkLanes' LaneHost.
 type healedHost Controller
 
 func (h *healedHost) ClaimLink(link int) { h.net.ClaimLink(link) }
@@ -60,7 +61,7 @@ func (h *healedHost) RemoveHead(node, port, vc int) *message.Packet {
 
 // Admit requires the destination queue's single per-class reservation
 // to be free or already pkt's; another holder means retry later.
-func (h *healedHost) Admit(pkt *message.Packet, _ int) bool {
+func (h *healedHost) Admit(pkt *message.Packet) bool {
 	nic := h.net.NICs[pkt.Dst]
 	return nic.Reservations(pkt.Class) == 0 || nic.HasReservation(pkt)
 }
@@ -158,24 +159,14 @@ func (c *Controller) laneDead(prime, dst int) bool {
 
 // rederive rebuilds the lane wiring for the current permanent-failure
 // generation: surviving channels → holistic walk → circulating lanes.
-// The walk is derived on the mesh itself, in mesh link IDs, from node 0.
-// A channel survives when both directions do (the walk needs balanced
-// in/out degree). Nodes are left by ascending neighbour ID — N, W, E, S
-// on the row-major mesh — as an irregular topology numbers its ports.
+// The walk is derived on the mesh itself, in mesh link IDs, from node 0,
+// over the channels whose two directions both survive (the walk needs
+// balanced in/out degree).
 //
 //nocvet:cold runs once per permanent link failure, not per cycle
 func (c *Controller) rederive(inj *faults.Injector) {
 	c.appliedGen = inj.PermGen()
-	for node := range c.mesh.NumNodes() {
-		for _, d := range [...]topology.Direction{topology.North, topology.West, topology.East, topology.South} {
-			out := c.mesh.OutLink(node, d)
-			if out != nil && !c.deadLink[out.ID] && !c.deadLink[c.mesh.InLink(node, d).ID] {
-				c.walker.Add(out.ID)
-			}
-		}
-		c.walker.EndNode()
-	}
-	walk, connected := c.walker.Walk(c.mesh.Links(), 0)
+	walk, connected := c.mesh.HolisticWalk(&c.walker, c.deadLink)
 	if !connected {
 		// The cut disconnected the fabric: no walk exists. Stay in
 		// static degraded mode — dead lanes stop launching — and let the
@@ -194,3 +185,20 @@ func (c *Controller) rederive(inj *faults.Injector) {
 // Healed reports whether a re-derived lane schedule is active
 // (diagnostics, tests, campaign accounting).
 func (c *Controller) Healed() bool { return c.lanes.Active() }
+
+// AttachWalk installs the §III-F controller on a graph network (see
+// topology.NewGraph): no TDM schedule, only lanes circulating on the
+// graph's holistic walk, one per 16 walk links as WalkLanes caps them.
+// Acceptance is the NIC reservation, as on a healed mesh. The graph
+// needs a channel to walk.
+func AttachWalk(net *network.Network) *Controller {
+	c := &Controller{net: net, mesh: net.Mesh}
+	c.lanes = NewWalkLanes((*healedHost)(c), c.mesh.Links(), net.NICs, c.mesh.NumPorts(), net.Routers[0].Cfg.NetVCs())
+	walk, connected := c.mesh.HolisticWalk(&c.walker, nil)
+	if !connected {
+		panic("fastpass: AttachWalk needs a connected fabric with a channel to walk")
+	}
+	c.lanes.Install(walk, len(walk)/16)
+	net.Controller = c
+	return c
+}

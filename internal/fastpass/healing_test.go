@@ -13,10 +13,12 @@ import (
 )
 
 // refHealedWalk is the heal derivation as it stood before it ran on the
-// mesh itself, kept verbatim as the lockstep reference: an N² table
-// from (src, dst) to mesh link ID, the surviving channels as an edge
-// list, a throwaway irregular topology whose constructor decides
-// connectivity, and its holistic walk mapped back through the table.
+// mesh itself, kept as the lockstep reference: an N² table from (src,
+// dst) to mesh link ID, the surviving channels as an edge list, a
+// throwaway graph whose constructor decides connectivity, and its
+// holistic walk mapped back through the table. The throwaway graph is
+// a topology.NewGraph, which TestGraphMatchesIrregularReference holds to
+// the old NewIrregular link for link and walk for walk.
 func refHealedWalk(mesh *topology.Mesh, deadLink []bool) (walk []int, ok bool) {
 	links := mesh.Links()
 	nn := mesh.NumNodes()
@@ -39,11 +41,11 @@ func refHealedWalk(mesh *topology.Mesh, deadLink []bool) (walk []int, ok bool) {
 		}
 		edges = append(edges, [2]int{l.Src, l.Dst})
 	}
-	ir, err := topology.NewIrregular(nn, edges)
+	ir, err := topology.NewGraph(nn, edges)
 	if err != nil {
 		return nil, false
 	}
-	iw := ir.HolisticWalk()
+	iw, _ := ir.HolisticWalk(&topology.Walker{}, nil)
 	walk = make([]int, len(iw))
 	for i, id := range iw {
 		il := ir.Links()[id]

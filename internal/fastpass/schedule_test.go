@@ -172,8 +172,8 @@ func TestLanesAndReturnsNeverOverlap(t *testing.T) {
 						prime := s.PrimeNode(col, ph)
 						covered := s.Covered(col, slot)
 						dst := m.ID(covered, rng.Intn(dim))
-						lane := routing.PathXY(m, prime, dst)
-						ret := routing.PathYX(m, dst, prime)
+						lane := routing.AppendPathXY(m, nil, prime, dst)
+						ret := routing.AppendPathYX(m, nil, dst, prime)
 						for _, l := range append(lane, ret...) {
 							if owner, clash := used[l.ID]; clash {
 								t.Fatalf("dim=%d ph=%d slot=%d: link %d shared by columns %d and %d",
@@ -201,13 +201,13 @@ func TestLanesExhaustive3x3(t *testing.T) {
 				for col := 0; col < 3; col++ {
 					prime := s.PrimeNode(col, ph)
 					dst := m.ID(s.Covered(col, slot), rows[col])
-					for _, l := range routing.PathXY(m, prime, dst) {
+					for _, l := range routing.AppendPathXY(m, nil, prime, dst) {
 						if used[l.ID] {
 							t.Fatalf("lane overlap ph=%d slot=%d combo=%d", ph, slot, combo)
 						}
 						used[l.ID] = true
 					}
-					for _, l := range routing.PathYX(m, dst, prime) {
+					for _, l := range routing.AppendPathYX(m, nil, dst, prime) {
 						if used[l.ID] {
 							t.Fatalf("return overlap ph=%d slot=%d combo=%d", ph, slot, combo)
 						}

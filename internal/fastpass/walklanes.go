@@ -27,12 +27,10 @@ import (
 // walk would cross other lanes' links).
 //
 // The engine is arithmetic over one loop and does not know what fabric
-// it rides: the irregular network (internal/irrnet) and the mesh
-// controller's self-healing mode (healing.go) both drive it through
-// LaneHost.
+// it rides: a graph network (AttachWalk) and the mesh controller's
+// self-healing mode (healing.go) both drive it through LaneHost.
 
-// LaneHost is the fabric under a WalkLanes engine — only what differs
-// between an irregular network and a healed mesh.
+// LaneHost is the fabric under a WalkLanes engine.
 type LaneHost interface {
 	// ClaimLink asserts lane ownership of a directed link for this
 	// cycle; a second claim of the same link is a lane collision.
@@ -47,9 +45,8 @@ type LaneHost interface {
 	// releasing what it had been allocated and crediting upstream.
 	RemoveHead(node, port, vc int) *message.Packet
 	// Admit reports whether pkt's destination can promise acceptance to
-	// one more lane packet; landed of them already wait in its landing
-	// register.
-	Admit(pkt *message.Packet, landed int) bool
+	// one more lane packet.
+	Admit(pkt *message.Packet) bool
 	// Note reports a lane event at node: the host's reservation
 	// bookkeeping, counters and trace.
 	Note(ev LaneEvent, pkt *message.Packet, node int)
@@ -202,9 +199,6 @@ func (w *WalkLanes) Active() bool { return w != nil && len(w.walk) > 0 }
 // Len is the number of circulating lanes.
 func (w *WalkLanes) Len() int { return len(w.lanes) }
 
-// Landed is the number of packets in node's landing register.
-func (w *WalkLanes) Landed(node int) int { return len(w.landing[node]) }
-
 // Riding counts lanes carrying a packet.
 func (w *WalkLanes) Riding() int {
 	n := 0
@@ -332,7 +326,7 @@ func (w *WalkLanes) tryPickup(ls *walkLane, pos int, cycle int64) {
 		if !e.FullyBuffered() || e.Pkt.Dst == node {
 			continue
 		}
-		if !w.host.Admit(e.Pkt, len(w.landing[e.Pkt.Dst])) {
+		if !w.host.Admit(e.Pkt) {
 			continue
 		}
 		steps := w.Steps(pos, e.Pkt.Dst)

@@ -11,15 +11,15 @@ import (
 )
 
 // fakeHost is the least fabric WalkLanes can ride: per node the six
-// injection queues and one network buffer, a landing budget, and a
+// injection queues and one network buffer, one reservation a node for
+// the packets promoted toward it (as a NIC keeps one a class), and a
 // claim set the test clears each cycle.
 type fakeHost struct {
-	t          *testing.T
-	vcs        [][2][]*router.VC // [node][port][vc]
-	claimed    map[int]bool
-	landingCap int
-	reserved   []int
-	events     []LaneEvent
+	t        *testing.T
+	vcs      [][2][]*router.VC // [node][port][vc]
+	claimed  map[int]bool
+	reserved []int
+	events   []LaneEvent
 }
 
 func (h *fakeHost) ClaimLink(link int) {
@@ -42,8 +42,8 @@ func (h *fakeHost) Occupancy(node int, occ []uint64) {
 func (h *fakeHost) RemoveHead(node, port, vc int) *message.Packet {
 	return h.vcs[node][port][vc].RemoveHead()
 }
-func (h *fakeHost) Admit(pkt *message.Packet, landed int) bool {
-	return h.reserved[pkt.Dst]+landed < h.landingCap
+func (h *fakeHost) Admit(pkt *message.Packet) bool {
+	return h.reserved[pkt.Dst] == 0
 }
 func (h *fakeHost) Note(ev LaneEvent, pkt *message.Packet, _ int) {
 	switch ev {
@@ -65,7 +65,7 @@ func fabric(t *testing.T, nodes int, seq []int, ejectCap int) (*fakeHost, *WalkL
 		links[i] = topology.Link{ID: i, Src: seq[i], Dst: seq[(i+1)%len(seq)], SrcPort: 1, DstPort: 1}
 		walk[i] = i
 	}
-	h := &fakeHost{t: t, claimed: map[int]bool{}, landingCap: 2, reserved: make([]int, nodes)}
+	h := &fakeHost{t: t, claimed: map[int]bool{}, reserved: make([]int, nodes)}
 	nics := make([]*nic.NIC, nodes)
 	for n := 0; n < nodes; n++ {
 		nics[n] = nic.New(n, ejectCap)
@@ -200,8 +200,9 @@ func TestTrainClaimsFollowTheHead(t *testing.T) {
 }
 
 // A stalled destination fills its one-packet ejection queue, then the
-// landing register; from there on Admit refuses and the lane passes
-// candidates by until the consumer drains.
+// landing register with the packet holding its reservation; from there
+// on Admit refuses and the lane passes candidates by until the consumer
+// drains.
 func TestFullLandingBackpressuresPickup(t *testing.T) {
 	h, w, walk := fabric(t, 4, []int{0, 1, 2, 3}, 1)
 	w.Install(walk, 1)
@@ -223,20 +224,20 @@ func TestFullLandingBackpressuresPickup(t *testing.T) {
 		h.step(w, cycle)
 		w.nics[2].TickConsume(cycle)
 	}
-	// One packet fills the ejection queue, the next lands holding its
-	// reservation: reserved(1) + landed(1) reaches the cap of 2.
-	if count(LaneBoarded) != 2 || count(LaneDelivered) != 1 || count(LaneLanded) != 1 || w.Landed(2) != 1 {
+	// One packet fills the ejection queue, the next lands holding the
+	// reservation.
+	if count(LaneBoarded) != 2 || count(LaneDelivered) != 1 || count(LaneLanded) != 1 || len(w.landing[2]) != 1 {
 		t.Fatalf("stalled: %d boarded, %d delivered, %d landed, %d in the register; want 2, 1, 1, 1",
-			count(LaneBoarded), count(LaneDelivered), count(LaneLanded), w.Landed(2))
+			count(LaneBoarded), count(LaneDelivered), count(LaneLanded), len(w.landing[2]))
 	}
 	stalled = false
 	for ; cycle < 80; cycle++ {
 		h.step(w, cycle)
 		w.nics[2].TickConsume(cycle)
 	}
-	if count(LaneBoarded) != 5 || count(LaneDelivered) != 5 || w.Landed(2) != 0 || h.reserved[2] != 0 {
+	if count(LaneBoarded) != 5 || count(LaneDelivered) != 5 || len(w.landing[2]) != 0 || h.reserved[2] != 0 {
 		t.Errorf("drained: %d boarded, %d delivered, %d still landed, %d reserved; want 5, 5, 0, 0",
-			count(LaneBoarded), count(LaneDelivered), w.Landed(2), h.reserved[2])
+			count(LaneBoarded), count(LaneDelivered), len(w.landing[2]), h.reserved[2])
 	}
 }
 

@@ -22,7 +22,7 @@ var testOracles = map[string]string{
 	"(*internal/message.Pool).FreeLen":            "internal/sim TestMinBDReleasesToPool, internal/snapshot TestPoolBlobIgnoresChunkSlack",
 	"(*internal/nic.NIC).EjectDepth":              "internal/fastpass TestSingleHopArrivesAsItBoards, internal/network TestVerifyQuiescentCatchesEjectionLeak",
 	"(*internal/fastpass.Controller).Healed":      "internal/sim TestParentCommitBlobs: the healing blob is taken mid-ride",
-	"(*internal/fastpass.WalkLanes).Landed":       "internal/irrnet TestLandingBackpressure",
+	"internal/router.NewVC":                       "internal/fastpass TestStepsMatchesBruteForce: the fake lane host's buffers",
 	"(*internal/telemetry.Metrics).Windows":       "internal/sim TestTelemetryCheckpointSplitByteIdentical",
 }
 

@@ -81,6 +81,7 @@ type Network struct {
 
 // New builds a MinBD network.
 func New(mesh *topology.Mesh, prm Params) *Network {
+	mesh.RequireMesh("minbd")
 	prm.setDefaults()
 	nodes, links := mesh.NumNodes(), len(mesh.Links())
 	regs := spareFlits.Take(3 * links)

@@ -48,7 +48,10 @@ func FuzzNetworkRestore(f *testing.F) {
 // TestRestoreRejectsBadIndices crafts, for every list RestoreState
 // indexes with a decoded value and every mask whose bits name VCs or
 // classes, a body whose one entry is out of range (or repeated), and
-// requires a reader error naming the list instead of a panic.
+// requires a reader error naming the list instead of a panic. The
+// "entry" rows put one packet of two flits in router 0's East input VC,
+// its fields {Arrived, Sent, Allocated, OutPort, OutVC} from bad; the
+// "arbiter cursor" rows set router 0's cursor bad[0] to bad[1].
 func TestRestoreRejectsBadIndices(t *testing.T) {
 	for _, tc := range []struct {
 		list string
@@ -72,6 +75,21 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 		// drops its highest occupied VC writes this, and the resumed run
 		// used to panic in ringq when the flit arrived.
 		{"landing", []int{1}, "link 0 carries a flit that router 1 port West VC 0 cannot take"},
+		{"entry", []int{3, 0, 0, 0, 0}, "entry has 3 of 2 flits arrived, 0 sent"},
+		{"entry", []int{1, 2, 1, 3, 0}, "entry has 1 of 2 flits arrived, 2 sent"},
+		{"entry", []int{2, 1, 0, 0, 0}, "entry sent 1 flits unallocated"},
+		{"entry", []int{2, 0, 1, 0, 3}, "ejects a class 0 packet on class 3"},
+		// Router 0, the north-west corner, has no North output; the 1-VC
+		// mesh no VC 1 and no port 5.
+		{"entry", []int{2, 0, 1, 1, 0}, "granted port 1 VC 0, which router 0 lacks"},
+		{"entry", []int{2, 1, 1, 3, 1}, "granted port 3 VC 1, which router 0 lacks"},
+		{"entry", []int{2, 0, 1, 5, 0}, "granted port 5 VC 0, which router 0 lacks"},
+		// Cursors 0-4 are the ports' VC arbiters (the Local one over six
+		// classes, the rest over one VC), 5-9 the output arbiters over
+		// five inputs, 10 the port tie-break.
+		{"arbiter cursor", []int{0, 6}, "arbiter cursor 6 outside [0, 6)"},
+		{"arbiter cursor", []int{2, 1}, "arbiter cursor 1 outside [0, 1)"},
+		{"arbiter cursor", []int{10, 200}, "arbiter cursor 200 outside [0, 5)"},
 	} {
 		n := fresh3x3()
 		w := snapshot.NewWriter()
@@ -121,16 +139,34 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 			mask("nic classes")
 			w.U64(0) // no reservations
 		}
-		for range n.Routers {
+		for id := range n.Routers {
 			for range 5 { // four credit masks and the ejection locks
 				w.U64(0)
 			}
 			w.U64(0) // the Local port's occupancy
-			for range 4 {
+			for p := 1; p < 5; p++ {
+				if e := tc.bad; id == 0 && p == 2 && tc.list == "entry" {
+					w.U64(1)
+					w.Int(e[0] - e[1]) // flits buffered
+					w.Int(1)           // one packet
+					w.Packet(message.NewPacket(1, 1, 0, message.Request, 2, 0))
+					w.Int(e[0])
+					w.Int(e[1])
+					w.Bool(e[2] == 1)
+					w.Int(e[3])
+					w.Int(e[4])
+					w.Int(0) // EnqueueCycle
+					w.Int(0) // LastMove
+					continue
+				}
 				mask("occupancy")
 			}
-			for range 13 { // arbiter cursors and counters
-				w.Int(0)
+			for k := range 13 { // arbiter cursors and counters
+				if id == 0 && tc.list == "arbiter cursor" && k == tc.bad[0] {
+					w.Int(tc.bad[1])
+				} else {
+					w.Int(0)
+				}
 			}
 		}
 		w.Bool(false) // no controller state

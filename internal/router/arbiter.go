@@ -12,14 +12,6 @@ type RRArbiter struct {
 	next uint8
 }
 
-// NewRRArbiter creates an arbiter over n requesters.
-func NewRRArbiter(n int) *RRArbiter {
-	if n < 1 || n > 64 {
-		panic("router: arbiter needs 1 to 64 requesters")
-	}
-	return &RRArbiter{n: uint8(n)}
-}
-
 // GrantMask returns the winning index among the requesters whose bits
 // are set in reqs (no bit at or above n may be set), or -1 when none
 // request: the first set bit at or after the pointer, else the lowest.

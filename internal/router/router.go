@@ -327,7 +327,18 @@ func newSlab(cfg Config, n int, spare bool) *slab {
 // New wires a stand-alone router for node id. Link IDs come from the
 // mesh topology.
 func New(id int, mesh *topology.Mesh, cfg Config, env Env) *Router {
+	refuseGraph(mesh, cfg)
 	return newSlab(cfg, 1, false).build(id, mesh, cfg, env)
+}
+
+// refuseGraph panics when mesh is a graph and cfg routes a VC with an
+// algorithm that needs mesh coordinates: a graph routes FullyAdaptive.
+func refuseGraph(mesh *topology.Mesh, cfg Config) {
+	for _, a := range cfg.VCAlgorithms {
+		if a != routing.FullyAdaptive && mesh.IsGraph() {
+			panic(fmt.Sprintf("router: %v routing needs a 2-D mesh, not a graph", a))
+		}
+	}
 }
 
 // NewAll wires one router per mesh node, all carved from shared backing
@@ -335,6 +346,7 @@ func New(id int, mesh *topology.Mesh, cfg Config, env Env) *Router {
 // of allocations however large the mesh. The arrays are released ones
 // when they fit (see Release).
 func NewAll(mesh *topology.Mesh, cfg Config, env Env) []*Router {
+	refuseGraph(mesh, cfg)
 	sl := newSlab(cfg, mesh.NumNodes(), true)
 	rs := spareIndex.Take(mesh.NumNodes())
 	for id := range rs {

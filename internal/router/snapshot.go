@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/message"
 	"repro/internal/snapshot"
+	"repro/internal/topology"
 )
 
 // walkVC walks one occupied VC: its buffered flit count and entry count,
@@ -14,7 +15,8 @@ import (
 // being encoded; headChanged then takes the alloc and ready bits from
 // the decoded head, whose route and blocked bit come back at its next VA
 // attempt. It inserts each entry only while the reads before it
-// succeeded, so a hostile count stops at the blob's end.
+// succeeded, so a hostile count stops at the blob's end, and fails one
+// the resumed run could not step (see checkEntry).
 func walkVC(s snapshot.State, v *VC) {
 	n := int32(v.entries.Len())
 	if snapshot.Int(s, &v.flits, &n); s.Decoding() && n < 1 {
@@ -31,9 +33,34 @@ func walkVC(s snapshot.State, v *VC) {
 		snapshot.Int(s, &e.OutPort)
 		snapshot.Int(s, &e.OutVC)
 		snapshot.Int(s, &e.EnqueueCycle, &e.LastMove)
+		if s.Decoding() && s.Err() == nil {
+			v.checkEntry(s, e)
+		}
 	}
 	if s.Decoding() {
 		v.headChanged()
+	}
+}
+
+// checkEntry fails the restore of a decoded entry that would panic or
+// misroute the resumed run: flit counts outside 1 ≤ Arrived ≤ length
+// and 0 ≤ Sent ≤ Arrived, flits sent unallocated, an ejection on another
+// class's VC, or a grant of an output the router lacks.
+func (v *VC) checkEntry(s snapshot.State, e *Entry) {
+	r := v.owner
+	switch {
+	case e.Pkt == nil:
+		s.Fail("router: VC %d/%d entry holds no packet", v.port, v.idx)
+	case e.Arrived < 1 || int(e.Arrived) > e.Pkt.Len || e.Sent < 0 || e.Sent > e.Arrived:
+		s.Fail("router: VC %d/%d entry has %d of %d flits arrived, %d sent", v.port, v.idx, e.Arrived, e.Pkt.Len, e.Sent)
+	case !e.Allocated && e.Sent > 0:
+		s.Fail("router: VC %d/%d entry sent %d flits unallocated", v.port, v.idx, e.Sent)
+	case !e.Allocated:
+	case e.Out() == topology.Local && int(e.OutVC) != int(e.Pkt.Class):
+		s.Fail("router: VC %d/%d ejects a class %d packet on class %d", v.port, v.idx, e.Pkt.Class, e.OutVC)
+	case e.Out() != topology.Local && (e.OutPort < 0 || int(e.OutPort) >= nPorts || r.outLinks[e.OutPort] < 0 ||
+		e.OutVC < 0 || int(e.OutVC) >= r.Cfg.NetVCs()):
+		s.Fail("router: VC %d/%d granted port %d VC %d, which router %d lacks", v.port, v.idx, e.OutPort, e.OutVC, r.ID)
 	}
 }
 
@@ -64,7 +91,21 @@ func (rt *Router) state(s snapshot.State) {
 	}
 	next[2*nPorts] = &rt.portTie.next
 	snapshot.Int(s, next[:]...)
+	if s.Decoding() {
+		for p := range nPorts {
+			checkCursor(s, &rt.saInArb[p])
+			checkCursor(s, &rt.saOutArb[p])
+		}
+		checkCursor(s, &rt.portTie)
+	}
 	snapshot.Int(s, &rt.FlitsRouted, &rt.SwitchStalls)
+}
+
+// checkCursor fails a decoded arbiter cursor past its requesters.
+func checkCursor(s snapshot.State, a *RRArbiter) {
+	if a.next >= a.n {
+		s.Fail("router: arbiter cursor %d outside [0, %d)", a.next, a.n)
+	}
 }
 
 func init() {

@@ -130,7 +130,7 @@ func TestVCRemoveHeadStreamingPanics(t *testing.T) {
 }
 
 func TestRRArbiterFairness(t *testing.T) {
-	a := NewRRArbiter(4)
+	a := &RRArbiter{n: 4}
 	all := func(int) bool { return true }
 	var got []int
 	for i := 0; i < 8; i++ {
@@ -145,7 +145,7 @@ func TestRRArbiterFairness(t *testing.T) {
 }
 
 func TestRRArbiterSkipsNonRequesters(t *testing.T) {
-	a := NewRRArbiter(4)
+	a := &RRArbiter{n: 4}
 	const reqs = 0b1010
 	if g := a.GrantMask(reqs); g != 1 {
 		t.Errorf("grant = %d, want 1", g)
@@ -162,7 +162,7 @@ func TestRRArbiterSkipsNonRequesters(t *testing.T) {
 }
 
 func TestRRArbiterPointerHoldsWithoutGrant(t *testing.T) {
-	a := NewRRArbiter(3)
+	a := &RRArbiter{n: 3}
 	a.Grant(func(i int) bool { return i == 1 })
 	a.Grant(func(int) bool { return false })
 	if g := a.Grant(func(int) bool { return true }); g != 2 {
@@ -200,7 +200,9 @@ func TestInjectionWindowIsAdopted(t *testing.T) {
 		r.InjectPacket(p)
 	}
 	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n != 0 || q.entries.Cap() != injWindow {
+	// The malloc count is process-wide, and the race detector allocates
+	// behind the scenes: it is read in plain builds only.
+	if n := after.Mallocs - before.Mallocs; n != 0 && !raceEnabled || q.entries.Cap() != injWindow {
 		t.Errorf("first %d injections made %d heap objects (capacity now %d), want none in the %d-entry window",
 			injWindow, n, q.entries.Cap(), injWindow)
 	}

@@ -134,21 +134,10 @@ func RouteFullyAdaptive(m *topology.Mesh, buf []topology.Direction, cur, dst int
 	return m.AppendPortToward(buf, cur, dst)
 }
 
-// PathXY materialises the full XY path from src to dst as an ordered
-// slice of links. FastPass uses it to pre-compute lane trajectories.
-func PathXY(m *topology.Mesh, src, dst int) []*topology.Link {
-	return AppendPathXY(m, nil, src, dst)
-}
-
-// PathYX materialises the full YX path from src to dst (returning
-// paths).
-func PathYX(m *topology.Mesh, src, dst int) []*topology.Link {
-	return AppendPathYX(m, nil, src, dst)
-}
-
 // AppendPathXY appends the XY path from src to dst to links and returns
-// it. Passing a reusable buffer (typically links[:0] of a prior path)
-// keeps per-launch lane computation allocation-free.
+// it: FastPass lane trajectories. Passing a reusable buffer (typically
+// links[:0] of a prior path) keeps per-launch lane computation
+// allocation-free.
 func AppendPathXY(m *topology.Mesh, links []*topology.Link, src, dst int) []*topology.Link {
 	return appendPath(m, links, src, dst, false)
 }

@@ -128,8 +128,8 @@ func TestPathXYAndYXAreDisjointOffEndpoints(t *testing.T) {
 		if src == dst {
 			return true
 		}
-		lane := PathXY(m, src, dst)
-		ret := PathYX(m, dst, src)
+		lane := AppendPathXY(m, nil, src, dst)
+		ret := AppendPathYX(m, nil, dst, src)
 		used := make(map[int]bool)
 		for _, l := range lane {
 			used[l.ID] = true

@@ -6,7 +6,7 @@ import (
 )
 
 // gridEdges returns the undirected channel list of a W×H mesh (the
-// edge set NewMesh wires, expressed for NewIrregular).
+// edge set NewMesh wires, expressed for NewGraph).
 func gridEdges(w, h int) [][2]int {
 	var edges [][2]int
 	for y := 0; y < h; y++ {
@@ -26,15 +26,16 @@ func gridEdges(w, h int) [][2]int {
 // checkWalk asserts the §III-F properties the lane derivation rests on:
 // the walk is a closed chain crossing every directed link exactly once
 // and therefore visiting every node.
-func checkWalk(t *testing.T, ir *Irregular) []int {
+func checkWalk(t *testing.T, g *Mesh) []int {
 	t.Helper()
-	walk := ir.HolisticWalk()
-	links := ir.Links()
-	if len(walk) != len(links) {
+	var w Walker
+	walk, connected := g.HolisticWalk(&w, nil)
+	links := g.Links()
+	if !connected || len(walk) != len(links) {
 		t.Fatalf("walk covers %d of %d directed links", len(walk), len(links))
 	}
 	used := make([]bool, len(links))
-	visited := make([]bool, ir.NumNodes())
+	visited := make([]bool, g.NumNodes())
 	for i, id := range walk {
 		if used[id] {
 			t.Fatalf("walk repeats link %d", id)
@@ -69,11 +70,11 @@ func TestHolisticWalkOnDegradedMeshes(t *testing.T) {
 			degraded := make([][2]int, 0, len(edges)-1)
 			degraded = append(degraded, edges[:drop]...)
 			degraded = append(degraded, edges[drop+1:]...)
-			ir, err := NewIrregular(w*h, degraded)
+			g, err := NewGraph(w*h, degraded)
 			if err != nil {
 				t.Fatalf("%dx%d minus edge %v: %v", w, h, edges[drop], err)
 			}
-			walk := checkWalk(t, ir)
+			walk := checkWalk(t, g)
 			segs := SegmentWalk(walk, w)
 			seen := make(map[int]bool)
 			total := 0
@@ -106,18 +107,18 @@ func TestNewIrregularDisconnectedTyped(t *testing.T) {
 		}
 		cut = append(cut, e)
 	}
-	ir, err := NewIrregular(16, cut)
+	g, err := NewGraph(16, cut)
 	if err == nil {
 		t.Fatal("isolating a node should fail")
 	}
-	if ir != nil {
+	if g != nil {
 		t.Fatal("error return carried a topology")
 	}
 	if !errors.Is(err, ErrDisconnected) {
 		t.Fatalf("err = %v, want errors.Is(_, ErrDisconnected)", err)
 	}
 	// A malformed edge list is a different failure, not ErrDisconnected.
-	if _, err := NewIrregular(4, [][2]int{{0, 1}, {1, 1}, {2, 3}}); errors.Is(err, ErrDisconnected) {
+	if _, err := NewGraph(4, [][2]int{{0, 1}, {1, 1}, {2, 3}}); errors.Is(err, ErrDisconnected) {
 		t.Fatalf("self-edge misreported as disconnection: %v", err)
 	}
 }

@@ -1,12 +1,13 @@
 // Package topology models the physical structure of a network-on-chip:
 // nodes (routers), directed links between them, and the port geometry of
 // each router. It provides the 2-D mesh used throughout the paper's
-// evaluation plus arbitrary irregular bidirectional graphs for the
-// §III-F extension.
+// evaluation and, for the §III-F extension, any connected graph of the
+// same 5-port routers.
 package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/spare"
 )
@@ -15,8 +16,8 @@ import (
 // (injection/ejection) port; the four mesh directions follow.
 type Direction int
 
-// Mesh port numbering. Irregular topologies use ports >= 1 as opaque
-// channel indices.
+// Mesh port numbering. A graph uses ports 1..4 as opaque channel
+// indices.
 const (
 	Local Direction = iota
 	North
@@ -74,11 +75,14 @@ type Link struct {
 
 // Mesh is a W×H 2-D mesh. Node IDs are row-major: id = y*W + x, with x
 // growing East and y growing South (row 0 is the top row, matching the
-// paper's figures).
+// paper's figures). NewGraph builds a Mesh over any connected graph of
+// n routers instead, with W = n and H = 1 (see IsGraph).
 type Mesh struct {
 	W, H  int
 	links []Link
-	// out[node][port] is the index into links, or -1.
+	// out[node][port] is the index into links, or -1. A graph's out
+	// runs on past its node rows with its hop-count table (see hop),
+	// which is how a graph is told apart without growing the struct.
 	out [][NumMeshPorts]int
 }
 
@@ -158,31 +162,63 @@ func (m *Mesh) OutLink(node int, port Direction) *Link {
 
 // InLink returns the directed link arriving at node on port, or nil when
 // that port is unconnected — the mirror of OutLink: the link entering on
-// port is the one the neighbour in that direction sends out of the
-// opposite port.
+// port is the one the neighbour behind it sends back over the same
+// channel.
 func (m *Mesh) InLink(node int, port Direction) *Link {
 	out := m.OutLink(node, port)
 	if out == nil {
 		return nil
 	}
-	return m.OutLink(out.Dst, port.Opposite())
+	return m.OutLink(out.Dst, out.DstPort)
+}
+
+// IsGraph reports whether NewGraph built m: it has no mesh geometry.
+func (m *Mesh) IsGraph() bool { return len(m.out) > m.NumNodes() }
+
+// RequireMesh panics, naming who, when m is a graph — the build-time
+// refusal of code that needs mesh coordinates.
+func (m *Mesh) RequireMesh(who string) {
+	if m.IsGraph() {
+		panic(fmt.Sprintf("topology: %s needs a 2-D mesh, not a graph", who))
+	}
 }
 
 // Distance reports the minimal hop count between two nodes.
 func (m *Mesh) Distance(a, b int) int {
+	if m.IsGraph() {
+		return *m.hop(a, b)
+	}
 	ax, ay := m.XY(a)
 	bx, by := m.XY(b)
 	return abs(ax-bx) + abs(ay-by)
 }
 
 // Diameter reports the maximum Distance over all node pairs.
-func (m *Mesh) Diameter() int { return (m.W - 1) + (m.H - 1) }
+func (m *Mesh) Diameter() int {
+	if m.IsGraph() {
+		d := 0
+		for _, row := range m.out[m.NumNodes():] {
+			d = max(d, slices.Max(row[:]))
+		}
+		return d
+	}
+	return (m.W - 1) + (m.H - 1)
+}
 
 // AppendPortToward appends to buf the productive output ports for a
 // minimal route from cur to dst, in XY preference order (East/West
-// before North/South); it appends none when cur == dst. It allocates
+// before North/South) — on a graph, the ports toward a neighbour one hop
+// closer, in port order; it appends none when cur == dst. It allocates
 // nothing when buf has capacity.
 func (m *Mesh) AppendPortToward(buf []Direction, cur, dst int) []Direction {
+	if m.IsGraph() {
+		for p, id := range m.out[cur] {
+			if id >= 0 && *m.hop(m.links[id].Dst, dst) < *m.hop(cur, dst) {
+				buf = append(buf, Direction(p))
+			}
+		}
+		return buf
+	}
 	cx, cy := m.XY(cur)
 	dx, dy := m.XY(dst)
 	if dx > cx {

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -161,107 +162,159 @@ func TestMeshMinimalRoutingProperty(t *testing.T) {
 }
 
 func TestIrregularValidation(t *testing.T) {
-	if _, err := NewIrregular(0, nil); err == nil {
-		t.Error("zero nodes should fail")
+	for _, tc := range []struct {
+		name  string
+		n     int
+		edges [][2]int
+	}{
+		{"zero nodes", 0, nil},
+		{"self edge", 2, [][2]int{{0, 0}}},
+		{"duplicate edge", 2, [][2]int{{0, 1}, {1, 0}}},
+		{"out-of-range edge", 2, [][2]int{{0, 5}}},
+		{"disconnected graph", 3, [][2]int{{0, 1}}},
+		{"fifth neighbour", 6, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}}},
+	} {
+		if g, err := NewGraph(tc.n, tc.edges); err == nil || g != nil {
+			t.Errorf("%s: NewGraph = %v, %v; want an error and no topology", tc.name, g, err)
+		}
 	}
-	if _, err := NewIrregular(2, [][2]int{{0, 0}}); err == nil {
-		t.Error("self edge should fail")
+	star, err := NewGraph(5, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
+	if err != nil {
+		t.Fatalf("four neighbours refused: %v", err)
 	}
-	if _, err := NewIrregular(2, [][2]int{{0, 1}, {1, 0}}); err == nil {
-		t.Error("duplicate edge should fail")
-	}
-	if _, err := NewIrregular(2, [][2]int{{0, 5}}); err == nil {
-		t.Error("out-of-range edge should fail")
-	}
-	if _, err := NewIrregular(3, [][2]int{{0, 1}}); err == nil {
-		t.Error("disconnected graph should fail")
+	if !star.IsGraph() || NewMesh(5, 1).IsGraph() {
+		t.Error("IsGraph does not tell a graph from a mesh")
 	}
 }
 
 func TestIrregularBasics(t *testing.T) {
 	// A 4-node ring with one chord.
-	g, err := NewIrregular(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 4 {
-		t.Errorf("NumNodes = %d", g.NumNodes())
+	g := mustGraph(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}})
+	if g.NumNodes() != 4 || g.NumPorts() != int(NumMeshPorts) {
+		t.Errorf("NumNodes = %d, NumPorts = %d", g.NumNodes(), g.NumPorts())
 	}
 	if got := len(g.Links()); got != 10 {
 		t.Errorf("links = %d, want 10 (5 channels × 2)", got)
 	}
-	if d := g.dist[1][3]; d != 2 {
-		t.Errorf("dist[1][3] = %d, want 2", d)
+	if d := g.Distance(1, 3); d != 2 {
+		t.Errorf("Distance(1, 3) = %d, want 2", d)
 	}
 	if d := g.Diameter(); d != 2 {
 		t.Errorf("Diameter = %d, want 2", d)
 	}
 	var nbs []int
-	for _, idx := range g.out[0][1:] {
-		if idx >= 0 {
-			nbs = append(nbs, g.links[idx].Dst)
+	for p := North; p < NumMeshPorts; p++ {
+		if l := g.OutLink(0, p); l != nil {
+			nbs = append(nbs, l.Dst)
 		}
 	}
-	if len(nbs) != 3 {
-		t.Errorf("neighbours of 0 = %v, want 3 entries", nbs)
+	if !slices.Equal(nbs, []int{1, 2, 3}) {
+		t.Errorf("neighbours of 0 by port = %v, want [1 2 3]", nbs)
 	}
 }
 
 func TestIrregularNextHopMinimal(t *testing.T) {
-	g, err := NewIrregular(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ports := g.NextHopMinimal(0, 2)
+	g := mustGraph(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
+	ports := g.AppendPortToward(nil, 0, 2)
 	if len(ports) != 2 {
 		t.Fatalf("ring node 0 -> 2 should have two minimal next hops, got %v", ports)
 	}
 	for _, p := range ports {
-		idx := g.out[0][p]
-		if idx < 0 {
+		l := g.OutLink(0, p)
+		if l == nil {
 			t.Fatalf("port %v not connected", p)
 		}
-		if g.dist[g.links[idx].Dst][2] != g.dist[0][2]-1 {
+		if g.Distance(l.Dst, 2) != g.Distance(0, 2)-1 {
 			t.Errorf("port %v is not productive", p)
 		}
 	}
 }
 
-func TestHolisticWalkCoversEveryLinkOnce(t *testing.T) {
-	tops := []*Irregular{
-		mustIrregular(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}),
-		mustIrregular(t, 5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {1, 3}}),
-		mustIrregular(t, 6, [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 5}, {5, 3}}),
-	}
-	for ti, g := range tops {
-		walk := g.HolisticWalk()
-		if len(walk) != len(g.Links()) {
-			t.Errorf("top %d: walk covers %d links, want %d", ti, len(walk), len(g.Links()))
-			continue
+// TestGraphMatchesIrregularReference holds NewGraph to NewIrregular on
+// degree-capped random graphs: the same links with the same ports, the
+// same holistic walk, the same minimal next hops, distances and
+// diameter.
+func TestGraphMatchesIrregularReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	var w Walker
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(16)
+		edges := randomEdges(rng, n, rng.Intn(2*n+1))
+		ref, err := NewIrregular(n, edges)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		seen := make(map[int]bool)
-		for _, id := range walk {
-			if seen[id] {
-				t.Errorf("top %d: link %d visited twice", ti, id)
+		g := mustGraph(t, n, edges)
+		if !slices.Equal(g.Links(), ref.Links()) {
+			t.Fatalf("trial %d: links\n%v\nreference\n%v", trial, g.Links(), ref.Links())
+		}
+		// A lone node has no out-link, which the Walker reads as cut off.
+		walk, connected := g.HolisticWalk(&w, nil)
+		if want := ref.HolisticWalk(); connected != (n > 1) || !slices.Equal(walk, want) {
+			t.Fatalf("trial %d: walk %v (connected %v), reference %v", trial, walk, connected, want)
+		}
+		if g.Diameter() != ref.Diameter() {
+			t.Fatalf("trial %d: diameter %d, reference %d", trial, g.Diameter(), ref.Diameter())
+		}
+		for a := range n {
+			for b := range n {
+				got, want := g.AppendPortToward(nil, a, b), ref.NextHopMinimal(a, b)
+				if !slices.Equal(got, want) || g.Distance(a, b) != ref.dist[a][b] {
+					t.Fatalf("trial %d %d->%d: ports %v distance %d, reference %v and %d",
+						trial, a, b, got, g.Distance(a, b), want, ref.dist[a][b])
+				}
 			}
-			seen[id] = true
-		}
-		// The walk must be contiguous: each link starts where the
-		// previous ended, and it closes back on the start node.
-		for i := 1; i < len(walk); i++ {
-			if g.Links()[walk[i]].Src != g.Links()[walk[i-1]].Dst {
-				t.Errorf("top %d: walk breaks at step %d", ti, i)
-			}
-		}
-		if g.Links()[walk[0]].Src != g.Links()[walk[len(walk)-1]].Dst {
-			t.Errorf("top %d: walk is not closed", ti)
 		}
 	}
 }
 
+// randomEdges is a random spanning tree over n nodes plus up to extra
+// random edges, no node given a fifth neighbour.
+func randomEdges(rng *rand.Rand, n, extra int) [][2]int {
+	var edges [][2]int
+	have := make(map[[2]int]bool)
+	deg := make([]int, n)
+	addEdge := func(a, b int) {
+		k := [2]int{min(a, b), max(a, b)}
+		if a == b || have[k] || deg[a] == 4 || deg[b] == 4 {
+			return
+		}
+		have[k] = true
+		deg[a]++
+		deg[b]++
+		edges = append(edges, [2]int{a, b})
+	}
+	for v := 1; v < n; v++ {
+		// Attach to a random earlier node with room; node v-1 always has
+		// some, the tree built so far being a path at worst.
+		u := rng.Intn(v)
+		for deg[u] == 4 {
+			u = (u + 1) % v
+		}
+		addEdge(v, u)
+	}
+	for range extra {
+		addEdge(rng.Intn(n), rng.Intn(n))
+	}
+	return edges
+}
+
+func TestHolisticWalkCoversEveryLinkOnce(t *testing.T) {
+	tops := []*Mesh{
+		mustGraph(t, 4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}),
+		mustGraph(t, 5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {1, 3}}),
+		mustGraph(t, 6, [][2]int{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 5}, {5, 3}}),
+		NewMesh(4, 3),
+	}
+	for _, g := range tops {
+		checkWalk(t, g)
+	}
+}
+
 func TestSegmentWalkPartitions(t *testing.T) {
-	g := mustIrregular(t, 5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {1, 3}})
-	walk := g.HolisticWalk()
+	g := mustGraph(t, 5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {1, 3}})
+	var w Walker
+	walk, _ := g.HolisticWalk(&w, nil)
 	for _, p := range []int{1, 2, 3, 4, len(walk), len(walk) + 5, 0} {
 		segs := SegmentWalk(walk, p)
 		seen := make(map[int]bool)
@@ -287,45 +340,13 @@ func TestHolisticWalkRandomGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		n := 3 + rng.Intn(10)
-		// Random spanning tree plus random extra edges.
-		var edges [][2]int
-		have := make(map[[2]int]bool)
-		addEdge := func(a, b int) {
-			if a == b {
-				return
-			}
-			k := [2]int{min(a, b), max(a, b)}
-			if have[k] {
-				return
-			}
-			have[k] = true
-			edges = append(edges, [2]int{a, b})
-		}
-		for v := 1; v < n; v++ {
-			addEdge(v, rng.Intn(v))
-		}
-		for e := 0; e < n/2; e++ {
-			addEdge(rng.Intn(n), rng.Intn(n))
-		}
-		g, err := NewIrregular(n, edges)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		walk := g.HolisticWalk()
-		if len(walk) != len(g.Links()) {
-			t.Fatalf("trial %d: walk %d links, want %d", trial, len(walk), len(g.Links()))
-		}
-		for i := 1; i < len(walk); i++ {
-			if g.Links()[walk[i]].Src != g.Links()[walk[i-1]].Dst {
-				t.Fatalf("trial %d: discontinuous walk", trial)
-			}
-		}
+		checkWalk(t, mustGraph(t, n, randomEdges(rng, n, n/2)))
 	}
 }
 
-func mustIrregular(t *testing.T, n int, edges [][2]int) *Irregular {
+func mustGraph(t *testing.T, n int, edges [][2]int) *Mesh {
 	t.Helper()
-	g, err := NewIrregular(n, edges)
+	g, err := NewGraph(n, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +357,13 @@ func mustIrregular(t *testing.T, n int, edges [][2]int) *Irregular {
 // the link whose DstPort is that port — for every link of the mesh — and
 // edge ports have none.
 func TestInLinkMirrorsOutLink(t *testing.T) {
-	m := NewMesh(4, 3)
+	for _, m := range []*Mesh{NewMesh(4, 3), mustGraph(t, 5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {1, 3}})} {
+		checkInLinks(t, m)
+	}
+}
+
+func checkInLinks(t *testing.T, m *Mesh) {
+	t.Helper()
 	seen := 0
 	for node := 0; node < m.NumNodes(); node++ {
 		for d := Local; d < NumMeshPorts; d++ {

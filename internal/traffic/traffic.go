@@ -52,11 +52,14 @@ func ParsePattern(name string) (Pattern, error) {
 	return 0, fmt.Errorf("unknown pattern %q", name)
 }
 
-// Check reports whether the pattern is defined on a w×h mesh: Transpose
+// Check reports whether the pattern is one of Patterns and defined on a
+// w×h mesh: Transpose
 // swaps coordinates, the bit permutations act on log2(nodes) address
 // bits.
 func (p Pattern) Check(w, h int) error {
 	switch {
+	case p < 0 || int(p) >= len(patternNames):
+		return fmt.Errorf("traffic: unknown pattern %d", int(p)) //nocvet:ignore hotalloc2 error path
 	case p == Transpose && w != h:
 		return fmt.Errorf("traffic: %v requires a square mesh, not %dx%d", p, w, h) //nocvet:ignore hotalloc2 error path
 	case (p == Shuffle || p == BitRotation || p == BitComplement) && bits(w*h) < 0:

@@ -203,6 +203,8 @@ func TestPatternCheck(t *testing.T) {
 		{Transpose, 6, 6, true}, {Transpose, 4, 2, false},
 		{Shuffle, 8, 8, true}, {Shuffle, 6, 6, false}, {Shuffle, 4, 2, true},
 		{BitRotation, 3, 3, false}, {BitComplement, 5, 4, false}, {BitComplement, 16, 16, true},
+		// A checkpoint's config decodes any integer as its pattern.
+		{Pattern(-30), 4, 4, false}, {Hotspot + 1, 4, 4, false},
 	} {
 		if err := tc.p.Check(tc.w, tc.h); (err == nil) != tc.ok {
 			t.Errorf("%v.Check(%d, %d) = %v, want ok=%v", tc.p, tc.w, tc.h, err, tc.ok)
