@@ -17,6 +17,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/fastpass"
 	"repro/internal/message"
 	"repro/internal/network"
 	"repro/internal/nic"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/telemetry"
+	"repro/internal/topology"
 	"repro/internal/traffic"
 	"repro/internal/workload"
 )
@@ -207,17 +209,17 @@ func growthObjects() (injection, other int64) {
 
 // TestFirstTouchAllocBudget pins "never after Build" from the very first
 // cycle, with no warm-up to hide behind: the queues a packet waits in
-// are threaded through the arena and the injection queues sit in their
-// Build-carved windows, so the first 2,000 cycles of a fresh instance
-// allocate arena chunks, free-list doublings and (protocol) the
+// are threaded through the arena, so the first 2,000 cycles of a fresh
+// instance allocate arena chunks, free-list doublings and (protocol) the
 // emission queue's growth — a dozen objects — plus the overflow chunks
-// (and their list) that injection queues backing up more than four
-// packets deep take doubled windows from: none at this synthetic load,
-// five objects of 25 under Streamcluster's six classes, whose queues
-// outgrow 77 windows (77 objects of 97 when each grew onto the heap). No
-// other ring grows. A second instance, built after the first released
-// its network, takes the same chunks from the stores: none of its
-// queues grows onto the heap. Before the queues were intrusive every
+// (and their list) that injection queues take their windows from at
+// their first packet and doubled ones when they back up more than four
+// packets deep: four objects of 15 at this synthetic load (one class),
+// three of 23 under Streamcluster's six classes, whose queues outgrow 77
+// windows (77 objects of 97 when each grew onto the heap). No other ring
+// grows. A second instance, built after the first released its network,
+// takes the same chunks from the stores: none of its queues makes a
+// heap object. Before the queues were intrusive every
 // first touch of a NIC or injection ring was an object: ~200 here for
 // synthetic traffic, ~1,100 for the protocol.
 func TestFirstTouchAllocBudget(t *testing.T) {
@@ -263,24 +265,81 @@ func TestFirstTouchAllocBudget(t *testing.T) {
 	}
 }
 
-// TestStructSizes holds the five structs a run's memory is made of to
-// their sizes: the arena is most of a run's bytes and every NIC, router,
-// VC and VC entry is carved once per node at Build, so a field added to
-// one of them is an alloc_mb regression on every workload (a 4-VC
-// router alone has 22 VCs). A network VC carries its one entry inline,
-// so its 88 bytes are all it costs (64 plus a 32-byte slab slot before).
+// TestGraphFirstTouchZeroAllocs pins the route buffer on a graph: a
+// 4×4 torus built with topology.NewGraph gives every node four ports,
+// and a destination two hops away on both axes is productive on all
+// four, so a head's first VA attempt asks the routing function for four
+// ports. The router's buffer holds them; one two ports long spilled the
+// append to the heap at every such head. Lanes ride the torus's walk
+// (fastpass.AttachWalk), packets come from an arena, and after the
+// warm-up has grown the arena to its high-water mark the cycle makes no
+// heap object.
+func TestGraphFirstTouchZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; run the guard without -race")
+	}
+	const side = 4
+	var edges [][2]int
+	for v := range side * side {
+		x, y := v%side, v/side
+		edges = append(edges, [2]int{v, y*side + (x+1)%side}, [2]int{v, (y+1)%side*side + x})
+	}
+	g, err := topology.NewGraph(side*side, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := network.New(network.Params{Mesh: g, Router: fastpass.Config(1), EjectCap: 4})
+	lanes := fastpass.AttachWalk(net)
+	pl := message.NewPool()
+	for _, nc := range net.NICs {
+		nc.Recycle = func(p *message.Packet) { pl.PutCtx(p, p.Dst, net.Cycle()) }
+	}
+	rng := rand.New(rand.NewSource(7))
+	var id uint64
+	tick := func() {
+		for src := range side * side {
+			if rng.Float64() < 0.05 {
+				dst := rng.Intn(side*side - 1)
+				if dst >= src {
+					dst++
+				}
+				id++
+				net.NICs[src].EnqueueSource(pl.Get(id, src, dst, message.Request, 1+4*int(id%2), net.Cycle()))
+			}
+		}
+		net.Step()
+	}
+	for range 5000 {
+		tick()
+	}
+	if got := allocsPerTick(2000, tick) * 2000; got != 0 {
+		t.Errorf("2000 warm cycles on a degree-4 graph made %.0f heap objects, want none", got)
+	}
+	if lanes.Counters.Promoted == 0 || pl.Puts == 0 {
+		t.Errorf("a dull run: %d promoted, %d packets delivered and recycled", lanes.Counters.Promoted, pl.Puts)
+	}
+}
+
+// TestStructSizes holds the structs a run's memory is made of to their
+// sizes: the arena is most of a run's bytes and every NIC, router and VC
+// is carved once per node at Build (VC entries at an injection queue's
+// first packet), so a field added to one of them is an alloc_mb
+// regression on every workload (a 4-VC router alone has 22 VCs). A
+// network VC carries its one entry inline, so its 88 bytes are all it
+// costs (64 plus a 32-byte slab slot before). The router's 496 include a
+// four-port route buffer, a graph node's most.
 func TestStructSizes(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		got, limit uintptr
 	}{
-		{"message.Packet", unsafe.Sizeof(message.Packet{}), 128},
+		{"message.Packet", unsafe.Sizeof(message.Packet{}), 112},
 		{"router.Entry", unsafe.Sizeof(router.Entry{}), 32},
-		{"nic.NIC", unsafe.Sizeof(nic.NIC{}), 656},
+		{"nic.NIC", unsafe.Sizeof(nic.NIC{}), 640},
 		{"router.Router", unsafe.Sizeof(router.Router{}), 496},
 		{"router.VC", unsafe.Sizeof(router.VC{}), 88},
 		// The generator's whole state: 607 words, two cursors, a count.
-		{"snapshot.CountingSource", unsafe.Sizeof(snapshot.CountingSource{}), 4896},
+		{"snapshot.CountingSource", unsafe.Sizeof(snapshot.CountingSource{}), 4880},
 	} {
 		t.Logf("%s: %d bytes", tc.name, tc.got)
 		if tc.got > tc.limit {
@@ -289,7 +348,7 @@ func TestStructSizes(t *testing.T) {
 	}
 }
 
-// TestBuildAllocBudget caps the heap objects sim.Build creates: 35 at
+// TestBuildAllocBudget caps the heap objects sim.Build creates: 34 at
 // any mesh size when the stores are empty — a constant number of
 // backing arrays and not one object per node (the pre-slab build made
 // ~98 per router, the slab build still two closures) — and 14 when it
@@ -307,7 +366,7 @@ func TestBuildAllocBudget(t *testing.T) {
 		size     int
 		released bool
 		ceiling  float64
-	}{{8, false, 42}, {32, false, 42}, {8, true, 17}, {32, true, 17}} {
+	}{{8, false, 41}, {32, false, 41}, {8, true, 17}, {32, true, 17}} {
 		got := testing.AllocsPerRun(3, func() {
 			inst := sim.Build(sim.Options{Scheme: sim.FastPass, W: tc.size, H: tc.size, Seed: 1})
 			if tc.released {

@@ -50,11 +50,13 @@ func (NopController) PostCycle(*Network) {}
 // transit is a flit in flight on a directed link. When fault injection
 // is attached the flit also carries its payload word and per-flit
 // checksum, so wire corruption is detected — not assumed — at delivery.
+// The words lead and vc is an int32: every channel holds two stages,
+// 32 bytes each.
 type transit struct {
 	flit    message.Flit
-	vc      int
-	valid   bool
 	payload uint64
+	vc      int32
+	valid   bool
 	sum     uint8
 }
 
@@ -268,7 +270,7 @@ func (n *Network) SendFlit(linkID int, f message.Flit, outVC int) {
 	if ch.next.valid {
 		panic(fmt.Sprintf("network: two flits driven onto link %d in cycle %d", linkID, n.cycle))
 	}
-	tr := transit{flit: f, vc: outVC, valid: true}
+	tr := transit{flit: f, vc: int32(outVC), valid: true}
 	if n.faults != nil {
 		tr.payload = message.FlitPayload(f.Pkt.ID, f.Seq)
 		tr.sum = message.Checksum(tr.payload)
@@ -505,7 +507,7 @@ func (n *Network) shift() {
 				ch.cur.flit.Pkt.Corrupted = true
 				n.faults.NoteCorruptionDetected()
 			}
-			n.Routers[ch.link.Dst].Deliver(ch.link.DstPort, ch.cur.vc, ch.cur.flit, n.cycle)
+			n.Routers[ch.link.Dst].Deliver(ch.link.DstPort, int(ch.cur.vc), ch.cur.flit, n.cycle)
 		}
 		ch.cur = ch.next
 		ch.next = transit{}
@@ -630,7 +632,7 @@ func (n *Network) LinkFlits(i int) int64 { return n.channels[i].flits }
 // that a leak.
 func (n *Network) ChannelCarries(i int, vc int) bool {
 	ch := n.channels[i]
-	return (ch.cur.valid && ch.cur.vc == vc) || (ch.next.valid && ch.next.vc == vc)
+	return (ch.cur.valid && int(ch.cur.vc) == vc) || (ch.next.valid && int(ch.next.vc) == vc)
 }
 
 // ChannelCreditPending reports whether a VC-free credit for vc is still

@@ -3,6 +3,7 @@ package network
 import (
 	"strconv"
 	"testing"
+	"unsafe"
 
 	"repro/internal/faults"
 	"repro/internal/message"
@@ -28,6 +29,15 @@ func paramsWith(w, h, vns, vcs int, alg routing.Algorithm) Params {
 			VCAlgorithms: algs, ClassVN: classVN,
 		},
 		EjectCap: 4,
+	}
+}
+
+// TestTransitSize: a link stage is 32 bytes. Every channel holds two, so
+// the 48 that int-wide vc and padding made cost a 32×32 mesh's build
+// 127 KB more.
+func TestTransitSize(t *testing.T) {
+	if n := unsafe.Sizeof(transit{}); n > 32 {
+		t.Errorf("network.transit is %d bytes, limit 32", n)
 	}
 }
 

@@ -97,7 +97,9 @@ func (n *Network) state(s snapshot.State) {
 		}
 		s.Packet(&t.flit.Pkt)
 		snapshot.Int(s, &t.flit.Seq)
-		index(s, &t.vc, "flit VC", netVCs)
+		vc := int(t.vc)
+		index(s, &vc, "flit VC", netVCs)
+		t.vc = int32(vc)
 		snapshot.Uint(s, &t.payload)
 		snapshot.Byte(s, &t.sum)
 	}
@@ -111,7 +113,7 @@ func (n *Network) state(s snapshot.State) {
 	}
 	for _, id := range n.dirtyChannels {
 		t, lk := &n.channels[id].cur, n.channels[id].link
-		if s.Decoding() && s.Err() == nil && (t.flit.Pkt == nil || !n.Routers[lk.Dst].VCFor(lk.DstPort, t.vc).Lands(t.flit)) {
+		if s.Decoding() && s.Err() == nil && (t.flit.Pkt == nil || !n.Routers[lk.Dst].VCFor(lk.DstPort, int(t.vc)).Lands(t.flit)) {
 			s.Fail("network: link %d carries a flit that router %d port %v VC %d cannot take", id, lk.Dst, lk.DstPort, t.vc)
 		}
 	}

@@ -128,9 +128,10 @@ const nPorts = int(topology.NumMeshPorts)
 //
 // A Router is built once and never grows (DESIGN.md §9): per-port state
 // is arrays in the struct — occupancy and credits one mask word per port,
-// bit v = VC v — and the VCs with their entry slots are windows onto
-// backing arrays that a whole network's routers share (see NewAll). What
-// a Step reads leads the struct.
+// bit v = VC v — and the VCs are a window onto a backing array that a
+// whole network's routers share (see NewAll); an injection queue's
+// entries are a window its first packet cuts (see slab.window). What a
+// Step reads leads the struct.
 type Router struct {
 	// occ[port] has bit v set while input VC v holds a packet; the VCs
 	// keep it (and resident) current on every insert and remove, so
@@ -191,10 +192,11 @@ type Router struct {
 	SwitchStalls int64
 
 	Mesh *topology.Mesh
-	// routeBuf receives a routing function's ports: the functions are
+	// routeBuf receives a routing function's ports — up to four, a graph
+	// node's degree (a mesh route has at most two): the functions are
 	// called through a Func value, which would force a stack buffer onto
 	// the heap.
-	routeBuf [2]topology.Direction
+	routeBuf [4]topology.Direction
 	// Cfg is shared by the routers of one build.
 	Cfg *Config
 }
@@ -242,8 +244,8 @@ type slab struct {
 	arrays slabArrays // whole, as made or drawn: what Release hands on
 	rest   slabArrays // the uncarved tails
 	cfg    Config
-	// overflow lists the chunks that VCs outgrowing their windows take
-	// doubled windows from (see window), each as its uncarved prefix.
+	// overflow lists the chunks that injection queues take their windows
+	// from (see window), each as its uncarved prefix.
 	overflow [][]Entry
 }
 
@@ -251,14 +253,12 @@ type slab struct {
 type slabArrays struct {
 	routers []Router
 	vcs     []VC
-	entries []Entry
 }
 
 // The stores NewAll draws its arrays from and Release returns them to.
 var (
 	spareRouters spare.Store[Router]
 	spareVCs     spare.Store[VC]
-	spareEntries spare.Store[Entry]
 	spareIndex   spare.Store[*Router]
 	// spareOverflow and spareChunkLists hold overflow chunks and the
 	// lists of them (see window).
@@ -266,22 +266,23 @@ var (
 	spareChunkLists spare.Store[[]Entry]
 )
 
-// injWindow is the Build-carved depth of each injection queue, in
-// packets: enough for the usual backlog of a 10-flit queue, a power of
-// two as ringq.Adopt requires. A deeper queue takes a doubled window
-// from the slab's overflow chunks.
+// injWindow is the depth of the window an injection queue takes at its
+// first insertion, in packets: enough for the usual backlog of a
+// 10-flit queue, a power of two as ringq.Adopt requires. A deeper queue
+// takes a doubled window.
 const injWindow = 4
 
 // overflowChunk is the length of a build's first overflow chunk, in
 // entries.
 const overflowChunk = 64
 
-// window cuts an n-entry window, for a VC that outgrew its own, off the
-// top of the last overflow chunk. The first growth draws the first
-// chunk; a chunk too short for n is left to the windows already cut
-// from it and the next drawn twice as long. Each is used to its whole
-// capacity, and Release hands them all on, so a later build that backs
-// up as far draws the same chunks again.
+// window cuts an n-entry window, for an injection queue's first packet
+// or a VC that outgrew its window, off the top of the last overflow
+// chunk. The first window draws the first chunk; a chunk too short for
+// n is left to the windows already cut from it and the next drawn twice
+// as long. Each is used to its whole capacity, and Release hands them
+// all on, so a later build whose queues fill as far draws the same
+// chunks again. A class no packet of the run uses thus costs nothing.
 func (sl *slab) window(n int) []Entry {
 	k := len(sl.overflow) - 1
 	if k < 0 || len(sl.overflow[k]) < n {
@@ -315,12 +316,12 @@ func newSlab(cfg Config, n int, spare bool) *slab {
 		//nocvet:ignore panicstyle Validate builds its errors with the "router: " prefix
 		panic(err)
 	}
-	vcs, entries := n*(int(message.NumClasses)+(nPorts-1)*cfg.NetVCs()), n*injWindow*int(message.NumClasses)
+	vcs := n * (int(message.NumClasses) + (nPorts-1)*cfg.NetVCs())
 	if !spare {
-		a := slabArrays{make([]Router, n), make([]VC, vcs), make([]Entry, entries)}
+		a := slabArrays{make([]Router, n), make([]VC, vcs)}
 		return &slab{routeTable: newRouteTable(cfg), arrays: a, rest: a, cfg: cfg}
 	}
-	a := slabArrays{spareRouters.Take(n), spareVCs.Take(vcs), spareEntries.Take(entries)}
+	a := slabArrays{spareRouters.Take(n), spareVCs.Take(vcs)}
 	return &slab{routeTable: newRouteTable(cfg), arrays: a, rest: a, cfg: cfg}
 }
 
@@ -356,14 +357,13 @@ func NewAll(mesh *topology.Mesh, cfg Config, env Env) []*Router {
 }
 
 // Release hands the arrays of one NewAll's routers, rs among them, and
-// their overflow chunks to a later NewAll in the process. Nothing of rs — no router, VC or entry
-// window — may be used after the call, and a build is released at most
-// once.
+// their overflow chunks to a later NewAll in the process. Nothing of
+// rs — no router, VC or entry window — may be used after the call, and
+// a build is released at most once.
 func Release(rs []*Router) {
 	sl := rs[0].tab
 	spareRouters.Put(sl.arrays.routers)
 	spareVCs.Put(sl.arrays.vcs)
-	spareEntries.Put(sl.arrays.entries)
 	for _, c := range sl.overflow {
 		spareOverflow.Put(c)
 	}
@@ -386,8 +386,8 @@ func (sl *slab) build(id int, mesh *topology.Mesh, cfg Config, env Env) *Router 
 			r.inLinks[p] = int32(l.ID)
 		}
 		iu := &r.Inputs[p]
-		// Injection: one queue per message class, an injWindow-entry
-		// window each. Network VCs hold one packet, in their inline slot.
+		// Injection: one queue per message class, windowless until its
+		// first packet. Network VCs hold one packet, in their inline slot.
 		n, capFlits, maxPkts := int(message.NumClasses), cfg.InjQueueFlits, cfg.InjQueueFlits
 		if p != int(topology.Local) {
 			n, capFlits, maxPkts = cfg.NetVCs(), cfg.BufFlits, 1
@@ -397,9 +397,7 @@ func (sl *slab) build(id int, mesh *topology.Mesh, cfg Config, env Env) *Router 
 		for v := range iu.VCs {
 			vc := &iu.VCs[v]
 			vc.init(capFlits, maxPkts)
-			if p == int(topology.Local) {
-				vc.entries.Adopt(carve(&sl.rest.entries, injWindow))
-			} else {
+			if p != int(topology.Local) {
 				vc.entries.Adopt(vc.one[:])
 			}
 			vc.owner, vc.port, vc.idx = r, uint8(p), uint8(v)

@@ -366,13 +366,13 @@ func TestResidentPackets(t *testing.T) {
 
 // TestReleasedSlabServesNextBuild: Release zeroes what a build carved
 // and its overflow chunk, a later NewAll that fits carves a prefix of
-// the same arrays (and its first queue to outgrow a window takes the
+// the same arrays (and its first queue to take a window takes the
 // chunk), and one the spare is too small for makes its own.
 func TestReleasedSlabServesNextBuild(t *testing.T) {
-	spareRouters, spareVCs, spareEntries, spareIndex = spare.Store[Router]{}, spare.Store[VC]{}, spare.Store[Entry]{}, spare.Store[*Router]{}
+	spareRouters, spareVCs, spareIndex = spare.Store[Router]{}, spare.Store[VC]{}, spare.Store[*Router]{}
 	spareOverflow, spareChunkLists = spare.Store[Entry]{}, spare.Store[[]Entry]{}
 	env, cfg := newFakeEnv(), adaptiveCfg(1, 2)
-	// Five packets outgrow a 4-entry window: the queue takes an overflow chunk.
+	// Five packets take a 4-entry window and outgrow it.
 	backlog := func(r *Router) {
 		for id := range uint64(injWindow + 1) {
 			if !r.InjectPacket(message.NewPacket(id+1, r.ID, 0, message.Request, 1, 0)) {
@@ -384,15 +384,15 @@ func TestReleasedSlabServesNextBuild(t *testing.T) {
 	backlog(big[5])
 	a, chunk := big[0].tab.arrays, big[0].tab.overflow[0][:cap(big[0].tab.overflow[0])]
 	Release(big)
-	if !allZero(a.routers) || !allZero(a.vcs) || !allZero(a.entries) || !allZero(chunk) {
-		t.Fatal("Release left the slab's routers, VCs, entries or overflow chunk dirty")
+	if !allZero(a.routers) || !allZero(a.vcs) || !allZero(chunk) {
+		t.Fatal("Release left the slab's routers, VCs or overflow chunk dirty")
 	}
 	small := NewAll(topology.NewMesh(2, 2), cfg, env)
 	if small[0] != &a.routers[0] || &small[0].Inputs[0].VCs[0] != &a.vcs[0] {
 		t.Error("a smaller build did not carve the spare slab's prefix")
 	}
 	if backlog(small[1]); &small[1].tab.overflow[0][:1][0] != &chunk[0] {
-		t.Error("a queue outgrowing its window did not take the released overflow chunk")
+		t.Error("a queue taking its window did not take the released overflow chunk")
 	}
 	Release(small)
 	if larger := NewAll(topology.NewMesh(8, 8), cfg, env); larger[0] == &a.routers[0] {

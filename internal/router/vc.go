@@ -20,8 +20,7 @@ import (
 
 // Entry is one packet resident in (or streaming through) a virtual
 // channel. It is 32 bytes — flit counts and VC indices fit 16 bits, a
-// port 8 — which is what pays for the injection queues' Build-carved
-// windows (see VC).
+// port 8 — so an injection queue's first window is 128 (see VC).
 type Entry struct {
 	Pkt *message.Packet
 	// EnqueueCycle is when the head flit entered this buffer, and
@@ -62,9 +61,10 @@ func (e *Entry) Allocate(port topology.Direction, vc int) {
 //
 // Entries live by value in a ring buffer, so traffic through a VC never
 // touches the allocator: in a router built by New a network VC adopts its
-// inline slot (one entry, beside the ring) and an injection queue a
-// slab-backed injWindow-entry window, which a router's VC that outgrows
-// it swaps for a doubled one from the slab's overflow chunk. An entry
+// inline slot (one entry, beside the ring), and an injection queue takes
+// an injWindow-entry window from the slab's overflow chunks at its first
+// packet and a doubled one each time it outgrows it — a build carves no
+// entry for a class its run never injects. An entry
 // pointer handed out by Head/EntryAt is valid until the VC's next
 // insertion or removal; a departed entry's slot is zeroed, turning any
 // stale-pointer use into an immediate nil dereference of Pkt rather than
@@ -105,7 +105,7 @@ func (v *VC) init(capFlits, maxPkts int) {
 // counts the packet as resident.
 func (v *VC) insert(pos int, pkt *message.Packet, arrived int, cycle int64) *Entry {
 	if v.entries.Len() == v.entries.Cap() && v.owner != nil {
-		v.entries.Adopt(v.owner.tab.window(2 * v.entries.Cap()))
+		v.entries.Adopt(v.owner.tab.window(max(injWindow, 2*v.entries.Cap())))
 	}
 	v.entries.InsertAt(pos, Entry{Pkt: pkt, Arrived: int16(arrived), EnqueueCycle: cycle, LastMove: cycle})
 	v.flits += int32(arrived)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/message"
+	"repro/internal/snapshot"
 	"repro/internal/topology"
 )
 
@@ -170,15 +171,16 @@ func TestRRArbiterPointerHoldsWithoutGrant(t *testing.T) {
 	}
 }
 
-// TestInjectionWindowIsAdopted: a fresh router's injection queues sit in
-// their Build-carved window — the first injWindow packets of a class
-// land without touching the allocator — and move, order intact, to a
-// doubled window of the slab's overflow chunk only when a queue backs up
-// deeper than that. A rejected
-// FastPass packet parked at the front of a full window still slots in
-// right behind a head that has started sending.
+// TestInjectionWindowIsAdopted: a build carves no injection window; a
+// class's first packet takes an injWindow-entry window off the slab's
+// overflow chunk — without touching the allocator once a released build
+// has left one in the stores — and a queue that backs up deeper moves,
+// order intact, to a doubled window cut below it. A rejected FastPass
+// packet parked at the front of a full window still slots in right
+// behind a head that has started sending, and a restored queue takes its
+// windows the same way.
 func TestInjectionWindowIsAdopted(t *testing.T) {
-	r := New(5, topology.NewMesh(4, 4), adaptiveCfg(1, 2), newFakeEnv())
+	mesh, cfg, env := topology.NewMesh(4, 4), adaptiveCfg(1, 2), newFakeEnv()
 	mk := func(id uint64, c message.Class, flits int) *message.Packet {
 		return message.NewPacket(id, 5, 6, c, flits, 0)
 	}
@@ -188,7 +190,22 @@ func TestInjectionWindowIsAdopted(t *testing.T) {
 		}
 		return out
 	}
+	warm := NewAll(mesh, cfg, env)
+	warm[5].InjectPacket(mk(99, message.Request, 1))
+	Release(warm)
 
+	rs := NewAll(mesh, cfg, env)
+	for _, r := range rs {
+		for c := range message.NumClasses {
+			if n := r.VCFor(topology.Local, int(c)).entries.Cap(); n != 0 {
+				t.Fatalf("router %d class %d: a build carved a %d-entry injection window", r.ID, c, n)
+			}
+		}
+	}
+	if n := len(rs[0].tab.overflow); n != 0 {
+		t.Fatalf("a build drew %d overflow chunks before any injection", n)
+	}
+	r := rs[5]
 	q := r.VCFor(topology.Local, int(message.Request))
 	pkts := make([]*message.Packet, 11)
 	for i := range pkts {
@@ -203,7 +220,7 @@ func TestInjectionWindowIsAdopted(t *testing.T) {
 	// The malloc count is process-wide, and the race detector allocates
 	// behind the scenes: it is read in plain builds only.
 	if n := after.Mallocs - before.Mallocs; n != 0 && !raceEnabled || q.entries.Cap() != injWindow {
-		t.Errorf("first %d injections made %d heap objects (capacity now %d), want none in the %d-entry window",
+		t.Errorf("a class's first %d injections made %d heap objects (capacity now %d), want none and a %d-entry window from the warm stores",
 			injWindow, n, q.entries.Cap(), injWindow)
 	}
 	for _, p := range pkts[injWindow:10] {
@@ -217,9 +234,9 @@ func TestInjectionWindowIsAdopted(t *testing.T) {
 	if got := ids(q); !slices.Equal(got, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) {
 		t.Errorf("queue order after growing past the window: %v", got)
 	}
-	// Windows are cut off the chunk's top: 8 entries, then 16 below them.
-	if chunk := r.tab.overflow[0][:cap(r.tab.overflow[0])]; q.entries.Cap() != 4*injWindow || q.EntryAt(0) != &chunk[len(chunk)-6*injWindow] {
-		t.Errorf("a queue of 10 packets holds a %d-entry window, not the first overflow chunk's second", q.entries.Cap())
+	// Windows are cut off the chunk's top: 4 entries, 8 below them, then 16.
+	if chunk := r.tab.overflow[0][:cap(r.tab.overflow[0])]; q.entries.Cap() != 4*injWindow || q.EntryAt(0) != &chunk[len(chunk)-7*injWindow] {
+		t.Errorf("a queue of 10 packets holds a %d-entry window, not the first overflow chunk's third", q.entries.Cap())
 	}
 
 	// Another class, its window exactly full behind a 3-flit head that
@@ -234,5 +251,26 @@ func TestInjectionWindowIsAdopted(t *testing.T) {
 	r.InsertFrontOverflow(topology.Local, int(message.Response), mk(29, message.Response, 1))
 	if got := ids(q); !slices.Equal(got, []uint64{20, 29, 21, 22, 23}) {
 		t.Errorf("parked packet must sit at position 1 behind the sending head: %v", got)
+	}
+
+	// A restore rebuilds each queue through insert into a fresh router.
+	w := snapshot.NewWriter()
+	r.SnapshotState(w)
+	_, rd, err := snapshot.Open(snapshot.Seal(nil, w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := New(5, mesh, cfg, env)
+	if fresh.RestoreState(rd); rd.Err() != nil {
+		t.Fatal(rd.Err())
+	}
+	for c := range message.NumClasses {
+		got, want := fresh.VCFor(topology.Local, int(c)), r.VCFor(topology.Local, int(c))
+		if !slices.Equal(ids(got), ids(want)) || got.entries.Cap() != want.entries.Cap() {
+			t.Errorf("class %d restored as %v in a %d-entry window, want %v in %d", c, ids(got), got.entries.Cap(), ids(want), want.entries.Cap())
+		}
+	}
+	if chunk := fresh.tab.overflow[0][:cap(fresh.tab.overflow[0])]; fresh.VCFor(topology.Local, int(message.Request)).EntryAt(0) != &chunk[len(chunk)-7*injWindow] {
+		t.Error("a restored queue's window is not cut from its router's overflow chunk")
 	}
 }

@@ -169,7 +169,7 @@ func init() {
 		[]string{"Options", "Pattern", "Rate", "Warmup", "Measure", "Drain",
 			"SatLatency", "HotspotNode", "HotspotFraction", "CheckpointEvery",
 			"Telemetry", "ProgressEvery"},
-		[]string{"OnCheckpoint", "OnProgress", "Instrument"})
+		[]string{"OnCheckpoint", "OnProgress", "Instrument", "stopWhenSaturated"})
 	snapshot.Register("sim.Options", Options{},
 		[]string{"Scheme", "W", "H", "VCs", "EjectCap", "Seed", "DrainPeriod",
 			"SwapDuty", "SpinThreshold", "FastPassK", "FPScanInjectionOnly",

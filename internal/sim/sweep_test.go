@@ -109,3 +109,33 @@ func TestSweepLatencyPaddedPointsInert(t *testing.T) {
 		}
 	}
 }
+
+// TestStopWhenSaturated: a probe that stops once its verdict is certain
+// reaches the verdict the full run does, and a sustained probe runs in
+// full to a field-identical result — across the cliff, on schemes that
+// saturate by latency and by delivered fraction. Some probes must stop
+// early, or the test measured nothing.
+func TestStopWhenSaturated(t *testing.T) {
+	stopped := 0
+	for _, s := range []Scheme{FastPass, EscapeVC, TFC} {
+		for _, rate := range []float64{0.02, 0.10, 0.30, 0.50, 0.90} {
+			cfg := sweepBase(s)
+			cfg.Rate = rate
+			full := RunSynthetic(cfg)
+			cfg.stopWhenSaturated = true
+			run := NewSynthetic(cfg)
+			got, _ := run.Run()
+			if run.Inst.Cycle() < run.total() {
+				stopped++
+			}
+			if got.Saturated != full.Saturated || !full.Saturated && resultFingerprint(got) != resultFingerprint(full) {
+				t.Errorf("%v at %v: stopping probe gave saturated=%v after %d cycles, the full run saturated=%v\nprobe: %s\nfull:  %s",
+					s, rate, got.Saturated, run.Inst.Cycle(), full.Saturated, resultFingerprint(got), resultFingerprint(full))
+			}
+		}
+	}
+	t.Logf("%d of 15 probes stopped early", stopped)
+	if stopped < 3 {
+		t.Errorf("only %d probes stopped early", stopped)
+	}
+}

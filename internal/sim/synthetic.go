@@ -59,6 +59,13 @@ type SynthConfig struct {
 	ProgressEvery int64
 	OnProgress    func(Progress)
 
+	// stopWhenSaturated ends the run, Saturated, as soon as a check every
+	// 64 cycles finds the verdict certain
+	// (stats.Collector.CertainSaturated); only the verdict is then
+	// meaningful. SaturationThroughput sets it for its probes, whose
+	// throughput it reads only when sustained. Not checkpointed.
+	stopWhenSaturated bool
+
 	// Instrument, when set, runs once per built run — after defaults
 	// resolve, before the instance is constructed — so a driver can
 	// attach per-run telemetry sinks to a config it fans out across
@@ -243,15 +250,16 @@ func (s *SynthRun) Tick(c int64) {
 
 // Tock keys the window clock and the progress stride off the completed
 // cycle count c, between steps. A synthetic run ends on its cycle
-// budget alone.
+// budget, or a stopWhenSaturated one on a certain verdict.
 func (s *SynthRun) Tock(c int64) bool {
 	s.Inst.phase(network.PhaseTelemetry)
 	s.tel.Tick(c)
-	if cfg := &s.cfg; cfg.ProgressEvery > 0 && cfg.OnProgress != nil && c%cfg.ProgressEvery == 0 {
+	cfg := &s.cfg
+	if cfg.ProgressEvery > 0 && cfg.OnProgress != nil && c%cfg.ProgressEvery == 0 {
 		cfg.OnProgress(Progress{Cycle: c, Total: s.total(), Created: s.created,
 			Delivered: s.delivered, InFlight: s.created - s.delivered})
 	}
-	return false
+	return cfg.stopWhenSaturated && c%64 == 0 && s.col.CertainSaturated(c, cfg.SatLatency)
 }
 
 // result scores the finished run.
@@ -303,11 +311,13 @@ func (s *SynthRun) result() SynthResult {
 	}
 	// Saturation: runaway latency, or measured packets that never made
 	// it out even after the drain window. An aborted run is by
-	// definition not a sustainable operating point.
+	// definition not a sustainable operating point, and a probe Tock
+	// stopped early was certain to be saturated.
 	res.Saturated = res.Aborted ||
 		!(res.AvgLatency == res.AvgLatency) || // NaN: nothing delivered
 		res.AvgLatency > cfg.SatLatency ||
-		res.DeliveredFrac < 0.9
+		res.DeliveredFrac < stats.MinDelivered ||
+		cfg.stopWhenSaturated && col.CertainSaturated(inst.Cycle(), cfg.SatLatency)
 	return res
 }
 
@@ -374,11 +384,12 @@ func paddedPoint(base SynthConfig, rate float64) SynthResult {
 // rate and returns the accepted throughput there (a Fig. 8 bar). It
 // probes lo first and hi only when lo is not saturated; each midpoint
 // then depends on the previous verdict, so the whole bisection is one
-// serial cell.
+// serial cell. A probe stops once its verdict is certainly "saturated":
+// only a sustained probe's throughput is read.
 func SaturationThroughput(base SynthConfig, lo, hi float64, iters int) (rate float64, throughput float64) {
 	check := func(r float64) (bool, float64) {
 		cfg := base
-		cfg.Rate = r
+		cfg.Rate, cfg.stopWhenSaturated = r, true
 		res := RunSynthetic(cfg)
 		return !res.Saturated, res.Throughput
 	}

@@ -178,6 +178,36 @@ func (c *Collector) Percentile(p float64) float64 {
 	return float64(c.nth(int64(math.Ceil(p*float64(c.samples))) - 1))
 }
 
+// MinDelivered is the fraction of measured packets a run must deliver
+// not to count as saturated.
+const MinDelivered = 0.9
+
+// CertainSaturated reports whether, after cycle completed cycles, no
+// later ejection can save the run from the saturation verdict: fewer
+// than MinDelivered of the measured packets delivered, or their mean
+// latency above satLat. Past MeasEnd every measured packet exists and
+// each still out will have waited at least a = cycle − MeasEnd cycles
+// (one fewer than the least it can: safe by one). Reaching MinDelivered
+// needs need more of the rest = created − samples; with m more, the mean
+// is at least f(m) = (ΣL + m·a)/(samples + m), monotone in m, so f(need)
+// and f(rest) bound the mean of every outcome the count would pass.
+// need ≤ rest always: every measured packet may still arrive. O(1).
+// With nothing measured f is NaN, and nothing is certain.
+func (c *Collector) CertainSaturated(cycle int64, satLat float64) bool {
+	if cycle < c.MeasEnd {
+		return false
+	}
+	// k is the least delivered count the verdict's own division passes;
+	// the truncated product starts at or below it.
+	k := int64(MinDelivered * float64(c.created))
+	for float64(k)/float64(c.created) < MinDelivered {
+		k++
+	}
+	a, need, rest := cycle-c.MeasEnd, max(k-c.samples, 0), c.created-c.samples
+	f := func(m int64) float64 { return float64(c.latSum+m*a) / float64(c.samples+m) }
+	return f(need) > satLat && f(rest) > satLat
+}
+
 // Throughput is the accepted traffic in packets/node/cycle during the
 // window.
 func (c *Collector) Throughput() float64 {

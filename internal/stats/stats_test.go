@@ -414,3 +414,73 @@ func refMean(xs []int64) float64 {
 	}
 	return float64(sum) / float64(len(xs))
 }
+
+// TestCertainSaturated drives the bound at its edges: nothing is certain
+// before MeasEnd; a = cycle − MeasEnd exactly (the cycle at which f(need)
+// reaches satLat is not yet certain, the next one is); and a run whose
+// early samples are slow but whose rest could all still land fast is
+// not certain, however slow f(need) reads — only f(rest) says so.
+func TestCertainSaturated(t *testing.T) {
+	const start, end, sat = 100, 200, 150
+	// Ten measured packets, eight delivered at latency 10: need = 1
+	// (9/10 passes the count), rest = 2. f(1) = (80 + a)/9 passes 150 at
+	// a = 1271, f(2) = (80 + 2a)/10 at a = 711.
+	c := New(4, start, end)
+	for i := range 10 {
+		p := message.NewPacket(uint64(i), 0, 1, message.Request, 1, start+int64(i))
+		c.OnCreate(p)
+		if i < 8 {
+			p.EjectTime = p.CreateTime + 10
+			c.OnEject(p)
+		}
+	}
+	for _, tc := range []struct {
+		cycle int64
+		want  bool
+	}{{end - 1, false}, {end, false}, {end + 1270, false}, {end + 1271, true}, {end + 5000, true}} {
+		if got := c.CertainSaturated(tc.cycle, sat); got != tc.want {
+			t.Errorf("8 of 10 delivered at latency 10, cycle %d: certain %v, want %v", tc.cycle, got, tc.want)
+		}
+	}
+	if New(4, start, end).CertainSaturated(end+5000, sat) {
+		t.Error("a run with nothing measured has no certain verdict")
+	}
+
+	// 100 measured, ten delivered at latency 1400: need = 80, rest = 90.
+	// f(80) = (14000 + 80a)/90 is over 150 even at a = 0, but the 90
+	// still out could all land at latency a: f(90) = (14000 + 90a)/100
+	// passes 150 only from a = 12.
+	c = New(4, start, end)
+	for i := range 100 {
+		p := message.NewPacket(uint64(i), 0, 1, message.Request, 1, start)
+		c.OnCreate(p)
+		if i < 10 {
+			p.EjectTime = p.CreateTime + 1400
+			c.OnEject(p)
+		}
+	}
+	for _, tc := range []struct {
+		cycle int64
+		want  bool
+	}{{end, false}, {end + 11, false}, {end + 12, true}} {
+		if got := c.CertainSaturated(tc.cycle, sat); got != tc.want {
+			t.Errorf("10 of 100 delivered at latency 1400, cycle %d: certain %v, want %v", tc.cycle, got, tc.want)
+		}
+	}
+
+	// The count edge sits where the verdict's own division puts it: at 7
+	// of 10 delivered need is 2, not 3 (9/10 passes).
+	c = New(4, start, end)
+	for i := range 10 {
+		p := message.NewPacket(uint64(i), 0, 1, message.Request, 1, start)
+		c.OnCreate(p)
+		if i < 7 {
+			p.EjectTime = p.CreateTime
+			c.OnEject(p)
+		}
+	}
+	// f(2) = 2a/9 passes 150 at a = 676, f(3) = 3a/10 at a = 501.
+	if c.CertainSaturated(end+675, sat) || !c.CertainSaturated(end+676, sat) {
+		t.Error("7 of 10 delivered at latency 0: need is not 2")
+	}
+}
