@@ -81,13 +81,14 @@ func oneCycle(inst *sim.Instance, src sim.Source) func() {
 	return func() { inst.Run(src, inst.Cycle()+1) }
 }
 
-// measureSteadyStateAllocs runs the scheme through the run loop, with a
-// counting phase hook when hooked is set, and scores 300 warm cycles.
-func measureSteadyStateAllocs(t *testing.T, scheme sim.Scheme, w, h int, rate float64, hooked bool) float64 {
+// measureSteadyStateAllocs runs o through the run loop, with a counting
+// phase hook when hooked is set, and scores cycles warm cycles.
+func measureSteadyStateAllocs(t *testing.T, o sim.Options, rate float64, hooked bool, cycles int) float64 {
 	t.Helper()
 	// Watchdog on at the default stride: invariant sampling is part of
 	// the steady state and must fit inside the same zero budget.
-	inst := sim.Build(sim.Options{Scheme: scheme, W: w, H: h, Seed: 1, Watchdog: "on"})
+	o.Seed, o.Watchdog = 1, "on"
+	inst := sim.Build(o)
 	var heard [network.PhaseEjectEnd + 1]int64
 	if hooked {
 		inst.Hook = func(p network.Phase) { heard[p]++ }
@@ -96,7 +97,7 @@ func measureSteadyStateAllocs(t *testing.T, scheme sim.Scheme, w, h int, rate fl
 	for c := 0; c < 8000; c++ {
 		tick()
 	}
-	got := allocsPerTick(300, tick)
+	got := allocsPerTick(cycles, tick)
 	if hooked && heard == [len(heard)]int64{} {
 		t.Error("the hook heard no phase")
 	}
@@ -107,27 +108,27 @@ func TestSteadyStateZeroAllocsPerCycle(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run the guard without -race")
 	}
+	mesh := func(s sim.Scheme, size int) sim.Options { return sim.Options{Scheme: s, W: size, H: size} }
 	cases := []struct {
 		name   string
-		scheme sim.Scheme
-		size   int
+		opts   sim.Options
 		rate   float64
 		budget float64
 		hooked bool
 	}{
-		{"FastPass/uniform", sim.FastPass, 4, 0.10, steadyStateAllocBudget, false},
-		{"FastPass/idle", sim.FastPass, 4, 0, steadyStateAllocBudget, false},
+		{"FastPass/uniform", mesh(sim.FastPass, 4), 0.10, steadyStateAllocBudget, false},
+		{"FastPass/idle", mesh(sim.FastPass, 4), 0, steadyStateAllocBudget, false},
 		// 0.06 is the highest fig7_uniform rate EscapeVC sustains: past
 		// saturation the unbounded source queues and the arena grow with
 		// the backlog every cycle, which is load, not engine garbage.
-		{"EscapeVC/8x8", sim.EscapeVC, 8, 0.06, steadyStateAllocBudget, false},
-		{"FastPass/16x16", sim.FastPass, 16, 0.03, steadyStateAllocBudget, false},
+		{"EscapeVC/8x8", mesh(sim.EscapeVC, 8), 0.06, steadyStateAllocBudget, false},
+		{"FastPass/16x16", mesh(sim.FastPass, 16), 0.03, steadyStateAllocBudget, false},
 		// lowload_16x16's shape: ~4 of 256 routers awake, the cycle is
 		// the generator's scan and PreCycle's walk over empty primes.
-		{"FastPass/16x16-lowload", sim.FastPass, 16, 0.0005, steadyStateAllocBudget, false},
+		{"FastPass/16x16-lowload", mesh(sim.FastPass, 16), 0.0005, steadyStateAllocBudget, false},
 		// MinBD draws from the arena like everyone else, so generation is
 		// part of the measurement.
-		{"MinBD/8x8", sim.MinBD, 8, 0.06, steadyStateAllocBudget, false},
+		{"MinBD/8x8", mesh(sim.MinBD, 8), 0.06, steadyStateAllocBudget, false},
 		// SPIN probes only once heads block, which is past its saturation
 		// point (0.08): at 0.10 a probe fires about once a cycle and the
 		// backlog takes an arena chunk every ~11 cycles — 0.08 objects
@@ -135,17 +136,40 @@ func TestSteadyStateZeroAllocsPerCycle(t *testing.T) {
 		// an executed spin's chain buffer and, untraced, formats nothing;
 		// copying its chain afresh again would add 0.06, and a probe
 		// that allocated would alone be >= 1.
-		{"SPIN/8x8@0.10", sim.SPIN, 8, 0.10, 0.12, false},
+		{"SPIN/8x8@0.10", mesh(sim.SPIN, 8), 0.10, 0.12, false},
 		// A phase hook that does not allocate leaves the cycle at zero:
 		// an unset hook is a nil check, a set one a call per boundary.
-		{"FastPass/8x8+hook", sim.FastPass, 8, 0.06, steadyStateAllocBudget, true},
-		{"MinBD/8x8+hook", sim.MinBD, 8, 0.06, steadyStateAllocBudget, true},
+		{"FastPass/8x8+hook", mesh(sim.FastPass, 8), 0.06, steadyStateAllocBudget, true},
+		{"MinBD/8x8+hook", mesh(sim.MinBD, 8), 0.06, steadyStateAllocBudget, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := measureSteadyStateAllocs(t, tc.scheme, tc.size, tc.size, tc.rate, tc.hooked); got > tc.budget {
+			if got := measureSteadyStateAllocs(t, tc.opts, tc.rate, tc.hooked, 300); got > tc.budget {
 				t.Errorf("steady-state cycle allocates %.3f times on average, want ~0 (budget %.2f)",
 					got, tc.budget)
+			}
+		})
+	}
+	// Every other controller edits VCs directly, forced moves and all:
+	// SWAP's exchanges, DRAIN's rotations, Pitstop's pit stops, TFC's
+	// tokens and FastPass's healing engine. Each is measured over 2,000
+	// cycles at 0.06, so a 256-cycle DRAIN period puts several drain
+	// windows inside them.
+	for _, tc := range []struct {
+		name string
+		opts sim.Options
+	}{
+		{"SWAP/8x8", mesh(sim.SWAP, 8)},
+		{"DRAIN/8x8-period256", sim.Options{Scheme: sim.DRAIN, W: 8, H: 8, DrainPeriod: 256}},
+		{"Pitstop/8x8", mesh(sim.Pitstop, 8)},
+		{"TFC/8x8", mesh(sim.TFC, 8)},
+		{"FastPass/8x8-healing", sim.Options{Scheme: sim.FastPass, W: 8, H: 8, FPHealing: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := measureSteadyStateAllocs(t, tc.opts, 0.06, false, 2000)
+			t.Logf("%.3f heap objects a cycle over 2,000 warm cycles", got)
+			if got > steadyStateAllocBudget {
+				t.Errorf("steady-state cycle allocates %.3f times on average, want ~0 (budget %.2f)", got, steadyStateAllocBudget)
 			}
 		})
 	}
@@ -174,9 +198,10 @@ type engine struct{ *protocol.Engine }
 func (engine) Tock(int64) bool { return false }
 
 // growthObjects reads the heap profile for objects allocated while an
-// injection queue outgrew its window — anything made under
-// router.(*VC).insert, which is the overflow chunk the slab draws when
-// the stores hold none — and for objects made by any other ring's grow.
+// injection queue took its fifo or outgrew its window — anything made
+// under router.(*VC).insert, which is the fifo or overflow chunk the
+// slab draws when the stores hold none — and for objects made by any
+// other ring's grow.
 // The runtime publishes profile counts two collections late, hence the
 // GCs.
 func growthObjects() (injection, other int64) {
@@ -211,13 +236,14 @@ func growthObjects() (injection, other int64) {
 // cycle, with no warm-up to hide behind: the queues a packet waits in
 // are threaded through the arena, so the first 2,000 cycles of a fresh
 // instance allocate arena chunks, free-list doublings and (protocol) the
-// emission queue's growth — a dozen objects — plus the overflow chunks
-// (and their list) that injection queues take their windows from at
-// their first packet and doubled ones when they back up more than four
-// packets deep: four objects of 15 at this synthetic load (one class),
-// three of 23 under Streamcluster's six classes, whose queues outgrow 77
-// windows (77 objects of 97 when each grew onto the heap). No other ring
-// grows. A second instance, built after the first released its network,
+// emission queue's growth — a dozen objects — plus the fifo chunks
+// (one per class used) that injection queues take a ring on a first
+// window from at their first packet, and the overflow chunks (and their
+// list) they take doubled windows from when they back up more than four
+// packets deep: one object of 13–14 at this synthetic load (one class),
+// eight of 28 under Streamcluster's six classes, whose queues outgrow
+// 77 windows (77 objects of 97 when each grew onto the heap). No other
+// ring grows. A second instance, built after the first released its network,
 // takes the same chunks from the stores: none of its queues makes a
 // heap object. Before the queues were intrusive every
 // first touch of a NIC or injection ring was an object: ~200 here for
@@ -249,7 +275,7 @@ func TestFirstTouchAllocBudget(t *testing.T) {
 				const cycles = 2000
 				got := allocsPerTick(cycles, tick) * cycles
 				inj, other := growthObjects()
-				t.Logf("%s instance, first %d cycles: %.0f heap objects, %d of them injection queues growing past their window", instance, cycles, got, inj-inj0)
+				t.Logf("%s instance, first %d cycles: %.0f heap objects, %d of them injection queues taking a fifo or outgrowing a window", instance, cycles, got, inj-inj0)
 				if got > tc.ceiling {
 					t.Errorf("%s instance: first %d cycles make %.0f heap objects, ceiling %.0f", instance, cycles, got, tc.ceiling)
 				}
@@ -325,9 +351,10 @@ func TestGraphFirstTouchZeroAllocs(t *testing.T) {
 // is carved once per node at Build (VC entries at an injection queue's
 // first packet), so a field added to one of them is an alloc_mb
 // regression on every workload (a 4-VC router alone has 22 VCs). A
-// network VC carries its one entry inline, so its 88 bytes are all it
-// costs (64 plus a 32-byte slab slot before). The router's 496 include a
-// four-port route buffer, a graph node's most.
+// network VC is its one inline entry, with no ring, so it fits a cache
+// line: 64 bytes, where a ring header and a FIFO's capacity words beside
+// the entry made it 88. The router's 496 include a four-port route
+// buffer, a graph node's most.
 func TestStructSizes(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -337,7 +364,7 @@ func TestStructSizes(t *testing.T) {
 		{"router.Entry", unsafe.Sizeof(router.Entry{}), 32},
 		{"nic.NIC", unsafe.Sizeof(nic.NIC{}), 640},
 		{"router.Router", unsafe.Sizeof(router.Router{}), 496},
-		{"router.VC", unsafe.Sizeof(router.VC{}), 88},
+		{"router.VC", unsafe.Sizeof(router.VC{}), 64},
 		// The generator's whole state: 607 words, two cursors, a count.
 		{"snapshot.CountingSource", unsafe.Sizeof(snapshot.CountingSource{}), 4880},
 	} {
@@ -348,7 +375,7 @@ func TestStructSizes(t *testing.T) {
 	}
 }
 
-// TestBuildAllocBudget caps the heap objects sim.Build creates: 34 at
+// TestBuildAllocBudget caps the heap objects sim.Build creates: 31 at
 // any mesh size when the stores are empty — a constant number of
 // backing arrays and not one object per node (the pre-slab build made
 // ~98 per router, the slab build still two closures) — and 14 when it
@@ -366,7 +393,7 @@ func TestBuildAllocBudget(t *testing.T) {
 		size     int
 		released bool
 		ceiling  float64
-	}{{8, false, 41}, {32, false, 41}, {8, true, 17}, {32, true, 17}} {
+	}{{8, false, 38}, {32, false, 38}, {8, true, 17}, {32, true, 17}} {
 		got := testing.AllocsPerRun(3, func() {
 			inst := sim.Build(sim.Options{Scheme: sim.FastPass, W: tc.size, H: tc.size, Seed: 1})
 			if tc.released {

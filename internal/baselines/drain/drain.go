@@ -63,7 +63,7 @@ func Attach(n *network.Network, prm Params) *Controller {
 	prm.Period = cmp.Or(prm.Period, 65536)
 	c := &Controller{prm: prm}
 	c.order = serpentine(n.Mesh)
-	c.victims = make([]victim, len(c.order))
+	c.victims, c.occupied = make([]victim, len(c.order)), make([]int, 0, len(c.order))
 	n.Controller = c
 	return c
 }
@@ -72,7 +72,7 @@ func Attach(n *network.Network, prm Params) *Controller {
 // row 1 right-to-left, and so on — consecutive entries are mesh
 // neighbours.
 func serpentine(m *topology.Mesh) []int {
-	var order []int
+	order := make([]int, 0, m.NumNodes())
 	for y := 0; y < m.H; y++ {
 		if y%2 == 0 {
 			for x := 0; x < m.W; x++ {

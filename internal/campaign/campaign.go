@@ -262,8 +262,10 @@ func Run(c Config, done map[string]Record, onRecord func(Record)) ([]Record, err
 	}
 	pts := Grid(c)
 	recs := parallel.Map(c.Jobs, pts, func(p Point) Record {
-		if r, ok := done[p.Key()]; ok {
-			return r
+		if done != nil {
+			if r, ok := done[p.Key()]; ok {
+				return r
+			}
 		}
 		r := record(p, sim.RunSynthetic(c.Cell(p)))
 		if onRecord != nil {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/router"
 	"repro/internal/routing"
+	"repro/internal/spare"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -176,19 +177,20 @@ func Attach(net *network.Network, prm Params) *Controller {
 		sched:       sched,
 		prm:         prm,
 		flights:     make([]*flight, sched.Partitions()),
-		flightSlots: make([]flight, sched.Partitions()),
+		flightSlots: spareFlights.Take(sched.Partitions()),
 		laneCool:    make([]int64, sched.Partitions()),
 		scanPtr:     make([]int, mesh.NumNodes()),
 	}
 	// A lane or returning path is a minimal route: never longer than the
-	// mesh diameter. Carving every column's path buffer (and the
-	// round-trip scratch) at that bound means launches never allocate.
+	// mesh diameter. Carving every column's path buffer (after the
+	// round-trip scratch, two paths long) at that bound means launches
+	// never allocate.
 	diam := mesh.Diameter()
-	paths := make([]*topology.Link, (sched.Partitions()+1)*diam)
+	paths := sparePaths.Take((sched.Partitions() + 2) * diam)
 	for col := range c.flightSlots {
-		c.flightSlots[col].path = paths[col*diam : col*diam : (col+1)*diam]
+		c.flightSlots[col].path = paths[(col+2)*diam : (col+2)*diam : (col+3)*diam]
 	}
-	c.pathBuf = paths[sched.Partitions()*diam : sched.Partitions()*diam]
+	c.pathBuf = paths[:0]
 	netVCs := net.Routers[0].Cfg.NetVCs()
 	c.scanBuf = make([]scanSlot, 0, int(message.NumClasses)+(mesh.NumPorts()-1)*netVCs)
 	if prm.Healing {
@@ -197,6 +199,20 @@ func Attach(net *network.Network, prm Params) *Controller {
 	}
 	net.Controller = c
 	return c
+}
+
+// The stores Attach takes its largest arrays from and Release returns
+// them to.
+var (
+	spareFlights spare.Store[flight]
+	sparePaths   spare.Store[*topology.Link]
+)
+
+// Release hands the controller's flight slots and path buffers to the
+// next Attach in the process. Nothing may use c afterwards.
+func (c *Controller) Release() {
+	spareFlights.Put(c.flightSlots)
+	sparePaths.Put(c.pathBuf)
 }
 
 // Name implements network.Controller.

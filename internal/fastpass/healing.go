@@ -143,12 +143,7 @@ func (c *Controller) quiet() bool {
 // wiring of the paper's router rides out glitches.
 func (c *Controller) laneDead(prime, dst int) bool {
 	c.pathBuf = routing.AppendPathXY(c.mesh, c.pathBuf[:0], prime, dst)
-	for _, l := range c.pathBuf {
-		if c.deadLink[l.ID] {
-			return true
-		}
-	}
-	c.pathBuf = routing.AppendPathYX(c.mesh, c.pathBuf[:0], dst, prime)
+	c.pathBuf = routing.AppendPathYX(c.mesh, c.pathBuf, dst, prime)
 	for _, l := range c.pathBuf {
 		if c.deadLink[l.ID] {
 			return true

@@ -50,21 +50,14 @@ const (
 	ProgressStall
 )
 
+var kindNames = [...]string{"conservation", "credit-leak", "starvation", "deadlock", "progress-stall"}
+
 // String names the kind for reports.
 func (k Kind) String() string {
-	switch k {
-	case Conservation:
-		return "conservation"
-	case CreditLeak:
-		return "credit-leak"
-	case Starvation:
-		return "starvation"
-	case Deadlock:
-		return "deadlock"
-	case ProgressStall:
-		return "progress-stall"
+	if k < 0 || int(k) >= len(kindNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return kindNames[k]
 }
 
 // Fatal reports whether a violation of this kind should abort the run.

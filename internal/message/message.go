@@ -29,24 +29,14 @@ const (
 	NumClasses
 )
 
+var classNames = [NumClasses]string{"Request", "Forward", "Invalidate", "WriteBack", "Response", "Unblock"}
+
 // String returns the class name.
 func (c Class) String() string {
-	switch c {
-	case Request:
-		return "Request"
-	case Forward:
-		return "Forward"
-	case Invalidate:
-		return "Invalidate"
-	case WriteBack:
-		return "WriteBack"
-	case Response:
-		return "Response"
-	case Unblock:
-		return "Unblock"
-	default:
+	if c >= NumClasses {
 		return fmt.Sprintf("Class(%d)", uint8(c))
 	}
+	return classNames[c]
 }
 
 // Kind distinguishes how a packet is currently being carried.

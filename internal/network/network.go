@@ -14,6 +14,7 @@ package network
 import (
 	"fmt"
 	"iter"
+	"slices"
 
 	"repro/internal/faults"
 	"repro/internal/message"
@@ -61,21 +62,25 @@ type transit struct {
 }
 
 // channel is one directed link: a one-stage flit pipeline downstream and
-// a credit pipeline upstream.
+// a credit pipeline upstream. It is 88 bytes: its link is kept as the
+// node IDs and ports shift needs (the whole topology.Link is
+// Mesh.Links()), and its credit pipe as a count into Network.credits.
 type channel struct {
-	link topology.Link
 	// next is the wire: it carries the flit driven this cycle. cur is
 	// the downstream router's link input latch, holding last cycle's
 	// flit until it is written into an input VC at the end of this
 	// cycle. Total per-hop latency: 1-cycle router + 1-cycle link.
 	cur, next transit
-	// creditNext carries VC-free indices flowing back to the source. Each
-	// downstream VC frees at most once a cycle, so New sizes it to the
-	// router's VC count and it never grows.
-	creditNext []int
 	// flits counts regular flit launches onto this link over the run
 	// (per-link utilisation telemetry).
-	flits int64
+	flits            int64
+	src, dst         int32
+	srcPort, dstPort uint8
+	// credits counts the VC-free indices flowing back to the source, in
+	// the channel's window of Network.credits. Each downstream VC frees
+	// at most once a cycle, so the window holds the router's VC count.
+	credits        uint8
+	claimed, dirty bool // a bypass owns the link this cycle; on dirtyChannels
 }
 
 // Params configures a network build.
@@ -94,10 +99,9 @@ type Network struct {
 
 	Controller Controller
 
-	channels    []*channel
-	chans       []channel // what channels points into
-	credits     []int     // the channels' credit pipes, one window each
-	linkClaims  []bool
+	channels    []channel
+	credits     []uint8 // the channels' credit pipes, netVCs entries each
+	netVCs      int
 	ejectClaims []bool
 	cycle       int64
 
@@ -106,10 +110,9 @@ type Network struct {
 	activeRouters activeSet
 	activeNICs    activeSet
 	// dirtyChannels lists the channels carrying traffic, deduplicated by
-	// chDirty: traverse (SendFlit/SendVCFree) marks them, shift consumes
-	// and rewrites the list.
+	// their dirty flags: traverse (SendFlit/SendVCFree) marks them, shift
+	// consumes and rewrites the list.
 	dirtyChannels []int
-	chDirty       []bool
 	claimedLinks  []int
 	claimedEjects []int
 	masked        []int // routers whose Claimed or Stalled beginCycle must clear
@@ -187,17 +190,13 @@ func New(p Params) *Network {
 	// bound here, so Step never grows a slice (DESIGN.md §9). Every array
 	// comes from a store that Release returns it to.
 	links, nodes := p.Mesh.Links(), p.Mesh.NumNodes()
-	netVCs := p.Router.NetVCs()
-	n.channels = spareChannelIndex.Take(len(links))
-	n.chans = spareChannels.Take(len(links))
-	n.credits = spareInts.Take(len(links) * netVCs)
+	n.netVCs = p.Router.NetVCs()
+	n.channels = spareChannels.Take(len(links))
+	n.credits = spareCredits.Take(len(links) * n.netVCs)
 	for i, l := range links {
-		n.chans[i] = channel{link: l, creditNext: n.credits[i*netVCs : i*netVCs : (i+1)*netVCs]}
-		n.channels[i] = &n.chans[i]
+		n.channels[i] = channel{src: int32(l.Src), dst: int32(l.Dst), srcPort: uint8(l.SrcPort), dstPort: uint8(l.DstPort)}
 	}
-	n.linkClaims = spareBools.Take(len(links))
 	n.ejectClaims = spareBools.Take(nodes)
-	n.chDirty = spareBools.Take(len(links))
 	n.dirtyChannels = spareInts.Take(len(links))[:0]
 	n.claimedLinks = spareInts.Take(len(links))[:0]
 	n.ids = spareInts.Take(2 * nodes)
@@ -220,12 +219,12 @@ func New(p Params) *Network {
 
 // The stores New takes its arrays from and Release returns them to.
 var (
-	spareChannels     spare.Store[channel]
-	spareChannelIndex spare.Store[*channel]
-	spareNICs         spare.Store[nic.NIC]
-	spareNICIndex     spare.Store[*nic.NIC]
-	spareInts         spare.Store[int]
-	spareBools        spare.Store[bool]
+	spareChannels spare.Store[channel]
+	spareCredits  spare.Store[uint8]
+	spareNICs     spare.Store[nic.NIC]
+	spareNICIndex spare.Store[*nic.NIC]
+	spareInts     spare.Store[int]
+	spareBools    spare.Store[bool]
 )
 
 // Release hands every array New took, the routers' with them
@@ -233,14 +232,14 @@ var (
 // may step n, or hold one of its routers, channels or NICs, afterwards.
 func (n *Network) Release() {
 	router.Release(n.Routers)
-	spareChannelIndex.Put(n.channels)
-	spareChannels.Put(n.chans)
+	spareChannels.Put(n.channels)
+	spareCredits.Put(n.credits)
 	spareNICIndex.Put(n.NICs)
 	spareNICs.Put(n.nicSlab)
-	for _, a := range [][]int{n.credits, n.dirtyChannels, n.claimedLinks, n.ids, n.activeRouters.ids, n.activeNICs.ids} {
+	for _, a := range [][]int{n.dirtyChannels, n.claimedLinks, n.ids, n.activeRouters.ids, n.activeNICs.ids} {
 		spareInts.Put(a)
 	}
-	for _, a := range [][]bool{n.linkClaims, n.ejectClaims, n.chDirty, n.activeRouters.in, n.activeNICs.in} {
+	for _, a := range [][]bool{n.ejectClaims, n.activeRouters.in, n.activeNICs.in} {
 		spareBools.Put(a)
 	}
 	*n = Network{}
@@ -266,7 +265,7 @@ func (n *Network) Cycle() int64 { return n.cycle }
 
 // SendFlit implements router.Env.
 func (n *Network) SendFlit(linkID int, f message.Flit, outVC int) {
-	ch := n.channels[linkID]
+	ch := &n.channels[linkID]
 	if ch.next.valid {
 		panic(fmt.Sprintf("network: two flits driven onto link %d in cycle %d", linkID, n.cycle))
 	}
@@ -283,8 +282,9 @@ func (n *Network) SendFlit(linkID int, f message.Flit, outVC int) {
 
 // SendVCFree implements router.Env.
 func (n *Network) SendVCFree(linkID int, vc int) {
-	ch := n.channels[linkID]
-	ch.creditNext = append(ch.creditNext, vc)
+	ch := &n.channels[linkID]
+	n.credits[linkID*n.netVCs+int(ch.credits)] = uint8(vc)
+	ch.credits++
 	n.markChannel(linkID)
 }
 
@@ -299,8 +299,8 @@ func (n *Network) WakeNIC(node int) { n.activeNICs.add(node) }
 // markChannel registers a channel as carrying traffic so shift visits
 // it.
 func (n *Network) markChannel(linkID int) {
-	if !n.chDirty[linkID] {
-		n.chDirty[linkID] = true
+	if ch := &n.channels[linkID]; !ch.dirty {
+		ch.dirty = true
 		n.dirtyChannels = append(n.dirtyChannels, linkID)
 	}
 }
@@ -338,10 +338,10 @@ func (n *Network) ClaimLink(linkID int) {
 // bypasses (TFC tokens) use it — unlike FastPass lanes, their claims may
 // collide by design, and the loser simply stays buffered.
 func (n *Network) TryClaimLink(linkID int) bool {
-	if n.linkClaims[linkID] {
+	if n.channels[linkID].claimed {
 		return false
 	}
-	n.linkClaims[linkID] = true
+	n.channels[linkID].claimed = true
 	n.claimedLinks = append(n.claimedLinks, linkID)
 	n.barLink(linkID)
 	return true
@@ -360,8 +360,8 @@ func (n *Network) ClaimEject(node int) {
 
 // barLink claims the link's output port in its source router.
 func (n *Network) barLink(linkID int) {
-	l := &n.channels[linkID].link
-	n.mask(l.Src).Claimed |= 1 << l.SrcPort
+	ch := &n.channels[linkID]
+	n.mask(int(ch.src)).Claimed |= 1 << ch.srcPort
 }
 
 // mask returns the node's router, listing it for beginCycle to clear.
@@ -469,7 +469,7 @@ func (n *Network) beginCycle() {
 	}
 	n.masked = n.masked[:0]
 	for _, id := range n.claimedLinks {
-		n.linkClaims[id] = false
+		n.channels[id].claimed = false
 	}
 	n.claimedLinks = n.claimedLinks[:0]
 	for _, id := range n.claimedEjects {
@@ -498,7 +498,7 @@ func (n *Network) shift() {
 	w := 0
 	for i := 0; i < len(n.dirtyChannels); i++ {
 		id := n.dirtyChannels[i]
-		ch := n.channels[id]
+		ch := &n.channels[id]
 		if ch.cur.valid {
 			// Delivery is where the per-flit checksum is recomputed: a
 			// payload bit flipped on the wire surfaces here and marks
@@ -507,7 +507,7 @@ func (n *Network) shift() {
 				ch.cur.flit.Pkt.Corrupted = true
 				n.faults.NoteCorruptionDetected()
 			}
-			n.Routers[ch.link.Dst].Deliver(ch.link.DstPort, int(ch.cur.vc), ch.cur.flit, n.cycle)
+			n.Routers[ch.dst].Deliver(topology.Direction(ch.dstPort), int(ch.cur.vc), ch.cur.flit, n.cycle)
 		}
 		ch.cur = ch.next
 		ch.next = transit{}
@@ -519,24 +519,24 @@ func (n *Network) shift() {
 		if n.faults != nil && ch.cur.valid && n.faults.RollCorrupt(id) {
 			ch.cur.payload = n.faults.CorruptWord(ch.cur.payload, id)
 		}
-		if len(ch.creditNext) > 0 {
-			src := n.Routers[ch.link.Src]
-			for pulse, vc := range ch.creditNext {
+		if ch.credits > 0 {
+			src := n.Routers[ch.src]
+			for pulse, vc := range n.credits[id*n.netVCs:][:ch.credits] {
 				// A lost credit pulse never reaches the source: its
 				// view of the downstream VC stays claimed forever —
 				// the leak the credit-conservation watchdog hunts.
 				if n.faults != nil && n.faults.RollCreditLoss(id, pulse) {
 					continue
 				}
-				src.MarkVCFree(ch.link.SrcPort, vc)
+				src.MarkVCFree(topology.Direction(ch.srcPort), int(vc))
 			}
-			ch.creditNext = ch.creditNext[:0]
+			ch.credits = 0
 		}
 		if ch.cur.valid {
 			n.dirtyChannels[w] = id
 			w++
 		} else {
-			n.chDirty[id] = false
+			ch.dirty = false
 		}
 	}
 	n.dirtyChannels = n.dirtyChannels[:w]
@@ -561,17 +561,8 @@ func (n *Network) ResidentPackets() []*message.Packet {
 }
 
 // FlitsInFlight counts flits in link pipelines.
-func (n *Network) FlitsInFlight() int {
-	c := 0
-	for i := range n.channels {
-		ch := n.channels[i]
-		if ch.cur.valid {
-			c++
-		}
-		if ch.next.valid {
-			c++
-		}
-	}
+func (n *Network) FlitsInFlight() (c int) {
+	n.ForEachTransit(func(*message.Packet) { c++ })
 	return c
 }
 
@@ -594,9 +585,8 @@ func (n *Network) VerifyQuiescent() error {
 		}
 	}
 	for i := range n.channels {
-		ch := n.channels[i]
-		if len(ch.creditNext) != 0 {
-			return fmt.Errorf("network: link %d has %d undelivered credits", ch.link.ID, len(ch.creditNext))
+		if k := n.channels[i].credits; k != 0 {
+			return fmt.Errorf("network: link %d has %d undelivered credits", i, k)
 		}
 	}
 	for _, r := range n.Routers {
@@ -619,7 +609,7 @@ func (n *Network) VerifyQuiescent() error {
 func (n *Network) NumChannels() int { return len(n.channels) }
 
 // ChannelLink returns the topology link a channel index corresponds to.
-func (n *Network) ChannelLink(i int) topology.Link { return n.channels[i].link }
+func (n *Network) ChannelLink(i int) topology.Link { return n.Mesh.Links()[i] }
 
 // LinkFlits reports the regular flits ever driven onto channel i (the
 // per-link utilisation counter behind the telemetry link heatmap).
@@ -631,7 +621,7 @@ func (n *Network) LinkFlits(i int) int64 { return n.channels[i].flits }
 // flit is not yet buffered downstream — the credit audit must not call
 // that a leak.
 func (n *Network) ChannelCarries(i int, vc int) bool {
-	ch := n.channels[i]
+	ch := &n.channels[i]
 	return (ch.cur.valid && int(ch.cur.vc) == vc) || (ch.next.valid && int(ch.next.vc) == vc)
 }
 
@@ -639,12 +629,7 @@ func (n *Network) ChannelCarries(i int, vc int) bool {
 // in channel i's credit pipe — claimed upstream, already released
 // downstream, in flight back. Also a legitimate claimed-but-empty state.
 func (n *Network) ChannelCreditPending(i int, vc int) bool {
-	for _, v := range n.channels[i].creditNext {
-		if v == vc {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(n.credits[i*n.netVCs:][:n.channels[i].credits], uint8(vc))
 }
 
 // ForEachTransit visits the packet of every flit currently in a link
@@ -652,7 +637,7 @@ func (n *Network) ChannelCreditPending(i int, vc int) bool {
 // once per flit; conservation checks dedup by packet.
 func (n *Network) ForEachTransit(f func(*message.Packet)) {
 	for i := range n.channels {
-		ch := n.channels[i]
+		ch := &n.channels[i]
 		if ch.cur.valid {
 			f(ch.cur.flit.Pkt)
 		}

@@ -41,6 +41,16 @@ func TestTransitSize(t *testing.T) {
 	}
 }
 
+// TestChannelSize: a channel is 88 bytes — its two link stages, its flit
+// counter, its link as node IDs and ports, and a credit count. A copy of
+// its topology.Link and a slice header for its credit pipe made it 136,
+// 190 KB more on a 32×32 mesh's build.
+func TestChannelSize(t *testing.T) {
+	if n := unsafe.Sizeof(channel{}); n > 88 {
+		t.Errorf("network.channel is %d bytes, limit 88", n)
+	}
+}
+
 func TestSinglePacketEndToEnd(t *testing.T) {
 	n := New(paramsWith(4, 4, 1, 2, routing.FullyAdaptive))
 	src, dst := 0, 15
@@ -191,7 +201,7 @@ func TestClaimsResetEachCycle(t *testing.T) {
 		t.Fatalf("claiming node 3's ejection port left it claiming %05b", out)
 	}
 	n.Step()
-	if n.linkClaims[0] || n.ejectClaims[3] || src.Claimed != 0 {
+	if n.channels[0].claimed || n.ejectClaims[3] || src.Claimed != 0 {
 		t.Fatal("claims must clear at cycle boundaries")
 	}
 }
@@ -375,7 +385,7 @@ func TestFaultsBarRegularFlitsNotLanes(t *testing.T) {
 		if in := n.Routers[2].Stalled; in != 1<<topology.West {
 			t.Fatalf("cycle %d: router 2 stalls %05b, want West only", n.cycle-1, in)
 		}
-		if got := n.linkClaims[link]; got != (n.cycle-1 == 10) {
+		if got := n.channels[link].claimed; got != (n.cycle-1 == 10) {
 			t.Fatalf("cycle %d: link claimed %v; only the lane claims it", n.cycle-1, got)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/snapshot"
+	"repro/internal/topology"
 )
 
 // Snapshots are taken between Steps, at a cycle boundary. The engine
@@ -72,8 +73,8 @@ func (n *Network) RestoreState(r *snapshot.Reader)  { n.state(r.State()) }
 func (n *Network) state(s snapshot.State) {
 	snapshot.Int(s, &n.cycle, &n.FlitsOnLinks)
 	links, nodes, netVCs := len(n.channels), len(n.Routers), n.Routers[0].Cfg.NetVCs()
-	for _, ch := range n.channels {
-		snapshot.Int(s, &ch.flits)
+	for i := range n.channels {
+		snapshot.Int(s, &n.channels[i].flits)
 	}
 	indices(s, "claimed link", links, len(n.claimedLinks), func(i int) int { return n.claimedLinks[i] }, n.TryClaimLink)
 	indices(s, "claimed ejection port", nodes, len(n.claimedEjects), func(i int) int { return n.claimedEjects[i] }, func(id int) bool {
@@ -84,7 +85,7 @@ func (n *Network) state(s snapshot.State) {
 		return true
 	})
 	indices(s, "dirty channel", links, len(n.dirtyChannels), func(i int) int { return n.dirtyChannels[i] }, func(id int) bool {
-		if n.chDirty[id] {
+		if n.channels[id].dirty {
 			return false
 		}
 		n.markChannel(id)
@@ -112,9 +113,9 @@ func (n *Network) state(s snapshot.State) {
 		s.Walk(rt)
 	}
 	for _, id := range n.dirtyChannels {
-		t, lk := &n.channels[id].cur, n.channels[id].link
-		if s.Decoding() && s.Err() == nil && (t.flit.Pkt == nil || !n.Routers[lk.Dst].VCFor(lk.DstPort, int(t.vc)).Lands(t.flit)) {
-			s.Fail("network: link %d carries a flit that router %d port %v VC %d cannot take", id, lk.Dst, lk.DstPort, t.vc)
+		t, dst, port := &n.channels[id].cur, n.channels[id].dst, topology.Direction(n.channels[id].dstPort)
+		if s.Decoding() && s.Err() == nil && (t.flit.Pkt == nil || !n.Routers[dst].VCFor(port, int(t.vc)).Lands(t.flit)) {
+			s.Fail("network: link %d carries a flit that router %d port %v VC %d cannot take", id, dst, port, t.vc)
 		}
 	}
 	st, ok := n.Controller.(snapshot.Stater)
@@ -140,20 +141,21 @@ func init() {
 	snapshot.Register("network.Network", Network{},
 		[]string{
 			"cycle", "FlitsOnLinks", "channels",
-			"linkClaims", "claimedLinks", "ejectClaims", "claimedEjects",
-			"dirtyChannels", "chDirty",
+			"claimedLinks", "ejectClaims", "claimedEjects", "dirtyChannels",
 			"activeRouters", "activeNICs",
 			"NICs", "Routers", "Controller", "faults",
 		},
 		[]string{
 			// Construction-time wiring and configuration.
 			"Mesh", "Probe", "Hook", "Trace",
-			"masked",                             // the restore re-pushes claims and faults
-			"chans", "credits", "ids", "nicSlab", // what channels, NICs and ID lists point into
+			"masked",            // the restore re-pushes claims and faults
+			"credits", "netVCs", // the channels' credit pipes, empty at a cycle boundary
+			"ids", "nicSlab", // what NICs and ID lists point into
 		})
 	snapshot.Register("network.channel", channel{},
-		[]string{"cur", "flits"},
-		[]string{"link", "next", "creditNext"}) // empty at a cycle boundary
+		[]string{"cur", "flits", "claimed", "dirty"}, // the last two as ID lists
+		[]string{"src", "dst", "srcPort", "dstPort", // wiring
+			"next", "credits"}) // empty at a cycle boundary
 	snapshot.Register("network.transit", transit{},
 		[]string{"flit", "vc", "valid", "payload", "sum"},
 		nil)

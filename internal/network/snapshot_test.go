@@ -84,6 +84,9 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 		{"entry", []int{2, 0, 1, 1, 0}, "granted port 1 VC 0, which router 0 lacks"},
 		{"entry", []int{2, 1, 1, 3, 1}, "granted port 3 VC 1, which router 0 lacks"},
 		{"entry", []int{2, 0, 1, 5, 0}, "granted port 5 VC 0, which router 0 lacks"},
+		// A network VC holds one packet: its entry is inline, with no
+		// ring a second one could grow into.
+		{"packets", []int{2}, "occupied VC 2/0 holds 2 packets"},
 		// Cursors 0-4 are the ports' VC arbiters (the Local one over six
 		// classes, the rest over one VC), 5-9 the output arbiters over
 		// five inputs, 10 the port tie-break.
@@ -145,6 +148,12 @@ func TestRestoreRejectsBadIndices(t *testing.T) {
 			}
 			w.U64(0) // the Local port's occupancy
 			for p := 1; p < 5; p++ {
+				if id == 0 && p == 2 && tc.list == "packets" {
+					w.U64(1)
+					w.Int(0)         // flits buffered
+					w.Int(tc.bad[0]) // packets
+					continue
+				}
 				if e := tc.bad; id == 0 && p == 2 && tc.list == "entry" {
 					w.U64(1)
 					w.Int(e[0] - e[1]) // flits buffered

@@ -45,9 +45,6 @@ func (r *Ring[T]) Len() int { return int(r.n) }
 // Cap reports the current backing capacity.
 func (r *Ring[T]) Cap() int { return len(r.buf) }
 
-// Empty reports whether the ring holds no elements.
-func (r *Ring[T]) Empty() bool { return r.n == 0 }
-
 // mask converts a logical index to a buffer index. len(buf) is always a
 // power of two, so modulo reduces to an AND.
 func (r *Ring[T]) mask(i int32) int32 { return i & int32(len(r.buf)-1) }

@@ -8,6 +8,9 @@ import (
 // At returns element i (0 = front). It panics when i is out of range.
 func (r *Ring[T]) At(i int) T { return *r.Ptr(i) }
 
+// Empty reports whether the ring holds no elements.
+func (r *Ring[T]) Empty() bool { return r.n == 0 }
+
 // CeilPow2 rounds n up to a power of two (minimum 1) — the backing
 // length Adopt requires for a ring meant to hold n elements.
 func CeilPow2(n int) int {

@@ -515,13 +515,13 @@ func newRefRouter(id int, mesh *topology.Mesh, cfg Config, env refEnv) *refRoute
 		if p == int(topology.Local) {
 			iu.VCs = make([]VC, message.NumClasses)
 			for c := range iu.VCs {
-				iu.VCs[c].init(cfg.InjQueueFlits, cfg.InjQueueFlits)
+				iu.VCs[c] = *NewVC(cfg.InjQueueFlits, cfg.InjQueueFlits)
 			}
 		} else {
 			iu.VCs = make([]VC, cfg.NetVCs())
 			r.vcFree[p] = make([]bool, cfg.NetVCs())
 			for v := range iu.VCs {
-				iu.VCs[v].init(cfg.BufFlits, 1)
+				iu.VCs[v] = *NewVC(cfg.BufFlits, 1)
 				r.vcFree[p][v] = true
 				r.slots = append(r.slots, vaSlot{d, v})
 			}

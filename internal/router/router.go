@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"repro/internal/message"
+	"repro/internal/ringq"
 	"repro/internal/routing"
 	"repro/internal/spare"
 	"repro/internal/topology"
@@ -129,9 +130,9 @@ const nPorts = int(topology.NumMeshPorts)
 // A Router is built once and never grows (DESIGN.md §9): per-port state
 // is arrays in the struct — occupancy and credits one mask word per port,
 // bit v = VC v — and the VCs are a window onto a backing array that a
-// whole network's routers share (see NewAll); an injection queue's
-// entries are a window its first packet cuts (see slab.window). What a
-// Step reads leads the struct.
+// whole network's routers share (see NewAll); a network VC is its inline
+// entry, and an injection queue's ring is in the fifo its first packet
+// takes (see slab.ring). What a Step reads leads the struct.
 type Router struct {
 	// occ[port] has bit v set while input VC v holds a packet; the VCs
 	// keep it (and resident) current on every insert and remove, so
@@ -244,9 +245,16 @@ type slab struct {
 	arrays slabArrays // whole, as made or drawn: what Release hands on
 	rest   slabArrays // the uncarved tails
 	cfg    Config
-	// overflow lists the chunks that injection queues take their windows
-	// from (see window), each as its uncarved prefix.
+	// overflow lists the chunks that injection queues take doubled
+	// windows from (see window), each as its uncarved prefix.
 	overflow [][]Entry
+	fifos    [message.NumClasses][]fifo // per class, one a router (see ring)
+}
+
+// fifo is an injection queue's ring with its first window.
+type fifo struct {
+	ringq.Ring[Entry]
+	first [injWindow]Entry
 }
 
 // slabArrays are a slab's backing arrays.
@@ -261,28 +269,28 @@ var (
 	spareVCs     spare.Store[VC]
 	spareIndex   spare.Store[*Router]
 	// spareOverflow and spareChunkLists hold overflow chunks and the
-	// lists of them (see window).
+	// lists of them (see window), spareFIFOs fifo chunks (see ring).
 	spareOverflow   spare.Store[Entry]
 	spareChunkLists spare.Store[[]Entry]
+	spareFIFOs      spare.Store[fifo]
 )
 
-// injWindow is the depth of the window an injection queue takes at its
-// first insertion, in packets: enough for the usual backlog of a
-// 10-flit queue, a power of two as ringq.Adopt requires. A deeper queue
-// takes a doubled window.
+// injWindow is the depth of the window an injection queue takes with
+// its ring, in packets: enough for the usual backlog of a 10-flit queue,
+// a power of two as ringq.Adopt requires. A deeper queue takes a doubled
+// window.
 const injWindow = 4
 
 // overflowChunk is the length of a build's first overflow chunk, in
-// entries.
-const overflowChunk = 64
+// entries: 32 of the 8-entry windows a queue first grows into.
+const overflowChunk = 256
 
-// window cuts an n-entry window, for an injection queue's first packet
-// or a VC that outgrew its window, off the top of the last overflow
-// chunk. The first window draws the first chunk; a chunk too short for
-// n is left to the windows already cut from it and the next drawn twice
-// as long. Each is used to its whole capacity, and Release hands them
-// all on, so a later build whose queues fill as far draws the same
-// chunks again. A class no packet of the run uses thus costs nothing.
+// window cuts an n-entry window, for an injection queue that outgrew its
+// window, off the top of the last overflow chunk. The first such window
+// draws the first chunk; a chunk too short for n is left to the windows
+// already cut from it and the next drawn twice as long. Each is used to
+// its whole capacity, and Release hands them all on, so a later build
+// whose queues back up as far draws the same chunks again.
 func (sl *slab) window(n int) []Entry {
 	k := len(sl.overflow) - 1
 	if k < 0 || len(sl.overflow[k]) < n {
@@ -299,6 +307,18 @@ func (sl *slab) window(n int) []Entry {
 	m := len(c) - n
 	sl.overflow[k] = c[:m]
 	return c[m : m+n : m+n]
+}
+
+// ring hands router r's class-c injection queue, at its first packet,
+// its ring on its first window: the router's fifo in the class's chunk,
+// which the class's first packet draws (a class no run uses costs none).
+func (sl *slab) ring(r *Router, c uint8) *ringq.Ring[Entry] {
+	if sl.fifos[c] == nil {
+		sl.fifos[c] = spareFIFOs.Take(len(sl.arrays.routers))
+	}
+	f := &sl.fifos[c][r.ID%len(sl.fifos[c])]
+	f.Adopt(f.first[:])
+	return &f.Ring
 }
 
 // carve cuts the next n elements off a slab array. The cap is clipped so
@@ -357,15 +377,18 @@ func NewAll(mesh *topology.Mesh, cfg Config, env Env) []*Router {
 }
 
 // Release hands the arrays of one NewAll's routers, rs among them, and
-// their overflow chunks to a later NewAll in the process. Nothing of
-// rs — no router, VC or entry window — may be used after the call, and
-// a build is released at most once.
+// their fifo and overflow chunks to a later NewAll in the process.
+// Nothing of rs — no router, VC, ring or entry window — may be used
+// after the call, and a build is released at most once.
 func Release(rs []*Router) {
 	sl := rs[0].tab
 	spareRouters.Put(sl.arrays.routers)
 	spareVCs.Put(sl.arrays.vcs)
 	for _, c := range sl.overflow {
 		spareOverflow.Put(c)
+	}
+	for _, c := range sl.fifos {
+		spareFIFOs.Put(c)
 	}
 	spareChunkLists.Put(sl.overflow)
 	spareIndex.Put(rs)
@@ -386,8 +409,8 @@ func (sl *slab) build(id int, mesh *topology.Mesh, cfg Config, env Env) *Router 
 			r.inLinks[p] = int32(l.ID)
 		}
 		iu := &r.Inputs[p]
-		// Injection: one queue per message class, windowless until its
-		// first packet. Network VCs hold one packet, in their inline slot.
+		// Injection: one FIFO per message class, ringless until its
+		// first packet. Network VCs hold one packet, in their inline entry.
 		n, capFlits, maxPkts := int(message.NumClasses), cfg.InjQueueFlits, cfg.InjQueueFlits
 		if p != int(topology.Local) {
 			n, capFlits, maxPkts = cfg.NetVCs(), cfg.BufFlits, 1
@@ -397,9 +420,6 @@ func (sl *slab) build(id int, mesh *topology.Mesh, cfg Config, env Env) *Router 
 		for v := range iu.VCs {
 			vc := &iu.VCs[v]
 			vc.init(capFlits, maxPkts)
-			if p != int(topology.Local) {
-				vc.entries.Adopt(vc.one[:])
-			}
 			vc.owner, vc.port, vc.idx = r, uint8(p), uint8(v)
 		}
 		r.saInArb[p].n = uint8(n)
@@ -599,7 +619,7 @@ func (r *Router) unblock() {
 func (r *Router) allocatePort(p int, mask uint64) {
 	for ; mask != 0; mask &= mask - 1 {
 		v := &r.Inputs[p].VCs[bits.TrailingZeros64(mask)]
-		if e := v.entries.Ptr(0); e.Arrived >= 1 {
+		if e := v.EntryAt(0); e.Arrived >= 1 {
 			r.tryAllocate(v, e)
 		}
 	}
@@ -683,7 +703,7 @@ func (r *Router) switchAllocate() {
 		if r.Claimed != 0 {
 			for m := reqs; m != 0; m &= m - 1 {
 				v := bits.TrailingZeros64(m)
-				if r.Claimed>>vcs[v].entries.Ptr(0).OutPort&1 != 0 {
+				if r.Claimed>>vcs[v].EntryAt(0).OutPort&1 != 0 {
 					reqs &^= 1 << v
 				}
 			}
@@ -693,7 +713,7 @@ func (r *Router) switchAllocate() {
 		}
 		nominee[p] = r.saInArb[p].GrantMask(reqs)
 		nominated |= 1 << p
-		outReqs[vcs[nominee[p]].entries.Ptr(0).OutPort] |= 1 << p
+		outReqs[vcs[nominee[p]].EntryAt(0).OutPort] |= 1 << p
 	}
 	// Stage 2: each output port picks among nominating inputs.
 	for out := 0; out < nPorts; out++ {

@@ -14,19 +14,19 @@ import (
 // router's resident counter and occupancy mask come out right without
 // being encoded; headChanged then takes the alloc and ready bits from
 // the decoded head, whose route and blocked bit come back at its next VA
-// attempt. It inserts each entry only while the reads before it
-// succeeded, so a hostile count stops at the blob's end, and fails one
-// the resumed run could not step (see checkEntry).
+// attempt. It refuses a network VC more than one packet, inserts each
+// entry only while the reads before it succeeded, so a hostile count
+// stops at the blob's end, and fails an entry checkEntry refuses.
 func walkVC(s snapshot.State, v *VC) {
-	n := int32(v.entries.Len())
-	if snapshot.Int(s, &v.flits, &n); s.Decoding() && n < 1 {
+	n := int32(v.Len())
+	if snapshot.Int(s, &v.flits, &n); s.Decoding() && (n < 1 || n > 1 && v.port != uint8(topology.Local)) {
 		s.Fail("router: occupied VC %d/%d holds %d packets", v.port, v.idx, n)
 	}
 	for i := 0; i < int(n) && s.Err() == nil; i++ {
 		if s.Decoding() {
 			v.insert(i, nil, 0, 0)
 		}
-		e := v.entries.Ptr(i)
+		e := v.EntryAt(i)
 		s.Packet(&e.Pkt)
 		snapshot.Int(s, &e.Arrived, &e.Sent)
 		s.Bool(&e.Allocated)
@@ -130,9 +130,9 @@ func init() {
 		})
 	snapshot.Register("router.InputUnit", InputUnit{}, []string{"VCs"}, nil)
 	snapshot.Register("router.VC", VC{},
-		[]string{"entries", "flits"},
-		// route caches the head's routing (0: recompute); one backs entries.
-		[]string{"CapFlits", "MaxPkts", "owner", "port", "idx", "route", "one"})
+		[]string{"one", "fifo", "flits"},
+		// route caches the head's routing (0: recompute).
+		[]string{"CapFlits", "MaxPkts", "owner", "port", "idx", "route"})
 	snapshot.Register("router.Entry", Entry{},
 		[]string{"Pkt", "Arrived", "Sent", "Allocated", "OutPort", "OutVC", "EnqueueCycle", "LastMove"},
 		nil)

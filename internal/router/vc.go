@@ -55,23 +55,24 @@ func (e *Entry) Allocate(port topology.Direction, vc int) {
 	e.Allocated, e.OutPort, e.OutVC = true, int8(port), int16(vc)
 }
 
-// VC is a virtual-channel buffer. Network VCs hold at most one packet
-// (virtual cut-through, single packet per VC); injection-queue VCs hold
+// VC is a virtual-channel buffer. A network VC holds at most one packet
+// (virtual cut-through, single packet per VC) and an injection-queue VC
 // a FIFO of whole packets bounded by flit capacity.
 //
-// Entries live by value in a ring buffer, so traffic through a VC never
-// touches the allocator: in a router built by New a network VC adopts its
-// inline slot (one entry, beside the ring), and an injection queue takes
-// an injWindow-entry window from the slab's overflow chunks at its first
-// packet and a doubled one each time it outgrows it — a build carves no
-// entry for a class its run never injects. An entry
-// pointer handed out by Head/EntryAt is valid until the VC's next
-// insertion or removal; a departed entry's slot is zeroed, turning any
-// stale-pointer use into an immediate nil dereference of Pkt rather than
-// silent corruption.
+// Entries live by value, so traffic through a VC never touches the
+// allocator. A router's network VC holds one packet (MaxPkts 1) and is
+// its inline entry, with no ring. Every other VC is a FIFO whose entries
+// live in a ring outside it: a router's injection queue takes one at its
+// first packet, on an injWindow-entry window, from its build's fifo
+// chunks (see slab.ring), and a doubled window from the overflow chunks
+// each time it outgrows the last — a build carves nothing for a class
+// its run never injects. An entry pointer handed out by Head/EntryAt is
+// valid until the VC's next insertion or removal; a departed entry's
+// slot is zeroed, turning any stale-pointer use into an immediate nil
+// dereference of Pkt rather than silent corruption.
 type VC struct {
-	entries ringq.Ring[Entry]
-	one     [1]Entry
+	one  Entry
+	fifo *ringq.Ring[Entry]
 	// owner, when set, is the router whose input (port, idx) this VC is:
 	// the VC keeps that router's resident-packet count and occupancy and
 	// ready masks in sync on every insert, remove and flit, so they stay
@@ -87,9 +88,10 @@ type VC struct {
 	port, idx uint8
 }
 
-// NewVC constructs a free-standing VC with the given capacities.
+// NewVC constructs a free-standing VC with the given capacities: a FIFO
+// on a heap ring of its own, whatever its depth.
 func NewVC(capFlits, maxPkts int) *VC {
-	v := &VC{}
+	v := &VC{fifo: new(ringq.Ring[Entry])}
 	v.init(capFlits, maxPkts)
 	return v
 }
@@ -104,10 +106,21 @@ func (v *VC) init(capFlits, maxPkts int) {
 // insert places a fresh entry for pkt at position pos (Len() = back) and
 // counts the packet as resident.
 func (v *VC) insert(pos int, pkt *message.Packet, arrived int, cycle int64) *Entry {
-	if v.entries.Len() == v.entries.Cap() && v.owner != nil {
-		v.entries.Adopt(v.owner.tab.window(max(injWindow, 2*v.entries.Cap())))
+	e := Entry{Pkt: pkt, Arrived: int16(arrived), EnqueueCycle: cycle, LastMove: cycle}
+	if v.port != uint8(topology.Local) {
+		if v.one.Pkt != nil {
+			panic(fmt.Sprintf("router: %s into network VC %d/%d holding %s", pkt, v.port, v.idx, v.one.Pkt))
+		}
+		v.one = e
+	} else {
+		if v.fifo == nil {
+			v.fifo = v.owner.tab.ring(v.owner, v.idx)
+		}
+		if v.fifo.Len() == v.fifo.Cap() && v.owner != nil {
+			v.fifo.Adopt(v.owner.tab.window(2 * v.fifo.Cap()))
+		}
+		v.fifo.InsertAt(pos, e)
 	}
-	v.entries.InsertAt(pos, Entry{Pkt: pkt, Arrived: int16(arrived), EnqueueCycle: cycle, LastMove: cycle})
 	v.flits += int32(arrived)
 	if r := v.owner; r != nil {
 		r.resident++
@@ -116,17 +129,21 @@ func (v *VC) insert(pos int, pkt *message.Packet, arrived int, cycle int64) *Ent
 	if pos == 0 {
 		v.headChanged()
 	}
-	return v.entries.Ptr(pos)
+	return v.EntryAt(pos)
 }
 
 // remove drops the entry at position i and uncounts its packet. Flit
 // accounting is the caller's: a streaming departure has already
 // decremented per flit.
 func (v *VC) remove(i int) {
-	v.entries.RemoveAt(i)
+	if v.fifo != nil {
+		v.fifo.RemoveAt(i)
+	} else {
+		v.one = Entry{}
+	}
 	if r := v.owner; r != nil {
 		r.resident--
-		if v.entries.Empty() {
+		if v.Empty() {
 			r.occ[v.port] &^= 1 << v.idx
 		}
 	}
@@ -157,27 +174,41 @@ func (v *VC) headChanged() {
 }
 
 // Empty reports whether the VC holds no packets.
-func (v *VC) Empty() bool { return v.entries.Empty() }
+func (v *VC) Empty() bool { return v.Len() == 0 }
 
 // Len reports the number of resident packets.
-func (v *VC) Len() int { return v.entries.Len() }
+func (v *VC) Len() int {
+	if v.fifo != nil {
+		return v.fifo.Len()
+	}
+	if v.one.Pkt != nil {
+		return 1
+	}
+	return 0
+}
 
 // Head returns the front entry, or nil when empty.
 func (v *VC) Head() *Entry {
-	if v.entries.Empty() {
+	if v.Empty() {
 		return nil
 	}
-	return v.entries.Ptr(0)
+	return v.EntryAt(0)
 }
 
-// EntryAt returns the resident entry at position i (0 = front). The
-// entry is owned by the VC; its slot is reused when its packet departs.
-func (v *VC) EntryAt(i int) *Entry { return v.entries.Ptr(i) }
+// EntryAt returns the resident entry at position i (0 = front), i <
+// Len(). The entry is owned by the VC; its slot is reused when its
+// packet departs.
+func (v *VC) EntryAt(i int) *Entry {
+	if v.fifo != nil {
+		return v.fifo.Ptr(i)
+	}
+	return &v.one
+}
 
 // CanAccept reports whether a packet of length flits could be enqueued
 // whole right now.
 func (v *VC) CanAccept(flitLen int) bool {
-	return v.entries.Len() < int(v.MaxPkts) && int(v.flits)+flitLen <= int(v.CapFlits)
+	return v.Len() < int(v.MaxPkts) && int(v.flits)+flitLen <= int(v.CapFlits)
 }
 
 // Lands reports whether a flit arriving on the wire can enter v: a head
@@ -185,13 +216,13 @@ func (v *VC) CanAccept(flitLen int) bool {
 // that has taken exactly the flits before it.
 func (v *VC) Lands(f message.Flit) bool {
 	if f.IsHead() {
-		return v.entries.Len() < int(v.MaxPkts)
+		return v.Len() < int(v.MaxPkts)
 	}
-	n := v.entries.Len()
+	n := v.Len()
 	if n == 0 || f.Seq < 1 || f.Seq >= f.Pkt.Len {
 		return false
 	}
-	tail := v.entries.Ptr(n - 1)
+	tail := v.EntryAt(n - 1)
 	return tail.Pkt == f.Pkt && int(tail.Arrived) == f.Seq
 }
 
@@ -211,7 +242,7 @@ func (v *VC) EnqueueWhole(pkt *message.Packet, cycle int64) *Entry {
 // the paper's router provides dedicated paths (Fig. 6, purple/green)
 // guaranteeing the returned packet a slot, and never drops it (Qn 2).
 func (v *VC) EnqueueOverflow(pkt *message.Packet, cycle int64) *Entry {
-	return v.insert(v.entries.Len(), pkt, pkt.Len, cycle)
+	return v.insert(v.Len(), pkt, pkt.Len, cycle)
 }
 
 // EnqueueFrontOverflow inserts a packet with all flits present at the
@@ -231,15 +262,16 @@ func (v *VC) EnqueueFrontOverflow(pkt *message.Packet, cycle int64) *Entry {
 // AcceptHead starts receiving a packet flit-by-flit from a link (network
 // VCs). The VC must be free.
 func (v *VC) AcceptHead(pkt *message.Packet, cycle int64) *Entry {
-	if v.entries.Len() >= int(v.MaxPkts) {
+	if v.Len() >= int(v.MaxPkts) {
 		panic(fmt.Sprintf("router: head flit into occupied VC (%s)", pkt))
 	}
-	return v.insert(v.entries.Len(), pkt, 1, cycle)
+	return v.insert(v.Len(), pkt, 1, cycle)
 }
 
 // AcceptBody receives a subsequent flit of the in-flight tail packet.
 func (v *VC) AcceptBody(pkt *message.Packet, cycle int64) {
-	e := v.entries.Ptr(v.entries.Len() - 1)
+	n := v.Len()
+	e := v.EntryAt(n - 1)
 	if e.Pkt != pkt {
 		panic(fmt.Sprintf("router: body flit of %s interleaved into VC holding %s", pkt, e.Pkt))
 	}
@@ -249,7 +281,7 @@ func (v *VC) AcceptBody(pkt *message.Packet, cycle int64) {
 	e.Arrived++
 	e.LastMove = cycle
 	v.flits++
-	if r := v.owner; r != nil && v.entries.Len() == 1 {
+	if r := v.owner; r != nil && n == 1 {
 		r.ready[v.port] |= 1 << v.idx
 	}
 }
@@ -290,7 +322,7 @@ func (v *VC) RemoveHead() *message.Packet {
 // RemoveAt extracts the fully-buffered packet at index i (dynamic-bubble
 // dropping picks victims from the back of the request injection queue).
 func (v *VC) RemoveAt(i int) *message.Packet {
-	e := v.entries.Ptr(i)
+	e := v.EntryAt(i)
 	if !e.FullyBuffered() {
 		panic(fmt.Sprintf("router: RemoveAt on streaming packet %s", e.Pkt))
 	}

@@ -171,11 +171,12 @@ func TestRRArbiterPointerHoldsWithoutGrant(t *testing.T) {
 	}
 }
 
-// TestInjectionWindowIsAdopted: a build carves no injection window; a
-// class's first packet takes an injWindow-entry window off the slab's
-// overflow chunk — without touching the allocator once a released build
-// has left one in the stores — and a queue that backs up deeper moves,
-// order intact, to a doubled window cut below it. A rejected FastPass
+// TestInjectionWindowIsAdopted: a build gives no injection queue a ring
+// or window; a class's first packet takes the router's fifo from its
+// class's chunk, a ring on an injWindow-entry window — without touching
+// the allocator once a released build has left one in the stores — and
+// a queue that backs up deeper moves, order intact, to doubled windows
+// cut off the top of the slab's overflow chunk. A rejected FastPass
 // packet parked at the front of a full window still slots in right
 // behind a head that has started sending, and a restored queue takes its
 // windows the same way.
@@ -197,13 +198,13 @@ func TestInjectionWindowIsAdopted(t *testing.T) {
 	rs := NewAll(mesh, cfg, env)
 	for _, r := range rs {
 		for c := range message.NumClasses {
-			if n := r.VCFor(topology.Local, int(c)).entries.Cap(); n != 0 {
-				t.Fatalf("router %d class %d: a build carved a %d-entry injection window", r.ID, c, n)
+			if q := r.VCFor(topology.Local, int(c)); q.fifo != nil {
+				t.Fatalf("router %d class %d: a build gave an injection queue a ring of %d entries", r.ID, c, q.fifo.Cap())
 			}
 		}
 	}
-	if n := len(rs[0].tab.overflow); n != 0 {
-		t.Fatalf("a build drew %d overflow chunks before any injection", n)
+	if n := len(rs[0].tab.overflow); n != 0 || slices.ContainsFunc(rs[0].tab.fifos[:], func(c []fifo) bool { return c != nil }) {
+		t.Fatalf("a build drew %d overflow chunks and fifo chunks of %v before any injection", n, rs[0].tab.fifos)
 	}
 	r := rs[5]
 	q := r.VCFor(topology.Local, int(message.Request))
@@ -219,9 +220,14 @@ func TestInjectionWindowIsAdopted(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	// The malloc count is process-wide, and the race detector allocates
 	// behind the scenes: it is read in plain builds only.
-	if n := after.Mallocs - before.Mallocs; n != 0 && !raceEnabled || q.entries.Cap() != injWindow {
-		t.Errorf("a class's first %d injections made %d heap objects (capacity now %d), want none and a %d-entry window from the warm stores",
-			injWindow, n, q.entries.Cap(), injWindow)
+	own := &r.tab.fifos[message.Request][5]
+	inFirst := false
+	for i := range own.first {
+		inFirst = inFirst || q.EntryAt(0) == &own.first[i]
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 && !raceEnabled || q.fifo != &own.Ring || q.fifo.Cap() != injWindow || !inFirst {
+		t.Errorf("a class's first %d injections made %d heap objects (capacity now %d), want none and the router's fifo, ring on its %d-entry window, from the warm stores",
+			injWindow, n, q.fifo.Cap(), injWindow)
 	}
 	for _, p := range pkts[injWindow:10] {
 		if !r.InjectPacket(p) {
@@ -234,9 +240,10 @@ func TestInjectionWindowIsAdopted(t *testing.T) {
 	if got := ids(q); !slices.Equal(got, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) {
 		t.Errorf("queue order after growing past the window: %v", got)
 	}
-	// Windows are cut off the chunk's top: 4 entries, 8 below them, then 16.
-	if chunk := r.tab.overflow[0][:cap(r.tab.overflow[0])]; q.entries.Cap() != 4*injWindow || q.EntryAt(0) != &chunk[len(chunk)-7*injWindow] {
-		t.Errorf("a queue of 10 packets holds a %d-entry window, not the first overflow chunk's third", q.entries.Cap())
+	// Growth windows are cut off the chunk's top: 8 entries, then 16
+	// below them.
+	if chunk := r.tab.overflow[0][:cap(r.tab.overflow[0])]; q.fifo.Cap() != 4*injWindow || q.EntryAt(0) != &chunk[len(chunk)-6*injWindow] {
+		t.Errorf("a queue of 10 packets holds a %d-entry window, not the first overflow chunk's second", q.fifo.Cap())
 	}
 
 	// Another class, its window exactly full behind a 3-flit head that
@@ -266,11 +273,44 @@ func TestInjectionWindowIsAdopted(t *testing.T) {
 	}
 	for c := range message.NumClasses {
 		got, want := fresh.VCFor(topology.Local, int(c)), r.VCFor(topology.Local, int(c))
-		if !slices.Equal(ids(got), ids(want)) || got.entries.Cap() != want.entries.Cap() {
-			t.Errorf("class %d restored as %v in a %d-entry window, want %v in %d", c, ids(got), got.entries.Cap(), ids(want), want.entries.Cap())
+		if !slices.Equal(ids(got), ids(want)) || (got.fifo == nil) != (want.fifo == nil) || want.fifo != nil && got.fifo.Cap() != want.fifo.Cap() {
+			t.Errorf("class %d restored as %v in %v, want %v in %v", c, ids(got), got.fifo, ids(want), want.fifo)
 		}
 	}
-	if chunk := fresh.tab.overflow[0][:cap(fresh.tab.overflow[0])]; fresh.VCFor(topology.Local, int(message.Request)).EntryAt(0) != &chunk[len(chunk)-7*injWindow] {
+	if chunk := fresh.tab.overflow[0][:cap(fresh.tab.overflow[0])]; fresh.VCFor(topology.Local, int(message.Request)).EntryAt(0) != &chunk[len(chunk)-6*injWindow] {
 		t.Error("a restored queue's window is not cut from its router's overflow chunk")
+	}
+}
+
+// TestNetworkVCHoldsNoRing: a network VC holds one packet and is its
+// inline entry. A build gives none a ring, and a packet streaming
+// through one (head, body flits, departure) leaves it ringless, its
+// entry the VC's own, and zeroed once the tail has left.
+func TestNetworkVCHoldsNoRing(t *testing.T) {
+	mesh, cfg, env := topology.NewMesh(4, 4), adaptiveCfg(1, 2), newFakeEnv()
+	rs := NewAll(mesh, cfg, env)
+	defer Release(rs)
+	for _, r := range rs {
+		for p := topology.North; p < topology.NumMeshPorts; p++ {
+			for v := range r.Inputs[p].VCs {
+				if q := r.VCFor(p, v); q.fifo != nil || q.MaxPkts != 1 {
+					t.Fatalf("router %d VC %v/%d: built with a ring (%v) or for %d packets", r.ID, p, v, q.fifo, q.MaxPkts)
+				}
+			}
+		}
+	}
+	r, p := rs[5], message.NewPacket(1, 4, 7, message.Request, 3, 0)
+	q := r.VCFor(topology.West, 1)
+	r.Deliver(topology.West, 1, message.Flit{Pkt: p}, 0)
+	r.Deliver(topology.West, 1, message.Flit{Pkt: p, Seq: 1}, 1)
+	if q.fifo != nil || q.Len() != 1 || q.Head() != &q.one || q.one.Arrived != 2 {
+		t.Fatalf("a streaming packet: ring %v, %d packets, head %p (inline %p) with %d flits", q.fifo, q.Len(), q.Head(), &q.one, q.one.Arrived)
+	}
+	q.Head().Allocate(topology.East, 0)
+	q.SendFlit(2)
+	q.SendFlit(2)
+	r.Deliver(topology.West, 1, message.Flit{Pkt: p, Seq: 2}, 3)
+	if _, done := q.SendFlit(3); !done || q.fifo != nil || !q.Empty() || q.one != (Entry{}) {
+		t.Errorf("after the tail: done %v, ring %v, inline entry %+v", done, q.fifo, q.one)
 	}
 }

@@ -26,20 +26,14 @@ const (
 	FullyAdaptive
 )
 
+var algorithmNames = [...]string{"XY", "YX", "WestFirst", "FullyAdaptive"}
+
 // String returns the algorithm name.
 func (a Algorithm) String() string {
-	switch a {
-	case XY:
-		return "XY"
-	case YX:
-		return "YX"
-	case WestFirst:
-		return "WestFirst"
-	case FullyAdaptive:
-		return "FullyAdaptive"
-	default:
+	if a < 0 || int(a) >= len(algorithmNames) {
 		return "Unknown"
 	}
+	return algorithmNames[a]
 }
 
 // Func computes candidate output ports for a packet at node cur heading

@@ -145,13 +145,14 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 // RNG streams to the next run in the process, so running the same point
 // again allocates a small fraction of the bytes its first run did, from
 // drained stores — its harness objects. For a saturated 8×8
-// RunSynthetic that is under 1 % (0.12 % measured): the source
+// RunSynthetic that is under 1 % (0.09 % measured): the source
 // backlog's chunks are 80 % of the first run's bytes and the router slab
 // 4 %, so losing either reuse fails. For an 8×8 six-VN RunApp it is
-// under 0.8 % (0.57 % measured): without the protocol tables' reuse it
+// under 0.8 % (0.70 % measured): without the protocol tables' reuse it
 // is 8.5 %, and the router slab, channels, NICs and mesh are more. A
 // campaign cell — faults and the watchdog on an 8×8 FastPass mesh — is
-// under 2 % (1.7 % measured; without the watchdog's reuse 8.8 %), and
+// under 2 % (1.8 % measured; without the watchdog's reuse 8.8 %, without
+// the FastPass controller's flight slots and path buffers 2.4 %), and
 // an 8×8 MinBD point under 4 % (3.3 %; without the reuse of its arrays
 // and reassembly table 46 %).
 func TestRecycledRunAllocBudget(t *testing.T) {

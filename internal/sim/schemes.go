@@ -372,9 +372,10 @@ func (i *Instance) UsePool() *message.Pool {
 }
 
 // release ends a run that owned the instance from Build to its result:
-// everything Build sized to the mesh — network or MinBD, watchdog, fault
-// injector and mesh — and the run's pool go to later Builds and
-// UsePools (DESIGN.md §9), and the instance is poisoned. Only
+// everything Build sized to the mesh — network or MinBD, FastPass
+// controller, watchdog, fault injector and mesh — and the run's pool go
+// to later Builds and UsePools (DESIGN.md §9), and the instance is
+// poisoned. Only
 // RunSynthetic, ResumeSynthetic and RunApp call it, after scoring: a run
 // built with NewSynthetic, NewResumed or NewApp stays readable after Run.
 func (i *Instance) release(pl *message.Pool) {
@@ -384,6 +385,9 @@ func (i *Instance) release(pl *message.Pool) {
 		i.Net.Release()
 	} else {
 		i.Deflect.Release()
+	}
+	if i.FP != nil {
+		i.FP.Release()
 	}
 	i.Watch.Release()
 	i.Faults.Release()

@@ -27,40 +27,26 @@ const (
 	NumMeshPorts // 5
 )
 
+var directionNames = [NumMeshPorts]string{"Local", "North", "East", "South", "West"}
+
 // String returns the conventional short name of a mesh direction.
 func (d Direction) String() string {
-	switch d {
-	case Local:
-		return "Local"
-	case North:
-		return "North"
-	case East:
-		return "East"
-	case South:
-		return "South"
-	case West:
-		return "West"
-	default:
+	if d < Local || d >= NumMeshPorts {
 		return fmt.Sprintf("Port(%d)", int(d))
 	}
+	return directionNames[d]
 }
 
 // Opposite returns the direction a flit arrives from when it was sent
 // toward d: a flit sent East arrives on the downstream router's West port.
 func (d Direction) Opposite() Direction {
-	switch d {
-	case North:
-		return South
-	case South:
-		return North
-	case East:
-		return West
-	case West:
-		return East
-	default:
+	if d < Local || d >= NumMeshPorts {
 		return d
 	}
+	return opposites[d]
 }
+
+var opposites = [NumMeshPorts]Direction{Local, South, West, North, East}
 
 // Link is one directed channel between two routers. A bidirectional
 // channel between routers A and B is represented by two Links.

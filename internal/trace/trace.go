@@ -30,30 +30,14 @@ const (
 	numKinds
 )
 
+var kindNames = [numKinds]string{"created", "promoted", "rejected", "parked", "dropped", "regenerated", "ejected", "lane-deliver", "recovery"}
+
 // String names the kind.
 func (k Kind) String() string {
-	switch k {
-	case PacketCreated:
-		return "created"
-	case PacketPromoted:
-		return "promoted"
-	case PacketRejected:
-		return "rejected"
-	case PacketParked:
-		return "parked"
-	case PacketDropped:
-		return "dropped"
-	case PacketRegenerated:
-		return "regenerated"
-	case PacketEjected:
-		return "ejected"
-	case LaneDeliver:
-		return "lane-deliver"
-	case RecoveryAction:
-		return "recovery"
-	default:
+	if k >= numKinds {
 		return fmt.Sprintf("kind(%d)", uint8(k)) //nocvet:ignore hotalloc2 unreachable for defined kinds; diagnostic fallback only
 	}
+	return kindNames[k]
 }
 
 // Event is one recorded occurrence.
