@@ -32,8 +32,8 @@ func main() {
 	flag.Parse()
 	var err error
 	switch {
-	case *size < 2:
-		err = fmt.Errorf("-size %d: need a mesh of at least 2x2", *size)
+	case *size < 2 || *size > topology.MaxSide:
+		err = fmt.Errorf("-size %d: need a mesh of 2x2 to %dx%[2]d", *size, topology.MaxSide)
 	case *phase < 0 || *slot < 0:
 		err = fmt.Errorf("-phase %d, -slot %d: indices count from 0 (larger ones wrap)", *phase, *slot)
 	case *col < -1 || *col >= *size || *dstRow < -1 || *dstRow >= *size:

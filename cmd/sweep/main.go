@@ -217,15 +217,16 @@ func parseSchemes(list string) ([]sim.Scheme, error) {
 
 // buildRateGrid expands [min, max] by step (with a tolerance so the
 // endpoint survives float accumulation), rounding each rate to 0.001.
-// A non-positive step used to hang the CLI in an infinite loop, and a
-// step fine enough to round two rates to one value would give two
-// points one telemetry stream; both are rejected here instead.
+// A non-positive step or an infinite max would never end the loop, a
+// NaN would give an empty or one-point grid, and a step fine enough to
+// round two rates to one value would give two points one telemetry
+// stream; all are rejected before the grid is expanded.
 func buildRateGrid(min, max, step float64) ([]float64, error) {
-	if step <= 0 {
-		return nil, fmt.Errorf("rate step %v must be positive", step)
+	if !(step > 0) || math.IsInf(step, 1) {
+		return nil, fmt.Errorf("rate step %v must be positive and finite", step)
 	}
-	if min <= 0 || max < min {
-		return nil, fmt.Errorf("rate range [%v, %v] must be positive and ordered", min, max)
+	if !(min > 0 && min <= max && max <= 1) {
+		return nil, fmt.Errorf("rate range [%v, %v] must be positive, ordered and inside [0, 1]", min, max)
 	}
 	var rates []float64
 	for r := min; r <= max+1e-9; r += step {

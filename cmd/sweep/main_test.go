@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -67,6 +68,11 @@ func TestBuildRateGrid(t *testing.T) {
 		{name: "inverted range rejected", min: 0.3, max: 0.02, step: 0.02, wantErr: "ordered"},
 		{name: "non-positive min rejected", min: 0, max: 0.3, step: 0.02, wantErr: "positive"},
 		{name: "step finer than the rounding rejected", min: 0.02, max: 0.0212, step: 0.0004, wantErr: "-rate-step"},
+		{name: "NaN min rejected", min: math.NaN(), max: 0.3, step: 0.02, wantErr: "positive"},
+		{name: "NaN step rejected", min: 0.02, max: 0.3, step: math.NaN(), wantErr: "must be positive"},
+		{name: "infinite max rejected", min: 0.02, max: math.Inf(1), step: 1, wantErr: "[0, 1]"},
+		{name: "infinite step rejected", min: 0.02, max: 0.3, step: math.Inf(1), wantErr: "finite"},
+		{name: "max above 1 rejected", min: 0.02, max: 2, step: 0.5, wantErr: "[0, 1]"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := buildRateGrid(tc.min, tc.max, tc.step)

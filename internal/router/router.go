@@ -202,30 +202,41 @@ type Router struct {
 	Cfg *Config
 }
 
-// routeTable is what the routers of one config share, read-only once
+// routeTable is what the routers of one build share, read-only once
 // built: the VC indices of a VN grouped by routing algorithm (first
 // appearance first — at most four groups, there being four algorithms),
 // so a head's legal output ports are computed once per group and not per
-// VC; vcs[s] is the union of the groups in set s, VC-index bits within a
+// VC; route[g] is group g's routing function, resolved for the topology;
+// vcs[s] is the union of the groups in set s, VC-index bits within a
 // VN, and classShift each class's VN as a shift into the port's VC mask.
 type routeTable struct {
 	groups     int
-	algs       [4]routing.Algorithm
+	route      [4]routing.Func
 	vcs        [16]uint64
 	classShift [message.NumClasses]uint8
 	vaSlots    int64 // (port, vc) pairs VA rotates over
 }
 
-func newRouteTable(cfg Config) routeTable {
+// newRouteTable resolves each algorithm's Func once for mesh. A graph
+// has no coordinates: it routes FullyAdaptive by its hop table
+// (routing.RouteGraph) and refuses every other algorithm.
+func newRouteTable(cfg Config, mesh *topology.Mesh) routeTable {
 	t := routeTable{vaSlots: int64(int(message.NumClasses) + (nPorts-1)*cfg.NetVCs())}
 	for c := range t.classShift {
 		t.classShift[c] = uint8(cfg.ClassVN(message.Class(c)) * cfg.VCsPerVN)
 	}
+	var algs [4]routing.Algorithm
 	for i, alg := range cfg.VCAlgorithms {
-		g := slices.Index(t.algs[:t.groups], alg)
+		g := slices.Index(algs[:t.groups], alg)
 		if g < 0 {
 			g, t.groups = t.groups, t.groups+1
-			t.algs[g] = alg
+			algs[g], t.route[g] = alg, routing.ForAlgorithm(alg)
+			if mesh.IsGraph() {
+				if alg != routing.FullyAdaptive {
+					panic(fmt.Sprintf("router: %v routing needs a 2-D mesh, not a graph", alg))
+				}
+				t.route[g] = routing.RouteGraph
+			}
 		}
 		for s := range t.vcs {
 			if s>>g&1 != 0 {
@@ -329,9 +340,9 @@ func carve[T any](pool *[]T, n int) []T {
 	return s
 }
 
-// newSlab sizes a slab for a build of n routers, from the stores if
-// spare is set (a smaller build carves a prefix of a larger one's).
-func newSlab(cfg Config, n int, spare bool) *slab {
+// newSlab sizes a slab for a build of n routers on mesh, from the stores
+// if spare is set (a smaller build carves a prefix of a larger one's).
+func newSlab(cfg Config, mesh *topology.Mesh, n int, spare bool) *slab {
 	if err := cfg.Validate(); err != nil {
 		//nocvet:ignore panicstyle Validate builds its errors with the "router: " prefix
 		panic(err)
@@ -339,27 +350,16 @@ func newSlab(cfg Config, n int, spare bool) *slab {
 	vcs := n * (int(message.NumClasses) + (nPorts-1)*cfg.NetVCs())
 	if !spare {
 		a := slabArrays{make([]Router, n), make([]VC, vcs)}
-		return &slab{routeTable: newRouteTable(cfg), arrays: a, rest: a, cfg: cfg}
+		return &slab{routeTable: newRouteTable(cfg, mesh), arrays: a, rest: a, cfg: cfg}
 	}
 	a := slabArrays{spareRouters.Take(n), spareVCs.Take(vcs)}
-	return &slab{routeTable: newRouteTable(cfg), arrays: a, rest: a, cfg: cfg}
+	return &slab{routeTable: newRouteTable(cfg, mesh), arrays: a, rest: a, cfg: cfg}
 }
 
 // New wires a stand-alone router for node id. Link IDs come from the
 // mesh topology.
 func New(id int, mesh *topology.Mesh, cfg Config, env Env) *Router {
-	refuseGraph(mesh, cfg)
-	return newSlab(cfg, 1, false).build(id, mesh, cfg, env)
-}
-
-// refuseGraph panics when mesh is a graph and cfg routes a VC with an
-// algorithm that needs mesh coordinates: a graph routes FullyAdaptive.
-func refuseGraph(mesh *topology.Mesh, cfg Config) {
-	for _, a := range cfg.VCAlgorithms {
-		if a != routing.FullyAdaptive && mesh.IsGraph() {
-			panic(fmt.Sprintf("router: %v routing needs a 2-D mesh, not a graph", a))
-		}
-	}
+	return newSlab(cfg, mesh, 1, false).build(id, mesh, cfg, env)
 }
 
 // NewAll wires one router per mesh node, all carved from shared backing
@@ -367,8 +367,7 @@ func refuseGraph(mesh *topology.Mesh, cfg Config) {
 // of allocations however large the mesh. The arrays are released ones
 // when they fit (see Release).
 func NewAll(mesh *topology.Mesh, cfg Config, env Env) []*Router {
-	refuseGraph(mesh, cfg)
-	sl := newSlab(cfg, mesh.NumNodes(), true)
+	sl := newSlab(cfg, mesh, mesh.NumNodes(), true)
 	rs := spareIndex.Take(mesh.NumNodes())
 	for id := range rs {
 		rs[id] = sl.build(id, mesh, cfg, env)
@@ -524,7 +523,7 @@ func (r *Router) InjectPacket(pkt *message.Packet) bool {
 // for dst here, in the algorithm's preference order and less any the mesh
 // edge lacks. The result aliases routeBuf: valid until the next call.
 func (r *Router) ports(g int, dst int) []topology.Direction {
-	ports := routing.ForAlgorithm(r.tab.algs[g])(r.Mesh, r.routeBuf[:0], r.ID, dst)
+	ports := r.tab.route[g](r.Mesh, r.routeBuf[:0], r.ID, dst)
 	n := 0
 	for _, p := range ports {
 		if r.outLinks[p] >= 0 {

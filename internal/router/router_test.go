@@ -408,3 +408,35 @@ func allZero[T any](xs []T) bool {
 	}
 	return true
 }
+
+// TestRouteResolvedPerTopology: a build resolves each algorithm group's
+// routing function once, from the algorithm and the topology — a mesh's
+// to the algorithm's own, a graph's FullyAdaptive to RouteGraph.
+func TestRouteResolvedPerTopology(t *testing.T) {
+	graph, err := topology.NewGraph(3, [][2]int{{0, 1}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	escape := adaptiveCfg(1, 2)
+	escape.VCAlgorithms = []routing.Algorithm{routing.WestFirst, routing.FullyAdaptive}
+	for _, tc := range []struct {
+		name string
+		mesh *topology.Mesh
+		cfg  Config
+		want []routing.Func
+	}{
+		{"mesh", topology.NewMesh(3, 3), adaptiveCfg(1, 2), []routing.Func{routing.RouteFullyAdaptive}},
+		{"mesh, escape VC", topology.NewMesh(3, 3), escape, []routing.Func{routing.RouteWestFirst, routing.RouteFullyAdaptive}},
+		{"graph", graph, adaptiveCfg(1, 2), []routing.Func{routing.RouteGraph}},
+	} {
+		tab := New(1, tc.mesh, tc.cfg, newFakeEnv()).tab
+		if tab.groups != len(tc.want) {
+			t.Fatalf("%s: %d algorithm groups, want %d", tc.name, tab.groups, len(tc.want))
+		}
+		for g, want := range tc.want {
+			if reflect.ValueOf(tab.route[g]).Pointer() != reflect.ValueOf(want).Pointer() {
+				t.Errorf("%s: group %d resolved to the wrong routing function", tc.name, g)
+			}
+		}
+	}
+}

@@ -2,7 +2,8 @@
 // under evaluation: deterministic XY and YX (used by FastPass-Lanes and
 // their returning paths), the West-first turn model (EscapeVC's escape
 // channel and TFC), and fully-adaptive minimal routing (used by SWAP,
-// SPIN, DRAIN, Pitstop and FastPass's regular pass, per Table II).
+// SPIN, DRAIN, Pitstop and FastPass's regular pass, per Table II; on a
+// graph, RouteGraph).
 //
 // A routing function returns the set of *productive* output ports a head
 // flit may request at the current router, in preference order. All
@@ -126,6 +127,18 @@ func RouteWestFirst(m *topology.Mesh, buf []topology.Direction, cur, dst int) []
 // recovery/avoidance mechanisms (Table II).
 func RouteFullyAdaptive(m *topology.Mesh, buf []topology.Direction, cur, dst int) []topology.Direction {
 	return m.AppendPortToward(buf, cur, dst)
+}
+
+// RouteGraph is RouteFullyAdaptive on a topology.NewGraph fabric: the
+// ports toward a neighbour one hop closer to dst, in port order.
+func RouteGraph(m *topology.Mesh, buf []topology.Direction, cur, dst int) []topology.Direction {
+	d := m.Distance(cur, dst)
+	for p := topology.North; p < topology.NumMeshPorts; p++ {
+		if l := m.OutLink(cur, p); l != nil && m.Distance(l.Dst, dst) < d {
+			buf = append(buf, p)
+		}
+	}
+	return buf
 }
 
 // AppendPathXY appends the XY path from src to dst to links and returns

@@ -143,18 +143,19 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 // TestRecycledRunAllocBudget pins the cross-run half of DESIGN.md §9: a
 // run hands everything it sized to the mesh, its packet chunks and its
 // RNG streams to the next run in the process, so running the same point
-// again allocates a small fraction of the bytes its first run did, from
-// drained stores — its harness objects. For a saturated 8×8
-// RunSynthetic that is under 1 % (0.09 % measured): the source
-// backlog's chunks are 80 % of the first run's bytes and the router slab
-// 4 %, so losing either reuse fails. For an 8×8 six-VN RunApp it is
-// under 0.8 % (0.70 % measured): without the protocol tables' reuse it
-// is 8.5 %, and the router slab, channels, NICs and mesh are more. A
-// campaign cell — faults and the watchdog on an 8×8 FastPass mesh — is
-// under 2 % (1.8 % measured; without the watchdog's reuse 8.8 %, without
-// the FastPass controller's flight slots and path buffers 2.4 %), and
-// an 8×8 MinBD point under 4 % (3.3 %; without the reuse of its arrays
-// and reassembly table 46 %).
+// again, from drained stores, allocates only its harness objects. Each
+// case bounds the second run's bytes by an absolute ceiling, so a build
+// that shrinks the first run leaves the bound as it was. For a saturated
+// 8×8 RunSynthetic the ceiling is 52,000 bytes (4,656 measured): the
+// source backlog's chunks are 4.2 MB of the first run's 5.2 MB and the
+// router slab 210 KB, so losing either reuse fails. For an 8×8 six-VN
+// RunApp it is 4,200 (3,600 measured): without the protocol tables'
+// reuse it is 45 KB, and the router slab, channels, NICs and mesh are
+// more. A campaign cell — faults and the watchdog on an 8×8 FastPass
+// mesh — is under 5,900 (5,280 measured; without the watchdog's reuse
+// 26 KB, without the FastPass controller's flight slots and path
+// buffers 7.1 KB), and an 8×8 MinBD point under 2,600 (2,192; without
+// the reuse of its arrays and reassembly table 30 KB).
 func TestRecycledRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run the guard without -race")
@@ -162,9 +163,9 @@ func TestRecycledRunAllocBudget(t *testing.T) {
 	app := workload.MustGet("Canneal")
 	app.WorkQuota = 250
 	for _, tc := range []struct {
-		name  string
-		run   func() bool // reports the run as the case wants it
-		bound float64
+		name    string
+		run     func() bool // reports the run as the case wants it
+		ceiling uint64      // the second run's bytes
 	}{
 		{"saturated 8×8 point", func() bool {
 			return RunSynthetic(SynthConfig{
@@ -172,21 +173,21 @@ func TestRecycledRunAllocBudget(t *testing.T) {
 				Pattern: traffic.Uniform, Rate: 0.30,
 				Warmup: 500, Measure: 1500, Drain: 1000,
 			}).Saturated
-		}, 0.01},
+		}, 52_000},
 		{"8×8 EscapeVC app run", func() bool {
 			return !RunApp(AppConfig{Options: Options{Scheme: EscapeVC, W: 8, H: 8, Seed: 1}, App: app}).Timeout
-		}, 0.008},
+		}, 4_200},
 		{"campaign cell", func() bool {
 			res := RunSynthetic(campaignCell())
 			return res.Faults.LinkFails > 0 && res.Faults.FlitsCorrupted > 0 && !res.Aborted
-		}, 0.02},
+		}, 5_900},
 		{"8×8 MinBD point", func() bool {
 			return !RunSynthetic(SynthConfig{
 				Options: Options{Scheme: MinBD, W: 8, H: 8, Seed: 1},
 				Pattern: traffic.Uniform, Rate: 0.05,
 				Warmup: 500, Measure: 1500, Drain: 1000,
 			}).Saturated
-		}, 0.04},
+		}, 2_600},
 	} {
 		drainSpares()
 		var bytes [2]uint64
@@ -199,10 +200,9 @@ func TestRecycledRunAllocBudget(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			bytes[i] = after.TotalAlloc - before.TotalAlloc
 		}
-		ratio := float64(bytes[1]) / float64(bytes[0])
-		t.Logf("%s: first run %d bytes, second %d (%.3f)", tc.name, bytes[0], bytes[1], ratio)
-		if ratio > tc.bound {
-			t.Errorf("%s: second run allocates %d bytes, over %.1f %% of the first run's %d", tc.name, bytes[1], 100*tc.bound, bytes[0])
+		t.Logf("%s: first run %d bytes, second %d (ceiling %d)", tc.name, bytes[0], bytes[1], tc.ceiling)
+		if bytes[1] > tc.ceiling {
+			t.Errorf("%s: second run allocates %d bytes, over the ceiling of %d", tc.name, bytes[1], tc.ceiling)
 		}
 	}
 }

@@ -171,6 +171,9 @@ func (o Options) Validate() error {
 	if o.W < 2 || o.H < 2 || o.EjectCap < 1 {
 		return fmt.Errorf("sim: need a mesh of at least 2x2 and a positive ejection capacity, have %dx%d and %d", o.W, o.H, o.EjectCap)
 	}
+	if max(o.W, o.H) > topology.MaxSide {
+		return fmt.Errorf("sim: a %dx%d mesh is past the largest side of %d", o.W, o.H, topology.MaxSide)
+	}
 	if !(o.FaultScale >= 0) {
 		return fmt.Errorf("sim: fault scale %v must be a non-negative number", o.FaultScale)
 	}

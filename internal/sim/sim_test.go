@@ -358,6 +358,7 @@ func TestValidateRejectsWhatBuildPanicsOn(t *testing.T) {
 		{"one-node mesh", SynthConfig{Options: Options{W: 1}}, "2x2"},
 		{"negative mesh", SynthConfig{Options: Options{W: -1}}, "2x2"},
 		{"one-row mesh", SynthConfig{Options: Options{W: 4, H: 1}}, "2x2"},
+		{"mesh side past the bound", SynthConfig{Options: Options{W: 4, H: topology.MaxSide + 1}}, "largest side"},
 		{"EscapeVC without an adaptive VC", SynthConfig{Options: Options{Scheme: EscapeVC, VCs: 1}}, "2 to 10 VCs"},
 		{"one-VN scheme past the mask", SynthConfig{Options: Options{Scheme: Pitstop, VCs: 65}}, "1 to 64 VCs"},
 		{"six-VN scheme past the mask", SynthConfig{Options: Options{Scheme: SPIN, VCs: 11}}, "1 to 10 VCs"},

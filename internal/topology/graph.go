@@ -46,7 +46,7 @@ func NewGraph(n int, edges [][2]int) (*Mesh, error) {
 		}
 		slices.Sort(adj[v])
 	}
-	m := &Mesh{W: n, H: 1, out: make([][NumMeshPorts]int, n+(n*n+int(NumMeshPorts)-1)/int(NumMeshPorts))}
+	m := &Mesh{W: n, H: 1, out: make([][NumMeshPorts]int, n), hops: make([]int32, n*n)}
 	for v := range m.out {
 		m.out[v] = [NumMeshPorts]int{-1, -1, -1, -1, -1}
 	}
@@ -61,13 +61,13 @@ func NewGraph(n int, edges [][2]int) (*Mesh, error) {
 	// Breadth-first from every node fills the hop-count table.
 	queue := make([]int, 0, n)
 	for s := range n {
-		*m.hop(s, s) = 0
+		row := m.hops[s*n : (s+1)*n]
 		queue = append(queue[:0], s)
 		for i := 0; i < len(queue); i++ {
 			v := queue[i]
 			for _, nb := range adj[v] {
-				if *m.hop(s, nb) < 0 {
-					*m.hop(s, nb) = *m.hop(s, v) + 1
+				if row[nb] == 0 && nb != s { // not reached yet
+					row[nb] = row[v] + 1
 					queue = append(queue, nb)
 				}
 			}
@@ -77,15 +77,6 @@ func NewGraph(n int, edges [][2]int) (*Mesh, error) {
 		}
 	}
 	return m, nil
-}
-
-// hop points at a graph's minimal hop count from a to b, entry a·n+b
-// of the table its out rows carry after the n node rows, five to a row;
-// -1 while NewGraph has not reached b from a.
-func (m *Mesh) hop(a, b int) *int {
-	n := m.NumNodes()
-	i := a*n + b
-	return &m.out[n+i/int(NumMeshPorts)][i%int(NumMeshPorts)]
 }
 
 // walkPorts is the order a node offers its out-links to a holistic

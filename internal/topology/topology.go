@@ -66,11 +66,18 @@ type Link struct {
 type Mesh struct {
 	W, H  int
 	links []Link
-	// out[node][port] is the index into links, or -1. A graph's out
-	// runs on past its node rows with its hop-count table (see hop),
-	// which is how a graph is told apart without growing the struct.
+	// out[node][port] is the index into links, or -1.
 	out [][NumMeshPorts]int
+	// hops[a·n+b] is a graph's minimal hop count from a to b; nil on a
+	// mesh, whose distances follow from coordinates.
+	hops []int32
 }
+
+// MaxSide bounds the mesh side a user asks for (sim.Options, lanes).
+// Channels' int32 node IDs cap a side at 46,340, but memory runs out
+// long before: a 256×256 build holds 160 MB at FastPass's defaults and
+// 1.1 GB at ten VCs a VN. 256 is twice the largest mesh planned, 128×128.
+const MaxSide = 256
 
 // NewMesh constructs a W×H mesh. Both dimensions must be at least 1.
 func NewMesh(w, h int) *Mesh {
@@ -159,7 +166,7 @@ func (m *Mesh) InLink(node int, port Direction) *Link {
 }
 
 // IsGraph reports whether NewGraph built m: it has no mesh geometry.
-func (m *Mesh) IsGraph() bool { return len(m.out) > m.NumNodes() }
+func (m *Mesh) IsGraph() bool { return m.hops != nil }
 
 // RequireMesh panics, naming who, when m is a graph — the build-time
 // refusal of code that needs mesh coordinates.
@@ -171,40 +178,28 @@ func (m *Mesh) RequireMesh(who string) {
 
 // Distance reports the minimal hop count between two nodes.
 func (m *Mesh) Distance(a, b int) int {
-	if m.IsGraph() {
-		return *m.hop(a, b)
+	if m.hops != nil {
+		return int(m.hops[a*m.W+b])
 	}
 	ax, ay := m.XY(a)
 	bx, by := m.XY(b)
-	return abs(ax-bx) + abs(ay-by)
+	return max(ax-bx, bx-ax) + max(ay-by, by-ay)
 }
 
 // Diameter reports the maximum Distance over all node pairs.
 func (m *Mesh) Diameter() int {
-	if m.IsGraph() {
-		d := 0
-		for _, row := range m.out[m.NumNodes():] {
-			d = max(d, slices.Max(row[:]))
-		}
-		return d
+	if m.hops != nil {
+		return int(slices.Max(m.hops))
 	}
 	return (m.W - 1) + (m.H - 1)
 }
 
 // AppendPortToward appends to buf the productive output ports for a
-// minimal route from cur to dst, in XY preference order (East/West
-// before North/South) — on a graph, the ports toward a neighbour one hop
-// closer, in port order; it appends none when cur == dst. It allocates
-// nothing when buf has capacity.
+// minimal route on a 2-D mesh from cur to dst, in XY preference order
+// (East/West before North/South); it appends none when cur == dst. It
+// allocates nothing when buf has capacity. A graph has no coordinates:
+// routing.RouteGraph routes it by Distance.
 func (m *Mesh) AppendPortToward(buf []Direction, cur, dst int) []Direction {
-	if m.IsGraph() {
-		for p, id := range m.out[cur] {
-			if id >= 0 && *m.hop(m.links[id].Dst, dst) < *m.hop(cur, dst) {
-				buf = append(buf, Direction(p))
-			}
-		}
-		return buf
-	}
 	cx, cy := m.XY(cur)
 	dx, dy := m.XY(dst)
 	if dx > cx {
@@ -218,11 +213,4 @@ func (m *Mesh) AppendPortToward(buf []Direction, cur, dst int) []Direction {
 		buf = append(buf, North)
 	}
 	return buf
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
