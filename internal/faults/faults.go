@@ -113,10 +113,12 @@ type Plan struct {
 // Targeted events are not scaled. Resilience sweeps use it to walk a
 // fault-intensity axis from a single base plan. Negative factors are a
 // driver bug — a rate can only be attenuated or amplified, never
-// inverted — and panic rather than silently producing a zero plan.
+// inverted — and panic rather than silently producing a zero plan; so
+// do NaN and infinite ones, whose 0 × Inf = NaN rates would fire on
+// every roll of a fault the plan never named.
 func (p Plan) Scale(f float64) Plan {
-	if f < 0 {
-		panic(fmt.Sprintf("faults: negative fault-scale factor %v", f))
+	if !(f >= 0) || math.IsInf(f, 1) {
+		panic(fmt.Sprintf("faults: fault-scale factor %v is not a finite non-negative number", f))
 	}
 	s := p
 	s.LinkFailRate = clamp01(p.LinkFailRate * f)

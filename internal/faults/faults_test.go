@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"testing"
@@ -119,6 +120,17 @@ func TestScaleRejectsNegative(t *testing.T) {
 		}
 	}()
 	MustParsePlan("linkfail:rate=0.1").Scale(-1)
+}
+
+// An infinite factor would turn every unnamed category's 0 rate into
+// 0 × Inf = NaN, which fires on every roll; it panics like a negative one.
+func TestScaleRejectsInfinite(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Scale(+Inf) should panic, not produce NaN rates")
+		}
+	}()
+	MustParsePlan("linkfail:rate=0.1").Scale(math.Inf(1))
 }
 
 func TestScaleClamps(t *testing.T) {

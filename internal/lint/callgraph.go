@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"slices"
 	"sort"
@@ -57,8 +56,6 @@ type FuncNode struct {
 	// Callees are the statically resolvable outgoing edges, sorted by
 	// full name and deduplicated.
 	Callees []*FuncNode
-
-	calleeSet map[*FuncNode]bool
 }
 
 // FullName is the stable identifier used in reports: the import path
@@ -69,90 +66,90 @@ func (n *FuncNode) FullName() string {
 	return strings.TrimPrefix(strings.TrimPrefix(full, n.Pkg.ModPath+"/"), n.Pkg.ModPath+".")
 }
 
-// FieldInfo describes one field of a module-declared struct.
-type FieldInfo struct {
-	Owner *types.TypeName
-	Pkg   *Package
-}
-
-// Program is the whole-program view: every loaded package, the call
-// graph over their declared functions, and the module's struct fields.
+// Program is the whole-program view: every loaded package and the call
+// graph over their declared functions.
 type Program struct {
-	Pkgs    []*Package
-	ModPath string
-	Fset    *token.FileSet
+	Pkgs []*Package
 
 	// Funcs lists every declared function, sorted by FullName.
 	Funcs []*FuncNode
 
-	byObj  map[*types.Func]*FuncNode
-	fields map[*types.Var]*FieldInfo
+	// byObj maps a function object to its node; a function declared
+	// outside the analyzed packages has none.
+	byObj map[*types.Func]*FuncNode
 
 	// ifaceMethods maps an interface method object to the concrete
 	// module methods that implement it (the fan-out of a dynamic call).
 	ifaceMethods map[*types.Func][]*FuncNode
 }
 
-// Node returns the graph node for a function object, or nil when the
-// function is not declared in the analyzed packages.
-func (prog *Program) Node(fn *types.Func) *FuncNode { return prog.byObj[fn] }
-
-// Field returns module-struct metadata for a field object, or nil.
-func (prog *Program) Field(v *types.Var) *FieldInfo { return prog.fields[v] }
-
-// FieldKey is the stable report identifier of a struct field:
-// "internal/network.channel.next".
-func (prog *Program) FieldKey(v *types.Var) string {
-	fi := prog.fields[v]
-	if fi == nil {
+// FieldKey is the stable report identifier of the struct field a
+// field selection names — "internal/network.channel.next" — or "" unless
+// that struct is simulator state: a named type declared at package
+// level in a package of this run. The declaring struct is read off the
+// selection: its receiver type walked along the embedding path, so a
+// promoted field names the embedded struct and a field of an
+// instantiated generic names the generic type.
+func (prog *Program) FieldKey(s *types.Selection) string {
+	t := s.Recv()
+	for _, i := range s.Index()[:len(s.Index())-1] {
+		t = deref(t).Underlying().(*types.Struct).Field(i).Type()
+	}
+	named, ok := types.Unalias(deref(t)).(*types.Named)
+	if !ok {
 		return ""
 	}
-	pkg := strings.TrimPrefix(strings.TrimPrefix(fi.Pkg.Path, prog.ModPath+"/"), prog.ModPath)
+	owner := named.Origin().Obj()
+	i := slices.IndexFunc(prog.Pkgs, func(p *Package) bool { return p.Types == owner.Pkg() })
+	if i < 0 || owner.Parent() != owner.Pkg().Scope() {
+		return ""
+	}
+	p := prog.Pkgs[i]
+	pkg := strings.TrimPrefix(strings.TrimPrefix(p.Path, p.ModPath+"/"), p.ModPath)
 	if pkg == "" {
 		pkg = "."
 	}
-	return pkg + "." + fi.Owner.Name() + "." + v.Name()
+	return pkg + "." + owner.Name() + "." + s.Obj().Name()
+}
+
+// deref strips one pointer from a field selection's operand type.
+func deref(t types.Type) types.Type {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
 }
 
 // BuildProgram assembles the call graph over the loaded packages. The
 // same package set always yields the same graph: every slice in the
 // result is explicitly sorted.
 func BuildProgram(pkgs []*Package) *Program {
-	if len(pkgs) == 0 {
-		panic("lint: BuildProgram on empty package set")
-	}
 	prog := &Program{
 		Pkgs:         pkgs,
-		Fset:         pkgs[0].Fset,
-		ModPath:      pkgs[0].ModPath,
 		byObj:        map[*types.Func]*FuncNode{},
-		fields:       map[*types.Var]*FieldInfo{},
 		ifaceMethods: map[*types.Func][]*FuncNode{},
 	}
-	// Pass 1: declare nodes, parse directives, index struct fields.
+	// Pass 1: declare nodes and parse directives.
 	for _, p := range pkgs {
 		for _, file := range p.Files {
 			for _, decl := range file.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					obj, ok := p.Info.Defs[d.Name].(*types.Func)
-					if !ok {
-						continue
-					}
-					n := &FuncNode{Obj: obj, Decl: d, Pkg: p, calleeSet: map[*FuncNode]bool{}}
-					n.Hot = hasDirective(d.Doc, hotDirective)
-					n.Cold = hasDirective(d.Doc, coldDirective)
-					prog.byObj[obj] = n
-					prog.Funcs = append(prog.Funcs, n)
-				case *ast.GenDecl:
-					prog.indexTypes(p, d)
+				d, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
 				}
+				obj, ok := p.Info.Defs[d.Name].(*types.Func)
+				if !ok {
+					continue
+				}
+				n := &FuncNode{Obj: obj, Decl: d, Pkg: p}
+				n.Hot = hasDirective(d.Doc, hotDirective)
+				n.Cold = hasDirective(d.Doc, coldDirective)
+				prog.byObj[obj] = n
+				prog.Funcs = append(prog.Funcs, n)
 			}
 		}
 	}
-	sort.Slice(prog.Funcs, func(i, j int) bool {
-		return prog.Funcs[i].FullName() < prog.Funcs[j].FullName()
-	})
+	prog.Funcs = sortByName(prog.Funcs)
 	prog.indexInterfaces()
 	// Pass 2: edges.
 	for _, n := range prog.Funcs {
@@ -170,75 +167,22 @@ func BuildProgram(pkgs []*Package) *Program {
 				return true
 			}
 			if callee := prog.byObj[fn]; callee != nil {
-				n.addCallee(callee)
-				return true
-			}
-			// Dynamic dispatch: fan out to every module implementation.
-			for _, impl := range prog.ifaceMethods[fn] {
-				n.addCallee(impl)
+				n.Callees = append(n.Callees, callee)
+			} else {
+				// Dynamic dispatch: fan out to every module implementation.
+				n.Callees = append(n.Callees, prog.ifaceMethods[fn]...)
 			}
 			return true
 		})
-		n.Callees = make([]*FuncNode, 0, len(n.calleeSet))
-		for c := range n.calleeSet {
-			n.Callees = append(n.Callees, c)
-		}
-		sort.Slice(n.Callees, func(i, j int) bool {
-			return n.Callees[i].FullName() < n.Callees[j].FullName()
-		})
+		n.Callees = sortByName(n.Callees)
 	}
 	return prog
 }
 
-func (n *FuncNode) addCallee(c *FuncNode) { n.calleeSet[c] = true }
-
-// indexTypes records the struct fields of one type declaration group.
-func (prog *Program) indexTypes(p *Package, d *ast.GenDecl) {
-	if d.Tok != token.TYPE {
-		return
-	}
-	for _, spec := range d.Specs {
-		ts, ok := spec.(*ast.TypeSpec)
-		if !ok {
-			continue
-		}
-		obj, ok := p.Info.Defs[ts.Name].(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := ts.Type.(*ast.StructType)
-		if !ok {
-			continue
-		}
-		for _, field := range st.Fields.List {
-			for _, name := range field.Names {
-				if fv, ok := p.Info.Defs[name].(*types.Var); ok {
-					prog.fields[fv] = &FieldInfo{Owner: obj, Pkg: p}
-				}
-			}
-			// Embedded fields: the field object still exists.
-			if len(field.Names) == 0 {
-				if id := embeddedIdent(field.Type); id != nil {
-					if fv, ok := p.Info.Defs[id].(*types.Var); ok {
-						prog.fields[fv] = &FieldInfo{Owner: obj, Pkg: p}
-					}
-				}
-			}
-		}
-	}
-}
-
-// embeddedIdent digs the name identifier out of an embedded field type.
-func embeddedIdent(e ast.Expr) *ast.Ident {
-	switch t := e.(type) {
-	case *ast.Ident:
-		return t
-	case *ast.StarExpr:
-		return embeddedIdent(t.X)
-	case *ast.SelectorExpr:
-		return t.Sel
-	}
-	return nil
+// sortByName sorts nodes by full name and drops repeats.
+func sortByName(nodes []*FuncNode) []*FuncNode {
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].FullName() < nodes[j].FullName() })
+	return slices.Compact(nodes)
 }
 
 // indexInterfaces links every interface method declared in the loaded
@@ -246,11 +190,9 @@ func embeddedIdent(e ast.Expr) *ast.Ident {
 func (prog *Program) indexInterfaces() {
 	// Collect the named interface types of all loaded packages.
 	var ifaces []*types.Interface
-	var concrete []*FuncNode
 	for _, p := range prog.Pkgs {
 		scope := p.Types.Scope()
-		names := scope.Names() // already sorted
-		for _, name := range names {
+		for _, name := range scope.Names() { // already sorted
 			tn, ok := scope.Lookup(name).(*types.TypeName)
 			if !ok {
 				continue
@@ -260,27 +202,23 @@ func (prog *Program) indexInterfaces() {
 			}
 		}
 	}
-	for _, n := range prog.Funcs {
-		if sig, ok := n.Obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-			if _, isIface := sig.Recv().Type().Underlying().(*types.Interface); !isIface {
-				concrete = append(concrete, n)
-			}
-		}
-	}
 	for _, it := range ifaces {
-		for i := 0; i < it.NumMethods(); i++ {
+		for i := range it.NumMethods() {
 			m := it.Method(i)
-			for _, impl := range concrete {
-				if impl.Obj.Name() != m.Name() {
-					continue
-				}
-				recv := impl.Obj.Type().(*types.Signature).Recv().Type()
-				if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
+			for _, impl := range prog.Funcs {
+				if impl.Obj.Name() == m.Name() && impl.implements(it) {
 					prog.ifaceMethods[m] = append(prog.ifaceMethods[m], impl)
 				}
 			}
 		}
 	}
+}
+
+// implements reports whether n is a method whose receiver type, or a
+// pointer to it, implements it.
+func (n *FuncNode) implements(it *types.Interface) bool {
+	recv := n.Obj.Signature().Recv()
+	return recv != nil && (types.Implements(recv.Type(), it) || types.Implements(types.NewPointer(recv.Type()), it))
 }
 
 // Reachable computes the closure of roots over the call graph. A node
@@ -324,22 +262,12 @@ func (prog *Program) HotRoots() []*FuncNode {
 	}
 	if ctrl := prog.controllerInterface(); ctrl != nil {
 		for _, n := range prog.Funcs {
-			name := n.Obj.Name()
-			if name != "PreCycle" && name != "PostCycle" {
-				continue
-			}
-			sig := n.Obj.Type().(*types.Signature)
-			if sig.Recv() == nil {
-				continue
-			}
-			recv := sig.Recv().Type()
-			if types.Implements(recv, ctrl) || types.Implements(types.NewPointer(recv), ctrl) {
+			if name := n.Obj.Name(); (name == "PreCycle" || name == "PostCycle") && n.implements(ctrl) {
 				roots = append(roots, n)
 			}
 		}
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].FullName() < roots[j].FullName() })
-	return slices.Compact(roots) // a hot PreCycle could qualify twice
+	return sortByName(roots) // a hot PreCycle could qualify twice
 }
 
 // controllerInterface locates the network package's Controller

@@ -27,24 +27,26 @@ func (CycleWidth) Doc() string {
 	return "flag narrow integer declarations and narrowing conversions of cycle counters"
 }
 
-func (CycleWidth) Run(p *Package) []Finding {
+func (CycleWidth) Run(prog *Program) []Finding {
 	var out []Finding
-	for _, file := range p.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				if f, ok := narrowingCycleConversion(p, n); ok {
-					out = append(out, f)
+	for _, p := range prog.Pkgs {
+		for _, file := range p.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if f, ok := narrowingCycleConversion(p, n); ok {
+						out = append(out, f)
+					}
+				case *ast.Field:
+					out = append(out, narrowCycleNames(p, n.Names, n.Type)...)
+				case *ast.ValueSpec:
+					out = append(out, narrowCycleNames(p, n.Names, n.Type)...)
+				case *ast.AssignStmt:
+					out = append(out, narrowCycleDefines(p, n)...)
 				}
-			case *ast.Field:
-				out = append(out, narrowCycleNames(p, n.Names, n.Type)...)
-			case *ast.ValueSpec:
-				out = append(out, narrowCycleNames(p, n.Names, n.Type)...)
-			case *ast.AssignStmt:
-				out = append(out, narrowCycleDefines(p, n)...)
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 	return out
 }

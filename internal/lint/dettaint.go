@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"cmp"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -41,8 +42,8 @@ import (
 //   - a map range, in any package, whose body sends into a channel,
 //     appends to a slice declared outside the loop that is not sorted
 //     afterwards, or calls a method of a module type;
-//   - a tainted value assigned into a field of a module-declared
-//     struct inside an internal/ package (simulator state);
+//   - a tainted value assigned, inside an internal/ package, into a
+//     field of simulator state (a struct of the run; see FieldKey);
 //   - a call to a taint-returning function inside the per-cycle hot
 //     path (anything reachable from Network.Step or a controller scan —
 //     see HotRoots).
@@ -89,10 +90,7 @@ func isClockFree(path string) bool {
 	return slices.ContainsFunc(clockFree, func(suffix string) bool { return strings.HasSuffix(path, suffix) })
 }
 
-// Run implements Analyzer; dettaint is whole-program only.
-func (DetTaint) Run(*Package) []Finding { return nil }
-
-func (DetTaint) RunProgram(prog *Program) []Finding {
+func (DetTaint) Run(prog *Program) []Finding {
 	t := &taintAnalysis{prog: prog, summaries: map[*FuncNode]string{}}
 	// Fixpoint over return summaries: each round re-derives every
 	// function's summary with the previous round's view of its callees.
@@ -103,7 +101,7 @@ func (DetTaint) RunProgram(prog *Program) []Finding {
 			if n.Decl.Body == nil {
 				continue
 			}
-			reason := t.analyze(n, nil)
+			reason := (&funcWalk{taintAnalysis: t, node: n}).analyze()
 			if reason != "" && t.summaries[n] == "" {
 				t.summaries[n] = reason
 				changed = true
@@ -119,9 +117,9 @@ func (DetTaint) RunProgram(prog *Program) []Finding {
 		if n.Decl.Body == nil {
 			continue
 		}
-		sink := &sinkContext{node: n, hot: hot[n]}
-		t.analyze(n, sink)
-		findings = append(findings, sink.findings...)
+		w := &funcWalk{taintAnalysis: t, node: n, report: true, hot: hot[n]}
+		w.analyze()
+		findings = append(findings, w.findings...)
 	}
 	for _, p := range prog.Pkgs {
 		if isClockFree(p.Path) {
@@ -137,114 +135,54 @@ type taintAnalysis struct {
 	summaries map[*FuncNode]string // func → why its return value is tainted ("" = clean)
 }
 
-// sinkContext switches analyze into reporting mode for one function.
-type sinkContext struct {
+// funcWalk is one pass over one function body, tracking tainted
+// objects in source order. In reporting mode it also collects the
+// function's sink findings.
+type funcWalk struct {
+	*taintAnalysis
 	node     *FuncNode
-	hot      bool
+	p        *Package // node.Pkg
+	report   bool     // collect sink findings
+	hot      bool     // node is on the per-cycle hot path
 	findings []Finding
+	tainted  map[types.Object]string
+	selects  [][2]token.Pos         // spans of select statements with ≥ 2 cases
+	launders map[string][]token.Pos // ExprString → positions of sort calls on it
 }
 
-func (s *sinkContext) report(p *Package, node ast.Node, format string, args ...any) {
-	s.findings = append(s.findings, p.finding("dettaint", node, format, args...))
+func (w *funcWalk) flag(node ast.Node, format string, args ...any) {
+	w.findings = append(w.findings, w.p.finding("dettaint", node, format, args...))
 }
 
-// analyze walks one function body, tracking tainted objects in source
-// order, and returns the reason the function's return value is tainted
-// ("" when clean). With a non-nil sink it additionally reports sink
-// findings.
-func (t *taintAnalysis) analyze(n *FuncNode, sink *sinkContext) string {
-	p := n.Pkg
-	body := n.Decl.Body
-	tainted := map[types.Object]string{}
+// analyze walks the body and returns the reason the function's return
+// value is tainted ("" when clean).
+func (w *funcWalk) analyze() string {
+	p, body := w.node.Pkg, w.node.Decl.Body
+	w.p = p
+	w.tainted = map[types.Object]string{}
+	w.launders = map[string][]token.Pos{}
 	retReason := ""
 
-	// Pre-passes: spans of select statements with ≥2 cases (anything
+	// Pre-pass: spans of select statements with ≥2 cases (anything
 	// assigned inside depends on arm choice), and the positions at
 	// which expressions are laundered by a sort call (for the
 	// written-then-sorted sink filter).
-	var selectSpans [][2]token.Pos
-	launders := map[string][]token.Pos{} // ExprString → sort-call positions
 	ast.Inspect(body, func(nd ast.Node) bool {
 		switch nd := nd.(type) {
 		case *ast.SelectStmt:
 			if len(nd.Body.List) >= 2 {
-				selectSpans = append(selectSpans, [2]token.Pos{nd.Pos(), nd.End()})
+				w.selects = append(w.selects, [2]token.Pos{nd.Pos(), nd.End()})
 			}
 		case *ast.CallExpr:
 			if sorts(calledFunc(p, nd)) {
 				for _, arg := range nd.Args {
 					key := types.ExprString(ast.Unparen(arg))
-					launders[key] = append(launders[key], nd.Pos())
+					w.launders[key] = append(w.launders[key], nd.Pos())
 				}
 			}
 		}
 		return true
 	})
-	inSelect := func(pos token.Pos) bool {
-		for _, s := range selectSpans {
-			if pos >= s[0] && pos < s[1] {
-				return true
-			}
-		}
-		return false
-	}
-	launderedAfter := func(e ast.Expr, pos token.Pos) bool {
-		for _, lp := range launders[types.ExprString(ast.Unparen(e))] {
-			if lp > pos {
-				return true
-			}
-		}
-		return false
-	}
-
-	// taintOf explains why an expression is tainted, or returns "".
-	var taintOf func(e ast.Expr) string
-	taintOf = func(e ast.Expr) string {
-		switch e := e.(type) {
-		case nil:
-			return ""
-		case *ast.Ident:
-			if obj := p.Info.Uses[e]; obj != nil {
-				return tainted[obj]
-			}
-			return ""
-		case *ast.ParenExpr:
-			return taintOf(e.X)
-		case *ast.StarExpr:
-			return taintOf(e.X)
-		case *ast.UnaryExpr:
-			return taintOf(e.X)
-		case *ast.BinaryExpr:
-			if r := taintOf(e.X); r != "" {
-				return r
-			}
-			return taintOf(e.Y)
-		case *ast.IndexExpr:
-			if r := taintOf(e.X); r != "" {
-				return r
-			}
-			return taintOf(e.Index)
-		case *ast.SliceExpr:
-			return taintOf(e.X)
-		case *ast.SelectorExpr:
-			return taintOf(e.X)
-		case *ast.TypeAssertExpr:
-			return taintOf(e.X)
-		case *ast.CompositeLit:
-			for _, elt := range e.Elts {
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					elt = kv.Value
-				}
-				if r := taintOf(elt); r != "" {
-					return r
-				}
-			}
-			return ""
-		case *ast.CallExpr:
-			return t.taintOfCall(p, e, taintOf)
-		}
-		return ""
-	}
 
 	ast.Inspect(body, func(nd ast.Node) bool {
 		switch nd := nd.(type) {
@@ -258,26 +196,24 @@ func (t *taintAnalysis) analyze(n *FuncNode, sink *sinkContext) string {
 			}
 			for _, v := range []ast.Expr{nd.Key, nd.Value} {
 				if id, ok := v.(*ast.Ident); ok && id.Name != "_" {
-					if obj := p.Info.Defs[id]; obj != nil {
-						tainted[obj] = "map iteration order"
-					} else if obj := p.Info.Uses[id]; obj != nil {
-						tainted[obj] = "map iteration order"
+					if obj := p.Info.ObjectOf(id); obj != nil {
+						w.tainted[obj] = "map iteration order"
 					}
 				}
 			}
-			if sink != nil {
-				if why := orderSensitiveBody(p, nd, launderedAfter); why != "" {
-					sink.report(p, nd, "map iteration order is nondeterministic and the body %s; range over sorted keys instead", why)
+			if w.report {
+				if why := w.orderSensitiveBody(nd); why != "" {
+					w.flag(nd, "map iteration order is nondeterministic and the body %s; range over sorted keys instead", why)
 				}
 			}
 		case *ast.AssignStmt:
-			t.flowAssign(p, nd, tainted, taintOf, inSelect)
-			if sink != nil {
-				t.reportFieldSinks(p, nd, sink, taintOf, launderedAfter)
+			w.flowAssign(nd)
+			if w.report {
+				w.reportFieldSinks(nd)
 			}
 		case *ast.ReturnStmt:
 			for _, res := range nd.Results {
-				if r := taintOf(res); r != "" && retReason == "" {
+				if r := w.taintOf(res); r != "" && retReason == "" {
 					retReason = r
 				}
 			}
@@ -289,14 +225,14 @@ func (t *taintAnalysis) analyze(n *FuncNode, sink *sinkContext) string {
 				for _, arg := range nd.Args {
 					if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
 						if obj := p.Info.Uses[id]; obj != nil {
-							delete(tainted, obj)
+							delete(w.tainted, obj)
 						}
 					}
 				}
 				return true
 			}
-			if sink != nil && fn != nil {
-				t.reportCall(p, nd, fn, sink)
+			if w.report && fn != nil {
+				w.reportCall(nd, fn)
 			}
 		}
 		return true
@@ -304,37 +240,89 @@ func (t *taintAnalysis) analyze(n *FuncNode, sink *sinkContext) string {
 	return retReason
 }
 
+func (w *funcWalk) inSelect(pos token.Pos) bool {
+	for _, s := range w.selects {
+		if pos >= s[0] && pos < s[1] {
+			return true
+		}
+	}
+	return false
+}
+
+func (w *funcWalk) launderedAfter(e ast.Expr, pos token.Pos) bool {
+	for _, lp := range w.launders[types.ExprString(ast.Unparen(e))] {
+		if lp > pos {
+			return true
+		}
+	}
+	return false
+}
+
+// taintOf explains why an expression is tainted, or returns "".
+func (w *funcWalk) taintOf(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return w.tainted[w.p.Info.Uses[e]]
+	case *ast.ParenExpr:
+		return w.taintOf(e.X)
+	case *ast.StarExpr:
+		return w.taintOf(e.X)
+	case *ast.UnaryExpr:
+		return w.taintOf(e.X)
+	case *ast.BinaryExpr:
+		return cmp.Or(w.taintOf(e.X), w.taintOf(e.Y))
+	case *ast.IndexExpr:
+		return cmp.Or(w.taintOf(e.X), w.taintOf(e.Index))
+	case *ast.SliceExpr:
+		return w.taintOf(e.X)
+	case *ast.SelectorExpr:
+		return w.taintOf(e.X)
+	case *ast.TypeAssertExpr:
+		return w.taintOf(e.X)
+	case *ast.CompositeLit:
+		for _, elt := range e.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				elt = kv.Value
+			}
+			if r := w.taintOf(elt); r != "" {
+				return r
+			}
+		}
+		return ""
+	case *ast.CallExpr:
+		return w.taintOfCall(e)
+	}
+	return ""
+}
+
 // flowAssign propagates taint through one assignment.
-func (t *taintAnalysis) flowAssign(p *Package, as *ast.AssignStmt, tainted map[types.Object]string,
-	taintOf func(ast.Expr) string, inSelect func(token.Pos) bool) {
+func (w *funcWalk) flowAssign(as *ast.AssignStmt) {
+	p := w.p
 	reasons := make([]string, len(as.Lhs))
 	if len(as.Lhs) == len(as.Rhs) {
 		for i, rhs := range as.Rhs {
-			reasons[i] = taintOf(rhs)
+			reasons[i] = w.taintOf(rhs)
 		}
 	} else if len(as.Rhs) == 1 {
 		// Multi-value call or comma-ok: one reason for every target.
-		r := taintOf(as.Rhs[0])
+		r := w.taintOf(as.Rhs[0])
 		for i := range reasons {
 			reasons[i] = r
 		}
 	}
-	sel := inSelect(as.Pos())
+	sel := w.inSelect(as.Pos())
 	for i, lhs := range as.Lhs {
 		id, ok := ast.Unparen(lhs).(*ast.Ident)
 		if !ok || id.Name == "_" {
 			continue
 		}
-		obj := p.Info.Defs[id]
-		if obj == nil {
-			obj = p.Info.Uses[id]
-		}
+		obj := p.Info.ObjectOf(id)
 		if obj == nil {
 			continue
 		}
 		switch {
 		case sel:
-			tainted[obj] = "select arm choice"
+			w.tainted[obj] = "select arm choice"
 		case reasons[i] != "":
 			// Commutative self-accumulation (x += v, x = x + v over
 			// numbers) does not inherit order taint: the sum is the
@@ -342,9 +330,9 @@ func (t *taintAnalysis) flowAssign(p *Package, as *ast.AssignStmt, tainted map[t
 			if as.Tok != token.ASSIGN && as.Tok != token.DEFINE && isNumeric(p, lhs) {
 				continue
 			}
-			tainted[obj] = reasons[i]
+			w.tainted[obj] = reasons[i]
 		case as.Tok == token.ASSIGN:
-			delete(tainted, obj) // strong update with a clean value
+			delete(w.tainted, obj) // strong update with a clean value
 		}
 	}
 }
@@ -405,7 +393,8 @@ func hostInput(fn *types.Func) string {
 // taintOfCall classifies a call expression: a taint source, a call to
 // a taint-returning function, a launderer, or a pass-through of its
 // arguments' taint.
-func (t *taintAnalysis) taintOfCall(p *Package, call *ast.CallExpr, taintOf func(ast.Expr) string) string {
+func (w *funcWalk) taintOfCall(call *ast.CallExpr) string {
+	p := w.p
 	// Conversions: pointer identity escaping into an integer.
 	if tv, ok := p.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		dst := tv.Type.Underlying()
@@ -420,7 +409,7 @@ func (t *taintAnalysis) taintOfCall(p *Package, call *ast.CallExpr, taintOf func
 				}
 			}
 		}
-		return taintOf(call.Args[0]) // other conversions pass taint through
+		return w.taintOf(call.Args[0]) // other conversions pass taint through
 	}
 	if fn := calledFunc(p, call); fn != nil {
 		if r := hostInput(fn); r != "" {
@@ -429,8 +418,8 @@ func (t *taintAnalysis) taintOfCall(p *Package, call *ast.CallExpr, taintOf func
 		if sorts(fn) {
 			return "" // launderers: deterministic output order
 		}
-		if node := t.prog.Node(fn); node != nil {
-			if r := t.summaries[node]; r != "" {
+		if node := w.prog.byObj[fn]; node != nil {
+			if r := w.summaries[node]; r != "" {
 				return r + " (via " + node.FullName() + ")"
 			}
 			// A module function with a clean summary still passes its
@@ -441,22 +430,23 @@ func (t *taintAnalysis) taintOfCall(p *Package, call *ast.CallExpr, taintOf func
 		return "" // a tainted collection has a deterministic size
 	}
 	for _, arg := range call.Args {
-		if r := taintOf(arg); r != "" {
+		if r := w.taintOf(arg); r != "" {
 			return r
 		}
 	}
 	// Method call on a tainted receiver.
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		return taintOf(sel.X)
+		return w.taintOf(sel.X)
 	}
 	return ""
 }
 
-// reportFieldSinks flags assignments whose target is a module struct
-// field and whose value is tainted — unless the field is sorted later
-// in the same function (collect-then-sort through a field).
-func (t *taintAnalysis) reportFieldSinks(p *Package, as *ast.AssignStmt, sink *sinkContext,
-	taintOf func(ast.Expr) string, launderedAfter func(ast.Expr, token.Pos) bool) {
+// reportFieldSinks flags assignments whose target is a field of
+// simulator state (see FieldKey) and whose value is tainted — unless
+// the field is sorted later in the same function (collect-then-sort
+// through a field).
+func (w *funcWalk) reportFieldSinks(as *ast.AssignStmt) {
+	p := w.p
 	if !p.internal() {
 		return
 	}
@@ -474,8 +464,8 @@ func (t *taintAnalysis) reportFieldSinks(p *Package, as *ast.AssignStmt, sink *s
 		if s == nil || s.Kind() != types.FieldVal {
 			continue
 		}
-		fv, ok := s.Obj().(*types.Var)
-		if !ok || t.prog.Field(fv) == nil {
+		key := w.prog.FieldKey(s)
+		if key == "" {
 			continue
 		}
 		var rhs ast.Expr
@@ -484,16 +474,12 @@ func (t *taintAnalysis) reportFieldSinks(p *Package, as *ast.AssignStmt, sink *s
 		} else if len(as.Rhs) == 1 {
 			rhs = as.Rhs[0]
 		}
-		reason := taintOf(rhs)
-		if reason == "" {
+		reason := w.taintOf(rhs)
+		if reason == "" || w.launderedAfter(lhs, as.Pos()) {
 			continue
 		}
-		if launderedAfter(lhs, as.Pos()) {
-			continue
-		}
-		sink.report(p, as,
-			"%s flows into simulator state %s; derive the value deterministically (seeded rand, sorted keys, cycle time)",
-			reason, t.prog.FieldKey(fv))
+		w.flag(as, "%s flows into simulator state %s; derive the value deterministically (seeded rand, sorted keys, cycle time)",
+			reason, key)
 	}
 }
 
@@ -501,20 +487,20 @@ func (t *taintAnalysis) reportFieldSinks(p *Package, as *ast.AssignStmt, sink *s
 // internal/, or on the per-cycle hot path in any package — and, on the
 // hot path, a call to a helper whose return is tainted. Package time in
 // a clockFree package is left to timeRefs, so one call is reported once.
-func (t *taintAnalysis) reportCall(p *Package, call *ast.CallExpr, fn *types.Func, sink *sinkContext) {
+func (w *funcWalk) reportCall(call *ast.CallExpr, fn *types.Func) {
 	if r := hostInput(fn); r != "" {
 		switch {
-		case fn.Pkg().Path() == "time" && isClockFree(p.Path):
-		case sink.hot:
-			sink.report(p, call, "%s inside the per-cycle hot path (%s is reachable from Step)", r, sink.node.FullName())
-		case p.internal():
-			sink.report(p, call, "%s in simulation code; take time from the cycle counter and randomness from an explicitly seeded *rand.Rand", r)
+		case fn.Pkg().Path() == "time" && isClockFree(w.p.Path):
+		case w.hot:
+			w.flag(call, "%s inside the per-cycle hot path (%s is reachable from Step)", r, w.node.FullName())
+		case w.p.internal():
+			w.flag(call, "%s in simulation code; take time from the cycle counter and randomness from an explicitly seeded *rand.Rand", r)
 		}
 		return
 	}
-	if node := t.prog.Node(fn); node != nil && sink.hot {
-		if r := t.summaries[node]; r != "" {
-			sink.report(p, call, "call to %s returns a nondeterministic value (%s) inside the per-cycle hot path",
+	if node := w.prog.byObj[fn]; node != nil && w.hot {
+		if r := w.summaries[node]; r != "" {
+			w.flag(call, "call to %s returns a nondeterministic value (%s) inside the per-cycle hot path",
 				node.FullName(), r)
 		}
 	}
@@ -524,7 +510,7 @@ func (t *taintAnalysis) reportCall(p *Package, call *ast.CallExpr, fn *types.Fun
 // order, or returns "" for an order-insensitive body (a commutative
 // reduction, or a collect-then-sort whose target is laundered after the
 // loop).
-func orderSensitiveBody(p *Package, rng *ast.RangeStmt, launderedAfter func(ast.Expr, token.Pos) bool) string {
+func (w *funcWalk) orderSensitiveBody(rng *ast.RangeStmt) string {
 	why := ""
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		if why != "" {
@@ -534,11 +520,11 @@ func orderSensitiveBody(p *Package, rng *ast.RangeStmt, launderedAfter func(ast.
 		case *ast.SendStmt:
 			why = "sends into a channel"
 		case *ast.AssignStmt:
-			if id := appendTarget(n); id != nil && declaredOutside(p, id, rng) && !launderedAfter(id, rng.End()) {
+			if id := appendTarget(n); id != nil && declaredOutside(w.p, id, rng) && !w.launderedAfter(id, rng.End()) {
 				why = "appends to a slice declared outside the loop"
 			}
 		case *ast.CallExpr:
-			if name := moduleMethodCall(p, n); name != "" {
+			if name := moduleMethodCall(w.p, n); name != "" {
 				why = "calls simulator method " + name
 			}
 		}

@@ -23,10 +23,9 @@ func Main(args []string, dir string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	rules := fs.String("rules", "", "comma-separated analyzer subset (default: all)")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0 on stdout")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: nocvet [-rules dettaint,…] [-json|-sarif] packages…\n\n"+
+		fmt.Fprintf(stderr, "usage: nocvet [-rules dettaint,…] [-sarif] packages…\n\n"+
 			"Static analysis enforcing simulator determinism and invariant\n"+
 			"conventions. Packages are directories or ./… patterns within the\n"+
 			"module; a single run is a whole-program analysis over every\n"+
@@ -47,10 +46,6 @@ func Main(args []string, dir string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-11s %s\n", a.Name(), a.Doc())
 		}
 		return ExitClean
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "nocvet: -json and -sarif are mutually exclusive")
-		return ExitError
 	}
 	analyzers, err := ByName(*rules)
 	if err != nil {
@@ -73,18 +68,12 @@ func Main(args []string, dir string, stdout, stderr io.Writer) int {
 		return ExitError
 	}
 	findings := Run(pkgs, analyzers)
-	switch {
-	case *jsonOut:
-		if err := WriteJSON(stdout, findings); err != nil {
-			fmt.Fprintln(stderr, "nocvet:", err)
-			return ExitError
-		}
-	case *sarifOut:
+	if *sarifOut {
 		if err := WriteSARIF(stdout, findings); err != nil {
 			fmt.Fprintln(stderr, "nocvet:", err)
 			return ExitError
 		}
-	default:
+	} else {
 		for _, f := range findings {
 			fmt.Fprintln(stdout, f)
 		}

@@ -45,10 +45,7 @@ func (HotAlloc2) Doc() string {
 	return "flag allocation idioms anywhere reachable from the per-cycle hot path"
 }
 
-// Run implements Analyzer; hotalloc2 is whole-program only.
-func (HotAlloc2) Run(*Package) []Finding { return nil }
-
-func (HotAlloc2) RunProgram(prog *Program) []Finding {
+func (HotAlloc2) Run(prog *Program) []Finding {
 	roots := prog.HotRoots()
 	if len(roots) == 0 {
 		return nil
@@ -59,18 +56,17 @@ func (HotAlloc2) RunProgram(prog *Program) []Finding {
 		if !hot[n] || n.Decl.Body == nil {
 			continue
 		}
-		findings = append(findings, hotAllocCheck(n, prog)...)
+		findings = append(findings, hotAllocCheck(n)...)
 	}
 	return findings
 }
 
 // hotAllocCheck scans one hot function for allocation idioms.
-func hotAllocCheck(n *FuncNode, prog *Program) []Finding {
+func hotAllocCheck(n *FuncNode) []Finding {
 	p := n.Pkg
 	var out []Finding
 	emptyLocals := emptySliceLocals(p, n.Decl.Body)
-	var walk func(node ast.Node) bool
-	walk = func(node ast.Node) bool {
+	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
 		switch node := node.(type) {
 		case *ast.CallExpr:
 			if bn := builtinName(p, node.Fun); bn != "" {
@@ -114,8 +110,7 @@ func hotAllocCheck(n *FuncNode, prog *Program) []Finding {
 			}
 		}
 		return true
-	}
-	ast.Inspect(n.Decl.Body, walk)
+	})
 	return out
 }
 

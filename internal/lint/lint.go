@@ -10,8 +10,10 @@
 //	panicstyle — panic messages carry the "<pkg>: " prefix so
 //	             invariant violations are attributable
 //
-// Two whole-program analyzers run over a type-resolved cross-package
-// call graph (callgraph.go) instead of one package at a time:
+// Every analyzer has one shape, Run(*Program): Program is the whole
+// run — every package it loaded plus the type-resolved cross-package
+// call graph (callgraph.go) — built once per run. The per-package
+// analyzers above loop over its packages; two more walk the call graph:
 //
 //	dettaint   — determinism: no wall-clock read or global math/rand
 //	             call under internal/, no package time at all in
@@ -20,6 +22,8 @@
 //	             simulator method; and values derived from map order,
 //	             select, wall clock, or pointer identity must be
 //	             laundered (sorted) before they reach simulator state
+//	             (a field of a package-level named struct of the run,
+//	             read off go/types by FieldKey with no field index)
 //	hotalloc2  — no allocation idiom (make, new, &T{}, append-prepend,
 //	             capturing closures, ...any boxing) anywhere reachable
 //	             from //nocvet:hot roots and controller
@@ -55,24 +59,20 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d %s: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Rule, f.Msg)
 }
 
-// Analyzer is one rule pass over a type-checked package.
+// Analyzer is one rule pass over the whole program of a run.
 type Analyzer interface {
 	// Name is the rule identifier used in reports and suppressions.
 	Name() string
 	// Doc is a one-line description for -help output.
 	Doc() string
-	// Run reports every violation in the package.
-	Run(p *Package) []Finding
+	// Run reports every violation in the program.
+	Run(prog *Program) []Finding
 }
 
-// ProgramAnalyzer is an analyzer that needs the whole program — every
-// package of the run plus the cross-package call graph — rather than
-// one package at a time. Its Run method is a no-op; RunProgram is
-// invoked once per nocvet invocation.
-type ProgramAnalyzer interface {
-	Analyzer
-	RunProgram(prog *Program) []Finding
-}
+// callGraphRules name the analyzers that judge code by what the hot
+// roots reach: a run with no hot root sees too little of the call graph
+// to call one of their suppressions stale.
+var callGraphRules = []string{"dettaint", "hotalloc2"}
 
 // All returns the full analyzer suite in report order.
 func All() []Analyzer {
@@ -95,57 +95,34 @@ func ByName(list string) ([]Analyzer, error) {
 	if list == "" {
 		return All(), nil
 	}
-	known := map[string]Analyzer{}
-	for _, a := range All() {
-		known[a.Name()] = a
-	}
 	var out []Analyzer
 	for _, name := range strings.Split(list, ",") {
-		a, ok := known[strings.TrimSpace(name)]
-		if !ok {
+		i := slices.Index(Names(), strings.TrimSpace(name))
+		if i < 0 {
 			return nil, fmt.Errorf("lint: unknown analyzer %q (known: %s)", name, strings.Join(Names(), ", "))
 		}
-		out = append(out, a)
+		out = append(out, All()[i])
 	}
 	return out, nil
 }
 
-// Run applies the analyzers to every package, drops suppressed
-// findings, adds the stale suppressions, and returns the rest sorted by
-// position then rule. Program analyzers see all packages of the call at
-// once, so a run over ./... is a whole-program analysis.
+// Run applies the analyzers to the program of the packages, drops
+// suppressed findings, adds the stale suppressions, and returns the
+// rest sorted by position then rule. A run over ./... is a
+// whole-program analysis.
 func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
-	var prog *Program
-	for _, a := range analyzers {
-		if _, ok := a.(ProgramAnalyzer); ok && len(pkgs) > 0 {
-			prog = BuildProgram(pkgs)
-			break
-		}
-	}
+	prog := BuildProgram(pkgs)
+	hot := len(prog.HotRoots()) > 0
 	sup := collectSuppressions(pkgs)
 	ran := map[string]bool{}
 	var out []Finding
-	keep := func(fs []Finding) {
-		for _, f := range fs {
+	for _, a := range analyzers {
+		for _, f := range a.Run(prog) {
 			if !sup.covers(f) {
 				out = append(out, f)
 			}
 		}
-	}
-	for _, a := range analyzers {
-		if pa, ok := a.(ProgramAnalyzer); ok {
-			if prog != nil {
-				keep(pa.RunProgram(prog))
-				// A run with no hot root sees too little of the
-				// call graph to call a whole-program suppression stale.
-				ran[a.Name()] = len(prog.HotRoots()) > 0
-			}
-			continue
-		}
-		for _, p := range pkgs {
-			keep(a.Run(p))
-		}
-		ran[a.Name()] = true
+		ran[a.Name()] = hot || !slices.Contains(callGraphRules, a.Name())
 	}
 	out = append(out, sup.stale(ran)...)
 	slices.SortFunc(out, func(a, b Finding) int {

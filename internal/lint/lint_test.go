@@ -81,14 +81,7 @@ func TestSuppressionFiltering(t *testing.T) {
 		a := a
 		t.Run(a.Name(), func(t *testing.T) {
 			pkgs := fixture(t, a.Name())
-			raw := 0
-			if pa, ok := a.(ProgramAnalyzer); ok {
-				raw = len(pa.RunProgram(BuildProgram(pkgs)))
-			} else {
-				for _, p := range pkgs {
-					raw += len(a.Run(p))
-				}
-			}
+			raw := len(a.Run(BuildProgram(pkgs)))
 			filtered := len(Run(pkgs, []Analyzer{a}))
 			if raw != filtered+1 {
 				t.Errorf("raw=%d filtered=%d; each fixture carries exactly one suppressed case", raw, filtered)
@@ -129,7 +122,7 @@ func TestHostInputsScopedToInternal(t *testing.T) {
 	for _, p := range pkgs {
 		p.Path = strings.Replace(p.Path, "/internal/", "/cmd/", 1)
 	}
-	for _, f := range (DetTaint{}).RunProgram(BuildProgram(pkgs)) {
+	for _, f := range (DetTaint{}).Run(BuildProgram(pkgs)) {
 		if strings.Contains(f.Msg, "in simulation code") {
 			t.Errorf("host-input site finding outside internal/: %s", f)
 		}
@@ -206,6 +199,9 @@ func TestDriverExitCodes(t *testing.T) {
 	}
 	if code, _, _ := run("-rules", "bogus", "./internal/lint/testdata/src/clean"); code != ExitError {
 		t.Errorf("unknown rule: code=%d, want %d", code, ExitError)
+	}
+	if code, _, _ := run("-json", "./internal/lint/testdata/src/clean"); code != ExitError {
+		t.Errorf("-json (SARIF is the one machine output): code=%d, want %d", code, ExitError)
 	}
 	if code, _, _ := run("./no/such/dir"); code != ExitError {
 		t.Errorf("missing dir: code=%d, want %d", code, ExitError)

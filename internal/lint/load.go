@@ -146,7 +146,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
 			}
-			if hasGoFiles(path) {
+			if len(goFilesIn(path)) > 0 {
 				add(path)
 			}
 			return nil
@@ -157,7 +157,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	}
 	var pkgs []*Package
 	for _, dir := range dirs {
-		if !hasGoFiles(dir) {
+		if len(goFilesIn(dir)) == 0 {
 			return nil, fmt.Errorf("lint: no Go files in %s", dir)
 		}
 		p, err := l.check(l.importPathFor(dir), dir)
@@ -176,11 +176,6 @@ func (l *Loader) importPathFor(dir string) string {
 		return l.ModPath
 	}
 	return l.ModPath + "/" + filepath.ToSlash(rel)
-}
-
-// hasGoFiles reports whether dir directly contains non-test Go files.
-func hasGoFiles(dir string) bool {
-	return len(goFilesIn(dir)) > 0
 }
 
 // goFilesIn lists the non-test .go files of dir, sorted for

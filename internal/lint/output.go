@@ -5,35 +5,10 @@ import (
 	"io"
 )
 
-// This file renders findings in the machine-readable formats of
-// cmd/nocvet: plain JSON for scripting and SARIF 2.1.0 for code
-// scanning UIs (the CI workflow uploads the SARIF so findings surface
-// as GitHub annotations). Both emitters consume the already-sorted
-// finding list, so their output is deterministic.
-
-// jsonFinding is the -json wire form of one finding.
-type jsonFinding struct {
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Column int    `json:"column"`
-	Rule   string `json:"rule"`
-	Msg    string `json:"msg"`
-}
-
-// WriteJSON renders findings as an indented JSON array (always an
-// array, "[]" when clean).
-func WriteJSON(w io.Writer, findings []Finding) error {
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, jsonFinding{
-			File: f.Pos.Filename, Line: f.Pos.Line, Column: f.Pos.Column,
-			Rule: f.Rule, Msg: f.Msg,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
+// This file renders findings as SARIF 2.1.0 for code scanning UIs
+// (the CI workflow uploads it so findings surface as GitHub
+// annotations). It consumes the already-sorted finding list, so its
+// output is deterministic.
 
 // --- SARIF 2.1.0 (minimal subset) ---
 

@@ -7,36 +7,6 @@ import (
 	"testing"
 )
 
-// TestDriverJSONOutput: -json renders an indented array of findings,
-// and "[]" when clean — always valid JSON either way.
-func TestDriverJSONOutput(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := Main([]string{"-json", "./internal/lint/testdata/src/panicstyle"}, ".", &out, &errb)
-	if code != ExitFindings {
-		t.Fatalf("-json on panicstyle: code=%d, want %d (stderr: %s)", code, ExitFindings, errb.String())
-	}
-	var findings []jsonFinding
-	if err := json.Unmarshal(out.Bytes(), &findings); err != nil {
-		t.Fatalf("-json output is not valid JSON: %v\n%s", err, out.String())
-	}
-	if len(findings) == 0 {
-		t.Fatal("-json emitted an empty array for a dirty fixture")
-	}
-	for _, f := range findings {
-		if f.Rule != "panicstyle" || f.File == "" || f.Line == 0 {
-			t.Errorf("malformed finding: %+v", f)
-		}
-	}
-
-	out.Reset()
-	if code := Main([]string{"-json", "./internal/lint/testdata/src/clean"}, ".", &out, &errb); code != ExitClean {
-		t.Fatalf("-json on clean: code=%d, want 0", code)
-	}
-	if strings.TrimSpace(out.String()) != "[]" {
-		t.Errorf("-json clean output = %q, want []", out.String())
-	}
-}
-
 // TestDriverSARIFOutput: -sarif emits a 2.1.0 log whose rule table is
 // the full analyzer suite.
 func TestDriverSARIFOutput(t *testing.T) {
@@ -66,14 +36,6 @@ func TestDriverSARIFOutput(t *testing.T) {
 		if r.Level != "error" || r.RuleID != "panicstyle" || len(r.Locations) != 1 {
 			t.Errorf("malformed result: %+v", r)
 		}
-	}
-}
-
-// TestDriverOutputModeConflict: -json and -sarif are mutually exclusive.
-func TestDriverOutputModeConflict(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := Main([]string{"-json", "-sarif", "./internal/lint/testdata/src/clean"}, ".", &out, &errb); code != ExitError {
-		t.Errorf("-json -sarif: code=%d, want %d", code, ExitError)
 	}
 }
 

@@ -23,26 +23,24 @@ func (PanicStyle) Doc() string {
 	return `require panic messages to carry the "<pkg>: " prefix`
 }
 
-func (PanicStyle) Run(p *Package) []Finding {
-	prefix := p.Types.Name()
-	if prefix == "main" {
-		// Command binaries attribute by their directory name.
-		if i := strings.LastIndex(p.Path, "/"); i >= 0 {
-			prefix = p.Path[i+1:]
-		}
-	}
+func (PanicStyle) Run(prog *Program) []Finding {
 	var out []Finding
-	for _, file := range p.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isBuiltinPanic(p, call) || len(call.Args) != 1 {
+	for _, p := range prog.Pkgs {
+		prefix := p.Types.Name()
+		if i := strings.LastIndex(p.Path, "/"); prefix == "main" && i >= 0 {
+			prefix = p.Path[i+1:] // command binaries attribute by their directory name
+		}
+		for _, file := range p.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if ok && isBuiltinPanic(p, call) && len(call.Args) == 1 {
+					if f, bad := checkPanicArg(p, call, prefix); bad {
+						out = append(out, f)
+					}
+				}
 				return true
-			}
-			if f, bad := checkPanicArg(p, call, prefix); bad {
-				out = append(out, f)
-			}
-			return true
-		})
+			})
+		}
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -144,8 +145,11 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 // run hands everything it sized to the mesh, its packet chunks and its
 // RNG streams to the next run in the process, so running the same point
 // again, from drained stores, allocates only its harness objects. Each
-// case bounds the second run's bytes by an absolute ceiling, so a build
-// that shrinks the first run leaves the bound as it was. For a saturated
+// case bounds a warm run's bytes by an absolute ceiling, so a build
+// that shrinks the first run leaves the bound as it was. The bytes are
+// process-wide TotalAlloc, which an allocation elsewhere in the process
+// can inflate by kilobytes in one read, so three warm runs follow the
+// first and the least of them is held to the ceiling. For a saturated
 // 8×8 RunSynthetic the ceiling is 52,000 bytes (4,656 measured): the
 // source backlog's chunks are 4.2 MB of the first run's 5.2 MB and the
 // router slab 210 KB, so losing either reuse fails. For an 8×8 six-VN
@@ -190,7 +194,7 @@ func TestRecycledRunAllocBudget(t *testing.T) {
 		}, 2_600},
 	} {
 		drainSpares()
-		var bytes [2]uint64
+		var bytes [4]uint64 // a first run on drained stores, then three warm ones
 		for i := range bytes {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -200,9 +204,10 @@ func TestRecycledRunAllocBudget(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			bytes[i] = after.TotalAlloc - before.TotalAlloc
 		}
-		t.Logf("%s: first run %d bytes, second %d (ceiling %d)", tc.name, bytes[0], bytes[1], tc.ceiling)
-		if bytes[1] > tc.ceiling {
-			t.Errorf("%s: second run allocates %d bytes, over the ceiling of %d", tc.name, bytes[1], tc.ceiling)
+		warm := slices.Min(bytes[1:])
+		t.Logf("%s: first run %d bytes, warm runs %v, least %d (ceiling %d)", tc.name, bytes[0], bytes[1:], warm, tc.ceiling)
+		if warm > tc.ceiling {
+			t.Errorf("%s: every warm run allocates over the ceiling of %d bytes: %v", tc.name, tc.ceiling, bytes[1:])
 		}
 	}
 }

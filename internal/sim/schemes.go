@@ -8,6 +8,7 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"math"
 
 	"repro/internal/baselines/drain"
 	"repro/internal/baselines/escapevc"
@@ -174,8 +175,8 @@ func (o Options) Validate() error {
 	if max(o.W, o.H) > topology.MaxSide {
 		return fmt.Errorf("sim: a %dx%d mesh is past the largest side of %d", o.W, o.H, topology.MaxSide)
 	}
-	if !(o.FaultScale >= 0) {
-		return fmt.Errorf("sim: fault scale %v must be a non-negative number", o.FaultScale)
+	if !(o.FaultScale >= 0) || math.IsInf(o.FaultScale, 1) {
+		return fmt.Errorf("sim: fault scale %v must be a finite non-negative number", o.FaultScale)
 	}
 	if o.TraceCapacity > MaxTraceCapacity {
 		return fmt.Errorf("sim: trace capacity %d events exceeds the bound of %d", o.TraceCapacity, MaxTraceCapacity)

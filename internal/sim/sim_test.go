@@ -365,6 +365,7 @@ func TestValidateRejectsWhatBuildPanicsOn(t *testing.T) {
 		{"negative ejection capacity", SynthConfig{Options: Options{EjectCap: -1}}, "ejection capacity"},
 		{"negative fault scale", SynthConfig{Options: Options{Faults: "corrupt:rate=1e-3", FaultScale: -1}}, "fault scale"},
 		{"NaN fault scale", SynthConfig{Options: Options{FaultScale: math.NaN()}}, "fault scale"},
+		{"infinite fault scale", SynthConfig{Options: Options{Faults: "linkfail:rate=1e-3", FaultScale: math.Inf(1)}}, "fault scale"},
 		{"rate above one", SynthConfig{Rate: 2}, "[0, 1]"},
 		{"negative rate", SynthConfig{Rate: -0.5}, "[0, 1]"},
 		{"NaN rate", SynthConfig{Rate: math.NaN()}, "[0, 1]"},
